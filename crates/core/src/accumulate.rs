@@ -3,10 +3,14 @@
 //!
 //! Each within-cell trajectory segment deposits Villasenor–Buneman
 //! charge-conserving current weights: 4 slots per component (the four
-//! parallel edges of the cell). This scatter — many particles, atomic
-//! adds, cell-indexed — is the contention site the paper's sorting
-//! algorithms target; its memory footprint is what
-//! `memsim::push::ACCUM_BYTES` models.
+//! parallel edges of the cell). This scatter — many particles, cell-
+//! indexed, shared between workers — is the contention site the paper's
+//! sorting algorithms target; its memory footprint is what
+//! `memsim::push::ACCUM_BYTES` models. Slots are fixed-point integers,
+//! so a writer may sum a run of same-cell segments privately and add the
+//! run's twelve totals once ([`RunDepositor`]): a cell-sorted population
+//! then costs one set of atomic adds per cell, not per particle, and the
+//! totals are the same bits either way.
 //!
 //! The accumulator stores `charge × fractional displacement × transverse
 //! shape`; [`Accumulator::unload`] converts to current density by the
@@ -16,6 +20,7 @@ use crate::field::FieldArray;
 use crate::grid::{Grid, StencilSide};
 use pk::atomic::{FixedScatterBuf, ScatterMode};
 use pk::{ExecSpace, SendPtr, Serial};
+use std::sync::atomic::{AtomicI64, Ordering};
 use vsimd::Strategy;
 
 /// Accumulator slots per cell: 4 edges × 3 components.
@@ -54,11 +59,20 @@ impl Accumulator {
         self.buf.reset();
     }
 
+    /// A depositor writing on behalf of `worker` (its scatter replica in
+    /// duplicated mode, resolved here once). Everything it was given
+    /// has reached the accumulator once it is dropped.
+    #[inline]
+    pub fn depositor(&self, worker: usize) -> RunDepositor<'_> {
+        RunDepositor { lane: self.buf.lane(worker), cell: 0, sums: [0; SLOTS] }
+    }
+
     /// Deposit one within-cell segment.
     ///
     /// Endpoints are cell-relative offsets in `[-1, 1]`; `qw` is the
     /// particle's `charge × weight`; `worker` identifies the calling
-    /// worker for the duplicated scatter mode.
+    /// worker for the duplicated scatter mode. A run of length one
+    /// through [`RunDepositor`].
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn deposit_segment(
@@ -73,14 +87,7 @@ impl Accumulator {
         z1: f32,
         qw: f32,
     ) {
-        debug_assert!(cell < self.cells);
-        let base = cell * SLOTS;
-        let w = segment_weights(x0, y0, z0, x1, y1, z1, qw);
-        for (s, &val) in w.iter().enumerate() {
-            if val != 0.0 {
-                self.buf.add(worker, base + s, val as f64);
-            }
-        }
+        self.depositor(worker).deposit(cell, x0, y0, z0, x1, y1, z1, qw);
     }
 
     /// Raw slot value (tests/diagnostics).
@@ -251,6 +258,68 @@ impl Accumulator {
                 jzr[ix] += (gz * rdt) as f32;
             }
         });
+    }
+}
+
+/// Run-coalescing writer into an [`Accumulator`]: holds the quantized
+/// sums of the segments deposited so far into one cell and adds them to
+/// the accumulator only when the target cell changes or the depositor is
+/// dropped. Each segment weight is quantized exactly as a direct add
+/// would quantize it and the slots sum with wrapping integer adds, so
+/// regrouping the adds leaves every slot total bit-identical — for any
+/// run lengths, worker count or scatter mode.
+#[derive(Debug)]
+pub struct RunDepositor<'a> {
+    lane: &'a [AtomicI64],
+    cell: usize,
+    sums: [i64; SLOTS],
+}
+
+impl RunDepositor<'_> {
+    /// Deposit one within-cell segment (arguments as
+    /// [`Accumulator::deposit_segment`]).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn deposit(
+        &mut self,
+        cell: usize,
+        x0: f32,
+        y0: f32,
+        z0: f32,
+        x1: f32,
+        y1: f32,
+        z1: f32,
+        qw: f32,
+    ) {
+        debug_assert!(cell * SLOTS < self.lane.len());
+        if cell != self.cell {
+            self.flush();
+            self.cell = cell;
+        }
+        let w = segment_weights(x0, y0, z0, x1, y1, z1, qw);
+        FixedScatterBuf::add_quantized(&mut self.sums, &w);
+    }
+
+    /// Add the pending run to the accumulator.
+    #[inline]
+    fn flush(&mut self) {
+        // a depositor that was never used points at cell 0, which a
+        // zero-cell accumulator does not have
+        let Some(slots) = self.lane.get(self.cell * SLOTS..(self.cell + 1) * SLOTS) else {
+            return;
+        };
+        for (slot, sum) in slots.iter().zip(&mut self.sums) {
+            if *sum != 0 {
+                slot.fetch_add(*sum, Ordering::Relaxed);
+                *sum = 0;
+            }
+        }
+    }
+}
+
+impl Drop for RunDepositor<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 

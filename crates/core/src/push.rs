@@ -10,8 +10,12 @@
 //! (Fig 4). The *gather* (cell-indexed interpolator load) and the
 //! *mover/deposit* (scatter with conflicts) are scalar in every strategy
 //! — exactly VPIC's structure, where those stages go through dedicated
-//! transpose/accumulator machinery — while the field evaluation and Boris
-//! arithmetic differ:
+//! transpose/accumulator machinery. Deposits leave a chunk through one
+//! [`RunDepositor`]: segments that hit the same cell back to back (the
+//! common case after a cell sort) are summed privately in fixed point
+//! and reach the shared accumulator once per run, with the same slot
+//! totals, bit for bit, as one add per segment. The field evaluation and
+//! Boris arithmetic are what differ between strategies:
 //!
 //! * **auto** — one plain loop, vectorization left to LLVM;
 //! * **guided** — the kernel split into a gather pass, a chunked
@@ -19,7 +23,7 @@
 //! * **manual** — 4-particle groups in portable [`vsimd::simd`] lanes;
 //! * **ad hoc** — 4-particle groups in SSE [`vsimd::v4::V4F32`] lanes.
 
-use crate::accumulate::Accumulator;
+use crate::accumulate::{Accumulator, RunDepositor};
 use crate::grid::Grid;
 use crate::interp::Interpolator;
 use crate::species::Species;
@@ -88,9 +92,11 @@ pub fn push_species(
 ///
 /// Per-particle state (positions, momenta, cells) and the crossing count
 /// are bit-identical to [`push_species`]: particles are independent and
-/// blocks are reduced in block order. Only the *order* of same-cell
-/// current additions differs, so accumulated currents match the serial
-/// push to f64-rounding of the summation order (≲1e-12 relative).
+/// blocks are reduced in block order. The accumulated currents are
+/// bit-identical too: the accumulator sums fixed-point integers, so
+/// neither the order of same-cell deposits, nor how they are split
+/// between workers and replicas, nor how a worker groups them into runs
+/// can change a slot total.
 pub fn push_species_on<S: ExecSpace>(
     space: &S,
     strategy: Strategy,
@@ -234,11 +240,14 @@ fn push_chunk(
     acc: &Accumulator,
     params: PushParams,
 ) -> PushStats {
+    // one depositor per chunk: same-cell runs (long after a cell sort)
+    // reach the accumulator once, when the cell changes or the chunk ends
+    let dep = &mut acc.depositor(chunk.worker);
     match strategy {
-        Strategy::Auto => push_auto(grid, chunk, interps, acc, params),
-        Strategy::Guided => push_guided(grid, chunk, interps, acc, params),
-        Strategy::Manual => push_manual(grid, chunk, interps, acc, params),
-        Strategy::AdHoc => push_adhoc(grid, chunk, interps, acc, params),
+        Strategy::Auto => push_auto(grid, chunk, interps, dep, params),
+        Strategy::Guided => push_guided(grid, chunk, interps, dep, params),
+        Strategy::Manual => push_manual(grid, chunk, interps, dep, params),
+        Strategy::AdHoc => push_adhoc(grid, chunk, interps, dep, params),
     }
 }
 
@@ -286,8 +295,7 @@ fn boris(
 #[inline]
 fn move_and_deposit(
     grid: &Grid,
-    acc: &Accumulator,
-    worker: usize,
+    dep: &mut RunDepositor<'_>,
     qw: f32,
     cell: &mut u32,
     x: &mut f32,
@@ -319,7 +327,7 @@ fn move_and_deposit(
         }
         if axis == usize::MAX {
             // no crossing: deposit the final segment and finish
-            acc.deposit_segment(worker, *cell as usize, *x, *y, *z, tx, ty, tz, qw);
+            dep.deposit(*cell as usize, *x, *y, *z, tx, ty, tz, qw);
             *x = tx.clamp(-1.0, 1.0);
             *y = ty.clamp(-1.0, 1.0);
             *z = tz.clamp(-1.0, 1.0);
@@ -331,7 +339,7 @@ fn move_and_deposit(
         let bx = (*x + alpha * mx).clamp(-1.0, 1.0);
         let by = (*y + alpha * my).clamp(-1.0, 1.0);
         let bz = (*z + alpha * mz).clamp(-1.0, 1.0);
-        acc.deposit_segment(worker, *cell as usize, *x, *y, *z, bx, by, bz, qw);
+        dep.deposit(*cell as usize, *x, *y, *z, bx, by, bz, qw);
         // cross into the neighbor: flip the crossed axis's offset
         let (dxn, dyn_, dzn): (isize, isize, isize) = match axis {
             0 => (if mx > 0.0 { 1 } else { -1 }, 0, 0),
@@ -356,7 +364,7 @@ fn push_auto(
     grid: &Grid,
     s: &mut Chunk<'_>,
     interps: &[Interpolator],
-    acc: &Accumulator,
+    dep: &mut RunDepositor<'_>,
     p: PushParams,
 ) -> PushStats {
     let mut stats = PushStats { pushed: s.len(), crossings: 0 };
@@ -374,8 +382,7 @@ fn push_auto(
         let qw = s.q * s.w[i];
         stats.crossings += move_and_deposit(
             grid,
-            acc,
-            s.worker,
+            dep,
             qw,
             &mut s.cell[i],
             &mut s.dx[i],
@@ -396,7 +403,7 @@ fn push_guided(
     grid: &Grid,
     s: &mut Chunk<'_>,
     interps: &[Interpolator],
-    acc: &Accumulator,
+    dep: &mut RunDepositor<'_>,
     p: PushParams,
 ) -> PushStats {
     let mut stats = PushStats { pushed: s.len(), crossings: 0 };
@@ -444,8 +451,7 @@ fn push_guided(
             let qw = s.q * s.w[i];
             stats.crossings += move_and_deposit(
                 grid,
-                acc,
-                s.worker,
+                dep,
                 qw,
                 &mut s.cell[i],
                 &mut s.dx[i],
@@ -465,7 +471,7 @@ fn push_manual(
     grid: &Grid,
     s: &mut Chunk<'_>,
     interps: &[Interpolator],
-    acc: &Accumulator,
+    dep: &mut RunDepositor<'_>,
     p: PushParams,
 ) -> PushStats {
     let mut stats = PushStats { pushed: s.len(), crossings: 0 };
@@ -529,8 +535,7 @@ fn push_manual(
             let qw = s.q * s.w[k];
             stats.crossings += move_and_deposit(
                 grid,
-                acc,
-                s.worker,
+                dep,
                 qw,
                 &mut s.cell[k],
                 &mut s.dx[k],
@@ -544,7 +549,7 @@ fn push_manual(
         i += 4;
     }
     // scalar tail
-    stats.crossings += push_tail(grid, s, interps, acc, p, main);
+    stats.crossings += push_tail(grid, s, interps, dep, p, main);
     stats
 }
 
@@ -552,7 +557,7 @@ fn push_adhoc(
     grid: &Grid,
     s: &mut Chunk<'_>,
     interps: &[Interpolator],
-    acc: &Accumulator,
+    dep: &mut RunDepositor<'_>,
     p: PushParams,
 ) -> PushStats {
     let mut stats = PushStats { pushed: s.len(), crossings: 0 };
@@ -612,8 +617,7 @@ fn push_adhoc(
             let qw = s.q * s.w[k];
             stats.crossings += move_and_deposit(
                 grid,
-                acc,
-                s.worker,
+                dep,
                 qw,
                 &mut s.cell[k],
                 &mut s.dx[k],
@@ -626,7 +630,7 @@ fn push_adhoc(
         }
         i += 4;
     }
-    stats.crossings += push_tail(grid, s, interps, acc, p, main);
+    stats.crossings += push_tail(grid, s, interps, dep, p, main);
     stats
 }
 
@@ -635,7 +639,7 @@ fn push_tail(
     grid: &Grid,
     s: &mut Chunk<'_>,
     interps: &[Interpolator],
-    acc: &Accumulator,
+    dep: &mut RunDepositor<'_>,
     p: PushParams,
     from: usize,
 ) -> usize {
@@ -654,8 +658,7 @@ fn push_tail(
         let qw = s.q * s.w[i];
         crossings += move_and_deposit(
             grid,
-            acc,
-            s.worker,
+            dep,
             qw,
             &mut s.cell[i],
             &mut s.dx[i],
@@ -916,31 +919,35 @@ mod tests {
         let make = || {
             let mut s = Species::new("e", -1.0, 1.0);
             s.load_uniform(&grid, 777, 0.3, (0.1, -0.05, 0.0), 1.0, 5);
+            // same-cell runs, some of them cut by a block boundary
+            s.sort(psort::SortOrder::Standard);
             s
         };
         let threads = Threads::new(4);
-        for strat in [Strategy::Auto, Strategy::Guided, Strategy::Manual, Strategy::AdHoc] {
+        for strat in Strategy::ALL {
             let mut serial_s = make();
-            let mut serial_acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
+            let serial_acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
             let serial_stats =
                 push_species(strat, &grid, &mut serial_s, &interps, &serial_acc);
-            let mut par_s = make();
-            let mut par_acc =
-                Accumulator::new(grid.cells(), threads.concurrency(), ScatterMode::Duplicated);
-            let par_stats =
-                push_species_on(&threads, strat, &grid, &mut par_s, &interps, &par_acc);
-            // particles are independent: trajectories must be bit-identical
-            assert_eq!(par_stats, serial_stats, "{strat}");
-            assert_eq!(par_s.cell, serial_s.cell, "{strat}");
-            assert_eq!(par_s.dx, serial_s.dx, "{strat}");
-            assert_eq!(par_s.ux, serial_s.ux, "{strat}");
-            // deposits differ only in f64 summation order
-            let mut fs = FieldArray::new(grid.clone());
-            let mut fp = FieldArray::new(grid.clone());
-            serial_acc.unload(&mut fs);
-            par_acc.unload(&mut fp);
-            for (a, b) in fs.jx.iter().zip(&fp.jx).chain(fs.jy.iter().zip(&fp.jy)) {
-                assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "{strat}: {a} vs {b}");
+            for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
+                let mut par_s = make();
+                let par_acc = Accumulator::new(grid.cells(), threads.concurrency(), mode);
+                let par_stats =
+                    push_species_on(&threads, strat, &grid, &mut par_s, &interps, &par_acc);
+                // particles are independent: trajectories must be bit-identical
+                assert_eq!(par_stats, serial_stats, "{strat}");
+                assert_eq!(par_s.cell, serial_s.cell, "{strat}");
+                assert_eq!(par_s.dx, serial_s.dx, "{strat}");
+                assert_eq!(par_s.ux, serial_s.ux, "{strat}");
+                // fixed-point deposits: every slot total is bit-equal,
+                // whatever the blocks, replicas and run boundaries were
+                for cell in 0..grid.cells() {
+                    assert_eq!(
+                        par_acc.cell_raw(cell),
+                        serial_acc.cell_raw(cell),
+                        "{strat} {mode:?} cell {cell}"
+                    );
+                }
             }
         }
     }

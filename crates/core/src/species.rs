@@ -12,14 +12,13 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Reusable sorting workspace: sort keys, permutation, and the cycle-walk
-/// bitmap. Capacities persist across sorts so a steady-state simulation
-/// allocates nothing per sort after the first.
+/// Reusable sorting workspace: the permutation and the gather target
+/// the float arrays pass through. Capacities persist across sorts so a
+/// steady-state simulation allocates nothing per sort after the first.
 #[derive(Debug, Clone, Default)]
 struct SortScratch {
-    keys: Vec<u32>,
     perm: Vec<usize>,
-    done: Vec<bool>,
+    floats: Vec<f32>,
 }
 
 /// A single particle by value — the unit that migrates between ranks.
@@ -276,9 +275,12 @@ impl Species {
     /// `Random` is never skipped: re-shuffling is a new permutation each
     /// time, not an idempotent arrangement.
     ///
-    /// Sorting reuses a persistent per-species scratch workspace (keys,
-    /// permutation, cycle bitmap): after the first sort at a given
-    /// population size, later sorts at this level allocate nothing.
+    /// The cell array is sorted in place by [`psort::sort_pairs`] — O(N)
+    /// on cell keys — carrying the particle indices along, and every
+    /// float array is then gathered once through the permutation that
+    /// yields (reads follow it, writes are sequential). The per-species
+    /// scratch persists: after the first sort at a given population size,
+    /// later sorts at this level allocate nothing.
     pub fn sort(&mut self, order: SortOrder) -> bool {
         if self.last_sort == Some(order) && order != SortOrder::Random {
             // the skip serves the cached "already sorted" claim — verify
@@ -288,13 +290,10 @@ impl Species {
             self.debug_validate_sorted();
             return false;
         }
-        let SortScratch { keys, perm, done } = &mut self.scratch;
-        keys.clear();
-        keys.extend_from_slice(&self.cell);
+        let SortScratch { perm, floats } = &mut self.scratch;
         perm.clear();
         perm.extend(0..self.cell.len());
-        psort::sort_pairs(order, keys, perm);
-        self.cell.copy_from_slice(keys);
+        psort::sort_pairs(order, &mut self.cell, perm);
         for arr in [
             &mut self.dx,
             &mut self.dy,
@@ -304,7 +303,9 @@ impl Species {
             &mut self.uz,
             &mut self.w,
         ] {
-            pk::sort::permute_in_place_with(perm, arr, done);
+            floats.clear();
+            floats.extend(perm.iter().map(|&p| arr[p]));
+            arr.copy_from_slice(floats);
         }
         self.last_sort = Some(order);
         true
@@ -334,21 +335,21 @@ impl Species {
     /// Debug-assertion guard for the `last_sort` skip cache: check that
     /// the cell array really is in the claimed order. Valid because every
     /// non-`Random` order is a pure function of the key multiset, so an
-    /// array genuinely in that order re-sorts to itself; any divergence
-    /// means particles were mutated without [`Species::mark_unsorted`]
-    /// and the skip cache would serve stale answers. O(n log n), debug
-    /// builds only; release builds compile to nothing.
+    /// array genuinely in that order re-sorts to itself (for `Standard`:
+    /// the cells ascend); any divergence means particles were mutated
+    /// without [`Species::mark_unsorted`] and the skip cache would serve
+    /// stale answers. O(n), debug builds only; release builds compile to
+    /// nothing.
     pub fn debug_validate_sorted(&self) {
         #[cfg(debug_assertions)]
         if let Some(order) = self.last_sort {
-            if order == SortOrder::Random {
-                return;
-            }
-            let mut keys = self.cell.clone();
-            let mut tags: Vec<usize> = (0..keys.len()).collect();
-            psort::sort_pairs(order, &mut keys, &mut tags);
-            assert_eq!(
-                keys, self.cell,
+            let in_order = match order {
+                SortOrder::Random => return,
+                SortOrder::Standard => self.cell.windows(2).all(|w| w[0] <= w[1]),
+                _ => psort::sorts::ordered_keys(order, &self.cell).0 == self.cell,
+            };
+            assert!(
+                in_order,
                 "species {:?}: cell array is not in the claimed {order} order — \
                  particles were mutated without mark_unsorted()",
                 self.name
@@ -364,10 +365,10 @@ impl Species {
         &self.scratch.perm
     }
 
-    /// Capacities of the persistent sort scratch `(keys, perm, done)` —
+    /// Capacities of the persistent sort scratch `(perm, floats)` —
     /// exposed so tests can assert no-alloc-after-warmup.
-    pub fn sort_scratch_capacities(&self) -> (usize, usize, usize) {
-        (self.scratch.keys.capacity(), self.scratch.perm.capacity(), self.scratch.done.capacity())
+    pub fn sort_scratch_capacities(&self) -> (usize, usize) {
+        (self.scratch.perm.capacity(), self.scratch.floats.capacity())
     }
 
     /// True when particle data is self-consistent (offsets in range,
@@ -505,6 +506,38 @@ mod tests {
     }
 
     #[test]
+    fn sort_applies_the_reference_permutation_to_every_array() {
+        // (cells, n): empty, single, one cell, dense, and sparse enough
+        // (range > 8 n) that the argsort falls back to comparing
+        for (cells, n) in [(64u32, 0usize), (64, 1), (1, 50), (64, 500), (1 << 20, 40)] {
+            let mut loaded = Species::new("e", -1.0, 1.0);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            for p in 0..n {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let cell = ((state >> 33) % cells as u64) as u32;
+                // every array carries the load index, so a gather that
+                // went wrong in any one of them shows
+                let tag = p as f32;
+                let x = tag / n as f32;
+                loaded.push_particle(x, 0.0, -0.5, cell, tag, -tag, 2.0 * tag, 1.0 + tag);
+            }
+            for order in SortOrder::fig7_set(8) {
+                let mut s = loaded.clone();
+                assert!(s.sort(order));
+                let perm = s.sort_perm();
+                let reference = psort::sorts::ordered_keys(order, &loaded.cell).1;
+                assert_eq!(perm, reference, "{order}, {n} in {cells}");
+                if order == SortOrder::Standard {
+                    assert_eq!(perm, pk::sort::sort_permutation(&loaded.cell), "{n} in {cells}");
+                }
+                for (i, &p) in perm.iter().enumerate() {
+                    assert_eq!(s.record(i), loaded.record(p), "{order}, {n} in {cells}, slot {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sort_scratch_does_not_reallocate_after_warmup() {
         let g = Grid::new(4, 4, 4);
         let mut s = Species::new("e", -1.0, 1.0);
@@ -512,7 +545,7 @@ mod tests {
         // warmup: one sort sizes every scratch buffer to the population
         s.sort(SortOrder::Standard);
         let warm = s.sort_scratch_capacities();
-        assert!(warm.0 >= s.len() && warm.1 >= s.len() && warm.2 >= s.len());
+        assert!(warm.0 >= s.len() && warm.1 >= s.len());
         // steady state: alternating orders with dirtying in between must
         // leave every capacity untouched
         for order in [

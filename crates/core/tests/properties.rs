@@ -16,6 +16,10 @@ fn offset() -> impl Strategy<Value = f32> {
     -1.0f32..1.0
 }
 
+fn qw() -> impl Strategy<Value = f32> {
+    -3.0f32..3.0
+}
+
 proptest! {
     /// Villasenor–Buneman continuity holds for ANY within-cell segment:
     /// Δρ + dt·∇·J = 0 at every node.
@@ -39,6 +43,39 @@ proptest! {
             let lhs = (rho1[v] - rho0[v]) / g.dt as f64;
             let rhs = -div_j_node(&f, v);
             prop_assert!((lhs - rhs).abs() < 2e-4, "node {v}: {lhs} vs {rhs}");
+        }
+    }
+
+    /// Run coalescing is invisible: any sequence of (cell, segment), cut
+    /// into contiguous chunks with one depositor each, leaves every slot
+    /// with the bits that one `deposit_segment` per segment leaves — for
+    /// both scatter modes, any worker count, runs of length one included.
+    #[test]
+    fn run_depositor_matches_per_segment_deposits(
+        segments in prop::collection::vec(
+            (0usize..3, (offset(), offset(), offset()), (offset(), offset(), offset()), qw()),
+            0..60,
+        ),
+        workers in 1usize..5,
+    ) {
+        let cells = 3;
+        let direct = Accumulator::new(cells, 1, ScatterMode::Atomic);
+        for &(cell, (x0, y0, z0), (x1, y1, z1), qw) in &segments {
+            direct.deposit_segment(0, cell, x0, y0, z0, x1, y1, z1, qw);
+        }
+        for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
+            let acc = Accumulator::new(cells, workers, mode);
+            let chunk = segments.len().div_ceil(workers).max(1);
+            for (worker, chunk) in segments.chunks(chunk).enumerate() {
+                let mut dep = acc.depositor(worker);
+                for &(cell, (x0, y0, z0), (x1, y1, z1), qw) in chunk {
+                    dep.deposit(cell, x0, y0, z0, x1, y1, z1, qw);
+                }
+            }
+            for cell in 0..cells {
+                let (got, want) = (acc.cell_raw(cell), direct.cell_raw(cell));
+                prop_assert_eq!(got, want, "{:?} cell {}", mode, cell);
+            }
         }
     }
 

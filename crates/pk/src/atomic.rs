@@ -276,6 +276,38 @@ impl ScatterBuf {
 /// bounded well inside ±2²³ so the 63-bit range never saturates.
 pub const FIXED_SCATTER_SCALE: f64 = (1u64 << 40) as f64;
 
+/// `1.5 × 2⁵²`: adding it to an `|x| < 2⁵¹` lands in `[2⁵², 2⁵³)`, where
+/// the spacing of `f64` is 1, so the sum is `x` rounded to an integer
+/// (ties to even) and that integer sits in the low mantissa bits.
+const ROUND_BY_ADD_MAGIC: f64 = 1.5 * (1u64 << 52) as f64;
+
+/// Magnitudes below this may have a fractional part and fit the trick.
+const ROUND_BY_ADD_LIMIT: f64 = (1u64 << 51) as f64;
+
+/// Round-half-away of `|x| < 2⁵¹` without a float→int conversion. The
+/// add rounds ties to even; a tie is recognised by the exact remainder
+/// `x − r = ±½` and pushed away from zero where even went towards it.
+/// (For `x > 0` the remainder is exact whenever it is near `+½`, for
+/// `x < 0` near `−½`; the other sign can round *to* `∓½` and is masked
+/// by the sign test.)
+#[inline(always)]
+fn round_by_add(x: f64) -> i64 {
+    let y = x + ROUND_BY_ADD_MAGIC;
+    let d = x - (y - ROUND_BY_ADD_MAGIC);
+    let even = (y.to_bits() as i64).wrapping_sub(ROUND_BY_ADD_MAGIC.to_bits() as i64);
+    even + ((d == 0.5) & (x > 0.0)) as i64 - ((d == -0.5) & (x < 0.0)) as i64
+}
+
+/// Round-half-away of any `x`, with `as`'s rules at the edges (NaN → 0,
+/// saturation). `x − trunc(x)` is exact for every finite in-range `x`,
+/// so the two comparisons see the true fractional part.
+#[inline(always)]
+fn round_by_trunc(x: f64) -> i64 {
+    let t = x as i64;
+    let f = x - t as f64;
+    t.saturating_add((f >= 0.5) as i64).saturating_sub((f <= -0.5) as i64)
+}
+
 /// A scatter-accumulation buffer over fixed-point `i64` accumulators.
 ///
 /// Same shape as [`ScatterBuf`] (shared-atomic or per-worker-duplicated
@@ -325,10 +357,37 @@ impl FixedScatterBuf {
         self.len == 0
     }
 
-    /// Quantize a contribution to the fixed-point grid.
+    /// Quantize a contribution to the fixed-point grid: the nearest
+    /// multiple of the quantum, halves away from zero — bit-for-bit
+    /// `(val * 2⁴⁰).round() as i64` (NaN → 0, out-of-range saturates),
+    /// computed inline because `f64::round` is a libm call on the SSE2
+    /// baseline.
     #[inline]
     pub fn quantize(val: f64) -> i64 {
-        (val * FIXED_SCATTER_SCALE).round() as i64
+        let x = val * FIXED_SCATTER_SCALE;
+        if x.abs() < ROUND_BY_ADD_LIMIT {
+            round_by_add(x)
+        } else {
+            round_by_trunc(x)
+        }
+    }
+
+    /// `sums[s] += quantize(vals[s])` (wrapping) for a whole batch — what
+    /// a depositor does with one segment's weights. Deciding once for the
+    /// batch which rounding applies leaves a branch-free loop of adds,
+    /// compares and integer subtracts that vectorizes on SSE2.
+    #[inline]
+    pub fn add_quantized<const N: usize>(sums: &mut [i64; N], vals: &[f32; N]) {
+        let x: [f64; N] = std::array::from_fn(|s| vals[s] as f64 * FIXED_SCATTER_SCALE);
+        if x.iter().all(|x| x.abs() < ROUND_BY_ADD_LIMIT) {
+            for (sum, &x) in sums.iter_mut().zip(&x) {
+                *sum = sum.wrapping_add(round_by_add(x));
+            }
+        } else {
+            for (sum, &x) in sums.iter_mut().zip(&x) {
+                *sum = sum.wrapping_add(round_by_trunc(x));
+            }
+        }
     }
 
     /// Dequantize an accumulated total back to `f64` (exact: a power-of-
@@ -348,11 +407,20 @@ impl FixedScatterBuf {
     /// merge, which exchanges raw fixed-point values between ranks).
     #[inline]
     pub fn add_raw(&self, worker: usize, i: usize, raw: i64) {
-        let cell = match self.mode {
-            ScatterMode::Atomic => &self.shared[i],
-            ScatterMode::Duplicated => &self.replicas[worker % self.replicas.len()][i],
-        };
-        cell.fetch_add(raw, Ordering::Relaxed);
+        self.lane(worker)[i].fetch_add(raw, Ordering::Relaxed);
+    }
+
+    /// The accumulators `worker` writes: the shared buffer, or its
+    /// replica in duplicated mode (ids wrap onto the replicas). A writer
+    /// that deposits many values resolves its lane once instead of per
+    /// add. The slots are atomic either way, so a lane shared by a
+    /// work-stealing schedule stays well-defined.
+    #[inline]
+    pub fn lane(&self, worker: usize) -> &[AtomicI64] {
+        match self.mode {
+            ScatterMode::Atomic => &self.shared,
+            ScatterMode::Duplicated => &self.replicas[worker % self.replicas.len()],
+        }
     }
 
     /// Read one accumulator's raw fixed-point total (shared value plus
@@ -536,6 +604,39 @@ mod tests {
             FixedScatterBuf::dequantize(FixedScatterBuf::quantize(0.75)),
             0.75
         );
+    }
+
+    #[test]
+    fn quantize_matches_round_on_the_adversarial_set() {
+        let s = FIXED_SCATTER_SCALE;
+        let mut vals = vec![0.0, -0.0, f64::MIN_POSITIVE, 5e-324, -5e-324, f64::NAN];
+        vals.extend([f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN]);
+        // halves (ties), their neighbours one ulp either side, and the
+        // magnitudes where the two roundings hand over and where the cast
+        // saturates — all as scaled values, so divide the scale back out
+        for mag in [0.5, 1.5, 2.5, 1023.5, 4194303.5, 2f64.powi(50) + 0.5, 2f64.powi(51) - 0.5]
+            .into_iter()
+            .chain([51, 52, 53, 62, 63, 64].map(|e| 2f64.powi(e)))
+        {
+            for x in [mag.next_down(), mag, mag.next_up()] {
+                vals.extend([x / s, -x / s]);
+            }
+        }
+        assert_eq!(0.49999999999999994f64, 0.5f64.next_down());
+        for v in vals {
+            let want = (v * s).round() as i64;
+            assert_eq!(FixedScatterBuf::quantize(v), want, "quantize({v:e})");
+            // the batch form, alone on the fast path and dragged onto the
+            // slow one by a huge neighbour
+            let v32 = v as f32;
+            let want32 = (v32 as f64 * s).round() as i64;
+            for neighbour in [0.25f32, 3.0e30] {
+                let mut sums = [7i64, 7];
+                FixedScatterBuf::add_quantized(&mut sums, &[v32, neighbour]);
+                assert_eq!(sums[0], 7i64.wrapping_add(want32), "{v32:e} beside {neighbour:e}");
+                assert_eq!(sums[1], 7i64.wrapping_add(FixedScatterBuf::quantize(neighbour as f64)));
+            }
+        }
     }
 
     #[test]

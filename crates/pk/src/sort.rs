@@ -10,34 +10,53 @@
 use crate::reduce::{MinMax, Scalar};
 use crate::space::ExecSpace;
 
-/// Stable argsort: returns the permutation `perm` such that
+/// Stable comparison argsort: returns the permutation `perm` such that
 /// `keys[perm[0]] <= keys[perm[1]] <= ...`, with equal keys in original
-/// order.
+/// order. The reference the chooser ([`argsort`]) is tested against, and
+/// its arm for sparse keys.
 pub fn sort_permutation<K: Ord>(keys: &[K]) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..keys.len()).collect();
     perm.sort_by_key(|&i| &keys[i]);
     perm
 }
 
-/// Stable counting-sort argsort for unsigned keys within `[min, max]`.
-///
-/// O(n + range); the fast path `sort_by_key` takes when the key range is
-/// small relative to n (the common case for cell indices).
-pub fn counting_sort_permutation(keys: &[u64], min: u64, max: u64) -> Vec<usize> {
-    debug_assert!(keys.iter().all(|&k| (min..=max).contains(&k)));
-    let range = (max - min + 1) as usize;
-    let mut counts = vec![0usize; range + 1];
+/// Key range, as a multiple of the element count, up to which
+/// [`argsort`] counts instead of comparing.
+const COUNTING_SORT_MAX_RANGE_FACTOR: u64 = 8;
+
+/// The stable argsort every sort in the workspace goes through: the
+/// permutation [`sort_permutation`] returns, by an O(n + range) counting
+/// sort when the keys span at most 8 n values (cell indices, and the
+/// strided orders' rewritten keys) and by the comparison sort otherwise.
+/// Both arms are stable, so the result does not depend on the choice.
+pub fn argsort<K>(keys: &[K]) -> Vec<usize>
+where
+    K: Copy + Ord + Into<u64>,
+{
+    let n = keys.len();
+    let Some((min, max)) = keys.iter().fold(None, |mm: Option<(u64, u64)>, &k| {
+        let k = k.into();
+        Some(mm.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k))))
+    }) else {
+        return Vec::new();
+    };
+    if max - min >= COUNTING_SORT_MAX_RANGE_FACTOR.saturating_mul(n as u64) {
+        return sort_permutation(keys);
+    }
+    // counts[b + 1] = keys in bucket b, then prefix sums: counts[b] is
+    // the output cursor of bucket b
+    let mut counts = vec![0usize; (max - min) as usize + 2];
     for &k in keys {
-        counts[(k - min) as usize + 1] += 1;
+        counts[(k.into() - min) as usize + 1] += 1;
     }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
+    for b in 1..counts.len() {
+        counts[b] += counts[b - 1];
     }
-    let mut perm = vec![0usize; keys.len()];
+    let mut perm = vec![0usize; n];
     for (i, &k) in keys.iter().enumerate() {
-        let slot = &mut counts[(k - min) as usize];
-        perm[*slot] = i;
-        *slot += 1;
+        let cursor = &mut counts[(k.into() - min) as usize];
+        perm[*cursor] = i;
+        *cursor += 1;
     }
     perm
 }
@@ -82,29 +101,11 @@ pub fn permute_in_place_with<T>(perm: &[usize], values: &mut [T], done: &mut Vec
     }
 }
 
-/// Threshold on `range/n` above which `sort_by_key` falls back from
-/// counting sort to comparison sort.
-const COUNTING_SORT_MAX_RANGE_FACTOR: u64 = 8;
-
 /// Stable sort of `values` by `keys`, sorting both in tandem
-/// (`Kokkos::Experimental::sort_by_key` analog).
-///
-/// Uses an O(n + range) counting sort when the key range is at most
-/// 8× the element count, otherwise a stable comparison argsort.
+/// (`Kokkos::Experimental::sort_by_key` analog), through [`argsort`].
 pub fn sort_by_key<V>(keys: &mut [u64], values: &mut [V]) {
     assert_eq!(keys.len(), values.len(), "sort_by_key extent mismatch");
-    if keys.len() <= 1 {
-        return;
-    }
-    let (min, max) = keys
-        .iter()
-        .fold((u64::MAX, u64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
-    let range = max - min;
-    let perm = if range / (keys.len() as u64) <= COUNTING_SORT_MAX_RANGE_FACTOR {
-        counting_sort_permutation(keys, min, max)
-    } else {
-        sort_permutation(keys)
-    };
+    let perm = argsort(keys);
     permute_in_place(&perm, keys);
     permute_in_place(&perm, values);
 }
@@ -142,11 +143,15 @@ mod tests {
     }
 
     #[test]
-    fn counting_sort_matches_comparison_sort() {
-        let keys: Vec<u64> = (0..500).map(|i| ((i * 7919) % 37) as u64 + 5).collect();
-        let a = counting_sort_permutation(&keys, 5, 41);
-        let b = sort_permutation(&keys);
-        assert_eq!(a, b, "both sorts are stable so permutations must agree");
+    fn argsort_arms_match_comparison_sort() {
+        let dense: Vec<u64> = (0..500).map(|i| ((i * 7919) % 37) as u64 + 5).collect();
+        let sparse: Vec<u64> = dense.iter().map(|&k| k * 1_000_003).collect();
+        let edge = vec![u64::MAX, 0, u64::MAX, 7];
+        for keys in [&dense[..], &sparse, &edge, &dense[..1], &[]] {
+            assert_eq!(argsort(keys), sort_permutation(keys), "both arms are stable");
+        }
+        let narrow: Vec<u32> = dense.iter().map(|&k| k as u32).collect();
+        assert_eq!(argsort(&narrow), sort_permutation(&narrow));
     }
 
     #[test]

@@ -24,6 +24,23 @@ proptest! {
         }
     }
 
+    /// The inline fixed-point rounding is bit-for-bit `round`: on random
+    /// bit patterns (every exponent, NaNs, infinities), on deposit-sized
+    /// values, and on exact ties of the quantum.
+    #[test]
+    fn quantize_is_round_half_away(
+        bits in any::<u64>(),
+        small in -4.0f64..4.0,
+        tie in any::<i64>(),
+    ) {
+        use pk::atomic::{FixedScatterBuf, FIXED_SCATTER_SCALE};
+        let tie = ((tie >> 13) as f64 + 0.5) / FIXED_SCATTER_SCALE;
+        for v in [f64::from_bits(bits), small, small * 1e-6, small * 1e-12, tie] {
+            let want = (v * FIXED_SCATTER_SCALE).round() as i64;
+            prop_assert_eq!(FixedScatterBuf::quantize(v), want, "{:e}", v);
+        }
+    }
+
     /// sort_by_key output is sorted and a permutation of the input pairs.
     #[test]
     fn sort_by_key_is_sorted_permutation(pairs in prop::collection::vec((0u64..50, any::<i32>()), 0..200)) {

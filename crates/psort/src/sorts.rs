@@ -2,17 +2,24 @@
 //! (Algorithm 2), and the random baseline.
 //!
 //! Every function here reorders a key slice and a value slice *in tandem*
-//! and costs O(N) key rewriting plus one `sort_by_key` (exactly the
+//! and costs O(N) key rewriting plus one stable argsort (exactly the
 //! paper's §4.3 structure: "The adjustment of the keys is O(N). Once the
 //! new keys are generated, we use the parallel sort_by_key function").
+//! Every argsort is [`pk::sort::argsort`] — O(N) too whenever the keys are
+//! dense, as cell indices and their rewrites are. Carrying the indices
+//! `0..n` as values yields the permutation itself (how the particle SoA
+//! follows its cell array).
 
 use crate::order::SortOrder;
-use pk::sort::{apply_permutation, histogram, min_max, permute_in_place, sort_permutation};
+use pk::sort::{apply_permutation, histogram, min_max, permute_in_place_with};
 use pk::space::{ExecSpace, Serial};
 use pk::RangePolicy;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Seed of [`SortOrder::Random`]'s shuffle.
+const RANDOM_ORDER_SEED: u64 = 0xC0FFEE;
 
 /// Reorder `(keys, values)` by `order` (dispatcher over the algorithms).
 pub fn sort_pairs<V>(order: SortOrder, keys: &mut [u32], values: &mut [V]) {
@@ -35,34 +42,44 @@ pub fn sort_pairs_in<V, S: ExecSpace>(
         .arg("order", order)
         .arg("n", keys.len())
         .arg("space", space.name());
-    match order {
-        SortOrder::Random => random_order(0xC0FFEE, keys, values),
-        SortOrder::Standard => standard_sort(keys, values),
-        SortOrder::Strided => strided_sort_in(space, keys, values),
-        SortOrder::TiledStrided { tile } => tiled_strided_sort_in(space, tile, keys, values),
-    }
+    assert_eq!(keys.len(), values.len(), "key/value extent mismatch");
+    let perm = match order {
+        SortOrder::Random => shuffled_permutation(RANDOM_ORDER_SEED, keys.len()),
+        SortOrder::Standard => argsort(keys),
+        SortOrder::Strided => argsort(&strided_keys(space, keys)),
+        SortOrder::TiledStrided { tile } => argsort(&tiled_strided_keys(space, tile, keys)),
+    };
+    permute_pairs(&perm, keys, values);
+}
+
+/// The one argsort behind every order: [`pk::sort::argsort`].
+fn argsort<K: Copy + Ord + Into<u64>>(keys: &[K]) -> Vec<usize> {
+    let _s = telemetry::span("psort.sort_by_key");
+    pk::sort::argsort(keys)
+}
+
+fn permute_pairs<V>(perm: &[usize], keys: &mut [u32], values: &mut [V]) {
+    let _s = telemetry::span("psort.permute");
+    let mut done = Vec::new();
+    permute_in_place_with(perm, keys, &mut done);
+    permute_in_place_with(perm, values, &mut done);
+}
+
+fn shuffled_permutation(seed: u64, n: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+    perm
 }
 
 /// Standard classification: stable ascending sort by key.
 pub fn standard_sort<V>(keys: &mut [u32], values: &mut [V]) {
-    assert_eq!(keys.len(), values.len(), "key/value extent mismatch");
-    let perm = {
-        let _s = telemetry::span("psort.sort_by_key");
-        sort_permutation(keys)
-    };
-    let _s = telemetry::span("psort.permute");
-    permute_in_place(&perm, keys);
-    permute_in_place(&perm, values);
+    sort_pairs(SortOrder::Standard, keys, values);
 }
 
 /// Deterministic shuffle (Fisher–Yates with a fixed-seed ChaCha stream).
 pub fn random_order<V>(seed: u64, keys: &mut [u32], values: &mut [V]) {
     assert_eq!(keys.len(), values.len(), "key/value extent mismatch");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut perm: Vec<usize> = (0..keys.len()).collect();
-    perm.shuffle(&mut rng);
-    permute_in_place(&perm, keys);
-    permute_in_place(&perm, values);
+    permute_pairs(&shuffled_permutation(seed, keys.len()), keys, values);
 }
 
 /// Algorithm 1 — strided sort.
@@ -86,22 +103,17 @@ pub fn strided_sort<V>(keys: &mut [u32], values: &mut [V]) {
 /// [`strided_sort`] with the key rewrite run on `space` (same output for
 /// every space — see [`sort_pairs_in`]).
 pub fn strided_sort_in<V, S: ExecSpace>(space: &S, keys: &mut [u32], values: &mut [V]) {
-    assert_eq!(keys.len(), values.len(), "key/value extent mismatch");
-    if keys.len() <= 1 {
-        return;
-    }
+    sort_pairs_in(space, SortOrder::Strided, keys, values);
+}
+
+/// Algorithm 1's rewritten keys.
+fn strided_keys<S: ExecSpace>(space: &S, keys: &[u32]) -> Vec<u64> {
     let keys64: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-    let (min_k, max_k) = min_max(space, &keys64).expect("nonempty");
-    let range = max_k - min_k + 1;
-    let new_keys =
-        rewrite_keys_in(space, &keys64, min_k, range, &|id, ordinal| id + ordinal * range);
-    let perm = {
-        let _s = telemetry::span("psort.sort_by_key");
-        sort_permutation(&new_keys)
+    let Some((min_k, max_k)) = min_max(space, &keys64) else {
+        return keys64;
     };
-    let _s = telemetry::span("psort.permute");
-    permute_in_place(&perm, keys);
-    permute_in_place(&perm, values);
+    let range = max_k - min_k + 1;
+    rewrite_keys_in(space, &keys64, min_k, range, &|id, ordinal| id + ordinal * range)
 }
 
 /// Algorithm 2 — tiled strided sort.
@@ -129,28 +141,24 @@ pub fn tiled_strided_sort_in<V, S: ExecSpace>(
     keys: &mut [u32],
     values: &mut [V],
 ) {
-    assert_eq!(keys.len(), values.len(), "key/value extent mismatch");
+    sort_pairs_in(space, SortOrder::TiledStrided { tile }, keys, values);
+}
+
+/// Algorithm 2's rewritten keys.
+fn tiled_strided_keys<S: ExecSpace>(space: &S, tile: usize, keys: &[u32]) -> Vec<u64> {
     assert!(tile >= 1, "tile size must be at least 1");
-    if keys.len() <= 1 {
-        return;
-    }
     let keys64: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-    let (min_k, max_k) = min_max(space, &keys64).expect("nonempty");
+    let Some((min_k, max_k)) = min_max(space, &keys64) else {
+        return keys64;
+    };
     let range = max_k - min_k + 1;
     let counts = histogram(&keys64, min_k, max_k);
     let max_r = counts.iter().copied().max().unwrap_or(0) as u64;
     let tile = tile as u64;
     let chunk_sz = tile * max_r;
-    let new_keys = rewrite_keys_in(space, &keys64, min_k, range, &|id, t| {
+    rewrite_keys_in(space, &keys64, min_k, range, &|id, t| {
         (id / tile) * chunk_sz + t * tile + (id % tile)
-    });
-    let perm = {
-        let _s = telemetry::span("psort.sort_by_key");
-        sort_permutation(&new_keys)
-    };
-    let _s = telemetry::span("psort.permute");
-    permute_in_place(&perm, keys);
-    permute_in_place(&perm, values);
+    })
 }
 
 /// Rewrite every key to `rewrite(id, ordinal)` where `id = key − min_k`

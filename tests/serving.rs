@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use vpic2::core::{Deck, Simulation, TilePolicy};
-use vpic2::serve::{JobId, JobPhase, JobSpec, ServeError, ServePolicy, Server};
+use vpic2::serve::{FleetPrior, JobId, JobPhase, JobSpec, ServeError, ServePolicy, Server};
 
 fn assert_bit_identical(a: &Simulation, b: &Simulation) {
     assert_eq!(a.step_count(), b.step_count(), "step counts diverged");
@@ -268,10 +268,20 @@ fn second_tenant_of_a_class_warm_starts_from_the_fleet_commit() {
     first.tune = true;
     let first = srv.submit(first).unwrap();
     srv.run_until_done(1_000);
-    let committed = srv.tune_schedule(first).expect("first tenant tuned")
-        .last()
-        .expect("nonempty schedule")
-        .config;
+    // the arms the first tenant ran, in the order it first ran them (the
+    // cold-start order), as the fleet prior now ranks them. What the fleet
+    // recorded is the tenant's best-scored arm at the end, which wall time
+    // decides: not always the arm it ended on (a late cost spike sends the
+    // tuner exploring again). Had it scored nothing, the next tenant
+    // would start cold, which is this order unchanged.
+    let mut explored = Vec::new();
+    for entry in srv.tune_schedule(first).expect("first tenant tuned") {
+        if !explored.contains(&entry.config) {
+            explored.push(entry.config);
+        }
+    }
+    srv.fleet().reorder(&FleetPrior::class_of(&deck()), &mut explored);
+    let committed = *explored.first().expect("nonempty schedule");
 
     let mut second = JobSpec::new(deck(), 30);
     second.tune = true;
