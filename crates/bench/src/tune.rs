@@ -114,19 +114,24 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation, platform_name: &str) -> 
     let prior_unsorted = prior::prefer_unsorted(&platform, cells);
     let arms = config_space(TILE, &tuner::DEFAULT_INTERVALS);
 
-    // 1. the live tuned run: explore every arm, then a few committed epochs
+    // 1. the live tuned run: explore every arm, then a few committed
+    // epochs. The pick is the arm the tuner last committed to: a
+    // committed epoch that reads 1.5× its commit-time cost sends the
+    // engine exploring again, and mid-sweep it has no verdict of its own.
     let mut sim = build();
     let tuner = Tuner::new(arms.clone(), epoch_steps)
         .with_cache_prior(prior_unsorted)
         .with_refinement(8);
     sim.set_tuner(TuneDriver::new(tuner));
-    let tuned_steps = (arms.len() + 8 + 3) * epoch_steps;
-    sim.run_on(&Serial, tuned_steps);
+    let mut last_committed = None;
+    for _ in 0..arms.len() + 8 + 3 {
+        sim.run_on(&Serial, epoch_steps);
+        let committed = sim.tuner().and_then(|d| d.tuner().committed());
+        last_committed = committed.copied().or(last_committed);
+    }
     let driver = sim.take_tuner().expect("tuner armed");
-    let tuned_config = *driver
-        .tuner()
-        .committed()
-        .or_else(|| driver.tuner().best().map(|(c, _)| c))
+    let tuned_config = last_committed
+        .or_else(|| driver.tuner().best().map(|(c, _)| *c))
         .expect("tuner measured at least one arm");
 
     // 2. exhaustive sweep: every arm as a fixed config (the ablation)

@@ -64,7 +64,7 @@ impl Accumulator {
     /// has reached the accumulator once it is dropped.
     #[inline]
     pub fn depositor(&self, worker: usize) -> RunDepositor<'_> {
-        RunDepositor { lane: self.buf.lane(worker), cell: 0, sums: [0; SLOTS] }
+        RunDepositor { lane: self.buf.lane(worker), run: None, sums: [0; SLOTS] }
     }
 
     /// Deposit one within-cell segment.
@@ -271,7 +271,10 @@ impl Accumulator {
 #[derive(Debug)]
 pub struct RunDepositor<'a> {
     lane: &'a [AtomicI64],
-    cell: usize,
+    /// The open run: its cell and that cell's slots, resolved when the
+    /// run opens so an out-of-range cell panics at the deposit that names
+    /// it. `None` until the first deposit.
+    run: Option<(usize, &'a [AtomicI64])>,
     sums: [i64; SLOTS],
 }
 
@@ -291,23 +294,18 @@ impl RunDepositor<'_> {
         z1: f32,
         qw: f32,
     ) {
-        debug_assert!(cell * SLOTS < self.lane.len());
-        if cell != self.cell {
+        if self.run.map(|(open, _)| open) != Some(cell) {
             self.flush();
-            self.cell = cell;
+            self.run = Some((cell, &self.lane[cell * SLOTS..(cell + 1) * SLOTS]));
         }
         let w = segment_weights(x0, y0, z0, x1, y1, z1, qw);
-        FixedScatterBuf::add_quantized(&mut self.sums, &w);
+        FixedScatterBuf::add_quantized(&mut self.sums, &w.map(f64::from));
     }
 
     /// Add the pending run to the accumulator.
     #[inline]
     fn flush(&mut self) {
-        // a depositor that was never used points at cell 0, which a
-        // zero-cell accumulator does not have
-        let Some(slots) = self.lane.get(self.cell * SLOTS..(self.cell + 1) * SLOTS) else {
-            return;
-        };
+        let Some((_, slots)) = self.run else { return };
         for (slot, sum) in slots.iter().zip(&mut self.sums) {
             if *sum != 0 {
                 slot.fetch_add(*sum, Ordering::Relaxed);
@@ -590,5 +588,23 @@ mod tests {
         for s in 0..SLOTS {
             assert_eq!(acc.slot(0, s), 0.0);
         }
+    }
+
+    #[test]
+    fn an_unused_depositor_is_harmless_even_over_zero_cells() {
+        drop(Accumulator::new(0, 1, ScatterMode::Atomic).depositor(0));
+    }
+
+    /// A corrupt cell index must panic at the deposit that carries it (in
+    /// release builds too): the tenant quarantine in `serve` catches that
+    /// panic, and a depositor that swallowed the segment would lose charge
+    /// silently.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn depositing_outside_the_accumulator_panics() {
+        let acc = Accumulator::new(8, 1, ScatterMode::Atomic);
+        let mut dep = acc.depositor(0);
+        dep.deposit(3, -0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0);
+        dep.deposit(8, -0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0);
     }
 }

@@ -13,8 +13,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Reusable sorting workspace: the permutation and the gather target
-/// the float arrays pass through. Capacities persist across sorts so a
-/// steady-state simulation allocates nothing per sort after the first.
+/// the float arrays pass through. Capacities persist across sorts, so
+/// [`Species::sort`] itself allocates nothing after the first. The
+/// transients left are inside [`psort::sort_pairs`]; the doc of
+/// [`Species::sort`] lists them.
 #[derive(Debug, Clone, Default)]
 struct SortScratch {
     perm: Vec<usize>,
@@ -279,8 +281,13 @@ impl Species {
     /// on cell keys — carrying the particle indices along, and every
     /// float array is then gathered once through the permutation that
     /// yields (reads follow it, writes are sequential). The per-species
-    /// scratch persists: after the first sort at a given population size,
-    /// later sorts at this level allocate nothing.
+    /// scratch (permutation, gather buffer) persists across sorts.
+    /// `sort_pairs` still allocates per call: its argsort's `Vec<usize>`
+    /// and counts, and a `done` bitmap to walk that permutation onto the
+    /// index array. That walk reproduces a permutation the argsort already
+    /// had, about 55 ms per million particles; it stays until the
+    /// benchmark's `core.sort.permute_ns_per_particle`, defined as this
+    /// sort minus a cold `sort_pairs`, is redefined (ROADMAP item 2).
     pub fn sort(&mut self, order: SortOrder) -> bool {
         if self.last_sort == Some(order) && order != SortOrder::Random {
             // the skip serves the cached "already sorted" claim — verify

@@ -361,15 +361,12 @@ impl FixedScatterBuf {
     /// multiple of the quantum, halves away from zero — bit-for-bit
     /// `(val * 2⁴⁰).round() as i64` (NaN → 0, out-of-range saturates),
     /// computed inline because `f64::round` is a libm call on the SSE2
-    /// baseline.
+    /// baseline. A batch of one through [`FixedScatterBuf::add_quantized`].
     #[inline]
     pub fn quantize(val: f64) -> i64 {
-        let x = val * FIXED_SCATTER_SCALE;
-        if x.abs() < ROUND_BY_ADD_LIMIT {
-            round_by_add(x)
-        } else {
-            round_by_trunc(x)
-        }
+        let mut raw = [0];
+        Self::add_quantized(&mut raw, &[val]);
+        raw[0]
     }
 
     /// `sums[s] += quantize(vals[s])` (wrapping) for a whole batch — what
@@ -377,8 +374,8 @@ impl FixedScatterBuf {
     /// batch which rounding applies leaves a branch-free loop of adds,
     /// compares and integer subtracts that vectorizes on SSE2.
     #[inline]
-    pub fn add_quantized<const N: usize>(sums: &mut [i64; N], vals: &[f32; N]) {
-        let x: [f64; N] = std::array::from_fn(|s| vals[s] as f64 * FIXED_SCATTER_SCALE);
+    pub fn add_quantized<const N: usize>(sums: &mut [i64; N], vals: &[f64; N]) {
+        let x = vals.map(|v| v * FIXED_SCATTER_SCALE);
         if x.iter().all(|x| x.abs() < ROUND_BY_ADD_LIMIT) {
             for (sum, &x) in sums.iter_mut().zip(&x) {
                 *sum = sum.wrapping_add(round_by_add(x));
@@ -626,15 +623,13 @@ mod tests {
         for v in vals {
             let want = (v * s).round() as i64;
             assert_eq!(FixedScatterBuf::quantize(v), want, "quantize({v:e})");
-            // the batch form, alone on the fast path and dragged onto the
-            // slow one by a huge neighbour
-            let v32 = v as f32;
-            let want32 = (v32 as f64 * s).round() as i64;
-            for neighbour in [0.25f32, 3.0e30] {
+            // in a batch: beside a small neighbour (fast path) and beside a
+            // huge one that drags the whole batch onto the slow path
+            for neighbour in [0.25, 3.0e30] {
                 let mut sums = [7i64, 7];
-                FixedScatterBuf::add_quantized(&mut sums, &[v32, neighbour]);
-                assert_eq!(sums[0], 7i64.wrapping_add(want32), "{v32:e} beside {neighbour:e}");
-                assert_eq!(sums[1], 7i64.wrapping_add(FixedScatterBuf::quantize(neighbour as f64)));
+                FixedScatterBuf::add_quantized(&mut sums, &[v, neighbour]);
+                assert_eq!(sums[0], 7i64.wrapping_add(want), "{v:e} beside {neighbour:e}");
+                assert_eq!(sums[1], 7i64.wrapping_add((neighbour * s).round() as i64));
             }
         }
     }

@@ -350,14 +350,11 @@ impl Tuner {
         self.phase = Phase::Committed;
     }
 
-    /// Start exploring again from the first arm. The last round's costs
-    /// stay until this round overwrites them arm by arm — every arm is
-    /// re-measured before the next commit, so they cannot decide it, but
-    /// [`Tuner::best`] keeps answering with the best arm known instead of
-    /// forgetting it for a whole sweep.
     fn reexplore(&mut self) {
         self.phase = Phase::Exploring;
         self.cursor = 0;
+        self.costs = vec![None; self.arms.len()];
+        self.rates = vec![0.0; self.arms.len()];
         self.refine_queue.clear();
         self.committed_cost = f64::INFINITY;
         self.explorations += 1;
@@ -484,11 +481,8 @@ mod tests {
         }
         assert_eq!(t.phase(), Phase::Committed);
         // crossings stable but the committed arm got 2× slower
-        let committed = (*t.committed().unwrap(), t.best().unwrap().1);
         t.finish_epoch(&epoch(1300, 500, 100));
         assert_eq!(t.phase(), Phase::Exploring);
-        // the best arm known is still known while the sweep starts over
-        assert_eq!(t.best().map(|(c, cost)| (*c, cost)), Some(committed));
     }
 
     #[test]
