@@ -120,14 +120,16 @@ pub fn this_repo_manifest() -> Option<Vec<CodeComponent>> {
             category: "simd",
         },
         CodeComponent {
-            name: "vsimd portable (simd+mask+transpose+math+chunks)",
+            name: "vsimd portable (simd+mask+transpose+math+chunks+lane traits)",
             platform: "all",
             vector_bits: 0,
             loc: count("crates/vsimd/src/simd.rs")?
                 + count("crates/vsimd/src/mask.rs")?
                 + count("crates/vsimd/src/transpose.rs")?
                 + count("crates/vsimd/src/math.rs")?
-                + count("crates/vsimd/src/chunks.rs")?,
+                + count("crates/vsimd/src/chunks.rs")?
+                + count("crates/vsimd/src/stencil.rs")?
+                + count("crates/vsimd/src/push_lane.rs")?,
             category: "simd",
         },
         CodeComponent {

@@ -21,7 +21,7 @@ use crate::grid::{Grid, StencilSide};
 use pk::atomic::{FixedScatterBuf, ScatterMode};
 use pk::{ExecSpace, SendPtr, Serial};
 use std::sync::atomic::{AtomicI64, Ordering};
-use vsimd::Strategy;
+use vsimd::{PushLane, Strategy, Xyz};
 
 /// Accumulator slots per cell: 4 edges × 3 components.
 pub const SLOTS: usize = 12;
@@ -279,6 +279,18 @@ pub struct RunDepositor<'a> {
 }
 
 impl RunDepositor<'_> {
+    /// Deposit one within-cell segment's twelve weights (from
+    /// [`segment_weights`] or one row of the push's transposed
+    /// [`lane_segment_weights`]) into `cell` — the one way in.
+    #[inline]
+    pub fn deposit_weights(&mut self, cell: usize, w: &[f32; SLOTS]) {
+        if self.run.map(|(open, _)| open) != Some(cell) {
+            self.flush();
+            self.run = Some((cell, &self.lane[cell * SLOTS..(cell + 1) * SLOTS]));
+        }
+        FixedScatterBuf::add_quantized(&mut self.sums, &w.map(f64::from));
+    }
+
     /// Deposit one within-cell segment (arguments as
     /// [`Accumulator::deposit_segment`]).
     #[allow(clippy::too_many_arguments)]
@@ -294,12 +306,7 @@ impl RunDepositor<'_> {
         z1: f32,
         qw: f32,
     ) {
-        if self.run.map(|(open, _)| open) != Some(cell) {
-            self.flush();
-            self.run = Some((cell, &self.lane[cell * SLOTS..(cell + 1) * SLOTS]));
-        }
-        let w = segment_weights(x0, y0, z0, x1, y1, z1, qw);
-        FixedScatterBuf::add_quantized(&mut self.sums, &w.map(f64::from));
+        self.deposit_weights(cell, &segment_weights(x0, y0, z0, x1, y1, z1, qw));
     }
 
     /// Add the pending run to the accumulator.
@@ -327,7 +334,7 @@ const CORNERS: [(isize, isize); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
 
 /// Villasenor–Buneman weights for one within-cell segment: 12 values,
 /// `[jx×4, jy×4, jz×4]`, in units of charge × fractional displacement.
-#[allow(clippy::too_many_arguments)]
+/// The `f32` instantiation of [`lane_segment_weights`].
 #[inline]
 pub fn segment_weights(
     x0: f32,
@@ -338,35 +345,38 @@ pub fn segment_weights(
     z1: f32,
     qw: f32,
 ) -> [f32; SLOTS] {
+    lane_segment_weights(Xyz { x: x0, y: y0, z: z0 }, Xyz { x: x1, y: y1, z: z1 }, qw)
+}
+
+/// [`segment_weights`] for one segment per lane, from `p0` to `p1`
+/// (cell-relative offsets in `[-1, 1]`) with charge × weight `qw`: slot
+/// `s` of lane `l`'s segment is lane `l` of `out[s]`. Exact lane ops in
+/// one fixed association, so every lane width gives the scalar bits.
+#[inline(always)]
+pub fn lane_segment_weights<L: PushLane>(p0: Xyz<L>, p1: Xyz<L>, qw: L) -> [L; SLOTS] {
+    let (one, half, twelve) = (L::splat(1.0), L::splat(0.5), L::splat(12.0));
     // convert offsets [-1,1] to cell coordinates [0,1]
-    let (xi0, xi1) = ((x0 + 1.0) * 0.5, (x1 + 1.0) * 0.5);
-    let (et0, et1) = ((y0 + 1.0) * 0.5, (y1 + 1.0) * 0.5);
-    let (ze0, ze1) = ((z0 + 1.0) * 0.5, (z1 + 1.0) * 0.5);
-    let (dxi, det, dze) = (xi1 - xi0, et1 - et0, ze1 - ze0);
-    let (mxi, met, mze) = (
-        0.5 * (xi0 + xi1),
-        0.5 * (et0 + et1),
-        0.5 * (ze0 + ze1),
-    );
-    let mut w = [0.0f32; SLOTS];
-    // x component: transverse (η, ζ)
-    let corr = dxi * det * dze / 12.0;
-    w[0] = qw * (dxi * (1.0 - met) * (1.0 - mze) + corr);
-    w[1] = qw * (dxi * met * (1.0 - mze) - corr);
-    w[2] = qw * (dxi * (1.0 - met) * mze - corr);
-    w[3] = qw * (dxi * met * mze + corr);
-    // y component: transverse (ζ, ξ) — cyclic
-    let corr = det * dze * dxi / 12.0;
-    w[4] = qw * (det * (1.0 - mze) * (1.0 - mxi) + corr);
-    w[5] = qw * (det * mze * (1.0 - mxi) - corr);
-    w[6] = qw * (det * (1.0 - mze) * mxi - corr);
-    w[7] = qw * (det * mze * mxi + corr);
-    // z component: transverse (ξ, η)
-    let corr = dze * dxi * det / 12.0;
-    w[8] = qw * (dze * (1.0 - mxi) * (1.0 - met) + corr);
-    w[9] = qw * (dze * mxi * (1.0 - met) - corr);
-    w[10] = qw * (dze * (1.0 - mxi) * met - corr);
-    w[11] = qw * (dze * mxi * met + corr);
+    let unit = |v: L| v.add(one).mul(half);
+    let (c0, c1) = (p0.map(unit), p1.map(unit));
+    let Xyz { x: dxi, y: det, z: dze } = c1.zip(c0, L::sub);
+    let Xyz { x: mxi, y: met, z: mze } = c0.zip(c1, |a, b| half.mul(a.add(b)));
+    // one component: displacement `d` along it, midpoints `(a, b)` of its
+    // two transverse coordinates in cyclic order, and the shared
+    // second-order correction with its factors in that component's order
+    let component = |d: L, a: L, b: L, corr: L| {
+        let (na, nb) = (one.sub(a), one.sub(b));
+        [
+            qw.mul(d.mul(na).mul(nb).add(corr)),
+            qw.mul(d.mul(a).mul(nb).sub(corr)),
+            qw.mul(d.mul(na).mul(b).sub(corr)),
+            qw.mul(d.mul(a).mul(b).add(corr)),
+        ]
+    };
+    // x: transverse (η, ζ); y: (ζ, ξ); z: (ξ, η)
+    let mut w = [L::splat(0.0); SLOTS];
+    w[..4].copy_from_slice(&component(dxi, met, mze, dxi.mul(det).mul(dze).div(twelve)));
+    w[4..8].copy_from_slice(&component(det, mze, mxi, det.mul(dze).mul(dxi).div(twelve)));
+    w[8..].copy_from_slice(&component(dze, mxi, met, dze.mul(dxi).mul(det).div(twelve)));
     w
 }
 

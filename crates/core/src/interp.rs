@@ -17,7 +17,7 @@ use crate::grid::StencilSide;
 use pk::{ExecSpace, SendPtr};
 use std::ops::Range;
 use vsimd::v4::V4F32;
-use vsimd::{SimdF32, StencilLane, Strategy};
+use vsimd::{SimdF32, StencilLane, Strategy, Xyz};
 
 /// Number of `f32` coefficients per cell.
 pub const COEFFS: usize = 18;
@@ -47,26 +47,38 @@ const DCBYDY: usize = 15;
 const CBZ0: usize = 16;
 const DCBZDZ: usize = 17;
 
+/// E and B at cell-relative offsets `p ∈ [-1, 1]³` from one coefficient
+/// set per lane: the field evaluation, written once for every lane width
+/// (scalar callers go through [`Interpolator::e_at`] / [`Interpolator::b_at`],
+/// the push passes broadcast or transposed records).
+#[inline(always)]
+pub fn fields_at<L: StencilLane>(c: &[L; COEFFS], p: Xyz<L>) -> (Xyz<L>, Xyz<L>) {
+    let Xyz { x, y, z } = p;
+    let bilinear = |c0: usize, s: L, t: L| {
+        c[c0].add(s.mul(c[c0 + 1])).add(t.mul(c[c0 + 2])).add(s.mul(t).mul(c[c0 + 3]))
+    };
+    let e = Xyz { x: bilinear(EX0, y, z), y: bilinear(EY0, z, x), z: bilinear(EZ0, x, y) };
+    let b = Xyz {
+        x: c[CBX0].add(x.mul(c[DCBXDX])),
+        y: c[CBY0].add(y.mul(c[DCBYDY])),
+        z: c[CBZ0].add(z.mul(c[DCBZDZ])),
+    };
+    (e, b)
+}
+
 impl Interpolator {
     /// Electric field at cell-relative offsets `(x, y, z) ∈ [-1, 1]³`.
     #[inline(always)]
     pub fn e_at(&self, x: f32, y: f32, z: f32) -> (f32, f32, f32) {
-        let c = &self.0;
-        let ex = c[EX0] + y * c[DEXDY] + z * c[DEXDZ] + y * z * c[D2EXDYDZ];
-        let ey = c[EY0] + z * c[DEYDZ] + x * c[DEYDX] + z * x * c[D2EYDZDX];
-        let ez = c[EZ0] + x * c[DEZDX] + y * c[DEZDY] + x * y * c[D2EZDXDY];
-        (ex, ey, ez)
+        let e = fields_at(&self.0, Xyz { x, y, z }).0;
+        (e.x, e.y, e.z)
     }
 
     /// Magnetic field at cell-relative offsets.
     #[inline(always)]
     pub fn b_at(&self, x: f32, y: f32, z: f32) -> (f32, f32, f32) {
-        let c = &self.0;
-        (
-            c[CBX0] + x * c[DCBXDX],
-            c[CBY0] + y * c[DCBYDY],
-            c[CBZ0] + z * c[DCBZDZ],
-        )
+        let b = fields_at(&self.0, Xyz { x, y, z }).1;
+        (b.x, b.y, b.z)
     }
 }
 

@@ -6,32 +6,48 @@
 //! trajectory segment (splitting at cell boundaries, as VPIC's mover
 //! does).
 //!
-//! The kernel is implemented in the paper's four vectorization strategies
-//! (Fig 4). The *gather* (cell-indexed interpolator load) and the
-//! *mover/deposit* (scatter with conflicts) are scalar in every strategy
-//! — exactly VPIC's structure, where those stages go through dedicated
-//! transpose/accumulator machinery. Deposits leave a chunk through one
-//! [`RunDepositor`]: segments that hit the same cell back to back (the
-//! common case after a cell sort) are summed privately in fixed point
-//! and reach the shared accumulator once per run, with the same slot
-//! totals, bit for bit, as one add per segment. The field evaluation and
-//! Boris arithmetic are what differ between strategies:
+//! The kernel is written once, as three stages over a group of
+//! `L::LANES` consecutive particles held in the lanes of a [`PushLane`]:
 //!
-//! * **auto** — one plain loop, vectorization left to LLVM;
-//! * **guided** — the kernel split into a gather pass, a chunked
-//!   arithmetic pass over SoA scratch, and a scalar mover pass;
-//! * **manual** — 4-particle groups in portable [`vsimd::simd`] lanes;
-//! * **ad hoc** — 4-particle groups in SSE [`vsimd::v4::V4F32`] lanes.
+//! 1. **run-aware gather** (`gather`) — a group whose particles share a
+//!    cell (the common case after a cell sort) broadcasts that cell's 18
+//!    coefficients; a mixed group loads its four 72-byte records and
+//!    transposes them in registers (AoS → SoA);
+//! 2. **field evaluation and Boris** ([`fields_at`], `boris`) in lanes;
+//! 3. **in-cell mover** (`displacement`, `move_group`) — displacement,
+//!    target position, an in-cell mask and the twelve Villasenor–Buneman
+//!    weights in lanes, transposed (SoA → AoS) to one 12-slot row per
+//!    particle for the [`RunDepositor`]. Only a lane whose target leaves
+//!    `[-1, 1]³` (a NaN included) falls to the scalar
+//!    `move_and_deposit`, which splits the move at the cell faces.
+//!
+//! The paper's four vectorization strategies (Fig 4) are four
+//! instantiations of those stages and nothing else:
+//!
+//! * **auto** — fused at `f32`: one particle per group, a plain loop whose
+//!   vectorization is left to LLVM. The reference op tree;
+//! * **guided** — the same stages at `f32` as split passes over a
+//!   256-particle scratch block, so the dense passes (Boris, displacement)
+//!   are loops LLVM does vectorize;
+//! * **manual** — fused at the portable [`SimdF32<4>`];
+//! * **ad hoc** — fused at the SSE [`V4F32`].
+//!
+//! Every strategy gives the same bits. The lane ops are the IEEE-754
+//! correctly-rounded `+ − × ÷ √` in one fixed association (no FMA, no
+//! `rsqrt`), so lane `l` of a group computes exactly what the `f32`
+//! instantiation computes for that particle; and deposits are quantized
+//! per weight and summed as wrapping fixed-point integers, so neither the
+//! order in which a group's lanes reach the depositor nor how it coalesces
+//! same-cell runs can change a slot total.
 
-use crate::accumulate::{Accumulator, RunDepositor};
+use crate::accumulate::{lane_segment_weights, Accumulator, RunDepositor, SLOTS};
 use crate::grid::Grid;
-use crate::interp::Interpolator;
+use crate::interp::{fields_at, Interpolator, COEFFS};
 use crate::species::Species;
 use pk::{ExecSpace, RangePolicy, Serial, Sum};
 use std::ops::Range;
-use vsimd::simd::SimdF32;
 use vsimd::v4::V4F32;
-use vsimd::Strategy;
+use vsimd::{PushLane, SimdF32, Strategy, Xyz};
 
 /// Precomputed per-species push coefficients.
 #[derive(Debug, Clone, Copy)]
@@ -84,6 +100,13 @@ pub fn push_species(
 
 /// Push every particle of `species` one step under `strategy`,
 /// distributing contiguous particle blocks over `space`'s workers.
+///
+/// Under *manual* and *ad hoc* all three stages of the module doc run four
+/// particles to a group in lanes — gather, field evaluation and Boris,
+/// displacement, in-cell test and deposit weights — and only the
+/// cell-crossing lanes (and each block's last `len % 4` particles) are
+/// scalar; *guided* gets its lanes from LLVM on the dense passes; *auto* is
+/// the scalar reference.
 ///
 /// Each block deposits with its block index as the accumulator worker id,
 /// so in [`pk::atomic::ScatterMode::Duplicated`] the accumulator should be
@@ -231,7 +254,7 @@ impl SpeciesPtrs {
     }
 }
 
-/// Dispatch one chunk to the selected strategy kernel.
+/// Push one chunk: the three stages instantiated for `strategy`.
 fn push_chunk(
     strategy: Strategy,
     grid: &Grid,
@@ -243,78 +266,214 @@ fn push_chunk(
     // one depositor per chunk: same-cell runs (long after a cell sort)
     // reach the accumulator once, when the cell changes or the chunk ends
     let dep = &mut acc.depositor(chunk.worker);
-    match strategy {
-        Strategy::Auto => push_auto(grid, chunk, interps, dep, params),
-        Strategy::Guided => push_guided(grid, chunk, interps, dep, params),
-        Strategy::Manual => push_manual(grid, chunk, interps, dep, params),
-        Strategy::AdHoc => push_adhoc(grid, chunk, interps, dep, params),
+    let all = 0..chunk.len();
+    let crossings = match strategy {
+        Strategy::Auto => push_fused::<f32>(grid, chunk, interps, dep, params, all),
+        Strategy::Guided => push_split(grid, chunk, interps, dep, params),
+        Strategy::Manual => push_fused::<SimdF32<4>>(grid, chunk, interps, dep, params, all),
+        Strategy::AdHoc => push_fused::<V4F32>(grid, chunk, interps, dep, params, all),
+    };
+    PushStats { pushed: chunk.len(), crossings }
+}
+
+/// The stages fused, one group of `L::LANES` particles at a time over
+/// `range`; what is left of it past the last whole group goes through the
+/// `f32` instantiation. Returns boundary crossings.
+fn push_fused<L: PushLane>(
+    grid: &Grid,
+    s: &mut Chunk<'_>,
+    interps: &[Interpolator],
+    dep: &mut RunDepositor<'_>,
+    p: PushParams,
+    range: Range<usize>,
+) -> usize {
+    let h = L::splat(p.qdt_2m);
+    let cdt = Xyz::splat(p.cdt_dx2, p.cdt_dy2, p.cdt_dz2);
+    let mut crossings = 0;
+    let mut i = range.start;
+    while i + L::LANES <= range.end {
+        let pos = Xyz::<L>::load(s.dx, s.dy, s.dz, i);
+        let (e, b) = fields_at(&gather(interps, &s.cell[i..i + L::LANES]), pos);
+        let u = boris(h, Xyz::load(s.ux, s.uy, s.uz, i), e, b);
+        u.store(s.ux, s.uy, s.uz, i);
+        crossings += move_group(grid, dep, s, i, pos, displacement(u, cdt));
+        i += L::LANES;
+    }
+    if i < range.end {
+        crossings += push_fused::<f32>(grid, s, interps, dep, p, i..range.end);
+    }
+    crossings
+}
+
+/// Scratch block size for the guided strategy's split passes.
+const GUIDED_BLOCK: usize = 256;
+
+/// The stages at `f32` as split passes over a [`GUIDED_BLOCK`]-particle
+/// scratch block: the cell-indexed gather and the conflict-prone mover
+/// each get a loop of their own, which leaves Boris and the displacement
+/// as dense fixed-shape loops the vectorizer handles.
+fn push_split(
+    grid: &Grid,
+    s: &mut Chunk<'_>,
+    interps: &[Interpolator],
+    dep: &mut RunDepositor<'_>,
+    p: PushParams,
+) -> usize {
+    let cdt = Xyz::splat(p.cdt_dx2, p.cdt_dy2, p.cdt_dz2);
+    let zero = Xyz::<f32>::splat(0.0, 0.0, 0.0);
+    let (mut e, mut b, mut m) = ([zero; GUIDED_BLOCK], [zero; GUIDED_BLOCK], [zero; GUIDED_BLOCK]);
+    let mut crossings = 0;
+    for base in (0..s.len()).step_by(GUIDED_BLOCK) {
+        let len = GUIDED_BLOCK.min(s.len() - base);
+        // pass 1: gather + field evaluation
+        for k in 0..len {
+            let i = base + k;
+            let pos = Xyz::load(s.dx, s.dy, s.dz, i);
+            (e[k], b[k]) = fields_at(&gather::<f32>(interps, &s.cell[i..=i]), pos);
+        }
+        // pass 2: Boris and the displacement, dense
+        for k in 0..len {
+            let i = base + k;
+            let u = boris(p.qdt_2m, Xyz::load(s.ux, s.uy, s.uz, i), e[k], b[k]);
+            u.store(s.ux, s.uy, s.uz, i);
+            m[k] = displacement(u, cdt);
+        }
+        // pass 3: mover
+        for (k, &m) in m[..len].iter().enumerate() {
+            let i = base + k;
+            let pos = Xyz::load(s.dx, s.dy, s.dz, i);
+            crossings += move_group::<f32>(grid, dep, s, i, pos, m);
+        }
+    }
+    crossings
+}
+
+/// Stage 1, the run-aware gather: the interpolator coefficients of one
+/// group's cells, one lane vector per coefficient. A group within one
+/// cell (every group after a cell sort, but for the run boundaries)
+/// broadcasts that cell's record; a mixed group loads its four 72-byte
+/// records and transposes them in registers.
+#[inline(always)]
+fn gather<L: PushLane>(interps: &[Interpolator], cells: &[u32]) -> [L; COEFFS] {
+    let first = &interps[cells[0] as usize].0;
+    if cells.iter().all(|&c| c == cells[0]) {
+        first.map(L::splat)
+    } else {
+        L::load_tr(std::array::from_fn(|l| &interps[cells[l] as usize].0))
     }
 }
 
-/// Scalar momentum update (Boris rotation with half E kicks).
-/// Returns the new momentum.
+/// `1/γ` of momentum `u`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn boris(
-    h: f32,
-    ux: f32,
-    uy: f32,
-    uz: f32,
-    ex: f32,
-    ey: f32,
-    ez: f32,
-    bx: f32,
-    by: f32,
-    bz: f32,
-) -> (f32, f32, f32) {
-    // half electric kick
-    let ux = ux + h * ex;
-    let uy = uy + h * ey;
-    let uz = uz + h * ez;
-    // rotation
-    let gi = 1.0 / (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-    let tx = h * bx * gi;
-    let ty = h * by * gi;
-    let tz = h * bz * gi;
-    let t2 = tx * tx + ty * ty + tz * tz;
-    let s = 2.0 / (1.0 + t2);
-    let vx = ux + (uy * tz - uz * ty);
-    let vy = uy + (uz * tx - ux * tz);
-    let vz = uz + (ux * ty - uy * tx);
-    let ux = ux + s * (vy * tz - vz * ty);
-    let uy = uy + s * (vz * tx - vx * tz);
-    let uz = uz + s * (vx * ty - vy * tx);
-    // second half electric kick
-    (ux + h * ex, uy + h * ey, uz + h * ez)
+fn inv_gamma<L: PushLane>(u: Xyz<L>) -> L {
+    let one = L::splat(1.0);
+    one.div(one.add(u.x.mul(u.x)).add(u.y.mul(u.y)).add(u.z.mul(u.z)).sqrt())
 }
 
-/// The scalar mover: advance offsets by `(mx, my, mz)`, splitting the
-/// trajectory at cell boundaries and depositing each within-cell segment.
-/// Updates the particle's cell and offsets; returns boundary crossings.
-#[allow(clippy::too_many_arguments)]
+/// Stage 2: the momentum update (Boris rotation with half E kicks) under
+/// half-kick coefficient `h`. Returns the new momentum.
+#[inline(always)]
+fn boris<L: PushLane>(h: L, u: Xyz<L>, e: Xyz<L>, b: Xyz<L>) -> Xyz<L> {
+    let (one, two) = (L::splat(1.0), L::splat(2.0));
+    let cross = |a: Xyz<L>, b: Xyz<L>| Xyz {
+        x: a.y.mul(b.z).sub(a.z.mul(b.y)),
+        y: a.z.mul(b.x).sub(a.x.mul(b.z)),
+        z: a.x.mul(b.y).sub(a.y.mul(b.x)),
+    };
+    let kick = |u: Xyz<L>| u.zip(e, |u, e| u.add(h.mul(e)));
+    // half electric kick
+    let u = kick(u);
+    // rotation
+    let gi = inv_gamma(u);
+    let t = b.map(|b| h.mul(b).mul(gi));
+    let t2 = t.x.mul(t.x).add(t.y.mul(t.y)).add(t.z.mul(t.z));
+    let s = two.div(one.add(t2));
+    let v = u.zip(cross(u, t), L::add);
+    let u = u.zip(cross(v, t), |u, vt| u.add(s.mul(vt)));
+    // second half electric kick
+    kick(u)
+}
+
+/// Stage 3a: the step's displacement in offset units for momentum `u`,
+/// `cdt` being `2·dt/d` per axis.
+#[inline(always)]
+fn displacement<L: PushLane>(u: Xyz<L>, cdt: Xyz<L>) -> Xyz<L> {
+    let gi = inv_gamma(u);
+    u.zip(cdt, |u, cdt| u.mul(gi).mul(cdt))
+}
+
+/// Lanes of `t` inside the cell `[-1, 1]³`, as bits. A NaN is outside.
+#[inline(always)]
+fn in_cell<L: PushLane>(t: Xyz<L>) -> u32 {
+    let (lo, hi) = (L::splat(-1.0), L::splat(1.0));
+    let inside = |v: L| v.within_bits(lo, hi);
+    inside(t.x) & inside(t.y) & inside(t.z)
+}
+
+/// Stage 3b, the in-cell mover: advance the group at `i` from `pos` by
+/// `m`. Lanes whose target stays inside the cell deposit their one segment
+/// — twelve weights per lane computed in lanes, then transposed to one
+/// accumulator row per particle — and take the target as their position;
+/// the others go through [`move_and_deposit`]. Returns boundary crossings.
+#[inline(always)]
+fn move_group<L: PushLane>(
+    grid: &Grid,
+    dep: &mut RunDepositor<'_>,
+    s: &mut Chunk<'_>,
+    i: usize,
+    pos: Xyz<L>,
+    m: Xyz<L>,
+) -> usize {
+    let target = pos.zip(m, L::add);
+    let inside = in_cell(target);
+    let qw = L::splat(s.q).mul(L::load(s.w, i));
+    let mut rows = [[0.0f32; SLOTS]; 4];
+    if inside != 0 {
+        L::store_tr(lane_segment_weights(pos, target, qw), &mut rows);
+    }
+    // every lane takes its target; the slots of the lanes that leave the
+    // cell are rewritten below
+    target.store(s.dx, s.dy, s.dz, i);
+    let mut crossings = 0;
+    for (l, row) in rows.iter().enumerate().take(L::LANES) {
+        let k = i + l;
+        if inside & (1 << l) != 0 {
+            dep.deposit_weights(s.cell[k] as usize, row);
+        } else {
+            let (qw, cell) = (qw.extract(l), &mut s.cell[k]);
+            let (end, crossed) = move_and_deposit(grid, dep, qw, cell, pos.extract(l), m.extract(l));
+            (s.dx[k], s.dy[k], s.dz[k]) = (end.x, end.y, end.z);
+            crossings += crossed;
+        }
+    }
+    crossings
+}
+
+/// The scalar mover: advance a particle from offsets `start` by `m`,
+/// splitting the trajectory at cell boundaries and depositing each
+/// within-cell segment. Updates the particle's cell; returns its final
+/// offsets and the boundary crossings.
 #[inline]
 fn move_and_deposit(
     grid: &Grid,
     dep: &mut RunDepositor<'_>,
     qw: f32,
     cell: &mut u32,
-    x: &mut f32,
-    y: &mut f32,
-    z: &mut f32,
-    mut mx: f32,
-    mut my: f32,
-    mut mz: f32,
-) -> usize {
+    start: Xyz<f32>,
+    m: Xyz<f32>,
+) -> (Xyz<f32>, usize) {
+    let Xyz { mut x, mut y, mut z } = start;
+    let Xyz { x: mut mx, y: mut my, z: mut mz } = m;
     let mut crossings = 0usize;
     // at most one crossing per axis per step (CFL guarantees |m| ≤ 2)
     for _ in 0..4 {
-        let tx = *x + mx;
-        let ty = *y + my;
-        let tz = *z + mz;
+        let tx = x + mx;
+        let ty = y + my;
+        let tz = z + mz;
         // fraction of the remaining move until the first boundary hit
         let mut alpha = 1.0f32;
         let mut axis = usize::MAX;
-        let candidates = [(tx, mx, *x), (ty, my, *y), (tz, mz, *z)];
+        let candidates = [(tx, mx, x), (ty, my, y), (tz, mz, z)];
         for (a, &(target, m, start)) in candidates.iter().enumerate() {
             if !(-1.0..=1.0).contains(&target) {
                 let bound = if m > 0.0 { 1.0 } else { -1.0 };
@@ -327,19 +486,17 @@ fn move_and_deposit(
         }
         if axis == usize::MAX {
             // no crossing: deposit the final segment and finish
-            dep.deposit(*cell as usize, *x, *y, *z, tx, ty, tz, qw);
-            *x = tx.clamp(-1.0, 1.0);
-            *y = ty.clamp(-1.0, 1.0);
-            *z = tz.clamp(-1.0, 1.0);
-            return crossings;
+            dep.deposit(*cell as usize, x, y, z, tx, ty, tz, qw);
+            let end = Xyz { x: tx, y: ty, z: tz }.map(|t| t.clamp(-1.0, 1.0));
+            return (end, crossings);
         }
         // deposit up to the boundary; clamp the non-crossed coordinates,
         // which f32 rounding can push a few ulp past the face when two
         // axes cross at nearly equal fractions
-        let bx = (*x + alpha * mx).clamp(-1.0, 1.0);
-        let by = (*y + alpha * my).clamp(-1.0, 1.0);
-        let bz = (*z + alpha * mz).clamp(-1.0, 1.0);
-        dep.deposit(*cell as usize, *x, *y, *z, bx, by, bz, qw);
+        let bx = (x + alpha * mx).clamp(-1.0, 1.0);
+        let by = (y + alpha * my).clamp(-1.0, 1.0);
+        let bz = (z + alpha * mz).clamp(-1.0, 1.0);
+        dep.deposit(*cell as usize, x, y, z, bx, by, bz, qw);
         // cross into the neighbor: flip the crossed axis's offset
         let (dxn, dyn_, dzn): (isize, isize, isize) = match axis {
             0 => (if mx > 0.0 { 1 } else { -1 }, 0, 0),
@@ -347,9 +504,9 @@ fn move_and_deposit(
             _ => (0, 0, if mz > 0.0 { 1 } else { -1 }),
         };
         *cell = grid.neighbor(*cell as usize, (dxn, dyn_, dzn)) as u32;
-        *x = if axis == 0 { -bx.signum() } else { bx };
-        *y = if axis == 1 { -by.signum() } else { by };
-        *z = if axis == 2 { -bz.signum() } else { bz };
+        x = if axis == 0 { -bx.signum() } else { bx };
+        y = if axis == 1 { -by.signum() } else { by };
+        z = if axis == 2 { -bz.signum() } else { bz };
         mx *= 1.0 - alpha;
         my *= 1.0 - alpha;
         mz *= 1.0 - alpha;
@@ -357,319 +514,7 @@ fn move_and_deposit(
         // remaining move continues from the flipped boundary position
         crossings += 1;
     }
-    crossings
-}
-
-fn push_auto(
-    grid: &Grid,
-    s: &mut Chunk<'_>,
-    interps: &[Interpolator],
-    dep: &mut RunDepositor<'_>,
-    p: PushParams,
-) -> PushStats {
-    let mut stats = PushStats { pushed: s.len(), crossings: 0 };
-    let h = p.qdt_2m;
-    for i in 0..s.len() {
-        let ip = &interps[s.cell[i] as usize];
-        let (x, y, z) = (s.dx[i], s.dy[i], s.dz[i]);
-        let (ex, ey, ez) = ip.e_at(x, y, z);
-        let (bx, by, bz) = ip.b_at(x, y, z);
-        let (ux, uy, uz) = boris(h, s.ux[i], s.uy[i], s.uz[i], ex, ey, ez, bx, by, bz);
-        s.ux[i] = ux;
-        s.uy[i] = uy;
-        s.uz[i] = uz;
-        let gi = 1.0 / (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-        let qw = s.q * s.w[i];
-        stats.crossings += move_and_deposit(
-            grid,
-            dep,
-            qw,
-            &mut s.cell[i],
-            &mut s.dx[i],
-            &mut s.dy[i],
-            &mut s.dz[i],
-            ux * gi * p.cdt_dx2,
-            uy * gi * p.cdt_dy2,
-            uz * gi * p.cdt_dz2,
-        );
-    }
-    stats
-}
-
-/// Scratch block size for the guided strategy's split passes.
-const GUIDED_BLOCK: usize = 256;
-
-fn push_guided(
-    grid: &Grid,
-    s: &mut Chunk<'_>,
-    interps: &[Interpolator],
-    dep: &mut RunDepositor<'_>,
-    p: PushParams,
-) -> PushStats {
-    let mut stats = PushStats { pushed: s.len(), crossings: 0 };
-    let h = p.qdt_2m;
-    let n = s.len();
-    let mut fex = [0.0f32; GUIDED_BLOCK];
-    let mut fey = [0.0f32; GUIDED_BLOCK];
-    let mut fez = [0.0f32; GUIDED_BLOCK];
-    let mut fbx = [0.0f32; GUIDED_BLOCK];
-    let mut fby = [0.0f32; GUIDED_BLOCK];
-    let mut fbz = [0.0f32; GUIDED_BLOCK];
-    let mut base = 0;
-    while base < n {
-        let len = GUIDED_BLOCK.min(n - base);
-        // pass 1: gather + field evaluation (the hard-to-vectorize part,
-        // isolated in its own loop)
-        for k in 0..len {
-            let i = base + k;
-            let ip = &interps[s.cell[i] as usize];
-            let (ex, ey, ez) = ip.e_at(s.dx[i], s.dy[i], s.dz[i]);
-            let (bx, by, bz) = ip.b_at(s.dx[i], s.dy[i], s.dz[i]);
-            fex[k] = ex;
-            fey[k] = ey;
-            fez[k] = ez;
-            fbx[k] = bx;
-            fby[k] = by;
-            fbz[k] = bz;
-        }
-        // pass 2: Boris arithmetic over dense SoA scratch — a clean
-        // fixed-shape loop the vectorizer handles
-        for k in 0..len {
-            let i = base + k;
-            let (ux, uy, uz) = boris(
-                h, s.ux[i], s.uy[i], s.uz[i], fex[k], fey[k], fez[k], fbx[k], fby[k], fbz[k],
-            );
-            s.ux[i] = ux;
-            s.uy[i] = uy;
-            s.uz[i] = uz;
-        }
-        // pass 3: scalar mover
-        for k in 0..len {
-            let i = base + k;
-            let (ux, uy, uz) = (s.ux[i], s.uy[i], s.uz[i]);
-            let gi = 1.0 / (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-            let qw = s.q * s.w[i];
-            stats.crossings += move_and_deposit(
-                grid,
-                dep,
-                qw,
-                &mut s.cell[i],
-                &mut s.dx[i],
-                &mut s.dy[i],
-                &mut s.dz[i],
-                ux * gi * p.cdt_dx2,
-                uy * gi * p.cdt_dy2,
-                uz * gi * p.cdt_dz2,
-            );
-        }
-        base += len;
-    }
-    stats
-}
-
-fn push_manual(
-    grid: &Grid,
-    s: &mut Chunk<'_>,
-    interps: &[Interpolator],
-    dep: &mut RunDepositor<'_>,
-    p: PushParams,
-) -> PushStats {
-    let mut stats = PushStats { pushed: s.len(), crossings: 0 };
-    let n = s.len();
-    let main = n - n % 4;
-    let h = SimdF32::<4>::splat(p.qdt_2m);
-    let one = SimdF32::<4>::splat(1.0);
-    let two = SimdF32::<4>::splat(2.0);
-    let mut i = 0;
-    while i < main {
-        // gather: evaluate fields per lane (cell-indexed interpolators)
-        let mut ex = [0.0f32; 4];
-        let mut ey = [0.0f32; 4];
-        let mut ez = [0.0f32; 4];
-        let mut bx = [0.0f32; 4];
-        let mut by = [0.0f32; 4];
-        let mut bz = [0.0f32; 4];
-        for l in 0..4 {
-            let ip = &interps[s.cell[i + l] as usize];
-            let (x, y, z) = (s.dx[i + l], s.dy[i + l], s.dz[i + l]);
-            let e = ip.e_at(x, y, z);
-            let b = ip.b_at(x, y, z);
-            ex[l] = e.0;
-            ey[l] = e.1;
-            ez[l] = e.2;
-            bx[l] = b.0;
-            by[l] = b.1;
-            bz[l] = b.2;
-        }
-        let (ex, ey, ez) = (SimdF32(ex), SimdF32(ey), SimdF32(ez));
-        let (bx, by, bz) = (SimdF32(bx), SimdF32(by), SimdF32(bz));
-        // vector Boris over 4 particles
-        let mut ux = SimdF32::<4>::load(s.ux, i) + h * ex;
-        let mut uy = SimdF32::<4>::load(s.uy, i) + h * ey;
-        let mut uz = SimdF32::<4>::load(s.uz, i) + h * ez;
-        let gi = one / (one + ux * ux + uy * uy + uz * uz).sqrt();
-        let tx = h * bx * gi;
-        let ty = h * by * gi;
-        let tz = h * bz * gi;
-        // sum t² first (same association as scalar `boris`) so every
-        // strategy walks one IEEE op tree and stays bit-identical
-        let t2 = tx * tx + ty * ty + tz * tz;
-        let sfac = two / (one + t2);
-        let vx = ux + (uy * tz - uz * ty);
-        let vy = uy + (uz * tx - ux * tz);
-        let vz = uz + (ux * ty - uy * tx);
-        ux += sfac * (vy * tz - vz * ty);
-        uy += sfac * (vz * tx - vx * tz);
-        uz += sfac * (vx * ty - vy * tx);
-        ux += h * ex;
-        uy += h * ey;
-        uz += h * ez;
-        ux.store(s.ux, i);
-        uy.store(s.uy, i);
-        uz.store(s.uz, i);
-        // scalar mover per lane
-        for l in 0..4 {
-            let k = i + l;
-            let (ux, uy, uz) = (s.ux[k], s.uy[k], s.uz[k]);
-            let gi = 1.0 / (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-            let qw = s.q * s.w[k];
-            stats.crossings += move_and_deposit(
-                grid,
-                dep,
-                qw,
-                &mut s.cell[k],
-                &mut s.dx[k],
-                &mut s.dy[k],
-                &mut s.dz[k],
-                ux * gi * p.cdt_dx2,
-                uy * gi * p.cdt_dy2,
-                uz * gi * p.cdt_dz2,
-            );
-        }
-        i += 4;
-    }
-    // scalar tail
-    stats.crossings += push_tail(grid, s, interps, dep, p, main);
-    stats
-}
-
-fn push_adhoc(
-    grid: &Grid,
-    s: &mut Chunk<'_>,
-    interps: &[Interpolator],
-    dep: &mut RunDepositor<'_>,
-    p: PushParams,
-) -> PushStats {
-    let mut stats = PushStats { pushed: s.len(), crossings: 0 };
-    let n = s.len();
-    let main = n - n % 4;
-    let h = V4F32::splat(p.qdt_2m);
-    let one = V4F32::splat(1.0);
-    let two = V4F32::splat(2.0);
-    let mut i = 0;
-    while i < main {
-        let mut ex = [0.0f32; 4];
-        let mut ey = [0.0f32; 4];
-        let mut ez = [0.0f32; 4];
-        let mut bx = [0.0f32; 4];
-        let mut by = [0.0f32; 4];
-        let mut bz = [0.0f32; 4];
-        for l in 0..4 {
-            let ip = &interps[s.cell[i + l] as usize];
-            let (x, y, z) = (s.dx[i + l], s.dy[i + l], s.dz[i + l]);
-            let e = ip.e_at(x, y, z);
-            let b = ip.b_at(x, y, z);
-            ex[l] = e.0;
-            ey[l] = e.1;
-            ez[l] = e.2;
-            bx[l] = b.0;
-            by[l] = b.1;
-            bz[l] = b.2;
-        }
-        let (ex, ey, ez) = (V4F32::from_array(ex), V4F32::from_array(ey), V4F32::from_array(ez));
-        let (bx, by, bz) = (V4F32::from_array(bx), V4F32::from_array(by), V4F32::from_array(bz));
-        let mut ux = V4F32::load(s.ux, i).add(h.mul(ex));
-        let mut uy = V4F32::load(s.uy, i).add(h.mul(ey));
-        let mut uz = V4F32::load(s.uz, i).add(h.mul(ez));
-        let norm = one.add(ux.mul(ux)).add(uy.mul(uy)).add(uz.mul(uz));
-        let gi = one.div(norm.sqrt());
-        let tx = h.mul(bx).mul(gi);
-        let ty = h.mul(by).mul(gi);
-        let tz = h.mul(bz).mul(gi);
-        let t2 = tx.mul(tx).add(ty.mul(ty)).add(tz.mul(tz));
-        let sfac = two.div(one.add(t2));
-        let vx = ux.add(uy.mul(tz).sub(uz.mul(ty)));
-        let vy = uy.add(uz.mul(tx).sub(ux.mul(tz)));
-        let vz = uz.add(ux.mul(ty).sub(uy.mul(tx)));
-        ux = ux.add(sfac.mul(vy.mul(tz).sub(vz.mul(ty))));
-        uy = uy.add(sfac.mul(vz.mul(tx).sub(vx.mul(tz))));
-        uz = uz.add(sfac.mul(vx.mul(ty).sub(vy.mul(tx))));
-        ux = ux.add(h.mul(ex));
-        uy = uy.add(h.mul(ey));
-        uz = uz.add(h.mul(ez));
-        ux.store(s.ux, i);
-        uy.store(s.uy, i);
-        uz.store(s.uz, i);
-        for l in 0..4 {
-            let k = i + l;
-            let (ux, uy, uz) = (s.ux[k], s.uy[k], s.uz[k]);
-            let gi = 1.0 / (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-            let qw = s.q * s.w[k];
-            stats.crossings += move_and_deposit(
-                grid,
-                dep,
-                qw,
-                &mut s.cell[k],
-                &mut s.dx[k],
-                &mut s.dy[k],
-                &mut s.dz[k],
-                ux * gi * p.cdt_dx2,
-                uy * gi * p.cdt_dy2,
-                uz * gi * p.cdt_dz2,
-            );
-        }
-        i += 4;
-    }
-    stats.crossings += push_tail(grid, s, interps, dep, p, main);
-    stats
-}
-
-/// Scalar tail shared by the vector strategies.
-fn push_tail(
-    grid: &Grid,
-    s: &mut Chunk<'_>,
-    interps: &[Interpolator],
-    dep: &mut RunDepositor<'_>,
-    p: PushParams,
-    from: usize,
-) -> usize {
-    let h = p.qdt_2m;
-    let mut crossings = 0;
-    for i in from..s.len() {
-        let ip = &interps[s.cell[i] as usize];
-        let (x, y, z) = (s.dx[i], s.dy[i], s.dz[i]);
-        let (ex, ey, ez) = ip.e_at(x, y, z);
-        let (bx, by, bz) = ip.b_at(x, y, z);
-        let (ux, uy, uz) = boris(h, s.ux[i], s.uy[i], s.uz[i], ex, ey, ez, bx, by, bz);
-        s.ux[i] = ux;
-        s.uy[i] = uy;
-        s.uz[i] = uz;
-        let gi = 1.0 / (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-        let qw = s.q * s.w[i];
-        crossings += move_and_deposit(
-            grid,
-            dep,
-            qw,
-            &mut s.cell[i],
-            &mut s.dx[i],
-            &mut s.dy[i],
-            &mut s.dz[i],
-            ux * gi * p.cdt_dx2,
-            uy * gi * p.cdt_dy2,
-            uz * gi * p.cdt_dz2,
-        );
-    }
-    crossings
+    (Xyz { x, y, z }, crossings)
 }
 
 #[cfg(test)]
@@ -678,6 +523,7 @@ mod tests {
     use crate::field::FieldArray;
     use crate::interp::load_interpolators;
     use pk::atomic::ScatterMode;
+    use vsimd::StencilLane;
 
     fn setup(grid: &Grid) -> (FieldArray, Accumulator) {
         (
@@ -763,56 +609,38 @@ mod tests {
         );
     }
 
-    #[test]
-    fn all_strategies_produce_matching_trajectories() {
-        let grid = Grid::new(6, 6, 6);
-        let mut f = FieldArray::new(grid.clone());
-        // non-trivial field mix
-        for v in 0..grid.cells() {
-            f.ex[v] = 0.003 * (v as f32 * 0.1).sin();
-            f.ey[v] = 0.002 * (v as f32 * 0.2).cos();
-            f.bz[v] = 0.1 + 0.01 * (v as f32 * 0.05).sin();
-        }
-        let interps = load_interpolators(&f);
-        let make = || {
-            let mut s = Species::new("e", -1.0, 1.0);
-            s.load_uniform(&grid, 1001, 0.2, (0.05, 0.0, 0.0), 1.0, 77);
-            s
-        };
-        let reference = {
-            let mut s = make();
-            let acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
-            for _ in 0..3 {
-                acc.reset();
-                push_species(Strategy::Auto, &grid, &mut s, &interps, &acc);
-            }
-            s
-        };
-        for strat in [Strategy::Guided, Strategy::Manual, Strategy::AdHoc] {
-            let mut s = make();
-            let acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
-            for _ in 0..3 {
-                acc.reset();
-                push_species(strat, &grid, &mut s, &interps, &acc);
-            }
-            let mut max_du = 0.0f32;
-            for i in 0..s.len() {
-                max_du = max_du
-                    .max((s.ux[i] - reference.ux[i]).abs())
-                    .max((s.uy[i] - reference.uy[i]).abs())
-                    .max((s.uz[i] - reference.uz[i]).abs());
-                assert_eq!(s.cell[i], reference.cell[i], "{strat}: cell diverged at {i}");
-            }
-            assert!(max_du < 2e-5, "{strat}: momentum divergence {max_du}");
-        }
+    /// The bits of every per-particle array, NaNs included.
+    fn particle_bits(s: &Species) -> Vec<Vec<u32>> {
+        let bits = |a: &[f32]| a.iter().map(|x| x.to_bits()).collect();
+        let floats = [&s.dx, &s.dy, &s.dz, &s.ux, &s.uy, &s.uz];
+        std::iter::once(s.cell.clone()).chain(floats.map(|a| bits(a))).collect()
+    }
+
+    /// Three pushes of `start` into one accumulator: the particles' bits,
+    /// every cell's raw slot totals, and the crossings.
+    fn pushed<S: ExecSpace>(
+        space: &S,
+        strategy: Strategy,
+        mode: ScatterMode,
+        grid: &Grid,
+        interps: &[Interpolator],
+        start: &Species,
+    ) -> (Vec<Vec<u32>>, Vec<[i64; SLOTS]>, usize) {
+        let mut s = start.clone();
+        let acc = Accumulator::new(grid.cells(), space.concurrency(), mode);
+        let crossings = (0..3)
+            .map(|_| push_species_on(space, strategy, grid, &mut s, interps, &acc).crossings)
+            .sum();
+        (particle_bits(&s), (0..grid.cells()).map(|c| acc.cell_raw(c)).collect(), crossings)
     }
 
     #[test]
     fn all_strategies_are_bitwise_identical() {
-        // Every strategy walks the same IEEE op tree per particle (the
-        // vector kernels use exact lane ops and the scalar association),
-        // so trajectories are bit-equal — the property the tiled path
-        // and heterogeneous per-rank configs rely on.
+        // Every strategy instantiates one body with exact lane ops and
+        // fixed-point deposits, so trajectories *and* slot totals are
+        // bit-equal for any space and scatter mode — the property the
+        // tiled path and heterogeneous per-rank configs rely on. The loads
+        // are chosen for where the lane paths differ from the scalar one.
         let grid = Grid::new(6, 6, 6);
         let mut f = FieldArray::new(grid.clone());
         for v in 0..grid.cells() {
@@ -821,35 +649,89 @@ mod tests {
             f.bz[v] = 0.1 + 0.01 * (v as f32 * 0.05).sin();
         }
         let interps = load_interpolators(&f);
-        let make = || {
+        let load = |n: usize, uth: f32, sorted: bool| {
             let mut s = Species::new("e", -1.0, 1.0);
-            s.load_uniform(&grid, 1001, 0.2, (0.05, 0.0, 0.0), 1.0, 77);
-            s
-        };
-        let reference = {
-            let mut s = make();
-            let acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
-            for _ in 0..3 {
-                acc.reset();
-                push_species(Strategy::Auto, &grid, &mut s, &interps, &acc);
+            s.load_uniform(&grid, n, uth, (0.05, 0.0, 0.0), 1.0, 77);
+            if sorted {
+                s.sort(psort::SortOrder::Standard);
             }
             s
         };
-        for strat in [Strategy::Guided, Strategy::Manual, Strategy::AdHoc] {
-            let mut s = make();
-            let acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
-            for _ in 0..3 {
-                acc.reset();
-                push_species(strat, &grid, &mut s, &interps, &acc);
+        // a lane whose displacement is not finite, inside a whole group
+        let mut non_finite = load(3001, 0.2, true);
+        non_finite.ux[6] = f32::INFINITY;
+        non_finite.uz[1201] = f32::NAN;
+        let loads = [
+            // same-cell runs, some of them cut by a block boundary
+            ("cell-sorted: broadcast gather", load(3001, 0.2, true)),
+            ("shuffled: transposed gather, mixed-cell groups", load(1001, 0.2, false)),
+            ("hot: most lanes cross, several faces a step", load(1001, 2.0, false)),
+            // with three workers the chunk starts are not multiples of 4
+            ("4k+1 particles", load(1001, 0.3, true)),
+            ("4k+2 particles", load(1002, 0.3, false)),
+            ("4k+3 particles", load(1003, 0.3, true)),
+            ("a non-finite lane", non_finite),
+        ];
+        let threads = pk::Threads::new(3);
+        for (what, start) in &loads {
+            let reference =
+                pushed(&Serial, Strategy::Auto, ScatterMode::Atomic, &grid, &interps, start);
+            for strategy in Strategy::ALL {
+                for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
+                    let serial = pushed(&Serial, strategy, mode, &grid, &interps, start);
+                    assert!(serial == reference, "{what}: {strategy} serial {mode:?}");
+                    let parallel = pushed(&threads, strategy, mode, &grid, &interps, start);
+                    assert!(parallel == reference, "{what}: {strategy} threads {mode:?}");
+                }
             }
-            assert_eq!(s.cell, reference.cell, "{strat}");
-            for i in 0..s.len() {
-                assert_eq!(s.dx[i].to_bits(), reference.dx[i].to_bits(), "{strat} dx[{i}]");
-                assert_eq!(s.dy[i].to_bits(), reference.dy[i].to_bits(), "{strat} dy[{i}]");
-                assert_eq!(s.dz[i].to_bits(), reference.dz[i].to_bits(), "{strat} dz[{i}]");
-                assert_eq!(s.ux[i].to_bits(), reference.ux[i].to_bits(), "{strat} ux[{i}]");
-                assert_eq!(s.uy[i].to_bits(), reference.uy[i].to_bits(), "{strat} uy[{i}]");
-                assert_eq!(s.uz[i].to_bits(), reference.uz[i].to_bits(), "{strat} uz[{i}]");
+        }
+        // the loads did exercise what they are named for
+        let crossings = |i: usize| {
+            pushed(&Serial, Strategy::Auto, ScatterMode::Atomic, &grid, &interps, &loads[i].1).2
+        };
+        assert!(crossings(2) > 2 * 1001, "hot load: {} crossings", crossings(2));
+        assert!(crossings(0) < 3001, "cold load: {} crossings", crossings(0));
+        let nan =
+            pushed(&Serial, Strategy::AdHoc, ScatterMode::Atomic, &grid, &interps, &loads[6].1).0;
+        assert!(f32::from_bits(nan[1][6]).is_nan() && f32::from_bits(nan[3][1201]).is_nan());
+    }
+
+    fn in_cell_bits<L: PushLane>(t: &Xyz<[f32; 4]>) -> u32 {
+        (0..4 / L::LANES).fold(0, |bits, g| {
+            let group = Xyz::<L>::load(&t.x, &t.y, &t.z, g * L::LANES);
+            bits | in_cell(group) << (g * L::LANES)
+        })
+    }
+
+    #[test]
+    fn lanes_that_leave_the_cell_or_are_not_finite_go_to_the_scalar_mover() {
+        // lane 0 inside (faces count as inside), 1 outside in y by one ulp,
+        // 2 NaN in z, 3 infinite in x
+        let t = Xyz {
+            x: [1.0, 0.0, 0.0, f32::NEG_INFINITY],
+            y: [-1.0, 1.0 + f32::EPSILON, 0.5, 0.0],
+            z: [-0.0, 0.0, f32::NAN, 0.0],
+        };
+        assert_eq!(in_cell_bits::<f32>(&t), 0b0001);
+        assert_eq!(in_cell_bits::<SimdF32<4>>(&t), 0b0001);
+        assert_eq!(in_cell_bits::<V4F32>(&t), 0b0001);
+    }
+
+    #[test]
+    fn gather_broadcasts_a_run_and_transposes_a_mixed_group() {
+        let interps: Vec<Interpolator> = (0..5)
+            .map(|c| Interpolator(std::array::from_fn(|k| (100 * c + k) as f32)))
+            .collect();
+        for cells in [[3u32, 3, 3, 3], [4, 0, 3, 0]] {
+            let manual = gather::<SimdF32<4>>(&interps, &cells);
+            let adhoc = gather::<V4F32>(&interps, &cells);
+            for (l, &cell) in cells.iter().enumerate() {
+                let scalar = gather::<f32>(&interps, &[cell]);
+                assert_eq!(scalar, interps[cell as usize].0);
+                for k in 0..COEFFS {
+                    assert_eq!(manual[k].extract(l), scalar[k], "manual {cells:?} {l} {k}");
+                    assert_eq!(adhoc[k].extract(l), scalar[k], "adhoc {cells:?} {l} {k}");
+                }
             }
         }
     }
@@ -903,53 +785,6 @@ mod tests {
             (total_jx - expect).abs() < 1e-5,
             "total jx {total_jx} vs {expect}"
         );
-    }
-
-    #[test]
-    fn parallel_push_matches_serial_push() {
-        use pk::Threads;
-        let grid = Grid::new(6, 6, 6);
-        let mut f = FieldArray::new(grid.clone());
-        for v in 0..grid.cells() {
-            f.ex[v] = 0.004 * (v as f32 * 0.3).sin();
-            f.by[v] = 0.05 + 0.02 * (v as f32 * 0.11).cos();
-            f.bz[v] = 0.1;
-        }
-        let interps = load_interpolators(&f);
-        let make = || {
-            let mut s = Species::new("e", -1.0, 1.0);
-            s.load_uniform(&grid, 777, 0.3, (0.1, -0.05, 0.0), 1.0, 5);
-            // same-cell runs, some of them cut by a block boundary
-            s.sort(psort::SortOrder::Standard);
-            s
-        };
-        let threads = Threads::new(4);
-        for strat in Strategy::ALL {
-            let mut serial_s = make();
-            let serial_acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
-            let serial_stats =
-                push_species(strat, &grid, &mut serial_s, &interps, &serial_acc);
-            for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
-                let mut par_s = make();
-                let par_acc = Accumulator::new(grid.cells(), threads.concurrency(), mode);
-                let par_stats =
-                    push_species_on(&threads, strat, &grid, &mut par_s, &interps, &par_acc);
-                // particles are independent: trajectories must be bit-identical
-                assert_eq!(par_stats, serial_stats, "{strat}");
-                assert_eq!(par_s.cell, serial_s.cell, "{strat}");
-                assert_eq!(par_s.dx, serial_s.dx, "{strat}");
-                assert_eq!(par_s.ux, serial_s.ux, "{strat}");
-                // fixed-point deposits: every slot total is bit-equal,
-                // whatever the blocks, replicas and run boundaries were
-                for cell in 0..grid.cells() {
-                    assert_eq!(
-                        par_acc.cell_raw(cell),
-                        serial_acc.cell_raw(cell),
-                        "{strat} {mode:?} cell {cell}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -66,7 +66,8 @@ pub struct Simulation {
     pub fields: FieldArray,
     /// Particle species.
     pub species: Vec<Species>,
-    /// Vectorization strategy for the push kernel.
+    /// Vectorization strategy for the push and grid kernels; starts as
+    /// [`Strategy::default`], the top strategy native to the build target.
     pub strategy: Strategy,
     /// Scatter mode for current deposition.
     pub scatter_mode: ScatterMode,
@@ -119,7 +120,7 @@ impl Simulation {
             grid,
             fields,
             species: Vec::new(),
-            strategy: Strategy::Auto,
+            strategy: Strategy::default(),
             scatter_mode: ScatterMode::Atomic,
             sort_order: None,
             sort_interval: 20,
@@ -783,6 +784,13 @@ mod tests {
             ea.total(),
             eb.total()
         );
+    }
+
+    #[test]
+    fn a_new_simulation_takes_the_default_strategy() {
+        let sim = Simulation::new(Grid::new(2, 2, 2));
+        assert_eq!(sim.strategy, Strategy::default());
+        assert!(sim.strategy.is_native());
     }
 
     #[test]

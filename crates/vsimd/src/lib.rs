@@ -12,7 +12,9 @@
 //! | **ad hoc** | VPIC 1.2 per-ISA intrinsics (AVX/AVX2/AVX512/NEON/Altivec) | [`v4::V4F32`] over `std::arch` SSE on x86-64 (scalar elsewhere) plus runtime-dispatched AVX2 slice kernels in [`adhoc`] |
 //!
 //! The actual kernels written in each strategy live in the `rajaperf`
-//! crate (microbenchmarks) and `vpic-core` (particle push).
+//! crate (microbenchmarks) and `vpic-core`, whose grid kernels are generic
+//! over [`StencilLane`] and whose particle push is generic over
+//! [`PushLane`]: one body, instantiated per strategy.
 
 // indexed fixed-trip loops are the explicit idiom this crate exists to
 // demonstrate (they are what the vectorizer lowers predictably), and the
@@ -24,6 +26,7 @@ pub mod adhoc;
 pub mod chunks;
 pub mod mask;
 pub mod math;
+pub mod push_lane;
 pub mod simd;
 pub mod stencil;
 pub mod strategy;
@@ -31,6 +34,7 @@ pub mod transpose;
 pub mod v4;
 
 pub use mask::Mask;
+pub use push_lane::{PushLane, Xyz};
 pub use simd::{SimdF32, SimdF64, SimdI32};
 pub use stencil::StencilLane;
 pub use strategy::Strategy;

@@ -22,6 +22,20 @@ pub enum Strategy {
     AdHoc,
 }
 
+/// The highest-effort strategy that [`Strategy::is_native`] on the build
+/// target: ad hoc where its intrinsics exist (x86-64), manual elsewhere.
+/// Every strategy computes the same bits, so the default is simply the one
+/// the strategy sweep reads fastest.
+impl Default for Strategy {
+    fn default() -> Self {
+        if Strategy::AdHoc.is_native() {
+            Strategy::AdHoc
+        } else {
+            Strategy::Manual
+        }
+    }
+}
+
 impl Strategy {
     /// All strategies, in paper order.
     pub const ALL: [Strategy; 4] = [
@@ -116,6 +130,14 @@ mod tests {
     #[test]
     fn display_matches_name() {
         assert_eq!(format!("{}", Strategy::Guided), "guided");
+    }
+
+    #[test]
+    fn default_is_the_top_native_strategy() {
+        let default = Strategy::default();
+        assert!(default.is_native());
+        let want = if cfg!(target_arch = "x86_64") { Strategy::AdHoc } else { Strategy::Manual };
+        assert_eq!(default, want);
     }
 
     #[test]

@@ -9,21 +9,34 @@
 
 use crate::simd::SimdF32;
 
+/// Interleave the low halves of two vectors: `[a0, b0, a1, b1]`
+/// (`unpcklps`).
+#[inline(always)]
+fn interleave_lo(a: SimdF32<4>, b: SimdF32<4>) -> SimdF32<4> {
+    SimdF32([a.0[0], b.0[0], a.0[1], b.0[1]])
+}
+
+/// Interleave the high halves of two vectors: `[a2, b2, a3, b3]`
+/// (`unpckhps`).
+#[inline(always)]
+fn interleave_hi(a: SimdF32<4>, b: SimdF32<4>) -> SimdF32<4> {
+    SimdF32([a.0[2], b.0[2], a.0[3], b.0[3]])
+}
+
 /// Transpose a 4×4 block of `f32` held in four vectors: row-major in, its
-/// transpose out.
+/// transpose out. Two rounds of interleaves (rows 0/2 and 1/3, then the
+/// results pairwise), the shape of `_MM_TRANSPOSE4_PS`: eight register
+/// shuffles, no trip through memory.
 #[inline(always)]
 pub fn transpose_4x4(rows: [SimdF32<4>; 4]) -> [SimdF32<4>; 4] {
-    let mut out = [[0.0f32; 4]; 4];
-    for r in 0..4 {
-        for c in 0..4 {
-            out[c][r] = rows[r].0[c];
-        }
-    }
+    let [r0, r1, r2, r3] = rows;
+    let (t0, t1) = (interleave_lo(r0, r2), interleave_lo(r1, r3));
+    let (t2, t3) = (interleave_hi(r0, r2), interleave_hi(r1, r3));
     [
-        SimdF32(out[0]),
-        SimdF32(out[1]),
-        SimdF32(out[2]),
-        SimdF32(out[3]),
+        interleave_lo(t0, t1),
+        interleave_hi(t0, t1),
+        interleave_lo(t2, t3),
+        interleave_hi(t2, t3),
     ]
 }
 

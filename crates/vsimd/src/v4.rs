@@ -119,6 +119,13 @@ impl V4F32 {
         unsafe { Self(_mm_max_ps(self.0, rhs.0)) }
     }
 
+    /// Lane-wise `self <= rhs` packed as a bitmask, lane 0 in bit 0
+    /// (`cmpleps` + `movmskps`); a NaN on either side clears the bit.
+    #[inline(always)]
+    pub fn le_bits(self, rhs: Self) -> u32 {
+        unsafe { _mm_movemask_ps(_mm_cmple_ps(self.0, rhs.0)) as u32 }
+    }
+
     /// Extract all lanes.
     #[inline(always)]
     pub fn to_array(self) -> [f32; 4] {
@@ -165,6 +172,7 @@ impl V4F32 {
     /// Load 4 contiguous floats.
     #[inline(always)]
     pub fn load(src: &[f32], offset: usize) -> Self {
+        assert!(offset + 4 <= src.len(), "V4F32::load out of bounds");
         let mut out = [0.0f32; 4];
         out.copy_from_slice(&src[offset..offset + 4]);
         Self(out)
@@ -173,6 +181,7 @@ impl V4F32 {
     /// Store 4 lanes.
     #[inline(always)]
     pub fn store(self, dst: &mut [f32], offset: usize) {
+        assert!(offset + 4 <= dst.len(), "V4F32::store out of bounds");
         dst[offset..offset + 4].copy_from_slice(&self.0);
     }
 
@@ -262,6 +271,17 @@ impl V4F32 {
         Self(o)
     }
 
+    /// Lane-wise `self <= rhs` packed as a bitmask, lane 0 in bit 0; a
+    /// NaN on either side clears the bit.
+    #[inline(always)]
+    pub fn le_bits(self, rhs: Self) -> u32 {
+        let mut bits = 0;
+        for l in 0..4 {
+            bits |= ((self.0[l] <= rhs.0[l]) as u32) << l;
+        }
+        bits
+    }
+
     /// Extract all lanes.
     #[inline(always)]
     pub fn to_array(self) -> [f32; 4] {
@@ -335,6 +355,14 @@ mod tests {
         assert_eq!(a.fma(b, V4F32::splat(1.0)).to_array(), [1.5, 1.5, 7.0, -3.0]);
         assert_eq!(a.min(b).to_array(), [0.5, 0.25, 2.0, -1.0]);
         assert_eq!(a.max(b).to_array(), [1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn le_bits_packs_lane_zero_first_and_drops_nan() {
+        let a = V4F32::from_array([1.0, 2.0, f32::NAN, -1.0]);
+        let b = V4F32::from_array([1.0, 1.5, 0.0, f32::INFINITY]);
+        assert_eq!(a.le_bits(b), 0b1001);
+        assert_eq!(b.le_bits(a), 0b0011);
     }
 
     #[test]
