@@ -8,9 +8,12 @@
 //! sorting algorithms target; its memory footprint is what
 //! `memsim::push::ACCUM_BYTES` models. Slots are fixed-point integers,
 //! so a writer may sum a run of same-cell segments privately and add the
-//! run's twelve totals once ([`RunDepositor`]): a cell-sorted population
-//! then costs one set of atomic adds per cell, not per particle, and the
-//! totals are the same bits either way.
+//! run's twelve totals once ([`RunDepositor`]), and the totals are the
+//! same bits however the adds are grouped. A writer holds its lane of
+//! the buffer under a [`Claim`] for as long as it deposits: the only
+//! writer of a lane (one push block, or a block with a replica of its
+//! own) adds with plain loads and stores, and only blocks that share the
+//! one atomic lane pay for `fetch_add`.
 //!
 //! The accumulator stores `charge × fractional displacement × transverse
 //! shape`; [`Accumulator::unload`] converts to current density by the
@@ -18,15 +21,14 @@
 
 use crate::field::FieldArray;
 use crate::grid::{Grid, StencilSide};
-use pk::atomic::{FixedScatterBuf, ScatterMode};
+use pk::atomic::{Claim, FixedScatterBuf, LaneWriter, ScatterMode};
 use pk::{ExecSpace, SendPtr, Serial};
-use std::sync::atomic::{AtomicI64, Ordering};
 use vsimd::{PushLane, Strategy, Xyz};
 
 /// Accumulator slots per cell: 4 edges × 3 components.
 pub const SLOTS: usize = 12;
 
-/// The per-cell current accumulator (atomic, shared across push workers).
+/// The per-cell current accumulator, shared across push workers.
 ///
 /// Slots accumulate in *fixed-point* (`i64`, quantum 2⁻⁴⁰ — see
 /// [`FixedScatterBuf`]): integer adds are exactly associative, so slot
@@ -54,17 +56,34 @@ impl Accumulator {
         self.cells
     }
 
-    /// Zero all slots.
+    /// The scatter mode the accumulator was built with.
+    pub fn scatter_mode(&self) -> ScatterMode {
+        self.buf.mode()
+    }
+
+    /// Zero all slots, each lane under a sole claim. Like the other
+    /// methods that take a claim for their duration ([`deposit_segment`],
+    /// [`merge_cell_raw`], [`set_cell_raw`]), it must not be called by a
+    /// thread that holds a [`RunDepositor`] on this accumulator: claims
+    /// are not re-entrant, and the thread would wait for itself.
+    ///
+    /// [`deposit_segment`]: Accumulator::deposit_segment
+    /// [`merge_cell_raw`]: Accumulator::merge_cell_raw
+    /// [`set_cell_raw`]: Accumulator::set_cell_raw
     pub fn reset(&self) {
         self.buf.reset();
     }
 
-    /// A depositor writing on behalf of `worker` (its scatter replica in
-    /// duplicated mode, resolved here once). Everything it was given
-    /// has reached the accumulator once it is dropped.
+    /// A depositor writing on behalf of `worker`, holding `claim` on its
+    /// lane (the shared one, or `worker`'s scatter replica in duplicated
+    /// mode) until it is dropped — by which time everything it was given
+    /// has reached the accumulator. [`Claim::Sole`] waits until no other
+    /// depositor writes that lane and keeps others out, which is what
+    /// lets its adds be plain; see [`pk::atomic::LaneWriter`] for what
+    /// the holder must not do meanwhile.
     #[inline]
-    pub fn depositor(&self, worker: usize) -> RunDepositor<'_> {
-        RunDepositor { lane: self.buf.lane(worker), run: None, sums: [0; SLOTS] }
+    pub fn depositor(&self, worker: usize, claim: Claim) -> RunDepositor<'_> {
+        RunDepositor { lane: self.buf.claim(worker, claim), run: None, sums: [0; SLOTS] }
     }
 
     /// Deposit one within-cell segment.
@@ -72,7 +91,9 @@ impl Accumulator {
     /// Endpoints are cell-relative offsets in `[-1, 1]`; `qw` is the
     /// particle's `charge × weight`; `worker` identifies the calling
     /// worker for the duplicated scatter mode. A run of length one
-    /// through [`RunDepositor`].
+    /// through a [`RunDepositor`] under a shared claim (atomic adds), so
+    /// any number of threads may call it at once — but none that holds a
+    /// depositor on this accumulator (see [`Accumulator::reset`]).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn deposit_segment(
@@ -87,7 +108,7 @@ impl Accumulator {
         z1: f32,
         qw: f32,
     ) {
-        self.depositor(worker).deposit(cell, x0, y0, z0, x1, y1, z1, qw);
+        self.depositor(worker, Claim::Shared).deposit(cell, x0, y0, z0, x1, y1, z1, qw);
     }
 
     /// Raw slot value (tests/diagnostics).
@@ -103,24 +124,22 @@ impl Accumulator {
     }
 
     /// Wrapping-add raw fixed-point slot values into a cell (halo
-    /// *reduce*: a neighbor's halo-shell deposits merged into the owner).
+    /// *reduce*: a neighbor's halo-shell deposits merged into the owner),
+    /// atomically under one shared claim — a merge that met a push would
+    /// wait for it or add beside it, never interleave with plain adds.
+    /// Not for a thread that holds a depositor on this accumulator (see
+    /// [`Accumulator::reset`]).
     pub fn merge_cell_raw(&self, cell: usize, raw: &[i64; SLOTS]) {
-        let base = cell * SLOTS;
-        for (s, &r) in raw.iter().enumerate() {
-            if r != 0 {
-                self.buf.add_raw(0, base + s, r);
-            }
-        }
+        self.buf.claim(0, Claim::Shared).add_raw_run(cell * SLOTS, raw);
     }
 
     /// Overwrite a cell's slot totals with the owner's merged values
     /// (halo *fill*: boundary-cell totals broadcast back into neighbors'
-    /// halo shells so their minus-side unload gathers see merged data).
+    /// halo shells so their minus-side unload gathers see merged data),
+    /// under a sole claim on each lane in turn. Not for a thread that
+    /// holds a depositor on this accumulator (see [`Accumulator::reset`]).
     pub fn set_cell_raw(&self, cell: usize, raw: &[i64; SLOTS]) {
-        let base = cell * SLOTS;
-        for (s, &r) in raw.iter().enumerate() {
-            self.buf.set_raw(base + s, r);
-        }
+        self.buf.set_raw_run(cell * SLOTS, raw);
     }
 
     /// Scratch capacity (no-alloc-after-warmup assertions).
@@ -267,14 +286,15 @@ impl Accumulator {
 /// dropped. Each segment weight is quantized exactly as a direct add
 /// would quantize it and the slots sum with wrapping integer adds, so
 /// regrouping the adds leaves every slot total bit-identical — for any
-/// run lengths, worker count or scatter mode.
+/// run lengths, worker count, scatter mode or claim.
 #[derive(Debug)]
 pub struct RunDepositor<'a> {
-    lane: &'a [AtomicI64],
-    /// The open run: its cell and that cell's slots, resolved when the
-    /// run opens so an out-of-range cell panics at the deposit that names
-    /// it. `None` until the first deposit.
-    run: Option<(usize, &'a [AtomicI64])>,
+    /// The worker's lane, claimed for the depositor's lifetime.
+    lane: LaneWriter<'a>,
+    /// The open run's cell, checked against the lane when the run opens
+    /// so an out-of-range cell panics at the deposit that names it.
+    /// `None` until the first deposit.
+    run: Option<usize>,
     sums: [i64; SLOTS],
 }
 
@@ -284,9 +304,11 @@ impl RunDepositor<'_> {
     /// [`lane_segment_weights`]) into `cell` — the one way in.
     #[inline]
     pub fn deposit_weights(&mut self, cell: usize, w: &[f32; SLOTS]) {
-        if self.run.map(|(open, _)| open) != Some(cell) {
+        if self.run != Some(cell) {
             self.flush();
-            self.run = Some((cell, &self.lane[cell * SLOTS..(cell + 1) * SLOTS]));
+            let cells = self.lane.len() / SLOTS;
+            assert!(cell < cells, "cell {cell} out of range for an accumulator of {cells} cells");
+            self.run = Some(cell);
         }
         FixedScatterBuf::add_quantized(&mut self.sums, &w.map(f64::from));
     }
@@ -309,16 +331,13 @@ impl RunDepositor<'_> {
         self.deposit_weights(cell, &segment_weights(x0, y0, z0, x1, y1, z1, qw));
     }
 
-    /// Add the pending run to the accumulator.
+    /// Add the pending run to the accumulator: plain adds on a lane
+    /// held alone, `fetch_add` on a shared one.
     #[inline]
     fn flush(&mut self) {
-        let Some((_, slots)) = self.run else { return };
-        for (slot, sum) in slots.iter().zip(&mut self.sums) {
-            if *sum != 0 {
-                slot.fetch_add(*sum, Ordering::Relaxed);
-                *sum = 0;
-            }
-        }
+        let Some(cell) = self.run else { return };
+        self.lane.add_raw_run(cell * SLOTS, &self.sums);
+        self.sums = [0; SLOTS];
     }
 }
 
@@ -602,7 +621,7 @@ mod tests {
 
     #[test]
     fn an_unused_depositor_is_harmless_even_over_zero_cells() {
-        drop(Accumulator::new(0, 1, ScatterMode::Atomic).depositor(0));
+        drop(Accumulator::new(0, 1, ScatterMode::Atomic).depositor(0, Claim::Sole));
     }
 
     /// A corrupt cell index must panic at the deposit that carries it (in
@@ -613,7 +632,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn depositing_outside_the_accumulator_panics() {
         let acc = Accumulator::new(8, 1, ScatterMode::Atomic);
-        let mut dep = acc.depositor(0);
+        let mut dep = acc.depositor(0, Claim::Sole);
         dep.deposit(3, -0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0);
         dep.deposit(8, -0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0);
     }

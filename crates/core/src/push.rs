@@ -18,8 +18,11 @@
 //!    target position, an in-cell mask and the twelve Villasenor–Buneman
 //!    weights in lanes, transposed (SoA → AoS) to one 12-slot row per
 //!    particle for the [`RunDepositor`]. Only a lane whose target leaves
-//!    `[-1, 1]³` (a NaN included) falls to the scalar
-//!    `move_and_deposit`, which splits the move at the cell faces.
+//!    `[-1, 1]³` (a NaN included) falls to the scalar `split_move`, which
+//!    cuts the move at the cell faces and deposits nothing itself: its
+//!    within-cell segments wait in the chunk's small queue (`Sink`) until
+//!    `L::LANES` of them can be weighed and transposed like the in-cell
+//!    lanes' segments, and the chunk's end takes the last few at `f32`.
 //!
 //! The paper's four vectorization strategies (Fig 4) are four
 //! instantiations of those stages and nothing else:
@@ -37,13 +40,16 @@
 //! `rsqrt`), so lane `l` of a group computes exactly what the `f32`
 //! instantiation computes for that particle; and deposits are quantized
 //! per weight and summed as wrapping fixed-point integers, so neither the
-//! order in which a group's lanes reach the depositor nor how it coalesces
-//! same-cell runs can change a slot total.
+//! order in which segments reach the depositor (a queued one arrives after
+//! its neighbours), nor how it coalesces same-cell runs, nor whether its
+//! adds are plain (a chunk that is its lane's only writer) or atomic
+//! (chunks sharing the one atomic lane) can change a slot total.
 
 use crate::accumulate::{lane_segment_weights, Accumulator, RunDepositor, SLOTS};
 use crate::grid::Grid;
 use crate::interp::{fields_at, Interpolator, COEFFS};
 use crate::species::Species;
+use pk::atomic::{Claim, ScatterMode};
 use pk::{ExecSpace, RangePolicy, Serial, Sum};
 use std::ops::Range;
 use vsimd::v4::V4F32;
@@ -103,15 +109,21 @@ pub fn push_species(
 ///
 /// Under *manual* and *ad hoc* all three stages of the module doc run four
 /// particles to a group in lanes — gather, field evaluation and Boris,
-/// displacement, in-cell test and deposit weights — and only the
-/// cell-crossing lanes (and each block's last `len % 4` particles) are
-/// scalar; *guided* gets its lanes from LLVM on the dense passes; *auto* is
-/// the scalar reference.
+/// displacement, in-cell test and deposit weights, the crossing lanes'
+/// segments included — and only the splitting of a cell-crossing move (and
+/// each block's last `len % 4` particles) is scalar; *guided* gets its
+/// lanes from LLVM on the dense passes; *auto* is the scalar reference.
 ///
-/// Each block deposits with its block index as the accumulator worker id,
-/// so in [`pk::atomic::ScatterMode::Duplicated`] the accumulator should be
-/// built with at least `space.concurrency()` workers for contention-free
-/// replicas (fewer is safe — ids wrap onto the replicas — just contended).
+/// Each block deposits with its block index as the accumulator worker id
+/// and holds its lane of `acc` for as long as it runs: as the lane's sole
+/// writer (plain adds) when it is the only block or the mode is
+/// [`ScatterMode::Duplicated`], sharing it (atomic adds) when several
+/// blocks write the one [`ScatterMode::Atomic`] lane. A duplicated
+/// accumulator should be built with at least `space.concurrency()` workers
+/// so that every block has a replica; with fewer, ids wrap and the blocks
+/// of one replica run one after the other. For the same reason a second
+/// thread pushing into `acc` meanwhile waits for this push; and the
+/// calling thread must not hold a depositor of `acc` itself.
 ///
 /// Per-particle state (positions, momenta, cells) and the crossing count
 /// are bit-identical to [`push_species`]: particles are independent and
@@ -143,20 +155,17 @@ pub fn push_species_on<S: ExecSpace>(
     let params = PushParams::new(grid, species.q, species.m);
     let policy = RangePolicy::new(n);
     let blocks = policy.static_blocks(space.concurrency());
+    // a block is its lane's only writer when it is the only block, or
+    // when every block has a replica to itself (with fewer replicas than
+    // blocks the sole claims take turns); only several blocks on the one
+    // atomic lane must share it
+    let claim = match acc.scatter_mode() {
+        ScatterMode::Atomic if blocks.len() > 1 => Claim::Shared,
+        _ => Claim::Sole,
+    };
     if blocks.len() <= 1 {
-        let mut chunk = Chunk {
-            q: species.q,
-            worker: 0,
-            cell: &mut species.cell,
-            dx: &mut species.dx,
-            dy: &mut species.dy,
-            dz: &mut species.dz,
-            ux: &mut species.ux,
-            uy: &mut species.uy,
-            uz: &mut species.uz,
-            w: &species.w,
-        };
-        return push_chunk(strategy, grid, &mut chunk, interps, acc, params);
+        let sink = &mut Sink::new(acc.depositor(0, claim));
+        return push_chunk(strategy, grid, &mut Chunk::whole(species), interps, sink, params);
     }
     let starts: Vec<usize> = blocks.iter().map(|b| b.start).collect();
     let q = species.q;
@@ -164,8 +173,9 @@ pub fn push_species_on<S: ExecSpace>(
     let ptrs = &ptrs;
     let crossings = space.reduce_blocks(&policy, &Sum::<u64>::new(), &|range| {
         // worker id = block index (reduce_blocks dispatches the same
-        // static partition); a space that partitions differently still
-        // gets a stable id per disjoint sub-range
+        // static partition), which picks the block's scatter replica in
+        // duplicated mode; a space that partitions differently still gets
+        // a stable id per disjoint sub-range
         let worker = match starts.binary_search(&range.start) {
             Ok(b) => b,
             Err(i) => i.saturating_sub(1),
@@ -173,18 +183,17 @@ pub fn push_species_on<S: ExecSpace>(
         // SAFETY: reduce_blocks hands out disjoint sub-ranges that
         // partition `0..n` (the ExecSpace contract), so every particle
         // index has exactly one mutable owner.
-        let mut chunk = unsafe { ptrs.chunk(range, q, worker) };
-        push_chunk(strategy, grid, &mut chunk, interps, acc, params).crossings as u64
+        let mut chunk = unsafe { ptrs.chunk(range, q) };
+        let sink = &mut Sink::new(acc.depositor(worker, claim));
+        push_chunk(strategy, grid, &mut chunk, interps, sink, params).crossings as u64
     });
     PushStats { pushed: n, crossings: crossings as usize }
 }
 
 /// A contiguous window into one species' particle arrays, pushed by a
-/// single worker. `worker` routes this chunk's deposits to its scatter
-/// replica in duplicated mode.
+/// single worker.
 struct Chunk<'a> {
     q: f32,
-    worker: usize,
     cell: &'a mut [u32],
     dx: &'a mut [f32],
     dy: &'a mut [f32],
@@ -195,7 +204,22 @@ struct Chunk<'a> {
     w: &'a [f32],
 }
 
-impl Chunk<'_> {
+impl<'a> Chunk<'a> {
+    /// All of `species`.
+    fn whole(species: &'a mut Species) -> Self {
+        Chunk {
+            q: species.q,
+            cell: &mut species.cell,
+            dx: &mut species.dx,
+            dy: &mut species.dy,
+            dz: &mut species.dz,
+            ux: &mut species.ux,
+            uy: &mut species.uy,
+            uz: &mut species.uz,
+            w: &species.w,
+        }
+    }
+
     fn len(&self) -> usize {
         self.cell.len()
     }
@@ -237,11 +261,10 @@ impl SpeciesPtrs {
     /// # Safety
     /// `range` must be in bounds for the species' arrays and disjoint
     /// from every other chunk built from `self` that is alive.
-    unsafe fn chunk(&self, range: Range<usize>, q: f32, worker: usize) -> Chunk<'_> {
+    unsafe fn chunk(&self, range: Range<usize>, q: f32) -> Chunk<'_> {
         let (start, len) = (range.start, range.len());
         Chunk {
             q,
-            worker,
             cell: std::slice::from_raw_parts_mut(self.cell.add(start), len),
             dx: std::slice::from_raw_parts_mut(self.dx.add(start), len),
             dy: std::slice::from_raw_parts_mut(self.dy.add(start), len),
@@ -254,26 +277,109 @@ impl SpeciesPtrs {
     }
 }
 
-/// Push one chunk: the three stages instantiated for `strategy`.
+/// Push one chunk into its `sink`: the three stages instantiated for
+/// `strategy`.
 fn push_chunk(
     strategy: Strategy,
     grid: &Grid,
     chunk: &mut Chunk<'_>,
     interps: &[Interpolator],
-    acc: &Accumulator,
+    sink: &mut Sink<'_>,
     params: PushParams,
 ) -> PushStats {
-    // one depositor per chunk: same-cell runs (long after a cell sort)
-    // reach the accumulator once, when the cell changes or the chunk ends
-    let dep = &mut acc.depositor(chunk.worker);
     let all = 0..chunk.len();
     let crossings = match strategy {
-        Strategy::Auto => push_fused::<f32>(grid, chunk, interps, dep, params, all),
-        Strategy::Guided => push_split(grid, chunk, interps, dep, params),
-        Strategy::Manual => push_fused::<SimdF32<4>>(grid, chunk, interps, dep, params, all),
-        Strategy::AdHoc => push_fused::<V4F32>(grid, chunk, interps, dep, params, all),
+        Strategy::Auto => push_fused::<f32>(grid, chunk, interps, sink, params, all),
+        Strategy::Guided => push_split(grid, chunk, interps, sink, params),
+        Strategy::Manual => push_fused::<SimdF32<4>>(grid, chunk, interps, sink, params, all),
+        Strategy::AdHoc => push_fused::<V4F32>(grid, chunk, interps, sink, params, all),
     };
+    // the tail: fewer segments than a lane group holds, left by the
+    // crossings of the chunk's last group
+    sink.drain::<f32>();
     PushStats { pushed: chunk.len(), crossings }
+}
+
+/// Most segments a [`Sink`] ever queues: fewer than one group of the
+/// widest lane left over by the last drain, and four from every lane of
+/// the group being moved.
+const QUEUE_CAP: usize = 4 * 4 + 4 - 1;
+
+/// A chunk's way into the accumulator: its depositor, and a small SoA
+/// queue of within-cell segments `(cell, p0 → p1, qw)` that the splitter
+/// cut out of the cell-crossing moves, waiting until a whole lane group of
+/// them can be weighed like the in-cell lanes' segments. Deposits
+/// commute, so when a segment reaches the depositor changes no slot total.
+struct Sink<'a> {
+    dep: RunDepositor<'a>,
+    queued: usize,
+    cell: [u32; QUEUE_CAP],
+    p0: Xyz<[f32; QUEUE_CAP]>,
+    p1: Xyz<[f32; QUEUE_CAP]>,
+    qw: [f32; QUEUE_CAP],
+    /// Segments handed to the depositor so far.
+    #[cfg(test)]
+    deposited: usize,
+}
+
+impl<'a> Sink<'a> {
+    /// A sink with an empty queue. One depositor serves a whole chunk:
+    /// same-cell runs (long after a cell sort) reach the accumulator once,
+    /// when the cell changes or the chunk ends.
+    fn new(dep: RunDepositor<'a>) -> Self {
+        let zero = Xyz { x: [0.0; QUEUE_CAP], y: [0.0; QUEUE_CAP], z: [0.0; QUEUE_CAP] };
+        Self {
+            dep,
+            queued: 0,
+            cell: [0; QUEUE_CAP],
+            p0: zero,
+            p1: zero,
+            qw: [0.0; QUEUE_CAP],
+            #[cfg(test)]
+            deposited: 0,
+        }
+    }
+
+    /// Deposit one segment's row of weights into `cell`.
+    #[inline(always)]
+    fn deposit(&mut self, cell: usize, row: &[f32; SLOTS]) {
+        #[cfg(test)]
+        {
+            self.deposited += 1;
+        }
+        self.dep.deposit_weights(cell, row);
+    }
+
+    /// Queue the segment from `p0` to `p1` within `cell`. Indexing keeps
+    /// the queue inside its capacity.
+    #[inline(always)]
+    fn queue(&mut self, cell: u32, p0: Xyz<f32>, p1: Xyz<f32>, qw: f32) {
+        let k = self.queued;
+        self.cell[k] = cell;
+        (self.p0.x[k], self.p0.y[k], self.p0.z[k]) = (p0.x, p0.y, p0.z);
+        (self.p1.x[k], self.p1.y[k], self.p1.z[k]) = (p1.x, p1.y, p1.z);
+        self.qw[k] = qw;
+        self.queued = k + 1;
+    }
+
+    /// Deposit the queued segments in whole groups of `L::LANES`, newest
+    /// first — weights in lanes, one transposed row per segment, exactly
+    /// as [`move_group`] treats its in-cell lanes — and leave fewer than a
+    /// group queued. At `f32` that is every segment.
+    #[inline(always)]
+    fn drain<L: PushLane>(&mut self) {
+        while self.queued >= L::LANES {
+            let at = self.queued - L::LANES;
+            let p0 = Xyz::<L>::load(&self.p0.x, &self.p0.y, &self.p0.z, at);
+            let p1 = Xyz::<L>::load(&self.p1.x, &self.p1.y, &self.p1.z, at);
+            let mut rows = [[0.0f32; SLOTS]; 4];
+            L::store_tr(lane_segment_weights(p0, p1, L::load(&self.qw, at)), &mut rows);
+            for (l, row) in rows.iter().enumerate().take(L::LANES) {
+                self.deposit(self.cell[at + l] as usize, row);
+            }
+            self.queued = at;
+        }
+    }
 }
 
 /// The stages fused, one group of `L::LANES` particles at a time over
@@ -283,7 +389,7 @@ fn push_fused<L: PushLane>(
     grid: &Grid,
     s: &mut Chunk<'_>,
     interps: &[Interpolator],
-    dep: &mut RunDepositor<'_>,
+    sink: &mut Sink<'_>,
     p: PushParams,
     range: Range<usize>,
 ) -> usize {
@@ -296,11 +402,11 @@ fn push_fused<L: PushLane>(
         let (e, b) = fields_at(&gather(interps, &s.cell[i..i + L::LANES]), pos);
         let u = boris(h, Xyz::load(s.ux, s.uy, s.uz, i), e, b);
         u.store(s.ux, s.uy, s.uz, i);
-        crossings += move_group(grid, dep, s, i, pos, displacement(u, cdt));
+        crossings += move_group(grid, sink, s, i, pos, displacement(u, cdt));
         i += L::LANES;
     }
     if i < range.end {
-        crossings += push_fused::<f32>(grid, s, interps, dep, p, i..range.end);
+        crossings += push_fused::<f32>(grid, s, interps, sink, p, i..range.end);
     }
     crossings
 }
@@ -316,7 +422,7 @@ fn push_split(
     grid: &Grid,
     s: &mut Chunk<'_>,
     interps: &[Interpolator],
-    dep: &mut RunDepositor<'_>,
+    sink: &mut Sink<'_>,
     p: PushParams,
 ) -> usize {
     let cdt = Xyz::splat(p.cdt_dx2, p.cdt_dy2, p.cdt_dz2);
@@ -342,7 +448,7 @@ fn push_split(
         for (k, &m) in m[..len].iter().enumerate() {
             let i = base + k;
             let pos = Xyz::load(s.dx, s.dy, s.dz, i);
-            crossings += move_group::<f32>(grid, dep, s, i, pos, m);
+            crossings += move_group::<f32>(grid, sink, s, i, pos, m);
         }
     }
     crossings
@@ -414,11 +520,13 @@ fn in_cell<L: PushLane>(t: Xyz<L>) -> u32 {
 /// `m`. Lanes whose target stays inside the cell deposit their one segment
 /// — twelve weights per lane computed in lanes, then transposed to one
 /// accumulator row per particle — and take the target as their position;
-/// the others go through [`move_and_deposit`]. Returns boundary crossings.
+/// the others go through [`split_move`], whose segments are deposited the
+/// same way as soon as `L::LANES` of them are queued. Returns boundary
+/// crossings.
 #[inline(always)]
 fn move_group<L: PushLane>(
     grid: &Grid,
-    dep: &mut RunDepositor<'_>,
+    sink: &mut Sink<'_>,
     s: &mut Chunk<'_>,
     i: usize,
     pos: Xyz<L>,
@@ -438,25 +546,26 @@ fn move_group<L: PushLane>(
     for (l, row) in rows.iter().enumerate().take(L::LANES) {
         let k = i + l;
         if inside & (1 << l) != 0 {
-            dep.deposit_weights(s.cell[k] as usize, row);
+            sink.deposit(s.cell[k] as usize, row);
         } else {
             let (qw, cell) = (qw.extract(l), &mut s.cell[k]);
-            let (end, crossed) = move_and_deposit(grid, dep, qw, cell, pos.extract(l), m.extract(l));
+            let (end, crossed) = split_move(grid, sink, qw, cell, pos.extract(l), m.extract(l));
             (s.dx[k], s.dy[k], s.dz[k]) = (end.x, end.y, end.z);
             crossings += crossed;
         }
     }
+    sink.drain::<L>();
     crossings
 }
 
-/// The scalar mover: advance a particle from offsets `start` by `m`,
-/// splitting the trajectory at cell boundaries and depositing each
-/// within-cell segment. Updates the particle's cell; returns its final
-/// offsets and the boundary crossings.
+/// The scalar splitter: advance a particle from offsets `start` by `m`,
+/// cutting the trajectory at cell boundaries and queueing each of its at
+/// most four within-cell segments on `sink`. Updates the particle's cell;
+/// returns its final offsets and the boundary crossings.
 #[inline]
-fn move_and_deposit(
+fn split_move(
     grid: &Grid,
-    dep: &mut RunDepositor<'_>,
+    sink: &mut Sink<'_>,
     qw: f32,
     cell: &mut u32,
     start: Xyz<f32>,
@@ -485,18 +594,18 @@ fn move_and_deposit(
             }
         }
         if axis == usize::MAX {
-            // no crossing: deposit the final segment and finish
-            dep.deposit(*cell as usize, x, y, z, tx, ty, tz, qw);
-            let end = Xyz { x: tx, y: ty, z: tz }.map(|t| t.clamp(-1.0, 1.0));
-            return (end, crossings);
+            // no crossing: the final segment
+            let target = Xyz { x: tx, y: ty, z: tz };
+            sink.queue(*cell, Xyz { x, y, z }, target, qw);
+            return (target.map(|t| t.clamp(-1.0, 1.0)), crossings);
         }
-        // deposit up to the boundary; clamp the non-crossed coordinates,
+        // a segment up to the boundary; clamp the non-crossed coordinates,
         // which f32 rounding can push a few ulp past the face when two
         // axes cross at nearly equal fractions
         let bx = (x + alpha * mx).clamp(-1.0, 1.0);
         let by = (y + alpha * my).clamp(-1.0, 1.0);
         let bz = (z + alpha * mz).clamp(-1.0, 1.0);
-        dep.deposit(*cell as usize, x, y, z, bx, by, bz, qw);
+        sink.queue(*cell, Xyz { x, y, z }, Xyz { x: bx, y: by, z: bz }, qw);
         // cross into the neighbor: flip the crossed axis's offset
         let (dxn, dyn_, dzn): (isize, isize, isize) = match axis {
             0 => (if mx > 0.0 { 1 } else { -1 }, 0, 0),
@@ -522,7 +631,6 @@ mod tests {
     use super::*;
     use crate::field::FieldArray;
     use crate::interp::load_interpolators;
-    use pk::atomic::ScatterMode;
     use vsimd::StencilLane;
 
     fn setup(grid: &Grid) -> (FieldArray, Accumulator) {
@@ -616,47 +724,65 @@ mod tests {
         std::iter::once(s.cell.clone()).chain(floats.map(|a| bits(a))).collect()
     }
 
-    /// Three pushes of `start` into one accumulator: the particles' bits,
-    /// every cell's raw slot totals, and the crossings.
+    /// Every cell's raw slot totals.
+    fn raw_totals(acc: &Accumulator) -> Vec<[i64; SLOTS]> {
+        (0..acc.cells()).map(|c| acc.cell_raw(c)).collect()
+    }
+
+    /// Three pushes of `start` into one accumulator of `lanes` replicas
+    /// (in duplicated mode): the particles' bits, every cell's raw slot
+    /// totals, and the crossings.
     fn pushed<S: ExecSpace>(
         space: &S,
         strategy: Strategy,
-        mode: ScatterMode,
+        (mode, lanes): (ScatterMode, usize),
         grid: &Grid,
         interps: &[Interpolator],
         start: &Species,
     ) -> (Vec<Vec<u32>>, Vec<[i64; SLOTS]>, usize) {
         let mut s = start.clone();
-        let acc = Accumulator::new(grid.cells(), space.concurrency(), mode);
+        let acc = Accumulator::new(grid.cells(), lanes, mode);
         let crossings = (0..3)
             .map(|_| push_species_on(space, strategy, grid, &mut s, interps, &acc).crossings)
             .sum();
-        (particle_bits(&s), (0..grid.cells()).map(|c| acc.cell_raw(c)).collect(), crossings)
+        (particle_bits(&s), raw_totals(&acc), crossings)
     }
 
-    #[test]
-    fn all_strategies_are_bitwise_identical() {
-        // Every strategy instantiates one body with exact lane ops and
-        // fixed-point deposits, so trajectories *and* slot totals are
-        // bit-equal for any space and scatter mode — the property the
-        // tiled path and heterogeneous per-rank configs rely on. The loads
-        // are chosen for where the lane paths differ from the scalar one.
-        let grid = Grid::new(6, 6, 6);
+    /// Interpolators of a smooth field on `grid`.
+    fn wavy_interps(grid: &Grid) -> Vec<Interpolator> {
         let mut f = FieldArray::new(grid.clone());
         for v in 0..grid.cells() {
             f.ex[v] = 0.003 * (v as f32 * 0.1).sin();
             f.ey[v] = 0.002 * (v as f32 * 0.2).cos();
             f.bz[v] = 0.1 + 0.01 * (v as f32 * 0.05).sin();
         }
-        let interps = load_interpolators(&f);
-        let load = |n: usize, uth: f32, sorted: bool| {
-            let mut s = Species::new("e", -1.0, 1.0);
-            s.load_uniform(&grid, n, uth, (0.05, 0.0, 0.0), 1.0, 77);
-            if sorted {
-                s.sort(psort::SortOrder::Standard);
-            }
-            s
-        };
+        load_interpolators(&f)
+    }
+
+    /// `n` electrons of thermal spread `uth`, uniform over `grid`.
+    fn load(grid: &Grid, n: usize, uth: f32, sorted: bool) -> Species {
+        let mut s = Species::new("e", -1.0, 1.0);
+        s.load_uniform(grid, n, uth, (0.05, 0.0, 0.0), 1.0, 77);
+        if sorted {
+            s.sort(psort::SortOrder::Standard);
+        }
+        s
+    }
+
+    #[test]
+    fn all_strategies_are_bitwise_identical() {
+        // Every strategy instantiates one body with exact lane ops and
+        // fixed-point deposits, so trajectories *and* slot totals are
+        // bit-equal for any space, scatter mode and replica count — the
+        // property the tiled path and heterogeneous per-rank configs rely
+        // on. The loads are chosen for where the lane paths differ from the
+        // scalar one; the lanes for who claims what: one block alone on the
+        // atomic lane (sole), three sharing it (shared, `fetch_add`), three
+        // with a replica each, and three blocks queueing for one or two
+        // replicas (ids wrap).
+        let grid = Grid::new(6, 6, 6);
+        let interps = wavy_interps(&grid);
+        let load = |n: usize, uth: f32, sorted: bool| load(&grid, n, uth, sorted);
         // a lane whose displacement is not finite, inside a whole group
         let mut non_finite = load(3001, 0.2, true);
         non_finite.ux[6] = f32::INFINITY;
@@ -672,28 +798,87 @@ mod tests {
             ("4k+3 particles", load(1003, 0.3, true)),
             ("a non-finite lane", non_finite),
         ];
+        let atomic = (ScatterMode::Atomic, 1);
+        let lanes = [atomic].into_iter().chain((1..=3).map(|n| (ScatterMode::Duplicated, n)));
         let threads = pk::Threads::new(3);
         for (what, start) in &loads {
-            let reference =
-                pushed(&Serial, Strategy::Auto, ScatterMode::Atomic, &grid, &interps, start);
+            let reference = pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, start);
             for strategy in Strategy::ALL {
-                for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
-                    let serial = pushed(&Serial, strategy, mode, &grid, &interps, start);
-                    assert!(serial == reference, "{what}: {strategy} serial {mode:?}");
-                    let parallel = pushed(&threads, strategy, mode, &grid, &interps, start);
-                    assert!(parallel == reference, "{what}: {strategy} threads {mode:?}");
+                for lanes in lanes.clone() {
+                    let serial = pushed(&Serial, strategy, lanes, &grid, &interps, start);
+                    assert!(serial == reference, "{what}: {strategy} serial {lanes:?}");
+                    let parallel = pushed(&threads, strategy, lanes, &grid, &interps, start);
+                    assert!(parallel == reference, "{what}: {strategy} threads {lanes:?}");
                 }
             }
         }
         // the loads did exercise what they are named for
-        let crossings = |i: usize| {
-            pushed(&Serial, Strategy::Auto, ScatterMode::Atomic, &grid, &interps, &loads[i].1).2
-        };
+        let crossings =
+            |i: usize| pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, &loads[i].1).2;
         assert!(crossings(2) > 2 * 1001, "hot load: {} crossings", crossings(2));
         assert!(crossings(0) < 3001, "cold load: {} crossings", crossings(0));
-        let nan =
-            pushed(&Serial, Strategy::AdHoc, ScatterMode::Atomic, &grid, &interps, &loads[6].1).0;
+        let nan = pushed(&Serial, Strategy::AdHoc, atomic, &grid, &interps, &loads[6].1).0;
         assert!(f32::from_bits(nan[1][6]).is_nan() && f32::from_bits(nan[3][1201]).is_nan());
+    }
+
+    #[test]
+    fn two_serial_pushes_into_one_accumulator_take_turns() {
+        // Each thread's one-block push claims the atomic lane as its sole
+        // writer and adds without atomics; what keeps the other thread's
+        // adds from being lost is that it waits for the claim.
+        let grid = Grid::new(6, 6, 6);
+        let interps = wavy_interps(&grid);
+        let (a, b) = (load(&grid, 3001, 0.2, true), load(&grid, 2002, 2.0, false));
+        let push = |s: &Species, acc: &Accumulator| {
+            push_species(Strategy::default(), &grid, &mut s.clone(), &interps, acc);
+        };
+        let in_turn = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
+        push(&a, &in_turn);
+        push(&b, &in_turn);
+        let together = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for s in [&a, &b] {
+                let (start, together) = (&start, &together);
+                scope.spawn(move || {
+                    start.wait();
+                    push(s, together);
+                });
+            }
+        });
+        assert!(raw_totals(&together) == raw_totals(&in_turn));
+    }
+
+    /// One push of `s` as a single chunk: segments deposited, crossings.
+    fn segments_deposited(strategy: Strategy, grid: &Grid, s: &mut Species) -> (usize, usize) {
+        let interps = wavy_interps(grid);
+        let acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
+        let params = PushParams::new(grid, s.q, s.m);
+        let sink = &mut Sink::new(acc.depositor(0, Claim::Sole));
+        let stats = push_chunk(strategy, grid, &mut Chunk::whole(s), &interps, sink, params);
+        assert_eq!(sink.queued, 0, "{strategy}: segments left in the queue");
+        (sink.deposited, stats.crossings)
+    }
+
+    #[test]
+    fn every_queued_segment_is_deposited_once() {
+        // A particle that crosses k faces moves through k + 1 cells, one
+        // segment in each. On the hot load most lanes of a group cross,
+        // several faces a step: the queue fills to its capacity (indexing
+        // past it would panic) and drains in whole groups.
+        let grid = Grid::new(6, 6, 6);
+        for strategy in Strategy::ALL {
+            let mut hot = load(&grid, 1001, 2.0, false);
+            let (segments, crossings) = segments_deposited(strategy, &grid, &mut hot);
+            assert!(crossings > 1001 / 2, "{strategy}: {crossings} crossings");
+            assert_eq!(segments, 1001 + crossings, "{strategy}");
+            // the tail: a chunk of whole groups whose last particle alone
+            // crosses leaves two segments that no group drain takes
+            let mut last = load(&grid, 8, 0.0, true);
+            (last.dx[7], last.ux[7]) = (0.99, 2.0);
+            let (segments, crossings) = segments_deposited(strategy, &grid, &mut last);
+            assert_eq!((segments, crossings), (8 + 1, 1), "{strategy}");
+        }
     }
 
     fn in_cell_bits<L: PushLane>(t: &Xyz<[f32; 4]>) -> u32 {

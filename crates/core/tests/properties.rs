@@ -1,6 +1,6 @@
 //! Property tests for the PIC core's physics invariants.
 
-use pk::atomic::ScatterMode;
+use pk::atomic::{Claim, ScatterMode};
 use proptest::prelude::*;
 use vpic_core::accumulate::{
     deposit_rho_node, div_j_node, segment_weights, Accumulator, SLOTS,
@@ -49,7 +49,8 @@ proptest! {
     /// Run coalescing is invisible: any sequence of (cell, segment), cut
     /// into contiguous chunks with one depositor each, leaves every slot
     /// with the bits that one `deposit_segment` per segment leaves — for
-    /// both scatter modes, any worker count, runs of length one included.
+    /// both scatter modes and claims, any worker count, runs of length
+    /// one included.
     #[test]
     fn run_depositor_matches_per_segment_deposits(
         segments in prop::collection::vec(
@@ -63,18 +64,22 @@ proptest! {
         for &(cell, (x0, y0, z0), (x1, y1, z1), qw) in &segments {
             direct.deposit_segment(0, cell, x0, y0, z0, x1, y1, z1, qw);
         }
-        for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
+        for (mode, claim) in [
+            (ScatterMode::Atomic, Claim::Shared),
+            (ScatterMode::Atomic, Claim::Sole),
+            (ScatterMode::Duplicated, Claim::Sole),
+        ] {
             let acc = Accumulator::new(cells, workers, mode);
             let chunk = segments.len().div_ceil(workers).max(1);
             for (worker, chunk) in segments.chunks(chunk).enumerate() {
-                let mut dep = acc.depositor(worker);
+                let mut dep = acc.depositor(worker, claim);
                 for &(cell, (x0, y0, z0), (x1, y1, z1), qw) in chunk {
                     dep.deposit(cell, x0, y0, z0, x1, y1, z1, qw);
                 }
             }
             for cell in 0..cells {
                 let (got, want) = (acc.cell_raw(cell), direct.cell_raw(cell));
-                prop_assert_eq!(got, want, "{:?} cell {}", mode, cell);
+                prop_assert_eq!(got, want, "{:?} {:?} cell {}", mode, claim, cell);
             }
         }
     }

@@ -3,12 +3,16 @@
 //! Mirrors `Kokkos::atomic_add` on `float`/`double` (implemented, as on most
 //! hardware without native FP atomics, by a compare-and-swap loop on the bit
 //! pattern) and `Kokkos::Experimental::ScatterView` (a buffer written by
-//! many threads with atomic accumulation).
+//! many threads, accumulating atomically where writers share memory and
+//! without atomics where a writer has its own copy).
 //!
 //! Current deposition in the particle push — the paper's contended scatter
-//! phase — goes through these types.
+//! phase — goes through [`FixedScatterBuf`]: a writer takes a [`Claim`] on
+//! its lane, *sole* or *shared*, and only shared lanes pay for atomic
+//! read-modify-writes.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Atomically add `val` to the `f32` stored in `cell` (bitwise CAS loop).
 #[inline]
@@ -308,38 +312,135 @@ fn round_by_trunc(x: f64) -> i64 {
     t.saturating_add((f >= 0.5) as i64).saturating_sub((f <= -0.5) as i64)
 }
 
+/// How a writer holds a lane of a [`FixedScatterBuf`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Claim {
+    /// The only writer: excludes every other claim on the lane, so adds
+    /// are plain load–add–store (Kokkos `ScatterNonAtomic` into a
+    /// duplicate, what `ScatterView` does on CPUs).
+    Sole,
+    /// One of several writers: excludes sole claims only, and adds are
+    /// atomic read-modify-writes (Kokkos `ScatterAtomic`).
+    Shared,
+}
+
+/// One writer's accumulators and the lock that arbitrates claims on them.
+#[derive(Debug)]
+struct Lane {
+    slots: Vec<AtomicI64>,
+    lock: RwLock<()>,
+}
+
+impl Lane {
+    fn zeros(len: usize) -> Self {
+        Self { slots: (0..len).map(|_| AtomicI64::new(0)).collect(), lock: RwLock::new(()) }
+    }
+
+    /// Wait for `claim` on this lane. The lock guards no data of its own,
+    /// so one poisoned by a writer that panicked is taken all the same.
+    fn claim(&self, claim: Claim) -> LaneWriter<'_> {
+        let hold = match claim {
+            Claim::Sole => {
+                Hold::Sole { _guard: self.lock.write().unwrap_or_else(PoisonError::into_inner) }
+            }
+            Claim::Shared => {
+                Hold::Shared { _guard: self.lock.read().unwrap_or_else(PoisonError::into_inner) }
+            }
+        };
+        LaneWriter { slots: &self.slots, hold }
+    }
+}
+
+/// The guard behind a [`Claim`], held (never read) until the writer is
+/// dropped: the lane's write lock or a read lock.
+#[derive(Debug)]
+enum Hold<'a> {
+    Sole { _guard: RwLockWriteGuard<'a, ()> },
+    Shared { _guard: RwLockReadGuard<'a, ()> },
+}
+
+/// A lane of a [`FixedScatterBuf`] held under a [`Claim`] — the only way
+/// to write its slots. The claim is released when the writer is dropped.
+///
+/// The lock is not re-entrant: a thread that holds a writer must not ask
+/// the same buffer for a claim that conflicts with it (a sole claim on
+/// the same lane, [`FixedScatterBuf::set_raw_run`] or
+/// [`FixedScatterBuf::reset`]), or it waits for itself.
+#[derive(Debug)]
+pub struct LaneWriter<'a> {
+    slots: &'a [AtomicI64],
+    hold: Hold<'a>,
+}
+
+impl LaneWriter<'_> {
+    /// Number of accumulators in the lane.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the lane has no accumulators.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// `slot[base + s] += raws[s]` (wrapping) for a run of adjacent
+    /// slots. Under a sole claim nothing else writes the lane, so the add
+    /// is a plain load and store with no `lock` prefix; under a shared
+    /// claim each nonzero contribution is one atomic `fetch_add`.
+    #[inline]
+    pub fn add_raw_run(&self, base: usize, raws: &[i64]) {
+        let slots = &self.slots[base..base + raws.len()];
+        match self.hold {
+            Hold::Sole { .. } => {
+                for (slot, &raw) in slots.iter().zip(raws) {
+                    slot.store(slot.load(Ordering::Relaxed).wrapping_add(raw), Ordering::Relaxed);
+                }
+            }
+            Hold::Shared { .. } => {
+                for (slot, &raw) in slots.iter().zip(raws) {
+                    if raw != 0 {
+                        slot.fetch_add(raw, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A scatter-accumulation buffer over fixed-point `i64` accumulators.
 ///
-/// Same shape as [`ScatterBuf`] (shared-atomic or per-worker-duplicated
-/// replicas, selected by [`ScatterMode`]) but order-independent: every
+/// Same shape as [`ScatterBuf`] (one shared lane, or one replica lane per
+/// worker, selected by [`ScatterMode`]) but order-independent: every
 /// contribution is quantized to a multiple of `2⁻⁴⁰` and summed with
 /// integer adds, so `collect` returns the same bits no matter how the
 /// contributions were interleaved or partitioned. Current deposition uses
 /// this so multi-rank halo merges can be bit-identical to the single-rank
 /// run.
+///
+/// Like `Kokkos::ScatterView`, a lane is written atomically only where it
+/// has to be. A writer reaches a lane's slots through a [`Claim`]
+/// ([`FixedScatterBuf::claim`]): *sole* writers add without atomics,
+/// *shared* writers with `fetch_add`, and one `RwLock` per lane makes the
+/// two kinds wait for each other instead of losing an add. Reads
+/// (`get_raw`, `collect`) take no claim; they are exact once the writers
+/// are done.
 #[derive(Debug)]
 pub struct FixedScatterBuf {
     mode: ScatterMode,
     len: usize,
-    shared: Vec<std::sync::atomic::AtomicI64>,
-    replicas: Vec<Vec<std::sync::atomic::AtomicI64>>,
-}
-
-use std::sync::atomic::AtomicI64;
-
-fn zeros_i64(n: usize) -> Vec<AtomicI64> {
-    (0..n).map(|_| AtomicI64::new(0)).collect()
+    /// The shared lane alone ([`ScatterMode::Atomic`]), or the replicas.
+    lanes: Vec<Lane>,
 }
 
 impl FixedScatterBuf {
     /// Create a zeroed buffer of `len` accumulators for up to `workers`
     /// concurrent writers.
     pub fn new(len: usize, workers: usize, mode: ScatterMode) -> Self {
-        let replicas = match mode {
-            ScatterMode::Atomic => Vec::new(),
-            ScatterMode::Duplicated => (0..workers.max(1)).map(|_| zeros_i64(len)).collect(),
+        let lanes = match mode {
+            ScatterMode::Atomic => 1,
+            ScatterMode::Duplicated => workers.max(1),
         };
-        Self { mode, len, shared: zeros_i64(len), replicas }
+        Self { mode, len, lanes: (0..lanes).map(|_| Lane::zeros(len)).collect() }
     }
 
     /// The contention strategy in use.
@@ -394,43 +495,46 @@ impl FixedScatterBuf {
         raw as f64 / FIXED_SCATTER_SCALE
     }
 
+    /// Wait for `claim` on the lane `worker` writes — the shared lane, or
+    /// its replica in duplicated mode (ids wrap onto the replicas) — and
+    /// hold it for the returned writer's lifetime. A sole claim waits for
+    /// every other writer of that lane to finish, a shared claim for a
+    /// sole one; so two writers that both believe they are alone, or more
+    /// blocks than replicas, take turns.
+    #[inline]
+    pub fn claim(&self, worker: usize, claim: Claim) -> LaneWriter<'_> {
+        self.lanes[worker % self.lanes.len()].claim(claim)
+    }
+
     /// Accumulate `val` into slot `i` on behalf of `worker`.
     #[inline]
     pub fn add(&self, worker: usize, i: usize, val: f64) {
         self.add_raw(worker, i, Self::quantize(val));
     }
 
-    /// Accumulate an already-quantized contribution (used by the halo
-    /// merge, which exchanges raw fixed-point values between ranks).
+    /// Accumulate an already-quantized contribution under a shared claim
+    /// taken for this one add; a writer with many takes
+    /// [`FixedScatterBuf::claim`] once.
     #[inline]
     pub fn add_raw(&self, worker: usize, i: usize, raw: i64) {
-        self.lane(worker)[i].fetch_add(raw, Ordering::Relaxed);
+        self.claim(worker, Claim::Shared).add_raw_run(i, &[raw]);
     }
 
-    /// The accumulators `worker` writes: the shared buffer, or its
-    /// replica in duplicated mode (ids wrap onto the replicas). A writer
-    /// that deposits many values resolves its lane once instead of per
-    /// add. The slots are atomic either way, so a lane shared by a
-    /// work-stealing schedule stays well-defined.
-    #[inline]
-    pub fn lane(&self, worker: usize) -> &[AtomicI64] {
-        match self.mode {
-            ScatterMode::Atomic => &self.shared,
-            ScatterMode::Duplicated => &self.replicas[worker % self.replicas.len()],
-        }
-    }
-
-    /// Read one accumulator's raw fixed-point total (shared value plus
-    /// all replica contributions, summed with wrapping adds).
+    /// Read one accumulator's raw fixed-point total (every lane's
+    /// contribution, summed with wrapping adds).
     #[inline]
     pub fn get_raw(&self, i: usize) -> i64 {
-        match self.mode {
-            ScatterMode::Atomic => self.shared[i].load(Ordering::Relaxed),
-            ScatterMode::Duplicated => self
-                .replicas
-                .iter()
-                .fold(0i64, |acc, r| acc.wrapping_add(r[i].load(Ordering::Relaxed))),
-        }
+        self.lanes.iter().fold(0i64, |acc, l| acc.wrapping_add(l.slots[i].load(Ordering::Relaxed)))
+    }
+
+    /// Every accumulator's raw total in slot order, the first lane's slots
+    /// walked once and the other replicas' added to them.
+    fn raw_totals(&self) -> impl Iterator<Item = i64> + '_ {
+        let (first, replicas) = self.lanes.split_first().expect("a buffer has at least one lane");
+        first.slots.iter().enumerate().map(move |(i, slot)| {
+            let first = slot.load(Ordering::Relaxed);
+            replicas.iter().fold(first, |acc, l| acc.wrapping_add(l.slots[i].load(Ordering::Relaxed)))
+        })
     }
 
     /// Read one accumulator as `f64`.
@@ -438,18 +542,16 @@ impl FixedScatterBuf {
         Self::dequantize(self.get_raw(i))
     }
 
-    /// Overwrite slot `i`'s total with `raw` (clears replicas; the value
-    /// lands in the shared buffer — or replica 0 in duplicated mode).
-    /// Used by the cluster halo fill, which replaces boundary-slot totals
-    /// with the owner's merged value.
-    pub fn set_raw(&self, i: usize, raw: i64) {
-        match self.mode {
-            ScatterMode::Atomic => self.shared[i].store(raw, Ordering::Relaxed),
-            ScatterMode::Duplicated => {
-                self.replicas[0][i].store(raw, Ordering::Relaxed);
-                for r in &self.replicas[1..] {
-                    r[i].store(0, Ordering::Relaxed);
-                }
+    /// Overwrite the totals of the slots from `base` with `raws` (the
+    /// values land in the first lane, the other replicas' slots are
+    /// zeroed), each lane under a sole claim. Used by the cluster halo
+    /// fill, which replaces boundary-slot totals with the owner's merged
+    /// values.
+    pub fn set_raw_run(&self, base: usize, raws: &[i64]) {
+        for (l, lane) in self.lanes.iter().enumerate() {
+            let writer = lane.claim(Claim::Sole);
+            for (slot, &raw) in writer.slots[base..base + raws.len()].iter().zip(raws) {
+                slot.store(if l == 0 { raw } else { 0 }, Ordering::Relaxed);
             }
         }
     }
@@ -459,10 +561,7 @@ impl FixedScatterBuf {
     /// warmed up, matching [`ScatterBuf::collect_into`]).
     pub fn collect_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.resize(self.len, 0.0);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.get(i);
-        }
+        out.extend(self.raw_totals().map(Self::dequantize));
     }
 
     /// Reduce all contributions into a plain vector.
@@ -472,13 +571,11 @@ impl FixedScatterBuf {
         out
     }
 
-    /// Zero every accumulator (shared and replicas).
+    /// Zero every accumulator, each lane under a sole claim.
     pub fn reset(&self) {
-        for c in &self.shared {
-            c.store(0, Ordering::Relaxed);
-        }
-        for r in &self.replicas {
-            for c in r {
+        for lane in &self.lanes {
+            let writer = lane.claim(Claim::Sole);
+            for c in writer.slots {
                 c.store(0, Ordering::Relaxed);
             }
         }
@@ -532,18 +629,20 @@ mod tests {
         let workers = 4;
         let threads = Threads::new(workers);
         let n = 64;
+        // the interpreter is some thousand times slower
+        let adds = if cfg!(miri) { 1_000usize } else { 100_000 };
         for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
             let buf = ScatterBuf::new(n, workers, mode);
-            threads.parallel_for(100_000usize, |i| {
+            threads.parallel_for(adds, |i| {
                 // worker id proxy: contention pattern doesn't affect totals
                 buf.add(i % workers, i % n, 1.0);
             });
             let out = buf.collect();
             let total: f64 = out.iter().sum();
-            assert_eq!(total, 100_000.0, "mode {mode:?} lost updates");
+            assert_eq!(total, adds as f64, "mode {mode:?} lost updates");
             // each slot gets ceil/floor of uniform share
             for &v in &out {
-                assert!((v - 100_000.0 / n as f64).abs() <= 1.0);
+                assert!((v - adds as f64 / n as f64).abs() <= 1.0);
             }
         }
     }
@@ -642,7 +741,7 @@ mod tests {
             buf.add(2, 2, -0.25);
             let raw = buf.get_raw(2);
             assert_eq!(raw, FixedScatterBuf::quantize(1.25));
-            buf.set_raw(2, FixedScatterBuf::quantize(9.0));
+            buf.set_raw_run(2, &[FixedScatterBuf::quantize(9.0)]);
             assert_eq!(buf.get(2), 9.0, "mode {mode:?}");
             buf.add_raw(1, 2, FixedScatterBuf::quantize(1.0));
             assert_eq!(buf.get(2), 10.0, "mode {mode:?}");
@@ -660,6 +759,56 @@ mod tests {
         });
         let total: f64 = buf.collect().iter().sum();
         assert_eq!(total, 5_000.0);
+    }
+
+    #[test]
+    fn sole_claims_on_one_lane_take_turns() {
+        // Two threads that each believe they are the lane's only writer
+        // (and so add without atomics), started together: neither is ever
+        // inside its claim while the other is, and no add is lost.
+        let rounds = if cfg!(miri) { 20 } else { 2_000 };
+        let buf = FixedScatterBuf::new(4, 1, ScatterMode::Atomic);
+        let (start, inside) = (std::sync::Barrier::new(2), std::sync::atomic::AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..rounds {
+                        let lane = buf.claim(0, Claim::Sole);
+                        assert!(!inside.swap(true, Ordering::SeqCst), "two sole claims at once");
+                        lane.add_raw_run(1, &[1, -2, i64::MAX]);
+                        inside.store(false, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        let n = 2 * rounds as i64;
+        let want = [0, n, -2 * n, i64::MAX.wrapping_mul(n)];
+        assert_eq!([0, 1, 2, 3].map(|i| buf.get_raw(i)), want);
+    }
+
+    #[test]
+    fn shared_claims_coexist_and_more_blocks_than_replicas_queue() {
+        let buf = FixedScatterBuf::new(2, 2, ScatterMode::Duplicated);
+        // two shared writers of one lane at once, atomic adds
+        let (a, b) = (buf.claim(0, Claim::Shared), buf.claim(2, Claim::Shared));
+        a.add_raw_run(0, &[5, 0]);
+        b.add_raw_run(0, &[7, 1]);
+        drop((a, b));
+        assert_eq!((buf.get_raw(0), buf.get_raw(1)), (12, 1));
+        // five blocks, each the sole writer of "its" replica, on two
+        // replicas: ids wrap and the blocks take turns
+        let threads = Threads::new(5);
+        let per_block = if cfg!(miri) { 10 } else { 1_000 };
+        threads.parallel_for(5usize, |block| {
+            let lane = buf.claim(block, Claim::Sole);
+            for _ in 0..per_block {
+                lane.add_raw_run(1, &[3]);
+            }
+        });
+        assert_eq!(buf.get_raw(1), 1 + 5 * 3 * per_block);
+        let lane = buf.claim(1, Claim::Sole);
+        assert_eq!((lane.len(), lane.is_empty()), (2, false));
     }
 
     #[test]

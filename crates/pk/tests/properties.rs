@@ -155,3 +155,49 @@ proptest! {
         }
     }
 }
+
+/// Properties of `pk::atomic` (named so that `cargo test atomic::` — what
+/// the Miri job runs — takes them along with the module's unit tests).
+mod atomic {
+    use pk::atomic::{Claim, FixedScatterBuf, ScatterMode};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// However a sequence of `(slot, raw)` adds is dealt to writers,
+        /// whichever of them hold their lane alone (plain adds) or shared
+        /// (atomic adds), on however many lanes, every slot ends on the
+        /// serial wrapping sum: claims that conflict wait, none loses an
+        /// add.
+        #[test]
+        fn claimed_adds_equal_the_serial_wrapping_sum(
+            adds in prop::collection::vec((0usize..5, any::<i64>()), 0..120),
+            sole in prop::collection::vec(any::<bool>(), 1..5),
+            lanes in 1usize..4,
+        ) {
+            let writers = sole.len();
+            let buf = FixedScatterBuf::new(5, lanes, ScatterMode::Duplicated);
+            let start = std::sync::Barrier::new(writers);
+            std::thread::scope(|scope| {
+                for (w, &sole) in sole.iter().enumerate() {
+                    let (buf, start, adds) = (&buf, &start, &adds);
+                    let claim = if sole { Claim::Sole } else { Claim::Shared };
+                    scope.spawn(move || {
+                        start.wait();
+                        // several claims per writer, so that sole and
+                        // shared holders of one lane alternate
+                        for deal in adds.chunks(writers).collect::<Vec<_>>().chunks(8) {
+                            let lane = buf.claim(w, claim);
+                            for &(slot, raw) in deal.iter().filter_map(|hand| hand.get(w)) {
+                                lane.add_raw_run(slot, &[raw]);
+                            }
+                        }
+                    });
+                }
+            });
+            for slot in 0..5 {
+                let want = adds.iter().filter(|a| a.0 == slot).fold(0i64, |s, a| s.wrapping_add(a.1));
+                prop_assert_eq!(buf.get_raw(slot), want, "slot {}", slot);
+            }
+        }
+    }
+}
