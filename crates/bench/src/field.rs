@@ -61,7 +61,7 @@ pub struct Report {
     pub baseline: PhaseTimes,
     /// Every strategy at 1 and 4 lanes.
     pub variants: Vec<Variant>,
-    /// Best single-lane speedup — the allocation/affine-interior/SIMD
+    /// Best single-lane speedup — the allocation/row-stencil/SIMD
     /// win alone, with no thread-level parallelism in the numerator.
     pub best_single_lane_speedup: f64,
 }

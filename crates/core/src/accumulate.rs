@@ -17,7 +17,10 @@
 //!
 //! The accumulator stores `charge × fractional displacement × transverse
 //! shape`; [`Accumulator::unload`] converts to current density by the
-//! `1/dt` factor (unit cells) and adds each slot to its Yee edge.
+//! `1/dt` factor (unit cells) and adds each slot to its Yee edge. It is
+//! an edge-owned gather that reads the fixed-point lanes where they lie
+//! (VPIC's `unload_accumulator_array` reads the accumulator it is given,
+//! once): no dequantized copy of the slots is made first.
 
 use crate::field::FieldArray;
 use crate::grid::{Grid, StencilSide};
@@ -39,16 +42,13 @@ pub const SLOTS: usize = 12;
 pub struct Accumulator {
     buf: FixedScatterBuf,
     cells: usize,
-    /// Reused `collect` target: sized on the first unload, alloc-free
-    /// afterwards.
-    scratch: Vec<f64>,
 }
 
 impl Accumulator {
     /// A zeroed accumulator for `cells` cells and up to `workers`
     /// concurrent writers in the given scatter mode.
     pub fn new(cells: usize, workers: usize, mode: ScatterMode) -> Self {
-        Self { buf: FixedScatterBuf::new(cells * SLOTS, workers, mode), cells, scratch: Vec::new() }
+        Self { buf: FixedScatterBuf::new(cells * SLOTS, workers, mode), cells }
     }
 
     /// Number of cells covered.
@@ -142,11 +142,6 @@ impl Accumulator {
         self.buf.set_raw_run(cell * SLOTS, raw);
     }
 
-    /// Scratch capacity (no-alloc-after-warmup assertions).
-    pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity()
-    }
-
     /// The historical scatter-order unload, kept as the value oracle: for
     /// every cell it pushes each slot outward to its edge. Its f32 adds
     /// happen in cell order, so its rounding differs (by ulps) from the
@@ -190,94 +185,66 @@ impl Accumulator {
     /// `s`), cyclically for y and z, sums them in fixed slot order in
     /// `f64`, and applies one rounding. Every edge has exactly one writer,
     /// so the result is bit-identical for any space, strategy, or worker
-    /// count. The `collect` scratch is reused across calls.
+    /// count.
     ///
-    /// Strategy mapping: the gather is `f64` (no `f64` lane type in
-    /// `vsimd`), so *manual* falls back to the fused *auto* loop and
-    /// *ad hoc* to the split *guided* passes; the split/fused choice is
-    /// the only strategy-visible axis here.
-    pub fn unload_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy, f: &mut FieldArray) {
-        let FieldArray { grid: g, jx, jy, jz, .. } = f;
-        assert_eq!(g.cells(), self.cells, "accumulator/grid mismatch");
-        // widen the same f32 constant the scatter reference uses
-        let rdt = (1.0f32 / g.dt) as f64;
-        self.buf.collect_into(&mut self.scratch);
-        let vals = self.scratch.as_slice();
-        let nx = g.nx;
-        let (sy, sz) = (g.nx, g.nx * g.ny);
-        let pjx = SendPtr::new(jx.as_mut_ptr());
-        let pjy = SendPtr::new(jy.as_mut_ptr());
-        let pjz = SendPtr::new(jz.as_mut_ptr());
-        let g = &*g;
-        let split = matches!(strategy, Strategy::Guided | Strategy::AdHoc);
-        space.parallel_for(g.rows(), move |r| {
-            let row = g.row_range(r);
-            let v0 = row.start;
-            // SAFETY: rows are disjoint; this invocation exclusively owns
-            // row `r`'s span of each J array.
-            let (jxr, jyr, jzr) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(pjx.get().add(v0), nx),
-                    std::slice::from_raw_parts_mut(pjy.get().add(v0), nx),
-                    std::slice::from_raw_parts_mut(pjz.get().add(v0), nx),
-                )
-            };
-            let inner = g.interior_xs(r, StencilSide::Minus);
-            let gather_x = |v: usize| {
-                ((vals[v * SLOTS]
-                    + vals[(v - sy) * SLOTS + 1]
-                    + vals[(v - sz) * SLOTS + 2]
-                    + vals[(v - sy - sz) * SLOTS + 3])
-                    * rdt) as f32
-            };
-            let gather_y = |v: usize| {
-                ((vals[v * SLOTS + 4]
-                    + vals[(v - sz) * SLOTS + 5]
-                    + vals[(v - 1) * SLOTS + 6]
-                    + vals[(v - 1 - sz) * SLOTS + 7])
-                    * rdt) as f32
-            };
-            let gather_z = |v: usize| {
-                ((vals[v * SLOTS + 8]
-                    + vals[(v - 1) * SLOTS + 9]
-                    + vals[(v - sy) * SLOTS + 10]
-                    + vals[(v - 1 - sy) * SLOTS + 11])
-                    * rdt) as f32
-            };
-            if split {
-                // kernel splitting: one component per pass
-                for ix in inner.clone() {
-                    jxr[ix] += gather_x(v0 + ix);
-                }
-                for ix in inner.clone() {
-                    jyr[ix] += gather_y(v0 + ix);
-                }
-                for ix in inner.clone() {
-                    jzr[ix] += gather_z(v0 + ix);
-                }
-            } else {
-                for ix in inner.clone() {
-                    let v = v0 + ix;
-                    jxr[ix] += gather_x(v);
-                    jyr[ix] += gather_y(v);
-                    jzr[ix] += gather_z(v);
-                }
-            }
-            // boundary shell: general periodic sources, same sum tree
-            for ix in (0..inner.start).chain(inner.end..nx) {
-                let v = v0 + ix;
-                let (mut gx, mut gy, mut gz) = (0.0f64, 0.0f64, 0.0f64);
-                for (s, (a, b)) in CORNERS.iter().enumerate() {
-                    gx += vals[g.neighbor(v, (0, -*a, -*b)) * SLOTS + s];
-                    gy += vals[g.neighbor(v, (-*b, 0, -*a)) * SLOTS + 4 + s];
-                    gz += vals[g.neighbor(v, (-*a, -*b, 0)) * SLOTS + 8 + s];
-                }
-                jxr[ix] += (gx * rdt) as f32;
-                jyr[ix] += (gy * rdt) as f32;
-                jzr[ix] += (gz * rdt) as f32;
-            }
-        });
+    /// The slots are read straight from the buffer's lanes — each one's
+    /// raw total (replicas added in replica order) dequantized where it is
+    /// used — so there is no serial reduce before the parallel rows and no
+    /// copy of the accumulator. The gather is `f64` and `vsimd` has no
+    /// `f64` lane type, so there is one fused loop and `strategy` does not
+    /// choose anything here.
+    pub fn unload_on<S: ExecSpace>(&mut self, space: &S, _strategy: Strategy, f: &mut FieldArray) {
+        assert_eq!(f.grid.cells(), self.cells, "accumulator/grid mismatch");
+        let mut lanes = self.buf.lane_totals();
+        let first = lanes.next().expect("a buffer has at least one lane");
+        // counted here, once, so the cell loop of a buffer without
+        // replicas has no replica loop in it
+        if lanes.len() == 0 {
+            gather_rows(space, f, |i| first.raw(i));
+        } else {
+            gather_rows(space, f, |i| {
+                lanes.clone().fold(first.raw(i), |sum, lane| sum.wrapping_add(lane.raw(i)))
+            });
+        }
     }
+}
+
+/// The unload's row sweep over slot totals read through `raw`.
+fn gather_rows<S: ExecSpace>(space: &S, f: &mut FieldArray, raw: impl Fn(usize) -> i64 + Sync) {
+    let FieldArray { grid: g, jx, jy, jz, .. } = f;
+    // widen the same f32 constant the scatter reference uses
+    let rdt = (1.0f32 / g.dt) as f64;
+    let nx = g.nx;
+    let pjx = SendPtr::new(jx.as_mut_ptr());
+    let pjy = SendPtr::new(jy.as_mut_ptr());
+    let pjz = SendPtr::new(jz.as_mut_ptr());
+    let (g, raw) = (&*g, &raw);
+    space.parallel_for(g.rows(), move |r| {
+        let st = g.row_stencil(r, StencilSide::Minus);
+        // SAFETY: rows are disjoint; this invocation exclusively owns
+        // row `r`'s span of each J array.
+        let [jxr, jyr, jzr] = [pjx, pjy, pjz]
+            .map(|p| unsafe { std::slice::from_raw_parts_mut(p.get().add(st.row), nx) });
+        // the three edges cell `x` of the row owns, its −x neighbor being
+        // cell `xm`; `slot(base, x, s)` is slot `s` of cell `x` of the row
+        // based at `base`
+        let mut edges = |x: usize, xm: usize| {
+            let slot = |base: usize, x: usize, s: usize| {
+                FixedScatterBuf::dequantize(raw((base + x) * SLOTS + s))
+            };
+            let gx = slot(st.row, x, 0) + slot(st.y, x, 1) + slot(st.z, x, 2) + slot(st.yz, x, 3);
+            let gy = slot(st.row, x, 4) + slot(st.z, x, 5) + slot(st.row, xm, 6) + slot(st.z, xm, 7);
+            let gz = slot(st.row, x, 8) + slot(st.row, xm, 9) + slot(st.y, x, 10) + slot(st.y, xm, 11);
+            jxr[x] += (gx * rdt) as f32;
+            jyr[x] += (gy * rdt) as f32;
+            jzr[x] += (gz * rdt) as f32;
+        };
+        for x in 1..nx {
+            edges(x, x - 1);
+        }
+        // the end cell's −x neighbor is the row's last cell
+        edges(0, nx - 1);
+    });
 }
 
 /// Run-coalescing writer into an [`Accumulator`]: holds the quantized
@@ -592,19 +559,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unload_scratch_is_reused() {
-        let g = Grid::new(4, 4, 4);
-        let mut acc = seeded_accumulator(&g, 1, ScatterMode::Atomic);
-        let mut f = FieldArray::new(g.clone());
-        assert_eq!(acc.scratch_capacity(), 0);
-        acc.unload(&mut f);
-        let cap = acc.scratch_capacity();
-        assert!(cap >= g.cells() * SLOTS);
-        for _ in 0..3 {
-            acc.unload(&mut f);
-            assert_eq!(acc.scratch_capacity(), cap, "unload reallocated scratch");
+    /// The gather spelled out edge by edge: every source cell through
+    /// [`Grid::neighbor`], every slot total dequantized on its own
+    /// ([`Accumulator::slot`]) and the four summed in slot order in `f64`.
+    fn unload_edge_ref(acc: &Accumulator, f: &mut FieldArray) {
+        let g = f.grid.clone();
+        let rdt = (1.0f32 / g.dt) as f64;
+        for v in 0..g.cells() {
+            let (mut gx, mut gy, mut gz) = (0.0f64, 0.0f64, 0.0f64);
+            for (s, (a, b)) in CORNERS.iter().enumerate() {
+                gx += acc.slot(g.neighbor(v, (0, -*a, -*b)), s);
+                gy += acc.slot(g.neighbor(v, (-*b, 0, -*a)), 4 + s);
+                gz += acc.slot(g.neighbor(v, (-*a, -*b, 0)), 8 + s);
+            }
+            f.jx[v] += (gx * rdt) as f32;
+            f.jy[v] += (gy * rdt) as f32;
+            f.jz[v] += (gz * rdt) as f32;
         }
+    }
+
+    /// Raws near ±2⁵³ and ±2⁶² merged into every other cell: totals that
+    /// `i64 → f64` has to round, so adding an edge's four integers before
+    /// converting them gives other bits than the four-term `f64` sum.
+    fn merge_large_raws(acc: &Accumulator) {
+        let big = [(1i64 << 53) + 1, -(1i64 << 53) - 3, (1i64 << 62) + 12_345, -(1i64 << 62) + 7];
+        for cell in (0..acc.cells()).step_by(2) {
+            acc.merge_cell_raw(cell, &std::array::from_fn(|s| big[(cell / 2 + s) % 4] + (cell * SLOTS + s) as i64));
+        }
+    }
+
+    fn j_bits(f: &FieldArray) -> Vec<u32> {
+        f.jx.iter().chain(&f.jy).chain(&f.jz).map(|j| j.to_bits()).collect()
+    }
+
+    #[test]
+    fn lane_gather_matches_edge_by_edge_reference_bitwise() {
+        for (nx, ny, nz) in [(5, 4, 3), (2, 2, 2), (1, 4, 4), (6, 1, 2), (3, 1, 1), (1, 1, 1)] {
+            let g = Grid::new(nx, ny, nz);
+            // J the unload adds to, not zero
+            let mut start = FieldArray::new(g.clone());
+            for v in 0..g.cells() {
+                (start.jx[v], start.jy[v], start.jz[v]) = (v as f32 * 0.25, -1.5, 1.0 / (v + 1) as f32);
+            }
+            for (workers, mode) in [
+                (1, ScatterMode::Atomic),
+                (1, ScatterMode::Duplicated),
+                (2, ScatterMode::Duplicated),
+                (3, ScatterMode::Duplicated),
+            ] {
+                let mut acc = seeded_accumulator(&g, workers, mode);
+                merge_large_raws(&acc);
+                let mut reference = start.clone();
+                unload_edge_ref(&acc, &mut reference);
+                let what = format!("({nx},{ny},{nz}) {mode:?} × {workers}");
+                let mut serial = start.clone();
+                acc.unload_on(&Serial, Strategy::default(), &mut serial);
+                assert_eq!(j_bits(&reference), j_bits(&serial), "serial {what}");
+                for lanes in [1, 2, 4, 7] {
+                    let mut threaded = start.clone();
+                    acc.unload_on(&pk::Threads::new(lanes), Strategy::default(), &mut threaded);
+                    assert_eq!(j_bits(&reference), j_bits(&threaded), "{lanes} threads {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_large_raws_tell_the_sum_trees_apart() {
+        // what the test above would miss without them: on these totals,
+        // integers added first and converted once round differently
+        let g = Grid::new(5, 4, 3);
+        let acc = Accumulator::new(g.cells(), 1, ScatterMode::Atomic);
+        merge_large_raws(&acc);
+        let differs = (0..g.cells()).any(|v| {
+            let cells = [v, g.neighbor(v, (0, -1, 0)), g.neighbor(v, (0, 0, -1)), g.neighbor(v, (0, -1, -1))];
+            let raws: [i64; 4] = std::array::from_fn(|s| acc.cell_raw(cells[s])[s]);
+            let in_f64: f64 = raws.iter().map(|&r| FixedScatterBuf::dequantize(r)).sum();
+            in_f64 != FixedScatterBuf::dequantize(raws.iter().fold(0i64, |a, &r| a.wrapping_add(r)))
+        });
+        assert!(differs);
     }
 
     #[test]

@@ -13,21 +13,21 @@
 //! ## Kernel structure (paper §3.1 applied to the field solve)
 //!
 //! The advance kernels sweep the grid one x-row (`(iy, iz)` pair) at a
-//! time. [`Grid::interior_xs`] splits each row into an *interior* span —
-//! where every stencil neighbor is an affine offset (`±1, ±nx, ±nx·ny`),
-//! so the loop is unit-stride with loop-invariant strides and vectorizes —
-//! and a boundary remainder that takes the general periodic
-//! [`Grid::neighbor`] path. The interior span dispatches on
-//! [`Strategy`]: *auto* is a plain fused scalar loop, *guided* splits the
-//! sweep into one pass per field component (the paper's kernel
-//! splitting), *manual* uses the portable [`SimdF32`] lanes and *ad hoc*
-//! the [`V4F32`] intrinsics type — all through the shared
-//! [`StencilLane`] op tree (`+`, `−`, `×` only; no FMA), so every
+//! time. [`Grid::row_stencil`] gives the row its neighbor rows' base
+//! voxels — the periodic wrap in y and z, paid once per row — so every
+//! row is one unit-stride span with loop-invariant bases that vectorizes
+//! (`0..nx−1` for curl-E, `1..nx` for curl-B), plus the one end cell whose
+//! x-neighbor is the row's other end, updated from the same bases. The
+//! span dispatches on [`Strategy`]: *auto* is a plain fused scalar loop,
+//! *guided* splits the sweep into one pass per field component (the
+//! paper's kernel splitting), *manual* uses the portable [`SimdF32`]
+//! lanes and *ad hoc* the [`V4F32`] intrinsics type — all through the
+//! shared [`StencilLane`] op tree (`+`, `−`, `×` only; no FMA), so every
 //! strategy and every worker count produces bit-identical fields.
 //! Rows write disjoint output spans, which makes the row-parallel
 //! `parallel_for` deterministic for free.
 
-use crate::grid::{Grid, StencilSide};
+use crate::grid::{Grid, RowStencil, StencilSide};
 use pk::{ExecSpace, SendPtr, Serial};
 use std::ops::Range;
 use vsimd::v4::V4F32;
@@ -58,71 +58,148 @@ pub struct FieldArray {
     pub jz: Vec<f32>,
 }
 
-/// One interior curl-E pass: `dst[ix] -= dt·((p[v+sp]−p[v])·rp − (q[v+sq]−q[v])·rq)`
-/// over `xs`, with `dst` row-local (indexed by `ix`) and `p`/`q` global
-/// (indexed by `v = v0+ix`). Lane-width generic; the scalar tail re-enters
-/// at `L = f32`, so every width walks the same op tree.
+/// One curl-E pass over the `dst.len()` consecutive cells from voxel `v`:
+/// `dst[k] -= dt·((p[p1+k]−p[v+k])·rp − (q[q1+k]−q[v+k])·rq)`, with `dst`
+/// the cells' own span and `p1`/`q1` the first cell's neighbors in the
+/// global `p`/`q`. Lane-width generic; the scalar tail re-enters at
+/// `L = f32`, so every width walks the same op tree.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn curl_e_pass<L: StencilLane>(
     p: &[f32],
-    sp: usize,
+    p1: usize,
     rp: f32,
     q: &[f32],
-    sq: usize,
+    q1: usize,
     rq: f32,
     dst: &mut [f32],
-    v0: usize,
-    xs: Range<usize>,
+    v: usize,
     dt: f32,
 ) {
     let (dtv, rpv, rqv) = (L::splat(dt), L::splat(rp), L::splat(rq));
-    let mut ix = xs.start;
-    while ix + L::LANES <= xs.end {
-        let v = v0 + ix;
-        let d = L::load(p, v + sp)
-            .sub(L::load(p, v))
+    let mut k = 0;
+    while k + L::LANES <= dst.len() {
+        let d = L::load(p, p1 + k)
+            .sub(L::load(p, v + k))
             .mul(rpv)
-            .sub(L::load(q, v + sq).sub(L::load(q, v)).mul(rqv));
-        L::load(dst, ix).sub(dtv.mul(d)).store(dst, ix);
-        ix += L::LANES;
+            .sub(L::load(q, q1 + k).sub(L::load(q, v + k)).mul(rqv));
+        L::load(dst, k).sub(dtv.mul(d)).store(dst, k);
+        k += L::LANES;
     }
-    if ix < xs.end {
-        curl_e_pass::<f32>(p, sp, rp, q, sq, rq, dst, v0, ix..xs.end, dt);
+    if k < dst.len() {
+        curl_e_pass::<f32>(p, p1 + k, rp, q, q1 + k, rq, &mut dst[k..], v + k, dt);
     }
 }
 
-/// One interior curl-B pass: `dst[ix] += dt·((p[v]−p[v−sp])·rp − (q[v]−q[v−sq])·rq − j[v])`.
+/// One curl-B pass: `dst[k] += dt·((p[v+k]−p[p1+k])·rp − (q[v+k]−q[q1+k])·rq − j[v+k])`
+/// (arguments as [`curl_e_pass`], the neighbors on the minus side).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn curl_b_pass<L: StencilLane>(
     p: &[f32],
-    sp: usize,
+    p1: usize,
     rp: f32,
     q: &[f32],
-    sq: usize,
+    q1: usize,
     rq: f32,
     j: &[f32],
     dst: &mut [f32],
-    v0: usize,
-    xs: Range<usize>,
+    v: usize,
     dt: f32,
 ) {
     let (dtv, rpv, rqv) = (L::splat(dt), L::splat(rp), L::splat(rq));
-    let mut ix = xs.start;
-    while ix + L::LANES <= xs.end {
-        let v = v0 + ix;
-        let d = L::load(p, v)
-            .sub(L::load(p, v - sp))
+    let mut k = 0;
+    while k + L::LANES <= dst.len() {
+        let d = L::load(p, v + k)
+            .sub(L::load(p, p1 + k))
             .mul(rpv)
-            .sub(L::load(q, v).sub(L::load(q, v - sq)).mul(rqv))
-            .sub(L::load(j, v));
-        L::load(dst, ix).add(dtv.mul(d)).store(dst, ix);
-        ix += L::LANES;
+            .sub(L::load(q, v + k).sub(L::load(q, q1 + k)).mul(rqv))
+            .sub(L::load(j, v + k));
+        L::load(dst, k).add(dtv.mul(d)).store(dst, k);
+        k += L::LANES;
     }
-    if ix < xs.end {
-        curl_b_pass::<f32>(p, sp, rp, q, sq, rq, j, dst, v0, ix..xs.end, dt);
+    if k < dst.len() {
+        curl_b_pass::<f32>(p, p1 + k, rp, q, q1 + k, rq, j, &mut dst[k..], v + k, dt);
     }
+}
+
+/// The read side of a curl sweep: the three source components, the
+/// inverse cell sizes and the step.
+#[derive(Clone, Copy)]
+struct Curl<'a> {
+    src: [&'a [f32]; 3],
+    rd: [f32; 3],
+    dt: f32,
+}
+
+/// A span of consecutive cells of one row: the voxel of its first cell
+/// and that cell's x, y and z neighbors (the later cells' sit at the same
+/// offsets from theirs).
+type Span = [usize; 4];
+
+impl<'a> Curl<'a> {
+    /// The sweep of `src` on `g` by `dt`.
+    fn new(g: &Grid, src: [&'a [f32]; 3], dt: f32) -> Self {
+        Self { src, rd: [1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz], dt }
+    }
+
+    /// `B -= dt·∇×E` over the span, fused: the *auto* loop, every row's
+    /// x-wrapping end cell, and the box sweep.
+    #[inline(always)]
+    fn e_fused(&self, [v, xp, yp, zp]: Span, [bx, by, bz]: [&mut [f32]; 3]) {
+        let ([ex, ey, ez], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
+        for k in 0..bx.len() {
+            let (v, xp, yp, zp) = (v + k, xp + k, yp + k, zp + k);
+            bx[k] -= dt * ((ez[yp] - ez[v]) * rdy - (ey[zp] - ey[v]) * rdz);
+            by[k] -= dt * ((ex[zp] - ex[v]) * rdz - (ez[xp] - ez[v]) * rdx);
+            bz[k] -= dt * ((ey[xp] - ey[v]) * rdx - (ex[yp] - ex[v]) * rdy);
+        }
+    }
+
+    /// [`Curl::e_fused`] split into one single-component pass each (the
+    /// paper's kernel splitting) at lane width `L`.
+    #[inline(always)]
+    fn e_split<L: StencilLane>(&self, [v, xp, yp, zp]: Span, [bx, by, bz]: [&mut [f32]; 3]) {
+        let ([ex, ey, ez], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
+        curl_e_pass::<L>(ez, yp, rdy, ey, zp, rdz, bx, v, dt);
+        curl_e_pass::<L>(ex, zp, rdz, ez, xp, rdx, by, v, dt);
+        curl_e_pass::<L>(ey, xp, rdx, ex, yp, rdy, bz, v, dt);
+    }
+
+    /// `E += dt·(∇×B − J)` over the span, fused; the neighbors are the
+    /// minus-side ones.
+    #[inline(always)]
+    fn b_fused(&self, j: [&[f32]; 3], [v, xm, ym, zm]: Span, [ex, ey, ez]: [&mut [f32]; 3]) {
+        let ([bx, by, bz], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
+        let [jx, jy, jz] = j;
+        for k in 0..ex.len() {
+            let (v, xm, ym, zm) = (v + k, xm + k, ym + k, zm + k);
+            ex[k] += dt * ((bz[v] - bz[ym]) * rdy - (by[v] - by[zm]) * rdz - jx[v]);
+            ey[k] += dt * ((bx[v] - bx[zm]) * rdz - (bz[v] - bz[xm]) * rdx - jy[v]);
+            ez[k] += dt * ((by[v] - by[xm]) * rdx - (bx[v] - bx[ym]) * rdy - jz[v]);
+        }
+    }
+
+    /// [`Curl::b_fused`] as three single-component passes at lane width `L`.
+    #[inline(always)]
+    fn b_split<L: StencilLane>(
+        &self,
+        [jx, jy, jz]: [&[f32]; 3],
+        [v, xm, ym, zm]: Span,
+        [ex, ey, ez]: [&mut [f32]; 3],
+    ) {
+        let ([bx, by, bz], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
+        curl_b_pass::<L>(bz, ym, rdy, by, zm, rdz, jx, ex, v, dt);
+        curl_b_pass::<L>(bx, zm, rdz, bz, xm, rdx, jy, ey, v, dt);
+        curl_b_pass::<L>(by, xm, rdx, bx, ym, rdy, jz, ez, v, dt);
+    }
+}
+
+/// Cells `x..` of the row behind `st`, with the first one's x-neighbor at
+/// column `xq`.
+#[inline(always)]
+fn span(st: &RowStencil, x: usize, xq: usize) -> Span {
+    [st.row + x, st.row + xq, st.y + x, st.z + x]
 }
 
 impl FieldArray {
@@ -190,82 +267,45 @@ impl FieldArray {
     }
 
     /// [`FieldArray::advance_b`] with the row sweep distributed over
-    /// `space` and the interior span vectorized per `strategy`.
+    /// `space` and each row's span vectorized per `strategy`.
     /// Bit-identical to [`FieldArray::advance_b_ref`] for every strategy,
     /// space, and worker count.
     pub fn advance_b_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy, frac: f32) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, .. } = self;
-        let dt = g.dt * frac;
-        let (rdx, rdy, rdz) = (1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz);
-        let (ex, ey, ez) = (ex.as_slice(), ey.as_slice(), ez.as_slice());
-        let (sy, sz) = (g.nx, g.nx * g.ny);
+        let curl = Curl::new(g, [ex, ey, ez], g.dt * frac);
         let nx = g.nx;
         let pbx = SendPtr::new(bx.as_mut_ptr());
         let pby = SendPtr::new(by.as_mut_ptr());
         let pbz = SendPtr::new(bz.as_mut_ptr());
         let g = &*g;
         space.parallel_for(g.rows(), move |r| {
-            let row = g.row_range(r);
-            let v0 = row.start;
+            let st = g.row_stencil(r, StencilSide::Plus);
             // SAFETY: rows are disjoint; this invocation exclusively owns
             // row `r`'s span of each B array.
-            let (bxr, byr, bzr) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(pbx.get().add(v0), nx),
-                    std::slice::from_raw_parts_mut(pby.get().add(v0), nx),
-                    std::slice::from_raw_parts_mut(pbz.get().add(v0), nx),
-                )
-            };
-            let inner = g.interior_xs(r, StencilSide::Plus);
+            let [(bxr, bxe), (byr, bye), (bzr, bze)] = [pbx, pby, pbz].map(|p| unsafe {
+                std::slice::from_raw_parts_mut(p.get().add(st.row), nx).split_at_mut(nx - 1)
+            });
+            let (at, inner) = (span(&st, 0, 1), [bxr, byr, bzr]);
             match strategy {
-                Strategy::Auto => {
-                    // fused plain loop: affine neighbors, left to LLVM
-                    for ix in inner.clone() {
-                        let v = v0 + ix;
-                        bxr[ix] -= dt * ((ez[v + sy] - ez[v]) * rdy - (ey[v + sz] - ey[v]) * rdz);
-                        byr[ix] -= dt * ((ex[v + sz] - ex[v]) * rdz - (ez[v + 1] - ez[v]) * rdx);
-                        bzr[ix] -= dt * ((ey[v + 1] - ey[v]) * rdx - (ex[v + sy] - ex[v]) * rdy);
-                    }
-                }
-                Strategy::Guided => {
-                    // kernel splitting: one single-component pass each
-                    curl_e_pass::<f32>(ez, sy, rdy, ey, sz, rdz, bxr, v0, inner.clone(), dt);
-                    curl_e_pass::<f32>(ex, sz, rdz, ez, 1, rdx, byr, v0, inner.clone(), dt);
-                    curl_e_pass::<f32>(ey, 1, rdx, ex, sy, rdy, bzr, v0, inner.clone(), dt);
-                }
-                Strategy::Manual => {
-                    curl_e_pass::<SimdF32<4>>(ez, sy, rdy, ey, sz, rdz, bxr, v0, inner.clone(), dt);
-                    curl_e_pass::<SimdF32<4>>(ex, sz, rdz, ez, 1, rdx, byr, v0, inner.clone(), dt);
-                    curl_e_pass::<SimdF32<4>>(ey, 1, rdx, ex, sy, rdy, bzr, v0, inner.clone(), dt);
-                }
-                Strategy::AdHoc => {
-                    curl_e_pass::<V4F32>(ez, sy, rdy, ey, sz, rdz, bxr, v0, inner.clone(), dt);
-                    curl_e_pass::<V4F32>(ex, sz, rdz, ez, 1, rdx, byr, v0, inner.clone(), dt);
-                    curl_e_pass::<V4F32>(ey, 1, rdx, ex, sy, rdy, bzr, v0, inner.clone(), dt);
-                }
+                Strategy::Auto => curl.e_fused(at, inner),
+                Strategy::Guided => curl.e_split::<f32>(at, inner),
+                Strategy::Manual => curl.e_split::<SimdF32<4>>(at, inner),
+                Strategy::AdHoc => curl.e_split::<V4F32>(at, inner),
             }
-            // boundary shell: general periodic path, same op tree
-            for ix in (0..inner.start).chain(inner.end..nx) {
-                let v = v0 + ix;
-                let xp = g.neighbor(v, (1, 0, 0));
-                let yp = g.neighbor(v, (0, 1, 0));
-                let zp = g.neighbor(v, (0, 0, 1));
-                bxr[ix] -= dt * ((ez[yp] - ez[v]) * rdy - (ey[zp] - ey[v]) * rdz);
-                byr[ix] -= dt * ((ex[zp] - ex[v]) * rdz - (ez[xp] - ez[v]) * rdx);
-                bzr[ix] -= dt * ((ey[xp] - ey[v]) * rdx - (ex[yp] - ex[v]) * rdy);
-            }
+            // the end cell's +x neighbor is the row's first cell
+            curl.e_fused(span(&st, nx - 1, 0), [bxe, bye, bze]);
         });
     }
 
     /// Advance B by `frac·dt` over the box `xs × ys × zs` only (cell
     /// coordinates, end-exclusive).
     ///
-    /// Per-cell arithmetic is the wrapped op tree of
-    /// [`FieldArray::advance_b_ref`] — the same tree every strategy's
-    /// boundary path walks — so sweeping a disjoint partition of the grid
-    /// box-by-box produces bit-identical fields to one full sweep. The
-    /// multi-rank driver uses this to advance the interior while boundary
-    /// shells wait on in-flight halo exchanges (DESIGN §12).
+    /// Per-cell arithmetic is the op tree of
+    /// [`FieldArray::advance_b_ref`] — the same tree every strategy walks
+    /// — so sweeping a disjoint partition of the grid box-by-box produces
+    /// bit-identical fields to one full sweep. The multi-rank driver uses
+    /// this to advance the interior while boundary shells wait on
+    /// in-flight halo exchanges (DESIGN §12).
     pub fn advance_b_box(
         &mut self,
         xs: Range<usize>,
@@ -274,18 +314,20 @@ impl FieldArray {
         frac: f32,
     ) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, .. } = self;
-        let dt = g.dt * frac;
-        let (rdx, rdy, rdz) = (1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz);
+        let curl = Curl::new(g, [ex, ey, ez], g.dt * frac);
+        // the box's cells below the row's x-wrapping end cell
+        let inner = xs.start..xs.end.min(g.nx - 1).max(xs.start);
         for iz in zs {
             for iy in ys.clone() {
-                for ix in xs.clone() {
-                    let v = g.voxel(ix, iy, iz);
-                    let xp = g.neighbor(v, (1, 0, 0));
-                    let yp = g.neighbor(v, (0, 1, 0));
-                    let zp = g.neighbor(v, (0, 0, 1));
-                    bx[v] -= dt * ((ez[yp] - ez[v]) * rdy - (ey[zp] - ey[v]) * rdz);
-                    by[v] -= dt * ((ex[zp] - ex[v]) * rdz - (ez[xp] - ez[v]) * rdx);
-                    bz[v] -= dt * ((ey[xp] - ey[v]) * rdx - (ex[yp] - ex[v]) * rdy);
+                let st = g.row_stencil(iy + g.ny * iz, StencilSide::Plus);
+                let mut sweep = |xs: Range<usize>, xq: usize| {
+                    let cells = st.row + xs.start..st.row + xs.end;
+                    let dst = [&mut bx[cells.clone()], &mut by[cells.clone()], &mut bz[cells]];
+                    curl.e_fused(span(&st, xs.start, xq), dst);
+                };
+                sweep(inner.clone(), inner.start + 1);
+                if inner.end < xs.end {
+                    sweep(g.nx - 1..g.nx, 0);
                 }
             }
         }
@@ -313,107 +355,34 @@ impl FieldArray {
     }
 
     /// [`FieldArray::advance_e`] with the row sweep distributed over
-    /// `space` and the interior span vectorized per `strategy`.
+    /// `space` and each row's span vectorized per `strategy`.
     /// Bit-identical to [`FieldArray::advance_e_ref`] for every strategy,
     /// space, and worker count.
     pub fn advance_e_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, jx, jy, jz } = self;
-        let dt = g.dt;
-        let (rdx, rdy, rdz) = (1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz);
-        let (bx, by, bz) = (bx.as_slice(), by.as_slice(), bz.as_slice());
-        let (jx, jy, jz) = (jx.as_slice(), jy.as_slice(), jz.as_slice());
-        let (sy, sz) = (g.nx, g.nx * g.ny);
+        let curl = Curl::new(g, [bx, by, bz], g.dt);
+        let j: [&[f32]; 3] = [jx, jy, jz];
         let nx = g.nx;
         let pex = SendPtr::new(ex.as_mut_ptr());
         let pey = SendPtr::new(ey.as_mut_ptr());
         let pez = SendPtr::new(ez.as_mut_ptr());
         let g = &*g;
         space.parallel_for(g.rows(), move |r| {
-            let row = g.row_range(r);
-            let v0 = row.start;
+            let st = g.row_stencil(r, StencilSide::Minus);
             // SAFETY: rows are disjoint; this invocation exclusively owns
             // row `r`'s span of each E array.
-            let (exr, eyr, ezr) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(pex.get().add(v0), nx),
-                    std::slice::from_raw_parts_mut(pey.get().add(v0), nx),
-                    std::slice::from_raw_parts_mut(pez.get().add(v0), nx),
-                )
-            };
-            let inner = g.interior_xs(r, StencilSide::Minus);
+            let [(exe, exr), (eye, eyr), (eze, ezr)] = [pex, pey, pez].map(|p| unsafe {
+                std::slice::from_raw_parts_mut(p.get().add(st.row), nx).split_at_mut(1)
+            });
+            let (at, inner) = (span(&st, 1, 0), [exr, eyr, ezr]);
             match strategy {
-                Strategy::Auto => {
-                    for ix in inner.clone() {
-                        let v = v0 + ix;
-                        exr[ix] +=
-                            dt * ((bz[v] - bz[v - sy]) * rdy - (by[v] - by[v - sz]) * rdz - jx[v]);
-                        eyr[ix] +=
-                            dt * ((bx[v] - bx[v - sz]) * rdz - (bz[v] - bz[v - 1]) * rdx - jy[v]);
-                        ezr[ix] +=
-                            dt * ((by[v] - by[v - 1]) * rdx - (bx[v] - bx[v - sy]) * rdy - jz[v]);
-                    }
-                }
-                Strategy::Guided => {
-                    curl_b_pass::<f32>(bz, sy, rdy, by, sz, rdz, jx, exr, v0, inner.clone(), dt);
-                    curl_b_pass::<f32>(bx, sz, rdz, bz, 1, rdx, jy, eyr, v0, inner.clone(), dt);
-                    curl_b_pass::<f32>(by, 1, rdx, bx, sy, rdy, jz, ezr, v0, inner.clone(), dt);
-                }
-                Strategy::Manual => {
-                    curl_b_pass::<SimdF32<4>>(
-                        bz,
-                        sy,
-                        rdy,
-                        by,
-                        sz,
-                        rdz,
-                        jx,
-                        exr,
-                        v0,
-                        inner.clone(),
-                        dt,
-                    );
-                    curl_b_pass::<SimdF32<4>>(
-                        bx,
-                        sz,
-                        rdz,
-                        bz,
-                        1,
-                        rdx,
-                        jy,
-                        eyr,
-                        v0,
-                        inner.clone(),
-                        dt,
-                    );
-                    curl_b_pass::<SimdF32<4>>(
-                        by,
-                        1,
-                        rdx,
-                        bx,
-                        sy,
-                        rdy,
-                        jz,
-                        ezr,
-                        v0,
-                        inner.clone(),
-                        dt,
-                    );
-                }
-                Strategy::AdHoc => {
-                    curl_b_pass::<V4F32>(bz, sy, rdy, by, sz, rdz, jx, exr, v0, inner.clone(), dt);
-                    curl_b_pass::<V4F32>(bx, sz, rdz, bz, 1, rdx, jy, eyr, v0, inner.clone(), dt);
-                    curl_b_pass::<V4F32>(by, 1, rdx, bx, sy, rdy, jz, ezr, v0, inner.clone(), dt);
-                }
+                Strategy::Auto => curl.b_fused(j, at, inner),
+                Strategy::Guided => curl.b_split::<f32>(j, at, inner),
+                Strategy::Manual => curl.b_split::<SimdF32<4>>(j, at, inner),
+                Strategy::AdHoc => curl.b_split::<V4F32>(j, at, inner),
             }
-            for ix in (0..inner.start).chain(inner.end..nx) {
-                let v = v0 + ix;
-                let xm = g.neighbor(v, (-1, 0, 0));
-                let ym = g.neighbor(v, (0, -1, 0));
-                let zm = g.neighbor(v, (0, 0, -1));
-                exr[ix] += dt * ((bz[v] - bz[ym]) * rdy - (by[v] - by[zm]) * rdz - jx[v]);
-                eyr[ix] += dt * ((bx[v] - bx[zm]) * rdz - (bz[v] - bz[xm]) * rdx - jy[v]);
-                ezr[ix] += dt * ((by[v] - by[xm]) * rdx - (bx[v] - bx[ym]) * rdy - jz[v]);
-            }
+            // the end cell's −x neighbor is the row's last cell
+            curl.b_fused(j, span(&st, 0, nx - 1), [exe, eye, eze]);
         });
     }
 

@@ -4,20 +4,40 @@
 //! x-fastest. There are no ghost layers: the grid is single-domain
 //! periodic and neighbor lookups wrap modularly (the `cluster` crate
 //! models multi-domain decomposition and its halo traffic separately).
+//! The row sweeps of the field pipeline pay for the wrap once per x-row
+//! ([`Grid::row_stencil`]); [`Grid::neighbor`] is the per-cell form the
+//! serial references and the push's crossing path use.
 
 use serde::Serialize;
 use std::ops::Range;
 
-/// Which side a stencil's neighbor offsets point to, for
-/// [`Grid::interior_xs`]: a *plus*-side stencil reads `+1, +nx, +nx·ny`
-/// (curl-E, interpolator load), a *minus*-side stencil reads
-/// `−1, −nx, −nx·ny` (curl-B, accumulator gather).
+/// Which side a stencil's neighbors lie on, for [`Grid::row_stencil`]: a
+/// *plus*-side stencil reads `+x̂, +ŷ, +ẑ` (curl-E, interpolator load), a
+/// *minus*-side stencil reads `−x̂, −ŷ, −ẑ` (curl-B, accumulator gather).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StencilSide {
-    /// Neighbors at `+1, +nx, +nx·ny`.
+    /// Neighbors one cell up each axis.
     Plus,
-    /// Neighbors at `−1, −nx, −nx·ny`.
+    /// Neighbors one cell down each axis.
     Minus,
+}
+
+/// Where the neighbors of one x-row live: the base voxel (`ix = 0`) of
+/// the row and of the rows one step along y, along z, and along both, on
+/// one [`StencilSide`], wrapped periodically (a dimension of one cell
+/// wraps onto itself). Cell `ix`'s y-neighbor is `y + ix`, and so on; its
+/// x-neighbor is `row + ix ± 1` except for the one end cell of the row,
+/// whose x-neighbor is the row's other end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowStencil {
+    /// Base voxel of the row itself.
+    pub row: usize,
+    /// Base voxel of the `±ŷ` neighbor row.
+    pub y: usize,
+    /// Base voxel of the `±ẑ` neighbor row.
+    pub z: usize,
+    /// Base voxel of the `±ŷ ±ẑ` (diagonal) neighbor row.
+    pub yz: usize,
 }
 
 /// Grid geometry and time step.
@@ -115,31 +135,23 @@ impl Grid {
         (r % self.ny, r / self.ny)
     }
 
-    /// The x-range of row `r` whose cells are *interior* for a stencil on
-    /// `side`: every neighbor offset is affine (`±1, ±nx, ±nx·ny` with no
-    /// periodic wrap), so a sweep over this span needs no `neighbor` calls
-    /// and vectorizes. Rows on the wrapping face — and every row of a
-    /// degenerate dimension (`n == 1` wraps to itself) — return an empty
-    /// range; those cells take the general wrapped path.
+    /// The neighbor rows of row `r` on `side` — the periodic wrap in y and
+    /// z, paid once per row instead of once per cell. Every row is then
+    /// swept at unit stride with loop-invariant bases (`0..nx−1` on the
+    /// plus side, `1..nx` on the minus side), and only the one end cell
+    /// whose x-neighbor wraps is handled apart, from the same bases.
     #[inline(always)]
-    pub fn interior_xs(&self, r: usize, side: StencilSide) -> Range<usize> {
+    pub fn row_stencil(&self, r: usize, side: StencilSide) -> RowStencil {
         let (iy, iz) = self.row_coords(r);
-        match side {
-            StencilSide::Plus => {
-                if iy + 1 < self.ny && iz + 1 < self.nz && self.nx > 1 {
-                    0..self.nx - 1
-                } else {
-                    0..0
-                }
-            }
-            StencilSide::Minus => {
-                if iy >= 1 && iz >= 1 {
-                    1..self.nx
-                } else {
-                    0..0
-                }
-            }
-        }
+        let step = |i: usize, n: usize| match side {
+            StencilSide::Plus if i + 1 == n => 0,
+            StencilSide::Plus => i + 1,
+            StencilSide::Minus if i == 0 => n - 1,
+            StencilSide::Minus => i - 1,
+        };
+        let (jy, jz) = (step(iy, self.ny), step(iz, self.nz));
+        let base = |iy: usize, iz: usize| self.nx * (iy + self.ny * iz);
+        RowStencil { row: base(iy, iz), y: base(jy, iz), z: base(iy, jz), yz: base(jy, jz) }
     }
 
     /// Physical domain volume.
@@ -232,48 +244,29 @@ mod tests {
     }
 
     #[test]
-    fn interior_cells_have_affine_neighbors() {
-        for (nx, ny, nz) in [(4, 3, 5), (1, 4, 4), (4, 1, 4), (4, 4, 1), (2, 2, 2), (1, 1, 1)] {
+    fn row_stencil_equals_neighbor_on_both_sides() {
+        for (nx, ny, nz) in [(5, 4, 3), (2, 2, 2), (1, 4, 4), (6, 1, 2), (3, 1, 1), (1, 1, 1)] {
             let g = Grid::new(nx, ny, nz);
-            let (sx, sy, sz) = (1isize, nx as isize, (nx * ny) as isize);
-            for r in 0..g.rows() {
-                let row = g.row_range(r);
-                for ix in g.interior_xs(r, StencilSide::Plus) {
-                    let v = row.start + ix;
-                    assert_eq!(g.neighbor(v, (1, 0, 0)) as isize, v as isize + sx);
-                    assert_eq!(g.neighbor(v, (0, 1, 0)) as isize, v as isize + sy);
-                    assert_eq!(g.neighbor(v, (0, 0, 1)) as isize, v as isize + sz);
-                    assert_eq!(g.neighbor(v, (0, 1, 1)) as isize, v as isize + sy + sz);
-                    assert_eq!(g.neighbor(v, (1, 1, 0)) as isize, v as isize + sx + sy);
-                    assert_eq!(g.neighbor(v, (1, 0, 1)) as isize, v as isize + sx + sz);
-                }
-                for ix in g.interior_xs(r, StencilSide::Minus) {
-                    let v = row.start + ix;
-                    assert_eq!(g.neighbor(v, (-1, 0, 0)) as isize, v as isize - sx);
-                    assert_eq!(g.neighbor(v, (0, -1, 0)) as isize, v as isize - sy);
-                    assert_eq!(g.neighbor(v, (0, 0, -1)) as isize, v as isize - sz);
+            for (side, d) in [(StencilSide::Plus, 1), (StencilSide::Minus, -1)] {
+                for r in 0..g.rows() {
+                    let st = g.row_stencil(r, side);
+                    assert_eq!(st.row, g.row_range(r).start);
+                    for ix in 0..nx {
+                        let v = st.row + ix;
+                        let what = format!("{side:?} row {r} ix {ix} ({nx},{ny},{nz})");
+                        assert_eq!(st.y + ix, g.neighbor(v, (0, d, 0)), "y {what}");
+                        assert_eq!(st.z + ix, g.neighbor(v, (0, 0, d)), "z {what}");
+                        assert_eq!(st.yz + ix, g.neighbor(v, (0, d, d)), "yz {what}");
+                        // the x-neighbor the row sweeps use: the next cell,
+                        // or the row's other end from its end cell
+                        let end = if d == 1 { nx - 1 } else { 0 };
+                        let xq = if ix == end { nx - 1 - end } else { (ix as isize + d) as usize };
+                        assert_eq!(st.row + xq, g.neighbor(v, (d, 0, 0)), "x {what}");
+                        assert_eq!(st.y + xq, g.neighbor(v, (d, d, 0)), "xy {what}");
+                        assert_eq!(st.z + xq, g.neighbor(v, (d, 0, d)), "xz {what}");
+                    }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn degenerate_dims_have_empty_interiors() {
-        for side in [StencilSide::Plus, StencilSide::Minus] {
-            let g = Grid::new(1, 1, 1);
-            assert!(g.interior_xs(0, side).is_empty());
-            // ny == 1: every row wraps in y on both sides
-            let g = Grid::new(8, 1, 4);
-            for r in 0..g.rows() {
-                assert!(g.interior_xs(r, side).is_empty(), "{side:?} row {r}");
-            }
-        }
-        // interior counts: plus side owns (nx-1)(ny-1)(nz-1) cells,
-        // minus side the same count shifted
-        let g = Grid::new(4, 3, 5);
-        for side in [StencilSide::Plus, StencilSide::Minus] {
-            let n: usize = (0..g.rows()).map(|r| g.interior_xs(r, side).len()).sum();
-            assert_eq!(n, (g.nx - 1) * (g.ny - 1) * (g.nz - 1), "{side:?}");
         }
     }
 

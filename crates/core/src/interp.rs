@@ -11,11 +11,17 @@
 //! coefficients over its two transverse directions in cell-relative
 //! coordinates `∈ [-1, 1]`; for each B component, the linear coefficient
 //! along its normal direction.
+//!
+//! [`load_interpolators_into`] rebuilds the array every step, one x-row
+//! at a time from the row's neighbor rows
+//! ([`crate::grid::Grid::row_stencil`]), overwriting a persistent
+//! [`InterpolatorArray`] that is never filled first: 72 bytes written per
+//! cell is the kernel's roof, and a zero-fill before the sweep would
+//! double it.
 
 use crate::field::FieldArray;
 use crate::grid::StencilSide;
 use pk::{ExecSpace, SendPtr};
-use std::ops::Range;
 use vsimd::v4::V4F32;
 use vsimd::{SimdF32, StencilLane, Strategy, Xyz};
 
@@ -84,11 +90,11 @@ impl Interpolator {
 
 /// A persistent, step-reusable interpolator buffer.
 ///
-/// [`load_interpolators_into`] refills it in place, so a buffer owned by
-/// the simulation allocates once (on the first step, or when the grid
-/// grows) and is alloc-free on every later step — the per-step
-/// `vec![Interpolator::default(); cells]` the serial reference pays is
-/// exactly what this type removes.
+/// [`load_interpolators_into`] overwrites it in place, so a buffer owned
+/// by the simulation allocates once (on the first step, or when the grid
+/// grows) and is neither reallocated nor zero-filled on any later step —
+/// the per-step `vec![Interpolator::default(); cells]` the serial
+/// reference pays is exactly what this type removes.
 #[derive(Debug, Clone, Default)]
 pub struct InterpolatorArray {
     data: Vec<Interpolator>,
@@ -129,102 +135,84 @@ impl std::ops::Deref for InterpolatorArray {
     }
 }
 
-/// One single-E-component interior pass: the four bilinear coefficients of
-/// `a` over its transverse offsets `(s1, s2)`, written to coefficient
-/// indices `C0..C0+4`. Lane-width generic with a scalar re-entry tail, so
-/// every [`Strategy`] walks the identical op tree (see
-/// [`vsimd::stencil`]).
+/// One E component's pass over `out.len()` consecutive cells: the four
+/// bilinear coefficients of `a` from its edges `(e00, e10, e01, e11)`,
+/// which for the first cell sit at the voxels `at` and for the others at
+/// the same offsets from them, written to coefficient indices
+/// `C0..C0+4`. Lane-width generic with a scalar re-entry tail, so every
+/// [`Strategy`] walks the identical op tree (see [`vsimd::stencil`]).
 #[inline(always)]
-fn e_pass<const C0: usize, L: StencilLane>(
-    a: &[f32],
-    s1: usize,
-    s2: usize,
-    out: &mut [Interpolator],
-    v0: usize,
-    xs: Range<usize>,
-) {
+fn e_pass<const C0: usize, L: StencilLane>(a: &[f32], at: [usize; 4], out: &mut [Interpolator]) {
     let quarter = L::splat(0.25);
-    let mut ix = xs.start;
-    while ix + L::LANES <= xs.end {
-        let v = v0 + ix;
+    let mut k = 0;
+    while k + L::LANES <= out.len() {
         let (e00, e10, e01, e11) =
-            (L::load(a, v), L::load(a, v + s1), L::load(a, v + s2), L::load(a, v + s1 + s2));
+            (L::load(a, at[0] + k), L::load(a, at[1] + k), L::load(a, at[2] + k), L::load(a, at[3] + k));
         let c0 = quarter.mul(e00.add(e10).add(e01).add(e11));
         let c1 = quarter.mul(e10.add(e11).sub(e00.add(e01)));
         let c2 = quarter.mul(e01.add(e11).sub(e00.add(e10)));
         let c3 = quarter.mul(e00.add(e11).sub(e10.add(e01)));
         for l in 0..L::LANES {
-            let c = &mut out[ix + l].0;
+            let c = &mut out[k + l].0;
             c[C0] = c0.extract(l);
             c[C0 + 1] = c1.extract(l);
             c[C0 + 2] = c2.extract(l);
             c[C0 + 3] = c3.extract(l);
         }
-        ix += L::LANES;
+        k += L::LANES;
     }
-    if ix < xs.end {
-        e_pass::<C0, f32>(a, s1, s2, out, v0, ix..xs.end);
+    if k < out.len() {
+        e_pass::<C0, f32>(a, at.map(|i| i + k), &mut out[k..]);
     }
 }
 
-/// One single-B-component interior pass: midpoint and slope of `a` along
-/// its normal stride `s`, written to coefficient indices `C0..C0+2`.
+/// One B component's pass over `out.len()` consecutive cells: midpoint
+/// and slope of `a` between the first cell's faces at the voxels `at`
+/// (the cell's own and its normal neighbor's), written to coefficient
+/// indices `C0..C0+2`.
 #[inline(always)]
-fn b_pass<const C0: usize, L: StencilLane>(
-    a: &[f32],
-    s: usize,
-    out: &mut [Interpolator],
-    v0: usize,
-    xs: Range<usize>,
-) {
+fn b_pass<const C0: usize, L: StencilLane>(a: &[f32], at: [usize; 2], out: &mut [Interpolator]) {
     let half = L::splat(0.5);
-    let mut ix = xs.start;
-    while ix + L::LANES <= xs.end {
-        let v = v0 + ix;
-        let (b0, b1) = (L::load(a, v), L::load(a, v + s));
+    let mut k = 0;
+    while k + L::LANES <= out.len() {
+        let (b0, b1) = (L::load(a, at[0] + k), L::load(a, at[1] + k));
         let c0 = half.mul(b0.add(b1));
         let c1 = half.mul(b1.sub(b0));
         for l in 0..L::LANES {
-            let c = &mut out[ix + l].0;
+            let c = &mut out[k + l].0;
             c[C0] = c0.extract(l);
             c[C0 + 1] = c1.extract(l);
         }
-        ix += L::LANES;
+        k += L::LANES;
     }
-    if ix < xs.end {
-        b_pass::<C0, f32>(a, s, out, v0, ix..xs.end);
+    if k < out.len() {
+        b_pass::<C0, f32>(a, at.map(|i| i + k), &mut out[k..]);
     }
 }
 
-/// All six split passes for one interior span (guided/manual/ad hoc).
+/// The voxels one record reads, besides the cell's own `v`: its neighbors
+/// at `+x̂`, `+ŷ`, `+ẑ`, `+ŷ+ẑ`, `+ẑ+x̂` and `+x̂+ŷ`.
+type Neighborhood = [usize; 7];
+
+/// All six split passes (guided/manual/ad hoc) over `out.len()`
+/// consecutive cells, the first with the neighborhood `at`.
 #[inline(always)]
-fn split_passes<L: StencilLane>(
-    f: &FieldArray,
-    sy: usize,
-    sz: usize,
-    out: &mut [Interpolator],
-    v0: usize,
-    xs: Range<usize>,
-) {
-    e_pass::<EX0, L>(&f.ex, sy, sz, out, v0, xs.clone());
-    e_pass::<EY0, L>(&f.ey, sz, 1, out, v0, xs.clone());
-    e_pass::<EZ0, L>(&f.ez, 1, sy, out, v0, xs.clone());
-    b_pass::<CBX0, L>(&f.bx, 1, out, v0, xs.clone());
-    b_pass::<CBY0, L>(&f.by, sy, out, v0, xs.clone());
-    b_pass::<CBZ0, L>(&f.bz, sz, out, v0, xs);
+fn split_passes<L: StencilLane>(f: &FieldArray, at: Neighborhood, out: &mut [Interpolator]) {
+    let [v, xp, yp, zp, ypzp, zpxp, xpyp] = at;
+    e_pass::<EX0, L>(&f.ex, [v, yp, zp, ypzp], out);
+    e_pass::<EY0, L>(&f.ey, [v, zp, xp, zpxp], out);
+    e_pass::<EZ0, L>(&f.ez, [v, xp, yp, xpyp], out);
+    b_pass::<CBX0, L>(&f.bx, [v, xp], out);
+    b_pass::<CBY0, L>(&f.by, [v, yp], out);
+    b_pass::<CBZ0, L>(&f.bz, [v, zp], out);
 }
 
-/// The general wrapped per-cell record (boundary shell and the serial
-/// reference share this body).
+/// One cell's record from its neighborhood, fused: the body of the
+/// *auto* loop, of every row's x-wrapping end cell and of the serial
+/// reference.
 #[inline(always)]
-fn load_cell_wrapped(f: &FieldArray, v: usize, c: &mut [f32; COEFFS]) {
-    let g = &f.grid;
-    let xp = g.neighbor(v, (1, 0, 0));
-    let yp = g.neighbor(v, (0, 1, 0));
-    let zp = g.neighbor(v, (0, 0, 1));
-    let ypzp = g.neighbor(v, (0, 1, 1));
-    let zpxp = g.neighbor(v, (1, 0, 1));
-    let xpyp = g.neighbor(v, (1, 1, 0));
+fn load_cell(f: &FieldArray, at: Neighborhood, c: &mut [f32; COEFFS]) {
+    let [v, xp, yp, zp, ypzp, zpxp, xpyp] = at;
     // ex: bilinear over (y, z); edges at (y∓, z∓)
     let (e00, e10, e01, e11) = (f.ex[v], f.ex[yp], f.ex[zp], f.ex[ypzp]);
     c[EX0] = 0.25 * (e00 + e10 + e01 + e11);
@@ -252,12 +240,31 @@ fn load_cell_wrapped(f: &FieldArray, v: usize, c: &mut [f32; COEFFS]) {
     c[DCBZDZ] = 0.5 * (f.bz[zp] - f.bz[v]);
 }
 
+/// The serial reference's record: the neighborhood from
+/// [`crate::grid::Grid::neighbor`], one wrap per lookup.
+#[inline(always)]
+fn load_cell_wrapped(f: &FieldArray, v: usize, c: &mut [f32; COEFFS]) {
+    let g = &f.grid;
+    let at = [
+        v,
+        g.neighbor(v, (1, 0, 0)),
+        g.neighbor(v, (0, 1, 0)),
+        g.neighbor(v, (0, 0, 1)),
+        g.neighbor(v, (0, 1, 1)),
+        g.neighbor(v, (1, 0, 1)),
+        g.neighbor(v, (1, 1, 0)),
+    ];
+    load_cell(f, at, c);
+}
+
 /// Refill `out` from the current fields with the row sweep distributed
-/// over `space` and the interior span handled per `strategy` (the
-/// interior/boundary split of [`crate::grid::Grid::interior_xs`]).
-/// Bit-identical to [`load_interpolators`] for every strategy, space, and
-/// worker count; allocates only when `out`'s capacity is below the cell
-/// count.
+/// over `space`. Each row reads its neighbor rows through
+/// [`crate::grid::Grid::row_stencil`]: the cells `0..nx−1` as one span per
+/// `strategy`, the x-wrapping end cell from the same bases. Bit-identical
+/// to [`load_interpolators`] for every strategy, space, and worker count.
+/// Every record is overwritten, so nothing is filled first: `out` is
+/// resized only when its length is not the cell count, and allocates only
+/// when its capacity is below it.
 pub fn load_interpolators_into<S: ExecSpace>(
     space: &S,
     strategy: Strategy,
@@ -265,59 +272,33 @@ pub fn load_interpolators_into<S: ExecSpace>(
     out: &mut InterpolatorArray,
 ) {
     let g = &f.grid;
-    let n = g.cells();
-    out.data.clear();
-    out.data.resize(n, Interpolator::default());
+    if out.data.len() != g.cells() {
+        out.data.resize(g.cells(), Interpolator::default());
+    }
     let nx = g.nx;
-    let (sy, sz) = (g.nx, g.nx * g.ny);
     let pout = SendPtr::new(out.data.as_mut_ptr());
     space.parallel_for(g.rows(), move |r| {
-        let row = g.row_range(r);
-        let v0 = row.start;
+        let st = g.row_stencil(r, StencilSide::Plus);
         // SAFETY: rows are disjoint; this invocation exclusively owns row
         // `r`'s span of the output.
-        let outr = unsafe { std::slice::from_raw_parts_mut(pout.get().add(v0), nx) };
-        let inner = g.interior_xs(r, StencilSide::Plus);
+        let outr = unsafe { std::slice::from_raw_parts_mut(pout.get().add(st.row), nx) };
+        // cell `x` of the row, with its +x neighbor at `xq`
+        let at = |x: usize, xq: usize| -> Neighborhood {
+            [st.row + x, st.row + xq, st.y + x, st.z + x, st.yz + x, st.z + xq, st.y + xq]
+        };
+        let (inner, end) = outr.split_at_mut(nx - 1);
         match strategy {
             Strategy::Auto => {
-                // fused plain loop with affine offsets
-                for ix in inner.clone() {
-                    let v = v0 + ix;
-                    let c = &mut outr[ix].0;
-                    let (e00, e10, e01, e11) =
-                        (f.ex[v], f.ex[v + sy], f.ex[v + sz], f.ex[v + sy + sz]);
-                    c[EX0] = 0.25 * (e00 + e10 + e01 + e11);
-                    c[DEXDY] = 0.25 * ((e10 + e11) - (e00 + e01));
-                    c[DEXDZ] = 0.25 * ((e01 + e11) - (e00 + e10));
-                    c[D2EXDYDZ] = 0.25 * ((e00 + e11) - (e10 + e01));
-                    let (e00, e10, e01, e11) =
-                        (f.ey[v], f.ey[v + sz], f.ey[v + 1], f.ey[v + sz + 1]);
-                    c[EY0] = 0.25 * (e00 + e10 + e01 + e11);
-                    c[DEYDZ] = 0.25 * ((e10 + e11) - (e00 + e01));
-                    c[DEYDX] = 0.25 * ((e01 + e11) - (e00 + e10));
-                    c[D2EYDZDX] = 0.25 * ((e00 + e11) - (e10 + e01));
-                    let (e00, e10, e01, e11) =
-                        (f.ez[v], f.ez[v + 1], f.ez[v + sy], f.ez[v + 1 + sy]);
-                    c[EZ0] = 0.25 * (e00 + e10 + e01 + e11);
-                    c[DEZDX] = 0.25 * ((e10 + e11) - (e00 + e01));
-                    c[DEZDY] = 0.25 * ((e01 + e11) - (e00 + e10));
-                    c[D2EZDXDY] = 0.25 * ((e00 + e11) - (e10 + e01));
-                    c[CBX0] = 0.5 * (f.bx[v] + f.bx[v + 1]);
-                    c[DCBXDX] = 0.5 * (f.bx[v + 1] - f.bx[v]);
-                    c[CBY0] = 0.5 * (f.by[v] + f.by[v + sy]);
-                    c[DCBYDY] = 0.5 * (f.by[v + sy] - f.by[v]);
-                    c[CBZ0] = 0.5 * (f.bz[v] + f.bz[v + sz]);
-                    c[DCBZDZ] = 0.5 * (f.bz[v + sz] - f.bz[v]);
+                // fused plain loop, left to LLVM
+                for (x, rec) in inner.iter_mut().enumerate() {
+                    load_cell(f, at(x, x + 1), &mut rec.0);
                 }
             }
-            Strategy::Guided => split_passes::<f32>(f, sy, sz, outr, v0, inner.clone()),
-            Strategy::Manual => split_passes::<SimdF32<4>>(f, sy, sz, outr, v0, inner.clone()),
-            Strategy::AdHoc => split_passes::<V4F32>(f, sy, sz, outr, v0, inner.clone()),
+            Strategy::Guided => split_passes::<f32>(f, at(0, 1), inner),
+            Strategy::Manual => split_passes::<SimdF32<4>>(f, at(0, 1), inner),
+            Strategy::AdHoc => split_passes::<V4F32>(f, at(0, 1), inner),
         }
-        // boundary shell: general periodic path
-        for ix in (0..inner.start).chain(inner.end..nx) {
-            load_cell_wrapped(f, v0 + ix, &mut outr[ix].0);
-        }
+        load_cell(f, at(nx - 1, 0), &mut end[0].0);
     });
 }
 
@@ -410,21 +391,26 @@ mod tests {
         assert!((ip.b_at(0.0, 0.0, 0.0).0 - 15.0).abs() < 1e-6);
     }
 
+    /// Deterministic non-trivial E and B for bit-identity checks.
+    fn scrambled(g: &Grid) -> FieldArray {
+        let mut f = FieldArray::new(g.clone());
+        for v in 0..g.cells() {
+            let x = v as f32;
+            f.ex[v] = (x * 0.618).sin();
+            f.ey[v] = (x * 0.414).cos();
+            f.ez[v] = (x * 0.732).sin();
+            f.bx[v] = (x * 0.271).cos();
+            f.by[v] = (x * 0.161).sin();
+            f.bz[v] = (x * 0.577).cos();
+        }
+        f
+    }
+
     #[test]
     fn load_into_matches_reference_bitwise_for_all_strategies() {
         let threads = pk::Threads::new(3);
         for (nx, ny, nz) in [(6, 5, 4), (2, 2, 2), (1, 4, 4), (5, 1, 3), (1, 1, 1)] {
-            let g = Grid::new(nx, ny, nz);
-            let mut f = FieldArray::new(g.clone());
-            for v in 0..g.cells() {
-                let x = v as f32;
-                f.ex[v] = (x * 0.618).sin();
-                f.ey[v] = (x * 0.414).cos();
-                f.ez[v] = (x * 0.732).sin();
-                f.bx[v] = (x * 0.271).cos();
-                f.by[v] = (x * 0.161).sin();
-                f.bz[v] = (x * 0.577).cos();
-            }
+            let f = scrambled(&Grid::new(nx, ny, nz));
             let reference = load_interpolators(&f);
             let mut buf = InterpolatorArray::new();
             for strategy in Strategy::ALL {
@@ -443,6 +429,20 @@ mod tests {
                 for (v, (a, b)) in reference.iter().zip(buf.as_slice()).enumerate() {
                     assert_eq!(a, b, "threads cell {v} {strategy:?} ({nx},{ny},{nz})");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_buffer_reloaded_for_another_grid_keeps_no_stale_record() {
+        // nothing is filled before the sweep, so every record must be
+        // written by it: a smaller grid, then a larger one, in one buffer
+        for strategy in Strategy::ALL {
+            let mut buf = InterpolatorArray::new();
+            for (nx, ny, nz) in [(6, 5, 4), (3, 2, 2), (7, 6, 5)] {
+                let f = scrambled(&Grid::new(nx, ny, nz));
+                load_interpolators_into(&pk::Serial, strategy, &f, &mut buf);
+                assert_eq!(buf.as_slice(), load_interpolators(&f), "{strategy:?} ({nx},{ny},{nz})");
             }
         }
     }

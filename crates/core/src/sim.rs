@@ -604,11 +604,10 @@ impl Simulation {
         worst
     }
 
-    /// Capacities of the step-persistent field-pipeline scratch — the
-    /// interpolator buffer and the accumulator's collect scratch — for
-    /// no-alloc-after-warmup assertions.
-    pub fn field_scratch_capacities(&self) -> (usize, usize) {
-        (self.interp.capacity(), self.acc.scratch_capacity())
+    /// Capacity of the field pipeline's one step-persistent scratch, the
+    /// interpolator buffer, for no-alloc-after-warmup assertions.
+    pub fn field_scratch_capacity(&self) -> usize {
+        self.interp.capacity()
     }
 
     /// Rebuild the accumulator for a different worker count / scatter

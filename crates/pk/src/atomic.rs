@@ -230,34 +230,14 @@ impl ScatterBuf {
         }
     }
 
-    /// Reduce all contributions into a plain vector.
+    /// Reduce all contributions into a plain vector, replicas summed in
+    /// replica order.
     pub fn collect(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.collect_into(&mut out);
-        out
-    }
-
-    /// [`ScatterBuf::collect`], but into caller-owned scratch: `out` is
-    /// cleared and refilled in place, so a buffer reused across steps
-    /// allocates only until its capacity first reaches `len` (the
-    /// no-alloc-after-warmup contract the accumulator unload relies on).
-    /// Replicas are summed in replica order, identical to `collect`.
-    pub fn collect_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.len, 0.0);
         match self.mode {
-            ScatterMode::Atomic => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.shared.load(i);
-                }
-            }
-            ScatterMode::Duplicated => {
-                for r in &self.replicas {
-                    for (i, o) in out.iter_mut().enumerate() {
-                        *o += r.load(i);
-                    }
-                }
-            }
+            ScatterMode::Atomic => self.shared.to_vec(),
+            ScatterMode::Duplicated => (0..self.len)
+                .map(|i| self.replicas.iter().fold(0.0, |sum, r| sum + r.load(i)))
+                .collect(),
         }
     }
 
@@ -407,6 +387,23 @@ impl LaneWriter<'_> {
     }
 }
 
+/// One lane of a [`FixedScatterBuf`], read in place: what a gather over
+/// finished deposits reads instead of a [`FixedScatterBuf::collect`]ed
+/// copy. An accumulator's total is the wrapping sum of
+/// [`LaneTotals::raw`] over [`FixedScatterBuf::lane_totals`]; a reader
+/// that counts the lanes once, outside its loop, pays nothing for the
+/// replicas a buffer does not have.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneTotals<'a>(&'a [AtomicI64]);
+
+impl LaneTotals<'_> {
+    /// This lane's raw fixed-point contribution to accumulator `i`.
+    #[inline(always)]
+    pub fn raw(&self, i: usize) -> i64 {
+        self.0[i].load(Ordering::Relaxed)
+    }
+}
+
 /// A scatter-accumulation buffer over fixed-point `i64` accumulators.
 ///
 /// Same shape as [`ScatterBuf`] (one shared lane, or one replica lane per
@@ -422,8 +419,8 @@ impl LaneWriter<'_> {
 /// ([`FixedScatterBuf::claim`]): *sole* writers add without atomics,
 /// *shared* writers with `fetch_add`, and one `RwLock` per lane makes the
 /// two kinds wait for each other instead of losing an add. Reads
-/// (`get_raw`, `collect`) take no claim; they are exact once the writers
-/// are done.
+/// (`get_raw`, `lane_totals`, `collect`) take no claim; they are exact
+/// once the writers are done.
 #[derive(Debug)]
 pub struct FixedScatterBuf {
     mode: ScatterMode,
@@ -520,11 +517,18 @@ impl FixedScatterBuf {
         self.claim(worker, Claim::Shared).add_raw_run(i, &[raw]);
     }
 
+    /// Every lane, read-only and in replica order (never empty): the
+    /// shared lane alone, or one per replica.
+    #[inline]
+    pub fn lane_totals(&self) -> impl ExactSizeIterator<Item = LaneTotals<'_>> + Clone {
+        self.lanes.iter().map(|lane| LaneTotals(&lane.slots))
+    }
+
     /// Read one accumulator's raw fixed-point total (every lane's
     /// contribution, summed with wrapping adds).
     #[inline]
     pub fn get_raw(&self, i: usize) -> i64 {
-        self.lanes.iter().fold(0i64, |acc, l| acc.wrapping_add(l.slots[i].load(Ordering::Relaxed)))
+        self.lane_totals().fold(0i64, |acc, lane| acc.wrapping_add(lane.raw(i)))
     }
 
     /// Every accumulator's raw total in slot order, the first lane's slots
@@ -556,19 +560,9 @@ impl FixedScatterBuf {
         }
     }
 
-    /// Reduce all contributions into caller-owned scratch as `f64`
-    /// (cleared and refilled in place; no allocation once capacity has
-    /// warmed up, matching [`ScatterBuf::collect_into`]).
-    pub fn collect_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.raw_totals().map(Self::dequantize));
-    }
-
     /// Reduce all contributions into a plain vector.
     pub fn collect(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.collect_into(&mut out);
-        out
+        self.raw_totals().map(Self::dequantize).collect()
     }
 
     /// Zero every accumulator, each lane under a sole claim.
@@ -644,27 +638,6 @@ mod tests {
             for &v in &out {
                 assert!((v - adds as f64 / n as f64).abs() <= 1.0);
             }
-        }
-    }
-
-    #[test]
-    fn collect_into_matches_collect_and_reuses_capacity() {
-        for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
-            let buf = ScatterBuf::new(16, 3, mode);
-            for i in 0..16 {
-                buf.add(i % 3, i, i as f64 * 0.5);
-                buf.add((i + 1) % 3, i, 1.0);
-            }
-            let fresh = buf.collect();
-            let mut scratch = Vec::new();
-            buf.collect_into(&mut scratch);
-            assert_eq!(fresh, scratch, "mode {mode:?}");
-            // stale contents are overwritten, capacity is reused
-            scratch.iter_mut().for_each(|v| *v = f64::NAN);
-            let cap = scratch.capacity();
-            buf.collect_into(&mut scratch);
-            assert_eq!(fresh, scratch);
-            assert_eq!(scratch.capacity(), cap, "collect_into reallocated");
         }
     }
 

@@ -3,13 +3,13 @@
 //! 1. **Bit-identity** — every parallel/vectorized grid-side kernel
 //!    (interpolator load, curl-E, curl-B, current unload) produces
 //!    exactly the bits of its serial wrapped reference, for any grid
-//!    shape (including degenerate `nx/ny/nz ∈ {1, 2}` where the affine
-//!    interior region is empty), any `Strategy`, and any worker count
-//!    1–8. Row-level work decomposition with disjoint writes means the
+//!    shape (including degenerate `nx/ny/nz ∈ {1, 2}` where a row is
+//!    its own neighbor or nothing but its end cell), any `Strategy`, and
+//!    any worker count 1–8. Row-level work decomposition with disjoint writes means the
 //!    schedule cannot reorder a single floating-point operation.
-//! 2. **Zero steady-state allocation** — the interpolator array and the
-//!    unload scratch buffer are warmed once and reused; their
-//!    capacities never grow again over a run.
+//! 2. **Zero steady-state allocation** — the interpolator array, the
+//!    pipeline's one scratch buffer, is warmed once and reused; its
+//!    capacity never grows again over a run.
 
 use proptest::prelude::*;
 use vpic2::core::accumulate::Accumulator;
@@ -71,8 +71,8 @@ fn assert_fields_bitwise(a: &FieldArray, b: &FieldArray, what: &str) {
 }
 
 /// Map a raw tag to a dimension size. Degenerate sizes are deliberately
-/// over-weighted: 1 and 2 are where the interior/boundary split
-/// collapses to all-boundary.
+/// over-weighted: 1 and 2 are where a row's neighbor rows coincide and
+/// its span shrinks to nothing beside the end cell.
 fn dim(tag: usize) -> usize {
     [1, 1, 2, 2, 3, 4, 5, 6][tag]
 }
@@ -159,21 +159,21 @@ proptest! {
     }
 }
 
-/// The `Simulation`-owned interpolator array and unload scratch are
-/// warmed on the first step and never reallocate afterwards.
+/// The `Simulation`-owned interpolator array is warmed on the first step
+/// and never reallocates afterwards (the unload has no scratch to warm).
 #[test]
 fn field_pipeline_is_allocation_free_after_warmup() {
     let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
     sim.configure_scatter(4, ScatterMode::Duplicated);
     sim.strategy = Strategy::Manual;
     let pool = Threads::new(4);
-    sim.step_on(&pool); // warmup: scratch buffers grow to steady state
-    let warm = sim.field_scratch_capacities();
-    assert!(warm.0 > 0 && warm.1 > 0, "warmup should size the scratch: {warm:?}");
+    sim.step_on(&pool); // warmup: the scratch grows to steady state
+    let warm = sim.field_scratch_capacity();
+    assert!(warm > 0, "warmup should size the scratch");
     for _ in 0..5 {
         sim.step_on(&pool);
         assert_eq!(
-            sim.field_scratch_capacities(),
+            sim.field_scratch_capacity(),
             warm,
             "field pipeline scratch reallocated after warmup"
         );
