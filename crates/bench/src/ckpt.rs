@@ -4,7 +4,7 @@
 //! and restore times against the median step time, and verifies end to
 //! end that a checkpoint/restore mid-run resumes bit-identically to the
 //! uninterrupted run — the number EXPERIMENTS.md quotes for "checkpoint
-//! cost" and CI regression-checks via `results/ckpt.json`.
+//! cost"; CI runs the resume check and uploads `results/ckpt.json`.
 
 use crate::timing::{black_box, median_time_named};
 use serde::Serialize;

@@ -26,9 +26,7 @@ pub mod fig9;
 pub mod gpu;
 pub mod push;
 pub mod ranks;
-pub mod regress;
 pub mod serve;
-pub mod suite;
 pub mod table1;
 pub mod tile;
 pub mod timing;

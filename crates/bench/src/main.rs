@@ -38,13 +38,6 @@
 //!   ablate-gpu-aware  Sierra with GPU-aware MPI forced on
 //!   ablate-weak       weak scaling on all three systems
 //!
-//!   suite             continuous perf-regression harness: run the fast
-//!                     measured targets with telemetry on, fold wall
-//!                     times + streaming histograms into results/BENCH.json
-//!   regress <a> <b>   diff two BENCH.json files; exit nonzero on >15%
-//!                     median regressions (--warn reports without failing)
-//!   regress-selftest  prove the comparator flags an injected 20% slowdown
-//!
 //! options:
 //!   --profile[=path]  enable telemetry; print the span summary table,
 //!                     write a Chrome/Perfetto trace to `path` (default
@@ -88,7 +81,6 @@ fn run_target(name: &str) -> bool {
         "tune" => bench::save_json("tune", &bench::tune::run()),
         "tile" => bench::save_json("tile", &bench::tile::run()),
         "serve" => bench::save_json("serve", &bench::serve::run()),
-        "suite" => bench::save_json("BENCH", &bench::suite::run()),
         other => {
             eprintln!("unknown target: {other}");
             return false;
@@ -133,33 +125,6 @@ fn write_profile(trace_path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// `repro regress <base> <new> [--warn]`: diff two BENCH.json files.
-fn run_regress(args: &[String]) -> ExitCode {
-    let warn_only = args.iter().any(|a| a == "--warn");
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [base, new] = paths.as_slice() else {
-        eprintln!("usage: repro regress <base BENCH.json> <new BENCH.json> [--warn]");
-        return ExitCode::FAILURE;
-    };
-    match bench::regress::compare_files(base, new) {
-        Ok(cmp) => {
-            print!("{}", cmp.render());
-            if cmp.regressions().is_empty() {
-                ExitCode::SUCCESS
-            } else if warn_only {
-                println!("(--warn: regressions reported but not fatal)");
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("regress: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut profile: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
@@ -172,28 +137,11 @@ fn main() -> ExitCode {
             targets.push(arg);
         }
     }
-    if targets.first().map(String::as_str) == Some("regress") {
-        return run_regress(&targets[1..]);
-    }
-    if targets.first().map(String::as_str) == Some("regress-selftest") {
-        return match bench::regress::self_test() {
-            Ok(()) => {
-                println!("regress self-test: injected 20% slowdown flagged, identical inputs pass");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("regress self-test FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     if targets.is_empty() || targets.iter().any(|a| a == "-h" || a == "--help") {
         println!(
-            "usage: repro [--profile[=path]] <target>...   targets: {} all suite\n\
+            "usage: repro [--profile[=path]] <target>...   targets: {} all\n\
              \x20      extra: ckpt gpu ranks dispatch push field tune tile serve \
-             ablate-tile ablate-gpu-aware ablate-weak\n\
-             \x20      repro regress <base BENCH.json> <new BENCH.json> [--warn]\n\
-             \x20      repro regress-selftest",
+             ablate-tile ablate-gpu-aware ablate-weak",
             TARGETS.join(" ")
         );
         return ExitCode::SUCCESS;

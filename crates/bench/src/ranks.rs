@@ -5,9 +5,10 @@
 //! step time (real per-rank kernels + real halo exchange, network time
 //! from the α–β model), the fraction of modeled exchange hidden behind
 //! interior compute, and the executed speedup next to the closed-form
-//! prediction `T(N) = T(1)/N + exposed(N)`. CI regression-checks
-//! `results/ranks.json`; the tier-1 suite asserts executed and model
-//! speedups agree within the tolerance EXPERIMENTS.md documents.
+//! prediction `T(N) = T(1)/N + exposed(N)`. CI runs the target
+//! and uploads `results/ranks.json`; the tier-1 suite asserts executed
+//! and model speedups agree within the tolerance EXPERIMENTS.md
+//! documents.
 //!
 //! The sweep also arms each `MultiRankSim` with a scaled V100
 //! [`GpuModel`]: every rank's executed cell streams are charged through

@@ -27,7 +27,7 @@
 
 use crate::crc32::crc32;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Leading magic of every snapshot.
 pub const MAGIC: [u8; 4] = *b"VPCK";
@@ -309,15 +309,6 @@ impl Snapshot {
             )));
         }
         Ok(Snapshot { version, sections })
-    }
-
-    /// Read the whole stream and parse it. Note a truncated *file* read
-    /// returns fewer bytes without an I/O error, so truncation still
-    /// surfaces as [`RestoreError::Truncated`], not `Io`.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, RestoreError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
     }
 
     /// Section names, in stored order.

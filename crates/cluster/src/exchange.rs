@@ -1,17 +1,11 @@
-//! Rank emulation over a single-domain simulation.
+//! Per-step particle-migration bookkeeping.
 //!
-//! Runs the *real* `vpic-core` simulation while book-keeping a virtual
-//! decomposition on top of it: every step it tracks which particles
-//! changed owning rank and to where. Physics is bit-identical to the
-//! plain single-domain run (there is no halo truncation to get wrong),
-//! while the migration counts — the quantity the strong-scaling network
-//! model needs — are *measured* from the actual particle motion instead
-//! of assumed.
+//! [`MigrationStats`] is what [`crate::MultiRankSim::step`] returns for
+//! the particles that changed owning rank: the migration counts — the
+//! quantity the strong-scaling network model needs — are *measured* from
+//! the executed particle motion instead of assumed.
 
-use crate::decompose::Decomposition;
 use serde::Serialize;
-use vpic_core::push::PushStats;
-use vpic_core::Simulation;
 
 /// Per-step migration bookkeeping.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -32,250 +26,5 @@ impl MigrationStats {
         } else {
             self.migrants as f64 / self.total as f64
         }
-    }
-}
-
-/// A single-domain simulation with a virtual rank decomposition.
-pub struct ClusterSim {
-    /// The underlying (exact) simulation.
-    pub sim: Simulation,
-    /// The virtual decomposition.
-    pub decomp: Decomposition,
-    owner_of_cell: Vec<u32>,
-    /// Reusable per-species pre-push owner snapshot. Cleared and refilled
-    /// every step instead of rebuilt, so the steady-state exchange path
-    /// allocates nothing once the buffers have warmed to population size.
-    owners_before: Vec<Vec<u32>>,
-}
-
-impl ClusterSim {
-    /// Wrap `sim` with a virtual decomposition over `ranks` ranks.
-    pub fn new(sim: Simulation, ranks: usize) -> Self {
-        let g = &sim.grid;
-        let decomp = Decomposition::new((g.nx, g.ny, g.nz), ranks);
-        let owner_of_cell: Vec<u32> = (0..g.cells())
-            .map(|v| {
-                let (ix, iy, iz) = g.coords(v);
-                decomp.owner(ix, iy, iz) as u32
-            })
-            .collect();
-        let owners_before = vec![Vec::new(); sim.species.len()];
-        Self { sim, decomp, owner_of_cell, owners_before }
-    }
-
-    /// Owning rank of a cell voxel.
-    pub fn owner(&self, cell: u32) -> u32 {
-        self.owner_of_cell[cell as usize]
-    }
-
-    /// Particles currently owned by each rank.
-    pub fn rank_populations(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.decomp.ranks()];
-        for s in &self.sim.species {
-            for &c in &s.cell {
-                counts[self.owner_of_cell[c as usize] as usize] += 1;
-            }
-        }
-        counts
-    }
-
-    /// Capacities of the per-species owner-snapshot scratch, in species
-    /// order — exposed so tests can assert no-alloc-after-warmup.
-    pub fn owner_scratch_capacities(&self) -> Vec<usize> {
-        self.owners_before.iter().map(Vec::capacity).collect()
-    }
-
-    /// Advance one step, measuring migration.
-    pub fn step(&mut self) -> (PushStats, MigrationStats) {
-        // snapshot owners before the push into the persistent scratch
-        // (a species added after construction still gets a row)
-        self.owners_before.resize_with(self.sim.species.len(), Vec::new);
-        for (buf, s) in self.owners_before.iter_mut().zip(&self.sim.species) {
-            buf.clear();
-            buf.extend(s.cell.iter().map(|&c| self.owner_of_cell[c as usize]));
-        }
-        let push = self.sim.step();
-        let _span = telemetry::span("cluster.exchange").arg("ranks", self.decomp.ranks());
-        let mut stats = MigrationStats::default();
-        let mut out_of = vec![0usize; self.decomp.ranks()];
-        // distinct (was → now) rank pairs this step ≈ point-to-point
-        // messages a real exchange would send
-        let mut pairs = std::collections::BTreeSet::new();
-        for (si, s) in self.sim.species.iter().enumerate() {
-            stats.total += s.len();
-            for (p, &c) in s.cell.iter().enumerate() {
-                let now = self.owner_of_cell[c as usize];
-                let was = self.owners_before[si][p];
-                if now != was {
-                    stats.migrants += 1;
-                    out_of[was as usize] += 1;
-                    pairs.insert((was, now));
-                }
-            }
-        }
-        stats.max_out_of_rank = out_of.into_iter().max().unwrap_or(0);
-        if telemetry::enabled() {
-            telemetry::count("cluster.migrants", stats.migrants as u64);
-            // payload a real exchange would move: the full particle
-            // record (7×f32 phase-space + u32 cell = 32 bytes)
-            telemetry::count("cluster.bytes_moved", stats.migrants as u64 * 32);
-            telemetry::count("cluster.messages", pairs.len() as u64);
-        }
-        (push, stats)
-    }
-
-    /// Run `n` steps and return the mean migration fraction.
-    pub fn measure_migration(&mut self, n: usize) -> f64 {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            let (_, m) = self.step();
-            acc += m.fraction();
-        }
-        acc / n.max(1) as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vpic_core::Deck;
-
-    fn sim() -> Simulation {
-        Deck::uniform(8, 8, 8, 8).build()
-    }
-
-    #[test]
-    fn owners_partition_all_cells() {
-        let cs = ClusterSim::new(sim(), 8);
-        let pops = cs.rank_populations();
-        assert_eq!(pops.len(), 8);
-        let total: usize = pops.iter().sum();
-        assert_eq!(total, cs.sim.particle_count());
-        // uniform deck → roughly balanced ranks
-        let (mn, mx) = (pops.iter().min().unwrap(), pops.iter().max().unwrap());
-        assert!(*mx < 2 * *mn, "balance: {pops:?}");
-    }
-
-    #[test]
-    fn physics_identical_to_undecomposed_run() {
-        let mut plain = sim();
-        let mut cs = ClusterSim::new(sim(), 8);
-        for _ in 0..5 {
-            plain.step();
-            cs.step();
-        }
-        assert_eq!(plain.energies().total(), cs.sim.energies().total());
-        assert_eq!(plain.species[1].cell, cs.sim.species[1].cell);
-    }
-
-    #[test]
-    fn migration_is_small_and_boundary_driven() {
-        let mut cs = ClusterSim::new(sim(), 8);
-        let frac = cs.measure_migration(5);
-        // thermal vth=0.05 → well under 10% of particles cross a rank
-        // boundary per step
-        assert!(frac < 0.1, "migration fraction {frac}");
-        assert!(frac > 0.0, "some particles must cross");
-    }
-
-    #[test]
-    fn migration_grows_with_rank_count() {
-        // more ranks → more boundary surface → more migrants
-        let mut few = ClusterSim::new(sim(), 2);
-        let mut many = ClusterSim::new(sim(), 64);
-        let f_few = few.measure_migration(3);
-        let f_many = many.measure_migration(3);
-        assert!(f_many > f_few, "{f_many} vs {f_few}");
-    }
-
-    #[test]
-    fn exchange_counters_recorded_when_profiling() {
-        let migrants0 = telemetry::counter("cluster.migrants");
-        let bytes0 = telemetry::counter("cluster.bytes_moved");
-        let msgs0 = telemetry::counter("cluster.messages");
-        telemetry::set_enabled(true);
-        let mut cs = ClusterSim::new(sim(), 8);
-        let (_, m) = cs.step();
-        telemetry::set_enabled(false);
-        let dm = telemetry::counter("cluster.migrants") - migrants0;
-        let db = telemetry::counter("cluster.bytes_moved") - bytes0;
-        let dmsg = telemetry::counter("cluster.messages") - msgs0;
-        assert!(dm >= m.migrants as u64, "migrants counter {dm} < {}", m.migrants);
-        assert!(db >= m.migrants as u64 * 32, "bytes counter {db}");
-        assert!(dmsg >= 1, "at least one rank pair exchanged");
-    }
-
-    #[test]
-    fn owner_scratch_stops_allocating_after_warmup() {
-        let mut cs = ClusterSim::new(sim(), 8);
-        let (_, warm) = cs.step();
-        let caps = cs.owner_scratch_capacities();
-        assert_eq!(caps.len(), cs.sim.species.len());
-        for (cap, s) in caps.iter().zip(&cs.sim.species) {
-            assert!(*cap >= s.len(), "scratch must hold the population: {cap} < {}", s.len());
-        }
-        // populations are constant (periodic domain, no injection): later
-        // steps must reuse the warmed buffers, not grow or replace them
-        let mut last = warm;
-        for _ in 0..4 {
-            let (_, m) = cs.step();
-            last = m;
-        }
-        assert_eq!(cs.owner_scratch_capacities(), caps, "steady state must not reallocate");
-        // and the stats stay well-formed through the reuse path
-        assert_eq!(last.total, cs.sim.particle_count());
-        assert!(last.migrants <= last.total);
-    }
-
-    #[test]
-    fn migration_stats_unchanged_by_scratch_reuse() {
-        // two identical runs: per-step stats must agree exactly, i.e. the
-        // reused scratch never leaks a stale owner row between steps
-        let mut a = ClusterSim::new(sim(), 8);
-        let mut b = ClusterSim::new(sim(), 8);
-        for step in 0..5 {
-            let (_, ma) = a.step();
-            let (_, mb) = b.step();
-            assert_eq!(ma.migrants, mb.migrants, "step {step}");
-            assert_eq!(ma.total, mb.total, "step {step}");
-            assert_eq!(ma.max_out_of_rank, mb.max_out_of_rank, "step {step}");
-        }
-    }
-
-    #[test]
-    fn max_out_of_rank_aggregates_across_species() {
-        // two species leave the same rank in the same step: the per-rank
-        // peak must count their *sum*, not the largest single species.
-        // 2 ranks over 8³ → dims (1,1,2): rank 0 owns z ∈ [0,4).
-        use vpic_core::{Grid, Species, Simulation};
-        let mut sim = Simulation::new(Grid::new(8, 8, 8));
-        let mut a = Species::new("a", -1.0, 1.0);
-        let mut b = Species::new("b", -1.0, 1.0);
-        // w = 0 ballistic probes at the z = 3 face, dz ≈ +1 and a large
-        // +z momentum: guaranteed to cross into rank 1's z = 4 layer
-        let grid = sim.grid.clone();
-        for x in 0..3 {
-            a.push_particle(0.0, 0.0, 0.99, grid.voxel(x + 1, 1, 3) as u32, 0.0, 0.0, 10.0, 0.0);
-        }
-        for x in 0..2 {
-            b.push_particle(0.0, 0.0, 0.99, grid.voxel(x + 1, 2, 3) as u32, 0.0, 0.0, 10.0, 0.0);
-        }
-        sim.add_species(a);
-        sim.add_species(b);
-        let mut cs = ClusterSim::new(sim, 2);
-        let (_, m) = cs.step();
-        assert_eq!(m.migrants, 5, "all five probes cross the rank face");
-        assert_eq!(
-            m.max_out_of_rank, 5,
-            "peak must aggregate species (3 + 2), not take the per-species max"
-        );
-    }
-
-    #[test]
-    fn single_rank_never_migrates() {
-        let mut cs = ClusterSim::new(sim(), 1);
-        let (_, m) = cs.step();
-        assert_eq!(m.migrants, 0);
-        assert_eq!(m.fraction(), 0.0);
     }
 }

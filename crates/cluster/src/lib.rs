@@ -6,10 +6,8 @@
 //!
 //! * [`decompose`] — 3-D Cartesian domain decomposition (rank geometry,
 //!   surface/volume bookkeeping), the real arithmetic any MPI run uses;
-//! * [`exchange`] — a rank-emulation layer over `vpic-core`: particles
-//!   are partitioned by owning subdomain and migration between ranks is
-//!   tracked each step, giving *measured* (not assumed) exchange volumes
-//!   while preserving single-domain physics exactly;
+//! * [`exchange`] — the per-step migration record: how many particles
+//!   changed owning rank, *measured* (not assumed) by [`multirank`];
 //! * [`network`] — a latency/bandwidth message-cost model with the
 //!   GPU-aware-vs-staged distinction the paper discusses;
 //! * [`systems`] — Sierra, Selene, and Tuolumne descriptions;

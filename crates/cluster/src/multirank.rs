@@ -252,8 +252,8 @@ impl MultiRankSim {
     ///
     /// # Panics
     /// Panics if the decomposition leaves any rank without cells (more
-    /// ranks than cells along an axis); use the virtual
-    /// [`crate::ClusterSim`] for such degenerate layouts.
+    /// ranks than cells along an axis): such degenerate layouts are
+    /// rejected, not emulated.
     pub fn new(sim: &Simulation, ranks: usize, network: NetworkModel) -> Self {
         let g = sim.grid.clone();
         let decomp = Decomposition::new((g.nx, g.ny, g.nz), ranks);
@@ -395,11 +395,6 @@ impl MultiRankSim {
         self.ranks[rank].sim.tuner()
     }
 
-    /// Disarm and return one rank's tuning driver.
-    pub fn take_rank_tuner(&mut self, rank: usize) -> Option<TuneDriver> {
-        self.ranks[rank].sim.take_tuner()
-    }
-
     /// Arm a GPU cost model: every subsequent step also charges each
     /// rank's compute (push over its executed particle cell stream, plus
     /// a bandwidth-bound field sweep) through `model`, reported as
@@ -419,12 +414,6 @@ impl MultiRankSim {
     /// footprint the armed GPU model sees.
     pub fn rank_grid_cells(&self, rank: usize) -> usize {
         self.ranks[rank].sim.grid.cells()
-    }
-
-    /// Read access to one rank's local simulation (diagnostics: cost
-    /// models and tests inspect the executed per-rank streams).
-    pub fn rank_sim(&self, rank: usize) -> &Simulation {
-        &self.ranks[rank].sim
     }
 
     /// Advance one lockstep multi-rank step.
@@ -1508,6 +1497,24 @@ mod tests {
             }
         }
         assert!(any, "a 0.3c beam deck must migrate particles");
+    }
+
+    #[test]
+    fn ranks_stay_balanced_and_migration_grows_with_rank_count() {
+        let sim = Deck::uniform(8, 8, 8, 8).build();
+        let pops = MultiRankSim::new(&sim, 8, net()).rank_populations();
+        assert_eq!(pops.iter().sum::<usize>(), sim.particle_count());
+        let (mn, mx) = (pops.iter().min().unwrap(), pops.iter().max().unwrap());
+        assert!(*mx < 2 * *mn, "uniform deck → roughly balanced ranks: {pops:?}");
+        let mean_fraction = |ranks| {
+            let mut mr = MultiRankSim::new(&sim, ranks, net());
+            (0..5).map(|_| mr.step().1.fraction()).sum::<f64>() / 5.0
+        };
+        // thermal vth = 0.05 → well under 10% of particles cross a rank
+        // boundary per step; more ranks → more boundary surface
+        let (few, many) = (mean_fraction(2), mean_fraction(8));
+        assert!(many > 0.0 && many < 0.1, "migration fraction {many}");
+        assert!(many > few, "{many} vs {few}");
     }
 
     #[test]

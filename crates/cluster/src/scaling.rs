@@ -11,8 +11,9 @@
 //! * **field advance** — bandwidth-bound sweep over the local cells.
 //! * **communication** — the α–β model over six ghost-face messages plus
 //!   migrated particles (fraction estimated from surface/volume and the
-//!   deck's thermal velocity; cross-checked against the measured
-//!   migration of [`crate::exchange::ClusterSim`]).
+//!   deck's thermal velocity; cross-checked against the
+//!   [`crate::exchange::MigrationStats`] that [`crate::MultiRankSim`]
+//!   measures).
 
 use crate::decompose::Decomposition;
 use crate::systems::System;

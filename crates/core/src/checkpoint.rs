@@ -50,12 +50,6 @@ pub enum StepError {
         /// How many lanes died.
         panicked_lanes: usize,
     },
-    /// The simulation claims to be tiled but its [`crate::TileEngine`]
-    /// is gone — a torn tiling invariant from a malformed or
-    /// half-applied configuration. The particle population may be
-    /// unreachable; discard the simulation and restore from the last
-    /// good checkpoint.
-    TileEngineMissing,
 }
 
 impl std::fmt::Display for StepError {
@@ -63,9 +57,6 @@ impl std::fmt::Display for StepError {
         match self {
             Self::WorkerPanic { panicked_lanes } => {
                 write!(f, "step aborted: {panicked_lanes} worker lane(s) panicked")
-            }
-            Self::TileEngineMissing => {
-                write!(f, "step aborted: simulation is tiled but the tile engine is missing")
             }
         }
     }
@@ -693,8 +684,8 @@ impl Simulation {
     /// `Err` the step was torn mid-flight and the simulation state is
     /// unspecified: restore from the last checkpoint.
     pub fn try_step_on<S: ExecSpace>(&mut self, space: &S) -> Result<PushStats, StepError> {
-        match catch_unwind(AssertUnwindSafe(|| self.step_on_checked(space))) {
-            Ok(result) => result,
+        match catch_unwind(AssertUnwindSafe(|| self.step_on(space))) {
+            Ok(stats) => Ok(stats),
             Err(payload) => match payload.downcast::<DispatchPanic>() {
                 Ok(dp) => {
                     // leave post-mortem evidence: the flight recorder holds

@@ -181,27 +181,26 @@ impl Simulation {
         self.steps_since_sort = usize::MAX;
     }
 
-    /// Decomposed-stepping twin of the scheduled sort inside
-    /// [`Simulation::step_on`]: advance the sort schedule exactly as a
-    /// single-rank step would, and return the order to apply if one is
-    /// due now. The caller owns the actual sorting — a rank driver
-    /// usually holds parallel per-particle state (e.g. global load-order
-    /// id maps) that must be co-permuted with the SoA arrays, so the
-    /// reorder cannot happen behind its back inside
-    /// [`Simulation::begin_step`].
+    /// The sort schedule, written once: advance it by one step and return
+    /// the order to apply if a sort is due now. [`Simulation::step_on`]
+    /// sorts every species on `Some`; a rank driver calls this itself
+    /// before [`Simulation::begin_step`] because it holds parallel
+    /// per-particle state (global load-order id maps) that must be
+    /// co-permuted with the SoA arrays. Never due while tiled — every
+    /// tile keeps its own `(cell, id)` order, the tiled analogue of the
+    /// paper's sorted traversal — so the first step after
+    /// [`Simulation::disable_tiling`] sorts.
     pub fn consume_due_sort(&mut self) -> Option<SortOrder> {
         self.last_sort_ns = 0;
-        self.last_sort_fired = false;
-        let due = match self.sort_order {
-            Some(order)
-                if self.sort_interval > 0 && self.steps_since_sort >= self.sort_interval =>
-            {
-                self.last_sort_fired = true;
-                self.steps_since_sort = 0;
-                Some(order)
-            }
-            _ => None,
-        };
+        let due = self.sort_order.filter(|_| {
+            self.tiling.is_none()
+                && self.sort_interval > 0
+                && self.steps_since_sort >= self.sort_interval
+        });
+        self.last_sort_fired = due.is_some();
+        if self.last_sort_fired {
+            self.steps_since_sort = 0;
+        }
         self.steps_since_sort = self.steps_since_sort.saturating_add(1);
         due
     }
@@ -331,21 +330,6 @@ impl Simulation {
     /// via [`Simulation::configure_scatter`] with at least
     /// `space.concurrency()` workers.
     pub fn step_on<S: ExecSpace>(&mut self, space: &S) -> PushStats {
-        // `step_on_checked` can only fail on a torn internal invariant
-        // (e.g. a tiled sim whose engine is gone); the infallible entry
-        // point keeps the historical contract by turning that into a
-        // panic, while servers use `try_step_on` for a typed error.
-        self.step_on_checked(space).unwrap_or_else(|e| panic!("step failed: {e}"))
-    }
-
-    /// [`Simulation::step_on`] with internal-invariant failures surfaced
-    /// as typed [`crate::StepError`]s instead of panics. Worker-lane
-    /// panics still unwind; [`Simulation::try_step_on`] adds the
-    /// catch-and-type layer for those.
-    pub(crate) fn step_on_checked<S: ExecSpace>(
-        &mut self,
-        space: &S,
-    ) -> Result<PushStats, crate::StepError> {
         // The tuner's epoch bookkeeping brackets the step *outside* the
         // `sim.step` span: spans only record on drop, so finalizing an
         // epoch here guarantees the previous step's span is already in
@@ -357,90 +341,85 @@ impl Simulation {
         let t0 = telemetry::now_ns();
         let stats = self.step_inner(space);
         let step_ns = telemetry::now_ns().saturating_sub(t0);
-        if let (Some(d), Ok(stats)) = (&mut driver, &stats) {
-            d.after_step(stats, step_ns, self.last_sort_ns, self.last_sort_fired);
+        if let Some(d) = &mut driver {
+            d.after_step(&stats, step_ns, self.last_sort_ns, self.last_sort_fired);
         }
         self.tuner = driver;
         stats
     }
 
-    fn step_inner<S: ExecSpace>(&mut self, space: &S) -> Result<PushStats, crate::StepError> {
-        if self.tiling.is_some() {
-            return self.step_tiled(space);
-        }
-        let _step_span =
-            telemetry::hspan("sim.step").arg("step", self.step).arg("space", space.name());
+    fn step_inner<S: ExecSpace>(&mut self, space: &S) -> PushStats {
+        let _step_span = telemetry::hspan("sim.step")
+            .arg("step", self.step)
+            .arg("space", space.name())
+            .arg("tiled", self.is_tiled() as u64);
         // periodic sort, as VPIC decks schedule it
-        self.last_sort_ns = 0;
-        self.last_sort_fired = false;
-        if let Some(order) = self.sort_order {
-            if self.sort_interval > 0 && self.steps_since_sort >= self.sort_interval {
-                let _s = telemetry::hspan("sim.sort").arg("order", order);
-                let t0 = telemetry::now_ns();
-                let moved = if space.accounting() {
-                    // charge each species' sort as the record-permutation
-                    // gather it performs: `perm[i]` is the old index read
-                    // to fill slot `i`, over the 8-field 32 B SoA record
-                    let mut moved = 0usize;
-                    for s in &mut self.species {
-                        if s.sort(order) {
-                            moved += 1;
-                            let keys: Vec<u32> =
-                                s.sort_perm().iter().map(|&p| p as u32).collect();
-                            space.charge(&pk::gpu::Access::Gather {
-                                label: "sort",
-                                keys: &keys,
-                                table_len: s.len().max(1),
-                                elem_bytes: 32,
-                                stream_bytes: 32.0,
-                                flops: 0.0,
-                                atomic: false,
-                            });
-                        }
-                    }
-                    moved
-                } else {
-                    self.sort_particles(order)
-                };
-                self.last_sort_ns = telemetry::now_ns().saturating_sub(t0);
-                self.last_sort_fired = true;
-                self.steps_since_sort = 0;
-                telemetry::count("sim.species_sorted", moved as u64);
-            }
-        }
-        self.steps_since_sort = self.steps_since_sort.saturating_add(1);
-        // the persistent buffer is taken out of `self` for the span of
-        // the step so the push can borrow the species mutably alongside it
-        let mut interps = std::mem::take(&mut self.interp);
-        {
-            let _s = telemetry::hspan("sim.interpolate");
-            load_interpolators_into(space, self.strategy, &self.fields, &mut interps);
-            self.charge_grid_stream(space, "interpolate", INTERP_STREAM_BYTES, INTERP_FLOPS);
-        }
-        let mut stats = PushStats::default();
-        {
-            let _s = telemetry::hspan("sim.push").arg("species", self.species.len());
-            self.fields.clear_j_on(space);
-            self.charge_grid_stream(space, "clear_j", CLEAR_J_BYTES, 0.0);
-            self.acc.reset();
+        if let Some(order) = self.consume_due_sort() {
+            let _s = telemetry::hspan("sim.sort").arg("order", order);
+            let t0 = telemetry::now_ns();
+            let mut moved = 0u64;
             for s in &mut self.species {
-                let st =
-                    push_species_on(space, self.strategy, &self.grid, s, &interps, &self.acc);
-                if st.crossings > 0 {
-                    // crossings moved particles out of their sorted
-                    // positions; the next scheduled sort is real work
-                    s.mark_unsorted();
+                if !s.sort(order) {
+                    continue;
                 }
-                stats.pushed += st.pushed;
-                stats.crossings += st.crossings;
+                moved += 1;
+                if space.accounting() {
+                    // charge the sort as the record-permutation gather
+                    // it performs: `perm[i]` is the old index read to
+                    // fill slot `i`, over the 8-field 32 B SoA record
+                    let keys: Vec<u32> = s.sort_perm().iter().map(|&p| p as u32).collect();
+                    space.charge(&pk::gpu::Access::Gather {
+                        label: "sort",
+                        keys: &keys,
+                        table_len: s.len().max(1),
+                        elem_bytes: 32,
+                        stream_bytes: 32.0,
+                        flops: 0.0,
+                        atomic: false,
+                    });
+                }
             }
+            self.last_sort_ns = telemetry::now_ns().saturating_sub(t0);
+            telemetry::count("sim.species_sorted", moved);
         }
+        let stats = self.particle_phase(space);
         telemetry::count("sim.particles_pushed", stats.pushed as u64);
         telemetry::count("sim.cell_crossings", stats.crossings as u64);
-        self.interp = interps;
         self.unload_and_advance(space);
         self.step += 1;
-        Ok(stats)
+        stats
+    }
+
+    /// The particle half of a step, written once for every driver:
+    /// refresh the interpolators from the fields, clear J, reset the
+    /// accumulator, then push — tile by tile through the engine while
+    /// tiling is enabled (DESIGN §14), else species by species over the
+    /// SoA arrays. Deposits land in the accumulator either way.
+    fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
+        {
+            let _s = telemetry::hspan("sim.interpolate");
+            load_interpolators_into(space, self.strategy, &self.fields, &mut self.interp);
+            self.charge_grid_stream(space, "interpolate", INTERP_STREAM_BYTES, INTERP_FLOPS);
+        }
+        let _s = telemetry::hspan("sim.push").arg("species", self.species.len());
+        self.fields.clear_j_on(space);
+        self.charge_grid_stream(space, "clear_j", CLEAR_J_BYTES, 0.0);
+        self.acc.reset();
+        if let Some(engine) = &mut self.tiling {
+            return engine.step_all(space, self.strategy, &self.grid, &self.interp, &self.acc);
+        }
+        let mut stats = PushStats::default();
+        for s in &mut self.species {
+            let st = push_species_on(space, self.strategy, &self.grid, s, &self.interp, &self.acc);
+            if st.crossings > 0 {
+                // crossings moved particles out of their sorted
+                // positions; the next scheduled sort is real work
+                s.mark_unsorted();
+            }
+            stats.pushed += st.pushed;
+            stats.crossings += st.crossings;
+        }
+        stats
     }
 
     /// Charge a grid-sweep streaming kernel to an accounting space
@@ -463,8 +442,7 @@ impl Simulation {
     }
 
     /// The grid-side tail of a step — accumulator unload, laser drive,
-    /// and the leapfrog field advance — shared bit-for-bit by the
-    /// untiled and tiled paths.
+    /// and the leapfrog field advance.
     fn unload_and_advance<S: ExecSpace>(&mut self, space: &S) {
         {
             let _s = telemetry::hspan("sim.accumulate");
@@ -490,48 +468,6 @@ impl Simulation {
             self.fields.advance_b_on(space, self.strategy, 0.5);
             self.charge_grid_stream(space, "field_solve", FIELD_SOLVE_BYTES, FIELD_SOLVE_FLOPS);
         }
-    }
-
-    /// The tiled step: identical physics to [`Simulation::step_inner`]
-    /// with the particle phase streamed tile-by-tile by the engine.
-    /// The scheduled global sort is skipped — every tile maintains its
-    /// own `(cell, id)` order, which is the tiled analogue of the
-    /// paper's sorted traversal.
-    fn step_tiled<S: ExecSpace>(&mut self, space: &S) -> Result<PushStats, crate::StepError> {
-        // a torn tiling invariant (engine gone while the sim still claims
-        // to be tiled — a malformed or half-applied job config) degrades
-        // to a typed error instead of killing a multi-tenant caller
-        let Some(mut engine) = self.tiling.take() else {
-            return Err(crate::StepError::TileEngineMissing);
-        };
-        let _step_span = telemetry::hspan("sim.step")
-            .arg("step", self.step)
-            .arg("space", space.name())
-            .arg("tiled", 1u64);
-        self.last_sort_ns = 0;
-        self.last_sort_fired = false;
-        self.steps_since_sort = self.steps_since_sort.saturating_add(1);
-        let mut interps = std::mem::take(&mut self.interp);
-        {
-            let _s = telemetry::hspan("sim.interpolate");
-            load_interpolators_into(space, self.strategy, &self.fields, &mut interps);
-            self.charge_grid_stream(space, "interpolate", INTERP_STREAM_BYTES, INTERP_FLOPS);
-        }
-        let stats;
-        {
-            let _s = telemetry::hspan("sim.push").arg("species", self.species.len());
-            self.fields.clear_j_on(space);
-            self.charge_grid_stream(space, "clear_j", CLEAR_J_BYTES, 0.0);
-            self.acc.reset();
-            stats = engine.step_all(space, self.strategy, &self.grid, &interps, &self.acc);
-        }
-        self.tiling = Some(engine);
-        telemetry::count("sim.particles_pushed", stats.pushed as u64);
-        telemetry::count("sim.cell_crossings", stats.crossings as u64);
-        self.interp = interps;
-        self.unload_and_advance(space);
-        self.step += 1;
-        Ok(stats)
     }
 
     /// Advance `n` steps.
@@ -621,43 +557,21 @@ impl Simulation {
     // ── Multi-rank stepping seams (DESIGN §12) ─────────────────────────
     //
     // A decomposed cluster step interleaves halo exchange with the
-    // phases below, so the monolithic `step_inner` is split at its
-    // natural seams: push (fills the private accumulator), current
+    // phases of `step_inner`, so the rank driver enters at its seams:
+    // the particle phase (fills the private accumulator), the current
     // unload, and the step-counter bump. Field advances are driven
     // piecewise by the caller through the public `fields`; the
     // accumulator's raw fixed-point slots are exposed so rank-boundary
     // partial deposits can be summed exactly (integer adds commute, so
     // the merge is order- and partition-independent).
 
-    /// First phase of a decomposed step: refresh interpolators from the
-    /// current fields, clear J, reset the accumulator, and push every
-    /// species. Identical arithmetic to the first half of
-    /// [`Simulation::step`] with sorting disabled (the cluster driver
-    /// owns sort and exchange policy). Runs on the calling thread.
+    /// First phase of a decomposed step: [`Simulation::step`]'s particle
+    /// phase (interpolators, J clear, accumulator reset, push) on the
+    /// calling thread. Sorting is the caller's — see
+    /// [`Simulation::consume_due_sort`].
     pub fn begin_step(&mut self) -> PushStats {
         assert!(self.tiling.is_none(), "decomposed stepping drives untiled ranks");
-        let space = &Serial;
-        let mut interps = std::mem::take(&mut self.interp);
-        {
-            let _s = telemetry::hspan("sim.interpolate");
-            load_interpolators_into(space, self.strategy, &self.fields, &mut interps);
-        }
-        let mut stats = PushStats::default();
-        {
-            let _s = telemetry::hspan("sim.push").arg("species", self.species.len());
-            self.fields.clear_j_on(space);
-            self.acc.reset();
-            for s in &mut self.species {
-                let st = push_species_on(space, self.strategy, &self.grid, s, &interps, &self.acc);
-                if st.crossings > 0 {
-                    s.mark_unsorted();
-                }
-                stats.pushed += st.pushed;
-                stats.crossings += st.crossings;
-            }
-        }
-        self.interp = interps;
-        stats
+        self.particle_phase(&Serial)
     }
 
     /// Second phase of a decomposed step: fold the (halo-merged)
@@ -672,11 +586,6 @@ impl Simulation {
     /// ships between ranks during the current halo exchange.
     pub fn acc_cell_raw(&self, cell: usize) -> [i64; crate::accumulate::SLOTS] {
         self.acc.cell_raw(cell)
-    }
-
-    /// Wrapping-add `raw` into `cell`'s accumulator slots (halo reduce).
-    pub fn acc_merge_cell_raw(&self, cell: usize, raw: &[i64; crate::accumulate::SLOTS]) {
-        self.acc.merge_cell_raw(cell, raw)
     }
 
     /// Overwrite `cell`'s accumulator slots with `raw` (halo fill).
@@ -846,18 +755,40 @@ mod tests {
     }
 
     #[test]
-    fn tiled_step_without_engine_is_a_typed_error_not_a_panic() {
-        // the torn-invariant path: a tiled step entered with no engine
-        // must degrade to a typed StepError (multi-tenant servers step
-        // malformed jobs through try_step_on and quarantine on Err)
-        let mut sim = neutral_pair_sim(4);
-        assert!(matches!(
-            sim.step_tiled(&Serial),
-            Err(crate::StepError::TileEngineMissing)
-        ));
-        // the sim is still steppable through the untiled path afterwards
-        let stats = sim.try_step().expect("untiled step succeeds");
-        assert!(stats.pushed > 0);
+    fn scheduled_sort_waits_while_tiled_and_fires_after_untiling() {
+        // tiles keep their own (cell, id) order, so the schedule must not
+        // fire while tiled — and must still be due once tiling is dropped
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut plain = neutral_pair_sim(4);
+        let mut tiled = neutral_pair_sim(4);
+        tiled.sort_order = Some(SortOrder::Standard);
+        tiled.sort_interval = 5;
+        tiled.enable_tiling(TilePolicy::new(8));
+        for step in 0..12 {
+            plain.step();
+            tiled.step();
+            assert!(!tiled.last_sort_fired, "step {step}: a tiled step reported a sort");
+        }
+        tiled.disable_tiling();
+        let (f, g) = (&plain.fields, &tiled.fields);
+        for (a, b) in [
+            (&f.ex, &g.ex), (&f.ey, &g.ey), (&f.ez, &g.ez),
+            (&f.bx, &g.bx), (&f.by, &g.by), (&f.bz, &g.bz),
+            (&f.jx, &g.jx), (&f.jy, &g.jy), (&f.jz, &g.jz),
+        ] {
+            assert_eq!(bits(a), bits(b), "fields diverged from the untiled sort-free run");
+        }
+        for (a, b) in plain.species.iter().zip(&tiled.species) {
+            assert_eq!(a.cell, b.cell);
+            for (x, y) in [
+                (&a.dx, &b.dx), (&a.dy, &b.dy), (&a.dz, &b.dz),
+                (&a.ux, &b.ux), (&a.uy, &b.uy), (&a.uz, &b.uz), (&a.w, &b.w),
+            ] {
+                assert_eq!(bits(x), bits(y), "{}: particles diverged", a.name);
+            }
+        }
+        tiled.step();
+        assert!(tiled.last_sort_fired, "first untiled step must run the overdue sort");
     }
 
     #[test]

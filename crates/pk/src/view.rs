@@ -57,11 +57,6 @@ impl<T> View1<T> {
         &mut self.data
     }
 
-    /// Consume the view, returning its storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Kokkos `deep_copy(self, src)`: element-wise copy from another view of
     /// identical extent.
     ///

@@ -743,11 +743,6 @@ impl Server {
         })
     }
 
-    /// Every job's status, in admission order.
-    pub fn statuses(&self) -> Vec<JobStatus> {
-        self.jobs.keys().map(|&id| self.status(JobId(id)).expect("key exists")).collect()
-    }
-
     /// A finished job's final checkpoint blob
     /// (restore with [`Simulation::restore_bytes`]).
     pub fn final_blob(&self, id: JobId) -> Option<&[u8]> {

@@ -198,11 +198,6 @@ impl Span {
         }
         self
     }
-
-    /// True when this span is live (profiling was on at creation).
-    pub fn is_recording(&self) -> bool {
-        self.0.is_some()
-    }
 }
 
 /// Open a named span. Returns a no-op guard when profiling is off.
@@ -215,21 +210,11 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// [`span`] with a runtime-built name (allocates only when enabled).
-#[inline]
-pub fn span_dyn(name: impl Into<Cow<'static, str>>) -> Span {
-    if !enabled() {
-        Span(None)
-    } else {
-        begin(name.into(), "span", None)
-    }
-}
-
 /// A span whose duration also streams into the same-named histogram on
 /// drop — the phase-level instrumentation primitive: one call site yields
-/// both the trace row *and* the p50/p95/p99 distribution that the bench
-/// suite and Prometheus exporter read. Same disabled-path contract as
-/// [`span`] (one relaxed load, `None`, records nothing).
+/// both the trace row *and* the p50/p95/p99 distribution that the
+/// summary table and the Prometheus exporter print. Same disabled-path
+/// contract as [`span`] (one relaxed load, `None`, records nothing).
 #[inline]
 pub fn hspan(name: &'static str) -> Span {
     if !enabled() {

@@ -6,8 +6,8 @@
 //! samples into a few kilobytes of buckets. Per Ruzicka et al.
 //! (PAPERS.md), per-phase distributions (not means) are what expose
 //! backend-specific tail behavior, so the percentile surface here
-//! (p50/p95/p99) is what the bench suite, the tuner's cost model, and the
-//! CI regression harness consume.
+//! (p50/p95/p99) is what the `repro` targets, the tuner's cost model and
+//! the Prometheus exporter consume.
 //!
 //! ## Discipline (same as spans)
 //!
@@ -178,7 +178,7 @@ impl Histogram {
 
 /// A merged histogram snapshot: sparse non-zero bucket counts. Mergeable
 /// (bucket-wise addition — associative and commutative) and diffable, so
-/// the bench suite reads per-target windows by subtracting two snapshots.
+/// `repro -- serve` reads its own window by subtracting two snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistData {
     /// Total samples.

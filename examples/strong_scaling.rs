@@ -6,18 +6,17 @@
 //! cargo run --release --example strong_scaling
 //! ```
 
-use vpic2::cluster::exchange::ClusterSim;
 use vpic2::cluster::scaling::{paper_global_grid, speedup_curve, strong_scaling};
-use vpic2::cluster::systems;
+use vpic2::cluster::{systems, MultiRankSim};
 use vpic2::core::Deck;
 
 fn main() {
     // first, a *real* decomposed run: migration measured, physics intact
     let sim = Deck::uniform(12, 12, 12, 8).build();
-    let mut cs = ClusterSim::new(sim, 8);
-    let frac = cs.measure_migration(5);
+    let mut ranks = MultiRankSim::new(&sim, 8, systems::selene().network);
+    let frac = (0..5).map(|_| ranks.step().1.fraction()).sum::<f64>() / 5.0;
     println!(
-        "measured particle migration across 8 virtual ranks: {:.2}% per step\n",
+        "measured particle migration across 8 executed ranks: {:.2}% per step\n",
         frac * 100.0
     );
 

@@ -196,7 +196,7 @@ fn scaled_model_floors_the_llc_at_one_page() {
 
 /// Pull `key` out of a raw JSON text chunk (the vendored `serde_json`
 /// shim is write-only, so the committed table is checked by string
-/// search, the same technique `bench::regress` uses).
+/// search).
 fn json_number(chunk: &str, key: &str) -> f64 {
     let pat = format!("\"{key}\":");
     let i = chunk.find(&pat).unwrap_or_else(|| panic!("{key} missing"));

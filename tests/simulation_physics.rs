@@ -2,7 +2,7 @@
 //! combination of the paper's tuning knobs (strategy, sorting, scatter
 //! mode, decomposition).
 
-use vpic2::cluster::exchange::ClusterSim;
+use vpic2::cluster::{systems, MultiRankSim};
 use vpic2::core::Deck;
 use vpic2::pk::atomic::ScatterMode;
 use vpic2::psort::SortOrder;
@@ -70,19 +70,20 @@ fn scatter_modes_agree_through_a_full_run() {
 #[test]
 fn decomposed_run_is_bit_identical_to_single_domain() {
     let mut plain = Deck::uniform(8, 8, 8, 6).build();
-    let mut decomposed = ClusterSim::new(Deck::uniform(8, 8, 8, 6).build(), 16);
+    let mut decomposed = MultiRankSim::new(&plain, 16, systems::selene().network);
     let mut total_migrants = 0;
     for _ in 0..10 {
         plain.step();
-        let (_, m) = decomposed.step();
+        let (_, m, _) = decomposed.step();
         total_migrants += m.migrants;
     }
+    let gathered = decomposed.gather();
     assert_eq!(
         plain.energies().total(),
-        decomposed.sim.energies().total(),
-        "rank emulation must not perturb physics"
+        gathered.energies().total(),
+        "decomposition must not perturb physics"
     );
-    for (a, b) in plain.species.iter().zip(&decomposed.sim.species) {
+    for (a, b) in plain.species.iter().zip(&gathered.species) {
         assert_eq!(a.cell, b.cell);
         assert_eq!(a.ux, b.ux);
     }
