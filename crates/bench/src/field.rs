@@ -188,7 +188,7 @@ pub fn run() -> Report {
 }
 
 /// Parameterized body of the `field` target.
-pub fn run_with(nx: usize, ny: usize, nz: usize, warmup: usize, reps: usize) -> Report {
+pub(crate) fn run_with(nx: usize, ny: usize, nz: usize, warmup: usize, reps: usize) -> Report {
     let f = warmed_fields(nx, ny, nz);
     let cells = f.grid.cells() as u64;
 

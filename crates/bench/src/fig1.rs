@@ -29,7 +29,7 @@ pub struct CodeComponent {
 /// Reconstructed VPIC 1.2 manifest (per-ISA file structure from the
 /// upstream repository; sizes normalized to reproduce the paper's 57%
 /// SIMD / 11% kernels split).
-pub fn vpic12_manifest() -> Vec<CodeComponent> {
+pub(crate) fn vpic12_manifest() -> Vec<CodeComponent> {
     let simd = |name, platform, bits, loc| CodeComponent {
         name,
         platform,
@@ -82,7 +82,7 @@ pub struct Breakdown {
 }
 
 /// Compute the breakdown of a manifest.
-pub fn breakdown(manifest: &[CodeComponent]) -> Breakdown {
+pub(crate) fn breakdown(manifest: &[CodeComponent]) -> Breakdown {
     let total: u64 = manifest.iter().map(|c| c.loc).sum();
     let simd: u64 = manifest.iter().filter(|c| c.category == "simd").map(|c| c.loc).sum();
     let kernel: u64 = manifest.iter().filter(|c| c.category == "kernel").map(|c| c.loc).sum();
@@ -96,49 +96,49 @@ pub fn breakdown(manifest: &[CodeComponent]) -> Breakdown {
 }
 
 /// Count this repository's code the same way: per-ISA SIMD code vs
-/// portable SIMD vs kernels. Returns `None` when sources are not on disk
-/// (e.g. an installed binary).
-pub fn this_repo_manifest() -> Option<Vec<CodeComponent>> {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).parent()?.parent()?.to_path_buf();
-    let count = |rel: &str| -> Option<u64> {
-        let body = std::fs::read_to_string(root.join(rel)).ok()?;
-        Some(body.lines().count() as u64)
+/// portable SIMD vs kernels. A file of the inventory that cannot be read
+/// (a source that moved, or an installed binary without its sources) is
+/// an error naming it.
+pub(crate) fn this_repo_manifest() -> Result<Vec<CodeComponent>, String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let count = |files: &[&str]| -> Result<u64, String> {
+        files.iter().try_fold(0, |loc, rel| {
+            let body = std::fs::read_to_string(root.join(rel))
+                .map_err(|e| format!("fig1 self-inventory: cannot read {rel}: {e}"))?;
+            Ok(loc + body.lines().count() as u64)
+        })
     };
-    Some(vec![
+    Ok(vec![
         CodeComponent {
             name: "vsimd/v4 (SSE ad hoc)",
             platform: "x86",
             vector_bits: 128,
-            loc: count("crates/vsimd/src/v4.rs")?,
+            loc: count(&["crates/vsimd/src/v4.rs"])?,
             category: "simd",
         },
         CodeComponent {
-            name: "vsimd/adhoc (AVX2 ad hoc)",
-            platform: "x86",
-            vector_bits: 256,
-            loc: count("crates/vsimd/src/adhoc.rs")?,
-            category: "simd",
-        },
-        CodeComponent {
-            name: "vsimd portable (simd+mask+transpose+math+chunks+lane traits)",
+            name: "vsimd portable (simd+transpose+math+chunks+lane traits)",
             platform: "all",
             vector_bits: 0,
-            loc: count("crates/vsimd/src/simd.rs")?
-                + count("crates/vsimd/src/mask.rs")?
-                + count("crates/vsimd/src/transpose.rs")?
-                + count("crates/vsimd/src/math.rs")?
-                + count("crates/vsimd/src/chunks.rs")?
-                + count("crates/vsimd/src/stencil.rs")?
-                + count("crates/vsimd/src/push_lane.rs")?,
+            loc: count(&[
+                "crates/vsimd/src/simd.rs",
+                "crates/vsimd/src/transpose.rs",
+                "crates/vsimd/src/math.rs",
+                "crates/vsimd/src/chunks.rs",
+                "crates/vsimd/src/stencil.rs",
+                "crates/vsimd/src/push_lane.rs",
+            ])?,
             category: "simd",
         },
         CodeComponent {
             name: "vpic-core kernels (push+interp+accumulate)",
             platform: "all",
             vector_bits: 0,
-            loc: count("crates/core/src/push.rs")?
-                + count("crates/core/src/interp.rs")?
-                + count("crates/core/src/accumulate.rs")?,
+            loc: count(&[
+                "crates/core/src/push.rs",
+                "crates/core/src/interp.rs",
+                "crates/core/src/accumulate.rs",
+            ])?,
             category: "kernel",
         },
     ])
@@ -172,9 +172,8 @@ pub fn run() -> Fig1 {
         100.0 * b.kernel_fraction,
         b.total
     );
-    let ours = this_repo_manifest();
+    let ours = this_repo_manifest().inspect_err(|e| eprintln!("{e}")).ok();
     if let Some(m) = &ours {
-        let ob = breakdown(m);
         println!("\nThis reproduction, classified the same way:");
         for c in m {
             println!("{:<52} {:>8}", c.name, c.loc);
@@ -190,7 +189,6 @@ pub fn run() -> Fig1 {
             b.simd,
             b.simd / per_isa.max(1)
         );
-        let _ = ob;
     }
     Fig1 { vpic12_breakdown: b, vpic12, ours }
 }
@@ -229,7 +227,7 @@ mod tests {
 
     #[test]
     fn our_repo_counts_and_is_far_smaller() {
-        let ours = this_repo_manifest().expect("sources on disk in-repo");
+        let ours = this_repo_manifest().unwrap_or_else(|e| panic!("{e}"));
         let per_isa: u64 = ours
             .iter()
             .filter(|c| c.category == "simd" && c.platform != "all")

@@ -9,7 +9,7 @@
 //!    behaviour of the three code shapes.
 //! 2. **Platform projection (modelled)** — the paper's per-platform ISA
 //!    findings are applied as multiplicative factors (documented in
-//!    [`isa_factor`]): Kokkos SIMD has no SVE, so *manual* on A64FX runs
+//!    `isa_factor`): Kokkos SIMD has no SVE, so *manual* on A64FX runs
 //!    at NEON width (≈2× slower, paper §5.3); Grace's 4×128-bit units
 //!    favor manual; MI300A's Zen 4 shows no manual win on reductions.
 
@@ -35,7 +35,7 @@ pub struct Fig3Row {
 }
 
 /// Host-measured wall times per strategy for one kernel, seconds.
-pub fn host_times(kernel: Kernel) -> [(Strategy, f64); 3] {
+pub(crate) fn host_times(kernel: Kernel) -> [(Strategy, f64); 3] {
     let mut out = [(Strategy::Auto, 0.0), (Strategy::Guided, 0.0), (Strategy::Manual, 0.0)];
     match kernel {
         Kernel::Axpy => {
@@ -71,7 +71,7 @@ pub fn host_times(kernel: Kernel) -> [(Strategy, f64); 3] {
 
 /// The paper's per-platform ISA effects, as runtime multipliers applied
 /// on top of the host-measured strategy ratio (1.0 = no platform effect).
-pub fn isa_factor(platform: &str, strategy: Strategy, kernel: Kernel) -> f64 {
+pub(crate) fn isa_factor(platform: &str, strategy: Strategy, kernel: Kernel) -> f64 {
     match (platform, strategy) {
         // Kokkos SIMD lacks SVE: manual falls back to NEON width —
         // "nearly twice as slow on A64FX" (paper §5.3, AXPY)
@@ -86,7 +86,7 @@ pub fn isa_factor(platform: &str, strategy: Strategy, kernel: Kernel) -> f64 {
 }
 
 /// The six CPU platform names, in Table 1 order.
-pub fn cpu_names() -> Vec<String> {
+pub(crate) fn cpu_names() -> Vec<String> {
     memsim::platform::cpus().iter().map(|p| p.name.to_string()).collect()
 }
 

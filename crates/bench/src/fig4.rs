@@ -30,7 +30,7 @@ pub struct Fig4Row {
 }
 
 /// Host-measured push wall time per strategy, seconds.
-pub fn host_push_times() -> [(Strategy, f64); 4] {
+pub(crate) fn host_push_times() -> [(Strategy, f64); 4] {
     // LPI-like state: build the deck, advance a few steps so fields and
     // particle distribution are non-trivial, then time pure pushes
     let mut sim = Deck::lpi(16, 8, 8, 16).build();
@@ -58,7 +58,7 @@ pub fn host_push_times() -> [(Strategy, f64); 4] {
 }
 
 /// Platform projection factors for the push kernel (paper §5.3).
-pub fn push_isa_factor(platform: &str, strategy: Strategy) -> f64 {
+pub(crate) fn push_isa_factor(platform: &str, strategy: Strategy) -> f64 {
     let base = match (platform, strategy) {
         // no SVE in Kokkos SIMD / the ad hoc library: ARM runs at NEON
         // width — "greater gains on A64FX and Grace are limited by the

@@ -18,19 +18,19 @@ use psort::{sort_pairs, SortOrder};
 use serde::Serialize;
 
 /// Modelled element count (paper: 10⁹).
-pub const N_MODEL: usize = 1 << 21;
+pub(crate) const N_MODEL: usize = 1 << 21;
 
 /// Duplication factor (paper: each key repeated 100 times).
 pub const REPEATS: usize = patterns::PAPER_REPEATS;
 
 /// Problem-scale factor between the paper's run and the model.
-pub fn problem_scale() -> f64 {
+pub(crate) fn problem_scale() -> f64 {
     patterns::PAPER_ELEMENTS as f64 / N_MODEL as f64
 }
 
 /// The three panels of each figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Panel {
+pub(crate) enum Panel {
     /// (a) unique contiguous keys.
     Contiguous,
     /// (b) each key repeated 100 times.
@@ -41,10 +41,10 @@ pub enum Panel {
 
 impl Panel {
     /// All three panels in figure order.
-    pub const ALL: [Panel; 3] = [Panel::Contiguous, Panel::Repeated, Panel::Stencil];
+    pub(crate) const ALL: [Panel; 3] = [Panel::Contiguous, Panel::Repeated, Panel::Stencil];
 
     /// Panel label.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Panel::Contiguous => "contiguous",
             Panel::Repeated => "repeated x100",
@@ -70,7 +70,7 @@ pub struct GatherScatterRow {
 /// space (their budget is the scaled LLC); CPU tiles stay at the thread
 /// count (their budget is the per-thread cache share, which the CPU
 /// model already scales).
-pub fn model_tile(platform: &Platform, unique: usize) -> usize {
+pub(crate) fn model_tile(platform: &Platform, unique: usize) -> usize {
     match platform.kind {
         PlatformKind::Cpu => platform.paper_tile_size().max(2),
         PlatformKind::Gpu => {
@@ -82,7 +82,7 @@ pub fn model_tile(platform: &Platform, unique: usize) -> usize {
 }
 
 /// Build the ordered key array for one (panel, sort) combination.
-pub fn build_keys(panel: Panel, order: SortOrder, unique: usize) -> Vec<u32> {
+pub(crate) fn build_keys(panel: Panel, order: SortOrder, unique: usize) -> Vec<u32> {
     let mut keys = match panel {
         Panel::Contiguous => patterns::contiguous_keys(N_MODEL),
         Panel::Repeated | Panel::Stencil => patterns::repeated_keys(unique, REPEATS, 1234),
@@ -93,7 +93,7 @@ pub fn build_keys(panel: Panel, order: SortOrder, unique: usize) -> Vec<u32> {
 }
 
 /// Evaluate one platform × panel × sort cell.
-pub fn bandwidth_of(platform: &Platform, panel: Panel, order: SortOrder) -> f64 {
+pub(crate) fn bandwidth_of(platform: &Platform, panel: Panel, order: SortOrder) -> f64 {
     let unique = N_MODEL / REPEATS;
     let keys = build_keys(panel, order, unique);
     let table_len = match panel {

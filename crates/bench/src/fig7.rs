@@ -16,16 +16,16 @@ use serde::Serialize;
 
 /// Grid cells for the modelled push (big enough that per-cell data does
 /// not fit any GPU's scaled LLC).
-pub const GRID_CELLS: usize = 1 << 15;
+pub(crate) const GRID_CELLS: usize = 1 << 15;
 
 /// Particles (≈6 per cell, LPI-like occupancy).
-pub const PARTICLES: usize = 200_000;
+pub(crate) const PARTICLES: usize = 200_000;
 
 /// Problem scale: the paper's LPI runs use grids ~100× larger.
-pub const SCALE: f64 = 100.0;
+pub(crate) const SCALE: f64 = 100.0;
 
 /// The four GPUs of Figure 7.
-pub const GPUS: [&str; 4] = ["V100", "A100", "MI250", "MI300A (GPU)"];
+pub(crate) const GPUS: [&str; 4] = ["V100", "A100", "MI250", "MI300A (GPU)"];
 
 /// One bar of Figure 7.
 #[derive(Debug, Clone, Serialize)]
@@ -41,7 +41,7 @@ pub struct Fig7Row {
 }
 
 /// Cell sequence for one order (shared across platforms).
-pub fn ordered_cells(order: SortOrder) -> Vec<u32> {
+pub(crate) fn ordered_cells(order: SortOrder) -> Vec<u32> {
     let mut cells = random_cells(PARTICLES, GRID_CELLS, 0xF167);
     let mut idx: Vec<u32> = (0..PARTICLES as u32).collect();
     sort_pairs(order, &mut cells, &mut idx);
@@ -49,7 +49,7 @@ pub fn ordered_cells(order: SortOrder) -> Vec<u32> {
 }
 
 /// Model one (platform, order) cell.
-pub fn push_cost(platform_name: &str, order: SortOrder) -> PushCost {
+pub(crate) fn push_cost(platform_name: &str, order: SortOrder) -> PushCost {
     let platform = memsim::platform::by_name(platform_name).expect("known GPU");
     let cells = ordered_cells(order);
     let model = GpuModel::scaled(platform, SCALE);
@@ -60,7 +60,7 @@ pub fn push_cost(platform_name: &str, order: SortOrder) -> PushCost {
 /// tile's interpolator+accumulator working set is cache-resident with
 /// headroom (the paper's 3×cores rule has the same intent — fill the
 /// cache — expressed in its gather-scatter element size).
-pub fn tile_for(platform_name: &str) -> usize {
+pub(crate) fn tile_for(platform_name: &str) -> usize {
     let p = memsim::platform::by_name(platform_name).expect("known GPU");
     let scaled_llc = p.llc_bytes as f64 / SCALE;
     let cells = scaled_llc / (2.0 * memsim::push::CELL_FOOTPRINT_BYTES as f64);

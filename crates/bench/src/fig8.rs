@@ -15,7 +15,7 @@ use psort::SortOrder;
 use serde::Serialize;
 
 /// The three GPUs of Figure 8.
-pub const GPUS: [&str; 3] = ["H100", "MI250", "MI300A (GPU)"];
+pub(crate) const GPUS: [&str; 3] = ["H100", "MI250", "MI300A (GPU)"];
 
 /// One roofline point.
 #[derive(Debug, Clone, Serialize)]

@@ -9,15 +9,15 @@
 //! comparable to the paper's.
 
 use memsim::gpu::GpuModel;
-use memsim::push::{gpu_push, PushSpec, CELL_FOOTPRINT_BYTES};
+use memsim::push::{gpu_push, PushSpec};
 use psort::patterns::random_cells;
 use serde::Serialize;
 
 /// Fixed particle count for the sweep.
-pub const PARTICLES: usize = 150_000;
+pub(crate) const PARTICLES: usize = 150_000;
 
 /// The GPUs of Figure 9 and their paper peak grid sizes.
-pub const GPUS: [(&str, usize, f64); 3] = [
+pub(crate) const GPUS: [(&str, usize, f64); 3] = [
     ("V100", 13_824, 4.0),
     ("A100", 85_184, 6.0),
     ("MI300A (GPU)", 39_304, 9.0),
@@ -35,7 +35,7 @@ pub struct Fig9Point {
 }
 
 /// Grid sizes swept: cubes from 8³ up to 128³ plus each paper peak.
-pub fn grid_sweep() -> Vec<usize> {
+pub(crate) fn grid_sweep() -> Vec<usize> {
     let mut grids: Vec<usize> = [8usize, 12, 16, 20, 24, 28, 32, 40, 44, 52, 64, 80, 96, 128]
         .iter()
         .map(|&n| n * n * n)
@@ -49,7 +49,7 @@ pub fn grid_sweep() -> Vec<usize> {
 }
 
 /// Model one (platform, grid) point.
-pub fn point(platform_name: &str, grid_cells: usize) -> Fig9Point {
+pub(crate) fn point(platform_name: &str, grid_cells: usize) -> Fig9Point {
     let platform = memsim::platform::by_name(platform_name).expect("known GPU");
     let cells = random_cells(PARTICLES, grid_cells, 0xF19 + grid_cells as u64);
     let model = GpuModel::new(platform);
@@ -98,17 +98,17 @@ pub fn run() -> Vec<Fig9Point> {
     all
 }
 
-/// The grid size at which a platform's cell data exactly fills its LLC.
-pub fn cache_capacity_cells(platform_name: &str) -> usize {
-    let p = memsim::platform::by_name(platform_name).expect("known GPU");
-    (p.llc_bytes / CELL_FOOTPRINT_BYTES) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
     use std::sync::OnceLock;
+
+    /// The grid size at which a platform's cell data exactly fills its LLC.
+    fn cache_capacity_cells(platform_name: &str) -> usize {
+        let p = memsim::platform::by_name(platform_name).expect("known GPU");
+        (p.llc_bytes / memsim::push::CELL_FOOTPRINT_BYTES) as usize
+    }
 
     fn series(platform: &str) -> &'static [Fig9Point] {
         static CACHE: OnceLock<HashMap<&'static str, Vec<Fig9Point>>> = OnceLock::new();

@@ -39,7 +39,8 @@ use std::path::PathBuf;
 
 /// True in unoptimized builds, where the trace-driven model tests are
 /// impractically slow (they run in full under `--release`, as CI does).
-pub fn skip_heavy_in_debug() -> bool {
+#[cfg(test)]
+pub(crate) fn skip_heavy_in_debug() -> bool {
     if cfg!(debug_assertions) {
         eprintln!("skipping model-heavy test in debug build; run with --release");
         true
@@ -66,13 +67,8 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf
     Ok(path)
 }
 
-/// Format a throughput/bandwidth in GB/s.
-pub fn gbps(bytes_per_sec: f64) -> String {
-    format!("{:.1} GB/s", bytes_per_sec / 1e9)
-}
-
 /// Format seconds human-readably.
-pub fn fmt_time(s: f64) -> String {
+pub(crate) fn fmt_time(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.2} s")
     } else if s >= 1e-3 {
@@ -98,7 +94,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(gbps(1.65e11), "165.0 GB/s");
         assert_eq!(fmt_time(2.5), "2.50 s");
         assert_eq!(fmt_time(2.5e-3), "2.50 ms");
         assert_eq!(fmt_time(2.5e-6), "2.50 µs");

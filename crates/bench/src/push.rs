@@ -21,7 +21,7 @@ use vpic_core::Deck;
 /// The per-step phases instrumented in `vpic_core::sim::step_on`,
 /// in execution order. Together they should cover nearly all of
 /// `sim.step`.
-pub const PHASES: [&str; 5] =
+pub(crate) const PHASES: [&str; 5] =
     ["sim.sort", "sim.interpolate", "sim.push", "sim.accumulate", "sim.field_solve"];
 
 /// The `push` target's result: throughput plus span/wall reconciliation.
@@ -53,7 +53,7 @@ pub fn run() -> Report {
 }
 
 /// Parameterized body of the `push` target.
-pub fn run_with(workers: usize, warmup: usize, steps: usize) -> Report {
+pub(crate) fn run_with(workers: usize, warmup: usize, steps: usize) -> Report {
     let was_enabled = telemetry::enabled();
     telemetry::set_enabled(true);
 

@@ -26,10 +26,10 @@ use serde::Serialize;
 use vpic_core::Deck;
 
 /// Rank counts the sweep executes.
-pub const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Platform the per-rank GPU cost model charges against.
-pub const GPU_PLATFORM: &str = "V100";
+pub(crate) const GPU_PLATFORM: &str = "V100";
 
 /// LLC shrink applied to [`GPU_PLATFORM`]: 6 MB / 10 ≈ 614 KiB. The
 /// gather working set each rank's push actually touches is its *owned*
@@ -38,7 +38,7 @@ pub const GPU_PLATFORM: &str = "V100";
 /// 221 KB at 432 B per cell — outside the scaled cache at 1–2 ranks,
 /// fully inside from 4 on. Partial reuse starts the superlinear
 /// crossing at 2 ranks; the full fit at 4 is the cliff the test pins.
-pub const GPU_SCALE: f64 = 10.0;
+pub(crate) const GPU_SCALE: f64 = 10.0;
 
 /// One rank count's modeled-GPU numbers.
 #[derive(Debug, Clone, Serialize)]
@@ -127,7 +127,7 @@ pub struct Report {
 
 /// Execute the sweep. `steps` measured steps per rank count after
 /// `warmup` unmeasured ones.
-pub fn sweep(grid: (usize, usize, usize), ppc: usize, warmup: usize, steps: usize) -> Report {
+pub(crate) fn sweep(grid: (usize, usize, usize), ppc: usize, warmup: usize, steps: usize) -> Report {
     let network = systems::selene().network;
     let reference = Deck::weibel(grid.0, grid.1, grid.2, ppc, 0.3).build();
     let gpu_platform =

@@ -14,7 +14,7 @@
 /// numbers, min/p95/max so a noisy run is visible in the report instead
 /// of silently folded into one number.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingStats {
+pub(crate) struct TimingStats {
     /// Median measured rep, seconds.
     pub median_s: f64,
     /// Fastest measured rep, seconds.
@@ -30,7 +30,7 @@ pub struct TimingStats {
 /// Measure `reps` invocations of `f` after `warmup` unmeasured ones and
 /// return the full [`TimingStats`], with each measured rep recorded as a
 /// `name` span when profiling is enabled.
-pub fn measure_named(
+pub(crate) fn measure_named(
     name: &'static str,
     warmup: usize,
     reps: usize,
@@ -61,7 +61,7 @@ pub fn measure_named(
 /// Median wall time of `reps` invocations of `f`, after `warmup` unmeasured
 /// invocations, with each measured rep recorded as a `name` span when
 /// profiling is enabled. Returns seconds.
-pub fn median_time_named(
+pub(crate) fn median_time_named(
     name: &'static str,
     warmup: usize,
     reps: usize,
@@ -71,13 +71,13 @@ pub fn median_time_named(
 }
 
 /// [`median_time_named`] under the generic `bench.rep` span name.
-pub fn median_time(warmup: usize, reps: usize, f: impl FnMut()) -> f64 {
+pub(crate) fn median_time(warmup: usize, reps: usize, f: impl FnMut()) -> f64 {
     median_time_named("bench.rep", warmup, reps, f)
 }
 
 /// Keep a value alive and opaque to the optimizer (stable-Rust black box).
 #[inline]
-pub fn black_box<T>(x: T) -> T {
+pub(crate) fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 

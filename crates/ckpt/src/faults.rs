@@ -28,7 +28,7 @@ pub fn with_bit_flipped(bytes: &[u8], byte: usize, bit: u8) -> Vec<u8> {
 
 /// Reproduce what a process killed mid-save leaves on disk: a truncated
 /// `<path>.tmp` staged next to `path`, with `path` itself untouched.
-/// Because [`crate::file::save_bytes_atomic`] renames only after a full
+/// Because [`crate::file::save_atomic`] renames only after a full
 /// fsync, the primary (or its `.prev` rotation) stays loadable.
 pub fn crash_mid_write(path: &Path, bytes: &[u8], keep: usize) -> std::io::Result<()> {
     std::fs::write(tmp_path(path), truncated(bytes, keep))

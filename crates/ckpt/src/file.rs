@@ -27,13 +27,14 @@ pub fn prev_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Atomically persist raw snapshot bytes to `path` (write temp → fsync →
-/// rotate old → rename). Returns the byte count written.
-pub fn save_bytes_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<u64> {
+/// Atomically persist a [`Writer`]'s snapshot to `path` (write temp →
+/// fsync → rotate old → rename). Returns the byte count written.
+pub fn save_atomic(path: &Path, writer: &Writer) -> std::io::Result<u64> {
+    let bytes = writer.to_bytes();
     let tmp = tmp_path(path);
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+        f.write_all(&bytes)?;
         f.sync_all()?;
     }
     if path.exists() {
@@ -41,11 +42,6 @@ pub fn save_bytes_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<u64> {
     }
     fs::rename(&tmp, path)?;
     Ok(bytes.len() as u64)
-}
-
-/// Atomically persist a [`Writer`]'s snapshot to `path`.
-pub fn save_atomic(path: &Path, writer: &Writer) -> std::io::Result<u64> {
-    save_bytes_atomic(path, &writer.to_bytes())
 }
 
 /// Load and verify the snapshot at `path`.

@@ -35,7 +35,7 @@ pub const MAGIC: [u8; 4] = *b"VPCK";
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions with [`RestoreError::VersionMismatch`] rather
 /// than guessing.
-pub const VERSION: u32 = 1;
+const VERSION: u32 = 1;
 
 /// Why a snapshot could not be restored. Every injected fault — byte
 /// truncation, bit flips, interrupted writes — maps to exactly one of
@@ -167,16 +167,6 @@ impl SectionBuf {
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// Builds one snapshot: named sections in insertion order.
@@ -234,7 +224,7 @@ impl Writer {
 /// A parsed, CRC-verified snapshot.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// Format version found in the header (always [`VERSION`] today).
+    /// Format version found in the header (always `VERSION` today).
     pub version: u32,
     sections: Vec<(String, Vec<u8>)>,
 }

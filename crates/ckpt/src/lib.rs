@@ -27,5 +27,5 @@ pub mod faults;
 pub mod file;
 pub mod format;
 
-pub use file::{load, load_with_fallback, save_atomic, save_bytes_atomic};
-pub use format::{RestoreError, SectionBuf, SectionReader, Snapshot, Writer, MAGIC, VERSION};
+pub use file::{load, load_with_fallback, save_atomic};
+pub use format::{RestoreError, SectionBuf, SectionReader, Snapshot, Writer, MAGIC};

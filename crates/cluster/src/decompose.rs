@@ -43,14 +43,14 @@ impl Decomposition {
     }
 
     /// Rank coordinates of rank `r` (x-fastest).
-    pub fn coords(&self, r: usize) -> (usize, usize, usize) {
+    pub(crate) fn coords(&self, r: usize) -> (usize, usize, usize) {
         debug_assert!(r < self.ranks());
         let (px, py, _) = self.dims;
         (r % px, (r / px) % py, r / (px * py))
     }
 
     /// Rank id from coordinates.
-    pub fn rank_of(&self, c: (usize, usize, usize)) -> usize {
+    pub(crate) fn rank_of(&self, c: (usize, usize, usize)) -> usize {
         let (px, py, _) = self.dims;
         c.0 + px * (c.1 + py * c.2)
     }
@@ -98,7 +98,7 @@ impl Decomposition {
     /// self-neighbors — their halo is filled from the rank's own block
     /// without any network traffic — so they are excluded here; a single
     /// rank therefore has zero surface, matching its zero exchange cost.
-    pub fn surface_cells(&self, r: usize) -> usize {
+    pub(crate) fn surface_cells(&self, r: usize) -> usize {
         let (x, y, z) = self.local_extent(r);
         if x * y * z == 0 {
             return 0; // empty rank (more ranks than cells on an axis)
@@ -114,7 +114,7 @@ impl Decomposition {
     /// rank — the per-step message count the network model should charge.
     /// Consistent with [`Decomposition::surface_cells`]: both exclude
     /// periodic self-neighbor faces.
-    pub fn remote_faces(&self, r: usize) -> usize {
+    pub(crate) fn remote_faces(&self, r: usize) -> usize {
         self.face_neighbors(r).iter().filter(|&&n| n != r).count()
     }
 

@@ -29,7 +29,7 @@ pub mod scaling;
 pub mod systems;
 
 pub use decompose::Decomposition;
-pub use multirank::{MultiRankSim, RunTiming, StepTiming};
+pub use multirank::{MultiRankSim, StepTiming};
 pub use network::NetworkModel;
 pub use scaling::{strong_scaling, ScalePoint};
 pub use systems::System;

@@ -26,12 +26,12 @@ pub struct NetworkModel {
 /// Wire packet granularity, bytes. Payloads are charged rounded up to
 /// whole packets: a NIC moves cache-line-sized flits, so a 9-byte halo
 /// message costs a full packet, not nine bytes of bandwidth.
-pub const PACKET_BYTES: f64 = 64.0;
+pub(crate) const PACKET_BYTES: f64 = 64.0;
 
 impl NetworkModel {
     /// `bytes` rounded up to whole [`PACKET_BYTES`] packets — the size
     /// actually charged against the link.
-    pub fn packet_ceil(bytes: f64) -> f64 {
+    pub(crate) fn packet_ceil(bytes: f64) -> f64 {
         (bytes / PACKET_BYTES).ceil() * PACKET_BYTES
     }
 
@@ -55,7 +55,7 @@ impl NetworkModel {
     /// ordered `(src, dst)` rank pair with `src != dst` — the same
     /// convention the `cluster.messages` telemetry counter records, so
     /// model charges and counters agree on rank-pair counting. Periodic
-    /// self-neighbor faces (see [`crate::Decomposition::remote_faces`])
+    /// self-neighbor faces (see `crate::Decomposition::remote_faces`)
     /// are in-memory copies: never counted, never charged.
     pub fn exchange_time(&self, messages: usize, bytes: f64) -> f64 {
         if messages == 0 {

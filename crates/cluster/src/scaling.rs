@@ -64,7 +64,7 @@ pub struct ScalePoint {
 
 impl ScalePoint {
     /// Speedup of this point relative to a baseline step time.
-    pub fn speedup_vs(&self, baseline: &ScalePoint) -> f64 {
+    pub(crate) fn speedup_vs(&self, baseline: &ScalePoint) -> f64 {
         baseline.step_time / self.step_time
     }
 }
@@ -86,7 +86,7 @@ pub fn resident_particles(platform: &Platform) -> usize {
 /// ([`memsim::push::fits_llc_with_particles`] — a grid that barely fits
 /// alone still thrashes once the occupancy window moves in); on CPUs the
 /// grid-only predicate, matching the live tuner's prior.
-pub fn local_grid_in_cache(platform: &Platform, local_cells: usize) -> bool {
+pub(crate) fn local_grid_in_cache(platform: &Platform, local_cells: usize) -> bool {
     match platform.kind {
         PlatformKind::Gpu => {
             fits_llc_with_particles(platform, local_cells, resident_particles(platform))

@@ -30,7 +30,7 @@ pub struct System {
 
 impl System {
     /// The GPU platform descriptor.
-    pub fn platform(&self) -> Platform {
+    pub(crate) fn platform(&self) -> Platform {
         platform::by_name(self.gpu).expect("known platform")
     }
 }
@@ -71,7 +71,7 @@ pub fn selene() -> System {
 
 /// Tuolumne (LLNL): 4× MI300A APU nodes on Slingshot-11; unified memory
 /// makes transfers effectively GPU-aware.
-pub fn tuolumne() -> System {
+pub(crate) fn tuolumne() -> System {
     System {
         name: "Tuolumne",
         gpu: "MI300A (GPU)",

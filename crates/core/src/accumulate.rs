@@ -52,24 +52,22 @@ impl Accumulator {
     }
 
     /// Number of cells covered.
-    pub fn cells(&self) -> usize {
+    pub(crate) fn cells(&self) -> usize {
         self.cells
     }
 
     /// The scatter mode the accumulator was built with.
-    pub fn scatter_mode(&self) -> ScatterMode {
+    pub(crate) fn scatter_mode(&self) -> ScatterMode {
         self.buf.mode()
     }
 
     /// Zero all slots, each lane under a sole claim. Like the other
     /// methods that take a claim for their duration ([`deposit_segment`],
-    /// [`merge_cell_raw`], [`set_cell_raw`]), it must not be called by a
-    /// thread that holds a [`RunDepositor`] on this accumulator: claims
-    /// are not re-entrant, and the thread would wait for itself.
+    /// `set_cell_raw`), it must not be called by a thread that holds a
+    /// [`RunDepositor`] on this accumulator: claims are not re-entrant,
+    /// and the thread would wait for itself.
     ///
     /// [`deposit_segment`]: Accumulator::deposit_segment
-    /// [`merge_cell_raw`]: Accumulator::merge_cell_raw
-    /// [`set_cell_raw`]: Accumulator::set_cell_raw
     pub fn reset(&self) {
         self.buf.reset();
     }
@@ -111,8 +109,9 @@ impl Accumulator {
         self.depositor(worker, Claim::Shared).deposit(cell, x0, y0, z0, x1, y1, z1, qw);
     }
 
-    /// Raw slot value (tests/diagnostics).
-    pub fn slot(&self, cell: usize, slot: usize) -> f64 {
+    /// Raw slot value.
+    #[cfg(test)]
+    fn slot(&self, cell: usize, slot: usize) -> f64 {
         self.buf.get(cell * SLOTS + slot)
     }
 
@@ -129,7 +128,8 @@ impl Accumulator {
     /// wait for it or add beside it, never interleave with plain adds.
     /// Not for a thread that holds a depositor on this accumulator (see
     /// [`Accumulator::reset`]).
-    pub fn merge_cell_raw(&self, cell: usize, raw: &[i64; SLOTS]) {
+    #[cfg(test)]
+    fn merge_cell_raw(&self, cell: usize, raw: &[i64; SLOTS]) {
         self.buf.claim(0, Claim::Shared).add_raw_run(cell * SLOTS, raw);
     }
 
@@ -138,7 +138,7 @@ impl Accumulator {
     /// halo shells so their minus-side unload gathers see merged data),
     /// under a sole claim on each lane in turn. Not for a thread that
     /// holds a depositor on this accumulator (see [`Accumulator::reset`]).
-    pub fn set_cell_raw(&self, cell: usize, raw: &[i64; SLOTS]) {
+    pub(crate) fn set_cell_raw(&self, cell: usize, raw: &[i64; SLOTS]) {
         self.buf.set_raw_run(cell * SLOTS, raw);
     }
 
@@ -270,7 +270,7 @@ impl RunDepositor<'_> {
     /// [`segment_weights`] or one row of the push's transposed
     /// [`lane_segment_weights`]) into `cell` — the one way in.
     #[inline]
-    pub fn deposit_weights(&mut self, cell: usize, w: &[f32; SLOTS]) {
+    pub(crate) fn deposit_weights(&mut self, cell: usize, w: &[f32; SLOTS]) {
         if self.run != Some(cell) {
             self.flush();
             let cells = self.lane.len() / SLOTS;
@@ -320,7 +320,7 @@ const CORNERS: [(isize, isize); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
 
 /// Villasenor–Buneman weights for one within-cell segment: 12 values,
 /// `[jx×4, jy×4, jz×4]`, in units of charge × fractional displacement.
-/// The `f32` instantiation of [`lane_segment_weights`].
+/// The `f32` instantiation of `lane_segment_weights`.
 #[inline]
 pub fn segment_weights(
     x0: f32,
@@ -339,7 +339,7 @@ pub fn segment_weights(
 /// `s` of lane `l`'s segment is lane `l` of `out[s]`. Exact lane ops in
 /// one fixed association, so every lane width gives the scalar bits.
 #[inline(always)]
-pub fn lane_segment_weights<L: PushLane>(p0: Xyz<L>, p1: Xyz<L>, qw: L) -> [L; SLOTS] {
+pub(crate) fn lane_segment_weights<L: PushLane>(p0: Xyz<L>, p1: Xyz<L>, qw: L) -> [L; SLOTS] {
     let (one, half, twelve) = (L::splat(1.0), L::splat(0.5), L::splat(12.0));
     // convert offsets [-1,1] to cell coordinates [0,1]
     let unit = |v: L| v.add(one).mul(half);

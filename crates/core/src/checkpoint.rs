@@ -22,7 +22,7 @@
 //! tag, energy ledger that does not match the restored state) is
 //! [`RestoreError::SchemaDrift`], never a silently wrong simulation.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 
@@ -300,7 +300,7 @@ impl Simulation {
     /// `tiling` section, and tiling is re-enabled before returning.
     /// [`Simulation::restore_from_snapshot`] re-enables tiling from the
     /// recorded policy, so a preempted tiled job resumes tiled.
-    pub fn checkpoint_writer(&mut self) -> Writer {
+    pub(crate) fn checkpoint_writer(&mut self) -> Writer {
         let tile_policy = self.tile_engine().map(|e| e.policy().clone());
         if tile_policy.is_some() {
             let _s = telemetry::span("ckpt.untile").arg("step", self.step);
@@ -412,7 +412,7 @@ impl Simulation {
 
     /// Serialize the checkpoint into `w`; returns bytes written. Counts
     /// `ckpt.bytes_written` and records a `ckpt.write` span.
-    pub fn checkpoint<W: Write>(&mut self, w: &mut W) -> std::io::Result<u64> {
+    pub(crate) fn checkpoint<W: Write>(&mut self, w: &mut W) -> std::io::Result<u64> {
         let _s = telemetry::span("ckpt.write").arg("step", self.step);
         let bytes = self.checkpoint_writer().write_to(w)?;
         telemetry::count("ckpt.bytes_written", bytes);
@@ -450,13 +450,6 @@ impl Simulation {
         Ok(sim)
     }
 
-    /// Rebuild a simulation from a checkpoint stream.
-    pub fn restore<R: Read>(r: &mut R) -> Result<Self, RestoreError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        Self::restore_bytes(&bytes)
-    }
-
     /// Restore from `path`, falling back to the rotated `<path>.prev`
     /// snapshot when the primary is missing or fails *any* stage of
     /// validation (container, CRC, schema, energy cross-check). Returns
@@ -488,7 +481,7 @@ impl Simulation {
     /// tags are [`RestoreError::SchemaDrift`]); the energy ledger saved
     /// at checkpoint time is recomputed from the restored state and must
     /// match bit-for-bit.
-    pub fn restore_from_snapshot(snap: &Snapshot) -> Result<Self, RestoreError> {
+    pub(crate) fn restore_from_snapshot(snap: &Snapshot) -> Result<Self, RestoreError> {
         let mut g = snap.section("grid")?;
         let grid = Grid {
             nx: g.get_usize()?,

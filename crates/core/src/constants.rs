@@ -4,32 +4,19 @@
 //! time in units where `c = 1`, charge/mass in units of the electron's.
 //! All stability margins live here so decks and tests share them.
 
-/// Speed of light (normalization anchor).
-pub const C: f32 = 1.0;
-
-/// Electron charge in normalized units (negative by convention).
-pub const ELECTRON_Q: f32 = -1.0;
-
-/// Electron mass in normalized units.
-pub const ELECTRON_M: f32 = 1.0;
-
 /// Ion (proton) mass ratio used by the default decks. A reduced mass
 /// ratio (100 instead of 1836) is standard practice for benchmark decks —
 /// it shortens the ion timescale so short runs exercise both species.
-pub const ION_MASS_RATIO: f32 = 100.0;
+pub(crate) const ION_MASS_RATIO: f32 = 100.0;
 
 /// Courant safety factor applied below the 3-D CFL limit.
-pub const CFL_SAFETY: f32 = 0.95;
+pub(crate) const CFL_SAFETY: f32 = 0.95;
 
 /// 3-D Courant limit for unit cells: `c·dt < 1/√3`.
-pub fn courant_dt(dx: f32, dy: f32, dz: f32) -> f32 {
+pub(crate) fn courant_dt(dx: f32, dy: f32, dz: f32) -> f32 {
     let inv = (1.0 / (dx * dx) + 1.0 / (dy * dy) + 1.0 / (dz * dz)).sqrt();
     CFL_SAFETY / inv
 }
-
-/// Maximum momentum-per-step such that a particle crosses at most one
-/// cell boundary per dimension per step (the mover's contract).
-pub const MAX_CELL_FRACTION_PER_STEP: f32 = 1.0;
 
 #[cfg(test)]
 mod tests {
@@ -45,13 +32,5 @@ mod tests {
     #[test]
     fn courant_tightens_with_smaller_cells() {
         assert!(courant_dt(0.5, 1.0, 1.0) < courant_dt(1.0, 1.0, 1.0));
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)] // documents the conventions
-    fn charge_sign_conventions() {
-        assert!(ELECTRON_Q < 0.0);
-        assert_eq!(ELECTRON_M, 1.0);
-        assert!(ION_MASS_RATIO > 1.0);
     }
 }

@@ -23,7 +23,7 @@ pub struct EnergySnapshot {
 
 impl EnergySnapshot {
     /// Capture the ledger from a simulation.
-    pub fn capture(sim: &Simulation) -> Self {
+    pub(crate) fn capture(sim: &Simulation) -> Self {
         let (field_e, field_b) = sim.fields.energies();
         Self {
             time: sim.time(),
@@ -60,7 +60,7 @@ impl EnergyHistory {
     /// Relative drift of total energy from the first entry, at entry `i`
     /// (0.0 when the history is empty, `i` is out of range, or the
     /// baseline is zero).
-    pub fn drift(&self, i: usize) -> f64 {
+    pub(crate) fn drift(&self, i: usize) -> f64 {
         let e0 = self.entries.first().map(|e| e.total()).unwrap_or(0.0);
         if e0 == 0.0 {
             return 0.0;

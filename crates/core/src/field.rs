@@ -13,7 +13,7 @@
 //! ## Kernel structure (paper §3.1 applied to the field solve)
 //!
 //! The advance kernels sweep the grid one x-row (`(iy, iz)` pair) at a
-//! time. [`Grid::row_stencil`] gives the row its neighbor rows' base
+//! time. `Grid::row_stencil` gives the row its neighbor rows' base
 //! voxels — the periodic wrap in y and z, paid once per row — so every
 //! row is one unit-stride span with loop-invariant bases that vectorizes
 //! (`0..nx−1` for curl-E, `1..nx` for curl-B), plus the one end cell whose
@@ -220,12 +220,8 @@ impl FieldArray {
         }
     }
 
-    /// Zero the current arrays (start of every step).
-    pub fn clear_j(&mut self) {
-        self.clear_j_on(&Serial);
-    }
-
-    /// [`FieldArray::clear_j`] with the row sweep distributed over `space`.
+    /// Zero the current arrays (start of every step), the row sweep
+    /// distributed over `space`.
     pub fn clear_j_on<S: ExecSpace>(&mut self, space: &S) {
         let nx = self.grid.nx;
         let rows = self.grid.rows();
@@ -243,7 +239,7 @@ impl FieldArray {
         });
     }
 
-    /// Serial reference for [`FieldArray::advance_b`]: the general wrapped
+    /// Serial reference for [`FieldArray::advance_b_on`]: the general wrapped
     /// per-cell loop, kept as the bit-exactness oracle (and the pre-split
     /// baseline the `repro -- field` bench measures against).
     pub fn advance_b_ref(&mut self, frac: f32) {
@@ -261,13 +257,9 @@ impl FieldArray {
     }
 
     /// Advance B by `frac·dt` with `∂B/∂t = −∇×E` (call with `0.5`
-    /// before and after the E update for the leapfrog).
-    pub fn advance_b(&mut self, frac: f32) {
-        self.advance_b_on(&Serial, Strategy::Auto, frac);
-    }
-
-    /// [`FieldArray::advance_b`] with the row sweep distributed over
-    /// `space` and each row's span vectorized per `strategy`.
+    /// before and after the E update for the leapfrog), the row sweep
+    /// distributed over `space` and each row's span vectorized per
+    /// `strategy`.
     /// Bit-identical to [`FieldArray::advance_b_ref`] for every strategy,
     /// space, and worker count.
     pub fn advance_b_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy, frac: f32) {
@@ -333,7 +325,7 @@ impl FieldArray {
         }
     }
 
-    /// Serial reference for [`FieldArray::advance_e`] (see
+    /// Serial reference for [`FieldArray::advance_e_on`] (see
     /// [`FieldArray::advance_b_ref`]).
     pub fn advance_e_ref(&mut self) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, jx, jy, jz } = self;
@@ -349,13 +341,9 @@ impl FieldArray {
         }
     }
 
-    /// Advance E by a full `dt` with `∂E/∂t = ∇×B − J`.
-    pub fn advance_e(&mut self) {
-        self.advance_e_on(&Serial, Strategy::Auto);
-    }
-
-    /// [`FieldArray::advance_e`] with the row sweep distributed over
-    /// `space` and each row's span vectorized per `strategy`.
+    /// Advance E by a full `dt` with `∂E/∂t = ∇×B − J`, the row sweep
+    /// distributed over `space` and each row's span vectorized per
+    /// `strategy`.
     /// Bit-identical to [`FieldArray::advance_e_ref`] for every strategy,
     /// space, and worker count.
     pub fn advance_e_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy) {
@@ -392,7 +380,7 @@ impl FieldArray {
     /// ez²` per voxel) then rows folded in row order — the same order
     /// [`FieldArray::energies_on`] uses, so serial and parallel results
     /// are bit-identical.
-    pub fn energies(&self) -> (f64, f64) {
+    pub(crate) fn energies(&self) -> (f64, f64) {
         self.energies_on(&Serial)
     }
 
@@ -401,7 +389,7 @@ impl FieldArray {
     /// result for any space or worker count (a plain block-joined
     /// `parallel_reduce` would not be: its join tree depends on the
     /// partition).
-    pub fn energies_on<S: ExecSpace>(&self, space: &S) -> (f64, f64) {
+    pub(crate) fn energies_on<S: ExecSpace>(&self, space: &S) -> (f64, f64) {
         let g = &self.grid;
         let rows = g.rows();
         let mut partials = vec![(0.0f64, 0.0f64); rows];
@@ -433,7 +421,8 @@ impl FieldArray {
     }
 
     /// Discrete `∇·B` at the cell's node-dual (must stay ≈0 under FDTD).
-    pub fn div_b(&self, v: usize) -> f32 {
+    #[cfg(test)]
+    fn div_b(&self, v: usize) -> f32 {
         let g = &self.grid;
         let xp = g.neighbor(v, (1, 0, 0));
         let yp = g.neighbor(v, (0, 1, 0));
@@ -491,12 +480,12 @@ mod tests {
         let e0 = total_energy(&f);
         assert!(e0 > 0.0);
         // leapfrog: half B, then (E, full B) pairs
-        f.advance_b(0.5);
+        f.advance_b_on(&Serial, Strategy::Auto, 0.5);
         for _ in 0..200 {
-            f.advance_e();
-            f.advance_b(1.0);
+            f.advance_e_on(&Serial, Strategy::Auto);
+            f.advance_b_on(&Serial, Strategy::Auto, 1.0);
         }
-        f.advance_b(-0.5); // resync B to integer time for the energy check
+        f.advance_b_on(&Serial, Strategy::Auto, -0.5); // resync B to integer time for the energy check
         let e1 = total_energy(&f);
         let drift = ((e1 - e0) / e0).abs();
         assert!(drift < 0.02, "vacuum energy drift {drift}");
@@ -511,11 +500,11 @@ mod tests {
         assert_eq!(initial, 0.0); // sin(0)
         // advance a quarter period: T = wavelength / c = 64 steps of dt... use
         // enough steps that the phase visibly moves
-        f.advance_b(0.5);
+        f.advance_b_on(&Serial, Strategy::Auto, 0.5);
         let steps = (n as f32 / (4.0 * f.grid.dt)) as usize;
         for _ in 0..steps {
-            f.advance_e();
-            f.advance_b(1.0);
+            f.advance_e_on(&Serial, Strategy::Auto);
+            f.advance_b_on(&Serial, Strategy::Auto, 1.0);
         }
         assert!(
             probe(&f).abs() > 0.5,
@@ -527,10 +516,10 @@ mod tests {
     #[test]
     fn div_b_stays_zero() {
         let mut f = plane_wave(16);
-        f.advance_b(0.5);
+        f.advance_b_on(&Serial, Strategy::Auto, 0.5);
         for _ in 0..50 {
-            f.advance_e();
-            f.advance_b(1.0);
+            f.advance_e_on(&Serial, Strategy::Auto);
+            f.advance_b_on(&Serial, Strategy::Auto, 1.0);
         }
         for v in 0..f.grid.cells() {
             assert!(f.div_b(v).abs() < 1e-4, "div B at {v}: {}", f.div_b(v));
@@ -543,7 +532,7 @@ mod tests {
         let dt = g.dt;
         let mut f = FieldArray::new(g);
         f.jx.fill(1.0);
-        f.advance_e();
+        f.advance_e_on(&Serial, Strategy::Auto);
         assert!(f.ex.iter().all(|&e| (e + dt).abs() < 1e-6), "E = -J dt");
         assert!(f.ey.iter().all(|&e| e == 0.0));
     }
@@ -554,7 +543,7 @@ mod tests {
         let mut f = FieldArray::new(g);
         f.jx.fill(2.0);
         f.ex.fill(3.0);
-        f.clear_j();
+        f.clear_j_on(&Serial);
         assert!(f.jx.iter().all(|&x| x == 0.0));
         assert!(f.ex.iter().all(|&x| x == 3.0));
     }
@@ -565,9 +554,9 @@ mod tests {
         let mut f = FieldArray::new(g);
         f.bz.fill(1.5);
         let before = f.clone();
-        f.advance_b(0.5);
-        f.advance_e();
-        f.advance_b(1.0);
+        f.advance_b_on(&Serial, Strategy::Auto, 0.5);
+        f.advance_e_on(&Serial, Strategy::Auto);
+        f.advance_b_on(&Serial, Strategy::Auto, 1.0);
         assert_eq!(f.bz, before.bz);
         assert!(f.ex.iter().all(|&e| e == 0.0));
     }
@@ -623,7 +612,7 @@ mod tests {
         for (nx, ny, nz) in [(6, 5, 4), (1, 4, 4), (4, 1, 1), (1, 1, 1)] {
             let g = Grid::new(nx, ny, nz);
             let mut full = scrambled(&g);
-            full.advance_b(0.5);
+            full.advance_b_on(&Serial, Strategy::Auto, 0.5);
             let mut boxed = scrambled(&g);
             boxed.advance_b_box(0..nx.saturating_sub(1), 0..ny.saturating_sub(1), 0..nz.saturating_sub(1), 0.5);
             boxed.advance_b_box(nx - 1..nx, 0..ny, 0..nz, 0.5);

@@ -5,13 +5,13 @@
 //! periodic and neighbor lookups wrap modularly (the `cluster` crate
 //! models multi-domain decomposition and its halo traffic separately).
 //! The row sweeps of the field pipeline pay for the wrap once per x-row
-//! ([`Grid::row_stencil`]); [`Grid::neighbor`] is the per-cell form the
+//! (`Grid::row_stencil`); [`Grid::neighbor`] is the per-cell form the
 //! serial references and the push's crossing path use.
 
 use serde::Serialize;
 use std::ops::Range;
 
-/// Which side a stencil's neighbors lie on, for [`Grid::row_stencil`]: a
+/// Which side a stencil's neighbors lie on, for `Grid::row_stencil`: a
 /// *plus*-side stencil reads `+x̂, +ŷ, +ẑ` (curl-E, interpolator load), a
 /// *minus*-side stencil reads `−x̂, −ŷ, −ẑ` (curl-B, accumulator gather).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub enum StencilSide {
 /// x-neighbor is `row + ix ± 1` except for the one end cell of the row,
 /// whose x-neighbor is the row's other end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowStencil {
+pub(crate) struct RowStencil {
     /// Base voxel of the row itself.
     pub row: usize,
     /// Base voxel of the `±ŷ` neighbor row.
@@ -117,20 +117,20 @@ impl Grid {
     /// for the field pipeline's parallel sweeps (unit stride, one cache
     /// line stream per array).
     #[inline(always)]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.ny * self.nz
     }
 
     /// Contiguous voxel ids of row `r` (x-fastest ⇒ `r·nx .. (r+1)·nx`).
     #[inline(always)]
-    pub fn row_range(&self, r: usize) -> Range<usize> {
+    pub(crate) fn row_range(&self, r: usize) -> Range<usize> {
         debug_assert!(r < self.rows());
         r * self.nx..(r + 1) * self.nx
     }
 
     /// `(iy, iz)` of row `r` (inverse of `r = iy + ny·iz`).
     #[inline(always)]
-    pub fn row_coords(&self, r: usize) -> (usize, usize) {
+    pub(crate) fn row_coords(&self, r: usize) -> (usize, usize) {
         debug_assert!(r < self.rows());
         (r % self.ny, r / self.ny)
     }
@@ -141,7 +141,7 @@ impl Grid {
     /// plus side, `1..nx` on the minus side), and only the one end cell
     /// whose x-neighbor wraps is handled apart, from the same bases.
     #[inline(always)]
-    pub fn row_stencil(&self, r: usize, side: StencilSide) -> RowStencil {
+    pub(crate) fn row_stencil(&self, r: usize, side: StencilSide) -> RowStencil {
         let (iy, iz) = self.row_coords(r);
         let step = |i: usize, n: usize| match side {
             StencilSide::Plus if i + 1 == n => 0,
@@ -154,20 +154,6 @@ impl Grid {
         RowStencil { row: base(iy, iz), y: base(jy, iz), z: base(iy, jz), yz: base(jy, jz) }
     }
 
-    /// Physical domain volume.
-    pub fn volume(&self) -> f32 {
-        self.cells() as f32 * self.dx * self.dy * self.dz
-    }
-
-    /// The six face-neighbor deltas (VPIC's point-to-point partners).
-    pub const FACE_NEIGHBORS: [(isize, isize, isize); 6] = [
-        (-1, 0, 0),
-        (1, 0, 0),
-        (0, -1, 0),
-        (0, 1, 0),
-        (0, 0, -1),
-        (0, 0, 1),
-    ];
 }
 
 #[cfg(test)]
@@ -272,13 +258,11 @@ mod tests {
 
     #[test]
     fn six_face_neighbors() {
-        assert_eq!(Grid::FACE_NEIGHBORS.len(), 6);
+        let faces = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)];
         let g = Grid::new(5, 5, 5);
         let v = g.voxel(2, 2, 2);
-        let n: std::collections::HashSet<usize> = Grid::FACE_NEIGHBORS
-            .iter()
-            .map(|&d| g.neighbor(v, d))
-            .collect();
+        let n: std::collections::HashSet<usize> =
+            faces.iter().map(|&d| g.neighbor(v, d)).collect();
         assert_eq!(n.len(), 6);
         assert!(!n.contains(&v));
     }

@@ -14,7 +14,7 @@
 //!
 //! [`load_interpolators_into`] rebuilds the array every step, one x-row
 //! at a time from the row's neighbor rows
-//! ([`crate::grid::Grid::row_stencil`]), overwriting a persistent
+//! (`crate::grid::Grid::row_stencil`), overwriting a persistent
 //! [`InterpolatorArray`] that is never filled first: 72 bytes written per
 //! cell is the kernel's roof, and a zero-fill before the sweep would
 //! double it.
@@ -58,7 +58,7 @@ const DCBZDZ: usize = 17;
 /// (scalar callers go through [`Interpolator::e_at`] / [`Interpolator::b_at`],
 /// the push passes broadcast or transposed records).
 #[inline(always)]
-pub fn fields_at<L: StencilLane>(c: &[L; COEFFS], p: Xyz<L>) -> (Xyz<L>, Xyz<L>) {
+pub(crate) fn fields_at<L: StencilLane>(c: &[L; COEFFS], p: Xyz<L>) -> (Xyz<L>, Xyz<L>) {
     let Xyz { x, y, z } = p;
     let bilinear = |c0: usize, s: L, t: L| {
         c[c0].add(s.mul(c[c0 + 1])).add(t.mul(c[c0 + 2])).add(s.mul(t).mul(c[c0 + 3]))
@@ -81,8 +81,8 @@ impl Interpolator {
     }
 
     /// Magnetic field at cell-relative offsets.
-    #[inline(always)]
-    pub fn b_at(&self, x: f32, y: f32, z: f32) -> (f32, f32, f32) {
+    #[cfg(test)]
+    fn b_at(&self, x: f32, y: f32, z: f32) -> (f32, f32, f32) {
         let b = fields_at(&self.0, Xyz { x, y, z }).1;
         (b.x, b.y, b.z)
     }
@@ -106,24 +106,9 @@ impl InterpolatorArray {
         Self::default()
     }
 
-    /// Records currently held (equals the grid's cell count after a load).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True before the first load.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Backing capacity, for no-alloc-after-warmup assertions.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.data.capacity()
-    }
-
-    /// The records as a slice (what the push kernels gather from).
-    pub fn as_slice(&self) -> &[Interpolator] {
-        &self.data
     }
 }
 
@@ -259,7 +244,7 @@ fn load_cell_wrapped(f: &FieldArray, v: usize, c: &mut [f32; COEFFS]) {
 
 /// Refill `out` from the current fields with the row sweep distributed
 /// over `space`. Each row reads its neighbor rows through
-/// [`crate::grid::Grid::row_stencil`]: the cells `0..nx−1` as one span per
+/// `crate::grid::Grid::row_stencil`: the cells `0..nx−1` as one span per
 /// `strategy`, the x-wrapping end cell from the same bases. Bit-identical
 /// to [`load_interpolators`] for every strategy, space, and worker count.
 /// Every record is overwritten, so nothing is filled first: `out` is
@@ -416,7 +401,7 @@ mod tests {
             for strategy in Strategy::ALL {
                 load_interpolators_into(&pk::Serial, strategy, &f, &mut buf);
                 assert_eq!(buf.len(), reference.len());
-                for (v, (a, b)) in reference.iter().zip(buf.as_slice()).enumerate() {
+                for (v, (a, b)) in reference.iter().zip(&buf[..]).enumerate() {
                     for k in 0..COEFFS {
                         assert_eq!(
                             a.0[k].to_bits(),
@@ -426,7 +411,7 @@ mod tests {
                     }
                 }
                 load_interpolators_into(&threads, strategy, &f, &mut buf);
-                for (v, (a, b)) in reference.iter().zip(buf.as_slice()).enumerate() {
+                for (v, (a, b)) in reference.iter().zip(&buf[..]).enumerate() {
                     assert_eq!(a, b, "threads cell {v} {strategy:?} ({nx},{ny},{nz})");
                 }
             }
@@ -442,7 +427,7 @@ mod tests {
             for (nx, ny, nz) in [(6, 5, 4), (3, 2, 2), (7, 6, 5)] {
                 let f = scrambled(&Grid::new(nx, ny, nz));
                 load_interpolators_into(&pk::Serial, strategy, &f, &mut buf);
-                assert_eq!(buf.as_slice(), load_interpolators(&f), "{strategy:?} ({nx},{ny},{nz})");
+                assert_eq!(&buf[..], load_interpolators(&f), "{strategy:?} ({nx},{ny},{nz})");
             }
         }
     }

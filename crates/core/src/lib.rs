@@ -25,10 +25,8 @@
 
 pub mod accumulate;
 pub mod checkpoint;
-pub mod compact;
 pub mod constants;
 pub mod deck;
-pub mod diagnostics;
 pub mod energy;
 pub mod field;
 pub mod grid;

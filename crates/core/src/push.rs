@@ -13,7 +13,7 @@
 //!    cell (the common case after a cell sort) broadcasts that cell's 18
 //!    coefficients; a mixed group loads its four 72-byte records and
 //!    transposes them in registers (AoS → SoA);
-//! 2. **field evaluation and Boris** ([`fields_at`], `boris`) in lanes;
+//! 2. **field evaluation and Boris** (`fields_at`, `boris`) in lanes;
 //! 3. **in-cell mover** (`displacement`, `move_group`) — displacement,
 //!    target position, an in-cell mask and the twelve Villasenor–Buneman
 //!    weights in lanes, transposed (SoA → AoS) to one 12-slot row per
@@ -57,7 +57,7 @@ use vsimd::{PushLane, SimdF32, Strategy, Xyz};
 
 /// Precomputed per-species push coefficients.
 #[derive(Debug, Clone, Copy)]
-pub struct PushParams {
+pub(crate) struct PushParams {
     /// `q·dt / (2m)` — the half-kick coefficient.
     pub qdt_2m: f32,
     /// Offset displacement per unit momentum-over-gamma: `2·dt/dx`.
@@ -70,7 +70,7 @@ pub struct PushParams {
 
 impl PushParams {
     /// Coefficients for `species` on `grid`.
-    pub fn new(grid: &Grid, q: f32, m: f32) -> Self {
+    pub(crate) fn new(grid: &Grid, q: f32, m: f32) -> Self {
         Self {
             qdt_2m: q * grid.dt / (2.0 * m),
             cdt_dx2: 2.0 * grid.dt / grid.dx,

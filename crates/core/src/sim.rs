@@ -10,7 +10,7 @@ use crate::accumulate::Accumulator;
 use crate::energy::EnergySnapshot;
 use crate::field::FieldArray;
 use crate::grid::Grid;
-use crate::interp::{load_interpolators, load_interpolators_into, Interpolator, InterpolatorArray};
+use crate::interp::{load_interpolators_into, InterpolatorArray};
 use crate::push::{push_species_on, PushStats};
 use crate::species::Species;
 use crate::tile::{TileEngine, TilePolicy};
@@ -162,11 +162,6 @@ impl Simulation {
             + self.tiling.as_ref().map_or(0, |e| e.particle_count())
     }
 
-    /// Compute fresh interpolators from the current fields.
-    pub fn interpolators(&self) -> Vec<Interpolator> {
-        load_interpolators(&self.fields)
-    }
-
     /// Sort every species' particles by cell index under `order`
     /// (the paper's §3.2 hook). Species already in `order` are skipped;
     /// returns how many species actually moved.
@@ -177,7 +172,7 @@ impl Simulation {
     /// Make the next step's scheduled sort fire regardless of how recently
     /// one ran. Called when the sort order changes mid-run (epoch
     /// boundaries) so a new order takes effect immediately.
-    pub fn force_next_sort(&mut self) {
+    pub(crate) fn force_next_sort(&mut self) {
         self.steps_since_sort = usize::MAX;
     }
 

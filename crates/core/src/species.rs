@@ -287,7 +287,9 @@ impl Species {
     /// index array. That walk reproduces a permutation the argsort already
     /// had, about 55 ms per million particles; it stays until the
     /// benchmark's `core.sort.permute_ns_per_particle`, defined as this
-    /// sort minus a cold `sort_pairs`, is redefined (ROADMAP item 2).
+    /// sort minus a cold `sort_pairs`, is redefined — an edit under
+    /// `benchmark/` alone, which has to land as its own change before the
+    /// library can drop the walk (ROADMAP item 3a).
     pub fn sort(&mut self, order: SortOrder) -> bool {
         if self.last_sort == Some(order) && order != SortOrder::Random {
             // the skip serves the cached "already sorted" claim — verify
@@ -347,7 +349,7 @@ impl Species {
     /// without [`Species::mark_unsorted`] and the skip cache would serve
     /// stale answers. O(n), debug builds only; release builds compile to
     /// nothing.
-    pub fn debug_validate_sorted(&self) {
+    pub(crate) fn debug_validate_sorted(&self) {
         #[cfg(debug_assertions)]
         if let Some(order) = self.last_sort {
             let in_order = match order {
@@ -370,12 +372,6 @@ impl Species {
     /// spaces cost the sort's gather traffic from it.
     pub fn sort_perm(&self) -> &[usize] {
         &self.scratch.perm
-    }
-
-    /// Capacities of the persistent sort scratch `(perm, floats)` —
-    /// exposed so tests can assert no-alloc-after-warmup.
-    pub fn sort_scratch_capacities(&self) -> (usize, usize) {
-        (self.scratch.perm.capacity(), self.scratch.floats.capacity())
     }
 
     /// True when particle data is self-consistent (offsets in range,
@@ -551,7 +547,8 @@ mod tests {
         s.load_uniform(&g, 1000, 0.1, (0.0, 0.0, 0.0), 1.0, 13);
         // warmup: one sort sizes every scratch buffer to the population
         s.sort(SortOrder::Standard);
-        let warm = s.sort_scratch_capacities();
+        let capacities = |s: &Species| (s.scratch.perm.capacity(), s.scratch.floats.capacity());
+        let warm = capacities(&s);
         assert!(warm.0 >= s.len() && warm.1 >= s.len());
         // steady state: alternating orders with dirtying in between must
         // leave every capacity untouched
@@ -564,7 +561,7 @@ mod tests {
             s.mark_unsorted();
             assert!(s.sort(order));
             assert_eq!(
-                s.sort_scratch_capacities(),
+                capacities(&s),
                 warm,
                 "sort scratch must not reallocate after warmup ({order})"
             );

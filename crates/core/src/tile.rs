@@ -226,7 +226,7 @@ fn compact_ids(ids: &mut Vec<u64>, indices: &[usize]) {
 impl TileEngine {
     /// Engine over a `cells`-cell grid with `n_species` empty species
     /// sets. Particles arrive via [`TileEngine::load_species`].
-    pub fn new(policy: TilePolicy, cells: usize, n_species: usize) -> Self {
+    pub(crate) fn new(policy: TilePolicy, cells: usize, n_species: usize) -> Self {
         assert!(policy.tile_cells >= 1, "tile_cells must be >= 1");
         let tile_count = cells.div_ceil(policy.tile_cells);
         // Pre-reserve the migrant queues: a tile's first in-migrant can
@@ -281,18 +281,13 @@ impl TileEngine {
         &self.policy
     }
 
-    /// Number of cell-range tiles per species.
-    pub fn tile_count(&self) -> usize {
-        self.tile_count
-    }
-
     /// Lifetime residency/codec counters.
     pub fn stats(&self) -> TileStats {
         self.stats
     }
 
     /// Total particles across all tiles and pending buffers.
-    pub fn particle_count(&self) -> usize {
+    pub(crate) fn particle_count(&self) -> usize {
         self.per_species
             .iter()
             .map(|sp| {
@@ -480,7 +475,7 @@ impl TileEngine {
     /// Take ownership of `source`'s particles, assigning canonical ids
     /// in array order and distributing cell-sorted tiles. `source` is
     /// left empty (metadata intact).
-    pub fn load_species(&mut self, si: usize, source: &mut Species) {
+    pub(crate) fn load_species(&mut self, si: usize, source: &mut Species) {
         self.per_species[si].q = source.q;
         self.per_species[si].m = source.m;
         let n = source.len();
@@ -530,7 +525,7 @@ impl TileEngine {
     /// Reassemble species `si` into `dest` in canonical (id) order —
     /// the exact array order an untiled, sort-free run would have, so
     /// energies and checkpoints match the untiled path bitwise.
-    pub fn unload_species(&mut self, si: usize, dest: &mut Species) {
+    pub(crate) fn unload_species(&mut self, si: usize, dest: &mut Species) {
         let mut all: Vec<(u64, ParticleRecord)> = Vec::new();
         // flush hot slots owned by this species
         for slot in &mut self.slots {
@@ -594,7 +589,7 @@ impl TileEngine {
     /// ascending order through arrival-append → `(cell, id)` sort →
     /// push → emigrant drain. The caller owns the surrounding field
     /// phases; deposits land in `acc` exactly as the untiled push.
-    pub fn step_all<S: ExecSpace>(
+    pub(crate) fn step_all<S: ExecSpace>(
         &mut self,
         space: &S,
         strategy: Strategy,

@@ -135,7 +135,7 @@ impl TuneDriver {
     /// schedule and the in-flight epoch exactly where they stopped. The
     /// engine state is validated (see [`Tuner::from_state`]); the first
     /// epoch boundary after the restore reads a window opened post-restore.
-    pub fn from_state(s: DriverState) -> Result<Self, String> {
+    pub(crate) fn from_state(s: DriverState) -> Result<Self, String> {
         let tuner = Tuner::from_state(s.tuner)?;
         Ok(Self {
             tuner,
@@ -161,7 +161,7 @@ impl TuneDriver {
     /// Public so external steppers (e.g. the multi-rank driver, which
     /// bypasses [`Simulation::step_on`]) can run their own per-rank
     /// tuning loop with the same bookkeeping.
-    pub fn before_step(&mut self, sim: &mut Simulation, workers: usize) {
+    pub(crate) fn before_step(&mut self, sim: &mut Simulation, workers: usize) {
         if !self.started {
             self.started = true;
             let cfg = *self.tuner.current();
@@ -201,7 +201,7 @@ impl TuneDriver {
     }
 
     /// Fold one step's observations into the current epoch.
-    pub fn after_step(
+    pub(crate) fn after_step(
         &mut self,
         stats: &PushStats,
         step_ns: u64,

@@ -72,26 +72,16 @@ impl CacheSim {
         }
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
-    }
-
-    /// Usable capacity in bytes (after set rounding).
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.assoc) as u64 * self.line_bytes
-    }
-
     /// Touch the line containing byte address `addr` with a read; returns
     /// `true` on hit. Misses install the line, evicting the set's LRU way.
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.line_bytes;
         self.touch(line, false)
     }
 
     /// Touch the line containing byte address `addr` with a write
     /// (marks the line dirty; dirty evictions count as writebacks).
-    pub fn access_write(&mut self, addr: u64) -> bool {
+    pub(crate) fn access_write(&mut self, addr: u64) -> bool {
         let line = addr / self.line_bytes;
         self.touch(line, true)
     }
@@ -142,13 +132,8 @@ impl CacheSim {
         false
     }
 
-    /// Dirty lines evicted so far (each owes one line of write traffic).
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
-    }
-
     /// Lines currently resident and dirty (write traffic still owed).
-    pub fn dirty_resident(&self) -> u64 {
+    fn dirty_resident(&self) -> u64 {
         self.lines
             .iter()
             .zip(&self.dirty)
@@ -167,20 +152,6 @@ impl CacheSim {
         self.stats
     }
 
-    /// Zero the tallies, keeping cache contents (for warm-up then measure).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Invalidate everything and zero the tallies.
-    pub fn flush(&mut self) {
-        self.lines.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.dirty.fill(false);
-        self.clock = 0;
-        self.stats = CacheStats::default();
-        self.writebacks = 0;
-    }
 }
 
 #[cfg(test)]
@@ -203,13 +174,13 @@ mod tests {
         for line in 0..1000u64 {
             c.access_line(line);
         }
-        c.reset_stats();
+        let warm = c.stats();
         for _ in 0..5 {
             for line in 0..1000u64 {
                 c.access_line(line);
             }
         }
-        assert_eq!(c.stats().hit_rate(), 1.0);
+        assert_eq!(c.stats().misses, warm.misses, "no miss after the warm-up pass");
     }
 
     #[test]
@@ -241,24 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_reset_behave() {
-        let mut c = CacheSim::new(1024, 4, 64);
-        c.access_line(7);
-        c.flush();
-        assert_eq!(c.stats().total(), 0);
-        assert!(!c.access_line(7), "flushed line must miss");
-        c.reset_stats();
-        assert!(c.access_line(7), "reset_stats keeps contents");
-    }
-
-    #[test]
-    fn capacity_reporting() {
-        let c = CacheSim::new(6 * 1024 * 1024, 16, 128);
-        assert_eq!(c.capacity_bytes(), 6 * 1024 * 1024);
-        assert_eq!(c.line_bytes(), 128);
-    }
-
-    #[test]
     fn empty_stats_hit_rate_is_one() {
         let c = CacheSim::new(1024, 2, 64);
         assert_eq!(c.stats().hit_rate(), 1.0);
@@ -272,10 +225,10 @@ mod tests {
         assert!(!c.access(64)); // clean line 1
         assert_eq!(c.total_writebacks(), 1, "one resident dirty line");
         c.access(128); // evicts line 0 (LRU, dirty) → writeback
-        assert_eq!(c.writebacks(), 1);
+        assert_eq!(c.writebacks, 1);
         assert_eq!(c.dirty_resident(), 0);
         c.access(192); // evicts line 1 (clean) → no writeback
-        assert_eq!(c.writebacks(), 1);
+        assert_eq!(c.writebacks, 1);
         assert_eq!(c.total_writebacks(), 1);
     }
 
@@ -285,7 +238,5 @@ mod tests {
         c.access(0); // clean install
         assert!(c.access_write(32)); // same line, now dirty
         assert_eq!(c.dirty_resident(), 1);
-        c.flush();
-        assert_eq!(c.total_writebacks(), 0);
     }
 }

@@ -67,16 +67,6 @@ impl CpuModel {
         m
     }
 
-    /// The platform descriptor.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// Thread count used by the model.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Execute the kernel model and return its cost decomposition.
     pub fn run(&self, spec: &GatherScatterSpec<'_>) -> KernelCost {
         let p = &self.platform;

@@ -86,16 +86,6 @@ impl Platform {
         self.kind == PlatformKind::Gpu
     }
 
-    /// Warps (or SIMD groups) resident platform-wide assuming full
-    /// occupancy: compute_units × (a fixed 16 resident warps per unit on
-    /// GPUs, 1 per core on CPUs).
-    pub fn resident_warps(&self) -> usize {
-        match self.kind {
-            PlatformKind::Gpu => self.compute_units * 16,
-            PlatformKind::Cpu => self.compute_units,
-        }
-    }
-
     /// The paper's tile-size rule (§5.4): "Tile sizes match the number of
     /// CPU threads or three times the number of GPU cores."
     pub fn paper_tile_size(&self) -> usize {
@@ -444,10 +434,5 @@ mod tests {
     fn paper_tile_rule() {
         assert_eq!(by_name("EPYC 7763").unwrap().paper_tile_size(), 128);
         assert_eq!(by_name("A100").unwrap().paper_tile_size(), 3 * 6912);
-    }
-
-    #[test]
-    fn gpu_resident_warps_exceed_cpu() {
-        assert!(by_name("A100").unwrap().resident_warps() > by_name("Grace").unwrap().resident_warps());
     }
 }

@@ -22,11 +22,11 @@ use serde::Serialize;
 /// Interpolator coefficients gathered per cell: 18 f32 fields plus
 /// alignment padding and neighbor metadata ≈ 240 B (VPIC's
 /// `interpolator_t` is 18 floats; the padded/indexed form rounds to 240).
-pub const INTERP_BYTES: u64 = 240;
+pub(crate) const INTERP_BYTES: u64 = 240;
 
 /// Current accumulator scattered per cell: 12 f32 components with the
 /// 4-way bank replication VPIC uses ≈ 192 B.
-pub const ACCUM_BYTES: u64 = 192;
+pub(crate) const ACCUM_BYTES: u64 = 192;
 
 /// Per-cell cache footprint during the push (interpolator + accumulator).
 /// 432 B/cell puts the V100's 6 MB LLC at ≈14.5 k resident cells,
@@ -42,7 +42,7 @@ pub const PARTICLE_BYTES: u64 = 64;
 pub const FLOPS_PER_PARTICLE: f64 = 250.0;
 
 /// Atomic accumulator words updated per particle (12 current components).
-pub const ATOMIC_OPS_PER_PARTICLE: u64 = 12;
+pub(crate) const ATOMIC_OPS_PER_PARTICLE: u64 = 12;
 
 /// A particle-push workload: the per-particle cell indices in execution
 /// order plus the kernel's per-particle costs.
@@ -79,19 +79,10 @@ impl<'a> PushSpec<'a> {
     }
 
     /// Number of particles.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cells.len()
     }
 
-    /// True when there are no particles.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The grid's cache footprint under this spec.
-    pub fn grid_footprint(&self) -> u64 {
-        self.grid_cells as u64 * (self.interp_bytes + self.accum_bytes)
-    }
 }
 
 /// Cache footprint of a grid's per-cell push data (interpolator +
@@ -476,7 +467,6 @@ mod tests {
         // strided-like stream: no window repeats
         let strided = PushSpec::vpic(&[0, 1, 2, 3, 0, 1, 2, 3], 4);
         assert_eq!(window_hotness(&strided, 4), 1);
-        assert_eq!(spec.grid_footprint(), 4 * 432);
         assert_eq!(spec.len(), 5);
     }
 }

@@ -27,7 +27,7 @@ impl Roofline {
 
     /// Attainable FLOP/s at arithmetic intensity `ai` (FLOP/byte):
     /// `min(peak, ai × bw)`.
-    pub fn attainable(&self, ai: f64) -> f64 {
+    pub(crate) fn attainable(&self, ai: f64) -> f64 {
         (ai * self.peak_bw).min(self.peak_flops)
     }
 

@@ -32,19 +32,14 @@ pub struct GatherScatterSpec<'a> {
 
 impl GatherScatterSpec<'_> {
     /// Number of elements processed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
-    }
-
-    /// True when the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Clamp `key + offset` into the table (paper's stencil benchmark
     /// clamps at the boundary).
     #[inline]
-    pub fn stencil_index(&self, key: u32, off: i64) -> u64 {
+    pub(crate) fn stencil_index(&self, key: u32, off: i64) -> u64 {
         let idx = key as i64 + off;
         idx.clamp(0, self.table_len as i64 - 1) as u64
     }
@@ -54,86 +49,11 @@ impl GatherScatterSpec<'_> {
     /// read-modify-write (two element moves) for an atomic scatter. This
     /// is the paper's "total amount of data movement" numerator for
     /// bandwidth.
-    pub fn useful_bytes(&self) -> f64 {
+    pub(crate) fn useful_bytes(&self) -> f64 {
         let n = self.len() as f64;
         let accesses_per_elem = self.stencil.len() as f64 + if self.atomic { 2.0 } else { 0.0 };
         n * self.stream_bytes + n * accesses_per_elem * self.elem_bytes as f64
     }
-}
-
-/// Aggregate statistics of an access stream, grouped by `group` lanes
-/// (a GPU warp or a CPU SIMD group).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct TraceStats {
-    /// Number of lane groups processed.
-    pub groups: u64,
-    /// Distinct memory sectors touched, summed over groups and stencil
-    /// points (the GPU transaction count; 32 for a fully divergent warp,
-    /// 1 for a broadcast).
-    pub transactions: u64,
-    /// Same-address overlaps within a group: Σ (multiplicity − 1).
-    /// Serialization steps for intra-group atomic conflicts.
-    pub conflicts: u64,
-    /// Same-address *consecutive-run* overlaps across the whole stream:
-    /// Σ (run_length − 1). Dependent-chain length for accumulations.
-    pub dep_chain: u64,
-}
-
-/// Compute [`TraceStats`] for the scatter target addresses of `spec`,
-/// grouping `group` consecutive elements per issue.
-pub fn scatter_stats(spec: &GatherScatterSpec<'_>, group: usize) -> TraceStats {
-    addr_stats(spec, group, &[0])
-}
-
-/// Compute [`TraceStats`] for the gather addresses of `spec` (all stencil
-/// points), grouping `group` consecutive elements.
-pub fn gather_stats(spec: &GatherScatterSpec<'_>, group: usize) -> TraceStats {
-    addr_stats(spec, group, spec.stencil)
-}
-
-fn addr_stats(spec: &GatherScatterSpec<'_>, group: usize, stencil: &[i64]) -> TraceStats {
-    let group = group.max(1);
-    let mut stats = TraceStats::default();
-    let sector = spec.elem_bytes.max(1); // conflicts are per element address
-    let mut scratch: Vec<u64> = Vec::with_capacity(group * stencil.len());
-    for chunk in spec.keys.chunks(group) {
-        stats.groups += 1;
-        for &off in stencil {
-            scratch.clear();
-            for &k in chunk {
-                scratch.push(spec.stencil_index(k, off) * sector);
-            }
-            scratch.sort_unstable();
-            // distinct elements → conflicts; handled per stencil point
-            let mut distinct = 0u64;
-            let mut prev = u64::MAX;
-            for &a in scratch.iter() {
-                if a != prev {
-                    distinct += 1;
-                    prev = a;
-                }
-            }
-            stats.conflicts += chunk.len() as u64 - distinct;
-        }
-    }
-    // transactions: distinct sectors per group per stencil point
-    // (separate pass because sector size differs from element size)
-    stats.transactions = transaction_count(spec, group, stencil, 32);
-    // dependency runs over the raw stream (group-independent)
-    let mut prev = u64::MAX;
-    let mut run = 0u64;
-    for &k in spec.keys {
-        let a = k as u64;
-        if a == prev {
-            run += 1;
-            stats.dep_chain += 1;
-        } else {
-            prev = a;
-            run = 0;
-        }
-        let _ = run;
-    }
-    stats
 }
 
 /// Count distinct `sector_bytes` sectors touched per group of `group`
@@ -191,7 +111,7 @@ pub struct KernelCost {
 
 impl KernelCost {
     /// Finalize: wall time = the slowest component.
-    pub fn finish(mut self) -> Self {
+    pub(crate) fn finish(mut self) -> Self {
         self.time = self
             .t_dram
             .max(self.t_llc)
@@ -212,7 +132,7 @@ impl KernelCost {
     }
 
     /// Achieved FLOP/s.
-    pub fn gflops(&self) -> f64 {
+    pub(crate) fn gflops(&self) -> f64 {
         if self.time > 0.0 {
             self.flops / self.time / 1e9
         } else {
@@ -221,7 +141,7 @@ impl KernelCost {
     }
 
     /// Roofline arithmetic intensity: FLOPs per DRAM byte.
-    pub fn arithmetic_intensity(&self) -> f64 {
+    pub(crate) fn arithmetic_intensity(&self) -> f64 {
         if self.dram_bytes > 0.0 {
             self.flops / self.dram_bytes
         } else {
@@ -230,7 +150,8 @@ impl KernelCost {
     }
 
     /// Name of the binding bottleneck term.
-    pub fn bottleneck(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn bottleneck(&self) -> &'static str {
         let pairs = [
             (self.t_dram, "dram-bandwidth"),
             (self.t_llc, "llc-bandwidth"),
@@ -270,10 +191,6 @@ mod tests {
         // 32-lane groups of consecutive 8-byte elements: 32*8/32 = 8 sectors
         let t = transaction_count(&s, 32, &[0], 32);
         assert_eq!(t, 4 * 8);
-        let st = gather_stats(&s, 32);
-        assert_eq!(st.groups, 4);
-        assert_eq!(st.conflicts, 0);
-        assert_eq!(st.dep_chain, 0);
     }
 
     #[test]
@@ -282,9 +199,6 @@ mod tests {
         let s = spec(&keys, &[0]);
         let t = transaction_count(&s, 32, &[0], 32);
         assert_eq!(t, 2, "same address → one sector per group");
-        let st = scatter_stats(&s, 32);
-        assert_eq!(st.conflicts, 2 * 31, "31 serialization steps per group");
-        assert_eq!(st.dep_chain, 63, "one 64-long run");
     }
 
     #[test]
@@ -294,8 +208,6 @@ mod tests {
         let s = spec(&keys, &[0]);
         let t = transaction_count(&s, 32, &[0], 32);
         assert_eq!(t, 64);
-        let st = gather_stats(&s, 32);
-        assert_eq!(st.conflicts, 0);
     }
 
     #[test]
@@ -346,14 +258,5 @@ mod tests {
         assert_eq!(c.bandwidth(), 2.0e9);
         assert_eq!(c.gflops(), 1.0);
         assert_eq!(c.arithmetic_intensity(), 3.0);
-    }
-
-    #[test]
-    fn dep_chain_counts_runs_not_total_duplicates() {
-        let keys = vec![5u32, 5, 5, 9, 5, 5];
-        let s = spec(&keys, &[0]);
-        let st = scatter_stats(&s, 32);
-        // runs: 5,5,5 (2 steps) and 5,5 (1 step)
-        assert_eq!(st.dep_chain, 3);
     }
 }

@@ -1,6 +1,6 @@
 //! Floating-point atomics and scatter buffers.
 //!
-//! Mirrors `Kokkos::atomic_add` on `float`/`double` (implemented, as on most
+//! Mirrors `Kokkos::atomic_add` on `double` (implemented, as on most
 //! hardware without native FP atomics, by a compare-and-swap loop on the bit
 //! pattern) and `Kokkos::Experimental::ScatterView` (a buffer written by
 //! many threads, accumulating atomically where writers share memory and
@@ -11,98 +11,11 @@
 //! its lane, *sole* or *shared*, and only shared lanes pay for atomic
 //! read-modify-writes.
 
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Atomically add `val` to the `f32` stored in `cell` (bitwise CAS loop).
-#[inline]
-pub fn atomic_add_f32(cell: &AtomicU32, val: f32) -> f32 {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let old = f32::from_bits(cur);
-        let new = (old + val).to_bits();
-        match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return old,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Atomically add `val` to the `f64` stored in `cell` (bitwise CAS loop).
-#[inline]
-pub fn atomic_add_f64(cell: &AtomicU64, val: f64) -> f64 {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let old = f64::from_bits(cur);
-        let new = (old + val).to_bits();
-        match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return old,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Atomically record `max(cell, val)` for `usize` counters.
-#[inline]
-pub fn atomic_max_usize(cell: &AtomicUsize, val: usize) -> usize {
-    cell.fetch_max(val, Ordering::Relaxed)
-}
-
-/// A shared buffer of `f32` accumulators addressable from many threads.
-///
-/// Plays the role of a `Kokkos::View<float*>` written with `atomic_add`.
-#[derive(Debug, Default)]
-pub struct AtomicF32Buf {
-    cells: Vec<AtomicU32>,
-}
-
-impl AtomicF32Buf {
-    /// A zeroed buffer of length `n`.
-    pub fn zeros(n: usize) -> Self {
-        Self { cells: (0..n).map(|_| AtomicU32::new(0f32.to_bits())).collect() }
-    }
-
-    /// Build from existing values.
-    pub fn from_slice(vals: &[f32]) -> Self {
-        Self { cells: vals.iter().map(|v| AtomicU32::new(v.to_bits())).collect() }
-    }
-
-    /// Number of accumulators.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Atomic `buf[i] += val`, returning the previous value.
-    #[inline]
-    pub fn fetch_add(&self, i: usize, val: f32) -> f32 {
-        atomic_add_f32(&self.cells[i], val)
-    }
-
-    /// Non-atomic read (only safe to interpret once writers are done).
-    #[inline]
-    pub fn load(&self, i: usize) -> f32 {
-        f32::from_bits(self.cells[i].load(Ordering::Relaxed))
-    }
-
-    /// Snapshot into a plain vector.
-    pub fn to_vec(&self) -> Vec<f32> {
-        self.cells.iter().map(|c| f32::from_bits(c.load(Ordering::Relaxed))).collect()
-    }
-
-    /// Reset all accumulators to zero.
-    pub fn reset(&self) {
-        for c in &self.cells {
-            c.store(0f32.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
-/// A shared buffer of `f64` accumulators addressable from many threads.
+/// A shared buffer of `f64` accumulators addressable from many threads —
+/// a `Kokkos::View<double*>` written with `atomic_add`.
 #[derive(Debug, Default)]
 pub struct AtomicF64Buf {
     cells: Vec<AtomicU64>,
@@ -114,47 +27,29 @@ impl AtomicF64Buf {
         Self { cells: (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect() }
     }
 
-    /// Build from existing values.
-    pub fn from_slice(vals: &[f64]) -> Self {
-        Self { cells: vals.iter().map(|v| AtomicU64::new(v.to_bits())).collect() }
-    }
-
-    /// Number of accumulators.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Atomic `buf[i] += val`, returning the previous value.
+    /// Atomic `buf[i] += val` (a compare-and-swap loop on the bit
+    /// pattern), returning the previous value.
     #[inline]
     pub fn fetch_add(&self, i: usize, val: f64) -> f64 {
-        atomic_add_f64(&self.cells[i], val)
-    }
-
-    /// Non-atomic read.
-    #[inline]
-    pub fn load(&self, i: usize) -> f64 {
-        f64::from_bits(self.cells[i].load(Ordering::Relaxed))
+        let cell = &self.cells[i];
+        let mut cur = cell.load(Ordering::Relaxed);
+        loop {
+            let old = f64::from_bits(cur);
+            let new = (old + val).to_bits();
+            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return old,
+                Err(actual) => cur = actual,
+            }
+        }
     }
 
     /// Snapshot into a plain vector.
     pub fn to_vec(&self) -> Vec<f64> {
         self.cells.iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).collect()
     }
-
-    /// Reset all accumulators to zero.
-    pub fn reset(&self) {
-        for c in &self.cells {
-            c.store(0f64.to_bits(), Ordering::Relaxed);
-        }
-    }
 }
 
-/// Contention strategy for a [`ScatterBuf`].
+/// Contention strategy for a [`FixedScatterBuf`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScatterMode {
     /// Every contribution is an atomic read-modify-write on the shared
@@ -164,90 +59,6 @@ pub enum ScatterMode {
     /// Each worker owns a private replica, combined on `collect`
     /// (Kokkos `ScatterDuplicated`; what low-core-count CPUs prefer).
     Duplicated,
-}
-
-/// A scatter-accumulation buffer, mirroring `Kokkos::ScatterView<double*>`.
-///
-/// With [`ScatterMode::Atomic`] all workers share one atomic buffer; with
-/// [`ScatterMode::Duplicated`] each worker id gets a private replica and
-/// [`ScatterBuf::collect`] reduces them. The deposition ablation bench
-/// compares the two.
-#[derive(Debug)]
-pub struct ScatterBuf {
-    mode: ScatterMode,
-    len: usize,
-    shared: AtomicF64Buf,
-    replicas: Vec<AtomicF64Buf>,
-}
-
-impl ScatterBuf {
-    /// Create a zeroed scatter buffer of `len` accumulators for up to
-    /// `workers` concurrent writers.
-    pub fn new(len: usize, workers: usize, mode: ScatterMode) -> Self {
-        let replicas = match mode {
-            ScatterMode::Atomic => Vec::new(),
-            ScatterMode::Duplicated => (0..workers.max(1)).map(|_| AtomicF64Buf::zeros(len)).collect(),
-        };
-        Self { mode, len, shared: AtomicF64Buf::zeros(len), replicas }
-    }
-
-    /// The contention strategy in use.
-    pub fn mode(&self) -> ScatterMode {
-        self.mode
-    }
-
-    /// Number of accumulators.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Accumulate `val` into slot `i` on behalf of `worker`.
-    #[inline]
-    pub fn add(&self, worker: usize, i: usize, val: f64) {
-        match self.mode {
-            ScatterMode::Atomic => {
-                self.shared.fetch_add(i, val);
-            }
-            ScatterMode::Duplicated => {
-                // replica is still atomic so the same worker id may be used
-                // from a work-stealing schedule without UB
-                self.replicas[worker % self.replicas.len()].fetch_add(i, val);
-            }
-        }
-    }
-
-    /// Read one accumulator (shared value plus all replica
-    /// contributions) without materializing the whole buffer.
-    pub fn get(&self, i: usize) -> f64 {
-        match self.mode {
-            ScatterMode::Atomic => self.shared.load(i),
-            ScatterMode::Duplicated => self.replicas.iter().map(|r| r.load(i)).sum(),
-        }
-    }
-
-    /// Reduce all contributions into a plain vector, replicas summed in
-    /// replica order.
-    pub fn collect(&self) -> Vec<f64> {
-        match self.mode {
-            ScatterMode::Atomic => self.shared.to_vec(),
-            ScatterMode::Duplicated => (0..self.len)
-                .map(|i| self.replicas.iter().fold(0.0, |sum, r| sum + r.load(i)))
-                .collect(),
-        }
-    }
-
-    /// Zero every accumulator (shared and replicas).
-    pub fn reset(&self) {
-        self.shared.reset();
-        for r in &self.replicas {
-            r.reset();
-        }
-    }
 }
 
 /// Fixed-point quantum for [`FixedScatterBuf`]: values are stored as
@@ -406,11 +217,11 @@ impl LaneTotals<'_> {
 
 /// A scatter-accumulation buffer over fixed-point `i64` accumulators.
 ///
-/// Same shape as [`ScatterBuf`] (one shared lane, or one replica lane per
-/// worker, selected by [`ScatterMode`]) but order-independent: every
-/// contribution is quantized to a multiple of `2⁻⁴⁰` and summed with
-/// integer adds, so `collect` returns the same bits no matter how the
-/// contributions were interleaved or partitioned. Current deposition uses
+/// One shared lane, or one replica lane per worker, selected by
+/// [`ScatterMode`], and order-independent either way: every contribution
+/// is quantized to a multiple of `2⁻⁴⁰` and summed with integer adds, so
+/// `collect` returns the same bits no matter how the contributions were
+/// interleaved or partitioned. Current deposition uses
 /// this so multi-rank halo merges can be bit-identical to the single-rank
 /// run.
 ///
@@ -424,7 +235,6 @@ impl LaneTotals<'_> {
 #[derive(Debug)]
 pub struct FixedScatterBuf {
     mode: ScatterMode,
-    len: usize,
     /// The shared lane alone ([`ScatterMode::Atomic`]), or the replicas.
     lanes: Vec<Lane>,
 }
@@ -437,22 +247,12 @@ impl FixedScatterBuf {
             ScatterMode::Atomic => 1,
             ScatterMode::Duplicated => workers.max(1),
         };
-        Self { mode, len, lanes: (0..lanes).map(|_| Lane::zeros(len)).collect() }
+        Self { mode, lanes: (0..lanes).map(|_| Lane::zeros(len)).collect() }
     }
 
     /// The contention strategy in use.
     pub fn mode(&self) -> ScatterMode {
         self.mode
-    }
-
-    /// Number of accumulators.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Quantize a contribution to the fixed-point grid: the nearest
@@ -501,20 +301,6 @@ impl FixedScatterBuf {
     #[inline]
     pub fn claim(&self, worker: usize, claim: Claim) -> LaneWriter<'_> {
         self.lanes[worker % self.lanes.len()].claim(claim)
-    }
-
-    /// Accumulate `val` into slot `i` on behalf of `worker`.
-    #[inline]
-    pub fn add(&self, worker: usize, i: usize, val: f64) {
-        self.add_raw(worker, i, Self::quantize(val));
-    }
-
-    /// Accumulate an already-quantized contribution under a shared claim
-    /// taken for this one add; a writer with many takes
-    /// [`FixedScatterBuf::claim`] once.
-    #[inline]
-    pub fn add_raw(&self, worker: usize, i: usize, raw: i64) {
-        self.claim(worker, Claim::Shared).add_raw_run(i, &[raw]);
     }
 
     /// Every lane, read-only and in replica order (never empty): the
@@ -581,12 +367,9 @@ mod tests {
     use super::*;
     use crate::space::{ExecSpace, Threads};
 
-    #[test]
-    fn atomic_add_f32_accumulates() {
-        let cell = AtomicU32::new(1.0f32.to_bits());
-        let old = atomic_add_f32(&cell, 2.5);
-        assert_eq!(old, 1.0);
-        assert_eq!(f32::from_bits(cell.load(Ordering::Relaxed)), 3.5);
+    /// One contribution under a shared claim taken for this one add.
+    fn add(buf: &FixedScatterBuf, worker: usize, i: usize, val: f64) {
+        buf.claim(worker, Claim::Shared).add_raw_run(i, &[FixedScatterBuf::quantize(val)]);
     }
 
     #[test]
@@ -596,49 +379,7 @@ mod tests {
         threads.parallel_for(10_000usize, |_| {
             buf.fetch_add(0, 1.0);
         });
-        assert_eq!(buf.load(0), 10_000.0);
-    }
-
-    #[test]
-    fn f32_buf_roundtrip_and_reset() {
-        let buf = AtomicF32Buf::from_slice(&[1.0, 2.0]);
-        buf.fetch_add(1, 0.5);
-        assert_eq!(buf.to_vec(), vec![1.0, 2.5]);
-        buf.reset();
-        assert_eq!(buf.to_vec(), vec![0.0, 0.0]);
-        assert_eq!(buf.len(), 2);
-        assert!(!buf.is_empty());
-    }
-
-    #[test]
-    fn atomic_max_usize_tracks_max() {
-        let c = AtomicUsize::new(3);
-        atomic_max_usize(&c, 10);
-        atomic_max_usize(&c, 5);
-        assert_eq!(c.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn scatter_modes_agree() {
-        let workers = 4;
-        let threads = Threads::new(workers);
-        let n = 64;
-        // the interpreter is some thousand times slower
-        let adds = if cfg!(miri) { 1_000usize } else { 100_000 };
-        for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
-            let buf = ScatterBuf::new(n, workers, mode);
-            threads.parallel_for(adds, |i| {
-                // worker id proxy: contention pattern doesn't affect totals
-                buf.add(i % workers, i % n, 1.0);
-            });
-            let out = buf.collect();
-            let total: f64 = out.iter().sum();
-            assert_eq!(total, adds as f64, "mode {mode:?} lost updates");
-            // each slot gets ceil/floor of uniform share
-            for &v in &out {
-                assert!((v - adds as f64 / n as f64).abs() <= 1.0);
-            }
-        }
+        assert_eq!(buf.to_vec(), [10_000.0]);
     }
 
     #[test]
@@ -650,7 +391,7 @@ mod tests {
             let buf = FixedScatterBuf::new(1, workers, mode);
             for (w, ch) in chunks.iter().enumerate() {
                 for &v in *ch {
-                    buf.add(w, 0, v);
+                    add(&buf, w, 0, v);
                 }
             }
             buf.get_raw(0)
@@ -665,9 +406,9 @@ mod tests {
     #[test]
     fn fixed_scatter_quantum_is_small_and_exact() {
         let buf = FixedScatterBuf::new(2, 1, ScatterMode::Atomic);
-        buf.add(0, 0, 0.125); // exactly representable on the 2^-40 grid
+        add(&buf, 0, 0, 0.125); // exactly representable on the 2^-40 grid
         assert_eq!(buf.get(0), 0.125);
-        buf.add(0, 1, 1.0e-3);
+        add(&buf, 0, 1, 1.0e-3);
         assert!((buf.get(1) - 1.0e-3).abs() < 1.0 / FIXED_SCATTER_SCALE);
         assert_eq!(
             FixedScatterBuf::dequantize(FixedScatterBuf::quantize(0.75)),
@@ -710,13 +451,13 @@ mod tests {
     fn fixed_scatter_raw_roundtrip_and_set() {
         for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
             let buf = FixedScatterBuf::new(4, 3, mode);
-            buf.add(0, 2, 1.5);
-            buf.add(2, 2, -0.25);
+            add(&buf, 0, 2, 1.5);
+            add(&buf, 2, 2, -0.25);
             let raw = buf.get_raw(2);
             assert_eq!(raw, FixedScatterBuf::quantize(1.25));
             buf.set_raw_run(2, &[FixedScatterBuf::quantize(9.0)]);
             assert_eq!(buf.get(2), 9.0, "mode {mode:?}");
-            buf.add_raw(1, 2, FixedScatterBuf::quantize(1.0));
+            add(&buf, 1, 2, 1.0);
             assert_eq!(buf.get(2), 10.0, "mode {mode:?}");
             buf.reset();
             assert!(buf.collect().iter().all(|&v| v == 0.0));
@@ -728,7 +469,7 @@ mod tests {
         let threads = Threads::new(4);
         let buf = FixedScatterBuf::new(8, 4, ScatterMode::Atomic);
         threads.parallel_for(10_000usize, |i| {
-            buf.add(i % 4, i % 8, 0.5);
+            add(&buf, i % 4, i % 8, 0.5);
         });
         let total: f64 = buf.collect().iter().sum();
         assert_eq!(total, 5_000.0);
@@ -782,15 +523,5 @@ mod tests {
         assert_eq!(buf.get_raw(1), 1 + 5 * 3 * per_block);
         let lane = buf.claim(1, Claim::Sole);
         assert_eq!((lane.len(), lane.is_empty()), (2, false));
-    }
-
-    #[test]
-    fn scatter_reset_clears_all_replicas() {
-        let buf = ScatterBuf::new(4, 2, ScatterMode::Duplicated);
-        buf.add(0, 1, 3.0);
-        buf.add(1, 1, 4.0);
-        assert_eq!(buf.collect()[1], 7.0);
-        buf.reset();
-        assert!(buf.collect().iter().all(|&v| v == 0.0));
     }
 }

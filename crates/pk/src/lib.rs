@@ -4,20 +4,19 @@
 //! the abstractions that the rest of the VPIC 2.0 reproduction is written
 //! against, mirroring the role Kokkos plays in the paper:
 //!
-//! * **Views** ([`View1`], [`View2`], [`View3`]) — multi-dimensional arrays
-//!   with a runtime memory [`Layout`] (`LayoutRight` = C order, `LayoutLeft`
-//!   = Fortran order), mirroring `Kokkos::View`.
 //! * **Execution spaces** ([`Serial`], [`Threads`], [`SimGpu`]) — pluggable
 //!   backends for the parallel patterns, mirroring `Kokkos::Serial` /
 //!   `Kokkos::OpenMP` / `Kokkos::Cuda`. The GPU backend executes the same
 //!   kernels functionally (bit-identical to [`Serial`]) while charging their
 //!   memory behaviour through the `memsim` hardware model.
-//! * **Parallel patterns** — [`parallel_for`], [`parallel_for_mut`],
-//!   [`parallel_reduce`], [`parallel_scan`], and hierarchical
-//!   [`team::parallel_for_team`], mirroring `Kokkos::parallel_for` et al.
-//! * **Atomics** ([`atomic`]) — floating-point `fetch_add` via CAS loops and
-//!   a [`atomic::ScatterBuf`] for contended scatter phases (current
-//!   deposition), mirroring `Kokkos::atomic_add` / `ScatterView`.
+//! * **Parallel patterns** — [`ExecSpace::parallel_for`],
+//!   [`ExecSpace::parallel_for_mut`] and [`ExecSpace::parallel_reduce`] over
+//!   a statically partitioned [`RangePolicy`], mirroring
+//!   `Kokkos::parallel_for` / `parallel_reduce`.
+//! * **Atomics** ([`atomic`]) — the fixed-point
+//!   [`atomic::FixedScatterBuf`] for contended scatter phases (current
+//!   deposition), written atomically only where a lane has more than one
+//!   writer, mirroring `Kokkos::ScatterView`.
 //! * **Sorting** ([`sort`]) — a `sort_by_key` plus the `min_max` and
 //!   histogram primitives the paper's Algorithms 1 and 2 need, mirroring
 //!   `Kokkos::Experimental::sort_by_key` / `Kokkos::MinMax`.
@@ -38,40 +37,26 @@
 
 pub mod atomic;
 pub mod gpu;
-pub mod layout;
-pub mod mdrange;
-pub mod parallel;
 pub mod pool;
 pub mod range;
 pub mod reduce;
 pub mod sort;
 pub mod space;
-pub mod team;
-pub mod view;
 
 pub use gpu::{Access, KernelRecord, SimGpu};
-pub use layout::Layout;
-pub use mdrange::{parallel_for_2d, parallel_for_3d, MDRange2, MDRange3};
-pub use parallel::{parallel_for, parallel_for_mut, parallel_reduce, parallel_scan};
 pub use pool::{DispatchPanic, SendPtr, WorkerPool};
-pub use range::{RangePolicy, Schedule};
-pub use reduce::{Max, Min, MinMax, Prod, Reducer, Sum};
+pub use range::RangePolicy;
+pub use reduce::{Min, MinMax, Reducer, Sum};
 pub use space::{ExecSpace, Serial, Threads};
-pub use view::{View1, View2, View3};
 
 /// Convenience prelude: `use pk::prelude::*;`.
 pub mod prelude {
-    pub use crate::atomic::{AtomicF32Buf, AtomicF64Buf, ScatterBuf};
+    pub use crate::atomic::AtomicF64Buf;
     pub use crate::gpu::SimGpu;
-    pub use crate::layout::Layout;
-    pub use crate::mdrange::{parallel_for_2d, parallel_for_3d, MDRange2, MDRange3};
-    pub use crate::parallel::{parallel_for, parallel_for_mut, parallel_reduce, parallel_scan};
-    pub use crate::range::{RangePolicy, Schedule};
-    pub use crate::reduce::{Max, Min, MinMax, Prod, Reducer, Sum};
+    pub use crate::range::RangePolicy;
+    pub use crate::reduce::{Min, MinMax, Reducer, Sum};
     pub use crate::sort::{apply_permutation, min_max, sort_by_key, sort_permutation};
     pub use crate::space::{ExecSpace, Serial, Threads};
-    pub use crate::team::{TeamMember, TeamPolicy};
-    pub use crate::view::{View1, View2, View3};
 }
 
 #[cfg(test)]

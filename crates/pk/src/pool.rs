@@ -27,7 +27,7 @@
 //! * `Drop` sets a shutdown flag, wakes the workers, and joins them.
 //!
 //! Pools are cached per worker count in a process-wide registry
-//! ([`global`]) so `Threads::new(4)` constructed repeatedly (e.g. in a
+//! (`global`) so `Threads::new(4)` constructed repeatedly (e.g. in a
 //! test loop) reuses one set of OS threads instead of respawning.
 
 use std::cell::Cell;
@@ -188,7 +188,7 @@ impl WorkerPool {
     /// this call.
     ///
     /// Concurrent dispatch from independent threads is allowed (pools are
-    /// shared process-wide, see [`global`]): the second caller blocks
+    /// shared process-wide, see `global`): the second caller blocks
     /// until the first dispatch completes. Dispatch is not *reentrant*,
     /// though — calling `run` from inside a task on the same pool can
     /// never make progress and panics.
@@ -378,7 +378,7 @@ static REGISTRY: OnceLock<Mutex<HashMap<usize, Weak<WorkerPool>>>> = OnceLock::n
 /// The process-wide pool for `lanes` lanes. Live pools are shared (two
 /// `Threads::new(4)` handles drive the same workers); once every handle is
 /// dropped the pool shuts down, and the next request respawns it.
-pub fn global(lanes: usize) -> Arc<WorkerPool> {
+pub(crate) fn global(lanes: usize) -> Arc<WorkerPool> {
     let lanes = lanes.max(1);
     let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = registry.lock().unwrap_or_else(|e| e.into_inner());

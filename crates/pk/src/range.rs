@@ -1,73 +1,40 @@
 //! Range policies: how an index range is partitioned across workers.
 //!
-//! Mirrors `Kokkos::RangePolicy` with static/dynamic schedules
-//! (`Kokkos::Schedule<Static>` / `Kokkos::Schedule<Dynamic>`).
+//! Mirrors `Kokkos::RangePolicy` with the static schedule, the Kokkos
+//! default on CPU backends: each worker gets one contiguous block.
 
 use std::ops::Range;
 
-/// Work-distribution schedule for a [`RangePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Each worker gets one contiguous block (lowest overhead, best
-    /// locality; Kokkos default on CPU backends).
-    #[default]
-    Static,
-    /// Workers pull fixed-size chunks from a shared counter (load balance
-    /// for irregular iterations, e.g. variable particles per cell).
-    Dynamic,
-}
-
-/// An iteration range plus scheduling hints.
+/// An iteration range, split statically across workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangePolicy {
     /// Half-open iteration range.
     pub range: Range<usize>,
-    /// Work-distribution schedule.
-    pub schedule: Schedule,
-    /// Chunk size for [`Schedule::Dynamic`]; `0` means "auto" (range length
-    /// divided by 8× the worker count, at least 1).
-    pub chunk: usize,
 }
 
 impl RangePolicy {
-    /// Policy over `0..n` with the default static schedule.
+    /// Policy over `0..n`.
     pub fn new(n: usize) -> Self {
-        Self { range: 0..n, schedule: Schedule::Static, chunk: 0 }
+        Self { range: 0..n }
     }
 
     /// Policy over an explicit half-open range.
-    pub fn over(range: Range<usize>) -> Self {
-        Self { range, schedule: Schedule::Static, chunk: 0 }
-    }
-
-    /// Switch to a dynamic schedule with the given chunk size (`0` = auto).
-    pub fn dynamic(mut self, chunk: usize) -> Self {
-        self.schedule = Schedule::Dynamic;
-        self.chunk = chunk;
-        self
+    pub(crate) fn over(range: Range<usize>) -> Self {
+        Self { range }
     }
 
     /// Number of iterations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.range.end.saturating_sub(self.range.start)
     }
 
     /// True when the range is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Resolve the chunk size for `workers` workers.
-    pub fn effective_chunk(&self, workers: usize) -> usize {
-        if self.chunk > 0 {
-            self.chunk
-        } else {
-            (self.len() / (workers.max(1) * 8)).max(1)
-        }
-    }
-
-    /// Split the range into `parts` near-equal contiguous blocks (static
-    /// schedule). Returns exactly `min(parts, len)` non-empty blocks.
+    /// Split the range into `parts` near-equal contiguous blocks. Returns
+    /// exactly `min(parts, len)` non-empty blocks.
     pub fn static_blocks(&self, parts: usize) -> Vec<Range<usize>> {
         let n = self.len();
         if n == 0 {
@@ -138,21 +105,10 @@ mod tests {
     }
 
     #[test]
-    fn effective_chunk_auto_and_explicit() {
-        let p = RangePolicy::new(1024).dynamic(0);
-        assert_eq!(p.effective_chunk(4), 1024 / 32);
-        let p = RangePolicy::new(1024).dynamic(100);
-        assert_eq!(p.effective_chunk(4), 100);
-        let tiny = RangePolicy::new(2).dynamic(0);
-        assert_eq!(tiny.effective_chunk(64), 1);
-    }
-
-    #[test]
     fn conversions() {
         let a: RangePolicy = 10usize.into();
         assert_eq!(a.range, 0..10);
         let b: RangePolicy = (5..9).into();
         assert_eq!(b.len(), 4);
-        assert_eq!(b.schedule, Schedule::Static);
     }
 }

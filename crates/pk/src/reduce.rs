@@ -1,5 +1,5 @@
-//! Reduction operators, mirroring `Kokkos::Sum`, `Kokkos::Min`,
-//! `Kokkos::Max`, and `Kokkos::MinMax`.
+//! Reduction operators, mirroring `Kokkos::Sum`, `Kokkos::Min` and
+//! `Kokkos::MinMax`.
 //!
 //! A [`Reducer`] supplies an identity element and an associative `join`;
 //! execution spaces reduce per-worker partials and join them, so any
@@ -8,33 +8,26 @@
 
 use std::marker::PhantomData;
 
-/// A numeric element usable in reductions and scans.
+/// A numeric element usable in reductions.
 pub trait Scalar: Copy + Send + Sync + PartialOrd + 'static {
     /// Additive identity.
     const ZERO: Self;
-    /// Multiplicative identity.
-    const ONE: Self;
     /// Least value (identity for max-reductions).
     const MIN_VALUE: Self;
     /// Greatest value (identity for min-reductions).
     const MAX_VALUE: Self;
     /// Addition.
     fn add(self, other: Self) -> Self;
-    /// Multiplication.
-    fn mul(self, other: Self) -> Self;
 }
 
 macro_rules! impl_scalar_int {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
             const ZERO: Self = 0;
-            const ONE: Self = 1;
             const MIN_VALUE: Self = <$t>::MIN;
             const MAX_VALUE: Self = <$t>::MAX;
             #[inline(always)]
             fn add(self, other: Self) -> Self { self.wrapping_add(other) }
-            #[inline(always)]
-            fn mul(self, other: Self) -> Self { self.wrapping_mul(other) }
         }
     )*};
 }
@@ -43,13 +36,10 @@ macro_rules! impl_scalar_float {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
             const ZERO: Self = 0.0;
-            const ONE: Self = 1.0;
             const MIN_VALUE: Self = <$t>::NEG_INFINITY;
             const MAX_VALUE: Self = <$t>::INFINITY;
             #[inline(always)]
             fn add(self, other: Self) -> Self { self + other }
-            #[inline(always)]
-            fn mul(self, other: Self) -> Self { self * other }
         }
     )*};
 }
@@ -90,29 +80,6 @@ impl<T: Scalar> Reducer for Sum<T> {
     }
 }
 
-/// Product reduction (`Kokkos::Prod`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Prod<T>(PhantomData<T>);
-
-impl<T> Prod<T> {
-    /// Create a product reducer.
-    pub fn new() -> Self {
-        Prod(PhantomData)
-    }
-}
-
-impl<T: Scalar> Reducer for Prod<T> {
-    type Value = T;
-    #[inline(always)]
-    fn identity(&self) -> T {
-        T::ONE
-    }
-    #[inline(always)]
-    fn join(&self, a: T, b: T) -> T {
-        a.mul(b)
-    }
-}
-
 /// Minimum reduction (`Kokkos::Min`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Min<T>(PhantomData<T>);
@@ -140,33 +107,6 @@ impl<T: Scalar> Reducer for Min<T> {
     }
 }
 
-/// Maximum reduction (`Kokkos::Max`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Max<T>(PhantomData<T>);
-
-impl<T> Max<T> {
-    /// Create a max reducer.
-    pub fn new() -> Self {
-        Max(PhantomData)
-    }
-}
-
-impl<T: Scalar> Reducer for Max<T> {
-    type Value = T;
-    #[inline(always)]
-    fn identity(&self) -> T {
-        T::MIN_VALUE
-    }
-    #[inline(always)]
-    fn join(&self, a: T, b: T) -> T {
-        if b > a {
-            b
-        } else {
-            a
-        }
-    }
-}
-
 /// Simultaneous min+max reduction (`Kokkos::MinMax`), as used by the
 /// paper's Algorithm 1/2 step "find the minimum and maximum keys".
 #[derive(Debug, Clone, Copy, Default)]
@@ -174,7 +114,7 @@ pub struct MinMax<T>(PhantomData<T>);
 
 impl<T> MinMax<T> {
     /// Create a min-max reducer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MinMax(PhantomData)
     }
 }
@@ -207,20 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn prod_identity_and_join() {
-        let r = Prod::<u32>::new();
-        assert_eq!(r.identity(), 1);
-        assert_eq!(r.join(3, 4), 12);
-    }
-
-    #[test]
     fn min_max_identities_absorb() {
         let mn = Min::<f64>::new();
-        let mx = Max::<f64>::new();
         assert_eq!(mn.join(mn.identity(), -5.0), -5.0);
-        assert_eq!(mx.join(mx.identity(), -5.0), -5.0);
         assert_eq!(mn.join(2.0, 3.0), 2.0);
-        assert_eq!(mx.join(2.0, 3.0), 3.0);
     }
 
     #[test]

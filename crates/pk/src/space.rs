@@ -6,39 +6,21 @@
 //! hardware model accounts their memory behaviour.
 
 use crate::pool::{self, SendPtr, WorkerPool};
-use crate::range::{RangePolicy, Schedule};
-use crate::reduce::{Reducer, Scalar};
+use crate::range::RangePolicy;
+use crate::reduce::Reducer;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-fn sched_name(s: Schedule) -> &'static str {
-    match s {
-        Schedule::Static => "static",
-        Schedule::Dynamic => "dynamic",
-    }
-}
-
 /// Kokkos-style profiling hook at the dispatch boundary: every pattern
-/// opens a named span carrying the backend, worker count, range length,
-/// schedule, and (when one is open) the enclosing kernel label — so every
-/// kernel in the stack is observable for free when `PK_PROFILE` is set.
-fn dispatch_span(
-    op: &'static str,
-    space: &str,
-    workers: usize,
-    len: usize,
-    schedule: &'static str,
-) -> telemetry::Span {
+/// opens a named span carrying the backend, worker count, range length
+/// and (when one is open) the enclosing kernel label — so every kernel in
+/// the stack is observable for free when `PK_PROFILE` is set.
+fn dispatch_span(op: &'static str, space: &str, workers: usize, len: usize) -> telemetry::Span {
     if !telemetry::enabled() {
         return telemetry::Span::disabled();
     }
     let kernel = telemetry::current_label();
-    let s = telemetry::span(op)
-        .arg("space", space)
-        .arg("workers", workers)
-        .arg("len", len)
-        .arg("schedule", schedule);
+    let s = telemetry::span(op).arg("space", space).arg("workers", workers).arg("len", len);
     match kernel {
         Some(k) => s.arg("kernel", k),
         None => s,
@@ -87,74 +69,25 @@ pub trait ExecSpace: Sync {
     /// `Kokkos::parallel_for`: invoke `f(i)` for every index in the policy.
     fn parallel_for<P: Into<RangePolicy>>(&self, policy: P, f: impl Fn(usize) + Sync) {
         let policy = policy.into();
-        let _hook = dispatch_span(
-            "pk.parallel_for",
-            self.name(),
-            self.concurrency(),
-            policy.len(),
-            sched_name(policy.schedule),
-        );
-        match policy.schedule {
-            Schedule::Static => {
-                self.run_blocks(&policy, &|block| {
-                    for i in block {
-                        f(i);
-                    }
-                });
+        let _hook =
+            dispatch_span("pk.parallel_for", self.name(), self.concurrency(), policy.len());
+        self.run_blocks(&policy, &|block| {
+            for i in block {
+                f(i);
             }
-            Schedule::Dynamic => {
-                // `effective_chunk` guarantees a nonzero chunk; a zero chunk
-                // would make every claim empty and this loop endless.
-                let chunk = policy.effective_chunk(self.concurrency()).max(1);
-                let next = AtomicUsize::new(policy.range.start);
-                let end = policy.range.end;
-                // one "block" per worker; each pulls chunks dynamically
-                let workers = RangePolicy::new(self.concurrency());
-                self.run_blocks(&workers, &|_| loop {
-                    // Claim [cur, cur + chunk) ∩ [.., end) without ever
-                    // storing a cursor past `end`: a plain fetch_add would
-                    // overshoot and, for ranges ending near usize::MAX,
-                    // wrap the cursor back below `end`, re-running indices.
-                    let claim = next.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                        if cur >= end {
-                            None
-                        } else {
-                            Some(cur.saturating_add(chunk).min(end))
-                        }
-                    });
-                    let Ok(start) = claim else { break };
-                    for i in start..start.saturating_add(chunk).min(end) {
-                        f(i);
-                    }
-                });
-            }
-        }
+        });
     }
 
     /// `Kokkos::parallel_for` over a mutable slice: invoke
     /// `f(i, &mut data[i])` for every element, with disjoint mutable access.
     fn parallel_for_mut<T: Send>(&self, data: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
         let parts = self.concurrency();
-        let _hook =
-            dispatch_span("pk.parallel_for_mut", self.name(), parts, data.len(), "static");
+        let _hook = dispatch_span("pk.parallel_for_mut", self.name(), parts, data.len());
         self.run_chunks_mut(data, parts, &|offset, chunk| {
             for (k, item) in chunk.iter_mut().enumerate() {
                 f(offset + k, item);
             }
         });
-    }
-
-    /// Like [`ExecSpace::parallel_for_mut`] but hands each worker a whole
-    /// contiguous chunk (for kernels that want to vectorize internally).
-    fn parallel_for_chunks<T: Send>(
-        &self,
-        data: &mut [T],
-        parts: usize,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
-        let _hook =
-            dispatch_span("pk.parallel_for_chunks", self.name(), parts, data.len(), "static");
-        self.run_chunks_mut(data, parts, &f);
     }
 
     /// `Kokkos::parallel_reduce`: reduce `f(i)` over the policy's range.
@@ -165,13 +98,8 @@ pub trait ExecSpace: Sync {
         f: impl Fn(usize) -> R::Value + Sync,
     ) -> R::Value {
         let policy = policy.into();
-        let _hook = dispatch_span(
-            "pk.parallel_reduce",
-            self.name(),
-            self.concurrency(),
-            policy.len(),
-            sched_name(policy.schedule),
-        );
+        let _hook =
+            dispatch_span("pk.parallel_reduce", self.name(), self.concurrency(), policy.len());
         self.reduce_blocks(&policy, &reducer, &|block| {
             let mut acc = reducer.identity();
             for i in block {
@@ -180,59 +108,6 @@ pub trait ExecSpace: Sync {
             acc
         })
     }
-
-    /// `Kokkos::parallel_scan`: exclusive prefix sum of `input` into `out`,
-    /// returning the grand total. `out.len()` must equal `input.len()`.
-    fn parallel_scan<T: Scalar>(&self, input: &[T], out: &mut [T]) -> T {
-        assert_eq!(input.len(), out.len(), "parallel_scan extent mismatch");
-        let _hook = dispatch_span(
-            "pk.parallel_scan",
-            self.name(),
-            self.concurrency(),
-            input.len(),
-            "static",
-        );
-        let n = input.len();
-        if n == 0 {
-            return T::ZERO;
-        }
-        let parts = self.concurrency().min(n);
-        let policy = RangePolicy::new(n);
-        let blocks = policy.static_blocks(parts);
-        // pass 1: per-block sums
-        let mut partials: Vec<T> = Vec::with_capacity(blocks.len());
-        for b in &blocks {
-            let mut s = T::ZERO;
-            for i in b.clone() {
-                s = s.add(input[i]);
-            }
-            partials.push(s);
-        }
-        // exclusive scan of partials (small, serial)
-        let mut offsets = Vec::with_capacity(partials.len());
-        let mut running = T::ZERO;
-        for &p in &partials {
-            offsets.push(running);
-            running = running.add(p);
-        }
-        // pass 2: per-block exclusive scan with offset, parallel over chunks
-        let starts: Vec<usize> = blocks.iter().map(|b| b.start).collect();
-        self.run_chunks_mut(out, parts, &|offset, chunk| {
-            let bi = starts
-                .binary_search(&offset)
-                .expect("chunk boundaries follow static blocks");
-            let mut acc = offsets[bi];
-            for (k, o) in chunk.iter_mut().enumerate() {
-                *o = acc;
-                acc = acc.add(input[offset + k]);
-            }
-        });
-        running
-    }
-
-    /// `Kokkos::fence()` — all patterns here are synchronous, so this is a
-    /// no-op provided for API parity.
-    fn fence(&self) {}
 
     /// Whether this space charges memory-access costs ([`crate::gpu::SimGpu`]
     /// returns `true`). Charge sites should gate any work done purely to
@@ -320,7 +195,7 @@ impl Threads {
     }
 
     /// A space sized to the machine's available parallelism.
-    pub fn hardware() -> Self {
+    pub(crate) fn hardware() -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Self::new(workers)
     }
@@ -440,7 +315,7 @@ impl ExecSpace for Threads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::{Max, Min, MinMax, Sum};
+    use crate::reduce::{Min, MinMax, Sum};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn spaces() -> (Serial, Threads) {
@@ -462,49 +337,6 @@ mod tests {
                 threads.parallel_for(n, f);
             }
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn parallel_for_dynamic_schedule_covers_range() {
-        let threads = Threads::new(3);
-        let n = 500;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        threads.parallel_for(RangePolicy::new(n).dynamic(7), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn dynamic_schedule_tiny_range_many_workers() {
-        // effective_chunk must clamp to ≥ 1 when workers ≫ len — a zero
-        // chunk would make every claim empty and the pull loop endless
-        let threads = Threads::new(8);
-        let hits: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
-        threads.parallel_for(RangePolicy::new(3).dynamic(0), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn dynamic_schedule_survives_range_ending_at_usize_max() {
-        // regression: a plain fetch_add claim cursor overshoots `end` and,
-        // for ranges ending at usize::MAX, wraps below it, re-running
-        // indices forever
-        let start = usize::MAX - 61;
-        let policy = RangePolicy::over(start..usize::MAX).dynamic(7);
-        for workers in [1usize, 3] {
-            let threads = Threads::new(workers);
-            let count = AtomicU64::new(0);
-            let sum = AtomicU64::new(0);
-            threads.parallel_for(policy.clone(), |i| {
-                count.fetch_add(1, Ordering::Relaxed);
-                sum.fetch_add((i - start) as u64, Ordering::Relaxed);
-            });
-            assert_eq!(count.load(Ordering::Relaxed), 61, "workers={workers}");
-            assert_eq!(sum.load(Ordering::Relaxed), 60 * 61 / 2, "workers={workers}");
         }
     }
 
@@ -552,16 +384,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reduce_min_max_minmax() {
+    fn parallel_reduce_min_and_minmax() {
         let threads = Threads::new(4);
         let data: Vec<i64> = (0..999).map(|i| ((i * 7919) % 1543) as i64 - 500).collect();
         let mn = threads.parallel_reduce(data.len(), Min::<i64>::new(), |i| data[i]);
-        let mx = threads.parallel_reduce(data.len(), Max::<i64>::new(), |i| data[i]);
         let (lo, hi) =
             threads.parallel_reduce(data.len(), MinMax::<i64>::new(), |i| (data[i], data[i]));
         assert_eq!(mn, *data.iter().min().unwrap());
-        assert_eq!(mx, *data.iter().max().unwrap());
-        assert_eq!((lo, hi), (mn, mx));
+        assert_eq!((lo, hi), (mn, *data.iter().max().unwrap()));
     }
 
     #[test]
@@ -572,53 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_exclusive_prefix_sum() {
-        let (serial, threads) = spaces();
-        let input: Vec<u64> = (0..1000).map(|i| (i % 13) as u64).collect();
-        let mut expect = vec![0u64; input.len()];
-        let mut acc = 0u64;
-        for (i, &v) in input.iter().enumerate() {
-            expect[i] = acc;
-            acc += v;
-        }
-        let mut out_s = vec![0u64; input.len()];
-        let tot_s = serial.parallel_scan(&input, &mut out_s);
-        assert_eq!(out_s, expect);
-        assert_eq!(tot_s, acc);
-        let mut out_t = vec![0u64; input.len()];
-        let tot_t = threads.parallel_scan(&input, &mut out_t);
-        assert_eq!(out_t, expect);
-        assert_eq!(tot_t, acc);
-    }
-
-    #[test]
-    fn parallel_scan_empty_and_single() {
-        let serial = Serial;
-        let mut out: Vec<u32> = vec![];
-        assert_eq!(serial.parallel_scan(&[], &mut out), 0);
-        let mut out = vec![99u32];
-        assert_eq!(serial.parallel_scan(&[5], &mut out), 5);
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
     fn threads_space_reports_concurrency() {
         assert_eq!(Threads::new(7).concurrency(), 7);
         assert_eq!(Threads::new(0).concurrency(), 1);
         assert_eq!(Serial.concurrency(), 1);
         assert!(Threads::hardware().concurrency() >= 1);
-    }
-
-    #[test]
-    fn parallel_for_chunks_covers_disjointly() {
-        let threads = Threads::new(4);
-        let mut data = vec![0u8; 103];
-        threads.parallel_for_chunks(&mut data, 4, |_, chunk| {
-            for v in chunk {
-                *v += 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v == 1));
     }
 
     #[test]

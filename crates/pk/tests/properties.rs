@@ -4,26 +4,6 @@ use pk::prelude::*;
 use proptest::prelude::*;
 
 proptest! {
-    /// Both layouts of a View2 store the same logical content.
-    #[test]
-    fn view2_layout_independence(n0 in 1usize..12, n1 in 1usize..12, seed in any::<u64>()) {
-        let mut r = View2::<u64>::new("r", n0, n1, Layout::Right);
-        let mut l = View2::<u64>::new("l", n0, n1, Layout::Left);
-        let mut s = seed;
-        for i in 0..n0 {
-            for j in 0..n1 {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                r[(i, j)] = s;
-                l[(i, j)] = s;
-            }
-        }
-        for i in 0..n0 {
-            for j in 0..n1 {
-                prop_assert_eq!(r[(i, j)], l[(i, j)]);
-            }
-        }
-    }
-
     /// The inline fixed-point rounding is bit-for-bit `round`: on random
     /// bit patterns (every exponent, NaNs, infinities), on deposit-sized
     /// values, and on exact ties of the quantum.
@@ -97,20 +77,6 @@ proptest! {
         }
     }
 
-    /// parallel_scan is the exclusive prefix sum for any worker count.
-    #[test]
-    fn scan_matches_reference(data in prop::collection::vec(0u64..1000, 0..300), workers in 1usize..6) {
-        let t = Threads::new(workers);
-        let mut out = vec![0u64; data.len()];
-        let total = t.parallel_scan(&data, &mut out);
-        let mut acc = 0u64;
-        for (i, &v) in data.iter().enumerate() {
-            prop_assert_eq!(out[i], acc);
-            acc += v;
-        }
-        prop_assert_eq!(total, acc);
-    }
-
     /// min_max agrees with the standard library on any float data.
     #[test]
     fn min_max_matches_std(data in prop::collection::vec(-1e6f64..1e6, 1..300)) {
@@ -128,30 +94,6 @@ proptest! {
         for (i, &c) in h.iter().enumerate() {
             let k = 3 + i as u64;
             prop_assert_eq!(c as usize, keys.iter().filter(|&&x| x == k).count());
-        }
-    }
-
-    /// ScatterBuf modes agree with each other and with a serial fold.
-    #[test]
-    fn scatter_modes_agree_with_serial(
-        updates in prop::collection::vec((0usize..16, -100i32..100), 0..300),
-        workers in 1usize..5,
-    ) {
-        let t = Threads::new(workers);
-        let mut want = vec![0.0f64; 16];
-        for &(slot, v) in &updates {
-            want[slot] += v as f64;
-        }
-        for mode in [pk::atomic::ScatterMode::Atomic, pk::atomic::ScatterMode::Duplicated] {
-            let buf = ScatterBuf::new(16, workers, mode);
-            t.parallel_for(updates.len(), |i| {
-                let (slot, v) = updates[i];
-                buf.add(i % workers, slot, v as f64);
-            });
-            let got = buf.collect();
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g - w).abs() < 1e-9, "mode {mode:?}: {g} vs {w}");
-            }
         }
     }
 }

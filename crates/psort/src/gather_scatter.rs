@@ -55,9 +55,6 @@ pub fn flops_per_element(stencil_len: usize) -> f64 {
     stencil_len as f64 + 2.0
 }
 
-/// Streaming bytes per element: the `values[i]` read.
-pub const STREAM_BYTES_PER_ELEMENT: f64 = 8.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@
 //! | [`standard_sort`] | "standard classification" | duplicates adjacent — best CPU cache reuse, worst GPU atomic conflicts |
 //! | [`strided_sort`] | Algorithm 1 | repeating strictly-increasing subsequences — coalesced GPU accesses |
 //! | [`tiled_strided_sort`] | Algorithm 2 | strided order inside cache-sized tiles — coalescing **and** reuse |
-//! | [`random_order`] | baseline | fully divergent accesses |
+//! | [`SortOrder::Random`] | baseline | fully divergent accesses |
 //!
 //! All orders are permutations of the same (key, value) pairs, so any
 //! order-insensitive kernel (like the gather-scatter accumulation in
@@ -25,6 +25,6 @@ pub mod verify;
 
 pub use order::SortOrder;
 pub use sorts::{
-    random_order, sort_pairs, sort_pairs_in, standard_sort, strided_sort, strided_sort_in,
-    tiled_strided_sort, tiled_strided_sort_in,
+    sort_pairs, sort_pairs_in, standard_sort, strided_sort, strided_sort_in, tiled_strided_sort,
+    tiled_strided_sort_in,
 };

@@ -9,42 +9,12 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// The paper's duplication factor: "each key repeated 100 times".
 pub const PAPER_REPEATS: usize = 100;
 
 /// The paper's element count: one billion doubles.
 pub const PAPER_ELEMENTS: usize = 1_000_000_000;
-
-/// A key pattern from §5.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum KeyPattern {
-    /// Unique keys in ascending order (ideal, fully coalesced case).
-    Contiguous,
-    /// `unique × repeats` keys, randomly interleaved before sorting.
-    Repeated {
-        /// Distinct key values.
-        unique: usize,
-        /// Copies of each key.
-        repeats: usize,
-    },
-}
-
-impl KeyPattern {
-    /// Total number of elements the pattern generates.
-    pub fn len(&self) -> usize {
-        match *self {
-            KeyPattern::Contiguous => 0, // caller supplies n via generate
-            KeyPattern::Repeated { unique, repeats } => unique * repeats,
-        }
-    }
-
-    /// True when `len()` would be zero (contiguous defers to `generate`).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Unique keys `0..n` in ascending order.
 pub fn contiguous_keys(n: usize) -> Vec<u32> {
@@ -125,9 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn pattern_lengths() {
-        assert_eq!(KeyPattern::Repeated { unique: 10, repeats: 100 }.len(), 1000);
-        assert!(KeyPattern::Contiguous.is_empty());
+    fn paper_key_counts() {
         assert_eq!(PAPER_ELEMENTS / PAPER_REPEATS, 10_000_000, "paper: 10M unique keys");
     }
 }

@@ -11,7 +11,7 @@
 //! follows its cell array).
 
 use crate::order::SortOrder;
-use pk::sort::{apply_permutation, histogram, min_max, permute_in_place_with};
+use pk::sort::{histogram, min_max, permute_in_place_with};
 use pk::space::{ExecSpace, Serial};
 use pk::RangePolicy;
 use rand::seq::SliceRandom;
@@ -74,12 +74,6 @@ fn shuffled_permutation(seed: u64, n: usize) -> Vec<usize> {
 /// Standard classification: stable ascending sort by key.
 pub fn standard_sort<V>(keys: &mut [u32], values: &mut [V]) {
     sort_pairs(SortOrder::Standard, keys, values);
-}
-
-/// Deterministic shuffle (Fisher–Yates with a fixed-seed ChaCha stream).
-pub fn random_order<V>(seed: u64, keys: &mut [u32], values: &mut [V]) {
-    assert_eq!(keys.len(), values.len(), "key/value extent mismatch");
-    permute_pairs(&shuffled_permutation(seed, keys.len()), keys, values);
 }
 
 /// Algorithm 1 — strided sort.
@@ -234,12 +228,6 @@ pub fn ordered_keys(order: SortOrder, keys: &[u32]) -> (Vec<u32>, Vec<usize>) {
     (k, idx)
 }
 
-/// Re-export helper: gather values through a permutation (forwarded from
-/// `pk` so callers need only this crate).
-pub fn gather<T: Clone>(perm: &[usize], values: &[T]) -> Vec<T> {
-    apply_permutation(perm, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,8 +365,8 @@ mod tests {
         let orig = k1.clone();
         let mut k2 = k1.clone();
         let mut v2 = v1.clone();
-        random_order(42, &mut k1, &mut v1);
-        random_order(42, &mut k2, &mut v2);
+        sort_pairs(SortOrder::Random, &mut k1, &mut v1);
+        sort_pairs(SortOrder::Random, &mut k2, &mut v2);
         assert_eq!(k1, k2);
         assert_eq!(v1, v2);
         verify::assert_same_pairs(&orig, &k1, &v1);

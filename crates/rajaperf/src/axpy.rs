@@ -6,7 +6,7 @@ use vsimd::Strategy;
 
 /// Auto strategy: the plain loop, vectorization left entirely to LLVM
 /// (the paper's Kokkos-with-`#pragma ivdep` baseline).
-pub fn auto(a: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn auto(a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy extent mismatch");
     for i in 0..y.len() {
         y[i] += a * x[i];
@@ -15,7 +15,7 @@ pub fn auto(a: f64, x: &[f64], y: &mut [f64]) {
 
 /// Guided strategy: exact fixed-width chunks so the vectorizer cannot
 /// miss (the paper's `#pragma omp simd`).
-pub fn guided(a: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn guided(a: f64, x: &[f64], y: &mut [f64]) {
     zip_chunks_mut::<f64, f64, 8>(
         y,
         x,
@@ -29,7 +29,7 @@ pub fn guided(a: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// Manual strategy: explicit `vsimd` lanes (the paper's Kokkos SIMD).
-pub fn manual(a: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn manual(a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy extent mismatch");
     const W: usize = 4;
     let n = y.len();
@@ -45,12 +45,6 @@ pub fn manual(a: f64, x: &[f64], y: &mut [f64]) {
     for k in main..n {
         y[k] = vsimd::math::fma_f64(a, x[k], y[k]);
     }
-}
-
-/// Ad hoc strategy: per-ISA intrinsics with runtime dispatch (f32
-/// variant, matching the VPIC library's single-precision focus).
-pub fn adhoc_f32(a: f32, x: &[f32], y: &mut [f32]) {
-    vsimd::adhoc::axpy_f32(a, x, y);
 }
 
 /// Dispatch by strategy (ad hoc falls back to manual for f64 — the VPIC
@@ -85,18 +79,6 @@ mod tests {
             for (g, w) in y.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-12, "{s}: {g} vs {w}");
             }
-        }
-    }
-
-    #[test]
-    fn adhoc_f32_matches_scalar() {
-        let n = 100;
-        let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let mut y = vec![1.0f32; n];
-        adhoc_f32(3.0, &x, &mut y);
-        for (i, &v) in y.iter().enumerate() {
-            let want = 1.0 + 3.0 * i as f32;
-            assert!((v - want).abs() < want.abs() * 1e-6 + 1e-6);
         }
     }
 

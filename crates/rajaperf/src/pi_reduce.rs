@@ -8,7 +8,7 @@ use vsimd::simd::SimdF64;
 use vsimd::Strategy;
 
 /// Auto strategy: naive serial accumulation (single dependence chain).
-pub fn auto(n: usize) -> f64 {
+pub(crate) fn auto(n: usize) -> f64 {
     let dx = 1.0 / n as f64;
     let mut pi = 0.0;
     for i in 0..n {
@@ -21,7 +21,7 @@ pub fn auto(n: usize) -> f64 {
 /// Guided strategy: the dependence chain split into 8 independent
 /// accumulators (the `omp simd reduction(+:pi)` restructuring).
 #[allow(clippy::needless_range_loop)] // fixed-width lane loop, kept explicit
-pub fn guided(n: usize) -> f64 {
+pub(crate) fn guided(n: usize) -> f64 {
     let dx = 1.0 / n as f64;
     const W: usize = 8;
     let main = n - n % W;
@@ -44,7 +44,7 @@ pub fn guided(n: usize) -> f64 {
 
 /// Manual strategy: explicit lanes with a vector index and one horizontal
 /// reduction at the end.
-pub fn manual(n: usize) -> f64 {
+pub(crate) fn manual(n: usize) -> f64 {
     let dx = 1.0 / n as f64;
     const W: usize = 4;
     let main = n - n % W;

@@ -11,7 +11,7 @@ use vsimd::Strategy;
 
 /// Auto strategy: straight loop with libm `exp` — the compiler will not
 /// vectorize across the call.
-pub fn auto(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
+pub(crate) fn auto(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
     assert!(u.len() == v.len() && v.len() == y.len() && y.len() == w.len());
     for i in 0..w.len() {
         w[i] = y[i] / ((u[i] / v[i]).exp() - 1.0);
@@ -22,7 +22,7 @@ pub fn auto(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
 /// output buffer (trivially vectorized); pass 2 applies the polynomial
 /// `exp` in fixed-width chunks (vectorizable: no libm call); pass 3 forms
 /// the quotient.
-pub fn guided(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
+pub(crate) fn guided(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
     assert!(u.len() == v.len() && v.len() == y.len() && y.len() == w.len());
     // pass 1: w = u / v
     for i in 0..w.len() {
@@ -46,7 +46,7 @@ pub fn guided(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
 
 /// Manual strategy: one fused pass over explicit lanes with the lane-wise
 /// polynomial `exp`.
-pub fn manual(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
+pub(crate) fn manual(u: &[f64], v: &[f64], y: &[f64], w: &mut [f64]) {
     assert!(u.len() == v.len() && v.len() == y.len() && y.len() == w.len());
     const W: usize = 4;
     let n = w.len();

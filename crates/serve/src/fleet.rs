@@ -36,7 +36,7 @@ pub struct FleetPrior {
 
 impl FleetPrior {
     /// An empty prior (no tenant has finished yet).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -50,7 +50,7 @@ impl FleetPrior {
     }
 
     /// Fold one finished tenant's committed arm into the class record.
-    pub fn record_commit(&mut self, class: &str, config: Config, cost_per_particle: f64) {
+    pub(crate) fn record_commit(&mut self, class: &str, config: Config, cost_per_particle: f64) {
         let stats = self.classes.entry(class.to_string()).or_default();
         match stats.iter_mut().find(|s| s.config == config) {
             Some(s) => {

@@ -53,7 +53,7 @@ pub enum AdmitError {
     /// Admitting the job would push the estimated working-set total
     /// past the memory budget.
     MemoryBudget {
-        /// This job's estimated bytes ([`JobSpec::estimated_bytes`]).
+        /// This job's estimated bytes (`JobSpec::estimated_bytes`).
         estimated: u64,
         /// Bytes already pledged to admitted unfinished jobs.
         pledged: u64,
@@ -315,18 +315,13 @@ impl Server {
         &self.policy
     }
 
-    /// Completed scheduler rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Admitted unfinished jobs (queued + resident + parked).
-    pub fn active_jobs(&self) -> usize {
+    pub(crate) fn active_jobs(&self) -> usize {
         self.jobs.values().filter(|j| j.runnable()).count()
     }
 
     /// Estimated bytes pledged to admitted unfinished jobs.
-    pub fn pledged_bytes(&self) -> u64 {
+    pub(crate) fn pledged_bytes(&self) -> u64 {
         self.jobs
             .values()
             .filter(|j| j.runnable())
@@ -477,7 +472,7 @@ impl Server {
     /// have started: `max(steps/weight) / min(steps/weight)`. `None`
     /// with fewer than two in-flight started jobs, or when an in-flight
     /// job has not stepped yet (warmup). 1.0 is perfectly fair.
-    pub fn fairness_ratio(&self) -> Option<f64> {
+    pub(crate) fn fairness_ratio(&self) -> Option<f64> {
         let mut min = f64::INFINITY;
         let mut max: f64 = 0.0;
         let mut n = 0;

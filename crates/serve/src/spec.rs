@@ -100,7 +100,7 @@ impl JobSpec {
     /// interpolator/accumulator state plus the SoA particle record
     /// (see `memsim::push::working_set_bytes`). Admission control
     /// prices the job at this estimate.
-    pub fn estimated_bytes(&self) -> u64 {
+    pub(crate) fn estimated_bytes(&self) -> u64 {
         let (nx, ny, nz) = self.deck.shape;
         let cells = nx * ny * nz;
         let species = if self.deck.ions { 2 } else { 1 };
@@ -108,7 +108,7 @@ impl JobSpec {
     }
 
     /// Check the invariants the scheduler relies on.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
         if self.steps == 0 {
             return Err(SpecError::Invalid("steps must be ≥ 1"));
         }

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 /// Render a [`FlightSnapshot`] as the post-mortem report text. Pure:
 /// timestamps and counts are carried in, never sampled.
-pub fn render_flight_report(context: &str, snap: &FlightSnapshot) -> String {
+pub(crate) fn render_flight_report(context: &str, snap: &FlightSnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== vpic2 flight recorder ==");
     let _ = writeln!(out, "context: {context}");
@@ -51,7 +51,7 @@ pub fn render_flight_report(context: &str, snap: &FlightSnapshot) -> String {
 
 /// The current flight report: recent-event rings merged, counters, drop
 /// totals, rendered with `context` as the headline.
-pub fn flight_report(context: &str) -> String {
+pub(crate) fn flight_report(context: &str) -> String {
     render_flight_report(context, &crate::registry::flight_snapshot())
 }
 

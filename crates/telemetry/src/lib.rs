@@ -54,13 +54,13 @@ pub use export::{
     aggregate, chrome_trace, format_metrics, format_summary, prometheus_text, summary_json,
     SpanStat,
 };
-pub use flight::{dump_flight, flight_report, render_flight_report};
+pub use flight::dump_flight;
 pub use metrics::{
-    bucket_floor, bucket_index, gauge, histogram, metrics_snapshot, record_hist, Gauge, GaugeData,
-    HistData, Histogram, MetricsSnapshot, HIST_BUCKETS,
+    bucket_floor, bucket_index, gauge, histogram, metrics_snapshot, Gauge, GaugeData,
+    HistData, Histogram, MetricsSnapshot,
 };
 pub use registry::{
-    counter, counters, flight_snapshot, reset, restore_counter_baselines, snapshot, window_mark,
+    counter, counters, reset, restore_counter_baselines, snapshot, window_mark,
     window_since, Event, FlightSnapshot, Snapshot, SpanWindow, WindowMark, WindowTotals,
 };
 

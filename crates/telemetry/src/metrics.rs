@@ -45,7 +45,7 @@ const SUB_BITS: u32 = 3;
 const SUBS: usize = 1 << SUB_BITS;
 /// Total bucket count: unit buckets 0..8, then 8 per octave for octaves
 /// 3..=63.
-pub const HIST_BUCKETS: usize = SUBS + (64 - SUB_BITS as usize) * SUBS;
+const HIST_BUCKETS: usize = SUBS + (64 - SUB_BITS as usize) * SUBS;
 
 /// Stripes per histogram: concurrent recorders spread round-robin so
 /// worker lanes do not share bucket cache lines.
@@ -121,21 +121,12 @@ impl HistStripe {
 /// through the [`hist!`] macro (which caches the handle per call site and
 /// applies the `enabled()` gate).
 pub struct Histogram {
-    name: String,
     stripes: Vec<HistStripe>,
 }
 
 impl Histogram {
-    fn new(name: &str) -> Self {
-        Histogram {
-            name: name.to_string(),
-            stripes: (0..HIST_STRIPES).map(|_| HistStripe::new()).collect(),
-        }
-    }
-
-    /// Histogram name (the registry key).
-    pub fn name(&self) -> &str {
-        &self.name
+    fn new() -> Self {
+        Histogram { stripes: (0..HIST_STRIPES).map(|_| HistStripe::new()).collect() }
     }
 
     /// Record one sample: three relaxed `fetch_add`s on this thread's
@@ -201,7 +192,7 @@ impl HistData {
 
     /// Samples recorded since `earlier` was taken (saturating, so a
     /// `reset` between the two snapshots yields "since the reset").
-    pub fn delta_since(&self, earlier: &HistData) -> HistData {
+    pub(crate) fn delta_since(&self, earlier: &HistData) -> HistData {
         let mut out = HistData {
             count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
@@ -237,7 +228,7 @@ impl HistData {
     }
 
     /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 }
@@ -270,15 +261,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.sets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add a delta and update the watermarks with the result.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        let v = self.value.fetch_add(d, Ordering::Relaxed) + d;
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         self.sets.fetch_add(1, Ordering::Relaxed);
@@ -346,7 +328,7 @@ pub fn histogram(name: &str) -> &'static Histogram {
     if let Some(h) = reg.get(name) {
         return h;
     }
-    let h: &'static Histogram = Box::leak(Box::new(Histogram::new(name)));
+    let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
     reg.insert(name.to_string(), h);
     h
 }
@@ -360,15 +342,6 @@ pub fn gauge(name: &str) -> &'static Gauge {
     let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
     reg.insert(name.to_string(), g);
     g
-}
-
-/// Record one sample into the named histogram when profiling is on.
-/// Convenience for cold paths (one registry lock per call); hot paths use
-/// the [`hist!`] macro, which caches the handle per call site.
-pub fn record_hist(name: &str, v: u64) {
-    if crate::enabled() {
-        histogram(name).record(v);
-    }
 }
 
 /// Record into a histogram by (possibly runtime-built) name without the
@@ -493,7 +466,7 @@ mod tests {
 
     #[test]
     fn percentiles_read_back_recorded_values() {
-        let h = Histogram::new("metrics.test.readback");
+        let h = Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -516,8 +489,8 @@ mod tests {
 
     #[test]
     fn merge_adds_and_delta_subtracts() {
-        let a = Histogram::new("metrics.test.merge.a");
-        let b = Histogram::new("metrics.test.merge.b");
+        let a = Histogram::new();
+        let b = Histogram::new();
         for v in [1u64, 10, 100] {
             a.record(v);
         }
@@ -545,9 +518,6 @@ mod tests {
         assert_eq!(d.min, -3);
         assert_eq!(d.max, 5);
         assert_eq!(d.sets, 3);
-        g.add(10);
-        assert_eq!(g.snapshot().value, 12);
-        assert_eq!(g.snapshot().max, 12);
     }
 
     #[test]

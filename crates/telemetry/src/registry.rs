@@ -21,7 +21,7 @@ pub struct Event {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Key/value annotations (kernel name, range length, schedule, …).
+    /// Key/value annotations (kernel name, range length, …).
     pub args: Vec<(&'static str, String)>,
 }
 
@@ -219,7 +219,7 @@ pub struct FlightSnapshot {
 /// Merge every shard's recent-event ring into one ordered
 /// [`FlightSnapshot`]. Cheap relative to [`snapshot`]: at most
 /// `256 × shards` events regardless of run length.
-pub fn flight_snapshot() -> FlightSnapshot {
+pub(crate) fn flight_snapshot() -> FlightSnapshot {
     let mut snap = FlightSnapshot::default();
     for (k, &v) in baselines().lock().unwrap_or_else(|e| e.into_inner()).iter() {
         snap.counters.insert(k.clone(), v);
@@ -279,17 +279,6 @@ pub struct WindowTotals {
 }
 
 impl WindowTotals {
-    /// Total duration of the named span inside the window, ns (0 if the
-    /// span never closed inside the window).
-    pub fn span_total_ns(&self, name: &str) -> u64 {
-        self.spans.get(name).map_or(0, |w| w.total_ns)
-    }
-
-    /// Occurrences of the named span inside the window.
-    pub fn span_count(&self, name: &str) -> u64 {
-        self.spans.get(name).map_or(0, |w| w.count)
-    }
-
     /// Increment of the named counter inside the window.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -394,12 +383,12 @@ mod tests {
         record(ev("registry.test.window.span", 150, 30));
         add_counter("registry.test.window.counter", 7);
         let w = window_since(&mark);
-        assert_eq!(w.span_count("registry.test.window.span"), 3);
-        assert_eq!(w.span_total_ns("registry.test.window.span"), 60);
+        let span = &w.spans["registry.test.window.span"];
+        assert_eq!((span.count, span.total_ns), (3, 60));
         assert_eq!(w.counter("registry.test.window.counter"), 7);
         // a fresh mark sees none of it
         let w2 = window_since(&window_mark());
-        assert_eq!(w2.span_count("registry.test.window.span"), 0);
+        assert!(!w2.spans.contains_key("registry.test.window.span"));
         assert_eq!(w2.counter("registry.test.window.counter"), 0);
     }
 

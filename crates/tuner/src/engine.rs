@@ -190,11 +190,6 @@ impl Tuner {
         self.truncated_epochs
     }
 
-    /// Exploration rounds started (1 initially; +1 per drift restart).
-    pub fn explorations(&self) -> u64 {
-        self.explorations
-    }
-
     /// Export the complete engine state for checkpointing.
     pub fn state(&self) -> TunerState {
         TunerState {
@@ -435,7 +430,7 @@ mod tests {
             t.finish_epoch(&epoch(600, 500, 100));
         }
         assert_eq!(t.phase(), Phase::Committed);
-        assert_eq!(t.explorations(), 1);
+        assert_eq!(t.explorations, 1);
         // same cost, stable crossings: stays committed
         t.finish_epoch(&epoch(600, 500, 100));
         assert_eq!(t.phase(), Phase::Committed);
@@ -448,7 +443,7 @@ mod tests {
         assert_eq!(t.phase(), Phase::Committed);
         t.finish_epoch(&epoch(600, 500, 160));
         assert_eq!(t.phase(), Phase::Exploring, "sustained drift re-explores");
-        assert_eq!(t.explorations(), 2);
+        assert_eq!(t.explorations, 2);
         assert_eq!(t.current(), &t.arms[0], "re-exploration restarts from the first arm");
     }
 

@@ -47,7 +47,7 @@ impl Measurement {
     }
 
     /// Cell crossings per particle push (0 for an empty epoch).
-    pub fn crossing_rate(&self) -> f64 {
+    pub(crate) fn crossing_rate(&self) -> f64 {
         if self.pushed == 0 {
             0.0
         } else {

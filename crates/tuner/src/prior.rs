@@ -23,23 +23,12 @@ pub fn prefer_unsorted(platform: &Platform, cells: usize) -> bool {
 /// resident particle records alongside the grid's per-cell data, so a
 /// cache-sized grid drowning in particles still reads as out-of-cache
 /// (and the tuner keeps the sorted and tiled arms in play).
-pub fn prefer_unsorted_with_particles(
+pub(crate) fn prefer_unsorted_with_particles(
     platform: &Platform,
     cells: usize,
     particles: usize,
 ) -> bool {
     memsim::push::fits_llc_with_particles(platform, cells, particles)
-}
-
-/// The platform-derived tile-size axis for the tuner's tiled arms: the
-/// LLC-sized tile from [`memsim::push::llc_tile_cells`] bracketed by
-/// half and double, deduplicated. Feed the result to
-/// [`crate::config::tile_arms`].
-pub fn tile_cells_axis(platform: &Platform, ppc: usize) -> Vec<usize> {
-    let t = memsim::push::llc_tile_cells(platform, ppc);
-    let mut axis = vec![(t / 2).max(1), t, t * 2];
-    axis.dedup();
-    axis
 }
 
 #[cfg(test)]
@@ -84,11 +73,9 @@ mod tests {
     }
 
     #[test]
-    fn tile_axis_brackets_the_llc_tile_and_feeds_tile_arms() {
-        let v100 = by_name("V100").unwrap();
-        let axis = tile_cells_axis(&v100, 4);
-        let t = memsim::push::llc_tile_cells(&v100, 4);
-        assert_eq!(axis, vec![t / 2, t, t * 2]);
+    fn a_bracket_of_the_llc_tile_feeds_tile_arms() {
+        let t = memsim::push::llc_tile_cells(&by_name("V100").unwrap(), 4);
+        let axis = [t / 2, t, t * 2];
         let base = [crate::Config::unsorted(
             vsimd::Strategy::Auto,
             pk::atomic::ScatterMode::Atomic,

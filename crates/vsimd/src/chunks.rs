@@ -8,10 +8,6 @@
 //! bounds checks, no cross-iteration dependence visible) plus a scalar
 //! tail. These helpers encode that restructuring once.
 
-/// Default guided-vectorization width (elements per chunk). 16 f32s = one
-/// AVX-512 register or two AVX2 registers; small enough for NEON too.
-pub const GUIDED_WIDTH: usize = 16;
-
 /// Apply `f` to every element of exact `W`-sized chunk arrays of `data`,
 /// then `tail` to the remainder. The chunk closure sees `&mut [T; W]`, so
 /// the compiler knows the trip count exactly.

@@ -8,13 +8,13 @@
 //! when called lane-wise from [`crate::simd`] types, and the shape the
 //! *guided* strategy splits into its own loop.
 
-use crate::simd::{SimdF32, SimdF64};
+use crate::simd::SimdF64;
 
 /// Fused multiply-add that never falls back to the (catastrophically
 /// slow) software `fma()` libm routine: on targets with a hardware FMA
 /// unit it contracts, elsewhere it compiles to separate multiply+add.
 #[inline(always)]
-pub fn fma_f32(a: f32, b: f32, c: f32) -> f32 {
+pub(crate) fn fma_f32(a: f32, b: f32, c: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, c)
     } else {
@@ -22,7 +22,7 @@ pub fn fma_f32(a: f32, b: f32, c: f32) -> f32 {
     }
 }
 
-/// `f64` twin of [`fma_f32`].
+/// `f64` twin of `fma_f32`.
 #[inline(always)]
 pub fn fma_f64(a: f64, b: f64, c: f64) -> f64 {
     if cfg!(target_feature = "fma") {
@@ -87,18 +87,6 @@ pub fn fast_exp_f64(x: f64) -> f64 {
     p * two_k
 }
 
-impl<const N: usize> SimdF32<N> {
-    /// Lane-wise fast `exp` (see [`fast_exp_f32`]).
-    #[inline(always)]
-    pub fn exp(self) -> Self {
-        let mut out = [0.0f32; N];
-        for l in 0..N {
-            out[l] = fast_exp_f32(self.0[l]);
-        }
-        Self(out)
-    }
-}
-
 impl<const N: usize> SimdF64<N> {
     /// Lane-wise fast `exp` (see [`fast_exp_f64`]).
     #[inline(always)]
@@ -109,14 +97,6 @@ impl<const N: usize> SimdF64<N> {
         }
         Self(out)
     }
-}
-
-/// `expm1`-style helper used by the PLANCKIAN kernel: `exp(x) - 1`, with
-/// the naive formulation the kernel actually benchmarks (the paper's
-/// kernel divides by `exp(v) - 1`, not by `expm1`).
-#[inline(always)]
-pub fn exp_minus_one_f64(x: f64) -> f64 {
-    fast_exp_f64(x) - 1.0
 }
 
 #[cfg(test)]
@@ -157,21 +137,10 @@ mod tests {
 
     #[test]
     fn simd_exp_is_lanewise() {
-        let v = SimdF32::<8>::from([0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 3.0, -3.0]);
-        let e = v.exp();
-        for l in 0..8 {
-            assert_eq!(e.lane(l), fast_exp_f32(v.lane(l)));
-        }
         let w = SimdF64::<4>::from([0.0, 1.0, -2.0, 5.0]);
         let e = w.exp();
         for l in 0..4 {
             assert_eq!(e.lane(l), fast_exp_f64(w.lane(l)));
         }
-    }
-
-    #[test]
-    fn exp_minus_one_basic() {
-        assert!((exp_minus_one_f64(0.0)).abs() < 1e-15);
-        assert!((exp_minus_one_f64(1.0) - (std::f64::consts::E - 1.0)).abs() < 1e-12);
     }
 }

@@ -172,8 +172,8 @@ impl PushLane for SimdF32<4> {
 
     #[inline(always)]
     fn within_bits(self, lo: Self, hi: Self) -> u32 {
-        // both compares per lane and straight to bits, not through
-        // `Mask`'s bools: the shape LLVM keeps as packed compares
+        // both compares per lane and straight to bits, not through an
+        // array of bools: the shape LLVM keeps as packed compares
         let mut bits = 0;
         for l in 0..4 {
             bits |= (((lo.0[l] <= self.0[l]) & (self.0[l] <= hi.0[l])) as u32) << l;

@@ -6,11 +6,10 @@
 //! vectorization strategy: lane count and operations are explicit in the
 //! source, but no per-ISA intrinsics appear (contrast [`crate::v4`]).
 
-use crate::mask::Mask;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 macro_rules! define_float_simd {
-    ($name:ident, $elem:ty, $ielem:ty, $doc:literal) => {
+    ($name:ident, $elem:ty, $doc:literal) => {
         #[doc = $doc]
         #[derive(Debug, Clone, Copy, PartialEq)]
         #[repr(transparent)]
@@ -46,25 +45,6 @@ macro_rules! define_float_simd {
                 dst[offset..offset + N].copy_from_slice(&self.0);
             }
 
-            /// Gather `src[idx[lane]]` into each lane (`simd::gather_from`).
-            #[inline(always)]
-            pub fn gather(src: &[$elem], idx: &[usize; N]) -> Self {
-                let mut out = [0.0; N];
-                for l in 0..N {
-                    out[l] = src[idx[l]];
-                }
-                Self(out)
-            }
-
-            /// Scatter each lane to `dst[idx[lane]]`. Lanes with duplicate
-            /// indices write in ascending lane order (last lane wins).
-            #[inline(always)]
-            pub fn scatter(self, dst: &mut [$elem], idx: &[usize; N]) {
-                for l in 0..N {
-                    dst[idx[l]] = self.0[l];
-                }
-            }
-
             /// Read one lane.
             #[inline(always)]
             pub fn lane(self, l: usize) -> $elem {
@@ -76,7 +56,7 @@ macro_rules! define_float_simd {
             /// (single rounding, the scalar `mul_add` contract); elsewhere
             /// it compiles to separate multiply + add (two roundings)
             /// rather than the catastrophically slow software `fma()`
-            /// libm routine — same policy as [`crate::math::fma_f32`].
+            /// libm routine — same policy as `crate::math::fma_f32`.
             /// The manual strategy must never codegen slower than auto.
             #[inline(always)]
             pub fn mul_add(self, b: Self, c: Self) -> Self {
@@ -97,36 +77,6 @@ macro_rules! define_float_simd {
                 let mut out = [0.0; N];
                 for l in 0..N {
                     out[l] = self.0[l].sqrt();
-                }
-                Self(out)
-            }
-
-            /// Lane-wise reciprocal.
-            #[inline(always)]
-            pub fn recip(self) -> Self {
-                let mut out = [0.0; N];
-                for l in 0..N {
-                    out[l] = 1.0 / self.0[l];
-                }
-                Self(out)
-            }
-
-            /// Lane-wise reciprocal square root.
-            #[inline(always)]
-            pub fn rsqrt(self) -> Self {
-                let mut out = [0.0; N];
-                for l in 0..N {
-                    out[l] = 1.0 / self.0[l].sqrt();
-                }
-                Self(out)
-            }
-
-            /// Lane-wise absolute value.
-            #[inline(always)]
-            pub fn abs(self) -> Self {
-                let mut out = [0.0; N];
-                for l in 0..N {
-                    out[l] = self.0[l].abs();
                 }
                 Self(out)
             }
@@ -170,79 +120,6 @@ macro_rules! define_float_simd {
                 vals[0]
             }
 
-            /// Horizontal minimum of all lanes.
-            #[inline(always)]
-            pub fn reduce_min(self) -> $elem {
-                self.0.iter().copied().fold(<$elem>::INFINITY, <$elem>::min)
-            }
-
-            /// Horizontal maximum of all lanes.
-            #[inline(always)]
-            pub fn reduce_max(self) -> $elem {
-                self.0.iter().copied().fold(<$elem>::NEG_INFINITY, <$elem>::max)
-            }
-
-            /// Lane-wise `self < other` mask.
-            #[inline(always)]
-            pub fn lt(self, other: Self) -> Mask<N> {
-                let mut m = [false; N];
-                for l in 0..N {
-                    m[l] = self.0[l] < other.0[l];
-                }
-                Mask(m)
-            }
-
-            /// Lane-wise `self <= other` mask.
-            #[inline(always)]
-            pub fn le(self, other: Self) -> Mask<N> {
-                let mut m = [false; N];
-                for l in 0..N {
-                    m[l] = self.0[l] <= other.0[l];
-                }
-                Mask(m)
-            }
-
-            /// Lane-wise `self > other` mask.
-            #[inline(always)]
-            pub fn gt(self, other: Self) -> Mask<N> {
-                let mut m = [false; N];
-                for l in 0..N {
-                    m[l] = self.0[l] > other.0[l];
-                }
-                Mask(m)
-            }
-
-            /// Lane-wise `self >= other` mask.
-            #[inline(always)]
-            pub fn ge(self, other: Self) -> Mask<N> {
-                let mut m = [false; N];
-                for l in 0..N {
-                    m[l] = self.0[l] >= other.0[l];
-                }
-                Mask(m)
-            }
-
-            /// Blend: lane from `self` where the mask is set, else from
-            /// `other` (`simd::simd_select`). This is how branches are
-            /// vectorized (paper: "SIMD masks for handling branches").
-            #[inline(always)]
-            pub fn select(mask: Mask<N>, a: Self, b: Self) -> Self {
-                let mut out = [0.0; N];
-                for l in 0..N {
-                    out[l] = if mask.0[l] { a.0[l] } else { b.0[l] };
-                }
-                Self(out)
-            }
-
-            /// Truncate each lane toward zero and convert to `i32` lanes.
-            #[inline(always)]
-            pub fn to_int(self) -> SimdI32<N> {
-                let mut out = [0i32; N];
-                for l in 0..N {
-                    out[l] = self.0[l] as i32;
-                }
-                SimdI32(out)
-            }
         }
 
         impl<const N: usize> Default for $name<N> {
@@ -353,130 +230,19 @@ macro_rules! define_float_simd {
                 Self(v)
             }
         }
-
-        #[allow(unused)]
-        const _: () = {
-            // ensure the int lane type matches
-            let _ = std::mem::size_of::<$ielem>();
-        };
     };
 }
 
 define_float_simd!(
     SimdF32,
     f32,
-    i32,
     "Portable `f32` SIMD vector with `N` lanes (Kokkos `simd<float, N>` analog)."
 );
 define_float_simd!(
     SimdF64,
     f64,
-    i64,
     "Portable `f64` SIMD vector with `N` lanes (Kokkos `simd<double, N>` analog)."
 );
-
-/// Portable `i32` SIMD vector with `N` lanes (cell indices, particle ids).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(transparent)]
-pub struct SimdI32<const N: usize>(pub [i32; N]);
-
-impl<const N: usize> SimdI32<N> {
-    /// All lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: i32) -> Self {
-        Self([v; N])
-    }
-
-    /// All lanes zero.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self::splat(0)
-    }
-
-    /// Load `N` contiguous values.
-    #[inline(always)]
-    pub fn load(src: &[i32], offset: usize) -> Self {
-        let mut out = [0; N];
-        out.copy_from_slice(&src[offset..offset + N]);
-        Self(out)
-    }
-
-    /// Store `N` contiguous values.
-    #[inline(always)]
-    pub fn store(self, dst: &mut [i32], offset: usize) {
-        dst[offset..offset + N].copy_from_slice(&self.0);
-    }
-
-    /// Read one lane.
-    #[inline(always)]
-    pub fn lane(self, l: usize) -> i32 {
-        self.0[l]
-    }
-
-    /// Lanes as gather/scatter indices.
-    ///
-    /// # Panics
-    /// Panics in debug builds if any lane is negative.
-    #[inline(always)]
-    pub fn as_indices(self) -> [usize; N] {
-        let mut out = [0usize; N];
-        for l in 0..N {
-            debug_assert!(self.0[l] >= 0, "negative index lane");
-            out[l] = self.0[l] as usize;
-        }
-        out
-    }
-
-    /// Lane-wise equality mask.
-    #[inline(always)]
-    pub fn eq_lanes(self, other: Self) -> Mask<N> {
-        let mut m = [false; N];
-        for l in 0..N {
-            m[l] = self.0[l] == other.0[l];
-        }
-        Mask(m)
-    }
-
-    /// Convert lanes to `f32`.
-    #[inline(always)]
-    pub fn to_f32(self) -> SimdF32<N> {
-        let mut out = [0.0f32; N];
-        for l in 0..N {
-            out[l] = self.0[l] as f32;
-        }
-        SimdF32(out)
-    }
-}
-
-impl<const N: usize> Add for SimdI32<N> {
-    type Output = Self;
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        let mut out = [0; N];
-        for l in 0..N {
-            out[l] = self.0[l].wrapping_add(rhs.0[l]);
-        }
-        Self(out)
-    }
-}
-
-impl<const N: usize> Mul for SimdI32<N> {
-    type Output = Self;
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        let mut out = [0; N];
-        for l in 0..N {
-            out[l] = self.0[l].wrapping_mul(rhs.0[l]);
-        }
-        Self(out)
-    }
-}
-
-impl<const N: usize> Default for SimdI32<N> {
-    fn default() -> Self {
-        Self::zero()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -524,79 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_roundtrip() {
-        let src: Vec<f32> = (0..32).map(|i| (i * i) as f32).collect();
-        let idx = [5usize, 0, 31, 7];
-        let v = SimdF32::<4>::gather(&src, &idx);
-        assert_eq!(v.0, [25.0, 0.0, 961.0, 49.0]);
-        let mut dst = vec![0.0f32; 32];
-        v.scatter(&mut dst, &idx);
-        assert_eq!(dst[5], 25.0);
-        assert_eq!(dst[0], 0.0);
-        assert_eq!(dst[31], 961.0);
-        assert_eq!(dst[7], 49.0);
-    }
-
-    #[test]
     fn reductions() {
         let v = SimdF64::<8>::from([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         assert_eq!(v.reduce_sum(), 36.0);
-        assert_eq!(v.reduce_min(), 1.0);
-        assert_eq!(v.reduce_max(), 8.0);
         // odd lane count exercises the tail fold in the tree reduction
         let w = SimdF32::<3>::from([1.0, 2.0, 4.0]);
         assert_eq!(w.reduce_sum(), 7.0);
     }
 
     #[test]
-    fn masks_and_select() {
-        let a = SimdF32::<4>::from([1.0, 5.0, 3.0, 7.0]);
-        let b = SimdF32::<4>::splat(4.0);
-        let m = a.lt(b);
-        assert_eq!(m.0, [true, false, true, false]);
-        let r = SimdF32::select(m, a, b);
-        assert_eq!(r.0, [1.0, 4.0, 3.0, 4.0]);
-        assert_eq!(a.ge(b).0, [false, true, false, true]);
-        assert_eq!(a.gt(b).0, [false, true, false, true]);
-        assert_eq!(a.le(b).0, [true, false, true, false]);
-    }
-
-    #[test]
     fn unary_math_ops() {
         let v = SimdF64::<4>::from([4.0, 9.0, 16.0, 25.0]);
         assert_eq!(v.sqrt().0, [2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(v.recip().0, [0.25, 1.0 / 9.0, 0.0625, 0.04]);
-        let r = v.rsqrt();
-        for l in 0..4 {
-            assert!((r.lane(l) - 1.0 / v.lane(l).sqrt()).abs() < 1e-12);
-        }
         let n = SimdF32::<4>::from([-1.0, 2.0, -3.0, 0.0]);
-        assert_eq!(n.abs().0, [1.0, 2.0, 3.0, 0.0]);
         assert_eq!(n.min(SimdF32::zero()).0, [-1.0, 0.0, -3.0, 0.0]);
         assert_eq!(n.max(SimdF32::zero()).0, [0.0, 2.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn float_int_conversions() {
-        let v = SimdF32::<4>::from([1.9, -1.9, 0.2, 100.7]);
-        assert_eq!(v.to_int().0, [1, -1, 0, 100]);
-        let i = SimdI32::<4>::from_array([3, 1, 2, 0]);
-        assert_eq!(i.to_f32().0, [3.0, 1.0, 2.0, 0.0]);
-    }
-
-    impl<const N: usize> SimdI32<N> {
-        fn from_array(a: [i32; N]) -> Self {
-            Self(a)
-        }
-    }
-
-    #[test]
-    fn int_ops_and_indices() {
-        let a = SimdI32::<4>::from_array([1, 2, 3, 4]);
-        let b = SimdI32::<4>::splat(10);
-        assert_eq!((a + b).0, [11, 12, 13, 14]);
-        assert_eq!((a * b).0, [10, 20, 30, 40]);
-        assert_eq!(a.as_indices(), [1usize, 2, 3, 4]);
-        assert_eq!(a.eq_lanes(SimdI32::splat(2)).0, [false, true, false, false]);
     }
 }

@@ -17,8 +17,8 @@ pub enum Strategy {
     /// Explicit portable SIMD types ([`crate::simd`]; Kokkos SIMD in the
     /// paper).
     Manual,
-    /// Per-ISA intrinsics ([`crate::v4`] / [`crate::adhoc`]; the VPIC 1.2
-    /// custom SIMD library in the paper).
+    /// Per-ISA intrinsics ([`crate::v4`]; the VPIC 1.2 custom SIMD
+    /// library in the paper).
     AdHoc,
 }
 
@@ -59,17 +59,6 @@ impl Strategy {
         }
     }
 
-    /// Relative developer effort on the paper's qualitative scale
-    /// (auto < guided < manual ≪ ad hoc).
-    pub fn effort_rank(self) -> u8 {
-        match self {
-            Strategy::Auto => 0,
-            Strategy::Guided => 1,
-            Strategy::Manual => 2,
-            Strategy::AdHoc => 10, // "much less than ad hoc" — a gap, not a step
-        }
-    }
-
     /// Whether this strategy has a genuine (non-fallback) implementation
     /// on the build target. Ad hoc is per-ISA by definition: it is real
     /// only where its intrinsics exist (x86-64 here; the paper's table
@@ -81,17 +70,6 @@ impl Strategy {
         }
     }
 
-    /// Parse from the names used in figures/CLI (`auto`, `guided`,
-    /// `manual`, `adhoc`/`ad-hoc`/`ad_hoc`).
-    pub fn parse(s: &str) -> Option<Strategy> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(Strategy::Auto),
-            "guided" => Some(Strategy::Guided),
-            "manual" => Some(Strategy::Manual),
-            "adhoc" | "ad-hoc" | "ad_hoc" => Some(Strategy::AdHoc),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Strategy {
@@ -105,26 +83,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_contains_each_once_in_effort_order() {
-        assert_eq!(Strategy::ALL.len(), 4);
-        let ranks: Vec<u8> = Strategy::ALL.iter().map(|s| s.effort_rank()).collect();
-        assert!(ranks.windows(2).all(|w| w[0] < w[1]));
+    fn all_contains_each_once() {
+        for (i, a) in Strategy::ALL.iter().enumerate() {
+            assert!(Strategy::ALL[i + 1..].iter().all(|b| a != b));
+        }
     }
 
     #[test]
     fn micro_excludes_adhoc() {
         assert!(!Strategy::MICRO.contains(&Strategy::AdHoc));
         assert_eq!(Strategy::MICRO.len(), 3);
-    }
-
-    #[test]
-    fn parse_roundtrips_names() {
-        for s in Strategy::ALL {
-            assert_eq!(Strategy::parse(s.name()), Some(s));
-            assert_eq!(Strategy::parse(&s.name().to_uppercase()), Some(s));
-        }
-        assert_eq!(Strategy::parse("ad-hoc"), Some(Strategy::AdHoc));
-        assert_eq!(Strategy::parse("nonsense"), None);
     }
 
     #[test]

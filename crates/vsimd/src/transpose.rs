@@ -1,11 +1,12 @@
-//! In-register transposes for AoS ⇄ SoA conversion.
+//! The in-register 4×4 transpose for AoS ⇄ SoA conversion.
 //!
 //! VPIC stores particles as interleaved records (`dx, dy, dz, i, ux, uy,
 //! uz, w`); vector kernels want lane-major (SoA) registers. The paper's
 //! manual strategy "implement\[s\] functions for transposing data in
-//! registers... to accelerate data loading and storing in VPIC" — these are
-//! those functions, written portably (the ad hoc SSE version lives in
-//! [`crate::v4`]).
+//! registers... to accelerate data loading and storing in VPIC" — this is
+//! that function, written portably (the ad hoc SSE version lives in
+//! [`crate::v4`]); whole records are loaded and stored through it by
+//! `PushLane::{load_tr, store_tr}`.
 
 use crate::simd::SimdF32;
 
@@ -40,64 +41,6 @@ pub fn transpose_4x4(rows: [SimdF32<4>; 4]) -> [SimdF32<4>; 4] {
     ]
 }
 
-/// Transpose an 8×8 block of `f32` held in eight vectors.
-#[inline(always)]
-pub fn transpose_8x8(rows: [SimdF32<8>; 8]) -> [SimdF32<8>; 8] {
-    let mut out = [[0.0f32; 8]; 8];
-    for r in 0..8 {
-        for c in 0..8 {
-            out[c][r] = rows[r].0[c];
-        }
-    }
-    let mut vs = [SimdF32::<8>::zero(); 8];
-    for (v, o) in vs.iter_mut().zip(out) {
-        *v = SimdF32(o);
-    }
-    vs
-}
-
-/// Load 4 consecutive AoS records of `stride` floats starting at
-/// `base`, returning the first 4 fields as SoA vectors
-/// (`load_4x4_tr` in the VPIC 1.2 SIMD library).
-///
-/// `out[f].lane(r)` is field `f` of record `r`.
-#[inline(always)]
-pub fn load_4x4_tr(src: &[f32], base: usize, stride: usize) -> [SimdF32<4>; 4] {
-    debug_assert!(stride >= 4, "need at least 4 fields per record");
-    let rows = [
-        SimdF32::<4>::load(src, base),
-        SimdF32::<4>::load(src, base + stride),
-        SimdF32::<4>::load(src, base + 2 * stride),
-        SimdF32::<4>::load(src, base + 3 * stride),
-    ];
-    transpose_4x4(rows)
-}
-
-/// Store 4 SoA vectors back as the first 4 fields of 4 consecutive AoS
-/// records (`store_4x4_tr` in the VPIC 1.2 SIMD library).
-#[inline(always)]
-pub fn store_4x4_tr(fields: [SimdF32<4>; 4], dst: &mut [f32], base: usize, stride: usize) {
-    debug_assert!(stride >= 4);
-    let rows = transpose_4x4(fields);
-    rows[0].store(dst, base);
-    rows[1].store(dst, base + stride);
-    rows[2].store(dst, base + 2 * stride);
-    rows[3].store(dst, base + 3 * stride);
-}
-
-/// Gathered AoS→SoA load: like [`load_4x4_tr`] but each record's base is
-/// given explicitly (particles gathered through a sort permutation).
-#[inline(always)]
-pub fn gather_4x4_tr(src: &[f32], bases: [usize; 4]) -> [SimdF32<4>; 4] {
-    let rows = [
-        SimdF32::<4>::load(src, bases[0]),
-        SimdF32::<4>::load(src, bases[1]),
-        SimdF32::<4>::load(src, bases[2]),
-        SimdF32::<4>::load(src, bases[3]),
-    ];
-    transpose_4x4(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,63 +70,5 @@ mod tests {
             SimdF32::from([13.0, 14.0, 15.0, 16.0]),
         ];
         assert_eq!(transpose_4x4(transpose_4x4(rows)), rows);
-    }
-
-    #[test]
-    fn transpose_8x8_involution() {
-        let mut rows = [SimdF32::<8>::zero(); 8];
-        for (r, row) in rows.iter_mut().enumerate() {
-            for c in 0..8 {
-                row.0[c] = (r * 8 + c) as f32;
-            }
-        }
-        let t = transpose_8x8(rows);
-        for r in 0..8 {
-            for c in 0..8 {
-                assert_eq!(t[c].lane(r), rows[r].lane(c));
-            }
-        }
-        assert_eq!(transpose_8x8(t), rows);
-    }
-
-    #[test]
-    fn aos_load_store_roundtrip() {
-        // 4 particle records with 8 fields each (VPIC particle layout)
-        let stride = 8;
-        let src: Vec<f32> = (0..4 * stride).map(|i| i as f32).collect();
-        let soa = load_4x4_tr(&src, 0, stride);
-        // field f of record r is src[r*stride + f]
-        for f in 0..4 {
-            for r in 0..4 {
-                assert_eq!(soa[f].lane(r), (r * stride + f) as f32);
-            }
-        }
-        let mut dst = vec![0.0f32; 4 * stride];
-        store_4x4_tr(soa, &mut dst, 0, stride);
-        for r in 0..4 {
-            for f in 0..4 {
-                assert_eq!(dst[r * stride + f], src[r * stride + f]);
-            }
-        }
-    }
-
-    #[test]
-    fn gathered_load_matches_contiguous() {
-        let stride = 8;
-        let src: Vec<f32> = (0..8 * stride).map(|i| (i as f32).sin()).collect();
-        let contiguous = load_4x4_tr(&src, 2 * stride, stride);
-        let gathered = gather_4x4_tr(
-            &src,
-            [2 * stride, 3 * stride, 4 * stride, 5 * stride],
-        );
-        assert_eq!(contiguous, gathered);
-        // a permuted gather picks the same records in a different order
-        let permuted = gather_4x4_tr(
-            &src,
-            [5 * stride, 2 * stride, 3 * stride, 4 * stride],
-        );
-        for f in 0..4 {
-            assert_eq!(permuted[f].lane(0), contiguous[f].lane(3));
-        }
     }
 }

@@ -31,26 +31,20 @@ pub struct V4F32(
 impl V4F32 {
     /// All lanes set to `v`.
     #[inline(always)]
-    pub fn splat(v: f32) -> Self {
+    pub(crate) fn splat(v: f32) -> Self {
         unsafe { Self(_mm_set1_ps(v)) }
-    }
-
-    /// All lanes zero.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        unsafe { Self(_mm_setzero_ps()) }
     }
 
     /// Load 4 contiguous floats from `src[offset..]` (unaligned load).
     #[inline(always)]
-    pub fn load(src: &[f32], offset: usize) -> Self {
+    pub(crate) fn load(src: &[f32], offset: usize) -> Self {
         assert!(offset + 4 <= src.len(), "V4F32::load out of bounds");
         unsafe { Self(_mm_loadu_ps(src.as_ptr().add(offset))) }
     }
 
     /// Store 4 lanes into `dst[offset..]` (unaligned store).
     #[inline(always)]
-    pub fn store(self, dst: &mut [f32], offset: usize) {
+    pub(crate) fn store(self, dst: &mut [f32], offset: usize) {
         assert!(offset + 4 <= dst.len(), "V4F32::store out of bounds");
         unsafe { _mm_storeu_ps(dst.as_mut_ptr().add(offset), self.0) }
     }
@@ -79,15 +73,9 @@ impl V4F32 {
         unsafe { Self(_mm_div_ps(self.0, rhs.0)) }
     }
 
-    /// `self * b + c` (`mulps` + `addps`; SSE has no FMA).
-    #[inline(always)]
-    pub fn fma(self, b: Self, c: Self) -> Self {
-        self.mul(b).add(c)
-    }
-
     /// Lane-wise square root (`sqrtps`).
     #[inline(always)]
-    pub fn sqrt(self) -> Self {
+    pub(crate) fn sqrt(self) -> Self {
         unsafe { Self(_mm_sqrt_ps(self.0)) }
     }
 
@@ -107,22 +95,10 @@ impl V4F32 {
         }
     }
 
-    /// Lane-wise minimum (`minps`).
-    #[inline(always)]
-    pub fn min(self, rhs: Self) -> Self {
-        unsafe { Self(_mm_min_ps(self.0, rhs.0)) }
-    }
-
-    /// Lane-wise maximum (`maxps`).
-    #[inline(always)]
-    pub fn max(self, rhs: Self) -> Self {
-        unsafe { Self(_mm_max_ps(self.0, rhs.0)) }
-    }
-
     /// Lane-wise `self <= rhs` packed as a bitmask, lane 0 in bit 0
     /// (`cmpleps` + `movmskps`); a NaN on either side clears the bit.
     #[inline(always)]
-    pub fn le_bits(self, rhs: Self) -> u32 {
+    pub(crate) fn le_bits(self, rhs: Self) -> u32 {
         unsafe { _mm_movemask_ps(_mm_cmple_ps(self.0, rhs.0)) as u32 }
     }
 
@@ -159,19 +135,13 @@ impl V4F32 {
 impl V4F32 {
     /// All lanes set to `v`.
     #[inline(always)]
-    pub fn splat(v: f32) -> Self {
+    pub(crate) fn splat(v: f32) -> Self {
         Self([v; 4])
-    }
-
-    /// All lanes zero.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self::splat(0.0)
     }
 
     /// Load 4 contiguous floats.
     #[inline(always)]
-    pub fn load(src: &[f32], offset: usize) -> Self {
+    pub(crate) fn load(src: &[f32], offset: usize) -> Self {
         assert!(offset + 4 <= src.len(), "V4F32::load out of bounds");
         let mut out = [0.0f32; 4];
         out.copy_from_slice(&src[offset..offset + 4]);
@@ -180,7 +150,7 @@ impl V4F32 {
 
     /// Store 4 lanes.
     #[inline(always)]
-    pub fn store(self, dst: &mut [f32], offset: usize) {
+    pub(crate) fn store(self, dst: &mut [f32], offset: usize) {
         assert!(offset + 4 <= dst.len(), "V4F32::store out of bounds");
         dst[offset..offset + 4].copy_from_slice(&self.0);
     }
@@ -225,15 +195,9 @@ impl V4F32 {
         Self(o)
     }
 
-    /// `self * b + c`.
-    #[inline(always)]
-    pub fn fma(self, b: Self, c: Self) -> Self {
-        self.mul(b).add(c)
-    }
-
     /// Lane-wise square root.
     #[inline(always)]
-    pub fn sqrt(self) -> Self {
+    pub(crate) fn sqrt(self) -> Self {
         let mut o = [0.0; 4];
         for l in 0..4 {
             o[l] = self.0[l].sqrt();
@@ -251,30 +215,10 @@ impl V4F32 {
         Self(o)
     }
 
-    /// Lane-wise minimum.
-    #[inline(always)]
-    pub fn min(self, rhs: Self) -> Self {
-        let mut o = [0.0; 4];
-        for l in 0..4 {
-            o[l] = self.0[l].min(rhs.0[l]);
-        }
-        Self(o)
-    }
-
-    /// Lane-wise maximum.
-    #[inline(always)]
-    pub fn max(self, rhs: Self) -> Self {
-        let mut o = [0.0; 4];
-        for l in 0..4 {
-            o[l] = self.0[l].max(rhs.0[l]);
-        }
-        Self(o)
-    }
-
     /// Lane-wise `self <= rhs` packed as a bitmask, lane 0 in bit 0; a
     /// NaN on either side clears the bit.
     #[inline(always)]
-    pub fn le_bits(self, rhs: Self) -> u32 {
+    pub(crate) fn le_bits(self, rhs: Self) -> u32 {
         let mut bits = 0;
         for l in 0..4 {
             bits |= ((self.0[l] <= rhs.0[l]) as u32) << l;
@@ -323,7 +267,6 @@ mod tests {
         assert_eq!(v.to_array(), [3.25; 4]);
         let a = [1.0f32, 2.0, 3.0, 4.0];
         assert_eq!(V4F32::from_array(a).to_array(), a);
-        assert_eq!(V4F32::zero().to_array(), [0.0; 4]);
     }
 
     #[test]
@@ -352,9 +295,6 @@ mod tests {
         assert_eq!(a.sub(b).to_array(), [0.5, 1.75, 1.0, 5.0]);
         assert_eq!(a.mul(b).to_array(), [0.5, 0.5, 6.0, -4.0]);
         assert_eq!(a.div(b).to_array(), [2.0, 8.0, 1.5, -4.0]);
-        assert_eq!(a.fma(b, V4F32::splat(1.0)).to_array(), [1.5, 1.5, 7.0, -3.0]);
-        assert_eq!(a.min(b).to_array(), [0.5, 0.25, 2.0, -1.0]);
-        assert_eq!(a.max(b).to_array(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

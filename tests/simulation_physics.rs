@@ -3,8 +3,11 @@
 //! mode, decomposition).
 
 use vpic2::cluster::{systems, MultiRankSim};
-use vpic2::core::Deck;
+use vpic2::core::accumulate::Accumulator;
+use vpic2::core::push::push_species_on;
+use vpic2::core::{load_interpolators_into, Deck, InterpolatorArray, Simulation};
 use vpic2::pk::atomic::ScatterMode;
+use vpic2::pk::Serial;
 use vpic2::psort::SortOrder;
 use vpic2::vsimd::Strategy;
 
@@ -113,4 +116,86 @@ fn weibel_converts_kinetic_to_magnetic_energy() {
     assert!(snap.field_b > 1e-8, "B field must grow: {}", snap.field_b);
     let ke1: f64 = snap.kinetic.iter().sum();
     assert!(ke1 < ke0, "field energy comes from the beams");
+}
+
+/// One step through exactly the public calls the repo benchmark's
+/// outside tracer (`benchmark/src/trace.rs`, which tier-1 never compiles)
+/// makes, with buffers the caller owns: due sort, interpolator load, J
+/// clear + accumulator reset, push per species, unload, laser plane,
+/// B½ E B½, step count.
+fn step_through_the_public_kernels(
+    sim: &mut Simulation,
+    acc: &mut Accumulator,
+    interp: &mut InterpolatorArray,
+    order: SortOrder,
+    interval: u64,
+) {
+    let step = sim.step_count();
+    if step.is_multiple_of(interval) {
+        for s in sim.species.iter_mut().filter(|s| s.current_order() != Some(order)) {
+            s.sort(order);
+        }
+    }
+    load_interpolators_into(&Serial, sim.strategy, &sim.fields, interp);
+    sim.fields.clear_j_on(&Serial);
+    acc.reset();
+    for s in &mut sim.species {
+        let stats = push_species_on(&Serial, sim.strategy, &sim.grid, s, interp, acc);
+        if stats.crossings > 0 {
+            s.mark_unsorted();
+        }
+    }
+    acc.unload_on(&Serial, sim.strategy, &mut sim.fields);
+    if let Some(l) = &sim.laser {
+        let drive = l.amplitude * (l.omega * sim.time() as f32).sin();
+        for iy in 0..sim.grid.ny {
+            for iz in 0..sim.grid.nz {
+                sim.fields.jz[sim.grid.voxel(l.plane, iy, iz)] += drive;
+            }
+        }
+    }
+    sim.fields.advance_b_on(&Serial, sim.strategy, 0.5);
+    sim.fields.advance_e_on(&Serial, sim.strategy);
+    sim.fields.advance_b_on(&Serial, sim.strategy, 0.5);
+    sim.set_step_count(step + 1);
+}
+
+#[test]
+fn the_public_kernel_seam_reproduces_step_on_bitwise() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (order, interval) = (SortOrder::Standard, 4u64);
+    for (name, deck) in [("weibel", Deck::weibel(6, 6, 6, 8, 0.4)), ("lpi", Deck::lpi(12, 4, 4, 4))] {
+        let mut stepped = deck.build();
+        stepped.sort_order = Some(order);
+        stepped.sort_interval = interval as usize;
+        let mut driven = deck.build();
+        assert_eq!(driven.laser.is_some(), name == "lpi", "{name}: laser");
+        let mut acc = Accumulator::new(driven.grid.cells(), 1, driven.scatter_mode);
+        let mut interp = InterpolatorArray::new();
+        // a sort interval plus one step: two due sorts, drift in between
+        for step in 0..=interval {
+            stepped.step_on(&Serial);
+            step_through_the_public_kernels(&mut driven, &mut acc, &mut interp, order, interval);
+            let what = format!("{name} step {step}");
+            assert_eq!(driven.step_count(), stepped.step_count(), "{what}");
+            let (f, g) = (&driven.fields, &stepped.fields);
+            for (field, a, b) in [
+                ("ex", &f.ex, &g.ex), ("ey", &f.ey, &g.ey), ("ez", &f.ez, &g.ez),
+                ("bx", &f.bx, &g.bx), ("by", &f.by, &g.by), ("bz", &f.bz, &g.bz),
+                ("jx", &f.jx, &g.jx), ("jy", &f.jy, &g.jy), ("jz", &f.jz, &g.jz),
+            ] {
+                assert_eq!(bits(a), bits(b), "{what}: {field}");
+            }
+            for (a, b) in driven.species.iter().zip(&stepped.species) {
+                assert_eq!(a.cell, b.cell, "{what}: {} cells", a.name);
+                for (array, x, y) in [
+                    ("dx", &a.dx, &b.dx), ("dy", &a.dy, &b.dy), ("dz", &a.dz, &b.dz),
+                    ("ux", &a.ux, &b.ux), ("uy", &a.uy, &b.uy), ("uz", &a.uz, &b.uz),
+                    ("w", &a.w, &b.w),
+                ] {
+                    assert_eq!(bits(x), bits(y), "{what}: {} {array}", a.name);
+                }
+            }
+        }
+    }
 }
