@@ -8,7 +8,7 @@
 use serde::Serialize;
 
 /// Per-step migration bookkeeping.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MigrationStats {
     /// Particles that changed owning rank this step.
     pub migrants: usize,

@@ -13,12 +13,13 @@
 //! * [`systems`] — Sierra, Selene, and Tuolumne descriptions;
 //! * [`scaling`] — the Fig 10 generator: per-GPU push cost from
 //!   `memsim::push` (which supplies the cache-capacity superlinearity)
-//!   plus the communication model (which supplies the roll-off);
+//!   plus the communication model (which supplies the roll-off), and the
+//!   closed-form overlap model an executed sweep is reported against;
 //! * [`multirank`] — real multi-rank execution: N per-rank simulations
 //!   with halo grids, actual field halo exchange and particle migration,
-//!   interior/boundary overlap, and modeled network charges — the
-//!   executed counterpart the closed-form [`scaling`] curves are checked
-//!   against.
+//!   interior/boundary overlap, and modeled network charges, the ranks of
+//!   a step running at the same time over a `pk` pool — the executed
+//!   counterpart the closed-form [`scaling`] curves are checked against.
 
 pub mod ablation;
 pub mod decompose;

@@ -4,15 +4,36 @@
 //! VPIC step. The deck is partitioned via [`Decomposition`] into per-rank
 //! grids with a one-cell halo shell; every step performs real field halo
 //! exchange and particle migration between the ranks, serialized through
-//! reusable per-pair buffers, with latency and bandwidth charged through
+//! reusable per-link buffers, with latency and bandwidth charged through
 //! the [`NetworkModel`]. Interior field kernels run while boundary shells
 //! wait on in-flight exchanges, so the executed step time reflects the
 //! paper's compute/communication overlap rather than their sum.
 //!
+//! ## Supersteps
+//!
+//! The ranks run at the same time. A step is four rank-local supersteps,
+//! each one [`ExecSpace::parallel_for_mut`] over the rank states, cut
+//! where an exchange has to have arrived: (1) due sort, push, migrant
+//! drain, deposition partials, first half B advance, *pack* B; (2) merge
+//! the peers' partials, unload, laser, *unpack* B, E advance, *pack* E,
+//! interior half B advance; (3) *unpack* E, boundary shells, *pack* B,
+//! append the migrants; (4) *unpack* B, close the step.
+//!
+//! One rule makes that safe without `unsafe`: inside a superstep a rank
+//! mutates only its own [`RankState`] and reads only what a peer
+//! *published in an earlier superstep*. What a peer may read — partials,
+//! per-link migrant outboxes, per-link packed halo values — a rank
+//! writes into its own [`Sends`], and the calling thread swaps that into
+//! the `published` table between two dispatches; the exchange plans are
+//! immutable. No rank's arithmetic or append order depends on the lane
+//! that ran it, so the gathered state is the same on every
+//! [`ExecSpace`], and [`MultiRankSim::step`] is
+//! [`MultiRankSim::step_on`] on a pool the simulator owns.
+//!
 //! ## Bit-identity
 //!
-//! The correctness oracle: for any rank count, the gathered global state
-//! is bit-identical to the single-rank (sort-disabled) run. Three
+//! The correctness oracle: for any rank count and any worker count, the
+//! gathered global state is bit-identical to the single-rank run. Three
 //! disciplines make that hold, extending PRs 1 and 5 per-kernel
 //! determinism across ranks:
 //!
@@ -24,9 +45,10 @@
 //!   whether sweeping the whole grid, a row interior, or a boundary box,
 //!   so halo grids reproduce the global sweep cell-for-cell.
 //! * **Deterministic migrant ordering** — migrants drain in ascending
-//!   array order, carry their global load index, and are appended sorted
-//!   by `(species, id)`; the gather reassembles canonical global arrays
-//!   by id, restoring the single-rank summation order everywhere.
+//!   array order, carry their global load index, are taken from the
+//!   outboxes in ascending source rank and appended sorted by
+//!   `(species, id)`; the gather reassembles canonical global arrays by
+//!   id, restoring the single-rank summation order everywhere.
 //!
 //! Halo cells compute garbage during full-grid sweeps (they wrap inside
 //! the local grid); every consumer reads them only after the exchange
@@ -39,12 +61,13 @@ use crate::network::NetworkModel;
 use ckpt::{RestoreError, Snapshot, Writer};
 use memsim::gpu::GpuModel;
 use memsim::push::{gpu_push, PushSpec};
+use pk::ExecSpace;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use vpic_core::accumulate::SLOTS;
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
-use vpic_core::{Grid, ParticleRecord, Simulation};
+use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
 
 /// Bytes shipped per migrating particle: the 32-byte phase-space record
 /// plus the 8-byte global id that keeps gather order canonical.
@@ -65,7 +88,8 @@ enum Route {
     /// A halo image of a cell this rank owns (periodic self-neighbor
     /// axis): remap to the canonical local index, no migration.
     Remap(u32),
-    /// A halo image of a cell another rank owns: migrate there.
+    /// A halo image of a cell another rank owns: migrate over the link
+    /// with this index in the rank's `links`.
     Remote(u32),
 }
 
@@ -78,6 +102,8 @@ struct Link {
     /// The other rank (may be `self` for periodic self-copies, which
     /// move no network bytes).
     rank: usize,
+    /// Index of the link back to this rank in the peer's `links`.
+    back: usize,
     /// Positions into this rank's `shared` table for the pair's overlap
     /// cells, ascending-global order.
     acc_pos: Vec<u32>,
@@ -93,11 +119,16 @@ struct Link {
     field_dst_off: Vec<u32>,
 }
 
-/// Per-rank geometry and exchange plan, all precomputed at construction.
+/// Per-rank geometry and exchange plan, all precomputed at construction
+/// and immutable afterwards — any rank may read any rank's plan.
 #[derive(Debug, Clone)]
 struct RankPlan {
     origin: (usize, usize, usize),
     extent: (usize, usize, usize),
+    /// The local grid — the owned block plus a one-cell halo shell — and
+    /// the global one it is a piece of.
+    grid: Grid,
+    global: Grid,
     /// Global cell id of every local cell (halo included).
     local_to_global: Vec<u32>,
     /// Migration routing for every local cell.
@@ -111,32 +142,31 @@ struct RankPlan {
 
 impl RankPlan {
     /// Canonical local index of an owned global cell.
-    fn canonical(&self, g: u32, global: &Grid, local: &Grid) -> u32 {
-        let (gx, gy, gz) = global.coords(g as usize);
-        let lx = gx - self.origin.0 + 1;
-        let ly = gy - self.origin.1 + 1;
-        let lz = gz - self.origin.2 + 1;
-        local.voxel(lx, ly, lz) as u32
+    fn canonical(&self, g: u32) -> u32 {
+        let (gx, gy, gz) = self.global.coords(g as usize);
+        let (ox, oy, oz) = self.origin;
+        self.grid.voxel(gx - ox + 1, gy - oy + 1, gz - oz + 1) as u32
     }
-}
 
-/// One rank's live state.
-struct RankState {
-    sim: Simulation,
-    plan: RankPlan,
-    /// Global load index of every particle, per species, parallel to the
-    /// species arrays. Migrates with the particle; the gather reassembles
-    /// canonical global order from it.
-    ids: Vec<Vec<u64>>,
-    /// Per-shared-cell fixed-point deposition partials (this rank's own
-    /// images summed), rebuilt every step.
-    partials: Vec<[i64; SLOTS]>,
-    /// Merged totals across every rank holding the cell.
-    totals: Vec<[i64; SLOTS]>,
-    /// Reusable drain scratch: indices of out-migrating particles.
-    drain_idx: Vec<usize>,
-    /// Reusable drain scratch: their records.
-    drain_rec: Vec<ParticleRecord>,
+    /// The links that cross to another rank.
+    fn remote_links(&self, r: usize) -> impl Iterator<Item = (usize, &Link)> {
+        self.links.iter().enumerate().filter(move |(_, l)| l.rank != r)
+    }
+
+    /// One field-halo exchange as rank `r` receives it, a directed message
+    /// per remote link with cells to read: `(modeled s, messages, bytes)`.
+    fn halo_charge(&self, r: usize, network: &NetworkModel) -> (f64, u64, u64) {
+        let mut charge = (0.0, 0, 0);
+        for (_, link) in self.remote_links(r) {
+            let bytes = (link.field_dst_off.len() - 1) * FIELD_HALO_BYTES;
+            if bytes > 0 {
+                charge.0 += network.message_time(bytes as f64);
+                charge.1 += 1;
+                charge.2 += bytes as u64;
+            }
+        }
+        charge
+    }
 }
 
 /// A migrating particle in flight: species index, global load index, and
@@ -148,8 +178,80 @@ struct Migrant {
     rec: ParticleRecord,
 }
 
+/// Everything one rank writes for its peers: filled in its own
+/// [`RankState`], read by a peer only from the `published` table.
+#[derive(Debug)]
+struct Sends {
+    /// Deposition partials per shared cell: this rank's images summed.
+    partials: Vec<[i64; SLOTS]>,
+    /// Out-migrants per link, in drain order.
+    migrants: Vec<Vec<Migrant>>,
+    /// Per link, the last-packed triple (B or E) of each `field_src` cell.
+    halo: Vec<Vec<[f32; 3]>>,
+}
+
+impl Sends {
+    fn for_plan(plan: &RankPlan) -> Self {
+        Self {
+            partials: vec![[0; SLOTS]; plan.shared.len()],
+            migrants: vec![Vec::new(); plan.links.len()],
+            halo: plan.links.iter().map(|l| vec![[0.0; 3]; l.field_src.len()]).collect(),
+        }
+    }
+}
+
+/// What a superstep may read besides its own rank: every rank's plan,
+/// and what every rank published before the last barrier.
+#[derive(Clone, Copy)]
+struct Seen<'a> {
+    plans: &'a [RankPlan],
+    published: &'a [Sends],
+}
+
+/// The barrier between two supersteps: what each rank wrote becomes what
+/// its peers may read, and the buffers read last time come back to be
+/// overwritten. Only the first superstep rewrites more than the halos.
+fn publish(ranks: &mut [RankState], published: &mut [Sends], halos_only: bool) {
+    for (st, seen) in ranks.iter_mut().zip(published) {
+        if halos_only {
+            std::mem::swap(&mut st.sends.halo, &mut seen.halo);
+        } else {
+            std::mem::swap(&mut st.sends, seen);
+        }
+    }
+}
+
+/// The nine component arrays of a field state: E, B, J.
+fn arrays(f: &FieldArray) -> [&Vec<f32>; 9] {
+    [&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz, &f.jx, &f.jy, &f.jz]
+}
+
+/// [`arrays`], mutably.
+fn arrays_mut(f: &mut FieldArray) -> [&mut Vec<f32>; 9] {
+    let FieldArray { ex, ey, ez, bx, by, bz, jx, jy, jz, .. } = f;
+    [ex, ey, ez, bx, by, bz, jx, jy, jz]
+}
+
+/// Which component triple a halo exchange moves.
+#[derive(Debug, Clone, Copy)]
+enum FieldSet {
+    E,
+    B,
+}
+
+impl FieldSet {
+    fn of(self, f: &mut FieldArray) -> [&mut Vec<f32>; 3] {
+        let [ex, ey, ez, bx, by, bz, ..] = arrays_mut(f);
+        match self {
+            FieldSet::E => [ex, ey, ez],
+            FieldSet::B => [bx, by, bz],
+        }
+    }
+}
+
 /// One rank's clock for one step, s: the measured wall of each compute
-/// segment in schedule order, and the modeled time of each exchange.
+/// segment in schedule order (a pack counts with the kernel before it),
+/// and the modeled time of each exchange.
 #[derive(Debug, Clone, Copy, Default)]
 struct RankClock {
     push: f64,
@@ -202,6 +304,327 @@ impl RankClock {
     }
 }
 
+/// One rank's share of the step's scalars, reduced in rank order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    clock: RankClock,
+    push: PushStats,
+    /// Particles held when the push ran, and drained to peers after it.
+    population: usize,
+    drained: usize,
+    messages: u64,
+    halo_bytes: u64,
+    /// Modeled GPU compute, s (zero when no model is armed).
+    gpu_compute: f64,
+}
+
+/// Seconds since `t0` (a [`telemetry::now_ns`] reading).
+fn since(t0: u64) -> f64 {
+    telemetry::now_ns().saturating_sub(t0) as f64 * 1e-9
+}
+
+/// One rank's live state: what only its own supersteps touch.
+struct RankState {
+    sim: Simulation,
+    /// Global load index of every particle, per species, parallel to the
+    /// species arrays. Migrates with the particle; the gather reassembles
+    /// canonical global order from it.
+    ids: Vec<Vec<u64>>,
+    /// Deposition totals per shared cell, merged across its holders.
+    totals: Vec<[i64; SLOTS]>,
+    /// What this rank is writing for its peers ([`publish`]).
+    sends: Sends,
+    tally: Tally,
+    /// Reusable scratch: out-migrants' indices and records, the id map
+    /// a sort is permuting, the migrants taken from the peers' outboxes.
+    drain_idx: Vec<usize>,
+    drain_rec: Vec<ParticleRecord>,
+    id_scratch: Vec<u64>,
+    incoming: Vec<Migrant>,
+}
+
+impl RankState {
+    fn new(sim: Simulation, ids: Vec<Vec<u64>>, plan: &RankPlan) -> Self {
+        Self {
+            sim,
+            ids,
+            totals: vec![[0; SLOTS]; plan.shared.len()],
+            sends: Sends::for_plan(plan),
+            tally: Tally::default(),
+            drain_idx: Vec::new(),
+            drain_rec: Vec::new(),
+            id_scratch: Vec::new(),
+            incoming: Vec::new(),
+        }
+    }
+
+    /// Superstep 1, on the rank's own state alone: due sort, push, drain
+    /// and partials, then the first half B advance and the B pack behind
+    /// the accumulator and migrant exchanges.
+    fn push_pack(&mut self, r: usize, plan: &RankPlan, net: &NetworkModel, gpu: Option<&GpuModel>) {
+        let _rs = telemetry::rank_span("cluster.rank_push", r);
+        let mut tally = Tally::default();
+        let t0 = telemetry::now_ns();
+        // scheduled per-rank sort, the decomposed twin of the one in
+        // `step_on`: done here, not inside `begin_step`, because the id
+        // maps are parallel to the SoA arrays and must follow the same
+        // permutation. Bit-safe: it permutes records within a rank, and
+        // the gather goes by id (the per-rank tuning contract below).
+        if let Some(order) = self.sim.consume_due_sort() {
+            for (s, ids) in self.sim.species.iter_mut().zip(&mut self.ids) {
+                if s.sort(order) {
+                    self.id_scratch.clear();
+                    self.id_scratch.extend(s.sort_perm().iter().map(|&p| ids[p]));
+                    std::mem::swap(ids, &mut self.id_scratch);
+                }
+            }
+        }
+        tally.push = self.sim.begin_step();
+        tally.population = self.sim.particle_count();
+        // migrant drain: ascending index per species, into the outbox of
+        // the link each particle left over
+        for outbox in &mut self.sends.migrants {
+            outbox.clear();
+        }
+        for (si, (s, ids)) in self.sim.species.iter_mut().zip(&mut self.ids).enumerate() {
+            self.drain_idx.clear();
+            self.drain_rec.clear();
+            let mut remapped = false;
+            for p in 0..s.len() {
+                match plan.route[s.cell[p] as usize] {
+                    Route::Owned => {}
+                    Route::Remap(c) => {
+                        s.cell[p] = c;
+                        remapped = true;
+                    }
+                    Route::Remote(_) => self.drain_idx.push(p),
+                }
+            }
+            if remapped {
+                s.mark_unsorted();
+            }
+            if self.drain_idx.is_empty() {
+                continue;
+            }
+            tally.drained += self.drain_idx.len();
+            s.drain_sorted_indices(&self.drain_idx, &mut self.drain_rec);
+            for (&p, record) in self.drain_idx.iter().zip(&self.drain_rec) {
+                let Route::Remote(link) = plan.route[record.cell as usize] else {
+                    unreachable!("drained cells are remote");
+                };
+                let mut rec = *record;
+                rec.cell = plan.local_to_global[record.cell as usize];
+                self.sends.migrants[link as usize].push(Migrant {
+                    species: si as u32,
+                    id: ids[p],
+                    rec,
+                });
+            }
+            remove_sorted_indices(ids, &self.drain_idx);
+        }
+        // deposition partials over this rank's images of shared cells
+        for (sum, (_, images)) in self.sends.partials.iter_mut().zip(&plan.shared) {
+            *sum = [0; SLOTS];
+            for &img in images {
+                let raw = self.sim.acc_cell_raw(img as usize);
+                for s in 0..SLOTS {
+                    sum[s] = sum[s].wrapping_add(raw[s]);
+                }
+            }
+        }
+        tally.clock.push = since(t0);
+        // modeled GPU compute for this rank, over the *executed* cell
+        // stream (between two timed segments, so model evaluation wall
+        // time never pollutes the executed measurements)
+        if let Some(model) = gpu {
+            tally.gpu_compute = gpu_compute(model, &self.sim);
+        }
+        // the accumulator exchange: one directed message per remote link
+        for (_, link) in plan.remote_links(r) {
+            let bytes = link.acc_pos.len() * ACC_HALO_BYTES;
+            tally.clock.x_acc += net.message_time(bytes as f64);
+            tally.messages += 1;
+            tally.halo_bytes += bytes as u64;
+        }
+        let t0 = telemetry::now_ns();
+        let strategy = self.sim.strategy;
+        self.sim.fields.advance_b_on(&pk::Serial, strategy, 0.5);
+        self.pack_halos(r, plan, FieldSet::B);
+        tally.clock.b1 = since(t0);
+        // the three field-halo exchanges of a step move the same cells:
+        // B before the E advance (hidden by merge + unload), E (hidden by
+        // the interior B half-advance), B after the advance
+        let (time, messages, bytes) = plan.halo_charge(r, net);
+        tally.clock.x_b = time;
+        tally.clock.x_e = time;
+        tally.clock.x_b2 = time;
+        tally.messages += 3 * messages;
+        tally.halo_bytes += 3 * bytes;
+        self.tally = tally;
+    }
+
+    /// Superstep 2, after the accumulator and B exchanges: merge, unload,
+    /// laser, unpack B, advance and pack E, then the interior half B
+    /// advance while the E exchange is in flight.
+    fn merge_and_advance_e(&mut self, r: usize, seen: Seen, drive: Option<(usize, f32)>) {
+        let plan = &seen.plans[r];
+        let t0 = telemetry::now_ns();
+        self.totals.copy_from_slice(&seen.published[r].partials);
+        for (_, link) in plan.remote_links(r) {
+            // the peer's link back to us lists the same overlap cells in
+            // the same ascending-global order
+            let theirs = &seen.plans[link.rank].links[link.back].acc_pos;
+            let partials = &seen.published[link.rank].partials;
+            debug_assert_eq!(link.acc_pos.len(), theirs.len());
+            for (&mine, &theirs) in link.acc_pos.iter().zip(theirs) {
+                let (dst, src) = (&mut self.totals[mine as usize], &partials[theirs as usize]);
+                for s in 0..SLOTS {
+                    dst[s] = dst[s].wrapping_add(src[s]);
+                }
+            }
+        }
+        for (total, (_, images)) in self.totals.iter().zip(&plan.shared) {
+            for &img in images {
+                self.sim.acc_set_cell_raw(img as usize, total);
+            }
+        }
+        self.tally.clock.merge = since(t0);
+        let t0 = telemetry::now_ns();
+        self.sim.unload_currents();
+        let (ox, (lx, ly, lz)) = (plan.origin.0, plan.extent);
+        if let Some((plane, drive)) = drive.filter(|(plane, _)| (ox..ox + lx).contains(plane)) {
+            for ly_i in 1..=ly {
+                for lz_i in 1..=lz {
+                    let v = self.sim.grid.voxel(plane - ox + 1, ly_i, lz_i);
+                    self.sim.fields.jz[v] += drive;
+                }
+            }
+        }
+        self.tally.clock.unload = since(t0);
+        let t0 = telemetry::now_ns();
+        self.unpack_halos(r, seen, FieldSet::B);
+        self.tally.clock.bfill = since(t0);
+        let t0 = telemetry::now_ns();
+        let strategy = self.sim.strategy;
+        self.sim.fields.advance_e_on(&pk::Serial, strategy);
+        self.pack_halos(r, plan, FieldSet::E);
+        self.tally.clock.e = since(t0);
+        let t0 = telemetry::now_ns();
+        self.sim.fields.advance_b_box(1..lx, 1..ly, 1..lz, 0.5);
+        self.tally.clock.b2i = since(t0);
+    }
+
+    /// Superstep 3, after the E and migrant exchanges: unpack E, sweep
+    /// the shells the interior pass skipped, pack the advanced B, append
+    /// the incoming migrants sorted by `(species, id)`.
+    fn close_b_and_append(&mut self, r: usize, seen: Seen, net: &NetworkModel) {
+        let plan = &seen.plans[r];
+        let t0 = telemetry::now_ns();
+        self.unpack_halos(r, seen, FieldSet::E);
+        self.tally.clock.efill = since(t0);
+        let t0 = telemetry::now_ns();
+        let (lx, ly, lz) = plan.extent;
+        // the three plus-face shells: disjoint, and together with the
+        // interior box they cover the owned region exactly once
+        self.sim.fields.advance_b_box(lx..lx + 1, 1..ly + 1, 1..lz + 1, 0.5);
+        self.sim.fields.advance_b_box(1..lx, ly..ly + 1, 1..lz + 1, 0.5);
+        self.sim.fields.advance_b_box(1..lx, 1..ly, lz..lz + 1, 0.5);
+        self.pack_halos(r, plan, FieldSet::B);
+        self.tally.clock.b2b = since(t0);
+        let t0 = telemetry::now_ns();
+        // links ascend by peer rank: the outboxes are taken in ascending
+        // source rank, and the receiver is charged each incoming send
+        self.incoming.clear();
+        for (_, link) in plan.remote_links(r) {
+            let sent = &seen.published[link.rank].migrants[link.back];
+            if !sent.is_empty() {
+                self.tally.clock.x_mig += net.message_time((sent.len() * MIGRANT_BYTES) as f64);
+                self.tally.messages += 1;
+                self.incoming.extend_from_slice(sent);
+            }
+        }
+        self.incoming.sort_by_key(|m| (m.species, m.id));
+        for m in &self.incoming {
+            let mut rec = m.rec;
+            rec.cell = plan.canonical(m.rec.cell);
+            self.sim.species[m.species as usize].push_record(&rec);
+            self.ids[m.species as usize].push(m.id);
+        }
+        self.tally.clock.append = since(t0);
+    }
+
+    /// Superstep 4, after the post-advance B exchange: unpack, close.
+    fn finish(&mut self, r: usize, seen: Seen) {
+        let t0 = telemetry::now_ns();
+        self.unpack_halos(r, seen, FieldSet::B);
+        self.tally.clock.b2fill = since(t0);
+        self.sim.finish_step();
+    }
+
+    /// The send half of a field-halo exchange: the canonical values of
+    /// every cell a remote peer holds an image of.
+    fn pack_halos(&mut self, r: usize, plan: &RankPlan, set: FieldSet) {
+        let [x, y, z] = set.of(&mut self.sim.fields);
+        for (li, link) in plan.remote_links(r) {
+            for (slot, &src) in self.sends.halo[li].iter_mut().zip(&link.field_src) {
+                *slot = [x[src as usize], y[src as usize], z[src as usize]];
+            }
+        }
+    }
+
+    /// The receive half, its wire time charged at launch: the owner's
+    /// values — packed by the peer a superstep ago, or this rank's own
+    /// cell on a periodic self link — land in every local image.
+    fn unpack_halos(&mut self, r: usize, seen: Seen, set: FieldSet) {
+        let _s = telemetry::rank_span("cluster.halo_fill", r);
+        let [x, y, z] = set.of(&mut self.sim.fields);
+        for link in &seen.plans[r].links {
+            let packed = &seen.published[link.rank].halo[link.back];
+            debug_assert!(link.rank == r || packed.len() == link.field_dst_off.len() - 1);
+            for (k, images) in link.field_dst_off.windows(2).enumerate() {
+                let value = if link.rank == r {
+                    let src = link.field_src[k] as usize;
+                    [x[src], y[src], z[src]]
+                } else {
+                    packed[k]
+                };
+                for &dst in &link.field_dst[images[0] as usize..images[1] as usize] {
+                    x[dst as usize] = value[0];
+                    y[dst as usize] = value[1];
+                    z[dst as usize] = value[2];
+                }
+            }
+        }
+    }
+}
+
+/// Modeled GPU compute of one rank's step, s: the push over its executed
+/// particle cell streams plus a bandwidth-bound field sweep.
+fn gpu_compute(model: &GpuModel, sim: &Simulation) -> f64 {
+    let cells = sim.grid.cells();
+    // field sweep: ~100 B per cell, bandwidth-bound
+    let mut t = cells as f64 * 100.0 / model.platform().dram_bw;
+    // the deposition cost follows the rank's actual scatter mode: atomic
+    // deposition pays collision replays (the model's MLP-window hotness
+    // term), while duplicated deposition privatizes the accumulator — no
+    // atomics at all, but the replicas have to be reduced with one extra
+    // bandwidth-bound sweep over the grid
+    let atomic = matches!(sim.scatter_mode, pk::atomic::ScatterMode::Atomic);
+    for s in &sim.species {
+        if !s.cell.is_empty() {
+            let mut spec = PushSpec::vpic(&s.cell, cells);
+            if !atomic {
+                spec.atomic_ops = 0;
+            }
+            t += gpu_push(model, &spec).cost.time;
+        }
+    }
+    if !atomic {
+        t += 2.0 * memsim::push::grid_footprint_bytes(cells) as f64 / model.platform().dram_bw;
+    }
+    t
+}
+
 /// Executed/modeled timing of one multi-rank step.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct StepTiming {
@@ -233,33 +656,29 @@ pub struct MultiRankSim {
     pub decomp: Decomposition,
     /// The interconnect being modeled.
     pub network: NetworkModel,
-    global_grid: Grid,
     laser: Option<LaserDriver>,
+    plans: Vec<RankPlan>,
     ranks: Vec<RankState>,
+    /// What each rank last published for its peers (module docs).
+    published: Vec<Sends>,
     step: u64,
-    /// Reusable per-`(src, dst)` migration buffers (the satellite's
-    /// "serialized through reusable per-pair buffers").
-    mig_buffers: BTreeMap<(usize, usize), Vec<Migrant>>,
-    /// Reusable per-rank incoming-migrant staging.
-    incoming: Vec<Vec<Migrant>>,
     /// When armed, each step also charges per-rank compute through this
     /// GPU cost model (over the *executed* per-rank cell streams), so the
     /// paper's cache-driven superlinear regime shows up in the executed
     /// loop. Not checkpointed — re-arm after a restore.
     gpu: Option<GpuModel>,
-}
-
-fn secs(ns: u64) -> f64 {
-    ns as f64 * 1e-9
+    /// The pool [`MultiRankSim::step`] runs the ranks over: one lane per
+    /// rank up to the host's parallelism. Host state, never checkpointed.
+    space: pk::Threads,
 }
 
 impl MultiRankSim {
     /// Partition `sim` (a freshly built deck: canonical particle order,
     /// any field state) over `ranks` ranks.
     ///
-    /// Per-rank sims run sort-disabled — migration would invalidate
-    /// sorted order rank-locally anyway — so bit-identity oracles must
-    /// compare against a sort-disabled single-rank run.
+    /// Per-rank sims start with no sort scheduled;
+    /// [`MultiRankSim::set_rank_config`] schedules one per rank, and the
+    /// gathered state is bit-identical to the single-rank run either way.
     ///
     /// # Panics
     /// Panics if the decomposition leaves any rank without cells (more
@@ -277,31 +696,19 @@ impl MultiRankSim {
             );
         }
         let plans = build_plans(&decomp, &g);
-        let nranks = decomp.ranks();
         let mut states: Vec<RankState> = plans
-            .into_iter()
+            .iter()
             .map(|plan| {
-                let (lx, ly, lz) = plan.extent;
-                let local = Grid::new(lx + 2, ly + 2, lz + 2);
-                debug_assert_eq!(local.dt, g.dt, "unit cells: dt is extent-independent");
-                let mut rsim = Simulation::new(local);
+                debug_assert_eq!(plan.grid.dt, g.dt, "unit cells: dt is extent-independent");
+                let mut rsim = Simulation::new(plan.grid.clone());
                 rsim.strategy = sim.strategy;
                 for s in &sim.species {
                     let mut rs = vpic_core::Species::new(s.name.clone(), s.q, s.m);
                     // keep steady-state appends allocation-free-ish
-                    rs.dx.reserve(s.len() / nranks + 16);
+                    rs.dx.reserve(s.len() / plans.len() + 16);
                     rsim.add_species(rs);
                 }
-                let shared = plan.shared.len();
-                RankState {
-                    sim: rsim,
-                    plan,
-                    ids: vec![Vec::new(); sim.species.len()],
-                    partials: vec![[0i64; SLOTS]; shared],
-                    totals: vec![[0i64; SLOTS]; shared],
-                    drain_idx: Vec::new(),
-                    drain_rec: Vec::new(),
-                }
+                RankState::new(rsim, vec![Vec::new(); sim.species.len()], plan)
             })
             .collect();
         // scatter particles to their owning rank, carrying the global
@@ -311,43 +718,51 @@ impl MultiRankSim {
                 let (gx, gy, gz) = g.coords(s.cell[p] as usize);
                 let r = decomp.owner(gx, gy, gz);
                 let st = &mut states[r];
-                let lcell =
-                    st.plan.canonical(s.cell[p], &g, &st.sim.grid);
                 let mut rec = s.record(p);
-                rec.cell = lcell;
+                rec.cell = plans[r].canonical(s.cell[p]);
                 st.sim.species[si].push_record(&rec);
                 st.ids[si].push(p as u64);
             }
         }
         // copy the field state (owned and halo alike) straight from the
         // global arrays — at t = 0 no exchange is needed
-        for st in &mut states {
-            for lv in 0..st.sim.grid.cells() {
-                let gv = st.plan.local_to_global[lv] as usize;
-                let (f, gf) = (&mut st.sim.fields, &sim.fields);
-                f.ex[lv] = gf.ex[gv];
-                f.ey[lv] = gf.ey[gv];
-                f.ez[lv] = gf.ez[gv];
-                f.bx[lv] = gf.bx[gv];
-                f.by[lv] = gf.by[gv];
-                f.bz[lv] = gf.bz[gv];
-                f.jx[lv] = gf.jx[gv];
-                f.jy[lv] = gf.jy[gv];
-                f.jz[lv] = gf.jz[gv];
+        for (st, plan) in states.iter_mut().zip(&plans) {
+            let local = arrays_mut(&mut st.sim.fields);
+            for (local, global) in local.into_iter().zip(arrays(&sim.fields)) {
+                for (lv, &gv) in plan.local_to_global.iter().enumerate() {
+                    local[lv] = global[gv as usize];
+                }
             }
         }
-        let incoming = vec![Vec::new(); nranks];
+        Self::assemble(decomp, network, sim.laser.clone(), plans, states, sim.step_count())
+    }
+
+    /// A fresh partition or a restore, with the published table and the pool.
+    fn assemble(
+        decomp: Decomposition,
+        network: NetworkModel,
+        laser: Option<LaserDriver>,
+        plans: Vec<RankPlan>,
+        ranks: Vec<RankState>,
+        step: u64,
+    ) -> Self {
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(ranks.len());
         Self {
             decomp,
             network,
-            global_grid: g,
-            laser: sim.laser.clone(),
-            ranks: states,
-            step: sim.step_count(),
-            mig_buffers: BTreeMap::new(),
-            incoming,
+            laser,
+            published: plans.iter().map(Sends::for_plan).collect(),
+            plans,
+            ranks,
+            step,
             gpu: None,
+            space: pk::Threads::new(lanes),
         }
+    }
+
+    /// The global grid (every plan holds the one it is a piece of).
+    fn global(&self) -> &Grid {
+        &self.plans[0].global
     }
 
     /// Rank count.
@@ -363,6 +778,11 @@ impl MultiRankSim {
     /// Particles currently owned by each rank.
     pub fn rank_populations(&self) -> Vec<usize> {
         self.ranks.iter().map(|r| r.sim.particle_count()).collect()
+    }
+
+    /// Lanes [`MultiRankSim::step`] runs the ranks over on this host.
+    pub fn workers(&self) -> usize {
+        self.space.concurrency()
     }
 
     // ── Per-rank tuning ────────────────────────────────────────────────
@@ -388,7 +808,7 @@ impl MultiRankSim {
     /// a bandwidth-bound field sweep) through `model`, reported as
     /// [`StepTiming::gpu_compute_s`] / [`StepTiming::gpu_step_s`]. The
     /// functional physics is untouched. Not checkpointed — re-arm after
-    /// [`MultiRankSim::restore`].
+    /// [`MultiRankSim::restore_bytes`].
     pub fn set_gpu_model(&mut self, model: GpuModel) {
         self.gpu = Some(model);
     }
@@ -399,357 +819,61 @@ impl MultiRankSim {
         self.ranks[rank].sim.grid.cells()
     }
 
-    /// Advance one lockstep multi-rank step.
+    /// Advance one lockstep multi-rank step on the simulator's own pool
+    /// ([`MultiRankSim::workers`] lanes; one lane runs inline).
     pub fn step(&mut self) -> (PushStats, MigrationStats, StepTiming) {
-        let n = self.ranks.len();
-        let _span = telemetry::hspan("cluster.exchange").arg("ranks", n).arg("step", self.step);
-        let mut push = PushStats::default();
-        let mut mig = MigrationStats::default();
-        let mut out_of = vec![0usize; n];
-        let mut messages = 0u64;
-        let mut halo_bytes = 0u64;
-        // per-rank measured compute segments and modeled exchange charges
-        let mut clock = vec![RankClock::default(); n];
-        let mut g_comp = vec![0.0f64; n];
-        for buf in self.mig_buffers.values_mut() {
-            buf.clear();
-        }
-        // ── phase A: interpolate + push, drain migrants, compute
-        //    deposition partials, launch migrant + accumulator sends ──
-        let mut outbox: Vec<(usize, Migrant)> = Vec::new();
-        for r in 0..n {
-            let _rs = telemetry::rank_span("cluster.rank_push", r);
-            let t0 = telemetry::now_ns();
-            outbox.clear();
-            let st = &mut self.ranks[r];
-            // scheduled per-rank sort, the decomposed twin of the one in
-            // `step_on`. The reorder must happen here rather than inside
-            // `begin_step` because the id maps that track each particle's
-            // global load order are parallel to the SoA arrays and have
-            // to follow the same permutation — otherwise migration and
-            // gather would hand back the wrong identities. Sorting stays
-            // bit-safe: it permutes bit-identical records within a rank,
-            // so the gathered canonical-order state is unchanged (see the
-            // per-rank tuning contract above).
-            if let Some(order) = st.sim.consume_due_sort() {
-                for si in 0..st.sim.species.len() {
-                    if st.sim.species[si].sort(order) {
-                        let perm = st.sim.species[si].sort_perm();
-                        let old = std::mem::take(&mut st.ids[si]);
-                        st.ids[si] = perm.iter().map(|&p| old[p]).collect();
-                    }
-                }
-            }
-            let stats = st.sim.begin_step();
-            push.pushed += stats.pushed;
-            push.crossings += stats.crossings;
-            mig.total += st.sim.particle_count();
-            // migrant drain: ascending index per species, aggregated
-            // across species before the per-rank peak is taken
-            for si in 0..st.sim.species.len() {
-                st.drain_idx.clear();
-                st.drain_rec.clear();
-                {
-                    let s = &mut st.sim.species[si];
-                    let mut remapped = false;
-                    for p in 0..s.len() {
-                        match st.plan.route[s.cell[p] as usize] {
-                            Route::Owned => {}
-                            Route::Remap(c) => {
-                                s.cell[p] = c;
-                                remapped = true;
-                            }
-                            Route::Remote(_) => st.drain_idx.push(p),
-                        }
-                    }
-                    if remapped {
-                        s.mark_unsorted();
-                    }
-                }
-                if st.drain_idx.is_empty() {
-                    continue;
-                }
-                out_of[r] += st.drain_idx.len();
-                mig.migrants += st.drain_idx.len();
-                let drain_ids: Vec<u64> =
-                    st.drain_idx.iter().map(|&p| st.ids[si][p]).collect();
-                remove_sorted_indices(&mut st.ids[si], &st.drain_idx);
-                let RankState { sim, plan, drain_idx, drain_rec, .. } = st;
-                sim.species[si].drain_sorted_indices(drain_idx, drain_rec);
-                for (k, record) in drain_rec.iter().enumerate() {
-                    let dst = match plan.route[record.cell as usize] {
-                        Route::Remote(d) => d as usize,
-                        _ => unreachable!("drained cells are remote"),
-                    };
-                    let mut out = *record;
-                    out.cell = plan.local_to_global[record.cell as usize];
-                    outbox.push((
-                        dst,
-                        Migrant { species: si as u32, id: drain_ids[k], rec: out },
-                    ));
-                }
-            }
-            // deposition partials over this rank's images of shared cells
-            for (i, (_, images)) in st.plan.shared.iter().enumerate() {
-                let mut acc = [0i64; SLOTS];
-                for &img in images {
-                    let raw = st.sim.acc_cell_raw(img as usize);
-                    for s in 0..SLOTS {
-                        acc[s] = acc[s].wrapping_add(raw[s]);
-                    }
-                }
-                st.partials[i] = acc;
-            }
-            clock[r].push = secs(telemetry::now_ns().saturating_sub(t0));
-            // modeled GPU compute for this rank, over the *executed* cell
-            // stream (after t_push is closed, so model evaluation wall
-            // time never pollutes the executed measurements)
-            if let Some(model) = &self.gpu {
-                let sim = &self.ranks[r].sim;
-                let cells = sim.grid.cells();
-                // field sweep: ~100 B per cell, bandwidth-bound
-                let mut t = cells as f64 * 100.0 / model.platform().dram_bw;
-                // the deposition cost follows the rank's actual scatter
-                // mode: atomic deposition pays collision replays (the
-                // model's MLP-window hotness term), while duplicated
-                // deposition privatizes the accumulator — no atomics at
-                // all, but the replicas have to be reduced with one
-                // extra bandwidth-bound sweep over the grid
-                let atomic = matches!(sim.scatter_mode, pk::atomic::ScatterMode::Atomic);
-                for s in &sim.species {
-                    if !s.cell.is_empty() {
-                        let mut spec = PushSpec::vpic(&s.cell, cells);
-                        if !atomic {
-                            spec.atomic_ops = 0;
-                        }
-                        t += gpu_push(model, &spec).cost.time;
-                    }
-                }
-                if !atomic {
-                    t += 2.0 * memsim::push::grid_footprint_bytes(cells) as f64
-                        / model.platform().dram_bw;
-                }
-                g_comp[r] = t;
-            }
-            // launch the accumulator exchange: one directed message per
-            // remote link
-            for link in &self.ranks[r].plan.links {
-                if link.rank != r {
-                    let bytes = (link.acc_pos.len() * ACC_HALO_BYTES) as f64;
-                    clock[r].x_acc += self.network.message_time(bytes);
-                    messages += 1;
-                    halo_bytes += bytes as u64;
-                }
-            }
-            for &(dst, m) in &outbox {
-                self.mig_buffers.entry((r, dst)).or_default().push(m);
-            }
-        }
-        // migrant messages: the receiver is charged each incoming send
-        for (&(src, dst), buf) in &self.mig_buffers {
-            if src != dst && !buf.is_empty() {
-                clock[dst].x_mig += self.network.message_time((buf.len() * MIGRANT_BYTES) as f64);
-                messages += 1;
-            }
-        }
-        // ── phase B: first half B advance over the full local grid,
-        //    overlapping the accumulator + migrant exchanges ──
-        for (r, c) in clock.iter_mut().enumerate() {
-            let t0 = telemetry::now_ns();
-            let st = &mut self.ranks[r];
-            let strategy = st.sim.strategy;
-            st.sim.fields.advance_b_on(&pk::Serial, strategy, 0.5);
-            c.b1 = secs(telemetry::now_ns().saturating_sub(t0));
-            // B halos must be current before the E advance: launch now,
-            // overlap with the merge + unload window
-            for link in &st.plan.links {
-                if link.rank != r && !link.field_dst_off.is_empty() {
-                    let cells = link.field_dst_off.len() - 1;
-                    if cells > 0 {
-                        let bytes = (cells * FIELD_HALO_BYTES) as f64;
-                        c.x_b += self.network.message_time(bytes);
-                        messages += 1;
-                        halo_bytes += bytes as u64;
-                    }
-                }
-            }
-        }
-        // ── phase C: merge deposition partials (wait on the accumulator
-        //    exchange), write totals to every local image ──
-        for (r, c) in clock.iter_mut().enumerate() {
-            let t0 = telemetry::now_ns();
-            let mut totals = std::mem::take(&mut self.ranks[r].totals);
-            totals.copy_from_slice(&self.ranks[r].partials);
-            for li in 0..self.ranks[r].plan.links.len() {
-                let peer = self.ranks[r].plan.links[li].rank;
-                if peer == r {
-                    continue;
-                }
-                // the peer's link back to us lists the same overlap cells
-                // in the same ascending-global order
-                let back = self.ranks[peer]
-                    .plan
-                    .links
-                    .iter()
-                    .position(|l| l.rank == r)
-                    .expect("links are symmetric");
-                let mine = &self.ranks[r].plan.links[li].acc_pos;
-                let theirs = &self.ranks[peer].plan.links[back].acc_pos;
-                debug_assert_eq!(mine.len(), theirs.len());
-                for (k, &pos) in mine.iter().enumerate() {
-                    let src = &self.ranks[peer].partials[theirs[k] as usize];
-                    let dst = &mut totals[pos as usize];
-                    for s in 0..SLOTS {
-                        dst[s] = dst[s].wrapping_add(src[s]);
-                    }
-                }
-            }
-            let st = &mut self.ranks[r];
-            for (i, (_, images)) in st.plan.shared.iter().enumerate() {
-                for &img in images {
-                    st.sim.acc_set_cell_raw(img as usize, &totals[i]);
-                }
-            }
-            st.totals = totals;
-            c.merge = secs(telemetry::now_ns().saturating_sub(t0));
-        }
-        // ── phase D: unload currents, drive the laser plane ──
+        let space = self.space.clone();
+        self.step_on(&space)
+    }
+
+    /// Advance one lockstep multi-rank step with the ranks distributed
+    /// over `space`: four rank-local supersteps with a publish between
+    /// them (module docs). The result does not depend on `space`.
+    pub fn step_on<S: ExecSpace>(&mut self, space: &S) -> (PushStats, MigrationStats, StepTiming) {
+        let ranks = self.ranks.len();
+        let _span = telemetry::hspan("cluster.exchange").arg("ranks", ranks).arg("step", self.step);
         let drive = self.laser.as_ref().map(|l| {
-            let t = (self.step as f64 * self.global_grid.dt as f64) as f32;
+            let t = (self.step as f64 * self.global().dt as f64) as f32;
             (l.plane, l.amplitude * (l.omega * t).sin())
         });
-        for (r, c) in clock.iter_mut().enumerate() {
-            let t0 = telemetry::now_ns();
-            let st = &mut self.ranks[r];
-            st.sim.unload_currents();
-            if let Some((plane, drive)) = drive {
-                let (ox, _, _) = st.plan.origin;
-                let (lx, ly, lz) = st.plan.extent;
-                if plane >= ox && plane < ox + lx {
-                    let lp = plane - ox + 1;
-                    for ly_i in 1..=ly {
-                        for lz_i in 1..=lz {
-                            let v = st.sim.grid.voxel(lp, ly_i, lz_i);
-                            st.sim.fields.jz[v] += drive;
-                        }
-                    }
-                }
-            }
-            c.unload = secs(telemetry::now_ns().saturating_sub(t0));
-        }
-        // ── phase E: fill B halos (wait on the B exchange), full E
-        //    advance ──
-        for (r, c) in clock.iter_mut().enumerate() {
-            let t0 = telemetry::now_ns();
-            self.fill_halos(r, FieldSet::B);
-            c.bfill = secs(telemetry::now_ns().saturating_sub(t0));
-            let t0 = telemetry::now_ns();
-            let st = &mut self.ranks[r];
-            let strategy = st.sim.strategy;
-            st.sim.fields.advance_e_on(&pk::Serial, strategy);
-            c.e = secs(telemetry::now_ns().saturating_sub(t0));
-            // launch the E halo exchange; the interior B half-advance
-            // overlaps it
-            for link in &st.plan.links {
-                if link.rank != r && !link.field_dst_off.is_empty() {
-                    let cells = link.field_dst_off.len() - 1;
-                    if cells > 0 {
-                        let bytes = (cells * FIELD_HALO_BYTES) as f64;
-                        c.x_e += self.network.message_time(bytes);
-                        messages += 1;
-                        halo_bytes += bytes as u64;
-                    }
-                }
-            }
-        }
-        // ── phase F: second half B advance on the interior box while
-        //    the E exchange is in flight ──
-        for (r, c) in clock.iter_mut().enumerate() {
-            let t0 = telemetry::now_ns();
-            let st = &mut self.ranks[r];
-            let (lx, ly, lz) = st.plan.extent;
-            st.sim.fields.advance_b_box(1..lx, 1..ly, 1..lz, 0.5);
-            c.b2i = secs(telemetry::now_ns().saturating_sub(t0));
-        }
-        // ── phase G: fill E halos (wait on the E exchange), sweep the
-        //    boundary shells the interior pass skipped, launch the
-        //    post-advance B exchange ──
-        for (r, c) in clock.iter_mut().enumerate() {
-            let t0 = telemetry::now_ns();
-            self.fill_halos(r, FieldSet::E);
-            c.efill = secs(telemetry::now_ns().saturating_sub(t0));
-            let t0 = telemetry::now_ns();
-            let st = &mut self.ranks[r];
-            let (lx, ly, lz) = st.plan.extent;
-            // the three plus-face shells: disjoint, and together with the
-            // interior box they cover the owned region exactly once
-            st.sim.fields.advance_b_box(lx..lx + 1, 1..ly + 1, 1..lz + 1, 0.5);
-            st.sim.fields.advance_b_box(1..lx, ly..ly + 1, 1..lz + 1, 0.5);
-            st.sim.fields.advance_b_box(1..lx, 1..ly, lz..lz + 1, 0.5);
-            c.b2b = secs(telemetry::now_ns().saturating_sub(t0));
-            for link in &st.plan.links {
-                if link.rank != r && !link.field_dst_off.is_empty() {
-                    let cells = link.field_dst_off.len() - 1;
-                    if cells > 0 {
-                        let bytes = (cells * FIELD_HALO_BYTES) as f64;
-                        c.x_b2 += self.network.message_time(bytes);
-                        messages += 1;
-                        halo_bytes += bytes as u64;
-                    }
-                }
-            }
-        }
-        // ── phase H: append migrants sorted by (species, id) — waiting
-        //    on the migration exchange launched in phase A — then fill
-        //    the post-advance B halos and close the step ──
-        for (r, c) in clock.iter_mut().enumerate() {
-            let t0 = telemetry::now_ns();
-            let inc = &mut self.incoming[r];
-            inc.clear();
-            for (&(src, dst), buf) in &self.mig_buffers {
-                let _ = src;
-                if dst == r {
-                    inc.extend_from_slice(buf);
-                }
-            }
-            inc.sort_by_key(|m| (m.species, m.id));
-            let st = &mut self.ranks[r];
-            for m in inc.iter() {
-                let lcell = st.plan.canonical(m.rec.cell, &self.global_grid, &st.sim.grid);
-                let mut rec = m.rec;
-                rec.cell = lcell;
-                st.sim.species[m.species as usize].push_record(&rec);
-                st.ids[m.species as usize].push(m.id);
-            }
-            c.append = secs(telemetry::now_ns().saturating_sub(t0));
-            let t0 = telemetry::now_ns();
-            self.fill_halos(r, FieldSet::B);
-            c.b2fill = secs(telemetry::now_ns().saturating_sub(t0));
-            self.ranks[r].sim.finish_step();
-        }
+        let Self { ranks, published, plans, network, gpu, .. } = self;
+        let (plans, net, gpu) = (&plans[..], &*network, gpu.as_ref());
+        space.parallel_for_mut(ranks, |r, st| st.push_pack(r, &plans[r], net, gpu));
+        publish(ranks, published, false);
+        let seen = Seen { plans, published };
+        space.parallel_for_mut(ranks, |r, st| st.merge_and_advance_e(r, seen, drive));
+        publish(ranks, published, true);
+        let seen = Seen { plans, published };
+        space.parallel_for_mut(ranks, |r, st| st.close_b_and_append(r, seen, net));
+        publish(ranks, published, true);
+        let seen = Seen { plans, published };
+        space.parallel_for_mut(ranks, |r, st| st.finish(r, seen));
         self.step += 1;
-        mig.max_out_of_rank = out_of.into_iter().max().unwrap_or(0);
-        if telemetry::enabled() {
-            telemetry::count("cluster.migrants", mig.migrants as u64);
-            telemetry::count("cluster.bytes_moved", (mig.migrants * MIGRANT_BYTES) as u64);
-            telemetry::count("cluster.halo_bytes", halo_bytes);
-            telemetry::count("cluster.messages", messages);
-            telemetry::hist!("cluster.migrants.per_step", mig.migrants as u64);
-        }
-        // ── overlap accounting: each exchange is hidden by the compute
-        //    window between its launch and its wait point ──
+        // the step's scalars, reduced in rank order. Overlap accounting:
+        // each exchange is hidden by the compute window between its
+        // launch and its wait point
+        let mut push = PushStats::default();
+        let mut mig = MigrationStats::default();
         let mut timing = StepTiming::default();
-        let mut step_s = 0.0f64;
-        for r in 0..n {
-            let (compute, modeled, exposed) = clock[r].overlap();
+        let (mut messages, mut halo_bytes) = (0u64, 0u64);
+        for st in &self.ranks {
+            let t = &st.tally;
+            push.pushed += t.push.pushed;
+            push.crossings += t.push.crossings;
+            mig.total += t.population;
+            mig.migrants += t.drained;
+            mig.max_out_of_rank = mig.max_out_of_rank.max(t.drained);
+            messages += t.messages;
+            halo_bytes += t.halo_bytes;
+            let (compute, modeled, exposed) = t.clock.overlap();
             timing.compute_s = timing.compute_s.max(compute);
             timing.modeled_exchange_s += modeled;
             timing.exposed_exchange_s += exposed;
             timing.hidden_exchange_s += modeled - exposed;
-            step_s = step_s.max(compute + exposed);
+            timing.step_s = timing.step_s.max(compute + exposed);
             if self.gpu.is_some() {
-                timing.gpu_compute_s = timing.gpu_compute_s.max(g_comp[r]);
-                timing.gpu_step_s = timing.gpu_step_s.max(g_comp[r] + exposed);
+                timing.gpu_compute_s = timing.gpu_compute_s.max(t.gpu_compute);
+                timing.gpu_step_s = timing.gpu_step_s.max(t.gpu_compute + exposed);
             }
             // per-rank exchange-overlap distributions: exposed is the tail
             // that actually extends the step, hidden is what the compute
@@ -760,7 +884,13 @@ impl MultiRankSim {
                 ((modeled - exposed).max(0.0) * 1e9) as u64
             );
         }
-        timing.step_s = step_s;
+        if telemetry::enabled() {
+            telemetry::count("cluster.migrants", mig.migrants as u64);
+            telemetry::count("cluster.bytes_moved", (mig.migrants * MIGRANT_BYTES) as u64);
+            telemetry::count("cluster.halo_bytes", halo_bytes);
+            telemetry::count("cluster.messages", messages);
+            telemetry::hist!("cluster.migrants.per_step", mig.migrants as u64);
+        }
         (push, mig, timing)
     }
 
@@ -775,81 +905,21 @@ impl MultiRankSim {
         total
     }
 
-    /// Copy canonical owner values into every halo image of `rank` for
-    /// the given field set: the in-memory completion of an exchange whose
-    /// wire time was charged at launch.
-    fn fill_halos(&mut self, rank: usize, set: FieldSet) {
-        let _s = telemetry::rank_span("cluster.halo_fill", rank);
-        for li in 0..self.ranks[rank].plan.links.len() {
-            let peer = self.ranks[rank].plan.links[li].rank;
-            if peer == rank {
-                // periodic self-copy: canonical → images, no network
-                let st = &mut self.ranks[rank];
-                let link = &st.plan.links[li];
-                for (k, &src) in link.field_src.iter().enumerate() {
-                    let lo = link.field_dst_off[k] as usize;
-                    let hi = link.field_dst_off[k + 1] as usize;
-                    for &dst in &link.field_dst[lo..hi] {
-                        copy_field(&mut st.sim.fields, set, src as usize, dst as usize);
-                    }
-                }
-                continue;
-            }
-            let back = self.ranks[peer]
-                .plan
-                .links
-                .iter()
-                .position(|l| l.rank == rank)
-                .expect("links are symmetric");
-            // receive: the peer's canonical values land in our images
-            let (a, b) = split_two(&mut self.ranks, rank, peer);
-            let link = &a.plan.links[li];
-            let src_link = &b.plan.links[back];
-            debug_assert_eq!(
-                link.field_dst_off.len().saturating_sub(1),
-                src_link.field_src.len()
-            );
-            for (k, &src) in src_link.field_src.iter().enumerate() {
-                let lo = link.field_dst_off[k] as usize;
-                let hi = link.field_dst_off[k + 1] as usize;
-                for &dst in &link.field_dst[lo..hi] {
-                    copy_field_across(
-                        &b.sim.fields,
-                        &mut a.sim.fields,
-                        set,
-                        src as usize,
-                        dst as usize,
-                    );
-                }
-            }
-        }
-    }
-
     /// Reassemble the global single-domain state: owned field cells by
     /// global id, particles by their global load index. Bit-identical to
-    /// the sort-disabled single-rank run (module docs).
+    /// the single-rank run (module docs).
     pub fn gather(&self) -> Simulation {
-        let mut out = Simulation::new(self.global_grid.clone());
+        let mut out = Simulation::new(self.global().clone());
         out.strategy = self.ranks[0].sim.strategy;
         out.laser = self.laser.clone();
         out.set_step_count(self.step);
-        for st in &self.ranks {
-            let (lx, ly, lz) = st.plan.extent;
-            for z in 1..=lz {
-                for y in 1..=ly {
-                    for x in 1..=lx {
-                        let lv = st.sim.grid.voxel(x, y, z);
-                        let gv = st.plan.local_to_global[lv] as usize;
-                        let (f, gf) = (&st.sim.fields, &mut out.fields);
-                        gf.ex[gv] = f.ex[lv];
-                        gf.ey[gv] = f.ey[lv];
-                        gf.ez[gv] = f.ez[lv];
-                        gf.bx[gv] = f.bx[lv];
-                        gf.by[gv] = f.by[lv];
-                        gf.bz[gv] = f.bz[lv];
-                        gf.jx[gv] = f.jx[lv];
-                        gf.jy[gv] = f.jy[lv];
-                        gf.jz[gv] = f.jz[lv];
+        for (st, plan) in self.ranks.iter().zip(&self.plans) {
+            // a rank's owned cells are the ones routed nowhere
+            let global = arrays_mut(&mut out.fields);
+            for (global, local) in global.into_iter().zip(arrays(&st.sim.fields)) {
+                for (lv, &gv) in plan.local_to_global.iter().enumerate() {
+                    if plan.route[lv] == Route::Owned {
+                        global[gv as usize] = local[lv];
                     }
                 }
             }
@@ -867,7 +937,7 @@ impl MultiRankSim {
             s.uz = vec![0.0; total];
             s.w = vec![0.0; total];
             let mut seen = 0usize;
-            for st in &self.ranks {
+            for (st, plan) in self.ranks.iter().zip(&self.plans) {
                 let rs = &st.sim.species[si];
                 for p in 0..rs.len() {
                     let id = st.ids[si][p] as usize;
@@ -875,7 +945,7 @@ impl MultiRankSim {
                     s.dx[id] = rs.dx[p];
                     s.dy[id] = rs.dy[p];
                     s.dz[id] = rs.dz[p];
-                    s.cell[id] = st.plan.local_to_global[rs.cell[p] as usize];
+                    s.cell[id] = plan.local_to_global[rs.cell[p] as usize];
                     s.ux[id] = rs.ux[p];
                     s.uy[id] = rs.uy[p];
                     s.uz[id] = rs.uz[p];
@@ -891,16 +961,17 @@ impl MultiRankSim {
 
     /// Serialize the whole cluster — decomposition metadata, every
     /// per-rank simulation, and the particle identity maps — into the
-    /// `ckpt` container. Migration buffers are between-step-empty derived
-    /// state and are not carried.
+    /// `ckpt` container. Everything a rank publishes is rewritten by the
+    /// next step before it is read, and the pool is host state: neither
+    /// is carried.
     pub fn checkpoint_bytes(&mut self) -> Vec<u8> {
         let mut w = Writer::new();
         {
             let m = w.section("cluster.meta");
             m.put_u64(self.step);
-            m.put_usize(self.global_grid.nx);
-            m.put_usize(self.global_grid.ny);
-            m.put_usize(self.global_grid.nz);
+            m.put_usize(self.global().nx);
+            m.put_usize(self.global().ny);
+            m.put_usize(self.global().nz);
             m.put_usize(self.ranks.len());
             m.put_f64(self.network.latency);
             m.put_f64(self.network.bandwidth);
@@ -928,8 +999,9 @@ impl MultiRankSim {
     }
 
     /// Restore a cluster checkpointed by
-    /// [`MultiRankSim::checkpoint_bytes`]. Exchange plans and migration
-    /// buffers are derived state, rebuilt from the decomposition.
+    /// [`MultiRankSim::checkpoint_bytes`]. Exchange plans, the published
+    /// table and the pool (sized for *this* host) are rebuilt from the
+    /// decomposition.
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, RestoreError> {
         let snap = Snapshot::from_bytes(bytes)?;
         let mut m = snap.section("cluster.meta")?;
@@ -958,100 +1030,21 @@ impl MultiRankSim {
         let decomp = Decomposition::new((nx, ny, nz), nranks);
         let plans = build_plans(&decomp, &global);
         let mut ranks = Vec::with_capacity(nranks);
-        for (r, plan) in plans.into_iter().enumerate() {
+        for (r, plan) in plans.iter().enumerate() {
             let mut sim_sec = snap.section(&format!("rank{r}.sim"))?;
             let sim = Simulation::restore_bytes(sim_sec.take_rest())?;
             sim_sec.finish()?;
             let mut ids_sec = snap.section(&format!("rank{r}.ids"))?;
             let nspecies = ids_sec.get_usize()?;
-            let mut ids = Vec::with_capacity(nspecies);
+            let mut ids = Vec::new();
             for _ in 0..nspecies {
                 let len = ids_sec.get_usize()?;
-                let mut v = Vec::with_capacity(len);
-                for _ in 0..len {
-                    v.push(ids_sec.get_u64()?);
-                }
-                ids.push(v);
+                ids.push((0..len).map(|_| ids_sec.get_u64()).collect::<Result<Vec<_>, _>>()?);
             }
             ids_sec.finish()?;
-            let shared = plan.shared.len();
-            ranks.push(RankState {
-                sim,
-                plan,
-                ids,
-                partials: vec![[0i64; SLOTS]; shared],
-                totals: vec![[0i64; SLOTS]; shared],
-                drain_idx: Vec::new(),
-                drain_rec: Vec::new(),
-            });
+            ranks.push(RankState::new(sim, ids, plan));
         }
-        let incoming = vec![Vec::new(); nranks];
-        Ok(Self {
-            decomp,
-            network,
-            global_grid: global,
-            laser,
-            ranks,
-            step,
-            mig_buffers: BTreeMap::new(),
-            incoming,
-            gpu: None,
-        })
-    }
-}
-
-/// Which component triple a halo fill moves.
-#[derive(Debug, Clone, Copy)]
-enum FieldSet {
-    E,
-    B,
-}
-
-fn copy_field(f: &mut vpic_core::FieldArray, set: FieldSet, src: usize, dst: usize) {
-    match set {
-        FieldSet::E => {
-            f.ex[dst] = f.ex[src];
-            f.ey[dst] = f.ey[src];
-            f.ez[dst] = f.ez[src];
-        }
-        FieldSet::B => {
-            f.bx[dst] = f.bx[src];
-            f.by[dst] = f.by[src];
-            f.bz[dst] = f.bz[src];
-        }
-    }
-}
-
-fn copy_field_across(
-    src_f: &vpic_core::FieldArray,
-    dst_f: &mut vpic_core::FieldArray,
-    set: FieldSet,
-    src: usize,
-    dst: usize,
-) {
-    match set {
-        FieldSet::E => {
-            dst_f.ex[dst] = src_f.ex[src];
-            dst_f.ey[dst] = src_f.ey[src];
-            dst_f.ez[dst] = src_f.ez[src];
-        }
-        FieldSet::B => {
-            dst_f.bx[dst] = src_f.bx[src];
-            dst_f.by[dst] = src_f.by[src];
-            dst_f.bz[dst] = src_f.bz[src];
-        }
-    }
-}
-
-/// Disjoint mutable references to two distinct ranks.
-fn split_two(ranks: &mut [RankState], a: usize, b: usize) -> (&mut RankState, &mut RankState) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = ranks.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = ranks.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
+        Ok(Self::assemble(decomp, network, laser, plans, ranks, step))
     }
 }
 
@@ -1090,34 +1083,22 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
         let local = Grid::new(lx + 2, ly + 2, lz + 2);
         let mut l2g = vec![0u32; local.cells()];
         let mut map: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        let mut route = vec![Route::Owned; local.cells()];
-        for lv in 0..local.cells() {
+        for (lv, g) in l2g.iter_mut().enumerate() {
             let (x, y, z) = local.coords(lv);
             let gx = (origin.0 + x + global.nx - 1) % global.nx;
             let gy = (origin.1 + y + global.ny - 1) % global.ny;
             let gz = (origin.2 + z + global.nz - 1) % global.nz;
-            let g = global.voxel(gx, gy, gz) as u32;
-            l2g[lv] = g;
-            map.entry(g).or_default().push(lv as u32);
-            let halo = x == 0 || x == lx + 1 || y == 0 || y == ly + 1 || z == 0 || z == lz + 1;
-            if halo {
-                let owner = decomp.owner(gx, gy, gz);
-                route[lv] = if owner == r {
-                    let cx = (gx - origin.0 + 1) as u32;
-                    let cy = (gy - origin.1 + 1) as u32;
-                    let cz = (gz - origin.2 + 1) as u32;
-                    Route::Remap(local.voxel(cx as usize, cy as usize, cz as usize) as u32)
-                } else {
-                    Route::Remote(owner as u32)
-                };
-            }
+            *g = global.voxel(gx, gy, gz) as u32;
+            map.entry(*g).or_default().push(lv as u32);
         }
         maps.push(map);
         plans.push(RankPlan {
             origin,
             extent,
+            grid: local,
+            global: global.clone(),
             local_to_global: l2g,
-            route,
+            route: Vec::new(),
             shared: Vec::new(),
             links: Vec::new(),
         });
@@ -1163,17 +1144,11 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
         let (gx, gy, gz) = global.coords(g as usize);
         decomp.owner(gx, gy, gz)
     };
-    let canonical_of = |r: usize, g: u32| {
-        let (gx, gy, gz) = global.coords(g as usize);
-        let o = decomp.local_origin(r);
-        let (lx, ly, lz) = decomp.local_extent(r);
-        let local = Grid::new(lx + 2, ly + 2, lz + 2);
-        local.voxel(gx - o.0 + 1, gy - o.1 + 1, gz - o.2 + 1) as u32
-    };
     for (&(r, n), overlap) in &pair_overlap {
         let mk = |me: usize, other: usize| -> Link {
             let mut link = Link {
                 rank: other,
+                back: 0,
                 acc_pos: Vec::with_capacity(overlap.len()),
                 field_src: Vec::new(),
                 field_dst: Vec::new(),
@@ -1183,7 +1158,7 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
                 link.acc_pos.push(shared_pos[me][&g]);
                 let o = owner_of(g);
                 if o == me {
-                    link.field_src.push(canonical_of(me, g));
+                    link.field_src.push(plans[me].canonical(g));
                 } else if o == other {
                     for &img in &maps[me][&g] {
                         link.field_dst.push(img);
@@ -1208,6 +1183,7 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
         // as halo images of itself (single-rank axes)
         let mut link = Link {
             rank: r,
+            back: 0,
             acc_pos: Vec::new(),
             field_src: Vec::new(),
             field_dst: Vec::new(),
@@ -1217,7 +1193,7 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
             if owner_of(*g) != r || images.len() < 2 {
                 continue;
             }
-            let canon = canonical_of(r, *g);
+            let canon = plans[r].canonical(*g);
             link.field_src.push(canon);
             for &img in images {
                 if img != canon {
@@ -1229,6 +1205,30 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
         if !link.field_src.is_empty() {
             plans[r].links.push(link);
         }
+    }
+    // with the link order final, name every link's twin and route every
+    // local cell: an image of a cell another rank owns migrates over the
+    // link to its owner. Links are built in pairs, so the lookups hold by
+    // construction — checked here, once, so that a step has nothing left
+    // to look up
+    let link_to = |plans: &[RankPlan], r: usize, peer: usize| {
+        plans[r].links.iter().position(|l| l.rank == peer).expect("links are symmetric")
+    };
+    for r in 0..nranks {
+        for li in 0..plans[r].links.len() {
+            plans[r].links[li].back = link_to(&plans, plans[r].links[li].rank, r);
+        }
+        let route = plans[r].local_to_global.iter().enumerate().map(|(lv, &g)| {
+            let owner = owner_of(g);
+            if owner != r {
+                Route::Remote(link_to(&plans, r, owner) as u32)
+            } else if plans[r].canonical(g) as usize == lv {
+                Route::Owned
+            } else {
+                Route::Remap(plans[r].canonical(g))
+            }
+        });
+        plans[r].route = route.collect();
     }
     plans
 }
@@ -1297,34 +1297,143 @@ mod tests {
         }
     }
 
-    #[test]
-    fn weibel_bit_identical_across_rank_counts() {
-        let mut reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
-        let mut clusters: Vec<MultiRankSim> =
-            [1, 2, 4, 8].iter().map(|&n| MultiRankSim::new(&reference, n, net())).collect();
-        for step in 1..=6 {
-            reference.step();
-            for mr in &mut clusters {
-                mr.step();
-                assert_state_eq(
-                    &mr.gather(),
-                    &reference,
-                    &format!("{} ranks, step {step}", mr.ranks()),
-                );
+    /// The per-rank configuration axis of the lattice.
+    #[derive(Debug, Clone, Copy)]
+    enum Configs {
+        /// Every rank as `MultiRankSim::new` leaves it.
+        Uniform,
+        /// Every rank a different (strategy, scatter) pair — the
+        /// heterogeneous-system configuration the paper targets.
+        Heterogeneous,
+        /// Every rank its own sort order and interval.
+        ScheduledSort,
+    }
+
+    impl Configs {
+        fn apply(self, mr: &mut MultiRankSim) {
+            use pk::atomic::ScatterMode::{Atomic, Duplicated};
+            use vsimd::Strategy;
+            let picks = [
+                (Strategy::Manual, Duplicated),
+                (Strategy::AdHoc, Atomic),
+                (Strategy::Guided, Duplicated),
+                (Strategy::Auto, Atomic),
+            ];
+            let orders = [psort::SortOrder::Strided, psort::SortOrder::Standard];
+            for r in 0..mr.ranks() {
+                let (strategy, scatter) = picks[r % picks.len()];
+                match self {
+                    Configs::Uniform => {}
+                    Configs::Heterogeneous => {
+                        mr.set_rank_config(r, &tuner::Config::unsorted(strategy, scatter))
+                    }
+                    Configs::ScheduledSort => mr.set_rank_config(
+                        r,
+                        &tuner::Config {
+                            order: Some(orders[r % orders.len()]),
+                            interval: 1 + r % 3,
+                            ..tuner::Config::unsorted(strategy, scatter)
+                        },
+                    ),
+                }
             }
         }
     }
 
-    #[test]
-    fn laser_deck_bit_identical_across_ranks() {
-        // exercises the plane-antenna drive through the decomposed path
-        let mut reference = Deck::lpi(8, 4, 4, 4).build();
-        let mut mr = MultiRankSim::new(&reference, 4, net());
-        for _ in 0..5 {
-            reference.step();
-            mr.step();
+    /// The rank-worker axis: what the ranks of a step are distributed over.
+    #[derive(Debug, Clone, Copy)]
+    enum Workers {
+        Serial,
+        /// Three lanes over four or eight ranks gives uneven chunks.
+        Lanes(usize),
+        /// `MultiRankSim::step`: the simulator's own pool.
+        Owned,
+    }
+
+    impl Workers {
+        fn step(self, mr: &mut MultiRankSim) -> (PushStats, MigrationStats) {
+            let (push, migration, _) = match self {
+                Workers::Serial => mr.step_on(&pk::Serial),
+                Workers::Lanes(n) => mr.step_on(&pk::Threads::new(n)),
+                Workers::Owned => mr.step(),
+            };
+            (push, migration)
         }
-        assert_state_eq(&mr.gather(), &reference, "lpi 4 ranks");
+    }
+
+    /// Decks × rank counts × per-rank configurations × worker counts: at
+    /// every step every point gathers to the single-domain run's bits and
+    /// returns the `Serial` point's statistics, and a checkpoint taken
+    /// mid-run is the same bytes under every worker count and resumes under
+    /// a different one.
+    #[test]
+    fn rank_worker_lattice_is_bit_identical() {
+        let workers = [Workers::Serial, Workers::Lanes(2), Workers::Lanes(3), Workers::Owned];
+        // pools are shared per lane count and shut down with their last
+        // handle: hold one each so a step does not respawn the threads
+        let _pools = (pk::Threads::new(2), pk::Threads::new(3));
+        // the plane-antenna drive goes through the decomposed path too
+        let decks = [("weibel", Deck::weibel(8, 8, 8, 4, 0.3)), ("lpi", Deck::lpi(8, 4, 4, 4))];
+        for (name, deck) in &decks {
+            for ranks in [1, 2, 4, 8] {
+                for configs in [Configs::Uniform, Configs::Heterogeneous, Configs::ScheduledSort] {
+                    let mut reference = deck.build();
+                    let mut points: Vec<MultiRankSim> = workers
+                        .iter()
+                        .map(|_| {
+                            let mut mr = MultiRankSim::new(&reference, ranks, net());
+                            configs.apply(&mut mr);
+                            mr
+                        })
+                        .collect();
+                    for step in 1..=6 {
+                        reference.step();
+                        // after the checkpoint every point runs under the
+                        // next worker count in the list
+                        let shift = usize::from(step > 3);
+                        let mut serial = None;
+                        for (i, mr) in points.iter_mut().enumerate() {
+                            let w = workers[(i + shift) % workers.len()];
+                            let what =
+                                format!("{name}, {ranks} ranks, {configs:?}, {w:?}, step {step}");
+                            let stats = w.step(mr);
+                            let expected = serial.get_or_insert_with(|| stats.clone());
+                            assert_eq!(&stats, expected, "{what}: step statistics");
+                            assert_state_eq(&mr.gather(), &reference, &what);
+                        }
+                        if step == 3 {
+                            // the pool is host state: it is not in the bytes
+                            let snaps: Vec<Vec<u8>> =
+                                points.iter_mut().map(|mr| mr.checkpoint_bytes()).collect();
+                            for (snap, w) in snaps.iter().zip(&workers) {
+                                let what = format!("{name}, {ranks} ranks, {configs:?}, {w:?}");
+                                assert!(snap == &snaps[0], "{what}: snapshot bytes");
+                            }
+                            points = snaps
+                                .iter()
+                                .map(|snap| MultiRankSim::restore_bytes(snap).expect("restore"))
+                                .collect();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lattice's smallest point, on its own: one step of two ranks on
+    /// two lanes over a 4³ deck — the step CI's Miri job can afford.
+    #[test]
+    fn two_ranks_on_two_lanes_step_a_four_cubed_deck() {
+        let mut reference = Deck::weibel(4, 4, 4, 1, 0.3).build();
+        let mut mr = MultiRankSim::new(&reference, 2, net());
+        // the portable strategy: no vendor intrinsics for Miri to model
+        let auto = tuner::Config::unsorted(vsimd::Strategy::Auto, pk::atomic::ScatterMode::Atomic);
+        for r in 0..2 {
+            mr.set_rank_config(r, &auto);
+        }
+        reference.step();
+        mr.step_on(&pk::Threads::new(2));
+        assert_state_eq(&mr.gather(), &reference, "2 ranks on 2 lanes");
     }
 
     #[test]
@@ -1541,34 +1650,6 @@ mod tests {
             // compute wall, at most that plus every rank's exposed time
             assert!(t.step_s >= t.compute_s, "step {step}");
             assert!(t.step_s <= t.compute_s + t.exposed_exchange_s, "step {step}");
-        }
-    }
-
-    #[test]
-    fn heterogeneous_rank_configs_stay_bit_identical() {
-        use pk::atomic::ScatterMode;
-        use vsimd::Strategy;
-        let mut reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
-        let mut mr = MultiRankSim::new(&reference, 4, net());
-        // every rank picks a different (strategy, scatter) pair — the
-        // heterogeneous-system configuration the paper targets
-        let picks = [
-            (Strategy::Manual, ScatterMode::Duplicated),
-            (Strategy::AdHoc, ScatterMode::Atomic),
-            (Strategy::Guided, ScatterMode::Duplicated),
-            (Strategy::Auto, ScatterMode::Atomic),
-        ];
-        for (r, &(strategy, scatter)) in picks.iter().enumerate() {
-            mr.set_rank_config(r, &tuner::Config::unsorted(strategy, scatter));
-        }
-        for step in 1..=6 {
-            reference.step();
-            mr.step();
-            assert_state_eq(
-                &mr.gather(),
-                &reference,
-                &format!("heterogeneous configs, step {step}"),
-            );
         }
     }
 

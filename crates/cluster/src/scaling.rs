@@ -178,6 +178,16 @@ pub fn strong_scaling(
     points
 }
 
+/// The closed-form overlap model the executed step is reported against,
+/// `T(N) = T(1)/N + exposed(N)`: perfect compute scaling of the one-rank
+/// step `t1_s` plus the mean exchange time per rank and step that no
+/// window hid, from `exposed_exchange_s` — the sum of
+/// [`crate::StepTiming::exposed_exchange_s`] (itself a sum over ranks) over
+/// `steps` steps.
+pub fn overlap_model_step_s(t1_s: f64, ranks: usize, steps: usize, exposed_exchange_s: f64) -> f64 {
+    t1_s / ranks as f64 + exposed_exchange_s / (steps * ranks) as f64
+}
+
 /// Speedups relative to the sweep's first point, paired with the ideal
 /// linear speedup for the same GPU ratio.
 pub fn speedup_curve(points: &[ScalePoint]) -> Vec<(usize, f64, f64)> {

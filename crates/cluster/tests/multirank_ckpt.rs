@@ -1,8 +1,8 @@
 //! Property tests for multi-rank checkpoint/restart (DESIGN §12).
 //!
 //! A mid-run [`cluster::MultiRankSim`] snapshot carries the per-rank
-//! simulations and particle identity maps; exchange plans and migration
-//! buffers are derived state rebuilt on restore. The property: resuming
+//! simulations and particle identity maps; exchange plans, the published
+//! table and the pool are derived or host state rebuilt on restore. The property: resuming
 //! from any mid-run snapshot is bit-identical to never having stopped,
 //! for any rank count and any checkpoint step — and any truncation of
 //! the snapshot maps to a typed error, never a silently-wrong `Ok`.
@@ -51,9 +51,9 @@ fn assert_bits_eq(a: &Simulation, b: &Simulation) {
 proptest! {
     /// Checkpoint anywhere mid-run, restore, continue: the resumed
     /// cluster gathers bit-identically to the uninterrupted one at every
-    /// subsequent step. Migration buffers never need to be carried —
-    /// snapshots are taken between steps, where they are empty by
-    /// construction.
+    /// subsequent step. What the ranks publish for each other never needs
+    /// to be carried — snapshots are taken between steps, and the next
+    /// step rewrites all of it before reading any.
     #[test]
     fn midrun_checkpoint_resumes_bit_identical(
         ranks_pow in 0usize..4,       // 1, 2, 4, 8 ranks

@@ -3,9 +3,10 @@
 //! The correctness oracle for `cluster::MultiRankSim`: for any rank
 //! count, the gathered global state — fields, particles, and the energy
 //! ledger — is bit-identical to the single-rank run at every checked
-//! step, and the executed speedup curve agrees with the closed-form
-//! overlap model within the tolerance EXPERIMENTS.md documents.
+//! step, every step's timing adds up for any clock, and the closed-form
+//! overlap model `repro -- ranks` reports is pinned on fixed numbers.
 
+use cluster::scaling::overlap_model_step_s;
 use cluster::{systems, MultiRankSim};
 use vpic_core::{Deck, Simulation};
 
@@ -71,37 +72,25 @@ fn gathered_state_bit_identical_across_rank_counts() {
     }
 }
 
-/// Executed speedup agrees with the closed-form overlap model
-/// `T(N) = T(1)/N + exposed(N)` within a factor of two, and every step's
-/// timing adds up: hidden + exposed is the modeled exchange, and the step
-/// is the slowest rank's compute plus what its windows left exposed. How
-/// *much* a window hides compares a measured kernel with a modeled
-/// message, so it depends on the build profile and is pinned on fixed
-/// numbers instead (`cluster::multirank`'s `RankClock::overlap` tests).
-///
-/// Tolerance rationale (documented in EXPERIMENTS.md): the model assumes
-/// perfect compute scaling, while the executed step pays the halo-shell
-/// sweep overhead ((l+2)³ vs l³ cells) and whatever scheduling noise the
-/// shared CI host injects — a factor-2 band holds comfortably on release
-/// and debug builds while still catching a broken overlap schedule,
-/// which shows up as an order-of-magnitude exposure regression.
+/// What holds for any clock on an executed sweep: every step's timing
+/// adds up — hidden + exposed is the modeled exchange, the step is the
+/// slowest rank's compute plus what its windows left exposed — and one
+/// rank exchanges nothing. How the executed speedup compares with the
+/// closed-form overlap model is a measured wall over a modeled message:
+/// it depends on the build profile and on what else the host's cores are
+/// running (the ranks of a step run at the same time), so it is reported
+/// by `repro -- ranks` and never asserted; the closed form itself is
+/// pinned on fixed numbers below, the way `RankClock::overlap` is in
+/// `cluster::multirank`.
 #[test]
-fn executed_speedup_tracks_overlap_model() {
+fn executed_timing_adds_up_for_any_clock() {
     let reference = Deck::weibel(16, 16, 16, 4, 0.3).build();
     let net = systems::selene().network;
-    let steps = 3usize;
-    let mut t1 = f64::NAN;
     for ranks in [1usize, 2, 4, 8] {
         let mut mr = MultiRankSim::new(&reference, ranks, net);
         mr.run(1); // warmup
-        let mut step_s = 0.0;
-        let mut modeled = 0.0;
-        let mut exposed = 0.0;
-        for _ in 0..steps {
+        for _ in 0..3 {
             let (_, _, t) = mr.step();
-            step_s += t.step_s;
-            modeled += t.modeled_exchange_s;
-            exposed += t.exposed_exchange_s;
             let parts = t.hidden_exchange_s + t.exposed_exchange_s;
             assert!(
                 (parts - t.modeled_exchange_s).abs() <= 1e-12 * t.modeled_exchange_s,
@@ -114,24 +103,30 @@ fn executed_speedup_tracks_overlap_model() {
             // (with one rank, exactly its compute)
             assert!(t.step_s >= t.compute_s, "{ranks} ranks");
             assert!(t.step_s <= t.compute_s + t.exposed_exchange_s, "{ranks} ranks");
+            if ranks == 1 {
+                assert_eq!(t.modeled_exchange_s, 0.0, "one rank exchanges nothing");
+            } else {
+                assert!(t.modeled_exchange_s > 0.0, "{ranks} ranks must exchange");
+            }
         }
-        let mean_step = step_s / steps as f64;
-        if ranks == 1 {
-            t1 = mean_step;
-            assert_eq!(modeled, 0.0, "one rank exchanges nothing");
-            continue;
-        }
-        assert!(modeled > 0.0, "{ranks} ranks must exchange");
-        let speedup_exec = t1 / mean_step;
-        let model_step = t1 / ranks as f64 + exposed / (steps as f64 * ranks as f64);
-        let speedup_model = t1 / model_step;
-        let ratio = speedup_exec / speedup_model;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "{ranks} ranks: executed speedup {speedup_exec:.2}x vs model \
-             {speedup_model:.2}x (ratio {ratio:.2}) outside the documented tolerance"
-        );
     }
+}
+
+/// The closed form `T(N) = T(1)/N + exposed(N)` on fixed numbers: the
+/// exposure summed over ranks and steps enters as its mean per rank and
+/// step, and with nothing exposed the model is ideal scaling.
+#[test]
+fn overlap_model_closed_form_on_fixed_numbers() {
+    // 8 ms alone; 4 ranks, 3 steps, 2.4 ms exposed in all → 0.2 ms each
+    assert_eq!(overlap_model_step_s(8.0, 4, 3, 2.4), 2.0 + 2.4 / 12.0);
+    assert_eq!(overlap_model_step_s(8.0, 4, 3, 0.0), 2.0);
+    assert_eq!(overlap_model_step_s(8.0, 1, 5, 0.0), 8.0);
+    // exposure is not divided away by more steps of the same exposure
+    assert_eq!(overlap_model_step_s(8.0, 2, 1, 1.0), overlap_model_step_s(8.0, 2, 10, 10.0));
+    // speedup over the one-rank step falls below ideal by exactly the
+    // exposed share
+    let speedup = 8.0 / overlap_model_step_s(8.0, 8, 1, 8.0);
+    assert_eq!(speedup, 4.0);
 }
 
 /// Checkpoint/restore of a mid-run cluster resumes bit-identically —
