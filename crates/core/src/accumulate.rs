@@ -298,6 +298,14 @@ impl RunDepositor<'_> {
         self.deposit_weights(cell, &segment_weights(x0, y0, z0, x1, y1, z1, qw));
     }
 
+    /// Hint the cache that `cell`'s twelve slots in this depositor's lane
+    /// will be added to soon. A hint only: an out-of-range `cell` is
+    /// ignored here and still panics at the deposit that names it.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, cell: usize) {
+        self.lane.prefetch(cell.saturating_mul(SLOTS), SLOTS);
+    }
+
     /// Add the pending run to the accumulator: plain adds on a lane
     /// held alone, `fetch_add` on a shared one.
     #[inline]

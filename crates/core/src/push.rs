@@ -7,7 +7,10 @@
 //! does).
 //!
 //! The kernel is written once, as three stages over a group of
-//! `L::LANES` consecutive particles held in the lanes of a [`PushLane`]:
+//! `L::LANES` consecutive particles held in the lanes of a [`PushLane`],
+//! behind a look-ahead (`look_ahead`) that computes nothing: it asks the
+//! cache for the interpolator record and the accumulator slots of the
+//! cells `LOOKAHEAD` (64) particles further on, once per same-cell run:
 //!
 //! 1. **run-aware gather** (`gather`) — a group whose particles share a
 //!    cell (the common case after a cell sort) broadcasts that cell's 18
@@ -398,6 +401,10 @@ fn push_fused<L: PushLane>(
     let mut crossings = 0;
     let mut i = range.start;
     while i + L::LANES <= range.end {
+        look_ahead(s.cell, i, L::LANES, |c| {
+            hint_record(interps, c);
+            sink.dep.prefetch(c);
+        });
         let pos = Xyz::<L>::load(s.dx, s.dy, s.dz, i);
         let (e, b) = fields_at(&gather(interps, &s.cell[i..i + L::LANES]), pos);
         let u = boris(h, Xyz::load(s.ux, s.uy, s.uz, i), e, b);
@@ -434,6 +441,7 @@ fn push_split(
         // pass 1: gather + field evaluation
         for k in 0..len {
             let i = base + k;
+            look_ahead(s.cell, i, 1, |c| hint_record(interps, c));
             let pos = Xyz::load(s.dx, s.dy, s.dz, i);
             (e[k], b[k]) = fields_at(&gather::<f32>(interps, &s.cell[i..=i]), pos);
         }
@@ -447,11 +455,45 @@ fn push_split(
         // pass 3: mover
         for (k, &m) in m[..len].iter().enumerate() {
             let i = base + k;
+            look_ahead(s.cell, i, 1, |c| sink.dep.prefetch(c));
             let pos = Xyz::load(s.dx, s.dy, s.dz, i);
             crossings += move_group::<f32>(grid, sink, s, i, pos, m);
         }
     }
     crossings
+}
+
+/// How many particles ahead of the group it is pushing the push asks the
+/// cache for cells: far enough that a miss to memory is back before the
+/// group that needs it, near enough that the lines are still in L1 then
+/// (DESIGN §5b has the sweep). In particles, not groups, so every
+/// strategy looks the same distance ahead.
+const LOOKAHEAD: usize = 64;
+
+/// Stage 0, the look-ahead: `hint` every cell among those of the `lanes`
+/// particles [`LOOKAHEAD`] past `i` that differs from the cell before it —
+/// one hint per same-cell run, not per particle. The push streams
+/// `cells`, so it knows what its gather and scatter will miss on this
+/// long before it gets there. A window past the chunk's end is cut short.
+#[inline(always)]
+fn look_ahead(cells: &[u32], i: usize, lanes: usize, mut hint: impl FnMut(usize)) {
+    let Some(ahead) = cells.get(i + LOOKAHEAD - 1..) else { return };
+    for pair in ahead.windows(2).take(lanes) {
+        if pair[1] != pair[0] {
+            hint(pair[1] as usize);
+        }
+    }
+}
+
+/// Hint the cache for `cell`'s interpolator record: 72 bytes, so its
+/// first and last coefficient name both lines it can lie on. A cell
+/// without a record is skipped; the gather that names it panics.
+#[inline(always)]
+fn hint_record(interps: &[Interpolator], cell: usize) {
+    if let Some(record) = interps.get(cell) {
+        pk::prefetch(&record.0[0]);
+        pk::prefetch(&record.0[COEFFS - 1]);
+    }
 }
 
 /// Stage 1, the run-aware gather: the interpolator coefficients of one
@@ -731,7 +773,7 @@ mod tests {
 
     /// Three pushes of `start` into one accumulator of `lanes` replicas
     /// (in duplicated mode): the particles' bits, every cell's raw slot
-    /// totals, and the crossings.
+    /// totals, and the pushes' summed statistics.
     fn pushed<S: ExecSpace>(
         space: &S,
         strategy: Strategy,
@@ -739,13 +781,14 @@ mod tests {
         grid: &Grid,
         interps: &[Interpolator],
         start: &Species,
-    ) -> (Vec<Vec<u32>>, Vec<[i64; SLOTS]>, usize) {
+    ) -> (Vec<Vec<u32>>, Vec<[i64; SLOTS]>, PushStats) {
         let mut s = start.clone();
         let acc = Accumulator::new(grid.cells(), lanes, mode);
-        let crossings = (0..3)
-            .map(|_| push_species_on(space, strategy, grid, &mut s, interps, &acc).crossings)
-            .sum();
-        (particle_bits(&s), raw_totals(&acc), crossings)
+        let stats = (0..3).fold(PushStats::default(), |sum, _| {
+            let step = push_species_on(space, strategy, grid, &mut s, interps, &acc);
+            PushStats { pushed: sum.pushed + step.pushed, crossings: sum.crossings + step.crossings }
+        });
+        (particle_bits(&s), raw_totals(&acc), stats)
     }
 
     /// Interpolators of a smooth field on `grid`.
@@ -814,11 +857,81 @@ mod tests {
         }
         // the loads did exercise what they are named for
         let crossings =
-            |i: usize| pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, &loads[i].1).2;
+            |i: usize| pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, &loads[i].1).2.crossings;
         assert!(crossings(2) > 2 * 1001, "hot load: {} crossings", crossings(2));
         assert!(crossings(0) < 3001, "cold load: {} crossings", crossings(0));
         let nan = pushed(&Serial, Strategy::AdHoc, atomic, &grid, &interps, &loads[6].1).0;
         assert!(f32::from_bits(nan[1][6]).is_nan() && f32::from_bits(nan[3][1201]).is_nan());
+    }
+
+    #[test]
+    fn look_ahead_off_the_end_across_blocks_and_past_the_chunk_changes_nothing() {
+        // The window `LOOKAHEAD` particles ahead runs off the chunk's end
+        // (every length), is longer than the whole chunk (below 64, and
+        // every chunk of three workers but 257's), starts exactly at the
+        // end (64, 65) and straddles the guided strategy's 256-particle
+        // block (257). Shuffled cells: every lane of every window hints.
+        let grid = Grid::new(6, 6, 6);
+        let interps = wavy_interps(&grid);
+        let atomic = (ScatterMode::Atomic, 1);
+        let threads = pk::Threads::new(3);
+        for n in [1, 3, 4, 5, 63, 64, 65, 67, 130, 257] {
+            let start = load(&grid, n, 0.3, false);
+            let reference = pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, &start);
+            assert_eq!(reference.2.pushed, 3 * n);
+            for strategy in Strategy::ALL {
+                for lanes in [atomic, (ScatterMode::Duplicated, 3)] {
+                    let serial = pushed(&Serial, strategy, lanes, &grid, &interps, &start);
+                    assert!(serial == reference, "{n}: {strategy} serial {lanes:?}");
+                    let parallel = pushed(&threads, strategy, lanes, &grid, &interps, &start);
+                    assert!(parallel == reference, "{n}: {strategy} threads {lanes:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hint_for_an_out_of_range_cell_neither_panics_nor_moves_the_panic() {
+        // Particle 70 names a cell the grid does not have. The look-ahead
+        // sees it from the group at 4 on and skips it (no record, no
+        // slots); the push still panics where it always did, in the gather
+        // of the group that holds the particle, with the particles before
+        // that group pushed and the rest untouched. Guided gathers a whole
+        // block before it pushes any of it.
+        let grid = Grid::new(6, 6, 6);
+        let interps = wavy_interps(&grid);
+        let (n, bad) = (130, 70);
+        let mut start = load(&grid, n, 0.3, false);
+        start.cell[bad] = grid.cells() as u32;
+        let cells = grid.cells();
+        let message = format!("index out of bounds: the len is {cells} but the index is {cells}");
+        let first_unpushed = [
+            (Strategy::Auto, bad),
+            (Strategy::Guided, 0),
+            (Strategy::Manual, bad - bad % 4),
+            (Strategy::AdHoc, bad - bad % 4),
+        ];
+        for (strategy, first) in first_unpushed {
+            let mut s = start.clone();
+            let acc = Accumulator::new(cells, 1, ScatterMode::Atomic);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                push_species(strategy, &grid, &mut s, &interps, &acc)
+            }))
+            .expect_err("the gather names a cell without a record");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message), "{strategy}");
+            // the particles before the panic: what a push of them alone gives
+            let mut alone = Species::new("e", start.q, start.m);
+            for p in 0..first {
+                alone.push_record(&start.record(p));
+            }
+            let alone_acc = Accumulator::new(cells, 1, ScatterMode::Atomic);
+            push_species(strategy, &grid, &mut alone, &interps, &alone_acc);
+            let (before, untouched) = (particle_bits(&alone), particle_bits(&start));
+            for (a, got) in particle_bits(&s).iter().enumerate() {
+                assert!(got[..first] == before[a][..], "{strategy}: array {a} before the panic");
+                assert!(got[first..] == untouched[a][first..], "{strategy}: array {a} after it");
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@ use rand_chacha::ChaCha8Rng;
 
 /// Reusable sorting workspace: the permutation and the gather target
 /// the float arrays pass through. Capacities persist across sorts, so
-/// [`Species::sort`] itself allocates nothing after the first. The
-/// transients left are inside [`psort::sort_pairs`]; the doc of
-/// [`Species::sort`] lists them.
+/// [`Species::sort`] itself allocates nothing after the first;
+/// [`psort::sort_pairs`] makes its own transients on every call, which
+/// the doc of [`Species::sort`] lists.
 #[derive(Debug, Clone, Default)]
 struct SortScratch {
     perm: Vec<usize>,
@@ -282,14 +282,11 @@ impl Species {
     /// float array is then gathered once through the permutation that
     /// yields (reads follow it, writes are sequential). The per-species
     /// scratch (permutation, gather buffer) persists across sorts.
-    /// `sort_pairs` still allocates per call: its argsort's `Vec<usize>`
-    /// and counts, and a `done` bitmap to walk that permutation onto the
-    /// index array. That walk reproduces a permutation the argsort already
-    /// had, about 55 ms per million particles; it stays until the
-    /// benchmark's `core.sort.permute_ns_per_particle`, defined as this
-    /// sort minus a cold `sort_pairs`, is redefined — an edit under
-    /// `benchmark/` alone, which has to land as its own change before the
-    /// library can drop the walk (ROADMAP item 3a).
+    /// `sort_pairs` allocates per call: its argsort's permutation and
+    /// counts, and one gather buffer for the cells and then one for the
+    /// indices, each freed as soon as it is copied back — it applies the
+    /// permutation the way this function does, so every pass of the sort
+    /// reads through the permutation and writes in order.
     pub fn sort(&mut self, order: SortOrder) -> bool {
         if self.last_sort == Some(order) && order != SortOrder::Random {
             // the skip serves the cached "already sorted" claim — verify

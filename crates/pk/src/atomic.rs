@@ -196,6 +196,21 @@ impl LaneWriter<'_> {
             }
         }
     }
+
+    /// Hint the cache ([`crate::prefetch`]) that the run of `len` slots
+    /// from `base` will be added to soon: its first, middle and last slot,
+    /// which is every line of a run up to 17 slots long wherever it
+    /// starts. A run that is not inside the lane is ignored — the
+    /// [`LaneWriter::add_raw_run`] that names it is what panics.
+    #[inline]
+    pub fn prefetch(&self, base: usize, len: usize) {
+        let Some(run) = base.checked_add(len).and_then(|end| self.slots.get(base..end)) else {
+            return;
+        };
+        for slot in [run.first(), run.get(len / 2), run.last()].into_iter().flatten() {
+            crate::prefetch(slot);
+        }
+    }
 }
 
 /// One lane of a [`FixedScatterBuf`], read in place: what a gather over

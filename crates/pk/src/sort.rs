@@ -75,9 +75,14 @@ pub fn permute_in_place<T>(perm: &[usize], values: &mut [T]) {
 }
 
 /// [`permute_in_place`] with a caller-owned `done` scratch buffer, so a
-/// hot loop (per-step particle sorting) applying the same-sized
-/// permutation to many arrays allocates nothing after warmup. The buffer
-/// is resized and reset here; its capacity persists across calls.
+/// caller applying the same-sized permutation to many arrays allocates
+/// nothing after warmup. The buffer is resized and reset here; its
+/// capacity persists across calls. Every move is a random swap, several
+/// times the cost of a gather through `perm` into a second buffer
+/// ([`apply_permutation`], what `psort::sort_pairs` and the species sort
+/// do); the callers left are the ones for which in place is the point —
+/// `core::tile::sort_slot`, whose arrays sit in a RAM-budgeted pool, and
+/// [`sort_by_key`].
 pub fn permute_in_place_with<T>(perm: &[usize], values: &mut [T], done: &mut Vec<bool>) {
     assert_eq!(perm.len(), values.len(), "permutation length mismatch");
     done.clear();

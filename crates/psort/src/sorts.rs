@@ -6,12 +6,16 @@
 //! paper's §4.3 structure: "The adjustment of the keys is O(N). Once the
 //! new keys are generated, we use the parallel sort_by_key function").
 //! Every argsort is [`pk::sort::argsort`] — O(N) too whenever the keys are
-//! dense, as cell indices and their rewrites are. Carrying the indices
-//! `0..n` as values yields the permutation itself (how the particle SoA
-//! follows its cell array).
+//! dense, as cell indices and their rewrites are — and its permutation is
+//! applied by gather: each array is read through it into a transient
+//! buffer and copied back, which is why the values are `Copy`. (The
+//! in-place cycle walk, [`pk::sort::permute_in_place_with`], is for
+//! callers that cannot afford the buffer; nothing here is one.) Carrying
+//! the indices `0..n` as values yields the permutation itself (how the
+//! particle SoA follows its cell array).
 
 use crate::order::SortOrder;
-use pk::sort::{histogram, min_max, permute_in_place_with};
+use pk::sort::{apply_permutation, histogram, min_max};
 use pk::space::{ExecSpace, Serial};
 use pk::RangePolicy;
 use rand::seq::SliceRandom;
@@ -22,7 +26,7 @@ use rand_chacha::ChaCha8Rng;
 const RANDOM_ORDER_SEED: u64 = 0xC0FFEE;
 
 /// Reorder `(keys, values)` by `order` (dispatcher over the algorithms).
-pub fn sort_pairs<V>(order: SortOrder, keys: &mut [u32], values: &mut [V]) {
+pub fn sort_pairs<V: Copy>(order: SortOrder, keys: &mut [u32], values: &mut [V]) {
     sort_pairs_in(&Serial, order, keys, values);
 }
 
@@ -32,7 +36,7 @@ pub fn sort_pairs<V>(order: SortOrder, keys: &mut [u32], values: &mut [V]) {
 /// worker count: occurrence ordinals are assigned by a deterministic
 /// block decomposition (per-block histograms, exclusive scan across
 /// blocks) rather than atomic fetch-adds.
-pub fn sort_pairs_in<V, S: ExecSpace>(
+pub fn sort_pairs_in<V: Copy, S: ExecSpace>(
     space: &S,
     order: SortOrder,
     keys: &mut [u32],
@@ -58,11 +62,14 @@ fn argsort<K: Copy + Ord + Into<u64>>(keys: &[K]) -> Vec<usize> {
     pk::sort::argsort(keys)
 }
 
-fn permute_pairs<V>(perm: &[usize], keys: &mut [u32], values: &mut [V]) {
+/// `keys[i], values[i] = keys[perm[i]], values[perm[i]]`: each array is
+/// gathered through `perm` into a transient buffer (reads follow the
+/// permutation, writes stream) and copied back, the keys' buffer freed
+/// before the values' is made.
+fn permute_pairs<V: Copy>(perm: &[usize], keys: &mut [u32], values: &mut [V]) {
     let _s = telemetry::span("psort.permute");
-    let mut done = Vec::new();
-    permute_in_place_with(perm, keys, &mut done);
-    permute_in_place_with(perm, values, &mut done);
+    keys.copy_from_slice(&apply_permutation(perm, keys));
+    values.copy_from_slice(&apply_permutation(perm, values));
 }
 
 fn shuffled_permutation(seed: u64, n: usize) -> Vec<usize> {
@@ -72,7 +79,7 @@ fn shuffled_permutation(seed: u64, n: usize) -> Vec<usize> {
 }
 
 /// Standard classification: stable ascending sort by key.
-pub fn standard_sort<V>(keys: &mut [u32], values: &mut [V]) {
+pub fn standard_sort<V: Copy>(keys: &mut [u32], values: &mut [V]) {
     sort_pairs(SortOrder::Standard, keys, values);
 }
 
@@ -90,13 +97,13 @@ pub fn standard_sort<V>(keys: &mut [u32], values: &mut [V]) {
 /// multiplied by the key *range* (`max − min + 1`) rather than `max + 1`;
 /// they coincide when `min == 0` and the former is also correct for
 /// shifted key domains.
-pub fn strided_sort<V>(keys: &mut [u32], values: &mut [V]) {
+pub fn strided_sort<V: Copy>(keys: &mut [u32], values: &mut [V]) {
     strided_sort_in(&Serial, keys, values);
 }
 
 /// [`strided_sort`] with the key rewrite run on `space` (same output for
 /// every space — see [`sort_pairs_in`]).
-pub fn strided_sort_in<V, S: ExecSpace>(space: &S, keys: &mut [u32], values: &mut [V]) {
+pub fn strided_sort_in<V: Copy, S: ExecSpace>(space: &S, keys: &mut [u32], values: &mut [V]) {
     sort_pairs_in(space, SortOrder::Strided, keys, values);
 }
 
@@ -123,13 +130,13 @@ fn strided_keys<S: ExecSpace>(space: &S, keys: &[u32]) -> Vec<u64> {
 /// *global* `id`): the in-tile offset `id mod tile` is used instead, which
 /// keeps chunks disjoint in the rewritten key space for every input (the
 /// published form can interleave chunks when `id ≥ tile`).
-pub fn tiled_strided_sort<V>(tile: usize, keys: &mut [u32], values: &mut [V]) {
+pub fn tiled_strided_sort<V: Copy>(tile: usize, keys: &mut [u32], values: &mut [V]) {
     tiled_strided_sort_in(&Serial, tile, keys, values);
 }
 
 /// [`tiled_strided_sort`] with the key rewrite run on `space` (same
 /// output for every space — see [`sort_pairs_in`]).
-pub fn tiled_strided_sort_in<V, S: ExecSpace>(
+pub fn tiled_strided_sort_in<V: Copy, S: ExecSpace>(
     space: &S,
     tile: usize,
     keys: &mut [u32],
@@ -371,6 +378,59 @@ mod tests {
         assert_eq!(v1, v2);
         verify::assert_same_pairs(&orig, &k1, &v1);
         assert_ne!(k1, orig, "shuffle should move something");
+    }
+
+    proptest::proptest! {
+        /// Keys and a payload that is not an index come out as both
+        /// gathered through the stable comparison argsort of the order's
+        /// rewritten keys — for dense keys (the counting arm), sparse ones
+        /// (range > 8 n: the comparison arm), one key repeated, and none.
+        #[test]
+        fn sort_pairs_gathers_keys_and_payload_through_the_reference_permutation(
+            ids in proptest::collection::vec(0u32..40, 0..200),
+            offset in 0u32..1000,
+        ) {
+            let n = ids.len();
+            let sparse_stride = 8 * n as u32 + 1;
+            let key_sets = [
+                ids.iter().map(|&id| id + offset).collect::<Vec<u32>>(),
+                ids.iter().map(|&id| id * sparse_stride + offset).collect(),
+                vec![offset; n],
+                Vec::new(),
+            ];
+            for keys in &key_sets {
+                let payload: Vec<(u32, f32)> =
+                    (0..keys.len()).map(|i| (i as u32, 0.5 * i as f32 - 3.0)).collect();
+                let keyed = [1, 7, 64].map(|tile| SortOrder::TiledStrided { tile });
+                for order in [SortOrder::Standard, SortOrder::Strided].into_iter().chain(keyed) {
+                    let rewritten = match order {
+                        SortOrder::Strided => strided_keys(&Serial, keys),
+                        SortOrder::TiledStrided { tile } => tiled_strided_keys(&Serial, tile, keys),
+                        _ => keys.iter().map(|&k| k as u64).collect(),
+                    };
+                    let perm = pk::sort::sort_permutation(&rewritten);
+                    let (mut k, mut v) = (keys.clone(), payload.clone());
+                    sort_pairs(order, &mut k, &mut v);
+                    let want_k: Vec<u32> = perm.iter().map(|&p| keys[p]).collect();
+                    let want_v: Vec<(u32, f32)> = perm.iter().map(|&p| payload[p]).collect();
+                    proptest::prop_assert_eq!(&k, &want_k, "{} keys", order);
+                    proptest::prop_assert_eq!(&v, &want_v, "{} payload", order);
+                }
+                // random: one shuffle, the same on every call, and every
+                // key still beside its payload
+                let (mut k, mut v) = (keys.clone(), payload.clone());
+                sort_pairs(SortOrder::Random, &mut k, &mut v);
+                let (mut k2, mut v2) = (keys.clone(), payload.clone());
+                sort_pairs(SortOrder::Random, &mut k2, &mut v2);
+                proptest::prop_assert_eq!((&k, &v), (&k2, &v2));
+                let mut seen: Vec<u32> = v.iter().map(|&(i, _)| i).collect();
+                seen.sort_unstable();
+                proptest::prop_assert_eq!(seen, (0..keys.len() as u32).collect::<Vec<_>>());
+                for (&key, &(i, x)) in k.iter().zip(&v) {
+                    proptest::prop_assert_eq!((key, (i, x)), (keys[i as usize], payload[i as usize]));
+                }
+            }
+        }
     }
 
     #[test]
