@@ -37,27 +37,6 @@ pub struct Report {
     pub resume_bit_identical: bool,
 }
 
-fn bit_identical(a: &Simulation, b: &Simulation) -> bool {
-    let fb = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    a.step_count() == b.step_count()
-        && fb(&a.fields.ex) == fb(&b.fields.ex)
-        && fb(&a.fields.ey) == fb(&b.fields.ey)
-        && fb(&a.fields.ez) == fb(&b.fields.ez)
-        && fb(&a.fields.bx) == fb(&b.fields.bx)
-        && fb(&a.fields.by) == fb(&b.fields.by)
-        && fb(&a.fields.bz) == fb(&b.fields.bz)
-        && a.species.len() == b.species.len()
-        && a.species.iter().zip(&b.species).all(|(sa, sb)| {
-            sa.cell == sb.cell
-                && fb(&sa.dx) == fb(&sb.dx)
-                && fb(&sa.dy) == fb(&sb.dy)
-                && fb(&sa.dz) == fb(&sb.dz)
-                && fb(&sa.ux) == fb(&sb.ux)
-                && fb(&sa.uy) == fb(&sb.uy)
-                && fb(&sa.uz) == fb(&sb.uz)
-        })
-}
-
 /// Run the checkpoint-cost measurement and print the summary table.
 pub fn run() -> Report {
     let deck = Deck::weibel(12, 12, 12, 8, 0.3);
@@ -94,7 +73,7 @@ pub fn run() -> Report {
     let mut resumed =
         Simulation::restore_bytes(&half.checkpoint_bytes()).expect("mid-run restore");
     resumed.run(7);
-    let resume_bit_identical = bit_identical(&full, &resumed);
+    let resume_bit_identical = full.bit_diff(&resumed).is_none();
 
     let report = Report {
         deck: "weibel 12x12x12 ppc=8".into(),

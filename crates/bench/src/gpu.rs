@@ -170,7 +170,6 @@ fn measure_arm(
         step_ns: (gpu.modeled_time() * 1e9) as u64,
         sort_ns: (gpu.kernel_time("sort") * 1e9) as u64,
         sorts,
-        truncated: false,
     }
 }
 

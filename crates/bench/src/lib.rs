@@ -13,8 +13,6 @@
 
 pub mod ablate;
 pub mod ckpt;
-pub mod dispatch;
-pub mod field;
 pub mod fig1;
 pub mod fig10;
 pub mod fig3;
@@ -24,7 +22,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod gpu;
-pub mod push;
 pub mod ranks;
 pub mod serve;
 pub mod table1;

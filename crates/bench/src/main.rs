@@ -21,10 +21,6 @@
 //!                     (GPU_STEPS / GPU_WARMUP)
 //!   ranks             executed multi-rank stepping: speedup + overlap
 //!                     at 1/2/4/8 virtual ranks vs the closed-form model
-//!   dispatch          pooled-vs-spawn dispatch latency + push throughput
-//!   push              profiled push loop: spans reconciled vs wall time
-//!   field             grid-side pipeline (interpolate/solve/unload):
-//!                     parallel+vectorized vs pre-rewrite serial baseline
 //!   tune              adaptive tuner vs exhaustive config sweep
 //!                     (TUNE_EPOCH_STEPS / TUNE_SWEEP_STEPS / TUNE_PLATFORM)
 //!   tile              out-of-core tiled stepping: capacity ratio vs the
@@ -75,9 +71,6 @@ fn run_target(name: &str) -> bool {
         "ckpt" => bench::save_json("ckpt", &bench::ckpt::run()),
         "gpu" => bench::save_json("gpu", &bench::gpu::run()),
         "ranks" => bench::save_json("ranks", &bench::ranks::run()),
-        "dispatch" => bench::save_json("dispatch", &bench::dispatch::run()),
-        "push" => bench::save_json("push", &bench::push::run()),
-        "field" => bench::save_json("field", &bench::field::run()),
         "tune" => bench::save_json("tune", &bench::tune::run()),
         "tile" => bench::save_json("tile", &bench::tile::run()),
         "serve" => bench::save_json("serve", &bench::serve::run()),
@@ -140,7 +133,7 @@ fn main() -> ExitCode {
     if targets.is_empty() || targets.iter().any(|a| a == "-h" || a == "--help") {
         println!(
             "usage: repro [--profile[=path]] <target>...   targets: {} all\n\
-             \x20      extra: ckpt gpu ranks dispatch push field tune tile serve \
+             \x20      extra: ckpt gpu ranks tune tile serve \
              ablate-tile ablate-gpu-aware ablate-weak",
             TARGETS.join(" ")
         );

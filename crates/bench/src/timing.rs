@@ -1,8 +1,8 @@
 //! Minimal wall-clock timing for the repro harness.
 //!
-//! Criterion benches (in `benches/`) provide statistically careful
-//! numbers; the harness needs only quick, stable medians to print
-//! figure-shaped output, so this module does warmup + median-of-reps.
+//! The harness needs only quick, stable medians to print figure-shaped
+//! output, so this module does warmup + median-of-reps; speed is judged
+//! by `benchmark/`, in alternating parent/change pairs.
 //!
 //! Timing runs on [`telemetry::timed`], so every measured repetition
 //! shares the profiler's monotonic clock and — when profiling is

@@ -49,8 +49,6 @@ pub struct DeckReport {
     pub epoch_steps: u64,
     /// Epochs the tuner ran.
     pub epochs: u64,
-    /// Epochs discarded for telemetry truncation.
-    pub truncated_epochs: u64,
     /// The arm the tuner committed to.
     pub tuned_config: String,
     /// The committed arm re-measured under the sweep protocol, ns/push.
@@ -161,7 +159,6 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation, platform_name: &str) -> 
         prior_unsorted,
         epoch_steps: epoch_steps as u64,
         epochs: driver.epochs(),
-        truncated_epochs: driver.tuner().truncated_epochs(),
         tuned_config: tuned_label,
         tuned_cost_ns,
         best_config: best.config.clone(),
@@ -170,10 +167,9 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation, platform_name: &str) -> 
         sweep,
     };
     println!(
-        "tune[{name}]: prior({platform_name}, {cells} cells) → {}; {} epochs ({} truncated)",
+        "tune[{name}]: prior({platform_name}, {cells} cells) → {}; {} epochs",
         if report.prior_unsorted { "start unsorted" } else { "start sorting" },
         report.epochs,
-        report.truncated_epochs,
     );
     println!(
         "  tuned  {:<28} {:>8.2} ns/push\n  best   {:<28} {:>8.2} ns/push   ratio {:.3}",

@@ -37,6 +37,21 @@ impl Decomposition {
         Self { dims, global }
     }
 
+    /// [`Decomposition::new`] for executed stepping, where every rank must
+    /// own at least one cell — or the reason `global` and `ranks` admit
+    /// no such layout (the checked entry for extents read from a file).
+    pub fn covering(global: (usize, usize, usize), ranks: usize) -> Result<Self, String> {
+        let cells = global.0.saturating_mul(global.1).saturating_mul(global.2);
+        if cells == 0 || ranks == 0 || ranks > cells {
+            return Err(format!("{ranks} ranks over {global:?} cells"));
+        }
+        let d = Self::new(global, ranks);
+        match (0..d.ranks()).find(|&r| d.local_cells(r) == 0) {
+            Some(r) => Err(format!("rank {r} owns no cells: {ranks} ranks over {global:?}")),
+            None => Ok(d),
+        }
+    }
+
     /// Total ranks.
     pub fn ranks(&self) -> usize {
         self.dims.0 * self.dims.1 * self.dims.2

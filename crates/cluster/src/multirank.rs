@@ -686,15 +686,8 @@ impl MultiRankSim {
     /// rejected, not emulated.
     pub fn new(sim: &Simulation, ranks: usize, network: NetworkModel) -> Self {
         let g = sim.grid.clone();
-        let decomp = Decomposition::new((g.nx, g.ny, g.nz), ranks);
-        for r in 0..decomp.ranks() {
-            assert!(
-                decomp.local_cells(r) > 0,
-                "rank {r} owns no cells: {} ranks over {:?}",
-                decomp.ranks(),
-                (g.nx, g.ny, g.nz)
-            );
-        }
+        let decomp =
+            Decomposition::covering((g.nx, g.ny, g.nz), ranks).unwrap_or_else(|e| panic!("{e}"));
         let plans = build_plans(&decomp, &g);
         let mut states: Vec<RankState> = plans
             .iter()
@@ -832,10 +825,7 @@ impl MultiRankSim {
     pub fn step_on<S: ExecSpace>(&mut self, space: &S) -> (PushStats, MigrationStats, StepTiming) {
         let ranks = self.ranks.len();
         let _span = telemetry::hspan("cluster.exchange").arg("ranks", ranks).arg("step", self.step);
-        let drive = self.laser.as_ref().map(|l| {
-            let t = (self.step as f64 * self.global().dt as f64) as f32;
-            (l.plane, l.amplitude * (l.omega * t).sin())
-        });
+        let drive = self.laser.as_ref().map(|l| (l.plane, l.drive_at(self.step, self.global().dt)));
         let Self { ranks, published, plans, network, gpu, .. } = self;
         let (plans, net, gpu) = (&plans[..], &*network, gpu.as_ref());
         space.parallel_for_mut(ranks, |r, st| st.push_pack(r, &plans[r], net, gpu));
@@ -977,12 +967,7 @@ impl MultiRankSim {
             m.put_f64(self.network.bandwidth);
             m.put_bool(self.network.gpu_aware);
             m.put_f64(self.network.staging_bw);
-            m.put_bool(self.laser.is_some());
-            if let Some(l) = &self.laser {
-                m.put_usize(l.plane);
-                m.put_f32(l.amplitude);
-                m.put_f32(l.omega);
-            }
+            LaserDriver::put(self.laser.as_ref(), m);
         }
         for (r, st) in self.ranks.iter_mut().enumerate() {
             w.section(&format!("rank{r}.sim")).put_raw(&st.sim.checkpoint_bytes());
@@ -1016,24 +1001,29 @@ impl MultiRankSim {
             gpu_aware: m.get_bool()?,
             staging_bw: m.get_f64()?,
         };
-        let laser = if m.get_bool()? {
-            Some(LaserDriver {
-                plane: m.get_usize()?,
-                amplitude: m.get_f32()?,
-                omega: m.get_f32()?,
-            })
-        } else {
-            None
-        };
+        let laser = LaserDriver::get(&mut m)?;
         m.finish()?;
+        let drift = RestoreError::SchemaDrift;
+        // every cell is in some rank's field arrays, so a real snapshot is
+        // longer than its cell count — which bounds what the plans allocate
+        if nx.saturating_mul(ny).saturating_mul(nz) > bytes.len() {
+            return Err(drift(format!("cluster.meta: {nx}x{ny}x{nz} cells in {} B", bytes.len())));
+        }
+        let decomp = Decomposition::covering((nx, ny, nz), nranks)
+            .map_err(|e| drift(format!("cluster.meta: {e}")))?;
         let global = Grid::new(nx, ny, nz);
-        let decomp = Decomposition::new((nx, ny, nz), nranks);
         let plans = build_plans(&decomp, &global);
-        let mut ranks = Vec::with_capacity(nranks);
+        let mut ranks: Vec<RankState> = Vec::with_capacity(nranks);
         for (r, plan) in plans.iter().enumerate() {
             let mut sim_sec = snap.section(&format!("rank{r}.sim"))?;
             let sim = Simulation::restore_bytes(sim_sec.take_rest())?;
             sim_sec.finish()?;
+            if sim.grid != plan.grid {
+                return Err(drift(format!("rank{r}.sim: grid {:?} is not its plan's", sim.grid)));
+            }
+            if ranks.first().is_some_and(|r0| r0.sim.species.len() != sim.species.len()) {
+                return Err(drift(format!("rank{r}.sim: species count differs from rank 0's")));
+            }
             let mut ids_sec = snap.section(&format!("rank{r}.ids"))?;
             let nspecies = ids_sec.get_usize()?;
             let mut ids = Vec::new();
@@ -1042,7 +1032,16 @@ impl MultiRankSim {
                 ids.push((0..len).map(|_| ids_sec.get_u64()).collect::<Result<Vec<_>, _>>()?);
             }
             ids_sec.finish()?;
+            if !ids.iter().map(Vec::len).eq(sim.species.iter().map(|s| s.len())) {
+                return Err(drift(format!("rank{r}.ids: lengths are not the species' populations")));
+            }
             ranks.push(RankState::new(sim, ids, plan));
+        }
+        for si in 0..ranks[0].ids.len() {
+            let total = ranks.iter().map(|st| st.ids[si].len()).sum::<usize>() as u64;
+            if let Some(r) = ranks.iter().position(|st| st.ids[si].iter().any(|&id| id >= total)) {
+                return Err(drift(format!("rank{r}.ids: species {si} has an id past {total}")));
+            }
         }
         Ok(Self::assemble(decomp, network, laser, plans, ranks, step))
     }
@@ -1243,57 +1242,12 @@ mod tests {
         systems::selene().network
     }
 
-    fn assert_state_eq(a: &Simulation, b: &Simulation, what: &str) {
-        for (name, x, y) in [
-            ("ex", &a.fields.ex, &b.fields.ex),
-            ("ey", &a.fields.ey, &b.fields.ey),
-            ("ez", &a.fields.ez, &b.fields.ez),
-            ("bx", &a.fields.bx, &b.fields.bx),
-            ("by", &a.fields.by, &b.fields.by),
-            ("bz", &a.fields.bz, &b.fields.bz),
-            ("jx", &a.fields.jx, &b.fields.jx),
-            ("jy", &a.fields.jy, &b.fields.jy),
-            ("jz", &a.fields.jz, &b.fields.jz),
-        ] {
-            for v in 0..x.len() {
-                assert_eq!(x[v].to_bits(), y[v].to_bits(), "{what}: {name}[{v}]");
-            }
-        }
-        assert_eq!(a.species.len(), b.species.len(), "{what}: species count");
-        for (si, (sa, sb)) in a.species.iter().zip(&b.species).enumerate() {
-            assert_eq!(sa.cell, sb.cell, "{what}: species {si} cells");
-            for p in 0..sa.len() {
-                for (f, xa, xb) in [
-                    ("dx", sa.dx[p], sb.dx[p]),
-                    ("dy", sa.dy[p], sb.dy[p]),
-                    ("dz", sa.dz[p], sb.dz[p]),
-                    ("ux", sa.ux[p], sb.ux[p]),
-                    ("uy", sa.uy[p], sb.uy[p]),
-                    ("uz", sa.uz[p], sb.uz[p]),
-                    ("w", sa.w[p], sb.w[p]),
-                ] {
-                    assert_eq!(
-                        xa.to_bits(),
-                        xb.to_bits(),
-                        "{what}: species {si} {f}[{p}]"
-                    );
-                }
-            }
-        }
-        let (ea, eb) = (a.energies(), b.energies());
-        assert_eq!(ea.field_e.to_bits(), eb.field_e.to_bits(), "{what}: field_e");
-        assert_eq!(ea.field_b.to_bits(), eb.field_b.to_bits(), "{what}: field_b");
-        for (k, (ka, kb)) in ea.kinetic.iter().zip(&eb.kinetic).enumerate() {
-            assert_eq!(ka.to_bits(), kb.to_bits(), "{what}: kinetic[{k}]");
-        }
-    }
-
     #[test]
     fn gather_of_fresh_partition_is_identity() {
         let reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
         for ranks in [1, 2, 4, 8] {
             let mr = MultiRankSim::new(&reference, ranks, net());
-            assert_state_eq(&mr.gather(), &reference, &format!("{ranks} ranks, step 0"));
+            assert_eq!(mr.gather().bit_diff(&reference), None, "{ranks} ranks, step 0");
         }
     }
 
@@ -1399,7 +1353,7 @@ mod tests {
                             let stats = w.step(mr);
                             let expected = serial.get_or_insert_with(|| stats.clone());
                             assert_eq!(&stats, expected, "{what}: step statistics");
-                            assert_state_eq(&mr.gather(), &reference, &what);
+                            assert_eq!(mr.gather().bit_diff(&reference), None, "{what}");
                         }
                         if step == 3 {
                             // the pool is host state: it is not in the bytes
@@ -1433,7 +1387,7 @@ mod tests {
         }
         reference.step();
         mr.step_on(&pk::Threads::new(2));
-        assert_state_eq(&mr.gather(), &reference, "2 ranks on 2 lanes");
+        assert_eq!(mr.gather().bit_diff(&reference), None, "2 ranks on 2 lanes");
     }
 
     #[test]
@@ -1476,11 +1430,7 @@ mod tests {
             assert!(moved, "step {step}: strided sort left every rank untouched");
             // …while the id maps follow the permutation, so the gathered
             // canonical-order state stays bit-identical
-            assert_state_eq(
-                &plain.gather(),
-                &sorted.gather(),
-                &format!("sorted step {step}"),
-            );
+            assert_eq!(plain.gather().bit_diff(&sorted.gather()), None, "sorted step {step}");
         }
     }
 
@@ -1501,7 +1451,7 @@ mod tests {
             assert_eq!(tp.gpu_step_s, 0.0);
             assert!(ta.gpu_compute_s > 0.0, "step {step}");
             assert!(ta.gpu_step_s >= ta.gpu_compute_s);
-            assert_state_eq(&plain.gather(), &armed.gather(), &format!("step {step}"));
+            assert_eq!(plain.gather().bit_diff(&armed.gather()), None, "step {step}");
         }
     }
 
@@ -1677,7 +1627,7 @@ mod tests {
         assert_eq!(b.step_count(), a.step_count());
         a.run(3);
         b.run(3);
-        assert_state_eq(&a.gather(), &b.gather(), "resumed vs uninterrupted");
+        assert_eq!(a.gather().bit_diff(&b.gather()), None, "resumed vs uninterrupted");
     }
 
     #[test]

@@ -7,46 +7,10 @@
 //! for any rank count and any checkpoint step — and any truncation of
 //! the snapshot maps to a typed error, never a silently-wrong `Ok`.
 
+use ckpt::{RestoreError, SectionBuf, SectionReader, Snapshot, Writer};
 use cluster::{systems, MultiRankSim};
 use proptest::prelude::*;
 use vpic_core::{Deck, Simulation};
-
-fn assert_bits_eq(a: &Simulation, b: &Simulation) {
-    for (name, x, y) in [
-        ("ex", &a.fields.ex, &b.fields.ex),
-        ("ey", &a.fields.ey, &b.fields.ey),
-        ("ez", &a.fields.ez, &b.fields.ez),
-        ("bx", &a.fields.bx, &b.fields.bx),
-        ("by", &a.fields.by, &b.fields.by),
-        ("bz", &a.fields.bz, &b.fields.bz),
-        ("jx", &a.fields.jx, &b.fields.jx),
-        ("jy", &a.fields.jy, &b.fields.jy),
-        ("jz", &a.fields.jz, &b.fields.jz),
-    ] {
-        for v in 0..x.len() {
-            assert_eq!(x[v].to_bits(), y[v].to_bits(), "{name}[{v}]");
-        }
-    }
-    assert_eq!(a.species.len(), b.species.len());
-    for (sa, sb) in a.species.iter().zip(&b.species) {
-        assert_eq!(sa.cell, sb.cell);
-        for p in 0..sa.len() {
-            assert_eq!(sa.dx[p].to_bits(), sb.dx[p].to_bits());
-            assert_eq!(sa.dy[p].to_bits(), sb.dy[p].to_bits());
-            assert_eq!(sa.dz[p].to_bits(), sb.dz[p].to_bits());
-            assert_eq!(sa.ux[p].to_bits(), sb.ux[p].to_bits());
-            assert_eq!(sa.uy[p].to_bits(), sb.uy[p].to_bits());
-            assert_eq!(sa.uz[p].to_bits(), sb.uz[p].to_bits());
-            assert_eq!(sa.w[p].to_bits(), sb.w[p].to_bits());
-        }
-    }
-    let (ea, eb) = (a.energies(), b.energies());
-    assert_eq!(ea.field_e.to_bits(), eb.field_e.to_bits());
-    assert_eq!(ea.field_b.to_bits(), eb.field_b.to_bits());
-    for (ka, kb) in ea.kinetic.iter().zip(&eb.kinetic) {
-        assert_eq!(ka.to_bits(), kb.to_bits());
-    }
-}
 
 proptest! {
     /// Checkpoint anywhere mid-run, restore, continue: the resumed
@@ -72,7 +36,7 @@ proptest! {
         for _ in 0..post {
             live.step();
             resumed.step();
-            assert_bits_eq(&live.gather(), &resumed.gather());
+            assert_eq!(live.gather().bit_diff(&resumed.gather()), None);
         }
     }
 
@@ -96,4 +60,106 @@ proptest! {
             snap.len()
         );
     }
+}
+
+/// A two-rank snapshot of the 8³ deck, one step in.
+fn two_rank_snapshot() -> Vec<u8> {
+    let deck = Deck::weibel(8, 8, 8, 2, 0.3).build();
+    let mut live = MultiRankSim::new(&deck, 2, systems::selene().network);
+    live.run(1);
+    live.checkpoint_bytes()
+}
+
+/// `bytes` rebuilt section by section — CRC-valid, like every container
+/// `ckpt::Writer` makes — with section `name` rewritten by `rewrite`.
+fn rebuilt(
+    bytes: &[u8],
+    name: &str,
+    rewrite: impl Fn(&mut SectionReader<'_>, &mut SectionBuf),
+) -> Vec<u8> {
+    let snap = Snapshot::from_bytes(bytes).unwrap();
+    let mut w = Writer::new();
+    for section in snap.section_names() {
+        let mut r = snap.section(section).unwrap();
+        if section == name {
+            rewrite(&mut r, w.section(section));
+        } else {
+            w.section(section).put_raw(r.take_rest());
+        }
+    }
+    w.to_bytes()
+}
+
+/// The snapshot with `cluster.meta`'s extents and rank count replaced.
+fn with_meta(bytes: &[u8], extents: [usize; 3], ranks: usize) -> Vec<u8> {
+    rebuilt(bytes, "cluster.meta", |r, w| {
+        w.put_u64(r.get_u64().unwrap());
+        for n in extents.into_iter().chain([ranks]) {
+            r.get_usize().unwrap();
+            w.put_usize(n);
+        }
+        w.put_raw(r.take_rest());
+    })
+}
+
+/// The snapshot with `rank1.ids` re-encoded from `edit`ed id lists.
+fn with_rank1_ids(bytes: &[u8], edit: impl Fn(&mut Vec<Vec<u64>>)) -> Vec<u8> {
+    rebuilt(bytes, "rank1.ids", |r, w| {
+        let mut ids: Vec<Vec<u64>> = (0..r.get_usize().unwrap())
+            .map(|_| (0..r.get_usize().unwrap()).map(|_| r.get_u64().unwrap()).collect())
+            .collect();
+        edit(&mut ids);
+        w.put_usize(ids.len());
+        for species in &ids {
+            w.put_usize(species.len());
+            species.iter().for_each(|&id| w.put_u64(id));
+        }
+    })
+}
+
+#[track_caller]
+fn assert_drift(bytes: &[u8], names: &str) {
+    match MultiRankSim::restore_bytes(bytes) {
+        Err(RestoreError::SchemaDrift(msg)) => {
+            assert!(msg.contains(names), "drift must name {names:?}: {msg}")
+        }
+        other => panic!("expected SchemaDrift naming {names:?}, got {:?}", other.err()),
+    }
+}
+
+/// Every self-inconsistent but CRC-valid cluster snapshot is a typed
+/// `SchemaDrift` naming the offending field — never a panic, an
+/// allocation sized by the file, or an `Ok` that indexes out of bounds
+/// on its first step or gather.
+#[test]
+fn self_inconsistent_cluster_snapshots_are_schema_drift() {
+    let good = two_rank_snapshot();
+    assert!(MultiRankSim::restore_bytes(&rebuilt(&good, "", |_, _| ())).is_ok());
+
+    // extents ≥ 1, and no more cells than the file could hold
+    assert_drift(&with_meta(&good, [0, 8, 8], 2), "cluster.meta: 2 ranks over (0, 8, 8)");
+    assert_drift(&with_meta(&good, [1 << 20; 3], 2), "cluster.meta: 1048576x");
+    assert_drift(&with_meta(&good, [usize::MAX, 2, 2], 2), "cluster.meta");
+    // 1 ≤ ranks ≤ cells
+    assert_drift(&with_meta(&good, [8, 8, 8], 0), "cluster.meta: 0 ranks");
+    assert_drift(&with_meta(&good, [8, 8, 8], 513), "cluster.meta: 513 ranks");
+    assert_drift(&with_meta(&good, [8, 8, 8], usize::MAX), "cluster.meta");
+    // every rank owns cells: 11 is prime and longer than any axis
+    assert_drift(&with_meta(&good, [8, 8, 8], 11), "owns no cells");
+
+    // a rank's grid is its plan's grid
+    let other_grid = Deck::weibel(4, 4, 4, 2, 0.3).build().checkpoint_bytes();
+    assert_drift(&rebuilt(&good, "rank1.sim", |_, w| w.put_raw(&other_grid)), "rank1.sim: grid");
+    // ... and it carries rank 0's species
+    let snap = Snapshot::from_bytes(&good).unwrap();
+    let rank1 = Simulation::restore_bytes(snap.section("rank1.sim").unwrap().take_rest());
+    let grid = rank1.unwrap().grid;
+    let no_species = Simulation::new(grid).checkpoint_bytes();
+    assert_drift(&rebuilt(&good, "rank1.sim", |_, w| w.put_raw(&no_species)), "species count");
+
+    // one id per particle, per species
+    assert_drift(&with_rank1_ids(&good, |ids| ids[0].truncate(1)), "rank1.ids: lengths");
+    assert_drift(&with_rank1_ids(&good, |ids| ids.truncate(1)), "rank1.ids: lengths");
+    // every id below the species' global population
+    assert_drift(&with_rank1_ids(&good, |ids| ids[1][0] = u64::MAX), "rank1.ids: species 1");
 }

@@ -142,30 +142,6 @@ impl Accumulator {
         self.buf.set_raw_run(cell * SLOTS, raw);
     }
 
-    /// The historical scatter-order unload, kept as the value oracle: for
-    /// every cell it pushes each slot outward to its edge. Its f32 adds
-    /// happen in cell order, so its rounding differs (by ulps) from the
-    /// gather-order [`Accumulator::unload_on`] — compare with a tolerance,
-    /// not bitwise. Allocates a fresh collect vector per call (the cost
-    /// the `repro -- field` bench baselines against).
-    pub fn unload_scatter_ref(&self, f: &mut FieldArray) {
-        let FieldArray { grid: g, jx, jy, jz, .. } = f;
-        assert_eq!(g.cells(), self.cells, "accumulator/grid mismatch");
-        let rdt = 1.0 / g.dt;
-        let vals = self.buf.collect();
-        for v in 0..self.cells {
-            let base = v * SLOTS;
-            for (s, (a, b)) in CORNERS.iter().enumerate() {
-                let jx_edge = g.neighbor(v, (0, *a, *b));
-                let jy_edge = g.neighbor(v, (*b, 0, *a));
-                let jz_edge = g.neighbor(v, (*a, *b, 0));
-                jx[jx_edge] += (vals[base + s] * rdt as f64) as f32;
-                jy[jy_edge] += (vals[base + 4 + s] * rdt as f64) as f32;
-                jz[jz_edge] += (vals[base + 8 + s] * rdt as f64) as f32;
-            }
-        }
-    }
-
     /// Convert accumulated charge-displacements to current density and
     /// add into the field's J arrays (VPIC's `unload_accumulator_array`).
     ///
@@ -321,10 +297,6 @@ impl Drop for RunDepositor<'_> {
         self.flush();
     }
 }
-
-/// Transverse corner order shared by deposit and unload:
-/// `(0,0), (1,0), (0,1), (1,1)` in the component's cyclic transverse dims.
-const CORNERS: [(isize, isize); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
 
 /// Villasenor–Buneman weights for one within-cell segment: 12 values,
 /// `[jx×4, jy×4, jz×4]`, in units of charge × fractional displacement.
@@ -525,13 +497,41 @@ mod tests {
         acc
     }
 
+    /// Transverse corner order shared by deposit and unload:
+    /// `(0,0), (1,0), (0,1), (1,1)` in the component's cyclic transverse dims.
+    const CORNERS: [(isize, isize); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
+
+    /// The historical scatter-order unload, kept as the value oracle: for
+    /// every cell it pushes each slot outward to its edge. Its f32 adds
+    /// happen in cell order, so its rounding differs (by ulps) from the
+    /// gather-order [`Accumulator::unload_on`] — compare with a tolerance,
+    /// not bitwise. Reduces the buffer into a fresh vector on every call,
+    /// which the gather never does.
+    fn unload_scatter_ref(acc: &Accumulator, f: &mut FieldArray) {
+        let FieldArray { grid: g, jx, jy, jz, .. } = f;
+        assert_eq!(g.cells(), acc.cells, "accumulator/grid mismatch");
+        let rdt = 1.0 / g.dt;
+        let vals = acc.buf.collect();
+        for v in 0..acc.cells {
+            let base = v * SLOTS;
+            for (s, (a, b)) in CORNERS.iter().enumerate() {
+                let jx_edge = g.neighbor(v, (0, *a, *b));
+                let jy_edge = g.neighbor(v, (*b, 0, *a));
+                let jz_edge = g.neighbor(v, (*a, *b, 0));
+                jx[jx_edge] += (vals[base + s] * rdt as f64) as f32;
+                jy[jy_edge] += (vals[base + 4 + s] * rdt as f64) as f32;
+                jz[jz_edge] += (vals[base + 8 + s] * rdt as f64) as f32;
+            }
+        }
+    }
+
     #[test]
     fn gather_unload_matches_scatter_reference_within_rounding() {
         for (nx, ny, nz) in [(5, 4, 3), (2, 2, 2), (1, 4, 4), (6, 1, 2), (1, 1, 1)] {
             let g = Grid::new(nx, ny, nz);
             let mut acc = seeded_accumulator(&g, 1, ScatterMode::Atomic);
             let mut scatter = FieldArray::new(g.clone());
-            acc.unload_scatter_ref(&mut scatter);
+            unload_scatter_ref(&acc, &mut scatter);
             let mut gather = FieldArray::new(g.clone());
             acc.unload(&mut gather);
             for v in 0..g.cells() {

@@ -170,6 +170,28 @@ fn get_config(r: &mut SectionReader<'_>) -> Result<Config, RestoreError> {
     })
 }
 
+impl LaserDriver {
+    /// Encode an optional antenna: a presence flag, then plane, amplitude
+    /// and ω.
+    pub fn put(laser: Option<&Self>, b: &mut SectionBuf) {
+        b.put_bool(laser.is_some());
+        if let Some(l) = laser {
+            b.put_usize(l.plane);
+            b.put_f32(l.amplitude);
+            b.put_f32(l.omega);
+        }
+    }
+
+    /// Decode what [`LaserDriver::put`] wrote.
+    pub fn get(r: &mut SectionReader<'_>) -> Result<Option<Self>, RestoreError> {
+        Ok(if r.get_bool()? {
+            Some(Self { plane: r.get_usize()?, amplitude: r.get_f32()?, omega: r.get_f32()? })
+        } else {
+            None
+        })
+    }
+}
+
 // ---------------------------------------------------------- tuner state
 
 fn put_driver_state(b: &mut SectionBuf, d: &DriverState) {
@@ -194,8 +216,6 @@ fn put_driver_state(b: &mut SectionBuf, d: &DriverState) {
     for &i in &t.refine_queue {
         b.put_usize(i);
     }
-    b.put_u32(t.retries);
-    b.put_u64(t.truncated_epochs);
     b.put_u64(t.explorations);
     b.put_u64(d.acc_steps);
     b.put_u64(d.acc_pushed);
@@ -238,8 +258,6 @@ fn get_driver_state(r: &mut SectionReader<'_>) -> Result<DriverState, RestoreErr
     for _ in 0..n_queue {
         refine_queue.push(r.get_usize()?);
     }
-    let retries = r.get_u32()?;
-    let truncated_epochs = r.get_u64()?;
     let explorations = r.get_u64()?;
     let tuner = TunerState {
         arms,
@@ -253,8 +271,6 @@ fn get_driver_state(r: &mut SectionReader<'_>) -> Result<DriverState, RestoreErr
         rate_ewma,
         refine_top,
         refine_queue,
-        retries,
-        truncated_epochs,
         explorations,
     };
     let acc_steps = r.get_u64()?;
@@ -350,15 +366,7 @@ impl Simulation {
         s.put_usize(self.scatter_workers);
         put_order(s, self.sort_order);
         s.put_usize(self.sort_interval);
-        match &self.laser {
-            None => s.put_bool(false),
-            Some(l) => {
-                s.put_bool(true);
-                s.put_usize(l.plane);
-                s.put_f32(l.amplitude);
-                s.put_f32(l.omega);
-            }
-        }
+        LaserDriver::put(self.laser.as_ref(), s);
 
         let f = w.section("fields");
         f.put_f32s(&self.fields.ex);
@@ -507,15 +515,7 @@ impl Simulation {
         let scatter_workers = s.get_usize()?;
         sim.sort_order = get_order(&mut s)?;
         sim.sort_interval = s.get_usize()?;
-        sim.laser = if s.get_bool()? {
-            Some(LaserDriver {
-                plane: s.get_usize()?,
-                amplitude: s.get_f32()?,
-                omega: s.get_f32()?,
-            })
-        } else {
-            None
-        };
+        sim.laser = LaserDriver::get(&mut s)?;
         s.finish()?;
         if scatter_workers == 0 {
             return Err(RestoreError::SchemaDrift("scatter worker count is zero".into()));
@@ -712,19 +712,6 @@ mod tests {
         Deck::weibel(6, 6, 6, 4, 0.3).build()
     }
 
-    fn assert_bit_identical(a: &Simulation, b: &Simulation) {
-        assert_eq!(a.step_count(), b.step_count());
-        assert_eq!(a.fields.ex, b.fields.ex);
-        assert_eq!(a.fields.bz, b.fields.bz);
-        assert_eq!(a.species.len(), b.species.len());
-        for (sa, sb) in a.species.iter().zip(&b.species) {
-            assert_eq!(sa.cell, sb.cell);
-            assert_eq!(sa.dx, sb.dx);
-            assert_eq!(sa.ux, sb.ux);
-            assert_eq!(sa.w, sb.w);
-        }
-    }
-
     #[test]
     fn round_trip_restores_bit_identical_state() {
         let mut sim = weibel();
@@ -733,7 +720,7 @@ mod tests {
         sim.run(7);
         let bytes = sim.checkpoint_bytes();
         let restored = Simulation::restore_bytes(&bytes).expect("restore");
-        assert_bit_identical(&sim, &restored);
+        assert_eq!(sim.bit_diff(&restored), None);
         assert_eq!(restored.sort_order, Some(SortOrder::Standard));
         assert_eq!(restored.sort_interval, 3);
         for (sa, sb) in sim.species.iter().zip(&restored.species) {
@@ -750,7 +737,7 @@ mod tests {
         let bytes = half.checkpoint_bytes();
         let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
         resumed.run(7);
-        assert_bit_identical(&full, &resumed);
+        assert_eq!(full.bit_diff(&resumed), None);
     }
 
     #[test]
@@ -802,8 +789,8 @@ mod tests {
         resumed.run(5);
         half.disable_tiling();
         resumed.disable_tiling();
-        assert_bit_identical(&full, &half);
-        assert_bit_identical(&full, &resumed);
+        assert_eq!(full.bit_diff(&half), None);
+        assert_eq!(full.bit_diff(&resumed), None);
     }
 
     #[test]
@@ -905,7 +892,7 @@ mod tests {
         sim.checkpoint_to(&path).unwrap(); // rotates the first to .prev
         let (restored, fell_back) = Simulation::restore_from_path(&path).unwrap();
         assert!(!fell_back);
-        assert_bit_identical(&sim, &restored);
+        assert_eq!(sim.bit_diff(&restored), None);
         // corrupt the primary: restore falls back to the rotated snapshot
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, ckpt::faults::truncated(&bytes, bytes.len() / 3)).unwrap();

@@ -58,6 +58,15 @@ pub struct LaserDriver {
     pub omega: f32,
 }
 
+impl LaserDriver {
+    /// The driven current of step `step` at timestep `dt`:
+    /// `amplitude · sin(ω·t)` with `t = step · dt` rounded to `f32` once.
+    pub fn drive_at(&self, step: u64, dt: f32) -> f32 {
+        let t = (step as f64 * dt as f64) as f32;
+        self.amplitude * (self.omega * t).sin()
+    }
+}
+
 /// The owned state of one simulation.
 pub struct Simulation {
     /// Grid geometry.
@@ -448,8 +457,7 @@ impl Simulation {
             let _s = telemetry::hspan("sim.field_solve");
             // laser antenna: driven current on the injection plane
             if let Some(l) = &self.laser {
-                let t = self.time() as f32;
-                let drive = l.amplitude * (l.omega * t).sin();
+                let drive = l.drive_at(self.step, self.grid.dt);
                 for iy in 0..self.grid.ny {
                     for iz in 0..self.grid.nz {
                         let v = self.grid.voxel(l.plane, iy, iz);
@@ -600,6 +608,74 @@ impl Simulation {
     pub fn set_step_count(&mut self, n: u64) {
         self.step = n;
     }
+
+    /// Where `self` and `other` first differ, or `None` when they are
+    /// bit-identical: step count, grid, the nine field arrays, then every
+    /// species' name, charge, mass and eight particle arrays, floats by
+    /// bit pattern. The energy ledger folds these arrays in order, so it
+    /// needs no comparison of its own. Both sides must be untiled (a tiled
+    /// simulation keeps its particles in tiles, in another order).
+    pub fn bit_diff(&self, other: &Simulation) -> Option<String> {
+        if self.is_tiled() || other.is_tiled() {
+            return Some("a side is tiled: disable_tiling first".into());
+        }
+        if self.step != other.step {
+            return Some(format!("step count: {} vs {}", self.step, other.step));
+        }
+        if self.grid != other.grid {
+            return Some(format!("grid: {:?} vs {:?}", self.grid, other.grid));
+        }
+        let (f, g) = (&self.fields, &other.fields);
+        let fields = [
+            ("ex", &f.ex, &g.ex),
+            ("ey", &f.ey, &g.ey),
+            ("ez", &f.ez, &g.ez),
+            ("bx", &f.bx, &g.bx),
+            ("by", &f.by, &g.by),
+            ("bz", &f.bz, &g.bz),
+            ("jx", &f.jx, &g.jx),
+            ("jy", &f.jy, &g.jy),
+            ("jz", &f.jz, &g.jz),
+        ];
+        let field = fields.iter().find_map(|(name, a, b)| first_diff(name, a, b, f32::to_bits));
+        if field.is_some() {
+            return field;
+        }
+        if self.species.len() != other.species.len() {
+            return Some(format!("{} vs {} species", self.species.len(), other.species.len()));
+        }
+        self.species.iter().zip(&other.species).enumerate().find_map(|(si, (a, b))| {
+            let same_kind = a.name == b.name
+                && a.q.to_bits() == b.q.to_bits()
+                && a.m.to_bits() == b.m.to_bits();
+            if !same_kind {
+                let kind = |s: &Species| format!("{:?} q={} m={}", s.name, s.q, s.m);
+                return Some(format!("species {si}: {} vs {}", kind(a), kind(b)));
+            }
+            let floats = [
+                ("dx", &a.dx, &b.dx),
+                ("dy", &a.dy, &b.dy),
+                ("dz", &a.dz, &b.dz),
+                ("ux", &a.ux, &b.ux),
+                ("uy", &a.uy, &b.uy),
+                ("uz", &a.uz, &b.uz),
+                ("w", &a.w, &b.w),
+            ];
+            first_diff("cell", &a.cell, &b.cell, |c| c)
+                .or_else(|| floats.iter().find_map(|(n, x, y)| first_diff(n, x, y, f32::to_bits)))
+                .map(|d| format!("species {si} ({}) {d}", a.name))
+        })
+    }
+}
+
+/// The first index at which two arrays differ by bit pattern (or their
+/// lengths, when those differ), worded for an assertion message.
+fn first_diff<T: Copy>(what: &str, a: &[T], b: &[T], bits: impl Fn(T) -> u32) -> Option<String> {
+    if a.len() != b.len() {
+        return Some(format!("{what}: {} vs {} values", a.len(), b.len()));
+    }
+    let i = a.iter().zip(b).position(|(&x, &y)| bits(x) != bits(y))?;
+    Some(format!("{what}[{i}]: {:#010x} vs {:#010x}", bits(a[i]), bits(b[i])))
 }
 
 #[cfg(test)]
@@ -714,6 +790,26 @@ mod tests {
                 "strategy-dependent physics: {totals:?}"
             );
         }
+    }
+
+    #[test]
+    fn bit_diff_names_the_first_array_and_index_that_differ() {
+        let a = neutral_pair_sim(4);
+        let mut b = neutral_pair_sim(4);
+        assert_eq!(a.bit_diff(&b), None);
+        // equal as floats, different as bits
+        b.fields.jz[7] = -0.0;
+        assert_eq!(a.bit_diff(&b).as_deref(), Some("jz[7]: 0x00000000 vs 0x80000000"));
+        b.fields.jz[7] = 0.0;
+        b.species[1].w[3] *= 2.0;
+        let d = a.bit_diff(&b).expect("weights differ");
+        assert!(d.starts_with(&format!("species 1 ({}) w[3]", a.species[1].name)), "{d}");
+        b.species[1].w.pop();
+        assert!(a.bit_diff(&b).expect("lengths differ").contains("values"));
+        b.species.pop();
+        assert_eq!(a.bit_diff(&b).as_deref(), Some("2 vs 1 species"));
+        b.set_step_count(1);
+        assert_eq!(a.bit_diff(&b).as_deref(), Some("step count: 0 vs 1"));
     }
 
     #[test]

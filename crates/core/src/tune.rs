@@ -4,12 +4,11 @@
 //! The [`tuner::Tuner`] state machine is pure — it only sees
 //! [`tuner::Measurement`]s and returns [`tuner::Config`]s. This driver
 //! owns the loop that feeds it: it counts an epoch's steps, pushes,
-//! crossings and sort time; reads a [`telemetry`] window per epoch to
-//! detect dropped events (a truncated window would silently undercount an
-//! arm's cost, so the tuner re-measures instead); and applies the next
-//! configuration *between* steps, never inside one. Every applied config
-//! is recorded in [`TuneDriver::schedule`] with the step it took effect
-//! at — replaying that schedule through
+//! crossings, wall time and sort time — from the clock around the step,
+//! never the event stream, so profiling cannot perturb a measurement —
+//! and applies the next configuration *between* steps, never inside one.
+//! Every applied config is recorded in [`TuneDriver::schedule`] with the
+//! step it took effect at — replaying that schedule through
 //! [`crate::Simulation::apply_tune_config`] on an identical deck
 //! reproduces the tuned run's physics bit-for-bit (property-tested in
 //! `tests/adaptive_tuning.rs`).
@@ -42,12 +41,7 @@ struct EpochAcc {
 }
 
 /// The serializable state of a [`TuneDriver`]: the engine state plus the
-/// driver's epoch accumulators and recorded schedule. What it does *not*
-/// carry is the open [`telemetry::WindowMark`] — marks are positions in
-/// this process's telemetry stream and mean nothing in another process,
-/// so a restored driver starts its next epoch with a fresh mark (the
-/// first post-restore epoch simply cannot detect dropped events from
-/// before the restore, which is sound: those events are gone anyway).
+/// driver's epoch accumulators and recorded schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriverState {
     /// The pure engine's state.
@@ -78,7 +72,6 @@ pub struct DriverState {
 pub struct TuneDriver {
     tuner: Tuner,
     acc: EpochAcc,
-    mark: Option<telemetry::WindowMark>,
     schedule: Vec<ScheduleEntry>,
     epochs: u64,
     started: bool,
@@ -90,7 +83,6 @@ impl TuneDriver {
         Self {
             tuner,
             acc: EpochAcc::default(),
-            mark: None,
             schedule: Vec::new(),
             epochs: 0,
             started: false,
@@ -114,8 +106,7 @@ impl TuneDriver {
         &self.schedule
     }
 
-    /// Export the driver's complete serializable state (the open
-    /// telemetry window mark excluded — see [`DriverState`]).
+    /// Export the driver's complete serializable state.
     pub fn state(&self) -> DriverState {
         DriverState {
             tuner: self.tuner.state(),
@@ -133,8 +124,7 @@ impl TuneDriver {
 
     /// Rebuild a driver from checkpointed state, resuming the recorded
     /// schedule and the in-flight epoch exactly where they stopped. The
-    /// engine state is validated (see [`Tuner::from_state`]); the first
-    /// epoch boundary after the restore reads a window opened post-restore.
+    /// engine state is validated (see [`Tuner::from_state`]).
     pub(crate) fn from_state(s: DriverState) -> Result<Self, String> {
         let tuner = Tuner::from_state(s.tuner)?;
         Ok(Self {
@@ -147,7 +137,6 @@ impl TuneDriver {
                 sort_ns: s.acc_sort_ns,
                 sorts: s.acc_sorts,
             },
-            mark: None,
             schedule: s.schedule,
             epochs: s.epochs,
             started: s.started,
@@ -166,20 +155,10 @@ impl TuneDriver {
             self.started = true;
             let cfg = *self.tuner.current();
             self.apply(sim, cfg, workers);
-            self.mark = Some(telemetry::window_mark());
             return;
         }
         if self.acc.steps < self.tuner.epoch_steps() as u64 {
             return;
-        }
-        // the epoch is complete: check its telemetry window for dropped
-        // events before trusting the numbers
-        let truncated = match self.mark.take() {
-            Some(m) => telemetry::window_since(&m).dropped_events > 0,
-            None => false,
-        };
-        if truncated {
-            telemetry::count("tuner.truncated_epochs", 1);
         }
         let m = Measurement {
             steps: self.acc.steps,
@@ -188,7 +167,6 @@ impl TuneDriver {
             step_ns: self.acc.step_ns,
             sort_ns: self.acc.sort_ns,
             sorts: self.acc.sorts,
-            truncated,
         };
         let prev = *self.tuner.current();
         let next = self.tuner.finish_epoch(&m);
@@ -197,7 +175,6 @@ impl TuneDriver {
             self.apply(sim, next, workers);
         }
         self.acc = EpochAcc::default();
-        self.mark = Some(telemetry::window_mark());
     }
 
     /// Fold one step's observations into the current epoch.
@@ -273,6 +250,31 @@ mod tests {
         let committed = *d.tuner().committed().unwrap();
         assert_eq!(sim.strategy, committed.strategy);
         assert_eq!(sim.sort_order, committed.order);
+    }
+
+    #[test]
+    fn saturated_event_shard_does_not_stretch_the_exploration() {
+        // a profiled run stops recording at 2^18 events per shard and only
+        // counts drops from then on; an epoch's numbers come from the clock
+        // around the step, so each arm is still scored after one epoch
+        let was_enabled = telemetry::enabled();
+        telemetry::set_enabled(true);
+        for _ in 0..=(1u32 << 18) {
+            drop(telemetry::span("tune.test.fill"));
+        }
+        let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
+        sim.set_tuner(TuneDriver::new(Tuner::new(small_arms(), 3)));
+        // nine steps of exploration; the tenth step's bookkeeping closes
+        // the third epoch and commits
+        sim.run(10);
+        let dropped = telemetry::snapshot().dropped_events;
+        telemetry::set_enabled(was_enabled);
+        assert!(dropped > 0, "the test thread's shard must be saturated");
+        let d = sim.take_tuner().expect("driver still armed");
+        assert_eq!(d.epochs(), 3);
+        assert_eq!(d.tuner().phase(), tuner::Phase::Committed);
+        let steps: Vec<u64> = d.schedule().iter().map(|e| e.step).collect();
+        assert!(steps.starts_with(&[0, 3, 6]), "one epoch per arm: {steps:?}");
     }
 
     #[test]

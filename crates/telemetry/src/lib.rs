@@ -60,8 +60,8 @@ pub use metrics::{
     HistData, Histogram, MetricsSnapshot,
 };
 pub use registry::{
-    counter, counters, reset, restore_counter_baselines, snapshot, window_mark,
-    window_since, Event, FlightSnapshot, Snapshot, SpanWindow, WindowMark, WindowTotals,
+    counter, counters, reset, restore_counter_baselines, snapshot, Event, FlightSnapshot,
+    Snapshot,
 };
 
 use std::borrow::Cow;

@@ -100,8 +100,7 @@ pub(crate) fn add_counter(name: &'static str, n: u64) {
 /// totals recorded by a previous process, added on top of this process's
 /// live shard counters so restored runs keep reporting monotonic lifetime
 /// totals (`pool.created`, `sim.particles_pushed`, …) without
-/// double-counting. Windows ([`window_mark`]/[`window_since`]) read the
-/// live shards only, so a restore never makes a window go backwards.
+/// double-counting.
 static BASELINES: OnceLock<Mutex<BTreeMap<String, u64>>> = OnceLock::new();
 
 fn baselines() -> &'static Mutex<BTreeMap<String, u64>> {
@@ -236,100 +235,6 @@ pub(crate) fn flight_snapshot() -> FlightSnapshot {
     snap
 }
 
-// ---------------------------------------------------------------- windows
-
-/// A cheap position marker into the event/counter stream, taken with
-/// [`window_mark`] and later turned into per-span windowed totals by
-/// [`window_since`]. The adaptive tuner reads one of these per epoch —
-/// the cost of a mark is one lock per shard and a counter copy, with no
-/// event cloning.
-#[derive(Debug, Clone, Default)]
-pub struct WindowMark {
-    /// Per-shard event count at mark time.
-    event_pos: Vec<usize>,
-    /// Counter totals at mark time.
-    counters: BTreeMap<String, u64>,
-    /// Total dropped events at mark time.
-    dropped: u64,
-}
-
-/// Windowed totals for one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanWindow {
-    /// Occurrences inside the window.
-    pub count: u64,
-    /// Sum of durations inside the window, ns.
-    pub total_ns: u64,
-}
-
-/// Aggregated telemetry activity since a [`WindowMark`]: per-span totals,
-/// counter deltas, and — critically for the tuner — how many events were
-/// *dropped* inside the window (a truncated window must not silently
-/// mis-cost a measurement; see ISSUE satellite on `dropped_events`).
-#[derive(Debug, Clone, Default)]
-pub struct WindowTotals {
-    /// Per-span-name count and total duration inside the window.
-    pub spans: BTreeMap<String, SpanWindow>,
-    /// Counter increments inside the window (zero-delta names omitted).
-    pub counters: BTreeMap<String, u64>,
-    /// Events discarded (shard cap reached) inside the window. A nonzero
-    /// value means `spans` undercounts and the window should be treated
-    /// as truncated.
-    pub dropped_events: u64,
-}
-
-impl WindowTotals {
-    /// Increment of the named counter inside the window.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-}
-
-/// Mark the current position of the telemetry stream. O(shards); clones
-/// counter totals but no events.
-pub fn window_mark() -> WindowMark {
-    let mut mark = WindowMark { event_pos: Vec::with_capacity(SHARD_COUNT), ..Default::default() };
-    for s in shards() {
-        let shard = lock(s);
-        mark.event_pos.push(shard.events.len());
-        for (&k, &v) in &shard.counters {
-            *mark.counters.entry(k.to_string()).or_insert(0) += v;
-        }
-        mark.dropped += shard.dropped;
-    }
-    mark
-}
-
-/// Aggregate everything recorded since `mark` into per-span totals and
-/// counter deltas — the epoch-readout path, which never clones events and
-/// so stays cheap no matter how much history the registry holds. A
-/// [`reset`] between mark and read is handled by saturating to "since the
-/// reset".
-pub fn window_since(mark: &WindowMark) -> WindowTotals {
-    let mut totals = WindowTotals::default();
-    let mut dropped_now = 0u64;
-    for (i, s) in shards().iter().enumerate() {
-        let shard = lock(s);
-        let from = mark.event_pos.get(i).copied().unwrap_or(0).min(shard.events.len());
-        for e in &shard.events[from..] {
-            let w = totals.spans.entry(e.name.clone()).or_default();
-            w.count += 1;
-            w.total_ns += e.dur_ns;
-        }
-        for (&k, &v) in &shard.counters {
-            *totals.counters.entry(k.to_string()).or_insert(0) += v;
-        }
-        dropped_now += shard.dropped;
-    }
-    // counter deltas relative to the mark; drop zero deltas
-    for (k, v) in totals.counters.iter_mut() {
-        *v = v.saturating_sub(mark.counters.get(k).copied().unwrap_or(0));
-    }
-    totals.counters.retain(|_, &mut v| v > 0);
-    totals.dropped_events = dropped_now.saturating_sub(mark.dropped);
-    totals
-}
-
 /// Clear all recorded events, counters, restored baselines, the flight
 /// ring, and every metric (histograms/gauges are zeroed in place, so
 /// cached handles stay valid).
@@ -376,37 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn window_totals_track_only_new_events() {
-        let mark = window_mark();
-        record(ev("registry.test.window.span", 100, 10));
-        record(ev("registry.test.window.span", 120, 20));
-        record(ev("registry.test.window.span", 150, 30));
-        add_counter("registry.test.window.counter", 7);
-        let w = window_since(&mark);
-        let span = &w.spans["registry.test.window.span"];
-        assert_eq!((span.count, span.total_ns), (3, 60));
-        assert_eq!(w.counter("registry.test.window.counter"), 7);
-        // a fresh mark sees none of it
-        let w2 = window_since(&window_mark());
-        assert!(!w2.spans.contains_key("registry.test.window.span"));
-        assert_eq!(w2.counter("registry.test.window.counter"), 0);
-    }
-
-    #[test]
-    fn window_survives_marks_past_current_positions() {
-        // simulates a reset() between mark and readout: positions beyond
-        // the live buffers clamp, counters/dropped saturate to zero
-        let mut counters = BTreeMap::new();
-        counters.insert("registry.test.window.stale".to_string(), u64::MAX);
-        let stale =
-            WindowMark { event_pos: vec![usize::MAX; SHARD_COUNT], counters, dropped: u64::MAX };
-        let w = window_since(&stale);
-        assert!(w.spans.is_empty());
-        assert_eq!(w.counter("registry.test.window.stale"), 0);
-        assert_eq!(w.dropped_events, 0);
-    }
-
-    #[test]
     fn restored_baselines_carry_lifetime_totals_without_double_count() {
         // fresh-process restore: nothing live yet, the saved total carries
         // over wholesale
@@ -430,21 +304,6 @@ mod tests {
         assert_eq!(counter(name), 1005);
         // snapshot() reports the same baseline-inclusive totals
         assert_eq!(snapshot().counters.get(name).copied(), Some(1005));
-    }
-
-    #[test]
-    fn windows_stay_monotonic_across_a_baseline_restore() {
-        // a window opened before the restore must see only live activity,
-        // never a negative/huge jump from the adopted baseline
-        let name = "registry.test.baseline.window";
-        let mark = window_mark();
-        let mut saved = BTreeMap::new();
-        saved.insert(name.to_string(), 999_999u64);
-        restore_counter_baselines(&saved);
-        let w = window_since(&mark);
-        assert_eq!(w.counter(name), 0, "baselines must not leak into windows");
-        add_counter("registry.test.baseline.window", 3);
-        assert_eq!(window_since(&mark).counter(name), 3);
     }
 
     #[test]

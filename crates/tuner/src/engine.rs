@@ -26,10 +26,6 @@ const COST_TOLERANCE: f64 = 1.5;
 /// EWMA smoothing for the committed-phase crossing rate.
 const EWMA_ALPHA: f64 = 0.5;
 
-/// Consecutive truncated epochs re-measured before a result is accepted
-/// anyway (so pathological telemetry pressure cannot stall the search).
-const MAX_TRUNCATED_RETRIES: u32 = 2;
-
 /// The epoch-based auto-tuner. Feed it one [`Measurement`] per epoch via
 /// [`Tuner::finish_epoch`]; run whatever [`Tuner::current`] says in
 /// between. The struct is pure state — it never reads a clock — so its
@@ -55,8 +51,6 @@ pub struct Tuner {
     refine_top: usize,
     /// Arm indices still queued for refinement.
     refine_queue: Vec<usize>,
-    retries: u32,
-    truncated_epochs: u64,
     explorations: u64,
 }
 
@@ -91,10 +85,6 @@ pub struct TunerState {
     pub refine_top: usize,
     /// Arm indices still queued for refinement.
     pub refine_queue: Vec<usize>,
-    /// Consecutive truncated-epoch retries used on the current arm.
-    pub retries: u32,
-    /// Lifetime count of truncated epochs.
-    pub truncated_epochs: u64,
     /// Exploration rounds started.
     pub explorations: u64,
 }
@@ -120,8 +110,6 @@ impl Tuner {
             refine_top: 0,
             refine_queue: Vec::new(),
             explorations: 1,
-            retries: 0,
-            truncated_epochs: 0,
         }
     }
 
@@ -185,11 +173,6 @@ impl Tuner {
             .map(|(i, c)| (&self.arms[i], c))
     }
 
-    /// Epochs whose telemetry window reported dropped events.
-    pub fn truncated_epochs(&self) -> u64 {
-        self.truncated_epochs
-    }
-
     /// Export the complete engine state for checkpointing.
     pub fn state(&self) -> TunerState {
         TunerState {
@@ -204,8 +187,6 @@ impl Tuner {
             rate_ewma: self.rate_ewma,
             refine_top: self.refine_top,
             refine_queue: self.refine_queue.clone(),
-            retries: self.retries,
-            truncated_epochs: self.truncated_epochs,
             explorations: self.explorations,
         }
     }
@@ -248,8 +229,6 @@ impl Tuner {
             rate_ewma: s.rate_ewma,
             refine_top: s.refine_top,
             refine_queue: s.refine_queue,
-            retries: s.retries,
-            truncated_epochs: s.truncated_epochs,
             explorations: s.explorations,
         })
     }
@@ -257,17 +236,6 @@ impl Tuner {
     /// Ingest the epoch that just ran under [`Tuner::current`] and return
     /// the configuration for the next epoch.
     pub fn finish_epoch(&mut self, m: &Measurement) -> Config {
-        if m.truncated {
-            self.truncated_epochs += 1;
-            if self.retries < MAX_TRUNCATED_RETRIES {
-                // telemetry dropped events inside this window, so the
-                // timings undercount: re-measure the same arm rather
-                // than scoring it on bad data
-                self.retries += 1;
-                return self.arms[self.cursor];
-            }
-        }
-        self.retries = 0;
         match self.phase {
             Phase::Exploring => {
                 let interval = self.arms[self.cursor].interval;
@@ -377,7 +345,6 @@ mod tests {
             step_ns: 10 * ns_per_step + sort_ns,
             sort_ns,
             sorts: u64::from(sort_ns > 0),
-            truncated: false,
         }
     }
 
@@ -478,28 +445,6 @@ mod tests {
         // crossings stable but the committed arm got 2× slower
         t.finish_epoch(&epoch(1300, 500, 100));
         assert_eq!(t.phase(), Phase::Exploring);
-    }
-
-    #[test]
-    fn truncated_epochs_are_retried_not_scored() {
-        let mut t = three_arm_tuner();
-        let first = *t.current();
-        let bad = Measurement { truncated: true, ..epoch(100, 0, 100) };
-        // a truncated epoch re-runs the same arm instead of scoring the
-        // suspiciously cheap measurement
-        assert_eq!(t.finish_epoch(&bad), first);
-        assert_eq!(t.truncated_epochs(), 1);
-        assert_eq!(t.phase(), Phase::Exploring);
-        assert!(t.best().is_none(), "truncated data must not be scored");
-        // a clean re-measure proceeds to the next arm
-        let second = t.finish_epoch(&epoch(800, 0, 100));
-        assert_ne!(second, first);
-        // persistent truncation is eventually accepted rather than stalling
-        let mut t2 = three_arm_tuner();
-        for _ in 0..=MAX_TRUNCATED_RETRIES {
-            t2.finish_epoch(&bad);
-        }
-        assert!(t2.best().is_some(), "bounded retries: the search must advance");
     }
 
     #[test]

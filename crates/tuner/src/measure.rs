@@ -17,10 +17,6 @@ pub struct Measurement {
     pub sort_ns: u64,
     /// Sort events that fired during the epoch.
     pub sorts: u64,
-    /// True when telemetry reported dropped events inside the epoch's
-    /// window — the timings may undercount, so the tuner re-measures
-    /// instead of scoring the arm on truncated data.
-    pub truncated: bool,
 }
 
 impl Measurement {
@@ -70,7 +66,6 @@ mod tests {
             step_ns: 6000,
             sort_ns: 1000,
             sorts: 1,
-            truncated: false,
         };
         // base 500 ns/step; sort charged 1000/50 = 20 ns/step at i=50,
         // even though the epoch only saw the one forced sort

@@ -43,7 +43,7 @@ fn main() {
 
     let driver = sim.take_tuner().expect("tuner armed");
     let t = driver.tuner();
-    println!("\n{} epochs ({} truncated by telemetry drops)", driver.epochs(), t.truncated_epochs());
+    println!("\n{} epochs", driver.epochs());
     let (best, cost) = t.best().expect("measured arms");
     println!("committed: {} ({:.1} ns/particle amortized)", best.label(), cost);
 

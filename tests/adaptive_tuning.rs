@@ -58,23 +58,6 @@ fn replay(schedule: &[ScheduleEntry], steps: usize) -> Simulation {
     sim
 }
 
-fn assert_bit_identical(a: &Simulation, b: &Simulation) {
-    for (sa, sb) in a.species.iter().zip(&b.species) {
-        assert_eq!(sa.cell, sb.cell, "cell arrays diverged");
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sa.dx), bits(&sb.dx));
-        assert_eq!(bits(&sa.dy), bits(&sb.dy));
-        assert_eq!(bits(&sa.dz), bits(&sb.dz));
-        assert_eq!(bits(&sa.ux), bits(&sb.ux));
-        assert_eq!(bits(&sa.uy), bits(&sb.uy));
-        assert_eq!(bits(&sa.uz), bits(&sb.uz));
-    }
-    let fbits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(fbits(&a.fields.ex), fbits(&b.fields.ex), "Ex diverged");
-    assert_eq!(fbits(&a.fields.ey), fbits(&b.fields.ey), "Ey diverged");
-    assert_eq!(fbits(&a.fields.ez), fbits(&b.fields.ez), "Ez diverged");
-}
-
 proptest! {
     /// For any epoch length and run length, a tuned run and a fixed-config
     /// replay of its recorded schedule produce bit-identical particle
@@ -93,7 +76,7 @@ proptest! {
         let driver = tuned.take_tuner().expect("driver armed");
         prop_assert!(!driver.schedule().is_empty());
         let replayed = replay(driver.schedule(), steps);
-        assert_bit_identical(&tuned, &replayed);
+        assert_eq!(tuned.bit_diff(&replayed), None);
     }
 }
 
@@ -111,7 +94,7 @@ fn committed_run_replays_bit_identically() {
     let driver = tuned.take_tuner().unwrap();
     assert!(driver.epochs() >= 7);
     let replayed = replay(driver.schedule(), steps);
-    assert_bit_identical(&tuned, &replayed);
+    assert_eq!(tuned.bit_diff(&replayed), None);
 }
 
 #[test]

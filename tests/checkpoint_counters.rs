@@ -23,18 +23,18 @@ fn restore_carries_lifetime_counters_without_double_counting() {
     let after_restore = telemetry::counter("sim.particles_pushed");
     assert_eq!(pushed_before, after_restore, "restore double-counted lifetime counters");
 
-    // windows opened across a restore stay monotonic and see only live
-    // activity, never the adopted baseline
-    let mark = telemetry::window_mark();
+    // a counter delta taken across a second restore stays monotonic and
+    // sees only live activity, never the adopted baseline
+    let mark = telemetry::counter("sim.particles_pushed");
     let _ = Simulation::restore_bytes(&bytes).expect("second restore");
-    let w = telemetry::window_since(&mark);
-    assert_eq!(w.counter("sim.particles_pushed"), 0, "baselines leaked into a window");
+    let delta = telemetry::counter("sim.particles_pushed") - mark;
+    assert_eq!(delta, 0, "baselines leaked into a counter delta");
     restored.run(1);
-    let w = telemetry::window_since(&mark);
+    let delta = telemetry::counter("sim.particles_pushed") - mark;
     assert_eq!(
-        w.counter("sim.particles_pushed"),
+        delta,
         restored.particle_count() as u64,
-        "window must report exactly the post-restore step's pushes"
+        "the delta must report exactly the post-restore step's pushes"
     );
     // the lifetime total keeps growing on top of what came before
     assert_eq!(

@@ -20,28 +20,6 @@ use vpic2::psort::SortOrder;
 use vpic2::tuner::{Config, Tuner};
 use vpic2::vsimd::Strategy as VecStrategy;
 
-fn assert_bit_identical(a: &Simulation, b: &Simulation) {
-    assert_eq!(a.step_count(), b.step_count(), "step counts diverged");
-    let fbits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(fbits(&a.fields.ex), fbits(&b.fields.ex), "Ex diverged");
-    assert_eq!(fbits(&a.fields.ey), fbits(&b.fields.ey), "Ey diverged");
-    assert_eq!(fbits(&a.fields.ez), fbits(&b.fields.ez), "Ez diverged");
-    assert_eq!(fbits(&a.fields.bx), fbits(&b.fields.bx), "Bx diverged");
-    assert_eq!(fbits(&a.fields.by), fbits(&b.fields.by), "By diverged");
-    assert_eq!(fbits(&a.fields.bz), fbits(&b.fields.bz), "Bz diverged");
-    assert_eq!(a.species.len(), b.species.len());
-    for (sa, sb) in a.species.iter().zip(&b.species) {
-        assert_eq!(sa.cell, sb.cell, "cell arrays diverged");
-        assert_eq!(fbits(&sa.dx), fbits(&sb.dx));
-        assert_eq!(fbits(&sa.dy), fbits(&sb.dy));
-        assert_eq!(fbits(&sa.dz), fbits(&sb.dz));
-        assert_eq!(fbits(&sa.ux), fbits(&sb.ux));
-        assert_eq!(fbits(&sa.uy), fbits(&sb.uy));
-        assert_eq!(fbits(&sa.uz), fbits(&sb.uz));
-        assert_eq!(fbits(&sa.w), fbits(&sb.w));
-    }
-}
-
 /// Build one of the random deck configurations the resume property
 /// sweeps: deck family, sorting order and cadence, scatter replicas —
 /// every knob that changes bit patterns.
@@ -85,7 +63,7 @@ proptest! {
         let bytes = half.checkpoint_bytes();
         let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
         resumed.run(extra);
-        assert_bit_identical(&full, &resumed);
+        assert_eq!(full.bit_diff(&resumed), None);
     }
 
     /// Same resume contract with the *parallel field pipeline* armed:
@@ -116,7 +94,7 @@ proptest! {
         let bytes = half.checkpoint_bytes();
         let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
         resumed.run_on(&pool, extra);
-        assert_bit_identical(&full, &resumed);
+        assert_eq!(full.bit_diff(&resumed), None);
     }
 
     /// Every prefix truncation of a snapshot fails with a typed error —
@@ -153,7 +131,7 @@ proptest! {
             Ok(restored) => {
                 // flips that survive must land in dead bytes only —
                 // the restored state has to be exactly the original
-                assert_bit_identical(&sim, &restored);
+                assert_eq!(sim.bit_diff(&restored), None);
             }
         }
     }
@@ -212,7 +190,7 @@ fn worker_panic_mid_step_is_recoverable_and_resumable() {
     for _ in 0..5 {
         recovered.try_step().expect("serial steps cannot lane-panic");
     }
-    assert_bit_identical(&full, &recovered);
+    assert_eq!(full.bit_diff(&recovered), None);
     // the pool still dispatches fine after the earlier panic
     let counter = std::sync::atomic::AtomicUsize::new(0);
     pool.run(&|_| {
@@ -279,6 +257,6 @@ fn tuner_armed_resume_continues_the_schedule_exactly() {
         }
         replayed.step();
     }
-    assert_bit_identical(&resumed, &replayed);
+    assert_eq!(resumed.bit_diff(&replayed), None);
 }
 

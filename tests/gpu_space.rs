@@ -21,10 +21,6 @@ use vpic2::pk::{Serial, SimGpu};
 use vpic2::psort::SortOrder;
 use vpic2::vsimd::Strategy;
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
 /// Step twin simulations `steps` times — one on `Serial`, one on
 /// `SimGpu` — and require bit-identical state everywhere we can observe.
 fn assert_gpu_matches_serial(
@@ -53,42 +49,7 @@ fn assert_gpu_matches_serial(
     let what = format!(
         "{shape:?} ppc{ppc} {order:?}/{interval} {strategy:?} {scatter:?}"
     );
-    for (name, a, b) in [
-        ("ex", &serial.fields.ex, &gpu_sim.fields.ex),
-        ("ey", &serial.fields.ey, &gpu_sim.fields.ey),
-        ("ez", &serial.fields.ez, &gpu_sim.fields.ez),
-        ("bx", &serial.fields.bx, &gpu_sim.fields.bx),
-        ("by", &serial.fields.by, &gpu_sim.fields.by),
-        ("bz", &serial.fields.bz, &gpu_sim.fields.bz),
-        ("jx", &serial.fields.jx, &gpu_sim.fields.jx),
-        ("jy", &serial.fields.jy, &gpu_sim.fields.jy),
-        ("jz", &serial.fields.jz, &gpu_sim.fields.jz),
-    ] {
-        assert_eq!(bits(a), bits(b), "{what}: field {name} diverged");
-    }
-    assert_eq!(serial.species.len(), gpu_sim.species.len(), "{what}");
-    for (si, (sa, sb)) in serial.species.iter().zip(&gpu_sim.species).enumerate() {
-        assert_eq!(sa.cell, sb.cell, "{what}: species {si} cells");
-        for (f, a, b) in [
-            ("dx", &sa.dx, &sb.dx),
-            ("dy", &sa.dy, &sb.dy),
-            ("dz", &sa.dz, &sb.dz),
-            ("ux", &sa.ux, &sb.ux),
-            ("uy", &sa.uy, &sb.uy),
-            ("uz", &sa.uz, &sb.uz),
-            ("w", &sa.w, &sb.w),
-        ] {
-            assert_eq!(bits(a), bits(b), "{what}: species {si} {f}");
-        }
-    }
-    let ea = serial.energies();
-    let eb = gpu_sim.energies();
-    assert_eq!(ea.field_e.to_bits(), eb.field_e.to_bits(), "{what}: field_e");
-    assert_eq!(ea.field_b.to_bits(), eb.field_b.to_bits(), "{what}: field_b");
-    assert_eq!(ea.kinetic.len(), eb.kinetic.len(), "{what}");
-    for (ka, kb) in ea.kinetic.iter().zip(&eb.kinetic) {
-        assert_eq!(ka.to_bits(), kb.to_bits(), "{what}: kinetic");
-    }
+    assert_eq!(serial.bit_diff(&gpu_sim), None, "{what}");
 
     // identical bits AND a real cost ledger: the run was actually charged
     assert!(gpu.modeled_time() > 0.0, "{what}: no cost charged");
@@ -157,15 +118,7 @@ fn sim_gpu_bit_identity_on_every_table1_gpu() {
         let gpu = SimGpu::scaled(p.clone(), 10.0);
         serial.run_on(&Serial, 4);
         gpu_sim.run_on(&gpu, 4);
-        assert_eq!(
-            bits(&serial.fields.ex),
-            bits(&gpu_sim.fields.ex),
-            "{}: ex diverged",
-            p.name
-        );
-        for (sa, sb) in serial.species.iter().zip(&gpu_sim.species) {
-            assert_eq!(sa.cell, sb.cell, "{}: cells diverged", p.name);
-        }
+        assert_eq!(serial.bit_diff(&gpu_sim), None, "{}", p.name);
         assert!(gpu.modeled_time() > 0.0, "{}: no cost charged", p.name);
     }
 }

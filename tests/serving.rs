@@ -15,35 +15,6 @@ use proptest::prelude::*;
 use vpic2::core::{Deck, Simulation, TilePolicy};
 use vpic2::serve::{FleetPrior, JobId, JobPhase, JobSpec, ServeError, ServePolicy, Server};
 
-fn assert_bit_identical(a: &Simulation, b: &Simulation) {
-    assert_eq!(a.step_count(), b.step_count(), "step counts diverged");
-    let fbits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(fbits(&a.fields.ex), fbits(&b.fields.ex), "Ex diverged");
-    assert_eq!(fbits(&a.fields.ey), fbits(&b.fields.ey), "Ey diverged");
-    assert_eq!(fbits(&a.fields.ez), fbits(&b.fields.ez), "Ez diverged");
-    assert_eq!(fbits(&a.fields.bx), fbits(&b.fields.bx), "Bx diverged");
-    assert_eq!(fbits(&a.fields.by), fbits(&b.fields.by), "By diverged");
-    assert_eq!(fbits(&a.fields.bz), fbits(&b.fields.bz), "Bz diverged");
-    assert_eq!(a.species.len(), b.species.len());
-    for (sa, sb) in a.species.iter().zip(&b.species) {
-        assert_eq!(sa.cell, sb.cell, "cell arrays diverged");
-        assert_eq!(fbits(&sa.dx), fbits(&sb.dx));
-        assert_eq!(fbits(&sa.dy), fbits(&sb.dy));
-        assert_eq!(fbits(&sa.dz), fbits(&sb.dz));
-        assert_eq!(fbits(&sa.ux), fbits(&sb.ux));
-        assert_eq!(fbits(&sa.uy), fbits(&sb.uy));
-        assert_eq!(fbits(&sa.uz), fbits(&sb.uz));
-        assert_eq!(fbits(&sa.w), fbits(&sb.w));
-    }
-    let ea = a.energies();
-    let eb = b.energies();
-    assert_eq!(ea.field_e.to_bits(), eb.field_e.to_bits(), "field E energy diverged");
-    assert_eq!(ea.field_b.to_bits(), eb.field_b.to_bits(), "field B energy diverged");
-    let ka: Vec<u64> = ea.kinetic.iter().map(|x| x.to_bits()).collect();
-    let kb: Vec<u64> = eb.kinetic.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(ka, kb, "kinetic energies diverged");
-}
-
 fn deck() -> Deck {
     Deck::weibel(5, 5, 5, 3, 0.3)
 }
@@ -102,7 +73,7 @@ proptest! {
 
         let spec = JobSpec::new(deck(), steps);
         let served = serve_one(spec, vec![pool_a, pool_b], quantum, park_after);
-        assert_bit_identical(&reference, &served);
+        assert_eq!(reference.bit_diff(&served), None);
     }
 
     /// Tiled tenant: the park forces an untile → snapshot → retile
@@ -130,7 +101,7 @@ proptest! {
         let mut served = serve_one(spec, vec![2, 3], quantum, park_after);
         prop_assert!(served.is_tiled(), "final blob must preserve the tiling policy");
         served.disable_tiling();
-        assert_bit_identical(&reference, &served);
+        assert_eq!(reference.bit_diff(&served), None);
     }
 
     /// Tuner-armed tenant: which arms commit depends on wall-clock
@@ -164,7 +135,7 @@ proptest! {
             }
             replay.step();
         }
-        assert_bit_identical(&replay, &served);
+        assert_eq!(replay.bit_diff(&served), None);
     }
 
     /// Corrupting a parked blob (truncation — the classic torn
@@ -217,7 +188,7 @@ fn bit_flipped_parked_blob_is_typed_or_harmless() {
             JobPhase::Done => {
                 let served =
                     Simulation::restore_bytes(srv.final_blob(id).unwrap()).expect("restore");
-                assert_bit_identical(&reference, &served);
+                assert_eq!(reference.bit_diff(&served), None);
             }
             other => panic!("unexpected phase {other:?}"),
         }

@@ -14,37 +14,6 @@ use vpic2::pk::prelude::*;
 use vpic2::tuner::{Config, TileCfg};
 use vpic2::vsimd::Strategy as VecStrategy;
 
-fn assert_bit_identical(a: &Simulation, b: &Simulation) {
-    assert_eq!(a.step_count(), b.step_count(), "step counts diverged");
-    let fbits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(fbits(&a.fields.ex), fbits(&b.fields.ex), "Ex diverged");
-    assert_eq!(fbits(&a.fields.ey), fbits(&b.fields.ey), "Ey diverged");
-    assert_eq!(fbits(&a.fields.ez), fbits(&b.fields.ez), "Ez diverged");
-    assert_eq!(fbits(&a.fields.bx), fbits(&b.fields.bx), "Bx diverged");
-    assert_eq!(fbits(&a.fields.by), fbits(&b.fields.by), "By diverged");
-    assert_eq!(fbits(&a.fields.bz), fbits(&b.fields.bz), "Bz diverged");
-    assert_eq!(a.species.len(), b.species.len());
-    for (sa, sb) in a.species.iter().zip(&b.species) {
-        assert_eq!(sa.cell, sb.cell, "cell arrays diverged");
-        assert_eq!(fbits(&sa.dx), fbits(&sb.dx));
-        assert_eq!(fbits(&sa.dy), fbits(&sb.dy));
-        assert_eq!(fbits(&sa.dz), fbits(&sb.dz));
-        assert_eq!(fbits(&sa.ux), fbits(&sb.ux));
-        assert_eq!(fbits(&sa.uy), fbits(&sb.uy));
-        assert_eq!(fbits(&sa.uz), fbits(&sb.uz));
-        assert_eq!(fbits(&sa.w), fbits(&sb.w));
-    }
-    // the energy ledger folds in array order, so after the particle
-    // comparison above it must agree to the bit as well
-    let ea = a.energies();
-    let eb = b.energies();
-    assert_eq!(ea.field_e.to_bits(), eb.field_e.to_bits(), "field E energy diverged");
-    assert_eq!(ea.field_b.to_bits(), eb.field_b.to_bits(), "field B energy diverged");
-    let ka: Vec<u64> = ea.kinetic.iter().map(|x| x.to_bits()).collect();
-    let kb: Vec<u64> = eb.kinetic.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(ka, kb, "kinetic energies diverged");
-}
-
 /// The untiled reference: same deck, sort-free (canonical array order),
 /// stepped serially. The untiled path is itself worker-count- and
 /// strategy-invariant, so one serial reference covers every tiled
@@ -90,7 +59,7 @@ proptest! {
         tiled.run_on(&pool, steps);
         tiled.disable_tiling();
 
-        assert_bit_identical(&want, &tiled);
+        assert_eq!(want.bit_diff(&tiled), None);
     }
 }
 
@@ -109,7 +78,7 @@ fn tiled_matches_untiled_with_duplicated_scatter() {
     tiled.run_on(&Threads::new(4), steps);
     tiled.disable_tiling();
 
-    assert_bit_identical(&want, &tiled);
+    assert_eq!(want.bit_diff(&tiled), None);
 }
 
 #[test]
@@ -132,7 +101,7 @@ fn spilled_tiles_step_bit_identically() {
     tiled.disable_tiling();
     std::fs::remove_dir_all(&dir).ok();
 
-    assert_bit_identical(&want, &tiled);
+    assert_eq!(want.bit_diff(&tiled), None);
 }
 
 /// Tile pool no-alloc steady state: once the engine has cycled every
@@ -213,5 +182,5 @@ fn tune_config_drives_tiling_without_perturbing_physics() {
     assert!(!sim.is_tiled());
     sim.run(3);
 
-    assert_bit_identical(&want, &sim);
+    assert_eq!(want.bit_diff(&sim), None);
 }
