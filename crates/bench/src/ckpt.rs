@@ -6,8 +6,9 @@
 //! uninterrupted run — the number EXPERIMENTS.md quotes for "checkpoint
 //! cost"; CI runs the resume check and uploads `results/ckpt.json`.
 
-use crate::timing::{black_box, median_time_named};
+use crate::timing::median_time;
 use serde::Serialize;
+use std::hint::black_box;
 use vpic_core::{Deck, Simulation};
 
 /// The `ckpt` target's result set.
@@ -44,22 +45,22 @@ pub fn run() -> Report {
     sim.run(5); // past the initial transient
 
     let (warmup, reps) = (2, 9);
-    let step_s = median_time_named("bench.ckpt.step", warmup, reps, || {
+    let step_s = median_time("bench.ckpt.step", warmup, reps, || {
         sim.step();
     });
     let snapshot_bytes = sim.checkpoint_bytes().len() as u64;
-    let serialize_s = median_time_named("bench.ckpt.serialize", warmup, reps, || {
+    let serialize_s = median_time("bench.ckpt.serialize", warmup, reps, || {
         black_box(sim.checkpoint_bytes());
     });
 
     let dir = std::env::temp_dir().join(format!("vpic-ckpt-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("bench.vpck");
-    let disk_s = median_time_named("bench.ckpt.disk", warmup, reps, || {
+    let disk_s = median_time("bench.ckpt.disk", warmup, reps, || {
         sim.checkpoint_to(&path).expect("atomic save");
     });
     let bytes = std::fs::read(&path).expect("read snapshot back");
-    let restore_s = median_time_named("bench.ckpt.restore", warmup, reps, || {
+    let restore_s = median_time("bench.ckpt.restore", warmup, reps, || {
         black_box(Simulation::restore_bytes(&bytes).expect("restore"));
     });
     std::fs::remove_dir_all(&dir).ok();

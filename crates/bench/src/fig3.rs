@@ -13,9 +13,10 @@
 //!    at NEON width (≈2× slower, paper §5.3); Grace's 4×128-bit units
 //!    favor manual; MI300A's Zen 4 shows no manual win on reductions.
 
-use crate::timing::{black_box, median_time};
+use crate::timing::median_time;
 use rajaperf::{axpy, pi_reduce, planckian, Kernel};
 use serde::Serialize;
+use std::hint::black_box;
 use vsimd::Strategy;
 
 /// Kernel size for host measurements (large enough to defeat caches).
@@ -42,7 +43,7 @@ pub(crate) fn host_times(kernel: Kernel) -> [(Strategy, f64); 3] {
             let x: Vec<f64> = (0..N).map(|i| (i % 97) as f64).collect();
             let mut y: Vec<f64> = vec![1.0; N];
             for (s, t) in &mut out {
-                *t = median_time(1, 5, || {
+                *t = median_time("bench.rep", 1, 5, || {
                     axpy::run(*s, 1.0001, black_box(&x), black_box(&mut y));
                 });
             }
@@ -53,14 +54,14 @@ pub(crate) fn host_times(kernel: Kernel) -> [(Strategy, f64); 3] {
             let y: Vec<f64> = vec![2.0; N];
             let mut w: Vec<f64> = vec![0.0; N];
             for (s, t) in &mut out {
-                *t = median_time(1, 3, || {
+                *t = median_time("bench.rep", 1, 3, || {
                     planckian::run(*s, black_box(&u), black_box(&v), black_box(&y), &mut w);
                 });
             }
         }
         Kernel::PiReduce => {
             for (s, t) in &mut out {
-                *t = median_time(1, 3, || {
+                *t = median_time("bench.rep", 1, 3, || {
                     black_box(pi_reduce::run(*s, N));
                 });
             }

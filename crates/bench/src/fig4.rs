@@ -47,7 +47,7 @@ pub(crate) fn host_push_times() -> [(Strategy, f64); 4] {
     for (strat, t) in &mut out {
         // clone the species so every strategy pushes identical particles
         let mut species = sim.species.clone();
-        *t = median_time(1, 3, || {
+        *t = median_time("bench.rep", 1, 3, || {
             acc.reset();
             for s in &mut species {
                 push_species(*strat, &grid, s, &interps, &acc);

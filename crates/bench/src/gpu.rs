@@ -23,6 +23,7 @@
 //! Knobs: `GPU_STEPS` (measured steps per arm, default 6), `GPU_WARMUP`
 //! (unmeasured settle steps, default 2).
 
+use crate::env_usize;
 use memsim::gpu::GpuModel;
 use memsim::platform::Platform;
 use memsim::push::{gpu_push, grid_footprint_bytes, PushSpec, CELL_FOOTPRINT_BYTES};
@@ -117,10 +118,6 @@ pub struct Report {
     pub warmup: u64,
     /// Per-platform results.
     pub platforms: Vec<PlatformReport>,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 fn build_deck() -> Simulation {

@@ -46,6 +46,12 @@ pub(crate) fn skip_heavy_in_debug() -> bool {
     }
 }
 
+/// A step-budget knob from the environment, `default` when unset or
+/// unparsable (CI shortens the measured targets through these).
+pub(crate) fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
 /// Where the harness writes JSON results.
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("REPRO_RESULTS_DIR").unwrap_or_else(|_| "results".into());

@@ -22,14 +22,12 @@
 //!   ranks             executed multi-rank stepping: speedup + overlap
 //!                     at 1/2/4/8 virtual ranks vs the closed-form model
 //!   tune              adaptive tuner vs exhaustive config sweep
-//!                     (TUNE_EPOCH_STEPS / TUNE_SWEEP_STEPS / TUNE_PLATFORM)
+//!                     (TUNE_EPOCH_STEPS / TUNE_SWEEP_STEPS)
 //!   tile              out-of-core tiled stepping: capacity ratio vs the
 //!                     hot-pool budget, codec ratio, pushes/s, bit-stable
-//!                     ledger (TILE_STEPS / TILE_GRID / TILE_PPC)
+//!                     ledger (TILE_STEPS)
 //!   serve             multi-tenant serving: jobs/s + p95 step latency
 //!                     under 100+ concurrent preempted tenants
-//!                     (SERVE_TENANTS / SERVE_STEPS / SERVE_QUANTUM /
-//!                     SERVE_RESIDENT)
 //!   ablate-tile       tiled-strided tile-size sweep (A100)
 //!   ablate-gpu-aware  Sierra with GPU-aware MPI forced on
 //!   ablate-weak       weak scaling on all three systems
@@ -95,8 +93,8 @@ fn run_target(name: &str) -> bool {
     }
 }
 
-/// Print the span summary + metrics tables and write the Chrome-trace,
-/// JSON, and Prometheus exports.
+/// Print the span summary + histogram tables and write the Chrome trace
+/// and the JSON summary.
 fn write_profile(trace_path: &str) -> std::io::Result<()> {
     let snap = telemetry::snapshot();
     let stats = telemetry::aggregate(&snap.events);
@@ -107,13 +105,10 @@ fn write_profile(trace_path: &str) -> std::io::Result<()> {
     std::fs::create_dir_all(&dir)?;
     let summary_path = dir.join("telemetry.json");
     std::fs::write(&summary_path, telemetry::summary_json(&snap))?;
-    let prom_path = dir.join("metrics.prom");
-    std::fs::write(&prom_path, telemetry::prometheus_text(&snap))?;
     println!(
-        "profile: {} span(s) → {trace_path} (load in ui.perfetto.dev) + {} + {}",
+        "profile: {} span(s) → {trace_path} (load in ui.perfetto.dev) + {}",
         snap.events.len(),
-        summary_path.display(),
-        prom_path.display()
+        summary_path.display()
     );
     Ok(())
 }

@@ -12,10 +12,6 @@
 //! Two gates: every admitted tenant must finish (no quarantines under
 //! healthy load), and the worst max/min progress ratio after warmup must
 //! stay ≤ 2 (the paper's fairness bar for the serving tier).
-//!
-//! Environment: `SERVE_TENANTS` (default 120; the ISSUE gate needs
-//! ≥ 100), `SERVE_STEPS` (default 8 per job), `SERVE_QUANTUM` (default
-//! 2), `SERVE_RESIDENT` (default 8 live sims).
 
 use serde::Serialize;
 use serve::{JobSpec, ServePolicy, Server};
@@ -67,9 +63,14 @@ pub struct Report {
     pub fairness_worst: Option<f64>,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Tenants admitted at once (the serving gate needs ≥ 100).
+const TENANTS: u64 = 120;
+/// Steps each tenant requests.
+const STEPS: u64 = 8;
+/// Steps per scheduler slice.
+const QUANTUM: u32 = 2;
+/// Live simulations before the scheduler parks one.
+const MAX_RESIDENT: usize = 8;
 
 /// One synthetic tenant. The mix cycles deterministically by index:
 /// every 7th tenant is double-weight, every 9th carries a tuner, every
@@ -96,11 +97,6 @@ fn tenant(i: u64, steps: u64) -> JobSpec {
 /// Run the thousand-tenant-shaped serving measurement and print the
 /// summary table.
 pub fn run() -> Report {
-    let tenants = env_u64("SERVE_TENANTS", 120);
-    let steps = env_u64("SERVE_STEPS", 8);
-    let quantum = env_u64("SERVE_QUANTUM", 2) as u32;
-    let max_resident = env_u64("SERVE_RESIDENT", 8) as usize;
-
     // the histograms only fill with telemetry on; restore on exit so a
     // standalone `repro -- serve` leaves the process as it found it
     let was_enabled = telemetry::enabled();
@@ -111,19 +107,16 @@ pub fn run() -> Report {
     let migrations0 = telemetry::counter("serve.migrations");
 
     let policy = ServePolicy {
-        max_jobs: tenants as usize,
+        max_jobs: TENANTS as usize,
         max_bytes: 8 << 30,
-        max_resident,
+        max_resident: MAX_RESIDENT,
         pools: vec![4, 2, 2],
-        quantum,
+        quantum: QUANTUM,
         tuner_epoch: 2,
-        // per-tenant histograms at 100+ tenants would drown the fleet
-        // rows; the fleet-wide `serve.*` set is what this bench reads
-        per_job_metrics: false,
     };
     let mut srv = Server::new(policy);
-    for i in 0..tenants {
-        srv.submit(tenant(i, steps)).expect("bench population fits the admission budget");
+    for i in 0..TENANTS {
+        srv.submit(tenant(i, STEPS)).expect("bench population fits the admission budget");
     }
 
     let report = srv.run_until_done(100_000);
@@ -140,11 +133,11 @@ pub fn run() -> Report {
     let wall_s = report.wall_ns as f64 / 1e9;
 
     let out = Report {
-        tenants,
-        steps_per_job: steps,
+        tenants: TENANTS,
+        steps_per_job: STEPS,
         pools: srv.policy().pools.clone(),
-        quantum,
-        max_resident,
+        quantum: QUANTUM,
+        max_resident: MAX_RESIDENT,
         completed: report.completed,
         quarantined: report.quarantined,
         rounds: report.rounds,
@@ -178,7 +171,6 @@ pub fn run() -> Report {
         None => println!("  fairness worst         (never measurable)"),
     }
 
-    assert!(out.tenants >= 100, "the serving gate needs >= 100 concurrent tenants");
     assert_eq!(out.completed, out.tenants, "every healthy tenant must finish");
     assert_eq!(out.quarantined, 0, "healthy load must not quarantine anyone");
     if let Some(r) = out.fairness_worst {

@@ -10,9 +10,9 @@
 //! bitwise. A short adaptive-tuner sweep over tile-size × compression
 //! arms records which configuration the tuner commits.
 //!
-//! Environment: `TILE_STEPS` (default 20), `TILE_GRID` (default 12),
-//! `TILE_PPC` (default 8) scale the measurement.
+//! Environment: `TILE_STEPS` (default 20) sets the measured steps.
 
+use crate::env_usize;
 use pk::atomic::ScatterMode;
 use serde::Serialize;
 use tuner::{Config, Tuner};
@@ -58,9 +58,12 @@ pub struct Report {
     pub tuner_chosen: String,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Weibel deck edge, cells.
+const GRID: usize = 12;
+/// Particles per cell.
+const PPC: usize = 8;
+/// Steps per tuner epoch in the tile-arm sweep.
+const TUNER_EPOCH: usize = 3;
 
 fn policy(tile_cells: usize, spill: &std::path::Path) -> TilePolicy {
     let mut p = TilePolicy::new(tile_cells);
@@ -100,10 +103,8 @@ fn energies_bits(sim: &Simulation) -> Vec<u64> {
 /// summary table.
 pub fn run() -> Report {
     let steps = env_usize("TILE_STEPS", 20);
-    let grid = env_usize("TILE_GRID", 12);
-    let ppc = env_usize("TILE_PPC", 8);
-    let deck = Deck::weibel(grid, grid, grid, ppc, 0.3);
-    let cells = grid * grid * grid;
+    let deck = Deck::weibel(GRID, GRID, GRID, PPC, 0.3);
+    let cells = GRID * GRID * GRID;
     // tile the grid so the 2-slot hot pool holds well under a tenth of
     // the population: ≥ 32 tiles → capacity ratio ≥ 16 at uniform
     // occupancy
@@ -148,9 +149,8 @@ pub fn run() -> Report {
         let base = Config::unsorted(Strategy::Auto, ScatterMode::Atomic);
         let arms = tuner::tile_arms(&[base], &[tile_cells / 2, tile_cells, tile_cells * 2]);
         let n_arms = arms.len();
-        let epoch = env_usize("TILE_EPOCH_STEPS", 3);
-        sim.set_tuner(TuneDriver::new(Tuner::new(arms, epoch)));
-        sim.run(epoch * (n_arms + 2));
+        sim.set_tuner(TuneDriver::new(Tuner::new(arms, TUNER_EPOCH)));
+        sim.run(TUNER_EPOCH * (n_arms + 2));
         let driver = sim.take_tuner().expect("driver armed");
         let chosen = driver
             .tuner()
@@ -163,7 +163,7 @@ pub fn run() -> Report {
     std::fs::remove_dir_all(&dir).ok();
 
     let report = Report {
-        deck: format!("weibel {grid}x{grid}x{grid} ppc={ppc}"),
+        deck: format!("weibel {GRID}x{GRID}x{GRID} ppc={PPC}"),
         particles,
         steps: steps as u64,
         tile_cells,

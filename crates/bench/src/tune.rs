@@ -3,7 +3,7 @@
 //! For each deck (Weibel, laser-plasma) this target:
 //!
 //! 1. seeds a tuner with the cache-model prior for the modelled platform
-//!    (`TUNE_PLATFORM`, default `EPYC 7763`) and lets it run its
+//!    ([`PLATFORM`]) and lets it run its
 //!    explore/commit loop live on this host;
 //! 2. sweeps **every** arm of the same configuration space as a fixed
 //!    config (the ablation), measuring each the same way;
@@ -11,10 +11,11 @@
 //!    protocol and reports `ratio = tuned / best-fixed` — the paper-style
 //!    acceptance number (converged when ≤ 1.10).
 //!
-//! Knobs (all env vars, for CI's short-budget smoke run):
+//! Knobs (env vars, for CI's short-budget smoke run):
 //! `TUNE_EPOCH_STEPS` (default 12), `TUNE_SWEEP_STEPS` (default 50,
-//! covers the longest sort interval), `TUNE_PLATFORM`.
+//! covers the longest sort interval).
 
+use crate::env_usize;
 use pk::Serial;
 use serde::Serialize;
 use tuner::{config_space, prior, Config, Tuner};
@@ -23,6 +24,9 @@ use vpic_core::{Deck, Simulation, TuneDriver};
 /// Tile parameter for the tiled-strided arms (CPU rule: thread count;
 /// this is a small-deck host run, so a modest tile).
 const TILE: usize = 16;
+
+/// The Table-1 platform whose modelled cache seeds the tuner's prior.
+const PLATFORM: &str = "EPYC 7763";
 
 /// One fixed configuration's sweep measurement.
 #[derive(Serialize)]
@@ -70,10 +74,6 @@ pub struct Report {
     pub decks: Vec<DeckReport>,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 /// Windows per fixed-config measurement; the minimum is reported.
 /// Wall-clock noise is one-sided (preemption only slows a window down),
 /// so min-of-N is the sharper estimate of an arm's true cost.
@@ -101,11 +101,10 @@ fn measure_fixed(build: &dyn Fn() -> Simulation, cfg: &Config, steps: usize) -> 
     best
 }
 
-fn run_deck(name: &str, build: &dyn Fn() -> Simulation, platform_name: &str) -> DeckReport {
+fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
     let epoch_steps = env_usize("TUNE_EPOCH_STEPS", 12);
     let sweep_steps = env_usize("TUNE_SWEEP_STEPS", 50);
-    let platform = memsim::platform::by_name(platform_name)
-        .unwrap_or_else(|| panic!("unknown TUNE_PLATFORM {platform_name:?}"));
+    let platform = memsim::platform::by_name(PLATFORM).expect("a Table-1 platform");
 
     let probe = build();
     let cells = probe.grid.cells();
@@ -155,7 +154,7 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation, platform_name: &str) -> 
     let report = DeckReport {
         deck: name.to_string(),
         cells: cells as u64,
-        platform: platform_name.to_string(),
+        platform: PLATFORM.to_string(),
         prior_unsorted,
         epoch_steps: epoch_steps as u64,
         epochs: driver.epochs(),
@@ -167,7 +166,7 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation, platform_name: &str) -> 
         sweep,
     };
     println!(
-        "tune[{name}]: prior({platform_name}, {cells} cells) → {}; {} epochs",
+        "tune[{name}]: prior({PLATFORM}, {cells} cells) → {}; {} epochs",
         if report.prior_unsorted { "start unsorted" } else { "start sorting" },
         report.epochs,
     );
@@ -181,14 +180,13 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation, platform_name: &str) -> 
 
 /// Run the tuner-vs-sweep comparison on both decks.
 pub fn run() -> Report {
-    let platform = std::env::var("TUNE_PLATFORM").unwrap_or_else(|_| "EPYC 7763".into());
     type DeckBuilder = Box<dyn Fn() -> Simulation>;
     let decks: Vec<(&str, DeckBuilder)> = vec![
         ("weibel", Box::new(|| Deck::weibel(8, 8, 8, 6, 0.4).build())),
         ("lpi", Box::new(|| Deck::lpi(16, 8, 8, 4).build())),
     ];
     Report {
-        decks: decks.iter().map(|(name, build)| run_deck(name, build.as_ref(), &platform)).collect(),
+        decks: decks.iter().map(|(name, build)| run_deck(name, build.as_ref())).collect(),
     }
 }
 

@@ -824,7 +824,7 @@ impl MultiRankSim {
     /// them (module docs). The result does not depend on `space`.
     pub fn step_on<S: ExecSpace>(&mut self, space: &S) -> (PushStats, MigrationStats, StepTiming) {
         let ranks = self.ranks.len();
-        let _span = telemetry::hspan("cluster.exchange").arg("ranks", ranks).arg("step", self.step);
+        let _span = telemetry::span("cluster.exchange").arg("ranks", ranks).arg("step", self.step);
         let drive = self.laser.as_ref().map(|l| (l.plane, l.drive_at(self.step, self.global().dt)));
         let Self { ranks, published, plans, network, gpu, .. } = self;
         let (plans, net, gpu) = (&plans[..], &*network, gpu.as_ref());

@@ -504,8 +504,28 @@ impl Simulation {
         if grid.nx == 0 || grid.ny == 0 || grid.nz == 0 {
             return Err(RestoreError::SchemaDrift("grid has zero cells".into()));
         }
-        let cells = grid.cells();
-        let mut sim = Simulation::new(grid.clone());
+        // the header's cell count sizes every allocation below, so it must
+        // first match the field arrays the container really carries
+        let mut f = snap.section("fields")?;
+        let mut fields: [Vec<f32>; 9] = Default::default();
+        for arr in &mut fields {
+            *arr = f.get_f32s()?;
+        }
+        f.finish()?;
+        let cells = grid.nx.checked_mul(grid.ny).and_then(|c| c.checked_mul(grid.nz));
+        let names = ["ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz"];
+        for (name, arr) in names.iter().zip(&fields) {
+            if cells != Some(arr.len()) {
+                return Err(RestoreError::SchemaDrift(format!(
+                    "field {name} has {} values for a {}x{}x{} grid",
+                    arr.len(),
+                    grid.nx,
+                    grid.ny,
+                    grid.nz
+                )));
+            }
+        }
+        let mut sim = Simulation::new(grid);
 
         let mut s = snap.section("sim")?;
         sim.step = s.get_u64()?;
@@ -527,35 +547,10 @@ impl Simulation {
         // (replica count is bit-visible in deposition order)
         sim.configure_scatter(scatter_workers, scatter_mode);
 
-        let mut f = snap.section("fields")?;
-        sim.fields.ex = f.get_f32s()?;
-        sim.fields.ey = f.get_f32s()?;
-        sim.fields.ez = f.get_f32s()?;
-        sim.fields.bx = f.get_f32s()?;
-        sim.fields.by = f.get_f32s()?;
-        sim.fields.bz = f.get_f32s()?;
-        sim.fields.jx = f.get_f32s()?;
-        sim.fields.jy = f.get_f32s()?;
-        sim.fields.jz = f.get_f32s()?;
-        f.finish()?;
-        for (name, arr) in [
-            ("ex", &sim.fields.ex),
-            ("ey", &sim.fields.ey),
-            ("ez", &sim.fields.ez),
-            ("bx", &sim.fields.bx),
-            ("by", &sim.fields.by),
-            ("bz", &sim.fields.bz),
-            ("jx", &sim.fields.jx),
-            ("jy", &sim.fields.jy),
-            ("jz", &sim.fields.jz),
-        ] {
-            if arr.len() != cells {
-                return Err(RestoreError::SchemaDrift(format!(
-                    "field {name} has {} values for {cells} cells",
-                    arr.len()
-                )));
-            }
-        }
+        let [ex, ey, ez, bx, by, bz, jx, jy, jz] = fields;
+        let fl = &mut sim.fields;
+        (fl.ex, fl.ey, fl.ez, fl.bx, fl.by, fl.bz, fl.jx, fl.jy, fl.jz) =
+            (ex, ey, ez, bx, by, bz, jx, jy, jz);
 
         let mut sp = snap.section("species")?;
         let n_species = sp.get_usize()?;
@@ -861,6 +856,47 @@ mod tests {
             }
             other => panic!("tampered energy must be SchemaDrift, got {:?}", other.err()),
         }
+    }
+
+    /// `bytes` rebuilt with the grid section claiming `dims` cells.
+    fn regridded(bytes: &[u8], dims: [usize; 3]) -> Vec<u8> {
+        let snap = Snapshot::from_bytes(bytes).unwrap();
+        let mut out = Writer::new();
+        for name in snap.section_names() {
+            let mut r = snap.section(name).unwrap();
+            let s = out.section(name);
+            if name == "grid" {
+                for d in dims {
+                    r.get_usize().unwrap();
+                    s.put_usize(d);
+                }
+            }
+            s.put_raw(r.take_rest());
+        }
+        out.to_bytes()
+    }
+
+    fn assert_field_drift(bytes: &[u8]) {
+        match Simulation::restore_bytes(bytes) {
+            Err(RestoreError::SchemaDrift(msg)) => {
+                assert!(msg.contains("field ex"), "unexpected drift message: {msg}")
+            }
+            other => panic!("a grid the fields do not fill must drift, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn oversized_grid_claim_is_rejected_before_allocating() {
+        // 4096³ cells over 216-cell fields: building first would ask the
+        // allocator for terabytes and abort
+        let bytes = weibel().checkpoint_bytes();
+        assert_field_drift(&regridded(&bytes, [4096; 3]));
+    }
+
+    #[test]
+    fn grid_claim_overflowing_usize_is_rejected() {
+        let bytes = weibel().checkpoint_bytes();
+        assert_field_drift(&regridded(&bytes, [1 << 22; 3]));
     }
 
     #[test]

@@ -353,13 +353,13 @@ impl Simulation {
     }
 
     fn step_inner<S: ExecSpace>(&mut self, space: &S) -> PushStats {
-        let _step_span = telemetry::hspan("sim.step")
+        let _step_span = telemetry::span("sim.step")
             .arg("step", self.step)
             .arg("space", space.name())
             .arg("tiled", self.is_tiled() as u64);
         // periodic sort, as VPIC decks schedule it
         if let Some(order) = self.consume_due_sort() {
-            let _s = telemetry::hspan("sim.sort").arg("order", order);
+            let _s = telemetry::span("sim.sort").arg("order", order);
             let t0 = telemetry::now_ns();
             let mut moved = 0u64;
             for s in &mut self.species {
@@ -401,11 +401,11 @@ impl Simulation {
     /// SoA arrays. Deposits land in the accumulator either way.
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
         {
-            let _s = telemetry::hspan("sim.interpolate");
+            let _s = telemetry::span("sim.interpolate");
             load_interpolators_into(space, self.strategy, &self.fields, &mut self.interp);
             self.charge_grid_stream(space, "interpolate", INTERP_STREAM_BYTES, INTERP_FLOPS);
         }
-        let _s = telemetry::hspan("sim.push").arg("species", self.species.len());
+        let _s = telemetry::span("sim.push").arg("species", self.species.len());
         self.fields.clear_j_on(space);
         self.charge_grid_stream(space, "clear_j", CLEAR_J_BYTES, 0.0);
         self.acc.reset();
@@ -449,12 +449,12 @@ impl Simulation {
     /// and the leapfrog field advance.
     fn unload_and_advance<S: ExecSpace>(&mut self, space: &S) {
         {
-            let _s = telemetry::hspan("sim.accumulate");
+            let _s = telemetry::span("sim.accumulate");
             self.acc.unload_on(space, self.strategy, &mut self.fields);
             self.charge_grid_stream(space, "accumulate", UNLOAD_BYTES, UNLOAD_FLOPS);
         }
         {
-            let _s = telemetry::hspan("sim.field_solve");
+            let _s = telemetry::span("sim.field_solve");
             // laser antenna: driven current on the injection plane
             if let Some(l) = &self.laser {
                 let drive = l.drive_at(self.step, self.grid.dt);
@@ -581,7 +581,7 @@ impl Simulation {
     /// accumulator into J. Must run after every rank-boundary partial
     /// has been merged via [`Simulation::acc_set_cell_raw`].
     pub fn unload_currents(&mut self) {
-        let _s = telemetry::hspan("sim.accumulate");
+        let _s = telemetry::span("sim.accumulate");
         self.acc.unload_on(&Serial, self.strategy, &mut self.fields);
     }
 

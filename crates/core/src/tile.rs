@@ -667,7 +667,6 @@ impl TileEngine {
         let hot_raw: u64 =
             self.slots.iter().map(|s| raw_size(s.body.len()) as u64).sum();
         self.stats.peak_hot_raw_bytes = self.stats.peak_hot_raw_bytes.max(hot_raw);
-        telemetry::gauge_set!("tile.hot.raw_bytes", hot_raw as i64);
         stats
     }
 }

@@ -254,9 +254,10 @@ mod tests {
 
     #[test]
     fn saturated_event_shard_does_not_stretch_the_exploration() {
-        // a profiled run stops recording at 2^18 events per shard and only
-        // counts drops from then on; an epoch's numbers come from the clock
-        // around the step, so each arm is still scored after one epoch
+        // past 2^18 events a profiled run's shard evicts its oldest event
+        // for each new one and counts the drop; an epoch's numbers come
+        // from the clock around the step, so each arm is still scored
+        // after one epoch
         let was_enabled = telemetry::enabled();
         telemetry::set_enabled(true);
         for _ in 0..=(1u32 << 18) {

@@ -172,7 +172,6 @@ impl WorkerPool {
             })
             .collect();
         telemetry::count("pk.pool.created", 1);
-        telemetry::gauge_set!("pk.pool.lanes", lanes as i64);
         WorkerPool { shared, dispatch: Mutex::new(()), handles, lanes }
     }
 
@@ -224,13 +223,10 @@ impl WorkerPool {
             let _span =
                 telemetry::span("pk.pool.dispatch").arg("lanes", self.lanes).arg("kernel", kernel);
             let lane_label = &lane_label;
-            let t0 = telemetry::now_ns();
-            let panicked = self.run_inner(&move |lane| {
+            self.run_inner(&move |lane| {
                 let _busy = telemetry::lane_span(lane_label.clone(), lane);
                 task(lane);
-            });
-            telemetry::hist!("pk.pool.dispatch.ns", telemetry::now_ns().saturating_sub(t0));
-            panicked
+            })
         };
         if panicked_lanes > 0 {
             telemetry::count("pk.pool.worker_panics", panicked_lanes as u64);

@@ -42,7 +42,7 @@ pub fn sort_pairs_in<V: Copy, S: ExecSpace>(
     keys: &mut [u32],
     values: &mut [V],
 ) {
-    let _s = telemetry::hspan("psort.sort_pairs")
+    let _s = telemetry::span("psort.sort_pairs")
         .arg("order", order)
         .arg("n", keys.len())
         .arg("space", space.name());

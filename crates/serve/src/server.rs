@@ -31,7 +31,7 @@ use pk::Threads;
 use psort::SortOrder;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use telemetry::{gauge_set, hist};
+use telemetry::hist;
 use tuner::{Config, Tuner};
 use vpic_core::{Simulation, TuneDriver};
 use vsimd::Strategy;
@@ -138,9 +138,6 @@ pub struct ServePolicy {
     pub quantum: u32,
     /// Epoch length (steps) for tuned tenants.
     pub tuner_epoch: usize,
-    /// Record per-tenant `serve.job.*` histograms in addition to the
-    /// fleet-wide ones.
-    pub per_job_metrics: bool,
 }
 
 impl Default for ServePolicy {
@@ -152,7 +149,6 @@ impl Default for ServePolicy {
             pools: vec![4, 2],
             quantum: 4,
             tuner_epoch: 3,
-            per_job_metrics: true,
         }
     }
 }
@@ -225,9 +221,6 @@ struct Job {
     started: bool,
     last_scheduled: u64,
     last_pool: Option<usize>,
-    step_hist: &'static telemetry::Histogram,
-    wait_hist: &'static telemetry::Histogram,
-    preempt_hist: &'static telemetry::Histogram,
 }
 
 impl Job {
@@ -356,15 +349,9 @@ impl Server {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let hist_name = |kind: &str| -> &'static telemetry::Histogram {
-            telemetry::histogram(&format!("serve.job.{}.{kind}", spec.name))
-        };
         self.jobs.insert(
             id,
             Job {
-                step_hist: hist_name("step.ns"),
-                wait_hist: hist_name("wait.ns"),
-                preempt_hist: hist_name("preempt.ns"),
                 spec,
                 state: State::Fresh,
                 steps_done: 0,
@@ -376,7 +363,6 @@ impl Server {
             },
         );
         telemetry::count("serve.jobs.admitted", 1);
-        gauge_set!("serve.jobs.active", self.active_jobs() as i64);
         Ok(JobId(id))
     }
 
@@ -429,7 +415,6 @@ impl Server {
                 j.last_scheduled = self.round;
             }
         }
-        gauge_set!("serve.jobs.active", self.active_jobs() as i64);
         self.jobs.values().any(Job::runnable)
     }
 
@@ -494,7 +479,6 @@ impl Server {
         }
         let pool = self.pools[pool_idx].clone();
         let quantum = self.policy.quantum.max(1);
-        let per_job = self.policy.per_job_metrics && telemetry::enabled();
         let Some(job) = self.jobs.get_mut(&id) else { return };
         if job.last_pool.is_some_and(|p| p != pool_idx) {
             telemetry::count("serve.migrations", 1);
@@ -502,11 +486,7 @@ impl Server {
         job.last_pool = Some(pool_idx);
         if !job.started {
             job.started = true;
-            let wait = telemetry::now_ns().saturating_sub(job.admitted_ns);
-            hist!("serve.queue_wait.ns", wait);
-            if per_job {
-                job.wait_hist.record(wait);
-            }
+            hist!("serve.queue_wait.ns", telemetry::now_ns().saturating_sub(job.admitted_ns));
         }
         let State::Resident(sim) = &mut job.state else { return };
         let mut failure: Option<String> = None;
@@ -527,9 +507,6 @@ impl Server {
                     job.steps_done += 1;
                     stepped += 1;
                     hist!("serve.step.ns", dt);
-                    if per_job {
-                        job.step_hist.record(dt);
-                    }
                 }
                 Ok(Err(e)) => {
                     failure = Some(e.to_string());
@@ -605,11 +582,7 @@ impl Server {
                 let t0 = telemetry::now_ns();
                 match Simulation::restore_bytes(&blob) {
                     Ok(sim) => {
-                        let dt = telemetry::now_ns().saturating_sub(t0);
-                        hist!("serve.preempt.ns", dt);
-                        if self.policy.per_job_metrics && telemetry::enabled() {
-                            job.preempt_hist.record(dt);
-                        }
+                        hist!("serve.preempt.ns", telemetry::now_ns().saturating_sub(t0));
                         telemetry::count("serve.preempt.unparks", 1);
                         job.state = State::Resident(Box::new(sim));
                     }
@@ -625,28 +598,19 @@ impl Server {
                 return false;
             }
         }
-        gauge_set!(
-            "serve.jobs.resident",
-            self.jobs.values().filter(|j| matches!(j.state, State::Resident(_))).count() as i64
-        );
         true
     }
 
     /// Park a resident job to a checkpoint blob (the preemption write
     /// half). A panic inside checkpointing quarantines the job.
     fn park_job(&mut self, id: u64) {
-        let per_job = self.policy.per_job_metrics && telemetry::enabled();
         let Some(job) = self.jobs.get_mut(&id) else { return };
         let State::Resident(sim) = &mut job.state else { return };
         let t0 = telemetry::now_ns();
         let blob = catch_unwind(AssertUnwindSafe(|| sim.checkpoint_bytes()));
         match blob {
             Ok(blob) => {
-                let dt = telemetry::now_ns().saturating_sub(t0);
-                hist!("serve.preempt.ns", dt);
-                if per_job {
-                    job.preempt_hist.record(dt);
-                }
+                hist!("serve.preempt.ns", telemetry::now_ns().saturating_sub(t0));
                 telemetry::count("serve.preempt.parks", 1);
                 job.state = State::Parked(blob);
             }
@@ -854,7 +818,6 @@ mod tests {
             pools: vec![2, 1],
             quantum: 2,
             tuner_epoch: 2,
-            per_job_metrics: false,
         })
     }
 
@@ -978,6 +941,27 @@ mod tests {
         assert!(srv.parked_blob_mut(id).is_some());
         let report = srv.run_until_done(100);
         assert_eq!(report.completed, 1);
+    }
+
+    #[test]
+    fn distinct_job_names_register_no_metrics() {
+        // a registered histogram lives as long as the process, so a
+        // metric keyed by tenant name would grow with every new tenant
+        let was = telemetry::enabled();
+        telemetry::set_enabled(true);
+        let mut srv = small_server(1);
+        for i in 0..8 {
+            srv.submit(tiny_spec(&format!("leak-probe-{i}"), 3)).unwrap();
+        }
+        let report = srv.run_until_done(100);
+        telemetry::set_enabled(was);
+        assert_eq!(report.completed, 8);
+        let per_job: Vec<String> = telemetry::metrics_snapshot()
+            .hists
+            .into_keys()
+            .filter(|k| k.starts_with("serve.job."))
+            .collect();
+        assert!(per_job.is_empty(), "{} per-job histograms: {per_job:?}", per_job.len());
     }
 
     #[test]

@@ -107,9 +107,8 @@ pub fn format_summary(stats: &[SpanStat]) -> String {
     out
 }
 
-/// Render the streaming-metrics table (histograms with count/mean/p50/
-/// p95/p99, then gauges), name-ordered. Empty string when nothing was
-/// recorded.
+/// Render the histogram table (count/mean/p50/p95/p99), name-ordered.
+/// Empty string when nothing was recorded.
 pub fn format_metrics(metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
     if !metrics.hists.is_empty() {
@@ -129,21 +128,6 @@ pub fn format_metrics(metrics: &MetricsSnapshot) -> String {
                 h.percentile(50.0),
                 h.percentile(95.0),
                 h.percentile(99.0),
-            );
-        }
-    }
-    if !metrics.gauges.is_empty() {
-        let name_w = metrics.gauges.keys().map(|n| n.len()).max().unwrap_or(5).max(5);
-        let _ = writeln!(
-            out,
-            "{:<name_w$} {:>12} {:>12} {:>12} {:>10}",
-            "gauge", "value", "min", "max", "sets"
-        );
-        for (name, g) in &metrics.gauges {
-            let _ = writeln!(
-                out,
-                "{:<name_w$} {:>12} {:>12} {:>12} {:>10}",
-                name, g.value, g.min, g.max, g.sets
             );
         }
     }
@@ -252,7 +236,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
 }
 
 /// Render a snapshot as machine-readable summary JSON: counters, per-span
-/// stats, streaming histograms/gauges, and the dropped-event count.
+/// stats, streaming histograms, and the dropped-event count.
 pub fn summary_json(snap: &Snapshot) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"dropped_events\": {},", snap.dropped_events);
@@ -310,92 +294,7 @@ pub fn summary_json(snap: &Snapshot) -> String {
     if !snap.metrics.hists.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("],\n  \"gauges\": [");
-    for (i, (name, g)) in snap.metrics.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{}\", \"value\": {}, \"min\": {}, \"max\": {}, \"sets\": {}}}",
-            esc(name),
-            g.value,
-            g.min,
-            g.max,
-            g.sets,
-        );
-    }
-    if !snap.metrics.gauges.is_empty() {
-        out.push_str("\n  ");
-    }
     out.push_str("]\n}\n");
-    out
-}
-
-/// Sanitize a metric name for the Prometheus exposition format
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other character becomes `_`, and a
-/// leading digit gets a `_` prefix.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            if i == 0 && c.is_ascii_digit() {
-                out.push('_');
-            }
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
-/// Render a snapshot in the Prometheus text exposition format: counters
-/// as `counter`, span stats as `summary` (quantiles 0.5/0.95/0.99),
-/// streaming histograms as cumulative-`le` `histogram`, gauges as
-/// `gauge`. Pure function of the snapshot — byte-identical for fixed
-/// input, like every other exporter here.
-pub fn prometheus_text(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        let n = prom_name(name);
-        let _ = writeln!(out, "# TYPE {n}_total counter");
-        let _ = writeln!(out, "{n}_total {v}");
-    }
-    for s in aggregate(&snap.events) {
-        let n = format!("{}_ns", prom_name(&s.name));
-        let _ = writeln!(out, "# TYPE {n} summary");
-        let _ = writeln!(out, "{n}{{quantile=\"0.5\"}} {}", s.p50_ns);
-        let _ = writeln!(out, "{n}{{quantile=\"0.95\"}} {}", s.p95_ns);
-        let _ = writeln!(out, "{n}{{quantile=\"0.99\"}} {}", s.p99_ns);
-        let _ = writeln!(out, "{n}_sum {}", s.total_ns);
-        let _ = writeln!(out, "{n}_count {}", s.count);
-    }
-    for (name, h) in &snap.metrics.hists {
-        let n = prom_name(name);
-        let _ = writeln!(out, "# TYPE {n} histogram");
-        let mut cum = 0u64;
-        for (&idx, &c) in &h.buckets {
-            cum += c;
-            // `le` is the bucket's exclusive ceiling: with integer
-            // samples, every value in bucket `idx` is ≤ floor(idx+1) − 1
-            // < floor(idx+1), so the cumulative count is exact
-            let le = crate::metrics::bucket_floor(idx as usize + 1);
-            let _ = writeln!(out, "{n}_bucket{{le=\"{le}\"}} {cum}");
-        }
-        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "{n}_sum {}", h.sum);
-        let _ = writeln!(out, "{n}_count {}", h.count);
-    }
-    for (name, g) in &snap.metrics.gauges {
-        let n = prom_name(name);
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        let _ = writeln!(out, "{n} {}", g.value);
-        let _ = writeln!(out, "{n}_min {}", g.min);
-        let _ = writeln!(out, "{n}_max {}", g.max);
-    }
-    let _ = writeln!(out, "# TYPE telemetry_dropped_events_total counter");
-    let _ = writeln!(out, "telemetry_dropped_events_total {}", snap.dropped_events);
     out
 }
 
@@ -510,11 +409,7 @@ mod tests {
             h.sum += v;
             *h.buckets.entry(crate::metrics::bucket_index(v) as u32).or_insert(0) += 1;
         }
-        m.hists.insert("sim.step".to_string(), h);
-        m.gauges.insert(
-            "pk.pool.lanes".to_string(),
-            crate::metrics::GaugeData { value: 4, min: 1, max: 4, sets: 3 },
-        );
+        m.hists.insert("serve.queue_wait.ns".to_string(), h);
         m
     }
 
@@ -543,50 +438,8 @@ mod tests {
         assert!(a.contains("\"name\": \"sim.push::lane\", \"count\": 2, \"total_ns\": 12900"));
         // streaming metrics render alongside the span stats
         assert!(a.contains("\"hists\": ["));
+        assert!(a.contains("\"name\": \"serve.queue_wait.ns\", \"count\": 5, \"sum\": 7900"));
         assert!(a.contains("\"p99\": "));
-        assert!(a.contains("\"name\": \"pk.pool.lanes\", \"value\": 4, \"min\": 1, \"max\": 4"));
-    }
-
-    #[test]
-    fn prometheus_text_is_byte_deterministic_and_shaped() {
-        let snap = synthetic_snapshot();
-        let a = prometheus_text(&snap);
-        assert_eq!(a, prometheus_text(&snap), "fixed snapshot must render identically");
-        // counters with the _total convention
-        assert!(a.contains("# TYPE sim_particles_pushed_total counter"));
-        assert!(a.contains("sim_particles_pushed_total 16384"));
-        // spans as summaries with sanitized names (colons are legal)
-        assert!(a.contains("# TYPE sim_push::lane_ns summary"));
-        assert!(a.contains("sim_step_ns{quantile=\"0.99\"} 9500"));
-        // histograms as cumulative le buckets ending at +Inf
-        assert!(a.contains("# TYPE sim_step histogram"));
-        assert!(a.contains("_bucket{le=\"+Inf\"} 5"));
-        assert!(a.contains("sim_step_count 5"));
-        // gauges with watermarks
-        assert!(a.contains("# TYPE pk_pool_lanes gauge"));
-        assert!(a.contains("pk_pool_lanes 4"));
-        assert!(a.contains("pk_pool_lanes_max 4"));
-        assert!(a.contains("telemetry_dropped_events_total 0"));
-    }
-
-    #[test]
-    fn prometheus_histogram_buckets_are_cumulative() {
-        let snap = synthetic_snapshot();
-        let out = prometheus_text(&snap);
-        let counts: Vec<u64> = out
-            .lines()
-            .filter(|l| l.starts_with("sim_step_bucket"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-            .collect();
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "le counts must be monotone");
-        assert_eq!(*counts.last().unwrap(), 5, "+Inf bucket equals total count");
-    }
-
-    #[test]
-    fn prom_name_sanitizes() {
-        assert_eq!(prom_name("sim.push::lane"), "sim_push::lane");
-        assert_eq!(prom_name("9lives"), "_9lives");
-        assert_eq!(prom_name("ok_name:x"), "ok_name:x");
     }
 
     #[test]

@@ -1,26 +1,27 @@
-//! Flight recorder: a bounded ring of the most recent span events per
-//! shard, rendered into a deterministic post-mortem report when a run
-//! dies — a worker-lane panic surfacing as `StepError::WorkerPanic`, or a
-//! checkpoint restore that fails validation — so a dead run leaves
-//! evidence instead of nothing.
+//! Flight recorder: the newest span events of every shard, rendered into
+//! a deterministic post-mortem report when a run dies — a worker-lane
+//! panic surfacing as `StepError::WorkerPanic`, or a checkpoint restore
+//! that fails validation — so a dead run leaves evidence instead of
+//! nothing.
 //!
-//! The ring rides on the span pipeline: it fills only while profiling is
-//! enabled (the same one-relaxed-load gate as everything else) and keeps
-//! recording after the main event buffers hit their cap, so the *last*
-//! moments before a crash survive even in a soak run that dropped
-//! millions of earlier events.
+//! It reads the span pipeline's own buffers: they fill only while
+//! profiling is enabled (the same one-relaxed-load gate as everything
+//! else) and evict their oldest events at the cap, so the *last* moments
+//! before a crash survive even in a soak run that dropped millions of
+//! earlier events.
 //!
 //! [`render_flight_report`] is a pure function of its snapshot —
 //! byte-identical output for fixed input, same discipline as the other
 //! exporters.
 
-use crate::registry::FlightSnapshot;
+use crate::registry::{Snapshot, FLIGHT_TAIL};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Render a [`FlightSnapshot`] as the post-mortem report text. Pure:
-/// timestamps and counts are carried in, never sampled.
-pub(crate) fn render_flight_report(context: &str, snap: &FlightSnapshot) -> String {
+/// Render a snapshot's events, counters and drop count as the post-mortem
+/// report text (its histograms are not read). Pure: timestamps and counts
+/// are carried in, never sampled.
+pub(crate) fn render_flight_report(context: &str, snap: &Snapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== vpic2 flight recorder ==");
     let _ = writeln!(out, "context: {context}");
@@ -49,22 +50,16 @@ pub(crate) fn render_flight_report(context: &str, snap: &FlightSnapshot) -> Stri
     out
 }
 
-/// The current flight report: recent-event rings merged, counters, drop
-/// totals, rendered with `context` as the headline.
-pub(crate) fn flight_report(context: &str) -> String {
-    render_flight_report(context, &crate::registry::flight_snapshot())
-}
-
-/// Write the flight report to `$PK_FLIGHT_DIR/flight-report.txt`
-/// (defaulting to the working directory) and return the path. Failures
-/// are reported on stderr, never panicked — this runs on paths that are
-/// already handling an error.
+/// Write the flight report — every shard's newest 256 events
+/// merged, counters, drop totals, with `context` as the headline — to
+/// `$PK_FLIGHT_DIR/flight-report.txt` (defaulting to the working
+/// directory) and return the path. Failures are reported on stderr, never
+/// panicked — this runs on paths that are already handling an error.
 pub fn dump_flight(context: &str) -> Option<PathBuf> {
     let dir = std::env::var("PK_FLIGHT_DIR").unwrap_or_else(|_| ".".into());
     let path = Path::new(&dir).join("flight-report.txt");
-    let write = std::fs::create_dir_all(&dir).and_then(|()| {
-        std::fs::write(&path, flight_report(context))
-    });
+    let report = render_flight_report(context, &crate::registry::newest(FLIGHT_TAIL));
+    let write = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, report));
     match write {
         Ok(()) => {
             eprintln!("flight recorder: wrote {}", path.display());
@@ -83,8 +78,8 @@ mod tests {
     use crate::registry::Event;
     use std::collections::BTreeMap;
 
-    fn synthetic() -> FlightSnapshot {
-        FlightSnapshot {
+    fn synthetic() -> Snapshot {
+        Snapshot {
             events: vec![
                 Event {
                     name: "sim.step".into(),
@@ -108,6 +103,7 @@ mod tests {
                 ("sim.particles_pushed".to_string(), 4096u64),
             ]),
             dropped_events: 3,
+            ..Snapshot::default()
         }
     }
 
@@ -131,7 +127,7 @@ mod tests {
 
     #[test]
     fn empty_ring_reports_the_gate_hint() {
-        let snap = FlightSnapshot::default();
+        let snap = Snapshot::default();
         let out = render_flight_report("nothing recorded", &snap);
         assert!(out.contains("ring_events: 0"));
         assert!(out.contains("PK_PROFILE"));

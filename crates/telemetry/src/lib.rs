@@ -6,18 +6,16 @@
 //! [`count`]er, and the resulting event stream exports as
 //!
 //! * a human-readable end-of-run summary table ([`format_summary`]),
-//! * machine-readable JSON ([`summary_json`]),
-//! * a Prometheus-style text page ([`prometheus_text`]), and
+//! * machine-readable JSON ([`summary_json`]), and
 //! * a Chrome `trace_event` file ([`chrome_trace`]) loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>, with one track per
 //!   worker lane, grouped per virtual rank.
 //!
-//! Beyond spans and counters, the crate carries *streaming metrics* —
-//! lock-free log-bucketed [`Histogram`]s and [`Gauge`]s (see
-//! [`hist!`]/[`gauge_set!`] and the `metrics` module docs) — and a
-//! *flight recorder*: a bounded ring of the most recent span events that
-//! [`dump_flight`] renders into a deterministic post-mortem report when a
-//! run dies (worker panic, failed restore).
+//! Beyond spans and counters, the crate carries lock-free log-bucketed
+//! [`Histogram`]s for samples no span carries (see [`hist!`] and the
+//! `metrics` module docs), and a *flight recorder*: [`dump_flight`]
+//! renders the newest span events into a deterministic post-mortem report
+//! when a run dies (worker panic, failed restore).
 //!
 //! ## The zero-cost-off contract
 //!
@@ -50,18 +48,13 @@ mod flight;
 mod metrics;
 mod registry;
 
-pub use export::{
-    aggregate, chrome_trace, format_metrics, format_summary, prometheus_text, summary_json,
-    SpanStat,
-};
+pub use export::{aggregate, chrome_trace, format_metrics, format_summary, summary_json, SpanStat};
 pub use flight::dump_flight;
 pub use metrics::{
-    bucket_floor, bucket_index, gauge, histogram, metrics_snapshot, Gauge, GaugeData,
-    HistData, Histogram, MetricsSnapshot,
+    bucket_floor, bucket_index, histogram, metrics_snapshot, HistData, Histogram, MetricsSnapshot,
 };
 pub use registry::{
-    counter, counters, reset, restore_counter_baselines, snapshot, Event, FlightSnapshot,
-    Snapshot,
+    counter, counters, reset, restore_counter_baselines, snapshot, Event, Snapshot,
 };
 
 use std::borrow::Cow;
@@ -174,9 +167,6 @@ struct ActiveSpan {
     track: Option<u32>,
     start_ns: u64,
     args: Vec<(&'static str, String)>,
-    /// Also feed the duration into the same-named streaming histogram on
-    /// drop ([`hspan`]).
-    hist: bool,
 }
 
 /// An RAII span guard: records one duration event on drop. Disabled spans
@@ -210,24 +200,6 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// A span whose duration also streams into the same-named histogram on
-/// drop — the phase-level instrumentation primitive: one call site yields
-/// both the trace row *and* the p50/p95/p99 distribution that the
-/// summary table and the Prometheus exporter print. Same disabled-path
-/// contract as [`span`] (one relaxed load, `None`, records nothing).
-#[inline]
-pub fn hspan(name: &'static str) -> Span {
-    if !enabled() {
-        Span(None)
-    } else {
-        let mut s = begin(Cow::Borrowed(name), "span", None);
-        if let Some(a) = s.0.as_mut() {
-            a.hist = true;
-        }
-        s
-    }
-}
-
 /// A span attributed to virtual rank `rank`: per-rank phase timing in a
 /// multi-rank lockstep driver (`cluster::multirank`). Equivalent to
 /// [`span`] with a `rank` argument, spelled as a helper so every rank
@@ -254,21 +226,13 @@ pub fn lane_span(name: impl Into<Cow<'static, str>>, lane: usize) -> Span {
         track: Some(lane as u32),
         start_ns: now_ns(),
         args: Vec::new(),
-        hist: false,
     })))
 }
 
 #[cold]
 fn begin(name: Cow<'static, str>, cat: &'static str, track: Option<u32>) -> Span {
     NAME_STACK.with(|s| s.borrow_mut().push(name.to_string()));
-    Span(Some(Box::new(ActiveSpan {
-        name,
-        cat,
-        track,
-        start_ns: now_ns(),
-        args: Vec::new(),
-        hist: false,
-    })))
+    Span(Some(Box::new(ActiveSpan { name, cat, track, start_ns: now_ns(), args: Vec::new() })))
 }
 
 impl Drop for Span {
@@ -280,16 +244,12 @@ impl Drop for Span {
                     s.borrow_mut().pop();
                 });
             }
-            let dur_ns = end.saturating_sub(a.start_ns);
-            if a.hist {
-                metrics::record_named(&a.name, dur_ns);
-            }
             registry::record(Event {
                 name: a.name.into_owned(),
                 cat: a.cat,
                 track: a.track.unwrap_or_else(current_track),
                 start_ns: a.start_ns,
-                dur_ns,
+                dur_ns: end.saturating_sub(a.start_ns),
                 args: a.args,
             });
         }
@@ -409,22 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn hspan_records_both_event_and_histogram() {
-        let _g = flag_lock();
-        let was = enabled();
-        set_enabled(true);
-        let before = histogram("test.hspan").snapshot().count;
-        {
-            let _s = hspan("test.hspan");
-            std::hint::black_box(0u64);
-        }
-        let after = histogram("test.hspan").snapshot();
-        set_enabled(was);
-        assert_eq!(after.count, before + 1, "hspan must stream its duration");
-        assert!(snapshot().events.iter().any(|e| e.name == "test.hspan"));
-    }
-
-    #[test]
     fn hist_macro_gates_on_enabled() {
         let _g = flag_lock();
         let was = enabled();
@@ -440,19 +384,6 @@ mod tests {
         let after = histogram("test.hist-macro").snapshot();
         set_enabled(was);
         assert_eq!(after.count, before + 10, "only enabled records may land");
-    }
-
-    #[test]
-    fn gauge_macro_sets_when_enabled() {
-        let _g = flag_lock();
-        let was = enabled();
-        set_enabled(true);
-        gauge_set!("test.gauge-macro", 7);
-        gauge_set!("test.gauge-macro", 3);
-        let d = gauge("test.gauge-macro").snapshot();
-        set_enabled(was);
-        assert_eq!(d.value, 3);
-        assert_eq!(d.max, 7);
     }
 
     #[test]

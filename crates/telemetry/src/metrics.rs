@@ -1,17 +1,15 @@
-//! Streaming metrics: lock-free log-bucketed histograms and gauges.
+//! Streaming metrics: lock-free log-bucketed histograms.
 //!
-//! Spans answer "*when* did this phase run and for how long"; histograms
-//! answer "what does the *distribution* of that duration look like" without
-//! storing one event per occurrence — a soak run records millions of
-//! samples into a few kilobytes of buckets. Per Ruzicka et al.
-//! (PAPERS.md), per-phase distributions (not means) are what expose
-//! backend-specific tail behavior, so the percentile surface here
-//! (p50/p95/p99) is what the `repro` targets, the tuner's cost model and
-//! the Prometheus exporter consume.
+//! Spans answer "*when* did this phase run and for how long", and the
+//! span table already prints their p50/p95/p99. Histograms are for the
+//! samples no span carries — a queue wait, a compression ratio, a
+//! migrant count, an exchange cost the overlap hid — and they hold a
+//! distribution without storing one event per sample: a soak run
+//! records millions of samples into a few kilobytes of buckets.
 //!
 //! ## Discipline (same as spans)
 //!
-//! * **Gate**: the [`hist!`]/[`gauge_set!`] macros are one relaxed atomic
+//! * **Gate**: the [`hist!`] macro is one relaxed atomic
 //!   load when profiling is off — nothing is registered, formatted, or
 //!   touched (regression-tested in `tests/overhead.rs` at ≤ 5 ns, with
 //!   the enabled path held to ≤ 50 ns).
@@ -36,7 +34,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Sub-buckets per octave as a power of two (8 → ≤12.5% relative error).
@@ -233,74 +231,6 @@ impl HistData {
     }
 }
 
-// ------------------------------------------------------------------ gauge
-
-/// A last-value gauge with min/max watermarks. `value` reflects the most
-/// recent [`Gauge::set`] (meaningful with one logical writer); `min`/`max`
-/// are commutative watermarks and stay deterministic under concurrent
-/// writers.
-pub struct Gauge {
-    value: AtomicI64,
-    min: AtomicI64,
-    max: AtomicI64,
-    sets: AtomicU64,
-}
-
-impl Gauge {
-    fn new() -> Self {
-        Gauge {
-            value: AtomicI64::new(0),
-            min: AtomicI64::new(i64::MAX),
-            max: AtomicI64::new(i64::MIN),
-            sets: AtomicU64::new(0),
-        }
-    }
-
-    /// Set the gauge. Does **not** check [`crate::enabled`] — the
-    /// `gauge_set!` macro gates before calling.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.sets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current value/min/max/update-count.
-    pub fn snapshot(&self) -> GaugeData {
-        let sets = self.sets.load(Ordering::Relaxed);
-        if sets == 0 {
-            return GaugeData::default();
-        }
-        GaugeData {
-            value: self.value.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            sets,
-        }
-    }
-
-    fn clear(&self) {
-        self.value.store(0, Ordering::Relaxed);
-        self.min.store(i64::MAX, Ordering::Relaxed);
-        self.max.store(i64::MIN, Ordering::Relaxed);
-        self.sets.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A gauge snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaugeData {
-    /// Most recent value set.
-    pub value: i64,
-    /// Smallest value ever set.
-    pub min: i64,
-    /// Largest value ever set.
-    pub max: i64,
-    /// Number of updates.
-    pub sets: u64,
-}
-
 // --------------------------------------------------------------- registry
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -308,14 +238,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 static HISTOGRAMS: OnceLock<Mutex<BTreeMap<String, &'static Histogram>>> = OnceLock::new();
-static GAUGES: OnceLock<Mutex<BTreeMap<String, &'static Gauge>>> = OnceLock::new();
 
 fn hist_registry() -> &'static Mutex<BTreeMap<String, &'static Histogram>> {
     HISTOGRAMS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn gauge_registry() -> &'static Mutex<BTreeMap<String, &'static Gauge>> {
-    GAUGES.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// Process-lifetime handle to the named histogram, registering it on
@@ -333,38 +258,17 @@ pub fn histogram(name: &str) -> &'static Histogram {
     h
 }
 
-/// Process-lifetime handle to the named gauge (see [`histogram`]).
-pub fn gauge(name: &str) -> &'static Gauge {
-    let mut reg = lock(gauge_registry());
-    if let Some(g) = reg.get(name) {
-        return g;
-    }
-    let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-    reg.insert(name.to_string(), g);
-    g
-}
-
-/// Record into a histogram by (possibly runtime-built) name without the
-/// enabled gate — the internal path for `hspan` drops, whose gate ran at
-/// span creation.
-pub(crate) fn record_named(name: &str, v: u64) {
-    histogram(name).record(v);
-}
-
-/// Every registered histogram and gauge, merged and name-ordered.
+/// Every registered histogram, merged and name-ordered.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Histogram snapshots by name.
     pub hists: BTreeMap<String, HistData>,
-    /// Gauge snapshots by name (never-set gauges omitted).
-    pub gauges: BTreeMap<String, GaugeData>,
 }
 
 impl MetricsSnapshot {
-    /// Histograms' activity since `earlier` (gauges pass through current
-    /// values — they are not cumulative).
+    /// Histograms' activity since `earlier`.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot { hists: BTreeMap::new(), gauges: self.gauges.clone() };
+        let mut out = MetricsSnapshot::default();
         for (name, h) in &self.hists {
             let d = match earlier.hists.get(name) {
                 Some(e) => h.delta_since(e),
@@ -378,29 +282,17 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshot every registered histogram and gauge.
+/// Snapshot every registered histogram.
 pub fn metrics_snapshot() -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot::default();
-    for (name, h) in lock(hist_registry()).iter() {
-        snap.hists.insert(name.clone(), h.snapshot());
-    }
-    for (name, g) in lock(gauge_registry()).iter() {
-        let data = g.snapshot();
-        if data.sets > 0 {
-            snap.gauges.insert(name.clone(), data);
-        }
-    }
-    snap
+    let reg = lock(hist_registry());
+    MetricsSnapshot { hists: reg.iter().map(|(name, h)| (name.clone(), h.snapshot())).collect() }
 }
 
-/// Zero every registered histogram and gauge in place (handles stay
-/// valid). Called by [`crate::reset`].
+/// Zero every registered histogram in place (handles stay valid).
+/// Called by [`crate::reset`].
 pub(crate) fn reset_metrics() {
     for h in lock(hist_registry()).values() {
         h.clear();
-    }
-    for g in lock(gauge_registry()).values() {
-        g.clear();
     }
 }
 
@@ -415,19 +307,6 @@ macro_rules! hist {
             static __VPIC_HIST: ::std::sync::OnceLock<&'static $crate::Histogram> =
                 ::std::sync::OnceLock::new();
             __VPIC_HIST.get_or_init(|| $crate::histogram($name)).record($value);
-        }
-    }};
-}
-
-/// Set a named gauge when profiling is enabled (same gate and per-site
-/// handle caching as [`hist!`]).
-#[macro_export]
-macro_rules! gauge_set {
-    ($name:expr, $value:expr) => {{
-        if $crate::enabled() {
-            static __VPIC_GAUGE: ::std::sync::OnceLock<&'static $crate::Gauge> =
-                ::std::sync::OnceLock::new();
-            __VPIC_GAUGE.get_or_init(|| $crate::gauge($name)).set($value);
         }
     }};
 }
@@ -504,20 +383,6 @@ mod tests {
         assert_eq!(merged.sum, sa.sum + sb.sum);
         let back = merged.delta_since(&sb);
         assert_eq!(back, sa, "delta must invert merge");
-    }
-
-    #[test]
-    fn gauge_tracks_value_and_watermarks() {
-        let g = Gauge::new();
-        assert_eq!(g.snapshot(), GaugeData::default());
-        g.set(5);
-        g.set(-3);
-        g.set(2);
-        let d = g.snapshot();
-        assert_eq!(d.value, 2);
-        assert_eq!(d.min, -3);
-        assert_eq!(d.max, 5);
-        assert_eq!(d.sets, 3);
     }
 
     #[test]

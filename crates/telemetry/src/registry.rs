@@ -1,6 +1,8 @@
 //! The global event/counter registry: sharded mutexes so concurrent
 //! worker lanes never contend on one lock, bounded so an instrumented
-//! soak run cannot grow memory without limit.
+//! soak run cannot grow memory without limit. Each shard keeps its newest
+//! [`MAX_EVENTS_PER_SHARD`] events; the flight recorder reads the newest
+//! [`FLIGHT_TAIL`] of the same buffer.
 
 use crate::metrics::MetricsSnapshot;
 use std::cell::Cell;
@@ -27,22 +29,37 @@ pub struct Event {
 
 const SHARD_COUNT: usize = 16;
 
-/// Per-shard event cap. Beyond it events are counted as dropped rather
-/// than silently vanishing (the drop count is exported).
+/// Per-shard event cap. Beyond it each new event evicts the shard's
+/// oldest, which is counted as dropped rather than silently vanishing
+/// (the drop count is exported), so the newest events — a dying run's
+/// last moments — are always kept.
 const MAX_EVENTS_PER_SHARD: usize = 1 << 18;
 
-/// Flight-recorder ring capacity per shard: the most recent span events,
-/// kept even after `MAX_EVENTS_PER_SHARD` starts dropping from the main
-/// buffer, so a post-mortem always sees the run's last moments.
-const FLIGHT_RING_PER_SHARD: usize = 256;
+/// Events per shard the flight report reads: the newest of each buffer.
+pub(crate) const FLIGHT_TAIL: usize = 256;
 
 #[derive(Default)]
 struct Shard {
-    events: Vec<Event>,
+    /// The newest events, oldest first.
+    events: VecDeque<Event>,
     counters: HashMap<&'static str, u64>,
+    /// Events evicted to keep `events` within the cap.
     dropped: u64,
-    /// Bounded ring of the most recent events (flight recorder).
-    recent: VecDeque<Event>,
+}
+
+impl Shard {
+    fn record(&mut self, event: Event) {
+        if self.events.len() == MAX_EVENTS_PER_SHARD {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
+
+    /// The newest `n` events, oldest first.
+    fn newest(&self, n: usize) -> impl Iterator<Item = &Event> {
+        self.events.iter().skip(self.events.len().saturating_sub(n))
+    }
 }
 
 static SHARDS: OnceLock<Vec<Mutex<Shard>>> = OnceLock::new();
@@ -76,19 +93,7 @@ fn my_shard() -> &'static Mutex<Shard> {
 }
 
 pub(crate) fn record(event: Event) {
-    let mut shard = lock(my_shard());
-    if shard.recent.len() == FLIGHT_RING_PER_SHARD {
-        shard.recent.pop_front();
-    }
-    if shard.events.len() < MAX_EVENTS_PER_SHARD {
-        shard.recent.push_back(event.clone());
-        shard.events.push(event);
-    } else {
-        // the main buffer is full — the *ring* still keeps the tail so a
-        // post-mortem sees the crash window, not just the drop counter
-        shard.dropped += 1;
-        shard.recent.push_back(event);
-    }
+    lock(my_shard()).record(event);
 }
 
 pub(crate) fn add_counter(name: &'static str, n: u64) {
@@ -165,29 +170,34 @@ pub struct Snapshot {
     pub events: Vec<Event>,
     /// Counter totals, name-ordered.
     pub counters: BTreeMap<String, u64>,
-    /// Events discarded because a shard hit its cap.
+    /// Events a shard evicted to stay within its cap.
     pub dropped_events: u64,
-    /// Streaming-metric snapshots (histograms and gauges), name-ordered.
+    /// Streaming histograms, name-ordered.
     pub metrics: MetricsSnapshot,
 }
 
 /// Merge every shard into one ordered [`Snapshot`] (does not reset).
 /// Counter totals include restored baselines, matching [`counter`].
 pub fn snapshot() -> Snapshot {
+    Snapshot { metrics: crate::metrics::metrics_snapshot(), ..newest(MAX_EVENTS_PER_SHARD) }
+}
+
+/// Every shard's newest `per_shard` events merged and ordered, with the
+/// counter totals and the drop count; no histograms.
+pub(crate) fn newest(per_shard: usize) -> Snapshot {
     let mut snap = Snapshot::default();
     for (k, &v) in baselines().lock().unwrap_or_else(|e| e.into_inner()).iter() {
         snap.counters.insert(k.clone(), v);
     }
     for s in shards() {
         let shard = lock(s);
-        snap.events.extend(shard.events.iter().cloned());
+        snap.events.extend(shard.newest(per_shard).cloned());
         for (&k, &v) in &shard.counters {
             *snap.counters.entry(k.to_string()).or_insert(0) += v;
         }
         snap.dropped_events += shard.dropped;
     }
     snap.events.sort_by(event_order);
-    snap.metrics = crate::metrics::metrics_snapshot();
     snap
 }
 
@@ -201,50 +211,14 @@ fn event_order(a: &Event, b: &Event) -> std::cmp::Ordering {
         .then(a.name.cmp(&b.name))
 }
 
-// --------------------------------------------------------- flight recorder
-
-/// The flight recorder's view: the most recent events (bounded ring per
-/// shard, merged and ordered), counter totals, and the drop count.
-#[derive(Debug, Clone, Default)]
-pub struct FlightSnapshot {
-    /// Ring contents, ordered like [`Snapshot::events`].
-    pub events: Vec<Event>,
-    /// Counter totals, name-ordered (baselines included).
-    pub counters: BTreeMap<String, u64>,
-    /// Events discarded from the main buffers (the ring kept recording).
-    pub dropped_events: u64,
-}
-
-/// Merge every shard's recent-event ring into one ordered
-/// [`FlightSnapshot`]. Cheap relative to [`snapshot`]: at most
-/// `256 × shards` events regardless of run length.
-pub(crate) fn flight_snapshot() -> FlightSnapshot {
-    let mut snap = FlightSnapshot::default();
-    for (k, &v) in baselines().lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        snap.counters.insert(k.clone(), v);
-    }
-    for s in shards() {
-        let shard = lock(s);
-        snap.events.extend(shard.recent.iter().cloned());
-        for (&k, &v) in &shard.counters {
-            *snap.counters.entry(k.to_string()).or_insert(0) += v;
-        }
-        snap.dropped_events += shard.dropped;
-    }
-    snap.events.sort_by(event_order);
-    snap
-}
-
-/// Clear all recorded events, counters, restored baselines, the flight
-/// ring, and every metric (histograms/gauges are zeroed in place, so
-/// cached handles stay valid).
+/// Clear all recorded events, counters, restored baselines, and every
+/// histogram (zeroed in place, so cached handles stay valid).
 pub fn reset() {
     for s in shards() {
         let mut shard = lock(s);
         shard.events.clear();
         shard.counters.clear();
         shard.dropped = 0;
-        shard.recent.clear();
     }
     baselines().lock().unwrap_or_else(|e| e.into_inner()).clear();
     crate::metrics::reset_metrics();
@@ -308,22 +282,33 @@ mod tests {
 
     #[test]
     fn flight_ring_keeps_the_most_recent_events() {
-        let n = FLIGHT_RING_PER_SHARD + 10;
+        let n = FLIGHT_TAIL + 10;
         for i in 0..n {
             record(ev("registry.test.flight", i as u64, 1));
         }
-        let fs = flight_snapshot();
+        let fs = newest(FLIGHT_TAIL);
         let mine: Vec<_> =
             fs.events.iter().filter(|e| e.name == "registry.test.flight").collect();
-        assert!(mine.len() <= FLIGHT_RING_PER_SHARD, "ring must stay bounded");
+        assert!(mine.len() <= FLIGHT_TAIL, "the flight tail must stay bounded");
         assert!(
             mine.iter().any(|e| e.start_ns == (n - 1) as u64),
-            "the newest event must survive eviction"
+            "the newest event must be in the tail"
         );
-        assert!(
-            !mine.iter().any(|e| e.start_ns == 0),
-            "the oldest overflow event must have been evicted"
-        );
+        assert!(!mine.iter().any(|e| e.start_ns == 0), "the oldest event must be past the tail");
+    }
+
+    #[test]
+    fn a_capped_shard_keeps_its_newest_events() {
+        let (cap, k) = (MAX_EVENTS_PER_SHARD as u64, 10);
+        let mut shard = Shard::default();
+        for i in 0..cap + k {
+            shard.record(ev("registry.test.cap", i, 1));
+        }
+        assert_eq!(shard.dropped, k);
+        let held: Vec<u64> = shard.events.iter().map(|e| e.start_ns).collect();
+        assert_eq!(held, (k..cap + k).collect::<Vec<_>>(), "the newest 2^18 stay");
+        let tail: Vec<u64> = shard.newest(FLIGHT_TAIL).map(|e| e.start_ns).collect();
+        assert_eq!(tail, (cap + k - FLIGHT_TAIL as u64..cap + k).collect::<Vec<_>>());
     }
 
     #[test]

@@ -27,7 +27,6 @@ fn policy(pools: Vec<usize>, quantum: u32) -> ServePolicy {
         pools,
         quantum,
         tuner_epoch: 2,
-        per_job_metrics: false,
     }
 }
 
