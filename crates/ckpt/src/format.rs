@@ -27,7 +27,6 @@
 
 use crate::crc32::crc32;
 use std::fmt;
-use std::io::Write;
 
 /// Leading magic of every snapshot.
 pub const MAGIC: [u8; 4] = *b"VPCK";
@@ -211,13 +210,6 @@ impl Writer {
             out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
         }
         out
-    }
-
-    /// Serialize into `w`, returning the byte count.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<u64> {
-        let bytes = self.to_bytes();
-        w.write_all(&bytes)?;
-        Ok(bytes.len() as u64)
     }
 }
 

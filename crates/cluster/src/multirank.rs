@@ -1,8 +1,9 @@
 //! Real multi-rank stepping with overlapped halo exchange (DESIGN §12).
 //!
 //! [`MultiRankSim`] drives N per-rank [`Simulation`]s through the full
-//! VPIC step. The deck is partitioned via [`Decomposition`] into per-rank
-//! grids with a one-cell halo shell; every step performs real field halo
+//! VPIC step. Any untiled simulation — a freshly built deck or a restored
+//! snapshot — is partitioned via [`Decomposition`] into per-rank grids
+//! with a one-cell halo shell; every step performs real field halo
 //! exchange and particle migration between the ranks, serialized through
 //! reusable per-link buffers, with latency and bandwidth charged through
 //! the [`NetworkModel`]. Interior field kernels run while boundary shells
@@ -54,17 +55,27 @@
 //! the local grid); every consumer reads them only after the exchange
 //! that overwrites them with the owner's canonical values, and owned
 //! cells never wrap because CFL limits motion and stencils to one cell.
+//!
+//! ## Checkpoints
+//!
+//! Because the gather is the single-rank state, a cluster snapshot is
+//! [`MultiRankSim::gather`]'s [`Simulation`] snapshot plus one `cluster`
+//! section (rank count, network, each rank's configuration). It restores
+//! at the rank count that wrote it through [`MultiRankSim::restore_bytes`],
+//! and at any other through [`MultiRankSim::new`] on
+//! [`Simulation::restore_bytes`].
 
 use crate::decompose::Decomposition;
 use crate::exchange::MigrationStats;
 use crate::network::NetworkModel;
-use ckpt::{RestoreError, Snapshot, Writer};
+use ckpt::{RestoreError, Snapshot};
 use memsim::gpu::GpuModel;
 use memsim::push::{gpu_push, PushSpec};
 use pk::ExecSpace;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use vpic_core::accumulate::SLOTS;
+use vpic_core::checkpoint::{get_config, put_config};
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
 use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
@@ -221,17 +232,6 @@ fn publish(ranks: &mut [RankState], published: &mut [Sends], halos_only: bool) {
     }
 }
 
-/// The nine component arrays of a field state: E, B, J.
-fn arrays(f: &FieldArray) -> [&Vec<f32>; 9] {
-    [&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz, &f.jx, &f.jy, &f.jz]
-}
-
-/// [`arrays`], mutably.
-fn arrays_mut(f: &mut FieldArray) -> [&mut Vec<f32>; 9] {
-    let FieldArray { ex, ey, ez, bx, by, bz, jx, jy, jz, .. } = f;
-    [ex, ey, ez, bx, by, bz, jx, jy, jz]
-}
-
 /// Which component triple a halo exchange moves.
 #[derive(Debug, Clone, Copy)]
 enum FieldSet {
@@ -241,7 +241,7 @@ enum FieldSet {
 
 impl FieldSet {
     fn of(self, f: &mut FieldArray) -> [&mut Vec<f32>; 3] {
-        let [ex, ey, ez, bx, by, bz, ..] = arrays_mut(f);
+        let [ex, ey, ez, bx, by, bz, ..] = f.arrays_mut();
         match self {
             FieldSet::E => [ex, ey, ez],
             FieldSet::B => [bx, by, bz],
@@ -673,18 +673,22 @@ pub struct MultiRankSim {
 }
 
 impl MultiRankSim {
-    /// Partition `sim` (a freshly built deck: canonical particle order,
-    /// any field state) over `ranks` ranks.
+    /// Partition `sim` — any untiled simulation, a restored one included
+    /// — over `ranks` ranks. Its array order is the canonical particle
+    /// order [`MultiRankSim::gather`] rebuilds; its step count, laser and
+    /// strategy carry over.
     ///
     /// Per-rank sims start with no sort scheduled;
     /// [`MultiRankSim::set_rank_config`] schedules one per rank, and the
     /// gathered state is bit-identical to the single-rank run either way.
     ///
     /// # Panics
-    /// Panics if the decomposition leaves any rank without cells (more
-    /// ranks than cells along an axis): such degenerate layouts are
-    /// rejected, not emulated.
+    /// Panics if `sim` is tiled (its species arrays are empty: the tile
+    /// engine holds the population), or if the decomposition leaves any
+    /// rank without cells (more ranks than cells along an axis): such
+    /// degenerate layouts are rejected, not emulated.
     pub fn new(sim: &Simulation, ranks: usize, network: NetworkModel) -> Self {
+        assert!(!sim.is_tiled(), "partitioning reads the species arrays: disable_tiling() first");
         let g = sim.grid.clone();
         let decomp =
             Decomposition::covering((g.nx, g.ny, g.nz), ranks).unwrap_or_else(|e| panic!("{e}"));
@@ -718,36 +722,25 @@ impl MultiRankSim {
             }
         }
         // copy the field state (owned and halo alike) straight from the
-        // global arrays — at t = 0 no exchange is needed
+        // global arrays: every image starts as its owner's value, so no
+        // exchange is needed before the first step
         for (st, plan) in states.iter_mut().zip(&plans) {
-            let local = arrays_mut(&mut st.sim.fields);
-            for (local, global) in local.into_iter().zip(arrays(&sim.fields)) {
+            let local = st.sim.fields.arrays_mut();
+            for (local, global) in local.into_iter().zip(sim.fields.arrays()) {
                 for (lv, &gv) in plan.local_to_global.iter().enumerate() {
                     local[lv] = global[gv as usize];
                 }
             }
         }
-        Self::assemble(decomp, network, sim.laser.clone(), plans, states, sim.step_count())
-    }
-
-    /// A fresh partition or a restore, with the published table and the pool.
-    fn assemble(
-        decomp: Decomposition,
-        network: NetworkModel,
-        laser: Option<LaserDriver>,
-        plans: Vec<RankPlan>,
-        ranks: Vec<RankState>,
-        step: u64,
-    ) -> Self {
-        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(ranks.len());
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(states.len());
         Self {
             decomp,
             network,
-            laser,
+            laser: sim.laser.clone(),
             published: plans.iter().map(Sends::for_plan).collect(),
             plans,
-            ranks,
-            step,
+            ranks: states,
+            step: sim.step_count(),
             gpu: None,
             space: pk::Threads::new(lanes),
         }
@@ -905,8 +898,8 @@ impl MultiRankSim {
         out.set_step_count(self.step);
         for (st, plan) in self.ranks.iter().zip(&self.plans) {
             // a rank's owned cells are the ones routed nowhere
-            let global = arrays_mut(&mut out.fields);
-            for (global, local) in global.into_iter().zip(arrays(&st.sim.fields)) {
+            let global = out.fields.arrays_mut();
+            for (global, local) in global.into_iter().zip(st.sim.fields.arrays()) {
                 for (lv, &gv) in plan.local_to_global.iter().enumerate() {
                     if plan.route[lv] == Route::Owned {
                         global[gv as usize] = local[lv];
@@ -918,132 +911,90 @@ impl MultiRankSim {
             let tmpl = &self.ranks[0].sim.species[si];
             let total: usize = self.ranks.iter().map(|st| st.sim.species[si].len()).sum();
             let mut s = vpic_core::Species::new(tmpl.name.clone(), tmpl.q, tmpl.m);
-            s.dx = vec![0.0; total];
-            s.dy = vec![0.0; total];
-            s.dz = vec![0.0; total];
             s.cell = vec![0; total];
-            s.ux = vec![0.0; total];
-            s.uy = vec![0.0; total];
-            s.uz = vec![0.0; total];
-            s.w = vec![0.0; total];
-            let mut seen = 0usize;
+            for arr in s.floats_mut() {
+                *arr = vec![0.0; total];
+            }
+            // each particle lands at its global load index
             for (st, plan) in self.ranks.iter().zip(&self.plans) {
-                let rs = &st.sim.species[si];
-                for p in 0..rs.len() {
-                    let id = st.ids[si][p] as usize;
-                    debug_assert!(id < total, "load index out of range");
-                    s.dx[id] = rs.dx[p];
-                    s.dy[id] = rs.dy[p];
-                    s.dz[id] = rs.dz[p];
-                    s.cell[id] = plan.local_to_global[rs.cell[p] as usize];
-                    s.ux[id] = rs.ux[p];
-                    s.uy[id] = rs.uy[p];
-                    s.uz[id] = rs.uz[p];
-                    s.w[id] = rs.w[p];
-                    seen += 1;
+                let (rs, ids) = (&st.sim.species[si], &st.ids[si]);
+                for (&id, &c) in ids.iter().zip(&rs.cell) {
+                    s.cell[id as usize] = plan.local_to_global[c as usize];
+                }
+                for (dst, src) in s.floats_mut().into_iter().zip(rs.floats()) {
+                    for (&id, &v) in ids.iter().zip(src) {
+                        dst[id as usize] = v;
+                    }
                 }
             }
-            debug_assert_eq!(seen, total, "particles conserved");
             out.add_species(s);
         }
         out
     }
 
-    /// Serialize the whole cluster — decomposition metadata, every
-    /// per-rank simulation, and the particle identity maps — into the
-    /// `ckpt` container. Everything a rank publishes is rewritten by the
-    /// next step before it is read, and the pool is host state: neither
-    /// is carried.
-    pub fn checkpoint_bytes(&mut self) -> Vec<u8> {
-        let mut w = Writer::new();
-        {
-            let m = w.section("cluster.meta");
-            m.put_u64(self.step);
-            m.put_usize(self.global().nx);
-            m.put_usize(self.global().ny);
-            m.put_usize(self.global().nz);
-            m.put_usize(self.ranks.len());
-            m.put_f64(self.network.latency);
-            m.put_f64(self.network.bandwidth);
-            m.put_bool(self.network.gpu_aware);
-            m.put_f64(self.network.staging_bw);
-            LaserDriver::put(self.laser.as_ref(), m);
+    /// Serialize the cluster: [`MultiRankSim::gather`]'s single-domain
+    /// snapshot plus one `cluster` section — the rank count, the network
+    /// model and each rank's configuration. Ids, halo shells, exchange
+    /// plans and what the ranks publish are rebuilt by
+    /// [`MultiRankSim::new`], the pool is host state, and a rank's sort
+    /// phase restarts (DESIGN §12): none of them is carried. Counts
+    /// `ckpt.bytes_written` once, for the whole container.
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        let _s = telemetry::span("ckpt.write").arg("step", self.step);
+        let mut w = self.gather().checkpoint_writer();
+        let c = w.section("cluster");
+        c.put_usize(self.ranks.len());
+        c.put_f64(self.network.latency);
+        c.put_f64(self.network.bandwidth);
+        c.put_bool(self.network.gpu_aware);
+        c.put_f64(self.network.staging_bw);
+        for s in self.ranks.iter().map(|st| &st.sim) {
+            let unsorted = tuner::Config::unsorted(s.strategy, s.scatter_mode);
+            let row = tuner::Config { order: s.sort_order, interval: s.sort_interval, ..unsorted };
+            put_config(c, &row);
         }
-        for (r, st) in self.ranks.iter_mut().enumerate() {
-            w.section(&format!("rank{r}.sim")).put_raw(&st.sim.checkpoint_bytes());
-            let ids = w.section(&format!("rank{r}.ids"));
-            ids.put_usize(st.ids.len());
-            for species_ids in &st.ids {
-                ids.put_usize(species_ids.len());
-                for &id in species_ids {
-                    ids.put_u64(id);
-                }
-            }
-        }
-        w.to_bytes()
+        let bytes = w.to_bytes();
+        telemetry::count("ckpt.bytes_written", bytes.len() as u64);
+        bytes
     }
 
     /// Restore a cluster checkpointed by
-    /// [`MultiRankSim::checkpoint_bytes`]. Exchange plans, the published
-    /// table and the pool (sized for *this* host) are rebuilt from the
-    /// decomposition.
+    /// [`MultiRankSim::checkpoint_bytes`]: the single-domain snapshot is
+    /// restored and validated first ([`Simulation::restore_bytes`]), then
+    /// partitioned over the recorded rank count, and each rank gets its
+    /// recorded configuration. To resume at another rank count, call
+    /// [`MultiRankSim::new`] on [`Simulation::restore_bytes`] of the same
+    /// bytes.
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, RestoreError> {
-        let snap = Snapshot::from_bytes(bytes)?;
-        let mut m = snap.section("cluster.meta")?;
-        let step = m.get_u64()?;
-        let nx = m.get_usize()?;
-        let ny = m.get_usize()?;
-        let nz = m.get_usize()?;
-        let nranks = m.get_usize()?;
-        let network = NetworkModel {
-            latency: m.get_f64()?,
-            bandwidth: m.get_f64()?,
-            gpu_aware: m.get_bool()?,
-            staging_bw: m.get_f64()?,
-        };
-        let laser = LaserDriver::get(&mut m)?;
-        m.finish()?;
         let drift = RestoreError::SchemaDrift;
-        // every cell is in some rank's field arrays, so a real snapshot is
-        // longer than its cell count — which bounds what the plans allocate
-        if nx.saturating_mul(ny).saturating_mul(nz) > bytes.len() {
-            return Err(drift(format!("cluster.meta: {nx}x{ny}x{nz} cells in {} B", bytes.len())));
+        let sim = Simulation::restore_bytes(bytes)?;
+        // a `tiling` section re-enables tiling, which empties the species
+        // arrays `new` partitions
+        if sim.is_tiled() {
+            return Err(drift("cluster snapshot with a tiling section: ranks run untiled".into()));
         }
-        let decomp = Decomposition::covering((nx, ny, nz), nranks)
-            .map_err(|e| drift(format!("cluster.meta: {e}")))?;
-        let global = Grid::new(nx, ny, nz);
-        let plans = build_plans(&decomp, &global);
-        let mut ranks: Vec<RankState> = Vec::with_capacity(nranks);
-        for (r, plan) in plans.iter().enumerate() {
-            let mut sim_sec = snap.section(&format!("rank{r}.sim"))?;
-            let sim = Simulation::restore_bytes(sim_sec.take_rest())?;
-            sim_sec.finish()?;
-            if sim.grid != plan.grid {
-                return Err(drift(format!("rank{r}.sim: grid {:?} is not its plan's", sim.grid)));
-            }
-            if ranks.first().is_some_and(|r0| r0.sim.species.len() != sim.species.len()) {
-                return Err(drift(format!("rank{r}.sim: species count differs from rank 0's")));
-            }
-            let mut ids_sec = snap.section(&format!("rank{r}.ids"))?;
-            let nspecies = ids_sec.get_usize()?;
-            let mut ids = Vec::new();
-            for _ in 0..nspecies {
-                let len = ids_sec.get_usize()?;
-                ids.push((0..len).map(|_| ids_sec.get_u64()).collect::<Result<Vec<_>, _>>()?);
-            }
-            ids_sec.finish()?;
-            if !ids.iter().map(Vec::len).eq(sim.species.iter().map(|s| s.len())) {
-                return Err(drift(format!("rank{r}.ids: lengths are not the species' populations")));
-            }
-            ranks.push(RankState::new(sim, ids, plan));
+        let snap = Snapshot::from_bytes(bytes)?;
+        let mut c = snap.section("cluster")?;
+        let ranks = c.get_usize()?;
+        let network = NetworkModel {
+            latency: c.get_f64()?,
+            bandwidth: c.get_f64()?,
+            gpu_aware: c.get_bool()?,
+            staging_bw: c.get_f64()?,
+        };
+        let g = &sim.grid;
+        Decomposition::covering((g.nx, g.ny, g.nz), ranks)
+            .map_err(|e| drift(format!("cluster: {e}")))?;
+        let configs = (0..ranks).map(|_| get_config(&mut c)).collect::<Result<Vec<_>, _>>()?;
+        c.finish()?;
+        if let Some(r) = configs.iter().position(|cfg| cfg.tile.is_some()) {
+            return Err(drift(format!("cluster: rank {r} has a tiled configuration")));
         }
-        for si in 0..ranks[0].ids.len() {
-            let total = ranks.iter().map(|st| st.ids[si].len()).sum::<usize>() as u64;
-            if let Some(r) = ranks.iter().position(|st| st.ids[si].iter().any(|&id| id >= total)) {
-                return Err(drift(format!("rank{r}.ids: species {si} has an id past {total}")));
-            }
+        let mut mr = Self::new(&sim, ranks, network);
+        for (r, cfg) in configs.iter().enumerate() {
+            mr.set_rank_config(r, cfg);
         }
-        Ok(Self::assemble(decomp, network, laser, plans, ranks, step))
+        Ok(mr)
     }
 }
 
@@ -1358,7 +1309,7 @@ mod tests {
                         if step == 3 {
                             // the pool is host state: it is not in the bytes
                             let snaps: Vec<Vec<u8>> =
-                                points.iter_mut().map(|mr| mr.checkpoint_bytes()).collect();
+                                points.iter().map(|mr| mr.checkpoint_bytes()).collect();
                             for (snap, w) in snaps.iter().zip(&workers) {
                                 let what = format!("{name}, {ranks} ranks, {configs:?}, {w:?}");
                                 assert!(snap == &snaps[0], "{what}: snapshot bytes");
@@ -1641,5 +1592,16 @@ mod tests {
             MultiRankSim::restore_bytes(&cut).is_err(),
             "truncation must map to a typed error, never Ok"
         );
+    }
+
+    /// A tiled simulation's species arrays are empty — the tile engine
+    /// holds the population — so partitioning it used to start every
+    /// rank empty.
+    #[test]
+    #[should_panic(expected = "disable_tiling")]
+    fn a_tiled_simulation_is_not_partitioned() {
+        let mut sim = Deck::weibel(8, 8, 8, 4, 0.3).build();
+        sim.enable_tiling(vpic_core::TilePolicy::new(64));
+        MultiRankSim::new(&sim, 2, net());
     }
 }

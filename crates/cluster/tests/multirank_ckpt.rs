@@ -1,42 +1,75 @@
 //! Property tests for multi-rank checkpoint/restart (DESIGN §12).
 //!
-//! A mid-run [`cluster::MultiRankSim`] snapshot carries the per-rank
-//! simulations and particle identity maps; exchange plans, the published
-//! table and the pool are derived or host state rebuilt on restore. The property: resuming
-//! from any mid-run snapshot is bit-identical to never having stopped,
-//! for any rank count and any checkpoint step — and any truncation of
-//! the snapshot maps to a typed error, never a silently-wrong `Ok`.
+//! A [`cluster::MultiRankSim`] snapshot is the gathered single-domain
+//! [`Simulation`] snapshot plus one `cluster` section: the rank count, the
+//! network model and each rank's configuration. Everything else — ids,
+//! halo shells, exchange plans, what the ranks publish, the pool — is
+//! rebuilt by `MultiRankSim::new`. The properties: resuming from any
+//! mid-run snapshot, at the rank count that wrote it or at any other, is
+//! bit-identical to never having stopped; and any truncation or single
+//! flipped bit maps to a typed error or to the original state, never to a
+//! silently different one.
 
 use ckpt::{RestoreError, SectionBuf, SectionReader, Snapshot, Writer};
 use cluster::{systems, MultiRankSim};
 use proptest::prelude::*;
-use vpic_core::{Deck, Simulation};
+use psort::SortOrder;
+use vpic_core::{Deck, Simulation, TilePolicy};
+
+/// Rank `r`'s configuration in these tests: scatter modes and sort
+/// schedules that differ from rank to rank, so the `cluster` section
+/// carries something a default rank would not have.
+fn config(r: usize) -> tuner::Config {
+    use pk::atomic::ScatterMode::{Atomic, Duplicated};
+    let orders = [None, Some(SortOrder::Strided), Some(SortOrder::TiledStrided { tile: 8 })];
+    tuner::Config {
+        order: orders[r % 3],
+        interval: 1 + r % 3,
+        ..tuner::Config::unsorted(vsimd::Strategy::Auto, [Atomic, Duplicated][r % 2])
+    }
+}
+
+/// `sim` over `ranks` ranks, each given [`config`].
+fn configured(sim: &Simulation, ranks: usize) -> MultiRankSim {
+    let mut mr = MultiRankSim::new(sim, ranks, systems::selene().network);
+    for r in 0..ranks {
+        mr.set_rank_config(r, &config(r));
+    }
+    mr
+}
 
 proptest! {
-    /// Checkpoint anywhere mid-run, restore, continue: the resumed
-    /// cluster gathers bit-identically to the uninterrupted one at every
-    /// subsequent step. What the ranks publish for each other never needs
-    /// to be carried — snapshots are taken between steps, and the next
-    /// step rewrites all of it before reading any.
+    /// Checkpoint anywhere mid-run on N ranks, resume on M, continue: the
+    /// resumed cluster gathers bit-identically to the uninterrupted one at
+    /// every later step. At M = N the snapshot's rank table restores each
+    /// rank's configuration; at any other M the snapshot is read as the
+    /// single-domain one it is. What the ranks publish for each other
+    /// never needs to be carried — snapshots are taken between steps, and
+    /// the next step rewrites all of it before reading any. Step
+    /// statistics are not compared across rank counts.
     #[test]
     fn midrun_checkpoint_resumes_bit_identical(
-        ranks_pow in 0usize..4,       // 1, 2, 4, 8 ranks
+        ranks_pow in 0usize..4,       // N: 1, 2, 4, 8 ranks
+        restore_pow in 0usize..4,     // M: 1, 2, 4, 8 ranks
         pre in 1usize..4,             // steps before the snapshot
         post in 1usize..4,            // steps after it
     ) {
-        let ranks = 1usize << ranks_pow;
-        let deck = Deck::weibel(8, 8, 8, 2, 0.3).build();
-        let net = systems::selene().network;
-        let mut live = MultiRankSim::new(&deck, ranks, net);
+        let (ranks, restore_ranks) = (1usize << ranks_pow, 1usize << restore_pow);
+        let mut live = configured(&Deck::weibel(8, 8, 8, 2, 0.3).build(), ranks);
         live.run(pre);
         let snap = live.checkpoint_bytes();
-        let mut resumed = MultiRankSim::restore_bytes(&snap).expect("clean snapshot restores");
+        let mut resumed = if restore_ranks == ranks {
+            MultiRankSim::restore_bytes(&snap).expect("clean snapshot restores")
+        } else {
+            let sim = Simulation::restore_bytes(&snap).expect("clean snapshot restores");
+            MultiRankSim::new(&sim, restore_ranks, systems::selene().network)
+        };
         prop_assert_eq!(resumed.step_count(), live.step_count());
-        prop_assert_eq!(resumed.ranks(), live.ranks());
+        prop_assert_eq!(resumed.ranks(), restore_ranks);
         for _ in 0..post {
             live.step();
             resumed.step();
-            assert_eq!(live.gather().bit_diff(&resumed.gather()), None);
+            prop_assert_eq!(live.gather().bit_diff(&resumed.gather()), None);
         }
     }
 
@@ -45,14 +78,14 @@ proptest! {
     #[test]
     fn truncated_snapshot_never_restores(
         ranks_pow in 0usize..3,
-        keep_frac in 0.0f64..0.999,
+        cut_at in any::<usize>(),
     ) {
         let ranks = 1usize << ranks_pow;
         let deck = Deck::weibel(8, 8, 8, 2, 0.3).build();
         let mut live = MultiRankSim::new(&deck, ranks, systems::selene().network);
         live.run(1);
         let snap = live.checkpoint_bytes();
-        let keep = ((snap.len() as f64) * keep_frac) as usize;
+        let keep = cut_at % snap.len();
         let cut = ckpt::faults::truncated(&snap, keep);
         prop_assert!(
             MultiRankSim::restore_bytes(&cut).is_err(),
@@ -60,12 +93,116 @@ proptest! {
             snap.len()
         );
     }
+
+    /// Any single flipped bit of a 2- or 4-rank snapshot is a typed
+    /// [`RestoreError`], or restores a cluster that gathers to exactly the
+    /// state that was written.
+    #[test]
+    fn bit_flipped_snapshot_is_typed_or_harmless(
+        ranks_pow in 1usize..3,
+        pos in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let mut live = configured(&Deck::weibel(8, 8, 8, 2, 0.3).build(), 1 << ranks_pow);
+        live.run(1);
+        let snap = live.checkpoint_bytes();
+        let byte = pos % snap.len();
+        let flipped = ckpt::faults::with_bit_flipped(&snap, byte, bit);
+        if let Ok(restored) = MultiRankSim::restore_bytes(&flipped) {
+            prop_assert_eq!(restored.gather().bit_diff(&live.gather()), None);
+        }
+    }
+}
+
+/// The payload of section `name`.
+fn section(bytes: &[u8], name: &str) -> Vec<u8> {
+    Snapshot::from_bytes(bytes).unwrap().section(name).unwrap().take_rest().to_vec()
+}
+
+/// One format: the sections of the gathered snapshot plus `cluster`, no
+/// larger than the two together, read by the single-domain restore as the
+/// gather itself, and carrying the rank table through a restore byte for
+/// byte.
+#[test]
+fn a_cluster_snapshot_is_the_gathered_one_plus_a_cluster_section() {
+    let names = |bytes: &[u8]| -> Vec<String> {
+        Snapshot::from_bytes(bytes).unwrap().section_names().map(String::from).collect()
+    };
+    for ranks in [1, 2, 4, 8] {
+        let mut live = configured(&Deck::weibel(8, 8, 8, 2, 0.3).build(), ranks);
+        live.run(3);
+        let snap = live.checkpoint_bytes();
+        let gathered = live.gather().checkpoint_bytes();
+        let mut expected = names(&gathered);
+        expected.push("cluster".into());
+        assert_eq!(names(&snap), expected, "{ranks} ranks");
+        // the container frames a section with its name, a u16 name length,
+        // a u64 payload length and a CRC-32
+        let table = section(&snap, "cluster");
+        let framed = 2 + "cluster".len() + 8 + table.len() + 4;
+        assert!(snap.len() <= gathered.len() + framed, "{ranks} ranks: {} B", snap.len());
+        assert!(framed < 300, "{ranks} ranks: a {framed} B cluster section");
+        let single = Simulation::restore_bytes(&snap).expect("a single-domain snapshot too");
+        assert_eq!(single.bit_diff(&live.gather()), None, "{ranks} ranks");
+        let restored = MultiRankSim::restore_bytes(&snap).expect("restore");
+        assert_eq!(section(&restored.checkpoint_bytes(), "cluster"), table, "{ranks} ranks");
+    }
+}
+
+/// The `cluster` section is the container's last, so the random cuts and
+/// flips above almost never land in it: every cut inside it is a typed
+/// error, and every single-bit flip of its payload — re-framed with a
+/// valid CRC, so the decoder itself reads it — is a typed error or
+/// restores the written state into a cluster that steps.
+#[test]
+fn every_cut_and_flip_of_the_cluster_section_is_typed_or_harmless() {
+    let mut live = configured(&Deck::weibel(4, 4, 4, 2, 0.3).build(), 4);
+    live.run(1);
+    let (snap, gathered) = (live.checkpoint_bytes(), live.gather());
+    let table = section(&snap, "cluster");
+    let framed = 2 + "cluster".len() + 8 + table.len() + 4;
+    for keep in snap.len() - framed..snap.len() {
+        let cut = ckpt::faults::truncated(&snap, keep);
+        assert!(MultiRankSim::restore_bytes(&cut).is_err(), "cut to {keep}/{} B", snap.len());
+    }
+    for bit in 0..table.len() * 8 {
+        let flipped = rebuilt(&snap, "cluster", |r, w| {
+            let mut payload = r.take_rest().to_vec();
+            payload[bit / 8] ^= 1 << (bit % 8);
+            w.put_raw(&payload);
+        });
+        if let Ok(mut restored) = MultiRankSim::restore_bytes(&flipped) {
+            assert_eq!(restored.gather().bit_diff(&gathered), None, "bit {bit}");
+            restored.step();
+        }
+    }
+}
+
+/// A single-domain checkpoint resumed on four ranks, checkpointed there
+/// and resumed on one rank again matches the run that never stopped — on
+/// the Weibel deck and on the laser-driven LPI deck.
+#[test]
+fn a_single_domain_checkpoint_resumes_on_four_ranks_and_back() {
+    let decks = [("weibel", Deck::weibel(8, 8, 8, 2, 0.3)), ("lpi", Deck::lpi(8, 4, 4, 4))];
+    for (name, deck) in decks {
+        let mut reference = deck.build();
+        let mut single = deck.build();
+        single.run(2);
+        let sim = Simulation::restore_bytes(&single.checkpoint_bytes()).expect("restore");
+        let mut four = MultiRankSim::new(&sim, 4, systems::selene().network);
+        four.run(2);
+        reference.run(4);
+        assert_eq!(four.gather().bit_diff(&reference), None, "{name} on four ranks");
+        let mut back = Simulation::restore_bytes(&four.checkpoint_bytes()).expect("restore");
+        back.run(2);
+        reference.run(2);
+        assert_eq!(back.bit_diff(&reference), None, "{name} back on one rank");
+    }
 }
 
 /// A two-rank snapshot of the 8³ deck, one step in.
 fn two_rank_snapshot() -> Vec<u8> {
-    let deck = Deck::weibel(8, 8, 8, 2, 0.3).build();
-    let mut live = MultiRankSim::new(&deck, 2, systems::selene().network);
+    let mut live = configured(&Deck::weibel(8, 8, 8, 2, 0.3).build(), 2);
     live.run(1);
     live.checkpoint_bytes()
 }
@@ -90,11 +227,10 @@ fn rebuilt(
     w.to_bytes()
 }
 
-/// The snapshot with `cluster.meta`'s extents and rank count replaced.
-fn with_meta(bytes: &[u8], extents: [usize; 3], ranks: usize) -> Vec<u8> {
-    rebuilt(bytes, "cluster.meta", |r, w| {
-        w.put_u64(r.get_u64().unwrap());
-        for n in extents.into_iter().chain([ranks]) {
+/// The snapshot with the `grid` section's extents replaced.
+fn with_extents(bytes: &[u8], extents: [usize; 3]) -> Vec<u8> {
+    rebuilt(bytes, "grid", |r, w| {
+        for n in extents {
             r.get_usize().unwrap();
             w.put_usize(n);
         }
@@ -102,18 +238,12 @@ fn with_meta(bytes: &[u8], extents: [usize; 3], ranks: usize) -> Vec<u8> {
     })
 }
 
-/// The snapshot with `rank1.ids` re-encoded from `edit`ed id lists.
-fn with_rank1_ids(bytes: &[u8], edit: impl Fn(&mut Vec<Vec<u64>>)) -> Vec<u8> {
-    rebuilt(bytes, "rank1.ids", |r, w| {
-        let mut ids: Vec<Vec<u64>> = (0..r.get_usize().unwrap())
-            .map(|_| (0..r.get_usize().unwrap()).map(|_| r.get_u64().unwrap()).collect())
-            .collect();
-        edit(&mut ids);
-        w.put_usize(ids.len());
-        for species in &ids {
-            w.put_usize(species.len());
-            species.iter().for_each(|&id| w.put_u64(id));
-        }
+/// The snapshot with the `cluster` section's rank count replaced.
+fn with_ranks(bytes: &[u8], ranks: usize) -> Vec<u8> {
+    rebuilt(bytes, "cluster", |r, w| {
+        r.get_usize().unwrap();
+        w.put_usize(ranks);
+        w.put_raw(r.take_rest());
     })
 }
 
@@ -136,30 +266,31 @@ fn self_inconsistent_cluster_snapshots_are_schema_drift() {
     let good = two_rank_snapshot();
     assert!(MultiRankSim::restore_bytes(&rebuilt(&good, "", |_, _| ())).is_ok());
 
-    // extents ≥ 1, and no more cells than the file could hold
-    assert_drift(&with_meta(&good, [0, 8, 8], 2), "cluster.meta: 2 ranks over (0, 8, 8)");
-    assert_drift(&with_meta(&good, [1 << 20; 3], 2), "cluster.meta: 1048576x");
-    assert_drift(&with_meta(&good, [usize::MAX, 2, 2], 2), "cluster.meta");
+    // extents ≥ 1, and exactly the cells the field arrays hold
+    assert_drift(&with_extents(&good, [0, 8, 8]), "grid has zero cells");
+    assert_drift(&with_extents(&good, [1 << 20; 3]), "field ex has 512 values");
+    assert_drift(&with_extents(&good, [usize::MAX, 2, 2]), "field ex");
     // 1 ≤ ranks ≤ cells
-    assert_drift(&with_meta(&good, [8, 8, 8], 0), "cluster.meta: 0 ranks");
-    assert_drift(&with_meta(&good, [8, 8, 8], 513), "cluster.meta: 513 ranks");
-    assert_drift(&with_meta(&good, [8, 8, 8], usize::MAX), "cluster.meta");
+    assert_drift(&with_ranks(&good, 0), "cluster: 0 ranks");
+    assert_drift(&with_ranks(&good, 513), "cluster: 513 ranks");
+    assert_drift(&with_ranks(&good, usize::MAX), "cluster");
     // every rank owns cells: 11 is prime and longer than any axis
-    assert_drift(&with_meta(&good, [8, 8, 8], 11), "owns no cells");
+    assert_drift(&with_ranks(&good, 11), "owns no cells");
 
-    // a rank's grid is its plan's grid
-    let other_grid = Deck::weibel(4, 4, 4, 2, 0.3).build().checkpoint_bytes();
-    assert_drift(&rebuilt(&good, "rank1.sim", |_, w| w.put_raw(&other_grid)), "rank1.sim: grid");
-    // ... and it carries rank 0's species
-    let snap = Snapshot::from_bytes(&good).unwrap();
-    let rank1 = Simulation::restore_bytes(snap.section("rank1.sim").unwrap().take_rest());
-    let grid = rank1.unwrap().grid;
-    let no_species = Simulation::new(grid).checkpoint_bytes();
-    assert_drift(&rebuilt(&good, "rank1.sim", |_, w| w.put_raw(&no_species)), "species count");
-
-    // one id per particle, per species
-    assert_drift(&with_rank1_ids(&good, |ids| ids[0].truncate(1)), "rank1.ids: lengths");
-    assert_drift(&with_rank1_ids(&good, |ids| ids.truncate(1)), "rank1.ids: lengths");
-    // every id below the species' global population
-    assert_drift(&with_rank1_ids(&good, |ids| ids[1][0] = u64::MAX), "rank1.ids: species 1");
+    // ranks run untiled: rank 1's row is the section's tail, and a row
+    // ends on its tile flag
+    let tiled_row = rebuilt(&good, "cluster", |r, w| {
+        let rest = r.take_rest();
+        w.put_raw(&rest[..rest.len() - 1]);
+        w.put_bool(true);
+        w.put_usize(64);
+        w.put_bool(true);
+    });
+    assert_drift(&tiled_row, "cluster: rank 1 has a tiled configuration");
+    // ... and so does the simulation they partition
+    let mut tiled = Deck::weibel(8, 8, 8, 2, 0.3).build();
+    tiled.enable_tiling(TilePolicy::new(64));
+    let mut w = tiled.checkpoint_writer();
+    w.section("cluster").put_raw(&section(&good, "cluster"));
+    assert_drift(&w.to_bytes(), "tiling section");
 }

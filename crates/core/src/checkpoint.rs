@@ -22,10 +22,10 @@
 //! tag, energy ledger that does not match the restored state) is
 //! [`RestoreError::SchemaDrift`], never a silently wrong simulation.
 
-use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 
+use crate::field::FieldArray;
 use crate::grid::Grid;
 use crate::push::PushStats;
 use crate::sim::{LaserDriver, Simulation};
@@ -130,18 +130,25 @@ fn put_order(b: &mut SectionBuf, order: Option<SortOrder>) {
     }
 }
 
+/// Decode what [`put_order`] wrote. A tiled-strided order with a zero
+/// tile is drift: its first sort would panic.
 fn get_order(r: &mut SectionReader<'_>) -> Result<Option<SortOrder>, RestoreError> {
     Ok(match r.get_u8()? {
         0 => None,
         1 => Some(SortOrder::Random),
         2 => Some(SortOrder::Standard),
         3 => Some(SortOrder::Strided),
-        4 => Some(SortOrder::TiledStrided { tile: r.get_usize()? }),
+        4 => match r.get_usize()? {
+            0 => return Err(RestoreError::SchemaDrift("tiled-strided sort order, tile 0".into())),
+            tile => Some(SortOrder::TiledStrided { tile }),
+        },
         t => return Err(RestoreError::SchemaDrift(format!("unknown sort-order tag {t}"))),
     })
 }
 
-fn put_config(b: &mut SectionBuf, c: &Config) {
+/// Encode one tuner configuration: sort order, interval, strategy,
+/// scatter mode and tiling.
+pub fn put_config(b: &mut SectionBuf, c: &Config) {
     put_order(b, c.order);
     b.put_usize(c.interval);
     b.put_u8(strategy_tag(c.strategy));
@@ -156,7 +163,8 @@ fn put_config(b: &mut SectionBuf, c: &Config) {
     }
 }
 
-fn get_config(r: &mut SectionReader<'_>) -> Result<Config, RestoreError> {
+/// Decode what [`put_config`] wrote.
+pub fn get_config(r: &mut SectionReader<'_>) -> Result<Config, RestoreError> {
     Ok(Config {
         order: get_order(r)?,
         interval: r.get_usize()?,
@@ -168,28 +176,6 @@ fn get_config(r: &mut SectionReader<'_>) -> Result<Config, RestoreError> {
             None
         },
     })
-}
-
-impl LaserDriver {
-    /// Encode an optional antenna: a presence flag, then plane, amplitude
-    /// and ω.
-    pub fn put(laser: Option<&Self>, b: &mut SectionBuf) {
-        b.put_bool(laser.is_some());
-        if let Some(l) = laser {
-            b.put_usize(l.plane);
-            b.put_f32(l.amplitude);
-            b.put_f32(l.omega);
-        }
-    }
-
-    /// Decode what [`LaserDriver::put`] wrote.
-    pub fn get(r: &mut SectionReader<'_>) -> Result<Option<Self>, RestoreError> {
-        Ok(if r.get_bool()? {
-            Some(Self { plane: r.get_usize()?, amplitude: r.get_f32()?, omega: r.get_f32()? })
-        } else {
-            None
-        })
-    }
 }
 
 // ---------------------------------------------------------- tuner state
@@ -315,8 +301,9 @@ impl Simulation {
     /// snapshot is taken untiled, the tile policy is recorded in a
     /// `tiling` section, and tiling is re-enabled before returning.
     /// [`Simulation::restore_from_snapshot`] re-enables tiling from the
-    /// recorded policy, so a preempted tiled job resumes tiled.
-    pub(crate) fn checkpoint_writer(&mut self) -> Writer {
+    /// recorded policy, so a preempted tiled job resumes tiled. Counts
+    /// nothing: the caller may add sections before writing.
+    pub fn checkpoint_writer(&mut self) -> Writer {
         let tile_policy = self.tile_engine().map(|e| e.policy().clone());
         if tile_policy.is_some() {
             let _s = telemetry::span("ckpt.untile").arg("step", self.step);
@@ -366,18 +353,17 @@ impl Simulation {
         s.put_usize(self.scatter_workers);
         put_order(s, self.sort_order);
         s.put_usize(self.sort_interval);
-        LaserDriver::put(self.laser.as_ref(), s);
+        s.put_bool(self.laser.is_some());
+        if let Some(l) = &self.laser {
+            s.put_usize(l.plane);
+            s.put_f32(l.amplitude);
+            s.put_f32(l.omega);
+        }
 
         let f = w.section("fields");
-        f.put_f32s(&self.fields.ex);
-        f.put_f32s(&self.fields.ey);
-        f.put_f32s(&self.fields.ez);
-        f.put_f32s(&self.fields.bx);
-        f.put_f32s(&self.fields.by);
-        f.put_f32s(&self.fields.bz);
-        f.put_f32s(&self.fields.jx);
-        f.put_f32s(&self.fields.jy);
-        f.put_f32s(&self.fields.jz);
+        for arr in self.fields.arrays() {
+            f.put_f32s(arr);
+        }
 
         let sp = w.section("species");
         sp.put_usize(self.species.len());
@@ -385,14 +371,10 @@ impl Simulation {
             sp.put_str(&s.name);
             sp.put_f32(s.q);
             sp.put_f32(s.m);
-            sp.put_f32s(&s.dx);
-            sp.put_f32s(&s.dy);
-            sp.put_f32s(&s.dz);
             sp.put_u32s(&s.cell);
-            sp.put_f32s(&s.ux);
-            sp.put_f32s(&s.uy);
-            sp.put_f32s(&s.uz);
-            sp.put_f32s(&s.w);
+            for arr in s.floats() {
+                sp.put_f32s(arr);
+            }
             put_order(sp, s.current_order());
         }
 
@@ -418,20 +400,13 @@ impl Simulation {
         w
     }
 
-    /// Serialize the checkpoint into `w`; returns bytes written. Counts
+    /// The checkpoint as an owned byte buffer. Counts
     /// `ckpt.bytes_written` and records a `ckpt.write` span.
-    pub(crate) fn checkpoint<W: Write>(&mut self, w: &mut W) -> std::io::Result<u64> {
-        let _s = telemetry::span("ckpt.write").arg("step", self.step);
-        let bytes = self.checkpoint_writer().write_to(w)?;
-        telemetry::count("ckpt.bytes_written", bytes);
-        Ok(bytes)
-    }
-
-    /// The checkpoint as an owned byte buffer.
     pub fn checkpoint_bytes(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.checkpoint(&mut out).expect("writing to a Vec cannot fail");
-        out
+        let _s = telemetry::span("ckpt.write").arg("step", self.step);
+        let bytes = self.checkpoint_writer().to_bytes();
+        telemetry::count("ckpt.bytes_written", bytes.len() as u64);
+        bytes
     }
 
     /// Write the checkpoint to `path` atomically (temp file + fsync +
@@ -488,7 +463,8 @@ impl Simulation {
     /// decoded strictly (leftover bytes, length mismatches, and unknown
     /// tags are [`RestoreError::SchemaDrift`]); the energy ledger saved
     /// at checkpoint time is recomputed from the restored state and must
-    /// match bit-for-bit.
+    /// match bit-for-bit. Sections it does not read, such as a cluster
+    /// snapshot's `cluster` section, are ignored.
     pub(crate) fn restore_from_snapshot(snap: &Snapshot) -> Result<Self, RestoreError> {
         let mut g = snap.section("grid")?;
         let grid = Grid {
@@ -513,8 +489,7 @@ impl Simulation {
         }
         f.finish()?;
         let cells = grid.nx.checked_mul(grid.ny).and_then(|c| c.checked_mul(grid.nz));
-        let names = ["ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz"];
-        for (name, arr) in names.iter().zip(&fields) {
+        for (name, arr) in FieldArray::NAMES.iter().zip(&fields) {
             if cells != Some(arr.len()) {
                 return Err(RestoreError::SchemaDrift(format!(
                     "field {name} has {} values for a {}x{}x{} grid",
@@ -535,7 +510,10 @@ impl Simulation {
         let scatter_workers = s.get_usize()?;
         sim.sort_order = get_order(&mut s)?;
         sim.sort_interval = s.get_usize()?;
-        sim.laser = LaserDriver::get(&mut s)?;
+        if s.get_bool()? {
+            let (plane, amplitude, omega) = (s.get_usize()?, s.get_f32()?, s.get_f32()?);
+            sim.laser = Some(LaserDriver { plane, amplitude, omega });
+        }
         s.finish()?;
         if scatter_workers == 0 {
             return Err(RestoreError::SchemaDrift("scatter worker count is zero".into()));
@@ -547,10 +525,9 @@ impl Simulation {
         // (replica count is bit-visible in deposition order)
         sim.configure_scatter(scatter_workers, scatter_mode);
 
-        let [ex, ey, ez, bx, by, bz, jx, jy, jz] = fields;
-        let fl = &mut sim.fields;
-        (fl.ex, fl.ey, fl.ez, fl.bx, fl.by, fl.bz, fl.jx, fl.jy, fl.jz) =
-            (ex, ey, ez, bx, by, bz, jx, jy, jz);
+        for (dst, arr) in sim.fields.arrays_mut().into_iter().zip(fields) {
+            *dst = arr;
+        }
 
         let mut sp = snap.section("species")?;
         let n_species = sp.get_usize()?;
@@ -563,33 +540,19 @@ impl Simulation {
                     "species {name:?} mass {m} is not positive"
                 )));
             }
-            let mut species = Species::new(name, q, m);
-            species.dx = sp.get_f32s()?;
-            species.dy = sp.get_f32s()?;
-            species.dz = sp.get_f32s()?;
+            let mut species = Species::new(name.clone(), q, m);
             species.cell = sp.get_u32s()?;
-            species.ux = sp.get_f32s()?;
-            species.uy = sp.get_f32s()?;
-            species.uz = sp.get_f32s()?;
-            species.w = sp.get_f32s()?;
-            let order = get_order(&mut sp)?;
             let n = species.cell.len();
-            for (arr_name, len) in [
-                ("dx", species.dx.len()),
-                ("dy", species.dy.len()),
-                ("dz", species.dz.len()),
-                ("ux", species.ux.len()),
-                ("uy", species.uy.len()),
-                ("uz", species.uz.len()),
-                ("w", species.w.len()),
-            ] {
-                if len != n {
+            for (arr_name, arr) in Species::FLOAT_NAMES.iter().zip(species.floats_mut()) {
+                *arr = sp.get_f32s()?;
+                if arr.len() != n {
                     return Err(RestoreError::SchemaDrift(format!(
-                        "species {:?}: {arr_name} has {len} values for {n} particles",
-                        species.name
+                        "species {name:?}: {arr_name} has {} values for {n} particles",
+                        arr.len()
                     )));
                 }
             }
+            let order = get_order(&mut sp)?;
             species.validate(&sim.grid).map_err(|e| {
                 RestoreError::SchemaDrift(format!("species {:?}: {e}", species.name))
             })?;
@@ -855,6 +818,18 @@ mod tests {
                 assert!(msg.contains("energy"), "unexpected drift message: {msg}")
             }
             other => panic!("tampered energy must be SchemaDrift, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn zero_tile_sort_order_is_schema_drift() {
+        // restoring it used to succeed, and the first scheduled sort
+        // then panicked on the zero tile
+        let mut sim = weibel();
+        sim.sort_order = Some(SortOrder::TiledStrided { tile: 0 });
+        match Simulation::restore_bytes(&sim.checkpoint_bytes()) {
+            Err(RestoreError::SchemaDrift(msg)) => assert!(msg.contains("tile 0"), "{msg}"),
+            other => panic!("a zero tile must be SchemaDrift, got {:?}", other.err()),
         }
     }
 

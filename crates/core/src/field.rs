@@ -220,6 +220,23 @@ impl FieldArray {
         }
     }
 
+    /// Names of the nine component arrays, in [`FieldArray::arrays`] order.
+    pub(crate) const NAMES: [&'static str; 9] =
+        ["ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz"];
+
+    /// The nine component arrays — E, then B, then J: the one table a
+    /// checkpoint, a bitwise comparison and a rank partition walk.
+    pub fn arrays(&self) -> [&[f32]; 9] {
+        let Self { ex, ey, ez, bx, by, bz, jx, jy, jz, .. } = self;
+        [ex, ey, ez, bx, by, bz, jx, jy, jz].map(Vec::as_slice)
+    }
+
+    /// The arrays of [`FieldArray::arrays`], in its order, mutably.
+    pub fn arrays_mut(&mut self) -> [&mut Vec<f32>; 9] {
+        let Self { ex, ey, ez, bx, by, bz, jx, jy, jz, .. } = self;
+        [ex, ey, ez, bx, by, bz, jx, jy, jz]
+    }
+
     /// Zero the current arrays (start of every step), the row sweep
     /// distributed over `space`.
     pub fn clear_j_on<S: ExecSpace>(&mut self, space: &S) {
@@ -436,6 +453,13 @@ impl FieldArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::floats_diff;
+
+    /// The first bitwise difference of two field states, as
+    /// [`crate::Simulation::bit_diff`] words it.
+    fn bits_diff(a: &FieldArray, b: &FieldArray) -> Option<String> {
+        floats_diff(&FieldArray::NAMES, &a.arrays(), &b.arrays())
+    }
 
     fn plane_wave(n: usize) -> FieldArray {
         // +x-travelling wave: Ez = sin(kx), By = -sin(kx) at the staggered
@@ -580,27 +604,9 @@ mod tests {
                 parallel.advance_b_on(&threads, strategy, 0.5);
                 parallel.advance_e_on(&threads, strategy);
                 parallel.advance_b_on(&threads, strategy, 0.5);
-                for (name, r, s, p) in [
-                    ("ex", &reference.ex, &serial.ex, &parallel.ex),
-                    ("ey", &reference.ey, &serial.ey, &parallel.ey),
-                    ("ez", &reference.ez, &serial.ez, &parallel.ez),
-                    ("bx", &reference.bx, &serial.bx, &parallel.bx),
-                    ("by", &reference.by, &serial.by, &parallel.by),
-                    ("bz", &reference.bz, &serial.bz, &parallel.bz),
-                ] {
-                    for v in 0..g.cells() {
-                        assert_eq!(
-                            r[v].to_bits(),
-                            s[v].to_bits(),
-                            "{name}[{v}] {strategy:?} serial vs ref ({nx},{ny},{nz})"
-                        );
-                        assert_eq!(
-                            r[v].to_bits(),
-                            p[v].to_bits(),
-                            "{name}[{v}] {strategy:?} threads vs ref ({nx},{ny},{nz})"
-                        );
-                    }
-                }
+                let what = format!("{strategy:?} vs ref ({nx},{ny},{nz})");
+                assert_eq!(bits_diff(&reference, &serial), None, "serial {what}");
+                assert_eq!(bits_diff(&reference, &parallel), None, "threads {what}");
             }
         }
     }
@@ -618,11 +624,7 @@ mod tests {
             boxed.advance_b_box(nx - 1..nx, 0..ny, 0..nz, 0.5);
             boxed.advance_b_box(0..nx - 1, ny - 1..ny, 0..nz, 0.5);
             boxed.advance_b_box(0..nx - 1, 0..ny - 1, nz - 1..nz, 0.5);
-            for v in 0..g.cells() {
-                assert_eq!(full.bx[v].to_bits(), boxed.bx[v].to_bits(), "bx[{v}] ({nx},{ny},{nz})");
-                assert_eq!(full.by[v].to_bits(), boxed.by[v].to_bits(), "by[{v}] ({nx},{ny},{nz})");
-                assert_eq!(full.bz[v].to_bits(), boxed.bz[v].to_bits(), "bz[{v}] ({nx},{ny},{nz})");
-            }
+            assert_eq!(bits_diff(&full, &boxed), None, "({nx},{ny},{nz})");
         }
     }
 

@@ -625,19 +625,7 @@ impl Simulation {
         if self.grid != other.grid {
             return Some(format!("grid: {:?} vs {:?}", self.grid, other.grid));
         }
-        let (f, g) = (&self.fields, &other.fields);
-        let fields = [
-            ("ex", &f.ex, &g.ex),
-            ("ey", &f.ey, &g.ey),
-            ("ez", &f.ez, &g.ez),
-            ("bx", &f.bx, &g.bx),
-            ("by", &f.by, &g.by),
-            ("bz", &f.bz, &g.bz),
-            ("jx", &f.jx, &g.jx),
-            ("jy", &f.jy, &g.jy),
-            ("jz", &f.jz, &g.jz),
-        ];
-        let field = fields.iter().find_map(|(name, a, b)| first_diff(name, a, b, f32::to_bits));
+        let field = floats_diff(&FieldArray::NAMES, &self.fields.arrays(), &other.fields.arrays());
         if field.is_some() {
             return field;
         }
@@ -652,20 +640,18 @@ impl Simulation {
                 let kind = |s: &Species| format!("{:?} q={} m={}", s.name, s.q, s.m);
                 return Some(format!("species {si}: {} vs {}", kind(a), kind(b)));
             }
-            let floats = [
-                ("dx", &a.dx, &b.dx),
-                ("dy", &a.dy, &b.dy),
-                ("dz", &a.dz, &b.dz),
-                ("ux", &a.ux, &b.ux),
-                ("uy", &a.uy, &b.uy),
-                ("uz", &a.uz, &b.uz),
-                ("w", &a.w, &b.w),
-            ];
             first_diff("cell", &a.cell, &b.cell, |c| c)
-                .or_else(|| floats.iter().find_map(|(n, x, y)| first_diff(n, x, y, f32::to_bits)))
+                .or_else(|| floats_diff(&Species::FLOAT_NAMES, &a.floats(), &b.floats()))
                 .map(|d| format!("species {si} ({}) {d}", a.name))
         })
     }
+}
+
+/// [`first_diff`] over two tables of `f32` arrays, row by row, each row
+/// worded by its entry in `names`.
+pub(crate) fn floats_diff(names: &[&str], a: &[&[f32]], b: &[&[f32]]) -> Option<String> {
+    let mut rows = names.iter().zip(a.iter().zip(b));
+    rows.find_map(|(name, (x, y))| first_diff(name, x, y, f32::to_bits))
 }
 
 /// The first index at which two arrays differ by bit pattern (or their
@@ -849,7 +835,6 @@ mod tests {
     fn scheduled_sort_waits_while_tiled_and_fires_after_untiling() {
         // tiles keep their own (cell, id) order, so the schedule must not
         // fire while tiled — and must still be due once tiling is dropped
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let mut plain = neutral_pair_sim(4);
         let mut tiled = neutral_pair_sim(4);
         tiled.sort_order = Some(SortOrder::Standard);
@@ -861,23 +846,7 @@ mod tests {
             assert!(!tiled.last_sort_fired, "step {step}: a tiled step reported a sort");
         }
         tiled.disable_tiling();
-        let (f, g) = (&plain.fields, &tiled.fields);
-        for (a, b) in [
-            (&f.ex, &g.ex), (&f.ey, &g.ey), (&f.ez, &g.ez),
-            (&f.bx, &g.bx), (&f.by, &g.by), (&f.bz, &g.bz),
-            (&f.jx, &g.jx), (&f.jy, &g.jy), (&f.jz, &g.jz),
-        ] {
-            assert_eq!(bits(a), bits(b), "fields diverged from the untiled sort-free run");
-        }
-        for (a, b) in plain.species.iter().zip(&tiled.species) {
-            assert_eq!(a.cell, b.cell);
-            for (x, y) in [
-                (&a.dx, &b.dx), (&a.dy, &b.dy), (&a.dz, &b.dz),
-                (&a.ux, &b.ux), (&a.uy, &b.uy), (&a.uz, &b.uz), (&a.w, &b.w),
-            ] {
-                assert_eq!(bits(x), bits(y), "{}: particles diverged", a.name);
-            }
-        }
+        assert_eq!(plain.bit_diff(&tiled), None, "diverged from the untiled sort-free run");
         tiled.step();
         assert!(tiled.last_sort_fired, "first untiled step must run the overdue sort");
     }

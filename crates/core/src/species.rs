@@ -100,6 +100,24 @@ impl Species {
         }
     }
 
+    /// Names of the seven `f32` particle arrays, in [`Species::floats`]
+    /// order.
+    pub(crate) const FLOAT_NAMES: [&'static str; 7] = ["dx", "dy", "dz", "ux", "uy", "uz", "w"];
+
+    /// The seven `f32` particle arrays, a record's fields less `cell`:
+    /// with `cell`, the eight arrays a checkpoint, a bitwise comparison
+    /// and a rank gather walk.
+    pub fn floats(&self) -> [&[f32]; 7] {
+        let Self { dx, dy, dz, ux, uy, uz, w, .. } = self;
+        [dx, dy, dz, ux, uy, uz, w].map(Vec::as_slice)
+    }
+
+    /// The arrays of [`Species::floats`], in its order, mutably.
+    pub fn floats_mut(&mut self) -> [&mut Vec<f32>; 7] {
+        let Self { dx, dy, dz, ux, uy, uz, w, .. } = self;
+        [dx, dy, dz, ux, uy, uz, w]
+    }
+
     /// Number of particles.
     pub fn len(&self) -> usize {
         self.cell.len()

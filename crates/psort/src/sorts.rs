@@ -155,7 +155,9 @@ fn tiled_strided_keys<S: ExecSpace>(space: &S, tile: usize, keys: &[u32]) -> Vec
     let range = max_k - min_k + 1;
     let counts = histogram(&keys64, min_k, max_k);
     let max_r = counts.iter().copied().max().unwrap_or(0) as u64;
-    let tile = tile as u64;
+    // a tile past the key range is one chunk either way; clamping keeps
+    // the rewritten keys in range for any tile
+    let tile = (tile as u64).min(range);
     let chunk_sz = tile * max_r;
     rewrite_keys_in(space, &keys64, min_k, range, &|id, t| {
         (id / tile) * chunk_sz + t * tile + (id % tile)
@@ -314,13 +316,16 @@ mod tests {
 
     #[test]
     fn huge_tile_degenerates_to_strided() {
-        let mut a = repeated_keys(8, 3);
-        let mut va: Vec<usize> = (0..a.len()).collect();
-        let mut b = a.clone();
-        let mut vb = va.clone();
-        tiled_strided_sort(1 << 20, &mut a, &mut va);
+        let mut b = repeated_keys(8, 3);
+        let mut vb: Vec<usize> = (0..b.len()).collect();
         strided_sort(&mut b, &mut vb);
-        assert_eq!(a, b, "one giant tile is exactly strided order");
+        // usize::MAX used to overflow the chunk size
+        for tile in [1 << 20, usize::MAX] {
+            let mut a = repeated_keys(8, 3);
+            let mut va: Vec<usize> = (0..a.len()).collect();
+            tiled_strided_sort(tile, &mut a, &mut va);
+            assert_eq!((&a, &va), (&b, &vb), "tile {tile}: exactly strided order");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! simulation tests (and the scenarios below share one #[test] because
 //! `telemetry::reset` is process-global too).
 
+use vpic2::cluster::{systems, MultiRankSim};
 use vpic2::core::{Deck, Simulation};
 use vpic2::telemetry;
 
@@ -68,4 +69,15 @@ fn restore_carries_lifetime_counters_without_double_counting() {
         pushed_total + restored.particle_count() as u64,
         "post-restore work stacks on the carried history"
     );
+
+    // --- a cluster checkpoint counts its whole container, once --------
+    let deck = Deck::weibel(4, 4, 4, 3, 0.3).build();
+    let mut mr = MultiRankSim::new(&deck, 2, systems::selene().network);
+    mr.run(1);
+    telemetry::set_enabled(true);
+    let written = telemetry::counter("ckpt.bytes_written");
+    let bytes = mr.checkpoint_bytes();
+    let delta = telemetry::counter("ckpt.bytes_written") - written;
+    telemetry::set_enabled(false);
+    assert_eq!(delta, bytes.len() as u64, "one count per cluster checkpoint");
 }
