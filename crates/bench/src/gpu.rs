@@ -26,13 +26,15 @@
 use crate::env_usize;
 use memsim::gpu::GpuModel;
 use memsim::platform::Platform;
-use memsim::push::{gpu_push, grid_footprint_bytes, PushSpec, CELL_FOOTPRINT_BYTES};
+use memsim::push::{
+    fits_llc_with_particles, gpu_push, grid_footprint_bytes, PushSpec, CELL_FOOTPRINT_BYTES,
+};
 use memsim::roofline::Roofline;
 use memsim::trace::KernelCost;
 use pk::SimGpu;
 use psort::{sort_pairs, SortOrder};
 use serde::Serialize;
-use tuner::{gpu_cache_prior, gpu_config_space, Config, Measurement, Tuner};
+use tuner::{gpu_config_space, Config, Measurement, Tuner};
 use vpic_core::{Deck, Simulation};
 
 /// Weibel deck shape: 24³ cells × 6 ppc (counter-streaming, so two
@@ -248,7 +250,7 @@ fn run_platform(
         p
     };
     let resident = cluster::scaling::resident_particles(platform);
-    let prior_unsorted = gpu_cache_prior(&scaled_platform, cells, resident);
+    let prior_unsorted = fits_llc_with_particles(&scaled_platform, cells, resident);
 
     // 1. executed sweep: every order through SimGpu, plus the standalone
     // prediction for the same arm

@@ -167,13 +167,12 @@ pub(crate) fn sweep(grid: (usize, usize, usize), ppc: usize, warmup: usize, step
     // otherwise hide the cache transition (per-cell occupancy, which the
     // replay term scales with, is invariant under rank splitting). The
     // result is the sharp knee of the paper's §6 superlinear regime.
-    let strided = tuner::Config {
-        order: Some(psort::SortOrder::Strided),
-        interval: 1,
-        strategy: vsimd::Strategy::Auto,
-        scatter: pk::atomic::ScatterMode::Duplicated,
-        tile: None,
-    };
+    let strided = tuner::Config::sorted(
+        psort::SortOrder::Strided,
+        1,
+        vsimd::Strategy::Auto,
+        pk::atomic::ScatterMode::Duplicated,
+    );
     for &ranks in &RANK_COUNTS {
         let configured = || {
             let mut mr = MultiRankSim::new(&reference, ranks, network);

@@ -16,7 +16,7 @@ use crate::env_usize;
 use pk::atomic::ScatterMode;
 use serde::Serialize;
 use tuner::{Config, Tuner};
-use vpic_core::{Deck, Simulation, TilePolicy, TuneDriver};
+use vpic_core::{Deck, Simulation, TilePolicy};
 use vsimd::Strategy;
 
 /// The `tile` target's result set.
@@ -149,14 +149,10 @@ pub fn run() -> Report {
         let base = Config::unsorted(Strategy::Auto, ScatterMode::Atomic);
         let arms = tuner::tile_arms(&[base], &[tile_cells / 2, tile_cells, tile_cells * 2]);
         let n_arms = arms.len();
-        sim.set_tuner(TuneDriver::new(Tuner::new(arms, TUNER_EPOCH)));
+        sim.set_tuner(Tuner::new(arms, TUNER_EPOCH));
         sim.run(TUNER_EPOCH * (n_arms + 2));
-        let driver = sim.take_tuner().expect("driver armed");
-        let chosen = driver
-            .tuner()
-            .committed()
-            .copied()
-            .unwrap_or(*driver.tuner().current());
+        let tuner = sim.take_tuner().expect("tuner armed");
+        let chosen = tuner.committed().copied().unwrap_or(*tuner.current());
         sim.disable_tiling();
         chosen.label()
     };

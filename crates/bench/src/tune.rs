@@ -18,8 +18,8 @@
 use crate::env_usize;
 use pk::Serial;
 use serde::Serialize;
-use tuner::{config_space, prior, Config, Tuner};
-use vpic_core::{Deck, Simulation, TuneDriver};
+use tuner::{config_space, Config, Tuner};
+use vpic_core::{Deck, Simulation};
 
 /// Tile parameter for the tiled-strided arms (CPU rule: thread count;
 /// this is a small-deck host run, so a modest tile).
@@ -108,7 +108,7 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
 
     let probe = build();
     let cells = probe.grid.cells();
-    let prior_unsorted = prior::prefer_unsorted(&platform, cells);
+    let prior_unsorted = memsim::push::grid_fits_llc(&platform, cells);
     let arms = config_space(TILE, &tuner::DEFAULT_INTERVALS);
 
     // 1. the live tuned run: explore every arm, then a few committed
@@ -119,16 +119,16 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
     let tuner = Tuner::new(arms.clone(), epoch_steps)
         .with_cache_prior(prior_unsorted)
         .with_refinement(8);
-    sim.set_tuner(TuneDriver::new(tuner));
+    sim.set_tuner(tuner);
     let mut last_committed = None;
     for _ in 0..arms.len() + 8 + 3 {
         sim.run_on(&Serial, epoch_steps);
-        let committed = sim.tuner().and_then(|d| d.tuner().committed());
+        let committed = sim.tuner().and_then(|t| t.committed());
         last_committed = committed.copied().or(last_committed);
     }
-    let driver = sim.take_tuner().expect("tuner armed");
+    let tuner = sim.take_tuner().expect("tuner armed");
     let tuned_config = last_committed
-        .or_else(|| driver.tuner().best().map(|(c, _)| *c))
+        .or_else(|| tuner.best().map(|(c, _)| *c))
         .expect("tuner measured at least one arm");
 
     // 2. exhaustive sweep: every arm as a fixed config (the ablation)
@@ -157,7 +157,7 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
         platform: PLATFORM.to_string(),
         prior_unsorted,
         epoch_steps: epoch_steps as u64,
-        epochs: driver.epochs(),
+        epochs: tuner.epochs(),
         tuned_config: tuned_label,
         tuned_cost_ns,
         best_config: best.config.clone(),

@@ -2,12 +2,15 @@
 //!
 //! Each injector produces one of the failure modes a production run can
 //! hit — a snapshot cut short, silent media bit rot, a process killed
-//! mid-write, a worker thread dying mid-step — so tests can assert the
+//! mid-write, a worker thread dying mid-step — or, with [`rewritten`], a
+//! CRC-valid container whose one section says something else, so tests
+//! can assert the
 //! invariant directly: every fault yields a typed [`RestoreError`] (and a
 //! fallback to the previous good snapshot), or a bit-identical resume.
 //! Never a silently diverging `Ok`.
 
 use crate::file::tmp_path;
+use crate::format::{SectionBuf, SectionReader, Snapshot, Writer};
 use pk::pool::{DispatchPanic, WorkerPool};
 use std::io::Write;
 use std::path::Path;
@@ -15,6 +18,34 @@ use std::path::Path;
 /// A copy of `bytes` truncated to its first `keep` bytes (clamped).
 pub fn truncated(bytes: &[u8], keep: usize) -> Vec<u8> {
     bytes[..keep.min(bytes.len())].to_vec()
+}
+
+/// `bytes` rebuilt section by section — CRC-valid, like every container
+/// [`Writer`] makes — with section `name` replaced by what `rewrite`
+/// writes from a reader over its old payload. Every other section is
+/// copied verbatim, so the decoder behind `name` is what a restore of
+/// the result exercises.
+///
+/// # Panics
+///
+/// When `bytes` is not a valid snapshot.
+pub fn rewritten(
+    bytes: &[u8],
+    name: &str,
+    mut rewrite: impl FnMut(&mut SectionReader<'_>, &mut SectionBuf),
+) -> Vec<u8> {
+    let snap = Snapshot::from_bytes(bytes).expect("only a valid snapshot can be rewritten");
+    let mut w = Writer::new();
+    for section in snap.section_names() {
+        let mut r = snap.section(section).expect("a listed section");
+        let out = w.section(section);
+        if section == name {
+            rewrite(&mut r, out);
+        } else {
+            out.put_raw(r.take_rest());
+        }
+    }
+    w.to_bytes()
 }
 
 /// A copy of `bytes` with one bit flipped at `byte` (clamped) : `bit`.

@@ -14,13 +14,15 @@
 //!   snapshot to `.prev` → rename. A kill at any instant leaves a loadable
 //!   snapshot; [`file::load_with_fallback`] encodes the recovery policy.
 //! * [`faults`] — the injection harness the contract is tested against:
-//!   truncate at any byte, flip any bit, die mid-write, kill a pooled
-//!   worker ([`pk::pool::WorkerPool`]) at a chosen step.
+//!   truncate at any byte, flip any bit, rewrite one section CRC-valid,
+//!   die mid-write, kill a pooled worker ([`pk::pool::WorkerPool`]) at a
+//!   chosen step.
 //!
-//! What goes *into* the sections — fields, particles, tuner state,
-//! telemetry baselines — is owned by `vpic-core::checkpoint`, which keeps
-//! this crate's guarantees checkable in isolation (see the exhaustive
-//! bit-flip tests in [`format`]).
+//! What goes *into* the sections is owned by the crates whose types they
+//! hold — fields, particles and telemetry baselines by
+//! `vpic-core::checkpoint`, tuner state by `tuner` — which keeps this
+//! crate's guarantees checkable in isolation (see the exhaustive bit-flip
+//! tests in [`format`]).
 
 pub mod crc32;
 pub mod faults;

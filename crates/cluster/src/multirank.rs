@@ -75,7 +75,6 @@ use pk::ExecSpace;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use vpic_core::accumulate::SLOTS;
-use vpic_core::checkpoint::{get_config, put_config};
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
 use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
@@ -948,10 +947,8 @@ impl MultiRankSim {
         c.put_f64(self.network.bandwidth);
         c.put_bool(self.network.gpu_aware);
         c.put_f64(self.network.staging_bw);
-        for s in self.ranks.iter().map(|st| &st.sim) {
-            let unsorted = tuner::Config::unsorted(s.strategy, s.scatter_mode);
-            let row = tuner::Config { order: s.sort_order, interval: s.sort_interval, ..unsorted };
-            put_config(c, &row);
+        for st in &self.ranks {
+            st.sim.config().put(c);
         }
         let bytes = w.to_bytes();
         telemetry::count("ckpt.bytes_written", bytes.len() as u64);
@@ -985,7 +982,8 @@ impl MultiRankSim {
         let g = &sim.grid;
         Decomposition::covering((g.nx, g.ny, g.nz), ranks)
             .map_err(|e| drift(format!("cluster: {e}")))?;
-        let configs = (0..ranks).map(|_| get_config(&mut c)).collect::<Result<Vec<_>, _>>()?;
+        let configs =
+            (0..ranks).map(|_| tuner::Config::get(&mut c)).collect::<Result<Vec<_>, _>>()?;
         c.finish()?;
         if let Some(r) = configs.iter().position(|cfg| cfg.tile.is_some()) {
             return Err(drift(format!("cluster: rank {r} has a tiled configuration")));
@@ -1310,9 +1308,16 @@ mod tests {
                             // the pool is host state: it is not in the bytes
                             let snaps: Vec<Vec<u8>> =
                                 points.iter().map(|mr| mr.checkpoint_bytes()).collect();
+                            // except `telemetry`: it carries process-lifetime
+                            // counter totals, which every write before it
+                            // bumps while profiling is on
+                            let blanked = |snap: &[u8]| {
+                                ckpt::faults::rewritten(snap, "telemetry", |_, _| ())
+                            };
+                            let first = blanked(&snaps[0]);
                             for (snap, w) in snaps.iter().zip(&workers) {
                                 let what = format!("{name}, {ranks} ranks, {configs:?}, {w:?}");
-                                assert!(snap == &snaps[0], "{what}: snapshot bytes");
+                                assert!(blanked(snap) == first, "{what}: snapshot bytes");
                             }
                             points = snaps
                                 .iter()
@@ -1346,13 +1351,12 @@ mod tests {
         let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
         let mut plain = MultiRankSim::new(&reference, 4, net());
         let mut sorted = MultiRankSim::new(&reference, 4, net());
-        let strided = tuner::Config {
-            order: Some(psort::SortOrder::Strided),
-            interval: 1,
-            strategy: vsimd::Strategy::Auto,
-            scatter: pk::atomic::ScatterMode::Duplicated,
-            tile: None,
-        };
+        let strided = tuner::Config::sorted(
+            psort::SortOrder::Strided,
+            1,
+            vsimd::Strategy::Auto,
+            pk::atomic::ScatterMode::Duplicated,
+        );
         for r in 0..4 {
             sorted.set_rank_config(r, &strided);
         }
@@ -1460,11 +1464,12 @@ mod tests {
     fn exchange_counters_and_span_recorded() {
         let msgs0 = telemetry::counter("cluster.messages");
         let halo0 = telemetry::counter("cluster.halo_bytes");
+        let was_enabled = telemetry::enabled();
         telemetry::set_enabled(true);
         let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
         let mut mr = MultiRankSim::new(&reference, 8, net());
         mr.step();
-        telemetry::set_enabled(false);
+        telemetry::set_enabled(was_enabled);
         assert!(telemetry::counter("cluster.messages") > msgs0, "directed messages recorded");
         assert!(telemetry::counter("cluster.halo_bytes") > halo0, "halo payload recorded");
     }

@@ -10,7 +10,8 @@
 //! flipped bit maps to a typed error or to the original state, never to a
 //! silently different one.
 
-use ckpt::{RestoreError, SectionBuf, SectionReader, Snapshot, Writer};
+use ckpt::faults::rewritten;
+use ckpt::{RestoreError, Snapshot};
 use cluster::{systems, MultiRankSim};
 use proptest::prelude::*;
 use psort::SortOrder;
@@ -166,7 +167,7 @@ fn every_cut_and_flip_of_the_cluster_section_is_typed_or_harmless() {
         assert!(MultiRankSim::restore_bytes(&cut).is_err(), "cut to {keep}/{} B", snap.len());
     }
     for bit in 0..table.len() * 8 {
-        let flipped = rebuilt(&snap, "cluster", |r, w| {
+        let flipped = rewritten(&snap, "cluster", |r, w| {
             let mut payload = r.take_rest().to_vec();
             payload[bit / 8] ^= 1 << (bit % 8);
             w.put_raw(&payload);
@@ -207,29 +208,9 @@ fn two_rank_snapshot() -> Vec<u8> {
     live.checkpoint_bytes()
 }
 
-/// `bytes` rebuilt section by section — CRC-valid, like every container
-/// `ckpt::Writer` makes — with section `name` rewritten by `rewrite`.
-fn rebuilt(
-    bytes: &[u8],
-    name: &str,
-    rewrite: impl Fn(&mut SectionReader<'_>, &mut SectionBuf),
-) -> Vec<u8> {
-    let snap = Snapshot::from_bytes(bytes).unwrap();
-    let mut w = Writer::new();
-    for section in snap.section_names() {
-        let mut r = snap.section(section).unwrap();
-        if section == name {
-            rewrite(&mut r, w.section(section));
-        } else {
-            w.section(section).put_raw(r.take_rest());
-        }
-    }
-    w.to_bytes()
-}
-
 /// The snapshot with the `grid` section's extents replaced.
 fn with_extents(bytes: &[u8], extents: [usize; 3]) -> Vec<u8> {
-    rebuilt(bytes, "grid", |r, w| {
+    rewritten(bytes, "grid", |r, w| {
         for n in extents {
             r.get_usize().unwrap();
             w.put_usize(n);
@@ -240,7 +221,7 @@ fn with_extents(bytes: &[u8], extents: [usize; 3]) -> Vec<u8> {
 
 /// The snapshot with the `cluster` section's rank count replaced.
 fn with_ranks(bytes: &[u8], ranks: usize) -> Vec<u8> {
-    rebuilt(bytes, "cluster", |r, w| {
+    rewritten(bytes, "cluster", |r, w| {
         r.get_usize().unwrap();
         w.put_usize(ranks);
         w.put_raw(r.take_rest());
@@ -264,7 +245,7 @@ fn assert_drift(bytes: &[u8], names: &str) {
 #[test]
 fn self_inconsistent_cluster_snapshots_are_schema_drift() {
     let good = two_rank_snapshot();
-    assert!(MultiRankSim::restore_bytes(&rebuilt(&good, "", |_, _| ())).is_ok());
+    assert!(MultiRankSim::restore_bytes(&rewritten(&good, "", |_, _| ())).is_ok());
 
     // extents ≥ 1, and exactly the cells the field arrays hold
     assert_drift(&with_extents(&good, [0, 8, 8]), "grid has zero cells");
@@ -279,7 +260,7 @@ fn self_inconsistent_cluster_snapshots_are_schema_drift() {
 
     // ranks run untiled: rank 1's row is the section's tail, and a row
     // ends on its tile flag
-    let tiled_row = rebuilt(&good, "cluster", |r, w| {
+    let tiled_row = rewritten(&good, "cluster", |r, w| {
         let rest = r.take_rest();
         w.put_raw(&rest[..rest.len() - 1]);
         w.put_bool(true);

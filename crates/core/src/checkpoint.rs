@@ -3,19 +3,18 @@
 //! A checkpoint is a [`ckpt`] container holding everything that feeds the
 //! next step's arithmetic: grid geometry, the nine field arrays, every
 //! species' SoA particle arrays and `last_sort` skip-cache claim, the
-//! scalar loop state (step count, sort cadence phase, strategy, scatter
-//! mode *and replica count* — replica count changes deposition summation
-//! order, which is bit-visible), the armed [`TuneDriver`]'s full state,
-//! lifetime telemetry counter totals, and an energy ledger used as an
-//! end-to-end cross-check on restore. Restoring on the same build and
-//! stepping produces bit-identical physics to the uninterrupted run
-//! (property-tested in `tests/checkpoint_restart.rs`).
+//! scalar loop state (step count, sort cadence phase, scatter replica
+//! count — it changes deposition summation order, which is bit-visible —
+//! and [`Simulation::config`]), the armed [`tuner::Tuner`] in the
+//! encoding the `tuner` crate owns, lifetime telemetry counter totals,
+//! and an energy ledger used as an end-to-end cross-check on restore.
+//! Restoring on the same build and stepping produces bit-identical
+//! physics to the uninterrupted run (property-tested in
+//! `tests/checkpoint_restart.rs`).
 //!
 //! What is deliberately *not* serialized: per-species sort scratch
-//! (re-warms on the first post-restore sort), the accumulator (rebuilt
-//! via [`Simulation::configure_scatter`] from the saved worker count),
-//! and the tuner's open telemetry window mark (positions in a dead
-//! process's stream — see [`crate::tune::DriverState`]).
+//! (re-warms on the first post-restore sort) and the accumulator
+//! (rebuilt from the saved configuration and worker count).
 //!
 //! Every decode error is typed ([`RestoreError`]); a checkpoint that
 //! parses but disagrees with itself (array length mismatch, unknown enum
@@ -31,13 +30,9 @@ use crate::push::PushStats;
 use crate::sim::{LaserDriver, Simulation};
 use crate::species::Species;
 use crate::tile::TilePolicy;
-use crate::tune::{DriverState, ScheduleEntry, TuneDriver};
-use ckpt::{RestoreError, SectionBuf, SectionReader, Snapshot, Writer};
-use pk::atomic::ScatterMode;
+use ckpt::{RestoreError, Snapshot, Writer};
 use pk::{DispatchPanic, ExecSpace, Serial};
-use psort::SortOrder;
-use tuner::{Config, Phase, TileCfg, TunerState};
-use vsimd::Strategy;
+use tuner::{get_order, put_order, Config, Tuner};
 
 /// A step failed in a recoverable way. The simulation state is
 /// unspecified after an error (the step was torn mid-flight): discard the
@@ -63,232 +58,6 @@ impl std::fmt::Display for StepError {
 }
 
 impl std::error::Error for StepError {}
-
-// ------------------------------------------------------------- enum tags
-
-fn strategy_tag(s: Strategy) -> u8 {
-    match s {
-        Strategy::Auto => 0,
-        Strategy::Guided => 1,
-        Strategy::Manual => 2,
-        Strategy::AdHoc => 3,
-    }
-}
-
-fn strategy_from(tag: u8) -> Result<Strategy, RestoreError> {
-    Ok(match tag {
-        0 => Strategy::Auto,
-        1 => Strategy::Guided,
-        2 => Strategy::Manual,
-        3 => Strategy::AdHoc,
-        t => return Err(RestoreError::SchemaDrift(format!("unknown strategy tag {t}"))),
-    })
-}
-
-fn scatter_tag(m: ScatterMode) -> u8 {
-    match m {
-        ScatterMode::Atomic => 0,
-        ScatterMode::Duplicated => 1,
-    }
-}
-
-fn scatter_from(tag: u8) -> Result<ScatterMode, RestoreError> {
-    Ok(match tag {
-        0 => ScatterMode::Atomic,
-        1 => ScatterMode::Duplicated,
-        t => return Err(RestoreError::SchemaDrift(format!("unknown scatter tag {t}"))),
-    })
-}
-
-fn phase_tag(p: Phase) -> u8 {
-    match p {
-        Phase::Exploring => 0,
-        Phase::Refining => 1,
-        Phase::Committed => 2,
-    }
-}
-
-fn phase_from(tag: u8) -> Result<Phase, RestoreError> {
-    Ok(match tag {
-        0 => Phase::Exploring,
-        1 => Phase::Refining,
-        2 => Phase::Committed,
-        t => return Err(RestoreError::SchemaDrift(format!("unknown phase tag {t}"))),
-    })
-}
-
-fn put_order(b: &mut SectionBuf, order: Option<SortOrder>) {
-    match order {
-        None => b.put_u8(0),
-        Some(SortOrder::Random) => b.put_u8(1),
-        Some(SortOrder::Standard) => b.put_u8(2),
-        Some(SortOrder::Strided) => b.put_u8(3),
-        Some(SortOrder::TiledStrided { tile }) => {
-            b.put_u8(4);
-            b.put_usize(tile);
-        }
-    }
-}
-
-/// Decode what [`put_order`] wrote. A tiled-strided order with a zero
-/// tile is drift: its first sort would panic.
-fn get_order(r: &mut SectionReader<'_>) -> Result<Option<SortOrder>, RestoreError> {
-    Ok(match r.get_u8()? {
-        0 => None,
-        1 => Some(SortOrder::Random),
-        2 => Some(SortOrder::Standard),
-        3 => Some(SortOrder::Strided),
-        4 => match r.get_usize()? {
-            0 => return Err(RestoreError::SchemaDrift("tiled-strided sort order, tile 0".into())),
-            tile => Some(SortOrder::TiledStrided { tile }),
-        },
-        t => return Err(RestoreError::SchemaDrift(format!("unknown sort-order tag {t}"))),
-    })
-}
-
-/// Encode one tuner configuration: sort order, interval, strategy,
-/// scatter mode and tiling.
-pub fn put_config(b: &mut SectionBuf, c: &Config) {
-    put_order(b, c.order);
-    b.put_usize(c.interval);
-    b.put_u8(strategy_tag(c.strategy));
-    b.put_u8(scatter_tag(c.scatter));
-    match c.tile {
-        None => b.put_bool(false),
-        Some(t) => {
-            b.put_bool(true);
-            b.put_usize(t.tile_cells);
-            b.put_bool(t.compress);
-        }
-    }
-}
-
-/// Decode what [`put_config`] wrote.
-pub fn get_config(r: &mut SectionReader<'_>) -> Result<Config, RestoreError> {
-    Ok(Config {
-        order: get_order(r)?,
-        interval: r.get_usize()?,
-        strategy: strategy_from(r.get_u8()?)?,
-        scatter: scatter_from(r.get_u8()?)?,
-        tile: if r.get_bool()? {
-            Some(TileCfg { tile_cells: r.get_usize()?, compress: r.get_bool()? })
-        } else {
-            None
-        },
-    })
-}
-
-// ---------------------------------------------------------- tuner state
-
-fn put_driver_state(b: &mut SectionBuf, d: &DriverState) {
-    let t: &TunerState = &d.tuner;
-    b.put_usize(t.arms.len());
-    for arm in &t.arms {
-        put_config(b, arm);
-    }
-    b.put_usize(t.epoch_steps);
-    b.put_u8(phase_tag(t.phase));
-    b.put_usize(t.cursor);
-    for cost in &t.costs {
-        b.put_bool(cost.is_some());
-        b.put_f64(cost.unwrap_or(0.0));
-    }
-    b.put_f64s(&t.rates);
-    b.put_f64(t.committed_cost);
-    b.put_f64(t.baseline_rate);
-    b.put_f64(t.rate_ewma);
-    b.put_usize(t.refine_top);
-    b.put_usize(t.refine_queue.len());
-    for &i in &t.refine_queue {
-        b.put_usize(i);
-    }
-    b.put_u64(t.explorations);
-    b.put_u64(d.acc_steps);
-    b.put_u64(d.acc_pushed);
-    b.put_u64(d.acc_crossings);
-    b.put_u64(d.acc_step_ns);
-    b.put_u64(d.acc_sort_ns);
-    b.put_u64(d.acc_sorts);
-    b.put_usize(d.schedule.len());
-    for e in &d.schedule {
-        b.put_u64(e.step);
-        put_config(b, &e.config);
-        b.put_usize(e.workers);
-    }
-    b.put_u64(d.epochs);
-    b.put_bool(d.started);
-}
-
-fn get_driver_state(r: &mut SectionReader<'_>) -> Result<DriverState, RestoreError> {
-    let n_arms = r.get_usize()?;
-    let mut arms = Vec::new();
-    for _ in 0..n_arms {
-        arms.push(get_config(r)?);
-    }
-    let epoch_steps = r.get_usize()?;
-    let phase = phase_from(r.get_u8()?)?;
-    let cursor = r.get_usize()?;
-    let mut costs = Vec::new();
-    for _ in 0..n_arms {
-        let present = r.get_bool()?;
-        let v = r.get_f64()?;
-        costs.push(present.then_some(v));
-    }
-    let rates = r.get_f64s()?;
-    let committed_cost = r.get_f64()?;
-    let baseline_rate = r.get_f64()?;
-    let rate_ewma = r.get_f64()?;
-    let refine_top = r.get_usize()?;
-    let n_queue = r.get_usize()?;
-    let mut refine_queue = Vec::new();
-    for _ in 0..n_queue {
-        refine_queue.push(r.get_usize()?);
-    }
-    let explorations = r.get_u64()?;
-    let tuner = TunerState {
-        arms,
-        epoch_steps,
-        phase,
-        cursor,
-        costs,
-        rates,
-        committed_cost,
-        baseline_rate,
-        rate_ewma,
-        refine_top,
-        refine_queue,
-        explorations,
-    };
-    let acc_steps = r.get_u64()?;
-    let acc_pushed = r.get_u64()?;
-    let acc_crossings = r.get_u64()?;
-    let acc_step_ns = r.get_u64()?;
-    let acc_sort_ns = r.get_u64()?;
-    let acc_sorts = r.get_u64()?;
-    let n_sched = r.get_usize()?;
-    let mut schedule = Vec::new();
-    for _ in 0..n_sched {
-        schedule.push(ScheduleEntry {
-            step: r.get_u64()?,
-            config: get_config(r)?,
-            workers: r.get_usize()?,
-        });
-    }
-    let epochs = r.get_u64()?;
-    let started = r.get_bool()?;
-    Ok(DriverState {
-        tuner,
-        acc_steps,
-        acc_pushed,
-        acc_crossings,
-        acc_step_ns,
-        acc_sort_ns,
-        acc_sorts,
-        schedule,
-        epochs,
-        started,
-    })
-}
 
 // ------------------------------------------------------------ write path
 
@@ -348,11 +117,8 @@ impl Simulation {
         // usize::MAX (the "sort immediately" sentinel) survives as
         // u64::MAX; the restore path saturates it back
         s.put_u64(self.steps_since_sort as u64);
-        s.put_u8(strategy_tag(self.strategy));
-        s.put_u8(scatter_tag(self.scatter_mode));
         s.put_usize(self.scatter_workers);
-        put_order(s, self.sort_order);
-        s.put_usize(self.sort_interval);
+        self.config().put(s);
         s.put_bool(self.laser.is_some());
         if let Some(l) = &self.laser {
             s.put_usize(l.plane);
@@ -378,8 +144,8 @@ impl Simulation {
             put_order(sp, s.current_order());
         }
 
-        if let Some(driver) = &self.tuner {
-            put_driver_state(w.section("tuner"), &driver.state());
+        if let Some(tuner) = &self.tuner {
+            tuner.put(w.section("tuner"));
         }
 
         let counters = telemetry::counters();
@@ -504,12 +270,9 @@ impl Simulation {
 
         let mut s = snap.section("sim")?;
         sim.step = s.get_u64()?;
-        sim.steps_since_sort = usize::try_from(s.get_u64()?).unwrap_or(usize::MAX);
-        sim.strategy = strategy_from(s.get_u8()?)?;
-        let scatter_mode = scatter_from(s.get_u8()?)?;
+        let steps_since_sort = usize::try_from(s.get_u64()?).unwrap_or(usize::MAX);
         let scatter_workers = s.get_usize()?;
-        sim.sort_order = get_order(&mut s)?;
-        sim.sort_interval = s.get_usize()?;
+        let config = Config::get(&mut s)?;
         if s.get_bool()? {
             let (plane, amplitude, omega) = (s.get_usize()?, s.get_f32()?, s.get_f32()?);
             sim.laser = Some(LaserDriver { plane, amplitude, omega });
@@ -518,12 +281,18 @@ impl Simulation {
         if scatter_workers == 0 {
             return Err(RestoreError::SchemaDrift("scatter worker count is zero".into()));
         }
+        // the writer's layout is canonical: tiling has its own section
+        if config.tile.is_some() {
+            return Err(RestoreError::SchemaDrift("sim section carries a tiled config".into()));
+        }
         if sim.laser.as_ref().is_some_and(|l| l.plane >= sim.grid.nx) {
             return Err(RestoreError::SchemaDrift("laser plane outside the grid".into()));
         }
         // rebuilds the accumulator exactly as the checkpointed run had it
-        // (replica count is bit-visible in deposition order)
-        sim.configure_scatter(scatter_workers, scatter_mode);
+        // (replica count is bit-visible in deposition order); the sort
+        // phase is set after, since a changed order forces a sort
+        sim.apply_tune_config(&config, scatter_workers);
+        sim.steps_since_sort = steps_since_sort;
 
         for (dst, arr) in sim.fields.arrays_mut().into_iter().zip(fields) {
             *dst = arr;
@@ -564,11 +333,8 @@ impl Simulation {
 
         if snap.has_section("tuner") {
             let mut t = snap.section("tuner")?;
-            let state = get_driver_state(&mut t)?;
+            sim.set_tuner(Tuner::get(&mut t)?);
             t.finish()?;
-            let driver = TuneDriver::from_state(state)
-                .map_err(|e| RestoreError::SchemaDrift(format!("tuner state: {e}")))?;
-            sim.set_tuner(driver);
         }
 
         let mut t = snap.section("telemetry")?;
@@ -664,7 +430,11 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::deck::Deck;
-    use tuner::Tuner;
+    use ckpt::faults::rewritten;
+    use pk::atomic::ScatterMode;
+    use psort::SortOrder;
+    use tuner::{Phase, TileCfg};
+    use vsimd::Strategy;
 
     fn weibel() -> Simulation {
         Deck::weibel(6, 6, 6, 4, 0.3).build()
@@ -699,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn tuner_armed_checkpoint_round_trips_the_driver() {
+    fn tuner_armed_checkpoint_round_trips_the_tuner() {
         let arms = vec![
             Config::unsorted(Strategy::Auto, ScatterMode::Atomic),
             Config {
@@ -711,16 +481,21 @@ mod tests {
             },
         ];
         let mut sim = weibel();
-        sim.set_tuner(TuneDriver::new(Tuner::new(arms, 3)));
+        sim.set_tuner(Tuner::new(arms, 3));
         // stop inside the first epoch: the tiled arm must round-trip
         // through the codec without ever being applied (checkpointing
         // requires the canonical untiled layout)
         sim.run(2);
         let bytes = sim.checkpoint_bytes();
-        let restored = Simulation::restore_bytes(&bytes).expect("restore");
-        let a = sim.tuner().expect("original armed").state();
-        let b = restored.tuner().expect("restored armed").state();
-        assert_eq!(a, b);
+        let mut restored = Simulation::restore_bytes(&bytes).expect("restore");
+        assert!(restored.tuner().is_some());
+        assert_eq!(restored.tuner(), sim.tuner());
+        // the restored tuner keeps driving: the tiled arm runs, then commits
+        restored.run(5);
+        let t = restored.take_tuner().unwrap();
+        assert_eq!(t.phase(), Phase::Committed);
+        // the schedule stays one continuous, strictly ordered history
+        assert!(t.schedule().windows(2).all(|w| w[0].step < w[1].step));
     }
 
     #[test]
@@ -794,26 +569,12 @@ mod tests {
         let mut sim = weibel();
         sim.run(2);
         // build a container whose energy ledger disagrees with its state
-        let bytes = sim.checkpoint_bytes();
-        let snap = Snapshot::from_bytes(&bytes).unwrap();
-        let mut tampered = Writer::new();
-        for name in snap.section_names() {
-            let mut r = snap.section(name).unwrap();
-            if name == "energy" {
-                let time = r.get_f64().unwrap();
-                let field_e = r.get_f64().unwrap();
-                let field_b = r.get_f64().unwrap();
-                let kinetic = r.get_f64s().unwrap();
-                let e = tampered.section("energy");
-                e.put_f64(time);
-                e.put_f64(field_e + 1.0); // lie about the field energy
-                e.put_f64(field_b);
-                e.put_f64s(&kinetic);
-            } else {
-                tampered.section(name).put_raw(r.take_rest());
-            }
-        }
-        match Simulation::restore_bytes(&tampered.to_bytes()) {
+        let tampered = rewritten(&sim.checkpoint_bytes(), "energy", |r, e| {
+            e.put_f64(r.get_f64().unwrap()); // time
+            e.put_f64(r.get_f64().unwrap() + 1.0); // lie about the field energy
+            e.put_raw(r.take_rest());
+        });
+        match Simulation::restore_bytes(&tampered) {
             Err(RestoreError::SchemaDrift(msg)) => {
                 assert!(msg.contains("energy"), "unexpected drift message: {msg}")
             }
@@ -835,20 +596,13 @@ mod tests {
 
     /// `bytes` rebuilt with the grid section claiming `dims` cells.
     fn regridded(bytes: &[u8], dims: [usize; 3]) -> Vec<u8> {
-        let snap = Snapshot::from_bytes(bytes).unwrap();
-        let mut out = Writer::new();
-        for name in snap.section_names() {
-            let mut r = snap.section(name).unwrap();
-            let s = out.section(name);
-            if name == "grid" {
-                for d in dims {
-                    r.get_usize().unwrap();
-                    s.put_usize(d);
-                }
+        rewritten(bytes, "grid", |r, s| {
+            for d in dims {
+                r.get_usize().unwrap();
+                s.put_usize(d);
             }
             s.put_raw(r.take_rest());
-        }
-        out.to_bytes()
+        })
     }
 
     fn assert_field_drift(bytes: &[u8]) {

@@ -35,7 +35,6 @@ pub mod push;
 pub mod sim;
 pub mod species;
 pub mod tile;
-pub mod tune;
 
 pub use checkpoint::StepError;
 pub use deck::Deck;
@@ -45,4 +44,3 @@ pub use interp::{load_interpolators, load_interpolators_into, Interpolator, Inte
 pub use sim::Simulation;
 pub use species::{ParticleRecord, Species};
 pub use tile::{TileEngine, TilePolicy, TileStats};
-pub use tune::TuneDriver;

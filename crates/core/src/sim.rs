@@ -14,10 +14,10 @@ use crate::interp::{load_interpolators_into, InterpolatorArray};
 use crate::push::{push_species_on, PushStats};
 use crate::species::Species;
 use crate::tile::{TileEngine, TilePolicy};
-use crate::tune::TuneDriver;
 use pk::atomic::ScatterMode;
 use pk::{ExecSpace, Serial};
 use psort::SortOrder;
+use tuner::{Config, Measurement, TileCfg, Tuner};
 use vsimd::Strategy;
 
 // ── Accounting footprints for the grid-side streaming kernels ─────────────
@@ -103,10 +103,8 @@ pub struct Simulation {
     /// replica count changes deposition summation order, which is
     /// bit-visible.
     pub(crate) scatter_workers: usize,
-    /// The adaptive tuning driver, when [`Simulation::set_tuner`] armed
-    /// one. Taken out of the struct during each step so it can borrow
-    /// the simulation mutably.
-    pub(crate) tuner: Option<Box<TuneDriver>>,
+    /// The adaptive tuner, when [`Simulation::set_tuner`] armed one.
+    pub(crate) tuner: Option<Box<Tuner>>,
     /// Wall time the last step spent sorting, ns (0 when no sort fired).
     pub(crate) last_sort_ns: u64,
     /// Whether the last step's scheduled sort fired at all.
@@ -209,13 +207,27 @@ impl Simulation {
         due
     }
 
+    /// The configuration the simulation runs: sort order and cadence,
+    /// strategy, scatter mode and tiling. The inverse of
+    /// [`Simulation::apply_tune_config`], which leaves it unchanged.
+    pub fn config(&self) -> Config {
+        let p = self.tiling.as_ref().map(|e| e.policy());
+        Config {
+            order: self.sort_order,
+            interval: self.sort_interval,
+            strategy: self.strategy,
+            scatter: self.scatter_mode,
+            tile: p.map(|p| TileCfg { tile_cells: p.tile_cells, compress: p.compress }),
+        }
+    }
+
     /// Apply one tuner arm: strategy, scatter mode (the accumulator is
     /// rebuilt for `workers` replicas), sort order and cadence. A changed
     /// sort order forces a sort on the next step. This is the *only*
     /// mutation the adaptive tuner performs, and replaying the same calls
-    /// at the same steps (see [`crate::tune::TuneDriver::schedule`])
-    /// reproduces a tuned run bit-for-bit.
-    pub fn apply_tune_config(&mut self, cfg: &tuner::Config, workers: usize) {
+    /// at the same steps (see [`Tuner::schedule`]) reproduces a tuned run
+    /// bit-for-bit.
+    pub fn apply_tune_config(&mut self, cfg: &Config, workers: usize) {
         self.strategy = cfg.strategy;
         self.configure_scatter(workers.max(1), cfg.scatter);
         if self.sort_order != cfg.order {
@@ -226,27 +238,14 @@ impl Simulation {
         // tiling axis: re-tile (a deterministic untile + retile — ids
         // are canonical, so the round trip is exact) only when the arm
         // actually changes tile size or compression
-        match cfg.tile {
-            None => {
-                if self.tiling.is_some() {
-                    self.disable_tiling();
-                }
-            }
-            Some(tc) => {
-                let current = self
-                    .tiling
-                    .as_ref()
-                    .map(|e| (e.policy().tile_cells, e.policy().compress));
-                if current != Some((tc.tile_cells, tc.compress)) {
-                    if self.tiling.is_some() {
-                        self.disable_tiling();
-                    }
-                    let mut policy =
-                        self.tile_defaults.clone().unwrap_or_else(|| TilePolicy::new(tc.tile_cells));
-                    policy.tile_cells = tc.tile_cells.max(1);
-                    policy.compress = tc.compress;
-                    self.enable_tiling(policy);
-                }
+        if self.config().tile != cfg.tile {
+            self.disable_tiling();
+            if let Some(tc) = cfg.tile {
+                let mut policy =
+                    self.tile_defaults.clone().unwrap_or_else(|| TilePolicy::new(tc.tile_cells));
+                policy.tile_cells = tc.tile_cells.max(1);
+                policy.compress = tc.compress;
+                self.enable_tiling(policy);
             }
         }
     }
@@ -297,28 +296,28 @@ impl Simulation {
     }
 
     /// Pool/spill defaults for tuner-driven tiling: when a tuner arm
-    /// carries a [`tuner::TileCfg`], [`Simulation::apply_tune_config`]
+    /// carries a [`TileCfg`], [`Simulation::apply_tune_config`]
     /// builds the policy from these defaults plus the arm's tile size
     /// and compression flag.
     pub fn set_tile_defaults(&mut self, policy: TilePolicy) {
         self.tile_defaults = Some(policy);
     }
 
-    /// Arm the adaptive tuner: from the next step on, `driver` measures
+    /// Arm the adaptive tuner: from the next step on, `tuner` measures
     /// epochs and swaps configurations at epoch boundaries (never inside
     /// a step, so physics is bit-identical per-epoch to a fixed-config
     /// run).
-    pub fn set_tuner(&mut self, driver: TuneDriver) {
-        self.tuner = Some(Box::new(driver));
+    pub fn set_tuner(&mut self, tuner: Tuner) {
+        self.tuner = Some(Box::new(tuner));
     }
 
-    /// The armed tuning driver, if any.
-    pub fn tuner(&self) -> Option<&TuneDriver> {
+    /// The armed tuner, if any.
+    pub fn tuner(&self) -> Option<&Tuner> {
         self.tuner.as_deref()
     }
 
-    /// Disarm and return the tuning driver (e.g. to read its schedule).
-    pub fn take_tuner(&mut self) -> Option<TuneDriver> {
+    /// Disarm and return the tuner (e.g. to read its schedule).
+    pub fn take_tuner(&mut self) -> Option<Tuner> {
         self.tuner.take().map(|b| *b)
     }
 
@@ -334,21 +333,25 @@ impl Simulation {
     /// via [`Simulation::configure_scatter`] with at least
     /// `space.concurrency()` workers.
     pub fn step_on<S: ExecSpace>(&mut self, space: &S) -> PushStats {
-        // The tuner's epoch bookkeeping brackets the step *outside* the
-        // `sim.step` span: spans only record on drop, so finalizing an
-        // epoch here guarantees the previous step's span is already in
-        // the telemetry window being read.
-        let mut driver = self.tuner.take();
-        if let Some(d) = &mut driver {
-            d.before_step(self, space.concurrency());
+        // the armed tuner's hook (DESIGN §9): apply the arm it asks for
+        // between steps, then feed it what the clock around the step saw
+        let workers = space.concurrency();
+        if let Some(cfg) = self.tuner.as_mut().and_then(|t| t.before_step(self.step, workers)) {
+            self.apply_tune_config(&cfg, workers);
         }
         let t0 = telemetry::now_ns();
         let stats = self.step_inner(space);
         let step_ns = telemetry::now_ns().saturating_sub(t0);
-        if let Some(d) = &mut driver {
-            d.after_step(&stats, step_ns, self.last_sort_ns, self.last_sort_fired);
+        if let Some(t) = &mut self.tuner {
+            t.after_step(&Measurement {
+                steps: 1,
+                pushed: stats.pushed as u64,
+                crossings: stats.crossings as u64,
+                step_ns,
+                sort_ns: self.last_sort_ns,
+                sorts: u64::from(self.last_sort_fired),
+            });
         }
-        self.tuner = driver;
         stats
     }
 
@@ -667,6 +670,8 @@ fn first_diff<T: Copy>(what: &str, a: &[T], b: &[T], bits: impl Fn(T) -> u32) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deck::Deck;
+    use tuner::Phase;
 
     fn neutral_pair_sim(nx: usize) -> Simulation {
         let grid = Grid::new(nx, nx, nx);
@@ -852,6 +857,28 @@ mod tests {
     }
 
     #[test]
+    fn applying_the_running_config_leaves_it_unchanged() {
+        let mut sim = neutral_pair_sim(4);
+        let tiled = Config {
+            order: Some(SortOrder::Strided),
+            interval: 3,
+            strategy: Strategy::Guided,
+            scatter: ScatterMode::Duplicated,
+            tile: Some(TileCfg { tile_cells: 8, compress: false }),
+        };
+        for stepped in [false, true] {
+            if stepped {
+                sim.apply_tune_config(&tiled, 2);
+                sim.run(4);
+            }
+            let running = sim.config();
+            sim.apply_tune_config(&running, 2);
+            assert_eq!(sim.config(), running, "stepped: {stepped}");
+        }
+        assert_eq!(sim.config(), tiled);
+    }
+
+    #[test]
     fn scatter_modes_agree_at_simulation_level() {
         let mut a = neutral_pair_sim(4);
         a.configure_scatter(4, ScatterMode::Atomic);
@@ -861,5 +888,72 @@ mod tests {
         b.run(10);
         let (ea, eb) = (a.energies().total(), b.energies().total());
         assert!(((ea - eb) / ea).abs() < 1e-6, "{ea} vs {eb}");
+    }
+
+    fn small_arms() -> Vec<Config> {
+        vec![
+            Config::unsorted(Strategy::Auto, ScatterMode::Atomic),
+            Config::sorted(SortOrder::Standard, 5, Strategy::Auto, ScatterMode::Atomic),
+            Config::sorted(SortOrder::Strided, 5, Strategy::Manual, ScatterMode::Atomic),
+        ]
+    }
+
+    #[test]
+    fn tuner_walks_epochs_and_records_the_schedule() {
+        let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
+        sim.set_tuner(Tuner::new(small_arms(), 3));
+        // 3 arms × 3-step epochs: 9 steps of exploration, then commit
+        sim.run(12);
+        let t = sim.take_tuner().expect("tuner still armed");
+        assert!(t.epochs() >= 3, "3 exploration epochs must have closed: {}", t.epochs());
+        assert_eq!(t.phase(), Phase::Committed);
+        assert!(t.committed().is_some());
+        let sched = t.schedule();
+        assert!(!sched.is_empty());
+        assert_eq!(sched[0].step, 0, "first arm applies before the first step");
+        assert_eq!(sched[0].config, small_arms()[0]);
+        // entries are strictly ordered by step and aligned to epochs
+        assert!(sched.windows(2).all(|w| w[0].step < w[1].step));
+        for e in &sched[1..] {
+            assert_eq!(e.step % 3, 0, "configs only swap at epoch boundaries: {e:?}");
+        }
+        // the sim ends up running the committed arm
+        assert_eq!(sim.config(), *t.committed().unwrap());
+    }
+
+    #[test]
+    fn saturated_event_shard_does_not_stretch_the_exploration() {
+        // past 2^18 events a profiled run's shard evicts its oldest event
+        // for each new one and counts the drop; an epoch's numbers come
+        // from the clock around the step, so each arm is still scored
+        // after one epoch
+        let was_enabled = telemetry::enabled();
+        telemetry::set_enabled(true);
+        for _ in 0..=(1u32 << 18) {
+            drop(telemetry::span("tune.test.fill"));
+        }
+        let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
+        sim.set_tuner(Tuner::new(small_arms(), 3));
+        // nine steps of exploration; the tenth step's bookkeeping closes
+        // the third epoch and commits
+        sim.run(10);
+        let dropped = telemetry::snapshot().dropped_events;
+        telemetry::set_enabled(was_enabled);
+        assert!(dropped > 0, "the test thread's shard must be saturated");
+        let t = sim.take_tuner().expect("tuner still armed");
+        assert_eq!(t.epochs(), 3);
+        assert_eq!(t.phase(), Phase::Committed);
+        let steps: Vec<u64> = t.schedule().iter().map(|e| e.step).collect();
+        assert!(steps.starts_with(&[0, 3, 6]), "one epoch per arm: {steps:?}");
+    }
+
+    #[test]
+    fn unarmed_simulation_is_unaffected() {
+        let mut a = Deck::weibel(6, 6, 6, 4, 0.3).build();
+        let mut b = Deck::weibel(6, 6, 6, 4, 0.3).build();
+        a.run(5);
+        b.run(5);
+        assert!(a.tuner().is_none());
+        assert_eq!(a.bit_diff(&b), None);
     }
 }

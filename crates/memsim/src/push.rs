@@ -327,6 +327,10 @@ mod tests {
         let milan = platform::by_name("EPYC 7763").unwrap();
         assert!(grid_fits_llc(&milan, 500_000));
         assert!(!grid_fits_llc(&milan, 1_000_000));
+        // A100 (40 MB): between the two
+        let a100 = platform::by_name("A100").unwrap();
+        assert!(grid_fits_llc(&a100, 44 * 44 * 44));
+        assert!(!grid_fits_llc(&a100, 64 * 64 * 64));
         assert_eq!(grid_footprint_bytes(1), CELL_FOOTPRINT_BYTES);
     }
 

@@ -13,8 +13,8 @@
 //! snapshot blobs and resumed — possibly on a different pool — when the
 //! scheduler returns to them. Because stepping is worker-count
 //! invariant and checkpointing is bit-transparent (both for tiled and
-//! tuner-armed jobs, whose engine policy and driver state ride in the
-//! blob), a job preempted at *any* step finishes in a bit-identical
+//! tuner-armed jobs, whose tile policy and tuner ride in the blob), a
+//! job preempted at *any* step finishes in a bit-identical
 //! final state; `tests/serving.rs` property-tests exactly that.
 //!
 //! Failure is contained per tenant: a worker-lane panic, a typed

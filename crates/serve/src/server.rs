@@ -32,8 +32,8 @@ use psort::SortOrder;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use telemetry::hist;
-use tuner::{Config, Tuner};
-use vpic_core::{Simulation, TuneDriver};
+use tuner::{Config, ScheduleEntry, Tuner};
+use vpic_core::Simulation;
 use vsimd::Strategy;
 
 /// Why a job submission was refused at the door. Admission control is
@@ -203,7 +203,7 @@ enum State {
     Parked(Vec<u8>),
     Done {
         final_blob: Vec<u8>,
-        schedule: Option<Vec<vpic_core::tune::ScheduleEntry>>,
+        schedule: Option<Vec<ScheduleEntry>>,
     },
     Cancelled(CancelReason),
     Quarantined(String),
@@ -628,9 +628,9 @@ impl Server {
         // record, and the committed arm feeds the fleet prior for the
         // next tenant of this class
         let mut commit = None;
-        let schedule = sim.take_tuner().map(|driver| {
-            commit = driver.tuner().best().map(|(cfg, cost)| (*cfg, cost));
-            driver.schedule().to_vec()
+        let schedule = sim.take_tuner().map(|tuner| {
+            commit = tuner.best().map(|(cfg, cost)| (*cfg, cost));
+            tuner.schedule().to_vec()
         });
         // the final state keeps its tiling; `checkpoint_bytes` handles
         // tiled sims transparently and records the policy in the blob
@@ -712,9 +712,9 @@ impl Server {
     }
 
     /// A finished tuned job's configuration schedule (see
-    /// [`vpic_core::tune::TuneDriver::schedule`]); replaying it on the
-    /// same deck reproduces the job bit-for-bit.
-    pub fn tune_schedule(&self, id: JobId) -> Option<&[vpic_core::tune::ScheduleEntry]> {
+    /// [`Tuner::schedule`]); replaying it on the same deck reproduces the
+    /// job bit-for-bit.
+    pub fn tune_schedule(&self, id: JobId) -> Option<&[ScheduleEntry]> {
         match self.jobs.get(&id.0).map(|j| &j.state) {
             Some(State::Done { schedule: Some(s), .. }) => Some(s),
             _ => None,
@@ -751,7 +751,7 @@ fn build_sim(spec: &JobSpec, fleet: &FleetPrior, epoch: usize) -> (Simulation, u
     if spec.tune {
         let mut arms = base_arms();
         promoted = fleet.reorder(&FleetPrior::class_of(&spec.deck), &mut arms);
-        sim.set_tuner(TuneDriver::new(Tuner::new(arms, epoch.max(1))));
+        sim.set_tuner(Tuner::new(arms, epoch.max(1)));
     }
     (sim, promoted)
 }
@@ -765,27 +765,9 @@ fn build_sim(spec: &JobSpec, fleet: &FleetPrior, epoch: usize) -> (Simulation, u
 fn base_arms() -> Vec<Config> {
     vec![
         Config::unsorted(Strategy::Auto, ScatterMode::Atomic),
-        Config {
-            order: Some(SortOrder::Standard),
-            interval: 20,
-            strategy: Strategy::Auto,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        },
-        Config {
-            order: Some(SortOrder::Strided),
-            interval: 20,
-            strategy: Strategy::Auto,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        },
-        Config {
-            order: Some(SortOrder::Standard),
-            interval: 5,
-            strategy: Strategy::Manual,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        },
+        Config::sorted(SortOrder::Standard, 20, Strategy::Auto, ScatterMode::Atomic),
+        Config::sorted(SortOrder::Strided, 20, Strategy::Auto, ScatterMode::Atomic),
+        Config::sorted(SortOrder::Standard, 5, Strategy::Manual, ScatterMode::Atomic),
     ]
 }
 

@@ -1,5 +1,7 @@
-//! The discrete configuration space the tuner searches.
+//! The discrete configuration space the tuner searches, and the
+//! checkpoint encoding of an arm.
 
+use ckpt::{RestoreError, SectionBuf, SectionReader};
 use pk::atomic::ScatterMode;
 use psort::SortOrder;
 use vsimd::Strategy;
@@ -52,6 +54,16 @@ impl Config {
         Self { order: None, interval: 0, strategy, scatter, tile: None }
     }
 
+    /// An untiled arm that sorts in `order` every `interval` steps.
+    pub fn sorted(
+        order: SortOrder,
+        interval: usize,
+        strategy: Strategy,
+        scatter: ScatterMode,
+    ) -> Self {
+        Self { order: Some(order), interval, strategy, scatter, tile: None }
+    }
+
     /// Compact human-readable label, used as the key in `results/tune.json`
     /// (e.g. `"standard/i20/guided/atomic"`, `"unsorted/manual/dup"`, or
     /// `"unsorted/auto/atomic/t512c"` for a 512-cell compressed-tile arm).
@@ -77,6 +89,83 @@ impl Config {
             }
         }
     }
+
+    /// Encode the arm: sort order, interval, strategy, scatter mode and
+    /// tiling.
+    pub fn put(&self, b: &mut SectionBuf) {
+        put_order(b, self.order);
+        b.put_usize(self.interval);
+        b.put_u8(match self.strategy {
+            Strategy::Auto => 0,
+            Strategy::Guided => 1,
+            Strategy::Manual => 2,
+            Strategy::AdHoc => 3,
+        });
+        b.put_u8(match self.scatter {
+            ScatterMode::Atomic => 0,
+            ScatterMode::Duplicated => 1,
+        });
+        b.put_bool(self.tile.is_some());
+        if let Some(t) = self.tile {
+            b.put_usize(t.tile_cells);
+            b.put_bool(t.compress);
+        }
+    }
+
+    /// Decode what [`Config::put`] wrote. An unknown tag is
+    /// [`RestoreError::SchemaDrift`].
+    pub fn get(r: &mut SectionReader<'_>) -> Result<Self, RestoreError> {
+        let order = get_order(r)?;
+        let interval = r.get_usize()?;
+        let strategy = match r.get_u8()? {
+            0 => Strategy::Auto,
+            1 => Strategy::Guided,
+            2 => Strategy::Manual,
+            3 => Strategy::AdHoc,
+            t => return Err(RestoreError::SchemaDrift(format!("unknown strategy tag {t}"))),
+        };
+        let scatter = match r.get_u8()? {
+            0 => ScatterMode::Atomic,
+            1 => ScatterMode::Duplicated,
+            t => return Err(RestoreError::SchemaDrift(format!("unknown scatter tag {t}"))),
+        };
+        let tile = if r.get_bool()? {
+            Some(TileCfg { tile_cells: r.get_usize()?, compress: r.get_bool()? })
+        } else {
+            None
+        };
+        Ok(Self { order, interval, strategy, scatter, tile })
+    }
+}
+
+/// Encode a sort order, or its absence.
+pub fn put_order(b: &mut SectionBuf, order: Option<SortOrder>) {
+    match order {
+        None => b.put_u8(0),
+        Some(SortOrder::Random) => b.put_u8(1),
+        Some(SortOrder::Standard) => b.put_u8(2),
+        Some(SortOrder::Strided) => b.put_u8(3),
+        Some(SortOrder::TiledStrided { tile }) => {
+            b.put_u8(4);
+            b.put_usize(tile);
+        }
+    }
+}
+
+/// Decode what [`put_order`] wrote. A tiled-strided order with a zero
+/// tile is drift: its first sort would panic.
+pub fn get_order(r: &mut SectionReader<'_>) -> Result<Option<SortOrder>, RestoreError> {
+    Ok(match r.get_u8()? {
+        0 => None,
+        1 => Some(SortOrder::Random),
+        2 => Some(SortOrder::Standard),
+        3 => Some(SortOrder::Strided),
+        4 => match r.get_usize()? {
+            0 => return Err(RestoreError::SchemaDrift("tiled-strided sort order, tile 0".into())),
+            tile => Some(SortOrder::TiledStrided { tile }),
+        },
+        t => return Err(RestoreError::SchemaDrift(format!("unknown sort-order tag {t}"))),
+    })
 }
 
 /// Expand `base` arms with tiled variants: for each base arm and each
@@ -114,13 +203,7 @@ pub fn config_space(tile: usize, intervals: &[usize]) -> Vec<Config> {
             arms.push(Config::unsorted(strategy, scatter));
             for order in SortOrder::sorted_set(tile) {
                 for &interval in intervals {
-                    arms.push(Config {
-                        order: Some(order),
-                        interval,
-                        strategy,
-                        scatter,
-                        tile: None,
-                    });
+                    arms.push(Config::sorted(order, interval, strategy, scatter));
                 }
             }
         }
@@ -129,7 +212,7 @@ pub fn config_space(tile: usize, intervals: &[usize]) -> Vec<Config> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -150,13 +233,7 @@ mod tests {
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), arms.len());
-        let c = Config {
-            order: Some(SortOrder::Standard),
-            interval: 20,
-            strategy: Strategy::Guided,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        };
+        let c = Config::sorted(SortOrder::Standard, 20, Strategy::Guided, ScatterMode::Atomic);
         assert_eq!(c.label(), "standard/i20/guided/atomic");
         assert_eq!(
             Config::unsorted(Strategy::Manual, ScatterMode::Duplicated).label(),
@@ -170,6 +247,42 @@ mod tests {
             .label(),
             "unsorted/auto/atomic/t512c"
         );
+    }
+
+    /// What `put` writes into one section, read back by `get`, which must
+    /// consume all of it.
+    pub(crate) fn reread<T>(
+        put: impl FnOnce(&mut SectionBuf),
+        get: impl FnOnce(&mut SectionReader<'_>) -> Result<T, RestoreError>,
+    ) -> Result<T, RestoreError> {
+        let mut w = ckpt::Writer::new();
+        put(w.section("s"));
+        let snap = ckpt::Snapshot::from_bytes(&w.to_bytes()).unwrap();
+        let mut r = snap.section("s").unwrap();
+        let v = get(&mut r)?;
+        r.finish().map(|()| v)
+    }
+
+    #[test]
+    fn every_arm_round_trips_and_an_unknown_tag_is_drift() {
+        let mut arms = tile_arms(&config_space(8, &[5]), &[64]);
+        arms.push(Config { order: Some(SortOrder::Random), ..arms[0] });
+        for arm in &arms {
+            assert_eq!(&reread(|b| arm.put(b), Config::get).unwrap(), arm, "{}", arm.label());
+        }
+        // an unsorted arm — order tag 0, an 8-byte interval, strategy and
+        // scatter tags — cut after its first tag past the last value
+        let bad: [(&[u8], &str); 3] = [
+            (&[5], "sort-order tag 5"),
+            (&[0, 0, 0, 0, 0, 0, 0, 0, 0, 4], "strategy tag 4"),
+            (&[0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 2], "scatter tag 2"),
+        ];
+        for (bytes, what) in bad {
+            match reread(|b| b.put_raw(bytes), Config::get) {
+                Err(RestoreError::SchemaDrift(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected drift, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The explore → commit → drift state machine.
+//! The explore → commit → drift state machine, the epoch bookkeeping
+//! around it, and its checkpoint encoding.
 
 use crate::config::Config;
 use crate::measure::Measurement;
+use ckpt::{RestoreError, SectionBuf, SectionReader};
 
 /// Where the tuner is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,11 +28,26 @@ const COST_TOLERANCE: f64 = 1.5;
 /// EWMA smoothing for the committed-phase crossing rate.
 const EWMA_ALPHA: f64 = 0.5;
 
-/// The epoch-based auto-tuner. Feed it one [`Measurement`] per epoch via
-/// [`Tuner::finish_epoch`]; run whatever [`Tuner::current`] says in
-/// between. The struct is pure state — it never reads a clock — so its
-/// decisions are a deterministic function of the measurements it is fed.
-#[derive(Debug, Clone)]
+/// One line of a tuned run's configuration history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleEntry {
+    /// Step count at which the config was applied (it governs this step
+    /// and onward, until the next entry).
+    pub step: u64,
+    /// The configuration applied.
+    pub config: Config,
+    /// Worker count the scatter accumulator was sized for.
+    pub workers: usize,
+}
+
+/// The epoch-based auto-tuner. A stepper asks [`Tuner::before_step`] for
+/// the arm to apply and reports each step to [`Tuner::after_step`]; every
+/// `epoch_steps` observed steps the closed epoch is scored
+/// ([`Tuner::finish_epoch`]) and the next arm chosen. The struct is pure
+/// state — it never reads a clock — so its decisions are a deterministic
+/// function of what it is fed, and a copy read back from
+/// [`Tuner::put`]'s bytes continues exactly where the original stopped.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tuner {
     arms: Vec<Config>,
     epoch_steps: usize,
@@ -51,42 +68,12 @@ pub struct Tuner {
     refine_top: usize,
     /// Arm indices still queued for refinement.
     refine_queue: Vec<usize>,
-    explorations: u64,
-}
-
-/// The complete serializable state of a [`Tuner`]: every field
-/// [`Tuner::finish_epoch`] reads or writes, with public fields so a
-/// checkpoint layer can encode it without this crate knowing the format.
-/// Round trip: [`Tuner::state`] → persist → [`Tuner::from_state`]. The
-/// engine is pure (no wall clock), so a restored tuner fed the same
-/// measurements makes the same decisions as the original — the property
-/// `tests/checkpoint_restart.rs` leans on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TunerState {
-    /// Candidate arms, in exploration order.
-    pub arms: Vec<Config>,
-    /// Steps per measurement epoch.
-    pub epoch_steps: usize,
-    /// Lifecycle phase.
-    pub phase: Phase,
-    /// Arm being measured (Exploring/Refining) or run (Committed).
-    pub cursor: usize,
-    /// Per-arm cost measured this exploration round.
-    pub costs: Vec<Option<f64>>,
-    /// Per-arm crossing rate measured this exploration round.
-    pub rates: Vec<f64>,
-    /// Cost of the committed arm at commit time.
-    pub committed_cost: f64,
-    /// Crossing rate at commit time (drift baseline).
-    pub baseline_rate: f64,
-    /// Committed-phase crossing-rate EWMA.
-    pub rate_ewma: f64,
-    /// Top-N refinement budget.
-    pub refine_top: usize,
-    /// Arm indices still queued for refinement.
-    pub refine_queue: Vec<usize>,
-    /// Exploration rounds started.
-    pub explorations: u64,
+    /// What the steps of the epoch in flight observed.
+    epoch: Measurement,
+    /// Every arm applied, with the step it took effect at.
+    schedule: Vec<ScheduleEntry>,
+    /// Closed measurement epochs.
+    epochs: u64,
 }
 
 impl Tuner {
@@ -109,7 +96,9 @@ impl Tuner {
             rate_ewma: 0.0,
             refine_top: 0,
             refine_queue: Vec::new(),
-            explorations: 1,
+            epoch: Measurement::default(),
+            schedule: Vec::new(),
+            epochs: 0,
         }
     }
 
@@ -125,27 +114,16 @@ impl Tuner {
     }
 
     /// Apply the cache-model prior (the paper's superlinear-scaling
-    /// heuristic, computed by [`crate::prior::prefer_unsorted`]): when the
+    /// heuristic, `memsim::push::grid_fits_llc`): when the
     /// grid's push working set fits the LLC, the unsorted arms are
     /// explored first; otherwise the sorting arms are. Ordering is what
     /// the prior controls — under a short exploration budget the tuner
     /// commits to the best arm *measured so far*, so the prior's arms get
     /// first claim on the budget. The reorder is stable within each group.
     pub fn with_cache_prior(mut self, grid_fits_llc: bool) -> Self {
-        self.arms.sort_by_key(|a| {
-            let unsorted = a.order.is_none();
-            if grid_fits_llc {
-                !unsorted as u8
-            } else {
-                unsorted as u8
-            }
-        });
+        // `false` sorts first: the arms whose sorting matches the prior
+        self.arms.sort_by_key(|a| a.order.is_none() != grid_fits_llc);
         self
-    }
-
-    /// Steps per measurement epoch.
-    pub fn epoch_steps(&self) -> usize {
-        self.epoch_steps
     }
 
     /// The configuration to run right now.
@@ -165,72 +143,63 @@ impl Tuner {
 
     /// Best (config, cost-per-particle) measured so far, if any.
     pub fn best(&self) -> Option<(&Config, f64)> {
-        self.costs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (i, c)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, c)| (&self.arms[i], c))
+        self.cheapest().map(|(i, c)| (&self.arms[i], c))
     }
 
-    /// Export the complete engine state for checkpointing.
-    pub fn state(&self) -> TunerState {
-        TunerState {
-            arms: self.arms.clone(),
-            epoch_steps: self.epoch_steps,
-            phase: self.phase,
-            cursor: self.cursor,
-            costs: self.costs.clone(),
-            rates: self.rates.clone(),
-            committed_cost: self.committed_cost,
-            baseline_rate: self.baseline_rate,
-            rate_ewma: self.rate_ewma,
-            refine_top: self.refine_top,
-            refine_queue: self.refine_queue.clone(),
-            explorations: self.explorations,
-        }
+    /// `(arm index, cost)` of every arm measured this round.
+    fn measured(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.costs.iter().enumerate().filter_map(|(i, c)| c.map(|c| (i, c)))
     }
 
-    /// Rebuild a tuner from checkpointed state. Internal-consistency
-    /// violations (empty arm set, cursor or refine queue out of range,
-    /// mismatched per-arm vector lengths) are rejected so a drifted
-    /// snapshot cannot resurrect an engine that would index out of
-    /// bounds on its next epoch.
-    pub fn from_state(s: TunerState) -> Result<Self, String> {
-        if s.arms.is_empty() {
-            return Err("tuner state has no arms".into());
-        }
-        if s.epoch_steps == 0 {
-            return Err("tuner state has zero epoch_steps".into());
-        }
-        let n = s.arms.len();
-        if s.cursor >= n {
-            return Err(format!("tuner cursor {} out of range for {n} arms", s.cursor));
-        }
-        if s.costs.len() != n || s.rates.len() != n {
-            return Err(format!(
-                "per-arm vectors sized {}/{} for {n} arms",
-                s.costs.len(),
-                s.rates.len()
-            ));
-        }
-        if let Some(&bad) = s.refine_queue.iter().find(|&&i| i >= n) {
-            return Err(format!("refine queue entry {bad} out of range for {n} arms"));
-        }
-        Ok(Self {
-            arms: s.arms,
-            epoch_steps: s.epoch_steps,
-            phase: s.phase,
-            cursor: s.cursor,
-            costs: s.costs,
-            rates: s.rates,
-            committed_cost: s.committed_cost,
-            baseline_rate: s.baseline_rate,
-            rate_ewma: s.rate_ewma,
-            refine_top: s.refine_top,
-            refine_queue: s.refine_queue,
-            explorations: s.explorations,
-        })
+    fn cheapest(&self) -> Option<(usize, f64)> {
+        self.measured().min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    /// The config history: which arm governed the run from which step.
+    /// Replaying these through the simulation's `apply_tune_config` at
+    /// the recorded steps reproduces the tuned run exactly.
+    pub fn schedule(&self) -> &[ScheduleEntry] {
+        &self.schedule
+    }
+
+    /// Closed measurement epochs.
+    pub fn epochs(&self) -> u64 {
+        self.epochs
+    }
+
+    /// Epoch bookkeeping before step `step` runs on `workers` workers:
+    /// the arm to apply before it, if one is due — the first arm on the
+    /// first call, and after every `epoch_steps` observed steps the arm
+    /// the closed epoch's score selects, when that is not the one already
+    /// running. Every arm returned is recorded in [`Tuner::schedule`].
+    pub fn before_step(&mut self, step: u64, workers: usize) -> Option<Config> {
+        let next = if self.schedule.is_empty() {
+            *self.current()
+        } else if self.epoch.steps < self.epoch_steps as u64 {
+            return None;
+        } else {
+            let prev = *self.current();
+            let closed = std::mem::take(&mut self.epoch);
+            let next = self.finish_epoch(&closed);
+            self.epochs += 1;
+            if next == prev {
+                return None;
+            }
+            next
+        };
+        self.schedule.push(ScheduleEntry { step, config: next, workers });
+        Some(next)
+    }
+
+    /// Fold one step's observations into the epoch in flight.
+    pub fn after_step(&mut self, step: &Measurement) {
+        let e = &mut self.epoch;
+        e.steps += step.steps;
+        e.pushed += step.pushed;
+        e.crossings += step.crossings;
+        e.step_ns += step.step_ns;
+        e.sort_ns += step.sort_ns;
+        e.sorts += step.sorts;
     }
 
     /// Ingest the epoch that just ran under [`Tuner::current`] and return
@@ -279,13 +248,7 @@ impl Tuner {
     }
 
     fn start_refinement(&mut self) {
-        let mut ranked: Vec<(usize, f64)> = self
-            .costs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (i, c)))
-            .filter(|(_, c)| c.is_finite())
-            .collect();
+        let mut ranked: Vec<_> = self.measured().filter(|(_, c)| c.is_finite()).collect();
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
         self.refine_queue = ranked.iter().take(self.refine_top).map(|&(i, _)| i).collect();
         match self.refine_queue.first() {
@@ -298,14 +261,7 @@ impl Tuner {
     }
 
     fn commit(&mut self) {
-        let best = self
-            .costs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (i, c)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let best = self.cheapest().map_or(0, |(i, _)| i);
         self.cursor = best;
         self.committed_cost = self.costs[best].unwrap_or(f64::INFINITY);
         self.baseline_rate = self.rates[best];
@@ -320,13 +276,127 @@ impl Tuner {
         self.rates = vec![0.0; self.arms.len()];
         self.refine_queue.clear();
         self.committed_cost = f64::INFINITY;
-        self.explorations += 1;
     }
+
+    /// Encode every field: the engine state, the epoch in flight, the
+    /// schedule and the epoch count.
+    pub fn put(&self, b: &mut SectionBuf) {
+        put_list(b, &self.arms, |b, arm| arm.put(b));
+        b.put_usize(self.epoch_steps);
+        b.put_u8(match self.phase {
+            Phase::Exploring => 0,
+            Phase::Refining => 1,
+            Phase::Committed => 2,
+        });
+        b.put_usize(self.cursor);
+        put_list(b, &self.costs, |b, cost| {
+            b.put_bool(cost.is_some());
+            if let Some(c) = cost {
+                b.put_f64(*c);
+            }
+        });
+        b.put_f64s(&self.rates);
+        for v in [self.committed_cost, self.baseline_rate, self.rate_ewma] {
+            b.put_f64(v);
+        }
+        b.put_usize(self.refine_top);
+        put_list(b, &self.refine_queue, |b, &i| b.put_usize(i));
+        let e = &self.epoch;
+        for v in [e.steps, e.pushed, e.crossings, e.step_ns, e.sort_ns, e.sorts] {
+            b.put_u64(v);
+        }
+        put_list(b, &self.schedule, |b, s| {
+            b.put_u64(s.step);
+            s.config.put(b);
+            b.put_usize(s.workers);
+        });
+        b.put_u64(self.epochs);
+    }
+
+    /// Decode what [`Tuner::put`] wrote. A tuner that would index out of
+    /// bounds on its next epoch — no arms, zero-step epochs, a cursor or
+    /// refine-queue entry past the arms, per-arm vectors of another
+    /// length, or refining with nothing queued — is
+    /// [`RestoreError::SchemaDrift`], as is an unknown tag.
+    pub fn get(r: &mut SectionReader<'_>) -> Result<Self, RestoreError> {
+        let drift = |what: String| RestoreError::SchemaDrift(format!("tuner: {what}"));
+        let t = Self {
+            arms: get_list(r, Config::get)?,
+            epoch_steps: r.get_usize()?,
+            phase: match r.get_u8()? {
+                0 => Phase::Exploring,
+                1 => Phase::Refining,
+                2 => Phase::Committed,
+                t => return Err(drift(format!("unknown phase tag {t}"))),
+            },
+            cursor: r.get_usize()?,
+            costs: get_list(r, |r| Ok(if r.get_bool()? { Some(r.get_f64()?) } else { None }))?,
+            rates: r.get_f64s()?,
+            committed_cost: r.get_f64()?,
+            baseline_rate: r.get_f64()?,
+            rate_ewma: r.get_f64()?,
+            refine_top: r.get_usize()?,
+            refine_queue: get_list(r, |r| r.get_usize())?,
+            epoch: Measurement {
+                steps: r.get_u64()?,
+                pushed: r.get_u64()?,
+                crossings: r.get_u64()?,
+                step_ns: r.get_u64()?,
+                sort_ns: r.get_u64()?,
+                sorts: r.get_u64()?,
+            },
+            schedule: get_list(r, |r| {
+                let (step, config) = (r.get_u64()?, Config::get(r)?);
+                Ok(ScheduleEntry { step, config, workers: r.get_usize()? })
+            })?,
+            epochs: r.get_u64()?,
+        };
+
+        let n = t.arms.len();
+        if n == 0 {
+            return Err(drift("no arms".into()));
+        }
+        if t.epoch_steps == 0 {
+            return Err(drift("zero-step epochs".into()));
+        }
+        if t.cursor >= n {
+            return Err(drift(format!("cursor {} out of range for {n} arms", t.cursor)));
+        }
+        if t.costs.len() != n || t.rates.len() != n {
+            let (c, k) = (t.costs.len(), t.rates.len());
+            return Err(drift(format!("per-arm vectors sized {c}/{k} for {n} arms")));
+        }
+        if let Some(&bad) = t.refine_queue.iter().find(|&&i| i >= n) {
+            return Err(drift(format!("refine queue entry {bad} out of range for {n} arms")));
+        }
+        if t.phase == Phase::Refining && t.refine_queue.is_empty() {
+            return Err(drift("refining with an empty refine queue".into()));
+        }
+        Ok(t)
+    }
+}
+
+/// A count, then each item encoded by `put`.
+fn put_list<T>(b: &mut SectionBuf, items: &[T], put: impl Fn(&mut SectionBuf, &T)) {
+    b.put_usize(items.len());
+    for item in items {
+        put(b, item);
+    }
+}
+
+/// Decode what [`put_list`] wrote, each item by `get`.
+fn get_list<T>(
+    r: &mut SectionReader<'_>,
+    get: impl Fn(&mut SectionReader<'_>) -> Result<T, RestoreError>,
+) -> Result<Vec<T>, RestoreError> {
+    let n = r.get_usize()?;
+    (0..n).map(|_| get(r)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::reread;
     use pk::atomic::ScatterMode;
     use psort::SortOrder;
     use vsimd::Strategy;
@@ -397,7 +467,6 @@ mod tests {
             t.finish_epoch(&epoch(600, 500, 100));
         }
         assert_eq!(t.phase(), Phase::Committed);
-        assert_eq!(t.explorations, 1);
         // same cost, stable crossings: stays committed
         t.finish_epoch(&epoch(600, 500, 100));
         assert_eq!(t.phase(), Phase::Committed);
@@ -410,7 +479,6 @@ mod tests {
         assert_eq!(t.phase(), Phase::Committed);
         t.finish_epoch(&epoch(600, 500, 160));
         assert_eq!(t.phase(), Phase::Exploring, "sustained drift re-explores");
-        assert_eq!(t.explorations, 2);
         assert_eq!(t.current(), &t.arms[0], "re-exploration restarts from the first arm");
     }
 
@@ -447,38 +515,79 @@ mod tests {
         assert_eq!(t.phase(), Phase::Exploring);
     }
 
+    /// One step of 100 particles taking `ns`.
+    fn one_step(ns: u64) -> Measurement {
+        Measurement { steps: 1, pushed: 100, crossings: 10, step_ns: ns, ..Default::default() }
+    }
+
     #[test]
-    fn state_round_trip_preserves_decisions() {
-        // freeze a tuner mid-refinement, round-trip its state, and feed
-        // both copies the same epochs: every decision must match
+    fn bookkeeping_applies_the_first_arm_then_one_per_closed_epoch() {
+        let mut t = Tuner::new(three_arm_tuner().arms, 2);
+        let mut applied = Vec::new();
+        // arm costs 1900, 1500 and 1100 ns per two-step epoch: the last
+        // explored arm wins, so committing to it applies nothing new
+        for step in 0..7u64 {
+            if let Some(cfg) = t.before_step(step, 4) {
+                applied.push(ScheduleEntry { step, config: cfg, workers: 4 });
+            }
+            t.after_step(&one_step(1000 - 100 * step));
+        }
+        let arms = three_arm_tuner().arms;
+        let expected: Vec<ScheduleEntry> = [0, 2, 4]
+            .into_iter()
+            .zip(arms)
+            .map(|(step, config)| ScheduleEntry { step, config, workers: 4 })
+            .collect();
+        assert_eq!(applied, expected);
+        assert_eq!(t.schedule(), expected);
+        assert_eq!(t.epochs(), 3);
+        assert_eq!(t.committed(), Some(&expected[2].config));
+    }
+
+    /// `t` written by [`Tuner::put`] and read back by [`Tuner::get`].
+    fn round_trip(t: &Tuner) -> Result<Tuner, RestoreError> {
+        reread(|b| t.put(b), Tuner::get)
+    }
+
+    #[test]
+    fn encoding_round_trip_preserves_decisions() {
+        // freeze a tuner mid-refinement with a step in flight, round-trip
+        // it, and feed both copies the same epochs: every decision matches
         let mut a = three_arm_tuner().with_refinement(2);
+        a.before_step(0, 1);
         a.finish_epoch(&epoch(700, 0, 100));
         a.finish_epoch(&epoch(500, 500, 100));
         a.finish_epoch(&epoch(775, 500, 100));
+        a.after_step(&one_step(123));
         assert_eq!(a.phase(), Phase::Refining);
-        let mut b = Tuner::from_state(a.state()).expect("valid state");
-        assert_eq!(a.state(), b.state());
+        let mut b = round_trip(&a).expect("valid tuner");
+        assert_eq!(a, b);
         for m in [epoch(900, 500, 100), epoch(550, 0, 100), epoch(560, 0, 100)] {
             assert_eq!(a.finish_epoch(&m), b.finish_epoch(&m));
-            assert_eq!(a.phase(), b.phase());
-            assert_eq!(a.state(), b.state());
+            assert_eq!(a, b);
         }
         assert_eq!(a.phase(), Phase::Committed);
     }
 
     #[test]
-    fn inconsistent_state_is_rejected() {
-        let good = three_arm_tuner().state();
-        let empty = TunerState { arms: Vec::new(), ..good.clone() };
-        assert!(Tuner::from_state(empty).is_err());
-        let bad_cursor = TunerState { cursor: 3, ..good.clone() };
-        assert!(Tuner::from_state(bad_cursor).is_err());
-        let bad_lens = TunerState { costs: vec![None; 1], ..good.clone() };
-        assert!(Tuner::from_state(bad_lens).is_err());
-        let bad_queue = TunerState { refine_queue: vec![9], ..good.clone() };
-        assert!(Tuner::from_state(bad_queue).is_err());
-        let no_epochs = TunerState { epoch_steps: 0, ..good };
-        assert!(Tuner::from_state(no_epochs).is_err());
+    fn each_inconsistency_is_named_schema_drift() {
+        let good = three_arm_tuner();
+        assert_eq!(round_trip(&good).unwrap(), good);
+        let cases = [
+            (Tuner { arms: Vec::new(), ..good.clone() }, "no arms"),
+            (Tuner { epoch_steps: 0, ..good.clone() }, "zero-step epochs"),
+            (Tuner { cursor: 3, ..good.clone() }, "cursor 3 out of range for 3 arms"),
+            (Tuner { costs: vec![None; 1], ..good.clone() }, "per-arm vectors sized 1/3"),
+            (Tuner { rates: vec![0.0; 4], ..good.clone() }, "per-arm vectors sized 3/4"),
+            (Tuner { refine_queue: vec![9], ..good.clone() }, "refine queue entry 9"),
+            (Tuner { phase: Phase::Refining, ..good.clone() }, "empty refine queue"),
+        ];
+        for (bad, what) in cases {
+            match round_trip(&bad) {
+                Err(RestoreError::SchemaDrift(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected drift, got {other:?}"),
+            }
+        }
     }
 
     #[test]

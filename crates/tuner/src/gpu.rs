@@ -12,12 +12,11 @@
 //! ledger instead of wall time ([`crate::Measurement`] carries
 //! nanoseconds; modeled seconds × 1e9 slot straight in, since the engine
 //! only ever compares costs). The cache prior is the particle-aware LLC
-//! predicate — on GPUs the resident particle window shares the LLC with
-//! the grid, so the grid-only predicate would call the cliff too early.
+//! predicate, `memsim::push::fits_llc_with_particles` — on GPUs the
+//! resident particle window shares the LLC with the grid, so the
+//! grid-only predicate would call the cliff too early.
 
 use crate::config::Config;
-use crate::prior::prefer_unsorted_with_particles;
-use memsim::platform::Platform;
 use pk::atomic::ScatterMode;
 use psort::SortOrder;
 use vsimd::Strategy;
@@ -33,13 +32,7 @@ pub fn gpu_config_space(tile: usize, intervals: &[usize]) -> Vec<Config> {
             None => arms.push(Config::unsorted(Strategy::Auto, ScatterMode::Atomic)),
             Some(o) => {
                 for &interval in intervals {
-                    arms.push(Config {
-                        order: Some(o),
-                        interval,
-                        strategy: Strategy::Auto,
-                        scatter: ScatterMode::Atomic,
-                        tile: None,
-                    });
+                    arms.push(Config::sorted(o, interval, Strategy::Auto, ScatterMode::Atomic));
                 }
             }
         }
@@ -47,17 +40,9 @@ pub fn gpu_config_space(tile: usize, intervals: &[usize]) -> Vec<Config> {
     arms
 }
 
-/// The GPU cache prior for [`crate::Tuner::with_cache_prior`]: true when
-/// `cells` of grid data *plus* `resident_particles` records fit the
-/// platform LLC, in which case the unsorted arms are explored first.
-pub fn gpu_cache_prior(platform: &Platform, cells: usize, resident_particles: usize) -> bool {
-    prefer_unsorted_with_particles(platform, cells, resident_particles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::platform::by_name;
 
     #[test]
     fn gpu_space_is_one_axis_per_order() {
@@ -74,23 +59,5 @@ mod tests {
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), arms.len());
-    }
-
-    #[test]
-    fn gpu_prior_counts_resident_particles() {
-        // V100: the Fig 9 peak grid fits bare, but not once the resident
-        // particle window is charged at 64 ppc
-        let v100 = by_name("V100").unwrap();
-        assert!(gpu_cache_prior(&v100, 13_824, 0));
-        assert!(!gpu_cache_prior(&v100, 13_824, 64 * 13_824));
-    }
-
-    #[test]
-    fn prior_seeds_gpu_arms_unsorted_first() {
-        let v100 = by_name("V100").unwrap();
-        let arms = gpu_config_space(216, &crate::DEFAULT_INTERVALS);
-        let t = crate::Tuner::new(arms, 4)
-            .with_cache_prior(gpu_cache_prior(&v100, 13_824, 0));
-        assert!(t.current().order.is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! Adaptive auto-tuning runtime: close the telemetry loop online.
+//! Adaptive auto-tuning runtime: close the measurement loop online.
 //!
 //! The paper's central claim is that the *best* configuration of the
 //! portable optimizations — sorting order (§3.2), sorting cadence, push
@@ -19,24 +19,27 @@
 //!    commit time (sorting decays as particles mix) or the committed
 //!    cost regresses, restart exploration.
 //!
-//! The search is seeded with a cache-model prior shared with
-//! `cluster::scaling`: when [`prior::prefer_unsorted`] says the grid's
-//! push working set fits the platform LLC, the "sorting off" arms are
-//! explored first (and win outright when the model is right).
+//! The search can be seeded with the cache-model predicate
+//! `cluster::scaling` uses: when `memsim::push::grid_fits_llc` says the
+//! grid's push working set fits the platform LLC,
+//! [`Tuner::with_cache_prior`] explores the "sorting off" arms first
+//! (and they win outright when the model is right).
 //!
-//! The crate is engine-only and deliberately knows nothing about the
-//! simulation loop: `vpic-core` owns the driver that feeds it
-//! measurements and applies the configs it returns, which keeps the state
-//! machine deterministic and unit-testable with synthetic costs (no
-//! wall-clock in tests).
+//! One object holds a tuner's whole state: [`Tuner`] is the state
+//! machine, the epoch in flight, the recorded [`ScheduleEntry`] history
+//! and the closed-epoch count, and it writes and reads its own checkpoint
+//! encoding ([`Tuner::put`] / [`Tuner::get`] over `ckpt` sections). It
+//! knows nothing of the simulation loop: `vpic-core`'s step asks it for
+//! an arm before a step and feeds the step's observations back after, so
+//! its decisions are a deterministic function of what it is fed and it
+//! is unit-testable with synthetic costs (no wall clock in tests).
 
 pub mod config;
 pub mod engine;
 pub mod gpu;
 pub mod measure;
-pub mod prior;
 
-pub use config::{config_space, tile_arms, Config, TileCfg, DEFAULT_INTERVALS};
-pub use gpu::{gpu_cache_prior, gpu_config_space};
-pub use engine::{Phase, Tuner, TunerState};
+pub use config::{config_space, get_order, put_order, tile_arms, Config, TileCfg, DEFAULT_INTERVALS};
+pub use engine::{Phase, ScheduleEntry, Tuner};
+pub use gpu::gpu_config_space;
 pub use measure::Measurement;

@@ -1,7 +1,7 @@
 //! Epoch measurements and the amortized cost model.
 
-/// What the simulation driver observed over one epoch of steps running a
-/// single [`crate::Config`].
+/// What a stepper observed running a single [`crate::Config`]: over one
+/// step, or summed over an epoch of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Measurement {
     /// Steps in the epoch.

@@ -6,10 +6,11 @@
 //! cargo run --release --example autotune
 //! ```
 
-use vpic2::core::{Deck, TuneDriver};
+use vpic2::core::Deck;
 use vpic2::memsim::platform::by_name;
+use vpic2::memsim::push::grid_fits_llc;
 use vpic2::pk::Serial;
-use vpic2::tuner::{config_space, prior, Tuner, DEFAULT_INTERVALS};
+use vpic2::tuner::{config_space, Tuner, DEFAULT_INTERVALS};
 
 fn main() {
     let deck = Deck::weibel(8, 8, 8, 6, 0.4);
@@ -20,7 +21,7 @@ fn main() {
     // last-level cache, gather/scatter stays cheap without sorting — start
     // the exploration from the unsorted arms
     let platform = by_name("EPYC 7763").unwrap();
-    let start_unsorted = prior::prefer_unsorted(&platform, cells);
+    let start_unsorted = grid_fits_llc(&platform, cells);
     println!(
         "deck: {} cells, {} particles; prior({}): {}",
         cells,
@@ -35,26 +36,25 @@ fn main() {
     let tuner = Tuner::new(arms.clone(), epoch_steps)
         .with_cache_prior(start_unsorted)
         .with_refinement(8);
-    sim.set_tuner(TuneDriver::new(tuner));
+    sim.set_tuner(tuner);
 
     // (#arms + refinement + a few committed epochs) worth of steps
     let steps = (arms.len() + 8 + 3) * epoch_steps;
     sim.run_on(&Serial, steps);
 
-    let driver = sim.take_tuner().expect("tuner armed");
-    let t = driver.tuner();
-    println!("\n{} epochs", driver.epochs());
+    let t = sim.take_tuner().expect("tuner armed");
+    println!("\n{} epochs", t.epochs());
     let (best, cost) = t.best().expect("measured arms");
     println!("committed: {} ({:.1} ns/particle amortized)", best.label(), cost);
 
     // the recorded schedule replays the run bit-identically: each entry is
     // the exact step a config took effect
-    println!("\nschedule ({} changes):", driver.schedule().len());
-    for entry in driver.schedule().iter().take(5) {
+    println!("\nschedule ({} changes):", t.schedule().len());
+    for entry in t.schedule().iter().take(5) {
         println!("  step {:>4}: {}", entry.step, entry.config.label());
     }
-    if driver.schedule().len() > 5 {
-        println!("  ... and {} more", driver.schedule().len() - 5);
+    if t.schedule().len() > 5 {
+        println!("  ... and {} more", t.schedule().len() - 5);
     }
     match t.committed() {
         Some(c) => println!("\nok: tuner committed to {}", c.label()),

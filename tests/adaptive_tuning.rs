@@ -5,13 +5,12 @@
 //! model it is derived from.
 
 use proptest::prelude::*;
-use vpic2::core::tune::ScheduleEntry;
-use vpic2::core::{Deck, Simulation, TuneDriver};
+use vpic2::core::{Deck, Simulation};
 use vpic2::memsim::platform::by_name;
 use vpic2::memsim::push::grid_fits_llc;
 use vpic2::pk::atomic::ScatterMode;
 use vpic2::psort::SortOrder;
-use vpic2::tuner::{prior, Config, Tuner};
+use vpic2::tuner::{Config, ScheduleEntry, Tuner};
 use vpic2::vsimd::Strategy as VecStrategy;
 
 fn weibel() -> Simulation {
@@ -23,27 +22,14 @@ fn weibel() -> Simulation {
 fn arms() -> Vec<Config> {
     vec![
         Config::unsorted(VecStrategy::Auto, ScatterMode::Atomic),
-        Config {
-            order: Some(SortOrder::Standard),
-            interval: 5,
-            strategy: VecStrategy::Guided,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        },
-        Config {
-            order: Some(SortOrder::TiledStrided { tile: 8 }),
-            interval: 3,
-            strategy: VecStrategy::Manual,
-            scatter: ScatterMode::Duplicated,
-            tile: None,
-        },
-        Config {
-            order: Some(SortOrder::Strided),
-            interval: 5,
-            strategy: VecStrategy::AdHoc,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        },
+        Config::sorted(SortOrder::Standard, 5, VecStrategy::Guided, ScatterMode::Atomic),
+        Config::sorted(
+            SortOrder::TiledStrided { tile: 8 },
+            3,
+            VecStrategy::Manual,
+            ScatterMode::Duplicated,
+        ),
+        Config::sorted(SortOrder::Strided, 5, VecStrategy::AdHoc, ScatterMode::Atomic),
     ]
 }
 
@@ -69,13 +55,13 @@ proptest! {
         // enough steps to explore every arm and run committed for a while
         let steps = arm_set.len() * epoch + epoch + extra;
         let mut tuned = weibel();
-        tuned.set_tuner(TuneDriver::new(Tuner::new(arm_set, epoch)));
+        tuned.set_tuner(Tuner::new(arm_set, epoch));
         for _ in 0..steps {
             tuned.step();
         }
-        let driver = tuned.take_tuner().expect("driver armed");
-        prop_assert!(!driver.schedule().is_empty());
-        let replayed = replay(driver.schedule(), steps);
+        let tuner = tuned.take_tuner().expect("tuner armed");
+        prop_assert!(!tuner.schedule().is_empty());
+        let replayed = replay(tuner.schedule(), steps);
         assert_eq!(tuned.bit_diff(&replayed), None);
     }
 }
@@ -87,13 +73,13 @@ fn committed_run_replays_bit_identically() {
     let arm_set = arms();
     let steps = arm_set.len() * epoch + 4 * epoch;
     let mut tuned = weibel();
-    tuned.set_tuner(TuneDriver::new(Tuner::new(arm_set, epoch)));
+    tuned.set_tuner(Tuner::new(arm_set, epoch));
     for _ in 0..steps {
         tuned.step();
     }
-    let driver = tuned.take_tuner().unwrap();
-    assert!(driver.epochs() >= 7);
-    let replayed = replay(driver.schedule(), steps);
+    let tuner = tuned.take_tuner().unwrap();
+    assert!(tuner.epochs() >= 7);
+    let replayed = replay(tuner.schedule(), steps);
     assert_eq!(tuned.bit_diff(&replayed), None);
 }
 
@@ -101,8 +87,8 @@ fn committed_run_replays_bit_identically() {
 fn cache_prior_agrees_with_memsim_and_seeds_sorting_off() {
     // the deck used by `repro -- tune`, measured against real Table-1
     // platform data: when its grid footprint fits the LLC the prior must
-    // start the tuner on a "sorting off" arm, and the predicate must be
-    // the very one cluster::scaling uses for the superlinear regime
+    // start the tuner on a "sorting off" arm; the predicate is the very
+    // one cluster::scaling uses for the superlinear regime
     let sim = Deck::weibel(8, 8, 8, 6, 0.4).build();
     let small = sim.grid.cells(); // 512 cells ≈ 216 KB: resident everywhere
     let large = 32 * 32 * 32; // ≈ 13.5 MB: spills the V100's 6 MB, fits a 40 MB A100
@@ -115,8 +101,7 @@ fn cache_prior_agrees_with_memsim_and_seeds_sorting_off() {
     ] {
         let p = by_name(name).unwrap();
         assert_eq!(grid_fits_llc(&p, cells), fits, "{name}: {cells} cells");
-        assert_eq!(prior::prefer_unsorted(&p, cells), fits, "prior must equal the predicate");
-        let t = Tuner::new(arms(), 4).with_cache_prior(prior::prefer_unsorted(&p, cells));
+        let t = Tuner::new(arms(), 4).with_cache_prior(grid_fits_llc(&p, cells));
         assert_eq!(
             t.current().order.is_none(),
             fits,

@@ -12,12 +12,11 @@
 
 use proptest::prelude::*;
 use vpic2::ckpt;
-use vpic2::ckpt::RestoreError;
-use vpic2::core::tune::ScheduleEntry;
-use vpic2::core::{Deck, Simulation, TuneDriver};
+use vpic2::ckpt::{RestoreError, Snapshot};
+use vpic2::core::{Deck, Simulation};
 use vpic2::pk::atomic::ScatterMode;
 use vpic2::psort::SortOrder;
-use vpic2::tuner::{Config, Tuner};
+use vpic2::tuner::{Config, Phase, ScheduleEntry, Tuner};
 use vpic2::vsimd::Strategy as VecStrategy;
 
 /// Build one of the random deck configurations the resume property
@@ -199,54 +198,47 @@ fn worker_panic_mid_step_is_recoverable_and_resumable() {
     assert_eq!(counter.into_inner(), 3);
 }
 
+/// Three arms that differ in every knob a tuned run can change.
+fn arms() -> Vec<Config> {
+    vec![
+        Config::unsorted(VecStrategy::Auto, ScatterMode::Atomic),
+        Config::sorted(SortOrder::Standard, 4, VecStrategy::Guided, ScatterMode::Atomic),
+        Config::sorted(SortOrder::Strided, 3, VecStrategy::Manual, ScatterMode::Atomic),
+    ]
+}
+
 #[test]
 fn tuner_armed_resume_continues_the_schedule_exactly() {
-    let arms = vec![
-        Config::unsorted(VecStrategy::Auto, ScatterMode::Atomic),
-        Config {
-            order: Some(SortOrder::Standard),
-            interval: 4,
-            strategy: VecStrategy::Guided,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        },
-        Config {
-            order: Some(SortOrder::Strided),
-            interval: 3,
-            strategy: VecStrategy::Manual,
-            scatter: ScatterMode::Atomic,
-            tile: None,
-        },
-    ];
+    let arms = arms();
     let epoch = 3;
     let (k, n) = (7usize, 16usize); // interrupt mid-epoch, mid-exploration
 
     // tuned run, interrupted at k and resumed from the checkpoint
     let mut tuned = Deck::weibel(4, 4, 4, 3, 0.3).build();
-    tuned.set_tuner(TuneDriver::new(Tuner::new(arms.clone(), epoch)));
+    tuned.set_tuner(Tuner::new(arms.clone(), epoch));
     tuned.run(k);
     let bytes = tuned.checkpoint_bytes();
     let mut resumed = Simulation::restore_bytes(&bytes).expect("tuner-armed restore");
-    let restored = resumed.tuner().expect("driver restored").state();
+    let restored = resumed.tuner().expect("tuner restored");
     assert_eq!(
         restored,
-        tuned.tuner().expect("driver armed").state(),
-        "restored driver must carry the engine state, epoch accumulators and schedule"
+        tuned.tuner().expect("tuner armed"),
+        "restored tuner must carry the engine state, the epoch in flight and the schedule"
     );
-    assert_eq!(restored.epochs, 2, "epochs close before steps 3 and 6");
+    assert_eq!(restored.epochs(), 2, "epochs close before steps 3 and 6");
     resumed.run(n - k);
 
     // arm choices depend on wall-clock measurements, so the oracle is
     // the run's own recorded schedule: replaying it on a fresh deck
     // must reproduce the resumed run bit-for-bit, with the pre- and
     // post-restore entries forming one continuous history
-    let driver = resumed.take_tuner().expect("driver still armed");
-    let schedule: Vec<ScheduleEntry> = driver.schedule().to_vec();
+    let tuner = resumed.take_tuner().expect("tuner still armed");
+    let schedule: Vec<ScheduleEntry> = tuner.schedule().to_vec();
     assert!(schedule.windows(2).all(|w| w[0].step < w[1].step), "schedule not continuous");
     // the schedule gains an entry only when the configuration changes,
     // which the wall clock decides; the epoch count does not depend on it
     assert_eq!(
-        driver.epochs(),
+        tuner.epochs(),
         5,
         "the resumed run must have kept tuning past the restore point (epochs close before steps 9, 12 and 15)"
     );
@@ -260,3 +252,60 @@ fn tuner_armed_resume_continues_the_schedule_exactly() {
     assert_eq!(resumed.bit_diff(&replayed), None);
 }
 
+/// The `tuner` section's decoder, cut and flipped. A snapshot stopped
+/// mid-refinement carries every part of a tuner: explored costs, a refine
+/// queue, an epoch in flight and a schedule. Every prefix of the section's
+/// payload, re-framed CRC-valid so the decoder itself reads it, is
+/// `SchemaDrift`. Every single-bit flip of it is `SchemaDrift` or restores
+/// the written physics with a tuner that steps through an epoch boundary:
+/// either the written tuner (`==`), or, for a flip in a value no check can
+/// judge (a cost, a rate, a counter, a schedule step), another consistent
+/// one — which `Tuner::put` writes back as exactly the flipped payload, so
+/// the decoder read it field for field and only the flipped value changed.
+#[test]
+fn every_cut_and_flip_of_the_tuner_section_is_typed_or_harmless() {
+    let epoch = 2;
+    let mut sim = Deck::weibel(4, 4, 4, 3, 0.3).build();
+    sim.set_tuner(Tuner::new(arms(), epoch).with_refinement(2));
+    // three exploring epochs close before steps 2, 4 and 6
+    sim.run(7);
+    let written = sim.tuner().expect("tuner armed").clone();
+    assert_eq!(written.phase(), Phase::Refining);
+    let bytes = sim.checkpoint_bytes();
+    let snap = Snapshot::from_bytes(&bytes).unwrap();
+    let payload = snap.section("tuner").unwrap().take_rest().to_vec();
+    let with_payload = |p: &[u8]| ckpt::faults::rewritten(&bytes, "tuner", |_, w| w.put_raw(p));
+    assert_eq!(with_payload(&payload), bytes);
+    let put_back = |t: &Tuner| {
+        let mut w = ckpt::Writer::new();
+        t.put(w.section("tuner"));
+        let bytes = w.to_bytes();
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        let mut r = snap.section("tuner").unwrap();
+        r.take_rest().to_vec()
+    };
+    assert_eq!(put_back(&written), payload);
+    for keep in 0..payload.len() {
+        match Simulation::restore_bytes(&with_payload(&payload[..keep])) {
+            Err(RestoreError::SchemaDrift(_)) => {}
+            other => panic!("cut to {keep}/{} B: {:?}", payload.len(), other.err()),
+        }
+    }
+    let (mut typed, mut same) = (0, 0);
+    for bit in 0..payload.len() * 8 {
+        let mut flipped = payload.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        match Simulation::restore_bytes(&with_payload(&flipped)) {
+            Err(RestoreError::SchemaDrift(_)) => typed += 1,
+            Err(e) => panic!("bit {bit}: untyped {e:?}"),
+            Ok(mut restored) => {
+                assert_eq!(restored.bit_diff(&sim), None, "bit {bit}");
+                let tuner = restored.tuner().expect("tuner restored");
+                assert!(put_back(tuner) == flipped, "bit {bit}: decoded inexactly");
+                same += usize::from(restored.tuner() == Some(&written));
+                restored.run(epoch + 1);
+            }
+        }
+    }
+    assert!(typed > 0 && same > 0, "{typed} typed, {same} equal of {} flips", payload.len() * 8);
+}
