@@ -77,6 +77,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use vpic_core::accumulate::SLOTS;
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
+use vpic_core::species::remove_sorted_indices;
 use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
 
 /// Bytes shipped per migrating particle: the 32-byte phase-space record
@@ -755,11 +756,6 @@ impl MultiRankSim {
         self.ranks.len()
     }
 
-    /// Steps taken.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Particles currently owned by each rank.
     pub fn rank_populations(&self) -> Vec<usize> {
         self.ranks.iter().map(|r| r.sim.particle_count()).collect()
@@ -996,24 +992,6 @@ impl MultiRankSim {
     }
 }
 
-/// Stable removal of ascending `indices` from `v`.
-fn remove_sorted_indices(v: &mut Vec<u64>, indices: &[usize]) {
-    if indices.is_empty() {
-        return;
-    }
-    let mut write = indices[0];
-    let mut next = 0usize;
-    for read in indices[0]..v.len() {
-        if next < indices.len() && indices[next] == read {
-            next += 1;
-            continue;
-        }
-        v[write] = v[read];
-        write += 1;
-    }
-    v.truncate(write);
-}
-
 /// Build every rank's geometry and exchange plan. Two ranks exchange iff
 /// their local arrays (owned block + one-cell halo shell) intersect in
 /// global space; the pair's overlap list is enumerated in ascending
@@ -1191,147 +1169,9 @@ mod tests {
         systems::selene().network
     }
 
-    #[test]
-    fn gather_of_fresh_partition_is_identity() {
-        let reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
-        for ranks in [1, 2, 4, 8] {
-            let mr = MultiRankSim::new(&reference, ranks, net());
-            assert_eq!(mr.gather().bit_diff(&reference), None, "{ranks} ranks, step 0");
-        }
-    }
-
-    /// The per-rank configuration axis of the lattice.
-    #[derive(Debug, Clone, Copy)]
-    enum Configs {
-        /// Every rank as `MultiRankSim::new` leaves it.
-        Uniform,
-        /// Every rank a different (strategy, scatter) pair — the
-        /// heterogeneous-system configuration the paper targets.
-        Heterogeneous,
-        /// Every rank its own sort order and interval.
-        ScheduledSort,
-    }
-
-    impl Configs {
-        fn apply(self, mr: &mut MultiRankSim) {
-            use pk::atomic::ScatterMode::{Atomic, Duplicated};
-            use vsimd::Strategy;
-            let picks = [
-                (Strategy::Manual, Duplicated),
-                (Strategy::AdHoc, Atomic),
-                (Strategy::Guided, Duplicated),
-                (Strategy::Auto, Atomic),
-            ];
-            let orders = [psort::SortOrder::Strided, psort::SortOrder::Standard];
-            for r in 0..mr.ranks() {
-                let (strategy, scatter) = picks[r % picks.len()];
-                match self {
-                    Configs::Uniform => {}
-                    Configs::Heterogeneous => {
-                        mr.set_rank_config(r, &tuner::Config::unsorted(strategy, scatter))
-                    }
-                    Configs::ScheduledSort => mr.set_rank_config(
-                        r,
-                        &tuner::Config {
-                            order: Some(orders[r % orders.len()]),
-                            interval: 1 + r % 3,
-                            ..tuner::Config::unsorted(strategy, scatter)
-                        },
-                    ),
-                }
-            }
-        }
-    }
-
-    /// The rank-worker axis: what the ranks of a step are distributed over.
-    #[derive(Debug, Clone, Copy)]
-    enum Workers {
-        Serial,
-        /// Three lanes over four or eight ranks gives uneven chunks.
-        Lanes(usize),
-        /// `MultiRankSim::step`: the simulator's own pool.
-        Owned,
-    }
-
-    impl Workers {
-        fn step(self, mr: &mut MultiRankSim) -> (PushStats, MigrationStats) {
-            let (push, migration, _) = match self {
-                Workers::Serial => mr.step_on(&pk::Serial),
-                Workers::Lanes(n) => mr.step_on(&pk::Threads::new(n)),
-                Workers::Owned => mr.step(),
-            };
-            (push, migration)
-        }
-    }
-
-    /// Decks × rank counts × per-rank configurations × worker counts: at
-    /// every step every point gathers to the single-domain run's bits and
-    /// returns the `Serial` point's statistics, and a checkpoint taken
-    /// mid-run is the same bytes under every worker count and resumes under
-    /// a different one.
-    #[test]
-    fn rank_worker_lattice_is_bit_identical() {
-        let workers = [Workers::Serial, Workers::Lanes(2), Workers::Lanes(3), Workers::Owned];
-        // pools are shared per lane count and shut down with their last
-        // handle: hold one each so a step does not respawn the threads
-        let _pools = (pk::Threads::new(2), pk::Threads::new(3));
-        // the plane-antenna drive goes through the decomposed path too
-        let decks = [("weibel", Deck::weibel(8, 8, 8, 4, 0.3)), ("lpi", Deck::lpi(8, 4, 4, 4))];
-        for (name, deck) in &decks {
-            for ranks in [1, 2, 4, 8] {
-                for configs in [Configs::Uniform, Configs::Heterogeneous, Configs::ScheduledSort] {
-                    let mut reference = deck.build();
-                    let mut points: Vec<MultiRankSim> = workers
-                        .iter()
-                        .map(|_| {
-                            let mut mr = MultiRankSim::new(&reference, ranks, net());
-                            configs.apply(&mut mr);
-                            mr
-                        })
-                        .collect();
-                    for step in 1..=6 {
-                        reference.step();
-                        // after the checkpoint every point runs under the
-                        // next worker count in the list
-                        let shift = usize::from(step > 3);
-                        let mut serial = None;
-                        for (i, mr) in points.iter_mut().enumerate() {
-                            let w = workers[(i + shift) % workers.len()];
-                            let what =
-                                format!("{name}, {ranks} ranks, {configs:?}, {w:?}, step {step}");
-                            let stats = w.step(mr);
-                            let expected = serial.get_or_insert_with(|| stats.clone());
-                            assert_eq!(&stats, expected, "{what}: step statistics");
-                            assert_eq!(mr.gather().bit_diff(&reference), None, "{what}");
-                        }
-                        if step == 3 {
-                            // the pool is host state: it is not in the bytes
-                            let snaps: Vec<Vec<u8>> =
-                                points.iter().map(|mr| mr.checkpoint_bytes()).collect();
-                            // except `telemetry`: it carries process-lifetime
-                            // counter totals, which every write before it
-                            // bumps while profiling is on
-                            let blanked = |snap: &[u8]| {
-                                ckpt::faults::rewritten(snap, "telemetry", |_, _| ())
-                            };
-                            let first = blanked(&snaps[0]);
-                            for (snap, w) in snaps.iter().zip(&workers) {
-                                let what = format!("{name}, {ranks} ranks, {configs:?}, {w:?}");
-                                assert!(blanked(snap) == first, "{what}: snapshot bytes");
-                            }
-                            points = snaps
-                                .iter()
-                                .map(|snap| MultiRankSim::restore_bytes(snap).expect("restore"))
-                                .collect();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The lattice's smallest point, on its own: one step of two ranks on
-    /// two lanes over a 4³ deck — the step CI's Miri job can afford.
+    /// One step of two ranks on two lanes over a 4³ deck: a rank point
+    /// smaller than any of the differential lattice's
+    /// (`tests/lattice/mod.rs`), the step CI's Miri job can afford.
     #[test]
     fn two_ranks_on_two_lanes_step_a_four_cubed_deck() {
         let mut reference = Deck::weibel(4, 4, 4, 1, 0.3).build();
@@ -1571,19 +1411,6 @@ mod tests {
             ..tuner::Config::unsorted(Strategy::Auto, ScatterMode::Atomic)
         };
         mr.set_rank_config(0, &cfg);
-    }
-
-    #[test]
-    fn checkpoint_restore_resumes_bit_identical() {
-        let reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
-        let mut a = MultiRankSim::new(&reference, 4, net());
-        a.run(3);
-        let snap = a.checkpoint_bytes();
-        let mut b = MultiRankSim::restore_bytes(&snap).expect("restore");
-        assert_eq!(b.step_count(), a.step_count());
-        a.run(3);
-        b.run(3);
-        assert_eq!(a.gather().bit_diff(&b.gather()), None, "resumed vs uninterrupted");
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! [`Simulation`] snapshot plus one `cluster` section: the rank count, the
 //! network model and each rank's configuration. Everything else — ids,
 //! halo shells, exchange plans, what the ranks publish, the pool — is
-//! rebuilt by `MultiRankSim::new`. The properties: resuming from any
-//! mid-run snapshot, at the rank count that wrote it or at any other, is
-//! bit-identical to never having stopped; and any truncation or single
-//! flipped bit maps to a typed error or to the original state, never to a
-//! silently different one.
+//! rebuilt by `MultiRankSim::new`. The properties: any truncation or
+//! single flipped bit maps to a typed error or to the original state,
+//! never to a silently different one. That resuming from any mid-run
+//! snapshot, at the rank count that wrote it or at any other, is
+//! bit-identical to never having stopped is a slice of the differential
+//! lattice (`tests/multirank.rs`).
 
 use ckpt::faults::rewritten;
 use ckpt::{RestoreError, Snapshot};
@@ -40,40 +41,6 @@ fn configured(sim: &Simulation, ranks: usize) -> MultiRankSim {
 }
 
 proptest! {
-    /// Checkpoint anywhere mid-run on N ranks, resume on M, continue: the
-    /// resumed cluster gathers bit-identically to the uninterrupted one at
-    /// every later step. At M = N the snapshot's rank table restores each
-    /// rank's configuration; at any other M the snapshot is read as the
-    /// single-domain one it is. What the ranks publish for each other
-    /// never needs to be carried — snapshots are taken between steps, and
-    /// the next step rewrites all of it before reading any. Step
-    /// statistics are not compared across rank counts.
-    #[test]
-    fn midrun_checkpoint_resumes_bit_identical(
-        ranks_pow in 0usize..4,       // N: 1, 2, 4, 8 ranks
-        restore_pow in 0usize..4,     // M: 1, 2, 4, 8 ranks
-        pre in 1usize..4,             // steps before the snapshot
-        post in 1usize..4,            // steps after it
-    ) {
-        let (ranks, restore_ranks) = (1usize << ranks_pow, 1usize << restore_pow);
-        let mut live = configured(&Deck::weibel(8, 8, 8, 2, 0.3).build(), ranks);
-        live.run(pre);
-        let snap = live.checkpoint_bytes();
-        let mut resumed = if restore_ranks == ranks {
-            MultiRankSim::restore_bytes(&snap).expect("clean snapshot restores")
-        } else {
-            let sim = Simulation::restore_bytes(&snap).expect("clean snapshot restores");
-            MultiRankSim::new(&sim, restore_ranks, systems::selene().network)
-        };
-        prop_assert_eq!(resumed.step_count(), live.step_count());
-        prop_assert_eq!(resumed.ranks(), restore_ranks);
-        for _ in 0..post {
-            live.step();
-            resumed.step();
-            prop_assert_eq!(live.gather().bit_diff(&resumed.gather()), None);
-        }
-    }
-
     /// Any truncation of a snapshot — header, section directory, or
     /// payload — is a typed [`ckpt::RestoreError`], never `Ok`.
     #[test]
@@ -176,28 +143,6 @@ fn every_cut_and_flip_of_the_cluster_section_is_typed_or_harmless() {
             assert_eq!(restored.gather().bit_diff(&gathered), None, "bit {bit}");
             restored.step();
         }
-    }
-}
-
-/// A single-domain checkpoint resumed on four ranks, checkpointed there
-/// and resumed on one rank again matches the run that never stopped — on
-/// the Weibel deck and on the laser-driven LPI deck.
-#[test]
-fn a_single_domain_checkpoint_resumes_on_four_ranks_and_back() {
-    let decks = [("weibel", Deck::weibel(8, 8, 8, 2, 0.3)), ("lpi", Deck::lpi(8, 4, 4, 4))];
-    for (name, deck) in decks {
-        let mut reference = deck.build();
-        let mut single = deck.build();
-        single.run(2);
-        let sim = Simulation::restore_bytes(&single.checkpoint_bytes()).expect("restore");
-        let mut four = MultiRankSim::new(&sim, 4, systems::selene().network);
-        four.run(2);
-        reference.run(4);
-        assert_eq!(four.gather().bit_diff(&reference), None, "{name} on four ranks");
-        let mut back = Simulation::restore_bytes(&four.checkpoint_bytes()).expect("restore");
-        back.run(2);
-        reference.run(2);
-        assert_eq!(back.bit_diff(&reference), None, "{name} back on one rank");
     }
 }
 

@@ -9,8 +9,8 @@
 //! encoding the `tuner` crate owns, lifetime telemetry counter totals,
 //! and an energy ledger used as an end-to-end cross-check on restore.
 //! Restoring on the same build and stepping produces bit-identical
-//! physics to the uninterrupted run (property-tested in
-//! `tests/checkpoint_restart.rs`).
+//! physics to the uninterrupted run (the checkpoint axis of the
+//! differential lattice, `tests/lattice/mod.rs`).
 //!
 //! What is deliberately *not* serialized: per-species sort scratch
 //! (re-warms on the first post-restore sort) and the accumulator
@@ -457,18 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn resumed_run_matches_the_uninterrupted_one() {
-        let mut full = weibel();
-        full.run(12);
-        let mut half = weibel();
-        half.run(5);
-        let bytes = half.checkpoint_bytes();
-        let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
-        resumed.run(7);
-        assert_eq!(full.bit_diff(&resumed), None);
-    }
-
-    #[test]
     fn tuner_armed_checkpoint_round_trips_the_tuner() {
         let arms = vec![
             Config::unsorted(Strategy::Auto, ScatterMode::Atomic),
@@ -496,34 +484,6 @@ mod tests {
         assert_eq!(t.phase(), Phase::Committed);
         // the schedule stays one continuous, strictly ordered history
         assert!(t.schedule().windows(2).all(|w| w[0].step < w[1].step));
-    }
-
-    #[test]
-    fn tiled_checkpoint_is_transparent_and_resumes_tiled() {
-        use crate::tile::TilePolicy;
-        // uninterrupted tiled reference
-        let mut full = weibel();
-        full.enable_tiling(TilePolicy::new(16));
-        full.run(9);
-        full.disable_tiling();
-        // same run, checkpointed mid-flight while tiled
-        let mut half = weibel();
-        half.enable_tiling(TilePolicy::new(16));
-        half.run(4);
-        let bytes = half.checkpoint_bytes();
-        // the snapshot is transparent: the sim is still tiled and still
-        // steppable afterwards, bit-identically
-        assert!(half.is_tiled(), "checkpoint must retile transparently");
-        let mut resumed = Simulation::restore_bytes(&bytes).expect("tiled restore");
-        assert!(resumed.is_tiled(), "restore must re-enable tiling");
-        let p = resumed.tile_engine().unwrap().policy().clone();
-        assert_eq!((p.tile_cells, p.compress, p.max_hot), (16, true, 2));
-        half.run(5);
-        resumed.run(5);
-        half.disable_tiling();
-        resumed.disable_tiling();
-        assert_eq!(full.bit_diff(&half), None);
-        assert_eq!(full.bit_diff(&resumed), None);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::accumulate::Accumulator;
 use crate::grid::Grid;
 use crate::interp::Interpolator;
 use crate::push::{push_species_on, PushStats};
-use crate::species::{ParticleRecord, Species};
+use crate::species::{remove_sorted_indices, ParticleRecord, Species};
 use pk::ExecSpace;
 use ptile::{raw_size, TileData};
 use std::path::PathBuf;
@@ -202,25 +202,6 @@ fn sort_slot(body: &mut Species, ids: &mut [u64], perm: &mut Vec<usize>, done: &
     }
     pk::sort::permute_in_place_with(perm, ids, done);
     body.mark_unsorted();
-}
-
-/// Stable one-pass compaction of `ids` removing the (ascending)
-/// `indices` — the id-array mirror of `Species::drain_sorted_indices`.
-fn compact_ids(ids: &mut Vec<u64>, indices: &[usize]) {
-    if indices.is_empty() {
-        return;
-    }
-    let mut write = indices[0];
-    let mut next = 0usize;
-    for read in indices[0]..ids.len() {
-        if next < indices.len() && indices[next] == read {
-            next += 1;
-            continue;
-        }
-        ids[write] = ids[read];
-        write += 1;
-    }
-    ids.truncate(write);
 }
 
 impl TileEngine {
@@ -653,7 +634,7 @@ impl TileEngine {
                             self.drain_ids.push(s.ids[i]);
                         }
                         s.body.drain_sorted_indices(&self.drain_idx, &mut self.drain_recs);
-                        compact_ids(&mut s.ids, &self.drain_idx);
+                        remove_sorted_indices(&mut s.ids, &self.drain_idx);
                         let sp = &mut self.per_species[si];
                         for (&id, rec) in self.drain_ids.iter().zip(self.drain_recs.iter()) {
                             let dest = rec.cell as usize / tile_cells;
@@ -795,16 +776,5 @@ mod tests {
         let leftovers = list("after drop");
         assert!(leftovers.is_empty(), "dropped engine leaked spill files: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compact_ids_mirrors_drain() {
-        let mut ids = vec![10u64, 11, 12, 13, 14, 15];
-        compact_ids(&mut ids, &[1, 4]);
-        assert_eq!(ids, vec![10, 12, 13, 15]);
-        compact_ids(&mut ids, &[]);
-        assert_eq!(ids, vec![10, 12, 13, 15]);
-        compact_ids(&mut ids, &[0, 1, 2, 3]);
-        assert!(ids.is_empty());
     }
 }

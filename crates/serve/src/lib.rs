@@ -15,7 +15,8 @@
 //! invariant and checkpointing is bit-transparent (both for tiled and
 //! tuner-armed jobs, whose tile policy and tuner ride in the blob), a
 //! job preempted at *any* step finishes in a bit-identical
-//! final state; `tests/serving.rs` property-tests exactly that.
+//! final state; the `Server` stepper of the differential lattice
+//! (`tests/lattice/mod.rs`) checks exactly that.
 //!
 //! Failure is contained per tenant: a worker-lane panic, a typed
 //! [`StepError`](vpic_core::StepError), or a corrupted parked blob

@@ -14,8 +14,8 @@
 //!   ([`Simulation::checkpoint_bytes`]). Parking and resuming are
 //!   bit-transparent, and the untiled/tiled step paths are worker-count
 //!   invariant, so a job preempted at any step and resumed — on any
-//!   pool — ends in a bit-identical final state (property-tested in
-//!   `tests/serving.rs`).
+//!   pool — ends in a bit-identical final state (the `Server` stepper of
+//!   the differential lattice, `tests/lattice/mod.rs`).
 //! * **Typed failure, contained** — admission past the budget is a
 //!   typed [`AdmitError`]; a lane panic, a torn-invariant
 //!   [`StepError`], or a corrupt parked blob **quarantines that job
@@ -944,19 +944,5 @@ mod tests {
             .filter(|k| k.starts_with("serve.job."))
             .collect();
         assert!(per_job.is_empty(), "{} per-job histograms: {per_job:?}", per_job.len());
-    }
-
-    #[test]
-    fn tuned_jobs_complete_and_feed_the_fleet_prior() {
-        let mut srv = small_server(4);
-        let mut spec = tiny_spec("tuned", 20);
-        spec.tune = true;
-        let id = srv.submit(spec).unwrap();
-        srv.run_until_done(200);
-        assert_eq!(srv.status(id).unwrap().phase, JobPhase::Done);
-        let sched = srv.tune_schedule(id).expect("tuned job records its schedule");
-        assert!(!sched.is_empty());
-        let class = FleetPrior::class_of(&Deck::weibel(4, 4, 4, 2, 0.3));
-        assert_eq!(srv.fleet().commits(&class), 1);
     }
 }

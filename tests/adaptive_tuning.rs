@@ -1,86 +1,37 @@
 //! The adaptive tuner's core contract: tuning is an *observation* layer.
-//! Arming it must never change the physics — a tuned run is bit-identical
-//! to replaying its recorded per-epoch config schedule with fixed
-//! settings — and its cache prior must agree with the `memsim` platform
-//! model it is derived from.
+//! Arming it must never change the physics — a tuned run is the
+//! differential lattice's reference (`lattice/mod.rs`) and is
+//! bit-identical to replaying its recorded per-epoch config schedule with
+//! fixed settings — and its cache prior must agree with the `memsim`
+//! platform model it is derived from.
 
-use proptest::prelude::*;
-use vpic2::core::{Deck, Simulation};
+#[path = "lattice/mod.rs"]
+mod lattice;
+
+use lattice::{arms, check, tuned, Sim, Stepper};
+use vpic2::core::Deck;
 use vpic2::memsim::platform::by_name;
 use vpic2::memsim::push::grid_fits_llc;
-use vpic2::pk::atomic::ScatterMode;
-use vpic2::psort::SortOrder;
-use vpic2::tuner::{Config, ScheduleEntry, Tuner};
-use vpic2::vsimd::Strategy as VecStrategy;
+use vpic2::tuner::Tuner;
 
-fn weibel() -> Simulation {
-    Deck::weibel(4, 4, 4, 3, 0.3).build()
+/// Config swaps at epoch boundaries are the tuner's only effect on the
+/// simulation, for every epoch length, on every space, tiled and resumed.
+#[test]
+fn tuned_run_replays_bit_identically() {
+    check(tuned(10));
 }
 
-/// A small arm set that still exercises every knob the tuner can touch:
-/// sort order, interval, strategy, and scatter mode.
-fn arms() -> Vec<Config> {
-    vec![
-        Config::unsorted(VecStrategy::Auto, ScatterMode::Atomic),
-        Config::sorted(SortOrder::Standard, 5, VecStrategy::Guided, ScatterMode::Atomic),
-        Config::sorted(
-            SortOrder::TiledStrided { tile: 8 },
-            3,
-            VecStrategy::Manual,
-            ScatterMode::Duplicated,
-        ),
-        Config::sorted(SortOrder::Strided, 5, VecStrategy::AdHoc, ScatterMode::Atomic),
-    ]
-}
-
-fn replay(schedule: &[ScheduleEntry], steps: usize) -> Simulation {
-    let mut sim = weibel();
-    for step in 0..steps as u64 {
-        for e in schedule.iter().filter(|e| e.step == step) {
-            sim.apply_tune_config(&e.config, e.workers);
-        }
-        sim.step();
-    }
-    sim
-}
-
-proptest! {
-    /// For any epoch length and run length, a tuned run and a fixed-config
-    /// replay of its recorded schedule produce bit-identical particle
-    /// trajectories and fields: config swaps at epoch boundaries are the
-    /// tuner's only effect on the simulation.
-    #[test]
-    fn tuned_run_replays_bit_identically(epoch in 2usize..5, extra in 0usize..7) {
-        let arm_set = arms();
-        // enough steps to explore every arm and run committed for a while
-        let steps = arm_set.len() * epoch + epoch + extra;
-        let mut tuned = weibel();
-        tuned.set_tuner(Tuner::new(arm_set, epoch));
-        for _ in 0..steps {
-            tuned.step();
-        }
-        let tuner = tuned.take_tuner().expect("tuner armed");
-        prop_assert!(!tuner.schedule().is_empty());
-        let replayed = replay(tuner.schedule(), steps);
-        assert_eq!(tuned.bit_diff(&replayed), None);
-    }
-}
-
+/// Long enough to commit, with committed epochs after: every arm explored
+/// for an epoch and at least one more epoch closed (which `check` counts)
+/// for each epoch length.
 #[test]
 fn committed_run_replays_bit_identically() {
-    // the non-property pin: long enough to commit, with drift epochs after
-    let epoch = 3;
-    let arm_set = arms();
-    let steps = arm_set.len() * epoch + 4 * epoch;
-    let mut tuned = weibel();
-    tuned.set_tuner(Tuner::new(arm_set, epoch));
-    for _ in 0..steps {
-        tuned.step();
+    let points: Vec<_> = tuned(24).into_iter().take(3).collect();
+    for point in &points {
+        let Stepper::Sim(Sim { tuned: Some(epoch), .. }) = point.stepper else { unreachable!() };
+        assert!((point.steps - 1) / epoch > arms().len(), "{point:?}: no committed epoch");
     }
-    let tuner = tuned.take_tuner().unwrap();
-    assert!(tuner.epochs() >= 7);
-    let replayed = replay(tuner.schedule(), steps);
-    assert_eq!(tuned.bit_diff(&replayed), None);
+    check(points);
 }
 
 #[test]

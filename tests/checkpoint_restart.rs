@@ -10,6 +10,10 @@
 //!    previous good snapshot; a restore never silently produces a
 //!    different simulation.
 
+#[path = "lattice/mod.rs"]
+mod lattice;
+
+use lattice::{reference, DeckKind};
 use proptest::prelude::*;
 use vpic2::ckpt;
 use vpic2::ckpt::{RestoreError, Snapshot};
@@ -19,83 +23,25 @@ use vpic2::psort::SortOrder;
 use vpic2::tuner::{Config, Phase, ScheduleEntry, Tuner};
 use vpic2::vsimd::Strategy as VecStrategy;
 
-/// Build one of the random deck configurations the resume property
-/// sweeps: deck family, sorting order and cadence, scatter replicas —
-/// every knob that changes bit patterns.
-fn build(weibel: bool, ppc: usize, order_tag: usize, interval: usize, workers: usize) -> Simulation {
-    let mut sim = if weibel {
-        Deck::weibel(5, 5, 5, ppc, 0.3).build()
-    } else {
-        Deck::lpi(8, 4, 4, ppc).build()
-    };
-    sim.sort_order = match order_tag {
-        0 => None,
-        1 => Some(SortOrder::Standard),
-        2 => Some(SortOrder::Strided),
-        _ => Some(SortOrder::TiledStrided { tile: 4 }),
-    };
-    sim.sort_interval = interval;
-    if workers > 1 {
-        sim.configure_scatter(workers, ScatterMode::Duplicated);
-    }
-    sim
+/// Checkpoint at k, restore, run to n — bit-identical to running straight
+/// through, for every deck, sort order and cadence, and scatter replica
+/// count (a slice of the differential lattice, `lattice/mod.rs`).
+#[test]
+fn restore_resumes_bit_identically() {
+    lattice::check(lattice::checkpoints());
+}
+
+/// Same resume contract with the *parallel field pipeline* armed:
+/// threaded execution, every vectorization strategy, and replicated
+/// scatter. The persistent interpolator array and unload scratch are
+/// derived state — a restored run rebuilds them on its first step and
+/// must land on exactly the bits of the uninterrupted run.
+#[test]
+fn restore_resumes_bit_identically_with_parallel_field_pipeline() {
+    lattice::check(lattice::threaded_checkpoints());
 }
 
 proptest! {
-    /// Checkpoint at k, restore, run to n — bit-identical to running
-    /// straight through, for arbitrary deck configurations.
-    #[test]
-    fn restore_resumes_bit_identically(
-        weibel in any::<bool>(),
-        ppc in 2usize..5,
-        order_tag in 0usize..4,
-        interval in 1usize..6,
-        workers in 1usize..4,
-        k in 1usize..8,
-        extra in 1usize..8,
-    ) {
-        let n = k + extra;
-        let mut full = build(weibel, ppc, order_tag, interval, workers);
-        full.run(n);
-        let mut half = build(weibel, ppc, order_tag, interval, workers);
-        half.run(k);
-        let bytes = half.checkpoint_bytes();
-        let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
-        resumed.run(extra);
-        assert_eq!(full.bit_diff(&resumed), None);
-    }
-
-    /// Same resume contract with the *parallel field pipeline* armed:
-    /// threaded execution, a non-Auto vectorization strategy, and
-    /// replicated scatter. The persistent interpolator array and unload
-    /// scratch are derived state — a restored run rebuilds them on its
-    /// first step and must land on exactly the bits of the
-    /// uninterrupted run.
-    #[test]
-    fn restore_resumes_bit_identically_with_parallel_field_pipeline(
-        strat_tag in 1usize..4,
-        pool_workers in 2usize..5,
-        k in 1usize..6,
-        extra in 1usize..6,
-    ) {
-        let build = |/* fresh sim per run */| {
-            let mut sim = Deck::weibel(5, 5, 5, 4, 0.3).build();
-            sim.strategy = VecStrategy::ALL[strat_tag];
-            sim.configure_scatter(pool_workers, ScatterMode::Duplicated);
-            sim
-        };
-        let pool = vpic2::pk::Threads::new(pool_workers);
-        let n = k + extra;
-        let mut full = build();
-        full.run_on(&pool, n);
-        let mut half = build();
-        half.run_on(&pool, k);
-        let bytes = half.checkpoint_bytes();
-        let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
-        resumed.run_on(&pool, extra);
-        assert_eq!(full.bit_diff(&resumed), None);
-    }
-
     /// Every prefix truncation of a snapshot fails with a typed error —
     /// never an `Ok` carrying partial state.
     #[test]
@@ -180,16 +126,14 @@ fn worker_panic_mid_step_is_recoverable_and_resumable() {
     assert_eq!(dp.panicked_lanes, 1);
     // ...and the pool survives to run the recovery path: restore the
     // last checkpoint and finish the run on the same pool
-    let mut sim = Deck::weibel(4, 4, 4, 3, 0.3).build();
+    let mut sim = DeckKind::Weibel.deck().build();
     sim.run(3);
     let snapshot = sim.checkpoint_bytes();
-    let mut full = Deck::weibel(4, 4, 4, 3, 0.3).build();
-    full.run(8);
     let mut recovered = Simulation::restore_bytes(&snapshot).expect("restore after panic");
     for _ in 0..5 {
         recovered.try_step().expect("serial steps cannot lane-panic");
     }
-    assert_eq!(full.bit_diff(&recovered), None);
+    assert_eq!(reference(DeckKind::Weibel, 8).0.bit_diff(&recovered), None);
     // the pool still dispatches fine after the earlier panic
     let counter = std::sync::atomic::AtomicUsize::new(0);
     pool.run(&|_| {

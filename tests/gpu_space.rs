@@ -1,11 +1,11 @@
 //! The `SimGpu` execution space's two contracts, end to end:
 //!
 //! 1. **Bit-identity** — stepping a simulation on `SimGpu` produces
-//!    exactly the bits of the `Serial` run (fields, particles, energy
-//!    ledger) for any deck shape, sort order, vectorization strategy,
-//!    and scatter mode. The modelled space reports `concurrency() == 1`
-//!    and runs the same block/chunk/reduce schedule as `Serial`; cost
-//!    charging happens strictly outside the kernel arithmetic.
+//!    exactly the bits of the `Serial` run for every deck, sort order,
+//!    vectorization strategy and scatter mode. The modelled space reports
+//!    `concurrency() == 1` and runs the same block/chunk/reduce schedule
+//!    as `Serial`; cost charging happens strictly outside the kernel
+//!    arithmetic.
 //! 2. **Honest descriptors** — the platform table the model charges
 //!    against is the committed Table 1 (`results/table1.json`), with the
 //!    vendor microarchitectural constants (warp width, line and sector
@@ -13,114 +13,26 @@
 //!    problem-scaling helper never collapses the modelled LLC below one
 //!    page.
 
-use proptest::prelude::*;
-use vpic2::core::Deck;
+#[path = "lattice/mod.rs"]
+mod lattice;
+
+use lattice::check;
 use vpic2::memsim::{platform, GpuModel};
-use vpic2::pk::atomic::ScatterMode;
-use vpic2::pk::{Serial, SimGpu};
-use vpic2::psort::SortOrder;
-use vpic2::vsimd::Strategy;
+use vpic2::pk::SimGpu;
 
-/// Step twin simulations `steps` times — one on `Serial`, one on
-/// `SimGpu` — and require bit-identical state everywhere we can observe.
-fn assert_gpu_matches_serial(
-    shape: (usize, usize, usize),
-    ppc: usize,
-    order: Option<SortOrder>,
-    interval: usize,
-    strategy: Strategy,
-    scatter: ScatterMode,
-    steps: usize,
-) {
-    let build = || {
-        let mut sim = Deck::weibel(shape.0, shape.1, shape.2, ppc, 0.3).build();
-        sim.strategy = strategy;
-        sim.configure_scatter(1, scatter);
-        sim.sort_order = order;
-        sim.sort_interval = interval;
-        sim
-    };
-    let mut serial = build();
-    let mut gpu_sim = build();
-    let gpu = SimGpu::scaled(platform::by_name("V100").unwrap(), 40.0);
-    serial.run_on(&Serial, steps);
-    gpu_sim.run_on(&gpu, steps);
-
-    let what = format!(
-        "{shape:?} ppc{ppc} {order:?}/{interval} {strategy:?} {scatter:?}"
-    );
-    assert_eq!(serial.bit_diff(&gpu_sim), None, "{what}");
-
-    // identical bits AND a real cost ledger: the run was actually charged
-    assert!(gpu.modeled_time() > 0.0, "{what}: no cost charged");
-    let records = gpu.records();
-    assert!(
-        records.iter().any(|r| r.label == "push"),
-        "{what}: push never charged"
-    );
-    assert!(
-        records.iter().any(|r| r.label == "field_solve"),
-        "{what}: field solve never charged"
-    );
-    if order.is_some() {
-        assert!(
-            records.iter().any(|r| r.label == "sort"),
-            "{what}: scheduled sort never charged"
-        );
-    }
+/// The tentpole contract, as slices of the differential lattice
+/// (`lattice/mod.rs`): `step_on(&SimGpu)` is bitwise `Serial` under every
+/// sort order, strategy and scatter mode, tiled and resumed, and each
+/// point's ledger charged the push, the field solve and any sort.
+#[test]
+fn sim_gpu_is_bit_identical_to_serial() {
+    check(lattice::gpu_space());
 }
 
-/// Map a raw tag onto the GPU-relevant sort arms (including unsorted).
-fn order_arm(tag: usize) -> Option<SortOrder> {
-    [
-        None,
-        Some(SortOrder::Random),
-        Some(SortOrder::Standard),
-        Some(SortOrder::Strided),
-        Some(SortOrder::TiledStrided { tile: 48 }),
-    ][tag]
-}
-
-proptest! {
-    /// The tentpole contract: `step_on(&SimGpu)` is bitwise `Serial` for
-    /// random decks × sort orders × strategies × scatter modes.
-    #[test]
-    fn sim_gpu_is_bit_identical_to_serial(
-        nx in 2usize..5, ny in 2usize..5, nz in 2usize..5,
-        ppc in 1usize..4,
-        order_tag in 0usize..5,
-        interval in 1usize..3,
-        strat_tag in 0usize..4,
-        scatter_tag in 0usize..2,
-    ) {
-        let scatter =
-            if scatter_tag == 0 { ScatterMode::Atomic } else { ScatterMode::Duplicated };
-        assert_gpu_matches_serial(
-            (nx, ny, nz),
-            ppc,
-            order_arm(order_tag),
-            interval,
-            Strategy::ALL[strat_tag],
-            scatter,
-            3,
-        );
-    }
-}
-
+/// The per-platform spot check the sweep in `repro -- gpu` relies on.
 #[test]
 fn sim_gpu_bit_identity_on_every_table1_gpu() {
-    // the per-platform spot check the sweep in `repro -- gpu` relies on
-    for p in platform::gpus() {
-        let mut serial = Deck::weibel(4, 4, 4, 2, 0.3).build();
-        let mut gpu_sim = Deck::weibel(4, 4, 4, 2, 0.3).build();
-        gpu_sim.sort_order = Some(SortOrder::Strided);
-        serial.sort_order = Some(SortOrder::Strided);
-        let gpu = SimGpu::scaled(p.clone(), 10.0);
-        serial.run_on(&Serial, 4);
-        gpu_sim.run_on(&gpu, 4);
-        assert_eq!(serial.bit_diff(&gpu_sim), None, "{}", p.name);
-        assert!(gpu.modeled_time() > 0.0, "{}: no cost charged", p.name);
-    }
+    check(lattice::every_gpu());
 }
 
 #[test]

@@ -1,75 +1,28 @@
 //! Tier-1: real multi-rank stepping (DESIGN §12).
 //!
-//! The correctness oracle for `cluster::MultiRankSim`: for any rank
-//! count, the gathered global state — fields, particles, and the energy
-//! ledger — is bit-identical to the single-rank run at every checked
-//! step, every step's timing adds up for any clock, and the closed-form
-//! overlap model `repro -- ranks` reports is pinned on fixed numbers.
+//! The correctness oracle for `cluster::MultiRankSim`, as slices of the
+//! differential lattice (`lattice/mod.rs`): for every rank count,
+//! per-rank configuration and rank worker, and across a checkpoint
+//! restored at any rank count, the gathered global state and the push
+//! statistics are the single-rank run's, bit for bit, and the workers
+//! change no step's statistics and no snapshot byte. Every step's timing
+//! adds up for any clock, and the closed-form overlap model
+//! `repro -- ranks` reports is pinned on fixed numbers.
+
+#[path = "lattice/mod.rs"]
+mod lattice;
 
 use cluster::scaling::overlap_model_step_s;
 use cluster::{systems, MultiRankSim};
-use vpic_core::{Deck, Simulation};
+use vpic_core::Deck;
 
-fn assert_gather_matches(gathered: &Simulation, reference: &Simulation, what: &str) {
-    let fields = [
-        ("ex", &gathered.fields.ex, &reference.fields.ex),
-        ("ey", &gathered.fields.ey, &reference.fields.ey),
-        ("ez", &gathered.fields.ez, &reference.fields.ez),
-        ("bx", &gathered.fields.bx, &reference.fields.bx),
-        ("by", &gathered.fields.by, &reference.fields.by),
-        ("bz", &gathered.fields.bz, &reference.fields.bz),
-        ("jx", &gathered.fields.jx, &reference.fields.jx),
-        ("jy", &gathered.fields.jy, &reference.fields.jy),
-        ("jz", &gathered.fields.jz, &reference.fields.jz),
-    ];
-    for (name, a, b) in fields {
-        assert_eq!(a.len(), b.len(), "{what}: {name} length");
-        for v in 0..a.len() {
-            assert_eq!(a[v].to_bits(), b[v].to_bits(), "{what}: {name}[{v}]");
-        }
-    }
-    assert_eq!(gathered.species.len(), reference.species.len(), "{what}: species");
-    for (si, (sa, sb)) in gathered.species.iter().zip(&reference.species).enumerate() {
-        assert_eq!(sa.cell, sb.cell, "{what}: species {si} cells");
-        for p in 0..sa.len() {
-            assert_eq!(sa.dx[p].to_bits(), sb.dx[p].to_bits(), "{what}: s{si} dx[{p}]");
-            assert_eq!(sa.dy[p].to_bits(), sb.dy[p].to_bits(), "{what}: s{si} dy[{p}]");
-            assert_eq!(sa.dz[p].to_bits(), sb.dz[p].to_bits(), "{what}: s{si} dz[{p}]");
-            assert_eq!(sa.ux[p].to_bits(), sb.ux[p].to_bits(), "{what}: s{si} ux[{p}]");
-            assert_eq!(sa.uy[p].to_bits(), sb.uy[p].to_bits(), "{what}: s{si} uy[{p}]");
-            assert_eq!(sa.uz[p].to_bits(), sb.uz[p].to_bits(), "{what}: s{si} uz[{p}]");
-            assert_eq!(sa.w[p].to_bits(), sb.w[p].to_bits(), "{what}: s{si} w[{p}]");
-        }
-    }
-    // the energy ledger closes the loop: identical state → identical sums
-    let (ea, eb) = (gathered.energies(), reference.energies());
-    assert_eq!(ea.field_e.to_bits(), eb.field_e.to_bits(), "{what}: field_e");
-    assert_eq!(ea.field_b.to_bits(), eb.field_b.to_bits(), "{what}: field_b");
-    assert_eq!(ea.kinetic.len(), eb.kinetic.len(), "{what}: kinetic arity");
-    for (k, (ka, kb)) in ea.kinetic.iter().zip(&eb.kinetic).enumerate() {
-        assert_eq!(ka.to_bits(), kb.to_bits(), "{what}: kinetic[{k}]");
-    }
-}
-
-/// Fields + particles + energy ledger bit-identical to the single-rank
-/// run at every checked step, for every rank count in the sweep.
+/// Ranks × per-rank configurations × rank workers, resumed mid-run by the
+/// next workers, and every fresh partition: the slice CI loops, since a
+/// publication that races instead of being missed outright shows only now
+/// and then.
 #[test]
 fn gathered_state_bit_identical_across_rank_counts() {
-    let mut reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
-    let net = systems::selene().network;
-    let mut clusters: Vec<MultiRankSim> =
-        [1, 2, 4, 8].iter().map(|&n| MultiRankSim::new(&reference, n, net)).collect();
-    for step in 1..=5 {
-        reference.step();
-        for mr in &mut clusters {
-            mr.step();
-            assert_gather_matches(
-                &mr.gather(),
-                &reference,
-                &format!("{} ranks @ step {step}", mr.ranks()),
-            );
-        }
-    }
+    lattice::check(lattice::ranks_by_workers());
 }
 
 /// What holds for any clock on an executed sweep: every step's timing
@@ -129,16 +82,9 @@ fn overlap_model_closed_form_on_fixed_numbers() {
     assert_eq!(speedup, 4.0);
 }
 
-/// Checkpoint/restore of a mid-run cluster resumes bit-identically —
-/// the tier-1 face of the property suite in `crates/cluster/tests`.
+/// A cluster checkpoint taken on N ranks resumes on M, for every N and M
+/// in 1, 2, 4, 8; a single-domain one resumes on four ranks.
 #[test]
 fn midrun_cluster_checkpoint_resumes_bit_identical() {
-    let reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
-    let mut live = MultiRankSim::new(&reference, 4, systems::selene().network);
-    live.run(2);
-    let snap = live.checkpoint_bytes();
-    let mut resumed = MultiRankSim::restore_bytes(&snap).expect("restore");
-    live.run(3);
-    resumed.run(3);
-    assert_gather_matches(&resumed.gather(), &live.gather(), "resumed vs uninterrupted");
+    lattice::check(lattice::checkpoint_by_restore_ranks());
 }

@@ -3,20 +3,23 @@
 //! 1. **Preemption is bit-transparent** — a job parked at any point and
 //!    resumed, with slices landing on different worker pools, finishes
 //!    in a state bit-identical to an uninterrupted single-space run.
-//!    Property-tested for plain, tiled, and tuner-armed tenants (the
-//!    tuned oracle is schedule replay: timing decides *which* arms
-//!    commit, but the recorded schedule replayed on a fresh deck must
-//!    reproduce the tuned run exactly).
+//!    Checked for plain, tiled, and tuner-armed tenants as slices of the
+//!    differential lattice (`lattice/mod.rs`); a tuned job's recorded
+//!    schedule, replayed on a fresh deck, also reproduces it exactly.
 //! 2. **Failure is contained per tenant** — a corrupted parked blob
 //!    (`ckpt::faults`) or a panic thrown inside a tenant's step
 //!    quarantines that job only; the rest of the fleet completes.
 
+#[path = "lattice/mod.rs"]
+mod lattice;
+
+use lattice::{check, reference, served, DeckKind, Job, Store, Tiles};
 use proptest::prelude::*;
 use vpic2::core::{Deck, Simulation, TilePolicy};
-use vpic2::serve::{FleetPrior, JobId, JobPhase, JobSpec, ServeError, ServePolicy, Server};
+use vpic2::serve::{FleetPrior, JobPhase, JobSpec, ServePolicy, Server};
 
 fn deck() -> Deck {
-    Deck::weibel(5, 5, 5, 3, 0.3)
+    DeckKind::Weibel.deck()
 }
 
 fn policy(pools: Vec<usize>, quantum: u32) -> ServePolicy {
@@ -30,113 +33,25 @@ fn policy(pools: Vec<usize>, quantum: u32) -> ServePolicy {
     }
 }
 
-/// Park `id`, tolerating a job that already ran to completion (small
-/// step budgets can finish inside `park_after` rounds — the preempt-at-
-/// zero cases still cover the park-before-first-step corner).
-fn park_unless_done(srv: &mut Server, id: JobId) {
-    match srv.park(id) {
-        Ok(()) | Err(ServeError::NotRunnable(_)) => {}
-        Err(e) => panic!("park failed: {e}"),
-    }
+#[test]
+fn preempted_plain_job_is_bit_identical() {
+    check(served(Job::Plain));
 }
 
-/// Run `spec` on a server with the given pools, parking it after
-/// `park_after` rounds, and return the restored final simulation.
-fn serve_one(spec: JobSpec, pools: Vec<usize>, quantum: u32, park_after: u64) -> Simulation {
-    let mut srv = Server::new(policy(pools, quantum));
-    let id = srv.submit(spec).expect("admitted");
-    for _ in 0..park_after {
-        srv.run_round();
-    }
-    park_unless_done(&mut srv, id);
-    let report = srv.run_until_done(1_000);
-    assert_eq!(report.quarantined, 0, "job failed: {:?}", srv.status(id));
-    assert_eq!(srv.status(id).unwrap().phase, JobPhase::Done);
-    Simulation::restore_bytes(srv.final_blob(id).expect("final blob")).expect("final restore")
+/// The park forces an untile → snapshot → retile round trip on top of the
+/// pool migration.
+#[test]
+fn preempted_tiled_job_is_bit_identical() {
+    let tiled = |store| served(Job::Tiled(Tiles { cells: 16, max_hot: 1, store }));
+    check([Store::Raw, Store::Compressed, Store::Spilled].map(tiled).concat());
+}
+
+#[test]
+fn preempted_tuned_job_replays_bit_identically() {
+    check([2, 3, 4].map(|epoch| served(Job::Tuned(epoch))).concat());
 }
 
 proptest! {
-    /// Plain tenant: preempt at a random point, resume across a random
-    /// pool mix — final state matches an uninterrupted serial run bit
-    /// for bit.
-    #[test]
-    fn preempted_plain_job_is_bit_identical(
-        steps in 3u64..10,
-        quantum in 1u32..4,
-        pool_a in 1usize..5,
-        pool_b in 1usize..5,
-        park_after in 0u64..4,
-    ) {
-        let mut reference = deck().build();
-        reference.run(steps as usize);
-
-        let spec = JobSpec::new(deck(), steps);
-        let served = serve_one(spec, vec![pool_a, pool_b], quantum, park_after);
-        assert_eq!(reference.bit_diff(&served), None);
-    }
-
-    /// Tiled tenant: the park forces an untile → snapshot → retile
-    /// round trip on top of the pool migration; still bit-identical.
-    #[test]
-    fn preempted_tiled_job_is_bit_identical(
-        steps in 3u64..9,
-        tile_cells in 1usize..80,
-        max_hot in 1usize..3,
-        compress in any::<bool>(),
-        quantum in 1u32..4,
-        park_after in 0u64..4,
-    ) {
-        let mut tile = TilePolicy::new(tile_cells);
-        tile.compress = compress;
-        tile.max_hot = max_hot;
-
-        let mut reference = deck().build();
-        reference.enable_tiling(tile.clone());
-        reference.run(steps as usize);
-        reference.disable_tiling();
-
-        let mut spec = JobSpec::new(deck(), steps);
-        spec.tile = Some(tile);
-        let mut served = serve_one(spec, vec![2, 3], quantum, park_after);
-        prop_assert!(served.is_tiled(), "final blob must preserve the tiling policy");
-        served.disable_tiling();
-        assert_eq!(reference.bit_diff(&served), None);
-    }
-
-    /// Tuner-armed tenant: which arms commit depends on wall-clock
-    /// timing, so the oracle is *schedule replay* — applying the
-    /// recorded `(step, config, workers)` history to a fresh deck
-    /// reproduces the served run exactly, preemption and all.
-    #[test]
-    fn preempted_tuned_job_replays_bit_identically(
-        steps in 6u64..14,
-        quantum in 1u32..4,
-        park_after in 0u64..4,
-    ) {
-        let mut srv = Server::new(policy(vec![2, 1], quantum));
-        let mut spec = JobSpec::new(deck(), steps);
-        spec.tune = true;
-        let id = srv.submit(spec).expect("admitted");
-        for _ in 0..park_after {
-            srv.run_round();
-        }
-        park_unless_done(&mut srv, id);
-        srv.run_until_done(1_000);
-        prop_assert_eq!(srv.status(id).unwrap().phase, JobPhase::Done);
-        let served = Simulation::restore_bytes(srv.final_blob(id).unwrap()).expect("restore");
-
-        let schedule = srv.tune_schedule(id).expect("tuned job records its schedule");
-        prop_assert!(!schedule.is_empty());
-        let mut replay = deck().build();
-        for step in 0..steps {
-            for e in schedule.iter().filter(|e| e.step == step) {
-                replay.apply_tune_config(&e.config, e.workers);
-            }
-            replay.step();
-        }
-        assert_eq!(replay.bit_diff(&served), None);
-    }
-
     /// Corrupting a parked blob (truncation — the classic torn
     /// migration) quarantines exactly that job; its neighbor finishes.
     #[test]
@@ -166,13 +81,9 @@ proptest! {
 /// state and the job completes normally. Never a silent divergence.
 #[test]
 fn bit_flipped_parked_blob_is_typed_or_harmless() {
+    let (reference, _) = reference(DeckKind::Weibel, 6);
     for (byte_permille, bit) in [(10usize, 0u8), (250, 3), (500, 5), (900, 7)] {
         let mut srv = Server::new(policy(vec![2], 2));
-        let reference = {
-            let mut sim = deck().build();
-            sim.run(6);
-            sim
-        };
         let id = srv.submit(JobSpec::new(deck(), 6)).unwrap();
         srv.run_round();
         srv.park(id).unwrap();

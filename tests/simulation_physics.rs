@@ -1,15 +1,17 @@
-//! Cross-crate integration: full simulations stay physical under every
-//! combination of the paper's tuning knobs (strategy, sorting, scatter
-//! mode, decomposition).
+//! Cross-crate integration: full simulations stay physical, and the
+//! paper's tuning knobs (strategy, sorting, scatter mode, decomposition)
+//! leave them bit for bit the same — slices of the differential lattice
+//! (`lattice/mod.rs`).
 
-use vpic2::cluster::{systems, MultiRankSim};
+#[path = "lattice/mod.rs"]
+mod lattice;
+
+use lattice::check;
 use vpic2::core::accumulate::Accumulator;
 use vpic2::core::push::push_species_on;
 use vpic2::core::{load_interpolators_into, Deck, InterpolatorArray, Simulation};
-use vpic2::pk::atomic::ScatterMode;
 use vpic2::pk::Serial;
 use vpic2::psort::SortOrder;
-use vpic2::vsimd::Strategy;
 
 #[test]
 fn uniform_deck_conserves_energy_and_charge() {
@@ -31,66 +33,21 @@ fn uniform_deck_conserves_energy_and_charge() {
     }
 }
 
+/// The paper's whole premise: strategy and sorting are performance knobs
+/// with no effect on the physics.
 #[test]
 fn every_strategy_and_sort_combination_agrees() {
-    // the paper's whole premise: strategy and sorting are performance
-    // knobs with no effect on the physics
-    let reference = {
-        let mut sim = Deck::lpi(12, 6, 6, 8).build();
-        sim.run(15);
-        sim.energies().total()
-    };
-    for strategy in Strategy::ALL {
-        for order in [None, Some(SortOrder::Standard), Some(SortOrder::Strided)] {
-            let mut sim = Deck::lpi(12, 6, 6, 8).build();
-            sim.strategy = strategy;
-            sim.sort_order = order;
-            sim.sort_interval = 5;
-            sim.run(15);
-            let e = sim.energies().total();
-            let rel = ((e - reference) / reference).abs();
-            assert!(
-                rel < 2e-2,
-                "{strategy}/{order:?}: energy diverged by {rel:.2e}"
-            );
-        }
-    }
+    check(lattice::strategies_by_sorts());
 }
 
 #[test]
 fn scatter_modes_agree_through_a_full_run() {
-    let run_with = |mode| {
-        let mut sim = Deck::weibel(6, 6, 8, 8, 0.3).build();
-        sim.configure_scatter(4, mode);
-        sim.run(20);
-        sim.energies().total()
-    };
-    let a = run_with(ScatterMode::Atomic);
-    let d = run_with(ScatterMode::Duplicated);
-    assert!(((a - d) / a).abs() < 1e-6, "{a} vs {d}");
+    check(lattice::scatters());
 }
 
 #[test]
 fn decomposed_run_is_bit_identical_to_single_domain() {
-    let mut plain = Deck::uniform(8, 8, 8, 6).build();
-    let mut decomposed = MultiRankSim::new(&plain, 16, systems::selene().network);
-    let mut total_migrants = 0;
-    for _ in 0..10 {
-        plain.step();
-        let (_, m, _) = decomposed.step();
-        total_migrants += m.migrants;
-    }
-    let gathered = decomposed.gather();
-    assert_eq!(
-        plain.energies().total(),
-        gathered.energies().total(),
-        "decomposition must not perturb physics"
-    );
-    for (a, b) in plain.species.iter().zip(&gathered.species) {
-        assert_eq!(a.cell, b.cell);
-        assert_eq!(a.ux, b.ux);
-    }
-    assert!(total_migrants > 0, "particles do cross rank boundaries");
+    check(lattice::sixteen_ranks());
 }
 
 #[test]
@@ -162,7 +119,6 @@ fn step_through_the_public_kernels(
 
 #[test]
 fn the_public_kernel_seam_reproduces_step_on_bitwise() {
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let (order, interval) = (SortOrder::Standard, 4u64);
     for (name, deck) in [("weibel", Deck::weibel(6, 6, 6, 8, 0.4)), ("lpi", Deck::lpi(12, 4, 4, 4))] {
         let mut stepped = deck.build();
@@ -176,26 +132,7 @@ fn the_public_kernel_seam_reproduces_step_on_bitwise() {
         for step in 0..=interval {
             stepped.step_on(&Serial);
             step_through_the_public_kernels(&mut driven, &mut acc, &mut interp, order, interval);
-            let what = format!("{name} step {step}");
-            assert_eq!(driven.step_count(), stepped.step_count(), "{what}");
-            let (f, g) = (&driven.fields, &stepped.fields);
-            for (field, a, b) in [
-                ("ex", &f.ex, &g.ex), ("ey", &f.ey, &g.ey), ("ez", &f.ez, &g.ez),
-                ("bx", &f.bx, &g.bx), ("by", &f.by, &g.by), ("bz", &f.bz, &g.bz),
-                ("jx", &f.jx, &g.jx), ("jy", &f.jy, &g.jy), ("jz", &f.jz, &g.jz),
-            ] {
-                assert_eq!(bits(a), bits(b), "{what}: {field}");
-            }
-            for (a, b) in driven.species.iter().zip(&stepped.species) {
-                assert_eq!(a.cell, b.cell, "{what}: {} cells", a.name);
-                for (array, x, y) in [
-                    ("dx", &a.dx, &b.dx), ("dy", &a.dy, &b.dy), ("dz", &a.dz, &b.dz),
-                    ("ux", &a.ux, &b.ux), ("uy", &a.uy, &b.uy), ("uz", &a.uz, &b.uz),
-                    ("w", &a.w, &b.w),
-                ] {
-                    assert_eq!(bits(x), bits(y), "{what}: {} {array}", a.name);
-                }
-            }
+            assert_eq!(stepped.bit_diff(&driven), None, "{name} step {step}");
         }
     }
 }
