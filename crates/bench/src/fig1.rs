@@ -117,6 +117,13 @@ pub(crate) fn this_repo_manifest() -> Result<Vec<CodeComponent>, String> {
             category: "simd",
         },
         CodeComponent {
+            name: "vsimd/v8 (AVX2 ad hoc)",
+            platform: "x86",
+            vector_bits: 256,
+            loc: count(&["crates/vsimd/src/v8.rs"])?,
+            category: "simd",
+        },
+        CodeComponent {
             name: "vsimd portable (simd+transpose+math+chunks+lane traits)",
             platform: "all",
             vector_bits: 0,

@@ -244,8 +244,9 @@ pub struct RunDepositor<'a> {
 impl RunDepositor<'_> {
     /// Deposit one within-cell segment's twelve weights (from
     /// [`segment_weights`] or one row of the push's transposed
-    /// [`lane_segment_weights`]) into `cell` — the one way in.
-    #[inline]
+    /// [`lane_segment_weights`]) into `cell` — the one way in. Inlined
+    /// always, so that it compiles into the push's AVX2 body with it.
+    #[inline(always)]
     pub(crate) fn deposit_weights(&mut self, cell: usize, w: &[f32; SLOTS]) {
         if self.run != Some(cell) {
             self.flush();
@@ -253,7 +254,11 @@ impl RunDepositor<'_> {
             assert!(cell < cells, "cell {cell} out of range for an accumulator of {cells} cells");
             self.run = Some(cell);
         }
-        FixedScatterBuf::add_quantized(&mut self.sums, &w.map(f64::from));
+        let mut vals = [0.0f64; SLOTS];
+        for (v, &w) in vals.iter_mut().zip(w) {
+            *v = f64::from(w);
+        }
+        FixedScatterBuf::add_quantized(&mut self.sums, &vals);
     }
 
     /// Deposit one within-cell segment (arguments as
@@ -320,30 +325,40 @@ pub fn segment_weights(
 /// one fixed association, so every lane width gives the scalar bits.
 #[inline(always)]
 pub(crate) fn lane_segment_weights<L: PushLane>(p0: Xyz<L>, p1: Xyz<L>, qw: L) -> [L; SLOTS] {
-    let (one, half, twelve) = (L::splat(1.0), L::splat(0.5), L::splat(12.0));
-    // convert offsets [-1,1] to cell coordinates [0,1]
-    let unit = |v: L| v.add(one).mul(half);
-    let (c0, c1) = (p0.map(unit), p1.map(unit));
-    let Xyz { x: dxi, y: det, z: dze } = c1.zip(c0, L::sub);
-    let Xyz { x: mxi, y: met, z: mze } = c0.zip(c1, |a, b| half.mul(a.add(b)));
-    // one component: displacement `d` along it, midpoints `(a, b)` of its
-    // two transverse coordinates in cyclic order, and the shared
-    // second-order correction with its factors in that component's order
-    let component = |d: L, a: L, b: L, corr: L| {
-        let (na, nb) = (one.sub(a), one.sub(b));
-        [
-            qw.mul(d.mul(na).mul(nb).add(corr)),
-            qw.mul(d.mul(a).mul(nb).sub(corr)),
-            qw.mul(d.mul(na).mul(b).sub(corr)),
-            qw.mul(d.mul(a).mul(b).add(corr)),
-        ]
-    };
+    let (half, twelve) = (L::splat(0.5), L::splat(12.0));
+    let (c0, c1) = (unit(p0), unit(p1));
+    let (dxi, det, dze) = (c1.x.sub(c0.x), c1.y.sub(c0.y), c1.z.sub(c0.z));
+    let (mxi, met, mze) =
+        (half.mul(c0.x.add(c1.x)), half.mul(c0.y.add(c1.y)), half.mul(c0.z.add(c1.z)));
     // x: transverse (η, ζ); y: (ζ, ξ); z: (ξ, η)
     let mut w = [L::splat(0.0); SLOTS];
-    w[..4].copy_from_slice(&component(dxi, met, mze, dxi.mul(det).mul(dze).div(twelve)));
-    w[4..8].copy_from_slice(&component(det, mze, mxi, det.mul(dze).mul(dxi).div(twelve)));
-    w[8..].copy_from_slice(&component(dze, mxi, met, dze.mul(dxi).mul(det).div(twelve)));
+    w[..4].copy_from_slice(&component(qw, dxi, met, mze, dxi.mul(det).mul(dze).div(twelve)));
+    w[4..8].copy_from_slice(&component(qw, det, mze, mxi, det.mul(dze).mul(dxi).div(twelve)));
+    w[8..].copy_from_slice(&component(qw, dze, mxi, met, dze.mul(dxi).mul(det).div(twelve)));
     w
+}
+
+/// Cell-relative offsets in `[-1, 1]` as cell coordinates in `[0, 1]`.
+#[inline(always)]
+fn unit<L: PushLane>(p: Xyz<L>) -> Xyz<L> {
+    let (one, half) = (L::splat(1.0), L::splat(0.5));
+    Xyz { x: p.x.add(one).mul(half), y: p.y.add(one).mul(half), z: p.z.add(one).mul(half) }
+}
+
+/// One component's four weights for charge × weight `qw`: displacement
+/// `d` along it, midpoints `(a, b)` of its two transverse coordinates in
+/// cyclic order, and the shared second-order correction with its factors
+/// in that component's order.
+#[inline(always)]
+fn component<L: PushLane>(qw: L, d: L, a: L, b: L, corr: L) -> [L; 4] {
+    let one = L::splat(1.0);
+    let (na, nb) = (one.sub(a), one.sub(b));
+    [
+        qw.mul(d.mul(na).mul(nb).add(corr)),
+        qw.mul(d.mul(a).mul(nb).sub(corr)),
+        qw.mul(d.mul(na).mul(b).sub(corr)),
+        qw.mul(d.mul(a).mul(b).add(corr)),
+    ]
 }
 
 /// CIC (trilinear) node deposition of a charge at cell-relative offsets —

@@ -60,16 +60,20 @@ const DCBZDZ: usize = 17;
 #[inline(always)]
 pub(crate) fn fields_at<L: StencilLane>(c: &[L; COEFFS], p: Xyz<L>) -> (Xyz<L>, Xyz<L>) {
     let Xyz { x, y, z } = p;
-    let bilinear = |c0: usize, s: L, t: L| {
-        c[c0].add(s.mul(c[c0 + 1])).add(t.mul(c[c0 + 2])).add(s.mul(t).mul(c[c0 + 3]))
-    };
-    let e = Xyz { x: bilinear(EX0, y, z), y: bilinear(EY0, z, x), z: bilinear(EZ0, x, y) };
+    let e = Xyz { x: bilinear(c, EX0, y, z), y: bilinear(c, EY0, z, x), z: bilinear(c, EZ0, x, y) };
     let b = Xyz {
         x: c[CBX0].add(x.mul(c[DCBXDX])),
         y: c[CBY0].add(y.mul(c[DCBYDY])),
         z: c[CBZ0].add(z.mul(c[DCBZDZ])),
     };
     (e, b)
+}
+
+/// One E component at transverse offsets `(s, t)` from its four
+/// coefficients at `c0..c0 + 4`.
+#[inline(always)]
+fn bilinear<L: StencilLane>(c: &[L; COEFFS], c0: usize, s: L, t: L) -> L {
+    c[c0].add(s.mul(c[c0 + 1])).add(t.mul(c[c0 + 2])).add(s.mul(t).mul(c[c0 + 3]))
 }
 
 impl Interpolator {

@@ -14,8 +14,8 @@
 //!
 //! 1. **run-aware gather** (`gather`) — a group whose particles share a
 //!    cell (the common case after a cell sort) broadcasts that cell's 18
-//!    coefficients; a mixed group loads its four 72-byte records and
-//!    transposes them in registers (AoS → SoA);
+//!    coefficients; a mixed group loads its 72-byte records, one per
+//!    lane, and transposes them in registers (AoS → SoA);
 //! 2. **field evaluation and Boris** (`fields_at`, `boris`) in lanes;
 //! 3. **in-cell mover** (`displacement`, `move_group`) — displacement,
 //!    target position, an in-cell mask and the twelve Villasenor–Buneman
@@ -36,7 +36,14 @@
 //!   256-particle scratch block, so the dense passes (Boris, displacement)
 //!   are loops LLVM does vectorize;
 //! * **manual** — fused at the portable [`SimdF32<4>`];
-//! * **ad hoc** — fused at the SSE [`V4F32`].
+//! * **ad hoc** — fused at the AVX2 `V8F32`, eight lanes, where the CPU
+//!   has AVX2 (`is_x86_feature_detected!`, asked once per chunk), and at
+//!   the SSE [`V4F32`] elsewhere. The AVX2 body is one
+//!   `#[target_feature(enable = "avx2")]` function (`push_avx2`) into
+//!   which every stage inlines, deposit included: everything it calls on
+//!   the way is `#[inline(always)]` and takes no closure, since a
+//!   function compiled without AVX would run each AVX intrinsic in it
+//!   behind a call.
 //!
 //! Every strategy gives the same bits. The lane ops are the IEEE-754
 //! correctly-rounded `+ − × ÷ √` in one fixed association (no FMA, no
@@ -56,7 +63,9 @@ use pk::atomic::{Claim, ScatterMode};
 use pk::{ExecSpace, RangePolicy, Serial, Sum};
 use std::ops::Range;
 use vsimd::v4::V4F32;
-use vsimd::{PushLane, SimdF32, Strategy, Xyz};
+#[cfg(target_arch = "x86_64")]
+use vsimd::v8::V8F32;
+use vsimd::{PushLane, SimdF32, Strategy, Xyz, MAX_LANES};
 
 /// Precomputed per-species push coefficients.
 #[derive(Debug, Clone, Copy)]
@@ -110,12 +119,13 @@ pub fn push_species(
 /// Push every particle of `species` one step under `strategy`,
 /// distributing contiguous particle blocks over `space`'s workers.
 ///
-/// Under *manual* and *ad hoc* all three stages of the module doc run four
-/// particles to a group in lanes — gather, field evaluation and Boris,
-/// displacement, in-cell test and deposit weights, the crossing lanes'
-/// segments included — and only the splitting of a cell-crossing move (and
-/// each block's last `len % 4` particles) is scalar; *guided* gets its
-/// lanes from LLVM on the dense passes; *auto* is the scalar reference.
+/// Under *manual* and *ad hoc* all three stages of the module doc run a
+/// group of particles in lanes — four, or eight under AVX2 — gather,
+/// field evaluation and Boris, displacement, in-cell test and deposit
+/// weights, the crossing lanes' segments included; only the splitting of
+/// a cell-crossing move (and each block's last `len % L::LANES`
+/// particles) is scalar; *guided* gets its lanes from LLVM on the dense
+/// passes; *auto* is the scalar reference.
 ///
 /// Each block deposits with its block index as the accumulator worker id
 /// and holds its lane of `acc` for as long as it runs: as the lane's sole
@@ -138,6 +148,18 @@ pub fn push_species(
 pub fn push_species_on<S: ExecSpace>(
     space: &S,
     strategy: Strategy,
+    grid: &Grid,
+    species: &mut Species,
+    interps: &[Interpolator],
+    acc: &Accumulator,
+) -> PushStats {
+    push_blocks(space, body(strategy), grid, species, interps, acc)
+}
+
+/// [`push_species_on`] with every chunk pushed by `body`.
+fn push_blocks<S: ExecSpace>(
+    space: &S,
+    body: Body,
     grid: &Grid,
     species: &mut Species,
     interps: &[Interpolator],
@@ -168,7 +190,7 @@ pub fn push_species_on<S: ExecSpace>(
     };
     if blocks.len() <= 1 {
         let sink = &mut Sink::new(acc.depositor(0, claim));
-        return push_chunk(strategy, grid, &mut Chunk::whole(species), interps, sink, params);
+        return push_chunk(body, grid, &mut Chunk::whole(species), interps, sink, params);
     }
     let starts: Vec<usize> = blocks.iter().map(|b| b.start).collect();
     let q = species.q;
@@ -188,7 +210,7 @@ pub fn push_species_on<S: ExecSpace>(
         // index has exactly one mutable owner.
         let mut chunk = unsafe { ptrs.chunk(range, q) };
         let sink = &mut Sink::new(acc.depositor(worker, claim));
-        push_chunk(strategy, grid, &mut chunk, interps, sink, params).crossings as u64
+        push_chunk(body, grid, &mut chunk, interps, sink, params).crossings as u64
     });
     PushStats { pushed: n, crossings: crossings as usize }
 }
@@ -280,33 +302,85 @@ impl SpeciesPtrs {
     }
 }
 
-/// Push one chunk into its `sink`: the three stages instantiated for
-/// `strategy`.
+/// One way to push a whole chunk into its sink: the three stages at one
+/// lane type, or guided's split passes. Returns boundary crossings.
+type Body = fn(&Grid, &mut Chunk<'_>, &[Interpolator], &mut Sink<'_>, PushParams) -> usize;
+
+/// The body `strategy` names on this host.
+fn body(strategy: Strategy) -> Body {
+    match strategy {
+        Strategy::Auto => push_lanes::<f32>,
+        Strategy::Guided => push_split,
+        Strategy::Manual => push_lanes::<SimdF32<4>>,
+        Strategy::AdHoc => push_adhoc,
+    }
+}
+
+/// Push one chunk into its `sink` with `body`.
 fn push_chunk(
-    strategy: Strategy,
+    body: Body,
     grid: &Grid,
     chunk: &mut Chunk<'_>,
     interps: &[Interpolator],
     sink: &mut Sink<'_>,
     params: PushParams,
 ) -> PushStats {
-    let all = 0..chunk.len();
-    let crossings = match strategy {
-        Strategy::Auto => push_fused::<f32>(grid, chunk, interps, sink, params, all),
-        Strategy::Guided => push_split(grid, chunk, interps, sink, params),
-        Strategy::Manual => push_fused::<SimdF32<4>>(grid, chunk, interps, sink, params, all),
-        Strategy::AdHoc => push_fused::<V4F32>(grid, chunk, interps, sink, params, all),
-    };
+    let crossings = body(grid, chunk, interps, sink, params);
     // the tail: fewer segments than a lane group holds, left by the
     // crossings of the chunk's last group
     sink.drain::<f32>();
     PushStats { pushed: chunk.len(), crossings }
 }
 
+/// The stages fused over a whole chunk at lane type `L`.
+fn push_lanes<L: PushLane>(
+    grid: &Grid,
+    s: &mut Chunk<'_>,
+    interps: &[Interpolator],
+    sink: &mut Sink<'_>,
+    p: PushParams,
+) -> usize {
+    push_fused::<L>(grid, s, interps, sink, p, 0..s.len())
+}
+
+/// The ad hoc body: eight lanes where the CPU has AVX2, [`V4F32`]
+/// elsewhere.
+fn push_adhoc(
+    grid: &Grid,
+    s: &mut Chunk<'_>,
+    interps: &[Interpolator],
+    sink: &mut Sink<'_>,
+    p: PushParams,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `push_avx2` needs AVX2, which the line above found.
+        return unsafe { push_avx2(grid, s, interps, sink, p) };
+    }
+    push_lanes::<V4F32>(grid, s, interps, sink, p)
+}
+
+/// The stages fused over a whole chunk at [`V8F32`], compiled for AVX2
+/// with every stage inlined into it: the one place the push runs
+/// `V8F32`. Callable only where the CPU has AVX2 ([`push_adhoc`] asks
+/// first).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn push_avx2(
+    grid: &Grid,
+    s: &mut Chunk<'_>,
+    interps: &[Interpolator],
+    sink: &mut Sink<'_>,
+    p: PushParams,
+) -> usize {
+    debug_assert!(is_x86_feature_detected!("avx2"));
+    push_fused::<V8F32>(grid, s, interps, sink, p, 0..s.len())
+}
+
 /// Most segments a [`Sink`] ever queues: fewer than one group of the
 /// widest lane left over by the last drain, and four from every lane of
 /// the group being moved.
-const QUEUE_CAP: usize = 4 * 4 + 4 - 1;
+const QUEUE_CAP: usize = 4 * MAX_LANES + MAX_LANES - 1;
 
 /// A chunk's way into the accumulator: its depositor, and a small SoA
 /// queue of within-cell segments `(cell, p0 → p1, qw)` that the splitter
@@ -375,7 +449,7 @@ impl<'a> Sink<'a> {
             let at = self.queued - L::LANES;
             let p0 = Xyz::<L>::load(&self.p0.x, &self.p0.y, &self.p0.z, at);
             let p1 = Xyz::<L>::load(&self.p1.x, &self.p1.y, &self.p1.z, at);
-            let mut rows = [[0.0f32; SLOTS]; 4];
+            let mut rows = [[0.0f32; SLOTS]; MAX_LANES];
             L::store_tr(lane_segment_weights(p0, p1, L::load(&self.qw, at)), &mut rows);
             for (l, row) in rows.iter().enumerate().take(L::LANES) {
                 self.deposit(self.cell[at + l] as usize, row);
@@ -387,7 +461,8 @@ impl<'a> Sink<'a> {
 
 /// The stages fused, one group of `L::LANES` particles at a time over
 /// `range`; what is left of it past the last whole group goes through the
-/// `f32` instantiation. Returns boundary crossings.
+/// `f32` instantiation, out of line. Returns boundary crossings.
+#[inline(always)]
 fn push_fused<L: PushLane>(
     grid: &Grid,
     s: &mut Chunk<'_>,
@@ -413,9 +488,23 @@ fn push_fused<L: PushLane>(
         i += L::LANES;
     }
     if i < range.end {
-        crossings += push_fused::<f32>(grid, s, interps, sink, p, i..range.end);
+        crossings += push_tail(grid, s, interps, sink, p, i..range.end);
     }
     crossings
+}
+
+/// The particles past a chunk's last whole group, at `f32`: behind a call,
+/// so that a lane body carries no second copy of the stages for them.
+#[inline(never)]
+fn push_tail(
+    grid: &Grid,
+    s: &mut Chunk<'_>,
+    interps: &[Interpolator],
+    sink: &mut Sink<'_>,
+    p: PushParams,
+    range: Range<usize>,
+) -> usize {
+    push_fused::<f32>(grid, s, interps, sink, p, range)
 }
 
 /// Scratch block size for the guided strategy's split passes.
@@ -499,15 +588,24 @@ fn hint_record(interps: &[Interpolator], cell: usize) {
 /// Stage 1, the run-aware gather: the interpolator coefficients of one
 /// group's cells, one lane vector per coefficient. A group within one
 /// cell (every group after a cell sort, but for the run boundaries)
-/// broadcasts that cell's record; a mixed group loads its four 72-byte
-/// records and transposes them in registers.
+/// broadcasts that cell's record; a mixed group loads its 72-byte
+/// records, one per lane, and transposes them in registers.
 #[inline(always)]
 fn gather<L: PushLane>(interps: &[Interpolator], cells: &[u32]) -> [L; COEFFS] {
     let first = &interps[cells[0] as usize].0;
     if cells.iter().all(|&c| c == cells[0]) {
-        first.map(L::splat)
+        let mut c = [L::splat(0.0); COEFFS];
+        for (c, &v) in c.iter_mut().zip(first) {
+            *c = L::splat(v);
+        }
+        c
     } else {
-        L::load_tr(std::array::from_fn(|l| &interps[cells[l] as usize].0))
+        // the rows past `L::LANES` are not read
+        let mut rows = [first; MAX_LANES];
+        for (row, &cell) in rows.iter_mut().zip(cells).skip(1) {
+            *row = &interps[cell as usize].0;
+        }
+        L::load_tr(rows)
     }
 }
 
@@ -523,23 +621,39 @@ fn inv_gamma<L: PushLane>(u: Xyz<L>) -> L {
 #[inline(always)]
 fn boris<L: PushLane>(h: L, u: Xyz<L>, e: Xyz<L>, b: Xyz<L>) -> Xyz<L> {
     let (one, two) = (L::splat(1.0), L::splat(2.0));
-    let cross = |a: Xyz<L>, b: Xyz<L>| Xyz {
+    // half electric kick
+    let u = kick(u, h, e);
+    // rotation
+    let gi = inv_gamma(u);
+    let t = Xyz { x: h.mul(b.x).mul(gi), y: h.mul(b.y).mul(gi), z: h.mul(b.z).mul(gi) };
+    let t2 = t.x.mul(t.x).add(t.y.mul(t.y)).add(t.z.mul(t.z));
+    let s = two.div(one.add(t2));
+    let v = add(u, cross(u, t));
+    let u = kick(u, s, cross(v, t));
+    // second half electric kick
+    kick(u, h, e)
+}
+
+/// `u + s·v` per axis.
+#[inline(always)]
+fn kick<L: PushLane>(u: Xyz<L>, s: L, v: Xyz<L>) -> Xyz<L> {
+    Xyz { x: u.x.add(s.mul(v.x)), y: u.y.add(s.mul(v.y)), z: u.z.add(s.mul(v.z)) }
+}
+
+/// `a + b` per axis.
+#[inline(always)]
+fn add<L: PushLane>(a: Xyz<L>, b: Xyz<L>) -> Xyz<L> {
+    Xyz { x: a.x.add(b.x), y: a.y.add(b.y), z: a.z.add(b.z) }
+}
+
+/// `a × b`.
+#[inline(always)]
+fn cross<L: PushLane>(a: Xyz<L>, b: Xyz<L>) -> Xyz<L> {
+    Xyz {
         x: a.y.mul(b.z).sub(a.z.mul(b.y)),
         y: a.z.mul(b.x).sub(a.x.mul(b.z)),
         z: a.x.mul(b.y).sub(a.y.mul(b.x)),
-    };
-    let kick = |u: Xyz<L>| u.zip(e, |u, e| u.add(h.mul(e)));
-    // half electric kick
-    let u = kick(u);
-    // rotation
-    let gi = inv_gamma(u);
-    let t = b.map(|b| h.mul(b).mul(gi));
-    let t2 = t.x.mul(t.x).add(t.y.mul(t.y)).add(t.z.mul(t.z));
-    let s = two.div(one.add(t2));
-    let v = u.zip(cross(u, t), L::add);
-    let u = u.zip(cross(v, t), |u, vt| u.add(s.mul(vt)));
-    // second half electric kick
-    kick(u)
+    }
 }
 
 /// Stage 3a: the step's displacement in offset units for momentum `u`,
@@ -547,15 +661,14 @@ fn boris<L: PushLane>(h: L, u: Xyz<L>, e: Xyz<L>, b: Xyz<L>) -> Xyz<L> {
 #[inline(always)]
 fn displacement<L: PushLane>(u: Xyz<L>, cdt: Xyz<L>) -> Xyz<L> {
     let gi = inv_gamma(u);
-    u.zip(cdt, |u, cdt| u.mul(gi).mul(cdt))
+    Xyz { x: u.x.mul(gi).mul(cdt.x), y: u.y.mul(gi).mul(cdt.y), z: u.z.mul(gi).mul(cdt.z) }
 }
 
 /// Lanes of `t` inside the cell `[-1, 1]³`, as bits. A NaN is outside.
 #[inline(always)]
 fn in_cell<L: PushLane>(t: Xyz<L>) -> u32 {
     let (lo, hi) = (L::splat(-1.0), L::splat(1.0));
-    let inside = |v: L| v.within_bits(lo, hi);
-    inside(t.x) & inside(t.y) & inside(t.z)
+    t.x.within_bits(lo, hi) & t.y.within_bits(lo, hi) & t.z.within_bits(lo, hi)
 }
 
 /// Stage 3b, the in-cell mover: advance the group at `i` from `pos` by
@@ -574,10 +687,10 @@ fn move_group<L: PushLane>(
     pos: Xyz<L>,
     m: Xyz<L>,
 ) -> usize {
-    let target = pos.zip(m, L::add);
+    let target = add(pos, m);
     let inside = in_cell(target);
     let qw = L::splat(s.q).mul(L::load(s.w, i));
-    let mut rows = [[0.0f32; SLOTS]; 4];
+    let mut rows = [[0.0f32; SLOTS]; MAX_LANES];
     if inside != 0 {
         L::store_tr(lane_segment_weights(pos, target, qw), &mut rows);
     }
@@ -673,7 +786,6 @@ mod tests {
     use super::*;
     use crate::field::FieldArray;
     use crate::interp::load_interpolators;
-    use vsimd::StencilLane;
 
     fn setup(grid: &Grid) -> (FieldArray, Accumulator) {
         (
@@ -771,12 +883,39 @@ mod tests {
         (0..acc.cells()).map(|c| acc.cell_raw(c)).collect()
     }
 
-    /// Three pushes of `start` into one accumulator of `lanes` replicas
-    /// (in duplicated mode): the particles' bits, every cell's raw slot
-    /// totals, and the pushes' summed statistics.
+    /// Whether ad hoc runs `V8F32` under AVX2 on this host.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2() -> bool {
+        is_x86_feature_detected!("avx2")
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn avx2() -> bool {
+        false
+    }
+
+    /// Every lane type's body — `V8F32` through the AVX2 entry, where the
+    /// CPU has AVX2 — and guided's split passes. On an AVX2 host ad hoc no
+    /// longer reaches `V4F32`, which is still what runs on one without.
+    fn bodies() -> Vec<(&'static str, Body)> {
+        let mut all: Vec<(&'static str, Body)> = vec![
+            ("f32", push_lanes::<f32>),
+            ("guided", push_split),
+            ("SimdF32<4>", push_lanes::<SimdF32<4>>),
+            ("V4F32", push_lanes::<V4F32>),
+        ];
+        if avx2() {
+            all.push(("V8F32", push_adhoc));
+        }
+        all
+    }
+
+    /// Three pushes of `start` by `body` into one accumulator of `lanes`
+    /// replicas (in duplicated mode): the particles' bits, every cell's
+    /// raw slot totals, and the pushes' summed statistics.
     fn pushed<S: ExecSpace>(
         space: &S,
-        strategy: Strategy,
+        body: Body,
         (mode, lanes): (ScatterMode, usize),
         grid: &Grid,
         interps: &[Interpolator],
@@ -785,7 +924,7 @@ mod tests {
         let mut s = start.clone();
         let acc = Accumulator::new(grid.cells(), lanes, mode);
         let stats = (0..3).fold(PushStats::default(), |sum, _| {
-            let step = push_species_on(space, strategy, grid, &mut s, interps, &acc);
+            let step = push_blocks(space, body, grid, &mut s, interps, &acc);
             PushStats { pushed: sum.pushed + step.pushed, crossings: sum.crossings + step.crossings }
         });
         (particle_bits(&s), raw_totals(&acc), stats)
@@ -814,7 +953,7 @@ mod tests {
 
     #[test]
     fn all_strategies_are_bitwise_identical() {
-        // Every strategy instantiates one body with exact lane ops and
+        // Every lane type instantiates one body with exact lane ops and
         // fixed-point deposits, so trajectories *and* slot totals are
         // bit-equal for any space, scatter mode and replica count — the
         // property the tiled path and heterogeneous per-rank configs rely
@@ -836,31 +975,32 @@ mod tests {
             ("shuffled: transposed gather, mixed-cell groups", load(1001, 0.2, false)),
             ("hot: most lanes cross, several faces a step", load(1001, 2.0, false)),
             // with three workers the chunk starts are not multiples of 4
-            ("4k+1 particles", load(1001, 0.3, true)),
-            ("4k+2 particles", load(1002, 0.3, false)),
-            ("4k+3 particles", load(1003, 0.3, true)),
+            ("8k+1 particles", load(1001, 0.3, true)),
+            ("8k+2 particles", load(1002, 0.3, false)),
+            ("8k+3 particles", load(1003, 0.3, true)),
+            ("8k+7 particles", load(1007, 0.3, false)),
             ("a non-finite lane", non_finite),
         ];
         let atomic = (ScatterMode::Atomic, 1);
         let lanes = [atomic].into_iter().chain((1..=3).map(|n| (ScatterMode::Duplicated, n)));
         let threads = pk::Threads::new(3);
+        let auto = body(Strategy::Auto);
         for (what, start) in &loads {
-            let reference = pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, start);
-            for strategy in Strategy::ALL {
+            let reference = pushed(&Serial, auto, atomic, &grid, &interps, start);
+            for (name, body) in bodies() {
                 for lanes in lanes.clone() {
-                    let serial = pushed(&Serial, strategy, lanes, &grid, &interps, start);
-                    assert!(serial == reference, "{what}: {strategy} serial {lanes:?}");
-                    let parallel = pushed(&threads, strategy, lanes, &grid, &interps, start);
-                    assert!(parallel == reference, "{what}: {strategy} threads {lanes:?}");
+                    let serial = pushed(&Serial, body, lanes, &grid, &interps, start);
+                    assert!(serial == reference, "{what}: {name} serial {lanes:?}");
+                    let parallel = pushed(&threads, body, lanes, &grid, &interps, start);
+                    assert!(parallel == reference, "{what}: {name} threads {lanes:?}");
                 }
             }
         }
         // the loads did exercise what they are named for
-        let crossings =
-            |i: usize| pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, &loads[i].1).2.crossings;
+        let crossings = |i: usize| pushed(&Serial, auto, atomic, &grid, &interps, &loads[i].1).2.crossings;
         assert!(crossings(2) > 2 * 1001, "hot load: {} crossings", crossings(2));
         assert!(crossings(0) < 3001, "cold load: {} crossings", crossings(0));
-        let nan = pushed(&Serial, Strategy::AdHoc, atomic, &grid, &interps, &loads[6].1).0;
+        let nan = pushed(&Serial, body(Strategy::AdHoc), atomic, &grid, &interps, &loads[7].1).0;
         assert!(f32::from_bits(nan[1][6]).is_nan() && f32::from_bits(nan[3][1201]).is_nan());
     }
 
@@ -875,16 +1015,16 @@ mod tests {
         let interps = wavy_interps(&grid);
         let atomic = (ScatterMode::Atomic, 1);
         let threads = pk::Threads::new(3);
-        for n in [1, 3, 4, 5, 63, 64, 65, 67, 130, 257] {
+        for n in [1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 67, 130, 257] {
             let start = load(&grid, n, 0.3, false);
-            let reference = pushed(&Serial, Strategy::Auto, atomic, &grid, &interps, &start);
+            let reference = pushed(&Serial, body(Strategy::Auto), atomic, &grid, &interps, &start);
             assert_eq!(reference.2.pushed, 3 * n);
-            for strategy in Strategy::ALL {
+            for (name, body) in bodies() {
                 for lanes in [atomic, (ScatterMode::Duplicated, 3)] {
-                    let serial = pushed(&Serial, strategy, lanes, &grid, &interps, &start);
-                    assert!(serial == reference, "{n}: {strategy} serial {lanes:?}");
-                    let parallel = pushed(&threads, strategy, lanes, &grid, &interps, &start);
-                    assert!(parallel == reference, "{n}: {strategy} threads {lanes:?}");
+                    let serial = pushed(&Serial, body, lanes, &grid, &interps, &start);
+                    assert!(serial == reference, "{n}: {name} serial {lanes:?}");
+                    let parallel = pushed(&threads, body, lanes, &grid, &interps, &start);
+                    assert!(parallel == reference, "{n}: {name} threads {lanes:?}");
                 }
             }
         }
@@ -893,11 +1033,12 @@ mod tests {
     #[test]
     fn a_hint_for_an_out_of_range_cell_neither_panics_nor_moves_the_panic() {
         // Particle 70 names a cell the grid does not have. The look-ahead
-        // sees it from the group at 4 on and skips it (no record, no
+        // sees it from the group at 0 or 4 on and skips it (no record, no
         // slots); the push still panics where it always did, in the gather
         // of the group that holds the particle, with the particles before
         // that group pushed and the rest untouched. Guided gathers a whole
-        // block before it pushes any of it.
+        // block before it pushes any of it; ad hoc's groups are eight
+        // particles under AVX2.
         let grid = Grid::new(6, 6, 6);
         let interps = wavy_interps(&grid);
         let (n, bad) = (130, 70);
@@ -905,11 +1046,12 @@ mod tests {
         start.cell[bad] = grid.cells() as u32;
         let cells = grid.cells();
         let message = format!("index out of bounds: the len is {cells} but the index is {cells}");
+        let adhoc = if avx2() { 8 } else { 4 };
         let first_unpushed = [
             (Strategy::Auto, bad),
             (Strategy::Guided, 0),
             (Strategy::Manual, bad - bad % 4),
-            (Strategy::AdHoc, bad - bad % 4),
+            (Strategy::AdHoc, bad - bad % adhoc),
         ];
         for (strategy, first) in first_unpushed {
             let mut s = start.clone();
@@ -962,14 +1104,15 @@ mod tests {
         assert!(raw_totals(&together) == raw_totals(&in_turn));
     }
 
-    /// One push of `s` as a single chunk: segments deposited, crossings.
-    fn segments_deposited(strategy: Strategy, grid: &Grid, s: &mut Species) -> (usize, usize) {
+    /// One push of `s` by `body` as a single chunk: segments deposited,
+    /// crossings.
+    fn segments_deposited(body: Body, grid: &Grid, s: &mut Species) -> (usize, usize) {
         let interps = wavy_interps(grid);
         let acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
         let params = PushParams::new(grid, s.q, s.m);
         let sink = &mut Sink::new(acc.depositor(0, Claim::Sole));
-        let stats = push_chunk(strategy, grid, &mut Chunk::whole(s), &interps, sink, params);
-        assert_eq!(sink.queued, 0, "{strategy}: segments left in the queue");
+        let stats = push_chunk(body, grid, &mut Chunk::whole(s), &interps, sink, params);
+        assert_eq!(sink.queued, 0, "segments left in the queue");
         (sink.deposited, stats.crossings)
     }
 
@@ -980,22 +1123,22 @@ mod tests {
         // several faces a step: the queue fills to its capacity (indexing
         // past it would panic) and drains in whole groups.
         let grid = Grid::new(6, 6, 6);
-        for strategy in Strategy::ALL {
+        for (name, body) in bodies() {
             let mut hot = load(&grid, 1001, 2.0, false);
-            let (segments, crossings) = segments_deposited(strategy, &grid, &mut hot);
-            assert!(crossings > 1001 / 2, "{strategy}: {crossings} crossings");
-            assert_eq!(segments, 1001 + crossings, "{strategy}");
+            let (segments, crossings) = segments_deposited(body, &grid, &mut hot);
+            assert!(crossings > 1001 / 2, "{name}: {crossings} crossings");
+            assert_eq!(segments, 1001 + crossings, "{name}");
             // the tail: a chunk of whole groups whose last particle alone
             // crosses leaves two segments that no group drain takes
             let mut last = load(&grid, 8, 0.0, true);
             (last.dx[7], last.ux[7]) = (0.99, 2.0);
-            let (segments, crossings) = segments_deposited(strategy, &grid, &mut last);
-            assert_eq!((segments, crossings), (8 + 1, 1), "{strategy}");
+            let (segments, crossings) = segments_deposited(body, &grid, &mut last);
+            assert_eq!((segments, crossings), (8 + 1, 1), "{name}");
         }
     }
 
-    fn in_cell_bits<L: PushLane>(t: &Xyz<[f32; 4]>) -> u32 {
-        (0..4 / L::LANES).fold(0, |bits, g| {
+    fn in_cell_bits<L: PushLane>(t: &Xyz<[f32; 8]>) -> u32 {
+        (0..8 / L::LANES).fold(0, |bits, g| {
             let group = Xyz::<L>::load(&t.x, &t.y, &t.z, g * L::LANES);
             bits | in_cell(group) << (g * L::LANES)
         })
@@ -1003,16 +1146,35 @@ mod tests {
 
     #[test]
     fn lanes_that_leave_the_cell_or_are_not_finite_go_to_the_scalar_mover() {
-        // lane 0 inside (faces count as inside), 1 outside in y by one ulp,
-        // 2 NaN in z, 3 infinite in x
+        // lanes 0 and 6 inside (faces count as inside), 1 outside in y by
+        // one ulp and 5 in x, 2 NaN in z and 7 in x, 3 infinite in x and
+        // 4 in y
         let t = Xyz {
-            x: [1.0, 0.0, 0.0, f32::NEG_INFINITY],
-            y: [-1.0, 1.0 + f32::EPSILON, 0.5, 0.0],
-            z: [-0.0, 0.0, f32::NAN, 0.0],
+            x: [1.0, 0.0, 0.0, f32::NEG_INFINITY, 0.0, -1.0 - f32::EPSILON, -1.0, f32::NAN],
+            y: [-1.0, 1.0 + f32::EPSILON, 0.5, 0.0, f32::INFINITY, 0.0, 1.0, 0.0],
+            z: [-0.0, 0.0, f32::NAN, 0.0, 0.0, 0.0, 1.0, 0.0],
         };
-        assert_eq!(in_cell_bits::<f32>(&t), 0b0001);
-        assert_eq!(in_cell_bits::<SimdF32<4>>(&t), 0b0001);
-        assert_eq!(in_cell_bits::<V4F32>(&t), 0b0001);
+        let want = 0b0100_0001;
+        assert_eq!(in_cell_bits::<f32>(&t), want);
+        assert_eq!(in_cell_bits::<SimdF32<4>>(&t), want);
+        assert_eq!(in_cell_bits::<V4F32>(&t), want);
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            assert_eq!(in_cell_bits::<V8F32>(&t), want);
+        }
+    }
+
+    /// [`gather`] at `L` over `cells` in groups of `L::LANES`: coefficient
+    /// `k` of lane `l`, for every lane.
+    fn gathered<L: PushLane>(interps: &[Interpolator], cells: &[u32; 8]) -> Vec<[f32; COEFFS]> {
+        let mut lanes = vec![[0.0; COEFFS]; 8];
+        for g in (0..8).step_by(L::LANES) {
+            let c = gather::<L>(interps, &cells[g..g + L::LANES]);
+            for (l, lane) in lanes[g..g + L::LANES].iter_mut().enumerate() {
+                *lane = std::array::from_fn(|k| c[k].extract(l));
+            }
+        }
+        lanes
     }
 
     #[test]
@@ -1020,16 +1182,16 @@ mod tests {
         let interps: Vec<Interpolator> = (0..5)
             .map(|c| Interpolator(std::array::from_fn(|k| (100 * c + k) as f32)))
             .collect();
-        for cells in [[3u32, 3, 3, 3], [4, 0, 3, 0]] {
-            let manual = gather::<SimdF32<4>>(&interps, &cells);
-            let adhoc = gather::<V4F32>(&interps, &cells);
-            for (l, &cell) in cells.iter().enumerate() {
-                let scalar = gather::<f32>(&interps, &[cell]);
-                assert_eq!(scalar, interps[cell as usize].0);
-                for k in 0..COEFFS {
-                    assert_eq!(manual[k].extract(l), scalar[k], "manual {cells:?} {l} {k}");
-                    assert_eq!(adhoc[k].extract(l), scalar[k], "adhoc {cells:?} {l} {k}");
-                }
+        // one run, a mixed group, and a group that is one run for four
+        // lanes but not for eight
+        for cells in [[3u32; 8], [4, 0, 3, 0, 1, 2, 4, 3], [2, 2, 2, 2, 1, 1, 1, 1]] {
+            let want: Vec<_> = cells.iter().map(|&c| interps[c as usize].0).collect();
+            assert_eq!(gathered::<f32>(&interps, &cells), want, "{cells:?}");
+            assert_eq!(gathered::<SimdF32<4>>(&interps, &cells), want, "manual {cells:?}");
+            assert_eq!(gathered::<V4F32>(&interps, &cells), want, "adhoc, SSE {cells:?}");
+            #[cfg(target_arch = "x86_64")]
+            if avx2() {
+                assert_eq!(gathered::<V8F32>(&interps, &cells), want, "adhoc, AVX2 {cells:?}");
             }
         }
     }

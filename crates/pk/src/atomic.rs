@@ -103,6 +103,16 @@ fn round_by_trunc(x: f64) -> i64 {
     t.saturating_add((f >= 0.5) as i64).saturating_sub((f <= -0.5) as i64)
 }
 
+/// `sums[s] += round_by_trunc(x[s])`: the rare block of weights that
+/// [`round_by_add`] cannot take, out of the deposit's way.
+#[cold]
+#[inline(never)]
+fn add_rounded_by_trunc(sums: &mut [i64], x: &[f64]) {
+    for (sum, &x) in sums.iter_mut().zip(x) {
+        *sum = sum.wrapping_add(round_by_trunc(x));
+    }
+}
+
 /// How a writer holds a lane of a [`FixedScatterBuf`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Claim {
@@ -283,19 +293,29 @@ impl FixedScatterBuf {
     }
 
     /// `sums[s] += quantize(vals[s])` (wrapping) for a whole batch — what
-    /// a depositor does with one segment's weights. Deciding once for the
-    /// batch which rounding applies leaves a branch-free loop of adds,
-    /// compares and integer subtracts that vectorizes on SSE2.
-    #[inline]
+    /// a depositor does with one segment's weights. Four at a time (one
+    /// AVX register of `f64`s), each block decides which rounding applies:
+    /// a block that fits the add trick is a branch-free run of adds,
+    /// compares and integer subtracts, and one that does not (a huge or
+    /// NaN weight) takes the cold truncating path. Inlined always and free
+    /// of closures, so that it compiles into whatever vector body deposits
+    /// with it (the push's AVX2 one).
+    #[inline(always)]
     pub fn add_quantized<const N: usize>(sums: &mut [i64; N], vals: &[f64; N]) {
-        let x = vals.map(|v| v * FIXED_SCATTER_SCALE);
-        if x.iter().all(|x| x.abs() < ROUND_BY_ADD_LIMIT) {
-            for (sum, &x) in sums.iter_mut().zip(&x) {
-                *sum = sum.wrapping_add(round_by_add(x));
+        for (sums, vals) in sums.chunks_mut(4).zip(vals.chunks(4)) {
+            let mut x = [0.0f64; 4];
+            let x = &mut x[..vals.len()];
+            let mut small = true;
+            for (x, &v) in x.iter_mut().zip(vals) {
+                *x = v * FIXED_SCATTER_SCALE;
+                small &= x.abs() < ROUND_BY_ADD_LIMIT;
             }
-        } else {
-            for (sum, &x) in sums.iter_mut().zip(&x) {
-                *sum = sum.wrapping_add(round_by_trunc(x));
+            if small {
+                for (sum, &x) in sums.iter_mut().zip(&*x) {
+                    *sum = sum.wrapping_add(round_by_add(x));
+                }
+            } else {
+                add_rounded_by_trunc(sums, x);
             }
         }
     }
@@ -451,13 +471,21 @@ mod tests {
         for v in vals {
             let want = (v * s).round() as i64;
             assert_eq!(FixedScatterBuf::quantize(v), want, "quantize({v:e})");
-            // in a batch: beside a small neighbour (fast path) and beside a
-            // huge one that drags the whole batch onto the slow path
-            for neighbour in [0.25, 3.0e30] {
-                let mut sums = [7i64, 7];
-                FixedScatterBuf::add_quantized(&mut sums, &[v, neighbour]);
-                assert_eq!(sums[0], 7i64.wrapping_add(want), "{v:e} beside {neighbour:e}");
-                assert_eq!(sums[1], 7i64.wrapping_add((neighbour * s).round() as i64));
+            // in a deposit's batch of twelve, slot 5: beside small
+            // neighbours (fast path), and with a huge one in its own block
+            // of four or the next, which drags that block onto the slow path
+            for huge_at in [None, Some(4), Some(9)] {
+                let mut batch = [0.25; 12];
+                batch[5] = v;
+                if let Some(h) = huge_at {
+                    batch[h] = 3.0e30;
+                }
+                let mut sums = [7i64; 12];
+                FixedScatterBuf::add_quantized(&mut sums, &batch);
+                for (slot, (&sum, &b)) in sums.iter().zip(&batch).enumerate() {
+                    let want = 7i64.wrapping_add((b * s).round() as i64);
+                    assert_eq!(sum, want, "{v:e}, huge at {huge_at:?}: slot {slot}");
+                }
             }
         }
     }

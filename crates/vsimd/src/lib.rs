@@ -9,7 +9,7 @@
 //! | **auto** | Kokkos loops + `#pragma ivdep` | plain indexed loops left to rustc/LLVM auto-vectorization |
 //! | **guided** | `#pragma omp simd` + kernel splitting | fixed-width chunked loops ([`chunks`]) that reliably auto-vectorize, with difficult math split out |
 //! | **manual** | Kokkos SIMD (C++26 `std::simd`) | the portable [`Simd`](simd) lane types and a register [`transpose`] |
-//! | **ad hoc** | VPIC 1.2 per-ISA intrinsics (AVX/AVX2/AVX512/NEON/Altivec) | [`v4::V4F32`] over `std::arch` SSE on x86-64 (scalar elsewhere) |
+//! | **ad hoc** | VPIC 1.2 per-ISA intrinsics (AVX/AVX2/AVX512/NEON/Altivec) | `v8::V8F32` over AVX2 (x86-64 only) for the push where the CPU has it, detected at run time; [`v4::V4F32`] over SSE for the grid kernels and on x86-64 without AVX2 (scalar off x86-64) |
 //!
 //! The actual kernels written in each strategy live in the `rajaperf`
 //! crate (microbenchmarks) and `vpic-core`, whose grid kernels are generic
@@ -30,8 +30,10 @@ pub mod stencil;
 pub mod strategy;
 pub mod transpose;
 pub mod v4;
+#[cfg(target_arch = "x86_64")]
+pub mod v8;
 
-pub use push_lane::{PushLane, Xyz};
+pub use push_lane::{PushLane, Xyz, MAX_LANES};
 pub use simd::{SimdF32, SimdF64};
 pub use stencil::StencilLane;
 pub use strategy::Strategy;

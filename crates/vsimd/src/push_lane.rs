@@ -2,14 +2,15 @@
 //!
 //! The push in `vpic-core` is written once over [`PushLane`] and
 //! instantiated per [`crate::Strategy`]: `f32` (one particle per group,
-//! the reference op tree), [`SimdF32<4>`] (*manual*) and [`V4F32`]
-//! (*ad hoc*). On top of [`StencilLane`]'s `+`, `−`, `×` it needs the two
+//! the reference op tree), [`SimdF32<4>`] (*manual*) and, for *ad hoc*,
+//! `V8F32` (AVX2, x86-64 only) where the CPU has AVX2 and [`V4F32`]
+//! elsewhere. On top of [`StencilLane`]'s `+`, `−`, `×` it needs the two
 //! other IEEE-754 correctly-rounded operations (`÷`, `√` — exact at every
 //! width, unlike `rsqrt` or a fused multiply-add, which stay out for the
 //! reason given in [`crate::stencil`]), a range comparison packed into
 //! bits for the in-cell test, and the AoS ⇄ SoA register transposes that turn
-//! four per-cell records into lane vectors and twelve lane vectors back
-//! into one accumulator row per particle.
+//! one per-cell record per lane into lane vectors and twelve lane vectors
+//! back into one accumulator row per particle.
 
 use crate::simd::SimdF32;
 use crate::stencil::StencilLane;
@@ -33,12 +34,6 @@ impl<L: Copy> Xyz<L> {
     #[inline(always)]
     pub fn map(self, f: impl Fn(L) -> L) -> Self {
         Self { x: f(self.x), y: f(self.y), z: f(self.z) }
-    }
-
-    /// `f` applied per axis to `self` and `other`.
-    #[inline(always)]
-    pub fn zip(self, other: Self, f: impl Fn(L, L) -> L) -> Self {
-        Self { x: f(self.x, other.x), y: f(self.y, other.y), z: f(self.z, other.z) }
     }
 }
 
@@ -70,7 +65,12 @@ impl<L: StencilLane> Xyz<L> {
     }
 }
 
-/// One group of particles in lanes. `LANES` is 1 or 4.
+/// The widest lane type's width: the row count of every transposed load
+/// and store, whatever the lane type (a narrower one uses the first
+/// `LANES` rows).
+pub const MAX_LANES: usize = 8;
+
+/// One group of particles in lanes. `LANES` is 1, 4 or 8.
 ///
 /// Like [`StencilLane`], implementations are *width-transparent*: lane
 /// `l` of every result is the scalar operation applied to lane `l` of the
@@ -88,18 +88,18 @@ pub trait PushLane: StencilLane {
 
     /// Transposed load (AoS → SoA): the `N`-field records `rows[..LANES]`
     /// as `N` lane vectors, lane `l` of `out[k]` being `rows[l][k]`.
-    fn load_tr<const N: usize>(rows: [&[f32; N]; 4]) -> [Self; N];
+    fn load_tr<const N: usize>(rows: [&[f32; N]; MAX_LANES]) -> [Self; N];
 
     /// Transposed store (SoA → AoS), the inverse of [`PushLane::load_tr`]:
     /// `rows[l][k]` becomes lane `l` of `cols[k]` for the first `LANES`
     /// rows.
-    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; 4]);
+    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; MAX_LANES]);
 }
 
 /// The 4-wide blocks that cover `0..n` (`n ≥ 4`): every fourth offset, and
 /// one last block ending at `n` when `n` is not a multiple of 4.
 #[inline(always)]
-fn blocks(n: usize) -> impl Iterator<Item = usize> {
+pub(crate) fn blocks(n: usize) -> impl Iterator<Item = usize> {
     (0..n - n % 4).step_by(4).chain((!n.is_multiple_of(4)).then_some(n - 4))
 }
 
@@ -107,12 +107,13 @@ fn blocks(n: usize) -> impl Iterator<Item = usize> {
 /// block of four fields.
 #[inline(always)]
 fn load_tr_4<L: StencilLane, const N: usize>(
-    rows: [&[f32; N]; 4],
+    rows: [&[f32; N]; MAX_LANES],
     transpose: impl Fn([L; 4]) -> [L; 4],
 ) -> [L; N] {
     let mut cols = [L::splat(0.0); N];
     for offset in blocks(N) {
-        cols[offset..offset + 4].copy_from_slice(&transpose(rows.map(|r| L::load(r, offset))));
+        let block = [0, 1, 2, 3].map(|l| L::load(rows[l], offset));
+        cols[offset..offset + 4].copy_from_slice(&transpose(block));
     }
     cols
 }
@@ -121,7 +122,7 @@ fn load_tr_4<L: StencilLane, const N: usize>(
 #[inline(always)]
 fn store_tr_4<L: StencilLane, const N: usize>(
     cols: [L; N],
-    rows: &mut [[f32; N]; 4],
+    rows: &mut [[f32; N]; MAX_LANES],
     transpose: impl Fn([L; 4]) -> [L; 4],
 ) {
     for offset in blocks(N) {
@@ -149,12 +150,12 @@ impl PushLane for f32 {
     }
 
     #[inline(always)]
-    fn load_tr<const N: usize>(rows: [&[f32; N]; 4]) -> [Self; N] {
+    fn load_tr<const N: usize>(rows: [&[f32; N]; MAX_LANES]) -> [Self; N] {
         *rows[0]
     }
 
     #[inline(always)]
-    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; 4]) {
+    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; MAX_LANES]) {
         rows[0] = cols;
     }
 }
@@ -182,7 +183,7 @@ impl PushLane for SimdF32<4> {
     }
 
     #[inline(always)]
-    fn load_tr<const N: usize>(rows: [&[f32; N]; 4]) -> [Self; N] {
+    fn load_tr<const N: usize>(rows: [&[f32; N]; MAX_LANES]) -> [Self; N] {
         load_tr_4(rows, transpose_4x4)
     }
 
@@ -193,7 +194,7 @@ impl PushLane for SimdF32<4> {
     // weights: 12 `divss` and 52 `mulss` per group). Behind a call the
     // lane vectors arrive whole.
     #[inline(never)]
-    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; 4]) {
+    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; MAX_LANES]) {
         store_tr_4(cols, rows, transpose_4x4)
     }
 }
@@ -215,12 +216,12 @@ impl PushLane for V4F32 {
     }
 
     #[inline(always)]
-    fn load_tr<const N: usize>(rows: [&[f32; N]; 4]) -> [Self; N] {
+    fn load_tr<const N: usize>(rows: [&[f32; N]; MAX_LANES]) -> [Self; N] {
         load_tr_4(rows, V4F32::transpose)
     }
 
     #[inline(always)]
-    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; 4]) {
+    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; MAX_LANES]) {
         store_tr_4(cols, rows, V4F32::transpose)
     }
 }
@@ -229,34 +230,33 @@ impl PushLane for V4F32 {
 mod tests {
     use super::*;
 
-    /// `1 / sqrt(1 + a²)` and an in-range test, per lane.
-    fn body<L: PushLane>(a: &[f32], out: &mut [f32]) -> u32 {
-        let one = L::splat(1.0);
-        let v = L::load(a, 0);
-        let r = one.div(one.add(v.mul(v)).sqrt());
-        r.store(out, 0);
-        v.within_bits(L::splat(-1.0), one)
+    /// `1 / sqrt(1 + a²)` and an in-range test, per lane, over `a` in
+    /// groups of `L::LANES`.
+    fn body<L: PushLane>(a: &[f32; 8]) -> ([u32; 8], u32) {
+        let (one, mut out, mut bits) = (L::splat(1.0), [0.0f32; 8], 0);
+        for g in (0..8).step_by(L::LANES) {
+            let v = L::load(a, g);
+            one.div(one.add(v.mul(v)).sqrt()).store(&mut out, g);
+            bits |= v.within_bits(L::splat(-1.0), one) << g;
+        }
+        (out.map(f32::to_bits), bits)
     }
 
     #[test]
     fn all_widths_agree_bitwise_on_div_sqrt_and_compare() {
-        let a = [0.3f32, -1.0, f32::NAN, 1.0000001];
-        let (mut manual, mut adhoc) = ([0.0f32; 4], [0.0f32; 4]);
-        let manual_bits = body::<SimdF32<4>>(&a, &mut manual);
-        let adhoc_bits = body::<V4F32>(&a, &mut adhoc);
-        assert_eq!(manual_bits, 0b0011, "NaN and 1 + ulp are outside [-1, 1]");
-        assert_eq!(adhoc_bits, manual_bits);
-        for l in 0..4 {
-            let mut scalar = [0.0f32];
-            let bit = body::<f32>(&a[l..], &mut scalar);
-            assert_eq!(bit, (manual_bits >> l) & 1, "lane {l}");
-            assert_eq!(scalar[0].to_bits(), manual[l].to_bits(), "manual lane {l}");
-            assert_eq!(scalar[0].to_bits(), adhoc[l].to_bits(), "adhoc lane {l}");
+        let a = [0.3f32, -1.0, f32::NAN, 1.0000001, -0.0, 2.5, -1.0000001, 1.0];
+        let scalar = body::<f32>(&a);
+        assert_eq!(scalar.1, 0b1001_0011, "NaN and 1 ± ulp are outside [-1, 1]");
+        assert_eq!(body::<SimdF32<4>>(&a), scalar, "manual");
+        assert_eq!(body::<V4F32>(&a), scalar, "ad hoc, SSE");
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(body::<crate::v8::V8F32>(&a), scalar, "ad hoc, AVX2");
         }
     }
 
     fn tr_roundtrip<L: PushLane, const N: usize>() {
-        let records: [[f32; N]; 4] =
+        let records: [[f32; N]; MAX_LANES] =
             std::array::from_fn(|r| std::array::from_fn(|f| (100 * r + f) as f32));
         let cols = L::load_tr(std::array::from_fn(|r| &records[r]));
         for (k, col) in cols.iter().enumerate() {
@@ -264,7 +264,7 @@ mod tests {
                 assert_eq!(col.extract(l), record[k], "{N} fields: field {k} lane {l}");
             }
         }
-        let mut back = [[-1.0f32; N]; 4];
+        let mut back = [[-1.0f32; N]; MAX_LANES];
         L::store_tr(cols, &mut back);
         for (l, row) in back.iter().enumerate() {
             let want = if l < L::LANES { records[l] } else { [-1.0; N] };
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn transposed_load_and_store_are_inverse_at_every_width() {
         // the accumulator row (whole blocks), the interpolator record (a
-        // last block that overlaps) and one block
+        // last block that overlaps) and one block, over eight records
         tr_roundtrip::<f32, 12>();
         tr_roundtrip::<SimdF32<4>, 12>();
         tr_roundtrip::<V4F32, 12>();
@@ -283,6 +283,12 @@ mod tests {
         tr_roundtrip::<SimdF32<4>, 18>();
         tr_roundtrip::<V4F32, 18>();
         tr_roundtrip::<V4F32, 4>();
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            tr_roundtrip::<crate::v8::V8F32, 12>();
+            tr_roundtrip::<crate::v8::V8F32, 18>();
+            tr_roundtrip::<crate::v8::V8F32, 4>();
+        }
     }
 
     #[test]
@@ -297,6 +303,5 @@ mod tests {
         let one_two_three = Xyz::<f32>::splat(1.0, 2.0, 3.0);
         assert_eq!(one_two_three, Xyz { x: 1.0, y: 2.0, z: 3.0 });
         assert_eq!(one_two_three.map(|v| v * 2.0), Xyz { x: 2.0, y: 4.0, z: 6.0 });
-        assert_eq!(one_two_three.zip(one_two_three, f32::mul), Xyz { x: 1.0, y: 4.0, z: 9.0 });
     }
 }
