@@ -20,12 +20,16 @@
 //! `1/dt` factor (unit cells) and adds each slot to its Yee edge. It is
 //! an edge-owned gather that reads the fixed-point lanes where they lie
 //! (VPIC's `unload_accumulator_array` reads the accumulator it is given,
-//! once): no dequantized copy of the slots is made first.
+//! once): no dequantized copy of the slots is made first. The unload
+//! consumes the accumulator: the last gather row to read a grid row zeroes
+//! it while it is still in cache, so the [`Accumulator::reset`] before the
+//! next deposits has nothing to sweep.
 
 use crate::field::FieldArray;
-use crate::grid::{Grid, StencilSide};
+use crate::grid::{Grid, RowStencil, StencilSide};
 use pk::atomic::{Claim, FixedScatterBuf, LaneWriter, ScatterMode};
 use pk::{ExecSpace, SendPtr, Serial};
+use std::sync::atomic::{AtomicU8, Ordering};
 use vsimd::{PushLane, Strategy, Xyz};
 
 /// Accumulator slots per cell: 4 edges × 3 components.
@@ -42,13 +46,16 @@ pub const SLOTS: usize = 12;
 pub struct Accumulator {
     buf: FixedScatterBuf,
     cells: usize,
+    /// Per grid row, how many gather rows of the running unload have yet
+    /// to read it: step-persistent scratch, sized at the first unload.
+    unread: Vec<AtomicU8>,
 }
 
 impl Accumulator {
     /// A zeroed accumulator for `cells` cells and up to `workers`
     /// concurrent writers in the given scatter mode.
     pub fn new(cells: usize, workers: usize, mode: ScatterMode) -> Self {
-        Self { buf: FixedScatterBuf::new(cells * SLOTS, workers, mode), cells }
+        Self { buf: FixedScatterBuf::new(cells * SLOTS, workers, mode), cells, unread: Vec::new() }
     }
 
     /// Number of cells covered.
@@ -61,15 +68,24 @@ impl Accumulator {
         self.buf.mode()
     }
 
-    /// Zero all slots, each lane under a sole claim. Like the other
-    /// methods that take a claim for their duration ([`deposit_segment`],
-    /// `set_cell_raw`), it must not be called by a thread that holds a
-    /// [`RunDepositor`] on this accumulator: claims are not re-entrant,
-    /// and the thread would wait for itself.
+    /// Zero all slots, each lane under a sole claim — or nothing at all
+    /// when no deposit has landed since the accumulator was last zero: the
+    /// unload consumes the accumulator, so a reset between an unload and
+    /// the next push costs nothing. Like the other methods that take a
+    /// claim for their duration ([`deposit_segment`], `set_cell_raw`), it
+    /// must not be called by a thread that holds a [`RunDepositor`] on
+    /// this accumulator: claims are not re-entrant, and the thread would
+    /// wait for itself.
     ///
     /// [`deposit_segment`]: Accumulator::deposit_segment
     pub fn reset(&self) {
         self.buf.reset();
+    }
+
+    /// Capacity of the unload's one step-persistent scratch, the per-row
+    /// countdown, for no-alloc-after-warmup assertions.
+    pub(crate) fn unload_scratch_capacity(&self) -> usize {
+        self.unread.capacity()
     }
 
     /// A depositor writing on behalf of `worker`, holding `claim` on its
@@ -142,8 +158,9 @@ impl Accumulator {
         self.buf.set_raw_run(cell * SLOTS, raw);
     }
 
-    /// Convert accumulated charge-displacements to current density and
-    /// add into the field's J arrays (VPIC's `unload_accumulator_array`).
+    /// Convert accumulated charge-displacements to current density, add
+    /// into the field's J arrays (VPIC's `unload_accumulator_array`), and
+    /// leave every slot zero: the unload consumes the accumulator.
     ///
     /// Cell `v`'s slot `(a, b)` of the x-component belongs to the Yee
     /// x-edge of voxel `v + a·ŷ + b·ẑ` (periodic), and similarly for the
@@ -169,24 +186,73 @@ impl Accumulator {
     /// copy of the accumulator. The gather is `f64` and `vsimd` has no
     /// `f64` lane type, so there is one fused loop and `strategy` does not
     /// choose anything here.
+    ///
+    /// The unload consumes the accumulator. A gather row reads four grid
+    /// rows (its minus-side stencil), and each grid row is read by a fixed
+    /// number of distinct gather rows. A per-row countdown counts those
+    /// readers down as their edges finish, and the reader that takes it to
+    /// zero zeroes the row in every lane — about `ny + 1` rows after its
+    /// first reader in a serial sweep, so the row is still in cache. Every
+    /// slot is read before it is zeroed, whatever the schedule, so J is
+    /// what a non-consuming gather gives; a panic part way leaves the
+    /// accumulator dirty, and the next [`Accumulator::reset`] sweeps it.
     pub fn unload_on<S: ExecSpace>(&mut self, space: &S, _strategy: Strategy, f: &mut FieldArray) {
-        assert_eq!(f.grid.cells(), self.cells, "accumulator/grid mismatch");
-        let mut lanes = self.buf.lane_totals();
-        let first = lanes.next().expect("a buffer has at least one lane");
-        // counted here, once, so the cell loop of a buffer without
-        // replicas has no replica loop in it
-        if lanes.len() == 0 {
-            gather_rows(space, f, |i| first.raw(i));
-        } else {
-            gather_rows(space, f, |i| {
-                lanes.clone().fold(first.raw(i), |sum, lane| sum.wrapping_add(lane.raw(i)))
-            });
+        let g = &f.grid;
+        assert_eq!(g.cells(), self.cells, "accumulator/grid mismatch");
+        // a row's readers are the rows one step up y, up z and up both,
+        // and itself; along a dimension of one cell they coincide
+        let readers = (1 + u8::from(g.ny > 1)) * (1 + u8::from(g.nz > 1));
+        self.unread.resize_with(g.rows(), AtomicU8::default);
+        for n in &mut self.unread {
+            *n.get_mut() = readers;
         }
+        let (buf, unread, nx) = (&self.buf, &self.unread[..], g.nx);
+        let consume = move |st: RowStencil| {
+            let bases = [st.row, st.y, st.z, st.yz];
+            for (k, &base) in bases.iter().enumerate() {
+                // a row the stencil names twice counts down once
+                if bases[..k].contains(&base) {
+                    continue;
+                }
+                if unread[base / nx].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // SAFETY: this is the row's last reader. Each other reader
+                    // counted down after its reads (release) and this
+                    // decrement acquired them all, so every read of the row
+                    // happens before these writes; `&mut self` keeps every
+                    // other user of the buffer out until the sweep returns.
+                    unsafe { buf.zero_run(base * SLOTS..(base + nx) * SLOTS) };
+                }
+            }
+        };
+        {
+            let mut lanes = self.buf.lane_totals();
+            let first = lanes.next().expect("a buffer has at least one lane");
+            // counted here, once, so the cell loop of a buffer without
+            // replicas has no replica loop in it
+            if lanes.len() == 0 {
+                gather_rows(space, f, |i| first.raw(i), consume);
+            } else {
+                gather_rows(
+                    space,
+                    f,
+                    |i| lanes.clone().fold(first.raw(i), |sum, lane| sum.wrapping_add(lane.raw(i))),
+                    consume,
+                );
+            }
+        }
+        // only once every row is zero: an unload that panicked stays dirty
+        self.buf.mark_clean();
     }
 }
 
-/// The unload's row sweep over slot totals read through `raw`.
-fn gather_rows<S: ExecSpace>(space: &S, f: &mut FieldArray, raw: impl Fn(usize) -> i64 + Sync) {
+/// The unload's row sweep over slot totals read through `raw`, handing
+/// each row's stencil to `gathered` once its edges are written.
+fn gather_rows<S: ExecSpace>(
+    space: &S,
+    f: &mut FieldArray,
+    raw: impl Fn(usize) -> i64 + Sync,
+    gathered: impl Fn(RowStencil) + Sync,
+) {
     let FieldArray { grid: g, jx, jy, jz, .. } = f;
     // widen the same f32 constant the scatter reference uses
     let rdt = (1.0f32 / g.dt) as f64;
@@ -194,7 +260,7 @@ fn gather_rows<S: ExecSpace>(space: &S, f: &mut FieldArray, raw: impl Fn(usize) 
     let pjx = SendPtr::new(jx.as_mut_ptr());
     let pjy = SendPtr::new(jy.as_mut_ptr());
     let pjz = SendPtr::new(jz.as_mut_ptr());
-    let (g, raw) = (&*g, &raw);
+    let (g, raw, gathered) = (&*g, &raw, &gathered);
     space.parallel_for(g.rows(), move |r| {
         let st = g.row_stencil(r, StencilSide::Minus);
         // SAFETY: rows are disjoint; this invocation exclusively owns
@@ -220,6 +286,7 @@ fn gather_rows<S: ExecSpace>(space: &S, f: &mut FieldArray, raw: impl Fn(usize) 
         }
         // the end cell's −x neighbor is the row's last cell
         edges(0, nx - 1);
+        gathered(st);
     });
 }
 
@@ -567,14 +634,15 @@ mod tests {
     #[test]
     fn gather_unload_bit_identical_across_spaces_and_strategies() {
         let g = Grid::new(5, 4, 3);
-        let mut acc = seeded_accumulator(&g, 3, ScatterMode::Duplicated);
+        // a fresh accumulator per unload: the unload consumes it
+        let seeded = || seeded_accumulator(&g, 3, ScatterMode::Duplicated);
         let mut reference = FieldArray::new(g.clone());
-        acc.unload(&mut reference);
+        seeded().unload(&mut reference);
         for strategy in Strategy::ALL {
             for workers in [1, 2, 4, 7] {
                 let threads = pk::Threads::new(workers);
                 let mut f = FieldArray::new(g.clone());
-                acc.unload_on(&threads, strategy, &mut f);
+                seeded().unload_on(&threads, strategy, &mut f);
                 assert_eq!(reference.jx, f.jx, "{strategy:?} {workers} workers");
                 assert_eq!(reference.jy, f.jy, "{strategy:?} {workers} workers");
                 assert_eq!(reference.jz, f.jz, "{strategy:?} {workers} workers");
@@ -630,20 +698,95 @@ mod tests {
                 (2, ScatterMode::Duplicated),
                 (3, ScatterMode::Duplicated),
             ] {
-                let mut acc = seeded_accumulator(&g, workers, mode);
-                merge_large_raws(&acc);
+                // a fresh accumulator per unload: the unload consumes it
+                let seeded = || {
+                    let acc = seeded_accumulator(&g, workers, mode);
+                    merge_large_raws(&acc);
+                    acc
+                };
                 let mut reference = start.clone();
-                unload_edge_ref(&acc, &mut reference);
+                unload_edge_ref(&seeded(), &mut reference);
                 let what = format!("({nx},{ny},{nz}) {mode:?} × {workers}");
                 let mut serial = start.clone();
-                acc.unload_on(&Serial, Strategy::default(), &mut serial);
+                seeded().unload_on(&Serial, Strategy::default(), &mut serial);
                 assert_eq!(j_bits(&reference), j_bits(&serial), "serial {what}");
                 for lanes in [1, 2, 4, 7] {
                     let mut threaded = start.clone();
-                    acc.unload_on(&pk::Threads::new(lanes), Strategy::default(), &mut threaded);
+                    seeded().unload_on(&pk::Threads::new(lanes), Strategy::default(), &mut threaded);
                     assert_eq!(j_bits(&reference), j_bits(&threaded), "{lanes} threads {what}");
                 }
             }
+        }
+    }
+
+    /// Every slot of every lane, by raw value.
+    fn lane_raws(acc: &Accumulator) -> Vec<i64> {
+        acc.buf.lane_totals().flat_map(|lane| (0..acc.cells * SLOTS).map(move |i| lane.raw(i))).collect()
+    }
+
+    #[test]
+    fn the_unload_consumes_the_accumulator_on_every_schedule() {
+        // the grid shapes the tests above use, 1- and 2-cell dimensions
+        // among them (rows that are their own y or z neighbors)
+        for (nx, ny, nz) in [(5, 4, 3), (2, 2, 2), (1, 4, 4), (6, 1, 2), (3, 1, 1), (1, 1, 1)] {
+            let g = Grid::new(nx, ny, nz);
+            for (workers, mode) in [
+                (1, ScatterMode::Atomic),
+                (1, ScatterMode::Duplicated),
+                (2, ScatterMode::Duplicated),
+                (3, ScatterMode::Duplicated),
+            ] {
+                let mut reference = FieldArray::new(g.clone());
+                unload_edge_ref(&seeded_accumulator(&g, workers, mode), &mut reference);
+                let check = |space: &str, unload: &dyn Fn(&mut Accumulator, &mut FieldArray)| {
+                    let what = format!("{space} ({nx},{ny},{nz}) {mode:?} × {workers}");
+                    let mut acc = seeded_accumulator(&g, workers, mode);
+                    assert!(lane_raws(&acc).iter().any(|&r| r != 0), "{what}: nothing deposited");
+                    let mut f = FieldArray::new(g.clone());
+                    unload(&mut acc, &mut f);
+                    assert_eq!(j_bits(&reference), j_bits(&f), "{what}: J");
+                    assert!(lane_raws(&acc).iter().all(|&r| r == 0), "{what}: a slot survived");
+                    assert!(!acc.buf.is_dirty(), "{what}: still dirty");
+                };
+                check("serial", &|acc, f| acc.unload_on(&Serial, Strategy::default(), f));
+                for lanes in [1, 2, 4, 7] {
+                    let pool = pk::Threads::new(lanes);
+                    check(&format!("{lanes} threads"), &|acc, f| acc.unload_on(&pool, Strategy::default(), f));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_after_a_consuming_unload_makes_the_next_reset_sweep() {
+        let g = Grid::new(3, 2, 2);
+        for what in ["claim", "set_cell_raw"] {
+            let mut acc = seeded_accumulator(&g, 2, ScatterMode::Duplicated);
+            acc.unload(&mut FieldArray::new(g.clone()));
+            if what == "claim" {
+                acc.deposit_segment(1, 4, -0.5, 0.1, 0.2, 0.5, 0.3, -0.1, 1.0);
+            } else {
+                acc.set_cell_raw(4, &std::array::from_fn(|s| s as i64 - 5));
+            }
+            assert!(acc.buf.is_dirty(), "{what}");
+            assert_ne!(acc.cell_raw(4), [0; SLOTS], "{what}");
+            acc.reset();
+            assert!(lane_raws(&acc).iter().all(|&r| r == 0), "{what}: the reset did not sweep");
+        }
+    }
+
+    #[test]
+    fn reset_of_a_clean_accumulator_leaves_it_untouched() {
+        // a new accumulator, and one the unload consumed: neither holds a
+        // deposit, and a reset finds both clean and leaves them so
+        let g = Grid::new(4, 3, 2);
+        let mut consumed = seeded_accumulator(&g, 2, ScatterMode::Duplicated);
+        consumed.unload(&mut FieldArray::new(g.clone()));
+        for acc in [Accumulator::new(g.cells(), 2, ScatterMode::Duplicated), consumed] {
+            assert!(!acc.buf.is_dirty());
+            acc.reset();
+            assert!(!acc.buf.is_dirty());
+            assert!(lane_raws(&acc).iter().all(|&r| r == 0));
         }
     }
 

@@ -399,9 +399,10 @@ impl Simulation {
 
     /// The particle half of a step, written once for every driver:
     /// refresh the interpolators from the fields, clear J, reset the
-    /// accumulator, then push — tile by tile through the engine while
-    /// tiling is enabled (DESIGN §14), else species by species over the
-    /// SoA arrays. Deposits land in the accumulator either way.
+    /// accumulator (free when the last unload consumed it), then push —
+    /// tile by tile through the engine while tiling is enabled (DESIGN
+    /// §14), else species by species over the SoA arrays. Deposits land in
+    /// the accumulator either way.
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
         {
             let _s = telemetry::span("sim.interpolate");
@@ -546,10 +547,16 @@ impl Simulation {
         worst
     }
 
-    /// Capacity of the field pipeline's one step-persistent scratch, the
-    /// interpolator buffer, for no-alloc-after-warmup assertions.
+    /// Capacity of the field pipeline's step-persistent interpolator
+    /// buffer, for no-alloc-after-warmup assertions.
     pub fn field_scratch_capacity(&self) -> usize {
         self.interp.capacity()
+    }
+
+    /// Capacity of the unload's step-persistent scratch, its per-row
+    /// countdown, for the same assertions.
+    pub fn unload_scratch_capacity(&self) -> usize {
+        self.acc.unload_scratch_capacity()
     }
 
     /// Rebuild the accumulator for a different worker count / scatter
@@ -581,8 +588,9 @@ impl Simulation {
     }
 
     /// Second phase of a decomposed step: fold the (halo-merged)
-    /// accumulator into J. Must run after every rank-boundary partial
-    /// has been merged via [`Simulation::acc_set_cell_raw`].
+    /// accumulator into J, which leaves it zero. Must run after every
+    /// rank-boundary partial has been merged via
+    /// [`Simulation::acc_set_cell_raw`].
     pub fn unload_currents(&mut self) {
         let _s = telemetry::span("sim.accumulate");
         self.acc.unload_on(&Serial, self.strategy, &mut self.fields);

@@ -11,7 +11,8 @@
 //! its lane, *sole* or *shared*, and only shared lanes pay for atomic
 //! read-modify-writes.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A shared buffer of `f64` accumulators addressable from many threads —
@@ -257,11 +258,25 @@ impl LaneTotals<'_> {
 /// two kinds wait for each other instead of losing an add. Reads
 /// (`get_raw`, `lane_totals`, `collect`) take no claim; they are exact
 /// once the writers are done.
+///
+/// A buffer knows whether it may hold a nonzero slot: every claim and
+/// [`FixedScatterBuf::set_raw_run`] mark it dirty, and
+/// [`FixedScatterBuf::reset`] of a clean buffer returns at once. A gather
+/// that reads each run for the last time can zero it while it is still
+/// in cache ([`FixedScatterBuf::zero_run`]) and then
+/// [`FixedScatterBuf::mark_clean`] the buffer, so the reset before the
+/// next deposits sweeps nothing.
 #[derive(Debug)]
 pub struct FixedScatterBuf {
     mode: ScatterMode,
     /// The shared lane alone ([`ScatterMode::Atomic`]), or the replicas.
     lanes: Vec<Lane>,
+    /// Whether a slot may be nonzero: set by every claim, cleared by a
+    /// `reset` and by `mark_clean`. Relaxed is enough: it publishes no
+    /// slot (those are reached under the lane locks), and a `reset` that a
+    /// writer happens before sees that writer's store by coherence; one
+    /// that races with a writer is a caller's race no ordering would fix.
+    dirty: AtomicBool,
 }
 
 impl FixedScatterBuf {
@@ -272,7 +287,7 @@ impl FixedScatterBuf {
             ScatterMode::Atomic => 1,
             ScatterMode::Duplicated => workers.max(1),
         };
-        Self { mode, lanes: (0..lanes).map(|_| Lane::zeros(len)).collect() }
+        Self { mode, lanes: (0..lanes).map(|_| Lane::zeros(len)).collect(), dirty: AtomicBool::new(false) }
     }
 
     /// The contention strategy in use.
@@ -332,10 +347,23 @@ impl FixedScatterBuf {
     /// hold it for the returned writer's lifetime. A sole claim waits for
     /// every other writer of that lane to finish, a shared claim for a
     /// sole one; so two writers that both believe they are alone, or more
-    /// blocks than replicas, take turns.
+    /// blocks than replicas, take turns. Marks the buffer dirty once the
+    /// claim is held, so a `reset` that swept the lane before it still
+    /// leaves the buffer dirty.
     #[inline]
     pub fn claim(&self, worker: usize, claim: Claim) -> LaneWriter<'_> {
-        self.lanes[worker % self.lanes.len()].claim(claim)
+        let writer = self.lanes[worker % self.lanes.len()].claim(claim);
+        // a load first: claims on a dirty buffer leave its line shared
+        if !self.dirty.load(Ordering::Relaxed) {
+            self.dirty.store(true, Ordering::Relaxed);
+        }
+        writer
+    }
+
+    /// Whether a slot may be nonzero, i.e. whether [`FixedScatterBuf::reset`]
+    /// would sweep.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty.load(Ordering::Relaxed)
     }
 
     /// Every lane, read-only and in replica order (never empty): the
@@ -373,8 +401,8 @@ impl FixedScatterBuf {
     /// fill, which replaces boundary-slot totals with the owner's merged
     /// values.
     pub fn set_raw_run(&self, base: usize, raws: &[i64]) {
-        for (l, lane) in self.lanes.iter().enumerate() {
-            let writer = lane.claim(Claim::Sole);
+        for l in 0..self.lanes.len() {
+            let writer = self.claim(l, Claim::Sole);
             for (slot, &raw) in writer.slots[base..base + raws.len()].iter().zip(raws) {
                 slot.store(if l == 0 { raw } else { 0 }, Ordering::Relaxed);
             }
@@ -386,14 +414,57 @@ impl FixedScatterBuf {
         self.raw_totals().map(Self::dequantize).collect()
     }
 
-    /// Zero every accumulator, each lane under a sole claim.
+    /// Zero every accumulator, each lane under a sole claim; a clean
+    /// buffer (nothing claimed since it was last known zero) returns at
+    /// once. The flag is cleared before the sweep, so a claim that lands
+    /// behind the sweep leaves the buffer dirty.
     pub fn reset(&self) {
+        if !self.dirty.swap(false, Ordering::Relaxed) {
+            return;
+        }
         for lane in &self.lanes {
             let writer = lane.claim(Claim::Sole);
             for c in writer.slots {
                 c.store(0, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Zero the accumulators in `run` in every lane, one `memset` per lane
+    /// and no claim: what a gather does to a run it has read for the last
+    /// time, while the run is still in cache. A run outside the buffer
+    /// panics.
+    ///
+    /// # Safety
+    ///
+    /// No other thread may read or write a slot of `run` during the call:
+    /// every other access to those slots must happen before the call or
+    /// after it.
+    pub unsafe fn zero_run(&self, run: Range<usize>) {
+        for lane in &self.lanes {
+            // the bounds check every build makes, not only debug ones: an
+            // out-of-range run would otherwise write past the lane
+            let slots = &lane.slots[run.clone()];
+            // SAFETY: `slots` is in bounds (a checked slice), an `AtomicI64`
+            // is an `i64` in an `UnsafeCell` — so writing through a pointer
+            // from a shared borrow is allowed and all-zero bytes are a valid
+            // value — and the caller rules out every access these plain
+            // writes could race with.
+            unsafe { slots.as_ptr().cast_mut().write_bytes(0, slots.len()) };
+        }
+    }
+
+    /// Record that every accumulator is zero, so the next `reset` returns
+    /// at once: what a gather calls once its [`FixedScatterBuf::zero_run`]s
+    /// have covered the buffer. Only then, so a gather that panicked part
+    /// way leaves the buffer dirty and the next `reset` sweeps it. Debug
+    /// builds check the claim.
+    pub fn mark_clean(&mut self) {
+        debug_assert!(
+            self.lanes.iter().all(|l| l.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0)),
+            "a buffer marked clean holds a nonzero slot"
+        );
+        *self.dirty.get_mut() = false;
     }
 }
 
@@ -566,5 +637,87 @@ mod tests {
         assert_eq!(buf.get_raw(1), 1 + 5 * 3 * per_block);
         let lane = buf.claim(1, Claim::Sole);
         assert_eq!((lane.len(), lane.is_empty()), (2, false));
+    }
+
+    #[test]
+    fn every_writer_marks_the_buffer_dirty_and_only_a_sweep_cleans_it() {
+        let mut buf = FixedScatterBuf::new(4, 2, ScatterMode::Duplicated);
+        assert!(!buf.is_dirty(), "a new buffer is zero");
+        drop(buf.claim(1, Claim::Shared));
+        assert!(buf.is_dirty(), "a claim, even one that adds nothing");
+        buf.reset();
+        assert!(!buf.is_dirty());
+        buf.set_raw_run(1, &[3]);
+        assert!(buf.is_dirty(), "set_raw_run");
+        // SAFETY: this thread is the buffer's only user.
+        unsafe { buf.zero_run(0..4) };
+        assert!(buf.is_dirty(), "zeroing runs does not clean the buffer");
+        buf.mark_clean();
+        assert!(!buf.is_dirty());
+    }
+
+    #[test]
+    fn reset_of_a_clean_buffer_touches_nothing() {
+        let buf = FixedScatterBuf::new(3, 2, ScatterMode::Duplicated);
+        // a value no writer put there, so the buffer still counts as clean
+        buf.lanes[1].slots[2].store(42, Ordering::Relaxed);
+        buf.reset();
+        assert_eq!(buf.get_raw(2), 42, "a reset of a clean buffer swept it");
+        add(&buf, 0, 0, 1.0);
+        buf.reset();
+        assert!(buf.lane_totals().all(|lane| (0..3).all(|i| lane.raw(i) == 0)));
+    }
+
+    #[test]
+    fn zero_run_clears_the_run_in_every_lane_and_nothing_else() {
+        for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
+            let buf = FixedScatterBuf::new(6, 3, mode);
+            for worker in 0..3 {
+                buf.claim(worker, Claim::Sole).add_raw_run(0, &[1, 2, 3, 4, 5, 6]);
+            }
+            // SAFETY: this thread is the buffer's only user.
+            unsafe { buf.zero_run(2..5) };
+            let k = 3 / buf.lane_totals().len() as i64;
+            for lane in buf.lane_totals() {
+                assert_eq!((0..6).map(|i| lane.raw(i)).collect::<Vec<_>>(), [k, 2 * k, 0, 0, 0, 6 * k]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn zero_run_outside_the_buffer_panics() {
+        let buf = FixedScatterBuf::new(4, 1, ScatterMode::Atomic);
+        // SAFETY: this thread is the buffer's only user.
+        unsafe { buf.zero_run(2..5) };
+    }
+
+    #[test]
+    fn disjoint_zero_runs_beside_a_reader_of_a_third_run() {
+        // two threads zero their own runs while a third reads another run;
+        // what Miri checks is that the plain writes race with no access
+        let buf = FixedScatterBuf::new(12, 2, ScatterMode::Duplicated);
+        for worker in 0..2 {
+            buf.claim(worker, Claim::Sole).add_raw_run(0, &[7; 12]);
+        }
+        let start = std::sync::Barrier::new(3);
+        let read = std::thread::scope(|scope| {
+            for run in [0..4, 4..8] {
+                let (buf, start) = (&buf, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // SAFETY: the runs are disjoint and nobody else reads them.
+                    unsafe { buf.zero_run(run) };
+                });
+            }
+            let reader = scope.spawn(|| {
+                start.wait();
+                (8..12).map(|i| buf.get_raw(i)).sum::<i64>()
+            });
+            reader.join().expect("the reader does not panic")
+        });
+        assert_eq!(read, 4 * 14);
+        let totals: Vec<i64> = (0..12).map(|i| buf.get_raw(i)).collect();
+        assert_eq!(totals, [[0; 8].as_slice(), &[14; 4]].concat());
     }
 }

@@ -248,9 +248,10 @@ impl WorkerPool {
         // thread. Poisoning is ignored: a panicking kernel is re-raised
         // by `run` itself and must not wedge the pool.
         let _dispatch = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        // Erase the borrow lifetime: workers only dereference the pointer
-        // between the notify below and the `remaining == 0` wait, during
-        // which this frame (and therefore `task`'s borrows) is pinned.
+        // SAFETY: the borrow lifetime may be erased because workers only
+        // dereference the pointer between the notify below and the
+        // `remaining == 0` wait, during which this frame (and therefore
+        // `task`'s borrows) is pinned.
         let erased: &'static (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
         {

@@ -7,9 +7,9 @@
 //!    its own neighbor or nothing but its end cell), any `Strategy`, and
 //!    any worker count 1–8. Row-level work decomposition with disjoint writes means the
 //!    schedule cannot reorder a single floating-point operation.
-//! 2. **Zero steady-state allocation** — the interpolator array, the
-//!    pipeline's one scratch buffer, is warmed once and reused; its
-//!    capacity never grows again over a run.
+//! 2. **Zero steady-state allocation** — the interpolator array and the
+//!    unload's per-row countdown, the pipeline's scratch, are warmed once
+//!    and reused; their capacity never grows again over a run.
 
 use proptest::prelude::*;
 use vpic2::core::accumulate::Accumulator;
@@ -159,8 +159,8 @@ proptest! {
     }
 }
 
-/// The `Simulation`-owned interpolator array is warmed on the first step
-/// and never reallocates afterwards (the unload has no scratch to warm).
+/// The `Simulation`-owned interpolator array and the unload's per-row
+/// countdown are warmed on the first step and never reallocate afterwards.
 #[test]
 fn field_pipeline_is_allocation_free_after_warmup() {
     let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
@@ -168,12 +168,12 @@ fn field_pipeline_is_allocation_free_after_warmup() {
     sim.strategy = Strategy::Manual;
     let pool = Threads::new(4);
     sim.step_on(&pool); // warmup: the scratch grows to steady state
-    let warm = sim.field_scratch_capacity();
-    assert!(warm > 0, "warmup should size the scratch");
+    let warm = [sim.field_scratch_capacity(), sim.unload_scratch_capacity()];
+    assert!(warm.iter().all(|&c| c > 0), "warmup should size the scratch: {warm:?}");
     for _ in 0..5 {
         sim.step_on(&pool);
         assert_eq!(
-            sim.field_scratch_capacity(),
+            [sim.field_scratch_capacity(), sim.unload_scratch_capacity()],
             warm,
             "field pipeline scratch reallocated after warmup"
         );
