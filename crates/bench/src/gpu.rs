@@ -2,37 +2,28 @@
 //!
 //! For every Table-1 GPU the sweep runs the *same* Weibel deck through
 //! `pk::SimGpu` — real kernels, bit-identical to `Serial`, with every
-//! memory access charged through the `memsim` cost model — once per
-//! sort-order arm, and then checks three things the paper claims:
+//! memory access charged through the `memsim` cost model — once per arm
+//! of the tuner's GPU space (one arm per sort order). One run per arm
+//! yields both the arm's order row and the tuner's [`Measurement`], and
+//! the sweep reports two things the paper claims:
 //!
 //! 1. **Crossover**: the executed per-order push costs (from the SimGpu
 //!    ledger, i.e. the cell streams the simulation actually visited)
-//!    rank the orders the same way the standalone `memsim::push` model
-//!    ranks the deck's initial population (Figs 6–8 winners).
+//!    rank the orders (Figs 6–8 winners).
 //! 2. **Tuning**: a [`tuner::Tuner`] over [`tuner::gpu_config_space`],
 //!    seeded with the particle-aware cache prior and fed the modeled
 //!    costs, commits to an arm within 10% of the exhaustive sweep's best.
-//! 3. **Rooflines**: every (platform, order) push kernel is placed under
-//!    the platform's roofline (`memsim::roofline`) in one pass — the Fig 8
-//!    plot for *all six* GPUs, saved as `results/gpu-roofline.json`.
 //!
 //! The deck is scaled per platform: the model LLC is shrunk until the
 //! grid's push working set is ~4× the cache, which puts every GPU on the
-//! steep side of the Fig 9 cliff where sorting order matters.
-//!
-//! Knobs: `GPU_STEPS` (measured steps per arm, default 6), `GPU_WARMUP`
-//! (unmeasured settle steps, default 2).
+//! steep side of the Fig 9 cliff where sorting order matters. No wall
+//! clock enters, so `results/gpu.json` is the same on every run.
 
-use crate::env_usize;
 use memsim::gpu::GpuModel;
 use memsim::platform::Platform;
-use memsim::push::{
-    fits_llc_with_particles, gpu_push, grid_footprint_bytes, PushSpec, CELL_FOOTPRINT_BYTES,
-};
-use memsim::roofline::Roofline;
-use memsim::trace::KernelCost;
+use memsim::push::{fits_llc_with_particles, grid_footprint_bytes, CELL_FOOTPRINT_BYTES};
 use pk::SimGpu;
-use psort::{sort_pairs, SortOrder};
+use psort::SortOrder;
 use serde::Serialize;
 use tuner::{gpu_config_space, Config, Measurement, Tuner};
 use vpic_core::{Deck, Simulation};
@@ -48,6 +39,10 @@ const U_BEAM: f32 = 0.4;
 /// Sort cadence for every sorting arm (and the tuner's interval axis).
 const SORT_INTERVAL: usize = 5;
 
+/// Measured steps per arm, after [`WARMUP`] unmeasured settle steps.
+const STEPS: usize = 6;
+const WARMUP: usize = 2;
+
 /// One sort-order arm on one platform.
 #[derive(Debug, Clone, Serialize)]
 pub struct OrderRow {
@@ -59,9 +54,6 @@ pub struct OrderRow {
     pub push_step_s: f64,
     /// Amortized sort charge per step.
     pub sort_step_s: f64,
-    /// Standalone `memsim::push` prediction on the deck's initial
-    /// population pre-ordered by this arm, seconds per step.
-    pub predicted_push_s: f64,
     /// Modeled cost per particle push, ns.
     pub cost_ns_per_push: f64,
 }
@@ -79,16 +71,10 @@ pub struct PlatformReport {
     pub tile: usize,
     /// What the particle-aware cache prior said (false ⇒ sort).
     pub prior_unsorted: bool,
-    /// Per-arm executed + predicted costs.
+    /// Per-arm executed costs.
     pub orders: Vec<OrderRow>,
     /// Orders fastest→slowest by executed push time.
     pub executed_ranking: Vec<String>,
-    /// Orders fastest→slowest by standalone prediction.
-    pub predicted_ranking: Vec<String>,
-    /// Executed and predicted agree on the winning order.
-    pub winner_agrees: bool,
-    /// Executed and predicted agree on the full ordering.
-    pub ranking_agrees: bool,
     /// The arm the tuner committed to.
     pub tuned_config: String,
     /// Its cost under the sweep protocol, ns/push.
@@ -144,83 +130,33 @@ fn tile_for(scaled_llc: u64, cells: usize) -> usize {
     (t as usize).clamp(16, (cells / 4).max(16))
 }
 
-/// Run one arm on a fresh deck and return the modeled measurement: the
-/// SimGpu ledger's nanoseconds slot straight into [`Measurement`] (the
-/// tuner only ever compares costs, so modeled and wall ns are
-/// interchangeable).
-fn measure_arm(
-    platform: &Platform,
-    scale: f64,
-    cfg: &Config,
-    warmup: usize,
-    steps: usize,
-) -> Measurement {
+/// Run one arm on a fresh deck: its order row and the tuner's
+/// [`Measurement`], both read from one SimGpu ledger (the tuner only ever
+/// compares costs, so modeled and wall ns are interchangeable).
+fn run_arm(platform: &Platform, scale: f64, cfg: &Config) -> (OrderRow, Measurement) {
     let mut sim = build_deck();
     sim.apply_tune_config(cfg, 1);
     let gpu = SimGpu::scaled(platform.clone(), scale);
-    sim.run_on(&gpu, warmup);
+    sim.run_on(&gpu, WARMUP);
     gpu.reset();
-    let stats = sim.run_on(&gpu, steps);
-    let sorts = gpu.records().iter().filter(|r| r.label == "sort").count() as u64;
-    Measurement {
-        steps: steps as u64,
+    let stats = sim.run_on(&gpu, STEPS);
+    let s = STEPS as f64;
+    let row = OrderRow {
+        order: order_name(cfg.order),
+        modeled_step_s: gpu.modeled_time() / s,
+        push_step_s: gpu.kernel_time("push") / s,
+        sort_step_s: gpu.kernel_time("sort") / s,
+        cost_ns_per_push: gpu.modeled_time() * 1e9 / stats.pushed.max(1) as f64,
+    };
+    let measurement = Measurement {
+        steps: STEPS as u64,
         pushed: stats.pushed as u64,
         crossings: stats.crossings as u64,
         step_ns: (gpu.modeled_time() * 1e9) as u64,
         sort_ns: (gpu.kernel_time("sort") * 1e9) as u64,
-        sorts,
-    }
-}
-
-/// Per-kernel step costs for one arm (the sweep's detailed row).
-fn run_order(
-    platform: &Platform,
-    scale: f64,
-    order: Option<SortOrder>,
-    warmup: usize,
-    steps: usize,
-) -> (f64, f64, f64, f64) {
-    let mut sim = build_deck();
-    sim.sort_order = order;
-    sim.sort_interval = SORT_INTERVAL;
-    let gpu = SimGpu::scaled(platform.clone(), scale);
-    sim.run_on(&gpu, warmup);
-    gpu.reset();
-    let stats = sim.run_on(&gpu, steps);
-    let s = steps as f64;
-    (
-        gpu.modeled_time() / s,
-        gpu.kernel_time("push") / s,
-        gpu.kernel_time("sort") / s,
-        gpu.modeled_time() * 1e9 / stats.pushed.max(1) as f64,
-    )
-}
-
-/// Standalone prediction: each species' initial cells, pre-ordered by
-/// the arm, through `memsim::push::gpu_push` — the Figs 6–8 methodology,
-/// with zero simulation in the loop. Returns the summed per-step push
-/// time and the largest species' [`KernelCost`] (the roofline sample).
-fn predict_order(model: &GpuModel, order: Option<SortOrder>) -> (f64, KernelCost) {
-    let sim = build_deck();
-    let cells = sim.grid.cells();
-    let mut total = 0.0;
-    let mut biggest: Option<(usize, KernelCost)> = None;
-    for s in &sim.species {
-        if s.cell.is_empty() {
-            continue;
-        }
-        let mut keys = s.cell.clone();
-        if let Some(o) = order {
-            let mut idx: Vec<u32> = (0..keys.len() as u32).collect();
-            sort_pairs(o, &mut keys, &mut idx);
-        }
-        let cost = gpu_push(model, &PushSpec::vpic(&keys, cells)).cost;
-        total += cost.time;
-        if biggest.as_ref().is_none_or(|(n, _)| s.len() > *n) {
-            biggest = Some((s.len(), cost));
-        }
-    }
-    (total, biggest.expect("deck has particles").1)
+        sorts: gpu.records().iter().filter(|r| r.label == "sort").count() as u64,
+    };
+    (row, measurement)
 }
 
 fn ranking(rows: &[(String, f64)]) -> Vec<String> {
@@ -229,18 +165,10 @@ fn ranking(rows: &[(String, f64)]) -> Vec<String> {
     sorted.into_iter().map(|(name, _)| name).collect()
 }
 
-fn run_platform(
-    platform: &Platform,
-    warmup: usize,
-    steps: usize,
-    rooflines: &mut Vec<memsim::roofline::RooflineSample>,
-) -> PlatformReport {
-    let probe = build_deck();
-    let cells = probe.grid.cells();
-    let particles = probe.particle_count();
+fn run_platform(platform: &Platform) -> PlatformReport {
+    let cells = build_deck().grid.cells();
     let scale = scale_for(platform, cells);
-    let model = GpuModel::scaled(platform.clone(), scale);
-    let scaled_llc = model.llc_bytes();
+    let scaled_llc = GpuModel::scaled(platform.clone(), scale).llc_bytes();
     let tile = tile_for(scaled_llc, cells);
     // the prior must see the same cache the model charges: a platform
     // copy with the scaled LLC, and the resident particle window
@@ -252,51 +180,25 @@ fn run_platform(
     let resident = cluster::scaling::resident_particles(platform);
     let prior_unsorted = fits_llc_with_particles(&scaled_platform, cells, resident);
 
-    // 1. executed sweep: every order through SimGpu, plus the standalone
-    // prediction for the same arm
-    let arms = SortOrder::gpu_arm_set(tile);
-    let roof = Roofline::of(platform);
-    let mut orders = Vec::new();
-    for order in arms {
-        let name = order_name(order);
-        let (step_s, push_s, sort_s, cost_ns) = run_order(platform, scale, order, warmup, steps);
-        let (predicted, cost) = predict_order(&model, order);
-        rooflines.push(roof.sample(format!("{} / {name}", platform.name), &cost));
-        orders.push(OrderRow {
-            order: name,
-            modeled_step_s: step_s,
-            push_step_s: push_s,
-            sort_step_s: sort_s,
-            predicted_push_s: predicted,
-            cost_ns_per_push: cost_ns,
-        });
-    }
+    // 1. executed sweep: every arm through SimGpu, once. Costs are
+    // deterministic (fresh deck, modeled ns, no wall clock), so one run
+    // per arm serves the order table, the tuner's epochs and the
+    // exhaustive sweep alike
+    let arms = gpu_config_space(tile, &[SORT_INTERVAL]);
+    let (orders, measured): (Vec<OrderRow>, Vec<Measurement>) =
+        arms.iter().map(|cfg| run_arm(platform, scale, cfg)).unzip();
     let executed_ranking =
         ranking(&orders.iter().map(|r| (r.order.clone(), r.push_step_s)).collect::<Vec<_>>());
-    let predicted_ranking =
-        ranking(&orders.iter().map(|r| (r.order.clone(), r.predicted_push_s)).collect::<Vec<_>>());
-    let winner_agrees = executed_ranking[0] == predicted_ranking[0];
-    let ranking_agrees = executed_ranking == predicted_ranking;
 
-    // 2. the tuner over the same space, fed modeled costs. Costs are
-    // deterministic (no wall clock anywhere), so one epoch per arm is an
-    // exact measurement and the engine commits after one pass.
-    let tuner_arms = gpu_config_space(tile, &[SORT_INTERVAL]);
-    // measurements are deterministic (fresh deck, modeled ns, no wall
-    // clock), so one measurement per arm serves both the tuner's epochs
-    // and the exhaustive sweep
-    let mut measured: std::collections::HashMap<String, Measurement> = Default::default();
-    let mut measure = |cfg: &Config| {
-        *measured
-            .entry(cfg.label())
-            .or_insert_with(|| measure_arm(platform, scale, cfg, warmup, steps))
+    // 2. the tuner over the same space, fed modeled costs: one epoch per
+    // arm is an exact measurement, so the engine commits after one pass
+    let measurement = |cfg: &Config| {
+        measured[arms.iter().position(|a| a == cfg).expect("the tuner runs its own arms")]
     };
-    let mut t = Tuner::new(tuner_arms.clone(), steps).with_cache_prior(prior_unsorted);
+    let mut t = Tuner::new(arms.clone(), STEPS).with_cache_prior(prior_unsorted);
     let mut epochs = 0u64;
-    while t.committed().is_none() && epochs < 4 * tuner_arms.len() as u64 {
-        let cfg = *t.current();
-        let m = measure(&cfg);
-        t.finish_epoch(&m);
+    while t.committed().is_none() && epochs < 4 * arms.len() as u64 {
+        t.finish_epoch(&measurement(t.current()));
         epochs += 1;
     }
     let tuned = *t
@@ -305,23 +207,9 @@ fn run_platform(
         .expect("tuner measured at least one arm");
 
     // 3. exhaustive sweep under the identical protocol
-    let sweep: Vec<(String, f64)> = tuner_arms
-        .iter()
-        .map(|a| (a.label(), measure(a).cost_per_particle(a.interval)))
-        .collect();
-    let (best_config, best_cost_ns) = sweep
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .cloned()
-        .expect("non-empty sweep");
-    let tuned_label = tuned.label();
-    let tuned_cost_ns = sweep
-        .iter()
-        .find(|(l, _)| *l == tuned_label)
-        .map(|(_, c)| *c)
-        .unwrap_or_else(|| {
-            measure_arm(platform, scale, &tuned, warmup, steps).cost_per_particle(tuned.interval)
-        });
+    let cost = |cfg: &Config| measurement(cfg).cost_per_particle(cfg.interval);
+    let best = arms.iter().min_by(|a, b| cost(a).total_cmp(&cost(b))).expect("non-empty sweep");
+    let (tuned_cost_ns, best_cost_ns) = (cost(&tuned), cost(best));
 
     let report = PlatformReport {
         platform: platform.name.to_string(),
@@ -331,62 +219,44 @@ fn run_platform(
         prior_unsorted,
         orders,
         executed_ranking,
-        predicted_ranking,
-        winner_agrees,
-        ranking_agrees,
-        tuned_config: tuned_label,
+        tuned_config: tuned.label(),
         tuned_cost_ns,
-        best_config: best_config.clone(),
+        best_config: best.label(),
         best_cost_ns,
         ratio: tuned_cost_ns / best_cost_ns,
         tuner_epochs: epochs,
     };
     println!(
-        "{:<14} scale {:>6.1} tile {:>4} prior {:<8} winner {:<13} ({}) tuned {:<28} ratio {:.3}",
+        "{:<14} scale {:>6.1} tile {:>4} prior {:<8} winner {:<13} tuned {:<28} ratio {:.3}",
         report.platform,
         report.scale,
         report.tile,
         if report.prior_unsorted { "unsorted" } else { "sort" },
         report.executed_ranking[0],
-        if report.winner_agrees { "agrees" } else { "DISAGREES" },
         report.tuned_config,
         report.ratio
     );
-    let _ = particles; // reported at the top level
     report
 }
 
-/// Run the full GPU sweep: executed costs, crossover check, tuner vs
-/// exhaustive, and the all-platform roofline file.
+/// Run the full GPU sweep: executed per-order costs, and the tuner
+/// against the exhaustive sweep.
 pub fn run() -> Report {
-    let steps = env_usize("GPU_STEPS", 6);
-    let warmup = env_usize("GPU_WARMUP", 2);
     let probe = build_deck();
     println!(
-        "SimGpu sweep — weibel {}³ ({} cells, {} particles), {} warmup + {} measured steps/arm",
+        "SimGpu sweep — weibel {}³ ({} cells, {} particles), {WARMUP} warmup + {STEPS} measured steps/arm",
         SHAPE.0,
         probe.grid.cells(),
         probe.particle_count(),
-        warmup,
-        steps
     );
-    let mut rooflines = Vec::new();
-    let platforms: Vec<PlatformReport> = memsim::platform::gpus()
-        .iter()
-        .map(|p| run_platform(p, warmup, steps, &mut rooflines))
-        .collect();
-    match crate::save_json("gpu-roofline", &rooflines) {
-        Ok(path) => println!("rooflines: {} samples → {}", rooflines.len(), path.display()),
-        Err(e) => eprintln!("failed to save rooflines: {e}"),
-    }
     Report {
         deck: "weibel".into(),
         grid_cells: probe.grid.cells() as u64,
         particles: probe.particle_count() as u64,
         sort_interval: SORT_INTERVAL as u64,
-        steps: steps as u64,
-        warmup: warmup as u64,
-        platforms,
+        steps: STEPS as u64,
+        warmup: WARMUP as u64,
+        platforms: memsim::platform::gpus().iter().map(run_platform).collect(),
     }
 }
 
@@ -402,10 +272,13 @@ mod tests {
         let report = run();
         assert_eq!(report.platforms.len(), memsim::platform::gpus().len());
         for p in &report.platforms {
-            assert!(
-                p.winner_agrees,
-                "{}: executed winner {:?} vs predicted {:?}",
-                p.platform, p.executed_ranking, p.predicted_ranking
+            // the exhaustive sweep's best arm sorts in the order whose
+            // executed push ranks first
+            let best_order = p.best_config.split('/').next().unwrap();
+            assert_eq!(
+                best_order, p.executed_ranking[0],
+                "{}: best arm {} vs executed ranking {:?}",
+                p.platform, p.best_config, p.executed_ranking
             );
             assert!(
                 p.ratio <= 1.10,

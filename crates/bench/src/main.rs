@@ -15,10 +15,8 @@
 //!   all    everything above
 //!
 //!   ckpt              checkpoint/restore cost vs step cost, resume check
-//!   gpu               SimGpu one-sweep: per-platform sort-order costs,
-//!                     crossover vs the standalone model, tuner vs
-//!                     exhaustive, and all-platform rooflines
-//!                     (GPU_STEPS / GPU_WARMUP)
+//!   gpu               SimGpu one-sweep: per-platform sort-order costs
+//!                     on executed kernels, tuner vs exhaustive
 //!   ranks             executed multi-rank stepping: speedup + overlap
 //!                     at 1/2/4/8 virtual ranks vs the closed-form model
 //!   tune              adaptive tuner vs exhaustive config sweep

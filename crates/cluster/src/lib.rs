@@ -19,7 +19,9 @@
 //!   with halo grids, actual field halo exchange and particle migration,
 //!   interior/boundary overlap, and modeled network charges, the ranks of
 //!   a step running at the same time over a `pk` pool — the executed
-//!   counterpart the closed-form [`scaling`] curves are checked against.
+//!   counterpart the closed-form overlap model is reported beside. Its
+//!   compute is measured wall time; a modelled GPU cost of an executed
+//!   kernel comes only from `pk::SimGpu`.
 
 pub mod ablation;
 pub mod decompose;

@@ -69,8 +69,6 @@ use crate::decompose::Decomposition;
 use crate::exchange::MigrationStats;
 use crate::network::NetworkModel;
 use ckpt::{RestoreError, Snapshot};
-use memsim::gpu::GpuModel;
-use memsim::push::{gpu_push, PushSpec};
 use pk::ExecSpace;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -314,8 +312,6 @@ struct Tally {
     drained: usize,
     messages: u64,
     halo_bytes: u64,
-    /// Modeled GPU compute, s (zero when no model is armed).
-    gpu_compute: f64,
 }
 
 /// Seconds since `t0` (a [`telemetry::now_ns`] reading).
@@ -361,7 +357,7 @@ impl RankState {
     /// Superstep 1, on the rank's own state alone: due sort, push, drain
     /// and partials, then the first half B advance and the B pack behind
     /// the accumulator and migrant exchanges.
-    fn push_pack(&mut self, r: usize, plan: &RankPlan, net: &NetworkModel, gpu: Option<&GpuModel>) {
+    fn push_pack(&mut self, r: usize, plan: &RankPlan, net: &NetworkModel) {
         let _rs = telemetry::rank_span("cluster.rank_push", r);
         let mut tally = Tally::default();
         let t0 = telemetry::now_ns();
@@ -433,12 +429,6 @@ impl RankState {
             }
         }
         tally.clock.push = since(t0);
-        // modeled GPU compute for this rank, over the *executed* cell
-        // stream (between two timed segments, so model evaluation wall
-        // time never pollutes the executed measurements)
-        if let Some(model) = gpu {
-            tally.gpu_compute = gpu_compute(model, &self.sim);
-        }
         // the accumulator exchange: one directed message per remote link
         for (_, link) in plan.remote_links(r) {
             let bytes = link.acc_pos.len() * ACC_HALO_BYTES;
@@ -598,33 +588,6 @@ impl RankState {
     }
 }
 
-/// Modeled GPU compute of one rank's step, s: the push over its executed
-/// particle cell streams plus a bandwidth-bound field sweep.
-fn gpu_compute(model: &GpuModel, sim: &Simulation) -> f64 {
-    let cells = sim.grid.cells();
-    // field sweep: ~100 B per cell, bandwidth-bound
-    let mut t = cells as f64 * 100.0 / model.platform().dram_bw;
-    // the deposition cost follows the rank's actual scatter mode: atomic
-    // deposition pays collision replays (the model's MLP-window hotness
-    // term), while duplicated deposition privatizes the accumulator — no
-    // atomics at all, but the replicas have to be reduced with one extra
-    // bandwidth-bound sweep over the grid
-    let atomic = matches!(sim.scatter_mode, pk::atomic::ScatterMode::Atomic);
-    for s in &sim.species {
-        if !s.cell.is_empty() {
-            let mut spec = PushSpec::vpic(&s.cell, cells);
-            if !atomic {
-                spec.atomic_ops = 0;
-            }
-            t += gpu_push(model, &spec).cost.time;
-        }
-    }
-    if !atomic {
-        t += 2.0 * memsim::push::grid_footprint_bytes(cells) as f64 / model.platform().dram_bw;
-    }
-    t
-}
-
 /// Executed/modeled timing of one multi-rank step.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct StepTiming {
@@ -640,13 +603,6 @@ pub struct StepTiming {
     pub hidden_exchange_s: f64,
     /// Executed step time: max over ranks of compute + exposed, s.
     pub step_s: f64,
-    /// Largest per-rank *modeled GPU* compute time (push over the rank's
-    /// executed cell stream + field sweep, costed through the armed
-    /// [`GpuModel`]), s. Zero when no model is armed.
-    pub gpu_compute_s: f64,
-    /// Modeled GPU step time: max over ranks of modeled compute + exposed
-    /// exchange, s. Zero when no model is armed.
-    pub gpu_step_s: f64,
 }
 
 /// N real per-rank simulations stepping in lockstep with halo exchange,
@@ -662,11 +618,6 @@ pub struct MultiRankSim {
     /// What each rank last published for its peers (module docs).
     published: Vec<Sends>,
     step: u64,
-    /// When armed, each step also charges per-rank compute through this
-    /// GPU cost model (over the *executed* per-rank cell streams), so the
-    /// paper's cache-driven superlinear regime shows up in the executed
-    /// loop. Not checkpointed — re-arm after a restore.
-    gpu: Option<GpuModel>,
     /// The pool [`MultiRankSim::step`] runs the ranks over: one lane per
     /// rank up to the host's parallelism. Host state, never checkpointed.
     space: pk::Threads,
@@ -741,7 +692,6 @@ impl MultiRankSim {
             plans,
             ranks: states,
             step: sim.step_count(),
-            gpu: None,
             space: pk::Threads::new(lanes),
         }
     }
@@ -784,22 +734,6 @@ impl MultiRankSim {
         self.ranks[rank].sim.apply_tune_config(cfg, 1);
     }
 
-    /// Arm a GPU cost model: every subsequent step also charges each
-    /// rank's compute (push over its executed particle cell stream, plus
-    /// a bandwidth-bound field sweep) through `model`, reported as
-    /// [`StepTiming::gpu_compute_s`] / [`StepTiming::gpu_step_s`]. The
-    /// functional physics is untouched. Not checkpointed — re-arm after
-    /// [`MultiRankSim::restore_bytes`].
-    pub fn set_gpu_model(&mut self, model: GpuModel) {
-        self.gpu = Some(model);
-    }
-
-    /// Cells of one rank's local grid (halo shell included) — the grid
-    /// footprint the armed GPU model sees.
-    pub fn rank_grid_cells(&self, rank: usize) -> usize {
-        self.ranks[rank].sim.grid.cells()
-    }
-
     /// Advance one lockstep multi-rank step on the simulator's own pool
     /// ([`MultiRankSim::workers`] lanes; one lane runs inline).
     pub fn step(&mut self) -> (PushStats, MigrationStats, StepTiming) {
@@ -814,9 +748,9 @@ impl MultiRankSim {
         let ranks = self.ranks.len();
         let _span = telemetry::span("cluster.exchange").arg("ranks", ranks).arg("step", self.step);
         let drive = self.laser.as_ref().map(|l| (l.plane, l.drive_at(self.step, self.global().dt)));
-        let Self { ranks, published, plans, network, gpu, .. } = self;
-        let (plans, net, gpu) = (&plans[..], &*network, gpu.as_ref());
-        space.parallel_for_mut(ranks, |r, st| st.push_pack(r, &plans[r], net, gpu));
+        let Self { ranks, published, plans, network, .. } = self;
+        let (plans, net) = (&plans[..], &*network);
+        space.parallel_for_mut(ranks, |r, st| st.push_pack(r, &plans[r], net));
         publish(ranks, published, false);
         let seen = Seen { plans, published };
         space.parallel_for_mut(ranks, |r, st| st.merge_and_advance_e(r, seen, drive));
@@ -849,10 +783,6 @@ impl MultiRankSim {
             timing.exposed_exchange_s += exposed;
             timing.hidden_exchange_s += modeled - exposed;
             timing.step_s = timing.step_s.max(compute + exposed);
-            if self.gpu.is_some() {
-                timing.gpu_compute_s = timing.gpu_compute_s.max(t.gpu_compute);
-                timing.gpu_step_s = timing.gpu_step_s.max(t.gpu_compute + exposed);
-            }
             // per-rank exchange-overlap distributions: exposed is the tail
             // that actually extends the step, hidden is what the compute
             // window absorbed
@@ -1200,22 +1130,9 @@ mod tests {
         for r in 0..4 {
             sorted.set_rank_config(r, &strided);
         }
-        let model = GpuModel::scaled(memsim::platform::by_name("V100").unwrap(), 6.0);
-        plain.set_gpu_model(model.clone());
-        sorted.set_gpu_model(model);
         for step in 1..=3 {
-            let (_, _, tp) = plain.step();
-            let (_, _, ts) = sorted.step();
-            // the per-rank config reaches the cost model: duplicated
-            // deposition drops the atomic-replay floor, and the sorted
-            // in-cache gather stream is far cheaper than the unsorted
-            // atomic default on this tiny grid
-            assert!(
-                ts.gpu_compute_s < tp.gpu_compute_s,
-                "step {step}: sorted+duplicated {} !< plain atomic {}",
-                ts.gpu_compute_s,
-                tp.gpu_compute_s
-            );
+            plain.step();
+            sorted.step();
             // the scheduled per-rank sort actually reorders the streams…
             let moved = (0..4).any(|r| {
                 sorted.ranks[r].sim.species.iter().zip(&plain.ranks[r].sim.species).any(
@@ -1226,27 +1143,6 @@ mod tests {
             // …while the id maps follow the permutation, so the gathered
             // canonical-order state stays bit-identical
             assert_eq!(plain.gather().bit_diff(&sorted.gather()), None, "sorted step {step}");
-        }
-    }
-
-    #[test]
-    fn gpu_model_charges_timing_without_touching_physics() {
-        let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
-        let mut plain = MultiRankSim::new(&reference, 4, net());
-        let mut armed = MultiRankSim::new(&reference, 4, net());
-        armed.set_gpu_model(GpuModel::scaled(
-            memsim::platform::by_name("V100").unwrap(),
-            6.0,
-        ));
-        for step in 1..=3 {
-            let (_, _, tp) = plain.step();
-            let (_, _, ta) = armed.step();
-            // unarmed runs report zero GPU time; armed runs a real cost
-            assert_eq!(tp.gpu_compute_s, 0.0);
-            assert_eq!(tp.gpu_step_s, 0.0);
-            assert!(ta.gpu_compute_s > 0.0, "step {step}");
-            assert!(ta.gpu_step_s >= ta.gpu_compute_s);
-            assert_eq!(plain.gather().bit_diff(&armed.gather()), None, "step {step}");
         }
     }
 

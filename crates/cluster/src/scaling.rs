@@ -10,10 +10,11 @@
 //!   mechanism.
 //! * **field advance** — bandwidth-bound sweep over the local cells.
 //! * **communication** — the α–β model over six ghost-face messages plus
-//!   migrated particles (fraction estimated from surface/volume and the
-//!   deck's thermal velocity; cross-checked against the
-//!   [`crate::exchange::MigrationStats`] that [`crate::MultiRankSim`]
-//!   measures).
+//!   migrated particles: the particles of the rank's boundary cell layer
+//!   (surface/volume × local particles) times a fixed thermal-flux
+//!   fraction, `BOUNDARY_CROSS_FRACTION` = 0.05 a step. The constant is
+//!   an estimate, not fitted to the [`crate::exchange::MigrationStats`]
+//!   that [`crate::MultiRankSim`] measures.
 
 use crate::decompose::Decomposition;
 use crate::systems::System;
