@@ -23,7 +23,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod gpu;
 pub mod ranks;
-pub mod serve;
 pub mod table1;
 pub mod tile;
 pub mod timing;

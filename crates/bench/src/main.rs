@@ -24,8 +24,6 @@
 //!   tile              out-of-core tiled stepping: capacity ratio vs the
 //!                     hot-pool budget, codec ratio, pushes/s, bit-stable
 //!                     ledger (TILE_STEPS)
-//!   serve             multi-tenant serving: jobs/s + p95 step latency
-//!                     under 100+ concurrent preempted tenants
 //!   ablate-tile       tiled-strided tile-size sweep (A100)
 //!   ablate-gpu-aware  Sierra with GPU-aware MPI forced on
 //!   ablate-weak       weak scaling on all three systems
@@ -69,7 +67,6 @@ fn run_target(name: &str) -> bool {
         "ranks" => bench::save_json("ranks", &bench::ranks::run()),
         "tune" => bench::save_json("tune", &bench::tune::run()),
         "tile" => bench::save_json("tile", &bench::tile::run()),
-        "serve" => bench::save_json("serve", &bench::serve::run()),
         other => {
             eprintln!("unknown target: {other}");
             return false;
@@ -126,7 +123,7 @@ fn main() -> ExitCode {
     if targets.is_empty() || targets.iter().any(|a| a == "-h" || a == "--help") {
         println!(
             "usage: repro [--profile[=path]] <target>...   targets: {} all\n\
-             \x20      extra: ckpt gpu ranks tune tile serve \
+             \x20      extra: ckpt gpu ranks tune tile \
              ablate-tile ablate-gpu-aware ablate-weak",
             TARGETS.join(" ")
         );

@@ -824,9 +824,9 @@ mod tests {
     }
 
     /// A corrupt cell index must panic at the deposit that carries it (in
-    /// release builds too): the tenant quarantine in `serve` catches that
-    /// panic, and a depositor that swallowed the segment would lose charge
-    /// silently.
+    /// release builds too): `Simulation::try_step_on` turns that panic in
+    /// a pool lane into a typed `StepError`, and a depositor that swallowed
+    /// the segment would lose charge silently.
     #[test]
     #[should_panic(expected = "out of range")]
     fn depositing_outside_the_accumulator_panics() {

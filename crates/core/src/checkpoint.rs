@@ -31,7 +31,7 @@ use crate::sim::{LaserDriver, Simulation};
 use crate::species::Species;
 use crate::tile::TilePolicy;
 use ckpt::{RestoreError, Snapshot, Writer};
-use pk::{DispatchPanic, ExecSpace, Serial};
+use pk::{DispatchPanic, ExecSpace};
 use tuner::{get_order, put_order, Config, Tuner};
 
 /// A step failed in a recoverable way. The simulation state is
@@ -419,11 +419,6 @@ impl Simulation {
             },
         }
     }
-
-    /// [`Simulation::try_step_on`] on the calling thread.
-    pub fn try_step(&mut self) -> Result<PushStats, StepError> {
-        self.try_step_on(&Serial)
-    }
 }
 
 #[cfg(test)]
@@ -590,19 +585,17 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_as_a_typed_step_error() {
+        // a particle in a cell the grid does not have fails the push's
+        // checked gather inside a pool lane; no sort may touch it first
         let mut sim = weibel();
-        // inject a panic through the pool by dispatching a poisoned task
-        // on the same space the step uses
-        let pool = pk::WorkerPool::new(2);
-        let err = pool.try_run(&|lane| {
-            if lane == 1 {
-                panic!("injected lane failure");
-            }
-        });
-        assert!(err.is_err());
-        // and the sim-facing wrapper converts lane panics to StepError
-        let stats = sim.try_step().expect("serial step cannot panic");
-        assert!(stats.pushed > 0);
+        sim.sort_order = None;
+        let pool = pk::Threads::new(2);
+        sim.step_on(&pool);
+        *sim.species.last_mut().unwrap().cell.last_mut().unwrap() = u32::MAX;
+        match sim.try_step_on(&pool) {
+            Err(StepError::WorkerPanic { panicked_lanes }) => assert!(panicked_lanes >= 1),
+            other => panic!("expected a typed lane panic, got {other:?}"),
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Deck {
     }
 
     /// Total electron macro-particles this deck loads.
-    pub fn electron_count(&self) -> usize {
+    pub(crate) fn electron_count(&self) -> usize {
         self.shape.0 * self.shape.1 * self.shape.2 * self.ppc
     }
 

@@ -653,8 +653,8 @@ impl TileEngine {
 }
 
 /// Spill files are scratch, not durable state: an engine dropped without
-/// a full unload (a tiled `Simulation` going out of scope, a quarantined
-/// job being discarded) must not leave `.ptl` litter behind. Read-backs
+/// a full unload (a tiled `Simulation` going out of scope, or discarded
+/// after a failed step) must not leave `.ptl` litter behind. Read-backs
 /// already unlink eagerly, so only tiles still in `Spilled` state — plus
 /// any `.tmp`/`.prev` siblings a crash-interrupted save staged — remain
 /// to sweep.
@@ -767,7 +767,7 @@ mod tests {
         sim.disable_tiling();
         let leftovers = list("after disable");
         assert!(leftovers.is_empty(), "spill files leaked: {leftovers:?}");
-        // dropping a still-tiled simulation (quarantine/discard path)
+        // dropping a still-tiled simulation (the discard path)
         // sweeps whatever is still spilled, including .prev/.tmp litter
         let mut sim = crate::deck::Deck::weibel(4, 4, 4, 4, 0.3).build();
         sim.enable_tiling(policy);

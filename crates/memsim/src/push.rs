@@ -106,7 +106,7 @@ pub fn grid_fits_llc(platform: &crate::platform::Platform, cells: usize) -> bool
 /// steady-state floor (records stream once per step); this is the bound
 /// that matters when a *tile* of particles must stay resident while the
 /// kernel traverses it (DESIGN §14).
-pub fn working_set_bytes(cells: usize, particles: usize) -> u64 {
+pub(crate) fn working_set_bytes(cells: usize, particles: usize) -> u64 {
     grid_footprint_bytes(cells) + particles as u64 * PARTICLE_BYTES
 }
 

@@ -409,7 +409,7 @@ mod tests {
             h.sum += v;
             *h.buckets.entry(crate::metrics::bucket_index(v) as u32).or_insert(0) += 1;
         }
-        m.hists.insert("serve.queue_wait.ns".to_string(), h);
+        m.hists.insert("tile.spill.read.ns".to_string(), h);
         m
     }
 
@@ -438,7 +438,7 @@ mod tests {
         assert!(a.contains("\"name\": \"sim.push::lane\", \"count\": 2, \"total_ns\": 12900"));
         // streaming metrics render alongside the span stats
         assert!(a.contains("\"hists\": ["));
-        assert!(a.contains("\"name\": \"serve.queue_wait.ns\", \"count\": 5, \"sum\": 7900"));
+        assert!(a.contains("\"name\": \"tile.spill.read.ns\", \"count\": 5, \"sum\": 7900"));
         assert!(a.contains("\"p99\": "));
     }
 

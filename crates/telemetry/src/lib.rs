@@ -50,9 +50,7 @@ mod registry;
 
 pub use export::{aggregate, chrome_trace, format_metrics, format_summary, summary_json, SpanStat};
 pub use flight::dump_flight;
-pub use metrics::{
-    bucket_floor, bucket_index, histogram, metrics_snapshot, HistData, Histogram, MetricsSnapshot,
-};
+pub use metrics::{bucket_floor, bucket_index, histogram, HistData, Histogram, MetricsSnapshot};
 pub use registry::{
     counter, counters, reset, restore_counter_baselines, snapshot, Event, Snapshot,
 };

@@ -166,8 +166,7 @@ impl Histogram {
 }
 
 /// A merged histogram snapshot: sparse non-zero bucket counts. Mergeable
-/// (bucket-wise addition — associative and commutative) and diffable, so
-/// `repro -- serve` reads its own window by subtracting two snapshots.
+/// (bucket-wise addition — associative and commutative).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistData {
     /// Total samples.
@@ -186,23 +185,6 @@ impl HistData {
         for (&i, &c) in &other.buckets {
             *self.buckets.entry(i).or_insert(0) += c;
         }
-    }
-
-    /// Samples recorded since `earlier` was taken (saturating, so a
-    /// `reset` between the two snapshots yields "since the reset").
-    pub(crate) fn delta_since(&self, earlier: &HistData) -> HistData {
-        let mut out = HistData {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            buckets: BTreeMap::new(),
-        };
-        for (&i, &c) in &self.buckets {
-            let base = earlier.buckets.get(&i).copied().unwrap_or(0);
-            if c > base {
-                out.buckets.insert(i, c - base);
-            }
-        }
-        out
     }
 
     /// Nearest-rank percentile over bucket floors (0 when empty).
@@ -265,25 +247,8 @@ pub struct MetricsSnapshot {
     pub hists: BTreeMap<String, HistData>,
 }
 
-impl MetricsSnapshot {
-    /// Histograms' activity since `earlier`.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for (name, h) in &self.hists {
-            let d = match earlier.hists.get(name) {
-                Some(e) => h.delta_since(e),
-                None => h.clone(),
-            };
-            if d.count > 0 {
-                out.hists.insert(name.clone(), d);
-            }
-        }
-        out
-    }
-}
-
 /// Snapshot every registered histogram.
-pub fn metrics_snapshot() -> MetricsSnapshot {
+pub(crate) fn metrics_snapshot() -> MetricsSnapshot {
     let reg = lock(hist_registry());
     MetricsSnapshot { hists: reg.iter().map(|(name, h)| (name.clone(), h.snapshot())).collect() }
 }
@@ -367,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_and_delta_subtracts() {
+    fn merge_adds_bucket_wise() {
         let a = Histogram::new();
         let b = Histogram::new();
         for v in [1u64, 10, 100] {
@@ -381,8 +346,7 @@ mod tests {
         merged.merge(&sb);
         assert_eq!(merged.count, 7);
         assert_eq!(merged.sum, sa.sum + sb.sum);
-        let back = merged.delta_since(&sb);
-        assert_eq!(back, sa, "delta must invert merge");
+        assert_eq!(merged.buckets.values().sum::<u64>(), 7);
     }
 
     #[test]
@@ -396,18 +360,5 @@ mod tests {
         assert_eq!(h1.snapshot().count, 0, "reset zeroes in place");
         h1.record(1); // handle still usable
         assert!(h1.snapshot().count >= 1);
-    }
-
-    #[test]
-    fn snapshot_delta_isolates_a_window() {
-        let h = histogram("metrics.test.window");
-        h.record(7);
-        let before = metrics_snapshot();
-        h.record(9);
-        h.record(11);
-        let delta = metrics_snapshot().delta_since(&before);
-        let d = &delta.hists["metrics.test.window"];
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 20);
     }
 }

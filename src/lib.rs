@@ -10,7 +10,6 @@ pub use memsim;
 pub use pk;
 pub use psort;
 pub use rajaperf;
-pub use serve;
 pub use telemetry;
 pub use tuner;
 pub use vpic_core as core;

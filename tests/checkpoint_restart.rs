@@ -17,8 +17,9 @@ use lattice::{reference, DeckKind};
 use proptest::prelude::*;
 use vpic2::ckpt;
 use vpic2::ckpt::{RestoreError, Snapshot};
-use vpic2::core::{Deck, Simulation};
+use vpic2::core::{Deck, Simulation, StepError};
 use vpic2::pk::atomic::ScatterMode;
+use vpic2::pk::Threads;
 use vpic2::psort::SortOrder;
 use vpic2::tuner::{Config, Phase, ScheduleEntry, Tuner};
 use vpic2::vsimd::Strategy as VecStrategy;
@@ -119,27 +120,23 @@ fn crash_mid_write_falls_back_to_the_previous_snapshot() {
 
 #[test]
 fn worker_panic_mid_step_is_recoverable_and_resumable() {
-    // a lane panic during a pooled dispatch surfaces as a typed
-    // DispatchPanic...
-    let pool = vpic2::pk::WorkerPool::new(3);
-    let dp = ckpt::faults::kill_dispatch(&pool, 1);
-    assert_eq!(dp.panicked_lanes, 1);
-    // ...and the pool survives to run the recovery path: restore the
-    // last checkpoint and finish the run on the same pool
+    // a record in a cell the grid does not have panics the push in a pool
+    // lane; the step returns that as a typed error...
+    let pool = Threads::new(2);
     let mut sim = DeckKind::Weibel.deck().build();
-    sim.run(3);
+    sim.sort_order = None;
+    sim.run_on(&pool, 3);
     let snapshot = sim.checkpoint_bytes();
-    let mut recovered = Simulation::restore_bytes(&snapshot).expect("restore after panic");
-    for _ in 0..5 {
-        recovered.try_step().expect("serial steps cannot lane-panic");
+    *sim.species.last_mut().unwrap().cell.last_mut().unwrap() = u32::MAX;
+    match sim.try_step_on(&pool) {
+        Err(StepError::WorkerPanic { panicked_lanes }) => assert!(panicked_lanes >= 1),
+        other => panic!("expected a typed lane panic, got {other:?}"),
     }
+    // ...and the same pool runs the recovery: restore the last snapshot
+    // and finish the run
+    let mut recovered = Simulation::restore_bytes(&snapshot).expect("restore after panic");
+    recovered.run_on(&pool, 5);
     assert_eq!(reference(DeckKind::Weibel, 8).0.bit_diff(&recovered), None);
-    // the pool still dispatches fine after the earlier panic
-    let counter = std::sync::atomic::AtomicUsize::new(0);
-    pool.run(&|_| {
-        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    });
-    assert_eq!(counter.into_inner(), 3);
 }
 
 /// Three arms that differ in every knob a tuned run can change.

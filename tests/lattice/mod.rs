@@ -1,14 +1,14 @@
 //! The differential lattice. A [`Point`] is a deck, a step count and one
-//! of three steppers — [`Sim`], [`Ranks`], [`Serve`] — with a value on
-//! every axis that stepper has. [`check`] steps it and holds it to **one
-//! reference per (deck, steps)**, [`reference`]: the deck stepped on
-//! `Serial` with `Simulation::new`'s defaults. [`same_state`] is the one
-//! comparator; the push statistics must be the reference's too. A point's
-//! own checks travel with it: a `SimGpu` ledger charged the push, the
-//! field solve and any sort that fired, a spilled point wrote and read
-//! spill files, a snapshot leaves the live run as it was and the run
-//! resumed from it is that run (in array order when it resumed on one
-//! rank), a tuned point closed an epoch every epoch length and its
+//! of two steppers — [`Sim`], [`Ranks`] — with a value on every axis that
+//! stepper has. [`check`] steps it and holds it to **one reference per
+//! (deck, steps)**, [`reference`]: the deck stepped on `Serial` with
+//! `Simulation::new`'s defaults. [`same_state`] is the one comparator; the
+//! push statistics must be the reference's too. A point's own checks
+//! travel with it: a `SimGpu` ledger charged the push, the field solve and
+//! any sort that fired, a spilled point wrote and read spill files, a
+//! snapshot leaves the live run as it was and the run resumed from it, on
+//! another space or on ranks, is that run (in array order when it resumed
+//! on one rank), a tuned point closed an epoch every epoch length and its
 //! schedule, replayed on a fresh deck, gives its bits in its array order,
 //! and a rank point's every step statistics and snapshot bytes are its
 //! `Serial`-worker twin's. The slices at the end are the enumerated
@@ -29,7 +29,6 @@ use vpic2::memsim::platform;
 use vpic2::pk::atomic::ScatterMode;
 use vpic2::pk::{ExecSpace, Serial, SimGpu, Threads};
 use vpic2::psort::SortOrder;
-use vpic2::serve::{JobSpec, ServeError, ServePolicy, Server};
 use vpic2::tuner::{Config, ScheduleEntry, TileCfg, Tuner};
 use vpic2::vsimd::Strategy;
 
@@ -132,7 +131,8 @@ pub struct Sim {
     pub tiles: Option<Tiles>,
     /// Snapshot after this many steps; the live run goes on, then a run
     /// restored from the snapshot runs the rest too, on this many ranks
-    /// (more than one only when untiled and untuned).
+    /// (more than one only when untiled and untuned); on one rank, on
+    /// [`Sim::resume_space`].
     pub checkpoint: Option<(usize, usize)>,
     /// A tuner over [`arms`] with epochs of this many steps.
     pub tuned: Option<usize>,
@@ -149,6 +149,17 @@ impl Sim {
     /// A sort fires: no tile engine holds it back, no tuner replaces it.
     fn sorts(&self) -> bool {
         self.sort.is_some() && self.tiles.is_none() && self.tuned.is_none()
+    }
+
+    /// Where a one-rank resume steps: `Serial` after threads, two threads
+    /// after `Serial` when every lane has a replica, the live run's `SimGpu`.
+    fn resume_space(&self) -> Space {
+        match (self.space, self.scatter) {
+            (Space::Threads(_), _) => Space::Serial,
+            (Space::Serial, Scatter::Atomic) => Space::Threads(2),
+            (Space::Serial, Scatter::Duplicated(replicas)) if replicas >= 2 => Space::Threads(2),
+            (space, _) => space,
+        }
     }
 
     fn run(&self, deck: &Deck, steps: usize) -> (Simulation, PushStats) {
@@ -193,7 +204,11 @@ impl Sim {
         if let Some(bytes) = snapshot {
             let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
             let resumed = if resume == 1 {
-                resumed.run_on(space, steps - k);
+                match self.resume_space() {
+                    Space::Serial => resumed.run_on(&Serial, steps - k),
+                    Space::Threads(n) => resumed.run_on(&Threads::new(n), steps - k),
+                    Space::Gpu(_) => resumed.run_on(space, steps - k),
+                };
                 self.finish(deck, resumed, &spill)
             } else {
                 let mut ranks = MultiRankSim::new(&resumed, resume, net());
@@ -384,61 +399,10 @@ impl Ranks {
     }
 }
 
-/// `Tuned` holds the epoch length.
-#[derive(Debug, Clone, Copy)]
-pub enum Job {
-    Plain,
-    Tiled(Tiles),
-    Tuned(usize),
-}
-
-/// A `Server` point: one job over two pools, parked after some rounds (a
-/// short job may be done by then).
-#[derive(Debug, Clone, Copy)]
-pub struct Serve {
-    pub job: Job,
-    pub pools: [usize; 2],
-    pub quantum: u32,
-    pub park_after: u64,
-}
-
-impl Serve {
-    fn run(&self, deck: &Deck, steps: usize) -> Simulation {
-        let (pools, quantum, spill) = (self.pools.to_vec(), self.quantum, spill_dir());
-        let mut policy = ServePolicy { pools, quantum, ..Default::default() };
-        let mut spec = JobSpec::new(deck.clone(), steps as u64);
-        match self.job {
-            Job::Plain => {}
-            Job::Tiled(tiles) => spec.tile = Some(tiles.policy(&spill)),
-            Job::Tuned(epoch) => (spec.tune, policy.tuner_epoch) = (true, epoch),
-        }
-        let mut srv = Server::new(policy);
-        let id = srv.submit(spec).expect("admitted");
-        for _ in 0..self.park_after {
-            srv.run_round();
-        }
-        match srv.park(id) {
-            Ok(()) | Err(ServeError::NotRunnable(_)) => {}
-            Err(e) => panic!("park: {e}"),
-        }
-        srv.run_until_done(1_000);
-        let blob = srv.final_blob(id).unwrap_or_else(|| panic!("{:?}", srv.status(id)));
-        let mut sim = Simulation::restore_bytes(blob).expect("final blob");
-        assert_eq!(sim.is_tiled(), matches!(self.job, Job::Tiled(_)), "final blob's tiling");
-        sim.disable_tiling();
-        let _ = std::fs::remove_dir_all(spill);
-        if let Job::Tuned(_) = self.job {
-            replay(deck, srv.tune_schedule(id).expect("tuned"), &sim);
-        }
-        sim
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 pub enum Stepper {
     Sim(Sim),
     Ranks(Ranks),
-    Serve(Serve),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -448,12 +412,12 @@ pub struct Point {
     pub stepper: Stepper,
 }
 
-/// A stepped point: its state, its push statistics where the stepper
-/// reports them, whether it is in canonical array order (no sort fired,
-/// tiles unloaded, ranks gathered), and a rank point's [`Trace`].
+/// A stepped point: its state, its push statistics, whether it is in
+/// canonical array order (no sort fired, tiles unloaded, ranks gathered),
+/// and a rank point's [`Trace`].
 struct Run {
     state: Simulation,
-    stats: Option<PushStats>,
+    stats: PushStats,
     canonical: bool,
     trace: Option<Trace>,
 }
@@ -465,15 +429,11 @@ impl Point {
             Stepper::Sim(p) => {
                 let (state, stats) = p.run(&deck, steps);
                 let canonical = p.tuned.is_none() && !p.sorts();
-                Run { state, stats: Some(stats), canonical, trace: None }
+                Run { state, stats, canonical, trace: None }
             }
             Stepper::Ranks(p) => {
                 let (state, stats, trace) = p.run(&deck, steps);
-                Run { state, stats: Some(stats), canonical: true, trace: Some(trace) }
-            }
-            Stepper::Serve(p) => {
-                let canonical = !matches!(p.job, Job::Tuned(_));
-                Run { state: p.run(&deck, steps), stats: None, canonical, trace: None }
+                Run { state, stats, canonical: true, trace: Some(trace) }
             }
         }
     }
@@ -496,22 +456,12 @@ impl Point {
             Tiles { cells, max_hot, store }
         };
         let epoch = |rng: &mut TestRng| 2 + below(rng, 3);
-        let stepper = match below(rng, 5) {
+        let stepper = match below(rng, 4) {
             0 => Stepper::Ranks(Ranks {
                 ranks: pick(rng, &[1, 2, 4, 8, 16]),
                 configs: pick(rng, &Configs::ALL),
                 workers: pick(rng, &Workers::ALL),
                 checkpoint: inside(rng).map(|k| (k, pick(rng, &[1, 2, 4, 8]))),
-            }),
-            1 => Stepper::Serve(Serve {
-                job: match below(rng, 3) {
-                    0 => Job::Plain,
-                    1 => Job::Tiled(tiles(rng)),
-                    _ => Job::Tuned(epoch(rng)),
-                },
-                pools: [1 + below(rng, 3), 1 + below(rng, 3)],
-                quantum: 1 + below(rng, 3) as u32,
-                park_after: below(rng, 4) as u64,
             }),
             _ => {
                 let mut spaces = vec![Space::Serial, Space::Threads(2), Space::Threads(3)];
@@ -593,8 +543,8 @@ pub fn check(points: impl IntoIterator<Item = Point>) {
             let got = point.run();
             let (want, pushed) =
                 references.entry((deck, steps)).or_insert_with(|| reference(deck, steps));
-            if let Some(stats) = got.stats.filter(|s| s != pushed) {
-                return Some(format!("{stats:?} vs {pushed:?}"));
+            if got.stats != *pushed {
+                return Some(format!("{:?} vs {pushed:?}", got.stats));
             }
             if let (Stepper::Ranks(p), Some(trace)) = (point.stepper, &got.trace) {
                 let serial = Ranks { workers: Workers::Serial, ..p };
@@ -797,14 +747,4 @@ pub fn checkpoint_by_restore_ranks() -> Vec<Point> {
 /// Sixteen ranks on every deck: the smallest rank grids.
 pub fn sixteen_ranks() -> Vec<Point> {
     on_decks(8, [Stepper::Ranks(Ranks { workers: Workers::Owned, ..Ranks::new(16) }); 3])
-}
-
-/// One kind of job over pool pairs, quanta and park rounds.
-pub fn served(job: Job) -> Vec<Point> {
-    let pools = [[1, 2], [2, 3], [3, 1], [2, 2], [1, 3], [3, 2]];
-    let serves = (0..6).map(|i| {
-        let (quantum, park_after) = (1 + i as u32 % 3, i as u64 % 4);
-        Serve { job, pools: pools[i], quantum, park_after }
-    });
-    on_decks(5, serves.map(Stepper::Serve))
 }
