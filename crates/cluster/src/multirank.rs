@@ -3,7 +3,8 @@
 //! [`MultiRankSim`] drives N per-rank [`Simulation`]s through the full
 //! VPIC step. Any untiled simulation — a freshly built deck or a restored
 //! snapshot — is partitioned via [`Decomposition`] into per-rank grids
-//! with a one-cell halo shell; every step performs real field halo
+//! with a halo shell (one cell on the minus sides, two on the plus
+//! sides); every step performs real field halo
 //! exchange and particle migration between the ranks, serialized through
 //! reusable per-link buffers, with latency and bandwidth charged through
 //! the [`NetworkModel`]. Interior field kernels run while boundary shells
@@ -55,6 +56,9 @@
 //! the local grid); every consumer reads them only after the exchange
 //! that overwrites them with the owner's canonical values, and owned
 //! cells never wrap because CFL limits motion and stencils to one cell.
+//! The second plus-side shell is there for the current alone: a segment
+//! in a plus-side halo cell puts weight on edges of the cell one further
+//! up. Its field values are never exchanged and never read.
 //!
 //! ## Checkpoints
 //!
@@ -72,7 +76,7 @@ use ckpt::{RestoreError, Snapshot};
 use pk::ExecSpace;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
-use vpic_core::accumulate::SLOTS;
+use vpic_core::accumulate::EDGES;
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
 use vpic_core::species::remove_sorted_indices;
@@ -85,9 +89,9 @@ pub(crate) const MIGRANT_BYTES: usize = 40;
 /// Bytes per halo cell per field exchange (3 components × f32).
 pub(crate) const FIELD_HALO_BYTES: usize = 12;
 
-/// Bytes per halo cell for the current-accumulator exchange
-/// (12 fixed-point i64 slots).
-pub(crate) const ACC_HALO_BYTES: usize = SLOTS * 8;
+/// Bytes per shared cell for the current-accumulator exchange
+/// (3 fixed-point i64 edge totals).
+pub(crate) const ACC_HALO_BYTES: usize = EDGES * 8;
 
 /// Where a particle found outside the owned box must go.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,8 +138,8 @@ struct Link {
 struct RankPlan {
     origin: (usize, usize, usize),
     extent: (usize, usize, usize),
-    /// The local grid — the owned block plus a one-cell halo shell — and
-    /// the global one it is a piece of.
+    /// The local grid — the owned block at `1..=extent` per axis, one halo
+    /// cell below it and two above — and the global one it is a piece of.
     grid: Grid,
     global: Grid,
     /// Global cell id of every local cell (halo included).
@@ -150,6 +154,17 @@ struct RankPlan {
 }
 
 impl RankPlan {
+    /// The local cells among `images` that the field kernels read: those
+    /// of the owned block and the one-cell shell around it, not of the
+    /// second plus-side shell.
+    fn field_images<'a>(&'a self, images: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+        let (lx, ly, lz) = self.extent;
+        images.iter().copied().filter(move |&lv| {
+            let (x, y, z) = self.grid.coords(lv as usize);
+            x <= lx + 1 && y <= ly + 1 && z <= lz + 1
+        })
+    }
+
     /// Canonical local index of an owned global cell.
     fn canonical(&self, g: u32) -> u32 {
         let (gx, gy, gz) = self.global.coords(g as usize);
@@ -192,7 +207,7 @@ struct Migrant {
 #[derive(Debug)]
 struct Sends {
     /// Deposition partials per shared cell: this rank's images summed.
-    partials: Vec<[i64; SLOTS]>,
+    partials: Vec<[i64; EDGES]>,
     /// Out-migrants per link, in drain order.
     migrants: Vec<Vec<Migrant>>,
     /// Per link, the last-packed triple (B or E) of each `field_src` cell.
@@ -202,7 +217,7 @@ struct Sends {
 impl Sends {
     fn for_plan(plan: &RankPlan) -> Self {
         Self {
-            partials: vec![[0; SLOTS]; plan.shared.len()],
+            partials: vec![[0; EDGES]; plan.shared.len()],
             migrants: vec![Vec::new(); plan.links.len()],
             halo: plan.links.iter().map(|l| vec![[0.0; 3]; l.field_src.len()]).collect(),
         }
@@ -327,7 +342,7 @@ struct RankState {
     /// canonical global order from it.
     ids: Vec<Vec<u64>>,
     /// Deposition totals per shared cell, merged across its holders.
-    totals: Vec<[i64; SLOTS]>,
+    totals: Vec<[i64; EDGES]>,
     /// What this rank is writing for its peers ([`publish`]).
     sends: Sends,
     tally: Tally,
@@ -344,7 +359,7 @@ impl RankState {
         Self {
             sim,
             ids,
-            totals: vec![[0; SLOTS]; plan.shared.len()],
+            totals: vec![[0; EDGES]; plan.shared.len()],
             sends: Sends::for_plan(plan),
             tally: Tally::default(),
             drain_idx: Vec::new(),
@@ -420,11 +435,11 @@ impl RankState {
         }
         // deposition partials over this rank's images of shared cells
         for (sum, (_, images)) in self.sends.partials.iter_mut().zip(&plan.shared) {
-            *sum = [0; SLOTS];
+            *sum = [0; EDGES];
             for &img in images {
                 let raw = self.sim.acc_cell_raw(img as usize);
-                for s in 0..SLOTS {
-                    sum[s] = sum[s].wrapping_add(raw[s]);
+                for e in 0..EDGES {
+                    sum[e] = sum[e].wrapping_add(raw[e]);
                 }
             }
         }
@@ -468,8 +483,8 @@ impl RankState {
             debug_assert_eq!(link.acc_pos.len(), theirs.len());
             for (&mine, &theirs) in link.acc_pos.iter().zip(theirs) {
                 let (dst, src) = (&mut self.totals[mine as usize], &partials[theirs as usize]);
-                for s in 0..SLOTS {
-                    dst[s] = dst[s].wrapping_add(src[s]);
+                for e in 0..EDGES {
+                    dst[e] = dst[e].wrapping_add(src[e]);
                 }
             }
         }
@@ -923,10 +938,11 @@ impl MultiRankSim {
 }
 
 /// Build every rank's geometry and exchange plan. Two ranks exchange iff
-/// their local arrays (owned block + one-cell halo shell) intersect in
-/// global space; the pair's overlap list is enumerated in ascending
-/// global-cell order on both sides, so buffer position identifies the
-/// cell without shipping indices.
+/// their local arrays (owned block + halo shell) intersect in global
+/// space; the pair's overlap list is enumerated in ascending global-cell
+/// order on both sides, so buffer position identifies the cell without
+/// shipping indices. Current partials cover the whole overlap, field
+/// halos only the cells [`RankPlan::field_images`] names.
 fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
     let nranks = decomp.ranks();
     // per-rank: global cell → local images, plus local_to_global
@@ -936,7 +952,7 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
         let origin = decomp.local_origin(r);
         let extent = decomp.local_extent(r);
         let (lx, ly, lz) = extent;
-        let local = Grid::new(lx + 2, ly + 2, lz + 2);
+        let local = Grid::new(lx + 3, ly + 3, lz + 3);
         let mut l2g = vec![0u32; local.cells()];
         let mut map: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for (lv, g) in l2g.iter_mut().enumerate() {
@@ -1013,12 +1029,11 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
             for &g in overlap {
                 link.acc_pos.push(shared_pos[me][&g]);
                 let o = owner_of(g);
-                if o == me {
+                let fields = |r: usize| plans[r].field_images(&maps[r][&g]);
+                if o == me && fields(other).next().is_some() {
                     link.field_src.push(plans[me].canonical(g));
-                } else if o == other {
-                    for &img in &maps[me][&g] {
-                        link.field_dst.push(img);
-                    }
+                } else if o == other && fields(me).next().is_some() {
+                    link.field_dst.extend(fields(me));
                     link.field_dst_off.push(link.field_dst.len() as u32);
                 }
             }
@@ -1046,17 +1061,16 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
             field_dst_off: vec![0],
         };
         for (g, images) in &plans[r].shared {
-            if owner_of(*g) != r || images.len() < 2 {
+            if owner_of(*g) != r {
                 continue;
             }
             let canon = plans[r].canonical(*g);
-            link.field_src.push(canon);
-            for &img in images {
-                if img != canon {
-                    link.field_dst.push(img);
-                }
+            let start = link.field_dst.len();
+            link.field_dst.extend(plans[r].field_images(images).filter(|&img| img != canon));
+            if link.field_dst.len() > start {
+                link.field_src.push(canon);
+                link.field_dst_off.push(link.field_dst.len() as u32);
             }
-            link.field_dst_off.push(link.field_dst.len() as u32);
         }
         if !link.field_src.is_empty() {
             plans[r].links.push(link);

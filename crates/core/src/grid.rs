@@ -143,6 +143,13 @@ impl Grid {
     #[inline(always)]
     pub(crate) fn row_stencil(&self, r: usize, side: StencilSide) -> RowStencil {
         let (iy, iz) = self.row_coords(r);
+        self.row_stencil_at(iy, iz, side)
+    }
+
+    /// [`Grid::row_stencil`] of the row at `(iy, iz)`, for a caller that
+    /// has the coordinates without dividing.
+    #[inline(always)]
+    pub(crate) fn row_stencil_at(&self, iy: usize, iz: usize, side: StencilSide) -> RowStencil {
         let step = |i: usize, n: usize| match side {
             StencilSide::Plus if i + 1 == n => 0,
             StencilSide::Plus => i + 1,

@@ -34,10 +34,12 @@ const INTERP_STREAM_BYTES: f64 = 312.0;
 const INTERP_FLOPS: f64 = 60.0;
 /// J clear: write jx/jy/jz once.
 const CLEAR_J_BYTES: f64 = 12.0;
-/// Accumulator unload: read 12 fixed-point i64 slots, write + read-modify
-/// J (3 × 2 × 4 B) → 96 + 24 ≈ plus neighbor scatter taps.
-const UNLOAD_BYTES: f64 = 204.0;
-/// Fixed-point → float conversion and adds per cell.
+/// Accumulator unload, the executed pass: read a cell's three fixed-point
+/// `i64` edge totals (24 B), read-modify-write its three `f32` currents
+/// (3 × 2 × 4 B). The edges' zeroing writes back the lines just read and
+/// is not priced.
+const UNLOAD_BYTES: f64 = 48.0;
+/// Fixed-point → float conversion, scale and add per edge.
 const UNLOAD_FLOPS: f64 = 12.0;
 /// Leapfrog advance (B half, E, B half): read/write 6 field arrays plus
 /// curl-stencil neighbor reads across the three passes.
@@ -553,12 +555,6 @@ impl Simulation {
         self.interp.capacity()
     }
 
-    /// Capacity of the unload's step-persistent scratch, its per-row
-    /// countdown, for the same assertions.
-    pub fn unload_scratch_capacity(&self) -> usize {
-        self.acc.unload_scratch_capacity()
-    }
-
     /// Rebuild the accumulator for a different worker count / scatter
     /// mode (used by the deposition ablation bench).
     pub fn configure_scatter(&mut self, workers: usize, mode: ScatterMode) {
@@ -574,9 +570,9 @@ impl Simulation {
     // the particle phase (fills the private accumulator), the current
     // unload, and the step-counter bump. Field advances are driven
     // piecewise by the caller through the public `fields`; the
-    // accumulator's raw fixed-point slots are exposed so rank-boundary
-    // partial deposits can be summed exactly (integer adds commute, so
-    // the merge is order- and partition-independent).
+    // accumulator's raw fixed-point edge totals are exposed so
+    // rank-boundary partial deposits can be summed exactly (integer adds
+    // commute, so the merge is order- and partition-independent).
 
     /// First phase of a decomposed step: [`Simulation::step`]'s particle
     /// phase (interpolators, J clear, accumulator reset, push) on the
@@ -596,14 +592,14 @@ impl Simulation {
         self.acc.unload_on(&Serial, self.strategy, &mut self.fields);
     }
 
-    /// Raw fixed-point accumulator slots for `cell` — the unit that
+    /// The raw fixed-point totals of the edges `cell` owns — the unit that
     /// ships between ranks during the current halo exchange.
-    pub fn acc_cell_raw(&self, cell: usize) -> [i64; crate::accumulate::SLOTS] {
+    pub fn acc_cell_raw(&self, cell: usize) -> [i64; crate::accumulate::EDGES] {
         self.acc.cell_raw(cell)
     }
 
-    /// Overwrite `cell`'s accumulator slots with `raw` (halo fill).
-    pub fn acc_set_cell_raw(&self, cell: usize, raw: &[i64; crate::accumulate::SLOTS]) {
+    /// Overwrite the totals of the edges `cell` owns with `raw` (halo fill).
+    pub fn acc_set_cell_raw(&self, cell: usize, raw: &[i64; crate::accumulate::EDGES]) {
         self.acc.set_cell_raw(cell, raw)
     }
 

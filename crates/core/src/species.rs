@@ -79,24 +79,19 @@ pub struct Species {
     scratch: SortScratch,
 }
 
-/// Remove the elements at `indices` (strictly ascending) from `v`, the
-/// rest keeping their relative order: one stable compaction pass from the
-/// first index on. The tile engine and the multi-rank exchange run it
-/// over the ids they keep beside a species; [`Species::drain_sorted_indices`] is
-/// the same pass fused over a species' eight arrays.
-pub fn remove_sorted_indices<T: Copy>(v: &mut Vec<T>, indices: &[usize]) {
-    let Some(&first) = indices.first() else { return };
+/// Remove the elements at `indices` (strictly ascending) from `v` by
+/// backfill (VPIC's): the holes, highest first, each take the element then
+/// at the end of `v`, so the work is one move per index and the survivors
+/// do not keep their order. Every array that loses the same indices this
+/// way moves its elements alike, which keeps arrays that are parallel
+/// parallel: the tile engine and the multi-rank exchange run it over the
+/// ids they keep beside a species, and [`Species::drain_sorted_indices`]
+/// over a species' eight arrays.
+pub fn remove_sorted_indices<T>(v: &mut Vec<T>, indices: &[usize]) {
     debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must ascend");
-    let (mut write, mut next) = (first, 0);
-    for read in first..v.len() {
-        if indices.get(next) == Some(&read) {
-            next += 1;
-        } else {
-            v[write] = v[read];
-            write += 1;
-        }
+    for &i in indices.iter().rev() {
+        v.swap_remove(i);
     }
-    v.truncate(write);
 }
 
 impl Species {
@@ -195,49 +190,22 @@ impl Species {
     }
 
     /// Remove the particles at `indices` (strictly ascending), appending
-    /// their records to `out` in that order; surviving particles keep
-    /// their relative order (stable one-pass compaction). This is the
-    /// migrant drain of the multi-rank exchange: ascending-index order
-    /// makes the outgoing stream deterministic for a given array state.
-    /// The pass is [`remove_sorted_indices`] fused over the eight arrays:
-    /// eight separate passes ran the `weibel-ranks4` benchmark workload at
-    /// 0.96× (median of ten alternating pairs, slower in nine of them;
-    /// 2-core x86-64 host).
+    /// their records to `out` in that order, and fill the holes from the
+    /// tail ([`remove_sorted_indices`] on every array): the survivors do
+    /// not keep their order, and an array kept parallel to the species
+    /// stays parallel if it loses the same indices the same way. This is
+    /// the migrant drain of the multi-rank exchange and the tile engine:
+    /// ascending-index order makes the outgoing stream deterministic for a
+    /// given array state.
     pub fn drain_sorted_indices(&mut self, indices: &[usize], out: &mut Vec<ParticleRecord>) {
         if indices.is_empty() {
             return;
         }
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must ascend");
-        out.reserve(indices.len());
-        for &p in indices {
-            out.push(self.record(p));
+        out.extend(indices.iter().map(|&p| self.record(p)));
+        remove_sorted_indices(&mut self.cell, indices);
+        for arr in self.floats_mut() {
+            remove_sorted_indices(arr, indices);
         }
-        let n = self.len();
-        let mut write = indices[0];
-        let mut next = 0usize;
-        for read in indices[0]..n {
-            if next < indices.len() && indices[next] == read {
-                next += 1;
-                continue;
-            }
-            self.dx[write] = self.dx[read];
-            self.dy[write] = self.dy[read];
-            self.dz[write] = self.dz[read];
-            self.cell[write] = self.cell[read];
-            self.ux[write] = self.ux[read];
-            self.uy[write] = self.uy[read];
-            self.uz[write] = self.uz[read];
-            self.w[write] = self.w[read];
-            write += 1;
-        }
-        self.dx.truncate(write);
-        self.dy.truncate(write);
-        self.dz.truncate(write);
-        self.cell.truncate(write);
-        self.ux.truncate(write);
-        self.uy.truncate(write);
-        self.uz.truncate(write);
-        self.w.truncate(write);
         self.last_sort = None;
     }
 
@@ -659,18 +627,25 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorted_indices_is_stable_and_order_preserving() {
+    fn drain_sorted_indices_keeps_the_survivors_and_their_ids_parallel() {
         let g = Grid::new(4, 4, 4);
         let mut s = Species::new("e", -1.0, 1.0);
         s.load_uniform(&g, 10, 0.1, (0.0, 0.0, 0.0), 1.0, 3);
         let before: Vec<ParticleRecord> = (0..10).map(|p| s.record(p)).collect();
+        let mut ids: Vec<usize> = (0..10).collect();
         let mut out = Vec::new();
-        s.drain_sorted_indices(&[0, 3, 4, 9], &mut out);
-        assert_eq!(out, vec![before[0], before[3], before[4], before[9]]);
-        let kept: Vec<ParticleRecord> = (0..s.len()).map(|p| s.record(p)).collect();
-        let expect: Vec<ParticleRecord> =
-            [1, 2, 5, 6, 7, 8].iter().map(|&p| before[p]).collect();
-        assert_eq!(kept, expect);
+        // holes at both ends, two side by side, and the tail itself
+        let drained = [0, 3, 4, 9];
+        s.drain_sorted_indices(&drained, &mut out);
+        remove_sorted_indices(&mut ids, &drained);
+        assert_eq!(out, drained.map(|p| before[p]), "records leave in ascending index order");
+        // every survivor once, each still beside its own id
+        let mut kept = ids.clone();
+        kept.sort_unstable();
+        assert_eq!(kept, [1, 2, 5, 6, 7, 8]);
+        for (p, &id) in ids.iter().enumerate() {
+            assert_eq!(s.record(p), before[id], "particle {p} lost its id");
+        }
         // draining nothing is a no-op
         let n = s.len();
         s.drain_sorted_indices(&[], &mut out);
@@ -684,12 +659,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_sorted_indices_keeps_the_rest_in_order() {
+    fn remove_sorted_indices_backfills_from_the_tail() {
         let mut ids = vec![10u64, 11, 12, 13, 14, 15];
         remove_sorted_indices(&mut ids, &[1, 4]);
-        assert_eq!(ids, vec![10, 12, 13, 15]);
+        assert_eq!(ids, vec![10, 15, 12, 13]);
         remove_sorted_indices(&mut ids, &[]);
-        assert_eq!(ids, vec![10, 12, 13, 15]);
+        assert_eq!(ids, vec![10, 15, 12, 13]);
         remove_sorted_indices(&mut ids, &[0, 1, 2, 3]);
         assert!(ids.is_empty());
     }

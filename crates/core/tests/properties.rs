@@ -36,7 +36,7 @@ proptest! {
         deposit_rho_node(&g, &mut rho0, cell, x0, y0, z0, qw);
         deposit_rho_node(&g, &mut rho1, cell, x1, y1, z1, qw);
         let mut acc = Accumulator::new(g.cells(), 1, ScatterMode::Atomic);
-        acc.deposit_segment(0, cell, x0, y0, z0, x1, y1, z1, qw);
+        acc.deposit_segment(&g, 0, cell, x0, y0, z0, x1, y1, z1, qw);
         let mut f = FieldArray::new(g.clone());
         acc.unload(&mut f);
         for v in 0..g.cells() {
@@ -47,7 +47,7 @@ proptest! {
     }
 
     /// Run coalescing is invisible: any sequence of (cell, segment), cut
-    /// into contiguous chunks with one depositor each, leaves every slot
+    /// into contiguous chunks with one depositor each, leaves every edge
     /// with the bits that one `deposit_segment` per segment leaves — for
     /// both scatter modes and claims, any worker count, runs of length
     /// one included.
@@ -59,10 +59,11 @@ proptest! {
         ),
         workers in 1usize..5,
     ) {
-        let cells = 3;
+        let g = Grid::new(3, 1, 1);
+        let cells = g.cells();
         let direct = Accumulator::new(cells, 1, ScatterMode::Atomic);
         for &(cell, (x0, y0, z0), (x1, y1, z1), qw) in &segments {
-            direct.deposit_segment(0, cell, x0, y0, z0, x1, y1, z1, qw);
+            direct.deposit_segment(&g, 0, cell, x0, y0, z0, x1, y1, z1, qw);
         }
         for (mode, claim) in [
             (ScatterMode::Atomic, Claim::Shared),
@@ -72,7 +73,7 @@ proptest! {
             let acc = Accumulator::new(cells, workers, mode);
             let chunk = segments.len().div_ceil(workers).max(1);
             for (worker, chunk) in segments.chunks(chunk).enumerate() {
-                let mut dep = acc.depositor(worker, claim);
+                let mut dep = acc.depositor(&g, worker, claim);
                 for &(cell, (x0, y0, z0), (x1, y1, z1), qw) in chunk {
                     dep.deposit(cell, x0, y0, z0, x1, y1, z1, qw);
                 }

@@ -11,7 +11,6 @@
 //! its lane, *sole* or *shared*, and only shared lanes pay for atomic
 //! read-modify-writes.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -57,8 +56,9 @@ pub enum ScatterMode {
     /// buffer (Kokkos `ScatterAtomic`; what GPUs do).
     #[default]
     Atomic,
-    /// Each worker owns a private replica, combined on `collect`
-    /// (Kokkos `ScatterDuplicated`; what low-core-count CPUs prefer).
+    /// Each worker owns a private replica, the replicas added when the
+    /// buffer is read (Kokkos `ScatterDuplicated`; what low-core-count
+    /// CPUs prefer).
     Duplicated,
 }
 
@@ -209,24 +209,23 @@ impl LaneWriter<'_> {
     }
 
     /// Hint the cache ([`crate::prefetch`]) that the run of `len` slots
-    /// from `base` will be added to soon: its first, middle and last slot,
-    /// which is every line of a run up to 17 slots long wherever it
-    /// starts. A run that is not inside the lane is ignored — the
+    /// from `base` will be added to soon: its first and last slot, which
+    /// is every line of a run up to 9 slots long wherever it starts. A run
+    /// that is not inside the lane is ignored — the
     /// [`LaneWriter::add_raw_run`] that names it is what panics.
     #[inline]
     pub fn prefetch(&self, base: usize, len: usize) {
         let Some(run) = base.checked_add(len).and_then(|end| self.slots.get(base..end)) else {
             return;
         };
-        for slot in [run.first(), run.get(len / 2), run.last()].into_iter().flatten() {
+        for slot in [run.first(), run.last()].into_iter().flatten() {
             crate::prefetch(slot);
         }
     }
 }
 
-/// One lane of a [`FixedScatterBuf`], read in place: what a gather over
-/// finished deposits reads instead of a [`FixedScatterBuf::collect`]ed
-/// copy. An accumulator's total is the wrapping sum of
+/// One lane of a [`FixedScatterBuf`], read in place by a reader of
+/// finished deposits. An accumulator's total is the wrapping sum of
 /// [`LaneTotals::raw`] over [`FixedScatterBuf::lane_totals`]; a reader
 /// that counts the lanes once, outside its loop, pays nothing for the
 /// replicas a buffer does not have.
@@ -239,6 +238,16 @@ impl LaneTotals<'_> {
     pub fn raw(&self, i: usize) -> i64 {
         self.0[i].load(Ordering::Relaxed)
     }
+
+    /// This lane's contribution to accumulator `i`, leaving it zero: what
+    /// a reader that consumes the totals does with the replicas
+    /// [`FixedScatterBuf::lanes_mut`] hands it.
+    #[inline(always)]
+    pub fn take(&self, i: usize) -> i64 {
+        let raw = self.raw(i);
+        self.0[i].store(0, Ordering::Relaxed);
+        raw
+    }
 }
 
 /// A scatter-accumulation buffer over fixed-point `i64` accumulators.
@@ -246,7 +255,7 @@ impl LaneTotals<'_> {
 /// One shared lane, or one replica lane per worker, selected by
 /// [`ScatterMode`], and order-independent either way: every contribution
 /// is quantized to a multiple of `2⁻⁴⁰` and summed with integer adds, so
-/// `collect` returns the same bits no matter how the contributions were
+/// the totals are the same bits no matter how the contributions were
 /// interleaved or partitioned. Current deposition uses
 /// this so multi-rank halo merges can be bit-identical to the single-rank
 /// run.
@@ -256,16 +265,15 @@ impl LaneTotals<'_> {
 /// ([`FixedScatterBuf::claim`]): *sole* writers add without atomics,
 /// *shared* writers with `fetch_add`, and one `RwLock` per lane makes the
 /// two kinds wait for each other instead of losing an add. Reads
-/// (`get_raw`, `lane_totals`, `collect`) take no claim; they are exact
-/// once the writers are done.
+/// (`get_raw`, `lane_totals`) take no claim; they are exact once the
+/// writers are done.
 ///
 /// A buffer knows whether it may hold a nonzero slot: every claim and
 /// [`FixedScatterBuf::set_raw_run`] mark it dirty, and
-/// [`FixedScatterBuf::reset`] of a clean buffer returns at once. A gather
-/// that reads each run for the last time can zero it while it is still
-/// in cache ([`FixedScatterBuf::zero_run`]) and then
-/// [`FixedScatterBuf::mark_clean`] the buffer, so the reset before the
-/// next deposits sweeps nothing.
+/// [`FixedScatterBuf::reset`] of a clean buffer returns at once. A reader
+/// that zeroes every slot as it takes it ([`FixedScatterBuf::lanes_mut`])
+/// then [`FixedScatterBuf::mark_clean`]s the buffer, so the reset before
+/// the next deposits sweeps nothing.
 #[derive(Debug)]
 pub struct FixedScatterBuf {
     mode: ScatterMode,
@@ -380,8 +388,20 @@ impl FixedScatterBuf {
         self.lane_totals().fold(0i64, |acc, lane| acc.wrapping_add(lane.raw(i)))
     }
 
+    /// Every lane, for a reader that consumes the totals: the first lane's
+    /// slots to read and zero in place (`AtomicI64::get_mut`, plain
+    /// accesses: `&mut self` keeps every writer out), and the replicas
+    /// after it, in replica order, to [`LaneTotals::take`] from.
+    pub fn lanes_mut(
+        &mut self,
+    ) -> (&mut [AtomicI64], impl ExactSizeIterator<Item = LaneTotals<'_>> + Clone + Sync) {
+        let (first, replicas) = self.lanes.split_first_mut().expect("a buffer has at least one lane");
+        (&mut first.slots, replicas.iter().map(|lane| LaneTotals(&lane.slots)))
+    }
+
     /// Every accumulator's raw total in slot order, the first lane's slots
     /// walked once and the other replicas' added to them.
+    #[cfg(test)]
     fn raw_totals(&self) -> impl Iterator<Item = i64> + '_ {
         let (first, replicas) = self.lanes.split_first().expect("a buffer has at least one lane");
         first.slots.iter().enumerate().map(move |(i, slot)| {
@@ -391,7 +411,8 @@ impl FixedScatterBuf {
     }
 
     /// Read one accumulator as `f64`.
-    pub fn get(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    fn get(&self, i: usize) -> f64 {
         Self::dequantize(self.get_raw(i))
     }
 
@@ -410,7 +431,8 @@ impl FixedScatterBuf {
     }
 
     /// Reduce all contributions into a plain vector.
-    pub fn collect(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn collect(&self) -> Vec<f64> {
         self.raw_totals().map(Self::dequantize).collect()
     }
 
@@ -430,35 +452,11 @@ impl FixedScatterBuf {
         }
     }
 
-    /// Zero the accumulators in `run` in every lane, one `memset` per lane
-    /// and no claim: what a gather does to a run it has read for the last
-    /// time, while the run is still in cache. A run outside the buffer
-    /// panics.
-    ///
-    /// # Safety
-    ///
-    /// No other thread may read or write a slot of `run` during the call:
-    /// every other access to those slots must happen before the call or
-    /// after it.
-    pub unsafe fn zero_run(&self, run: Range<usize>) {
-        for lane in &self.lanes {
-            // the bounds check every build makes, not only debug ones: an
-            // out-of-range run would otherwise write past the lane
-            let slots = &lane.slots[run.clone()];
-            // SAFETY: `slots` is in bounds (a checked slice), an `AtomicI64`
-            // is an `i64` in an `UnsafeCell` — so writing through a pointer
-            // from a shared borrow is allowed and all-zero bytes are a valid
-            // value — and the caller rules out every access these plain
-            // writes could race with.
-            unsafe { slots.as_ptr().cast_mut().write_bytes(0, slots.len()) };
-        }
-    }
-
     /// Record that every accumulator is zero, so the next `reset` returns
-    /// at once: what a gather calls once its [`FixedScatterBuf::zero_run`]s
-    /// have covered the buffer. Only then, so a gather that panicked part
-    /// way leaves the buffer dirty and the next `reset` sweeps it. Debug
-    /// builds check the claim.
+    /// at once: what a reader calls once it has taken every slot through
+    /// [`FixedScatterBuf::lanes_mut`]. Only then, so a reader that panicked
+    /// part way leaves the buffer dirty and the next `reset` sweeps it.
+    /// Debug builds check the claim.
     pub fn mark_clean(&mut self) {
         debug_assert!(
             self.lanes.iter().all(|l| l.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0)),
@@ -649,9 +647,8 @@ mod tests {
         assert!(!buf.is_dirty());
         buf.set_raw_run(1, &[3]);
         assert!(buf.is_dirty(), "set_raw_run");
-        // SAFETY: this thread is the buffer's only user.
-        unsafe { buf.zero_run(0..4) };
-        assert!(buf.is_dirty(), "zeroing runs does not clean the buffer");
+        buf.set_raw_run(1, &[0]);
+        assert!(buf.is_dirty(), "writing zeros does not clean the buffer");
         buf.mark_clean();
         assert!(!buf.is_dirty());
     }
@@ -669,55 +666,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_run_clears_the_run_in_every_lane_and_nothing_else() {
-        for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {
-            let buf = FixedScatterBuf::new(6, 3, mode);
-            for worker in 0..3 {
-                buf.claim(worker, Claim::Sole).add_raw_run(0, &[1, 2, 3, 4, 5, 6]);
-            }
-            // SAFETY: this thread is the buffer's only user.
-            unsafe { buf.zero_run(2..5) };
-            let k = 3 / buf.lane_totals().len() as i64;
-            for lane in buf.lane_totals() {
-                assert_eq!((0..6).map(|i| lane.raw(i)).collect::<Vec<_>>(), [k, 2 * k, 0, 0, 0, 6 * k]);
-            }
+    fn lanes_mut_hands_out_every_lane_once_for_taking() {
+        let mut buf = FixedScatterBuf::new(3, 3, ScatterMode::Duplicated);
+        for worker in 0..3 {
+            buf.claim(worker, Claim::Sole).add_raw_run(0, &[1, 2, 3]);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn zero_run_outside_the_buffer_panics() {
-        let buf = FixedScatterBuf::new(4, 1, ScatterMode::Atomic);
-        // SAFETY: this thread is the buffer's only user.
-        unsafe { buf.zero_run(2..5) };
-    }
-
-    #[test]
-    fn disjoint_zero_runs_beside_a_reader_of_a_third_run() {
-        // two threads zero their own runs while a third reads another run;
-        // what Miri checks is that the plain writes race with no access
-        let buf = FixedScatterBuf::new(12, 2, ScatterMode::Duplicated);
-        for worker in 0..2 {
-            buf.claim(worker, Claim::Sole).add_raw_run(0, &[7; 12]);
+        {
+            let (first, replicas) = buf.lanes_mut();
+            assert_eq!(replicas.len(), 2);
+            let taken: Vec<i64> = (0..3)
+                .map(|i| replicas.clone().fold(std::mem::take(first[i].get_mut()), |sum, lane| sum + lane.take(i)))
+                .collect();
+            assert_eq!(taken, [3, 6, 9]);
         }
-        let start = std::sync::Barrier::new(3);
-        let read = std::thread::scope(|scope| {
-            for run in [0..4, 4..8] {
-                let (buf, start) = (&buf, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    // SAFETY: the runs are disjoint and nobody else reads them.
-                    unsafe { buf.zero_run(run) };
-                });
-            }
-            let reader = scope.spawn(|| {
-                start.wait();
-                (8..12).map(|i| buf.get_raw(i)).sum::<i64>()
-            });
-            reader.join().expect("the reader does not panic")
-        });
-        assert_eq!(read, 4 * 14);
-        let totals: Vec<i64> = (0..12).map(|i| buf.get_raw(i)).collect();
-        assert_eq!(totals, [[0; 8].as_slice(), &[14; 4]].concat());
+        buf.mark_clean();
+        assert!(buf.lane_totals().all(|lane| (0..3).all(|i| lane.raw(i) == 0)));
     }
 }

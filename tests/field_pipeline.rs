@@ -7,9 +7,9 @@
 //!    its own neighbor or nothing but its end cell), any `Strategy`, and
 //!    any worker count 1–8. Row-level work decomposition with disjoint writes means the
 //!    schedule cannot reorder a single floating-point operation.
-//! 2. **Zero steady-state allocation** — the interpolator array and the
-//!    unload's per-row countdown, the pipeline's scratch, are warmed once
-//!    and reused; their capacity never grows again over a run.
+//! 2. **Zero steady-state allocation** — the interpolator array, the
+//!    pipeline's scratch, is warmed once and reused; its capacity never
+//!    grows again over a run.
 
 use proptest::prelude::*;
 use vpic2::core::accumulate::Accumulator;
@@ -48,7 +48,7 @@ fn seeded_accumulator(g: &Grid, workers: usize) -> Accumulator {
         let t = v as f32 * 0.37;
         let (x0, y0, z0) = (t.sin() * 0.4, t.cos() * 0.4, (2.0 * t).sin() * 0.4);
         let (x1, y1, z1) = ((t + 1.0).sin() * 0.4, (t + 1.0).cos() * 0.4, (2.0 * t + 1.0).sin() * 0.4);
-        acc.deposit_segment(v % workers.max(1), v, x0, y0, z0, x1, y1, z1, 0.8);
+        acc.deposit_segment(g, v % workers.max(1), v, x0, y0, z0, x1, y1, z1, 0.8);
     }
     acc
 }
@@ -134,11 +134,9 @@ proptest! {
         }
     }
 
-    /// Current unload: the deterministic edge-ownership gather is
-    /// worker-count- and strategy-invariant bit for bit. (It is *not*
-    /// required to match the scatter reference bitwise — that has a
-    /// different summation tree — only to be schedule-independent;
-    /// tolerance against the scatter oracle is covered by unit tests.)
+    /// Current unload: the stream over the edges is worker-count- and
+    /// strategy-invariant bit for bit, whatever the replicas the deposits
+    /// were spread over. (The edge-by-edge oracle is a unit test.)
     #[test]
     fn unload_bit_identical_across_workers(
         tx in 0usize..8, ty in 0usize..8, tz in 0usize..8,
@@ -159,8 +157,8 @@ proptest! {
     }
 }
 
-/// The `Simulation`-owned interpolator array and the unload's per-row
-/// countdown are warmed on the first step and never reallocate afterwards.
+/// The `Simulation`-owned interpolator array is warmed on the first step
+/// and never reallocates afterwards.
 #[test]
 fn field_pipeline_is_allocation_free_after_warmup() {
     let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
@@ -168,14 +166,10 @@ fn field_pipeline_is_allocation_free_after_warmup() {
     sim.strategy = Strategy::Manual;
     let pool = Threads::new(4);
     sim.step_on(&pool); // warmup: the scratch grows to steady state
-    let warm = [sim.field_scratch_capacity(), sim.unload_scratch_capacity()];
-    assert!(warm.iter().all(|&c| c > 0), "warmup should size the scratch: {warm:?}");
+    let warm = sim.field_scratch_capacity();
+    assert!(warm > 0, "warmup should size the scratch: {warm}");
     for _ in 0..5 {
         sim.step_on(&pool);
-        assert_eq!(
-            [sim.field_scratch_capacity(), sim.unload_scratch_capacity()],
-            warm,
-            "field pipeline scratch reallocated after warmup"
-        );
+        assert_eq!(sim.field_scratch_capacity(), warm, "field pipeline scratch reallocated after warmup");
     }
 }
