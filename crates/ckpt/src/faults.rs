@@ -2,17 +2,16 @@
 //!
 //! Each injector produces one of the failure modes a production run can
 //! hit — a snapshot cut short, silent media bit rot, a process killed
-//! mid-write, a worker thread dying mid-step — or, with [`rewritten`], a
-//! CRC-valid container whose one section says something else, so tests
-//! can assert the
-//! invariant directly: every fault yields a typed [`RestoreError`] (and a
-//! fallback to the previous good snapshot), or a bit-identical resume.
-//! Never a silently diverging `Ok`.
+//! mid-write — or, with [`rewritten`], a CRC-valid container whose one
+//! section says something else, so tests can assert the invariant
+//! directly: every fault yields a typed [`RestoreError`] (and a fallback
+//! to the previous good snapshot), or a bit-identical resume. Never a
+//! silently diverging `Ok`.
+//!
+//! [`RestoreError`]: crate::format::RestoreError
 
 use crate::file::tmp_path;
 use crate::format::{SectionBuf, SectionReader, Snapshot, Writer};
-use pk::pool::{DispatchPanic, WorkerPool};
-use std::io::Write;
 use std::path::Path;
 
 /// A copy of `bytes` truncated to its first `keep` bytes (clamped).
@@ -65,59 +64,10 @@ pub fn crash_mid_write(path: &Path, bytes: &[u8], keep: usize) -> std::io::Resul
     std::fs::write(tmp_path(path), truncated(bytes, keep))
 }
 
-/// An `io::Write` that accepts `budget` bytes and then fails — the
-/// in-memory version of a process dying (or a disk filling) mid-write.
-#[derive(Debug)]
-pub struct FailingWriter {
-    /// Bytes accepted so far.
-    pub written: Vec<u8>,
-    budget: usize,
-}
-
-impl FailingWriter {
-    /// A writer that dies after `budget` bytes.
-    pub fn new(budget: usize) -> Self {
-        Self { written: Vec::new(), budget }
-    }
-}
-
-impl Write for FailingWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let room = self.budget - self.written.len();
-        if room == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "injected mid-write failure",
-            ));
-        }
-        let n = buf.len().min(room);
-        self.written.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Kill one dispatch on `pool`: panic the lane `at_lane` (mod the lane
-/// count) inside a pooled task and return the typed [`DispatchPanic`] the
-/// pool surfaces. The pool stays usable afterwards — this is the
-/// "worker died at step k, restore from the last snapshot" fault.
-pub fn kill_dispatch(pool: &WorkerPool, at_lane: usize) -> DispatchPanic {
-    let victim = at_lane % pool.lanes();
-    pool.try_run(&|lane| {
-        if lane == victim {
-            panic!("ckpt::faults injected worker kill on lane {lane}");
-        }
-    })
-    .expect_err("the injected panic must surface as a DispatchPanic")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{RestoreError, Snapshot, Writer};
+    use crate::format::{Snapshot, Writer};
 
     fn sample_bytes() -> Vec<u8> {
         let mut w = Writer::new();
@@ -146,31 +96,5 @@ mod tests {
             assert_ne!(bad, bytes);
             assert!(Snapshot::from_bytes(&bad).is_err(), "byte={byte}");
         }
-    }
-
-    #[test]
-    fn failing_writer_dies_on_budget() {
-        let bytes = sample_bytes();
-        let mut w = FailingWriter::new(10);
-        let err = w.write_all(&bytes).expect_err("budget exceeded");
-        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
-        assert_eq!(w.written.len(), 10);
-        // the partial write is itself a typed restore failure
-        assert!(matches!(
-            Snapshot::from_bytes(&w.written),
-            Err(RestoreError::Truncated | RestoreError::SchemaDrift(_))
-        ));
-    }
-
-    #[test]
-    fn kill_dispatch_surfaces_a_typed_panic_and_pool_survives() {
-        let pool = WorkerPool::new(3);
-        let dp = kill_dispatch(&pool, 1);
-        assert_eq!(dp.panicked_lanes, 1);
-        // caller-lane kills are typed too
-        let dp0 = kill_dispatch(&pool, 0);
-        assert_eq!(dp0.panicked_lanes, 1);
-        // and the pool still dispatches cleanly
-        pool.try_run(&|_| {}).unwrap();
     }
 }

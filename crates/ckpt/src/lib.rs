@@ -15,8 +15,9 @@
 //!   snapshot; [`file::load_with_fallback`] encodes the recovery policy.
 //! * [`faults`] — the injection harness the contract is tested against:
 //!   truncate at any byte, flip any bit, rewrite one section CRC-valid,
-//!   die mid-write, kill a pooled worker ([`pk::pool::WorkerPool`]) at a
-//!   chosen step.
+//!   leave a half-written temp file behind. A worker dying mid-step is
+//!   tested where the pool and the step live (`pk::pool`,
+//!   `vpic-core::checkpoint`), so this crate depends on no other.
 //!
 //! What goes *into* the sections is owned by the crates whose types they
 //! hold — fields, particles and telemetry baselines by

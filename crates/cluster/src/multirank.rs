@@ -79,7 +79,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use vpic_core::accumulate::EDGES;
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
-use vpic_core::species::remove_sorted_indices;
 use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
 
 /// Bytes shipped per migrating particle: the 32-byte phase-space record
@@ -346,11 +345,9 @@ struct RankState {
     /// What this rank is writing for its peers ([`publish`]).
     sends: Sends,
     tally: Tally,
-    /// Reusable scratch: out-migrants' indices and records, the id map
-    /// a sort is permuting, the migrants taken from the peers' outboxes.
+    /// Reusable scratch: out-migrants' indices, the migrants taken from
+    /// the peers' outboxes.
     drain_idx: Vec<usize>,
-    drain_rec: Vec<ParticleRecord>,
-    id_scratch: Vec<u64>,
     incoming: Vec<Migrant>,
 }
 
@@ -363,8 +360,6 @@ impl RankState {
             sends: Sends::for_plan(plan),
             tally: Tally::default(),
             drain_idx: Vec::new(),
-            drain_rec: Vec::new(),
-            id_scratch: Vec::new(),
             incoming: Vec::new(),
         }
     }
@@ -383,11 +378,7 @@ impl RankState {
         // the gather goes by id (the per-rank tuning contract below).
         if let Some(order) = self.sim.consume_due_sort() {
             for (s, ids) in self.sim.species.iter_mut().zip(&mut self.ids) {
-                if s.sort(order) {
-                    self.id_scratch.clear();
-                    self.id_scratch.extend(s.sort_perm().iter().map(|&p| ids[p]));
-                    std::mem::swap(ids, &mut self.id_scratch);
-                }
+                s.sort_with_ids(order, ids);
             }
         }
         tally.push = self.sim.begin_step();
@@ -399,7 +390,6 @@ impl RankState {
         }
         for (si, (s, ids)) in self.sim.species.iter_mut().zip(&mut self.ids).enumerate() {
             self.drain_idx.clear();
-            self.drain_rec.clear();
             let mut remapped = false;
             for p in 0..s.len() {
                 match plan.route[s.cell[p] as usize] {
@@ -418,20 +408,14 @@ impl RankState {
                 continue;
             }
             tally.drained += self.drain_idx.len();
-            s.drain_sorted_indices(&self.drain_idx, &mut self.drain_rec);
-            for (&p, record) in self.drain_idx.iter().zip(&self.drain_rec) {
-                let Route::Remote(link) = plan.route[record.cell as usize] else {
+            let outboxes = &mut self.sends.migrants;
+            s.drain_with_ids(ids, &self.drain_idx, |id, mut rec| {
+                let Route::Remote(link) = plan.route[rec.cell as usize] else {
                     unreachable!("drained cells are remote");
                 };
-                let mut rec = *record;
-                rec.cell = plan.local_to_global[record.cell as usize];
-                self.sends.migrants[link as usize].push(Migrant {
-                    species: si as u32,
-                    id: ids[p],
-                    rec,
-                });
-            }
-            remove_sorted_indices(ids, &self.drain_idx);
+                rec.cell = plan.local_to_global[rec.cell as usize];
+                outboxes[link as usize].push(Migrant { species: si as u32, id, rec });
+            });
         }
         // deposition partials over this rank's images of shared cells
         for (sum, (_, images)) in self.sends.partials.iter_mut().zip(&plan.shared) {
@@ -851,22 +835,17 @@ impl MultiRankSim {
             let tmpl = &self.ranks[0].sim.species[si];
             let total: usize = self.ranks.iter().map(|st| st.sim.species[si].len()).sum();
             let mut s = vpic_core::Species::new(tmpl.name.clone(), tmpl.q, tmpl.m);
-            s.cell = vec![0; total];
-            for arr in s.floats_mut() {
-                *arr = vec![0.0; total];
-            }
             // each particle lands at its global load index
-            for (st, plan) in self.ranks.iter().zip(&self.plans) {
-                let (rs, ids) = (&st.sim.species[si], &st.ids[si]);
-                for (&id, &c) in ids.iter().zip(&rs.cell) {
-                    s.cell[id as usize] = plan.local_to_global[c as usize];
-                }
-                for (dst, src) in s.floats_mut().into_iter().zip(rs.floats()) {
-                    for (&id, &v) in ids.iter().zip(src) {
-                        dst[id as usize] = v;
-                    }
-                }
-            }
+            s.assemble_by_id(
+                total,
+                self.ranks.iter().zip(&self.plans).flat_map(|(st, plan)| {
+                    let ledger = st.sim.species[si].records_with_ids(&st.ids[si]);
+                    ledger.map(|(id, mut rec)| {
+                        rec.cell = plan.local_to_global[rec.cell as usize];
+                        (id, rec)
+                    })
+                }),
+            );
             out.add_species(s);
         }
         out

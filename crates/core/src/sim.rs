@@ -191,7 +191,7 @@ impl Simulation {
     /// before [`Simulation::begin_step`] because it holds parallel
     /// per-particle state (global load-order id maps) that must be
     /// co-permuted with the SoA arrays. Never due while tiled — every
-    /// tile keeps its own `(cell, id)` order, the tiled analogue of the
+    /// tile visit sorts the tile by cell, the tiled analogue of the
     /// paper's sorted traversal — so the first step after
     /// [`Simulation::disable_tiling`] sorts.
     pub fn consume_due_sort(&mut self) -> Option<SortOrder> {
@@ -782,7 +782,7 @@ mod tests {
 
     #[test]
     fn scheduled_sort_waits_while_tiled_and_fires_after_untiling() {
-        // tiles keep their own (cell, id) order, so the schedule must not
+        // every tile visit sorts its tile by cell, so the schedule must not
         // fire while tiled — and must still be due once tiling is dropped
         let mut plain = neutral_pair_sim(4);
         let mut tiled = neutral_pair_sim(4);

@@ -84,10 +84,9 @@ pub struct Species {
 /// at the end of `v`, so the work is one move per index and the survivors
 /// do not keep their order. Every array that loses the same indices this
 /// way moves its elements alike, which keeps arrays that are parallel
-/// parallel: the tile engine and the multi-rank exchange run it over the
-/// ids they keep beside a species, and [`Species::drain_sorted_indices`]
-/// over a species' eight arrays.
-pub fn remove_sorted_indices<T>(v: &mut Vec<T>, indices: &[usize]) {
+/// parallel: [`Species::drain_with_ids`] runs it over a species' eight
+/// arrays and the ids beside them.
+fn remove_sorted_indices<T>(v: &mut Vec<T>, indices: &[usize]) {
     debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must ascend");
     for &i in indices.iter().rev() {
         v.swap_remove(i);
@@ -129,8 +128,23 @@ impl Species {
 
     /// The arrays of [`Species::floats`], in its order, mutably.
     pub fn floats_mut(&mut self) -> [&mut Vec<f32>; 7] {
-        let Self { dx, dy, dz, ux, uy, uz, w, .. } = self;
-        [dx, dy, dz, ux, uy, uz, w]
+        self.columns_mut().1
+    }
+
+    /// `cell` and the arrays of [`Species::floats`], mutably: the columns
+    /// a tile blob decodes into. Writing through them does not dirty the
+    /// sort claim; [`Species::mark_unsorted`] after.
+    pub(crate) fn columns_mut(&mut self) -> (&mut Vec<u32>, [&mut Vec<f32>; 7]) {
+        let Self { cell, dx, dy, dz, ux, uy, uz, w, .. } = self;
+        (cell, [dx, dy, dz, ux, uy, uz, w])
+    }
+
+    /// Remove every particle, keeping the arrays' capacity.
+    pub(crate) fn clear(&mut self) {
+        let (cell, floats) = self.columns_mut();
+        cell.clear();
+        floats.into_iter().for_each(Vec::clear);
+        self.last_sort = None;
     }
 
     /// Number of particles.
@@ -189,23 +203,74 @@ impl Species {
         self.push_particle(r.dx, r.dy, r.dz, r.cell, r.ux, r.uy, r.uz, r.w);
     }
 
-    /// Remove the particles at `indices` (strictly ascending), appending
-    /// their records to `out` in that order, and fill the holes from the
-    /// tail ([`remove_sorted_indices`] on every array): the survivors do
-    /// not keep their order, and an array kept parallel to the species
-    /// stays parallel if it loses the same indices the same way. This is
-    /// the migrant drain of the multi-rank exchange and the tile engine:
+    /// The drain of the id ledger: remove the particles at `indices`
+    /// (strictly ascending) and their entries of `ids`, the id array kept
+    /// parallel to the particles, handing each `(id, record)` to `out` in
+    /// ascending index order. The holes fill from the tail
+    /// ([`remove_sorted_indices`] on all nine arrays), so the survivors
+    /// do not keep their order but keep their ids. This is the migrant
+    /// drain of the multi-rank exchange and the tile engine:
     /// ascending-index order makes the outgoing stream deterministic for a
     /// given array state.
-    pub fn drain_sorted_indices(&mut self, indices: &[usize], out: &mut Vec<ParticleRecord>) {
+    pub fn drain_with_ids(
+        &mut self,
+        ids: &mut Vec<u64>,
+        indices: &[usize],
+        mut out: impl FnMut(u64, ParticleRecord),
+    ) {
+        debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
         if indices.is_empty() {
             return;
         }
-        out.extend(indices.iter().map(|&p| self.record(p)));
-        remove_sorted_indices(&mut self.cell, indices);
-        for arr in self.floats_mut() {
+        for &p in indices {
+            out(ids[p], self.record(p));
+        }
+        remove_sorted_indices(ids, indices);
+        let (cell, floats) = self.columns_mut();
+        remove_sorted_indices(cell, indices);
+        for arr in floats {
             remove_sorted_indices(arr, indices);
         }
+        self.last_sort = None;
+    }
+
+    /// Every particle as `(id, record)`, in array order, with its id from
+    /// `ids`, the id array kept parallel to the particles: what
+    /// [`Species::assemble_by_id`] takes.
+    pub fn records_with_ids<'a>(
+        &'a self,
+        ids: &'a [u64],
+    ) -> impl Iterator<Item = (u64, ParticleRecord)> + 'a {
+        debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
+        ids.iter().enumerate().map(|(p, &id)| (id, self.record(p)))
+    }
+
+    /// The assembly of the id ledger: replace the particles with the `n`
+    /// `records`, each placed at its id, so the record with id `i` lands
+    /// at index `i`. The ids must be `0..n`, each once: the canonical
+    /// order the tile engine's unload and the multi-rank gather rebuild.
+    pub fn assemble_by_id(
+        &mut self,
+        n: usize,
+        records: impl IntoIterator<Item = (u64, ParticleRecord)>,
+    ) {
+        let (cell, floats) = self.columns_mut();
+        cell.clear();
+        cell.resize(n, 0);
+        for arr in floats {
+            arr.clear();
+            arr.resize(n, 0.0);
+        }
+        let mut placed = 0;
+        for (id, r) in records {
+            let p = id as usize;
+            let (cell, [dx, dy, dz, ux, uy, uz, w]) = self.columns_mut();
+            [dx[p], dy[p], dz[p]] = [r.dx, r.dy, r.dz];
+            [ux[p], uy[p], uz[p], w[p]] = [r.ux, r.uy, r.uz, r.w];
+            cell[p] = r.cell;
+            placed += 1;
+        }
+        assert_eq!(placed, n, "by-id assembly: {placed} records for {n} ids");
         self.last_sort = None;
     }
 
@@ -324,6 +389,21 @@ impl Species {
             arr.copy_from_slice(floats);
         }
         self.last_sort = Some(order);
+        true
+    }
+
+    /// The sort of the id ledger: [`Species::sort`], with `ids`, the id
+    /// array kept parallel to the particles, gathered through
+    /// [`Species::sort_perm`] so that every particle keeps its id. The ids
+    /// pass through a transient buffer, as `sort_pairs`' values do: one
+    /// kept between sorts would hold 8 B per particle for nothing.
+    /// `Standard` is stable: particles in one cell keep the order they had.
+    pub fn sort_with_ids(&mut self, order: SortOrder, ids: &mut [u64]) -> bool {
+        debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
+        if !self.sort(order) {
+            return false;
+        }
+        ids.copy_from_slice(&pk::sort::apply_permutation(self.sort_perm(), ids));
         true
     }
 
@@ -516,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_applies_the_reference_permutation_to_every_array() {
+    fn the_id_ledger_follows_the_reference_permutation_for_every_order() {
         // (cells, n): empty, single, one cell, dense, and sparse enough
         // (range > 8 n) that the argsort falls back to comparing
         for (cells, n) in [(64u32, 0usize), (64, 1), (1, 50), (64, 500), (1 << 20, 40)] {
@@ -532,8 +612,8 @@ mod tests {
                 loaded.push_particle(x, 0.0, -0.5, cell, tag, -tag, 2.0 * tag, 1.0 + tag);
             }
             for order in SortOrder::fig7_set(8) {
-                let mut s = loaded.clone();
-                assert!(s.sort(order));
+                let (mut s, mut ids) = (loaded.clone(), (0..n as u64).collect::<Vec<_>>());
+                assert!(s.sort_with_ids(order, &mut ids));
                 let perm = s.sort_perm();
                 let reference = psort::sorts::ordered_keys(order, &loaded.cell).1;
                 assert_eq!(perm, reference, "{order}, {n} in {cells}");
@@ -541,8 +621,21 @@ mod tests {
                     assert_eq!(perm, pk::sort::sort_permutation(&loaded.cell), "{n} in {cells}");
                 }
                 for (i, &p) in perm.iter().enumerate() {
-                    assert_eq!(s.record(i), loaded.record(p), "{order}, {n} in {cells}, slot {i}");
+                    let want = (p as u64, loaded.record(p));
+                    assert_eq!((ids[i], s.record(i)), want, "{order}, {n} in {cells}, slot {i}");
                 }
+                // drain every third particle: (id, record) pairs leave in
+                // ascending index order
+                let drained: Vec<usize> = (0..n).step_by(3).collect();
+                let want: Vec<_> = drained.iter().map(|&p| (ids[p], s.record(p))).collect();
+                let mut out = Vec::new();
+                s.drain_with_ids(&mut ids, &drained, |id, r| out.push((id, r)));
+                assert_eq!(out, want, "{order}, {n} in {cells}");
+                // survivors and drained alike go back to their load index
+                let mut back = Species::new("e", -1.0, 1.0);
+                back.assemble_by_id(n, s.records_with_ids(&ids).chain(out));
+                let canonical = (0..n).all(|p| back.record(p) == loaded.record(p));
+                assert!(canonical, "{order}, {n} in {cells}");
             }
         }
     }
@@ -627,35 +720,34 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorted_indices_keeps_the_survivors_and_their_ids_parallel() {
+    fn drain_with_ids_keeps_the_survivors_and_their_ids_parallel() {
         let g = Grid::new(4, 4, 4);
         let mut s = Species::new("e", -1.0, 1.0);
         s.load_uniform(&g, 10, 0.1, (0.0, 0.0, 0.0), 1.0, 3);
         let before: Vec<ParticleRecord> = (0..10).map(|p| s.record(p)).collect();
-        let mut ids: Vec<usize> = (0..10).collect();
+        let mut ids: Vec<u64> = (0..10).collect();
         let mut out = Vec::new();
         // holes at both ends, two side by side, and the tail itself
         let drained = [0, 3, 4, 9];
-        s.drain_sorted_indices(&drained, &mut out);
-        remove_sorted_indices(&mut ids, &drained);
-        assert_eq!(out, drained.map(|p| before[p]), "records leave in ascending index order");
+        s.drain_with_ids(&mut ids, &drained, |id, r| out.push((id, r)));
+        assert_eq!(out, drained.map(|p| (p as u64, before[p])), "ascending index order");
         // every survivor once, each still beside its own id
         let mut kept = ids.clone();
         kept.sort_unstable();
         assert_eq!(kept, [1, 2, 5, 6, 7, 8]);
         for (p, &id) in ids.iter().enumerate() {
-            assert_eq!(s.record(p), before[id], "particle {p} lost its id");
+            assert_eq!(s.record(p), before[id as usize], "particle {p} lost its id");
         }
         // draining nothing is a no-op
-        let n = s.len();
-        s.drain_sorted_indices(&[], &mut out);
-        assert_eq!(s.len(), n);
+        s.drain_with_ids(&mut ids, &[], |_, _| unreachable!());
+        assert_eq!((s.len(), ids.len()), (6, 6));
         // records round-trip through push_record
         let mut t = Species::new("t", -1.0, 1.0);
-        for r in &out {
+        for (_, r) in &out {
             t.push_record(r);
         }
-        assert_eq!((0..t.len()).map(|p| t.record(p)).collect::<Vec<_>>(), out);
+        let records: Vec<ParticleRecord> = out.iter().map(|&(_, r)| r).collect();
+        assert_eq!((0..t.len()).map(|p| t.record(p)).collect::<Vec<_>>(), records);
     }
 
     #[test]

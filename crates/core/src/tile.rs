@@ -9,6 +9,11 @@
 //! particle working set at `max_hot` LLC-sized tiles, so populations far
 //! beyond the uncompressed RAM budget still step.
 //!
+//! A tile is a [`Species`] plus the load id of each particle, the id
+//! ledger the multi-rank driver keeps per rank too: it is sorted, drained
+//! and reassembled by `Species`' id-carrying operations, and it is what
+//! the codec encodes.
+//!
 //! ## Determinism argument
 //!
 //! The tiled path is bit-identical to the untiled path for any tile
@@ -19,13 +24,14 @@
 //!   and its cell's interpolator — all four strategies walk the same
 //!   IEEE op tree (see `push.rs`), so storage order, partitioning, and
 //!   tile boundaries cannot change a trajectory;
-//! * current deposits accumulate in fixed-point `i64` slots (wrapping
-//!   integer adds commute), so deposit order across tiles and workers
-//!   is invisible; the unload's f64 summation runs in fixed slot order;
+//! * current deposits accumulate in fixed-point `i64` edge totals
+//!   (wrapping integer adds commute), so deposit order across tiles and
+//!   workers is invisible; the unload converts them in fixed edge order;
 //! * cross-tile migration is deterministic: tiles are visited in fixed
 //!   ascending order, emigrants drain in ascending index order into the
-//!   destination tile's pending buffer, and every visit re-sorts the
-//!   tile by `(cell, id)` — a pure function of the particle multiset.
+//!   destination tile's pending buffer, and every visit sorts the tile
+//!   stably by cell — so a tile's order is a pure function of the order
+//!   its particles arrived in, and the unload places each by its id.
 //!
 //! A particle that crosses into another tile mid-step has already been
 //! pushed this step, so it parks in the destination's *pending* buffer
@@ -36,9 +42,10 @@ use crate::accumulate::Accumulator;
 use crate::grid::Grid;
 use crate::interp::Interpolator;
 use crate::push::{push_species_on, PushStats};
-use crate::species::{remove_sorted_indices, ParticleRecord, Species};
+use crate::species::{ParticleRecord, Species};
 use pk::ExecSpace;
-use ptile::{raw_size, TileData};
+use psort::SortOrder;
+use ptile::raw_size;
 use std::path::PathBuf;
 use vsimd::Strategy;
 
@@ -144,64 +151,121 @@ struct Slot {
     stamp: u64,
 }
 
+/// Where released tiles go — a [`ptile`] blob in RAM or a spill file —
+/// with the policy that picks it and the engine's lifetime counters.
+struct ColdStore {
+    policy: TilePolicy,
+    stats: TileStats,
+}
+
+impl ColdStore {
+    fn spill_path(&self, si: usize, t: usize) -> PathBuf {
+        self.policy
+            .spill_dir
+            .as_ref()
+            .expect("spill path without spill dir")
+            .join(format!("tile-s{si}-t{t}.ptl"))
+    }
+
+    /// Encode tile `(si, t)`, given as its columns and ids, into its
+    /// cold state.
+    fn put(
+        &mut self,
+        si: usize,
+        t: usize,
+        cell: &[u32],
+        floats: [&[f32]; 7],
+        ids: &[u64],
+    ) -> TileState {
+        let n = cell.len();
+        if n == 0 {
+            return TileState::Empty;
+        }
+        let t0 = telemetry::now_ns();
+        let blob = ptile::encode(cell, floats, ids, self.policy.compress);
+        telemetry::hist!("tile.codec.encode.ns", telemetry::now_ns().saturating_sub(t0));
+        telemetry::hist!("tile.codec.ratio.pct", (blob.len() * 100 / raw_size(n)) as u64);
+        self.stats.encodes += 1;
+        self.stats.encoded_bytes += blob.len() as u64;
+        self.stats.raw_bytes_encoded += raw_size(n) as u64;
+        if self.policy.spill_dir.is_some() {
+            let path = self.spill_path(si, t);
+            let mut w = ckpt::format::Writer::new();
+            w.section("tile").put_raw(&blob);
+            let t0 = telemetry::now_ns();
+            let bytes = ckpt::file::save_atomic(&path, &w)
+                .unwrap_or_else(|e| panic!("tile spill write {path:?}: {e}"));
+            telemetry::hist!("tile.spill.write.ns", telemetry::now_ns().saturating_sub(t0));
+            self.stats.spill_writes += 1;
+            self.stats.spilled_bytes += bytes;
+            TileState::Spilled { bytes }
+        } else {
+            TileState::Blob(blob)
+        }
+    }
+
+    /// Decode tile `(si, t)`'s cold `state` into `body` and `ids`. The
+    /// body drops its sort claim: it held another tile a moment ago.
+    fn take(
+        &mut self,
+        si: usize,
+        t: usize,
+        state: TileState,
+        body: &mut Species,
+        ids: &mut Vec<u64>,
+    ) {
+        match state {
+            TileState::Empty => {
+                body.clear();
+                ids.clear();
+            }
+            TileState::Blob(blob) => {
+                let t0 = telemetry::now_ns();
+                let (cell, floats) = body.columns_mut();
+                ptile::decode_into(&blob, cell, floats, ids)
+                    .unwrap_or_else(|e| panic!("tile blob s{si} t{t}: {e}"));
+                telemetry::hist!("tile.codec.decode.ns", telemetry::now_ns().saturating_sub(t0));
+                self.stats.decodes += 1;
+            }
+            TileState::Spilled { bytes } => {
+                let path = self.spill_path(si, t);
+                let t0 = telemetry::now_ns();
+                let snap = ckpt::file::load(&path)
+                    .unwrap_or_else(|e| panic!("tile spill read {path:?}: {e:?}"));
+                let mut r = snap
+                    .section("tile")
+                    .unwrap_or_else(|e| panic!("tile spill section {path:?}: {e:?}"));
+                let (cell, floats) = body.columns_mut();
+                ptile::decode_into(r.take_rest(), cell, floats, ids)
+                    .unwrap_or_else(|e| panic!("tile spill blob {path:?}: {e}"));
+                r.finish().unwrap_or_else(|e| panic!("tile spill trailer {path:?}: {e:?}"));
+                // a spill file is a single-read cache: the tile's truth is
+                // now in RAM, so the file is dead weight (and would go
+                // stale the moment the hot copy advances). Removing it
+                // here is what keeps the spill dir bounded by the *cold*
+                // population instead of by every tile ever evicted.
+                let _ = std::fs::remove_file(&path);
+                telemetry::hist!("tile.spill.read.ns", telemetry::now_ns().saturating_sub(t0));
+                self.stats.spill_reads += 1;
+                self.stats.spilled_bytes = self.stats.spilled_bytes.saturating_sub(bytes);
+                self.stats.decodes += 1;
+            }
+            TileState::Hot(_) => unreachable!("take on a hot tile"),
+        }
+        body.mark_unsorted();
+    }
+}
+
 /// The tiled stepping engine owned by `Simulation` while tiling is
 /// enabled. See the module docs for the determinism argument.
 pub struct TileEngine {
-    policy: TilePolicy,
-    cells: usize,
+    cold: ColdStore,
     tile_count: usize,
     per_species: Vec<SpeciesTiles>,
     slots: Vec<Slot>,
     clock: u64,
-    stats: TileStats,
-    // reusable scratch (no steady-state allocation)
-    td: TileData,
-    perm: Vec<usize>,
-    done: Vec<bool>,
+    /// Reusable emigrant-index scratch (no steady-state allocation).
     drain_idx: Vec<usize>,
-    drain_recs: Vec<ParticleRecord>,
-    drain_ids: Vec<u64>,
-}
-
-/// Move the SoA arrays between the codec view and a pool slot without
-/// copying (vector swaps).
-fn swap_td_slot(td: &mut TileData, body: &mut Species, ids: &mut Vec<u64>) {
-    std::mem::swap(&mut td.cell, &mut body.cell);
-    std::mem::swap(&mut td.dx, &mut body.dx);
-    std::mem::swap(&mut td.dy, &mut body.dy);
-    std::mem::swap(&mut td.dz, &mut body.dz);
-    std::mem::swap(&mut td.ux, &mut body.ux);
-    std::mem::swap(&mut td.uy, &mut body.uy);
-    std::mem::swap(&mut td.uz, &mut body.uz);
-    std::mem::swap(&mut td.w, &mut body.w);
-    std::mem::swap(&mut td.id, ids);
-}
-
-/// Re-establish the tile invariant: particles ordered by `(cell, id)`.
-/// A pure function of the particle multiset, so tile contents are
-/// independent of arrival interleaving.
-fn sort_slot(body: &mut Species, ids: &mut [u64], perm: &mut Vec<usize>, done: &mut Vec<bool>) {
-    perm.clear();
-    perm.extend(0..ids.len());
-    let cell = &body.cell;
-    perm.sort_unstable_by_key(|&i| (cell[i], ids[i]));
-    if perm.iter().enumerate().all(|(i, &p)| i == p) {
-        return;
-    }
-    pk::sort::permute_in_place_with(perm, &mut body.cell, done);
-    for arr in [
-        &mut body.dx,
-        &mut body.dy,
-        &mut body.dz,
-        &mut body.ux,
-        &mut body.uy,
-        &mut body.uz,
-        &mut body.w,
-    ] {
-        pk::sort::permute_in_place_with(perm, arr, done);
-    }
-    pk::sort::permute_in_place_with(perm, ids, done);
-    body.mark_unsorted();
 }
 
 impl TileEngine {
@@ -241,30 +305,23 @@ impl TileEngine {
             })
             .collect();
         Self {
-            policy,
-            cells,
+            cold: ColdStore { policy, stats: TileStats::default() },
             tile_count,
             per_species,
             slots,
             clock: 0,
-            stats: TileStats::default(),
-            td: TileData::default(),
-            perm: Vec::new(),
-            done: Vec::new(),
             drain_idx: Vec::new(),
-            drain_recs: Vec::new(),
-            drain_ids: Vec::new(),
         }
     }
 
     /// The policy the engine was built with.
     pub fn policy(&self) -> &TilePolicy {
-        &self.policy
+        &self.cold.policy
     }
 
     /// Lifetime residency/codec counters.
     pub fn stats(&self) -> TileStats {
-        self.stats
+        self.cold.stats
     }
 
     /// Total particles across all tiles and pending buffers.
@@ -278,8 +335,8 @@ impl TileEngine {
             .sum()
     }
 
-    /// Capacities of every reusable buffer (pool slots, codec scratch,
-    /// drain scratch, pending/arrival rings) in a fixed order — for
+    /// Capacities of every reusable buffer (pool slots, drain scratch,
+    /// pending/arrival rings) in a fixed order — for
     /// no-alloc-after-warmup assertions.
     pub fn scratch_capacities(&self) -> Vec<usize> {
         let mut caps = Vec::new();
@@ -292,16 +349,7 @@ impl TileEngine {
                 s.ids.capacity(),
             ]);
         }
-        caps.extend([
-            self.td.cell.capacity(),
-            self.td.dx.capacity(),
-            self.td.id.capacity(),
-            self.perm.capacity(),
-            self.done.capacity(),
-            self.drain_idx.capacity(),
-            self.drain_recs.capacity(),
-            self.drain_ids.capacity(),
-        ]);
+        caps.push(self.drain_idx.capacity());
         for sp in &self.per_species {
             for t in &sp.tiles {
                 caps.push(t.pending.capacity());
@@ -311,96 +359,6 @@ impl TileEngine {
             }
         }
         caps
-    }
-
-    fn tile_of(&self, cell: u32) -> usize {
-        cell as usize / self.policy.tile_cells
-    }
-
-    fn spill_path(&self, si: usize, t: usize) -> PathBuf {
-        self.policy
-            .spill_dir
-            .as_ref()
-            .expect("spill path without spill dir")
-            .join(format!("tile-s{si}-t{t}.ptl"))
-    }
-
-    /// Encode `self.td` and store it as tile `(si, t)`'s cold state.
-    fn store_td(&mut self, si: usize, t: usize) -> TileState {
-        let n = self.td.len();
-        if n == 0 {
-            return TileState::Empty;
-        }
-        let t0 = telemetry::now_ns();
-        let blob = ptile::encode(&self.td, self.policy.compress);
-        telemetry::hist!("tile.codec.encode.ns", telemetry::now_ns().saturating_sub(t0));
-        telemetry::hist!("tile.codec.ratio.pct", (blob.len() * 100 / raw_size(n)) as u64);
-        self.stats.encodes += 1;
-        self.stats.encoded_bytes += blob.len() as u64;
-        self.stats.raw_bytes_encoded += raw_size(n) as u64;
-        if self.policy.spill_dir.is_some() {
-            let path = self.spill_path(si, t);
-            let mut w = ckpt::format::Writer::new();
-            w.section("tile").put_raw(&blob);
-            let t0 = telemetry::now_ns();
-            let bytes = ckpt::file::save_atomic(&path, &w)
-                .unwrap_or_else(|e| panic!("tile spill write {path:?}: {e}"));
-            telemetry::hist!("tile.spill.write.ns", telemetry::now_ns().saturating_sub(t0));
-            self.stats.spill_writes += 1;
-            self.stats.spilled_bytes += bytes;
-            TileState::Spilled { bytes }
-        } else {
-            TileState::Blob(blob)
-        }
-    }
-
-    /// Decode tile `(si, t)`'s cold state into `self.td`. `state` must
-    /// not be `Hot`.
-    fn load_td(&mut self, si: usize, t: usize, state: TileState) {
-        match state {
-            TileState::Empty => {
-                // clear via an empty decode so capacities persist
-                self.td.cell.clear();
-                self.td.dx.clear();
-                self.td.dy.clear();
-                self.td.dz.clear();
-                self.td.ux.clear();
-                self.td.uy.clear();
-                self.td.uz.clear();
-                self.td.w.clear();
-                self.td.id.clear();
-            }
-            TileState::Blob(blob) => {
-                let t0 = telemetry::now_ns();
-                ptile::decode_into(&blob, &mut self.td)
-                    .unwrap_or_else(|e| panic!("tile blob s{si} t{t}: {e}"));
-                telemetry::hist!("tile.codec.decode.ns", telemetry::now_ns().saturating_sub(t0));
-                self.stats.decodes += 1;
-            }
-            TileState::Spilled { bytes } => {
-                let path = self.spill_path(si, t);
-                let t0 = telemetry::now_ns();
-                let snap = ckpt::file::load(&path)
-                    .unwrap_or_else(|e| panic!("tile spill read {path:?}: {e:?}"));
-                let mut r = snap
-                    .section("tile")
-                    .unwrap_or_else(|e| panic!("tile spill section {path:?}: {e:?}"));
-                ptile::decode_into(r.take_rest(), &mut self.td)
-                    .unwrap_or_else(|e| panic!("tile spill blob {path:?}: {e}"));
-                r.finish().unwrap_or_else(|e| panic!("tile spill trailer {path:?}: {e:?}"));
-                // a spill file is a single-read cache: the tile's truth is
-                // now in RAM, so the file is dead weight (and would go
-                // stale the moment the hot copy advances). Removing it
-                // here is what keeps the spill dir bounded by the *cold*
-                // population instead of by every tile ever evicted.
-                let _ = std::fs::remove_file(&path);
-                telemetry::hist!("tile.spill.read.ns", telemetry::now_ns().saturating_sub(t0));
-                self.stats.spill_reads += 1;
-                self.stats.spilled_bytes = self.stats.spilled_bytes.saturating_sub(bytes);
-                self.stats.decodes += 1;
-            }
-            TileState::Hot(_) => unreachable!("load_td on a hot tile"),
-        }
     }
 
     /// Free a pool slot, evicting the deterministic LRU victim (lowest
@@ -416,40 +374,43 @@ impl TileEngine {
             .min_by_key(|(i, s)| (s.stamp, *i))
             .map(|(i, _)| i)
             .expect("pool has at least one slot");
-        let (vsi, vt) = self.slots[victim].owner.take().expect("victim owner");
-        {
-            let slot = &mut self.slots[victim];
-            swap_td_slot(&mut self.td, &mut slot.body, &mut slot.ids);
-        }
-        let state = self.store_td(vsi, vt);
+        let s = &mut self.slots[victim];
+        let (vsi, vt) = s.owner.take().expect("victim owner");
+        let state = self.cold.put(vsi, vt, &s.body.cell, s.body.floats(), &s.ids);
         self.per_species[vsi].tiles[vt].state = state;
-        self.stats.evictions += 1;
+        self.cold.stats.evictions += 1;
         telemetry::count("tile.evictions", 1);
         victim
     }
 
-    /// Make tile `(si, t)` hot, returning its pool slot.
-    fn fetch(&mut self, si: usize, t: usize) -> usize {
-        self.stats.fetches += 1;
+    /// Open tile `(si, t)` for its visit: make it hot, append last
+    /// step's arrivals, and sort it stably by cell. Returns its pool slot.
+    fn open(&mut self, si: usize, t: usize) -> usize {
+        self.cold.stats.fetches += 1;
         telemetry::count("tile.fetches", 1);
         self.clock += 1;
-        if let TileState::Hot(slot) = self.per_species[si].tiles[t].state {
-            self.stats.hot_hits += 1;
+        let slot = if let TileState::Hot(slot) = self.per_species[si].tiles[t].state {
+            self.cold.stats.hot_hits += 1;
             telemetry::count("tile.hot_hits", 1);
-            self.slots[slot].stamp = self.clock;
-            return slot;
-        }
-        let slot = self.acquire_slot();
-        let state = std::mem::replace(&mut self.per_species[si].tiles[t].state, TileState::Hot(slot));
-        self.load_td(si, t, state);
-        let sp = &self.per_species[si];
+            slot
+        } else {
+            let slot = self.acquire_slot();
+            let tile = &mut self.per_species[si].tiles[t];
+            let state = std::mem::replace(&mut tile.state, TileState::Hot(slot));
+            let s = &mut self.slots[slot];
+            self.cold.take(si, t, state, &mut s.body, &mut s.ids);
+            debug_assert_eq!(s.body.len(), tile.count, "tile s{si} t{t} count drift");
+            (s.body.q, s.body.m) = (self.per_species[si].q, self.per_species[si].m);
+            s.owner = Some((si, t));
+            slot
+        };
         let s = &mut self.slots[slot];
-        swap_td_slot(&mut self.td, &mut s.body, &mut s.ids);
-        s.body.q = sp.q;
-        s.body.m = sp.m;
-        s.owner = Some((si, t));
         s.stamp = self.clock;
-        debug_assert_eq!(s.body.len(), sp.tiles[t].count, "tile s{si} t{t} count drift");
+        for (id, rec) in self.per_species[si].arrivals[t].drain(..) {
+            s.body.push_record(&rec);
+            s.ids.push(id);
+        }
+        s.body.sort_with_ids(SortOrder::Standard, &mut s.ids);
         slot
     }
 
@@ -457,119 +418,63 @@ impl TileEngine {
     /// in array order and distributing cell-sorted tiles. `source` is
     /// left empty (metadata intact).
     pub(crate) fn load_species(&mut self, si: usize, source: &mut Species) {
-        self.per_species[si].q = source.q;
-        self.per_species[si].m = source.m;
-        let n = source.len();
-        let mut by_tile: Vec<Vec<usize>> = vec![Vec::new(); self.tile_count];
-        for i in 0..n {
-            by_tile[self.tile_of(source.cell[i])].push(i);
-        }
-        for (t, idxs) in by_tile.iter_mut().enumerate() {
-            // id = original index, so (cell, id) order = stable-by-cell
-            idxs.sort_by_key(|&i| source.cell[i]);
-            self.td.cell.clear();
-            self.td.dx.clear();
-            self.td.dy.clear();
-            self.td.dz.clear();
-            self.td.ux.clear();
-            self.td.uy.clear();
-            self.td.uz.clear();
-            self.td.w.clear();
-            self.td.id.clear();
-            for &i in idxs.iter() {
-                self.td.cell.push(source.cell[i]);
-                self.td.dx.push(source.dx[i]);
-                self.td.dy.push(source.dy[i]);
-                self.td.dz.push(source.dz[i]);
-                self.td.ux.push(source.ux[i]);
-                self.td.uy.push(source.uy[i]);
-                self.td.uz.push(source.uz[i]);
-                self.td.w.push(source.w[i]);
-                self.td.id.push(i as u64);
-            }
-            let state = self.store_td(si, t);
+        (self.per_species[si].q, self.per_species[si].m) = (source.q, source.m);
+        // the stable sort keeps ids ascending within a cell and leaves
+        // every tile a contiguous run of the source
+        let mut ids: Vec<u64> = (0..source.len() as u64).collect();
+        source.sort_with_ids(SortOrder::Standard, &mut ids);
+        let tile_cells = self.cold.policy.tile_cells;
+        let mut start = 0;
+        for t in 0..self.tile_count {
+            let end =
+                start + source.cell[start..].partition_point(|&c| c as usize / tile_cells == t);
+            let r = start..end;
+            let floats = source.floats().map(|a| &a[r.clone()]);
+            let state = self.cold.put(si, t, &source.cell[r.clone()], floats, &ids[r]);
             let tile = &mut self.per_species[si].tiles[t];
-            tile.count = idxs.len();
-            tile.state = state;
+            (tile.count, tile.state) = (end - start, state);
+            start = end;
         }
-        source.cell.clear();
-        source.dx.clear();
-        source.dy.clear();
-        source.dz.clear();
-        source.ux.clear();
-        source.uy.clear();
-        source.uz.clear();
-        source.w.clear();
-        source.mark_unsorted();
+        source.clear();
     }
 
-    /// Reassemble species `si` into `dest` in canonical (id) order —
-    /// the exact array order an untiled, sort-free run would have, so
-    /// energies and checkpoints match the untiled path bitwise.
+    /// Reassemble species `si` into the empty `dest` in canonical (id)
+    /// order — the exact array order an untiled, sort-free run would
+    /// have, so energies and checkpoints match the untiled path bitwise.
     pub(crate) fn unload_species(&mut self, si: usize, dest: &mut Species) {
-        let mut all: Vec<(u64, ParticleRecord)> = Vec::new();
-        // flush hot slots owned by this species
-        for slot in &mut self.slots {
-            if let Some((osi, ot)) = slot.owner {
-                if osi == si {
-                    for i in 0..slot.body.len() {
-                        all.push((slot.ids[i], slot.body.record(i)));
-                    }
-                    slot.owner = None;
-                    slot.ids.clear();
-                    slot.body.cell.clear();
-                    slot.body.dx.clear();
-                    slot.body.dy.clear();
-                    slot.body.dz.clear();
-                    slot.body.ux.clear();
-                    slot.body.uy.clear();
-                    slot.body.uz.clear();
-                    slot.body.w.clear();
-                    self.per_species[si].tiles[ot].state = TileState::Empty;
-                }
-            }
+        debug_assert!(dest.is_empty(), "a tiled species' arrays are empty");
+        let mut all = Vec::new();
+        for slot in self.slots.iter_mut().filter(|s| s.owner.is_some_and(|(osi, _)| osi == si)) {
+            all.extend(slot.body.records_with_ids(&slot.ids));
+            slot.owner = None;
+            slot.body.clear();
+            slot.ids.clear();
         }
+        let (mut body, mut ids) = (Species::new("tile-unload", -1.0, 1.0), Vec::new());
         for t in 0..self.tile_count {
-            let state = std::mem::replace(&mut self.per_species[si].tiles[t].state, TileState::Empty);
-            if !matches!(state, TileState::Hot(_) | TileState::Empty) {
-                // `load_td` also unlinks a spilled tile's file, so a full
-                // unload leaves the spill dir empty
-                self.load_td(si, t, state);
-                for i in 0..self.td.len() {
-                    all.push((
-                        self.td.id[i],
-                        ParticleRecord {
-                            dx: self.td.dx[i],
-                            dy: self.td.dy[i],
-                            dz: self.td.dz[i],
-                            cell: self.td.cell[i],
-                            ux: self.td.ux[i],
-                            uy: self.td.uy[i],
-                            uz: self.td.uz[i],
-                            w: self.td.w[i],
-                        },
-                    ));
-                }
-            }
             let tile = &mut self.per_species[si].tiles[t];
             tile.count = 0;
             all.append(&mut tile.pending);
+            match std::mem::replace(&mut tile.state, TileState::Empty) {
+                TileState::Hot(_) | TileState::Empty => {}
+                // `take` also unlinks a spilled tile's file, so a full
+                // unload leaves the spill dir empty
+                state => {
+                    self.cold.take(si, t, state, &mut body, &mut ids);
+                    all.extend(body.records_with_ids(&ids));
+                }
+            }
         }
         for a in &mut self.per_species[si].arrivals {
             all.append(a);
         }
-        // ids are unique, so the order is total and canonical
-        all.sort_unstable_by_key(|&(id, _)| id);
-        for (_, rec) in &all {
-            dest.push_record(rec);
-        }
-        dest.mark_unsorted();
+        dest.assemble_by_id(all.len(), all);
     }
 
     /// One tiled particle phase: stream every species' tiles in fixed
-    /// ascending order through arrival-append → `(cell, id)` sort →
-    /// push → emigrant drain. The caller owns the surrounding field
-    /// phases; deposits land in `acc` exactly as the untiled push.
+    /// ascending order through arrival-append → stable cell sort → push →
+    /// emigrant drain. The caller owns the surrounding field phases;
+    /// deposits land in `acc` exactly as the untiled push.
     pub(crate) fn step_all<S: ExecSpace>(
         &mut self,
         space: &S,
@@ -579,15 +484,13 @@ impl TileEngine {
         acc: &Accumulator,
     ) -> PushStats {
         let mut stats = PushStats::default();
-        let tile_cells = self.policy.tile_cells;
+        let tile_cells = self.cold.policy.tile_cells;
         for si in 0..self.per_species.len() {
             // phase split: last step's crossings become this step's
             // arrivals; this step's crossings go to fresh pending
-            {
-                let sp = &mut self.per_species[si];
-                for t in 0..self.tile_count {
-                    std::mem::swap(&mut sp.tiles[t].pending, &mut sp.arrivals[t]);
-                }
+            let sp = &mut self.per_species[si];
+            for (tile, arrivals) in sp.tiles.iter_mut().zip(&mut sp.arrivals) {
+                std::mem::swap(&mut tile.pending, arrivals);
             }
             for t in 0..self.tile_count {
                 if self.per_species[si].tiles[t].count == 0
@@ -595,59 +498,33 @@ impl TileEngine {
                 {
                     continue;
                 }
-                let slot = self.fetch(si, t);
-                // append last step's immigrants, then restore the
-                // (cell, id) invariant
-                {
-                    let s = &mut self.slots[slot];
-                    for (id, rec) in self.per_species[si].arrivals[t].iter() {
-                        s.body.push_record(rec);
-                        s.ids.push(*id);
-                    }
-                    self.per_species[si].arrivals[t].clear();
-                    sort_slot(&mut s.body, &mut s.ids, &mut self.perm, &mut self.done);
-                }
+                let slot = self.open(si, t);
                 // fused per-tile traversal: gather + Boris + mover +
                 // deposit on the execution space
-                let pstats = {
-                    let s = &mut self.slots[slot];
-                    push_species_on(space, strategy, grid, &mut s.body, interps, acc)
-                };
+                let s = &mut self.slots[slot];
+                let pstats = push_species_on(space, strategy, grid, &mut s.body, interps, acc);
+                if pstats.crossings > 0 {
+                    // crossings moved particles out of their sorted
+                    // positions; the next visit's sort is real work
+                    s.body.mark_unsorted();
+                }
                 stats.pushed += pstats.pushed;
                 stats.crossings += pstats.crossings;
                 // drain emigrants (ascending index order) into their
                 // destination tiles' pending buffers
-                {
-                    let (lo, hi) = (t * tile_cells, ((t + 1) * tile_cells).min(self.cells));
-                    let s = &mut self.slots[slot];
-                    self.drain_idx.clear();
-                    for i in 0..s.body.len() {
-                        let c = s.body.cell[i] as usize;
-                        if c < lo || c >= hi {
-                            self.drain_idx.push(i);
-                        }
-                    }
-                    if !self.drain_idx.is_empty() {
-                        self.drain_recs.clear();
-                        self.drain_ids.clear();
-                        for &i in &self.drain_idx {
-                            self.drain_ids.push(s.ids[i]);
-                        }
-                        s.body.drain_sorted_indices(&self.drain_idx, &mut self.drain_recs);
-                        remove_sorted_indices(&mut s.ids, &self.drain_idx);
-                        let sp = &mut self.per_species[si];
-                        for (&id, rec) in self.drain_ids.iter().zip(self.drain_recs.iter()) {
-                            let dest = rec.cell as usize / tile_cells;
-                            sp.tiles[dest].pending.push((id, *rec));
-                        }
-                    }
-                    self.per_species[si].tiles[t].count = s.body.len();
-                }
+                self.drain_idx.clear();
+                let emigrant = |&i: &usize| s.body.cell[i] as usize / tile_cells != t;
+                self.drain_idx.extend((0..s.body.len()).filter(emigrant));
+                let tiles = &mut self.per_species[si].tiles;
+                s.body.drain_with_ids(&mut s.ids, &self.drain_idx, |id, rec| {
+                    tiles[rec.cell as usize / tile_cells].pending.push((id, rec));
+                });
+                tiles[t].count = s.body.len();
             }
         }
         let hot_raw: u64 =
             self.slots.iter().map(|s| raw_size(s.body.len()) as u64).sum();
-        self.stats.peak_hot_raw_bytes = self.stats.peak_hot_raw_bytes.max(hot_raw);
+        self.cold.stats.peak_hot_raw_bytes = self.cold.stats.peak_hot_raw_bytes.max(hot_raw);
         stats
     }
 }
@@ -660,13 +537,13 @@ impl TileEngine {
 /// to sweep.
 impl Drop for TileEngine {
     fn drop(&mut self) {
-        if self.policy.spill_dir.is_none() {
+        if self.cold.policy.spill_dir.is_none() {
             return;
         }
         for si in 0..self.per_species.len() {
             for t in 0..self.tile_count {
                 if matches!(self.per_species[si].tiles[t].state, TileState::Spilled { .. }) {
-                    let path = self.spill_path(si, t);
+                    let path = self.cold.spill_path(si, t);
                     let _ = std::fs::remove_file(ckpt::file::tmp_path(&path));
                     let _ = std::fs::remove_file(ckpt::file::prev_path(&path));
                     let _ = std::fs::remove_file(&path);
@@ -741,6 +618,45 @@ mod tests {
         assert_eq!(engine.slots.len(), 2);
         assert!(engine.stats().evictions > 0, "more tiles than slots must evict");
         assert_eq!(engine.particle_count(), 2000, "no particle lost");
+    }
+
+    /// The order physics cannot see: bits are order-free, so only the
+    /// codec ratio and locality would show a tile pushed unsorted. Every
+    /// opened tile must have ascending cells and ids beside their
+    /// records — including a slot refilled with another tile's data,
+    /// which must not inherit its last owner's sort claim.
+    #[test]
+    fn every_opened_tile_is_cell_sorted_with_its_ids_beside_their_records() {
+        let grid = Grid::new(8, 8, 8);
+        let mut s = loaded(&grid, 2000, 11);
+        // the weight carries the load id (no field here, so no physics)
+        for (p, w) in s.w.iter_mut().enumerate() {
+            *w = p as f32;
+        }
+        let mut policy = TilePolicy::new(16);
+        policy.max_hot = 2;
+        let mut engine = TileEngine::new(policy, grid.cells(), 1);
+        engine.load_species(0, &mut s);
+        let f = crate::field::FieldArray::new(grid.clone());
+        let interps = crate::interp::load_interpolators(&f);
+        let acc = Accumulator::new(grid.cells(), 1, pk::atomic::ScatterMode::Atomic);
+        let tiles = engine.tile_count;
+        for step in 0..3 {
+            acc.reset();
+            let pushed = engine.step_all(&pk::Serial, Strategy::Auto, &grid, &interps, &acc);
+            assert!(pushed.crossings > 0, "the test needs tiles the push leaves unsorted");
+            // ascending then descending: each slot is refilled from a
+            // stored tile right after holding a freshly sorted one
+            for t in (0..tiles).chain((0..tiles).rev()) {
+                let slot = engine.open(0, t);
+                let slot = &engine.slots[slot];
+                let (cell, ids, w) = (&slot.body.cell, &slot.ids, &slot.body.w);
+                assert!(cell.windows(2).all(|c| c[0] <= c[1]), "step {step}, tile {t} unsorted");
+                assert!(ids.iter().zip(w).all(|(&id, &w)| w == id as f32), "step {step}, tile {t}");
+                assert!(cell.iter().all(|&c| c as usize / 16 == t), "tile {t} holds a stranger");
+            }
+        }
+        assert_eq!(engine.particle_count(), 2000);
     }
 
     #[test]

@@ -68,25 +68,14 @@ pub fn apply_permutation<T: Clone>(perm: &[usize], values: &[T]) -> Vec<T> {
 }
 
 /// In-place permutation apply via cycle decomposition (O(n) time, O(n)
-/// bits of scratch, no clone of the whole array).
+/// bits of scratch, no clone of the whole array). Every move is a random
+/// swap, several times the cost of a gather through `perm` into a second
+/// buffer ([`apply_permutation`], what `psort::sort_pairs` and the
+/// species sort do); its caller is [`sort_by_key`], whose values need
+/// not be `Clone`.
 pub fn permute_in_place<T>(perm: &[usize], values: &mut [T]) {
-    let mut done = Vec::new();
-    permute_in_place_with(perm, values, &mut done);
-}
-
-/// [`permute_in_place`] with a caller-owned `done` scratch buffer, so a
-/// caller applying the same-sized permutation to many arrays allocates
-/// nothing after warmup. The buffer is resized and reset here; its
-/// capacity persists across calls. Every move is a random swap, several
-/// times the cost of a gather through `perm` into a second buffer
-/// ([`apply_permutation`], what `psort::sort_pairs` and the species sort
-/// do); the callers left are the ones for which in place is the point —
-/// `core::tile::sort_slot`, whose arrays sit in a RAM-budgeted pool, and
-/// [`sort_by_key`].
-pub fn permute_in_place_with<T>(perm: &[usize], values: &mut [T], done: &mut Vec<bool>) {
     assert_eq!(perm.len(), values.len(), "permutation length mismatch");
-    done.clear();
-    done.resize(perm.len(), false);
+    let mut done = vec![false; perm.len()];
     for start in 0..perm.len() {
         if done[start] || perm[start] == start {
             done[start] = true;
@@ -175,23 +164,6 @@ mod tests {
         let mut v = vec![10, 20, 30];
         permute_in_place(&[0, 1, 2], &mut v);
         assert_eq!(v, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn permute_in_place_with_reuses_scratch_across_calls() {
-        let keys = vec![3u64, 1, 4, 1, 5, 9, 2, 6];
-        let perm = sort_permutation(&keys);
-        let mut done = Vec::new();
-        let mut a = keys.clone();
-        permute_in_place_with(&perm, &mut a, &mut done);
-        assert_eq!(a, apply_permutation(&perm, &keys));
-        let cap = done.capacity();
-        assert!(cap >= keys.len());
-        // second apply of a same-size permutation must not regrow scratch
-        let mut b = keys.clone();
-        permute_in_place_with(&perm, &mut b, &mut done);
-        assert_eq!(b, a);
-        assert_eq!(done.capacity(), cap);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! dense, as cell indices and their rewrites are — and its permutation is
 //! applied by gather: each array is read through it into a transient
 //! buffer and copied back, which is why the values are `Copy`. (The
-//! in-place cycle walk, [`pk::sort::permute_in_place_with`], is for
-//! callers that cannot afford the buffer; nothing here is one.) Carrying
+//! in-place cycle walk, [`pk::sort::permute_in_place`], is for values
+//! that are not; nothing here has them.) Carrying
 //! the indices `0..n` as values yields the permutation itself (how the
 //! particle SoA follows its cell array).
 

@@ -30,56 +30,6 @@
 //! Decoding is strict: bad magic, unknown flags, truncation, or
 //! trailing bytes are typed [`DecodeError`]s, never partial tiles.
 
-/// One tile's particle data in struct-of-arrays form, plus the global
-/// load ids that make cross-tile migration and re-assembly order
-/// deterministic (the PR 6 sorted-append discipline).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TileData {
-    /// Voxel index per particle (non-decreasing in a sorted tile).
-    pub cell: Vec<u32>,
-    /// Cell-relative x offset in `[-1, 1]`.
-    pub dx: Vec<f32>,
-    /// Cell-relative y offset.
-    pub dy: Vec<f32>,
-    /// Cell-relative z offset.
-    pub dz: Vec<f32>,
-    /// Normalized momentum γβx.
-    pub ux: Vec<f32>,
-    /// γβy.
-    pub uy: Vec<f32>,
-    /// γβz.
-    pub uz: Vec<f32>,
-    /// Statistical weight.
-    pub w: Vec<f32>,
-    /// Global particle id (stable across migration).
-    pub id: Vec<u64>,
-}
-
-impl TileData {
-    /// Particle count (all arrays share it).
-    pub fn len(&self) -> usize {
-        self.cell.len()
-    }
-
-    /// True when the tile holds no particles.
-    pub fn is_empty(&self) -> bool {
-        self.cell.is_empty()
-    }
-
-    /// Assert the SoA invariant: every array has the same length.
-    fn validate_shape(&self) -> bool {
-        let n = self.cell.len();
-        self.dx.len() == n
-            && self.dy.len() == n
-            && self.dz.len() == n
-            && self.ux.len() == n
-            && self.uy.len() == n
-            && self.uz.len() == n
-            && self.w.len() == n
-            && self.id.len() == n
-    }
-}
-
 /// Typed decode failures. The codec never returns partial tiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -259,20 +209,26 @@ fn get_u32_planes(
 
 // ── encode ─────────────────────────────────────────────────────────────
 
-/// Encode a tile. With `compress` false the blob is the raw-mode dump
-/// (`raw_size(len)` bytes); with `compress` true the packed encoding is
-/// used unless it would be larger than raw, in which case the raw blob
-/// is returned (the flags byte records which happened).
+/// Which of the seven `f32` columns are XOR-delta'd before their byte
+/// planes: the momenta and the weight, not the positions.
+const XOR_DELTA: [bool; 7] = [false, false, false, true, true, true, true];
+
+/// Encode a tile given as its columns: `cell`, the seven `f32` arrays
+/// in the order `dx, dy, dz, ux, uy, uz, w`, and `id`. With `compress`
+/// false the blob is the raw-mode dump (`raw_size(len)` bytes); with
+/// `compress` true the packed encoding is used unless it would be larger
+/// than raw, in which case the raw blob is returned (the flags byte
+/// records which happened).
 ///
 /// Round-trip through [`decode`] is bitwise lossless in both modes.
 ///
 /// # Panics
-/// If the SoA arrays disagree on length.
-pub fn encode(tile: &TileData, compress: bool) -> Vec<u8> {
-    assert!(tile.validate_shape(), "ragged tile SoA");
-    let n = tile.len();
+/// If the columns disagree on length.
+pub fn encode(cell: &[u32], floats: [&[f32]; 7], id: &[u64], compress: bool) -> Vec<u8> {
+    let n = cell.len();
+    assert!(floats.iter().all(|a| a.len() == n) && id.len() == n, "ragged tile SoA");
     if !compress {
-        return encode_raw(tile);
+        return encode_raw(cell, floats, id);
     }
     let mut out = Vec::with_capacity(raw_size(n) / 2);
     out.extend_from_slice(MAGIC);
@@ -280,52 +236,46 @@ pub fn encode(tile: &TileData, compress: bool) -> Vec<u8> {
     out.extend_from_slice(&(n as u64).to_le_bytes());
     // cell: sorted tiles have tiny non-negative deltas → 1-byte varints
     let mut prev = 0i64;
-    for &c in &tile.cell {
+    for &c in cell {
         put_varint(&mut out, zigzag(c as i64 - prev));
         prev = c as i64;
     }
     // id: near-sequential at load time, arbitrary after migration
     // (wrapping deltas — full-range u64 ids reduce modulo 2^64)
     let mut prev = 0i64;
-    for &id in &tile.id {
+    for &id in id {
         put_varint(&mut out, zigzag((id as i64).wrapping_sub(prev)));
         prev = id as i64;
     }
     let mut scratch = Vec::with_capacity(n);
     // positions: raw bit patterns by byte plane (exponent/sign planes
-    // are low-entropy for offsets in [-1, 1])
-    for arr in [&tile.dx, &tile.dy, &tile.dz] {
-        scratch.clear();
+    // are low-entropy for offsets in [-1, 1]); momenta + weight:
+    // XOR-delta then byte planes
+    for (arr, xor_delta) in floats.into_iter().zip(XOR_DELTA) {
         let words: Vec<u32> = arr.iter().map(|v| v.to_bits()).collect();
-        put_u32_planes(&mut out, &words, false, &mut scratch);
-    }
-    // momenta + weight: XOR-delta then byte planes
-    for arr in [&tile.ux, &tile.uy, &tile.uz, &tile.w] {
-        scratch.clear();
-        let words: Vec<u32> = arr.iter().map(|v| v.to_bits()).collect();
-        put_u32_planes(&mut out, &words, true, &mut scratch);
+        put_u32_planes(&mut out, &words, xor_delta, &mut scratch);
     }
     if out.len() >= raw_size(n) {
-        return encode_raw(tile);
+        return encode_raw(cell, floats, id);
     }
     out
 }
 
-fn encode_raw(tile: &TileData) -> Vec<u8> {
-    let n = tile.len();
+fn encode_raw(cell: &[u32], floats: [&[f32]; 7], id: &[u64]) -> Vec<u8> {
+    let n = cell.len();
     let mut out = Vec::with_capacity(raw_size(n));
     out.extend_from_slice(MAGIC);
     out.push(0);
     out.extend_from_slice(&(n as u64).to_le_bytes());
-    for &c in &tile.cell {
+    for &c in cell {
         out.extend_from_slice(&c.to_le_bytes());
     }
-    for arr in [&tile.dx, &tile.dy, &tile.dz, &tile.ux, &tile.uy, &tile.uz, &tile.w] {
-        for &v in arr.iter() {
+    for arr in floats {
+        for &v in arr {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    for &id in &tile.id {
+    for &id in id {
         out.extend_from_slice(&id.to_le_bytes());
     }
     out
@@ -333,17 +283,25 @@ fn encode_raw(tile: &TileData) -> Vec<u8> {
 
 // ── decode ─────────────────────────────────────────────────────────────
 
-/// Decode a blob produced by [`encode`]. Strict: any malformed input is
-/// a typed [`DecodeError`].
-pub fn decode(buf: &[u8]) -> Result<TileData, DecodeError> {
-    let mut tile = TileData::default();
-    decode_into(buf, &mut tile)?;
-    Ok(tile)
+/// A decoded tile's columns, in [`encode`]'s argument order.
+pub type Columns = (Vec<u32>, [Vec<f32>; 7], Vec<u64>);
+
+/// Decode a blob produced by [`encode`] into fresh columns. Strict: any
+/// malformed input is a typed [`DecodeError`].
+pub fn decode(buf: &[u8]) -> Result<Columns, DecodeError> {
+    let (mut cell, mut floats, mut id): Columns = Default::default();
+    decode_into(buf, &mut cell, floats.each_mut(), &mut id)?;
+    Ok((cell, floats, id))
 }
 
-/// Decode into an existing [`TileData`], reusing its allocations — the
-/// tile pool's steady-state path (no alloc once capacities warm up).
-pub fn decode_into(buf: &[u8], tile: &mut TileData) -> Result<(), DecodeError> {
+/// Decode into existing columns, reusing their allocations — the tile
+/// pool's steady-state path (no alloc once capacities warm up).
+pub fn decode_into(
+    buf: &[u8],
+    cell: &mut Vec<u32>,
+    mut floats: [&mut Vec<f32>; 7],
+    id: &mut Vec<u64>,
+) -> Result<(), DecodeError> {
     if buf.len() < HEADER_BYTES {
         return Err(DecodeError::Truncated);
     }
@@ -356,19 +314,9 @@ pub fn decode_into(buf: &[u8], tile: &mut TileData) -> Result<(), DecodeError> {
     }
     let n = u64::from_le_bytes(buf[5..13].try_into().unwrap()) as usize;
     let mut pos = HEADER_BYTES;
-    for arr in [
-        &mut tile.dx,
-        &mut tile.dy,
-        &mut tile.dz,
-        &mut tile.ux,
-        &mut tile.uy,
-        &mut tile.uz,
-        &mut tile.w,
-    ] {
-        arr.clear();
-    }
-    tile.cell.clear();
-    tile.id.clear();
+    cell.clear();
+    floats.iter_mut().for_each(|arr| arr.clear());
+    id.clear();
     if flags & FLAG_PACKED == 0 {
         if buf.len() != raw_size(n) {
             return Err(if buf.len() < raw_size(n) {
@@ -377,30 +325,17 @@ pub fn decode_into(buf: &[u8], tile: &mut TileData) -> Result<(), DecodeError> {
                 DecodeError::TrailingBytes(buf.len() - raw_size(n))
             });
         }
-        for _ in 0..n {
-            tile.cell.push(u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()));
+        let mut word = || {
+            let w = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
             pos += 4;
+            w
+        };
+        cell.extend((0..n).map(|_| word()));
+        for arr in floats {
+            arr.extend((0..n).map(|_| f32::from_bits(word())));
         }
-        for arr in [
-            &mut tile.dx,
-            &mut tile.dy,
-            &mut tile.dz,
-            &mut tile.ux,
-            &mut tile.uy,
-            &mut tile.uz,
-            &mut tile.w,
-        ] {
-            for _ in 0..n {
-                arr.push(f32::from_bits(u32::from_le_bytes(
-                    buf[pos..pos + 4].try_into().unwrap(),
-                )));
-                pos += 4;
-            }
-        }
-        for _ in 0..n {
-            tile.id.push(u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()));
-            pos += 8;
-        }
+        let ids = buf[pos..].chunks_exact(8);
+        id.extend(ids.map(|b| u64::from_le_bytes(b.try_into().unwrap())));
         return Ok(());
     }
     // packed
@@ -411,26 +346,18 @@ pub fn decode_into(buf: &[u8], tile: &mut TileData) -> Result<(), DecodeError> {
         if !(0..=u32::MAX as i64).contains(&c) {
             return Err(DecodeError::Corrupt);
         }
-        tile.cell.push(c as u32);
+        cell.push(c as u32);
         prev = c;
     }
     let mut prev = 0i64;
     for _ in 0..n {
         let d = unzigzag(get_varint(buf, &mut pos)?);
-        let id = prev.wrapping_add(d);
-        tile.id.push(id as u64);
-        prev = id;
+        let next = prev.wrapping_add(d);
+        id.push(next as u64);
+        prev = next;
     }
     let mut planes: [Vec<u8>; 4] = Default::default();
-    for (arr, xor_delta) in [
-        (&mut tile.dx, false),
-        (&mut tile.dy, false),
-        (&mut tile.dz, false),
-        (&mut tile.ux, true),
-        (&mut tile.uy, true),
-        (&mut tile.uz, true),
-        (&mut tile.w, true),
-    ] {
+    for (arr, xor_delta) in floats.into_iter().zip(XOR_DELTA) {
         let words = get_u32_planes(buf, &mut pos, n, xor_delta, &mut planes)?;
         arr.extend(words.into_iter().map(f32::from_bits));
     }
@@ -444,7 +371,12 @@ pub fn decode_into(buf: &[u8], tile: &mut TileData) -> Result<(), DecodeError> {
 mod tests {
     use super::*;
 
-    fn sample(n: usize, seed: u64) -> TileData {
+    /// `encode` over owned columns.
+    fn enc(t: &Columns, compress: bool) -> Vec<u8> {
+        encode(&t.0, t.1.each_ref().map(Vec::as_slice), &t.2, compress)
+    }
+
+    fn sample(n: usize, seed: u64) -> Columns {
         // deterministic LCG: tests must not depend on external RNG crates
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
         let mut next = move || {
@@ -453,61 +385,50 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut t = TileData::default();
+        let mut t = Columns::default();
         let mut cell = 0u32;
         for i in 0..n {
             cell += (next() % 3) as u32;
-            t.cell.push(cell);
-            t.dx.push((next() % 2001) as f32 / 1000.0 - 1.0);
-            t.dy.push((next() % 2001) as f32 / 1000.0 - 1.0);
-            t.dz.push((next() % 2001) as f32 / 1000.0 - 1.0);
-            t.ux.push(((next() % 401) as f32 / 1000.0 - 0.2) * 0.5);
-            t.uy.push(((next() % 401) as f32 / 1000.0 - 0.2) * 0.5);
-            t.uz.push(((next() % 401) as f32 / 1000.0 - 0.2) * 0.5);
-            t.w.push(1.0);
-            t.id.push(i as u64 * 7 + seed);
+            t.0.push(cell);
+            for arr in &mut t.1[..3] {
+                arr.push((next() % 2001) as f32 / 1000.0 - 1.0);
+            }
+            for arr in &mut t.1[3..6] {
+                arr.push(((next() % 401) as f32 / 1000.0 - 0.2) * 0.5);
+            }
+            t.1[6].push(1.0);
+            t.2.push(i as u64 * 7 + seed);
         }
         t
     }
 
-    fn assert_bits_eq(a: &TileData, b: &TileData) {
-        assert_eq!(a.cell, b.cell);
-        assert_eq!(a.id, b.id);
-        for (x, y) in [
-            (&a.dx, &b.dx),
-            (&a.dy, &b.dy),
-            (&a.dz, &b.dz),
-            (&a.ux, &b.ux),
-            (&a.uy, &b.uy),
-            (&a.uz, &b.uz),
-            (&a.w, &b.w),
-        ] {
-            assert_eq!(x.len(), y.len());
-            for (p, q) in x.iter().zip(y.iter()) {
-                assert_eq!(p.to_bits(), q.to_bits());
-            }
+    fn assert_bits_eq(a: &Columns, b: &Columns) {
+        assert_eq!(a.0, b.0);
+        assert_eq!(a.2, b.2);
+        for (x, y) in a.1.iter().zip(&b.1) {
+            assert!(x.iter().map(|v| v.to_bits()).eq(y.iter().map(|v| v.to_bits())));
         }
     }
 
     #[test]
     fn raw_round_trip() {
         let t = sample(257, 3);
-        let blob = encode(&t, false);
-        assert_eq!(blob.len(), raw_size(t.len()));
+        let blob = enc(&t, false);
+        assert_eq!(blob.len(), raw_size(t.0.len()));
         assert_bits_eq(&decode(&blob).unwrap(), &t);
     }
 
     #[test]
     fn packed_round_trip_and_compresses_sorted_data() {
         let t = sample(4096, 9);
-        let blob = encode(&t, true);
-        assert!(blob.len() < raw_size(t.len()), "{} vs {}", blob.len(), raw_size(t.len()));
+        let blob = enc(&t, true);
+        assert!(blob.len() < raw_size(t.0.len()), "{} vs {}", blob.len(), raw_size(t.0.len()));
         assert_bits_eq(&decode(&blob).unwrap(), &t);
     }
 
     #[test]
     fn special_bit_patterns_survive() {
-        let mut t = TileData::default();
+        let mut t = Columns::default();
         let specials = [
             f32::NAN,
             f32::from_bits(0x7fc0_dead), // NaN payload
@@ -521,27 +442,22 @@ mod tests {
             1.0,
         ];
         for (i, &v) in specials.iter().enumerate() {
-            t.cell.push(i as u32);
-            t.dx.push(v);
-            t.dy.push(-v);
-            t.dz.push(v);
-            t.ux.push(v);
-            t.uy.push(v);
-            t.uz.push(-v);
-            t.w.push(v);
-            t.id.push(u64::MAX - i as u64);
+            t.0.push(i as u32);
+            for (k, arr) in t.1.iter_mut().enumerate() {
+                arr.push(if k == 1 || k == 5 { -v } else { v }); // dy and uz negated
+            }
+            t.2.push(u64::MAX - i as u64);
         }
         for compress in [false, true] {
-            let blob = encode(&t, compress);
-            assert_bits_eq(&decode(&blob).unwrap(), &t);
+            assert_bits_eq(&decode(&enc(&t, compress)).unwrap(), &t);
         }
     }
 
     #[test]
     fn empty_tile_round_trips() {
-        let t = TileData::default();
+        let t = Columns::default();
         for compress in [false, true] {
-            assert_bits_eq(&decode(&encode(&t, compress)).unwrap(), &t);
+            assert_bits_eq(&decode(&enc(&t, compress)).unwrap(), &t);
         }
     }
 
@@ -549,19 +465,23 @@ mod tests {
     fn decode_into_reuses_capacity() {
         let big = sample(1000, 1);
         let small = sample(10, 2);
-        let mut t = TileData::default();
-        decode_into(&encode(&big, true), &mut t).unwrap();
-        let caps = (t.cell.capacity(), t.dx.capacity(), t.id.capacity());
-        decode_into(&encode(&small, true), &mut t).unwrap();
+        let mut t = Columns::default();
+        let decode_to = |blob: &[u8], t: &mut Columns| {
+            decode_into(blob, &mut t.0, t.1.each_mut(), &mut t.2).unwrap();
+        };
+        decode_to(&enc(&big, true), &mut t);
+        let caps = |t: &Columns| (t.0.capacity(), t.1[0].capacity(), t.2.capacity());
+        let warm = caps(&t);
+        decode_to(&enc(&small, true), &mut t);
         assert_bits_eq(&t, &small);
-        assert_eq!((t.cell.capacity(), t.dx.capacity(), t.id.capacity()), caps);
+        assert_eq!(caps(&t), warm);
     }
 
     #[test]
     fn truncation_and_garbage_are_typed_errors() {
         let t = sample(100, 5);
         for compress in [false, true] {
-            let blob = encode(&t, compress);
+            let blob = enc(&t, compress);
             for cut in [0, 3, 5, 12, blob.len() / 2, blob.len() - 1] {
                 assert!(decode(&blob[..cut]).is_err(), "cut at {cut} must fail");
             }
@@ -571,7 +491,7 @@ mod tests {
         }
         assert_eq!(decode(b"nope"), Err(DecodeError::Truncated));
         assert_eq!(decode(b"XXXX\0\0\0\0\0\0\0\0\0"), Err(DecodeError::BadMagic));
-        let mut badflags = encode(&t, false);
+        let mut badflags = enc(&t, false);
         badflags[4] = 0x80;
         assert_eq!(decode(&badflags), Err(DecodeError::BadFlags(0x80)));
     }

@@ -3,46 +3,35 @@
 //! infinities, subnormals, `-0.0`) — in both raw and packed modes.
 
 use proptest::prelude::*;
-use ptile::{decode, encode, raw_size, TileData};
+use ptile::{decode, encode, raw_size, Columns};
 
 /// Arbitrary f32 *bit patterns*, not values: `any::<u32>()` reinterpreted,
 /// so NaN payloads and subnormals are drawn with full probability.
-fn tile_from_words(cells: &[u32], words: &[u64], ids: &[u64]) -> TileData {
+fn tile_from_words(cells: &[u32], words: &[u64], ids: &[u64]) -> Columns {
     let n = cells.len().min(words.len() / 7).min(ids.len());
-    let mut t = TileData::default();
+    let mut t = Columns::default();
     let mut cell = 0u32;
     for i in 0..n {
         // mostly-sorted cells with occasional jumps (post-migration shape)
         cell = cell.wrapping_add(cells[i] % 5).wrapping_add(if cells[i].is_multiple_of(97) { 1000 } else { 0 });
-        t.cell.push(cell);
-        let w = &words[i * 7..i * 7 + 7];
-        t.dx.push(f32::from_bits(w[0] as u32));
-        t.dy.push(f32::from_bits(w[1] as u32));
-        t.dz.push(f32::from_bits(w[2] as u32));
-        t.ux.push(f32::from_bits(w[3] as u32));
-        t.uy.push(f32::from_bits(w[4] as u32));
-        t.uz.push(f32::from_bits(w[5] as u32));
-        t.w.push(f32::from_bits(w[6] as u32));
-        t.id.push(ids[i]);
+        t.0.push(cell);
+        for (arr, &w) in t.1.iter_mut().zip(&words[i * 7..i * 7 + 7]) {
+            arr.push(f32::from_bits(w as u32));
+        }
+        t.2.push(ids[i]);
     }
     t
 }
 
-fn assert_bits_eq(a: &TileData, b: &TileData) {
-    assert_eq!(a.cell, b.cell);
-    assert_eq!(a.id, b.id);
-    for (x, y) in [
-        (&a.dx, &b.dx),
-        (&a.dy, &b.dy),
-        (&a.dz, &b.dz),
-        (&a.ux, &b.ux),
-        (&a.uy, &b.uy),
-        (&a.uz, &b.uz),
-        (&a.w, &b.w),
-    ] {
-        let xb: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
-        let yb: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(xb, yb);
+fn enc(t: &Columns, compress: bool) -> Vec<u8> {
+    encode(&t.0, t.1.each_ref().map(Vec::as_slice), &t.2, compress)
+}
+
+fn assert_bits_eq(a: &Columns, b: &Columns) {
+    assert_eq!(a.0, b.0);
+    assert_eq!(a.2, b.2);
+    for (x, y) in a.1.iter().zip(&b.1) {
+        assert!(x.iter().map(|v| v.to_bits()).eq(y.iter().map(|v| v.to_bits())));
     }
 }
 
@@ -56,8 +45,7 @@ proptest! {
     ) {
         let t = tile_from_words(&cells, &words, &ids);
         for compress in [false, true] {
-            let blob = encode(&t, compress);
-            let back = decode(&blob).expect("well-formed blob must decode");
+            let back = decode(&enc(&t, compress)).expect("well-formed blob must decode");
             assert_bits_eq(&back, &t);
         }
     }
@@ -71,9 +59,9 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         let t = tile_from_words(&cells, &words, &ids);
-        prop_assume!(!t.is_empty());
+        prop_assume!(!t.0.is_empty());
         for compress in [false, true] {
-            let blob = encode(&t, compress);
+            let blob = enc(&t, compress);
             let cut = ((blob.len() - 1) as f64 * frac) as usize;
             prop_assert!(decode(&blob[..cut]).is_err(), "cut {cut}/{} decoded", blob.len());
         }
@@ -83,14 +71,8 @@ proptest! {
     #[test]
     fn constant_tiles_compress(n in 64usize..1000, bits in 0u32..u32::MAX) {
         let v = f32::from_bits(bits);
-        let mut t = TileData::default();
-        for i in 0..n {
-            t.cell.push(7);
-            t.dx.push(v); t.dy.push(v); t.dz.push(v);
-            t.ux.push(v); t.uy.push(v); t.uz.push(v); t.w.push(v);
-            t.id.push(i as u64);
-        }
-        let blob = encode(&t, true);
+        let t: Columns = (vec![7; n], std::array::from_fn(|_| vec![v; n]), (0..n as u64).collect());
+        let blob = enc(&t, true);
         prop_assert!(blob.len() * 4 < raw_size(n), "{} vs raw {}", blob.len(), raw_size(n));
         assert_bits_eq(&decode(&blob).unwrap(), &t);
     }

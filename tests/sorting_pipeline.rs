@@ -80,8 +80,9 @@ fn species_sort_feeds_the_push_model() {
 
 #[test]
 fn pk_sort_by_key_is_the_substrate_for_both_algorithms() {
-    // the sorts in psort bottom out in pk::sort_by_key — check the stack
-    // agrees with a from-scratch reference on tandem sorting
+    // the sorts in psort go through pk::sort::argsort, the argsort under
+    // pk::sort_by_key too (the Kokkos mirror) — check the mirror agrees
+    // with a from-scratch reference on tandem sorting
     let keys0 = patterns::repeated_keys(100, 11, 5);
     let mut keys: Vec<u64> = keys0.iter().map(|&k| k as u64).collect();
     let mut vals: Vec<usize> = (0..keys.len()).collect();
