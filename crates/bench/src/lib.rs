@@ -24,7 +24,6 @@ pub mod fig9;
 pub mod gpu;
 pub mod ranks;
 pub mod table1;
-pub mod tile;
 pub mod timing;
 pub mod tune;
 

@@ -21,9 +21,6 @@
 //!                     at 1/2/4/8 virtual ranks vs the closed-form model
 //!   tune              adaptive tuner vs exhaustive config sweep
 //!                     (TUNE_EPOCH_STEPS / TUNE_SWEEP_STEPS)
-//!   tile              out-of-core tiled stepping: capacity ratio vs the
-//!                     hot-pool budget, codec ratio, pushes/s, bit-stable
-//!                     ledger (TILE_STEPS)
 //!   ablate-tile       tiled-strided tile-size sweep (A100)
 //!   ablate-gpu-aware  Sierra with GPU-aware MPI forced on
 //!   ablate-weak       weak scaling on all three systems
@@ -66,7 +63,6 @@ fn run_target(name: &str) -> bool {
         "gpu" => bench::save_json("gpu", &bench::gpu::run()),
         "ranks" => bench::save_json("ranks", &bench::ranks::run()),
         "tune" => bench::save_json("tune", &bench::tune::run()),
-        "tile" => bench::save_json("tile", &bench::tile::run()),
         other => {
             eprintln!("unknown target: {other}");
             return false;
@@ -123,7 +119,7 @@ fn main() -> ExitCode {
     if targets.is_empty() || targets.iter().any(|a| a == "-h" || a == "--help") {
         println!(
             "usage: repro [--profile[=path]] <target>...   targets: {} all\n\
-             \x20      extra: ckpt gpu ranks tune tile \
+             \x20      extra: ckpt gpu ranks tune \
              ablate-tile ablate-gpu-aware ablate-weak",
             TARGETS.join(" ")
         );

@@ -1,7 +1,7 @@
 //! Real multi-rank stepping with overlapped halo exchange (DESIGN §12).
 //!
 //! [`MultiRankSim`] drives N per-rank [`Simulation`]s through the full
-//! VPIC step. Any untiled simulation — a freshly built deck or a restored
+//! VPIC step. Any simulation — a freshly built deck or a restored
 //! snapshot — is partitioned via [`Decomposition`] into per-rank grids
 //! with a halo shell (one cell on the minus sides, two on the plus
 //! sides); every step performs real field halo
@@ -623,7 +623,7 @@ pub struct MultiRankSim {
 }
 
 impl MultiRankSim {
-    /// Partition `sim` — any untiled simulation, a restored one included
+    /// Partition `sim` — any simulation, a restored one included
     /// — over `ranks` ranks. Its array order is the canonical particle
     /// order [`MultiRankSim::gather`] rebuilds; its step count, laser and
     /// strategy carry over.
@@ -633,12 +633,10 @@ impl MultiRankSim {
     /// gathered state is bit-identical to the single-rank run either way.
     ///
     /// # Panics
-    /// Panics if `sim` is tiled (its species arrays are empty: the tile
-    /// engine holds the population), or if the decomposition leaves any
-    /// rank without cells (more ranks than cells along an axis): such
-    /// degenerate layouts are rejected, not emulated.
+    /// Panics if the decomposition leaves any rank without cells (more
+    /// ranks than cells along an axis): such degenerate layouts are
+    /// rejected, not emulated.
     pub fn new(sim: &Simulation, ranks: usize, network: NetworkModel) -> Self {
-        assert!(!sim.is_tiled(), "partitioning reads the species arrays: disable_tiling() first");
         let g = sim.grid.clone();
         let decomp =
             Decomposition::covering((g.nx, g.ny, g.nz), ranks).unwrap_or_else(|e| panic!("{e}"));
@@ -726,10 +724,7 @@ impl MultiRankSim {
     // single-rank run.
 
     /// Apply a fixed tuner configuration to one rank's simulation.
-    /// Tiled arms are rejected: decomposed stepping drives untiled
-    /// ranks (see [`Simulation::begin_step`]).
     pub fn set_rank_config(&mut self, rank: usize, cfg: &tuner::Config) {
-        assert!(cfg.tile.is_none(), "decomposed stepping drives untiled ranks");
         self.ranks[rank].sim.apply_tune_config(cfg, 1);
     }
 
@@ -883,13 +878,7 @@ impl MultiRankSim {
     /// [`MultiRankSim::new`] on [`Simulation::restore_bytes`] of the same
     /// bytes.
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, RestoreError> {
-        let drift = RestoreError::SchemaDrift;
         let sim = Simulation::restore_bytes(bytes)?;
-        // a `tiling` section re-enables tiling, which empties the species
-        // arrays `new` partitions
-        if sim.is_tiled() {
-            return Err(drift("cluster snapshot with a tiling section: ranks run untiled".into()));
-        }
         let snap = Snapshot::from_bytes(bytes)?;
         let mut c = snap.section("cluster")?;
         let ranks = c.get_usize()?;
@@ -901,13 +890,10 @@ impl MultiRankSim {
         };
         let g = &sim.grid;
         Decomposition::covering((g.nx, g.ny, g.nz), ranks)
-            .map_err(|e| drift(format!("cluster: {e}")))?;
+            .map_err(|e| RestoreError::SchemaDrift(format!("cluster: {e}")))?;
         let configs =
             (0..ranks).map(|_| tuner::Config::get(&mut c)).collect::<Result<Vec<_>, _>>()?;
         c.finish()?;
-        if let Some(r) = configs.iter().position(|cfg| cfg.tile.is_some()) {
-            return Err(drift(format!("cluster: rank {r} has a tiled configuration")));
-        }
         let mut mr = Self::new(&sim, ranks, network);
         for (r, cfg) in configs.iter().enumerate() {
             mr.set_rank_config(r, cfg);
@@ -1289,20 +1275,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "untiled ranks")]
-    fn tiled_rank_configs_are_rejected() {
-        use pk::atomic::ScatterMode;
-        use vsimd::Strategy;
-        let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
-        let mut mr = MultiRankSim::new(&reference, 2, net());
-        let cfg = tuner::Config {
-            tile: Some(tuner::TileCfg { tile_cells: 64, compress: true }),
-            ..tuner::Config::unsorted(Strategy::Auto, ScatterMode::Atomic)
-        };
-        mr.set_rank_config(0, &cfg);
-    }
-
-    #[test]
     fn truncated_checkpoint_is_rejected() {
         let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
         let mut a = MultiRankSim::new(&reference, 2, net());
@@ -1313,16 +1285,5 @@ mod tests {
             MultiRankSim::restore_bytes(&cut).is_err(),
             "truncation must map to a typed error, never Ok"
         );
-    }
-
-    /// A tiled simulation's species arrays are empty — the tile engine
-    /// holds the population — so partitioning it used to start every
-    /// rank empty.
-    #[test]
-    #[should_panic(expected = "disable_tiling")]
-    fn a_tiled_simulation_is_not_partitioned() {
-        let mut sim = Deck::weibel(8, 8, 8, 4, 0.3).build();
-        sim.enable_tiling(vpic_core::TilePolicy::new(64));
-        MultiRankSim::new(&sim, 2, net());
     }
 }

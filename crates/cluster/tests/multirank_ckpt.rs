@@ -16,7 +16,7 @@ use ckpt::{RestoreError, Snapshot};
 use cluster::{systems, MultiRankSim};
 use proptest::prelude::*;
 use psort::SortOrder;
-use vpic_core::{Deck, Simulation, TilePolicy};
+use vpic_core::{Deck, Simulation};
 
 /// Rank `r`'s configuration in these tests: scatter modes and sort
 /// schedules that differ from rank to rank, so the `cluster` section
@@ -203,20 +203,17 @@ fn self_inconsistent_cluster_snapshots_are_schema_drift() {
     // every rank owns cells: 11 is prime and longer than any axis
     assert_drift(&with_ranks(&good, 11), "owns no cells");
 
-    // ranks run untiled: rank 1's row is the section's tail, and a row
-    // ends on its tile flag
+    // there is no tiled execution: rank 1's row is the section's tail,
+    // and a row ends on its tile flag
     let tiled_row = rewritten(&good, "cluster", |r, w| {
         let rest = r.take_rest();
         w.put_raw(&rest[..rest.len() - 1]);
         w.put_bool(true);
-        w.put_usize(64);
-        w.put_bool(true);
     });
-    assert_drift(&tiled_row, "cluster: rank 1 has a tiled configuration");
-    // ... and so does the simulation they partition
-    let mut tiled = Deck::weibel(8, 8, 8, 2, 0.3).build();
-    tiled.enable_tiling(TilePolicy::new(64));
-    let mut w = tiled.checkpoint_writer();
+    assert_drift(&tiled_row, "tiled arm");
+    // ... nor a `tiling` section for the simulation the ranks partition
+    let mut w = Deck::weibel(8, 8, 8, 2, 0.3).build().checkpoint_writer();
+    w.section("tiling").put_usize(64);
     w.section("cluster").put_raw(&section(&good, "cluster"));
     assert_drift(&w.to_bytes(), "tiling section");
 }

@@ -29,7 +29,6 @@ use crate::grid::Grid;
 use crate::push::PushStats;
 use crate::sim::{LaserDriver, Simulation};
 use crate::species::Species;
-use crate::tile::TilePolicy;
 use ckpt::{RestoreError, Snapshot, Writer};
 use pk::{DispatchPanic, ExecSpace};
 use tuner::{get_order, put_order, Config, Tuner};
@@ -62,45 +61,9 @@ impl std::error::Error for StepError {}
 // ------------------------------------------------------------ write path
 
 impl Simulation {
-    /// Build the checkpoint container for the current state.
-    ///
-    /// Tiled simulations are handled transparently: the engine is
-    /// drained into the canonical particle layout (an exact round trip —
-    /// ids are canonical, so untile→retile is bit-lossless), the
-    /// snapshot is taken untiled, the tile policy is recorded in a
-    /// `tiling` section, and tiling is re-enabled before returning.
-    /// [`Simulation::restore_from_snapshot`] re-enables tiling from the
-    /// recorded policy, so a preempted tiled job resumes tiled. Counts
+    /// Build the checkpoint container for the current state. Counts
     /// nothing: the caller may add sections before writing.
-    pub fn checkpoint_writer(&mut self) -> Writer {
-        let tile_policy = self.tile_engine().map(|e| e.policy().clone());
-        if tile_policy.is_some() {
-            let _s = telemetry::span("ckpt.untile").arg("step", self.step);
-            self.disable_tiling();
-        }
-        let mut w = self.checkpoint_writer_canonical();
-        if let Some(policy) = tile_policy {
-            let t = w.section("tiling");
-            t.put_usize(policy.tile_cells);
-            t.put_bool(policy.compress);
-            t.put_usize(policy.max_hot);
-            match &policy.spill_dir {
-                None => t.put_bool(false),
-                Some(dir) => {
-                    t.put_bool(true);
-                    t.put_str(&dir.to_string_lossy());
-                }
-            }
-            let _s = telemetry::span("ckpt.retile").arg("step", self.step);
-            self.enable_tiling(policy);
-        }
-        w
-    }
-
-    /// The checkpoint container for a simulation already in canonical
-    /// (untiled) particle layout.
-    fn checkpoint_writer_canonical(&self) -> Writer {
-        debug_assert!(self.tiling.is_none(), "canonical writer needs the untiled layout");
+    pub fn checkpoint_writer(&self) -> Writer {
         let mut w = Writer::new();
 
         let g = w.section("grid");
@@ -168,7 +131,7 @@ impl Simulation {
 
     /// The checkpoint as an owned byte buffer. Counts
     /// `ckpt.bytes_written` and records a `ckpt.write` span.
-    pub fn checkpoint_bytes(&mut self) -> Vec<u8> {
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let _s = telemetry::span("ckpt.write").arg("step", self.step);
         let bytes = self.checkpoint_writer().to_bytes();
         telemetry::count("ckpt.bytes_written", bytes.len() as u64);
@@ -178,7 +141,7 @@ impl Simulation {
     /// Write the checkpoint to `path` atomically (temp file + fsync +
     /// rename), rotating any existing snapshot to `<path>.prev` so a
     /// crash mid-write always leaves one good snapshot behind.
-    pub fn checkpoint_to(&mut self, path: &Path) -> std::io::Result<u64> {
+    pub fn checkpoint_to(&self, path: &Path) -> std::io::Result<u64> {
         let _s = telemetry::span("ckpt.write").arg("step", self.step);
         let bytes = ckpt::save_atomic(path, &self.checkpoint_writer())?;
         telemetry::count("ckpt.bytes_written", bytes);
@@ -229,9 +192,15 @@ impl Simulation {
     /// decoded strictly (leftover bytes, length mismatches, and unknown
     /// tags are [`RestoreError::SchemaDrift`]); the energy ledger saved
     /// at checkpoint time is recomputed from the restored state and must
-    /// match bit-for-bit. Sections it does not read, such as a cluster
-    /// snapshot's `cluster` section, are ignored.
+    /// match bit-for-bit. A `tiling` section, written by the removed
+    /// tiled execution, is drift. Other sections it does not read, such as
+    /// a cluster snapshot's `cluster` section, are ignored.
     pub(crate) fn restore_from_snapshot(snap: &Snapshot) -> Result<Self, RestoreError> {
+        if snap.has_section("tiling") {
+            return Err(RestoreError::SchemaDrift(
+                "tiling section: tiled stepping was removed".into(),
+            ));
+        }
         let mut g = snap.section("grid")?;
         let grid = Grid {
             nx: g.get_usize()?,
@@ -280,10 +249,6 @@ impl Simulation {
         s.finish()?;
         if scatter_workers == 0 {
             return Err(RestoreError::SchemaDrift("scatter worker count is zero".into()));
-        }
-        // the writer's layout is canonical: tiling has its own section
-        if config.tile.is_some() {
-            return Err(RestoreError::SchemaDrift("sim section carries a tiled config".into()));
         }
         if sim.laser.as_ref().is_some_and(|l| l.plane >= sim.grid.nx) {
             return Err(RestoreError::SchemaDrift("laser plane outside the grid".into()));
@@ -368,28 +333,6 @@ impl Simulation {
             ));
         }
 
-        // re-enable tiling last: the sections above (species arrays,
-        // energy cross-check) all read the canonical layout, and
-        // retiling is an exact, deterministic round trip
-        if snap.has_section("tiling") {
-            let mut t = snap.section("tiling")?;
-            let tile_cells = t.get_usize()?;
-            let compress = t.get_bool()?;
-            let max_hot = t.get_usize()?;
-            let spill_dir = if t.get_bool()? {
-                Some(std::path::PathBuf::from(t.get_str()?))
-            } else {
-                None
-            };
-            t.finish()?;
-            if tile_cells == 0 || max_hot == 0 {
-                return Err(RestoreError::SchemaDrift(
-                    "tiling policy with zero tile_cells or max_hot".into(),
-                ));
-            }
-            sim.enable_tiling(TilePolicy { tile_cells, compress, max_hot, spill_dir });
-        }
-
         Ok(sim)
     }
 
@@ -428,7 +371,7 @@ mod tests {
     use ckpt::faults::rewritten;
     use pk::atomic::ScatterMode;
     use psort::SortOrder;
-    use tuner::{Phase, TileCfg};
+    use tuner::Phase;
     use vsimd::Strategy;
 
     fn weibel() -> Simulation {
@@ -455,25 +398,18 @@ mod tests {
     fn tuner_armed_checkpoint_round_trips_the_tuner() {
         let arms = vec![
             Config::unsorted(Strategy::Auto, ScatterMode::Atomic),
-            Config {
-                order: Some(SortOrder::Standard),
-                interval: 5,
-                strategy: Strategy::Auto,
-                scatter: ScatterMode::Atomic,
-                tile: Some(TileCfg { tile_cells: 256, compress: true }),
-            },
+            Config::sorted(SortOrder::Standard, 5, Strategy::Guided, ScatterMode::Duplicated),
         ];
         let mut sim = weibel();
         sim.set_tuner(Tuner::new(arms, 3));
-        // stop inside the first epoch: the tiled arm must round-trip
-        // through the codec without ever being applied (checkpointing
-        // requires the canonical untiled layout)
+        // stop inside the first epoch: the second arm round-trips through
+        // the codec before it is ever applied
         sim.run(2);
         let bytes = sim.checkpoint_bytes();
         let mut restored = Simulation::restore_bytes(&bytes).expect("restore");
         assert!(restored.tuner().is_some());
         assert_eq!(restored.tuner(), sim.tuner());
-        // the restored tuner keeps driving: the tiled arm runs, then commits
+        // the restored tuner keeps driving: the second arm runs, then commits
         restored.run(5);
         let t = restored.take_tuner().unwrap();
         assert_eq!(t.phase(), Phase::Committed);
@@ -481,23 +417,38 @@ mod tests {
         assert!(t.schedule().windows(2).all(|w| w[0].step < w[1].step));
     }
 
+    fn assert_tiled_drift(bytes: &[u8]) {
+        match Simulation::restore_bytes(bytes) {
+            Err(RestoreError::SchemaDrift(msg)) => {
+                assert!(msg.contains("tiled stepping was removed"), "{msg}")
+            }
+            other => panic!("a tiled snapshot must be SchemaDrift, got {:?}", other.err()),
+        }
+    }
+
     #[test]
-    fn tiled_checkpoint_carries_the_spill_policy() {
-        use crate::tile::TilePolicy;
-        let dir = std::env::temp_dir().join(format!("vpic-ckpt-spill-{}", std::process::id()));
-        let mut sim = weibel();
-        let mut policy = TilePolicy::new(8);
-        policy.max_hot = 3;
-        policy.compress = false;
-        policy.spill_dir = Some(dir.clone());
-        sim.enable_tiling(policy.clone());
-        sim.run(2);
-        let bytes = sim.checkpoint_bytes();
-        drop(sim); // Drop sweeps this sim's spill files
-        let restored = Simulation::restore_bytes(&bytes).expect("restore");
-        assert_eq!(restored.tile_engine().unwrap().policy(), &policy);
-        drop(restored);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn a_set_tile_flag_in_the_sim_config_is_schema_drift() {
+        let bytes = rewritten(&weibel().checkpoint_bytes(), "sim", |r, s| {
+            // step, sort phase, scatter workers, then the config up to
+            // its tile flag: order, interval, strategy and scatter tags
+            for _ in 0..3 {
+                s.put_u64(r.get_u64().unwrap());
+            }
+            put_order(s, get_order(r).unwrap());
+            s.put_usize(r.get_usize().unwrap());
+            s.put_raw(&[r.get_u8().unwrap(), r.get_u8().unwrap()]);
+            assert!(!r.get_bool().unwrap(), "the writer clears the tile flag");
+            s.put_bool(true);
+            s.put_raw(r.take_rest());
+        });
+        assert_tiled_drift(&bytes);
+    }
+
+    #[test]
+    fn a_tiling_section_is_schema_drift() {
+        let mut w = weibel().checkpoint_writer();
+        w.section("tiling").put_usize(64);
+        assert_tiled_drift(&w.to_bytes());
     }
 
     #[test]

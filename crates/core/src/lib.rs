@@ -34,7 +34,6 @@ pub mod interp;
 pub mod push;
 pub mod sim;
 pub mod species;
-pub mod tile;
 
 pub use checkpoint::StepError;
 pub use deck::Deck;
@@ -43,4 +42,3 @@ pub use grid::{Grid, StencilSide};
 pub use interp::{load_interpolators, load_interpolators_into, Interpolator, InterpolatorArray};
 pub use sim::Simulation;
 pub use species::{ParticleRecord, Species};
-pub use tile::{TileEngine, TilePolicy, TileStats};

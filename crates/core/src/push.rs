@@ -976,8 +976,8 @@ mod tests {
         // Every lane type instantiates one body with exact lane ops and
         // fixed-point deposits, so trajectories *and* edge totals are
         // bit-equal for any space, scatter mode and replica count — the
-        // property the tiled path and heterogeneous per-rank configs rely
-        // on. The loads are chosen for where the lane paths differ from the
+        // property the multi-rank gather and heterogeneous per-rank configs
+        // rely on. The loads are chosen for where the lane paths differ from the
         // scalar one; the lanes for who claims what: one block alone on the
         // atomic lane (sole), three sharing it (shared, `fetch_add`), three
         // with a replica each, and three blocks queueing for one or two

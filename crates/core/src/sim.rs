@@ -13,11 +13,10 @@ use crate::grid::Grid;
 use crate::interp::{load_interpolators_into, InterpolatorArray};
 use crate::push::{push_species_on, PushStats};
 use crate::species::Species;
-use crate::tile::{TileEngine, TilePolicy};
 use pk::atomic::ScatterMode;
 use pk::{ExecSpace, Serial};
 use psort::SortOrder;
-use tuner::{Config, Measurement, TileCfg, Tuner};
+use tuner::{Config, Measurement, Tuner};
 use vsimd::Strategy;
 
 // ── Accounting footprints for the grid-side streaming kernels ─────────────
@@ -111,13 +110,6 @@ pub struct Simulation {
     pub(crate) last_sort_ns: u64,
     /// Whether the last step's scheduled sort fired at all.
     pub(crate) last_sort_fired: bool,
-    /// The tiled stepping engine while tiling is enabled: the species'
-    /// particle arrays are empty and the engine owns the population as
-    /// compressed cell-range tiles (DESIGN §14).
-    pub(crate) tiling: Option<Box<TileEngine>>,
-    /// Pool/spill defaults applied when a tuner arm enables tiling (the
-    /// arm itself only carries tile size and compression).
-    pub(crate) tile_defaults: Option<TilePolicy>,
 }
 
 impl Simulation {
@@ -142,14 +134,11 @@ impl Simulation {
             tuner: None,
             last_sort_ns: 0,
             last_sort_fired: false,
-            tiling: None,
-            tile_defaults: None,
         }
     }
 
     /// Add a species, returning its index.
     pub fn add_species(&mut self, species: Species) -> usize {
-        assert!(self.tiling.is_none(), "disable_tiling() before adding species");
         debug_assert!(species.validate(&self.grid).is_ok());
         self.species.push(species);
         self.species.len() - 1
@@ -165,10 +154,9 @@ impl Simulation {
         self.step as f64 * self.grid.dt as f64
     }
 
-    /// Total particles across species (tiled or not).
+    /// Total particles across species.
     pub fn particle_count(&self) -> usize {
-        self.species.iter().map(|s| s.len()).sum::<usize>()
-            + self.tiling.as_ref().map_or(0, |e| e.particle_count())
+        self.species.iter().map(|s| s.len()).sum()
     }
 
     /// Sort every species' particles by cell index under `order`
@@ -190,17 +178,12 @@ impl Simulation {
     /// sorts every species on `Some`; a rank driver calls this itself
     /// before [`Simulation::begin_step`] because it holds parallel
     /// per-particle state (global load-order id maps) that must be
-    /// co-permuted with the SoA arrays. Never due while tiled — every
-    /// tile visit sorts the tile by cell, the tiled analogue of the
-    /// paper's sorted traversal — so the first step after
-    /// [`Simulation::disable_tiling`] sorts.
+    /// co-permuted with the SoA arrays.
     pub fn consume_due_sort(&mut self) -> Option<SortOrder> {
         self.last_sort_ns = 0;
-        let due = self.sort_order.filter(|_| {
-            self.tiling.is_none()
-                && self.sort_interval > 0
-                && self.steps_since_sort >= self.sort_interval
-        });
+        let due = self
+            .sort_order
+            .filter(|_| self.sort_interval > 0 && self.steps_since_sort >= self.sort_interval);
         self.last_sort_fired = due.is_some();
         if self.last_sort_fired {
             self.steps_since_sort = 0;
@@ -210,16 +193,15 @@ impl Simulation {
     }
 
     /// The configuration the simulation runs: sort order and cadence,
-    /// strategy, scatter mode and tiling. The inverse of
+    /// strategy and scatter mode. The inverse of
     /// [`Simulation::apply_tune_config`], which leaves it unchanged.
     pub fn config(&self) -> Config {
-        let p = self.tiling.as_ref().map(|e| e.policy());
         Config {
             order: self.sort_order,
             interval: self.sort_interval,
             strategy: self.strategy,
             scatter: self.scatter_mode,
-            tile: p.map(|p| TileCfg { tile_cells: p.tile_cells, compress: p.compress }),
+            tile: None,
         }
     }
 
@@ -237,72 +219,6 @@ impl Simulation {
         }
         self.sort_order = cfg.order;
         self.sort_interval = cfg.interval;
-        // tiling axis: re-tile (a deterministic untile + retile — ids
-        // are canonical, so the round trip is exact) only when the arm
-        // actually changes tile size or compression
-        if self.config().tile != cfg.tile {
-            self.disable_tiling();
-            if let Some(tc) = cfg.tile {
-                let mut policy =
-                    self.tile_defaults.clone().unwrap_or_else(|| TilePolicy::new(tc.tile_cells));
-                policy.tile_cells = tc.tile_cells.max(1);
-                policy.compress = tc.compress;
-                self.enable_tiling(policy);
-            }
-        }
-    }
-
-    // ── Tiled stepping (DESIGN §14) ────────────────────────────────────
-
-    /// Hand the particle population to a [`TileEngine`]: each species'
-    /// SoA is split into contiguous cell-range tiles (sorted by cell,
-    /// tagged with canonical ids) that live compressed — in RAM or
-    /// spilled under `policy.spill_dir` — except for a bounded hot
-    /// pool. Subsequent steps run the tiled execution path, which is
-    /// bit-identical to the untiled path for any tile size, pool size,
-    /// strategy, and worker count.
-    pub fn enable_tiling(&mut self, policy: TilePolicy) {
-        assert!(self.tiling.is_none(), "tiling already enabled");
-        if let Some(dir) = &policy.spill_dir {
-            // a checkpointed policy may restore on a host where the
-            // spill dir does not exist yet; a failure here surfaces at
-            // the first spill write, which reports the path
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let mut engine = Box::new(TileEngine::new(policy, self.grid.cells(), self.species.len()));
-        for (si, s) in self.species.iter_mut().enumerate() {
-            engine.load_species(si, s);
-        }
-        self.tiling = Some(engine);
-    }
-
-    /// Reassemble every species into canonical (id) order and drop the
-    /// engine. The result is exactly the array order an untiled,
-    /// sort-free run would have — energies, checkpoints, and bitwise
-    /// comparisons line up. No-op when tiling is off.
-    pub fn disable_tiling(&mut self) {
-        let Some(mut engine) = self.tiling.take() else { return };
-        for (si, s) in self.species.iter_mut().enumerate() {
-            engine.unload_species(si, s);
-        }
-    }
-
-    /// True while the tiled execution path is active.
-    pub fn is_tiled(&self) -> bool {
-        self.tiling.is_some()
-    }
-
-    /// The active tile engine, if any (residency stats, policy).
-    pub fn tile_engine(&self) -> Option<&TileEngine> {
-        self.tiling.as_deref()
-    }
-
-    /// Pool/spill defaults for tuner-driven tiling: when a tuner arm
-    /// carries a [`TileCfg`], [`Simulation::apply_tune_config`]
-    /// builds the policy from these defaults plus the arm's tile size
-    /// and compression flag.
-    pub fn set_tile_defaults(&mut self, policy: TilePolicy) {
-        self.tile_defaults = Some(policy);
     }
 
     /// Arm the adaptive tuner: from the next step on, `tuner` measures
@@ -358,10 +274,8 @@ impl Simulation {
     }
 
     fn step_inner<S: ExecSpace>(&mut self, space: &S) -> PushStats {
-        let _step_span = telemetry::span("sim.step")
-            .arg("step", self.step)
-            .arg("space", space.name())
-            .arg("tiled", self.is_tiled() as u64);
+        let _step_span =
+            telemetry::span("sim.step").arg("step", self.step).arg("space", space.name());
         // periodic sort, as VPIC decks schedule it
         if let Some(order) = self.consume_due_sort() {
             let _s = telemetry::span("sim.sort").arg("order", order);
@@ -401,10 +315,8 @@ impl Simulation {
 
     /// The particle half of a step, written once for every driver:
     /// refresh the interpolators from the fields, clear J, reset the
-    /// accumulator (free when the last unload consumed it), then push —
-    /// tile by tile through the engine while tiling is enabled (DESIGN
-    /// §14), else species by species over the SoA arrays. Deposits land in
-    /// the accumulator either way.
+    /// accumulator (free when the last unload consumed it), then push
+    /// species by species over the SoA arrays into the accumulator.
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
         {
             let _s = telemetry::span("sim.interpolate");
@@ -415,9 +327,6 @@ impl Simulation {
         self.fields.clear_j_on(space);
         self.charge_grid_stream(space, "clear_j", CLEAR_J_BYTES, 0.0);
         self.acc.reset();
-        if let Some(engine) = &mut self.tiling {
-            return engine.step_all(space, self.strategy, &self.grid, &self.interp, &self.acc);
-        }
         let mut stats = PushStats::default();
         for s in &mut self.species {
             let st = push_species_on(space, self.strategy, &self.grid, s, &self.interp, &self.acc);
@@ -496,15 +405,7 @@ impl Simulation {
     }
 
     /// Energy bookkeeping snapshot.
-    ///
-    /// The kinetic sums fold in array order, so the ledger is only
-    /// comparable across runs in canonical particle order — call
-    /// [`Simulation::disable_tiling`] first when tiled.
     pub fn energies(&self) -> EnergySnapshot {
-        assert!(
-            self.tiling.is_none(),
-            "energies() needs canonical particle order: disable_tiling() first"
-        );
         let _s = telemetry::span("sim.diagnostics");
         EnergySnapshot::capture(self)
     }
@@ -514,10 +415,6 @@ impl Simulation {
     /// (≈0 for neutral starts) instead of growing secularly.
     #[allow(clippy::needless_range_loop)] // voxel-indexed sweep matches the math
     pub fn gauss_residual(&self) -> f64 {
-        assert!(
-            self.tiling.is_none(),
-            "gauss_residual() reads the species arrays: disable_tiling() first"
-        );
         let g = &self.grid;
         let mut rho = vec![0.0f64; g.cells()];
         for s in &self.species {
@@ -579,7 +476,6 @@ impl Simulation {
     /// calling thread. Sorting is the caller's — see
     /// [`Simulation::consume_due_sort`].
     pub fn begin_step(&mut self) -> PushStats {
-        assert!(self.tiling.is_none(), "decomposed stepping drives untiled ranks");
         self.particle_phase(&Serial)
     }
 
@@ -620,12 +516,8 @@ impl Simulation {
     /// bit-identical: step count, grid, the nine field arrays, then every
     /// species' name, charge, mass and eight particle arrays, floats by
     /// bit pattern. The energy ledger folds these arrays in order, so it
-    /// needs no comparison of its own. Both sides must be untiled (a tiled
-    /// simulation keeps its particles in tiles, in another order).
+    /// needs no comparison of its own.
     pub fn bit_diff(&self, other: &Simulation) -> Option<String> {
-        if self.is_tiled() || other.is_tiled() {
-            return Some("a side is tiled: disable_tiling first".into());
-        }
         if self.step != other.step {
             return Some(format!("step count: {} vs {}", self.step, other.step));
         }
@@ -781,45 +673,19 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_sort_waits_while_tiled_and_fires_after_untiling() {
-        // every tile visit sorts its tile by cell, so the schedule must not
-        // fire while tiled — and must still be due once tiling is dropped
-        let mut plain = neutral_pair_sim(4);
-        let mut tiled = neutral_pair_sim(4);
-        tiled.sort_order = Some(SortOrder::Standard);
-        tiled.sort_interval = 5;
-        tiled.enable_tiling(TilePolicy::new(8));
-        for step in 0..12 {
-            plain.step();
-            tiled.step();
-            assert!(!tiled.last_sort_fired, "step {step}: a tiled step reported a sort");
-        }
-        tiled.disable_tiling();
-        assert_eq!(plain.bit_diff(&tiled), None, "diverged from the untiled sort-free run");
-        tiled.step();
-        assert!(tiled.last_sort_fired, "first untiled step must run the overdue sort");
-    }
-
-    #[test]
     fn applying_the_running_config_leaves_it_unchanged() {
         let mut sim = neutral_pair_sim(4);
-        let tiled = Config {
-            order: Some(SortOrder::Strided),
-            interval: 3,
-            strategy: Strategy::Guided,
-            scatter: ScatterMode::Duplicated,
-            tile: Some(TileCfg { tile_cells: 8, compress: false }),
-        };
+        let arm = Config::sorted(SortOrder::Strided, 3, Strategy::Guided, ScatterMode::Duplicated);
         for stepped in [false, true] {
             if stepped {
-                sim.apply_tune_config(&tiled, 2);
+                sim.apply_tune_config(&arm, 2);
                 sim.run(4);
             }
             let running = sim.config();
             sim.apply_tune_config(&running, 2);
             assert_eq!(sim.config(), running, "stepped: {stepped}");
         }
-        assert_eq!(sim.config(), tiled);
+        assert_eq!(sim.config(), arm);
     }
 
     fn small_arms() -> Vec<Config> {

@@ -131,20 +131,12 @@ impl Species {
         self.columns_mut().1
     }
 
-    /// `cell` and the arrays of [`Species::floats`], mutably: the columns
-    /// a tile blob decodes into. Writing through them does not dirty the
-    /// sort claim; [`Species::mark_unsorted`] after.
+    /// `cell` and the arrays of [`Species::floats`], mutably. Writing
+    /// through them does not dirty the sort claim;
+    /// [`Species::mark_unsorted`] after.
     pub(crate) fn columns_mut(&mut self) -> (&mut Vec<u32>, [&mut Vec<f32>; 7]) {
         let Self { cell, dx, dy, dz, ux, uy, uz, w, .. } = self;
         (cell, [dx, dy, dz, ux, uy, uz, w])
-    }
-
-    /// Remove every particle, keeping the arrays' capacity.
-    pub(crate) fn clear(&mut self) {
-        let (cell, floats) = self.columns_mut();
-        cell.clear();
-        floats.into_iter().for_each(Vec::clear);
-        self.last_sort = None;
     }
 
     /// Number of particles.
@@ -209,9 +201,8 @@ impl Species {
     /// ascending index order. The holes fill from the tail
     /// ([`remove_sorted_indices`] on all nine arrays), so the survivors
     /// do not keep their order but keep their ids. This is the migrant
-    /// drain of the multi-rank exchange and the tile engine:
-    /// ascending-index order makes the outgoing stream deterministic for a
-    /// given array state.
+    /// drain of the multi-rank exchange: ascending-index order makes the
+    /// outgoing stream deterministic for a given array state.
     pub fn drain_with_ids(
         &mut self,
         ids: &mut Vec<u64>,
@@ -248,7 +239,7 @@ impl Species {
     /// The assembly of the id ledger: replace the particles with the `n`
     /// `records`, each placed at its id, so the record with id `i` lands
     /// at index `i`. The ids must be `0..n`, each once: the canonical
-    /// order the tile engine's unload and the multi-rank gather rebuild.
+    /// order the multi-rank gather rebuilds.
     pub fn assemble_by_id(
         &mut self,
         n: usize,

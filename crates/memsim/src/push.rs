@@ -104,8 +104,8 @@ pub fn grid_fits_llc(platform: &crate::platform::Platform, cells: usize) -> bool
 /// Full push working set: the grid's per-cell data *plus* the particle
 /// records streaming through the cache. The grid-only footprint is the
 /// steady-state floor (records stream once per step); this is the bound
-/// that matters when a *tile* of particles must stay resident while the
-/// kernel traverses it (DESIGN §14).
+/// that matters when a rank's particles must stay resident while the
+/// kernel traverses them.
 pub(crate) fn working_set_bytes(cells: usize, particles: usize) -> u64 {
     grid_footprint_bytes(cells) + particles as u64 * PARTICLE_BYTES
 }
@@ -119,16 +119,6 @@ pub fn fits_llc_with_particles(
     particles: usize,
 ) -> bool {
     working_set_bytes(cells, particles) <= platform.llc_bytes
-}
-
-/// Largest cell-range tile (in grid cells) whose push working set —
-/// per-cell interpolator + accumulator data and `ppc` resident particle
-/// records per cell — fits the platform's LLC. Never returns 0: a
-/// degenerate 1-cell tile is always allowed, it just spills.
-/// `core`'s tiled engine takes this as its `tile_cells` policy knob.
-pub fn llc_tile_cells(platform: &crate::platform::Platform, ppc: usize) -> usize {
-    let per_cell = CELL_FOOTPRINT_BYTES + ppc as u64 * PARTICLE_BYTES;
-    ((platform.llc_bytes / per_cell) as usize).max(1)
 }
 
 /// Outcome of a modelled push, with the paper's Fig 9 metric attached.
@@ -346,40 +336,6 @@ mod tests {
         // EPYC 7763 (256 MB L3) holds the same population with room
         let milan = platform::by_name("EPYC 7763").unwrap();
         assert!(fits_llc_with_particles(&milan, 13_824, 64 * 13_824));
-    }
-
-    #[test]
-    fn llc_tile_cells_scales_with_cache_and_occupancy() {
-        let v100 = platform::by_name("V100").unwrap();
-        let a100 = platform::by_name("A100").unwrap();
-        let h100 = platform::by_name("H100").unwrap();
-        let milan = platform::by_name("EPYC 7763").unwrap();
-        for ppc in [0usize, 4, 64, 4096] {
-            // a bigger LLC always allows at least as large a tile
-            let t_v100 = llc_tile_cells(&v100, ppc);
-            let t_a100 = llc_tile_cells(&a100, ppc);
-            let t_h100 = llc_tile_cells(&h100, ppc);
-            let t_milan = llc_tile_cells(&milan, ppc);
-            assert!(t_v100 <= t_a100 && t_a100 <= t_h100 && t_h100 <= t_milan);
-            // the returned tile actually fits (or is the 1-cell floor)
-            for (p, t) in
-                [(&v100, t_v100), (&a100, t_a100), (&h100, t_h100), (&milan, t_milan)]
-            {
-                assert!(t >= 1);
-                if t > 1 {
-                    assert!(fits_llc_with_particles(p, t, ppc * t), "tile must fit");
-                    assert!(
-                        !fits_llc_with_particles(p, t + 1, ppc * (t + 1)),
-                        "tile must be maximal"
-                    );
-                }
-            }
-        }
-        // V100 at 4 ppc: 6 MB / (432 + 4·64) B ≈ 9.1k cells
-        let t = llc_tile_cells(&v100, 4);
-        assert!((8_000..10_000).contains(&t), "{t}");
-        // heavy occupancy shrinks tiles hard: 4096 ppc ≈ 262 KB/cell
-        assert!(llc_tile_cells(&v100, 4096) < 32);
     }
 
     #[test]

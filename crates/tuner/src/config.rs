@@ -10,18 +10,6 @@ use vsimd::Strategy;
 /// typically sort every ~20 steps; 5 and 50 bracket it.
 pub const DEFAULT_INTERVALS: [usize; 3] = [5, 20, 50];
 
-/// Tiled-execution setting carried by an arm: the tile size the engine
-/// partitions cells into, and whether released tiles are compressed.
-/// Pool size and spill location stay host policy (the simulation's tile
-/// defaults), not search axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileCfg {
-    /// Grid cells per tile.
-    pub tile_cells: usize,
-    /// Compress released tiles.
-    pub compress: bool,
-}
-
 /// One arm of the search: a complete setting of the paper's tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
@@ -39,12 +27,10 @@ pub struct Config {
     pub strategy: Strategy,
     /// Current-deposition scatter mode.
     pub scatter: ScatterMode,
-    /// Tiled execution: `Some` streams the step tile-by-tile at this
-    /// tile size / compression, `None` is the classic untiled path.
-    /// Safe to explore: the tiled path is bit-identical to untiled, so
-    /// swapping this mid-run never perturbs the physics. `order` and
-    /// `interval` are inert while tiled (tiles keep their own order).
-    pub tile: Option<TileCfg>,
+    /// Always `None`: an uninhabited placeholder kept only because the
+    /// benchmark's `Config` literal still names it. There is no tiled
+    /// execution; the field goes when that literal does (ROADMAP 1(i)).
+    pub tile: Option<std::convert::Infallible>,
 }
 
 impl Config {
@@ -54,7 +40,7 @@ impl Config {
         Self { order: None, interval: 0, strategy, scatter, tile: None }
     }
 
-    /// An untiled arm that sorts in `order` every `interval` steps.
+    /// An arm that sorts in `order` every `interval` steps.
     pub fn sorted(
         order: SortOrder,
         interval: usize,
@@ -65,8 +51,7 @@ impl Config {
     }
 
     /// Compact human-readable label, used as the key in `results/tune.json`
-    /// (e.g. `"standard/i20/guided/atomic"`, `"unsorted/manual/dup"`, or
-    /// `"unsorted/auto/atomic/t512c"` for a 512-cell compressed-tile arm).
+    /// (e.g. `"standard/i20/guided/atomic"` or `"unsorted/manual/dup"`).
     pub fn label(&self) -> String {
         let strat = match self.strategy {
             Strategy::Auto => "auto",
@@ -78,20 +63,15 @@ impl Config {
             ScatterMode::Atomic => "atomic",
             ScatterMode::Duplicated => "dup",
         };
-        let base = match self.order {
+        match self.order {
             None => format!("unsorted/{strat}/{scatter}"),
             Some(o) => format!("{}/i{}/{strat}/{scatter}", o.name(), self.interval),
-        };
-        match self.tile {
-            None => base,
-            Some(t) => {
-                format!("{base}/t{}{}", t.tile_cells, if t.compress { "c" } else { "r" })
-            }
         }
     }
 
-    /// Encode the arm: sort order, interval, strategy, scatter mode and
-    /// tiling.
+    /// Encode the arm: sort order, interval, strategy and scatter mode,
+    /// then a tile flag that is always `false` (the format keeps the byte
+    /// a tiled arm once set).
     pub fn put(&self, b: &mut SectionBuf) {
         put_order(b, self.order);
         b.put_usize(self.interval);
@@ -105,14 +85,11 @@ impl Config {
             ScatterMode::Atomic => 0,
             ScatterMode::Duplicated => 1,
         });
-        b.put_bool(self.tile.is_some());
-        if let Some(t) = self.tile {
-            b.put_usize(t.tile_cells);
-            b.put_bool(t.compress);
-        }
+        b.put_bool(false);
     }
 
-    /// Decode what [`Config::put`] wrote. An unknown tag is
+    /// Decode what [`Config::put`] wrote. An unknown tag, or a set tile
+    /// flag (an arm of the removed tiled execution), is
     /// [`RestoreError::SchemaDrift`].
     pub fn get(r: &mut SectionReader<'_>) -> Result<Self, RestoreError> {
         let order = get_order(r)?;
@@ -129,12 +106,10 @@ impl Config {
             1 => ScatterMode::Duplicated,
             t => return Err(RestoreError::SchemaDrift(format!("unknown scatter tag {t}"))),
         };
-        let tile = if r.get_bool()? {
-            Some(TileCfg { tile_cells: r.get_usize()?, compress: r.get_bool()? })
-        } else {
-            None
-        };
-        Ok(Self { order, interval, strategy, scatter, tile })
+        if r.get_bool()? {
+            return Err(RestoreError::SchemaDrift("tiled arm: tiled stepping was removed".into()));
+        }
+        Ok(Self { order, interval, strategy, scatter, tile: None })
     }
 }
 
@@ -166,25 +141,6 @@ pub fn get_order(r: &mut SectionReader<'_>) -> Result<Option<SortOrder>, Restore
         },
         t => return Err(RestoreError::SchemaDrift(format!("unknown sort-order tag {t}"))),
     })
-}
-
-/// Expand `base` arms with tiled variants: for each base arm and each
-/// tile size, a compressed and an uncompressed tile arm. The returned
-/// vector keeps the untiled originals first, so an exhaustive sweep
-/// still covers the classic path.
-pub fn tile_arms(base: &[Config], tile_cells: &[usize]) -> Vec<Config> {
-    let mut arms: Vec<Config> = base.to_vec();
-    for cfg in base {
-        for &cells in tile_cells {
-            for compress in [true, false] {
-                arms.push(Config {
-                    tile: Some(TileCfg { tile_cells: cells, compress }),
-                    ..*cfg
-                });
-            }
-        }
-    }
-    arms
 }
 
 /// The full search space: {None, Standard, Strided, TiledStrided{tile}} ×
@@ -239,14 +195,6 @@ pub(crate) mod tests {
             Config::unsorted(Strategy::Manual, ScatterMode::Duplicated).label(),
             "unsorted/manual/dup"
         );
-        assert_eq!(
-            Config {
-                tile: Some(TileCfg { tile_cells: 512, compress: true }),
-                ..Config::unsorted(Strategy::Auto, ScatterMode::Atomic)
-            }
-            .label(),
-            "unsorted/auto/atomic/t512c"
-        );
     }
 
     /// What `put` writes into one section, read back by `get`, which must
@@ -265,17 +213,18 @@ pub(crate) mod tests {
 
     #[test]
     fn every_arm_round_trips_and_an_unknown_tag_is_drift() {
-        let mut arms = tile_arms(&config_space(8, &[5]), &[64]);
+        let mut arms = config_space(8, &[5]);
         arms.push(Config { order: Some(SortOrder::Random), ..arms[0] });
         for arm in &arms {
             assert_eq!(&reread(|b| arm.put(b), Config::get).unwrap(), arm, "{}", arm.label());
         }
         // an unsorted arm — order tag 0, an 8-byte interval, strategy and
-        // scatter tags — cut after its first tag past the last value
-        let bad: [(&[u8], &str); 3] = [
+        // scatter tags, the tile flag — cut after its first bad byte
+        let bad: [(&[u8], &str); 4] = [
             (&[5], "sort-order tag 5"),
             (&[0, 0, 0, 0, 0, 0, 0, 0, 0, 4], "strategy tag 4"),
             (&[0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 2], "scatter tag 2"),
+            (&[0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 1], "tiled arm"),
         ];
         for (bytes, what) in bad {
             match reread(|b| b.put_raw(bytes), Config::get) {
@@ -283,22 +232,5 @@ pub(crate) mod tests {
                 other => panic!("{what}: expected drift, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn tile_arms_expand_each_base_by_size_and_compression() {
-        let base = [
-            Config::unsorted(Strategy::Auto, ScatterMode::Atomic),
-            Config::unsorted(Strategy::Manual, ScatterMode::Duplicated),
-        ];
-        let arms = tile_arms(&base, &[256, 1024]);
-        // 2 untiled originals + 2 bases × 2 sizes × {compressed, raw}
-        assert_eq!(arms.len(), 2 + 2 * 2 * 2);
-        assert_eq!(&arms[..2], &base);
-        assert!(arms[2..].iter().all(|a| a.tile.is_some()));
-        let mut labels: Vec<String> = arms.iter().map(Config::label).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), arms.len());
     }
 }

@@ -52,7 +52,6 @@ mod tests {
         assert!(arms[0].order.is_none());
         assert!(arms.iter().all(|a| a.strategy == Strategy::Auto));
         assert!(arms.iter().all(|a| a.scatter == ScatterMode::Atomic));
-        assert!(arms.iter().all(|a| a.tile.is_none()));
         assert!(arms.iter().all(|a| a.order != Some(SortOrder::Random)));
         // distinct labels (the tuner keys results by them)
         let mut labels: Vec<String> = arms.iter().map(Config::label).collect();

@@ -39,7 +39,7 @@ pub mod engine;
 pub mod gpu;
 pub mod measure;
 
-pub use config::{config_space, get_order, put_order, tile_arms, Config, TileCfg, DEFAULT_INTERVALS};
+pub use config::{config_space, get_order, put_order, Config, DEFAULT_INTERVALS};
 pub use engine::{Phase, ScheduleEntry, Tuner};
 pub use gpu::gpu_config_space;
 pub use measure::Measurement;

@@ -15,7 +15,7 @@ use vpic2::memsim::push::grid_fits_llc;
 use vpic2::tuner::Tuner;
 
 /// Config swaps at epoch boundaries are the tuner's only effect on the
-/// simulation, for every epoch length, on every space, tiled and resumed.
+/// simulation, for every epoch length, on every space, and resumed.
 #[test]
 fn tuned_run_replays_bit_identically() {
     check(tuned(10));

@@ -22,7 +22,7 @@ use vpic2::pk::SimGpu;
 
 /// The tentpole contract, as slices of the differential lattice
 /// (`lattice/mod.rs`): `step_on(&SimGpu)` is bitwise `Serial` under every
-/// sort order, strategy and scatter mode, tiled and resumed, and each
+/// sort order, strategy and scatter mode, and resumed, and each
 /// point's ledger charged the push, the field solve and any sort.
 #[test]
 fn sim_gpu_is_bit_identical_to_serial() {

@@ -5,8 +5,7 @@
 //! `Simulation::new`'s defaults. [`same_state`] is the one comparator; the
 //! push statistics must be the reference's too. A point's own checks
 //! travel with it: a `SimGpu` ledger charged the push, the field solve and
-//! any sort that fired, a spilled point wrote and read spill files, a
-//! snapshot leaves the live run as it was and the run resumed from it, on
+//! any sort that fired, a snapshot leaves the live run as it was and the run resumed from it, on
 //! another space or on ranks, is that run (in array order when it resumed
 //! on one rank), a tuned point closed an epoch every epoch length and its
 //! schedule, replayed on a fresh deck, gives its bits in its array order,
@@ -18,18 +17,16 @@
 use proptest::TestRng;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use vpic2::ckpt::faults::rewritten;
 use vpic2::cluster::exchange::MigrationStats;
 use vpic2::cluster::{systems, MultiRankSim, NetworkModel};
 use vpic2::core::push::PushStats;
-use vpic2::core::{Deck, Simulation, Species, TilePolicy};
+use vpic2::core::{Deck, Simulation, Species};
 use vpic2::memsim::platform;
 use vpic2::pk::atomic::ScatterMode;
 use vpic2::pk::{ExecSpace, Serial, SimGpu, Threads};
 use vpic2::psort::SortOrder;
-use vpic2::tuner::{Config, ScheduleEntry, TileCfg, Tuner};
+use vpic2::tuner::{Config, ScheduleEntry, Tuner};
 use vpic2::vsimd::Strategy;
 
 /// The decks, each at the one size every stepper steps it (the LPI deck
@@ -84,49 +81,15 @@ pub enum Scatter {
     Duplicated(usize),
 }
 
-/// How released tiles are kept; spilled tiles are compressed and written
-/// to a directory of the point's own.
-#[derive(Debug, Clone, Copy)]
-pub enum Store {
-    Raw,
-    Compressed,
-    Spilled,
-}
-
-/// A spilled point keeps one hot slot, so that every other tile spills.
-#[derive(Debug, Clone, Copy)]
-pub struct Tiles {
-    pub cells: usize,
-    pub max_hot: usize,
-    pub store: Store,
-}
-
-impl Tiles {
-    fn policy(self, spill: &Path) -> TilePolicy {
-        let mut policy = TilePolicy::new(self.cells);
-        policy.compress = !matches!(self.store, Store::Raw);
-        policy.max_hot = self.max_hot;
-        policy.spill_dir = matches!(self.store, Store::Spilled).then(|| spill.to_path_buf());
-        policy
-    }
-}
-
-/// A directory name of the point's own under the system temp dir.
-fn spill_dir() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("vpic2-lattice-{}-{n}", std::process::id()))
-}
-
-/// The tuner's arms: every knob an arm can turn, tiling included.
+/// The tuner's arms: every knob an arm can turn, every strategy and every
+/// sorted order.
 pub fn arms() -> Vec<Config> {
     use ScatterMode::{Atomic, Duplicated};
-    let tile = Some(TileCfg { tile_cells: 16, compress: true });
     vec![
         Config::unsorted(Strategy::Auto, Atomic),
         Config::sorted(SortOrder::Standard, 3, Strategy::Guided, Duplicated),
         Config::sorted(SortOrder::TiledStrided { tile: 8 }, 2, Strategy::Manual, Atomic),
-        Config { tile, ..Config::unsorted(Strategy::AdHoc, Duplicated) },
+        Config::sorted(SortOrder::Strided, 4, Strategy::AdHoc, Duplicated),
     ]
 }
 
@@ -138,10 +101,9 @@ pub struct Sim {
     pub scatter: Scatter,
     /// Sort order and interval.
     pub sort: Option<(SortOrder, usize)>,
-    pub tiles: Option<Tiles>,
     /// Snapshot after this many steps; the live run goes on, then a run
     /// restored from the snapshot runs the rest too, on this many ranks
-    /// (more than one only when untiled and untuned); on one rank, on
+    /// (more than one only when untuned); on one rank, on
     /// [`Sim::resume_space`].
     pub checkpoint: Option<(usize, usize)>,
     /// A tuner over [`arms`] with epochs of this many steps.
@@ -151,14 +113,14 @@ pub struct Sim {
 impl Default for Sim {
     fn default() -> Self {
         let (space, strategy, scatter) = (Space::Serial, Strategy::default(), Scatter::Atomic);
-        Sim { space, strategy, scatter, sort: None, tiles: None, checkpoint: None, tuned: None }
+        Sim { space, strategy, scatter, sort: None, checkpoint: None, tuned: None }
     }
 }
 
 impl Sim {
-    /// A sort fires: no tile engine holds it back, no tuner replaces it.
+    /// A sort fires: no tuner replaces it.
     fn sorts(&self) -> bool {
-        self.sort.is_some() && self.tiles.is_none() && self.tuned.is_none()
+        self.sort.is_some() && self.tuned.is_none()
     }
 
     /// Where a one-rank resume steps: `Serial` after threads, two threads
@@ -191,7 +153,6 @@ impl Sim {
     }
 
     fn run_on(&self, space: &impl ExecSpace, deck: &Deck, steps: usize) -> (Simulation, PushStats) {
-        let spill = spill_dir();
         let mut sim = deck.build();
         sim.strategy = self.strategy;
         if let Scatter::Duplicated(replicas) = self.scatter {
@@ -200,9 +161,6 @@ impl Sim {
         if let Some((order, interval)) = self.sort {
             (sim.sort_order, sim.sort_interval) = (Some(order), interval);
         }
-        if let Some(tiles) = self.tiles {
-            sim.enable_tiling(tiles.policy(&spill));
-        }
         if let Some(epoch) = self.tuned {
             sim.set_tuner(Tuner::new(arms(), epoch));
         }
@@ -210,7 +168,7 @@ impl Sim {
         let mut stats = sim.run_on(space, k);
         let snapshot = (k < steps).then(|| sim.checkpoint_bytes());
         add(&mut stats, sim.run_on(space, steps - k));
-        let sim = self.finish(deck, sim, &spill);
+        let sim = self.finish(deck, sim);
         if let Some(bytes) = snapshot {
             let mut resumed = Simulation::restore_bytes(&bytes).expect("restore");
             let resumed = if resume == 1 {
@@ -219,7 +177,7 @@ impl Sim {
                     Space::Threads(n) => resumed.run_on(&Threads::new(n), steps - k),
                     Space::Gpu(_) => resumed.run_on(space, steps - k),
                 };
-                self.finish(deck, resumed, &spill)
+                self.finish(deck, resumed)
             } else {
                 let mut ranks = MultiRankSim::new(&resumed, resume, net());
                 ranks.run(steps - k);
@@ -236,19 +194,9 @@ impl Sim {
         (sim, stats)
     }
 
-    /// The end of a run: its tiling kept through any snapshot and its
-    /// spill files written and read, then the canonical layout and, when
-    /// tuned, an epoch closed every `epoch` steps and the schedule replay.
-    fn finish(&self, deck: &Deck, mut sim: Simulation, spill: &Path) -> Simulation {
-        if self.tuned.is_none() {
-            assert_eq!(sim.is_tiled(), self.tiles.is_some(), "tiling kept");
-            if let Some(Tiles { store: Store::Spilled, .. }) = self.tiles {
-                let io = sim.tile_engine().unwrap().stats();
-                assert!(io.spill_writes > 0 && io.spill_reads > 0, "no spill: {io:?}");
-            }
-        }
-        sim.disable_tiling();
-        let _ = std::fs::remove_dir_all(spill);
+    /// The end of a run: when tuned, an epoch closed every `epoch` steps
+    /// and the schedule replay.
+    fn finish(&self, deck: &Deck, mut sim: Simulation) -> Simulation {
         if let (Some(tuner), Some(epoch)) = (sim.take_tuner(), self.tuned) {
             // an epoch closes before the step after its last
             let closed = sim.step_count().saturating_sub(1) / epoch as u64;
@@ -274,7 +222,6 @@ fn replay(deck: &Deck, schedule: &[ScheduleEntry], tuned: &Simulation) {
         }
         replayed.step();
     }
-    replayed.disable_tiling();
     assert_eq!(tuned.bit_diff(&replayed), None, "schedule replay");
 }
 
@@ -423,7 +370,7 @@ pub struct Point {
 }
 
 /// A stepped point: its state, its push statistics, whether it is in
-/// canonical array order (no sort fired, tiles unloaded, ranks gathered),
+/// canonical array order (no sort fired, ranks gathered),
 /// and a rank point's [`Trace`].
 struct Run {
     state: Simulation,
@@ -449,9 +396,8 @@ impl Point {
     }
 
     /// A point drawn from the valid combinations only — duplicated scatter
-    /// has a replica per lane, a spilled point one hot slot, a checkpoint
-    /// falls inside the run, ranks never tile — so that no draw is
-    /// rejected.
+    /// has a replica per lane, a checkpoint falls inside the run — so that
+    /// no draw is rejected.
     pub fn draw(rng: &mut TestRng) -> Point {
         fn pick<T: Copy>(rng: &mut TestRng, of: &[T]) -> T {
             of[rng.below(of.len() as u64) as usize]
@@ -459,12 +405,6 @@ impl Point {
         let below = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
         let (deck, steps) = (pick(rng, &DeckKind::ALL), 2 + below(rng, 5));
         let inside = |rng: &mut TestRng| (below(rng, 2) == 0).then(|| 1 + below(rng, steps - 1));
-        let stores = [Store::Raw, Store::Compressed, Store::Spilled];
-        let tiles = |rng: &mut TestRng| {
-            let (cells, store) = (1 + below(rng, 32), pick(rng, &stores));
-            let max_hot = if let Store::Spilled = store { 1 } else { 1 + below(rng, 3) };
-            Tiles { cells, max_hot, store }
-        };
         let epoch = |rng: &mut TestRng| 2 + below(rng, 3);
         let stepper = match below(rng, 4) {
             0 => Stepper::Ranks(Ranks {
@@ -482,16 +422,13 @@ impl Point {
                 let scatters = [Scatter::Atomic, Scatter::Duplicated(replicas)];
                 let tile = 1 + below(rng, 64);
                 let order = pick(rng, &SortOrder::fig7_set(tile));
-                let tiles = (below(rng, 3) == 0).then(|| tiles(rng));
                 let tuned = (below(rng, 4) == 0).then(|| epoch(rng));
-                let resume: &[usize] =
-                    if tiles.is_none() && tuned.is_none() { &[1, 2, 4, 8] } else { &[1] };
+                let resume: &[usize] = if tuned.is_none() { &[1, 2, 4, 8] } else { &[1] };
                 Stepper::Sim(Sim {
                     space,
                     strategy: pick(rng, &Strategy::ALL),
                     scatter: pick(rng, &scatters),
                     sort: (below(rng, 2) == 0).then(|| (order, 1 + below(rng, 4))),
-                    tiles,
                     checkpoint: inside(rng).map(|k| (k, pick(rng, resume))),
                     tuned,
                 })
@@ -502,7 +439,7 @@ impl Point {
 }
 
 /// The one reference: `deck` stepped `steps` times on `Serial` with
-/// `Simulation::new`'s defaults (unsorted, atomic, untiled, one rank),
+/// `Simulation::new`'s defaults (unsorted, atomic, one rank),
 /// and its push statistics.
 pub fn reference(deck: DeckKind, steps: usize) -> (Simulation, PushStats) {
     let mut sim = deck.deck().build();
@@ -622,8 +559,8 @@ pub fn scatters() -> Vec<Point> {
     on_decks(8, sims.map(Stepper::Sim))
 }
 
-/// `SimGpu` under every sort order, strategy and scatter mode; tiled, and
-/// resumed from a checkpoint.
+/// `SimGpu` under every sort order, strategy and scatter mode, and resumed
+/// from a checkpoint.
 pub fn gpu_space() -> Vec<Point> {
     let gpu = Sim { space: Space::Gpu("V100"), ..Sim::default() };
     let sims = ORDERS.into_iter().enumerate().map(|(i, order)| Sim {
@@ -632,8 +569,7 @@ pub fn gpu_space() -> Vec<Point> {
         sort: order.map(|o| (o, 2)),
         ..gpu
     });
-    let tiles = Some(Tiles { cells: 16, max_hot: 2, store: Store::Compressed });
-    let sims = sims.chain([Sim { tiles, ..gpu }, Sim { checkpoint: Some((2, 1)), ..gpu }]);
+    let sims = sims.chain([Sim { checkpoint: Some((2, 1)), ..gpu }]);
     on_decks(4, sims.map(Stepper::Sim))
 }
 
@@ -643,43 +579,12 @@ pub fn every_gpu() -> Vec<Point> {
     on_decks(4, Space::gpus().map(|space| Stepper::Sim(Sim { space, sort, ..Sim::default() })))
 }
 
-/// One tile store, tiles from one cell to more than the grid (a few cells
-/// when spilled, so that there are tiles to spill), over every space and
-/// strategy.
-pub fn tiled(store: Store) -> Vec<Point> {
-    let spaces = [Space::Serial, Space::Threads(2), Space::Threads(3), Space::Gpu("V100")];
-    let (cells, max_hot) = match store {
-        Store::Spilled => ([8, 16, 24, 32], [1; 4]),
-        Store::Raw | Store::Compressed => ([1, 8, 64, 512], [1, 2, 3, 1]),
-    };
-    let sims = (0..4).map(|i| Sim {
-        space: spaces[i],
-        strategy: Strategy::ALL[(i + store as usize) % 4],
-        tiles: Some(Tiles { cells: cells[i], max_hot: max_hot[i], store }),
-        ..Sim::default()
-    });
-    on_decks(6, sims.map(Stepper::Sim))
-}
-
-/// Every tile store under duplicated scatter on two and three lanes.
-pub fn tiled_duplicated() -> Vec<Point> {
-    let points = [(2, 2, 2, Store::Raw), (2, 4, 3, Store::Compressed), (3, 3, 1, Store::Spilled)];
-    let sims = points.map(|(lanes, replicas, max_hot, store)| Sim {
-        space: Space::Threads(lanes),
-        scatter: Scatter::Duplicated(replicas),
-        tiles: Some(Tiles { cells: 32, max_hot, store }),
-        ..Sim::default()
-    });
-    on_decks(6, sims.map(Stepper::Sim))
-}
-
 /// A checkpoint at each step of a run, resumed on one to eight ranks:
-/// every sort order and cadence, every scatter replica count, tiled once.
+/// every sort order and cadence, every scatter replica count.
 pub fn checkpoints() -> Vec<Point> {
     let sims = (0..10).map(|i| Sim {
         scatter: if i % 5 == 0 { Scatter::Atomic } else { Scatter::Duplicated(i % 5) },
         sort: ORDERS[i % 5].map(|o| (o, 1 + i % 4)),
-        tiles: (i == 8).then_some(Tiles { cells: 24, max_hot: 1, store: Store::Raw }),
         checkpoint: Some((1 + i % 5, [1, 2, 4, 8][i % 4])),
         ..Sim::default()
     });
@@ -698,19 +603,17 @@ pub fn threaded_checkpoints() -> Vec<Point> {
     on_decks(6, sims.map(Stepper::Sim))
 }
 
-/// A tuner with two-, three- and four-step epochs (its arms sort every two
-/// and three steps, so an arm can swap in mid-cycle) on every space,
-/// spilling, and resumed from a checkpoint.
+/// A tuner with two-, three- and four-step epochs (its arms sort every
+/// two, three and four steps, so an arm can swap in mid-cycle) on every
+/// space, and resumed from a checkpoint.
 pub fn tuned(steps: usize) -> Vec<Point> {
-    let tiles = Some(Tiles { cells: 8, max_hot: 1, store: Store::Spilled });
     let spaces = [Space::Threads(2), Space::Threads(3), Space::Gpu("A100")];
-    let sims = (0..6).map(|i| {
-        let tuned = Sim { tuned: Some(2 + (i + i / 3) % 3), ..Sim::default() };
+    let sims = (0..5).map(|i| {
+        let tuned = Sim { tuned: Some(2 + i % 3), ..Sim::default() };
         match i {
             0 => tuned,
-            1 => Sim { tiles, ..tuned },
-            2 => Sim { checkpoint: Some((5, 1)), ..tuned },
-            _ => Sim { space: spaces[i - 3], ..tuned },
+            1 => Sim { checkpoint: Some((5, 1)), ..tuned },
+            _ => Sim { space: spaces[i - 2], ..tuned },
         }
     });
     on_decks(steps, sims.map(Stepper::Sim))
