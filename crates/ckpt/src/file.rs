@@ -4,11 +4,11 @@
 //! `<path>.prev`, then renames the temp file into place. A process killed
 //! at *any* instant therefore leaves either the old snapshot, the new one,
 //! or (between the two renames) only `<path>.prev` — never a half-written
-//! file under the primary name. [`load_with_fallback`] makes the recovery
-//! policy explicit: try the primary, and on any typed failure fall back to
-//! the previous good snapshot.
+//! file under the primary name. The recovery policy — try the primary,
+//! and on any typed failure fall back to `<path>.prev` — lives with the
+//! contents it validates (`vpic-core`'s `Simulation::restore_from_path`).
 
-use crate::format::{RestoreError, Snapshot, Writer};
+use crate::format::Writer;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -44,27 +44,14 @@ pub fn save_atomic(path: &Path, writer: &Writer) -> std::io::Result<u64> {
     Ok(bytes.len() as u64)
 }
 
-/// Load and verify the snapshot at `path`.
-pub fn load(path: &Path) -> Result<Snapshot, RestoreError> {
-    Snapshot::from_bytes(&fs::read(path)?)
-}
-
-/// Load `path`; on any failure fall back to the rotated `<path>.prev`.
-/// Returns the snapshot and whether the fallback was taken. When both
-/// fail, the *primary* error is returned (it names the fresher fault).
-pub fn load_with_fallback(path: &Path) -> Result<(Snapshot, bool), RestoreError> {
-    match load(path) {
-        Ok(snap) => Ok((snap, false)),
-        Err(primary) => match load(&prev_path(path)) {
-            Ok(snap) => Ok((snap, true)),
-            Err(_) => Err(primary),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::Snapshot;
+
+    fn read_back(path: &Path) -> Snapshot {
+        Snapshot::from_bytes(&fs::read(path).unwrap()).unwrap()
+    }
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ckpt-file-{tag}-{}", std::process::id()));
@@ -88,7 +75,7 @@ mod tests {
         let path = dir.join("a.vpck");
         let n = save_atomic(&path, &snapshot_with(42)).unwrap();
         assert!(n > 0);
-        assert_eq!(step_of(&load(&path).unwrap()), 42);
+        assert_eq!(step_of(&read_back(&path)), 42);
         assert!(!tmp_path(&path).exists(), "temp file must not survive a save");
         fs::remove_dir_all(dir).unwrap();
     }
@@ -99,36 +86,8 @@ mod tests {
         let path = dir.join("a.vpck");
         save_atomic(&path, &snapshot_with(1)).unwrap();
         save_atomic(&path, &snapshot_with(2)).unwrap();
-        assert_eq!(step_of(&load(&path).unwrap()), 2);
-        assert_eq!(step_of(&load(&prev_path(&path)).unwrap()), 1);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_primary_falls_back_to_previous() {
-        let dir = scratch_dir("fallback");
-        let path = dir.join("a.vpck");
-        save_atomic(&path, &snapshot_with(1)).unwrap();
-        save_atomic(&path, &snapshot_with(2)).unwrap();
-        // corrupt the primary in place (bit flip mid-file)
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        fs::write(&path, &bytes).unwrap();
-        let (snap, fell_back) = load_with_fallback(&path).unwrap();
-        assert!(fell_back);
-        assert_eq!(step_of(&snap), 1);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn missing_primary_and_previous_reports_the_primary_error() {
-        let dir = scratch_dir("missing");
-        let path = dir.join("never-written.vpck");
-        match load_with_fallback(&path) {
-            Err(RestoreError::Io(_)) => {}
-            other => panic!("expected Io error, got {other:?}"),
-        }
+        assert_eq!(step_of(&read_back(&path)), 2);
+        assert_eq!(step_of(&read_back(&prev_path(&path))), 1);
         fs::remove_dir_all(dir).unwrap();
     }
 }

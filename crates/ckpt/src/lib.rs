@@ -12,7 +12,8 @@
 //!   `SchemaDrift`), never a silently-wrong `Ok`.
 //! * [`file`] — atomic persistence: write temp → fsync → rotate the old
 //!   snapshot to `.prev` → rename. A kill at any instant leaves a loadable
-//!   snapshot; [`file::load_with_fallback`] encodes the recovery policy.
+//!   snapshot; `vpic-core`'s `Simulation::restore_from_path` falls back to
+//!   it.
 //! * [`faults`] — the injection harness the contract is tested against:
 //!   truncate at any byte, flip any bit, rewrite one section CRC-valid,
 //!   leave a half-written temp file behind. A worker dying mid-step is
@@ -30,5 +31,5 @@ pub mod faults;
 pub mod file;
 pub mod format;
 
-pub use file::{load, load_with_fallback, save_atomic};
+pub use file::save_atomic;
 pub use format::{RestoreError, SectionBuf, SectionReader, Snapshot, Writer, MAGIC};

@@ -33,7 +33,11 @@ impl Decomposition {
     pub fn new(global: (usize, usize, usize), ranks: usize) -> Self {
         assert!(ranks >= 1, "need at least one rank");
         assert!(global.0 >= 1 && global.1 >= 1 && global.2 >= 1);
-        let dims = best_dims_for(global, ranks);
+        // fit the extent if any factorization does; `(ranks, 1, 1)` fits
+        // the extent-blind search, so the last fallback is never taken
+        let dims = best_dims(ranks, global)
+            .or_else(|| best_dims(ranks, (ranks, ranks, ranks)))
+            .unwrap_or((ranks, 1, 1));
         Self { dims, global }
     }
 
@@ -153,57 +157,21 @@ impl Decomposition {
     }
 }
 
-/// [`best_dims`] constrained to the global extent: the best-balanced
-/// factorization with no more ranks than cells along any axis, falling
-/// back to the unconstrained choice when none fits.
-fn best_dims_for(global: (usize, usize, usize), n: usize) -> (usize, usize, usize) {
-    let mut best: Option<(usize, usize, usize)> = None;
+/// The best-balanced factorization `(a, b, c)` of `n` with no factor
+/// above its axis of `within` (the smallest spread between the largest
+/// and the smallest factor, the first in `(a, b)` order on ties), or
+/// `None` when no factorization fits.
+fn best_dims(n: usize, within: (usize, usize, usize)) -> Option<(usize, usize, usize)> {
+    let mut best = None;
     let mut best_score = usize::MAX;
-    for a in 1..=n {
-        if !n.is_multiple_of(a) {
-            continue;
-        }
+    for a in (1..=n).filter(|a| n.is_multiple_of(*a)) {
         let rem = n / a;
-        for b in 1..=rem {
-            if !rem.is_multiple_of(b) {
-                continue;
-            }
+        for b in (1..=rem).filter(|b| rem.is_multiple_of(*b)) {
             let c = rem / b;
-            if a > global.0 || b > global.1 || c > global.2 {
-                continue;
-            }
-            let dims = [a, b, c];
-            let score = dims.iter().max().unwrap() - dims.iter().min().unwrap();
-            if score < best_score {
+            let score = a.max(b).max(c) - a.min(b).min(c);
+            if a <= within.0 && b <= within.1 && c <= within.2 && score < best_score {
                 best_score = score;
                 best = Some((a, b, c));
-            }
-        }
-    }
-    best.unwrap_or_else(|| best_dims(n))
-}
-
-/// Near-cubic factorization of `n` minimizing surface-to-volume.
-fn best_dims(n: usize) -> (usize, usize, usize) {
-    let mut best = (n, 1, 1);
-    let mut best_score = usize::MAX;
-    for a in 1..=n {
-        if !n.is_multiple_of(a) {
-            continue;
-        }
-        let rem = n / a;
-        for b in 1..=rem {
-            if !rem.is_multiple_of(b) {
-                continue;
-            }
-            let c = rem / b;
-            // surface proxy: sum of pairwise products maximized when
-            // cubic... we minimize max/min spread
-            let dims = [a, b, c];
-            let score = dims.iter().max().unwrap() - dims.iter().min().unwrap();
-            if score < best_score {
-                best_score = score;
-                best = (a, b, c);
             }
         }
     }
@@ -242,13 +210,14 @@ mod tests {
 
     #[test]
     fn best_dims_are_balanced() {
-        assert_eq!(best_dims(1), (1, 1, 1));
-        assert_eq!(best_dims(8), (2, 2, 2));
-        assert_eq!(best_dims(64), (4, 4, 4));
-        let (a, b, c) = best_dims(512);
+        let best = |n| best_dims(n, (n, n, n)).unwrap();
+        assert_eq!(best(1), (1, 1, 1));
+        assert_eq!(best(8), (2, 2, 2));
+        assert_eq!(best(64), (4, 4, 4));
+        let (a, b, c) = best(512);
         assert_eq!(a * b * c, 512);
         assert_eq!((a, b, c), (8, 8, 8));
-        let (a, b, c) = best_dims(12);
+        let (a, b, c) = best(12);
         assert_eq!(a * b * c, 12);
         assert!(a.max(b).max(c) <= 4);
     }

@@ -482,12 +482,8 @@ impl RankState {
         self.sim.unload_currents();
         let (ox, (lx, ly, lz)) = (plan.origin.0, plan.extent);
         if let Some((plane, drive)) = drive.filter(|(plane, _)| (ox..ox + lx).contains(plane)) {
-            for ly_i in 1..=ly {
-                for lz_i in 1..=lz {
-                    let v = self.sim.grid.voxel(plane - ox + 1, ly_i, lz_i);
-                    self.sim.fields.jz[v] += drive;
-                }
-            }
+            let fields = &mut self.sim.fields;
+            LaserDriver::add_drive(fields, drive, plane - ox + 1, 1..ly + 1, 1..lz + 1);
         }
         self.tally.clock.unload = since(t0);
         let t0 = telemetry::now_ns();

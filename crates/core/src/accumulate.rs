@@ -29,8 +29,7 @@
 use crate::field::FieldArray;
 use crate::grid::{Grid, RowStencil, StencilSide};
 use pk::atomic::{Claim, FixedScatterBuf, LaneWriter, ScatterMode};
-use pk::{ExecSpace, SendPtr, Serial};
-use std::sync::atomic::AtomicI64;
+use pk::{ExecSpace, Serial};
 use vsimd::{PushLane, Strategy, Xyz};
 
 /// Weights per segment: 4 edges × 3 components.
@@ -177,15 +176,13 @@ impl Accumulator {
         assert_eq!(grid.cells(), self.cells, "accumulator/grid mismatch");
         // widen the same f32 constant the push's reference used
         let rdt = (1.0f32 / grid.dt) as f64;
-        let j = [jx, jy, jz].map(|j| SendPtr::new(j.as_mut_ptr()));
         {
             let (first, replicas) = self.buf.lanes_mut();
             let (cells, _) = first.as_chunks_mut::<EDGES>();
-            space.run_chunks_mut(cells, space.concurrency(), &|start, cells: &mut [[AtomicI64; EDGES]]| {
-                // SAFETY: the chunks partition the cells, and J has one
-                // element per cell, so this chunk alone owns J's span of
-                // its cells.
-                let mut j = j.map(|p| unsafe { std::slice::from_raw_parts_mut(p.get().add(start), cells.len()) });
+            let j = [jx, jy, jz].map(Vec::as_mut_slice);
+            space.parallel_windows((cells, j), 1, |_, start, (cells, j)| {
+                // J's windows are as long as the cells': `j[k]` needs no check
+                let mut j = j.map(|j| &mut j[..cells.len()]);
                 for (k, edges) in cells.iter_mut().enumerate() {
                     for (e, (edge, j)) in edges.iter_mut().zip(&mut j).enumerate() {
                         let i = (start + k) * EDGES + e;

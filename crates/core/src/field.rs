@@ -24,11 +24,13 @@
 //! lanes and *ad hoc* the [`V4F32`] intrinsics type — all through the
 //! shared [`StencilLane`] op tree (`+`, `−`, `×` only; no FMA), so every
 //! strategy and every worker count produces bit-identical fields.
-//! Rows write disjoint output spans, which makes the row-parallel
-//! `parallel_for` deterministic for free.
+//! Rows write disjoint output spans: each kernel hands its output arrays
+//! to [`ExecSpace::parallel_windows`] in units of a row, which cuts them
+//! into one window of whole rows per block, so every space's sweep is
+//! deterministic for free.
 
 use crate::grid::{Grid, RowStencil, StencilSide};
-use pk::{ExecSpace, SendPtr, Serial};
+use pk::{ExecSpace, Split};
 use std::ops::Range;
 use vsimd::v4::V4F32;
 use vsimd::{SimdF32, StencilLane, Strategy};
@@ -240,18 +242,10 @@ impl FieldArray {
     /// Zero the current arrays (start of every step), the row sweep
     /// distributed over `space`.
     pub fn clear_j_on<S: ExecSpace>(&mut self, space: &S) {
-        let nx = self.grid.nx;
-        let rows = self.grid.rows();
-        let jx = SendPtr::new(self.jx.as_mut_ptr());
-        let jy = SendPtr::new(self.jy.as_mut_ptr());
-        let jz = SendPtr::new(self.jz.as_mut_ptr());
-        space.parallel_for(rows, move |r| {
-            // SAFETY: row spans are disjoint and each index `r` is visited
-            // exactly once, so each slice below is exclusively owned here.
-            unsafe {
-                std::slice::from_raw_parts_mut(jx.get().add(r * nx), nx).fill(0.0);
-                std::slice::from_raw_parts_mut(jy.get().add(r * nx), nx).fill(0.0);
-                std::slice::from_raw_parts_mut(jz.get().add(r * nx), nx).fill(0.0);
+        let j = [&mut self.jx, &mut self.jy, &mut self.jz].map(|j| j.as_mut_slice());
+        space.parallel_windows(j, self.grid.nx, |_, _, j| {
+            for j in j {
+                j.fill(0.0);
             }
         });
     }
@@ -282,27 +276,21 @@ impl FieldArray {
     pub fn advance_b_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy, frac: f32) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, .. } = self;
         let curl = Curl::new(g, [ex, ey, ez], g.dt * frac);
-        let nx = g.nx;
-        let pbx = SendPtr::new(bx.as_mut_ptr());
-        let pby = SendPtr::new(by.as_mut_ptr());
-        let pbz = SendPtr::new(bz.as_mut_ptr());
-        let g = &*g;
-        space.parallel_for(g.rows(), move |r| {
-            let st = g.row_stencil(r, StencilSide::Plus);
-            // SAFETY: rows are disjoint; this invocation exclusively owns
-            // row `r`'s span of each B array.
-            let [(bxr, bxe), (byr, bye), (bzr, bze)] = [pbx, pby, pbz].map(|p| unsafe {
-                std::slice::from_raw_parts_mut(p.get().add(st.row), nx).split_at_mut(nx - 1)
-            });
-            let (at, inner) = (span(&st, 0, 1), [bxr, byr, bzr]);
-            match strategy {
-                Strategy::Auto => curl.e_fused(at, inner),
-                Strategy::Guided => curl.e_split::<f32>(at, inner),
-                Strategy::Manual => curl.e_split::<SimdF32<4>>(at, inner),
-                Strategy::AdHoc => curl.e_split::<V4F32>(at, inner),
+        let (g, nx) = (&*g, g.nx);
+        space.parallel_windows([bx, by, bz].map(Vec::as_mut_slice), nx, |_, first, b| {
+            for (r, b) in (first..).zip(b.pieces(nx)) {
+                let st = g.row_stencil(r, StencilSide::Plus);
+                let (inner, end) = b.split_at(nx - 1);
+                let at = span(&st, 0, 1);
+                match strategy {
+                    Strategy::Auto => curl.e_fused(at, inner),
+                    Strategy::Guided => curl.e_split::<f32>(at, inner),
+                    Strategy::Manual => curl.e_split::<SimdF32<4>>(at, inner),
+                    Strategy::AdHoc => curl.e_split::<V4F32>(at, inner),
+                }
+                // the end cell's +x neighbor is the row's first cell
+                curl.e_fused(span(&st, nx - 1, 0), end);
             }
-            // the end cell's +x neighbor is the row's first cell
-            curl.e_fused(span(&st, nx - 1, 0), [bxe, bye, bze]);
         });
     }
 
@@ -367,73 +355,46 @@ impl FieldArray {
         let Self { grid: g, ex, ey, ez, bx, by, bz, jx, jy, jz } = self;
         let curl = Curl::new(g, [bx, by, bz], g.dt);
         let j: [&[f32]; 3] = [jx, jy, jz];
-        let nx = g.nx;
-        let pex = SendPtr::new(ex.as_mut_ptr());
-        let pey = SendPtr::new(ey.as_mut_ptr());
-        let pez = SendPtr::new(ez.as_mut_ptr());
-        let g = &*g;
-        space.parallel_for(g.rows(), move |r| {
-            let st = g.row_stencil(r, StencilSide::Minus);
-            // SAFETY: rows are disjoint; this invocation exclusively owns
-            // row `r`'s span of each E array.
-            let [(exe, exr), (eye, eyr), (eze, ezr)] = [pex, pey, pez].map(|p| unsafe {
-                std::slice::from_raw_parts_mut(p.get().add(st.row), nx).split_at_mut(1)
-            });
-            let (at, inner) = (span(&st, 1, 0), [exr, eyr, ezr]);
-            match strategy {
-                Strategy::Auto => curl.b_fused(j, at, inner),
-                Strategy::Guided => curl.b_split::<f32>(j, at, inner),
-                Strategy::Manual => curl.b_split::<SimdF32<4>>(j, at, inner),
-                Strategy::AdHoc => curl.b_split::<V4F32>(j, at, inner),
+        let (g, nx) = (&*g, g.nx);
+        space.parallel_windows([ex, ey, ez].map(Vec::as_mut_slice), nx, |_, first, e| {
+            for (r, e) in (first..).zip(e.pieces(nx)) {
+                let st = g.row_stencil(r, StencilSide::Minus);
+                let (end, inner) = e.split_at(1);
+                let at = span(&st, 1, 0);
+                match strategy {
+                    Strategy::Auto => curl.b_fused(j, at, inner),
+                    Strategy::Guided => curl.b_split::<f32>(j, at, inner),
+                    Strategy::Manual => curl.b_split::<SimdF32<4>>(j, at, inner),
+                    Strategy::AdHoc => curl.b_split::<V4F32>(j, at, inner),
+                }
+                // the end cell's −x neighbor is the row's last cell
+                curl.b_fused(j, span(&st, 0, nx - 1), end);
             }
-            // the end cell's −x neighbor is the row's last cell
-            curl.b_fused(j, span(&st, 0, nx - 1), [exe, eye, eze]);
         });
     }
 
     /// Field energy `½∫(E² + B²)dV`, split as `(electric, magnetic)`.
     ///
     /// Summation order is per-row (voxel-major within a row, `ex² + ey² +
-    /// ez²` per voxel) then rows folded in row order — the same order
-    /// [`FieldArray::energies_on`] uses, so serial and parallel results
-    /// are bit-identical.
+    /// ez²` per voxel), then the row sums folded in row order.
     pub(crate) fn energies(&self) -> (f64, f64) {
-        self.energies_on(&Serial)
-    }
-
-    /// [`FieldArray::energies`] with per-row partial sums computed in
-    /// parallel, folded serially in row order. Bit-identical to the serial
-    /// result for any space or worker count (a plain block-joined
-    /// `parallel_reduce` would not be: its join tree depends on the
-    /// partition).
-    pub(crate) fn energies_on<S: ExecSpace>(&self, space: &S) -> (f64, f64) {
         let g = &self.grid;
-        let rows = g.rows();
-        let mut partials = vec![(0.0f64, 0.0f64); rows];
-        {
-            let out = SendPtr::new(partials.as_mut_ptr());
-            let (ex, ey, ez) = (self.ex.as_slice(), self.ey.as_slice(), self.ez.as_slice());
-            let (bx, by, bz) = (self.bx.as_slice(), self.by.as_slice(), self.bz.as_slice());
-            space.parallel_for(rows, move |r| {
-                let (mut e, mut b) = (0.0f64, 0.0f64);
-                for v in g.row_range(r) {
-                    e += (ex[v] as f64) * (ex[v] as f64);
-                    e += (ey[v] as f64) * (ey[v] as f64);
-                    e += (ez[v] as f64) * (ez[v] as f64);
-                    b += (bx[v] as f64) * (bx[v] as f64);
-                    b += (by[v] as f64) * (by[v] as f64);
-                    b += (bz[v] as f64) * (bz[v] as f64);
-                }
-                // SAFETY: one writer per row index.
-                unsafe { *out.get().add(r) = (e, b) };
-            });
-        }
-        let cell_v = (g.dx * g.dy * g.dz) as f64;
+        let sq = |a: &[f32], v: usize| (a[v] as f64) * (a[v] as f64);
         let (mut se, mut sb) = (0.0f64, 0.0f64);
-        for (e, b) in partials {
+        for r in 0..g.rows() {
+            let (mut e, mut b) = (0.0f64, 0.0f64);
+            for v in g.row_range(r) {
+                e += sq(&self.ex, v);
+                e += sq(&self.ey, v);
+                e += sq(&self.ez, v);
+                b += sq(&self.bx, v);
+                b += sq(&self.by, v);
+                b += sq(&self.bz, v);
+            }
             se += e;
             sb += b;
         }
+        let cell_v = (g.dx * g.dy * g.dz) as f64;
         (0.5 * cell_v * se, 0.5 * cell_v * sb)
     }
 
@@ -454,6 +415,7 @@ impl FieldArray {
 mod tests {
     use super::*;
     use crate::sim::floats_diff;
+    use pk::Serial;
 
     /// The first bitwise difference of two field states, as
     /// [`crate::Simulation::bit_diff`] words it.
@@ -625,19 +587,6 @@ mod tests {
             boxed.advance_b_box(0..nx - 1, ny - 1..ny, 0..nz, 0.5);
             boxed.advance_b_box(0..nx - 1, 0..ny - 1, nz - 1..nz, 0.5);
             assert_eq!(bits_diff(&full, &boxed), None, "({nx},{ny},{nz})");
-        }
-    }
-
-    #[test]
-    fn energies_deterministic_across_spaces() {
-        let g = Grid::new(6, 5, 4);
-        let f = scrambled(&g);
-        let serial = f.energies();
-        for workers in [1, 2, 3, 4, 7] {
-            let threads = pk::Threads::new(workers);
-            let par = f.energies_on(&threads);
-            assert_eq!(serial.0.to_bits(), par.0.to_bits(), "{workers} workers");
-            assert_eq!(serial.1.to_bits(), par.1.to_bits(), "{workers} workers");
         }
     }
 

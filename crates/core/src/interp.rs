@@ -21,7 +21,7 @@
 
 use crate::field::FieldArray;
 use crate::grid::StencilSide;
-use pk::{ExecSpace, SendPtr};
+use pk::ExecSpace;
 use vsimd::v4::V4F32;
 use vsimd::{SimdF32, StencilLane, Strategy, Xyz};
 
@@ -265,29 +265,27 @@ pub fn load_interpolators_into<S: ExecSpace>(
         out.data.resize(g.cells(), Interpolator::default());
     }
     let nx = g.nx;
-    let pout = SendPtr::new(out.data.as_mut_ptr());
-    space.parallel_for(g.rows(), move |r| {
-        let st = g.row_stencil(r, StencilSide::Plus);
-        // SAFETY: rows are disjoint; this invocation exclusively owns row
-        // `r`'s span of the output.
-        let outr = unsafe { std::slice::from_raw_parts_mut(pout.get().add(st.row), nx) };
-        // cell `x` of the row, with its +x neighbor at `xq`
-        let at = |x: usize, xq: usize| -> Neighborhood {
-            [st.row + x, st.row + xq, st.y + x, st.z + x, st.yz + x, st.z + xq, st.y + xq]
-        };
-        let (inner, end) = outr.split_at_mut(nx - 1);
-        match strategy {
-            Strategy::Auto => {
-                // fused plain loop, left to LLVM
-                for (x, rec) in inner.iter_mut().enumerate() {
-                    load_cell(f, at(x, x + 1), &mut rec.0);
+    space.parallel_windows(out.data.as_mut_slice(), nx, |_, first, out| {
+        for (r, row) in (first..).zip(out.chunks_exact_mut(nx)) {
+            let st = g.row_stencil(r, StencilSide::Plus);
+            // cell `x` of the row, with its +x neighbor at `xq`
+            let at = |x: usize, xq: usize| -> Neighborhood {
+                [st.row + x, st.row + xq, st.y + x, st.z + x, st.yz + x, st.z + xq, st.y + xq]
+            };
+            let (inner, end) = row.split_at_mut(nx - 1);
+            match strategy {
+                Strategy::Auto => {
+                    // fused plain loop, left to LLVM
+                    for (x, rec) in inner.iter_mut().enumerate() {
+                        load_cell(f, at(x, x + 1), &mut rec.0);
+                    }
                 }
+                Strategy::Guided => split_passes::<f32>(f, at(0, 1), inner),
+                Strategy::Manual => split_passes::<SimdF32<4>>(f, at(0, 1), inner),
+                Strategy::AdHoc => split_passes::<V4F32>(f, at(0, 1), inner),
             }
-            Strategy::Guided => split_passes::<f32>(f, at(0, 1), inner),
-            Strategy::Manual => split_passes::<SimdF32<4>>(f, at(0, 1), inner),
-            Strategy::AdHoc => split_passes::<V4F32>(f, at(0, 1), inner),
+            load_cell(f, at(nx - 1, 0), &mut end[0].0);
         }
-        load_cell(f, at(nx - 1, 0), &mut end[0].0);
     });
 }
 

@@ -61,7 +61,7 @@ use crate::grid::Grid;
 use crate::interp::{fields_at, Interpolator, COEFFS};
 use crate::species::Species;
 use pk::atomic::{Claim, ScatterMode};
-use pk::{ExecSpace, RangePolicy, Serial, Sum};
+use pk::{ExecSpace, Serial, Split};
 use std::ops::Range;
 use vsimd::v4::V4F32;
 #[cfg(target_arch = "x86_64")]
@@ -179,41 +179,29 @@ fn push_blocks<S: ExecSpace>(
         space.charge(&pk::gpu::Access::Push { cells: &species.cell, grid_cells: grid.cells() });
     }
     let params = PushParams::new(grid, species.q, species.m);
-    let policy = RangePolicy::new(n);
-    let blocks = policy.static_blocks(space.concurrency());
+    // the static blocks of the particles (`parallel_windows`' partition)
+    let blocks = space.concurrency().min(n);
     // a block is its lane's only writer when it is the only block, or
     // when every block has a replica to itself (with fewer replicas than
     // blocks the sole claims take turns); only several blocks on the one
     // atomic lane must share it
     let claim = match acc.scatter_mode() {
-        ScatterMode::Atomic if blocks.len() > 1 => Claim::Shared,
+        ScatterMode::Atomic if blocks > 1 => Claim::Shared,
         _ => Claim::Sole,
     };
-    if blocks.len() <= 1 {
+    if blocks <= 1 {
         let sink = &mut Sink::new(acc.depositor(grid, 0, claim));
         return push_chunk(body, grid, &mut Chunk::whole(species), interps, sink, params);
     }
-    let starts: Vec<usize> = blocks.iter().map(|b| b.start).collect();
-    let q = species.q;
-    let ptrs = SpeciesPtrs::new(species);
-    let ptrs = &ptrs;
-    let crossings = space.reduce_blocks(&policy, &Sum::<u64>::new(), &|range| {
-        // worker id = block index (reduce_blocks dispatches the same
-        // static partition), which picks the block's scatter replica in
-        // duplicated mode; a space that partitions differently still gets
-        // a stable id per disjoint sub-range
-        let worker = match starts.binary_search(&range.start) {
-            Ok(b) => b,
-            Err(i) => i.saturating_sub(1),
-        };
-        // SAFETY: reduce_blocks hands out disjoint sub-ranges that
-        // partition `0..n` (the ExecSpace contract), so every particle
-        // index has exactly one mutable owner.
-        let mut chunk = unsafe { ptrs.chunk(range, q) };
-        let sink = &mut Sink::new(acc.depositor(grid, worker, claim));
-        push_chunk(body, grid, &mut chunk, interps, sink, params).crossings as u64
-    });
-    PushStats { pushed: n, crossings: crossings as usize }
+    // worker id = block index, which picks the block's scatter replica in
+    // duplicated mode
+    let crossings = space
+        .parallel_windows(Chunk::whole(species), 1, |worker, _, mut chunk| {
+            let sink = &mut Sink::new(acc.depositor(grid, worker, claim));
+            push_chunk(body, grid, &mut chunk, interps, sink, params).crossings
+        })
+        .sum();
+    PushStats { pushed: n, crossings }
 }
 
 /// A contiguous window into one species' particle arrays, pushed by a
@@ -230,76 +218,34 @@ struct Chunk<'a> {
     w: &'a [f32],
 }
 
+/// A chunk's arrays as one [`Split`] bundle: `cell`, the six floats and `w`.
+type Columns<'a> = ((&'a mut [u32], [&'a mut [f32]; 6]), &'a [f32]);
+
 impl<'a> Chunk<'a> {
     /// All of `species`.
     fn whole(species: &'a mut Species) -> Self {
-        Chunk {
-            q: species.q,
-            cell: &mut species.cell,
-            dx: &mut species.dx,
-            dy: &mut species.dy,
-            dz: &mut species.dz,
-            ux: &mut species.ux,
-            uy: &mut species.uy,
-            uz: &mut species.uz,
-            w: &species.w,
-        }
+        let Species { q, cell, dx, dy, dz, ux, uy, uz, w, .. } = species;
+        let floats = [dx, dy, dz, ux, uy, uz].map(Vec::as_mut_slice);
+        Self::of(*q, ((cell, floats), w))
     }
 
+    /// The chunk of charge `q` over `columns`.
+    fn of(q: f32, ((cell, [dx, dy, dz, ux, uy, uz]), w): Columns<'a>) -> Self {
+        Chunk { q, cell, dx, dy, dz, ux, uy, uz, w }
+    }
+}
+
+/// A chunk splits into the chunks of its particles `..mid` and `mid..`,
+/// which is how `parallel_windows` hands each block its own.
+impl Split for Chunk<'_> {
     fn len(&self) -> usize {
         self.cell.len()
     }
-}
 
-/// Raw pointers to one species' particle arrays, used to reconstruct
-/// disjoint [`Chunk`]s inside a parallel dispatch.
-struct SpeciesPtrs {
-    cell: *mut u32,
-    dx: *mut f32,
-    dy: *mut f32,
-    dz: *mut f32,
-    ux: *mut f32,
-    uy: *mut f32,
-    uz: *mut f32,
-    w: *const f32,
-}
-
-// SAFETY: only used to rebuild per-block chunks over disjoint ranges, so
-// no element is ever aliased mutably (see `push_species_on`).
-unsafe impl Sync for SpeciesPtrs {}
-
-impl SpeciesPtrs {
-    fn new(s: &mut Species) -> Self {
-        Self {
-            cell: s.cell.as_mut_ptr(),
-            dx: s.dx.as_mut_ptr(),
-            dy: s.dy.as_mut_ptr(),
-            dz: s.dz.as_mut_ptr(),
-            ux: s.ux.as_mut_ptr(),
-            uy: s.uy.as_mut_ptr(),
-            uz: s.uz.as_mut_ptr(),
-            w: s.w.as_ptr(),
-        }
-    }
-
-    /// Rebuild the chunk over `range`.
-    ///
-    /// # Safety
-    /// `range` must be in bounds for the species' arrays and disjoint
-    /// from every other chunk built from `self` that is alive.
-    unsafe fn chunk(&self, range: Range<usize>, q: f32) -> Chunk<'_> {
-        let (start, len) = (range.start, range.len());
-        Chunk {
-            q,
-            cell: std::slice::from_raw_parts_mut(self.cell.add(start), len),
-            dx: std::slice::from_raw_parts_mut(self.dx.add(start), len),
-            dy: std::slice::from_raw_parts_mut(self.dy.add(start), len),
-            dz: std::slice::from_raw_parts_mut(self.dz.add(start), len),
-            ux: std::slice::from_raw_parts_mut(self.ux.add(start), len),
-            uy: std::slice::from_raw_parts_mut(self.uy.add(start), len),
-            uz: std::slice::from_raw_parts_mut(self.uz.add(start), len),
-            w: std::slice::from_raw_parts(self.w.add(start), len),
-        }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let Chunk { q, cell, dx, dy, dz, ux, uy, uz, w } = self;
+        let (lo, hi) = ((cell, [dx, dy, dz, ux, uy, uz]), w).split_at(mid);
+        (Self::of(q, lo), Self::of(q, hi))
     }
 }
 

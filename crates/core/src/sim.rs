@@ -16,6 +16,7 @@ use crate::species::Species;
 use pk::atomic::ScatterMode;
 use pk::{ExecSpace, Serial};
 use psort::SortOrder;
+use std::ops::Range;
 use tuner::{Config, Measurement, Tuner};
 use vsimd::Strategy;
 
@@ -65,6 +66,17 @@ impl LaserDriver {
     pub fn drive_at(&self, step: u64, dt: f32) -> f32 {
         let t = (step as f64 * dt as f64) as f32;
         self.amplitude * (self.omega * t).sin()
+    }
+
+    /// Add `drive` to `jz` over the cells `x × ys × zs` of `f`: the
+    /// antenna's whole plane, or the part of it a rank holds.
+    pub fn add_drive(f: &mut FieldArray, drive: f32, x: usize, ys: Range<usize>, zs: Range<usize>) {
+        for iy in ys {
+            for iz in zs.clone() {
+                let v = f.grid.voxel(x, iy, iz);
+                f.jz[v] += drive;
+            }
+        }
     }
 }
 
@@ -373,12 +385,8 @@ impl Simulation {
             // laser antenna: driven current on the injection plane
             if let Some(l) = &self.laser {
                 let drive = l.drive_at(self.step, self.grid.dt);
-                for iy in 0..self.grid.ny {
-                    for iz in 0..self.grid.nz {
-                        let v = self.grid.voxel(l.plane, iy, iz);
-                        self.fields.jz[v] += drive;
-                    }
-                }
+                let (ny, nz) = (self.grid.ny, self.grid.nz);
+                LaserDriver::add_drive(&mut self.fields, drive, l.plane, 0..ny, 0..nz);
             }
             // leapfrog field advance (row-parallel, strategy-vectorized)
             self.fields.advance_b_on(space, self.strategy, 0.5);

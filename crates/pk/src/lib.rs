@@ -13,6 +13,13 @@
 //!   [`ExecSpace::parallel_for_mut`] and [`ExecSpace::parallel_reduce`] over
 //!   a statically partitioned [`RangePolicy`], mirroring
 //!   `Kokkos::parallel_for` / `parallel_reduce`.
+//! * **Lane windows** — [`ExecSpace::parallel_windows`] cuts a [`Split`]
+//!   bundle of parallel slices (a kernel's output arrays, a species'
+//!   particle arrays) at the space's static block boundaries in whole
+//!   units (a grid row, a particle) and hands each block its window,
+//!   with safe `split_at_mut`s: no kernel rebuilds a slice from a raw
+//!   pointer. The crate's raw-pointer code is the pool's lifetime erasure
+//!   of a dispatched job ([`pool`]) and the [`prefetch`] hint.
 //! * **Atomics** ([`atomic`]) — the fixed-point
 //!   [`atomic::FixedScatterBuf`] for contended scatter phases (current
 //!   deposition), written atomically only where a lane has more than one
@@ -44,10 +51,10 @@ pub mod sort;
 pub mod space;
 
 pub use gpu::{Access, KernelRecord, SimGpu};
-pub use pool::{DispatchPanic, SendPtr, WorkerPool};
+pub use pool::{DispatchPanic, WorkerPool};
 pub use range::RangePolicy;
 pub use reduce::{Min, MinMax, Reducer, Sum};
-pub use space::{ExecSpace, Serial, Threads};
+pub use space::{Blocks, ExecSpace, Serial, Split, Threads};
 
 /// Hint the cache that the line holding `*at` is about to be read or
 /// written — what a kernel that streams an index array says about the

@@ -335,41 +335,6 @@ fn worker_loop(shared: &Shared, lane: usize) {
     }
 }
 
-/// Shareable raw base pointer for handing disjoint sub-slices to lanes.
-/// The caller must guarantee the lanes' index sets are disjoint.
-///
-/// Public so kernels outside `pk` (e.g. the field-solve row sweeps in
-/// `vpic-core`) can reuse the same disjoint-write idiom the pool's own
-/// `run_chunks_mut` uses instead of reinventing an unsafe wrapper.
-pub struct SendPtr<T>(pub *mut T);
-
-impl<T> SendPtr<T> {
-    /// Wrap a base pointer (typically `slice.as_mut_ptr()`).
-    pub fn new(p: *mut T) -> Self {
-        Self(p)
-    }
-
-    /// By-value accessor: closures calling this capture the whole
-    /// wrapper (which is `Sync`), not the raw-pointer field (which
-    /// is not — Rust 2021 closures capture fields individually).
-    pub fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-// manual impls: the derive would add an unwanted `T: Copy` bound
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: used only to reconstruct disjoint `&mut [T]` chunks, one owner
-// per chunk, so aliasing rules are upheld by construction.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-
 static REGISTRY: OnceLock<Mutex<HashMap<usize, Weak<WorkerPool>>>> = OnceLock::new();
 
 /// The process-wide pool for `lanes` lanes. Live pools are shared (two

@@ -5,7 +5,7 @@
 //! (see the `memsim` crate): kernels run functionally on the host while a
 //! hardware model accounts their memory behaviour.
 
-use crate::pool::{self, SendPtr, WorkerPool};
+use crate::pool::{self, WorkerPool};
 use crate::range::RangePolicy;
 use crate::reduce::Reducer;
 use std::ops::Range;
@@ -26,6 +26,114 @@ fn dispatch_span(op: &'static str, space: &str, workers: usize, len: usize) -> t
         None => s,
     }
 }
+
+/// A bundle of parallel slices that [`ExecSpace::parallel_windows`] cuts
+/// into lane windows: a slice, or a pair or array of bundles of one
+/// length, every slice cut at the same index.
+pub trait Split: Sized + Send {
+    /// Elements in each slice of the bundle (a pair or array of bundles
+    /// whose lengths differ panics).
+    fn len(&self) -> usize;
+
+    /// Whether the bundle has no elements.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every slice cut at element `mid`: the bundle of the `..mid` parts
+    /// and the bundle of the `mid..` parts.
+    fn split_at(self, mid: usize) -> (Self, Self);
+
+    /// The bundle cut into consecutive pieces of `unit > 0` elements (a
+    /// grid row, say), the last one shorter when `unit` does not divide
+    /// the length.
+    fn pieces(self, unit: usize) -> impl Iterator<Item = Self> {
+        assert!(unit > 0, "a piece holds at least one element");
+        let mut left = self.len();
+        let mut rest = Some(self);
+        std::iter::from_fn(move || {
+            let mid = unit.min(left);
+            let (piece, tail) = rest.take().filter(|_| mid > 0)?.split_at(mid);
+            left -= mid;
+            rest = Some(tail);
+            Some(piece)
+        })
+    }
+}
+
+impl<T: Send> Split for &mut [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<T: Sync> Split for &[T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        <[T]>::split_at(self, mid)
+    }
+}
+
+/// The one length of a bundle's slices.
+fn common_len(lens: &[usize]) -> usize {
+    let n = lens.first().copied().unwrap_or(0);
+    assert!(lens.iter().all(|&l| l == n), "bundled slices differ in length: {lens:?}");
+    n
+}
+
+impl<A: Split, B: Split> Split for (A, B) {
+    fn len(&self) -> usize {
+        common_len(&[self.0.len(), self.1.len()])
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let ((a0, a1), (b0, b1)) = (self.0.split_at(mid), self.1.split_at(mid));
+        ((a0, b0), (a1, b1))
+    }
+}
+
+impl<A: Split + Default, const N: usize> Split for [A; N] {
+    fn len(&self) -> usize {
+        common_len(&self.each_ref().map(A::len))
+    }
+
+    fn split_at(mut self, mid: usize) -> (Self, Self) {
+        let tails = self.each_mut().map(|a| {
+            let (head, tail) = std::mem::take(a).split_at(mid);
+            *a = head;
+            tail
+        });
+        (self, tails)
+    }
+}
+
+/// The per-block results of [`ExecSpace::parallel_windows`], in block
+/// order.
+#[derive(Debug)]
+pub struct Blocks<R> {
+    /// A one-block dispatch's result, kept off the heap.
+    first: Option<R>,
+    rest: std::vec::IntoIter<R>,
+}
+
+impl<R> Iterator for Blocks<R> {
+    type Item = R;
+
+    fn next(&mut self) -> Option<R> {
+        self.first.take().or_else(|| self.rest.next())
+    }
+}
+
+/// One block of [`ExecSpace::parallel_windows`]: its first unit and
+/// window until it runs, then its result.
+type Slot<D, R> = (Option<(usize, D)>, Option<R>);
 
 /// A backend capable of executing the parallel patterns.
 ///
@@ -88,6 +196,54 @@ pub trait ExecSpace: Sync {
                 f(offset + k, item);
             }
         });
+    }
+
+    /// Cut `data` (a [`Split`] bundle of slices) in whole units of `unit`
+    /// elements — a grid row, a particle, a key — into one window per
+    /// block of the units and run `f(block, first_unit, window)` on each,
+    /// possibly concurrently; the blocks' results come back in block
+    /// order. The blocks are the units' [`RangePolicy::static_blocks`] over
+    /// [`ExecSpace::concurrency`] parts, the partition every pattern uses.
+    /// The dispatch is one [`ExecSpace::run_chunks_mut`] call over one
+    /// slot per block; a one-lane space's slot is on the stack, so it
+    /// allocates nothing. Panics unless `unit > 0` divides `data.len()`.
+    fn parallel_windows<D: Split, R: Send>(
+        &self,
+        data: D,
+        unit: usize,
+        f: impl Fn(usize, usize, D) -> R + Sync,
+    ) -> Blocks<R> {
+        let len = data.len();
+        assert!(
+            unit > 0 && len.is_multiple_of(unit),
+            "{len} elements are not whole units of {unit}"
+        );
+        let units = len / unit;
+        let parts = self.concurrency().min(units);
+        let _hook = dispatch_span("pk.parallel_windows", self.name(), self.concurrency(), units);
+        let run = |block: usize, slots: &mut [Slot<D, R>]| {
+            for (k, (window, out)) in slots.iter_mut().enumerate() {
+                if let Some((first, data)) = window.take() {
+                    *out = Some(f(block + k, first, data));
+                }
+            }
+        };
+        let done = |(_, out): Slot<D, R>| out.expect("run_chunks_mut runs every window");
+        if parts <= 1 {
+            let mut one = [(Some((0, data)), None)];
+            self.run_chunks_mut(&mut one[..parts], 1, &run);
+            let [one] = one;
+            return Blocks { first: (parts == 1).then(|| done(one)), rest: Vec::new().into_iter() };
+        }
+        let mut slots = Vec::with_capacity(parts);
+        let mut rest = data;
+        for block in RangePolicy::new(units).static_blocks(parts) {
+            let (window, tail) = rest.split_at(block.len() * unit);
+            slots.push((Some((block.start, window)), None));
+            rest = tail;
+        }
+        self.run_chunks_mut(&mut slots, parts, &run);
+        Blocks { first: None, rest: slots.into_iter().map(done).collect::<Vec<_>>().into_iter() }
     }
 
     /// `Kokkos::parallel_reduce`: reduce `f(i)` over the policy's range.
@@ -250,23 +406,25 @@ impl ExecSpace for Threads {
             f(0, data);
             return;
         }
-        // Hand lane `k` chunks k, k+lanes, k+2·lanes, …: the strided
-        // assignment partitions the chunk list, and the chunks partition
-        // `data`, so every element has exactly one mutable owner.
-        let base = SendPtr(data.as_mut_ptr());
-        let spans: Vec<(usize, usize)> = blocks.iter().map(|b| (b.start, b.len())).collect();
+        // one slot per chunk, taken by the lane that owns the chunk: lane
+        // `k` owns chunks k, k+lanes, k+2·lanes, … (as in `run_blocks`)
+        let mut rest = data;
+        let slots: Vec<_> = blocks
+            .iter()
+            .map(|b| {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(b.len());
+                rest = tail;
+                Mutex::new(Some((b.start, chunk)))
+            })
+            .collect();
         let lanes = self.pool.lanes();
-        let spans = &spans;
-        self.pool.run(&move |lane| {
-            let ptr = base.get();
-            let mut c = lane;
-            while c < spans.len() {
-                let (start, len) = spans[c];
-                // SAFETY: spans are disjoint, in-bounds, and each is
-                // visited by exactly one lane (see above).
-                let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.add(start), len) };
-                f(start, chunk);
-                c += lanes;
+        let slots = &slots;
+        self.pool.run(&|lane| {
+            for slot in slots.iter().skip(lane).step_by(lanes) {
+                let chunk = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
+                if let Some((start, chunk)) = chunk {
+                    f(start, chunk);
+                }
             }
         });
     }
@@ -315,6 +473,7 @@ impl ExecSpace for Threads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::SimGpu;
     use crate::reduce::{Min, MinMax, Sum};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -407,6 +566,128 @@ mod tests {
         assert_eq!(Threads::new(0).concurrency(), 1);
         assert_eq!(Serial.concurrency(), 1);
         assert!(Threads::hardware().concurrency() >= 1);
+    }
+
+    /// `parallel_windows` over `len` elements in units of `unit`: every
+    /// element in exactly one window, the windows the space's static
+    /// blocks of the units, their results in block order.
+    fn check_windows<S: ExecSpace>(space: &S, len: usize, unit: usize) {
+        let ids: Vec<usize> = (0..len).collect();
+        let mut hits = vec![0u32; len];
+        let got: Vec<_> = space
+            .parallel_windows((&mut hits[..], &ids[..]), unit, |block, first, (hits, ids)| {
+                assert_eq!(ids[0], first * unit, "a window starts at its first unit");
+                hits.iter_mut().for_each(|h| *h += 1);
+                (block, first..first + ids.len() / unit)
+            })
+            .collect();
+        let blocks = RangePolicy::new(len / unit).static_blocks(space.concurrency());
+        let want: Vec<_> = blocks.into_iter().enumerate().collect();
+        let lanes = space.concurrency();
+        assert_eq!(got, want, "{} on {lanes} lanes, {len} elements of {unit}", space.name());
+        assert!(hits.iter().all(|&h| h == 1), "{} on {lanes} lanes: {hits:?}", space.name());
+    }
+
+    fn sim_gpu() -> SimGpu {
+        SimGpu::scaled(memsim::platform::by_name("V100").unwrap(), 1.0)
+    }
+
+    #[test]
+    fn windows_partition_the_data_once_in_block_order_on_every_space() {
+        // empty, one element, fewer units than lanes, uneven splits, rows
+        let cases = [(0, 1), (1, 1), (2, 1), (7, 1), (10, 1), (8, 8), (12, 4), (35, 5)];
+        for (len, unit) in cases {
+            check_windows(&Serial, len, unit);
+            check_windows(&sim_gpu(), len, unit);
+            for lanes in 1..=3 {
+                check_windows(&Threads::new(lanes), len, unit);
+            }
+        }
+    }
+
+    #[test]
+    fn bundles_of_pairs_and_arrays_split_together_by_rows() {
+        let (rows, nx) = (7, 3);
+        let ids: Vec<usize> = (0..rows * nx).collect();
+        let (mut a, mut b, mut c) = (vec![0; rows * nx], vec![0; rows * nx], vec![0; rows * nx]);
+        let bundle = ([&mut a[..], &mut b[..]], (&mut c[..], &ids[..]));
+        Threads::new(3).parallel_windows(bundle, nx, |_, first, window| {
+            for (r, ([a, b], (c, ids))) in (first..).zip(window.pieces(nx)) {
+                assert_eq!(ids, &(r * nx..(r + 1) * nx).collect::<Vec<_>>()[..]);
+                a.fill(r);
+                b.fill(2 * r);
+                c.copy_from_slice(ids);
+            }
+        });
+        assert!((0..rows * nx).all(|i| a[i] == i / nx && b[i] == 2 * (i / nx) && c[i] == i));
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn a_bundle_of_unequal_slices_is_refused() {
+        let (mut a, b) = (vec![0u8; 4], vec![0u8; 3]);
+        Serial.parallel_windows((&mut a[..], &b[..]), 1, |_, _, _| ());
+    }
+
+    /// A space that counts the `run_chunks_mut` calls and the other
+    /// dispatches made through it.
+    struct Counted<'a, S> {
+        inner: &'a S,
+        chunk_calls: AtomicU64,
+        other_calls: AtomicU64,
+    }
+
+    impl<S: ExecSpace> ExecSpace for Counted<'_, S> {
+        fn concurrency(&self) -> usize {
+            self.inner.concurrency()
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn run_blocks(&self, policy: &RangePolicy, f: &(dyn Fn(Range<usize>) + Sync)) {
+            self.other_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.run_blocks(policy, f)
+        }
+
+        fn run_chunks_mut<T: Send>(
+            &self,
+            data: &mut [T],
+            parts: usize,
+            f: &(dyn Fn(usize, &mut [T]) + Sync),
+        ) {
+            self.chunk_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.run_chunks_mut(data, parts, f)
+        }
+
+        fn reduce_blocks<R: Reducer>(
+            &self,
+            policy: &RangePolicy,
+            reducer: &R,
+            f: &(dyn Fn(Range<usize>) -> R::Value + Sync),
+        ) -> R::Value {
+            self.other_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.reduce_blocks(policy, reducer, f)
+        }
+    }
+
+    /// The dispatches one `parallel_windows` call makes on `space`:
+    /// `(run_chunks_mut calls, other calls)`.
+    fn dispatches<S: ExecSpace>(space: &S) -> (u64, u64) {
+        let counted = Counted { inner: space, chunk_calls: 0.into(), other_calls: 0.into() };
+        let mut data = [0u32; 10];
+        let sum: usize = counted.parallel_windows(&mut data[..], 2, |b, _, w| b + w.len()).sum();
+        assert_eq!(sum, 10 + (0..counted.concurrency().min(5)).sum::<usize>());
+        (counted.chunk_calls.into_inner(), counted.other_calls.into_inner())
+    }
+
+    #[test]
+    fn a_dispatch_is_one_run_chunks_mut_call() {
+        assert_eq!(dispatches(&Serial), (1, 0));
+        assert_eq!(dispatches(&sim_gpu()), (1, 0));
+        assert_eq!(dispatches(&Threads::new(1)), (1, 0));
+        assert_eq!(dispatches(&Threads::new(3)), (1, 0));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 use crate::order::SortOrder;
 use pk::sort::{apply_permutation, histogram, min_max};
 use pk::space::{ExecSpace, Serial};
-use pk::RangePolicy;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -181,20 +180,22 @@ fn rewrite_keys_in<S: ExecSpace>(
     rewrite: &(dyn Fn(u64, u64) -> u64 + Sync),
 ) -> Vec<u64> {
     let n = keys64.len();
-    let blocks = RangePolicy::new(n).static_blocks(space.concurrency());
     // pass 1: per-block key histograms
-    let mut hists: Vec<Vec<u64>> = vec![vec![0u64; range as usize]; blocks.len()];
-    {
+    let mut hists: Vec<Vec<u64>> = {
         let _s = telemetry::span("psort.histogram").arg("n", n).arg("range", range);
         // sort occupancy in milli-particles-per-cell: the load factor that
         // decides whether tiled-strided beats strided for this grid
         telemetry::hist!("psort.occupancy.mppc", (n as u64).saturating_mul(1000) / range.max(1));
-        space.parallel_for_mut(&mut hists, |b, hist| {
-            for &k in &keys64[blocks[b].clone()] {
-                hist[(k - min_k) as usize] += 1;
-            }
-        });
-    }
+        space
+            .parallel_windows(keys64, 1, |_, _, keys| {
+                let mut hist = vec![0u64; range as usize];
+                for &k in keys {
+                    hist[(k - min_k) as usize] += 1;
+                }
+                hist
+            })
+            .collect()
+    };
     // pass 2: exclusive scan across blocks → each block's starting
     // ordinal per key (small: blocks × range, serial)
     {
@@ -208,16 +209,13 @@ fn rewrite_keys_in<S: ExecSpace>(
             }
         }
     }
-    // pass 3: blocks assign ordinals independently from their bases
+    // pass 3: blocks assign ordinals independently from their bases, on
+    // the same blocks as pass 1
     let _s = telemetry::span("psort.rewrite").arg("n", n);
-    let starts: Vec<usize> = blocks.iter().map(|b| b.start).collect();
     let mut new_keys = vec![0u64; n];
-    space.run_chunks_mut(&mut new_keys, blocks.len(), &|offset, out| {
-        let b = starts
-            .binary_search(&offset)
-            .expect("chunk boundaries follow static blocks");
+    space.parallel_windows((&mut new_keys[..], keys64), 1, |b, _, (out, keys)| {
         let mut seen = hists[b].clone();
-        for (&k, o) in keys64[offset..offset + out.len()].iter().zip(out.iter_mut()) {
+        for (&k, o) in keys.iter().zip(out) {
             let id = k - min_k;
             let ordinal = seen[id as usize];
             seen[id as usize] += 1;

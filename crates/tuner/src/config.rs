@@ -18,10 +18,11 @@ pub struct Config {
     /// Steps between sorts. Ignored when `order` is `None`.
     pub interval: usize,
     /// Vectorization strategy. One knob drives the whole step: the
-    /// particle push *and* the grid-side field pipeline (interpolator
-    /// load, curl sweeps, current unload) all dispatch on the
-    /// simulation's single `strategy` field, so committing an arm
-    /// retunes every kernel at once. All field-kernel strategies are
+    /// particle push, the interpolator load and the curl sweeps all
+    /// dispatch on the simulation's single `strategy` field, so
+    /// committing an arm retunes every kernel at once. The current
+    /// unload takes the field too but ignores it (`vsimd` has no `f64`
+    /// lane type for its sums). All field-kernel strategies are
     /// bit-identical by construction, so the tuner's exploration never
     /// perturbs the physics.
     pub strategy: Strategy,

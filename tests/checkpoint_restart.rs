@@ -115,6 +115,11 @@ fn crash_mid_write_falls_back_to_the_previous_snapshot() {
         Err(RestoreError::BadCrc { .. } | RestoreError::SchemaDrift(_)) => {}
         other => panic!("expected the primary's typed error, got {:?}", other.err()),
     }
+    // a path never written, and no `.prev` beside it: the read's I/O error
+    match Simulation::restore_from_path(&dir.join("never-written.vpck")) {
+        Err(RestoreError::Io(_)) => {}
+        other => panic!("expected an I/O error, got {:?}", other.err()),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
