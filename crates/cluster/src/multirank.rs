@@ -643,13 +643,16 @@ impl MultiRankSim {
                 debug_assert_eq!(plan.grid.dt, g.dt, "unit cells: dt is extent-independent");
                 let mut rsim = Simulation::new(plan.grid.clone());
                 rsim.strategy = sim.strategy;
+                // size every array and the ids for a rank's share, so
+                // the scatter below and steady-state appends rarely grow
+                let share = |s: &vpic_core::Species| s.len() / plans.len() + 16;
                 for s in &sim.species {
                     let mut rs = vpic_core::Species::new(s.name.clone(), s.q, s.m);
-                    // keep steady-state appends allocation-free-ish
-                    rs.dx.reserve(s.len() / plans.len() + 16);
+                    rs.reserve(share(s));
                     rsim.add_species(rs);
                 }
-                RankState::new(rsim, vec![Vec::new(); sim.species.len()], plan)
+                let ids = sim.species.iter().map(|s| Vec::with_capacity(share(s))).collect();
+                RankState::new(rsim, ids, plan)
             })
             .collect();
         // scatter particles to their owning rank, carrying the global

@@ -302,10 +302,9 @@ impl Simulation {
                     // charge the sort as the record-permutation gather
                     // it performs: `perm[i]` is the old index read to
                     // fill slot `i`, over the 8-field 32 B SoA record
-                    let keys: Vec<u32> = s.sort_perm().iter().map(|&p| p as u32).collect();
                     space.charge(&pk::gpu::Access::Gather {
                         label: "sort",
-                        keys: &keys,
+                        keys: s.sort_perm(),
                         table_len: s.len().max(1),
                         elem_bytes: 32,
                         stream_bytes: 32.0,

@@ -12,15 +12,16 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Reusable sorting workspace: the permutation and the gather target
-/// the float arrays pass through. Capacities persist across sorts, so
-/// [`Species::sort`] itself allocates nothing after the first;
-/// [`psort::sort_pairs`] makes its own transients on every call, which
-/// the doc of [`Species::sort`] lists.
+/// The sort's persistent workspace, 8 B per particle: the `u32`
+/// permutation of the most recent [`Species::sort`] and one spare column
+/// that every column is gathered into. A float column is swapped with the
+/// spare after its gather, so the buffers rotate among the seven float
+/// columns and the spare; once the first sort has sized the spare, no
+/// sort of a population no larger makes a buffer.
 #[derive(Debug, Clone, Default)]
 struct SortScratch {
-    perm: Vec<usize>,
-    floats: Vec<f32>,
+    perm: Vec<u32>,
+    spare: Vec<f32>,
 }
 
 /// A single particle by value — the unit that migrates between ranks.
@@ -137,6 +138,16 @@ impl Species {
     pub(crate) fn columns_mut(&mut self) -> (&mut Vec<u32>, [&mut Vec<f32>; 7]) {
         let Self { cell, dx, dy, dz, ux, uy, uz, w, .. } = self;
         (cell, [dx, dy, dz, ux, uy, uz, w])
+    }
+
+    /// Reserve room for `additional` more particles in each of the eight
+    /// arrays.
+    pub fn reserve(&mut self, additional: usize) {
+        let (cell, floats) = self.columns_mut();
+        cell.reserve(additional);
+        for arr in floats {
+            arr.reserve(additional);
+        }
     }
 
     /// Number of particles.
@@ -343,16 +354,18 @@ impl Species {
     /// `Random` is never skipped: re-shuffling is a new permutation each
     /// time, not an idempotent arrangement.
     ///
-    /// The cell array is sorted in place by [`psort::sort_pairs`] — O(N)
-    /// on cell keys — carrying the particle indices along, and every
-    /// float array is then gathered once through the permutation that
-    /// yields (reads follow it, writes are sequential). The per-species
-    /// scratch (permutation, gather buffer) persists across sorts.
-    /// `sort_pairs` allocates per call: its argsort's permutation and
-    /// counts, and one gather buffer for the cells and then one for the
-    /// indices, each freed as soon as it is copied back — it applies the
-    /// permutation the way this function does, so every pass of the sort
-    /// reads through the permutation and writes in order.
+    /// The permutation is computed once, by [`psort::permutation_into`]
+    /// (O(N) on cell keys), into the species' persistent `u32` buffer,
+    /// and each array is gathered through it once into the one spare
+    /// column (reads follow the permutation, writes stream). A float
+    /// array is then swapped with the spare, not copied back; `cell`, the
+    /// one `u32` array, passes through the spare as its bits
+    /// (`f32::from_bits` and `to_bits` move them unchanged) and is copied
+    /// back. The sort's scratch is therefore 8 B per particle, the
+    /// permutation and the spare, and after the first sort of a
+    /// population no larger it makes no buffer. What it allocates per
+    /// call is the argsort's counting buckets (4 B per cell of the key
+    /// range) and, for the strided orders, their rewritten `u64` keys.
     pub fn sort(&mut self, order: SortOrder) -> bool {
         if self.last_sort == Some(order) && order != SortOrder::Random {
             // the skip serves the cached "already sorted" claim — verify
@@ -362,22 +375,18 @@ impl Species {
             self.debug_validate_sorted();
             return false;
         }
-        let SortScratch { perm, floats } = &mut self.scratch;
-        perm.clear();
-        perm.extend(0..self.cell.len());
-        psort::sort_pairs(order, &mut self.cell, perm);
-        for arr in [
-            &mut self.dx,
-            &mut self.dy,
-            &mut self.dz,
-            &mut self.ux,
-            &mut self.uy,
-            &mut self.uz,
-            &mut self.w,
-        ] {
-            floats.clear();
-            floats.extend(perm.iter().map(|&p| arr[p]));
-            arr.copy_from_slice(floats);
+        let Self { cell, dx, dy, dz, ux, uy, uz, w, scratch, .. } = self;
+        let SortScratch { perm, spare } = scratch;
+        psort::permutation_into(order, cell, perm);
+        spare.clear();
+        spare.extend(perm.iter().map(|&p| f32::from_bits(cell[p as usize])));
+        for (c, bits) in cell.iter_mut().zip(spare.iter()) {
+            *c = bits.to_bits();
+        }
+        for arr in [dx, dy, dz, ux, uy, uz, w] {
+            spare.clear();
+            spare.extend(perm.iter().map(|&p| arr[p as usize]));
+            std::mem::swap(arr, spare);
         }
         self.last_sort = Some(order);
         true
@@ -386,9 +395,9 @@ impl Species {
     /// The sort of the id ledger: [`Species::sort`], with `ids`, the id
     /// array kept parallel to the particles, gathered through
     /// [`Species::sort_perm`] so that every particle keeps its id. The ids
-    /// pass through a transient buffer, as `sort_pairs`' values do: one
-    /// kept between sorts would hold 8 B per particle for nothing.
-    /// `Standard` is stable: particles in one cell keep the order they had.
+    /// pass through a transient buffer: one kept between sorts would hold
+    /// 8 B per particle for nothing. `Standard` is stable: particles in
+    /// one cell keep the order they had.
     pub fn sort_with_ids(&mut self, order: SortOrder, ids: &mut [u64]) -> bool {
         debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
         if !self.sort(order) {
@@ -445,10 +454,12 @@ impl Species {
     }
 
     /// The record permutation applied by the most recent [`Species::sort`]
-    /// (`perm[i]` = pre-sort index of the particle now at `i`). Valid
-    /// immediately after a `sort` call that returned `true`; accounting
-    /// spaces cost the sort's gather traffic from it.
-    pub fn sort_perm(&self) -> &[usize] {
+    /// (`perm[i]` = pre-sort index of the particle now at `i`), the
+    /// species' own buffer. Valid immediately after a `sort` call that
+    /// returned `true`; accounting spaces cost the sort's gather traffic
+    /// from it as it is, and [`Species::sort_with_ids`] gathers the ids
+    /// through it.
+    pub fn sort_perm(&self) -> &[u32] {
         &self.scratch.perm
     }
 
@@ -605,14 +616,17 @@ mod tests {
             for order in SortOrder::fig7_set(8) {
                 let (mut s, mut ids) = (loaded.clone(), (0..n as u64).collect::<Vec<_>>());
                 assert!(s.sort_with_ids(order, &mut ids));
-                let perm = s.sort_perm();
-                let reference = psort::sorts::ordered_keys(order, &loaded.cell).1;
+                let perm: &[u32] = s.sort_perm();
+                let as_u32 =
+                    |perm: Vec<usize>| perm.into_iter().map(|p| p as u32).collect::<Vec<_>>();
+                let reference = as_u32(psort::sorts::ordered_keys(order, &loaded.cell).1);
                 assert_eq!(perm, reference, "{order}, {n} in {cells}");
                 if order == SortOrder::Standard {
-                    assert_eq!(perm, pk::sort::sort_permutation(&loaded.cell), "{n} in {cells}");
+                    let reference = as_u32(pk::sort::sort_permutation(&loaded.cell));
+                    assert_eq!(perm, reference, "{n} in {cells}");
                 }
                 for (i, &p) in perm.iter().enumerate() {
-                    let want = (p as u64, loaded.record(p));
+                    let want = (p as u64, loaded.record(p as usize));
                     assert_eq!((ids[i], s.record(i)), want, "{order}, {n} in {cells}, slot {i}");
                 }
                 // drain every third particle: (id, record) pairs leave in
@@ -636,26 +650,39 @@ mod tests {
         let g = Grid::new(4, 4, 4);
         let mut s = Species::new("e", -1.0, 1.0);
         s.load_uniform(&g, 1000, 0.1, (0.0, 0.0, 0.0), 1.0, 13);
-        // warmup: one sort sizes every scratch buffer to the population
+        let n = s.len();
+        // every buffer the sort may touch, as (address, capacity): the
+        // eight arrays and the spare, whose buffers the swaps rotate, in
+        // address order, and the permutation
+        let buffers = |s: &Species| {
+            let Species { dx, dy, dz, ux, uy, uz, w, cell, scratch, .. } = s;
+            let mut columns: Vec<(usize, usize)> = [dx, dy, dz, ux, uy, uz, w, &scratch.spare]
+                .iter()
+                .map(|a| (a.as_ptr() as usize, a.capacity()))
+                .collect();
+            columns.push((cell.as_ptr() as usize, cell.capacity()));
+            columns.sort_unstable();
+            (columns, (scratch.perm.as_ptr() as usize, scratch.perm.capacity()))
+        };
+        // warmup: one sort sizes the permutation and the spare
         s.sort(SortOrder::Standard);
-        let capacities = |s: &Species| (s.scratch.perm.capacity(), s.scratch.floats.capacity());
-        let warm = capacities(&s);
-        assert!(warm.0 >= s.len() && warm.1 >= s.len());
-        // steady state: alternating orders with dirtying in between must
-        // leave every capacity untouched
+        let warm = buffers(&s);
+        // the scratch is 8 B per particle: a u32 index and one f32 slot
+        let (perm, spare) = (&s.scratch.perm, &s.scratch.spare);
+        assert_eq!((perm.len(), spare.len()), (n, n));
+        assert_eq!(std::mem::size_of_val(&perm[..]) + std::mem::size_of_val(&spare[..]), 8 * n);
+        // steady state: every order, with dirtying in between, must make
+        // no buffer and resize none
         for order in [
             SortOrder::Strided,
             SortOrder::Standard,
             SortOrder::TiledStrided { tile: 8 },
+            SortOrder::Random,
             SortOrder::Standard,
         ] {
             s.mark_unsorted();
             assert!(s.sort(order));
-            assert_eq!(
-                capacities(&s),
-                warm,
-                "sort scratch must not reallocate after warmup ({order})"
-            );
+            assert_eq!(buffers(&s), warm, "sort made or resized a buffer after warmup ({order})");
         }
     }
 

@@ -24,47 +24,56 @@ pub fn sort_permutation<K: Ord>(keys: &[K]) -> Vec<usize> {
 /// [`argsort`] counts instead of comparing.
 const COUNTING_SORT_MAX_RANGE_FACTOR: u64 = 8;
 
-/// The stable argsort every sort in the workspace goes through: the
-/// permutation [`sort_permutation`] returns, by an O(n + range) counting
-/// sort when the keys span at most 8 n values (cell indices, and the
-/// strided orders' rewritten keys) and by the comparison sort otherwise.
-/// Both arms are stable, so the result does not depend on the choice.
-pub fn argsort<K>(keys: &[K]) -> Vec<usize>
+/// The stable argsort every sort in the workspace goes through: writes
+/// into `perm` (cleared first, its capacity kept) the permutation
+/// [`sort_permutation`] returns, as `u32` indices, by an O(n + range)
+/// counting sort when the keys span at most 8 n values (cell indices,
+/// and the strided orders' rewritten keys) and by the comparison sort
+/// otherwise. Both arms are stable, so the result does not depend on the
+/// choice. The counting arm's buckets (4 B per key value in range) live
+/// for the call only.
+///
+/// # Panics
+/// Panics if `keys` holds more than `u32::MAX` elements.
+pub fn argsort<K>(keys: &[K], perm: &mut Vec<u32>)
 where
     K: Copy + Ord + Into<u64>,
 {
     let n = keys.len();
+    assert!(u32::try_from(n).is_ok(), "argsort: {n} keys overflow a u32 permutation");
+    perm.clear();
     let Some((min, max)) = keys.iter().fold(None, |mm: Option<(u64, u64)>, &k| {
         let k = k.into();
         Some(mm.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k))))
     }) else {
-        return Vec::new();
+        return;
     };
     if max - min >= COUNTING_SORT_MAX_RANGE_FACTOR.saturating_mul(n as u64) {
-        return sort_permutation(keys);
+        perm.extend(0..n as u32);
+        perm.sort_by_key(|&i| keys[i as usize]);
+        return;
     }
     // counts[b + 1] = keys in bucket b, then prefix sums: counts[b] is
-    // the output cursor of bucket b
-    let mut counts = vec![0usize; (max - min) as usize + 2];
+    // the output cursor of bucket b (at most n, so a u32)
+    let mut counts = vec![0u32; (max - min) as usize + 2];
     for &k in keys {
         counts[(k.into() - min) as usize + 1] += 1;
     }
     for b in 1..counts.len() {
         counts[b] += counts[b - 1];
     }
-    let mut perm = vec![0usize; n];
+    perm.resize(n, 0);
     for (i, &k) in keys.iter().enumerate() {
         let cursor = &mut counts[(k.into() - min) as usize];
-        perm[*cursor] = i;
+        perm[*cursor as usize] = i as u32;
         *cursor += 1;
     }
-    perm
 }
 
 /// Gather `values` through `perm`: `out[i] = values[perm[i]]`.
-pub fn apply_permutation<T: Clone>(perm: &[usize], values: &[T]) -> Vec<T> {
+pub fn apply_permutation<T: Clone>(perm: &[u32], values: &[T]) -> Vec<T> {
     assert_eq!(perm.len(), values.len(), "permutation length mismatch");
-    perm.iter().map(|&i| values[i].clone()).collect()
+    perm.iter().map(|&i| values[i as usize].clone()).collect()
 }
 
 /// In-place permutation apply via cycle decomposition (O(n) time, O(n)
@@ -73,18 +82,18 @@ pub fn apply_permutation<T: Clone>(perm: &[usize], values: &[T]) -> Vec<T> {
 /// buffer ([`apply_permutation`], what `psort::sort_pairs` and the
 /// species sort do); its caller is [`sort_by_key`], whose values need
 /// not be `Clone`.
-pub fn permute_in_place<T>(perm: &[usize], values: &mut [T]) {
+pub fn permute_in_place<T>(perm: &[u32], values: &mut [T]) {
     assert_eq!(perm.len(), values.len(), "permutation length mismatch");
     let mut done = vec![false; perm.len()];
     for start in 0..perm.len() {
-        if done[start] || perm[start] == start {
+        if done[start] || perm[start] as usize == start {
             done[start] = true;
             continue;
         }
         // walk the cycle, moving each element to its destination
         let mut i = start;
         loop {
-            let src = perm[i];
+            let src = perm[i] as usize;
             done[i] = true;
             if done[src] {
                 break;
@@ -99,7 +108,8 @@ pub fn permute_in_place<T>(perm: &[usize], values: &mut [T]) {
 /// (`Kokkos::Experimental::sort_by_key` analog), through [`argsort`].
 pub fn sort_by_key<V>(keys: &mut [u64], values: &mut [V]) {
     assert_eq!(keys.len(), values.len(), "sort_by_key extent mismatch");
-    let perm = argsort(keys);
+    let mut perm = Vec::new();
+    argsort(keys, &mut perm);
     permute_in_place(&perm, keys);
     permute_in_place(&perm, values);
 }
@@ -115,9 +125,10 @@ pub fn min_max<S: ExecSpace, T: Scalar>(space: &S, data: &[T]) -> Option<(T, T)>
 }
 
 /// Histogram of `keys` over `[min, max]`: `out[k - min]` counts key `k`.
-pub fn histogram(keys: &[u64], min: u64, max: u64) -> Vec<u32> {
+pub fn histogram<K: Copy + Into<u64>>(keys: &[K], min: u64, max: u64) -> Vec<u32> {
     let mut counts = vec![0u32; (max - min + 1) as usize];
     for &k in keys {
+        let k = k.into();
         debug_assert!((min..=max).contains(&k), "key {k} outside [{min}, {max}]");
         counts[(k - min) as usize] += 1;
     }
@@ -141,17 +152,26 @@ mod tests {
         let dense: Vec<u64> = (0..500).map(|i| ((i * 7919) % 37) as u64 + 5).collect();
         let sparse: Vec<u64> = dense.iter().map(|&k| k * 1_000_003).collect();
         let edge = vec![u64::MAX, 0, u64::MAX, 7];
+        // one buffer for every call: a longer stale permutation is cleared
+        let mut perm = vec![9u32; 1000];
         for keys in [&dense[..], &sparse, &edge, &dense[..1], &[]] {
-            assert_eq!(argsort(keys), sort_permutation(keys), "both arms are stable");
+            argsort(keys, &mut perm);
+            assert_eq!(perm, as_u32(&sort_permutation(keys)), "both arms are stable");
         }
+        assert_eq!(perm.capacity(), 1000, "the caller's buffer is reused");
         let narrow: Vec<u32> = dense.iter().map(|&k| k as u32).collect();
-        assert_eq!(argsort(&narrow), sort_permutation(&narrow));
+        argsort(&narrow, &mut perm);
+        assert_eq!(perm, as_u32(&sort_permutation(&narrow)));
+    }
+
+    fn as_u32(perm: &[usize]) -> Vec<u32> {
+        perm.iter().map(|&p| p as u32).collect()
     }
 
     #[test]
     fn apply_and_inplace_permutation_agree() {
         let keys = vec![3u64, 1, 4, 1, 5, 9, 2, 6];
-        let perm = sort_permutation(&keys);
+        let perm = as_u32(&sort_permutation(&keys));
         let gathered = apply_permutation(&perm, &keys);
         let mut inplace = keys.clone();
         permute_in_place(&perm, &mut inplace);

@@ -56,7 +56,7 @@ proptest! {
         let keys: Vec<u64> = (0..n as u64)
             .map(|i| i.wrapping_mul(seed | 1).rotate_left(17))
             .collect();
-        let perm = sort_permutation(&keys);
+        let perm: Vec<u32> = sort_permutation(&keys).iter().map(|&p| p as u32).collect();
         let values: Vec<u64> = (0..n as u64).collect();
         let gathered = apply_permutation(&perm, &values);
         let mut inplace = values.clone();

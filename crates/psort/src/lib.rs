@@ -25,6 +25,6 @@ pub mod verify;
 
 pub use order::SortOrder;
 pub use sorts::{
-    sort_pairs, sort_pairs_in, standard_sort, strided_sort, strided_sort_in, tiled_strided_sort,
-    tiled_strided_sort_in,
+    permutation_into, sort_pairs, sort_pairs_in, standard_sort, strided_sort, strided_sort_in,
+    tiled_strided_sort, tiled_strided_sort_in,
 };

@@ -1,18 +1,20 @@
 //! The sorting algorithms: standard, strided (Algorithm 1), tiled strided
 //! (Algorithm 2), and the random baseline.
 //!
-//! Every function here reorders a key slice and a value slice *in tandem*
-//! and costs O(N) key rewriting plus one stable argsort (exactly the
-//! paper's §4.3 structure: "The adjustment of the keys is O(N). Once the
-//! new keys are generated, we use the parallel sort_by_key function").
-//! Every argsort is [`pk::sort::argsort`] — O(N) too whenever the keys are
-//! dense, as cell indices and their rewrites are — and its permutation is
-//! applied by gather: each array is read through it into a transient
-//! buffer and copied back, which is why the values are `Copy`. (The
-//! in-place cycle walk, [`pk::sort::permute_in_place`], is for values
-//! that are not; nothing here has them.) Carrying
-//! the indices `0..n` as values yields the permutation itself (how the
-//! particle SoA follows its cell array).
+//! Every order costs O(N) key rewriting plus one stable argsort (exactly
+//! the paper's §4.3 structure: "The adjustment of the keys is O(N). Once
+//! the new keys are generated, we use the parallel sort_by_key
+//! function"). Every argsort is [`pk::sort::argsort`] — O(N) too whenever
+//! the keys are dense, as cell indices and their rewrites are — and
+//! writes a `u32` permutation into a buffer its caller owns:
+//! [`permutation_into`] is that step alone, what `Species::sort` keeps
+//! between sorts and gathers its columns through. The functions that
+//! reorder a key slice and a value slice *in tandem* ([`sort_pairs`] and
+//! the per-order wrappers) are that permutation in a transient buffer
+//! plus one gather per array into another, copied back, which is why the
+//! values are `Copy`. (The in-place cycle walk,
+//! [`pk::sort::permute_in_place`], is for values that are not; nothing
+//! here has them.)
 
 use crate::order::SortOrder;
 use pk::sort::{apply_permutation, histogram, min_max};
@@ -46,35 +48,56 @@ pub fn sort_pairs_in<V: Copy, S: ExecSpace>(
         .arg("n", keys.len())
         .arg("space", space.name());
     assert_eq!(keys.len(), values.len(), "key/value extent mismatch");
-    let perm = match order {
-        SortOrder::Random => shuffled_permutation(RANDOM_ORDER_SEED, keys.len()),
-        SortOrder::Standard => argsort(keys),
-        SortOrder::Strided => argsort(&strided_keys(space, keys)),
-        SortOrder::TiledStrided { tile } => argsort(&tiled_strided_keys(space, tile, keys)),
-    };
+    let mut perm = Vec::new();
+    permutation_in(space, order, keys, &mut perm);
     permute_pairs(&perm, keys, values);
 }
 
+/// Write into `perm` (cleared first, its capacity kept) the permutation
+/// that puts `keys` in `order`: `perm[i]` is the index of the key that
+/// goes to slot `i`, so gathering any array parallel to `keys` through
+/// it reorders that array as [`sort_pairs`] would. The order's key
+/// rewrite, then [`pk::sort::argsort`]; nothing else is kept.
+///
+/// # Panics
+/// Panics if `keys` holds more than `u32::MAX` elements.
+pub fn permutation_into(order: SortOrder, keys: &[u32], perm: &mut Vec<u32>) {
+    permutation_in(&Serial, order, keys, perm);
+}
+
+/// [`permutation_into`] with the key rewrite run on `space`.
+fn permutation_in<S: ExecSpace>(space: &S, order: SortOrder, keys: &[u32], perm: &mut Vec<u32>) {
+    match order {
+        SortOrder::Random => shuffled_permutation(RANDOM_ORDER_SEED, keys.len(), perm),
+        SortOrder::Standard => argsort(keys, perm),
+        SortOrder::Strided => argsort(&strided_keys(space, keys), perm),
+        SortOrder::TiledStrided { tile } => argsort(&tiled_strided_keys(space, tile, keys), perm),
+    }
+}
+
 /// The one argsort behind every order: [`pk::sort::argsort`].
-fn argsort<K: Copy + Ord + Into<u64>>(keys: &[K]) -> Vec<usize> {
+fn argsort<K: Copy + Ord + Into<u64>>(keys: &[K], perm: &mut Vec<u32>) {
     let _s = telemetry::span("psort.sort_by_key");
-    pk::sort::argsort(keys)
+    pk::sort::argsort(keys, perm);
 }
 
 /// `keys[i], values[i] = keys[perm[i]], values[perm[i]]`: each array is
 /// gathered through `perm` into a transient buffer (reads follow the
 /// permutation, writes stream) and copied back, the keys' buffer freed
 /// before the values' is made.
-fn permute_pairs<V: Copy>(perm: &[usize], keys: &mut [u32], values: &mut [V]) {
+fn permute_pairs<V: Copy>(perm: &[u32], keys: &mut [u32], values: &mut [V]) {
     let _s = telemetry::span("psort.permute");
     keys.copy_from_slice(&apply_permutation(perm, keys));
     values.copy_from_slice(&apply_permutation(perm, values));
 }
 
-fn shuffled_permutation(seed: u64, n: usize) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
+/// [`SortOrder::Random`]'s permutation: `0..n` shuffled by a generator
+/// seeded with `seed`, into `perm`.
+fn shuffled_permutation(seed: u64, n: usize, perm: &mut Vec<u32>) {
+    assert!(u32::try_from(n).is_ok(), "shuffle: {n} keys overflow a u32 permutation");
+    perm.clear();
+    perm.extend(0..n as u32);
     perm.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-    perm
 }
 
 /// Standard classification: stable ascending sort by key.
@@ -108,12 +131,11 @@ pub fn strided_sort_in<V: Copy, S: ExecSpace>(space: &S, keys: &mut [u32], value
 
 /// Algorithm 1's rewritten keys.
 fn strided_keys<S: ExecSpace>(space: &S, keys: &[u32]) -> Vec<u64> {
-    let keys64: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-    let Some((min_k, max_k)) = min_max(space, &keys64) else {
-        return keys64;
+    let Some((min_k, max_k)) = min_max(space, keys) else {
+        return Vec::new();
     };
-    let range = max_k - min_k + 1;
-    rewrite_keys_in(space, &keys64, min_k, range, &|id, ordinal| id + ordinal * range)
+    let (min_k, range) = (min_k as u64, (max_k - min_k) as u64 + 1);
+    rewrite_keys_in(space, keys, min_k, range, &|id, ordinal| id + ordinal * range)
 }
 
 /// Algorithm 2 — tiled strided sort.
@@ -147,18 +169,18 @@ pub fn tiled_strided_sort_in<V: Copy, S: ExecSpace>(
 /// Algorithm 2's rewritten keys.
 fn tiled_strided_keys<S: ExecSpace>(space: &S, tile: usize, keys: &[u32]) -> Vec<u64> {
     assert!(tile >= 1, "tile size must be at least 1");
-    let keys64: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-    let Some((min_k, max_k)) = min_max(space, &keys64) else {
-        return keys64;
+    let Some((min_k, max_k)) = min_max(space, keys) else {
+        return Vec::new();
     };
+    let (min_k, max_k) = (min_k as u64, max_k as u64);
     let range = max_k - min_k + 1;
-    let counts = histogram(&keys64, min_k, max_k);
+    let counts = histogram(keys, min_k, max_k);
     let max_r = counts.iter().copied().max().unwrap_or(0) as u64;
     // a tile past the key range is one chunk either way; clamping keeps
     // the rewritten keys in range for any tile
     let tile = (tile as u64).min(range);
     let chunk_sz = tile * max_r;
-    rewrite_keys_in(space, &keys64, min_k, range, &|id, t| {
+    rewrite_keys_in(space, keys, min_k, range, &|id, t| {
         (id / tile) * chunk_sz + t * tile + (id % tile)
     })
 }
@@ -174,12 +196,12 @@ fn tiled_strided_keys<S: ExecSpace>(space: &S, tile: usize, keys: &[u32]) -> Vec
 /// equals the sequential left-to-right assignment for every space.
 fn rewrite_keys_in<S: ExecSpace>(
     space: &S,
-    keys64: &[u64],
+    keys: &[u32],
     min_k: u64,
     range: u64,
     rewrite: &(dyn Fn(u64, u64) -> u64 + Sync),
 ) -> Vec<u64> {
-    let n = keys64.len();
+    let n = keys.len();
     // pass 1: per-block key histograms
     let mut hists: Vec<Vec<u64>> = {
         let _s = telemetry::span("psort.histogram").arg("n", n).arg("range", range);
@@ -187,10 +209,10 @@ fn rewrite_keys_in<S: ExecSpace>(
         // decides whether tiled-strided beats strided for this grid
         telemetry::hist!("psort.occupancy.mppc", (n as u64).saturating_mul(1000) / range.max(1));
         space
-            .parallel_windows(keys64, 1, |_, _, keys| {
+            .parallel_windows(keys, 1, |_, _, keys| {
                 let mut hist = vec![0u64; range as usize];
                 for &k in keys {
-                    hist[(k - min_k) as usize] += 1;
+                    hist[(k as u64 - min_k) as usize] += 1;
                 }
                 hist
             })
@@ -213,10 +235,10 @@ fn rewrite_keys_in<S: ExecSpace>(
     // the same blocks as pass 1
     let _s = telemetry::span("psort.rewrite").arg("n", n);
     let mut new_keys = vec![0u64; n];
-    space.parallel_windows((&mut new_keys[..], keys64), 1, |b, _, (out, keys)| {
+    space.parallel_windows((&mut new_keys[..], keys), 1, |b, _, (out, keys)| {
         let mut seen = hists[b].clone();
         for (&k, o) in keys.iter().zip(out) {
-            let id = k - min_k;
+            let id = k as u64 - min_k;
             let ordinal = seen[id as usize];
             seen[id as usize] += 1;
             *o = rewrite(id, ordinal);
@@ -432,6 +454,40 @@ mod tests {
                 for (&key, &(i, x)) in k.iter().zip(&v) {
                     proptest::prop_assert_eq!((key, (i, x)), (keys[i as usize], payload[i as usize]));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn permutation_into_is_the_reference_permutation_for_every_order() {
+        let dense = repeated_keys(37, 9);
+        let sets: [(&str, Vec<u32>); 6] = [
+            ("empty", Vec::new()),
+            ("one key", vec![12]),
+            ("all equal", vec![5; 70]),
+            ("dense", dense.clone()),
+            ("range over 8 n", dense.iter().map(|&k| k * 100_003).collect()),
+            ("near u32::MAX", dense.iter().map(|&k| u32::MAX - 3 * k).collect()),
+        ];
+        // one buffer for every call, as a species keeps it
+        let mut perm = Vec::new();
+        for (name, keys) in &sets {
+            for order in SortOrder::fig7_set(4) {
+                permutation_into(order, keys, &mut perm);
+                let want = match order {
+                    SortOrder::Random => {
+                        let mut p: Vec<usize> = (0..keys.len()).collect();
+                        p.shuffle(&mut ChaCha8Rng::seed_from_u64(RANDOM_ORDER_SEED));
+                        p
+                    }
+                    SortOrder::Standard => pk::sort::sort_permutation(keys),
+                    SortOrder::Strided => pk::sort::sort_permutation(&strided_keys(&Serial, keys)),
+                    SortOrder::TiledStrided { tile } => {
+                        pk::sort::sort_permutation(&tiled_strided_keys(&Serial, tile, keys))
+                    }
+                };
+                let want: Vec<u32> = want.iter().map(|&p| p as u32).collect();
+                assert_eq!(perm, want, "{order}, {name}");
             }
         }
     }

@@ -58,8 +58,7 @@ pub fn is_tiled_strided_order(keys: &[u32], tile: usize) -> bool {
     }
     let tile = tile.max(1) as u64;
     let (min_k, max_k) = min_max_keys(keys);
-    let keys64: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-    let counts = histogram(&keys64, min_k, max_k);
+    let counts = histogram(keys, min_k, max_k);
     let max_r = counts.iter().copied().max().unwrap_or(0) as u64;
     let chunk_sz = tile * max_r;
     let range = max_k - min_k + 1;
