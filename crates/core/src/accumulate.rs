@@ -27,7 +27,7 @@
 //! deposits has nothing to sweep.
 
 use crate::field::FieldArray;
-use crate::grid::{Grid, RowStencil, StencilSide};
+use crate::grid::{Grid, Site};
 use pk::atomic::{Claim, FixedScatterBuf, LaneWriter, ScatterMode};
 use pk::{ExecSpace, Serial};
 use vsimd::{PushLane, Strategy, Xyz};
@@ -98,7 +98,7 @@ impl Accumulator {
             lane: self.buf.claim(worker, claim),
             grid,
             cell: 0,
-            site: Site::at(grid, 0, 0, 0),
+            site: grid.site(0, 0, 0),
             sums: [0; SLOTS],
         }
     }
@@ -219,20 +219,6 @@ pub struct RunDepositor<'a> {
     sums: [i64; SLOTS],
 }
 
-/// Where a cell's edges are: its x in its row, and the bases of the row
-/// and of the rows one step up y, up z and up both.
-#[derive(Debug, Clone, Copy)]
-struct Site {
-    x: usize,
-    row: RowStencil,
-}
-
-impl Site {
-    fn at(grid: &Grid, x: usize, iy: usize, iz: usize) -> Self {
-        Self { x, row: grid.row_stencil_at(iy, iz, StencilSide::Plus) }
-    }
-}
-
 impl RunDepositor<'_> {
     /// Deposit one within-cell segment's twelve weights (from
     /// [`segment_weights`] or one row of the push's transposed
@@ -295,7 +281,7 @@ impl RunDepositor<'_> {
     fn open(&mut self, cell: usize) {
         // found before the old run is added, so that a cell out of range
         // panics with the old run still held for the drop to add
-        let site = self.locate(cell);
+        let site = self.grid.locate(self.site, cell);
         let s = std::mem::take(&mut self.sums);
         self.add(self.site, &s);
         (self.cell, self.site) = (cell, site);
@@ -308,23 +294,7 @@ impl RunDepositor<'_> {
         let g = self.grid;
         let x = cell.wrapping_sub(g.nx * (iy + g.ny * iz));
         assert!(x < g.nx && iy < g.ny && iz < g.nz, "cell {cell} is not in row ({iy}, {iz})");
-        self.add(Site::at(g, x, iy, iz), q);
-    }
-
-    /// Where `cell`'s edges are: a subtraction when it is in the open
-    /// run's row, two divisions when it is not. Panics, in every build,
-    /// when `cell` is outside the grid.
-    #[inline(always)]
-    fn locate(&self, cell: usize) -> Site {
-        let g = self.grid;
-        let x = cell.wrapping_sub(self.site.row.row);
-        if x < g.nx {
-            return Site { x, ..self.site };
-        }
-        let cells = self.lane.len() / EDGES;
-        assert!(cell < cells, "cell {cell} out of range for an accumulator of {cells} cells");
-        let (iy, iz) = g.row_coords(cell / g.nx);
-        Site::at(g, cell % g.nx, iy, iz)
+        self.add(g.site(x, iy, iz), q);
     }
 
     /// Add a run's sums `s` at `at` to their edges. Slot `s`, corner

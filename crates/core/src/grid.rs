@@ -161,6 +161,38 @@ impl Grid {
         RowStencil { row: base(iy, iz), y: base(jy, iz), z: base(iy, jz), yz: base(jy, jz) }
     }
 
+    /// The [`Site`] of the cell at `(x, iy, iz)`.
+    #[inline(always)]
+    pub(crate) fn site(&self, x: usize, iy: usize, iz: usize) -> Site {
+        Site { x, row: self.row_stencil_at(iy, iz, StencilSide::Plus) }
+    }
+
+    /// The [`Site`] of `cell`, from the site `near` of the cell visited
+    /// before it: a subtraction when `cell` is in the same row, two
+    /// divisions when it is not. Panics, in every build, when `cell` is
+    /// outside the grid.
+    #[inline(always)]
+    pub(crate) fn locate(&self, near: Site, cell: usize) -> Site {
+        let x = cell.wrapping_sub(near.row.row);
+        if x < self.nx {
+            return Site { x, ..near };
+        }
+        let cells = self.cells();
+        assert!(cell < cells, "cell {cell} out of range for a grid of {cells} cells");
+        let (iy, iz) = self.row_coords(cell / self.nx);
+        self.site(cell % self.nx, iy, iz)
+    }
+}
+
+/// Where a cell is: its x in its row, and its row's plus-side
+/// [`RowStencil`] — what the push needs to build the cell's coefficients
+/// and to add to its edges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Site {
+    /// The cell's x in its row.
+    pub x: usize,
+    /// The bases of its row and of the rows one step up y, up z and up both.
+    pub row: RowStencil,
 }
 
 #[cfg(test)]

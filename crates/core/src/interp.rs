@@ -6,21 +6,24 @@
 //! FMAs. This record is the gather target whose access pattern the
 //! paper's sorting algorithms optimize — its memory footprint (with
 //! padding and indexing) is what `memsim::push::INTERP_BYTES` models.
+//! The simulation's own step stores no such array: its push builds a
+//! cell's record from E and B when it reaches the cell
+//! (`load_cell_at`), the bits the array would have held.
 //!
 //! Coefficient layout (VPIC order): for each E component, the bilinear
 //! coefficients over its two transverse directions in cell-relative
 //! coordinates `∈ [-1, 1]`; for each B component, the linear coefficient
 //! along its normal direction.
 //!
-//! [`load_interpolators_into`] rebuilds the array every step, one x-row
-//! at a time from the row's neighbor rows
-//! (`crate::grid::Grid::row_stencil`), overwriting a persistent
-//! [`InterpolatorArray`] that is never filled first: 72 bytes written per
-//! cell is the kernel's roof, and a zero-fill before the sweep would
-//! double it.
+//! [`load_interpolators_into`] builds the whole array — for the record
+//! path of the push (`push::push_species_on`) — one x-row at a time from
+//! the row's neighbor rows (`crate::grid::Grid::row_stencil`),
+//! overwriting a caller-owned [`InterpolatorArray`] that is never filled
+//! first: 72 bytes written per cell is the kernel's roof, and a zero-fill
+//! before the sweep would double it.
 
 use crate::field::FieldArray;
-use crate::grid::StencilSide;
+use crate::grid::{RowStencil, Site, StencilSide};
 use pk::ExecSpace;
 use vsimd::v4::V4F32;
 use vsimd::{SimdF32, StencilLane, Strategy, Xyz};
@@ -94,10 +97,10 @@ impl Interpolator {
 
 /// A persistent, step-reusable interpolator buffer.
 ///
-/// [`load_interpolators_into`] overwrites it in place, so a buffer owned
-/// by the simulation allocates once (on the first step, or when the grid
-/// grows) and is neither reallocated nor zero-filled on any later step —
-/// the per-step `vec![Interpolator::default(); cells]` the serial
+/// [`load_interpolators_into`] overwrites it in place, so a buffer its
+/// caller keeps allocates once (on the first load, or when the grid
+/// grows) and is neither reallocated nor zero-filled on any later load —
+/// the per-call `vec![Interpolator::default(); cells]` the serial
 /// reference pays is exactly what this type removes.
 #[derive(Debug, Clone, Default)]
 pub struct InterpolatorArray {
@@ -111,7 +114,8 @@ impl InterpolatorArray {
     }
 
     /// Backing capacity, for no-alloc-after-warmup assertions.
-    pub(crate) fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.data.capacity()
     }
 }
@@ -183,6 +187,13 @@ fn b_pass<const C0: usize, L: StencilLane>(a: &[f32], at: [usize; 2], out: &mut 
 /// at `+x̂`, `+ŷ`, `+ẑ`, `+ŷ+ẑ`, `+ẑ+x̂` and `+x̂+ŷ`.
 type Neighborhood = [usize; 7];
 
+/// The neighborhood of cell `x` of the row whose plus-side stencil is
+/// `st`, its `+x̂` neighbor being cell `xq` of the same row.
+#[inline(always)]
+fn neighborhood(st: RowStencil, x: usize, xq: usize) -> Neighborhood {
+    [st.row + x, st.row + xq, st.y + x, st.z + x, st.yz + x, st.z + xq, st.y + xq]
+}
+
 /// All six split passes (guided/manual/ad hoc) over `out.len()`
 /// consecutive cells, the first with the neighborhood `at`.
 #[inline(always)]
@@ -197,8 +208,8 @@ fn split_passes<L: StencilLane>(f: &FieldArray, at: Neighborhood, out: &mut [Int
 }
 
 /// One cell's record from its neighborhood, fused: the body of the
-/// *auto* loop, of every row's x-wrapping end cell and of the serial
-/// reference.
+/// *auto* loop, of every row's x-wrapping end cell, of the push's fields
+/// source ([`load_cell_at`]) and of the serial reference.
 #[inline(always)]
 fn load_cell(f: &FieldArray, at: Neighborhood, c: &mut [f32; COEFFS]) {
     let [v, xp, yp, zp, ypzp, zpxp, xpyp] = at;
@@ -227,6 +238,15 @@ fn load_cell(f: &FieldArray, at: Neighborhood, c: &mut [f32; COEFFS]) {
     c[DCBYDY] = 0.5 * (f.by[yp] - f.by[v]);
     c[CBZ0] = 0.5 * (f.bz[v] + f.bz[zp]);
     c[DCBZDZ] = 0.5 * (f.bz[zp] - f.bz[v]);
+}
+
+/// The record of the cell at `site`, fused and from its row's stencil:
+/// what [`load_interpolators_into`] writes for the cell, bit for bit, under
+/// every strategy. The push's fields source builds its records with it.
+#[inline(always)]
+pub(crate) fn load_cell_at(f: &FieldArray, Site { x, row }: Site, c: &mut [f32; COEFFS]) {
+    let xq = if x + 1 == f.grid.nx { 0 } else { x + 1 };
+    load_cell(f, neighborhood(row, x, xq), c);
 }
 
 /// The serial reference's record: the neighborhood from
@@ -269,9 +289,7 @@ pub fn load_interpolators_into<S: ExecSpace>(
         for (r, row) in (first..).zip(out.chunks_exact_mut(nx)) {
             let st = g.row_stencil(r, StencilSide::Plus);
             // cell `x` of the row, with its +x neighbor at `xq`
-            let at = |x: usize, xq: usize| -> Neighborhood {
-                [st.row + x, st.row + xq, st.y + x, st.z + x, st.yz + x, st.z + xq, st.y + xq]
-            };
+            let at = |x: usize, xq: usize| neighborhood(st, x, xq);
             let (inner, end) = row.split_at_mut(nx - 1);
             match strategy {
                 Strategy::Auto => {
@@ -293,8 +311,8 @@ pub fn load_interpolators_into<S: ExecSpace>(
 /// `load_interpolator_array`). One record per cell.
 ///
 /// This is the serial wrapped-path reference (and back-compat
-/// convenience): it allocates a fresh `Vec` per call. The simulation loop
-/// uses [`load_interpolators_into`] with a persistent
+/// convenience): it allocates a fresh `Vec` per call. A caller that loads
+/// every step uses [`load_interpolators_into`] with a persistent
 /// [`InterpolatorArray`] instead.
 #[allow(clippy::needless_range_loop)] // voxel-indexed sweep matches the math
 pub fn load_interpolators(f: &FieldArray) -> Vec<Interpolator> {

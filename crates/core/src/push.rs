@@ -6,15 +6,26 @@
 //! trajectory segment (splitting at cell boundaries, as VPIC's mover
 //! does).
 //!
+//! Where the 18 coefficients come from is the push's `Source`: the
+//! records `load_interpolators_into` stored, one per cell
+//! ([`push_species_on`], VPIC's gather), or the E and B arrays themselves
+//! (`push_fields_on`, what the step runs): that source builds a cell's
+//! record when the push first reaches the cell — the record the load
+//! would have stored, bit for bit — and keeps it in a cache by cell, of
+//! the whole grid when the grid is small and of a few planes' worth of
+//! cells when it is not, so that a large grid has no interpolator array.
+//!
 //! The kernel is written once, as three stages over a group of
 //! `L::LANES` consecutive particles held in the lanes of a [`PushLane`],
-//! behind a look-ahead (`look_ahead`) that computes nothing: it asks the
-//! cache for the interpolator record and the accumulator edges of the
-//! cells `LOOKAHEAD` (64) particles further on, once per same-cell run:
+//! behind a look-ahead (`look_ahead`): once per same-cell run of the
+//! particles `LOOKAHEAD` (64) further on, it gets the run's coefficients
+//! under way — a cache hint for the stored record, or the record built
+//! into the fields source's cache — and asks the cache for the run's
+//! accumulator edges:
 //!
 //! 1. **run-aware gather** (`gather`) — a group whose particles share a
 //!    cell (the common case after a cell sort) broadcasts that cell's 18
-//!    coefficients; a mixed group loads its 72-byte records, one per
+//!    coefficients; a mixed group takes its 72-byte records, one per
 //!    lane, and transposes them in registers (AoS → SoA);
 //! 2. **field evaluation and Boris** (`fields_at`, `boris`) in lanes;
 //! 3. **in-cell mover** (`displacement`, `move_group`) — displacement,
@@ -57,8 +68,9 @@
 //! (chunks sharing the one atomic lane) can change an edge total.
 
 use crate::accumulate::{lane_segment_weights, Accumulator, RunDepositor, SLOTS};
-use crate::grid::Grid;
-use crate::interp::{fields_at, Interpolator, COEFFS};
+use crate::field::FieldArray;
+use crate::grid::{Grid, Site};
+use crate::interp::{fields_at, load_cell_at, Interpolator, COEFFS};
 use crate::species::Species;
 use pk::atomic::{Claim, ScatterMode};
 use pk::{ExecSpace, Serial, Split};
@@ -103,7 +115,7 @@ pub struct PushStats {
 }
 
 /// Push every particle of `species` one step under `strategy`, serially
-/// on the calling thread.
+/// on the calling thread, from stored records.
 ///
 /// `interps` must hold one record per grid cell (from
 /// [`crate::interp::load_interpolators`]); deposits go into `acc`.
@@ -117,8 +129,11 @@ pub fn push_species(
     push_species_on(&Serial, strategy, grid, species, interps, acc)
 }
 
-/// Push every particle of `species` one step under `strategy`,
-/// distributing contiguous particle blocks over `space`'s workers.
+/// Push every particle of `species` one step under `strategy` from the
+/// stored records `interps` (one per grid cell), distributing contiguous
+/// particle blocks over `space`'s workers. The record path: a
+/// [`crate::Simulation`] step pushes from the fields instead, with the
+/// same body and the same bits.
 ///
 /// Under *manual* and *ad hoc* all three stages of the module doc run a
 /// group of particles in lanes — four, or eight under AVX2 — gather,
@@ -151,22 +166,40 @@ pub fn push_species_on<S: ExecSpace>(
     strategy: Strategy,
     grid: &Grid,
     species: &mut Species,
-    interps: &[Interpolator],
+    mut interps: &[Interpolator],
     acc: &Accumulator,
 ) -> PushStats {
-    push_blocks(space, body(strategy), grid, species, interps, acc)
+    push_blocks(space, body(strategy), grid, species, &mut interps, acc)
 }
 
-/// [`push_species_on`] with every chunk pushed by `body`.
-fn push_blocks<S: ExecSpace>(
+/// [`push_species_on`] with the records built from the E and B arrays
+/// of `fields` as the push reaches their cells and kept in its cache
+/// ([`Fields`]; one source serves every species of a step). The same body
+/// and the same bits as a push from `load_interpolators_into`'s records
+/// of those fields, under every strategy: the record it builds is the one
+/// that load would have stored.
+pub(crate) fn push_fields_on<S: ExecSpace>(
     space: &S,
-    body: Body,
+    strategy: Strategy,
     grid: &Grid,
     species: &mut Species,
-    interps: &[Interpolator],
+    fields: &mut Fields<'_>,
     acc: &Accumulator,
 ) -> PushStats {
-    assert_eq!(interps.len(), grid.cells(), "interpolator/grid mismatch");
+    push_blocks(space, body(strategy), grid, species, fields, acc)
+}
+
+/// [`push_species_on`] with every chunk pushed by `body` from `src`, or,
+/// when there are several, from a copy of it each.
+fn push_blocks<S: ExecSpace, C: Source>(
+    space: &S,
+    body: Body<C>,
+    grid: &Grid,
+    species: &mut Species,
+    src: &mut C,
+    acc: &Accumulator,
+) -> PushStats {
+    assert_eq!(src.cells(), grid.cells(), "interpolator/grid mismatch");
     assert_eq!(acc.cells(), grid.cells(), "accumulator/grid mismatch");
     let n = species.len();
     if n == 0 {
@@ -191,14 +224,14 @@ fn push_blocks<S: ExecSpace>(
     };
     if blocks <= 1 {
         let sink = &mut Sink::new(acc.depositor(grid, 0, claim));
-        return push_chunk(body, grid, &mut Chunk::whole(species), interps, sink, params);
+        return push_chunk(body, grid, &mut Chunk::whole(species), src, sink, params);
     }
     // worker id = block index, which picks the block's scatter replica in
     // duplicated mode
     let crossings = space
         .parallel_windows(Chunk::whole(species), 1, |worker, _, mut chunk| {
             let sink = &mut Sink::new(acc.depositor(grid, worker, claim));
-            push_chunk(body, grid, &mut chunk, interps, sink, params).crossings
+            push_chunk(body, grid, &mut chunk, &mut src.clone(), sink, params).crossings
         })
         .sum();
     PushStats { pushed: n, crossings }
@@ -249,60 +282,61 @@ impl Split for Chunk<'_> {
     }
 }
 
-/// One way to push a whole chunk into its sink: the three stages at one
-/// lane type, or guided's split passes. Returns boundary crossings.
-type Body = fn(&Grid, &mut Chunk<'_>, &[Interpolator], &mut Sink<'_>, PushParams) -> usize;
+/// One way to push a whole chunk into its sink with coefficients from a
+/// source `C`: the three stages at one lane type, or guided's split
+/// passes. Returns boundary crossings.
+type Body<C> = fn(&Grid, &mut Chunk<'_>, &mut C, &mut Sink<'_>, PushParams) -> usize;
 
 /// The body `strategy` names on this host.
-fn body(strategy: Strategy) -> Body {
+fn body<C: Source>(strategy: Strategy) -> Body<C> {
     match strategy {
-        Strategy::Auto => push_lanes::<f32>,
-        Strategy::Guided => push_split,
-        Strategy::Manual => push_lanes::<SimdF32<4>>,
-        Strategy::AdHoc => push_adhoc,
+        Strategy::Auto => push_lanes::<f32, C>,
+        Strategy::Guided => push_split::<C>,
+        Strategy::Manual => push_lanes::<SimdF32<4>, C>,
+        Strategy::AdHoc => push_adhoc::<C>,
     }
 }
 
 /// Push one chunk into its `sink` with `body`.
-fn push_chunk(
-    body: Body,
+fn push_chunk<C: Source>(
+    body: Body<C>,
     grid: &Grid,
     chunk: &mut Chunk<'_>,
-    interps: &[Interpolator],
+    src: &mut C,
     sink: &mut Sink<'_>,
     params: PushParams,
 ) -> PushStats {
-    let crossings = body(grid, chunk, interps, sink, params);
+    let crossings = body(grid, chunk, src, sink, params);
     debug_assert_eq!(sink.queued, 0, "every group drains its crossings' segments");
     PushStats { pushed: chunk.len(), crossings }
 }
 
 /// The stages fused over a whole chunk at lane type `L`.
-fn push_lanes<L: PushLane>(
+fn push_lanes<L: PushLane, C: Source>(
     grid: &Grid,
     s: &mut Chunk<'_>,
-    interps: &[Interpolator],
+    src: &mut C,
     sink: &mut Sink<'_>,
     p: PushParams,
 ) -> usize {
-    push_fused::<L>(grid, s, interps, sink, p, 0..s.len())
+    push_fused::<L, C>(grid, s, src, sink, p, 0..s.len())
 }
 
 /// The ad hoc body: eight lanes where the CPU has AVX2, [`V4F32`]
 /// elsewhere.
-fn push_adhoc(
+fn push_adhoc<C: Source>(
     grid: &Grid,
     s: &mut Chunk<'_>,
-    interps: &[Interpolator],
+    src: &mut C,
     sink: &mut Sink<'_>,
     p: PushParams,
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
         // SAFETY: `push_avx2` needs AVX2, which the line above found.
-        return unsafe { push_avx2(grid, s, interps, sink, p) };
+        return unsafe { push_avx2(grid, s, src, sink, p) };
     }
-    push_lanes::<V4F32>(grid, s, interps, sink, p)
+    push_lanes::<V4F32, C>(grid, s, src, sink, p)
 }
 
 /// The stages fused over a whole chunk at [`V8F32`], compiled for AVX2
@@ -311,15 +345,15 @@ fn push_adhoc(
 /// first).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn push_avx2(
+fn push_avx2<C: Source>(
     grid: &Grid,
     s: &mut Chunk<'_>,
-    interps: &[Interpolator],
+    src: &mut C,
     sink: &mut Sink<'_>,
     p: PushParams,
 ) -> usize {
     debug_assert!(is_x86_feature_detected!("avx2"));
-    push_fused::<V8F32>(grid, s, interps, sink, p, 0..s.len())
+    push_fused::<V8F32, C>(grid, s, src, sink, p, 0..s.len())
 }
 
 /// Most segments a [`Sink`] ever queues: four from every lane of the
@@ -418,10 +452,10 @@ impl<'a> Sink<'a> {
 /// `range`; what is left of it past the last whole group goes through the
 /// `f32` instantiation, out of line. Returns boundary crossings.
 #[inline(always)]
-fn push_fused<L: PushLane>(
+fn push_fused<L: PushLane, C: Source>(
     grid: &Grid,
     s: &mut Chunk<'_>,
-    interps: &[Interpolator],
+    src: &mut C,
     sink: &mut Sink<'_>,
     p: PushParams,
     range: Range<usize>,
@@ -432,18 +466,18 @@ fn push_fused<L: PushLane>(
     let mut i = range.start;
     while i + L::LANES <= range.end {
         look_ahead(s.cell, i, L::LANES, |c| {
-            hint_record(interps, c);
+            src.ahead(c);
             sink.dep.prefetch(c);
         });
         let pos = Xyz::<L>::load(s.dx, s.dy, s.dz, i);
-        let (e, b) = fields_at(&gather(interps, &s.cell[i..i + L::LANES]), pos);
+        let (e, b) = fields_at(&gather(src, &s.cell[i..i + L::LANES]), pos);
         let u = boris(h, Xyz::load(s.ux, s.uy, s.uz, i), e, b);
         u.store(s.ux, s.uy, s.uz, i);
         crossings += move_group(grid, sink, s, i, pos, displacement(u, cdt));
         i += L::LANES;
     }
     if i < range.end {
-        crossings += push_tail(grid, s, interps, sink, p, i..range.end);
+        crossings += push_tail(grid, s, src, sink, p, i..range.end);
     }
     crossings
 }
@@ -451,15 +485,15 @@ fn push_fused<L: PushLane>(
 /// The particles past a chunk's last whole group, at `f32`: behind a call,
 /// so that a lane body carries no second copy of the stages for them.
 #[inline(never)]
-fn push_tail(
+fn push_tail<C: Source>(
     grid: &Grid,
     s: &mut Chunk<'_>,
-    interps: &[Interpolator],
+    src: &mut C,
     sink: &mut Sink<'_>,
     p: PushParams,
     range: Range<usize>,
 ) -> usize {
-    push_fused::<f32>(grid, s, interps, sink, p, range)
+    push_fused::<f32, C>(grid, s, src, sink, p, range)
 }
 
 /// Scratch block size for the guided strategy's split passes.
@@ -469,10 +503,10 @@ const GUIDED_BLOCK: usize = 256;
 /// scratch block: the cell-indexed gather and the conflict-prone mover
 /// each get a loop of their own, which leaves Boris and the displacement
 /// as dense fixed-shape loops the vectorizer handles.
-fn push_split(
+fn push_split<C: Source>(
     grid: &Grid,
     s: &mut Chunk<'_>,
-    interps: &[Interpolator],
+    src: &mut C,
     sink: &mut Sink<'_>,
     p: PushParams,
 ) -> usize {
@@ -485,9 +519,9 @@ fn push_split(
         // pass 1: gather + field evaluation
         for k in 0..len {
             let i = base + k;
-            look_ahead(s.cell, i, 1, |c| hint_record(interps, c));
+            look_ahead(s.cell, i, 1, |c| src.ahead(c));
             let pos = Xyz::load(s.dx, s.dy, s.dz, i);
-            (e[k], b[k]) = fields_at(&gather::<f32>(interps, &s.cell[i..=i]), pos);
+            (e[k], b[k]) = fields_at(&gather::<f32, C>(src, &s.cell[i..=i]), pos);
         }
         // pass 2: Boris and the displacement, dense
         for k in 0..len {
@@ -517,8 +551,10 @@ const LOOKAHEAD: usize = 64;
 /// Stage 0, the look-ahead: `hint` every cell among those of the `lanes`
 /// particles [`LOOKAHEAD`] past `i` that differs from the cell before it —
 /// one hint per same-cell run, not per particle. The push streams
-/// `cells`, so it knows what its gather and scatter will miss on this
-/// long before it gets there. A window past the chunk's end is cut short.
+/// `cells`, so it knows what its gather and scatter will need long before
+/// it gets there: the source gets the run's coefficients under way
+/// ([`Source::ahead`]), the depositor its edges. A window past the chunk's
+/// end is cut short.
 #[inline(always)]
 fn look_ahead(cells: &[u32], i: usize, lanes: usize, mut hint: impl FnMut(usize)) {
     let Some(ahead) = cells.get(i + LOOKAHEAD - 1..) else { return };
@@ -529,38 +565,200 @@ fn look_ahead(cells: &[u32], i: usize, lanes: usize, mut hint: impl FnMut(usize)
     }
 }
 
-/// Hint the cache for `cell`'s interpolator record: 72 bytes, so its
-/// first and last coefficient name both lines it can lie on. A cell
-/// without a record is skipped; the gather that names it panics.
-#[inline(always)]
-fn hint_record(interps: &[Interpolator], cell: usize) {
-    if let Some(record) = interps.get(cell) {
-        pk::prefetch(&record.0[0]);
-        pk::prefetch(&record.0[COEFFS - 1]);
+/// Where stage 1 takes a group's 18 coefficients from: stored records
+/// (`&[Interpolator]`, one per cell), or the fields themselves
+/// ([`Fields`]), which keep what they built. A push of one block uses the
+/// caller's source; each block of a push of several, a copy of its own.
+trait Source: Clone + Sync {
+    /// Cells the source covers.
+    fn cells(&self) -> usize;
+
+    /// Stage 0 for a run in `cell` [`LOOKAHEAD`] particles ahead: get
+    /// what its gather needs under way. A cell the grid does not have is
+    /// skipped; the gather that names it panics.
+    fn ahead(&mut self, cell: usize);
+
+    /// `cell`'s 18 coefficients.
+    fn record(&mut self, cell: usize) -> &[f32; COEFFS];
+
+    /// The records of a mixed group's `cells`, one per lane; the rows past
+    /// `cells.len()` are not read.
+    fn rows(&mut self, cells: &[u32]) -> [&[f32; COEFFS]; MAX_LANES];
+}
+
+/// The stored records: VPIC's gather, one 72-byte record per particle.
+impl Source for &[Interpolator] {
+    fn cells(&self) -> usize {
+        self.len()
+    }
+
+    /// Hint the cache for the record: its first and last coefficient name
+    /// both lines it can lie on.
+    #[inline(always)]
+    fn ahead(&mut self, cell: usize) {
+        if let Some(record) = self.get(cell) {
+            pk::prefetch(&record.0[0]);
+            pk::prefetch(&record.0[COEFFS - 1]);
+        }
+    }
+
+    #[inline(always)]
+    fn record(&mut self, cell: usize) -> &[f32; COEFFS] {
+        &self[cell].0
+    }
+
+    #[inline(always)]
+    fn rows(&mut self, cells: &[u32]) -> [&[f32; COEFFS]; MAX_LANES] {
+        let mut rows = [&self[cells[0] as usize].0; MAX_LANES];
+        for (row, &cell) in rows.iter_mut().zip(cells).skip(1) {
+            *row = &self[cell as usize].0;
+        }
+        rows
     }
 }
 
-/// Stage 1, the run-aware gather: the interpolator coefficients of one
-/// group's cells, one lane vector per coefficient. A group within one
-/// cell (every group after a cell sort, but for the run boundaries)
-/// broadcasts that cell's record; a mixed group loads its 72-byte
-/// records, one per lane, and transposes them in registers.
+/// Cells of a grid small enough that a [`Fields`] cache holds all of it:
+/// 2.5 MiB of records and tags.
+const WHOLE: usize = 1 << 15;
+
+/// The records a [`Fields`] source has built, direct-mapped by cell: what
+/// a simulation keeps between steps so that no step allocates them. They
+/// are stale once the fields move; [`Fields::new`] empties them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CoeffCache {
+    /// The cell whose record each slot holds; `usize::MAX` for none.
+    tags: Vec<usize>,
+    records: Vec<[f32; COEFFS]>,
+}
+
+#[cfg(test)]
+impl CoeffCache {
+    /// Where the two buffers are and how large, for no-allocation checks.
+    pub(crate) fn buffers(&self) -> [(usize, usize); 2] {
+        [
+            (self.tags.as_ptr() as usize, self.tags.capacity()),
+            (self.records.as_ptr() as usize, self.records.capacity()),
+        ]
+    }
+}
+
+/// The fields as a [`Source`]: a cell's record is built from the E and B
+/// around it (`interp::load_cell_at`, the bits `load_interpolators_into`
+/// would store for it) the first time the push asks for it, and kept in a
+/// [`CoeffCache`] for the rest of the particle phase, every species
+/// included. The cache holds the whole grid up to [`WHOLE`] cells, and
+/// else a slot for every cell of any window of consecutive cells two
+/// planes and two rows wide, so that a cell the push comes back to —
+/// after a particle that crossed into a neighbor, above all — is built
+/// once, not once per run.
+#[derive(Clone)]
+pub(crate) struct Fields<'a> {
+    f: &'a FieldArray,
+    /// Where the cell built last is: the next is found from it, by a
+    /// subtraction while the push stays in its row.
+    site: Site,
+    /// The cache's slot count − 1 (a power of two − 1).
+    mask: usize,
+    cache: CoeffCache,
+    /// A mixed group's records, one per cell change.
+    recs: [[f32; COEFFS]; MAX_LANES],
+}
+
+impl<'a> Fields<'a> {
+    /// The source of `f`'s records, kept in `cache`, emptied and sized for
+    /// `f`'s grid first.
+    pub(crate) fn new(f: &'a FieldArray, cache: CoeffCache) -> Self {
+        let g = &f.grid;
+        let window = 2 * (g.nx * g.ny + g.nx + 1) + 1;
+        let slots = if g.cells() <= WHOLE { g.cells() } else { window.min(g.cells()) };
+        Self::with_slots(f, cache, slots.next_power_of_two())
+    }
+
+    /// [`Fields::new`] with `slots` (a power of two) slots.
+    fn with_slots(f: &'a FieldArray, mut cache: CoeffCache, slots: usize) -> Self {
+        let g = &f.grid;
+        cache.tags.clear();
+        cache.tags.resize(slots, usize::MAX);
+        cache.records.resize(slots, [0.0; COEFFS]);
+        Self { f, site: g.site(0, 0, 0), mask: slots - 1, cache, recs: [[0.0; COEFFS]; MAX_LANES] }
+    }
+
+    /// The cache, to keep for the next step's source.
+    pub(crate) fn into_cache(self) -> CoeffCache {
+        self.cache
+    }
+
+    /// Build `cell`'s record into `slot`. Out of line: once per cell the
+    /// cache misses, not once per group.
+    #[inline(never)]
+    fn build(&mut self, cell: usize, slot: usize) {
+        self.site = self.f.grid.locate(self.site, cell);
+        load_cell_at(self.f, self.site, &mut self.cache.records[slot]);
+        self.cache.tags[slot] = cell;
+    }
+}
+
+impl Source for Fields<'_> {
+    fn cells(&self) -> usize {
+        self.f.grid.cells()
+    }
+
+    /// Build the record now, unless the cache has it: the group that
+    /// needs it finds it there, and the build overlaps the groups before.
+    #[inline(always)]
+    fn ahead(&mut self, cell: usize) {
+        let slot = cell & self.mask;
+        if self.cache.tags[slot] != cell && cell < self.cells() {
+            self.build(cell, slot);
+        }
+    }
+
+    #[inline(always)]
+    fn record(&mut self, cell: usize) -> &[f32; COEFFS] {
+        let slot = cell & self.mask;
+        if self.cache.tags[slot] != cell {
+            self.build(cell, slot);
+        }
+        &self.cache.records[slot]
+    }
+
+    /// One record per cell change, copied out of the cache (two cells of
+    /// one group may share a slot), lane `l` reading record `at[l]`.
+    #[inline(always)]
+    fn rows(&mut self, cells: &[u32]) -> [&[f32; COEFFS]; MAX_LANES] {
+        let mut at = [0; MAX_LANES];
+        let mut k = 0;
+        self.recs[0] = *self.record(cells[0] as usize);
+        for (l, pair) in cells.windows(2).enumerate() {
+            if pair[1] != pair[0] {
+                k += 1;
+                self.recs[k] = *self.record(pair[1] as usize);
+            }
+            at[l + 1] = k;
+        }
+        let mut rows = [&self.recs[0]; MAX_LANES];
+        for (row, &k) in rows.iter_mut().zip(&at) {
+            *row = &self.recs[k];
+        }
+        rows
+    }
+}
+
+/// Stage 1, the run-aware gather: the coefficients of one group's cells
+/// from `src`, one lane vector per coefficient. A group within one cell
+/// (every group after a cell sort, but for the run boundaries) broadcasts
+/// that cell's record; a mixed group takes one record per lane and
+/// transposes them in registers.
 #[inline(always)]
-fn gather<L: PushLane>(interps: &[Interpolator], cells: &[u32]) -> [L; COEFFS] {
-    let first = &interps[cells[0] as usize].0;
+fn gather<L: PushLane, C: Source>(src: &mut C, cells: &[u32]) -> [L; COEFFS] {
     if cells.iter().all(|&c| c == cells[0]) {
         let mut c = [L::splat(0.0); COEFFS];
-        for (c, &v) in c.iter_mut().zip(first) {
+        for (c, &v) in c.iter_mut().zip(src.record(cells[0] as usize)) {
             *c = L::splat(v);
         }
         c
     } else {
-        // the rows past `L::LANES` are not read
-        let mut rows = [first; MAX_LANES];
-        for (row, &cell) in rows.iter_mut().zip(cells).skip(1) {
-            *row = &interps[cell as usize].0;
-        }
-        L::load_tr(rows)
+        L::load_tr(src.rows(cells))
     }
 }
 
@@ -863,48 +1061,79 @@ mod tests {
     /// Every lane type's body — `V8F32` through the AVX2 entry, where the
     /// CPU has AVX2 — and guided's split passes. On an AVX2 host ad hoc no
     /// longer reaches `V4F32`, which is still what runs on one without.
-    fn bodies() -> Vec<(&'static str, Body)> {
-        let mut all: Vec<(&'static str, Body)> = vec![
-            ("f32", push_lanes::<f32>),
-            ("guided", push_split),
-            ("SimdF32<4>", push_lanes::<SimdF32<4>>),
-            ("V4F32", push_lanes::<V4F32>),
+    fn bodies<C: Source>() -> Vec<(&'static str, Body<C>)> {
+        let mut all: Vec<(&'static str, Body<C>)> = vec![
+            ("f32", push_lanes::<f32, C>),
+            ("guided", push_split::<C>),
+            ("SimdF32<4>", push_lanes::<SimdF32<4>, C>),
+            ("V4F32", push_lanes::<V4F32, C>),
         ];
         if avx2() {
-            all.push(("V8F32", push_adhoc));
+            all.push(("V8F32", push_adhoc::<C>));
         }
         all
     }
 
-    /// Three pushes of `start` by `body` into one accumulator of `lanes`
-    /// replicas (in duplicated mode): the particles' bits, every cell's
-    /// raw edge totals, and the pushes' summed statistics.
-    fn pushed<S: ExecSpace>(
+    /// The particles' bits, every cell's raw edge totals, and the summed
+    /// statistics of some pushes.
+    type Pushed = (Vec<Vec<u32>>, Vec<[i64; EDGES]>, PushStats);
+
+    /// Three pushes of `start` by `body` from `src` into one accumulator of
+    /// `lanes` replicas (in duplicated mode).
+    fn pushed<S: ExecSpace, C: Source>(
         space: &S,
-        body: Body,
+        body: Body<C>,
         (mode, lanes): (ScatterMode, usize),
         grid: &Grid,
-        interps: &[Interpolator],
+        src: C,
         start: &Species,
-    ) -> (Vec<Vec<u32>>, Vec<[i64; EDGES]>, PushStats) {
+    ) -> Pushed {
         let mut s = start.clone();
         let acc = Accumulator::new(grid.cells(), lanes, mode);
         let stats = (0..3).fold(PushStats::default(), |sum, _| {
-            let step = push_blocks(space, body, grid, &mut s, interps, &acc);
+            let step = push_blocks(space, body, grid, &mut s, &mut src.clone(), &acc);
             PushStats { pushed: sum.pushed + step.pushed, crossings: sum.crossings + step.crossings }
         });
         (particle_bits(&s), raw_totals(&acc), stats)
     }
 
-    /// Interpolators of a smooth field on `grid`.
-    fn wavy_interps(grid: &Grid) -> Vec<Interpolator> {
+    /// Every body's pushes of `start` from `src`, serial and on `threads`,
+    /// into each of `lanes`, give `reference`'s bits.
+    fn every_body_gives<C: Source>(
+        reference: &Pushed,
+        (grid, src, start): (&Grid, C, &Species),
+        lanes: &[(ScatterMode, usize)],
+        threads: &pk::Threads,
+        what: &str,
+    ) {
+        for (name, body) in bodies::<C>() {
+            for &lanes in lanes {
+                let serial = pushed(&Serial, body, lanes, grid, src.clone(), start);
+                assert!(serial == *reference, "{what}: {name} serial {lanes:?}");
+                let parallel = pushed(threads, body, lanes, grid, src.clone(), start);
+                assert!(parallel == *reference, "{what}: {name} threads {lanes:?}");
+            }
+        }
+    }
+
+    /// A smooth E and B on `grid`, every component its own wave.
+    fn wavy(grid: &Grid) -> FieldArray {
         let mut f = FieldArray::new(grid.clone());
         for v in 0..grid.cells() {
-            f.ex[v] = 0.003 * (v as f32 * 0.1).sin();
-            f.ey[v] = 0.002 * (v as f32 * 0.2).cos();
-            f.bz[v] = 0.1 + 0.01 * (v as f32 * 0.05).sin();
+            let x = v as f32;
+            f.ex[v] = 0.003 * (x * 0.1).sin();
+            f.ey[v] = 0.002 * (x * 0.2).cos();
+            f.ez[v] = 0.001 * (x * 0.3).sin();
+            f.bx[v] = 0.02 * (x * 0.07).cos();
+            f.by[v] = 0.03 * (x * 0.11).sin();
+            f.bz[v] = 0.1 + 0.01 * (x * 0.05).sin();
         }
-        load_interpolators(&f)
+        f
+    }
+
+    /// Interpolators of [`wavy`]'s fields.
+    fn wavy_interps(grid: &Grid) -> Vec<Interpolator> {
+        load_interpolators(&wavy(grid))
     }
 
     /// `n` electrons of thermal spread `uth`, uniform over `grid`.
@@ -923,13 +1152,20 @@ mod tests {
         // fixed-point deposits, so trajectories *and* edge totals are
         // bit-equal for any space, scatter mode and replica count — the
         // property the multi-rank gather and heterogeneous per-rank configs
-        // rely on. The loads are chosen for where the lane paths differ from the
+        // rely on — and for either coefficient source: the records stored
+        // by `load_interpolators`, or records built from the fields into a
+        // cache of the whole grid (what a small grid gets), of the window
+        // a large grid gets, or of eight slots (cells of one group share a
+        // slot). The loads are chosen for where the lane paths differ from the
         // scalar one; the lanes for who claims what: one block alone on the
         // atomic lane (sole), three sharing it (shared, `fetch_add`), three
         // with a replica each, and three blocks queueing for one or two
-        // replicas (ids wrap).
-        let grid = Grid::new(6, 6, 6);
-        let interps = wavy_interps(&grid);
+        // replicas (ids wrap). The grid's sides differ, so a row, a plane
+        // and the z face end at different cells.
+        let grid = Grid::new(7, 6, 5);
+        let fields = wavy(&grid);
+        let interps = load_interpolators(&fields);
+        let records: &[Interpolator] = &interps;
         let load = |n: usize, uth: f32, sorted: bool| load(&grid, n, uth, sorted);
         // a lane whose displacement is not finite, inside a whole group
         let mut non_finite = load(3001, 0.2, true);
@@ -948,26 +1184,37 @@ mod tests {
             ("a non-finite lane", non_finite),
         ];
         let atomic = (ScatterMode::Atomic, 1);
-        let lanes = [atomic].into_iter().chain((1..=3).map(|n| (ScatterMode::Duplicated, n)));
+        let lanes: Vec<_> =
+            [atomic].into_iter().chain((1..=3).map(|n| (ScatterMode::Duplicated, n))).collect();
         let threads = pk::Threads::new(3);
         let auto = body(Strategy::Auto);
+        let caches = [
+            ("whole grid", Fields::new(&fields, CoeffCache::default())),
+            ("window", Fields::with_slots(&fields, CoeffCache::default(), 128)),
+            ("eight slots", Fields::with_slots(&fields, CoeffCache::default(), 8)),
+        ];
+        assert!(caches[0].1.mask + 1 >= grid.cells() && 128 < grid.cells());
         for (what, start) in &loads {
-            let reference = pushed(&Serial, auto, atomic, &grid, &interps, start);
-            for (name, body) in bodies() {
-                for lanes in lanes.clone() {
-                    let serial = pushed(&Serial, body, lanes, &grid, &interps, start);
-                    assert!(serial == reference, "{what}: {name} serial {lanes:?}");
-                    let parallel = pushed(&threads, body, lanes, &grid, &interps, start);
-                    assert!(parallel == reference, "{what}: {name} threads {lanes:?}");
-                }
+            let reference = pushed(&Serial, auto, atomic, &grid, records, start);
+            every_body_gives(&reference, (&grid, records, start), &lanes, &threads, what);
+            for (cache, src) in &caches {
+                let from_fields = (&grid, src.clone(), start);
+                let what = format!("{what}, from fields, {cache}");
+                every_body_gives(&reference, from_fields, &lanes, &threads, &what);
             }
         }
         // the loads did exercise what they are named for
-        let crossings = |i: usize| pushed(&Serial, auto, atomic, &grid, &interps, &loads[i].1).2.crossings;
+        let crossings = |i: usize| pushed(&Serial, auto, atomic, &grid, records, &loads[i].1).2.crossings;
         assert!(crossings(2) > 2 * 1001, "hot load: {} crossings", crossings(2));
         assert!(crossings(0) < 3001, "cold load: {} crossings", crossings(0));
-        let nan = pushed(&Serial, body(Strategy::AdHoc), atomic, &grid, &interps, &loads[7].1).0;
+        let nan = pushed(&Serial, body(Strategy::AdHoc), atomic, &grid, records, &loads[7].1).0;
         assert!(f32::from_bits(nan[1][6]).is_nan() && f32::from_bits(nan[3][1201]).is_nan());
+        // the sorted load has runs that end at a row's last cell (its +x̂
+        // neighbor wraps), at a plane's last (+ŷ wraps) and at the grid's
+        // last (+ẑ wraps too)
+        for end in [grid.voxel(6, 2, 2), grid.voxel(6, 5, 2), grid.voxel(6, 5, 4)] {
+            assert!(loads[0].1.cell.contains(&(end as u32)), "no run at cell {end}");
+        }
     }
 
     #[test]
@@ -976,42 +1223,41 @@ mod tests {
         // (every length), is longer than the whole chunk (below 64, and
         // every chunk of three workers but 257's), starts exactly at the
         // end (64, 65) and straddles the guided strategy's 256-particle
-        // block (257). Shuffled cells: every lane of every window hints.
+        // block (257). Shuffled cells: every lane of every window hints,
+        // for the records and for the fields the records are built from.
         let grid = Grid::new(6, 6, 6);
-        let interps = wavy_interps(&grid);
-        let atomic = (ScatterMode::Atomic, 1);
+        let fields = wavy(&grid);
+        let interps = load_interpolators(&fields);
+        let records: &[Interpolator] = &interps;
+        let lanes = [(ScatterMode::Atomic, 1), (ScatterMode::Duplicated, 3)];
         let threads = pk::Threads::new(3);
         for n in [1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 67, 130, 257] {
             let start = load(&grid, n, 0.3, false);
-            let reference = pushed(&Serial, body(Strategy::Auto), atomic, &grid, &interps, &start);
+            let reference = pushed(&Serial, body(Strategy::Auto), lanes[0], &grid, records, &start);
             assert_eq!(reference.2.pushed, 3 * n);
-            for (name, body) in bodies() {
-                for lanes in [atomic, (ScatterMode::Duplicated, 3)] {
-                    let serial = pushed(&Serial, body, lanes, &grid, &interps, &start);
-                    assert!(serial == reference, "{n}: {name} serial {lanes:?}");
-                    let parallel = pushed(&threads, body, lanes, &grid, &interps, &start);
-                    assert!(parallel == reference, "{n}: {name} threads {lanes:?}");
-                }
-            }
+            every_body_gives(&reference, (&grid, records, &start), &lanes, &threads, &format!("{n}"));
+            let from_fields = (&grid, Fields::new(&fields, CoeffCache::default()), &start);
+            every_body_gives(&reference, from_fields, &lanes, &threads, &format!("{n}, from fields"));
         }
     }
 
     #[test]
     fn a_hint_for_an_out_of_range_cell_neither_panics_nor_moves_the_panic() {
         // Particle 70 names a cell the grid does not have. The look-ahead
-        // sees it from the group at 0 or 4 on and skips it (no record, no
-        // edges); the push still panics where it always did, in the gather
+        // sees it from the group at 0 or 4 on and skips it (no record to
+        // hint or build, no edges); the push still panics where it always did, in the gather
         // of the group that holds the particle, with the particles before
         // that group pushed and the rest untouched. Guided gathers a whole
         // block before it pushes any of it; ad hoc's groups are eight
-        // particles under AVX2.
+        // particles under AVX2. The records' gather panics indexing them,
+        // the fields' where it looks the cell up.
         let grid = Grid::new(6, 6, 6);
-        let interps = wavy_interps(&grid);
+        let fields = wavy(&grid);
+        let interps = load_interpolators(&fields);
         let (n, bad) = (130, 70);
         let mut start = load(&grid, n, 0.3, false);
         start.cell[bad] = grid.cells() as u32;
         let cells = grid.cells();
-        let message = format!("index out of bounds: the len is {cells} but the index is {cells}");
         let adhoc = if avx2() { 8 } else { 4 };
         let first_unpushed = [
             (Strategy::Auto, bad),
@@ -1019,25 +1265,36 @@ mod tests {
             (Strategy::Manual, bad - bad % 4),
             (Strategy::AdHoc, bad - bad % adhoc),
         ];
-        for (strategy, first) in first_unpushed {
-            let mut s = start.clone();
-            let acc = Accumulator::new(cells, 1, ScatterMode::Atomic);
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                push_species(strategy, &grid, &mut s, &interps, &acc)
-            }))
-            .expect_err("the gather names a cell without a record");
-            assert_eq!(panic.downcast_ref::<String>(), Some(&message), "{strategy}");
-            // the particles before the panic: what a push of them alone gives
-            let mut alone = Species::new("e", start.q, start.m);
-            for p in 0..first {
-                alone.push_record(&start.record(p));
-            }
-            let alone_acc = Accumulator::new(cells, 1, ScatterMode::Atomic);
-            push_species(strategy, &grid, &mut alone, &interps, &alone_acc);
-            let (before, untouched) = (particle_bits(&alone), particle_bits(&start));
-            for (a, got) in particle_bits(&s).iter().enumerate() {
-                assert!(got[..first] == before[a][..], "{strategy}: array {a} before the panic");
-                assert!(got[first..] == untouched[a][first..], "{strategy}: array {a} after it");
+        for from_fields in [false, true] {
+            let message = if from_fields {
+                format!("cell {cells} out of range for a grid of {cells} cells")
+            } else {
+                format!("index out of bounds: the len is {cells} but the index is {cells}")
+            };
+            let push = |strategy, s: &mut Species, acc: &Accumulator| match from_fields {
+                true => push_fields_on(&Serial, strategy, &grid, s, &mut Fields::new(&fields, CoeffCache::default()), acc),
+                false => push_species(strategy, &grid, s, &interps, acc),
+            };
+            for (strategy, first) in first_unpushed {
+                let mut s = start.clone();
+                let acc = Accumulator::new(cells, 1, ScatterMode::Atomic);
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    push(strategy, &mut s, &acc)
+                }))
+                .expect_err("the gather names a cell without a record");
+                assert_eq!(panic.downcast_ref::<String>(), Some(&message), "{strategy}");
+                // the particles before the panic: what a push of them alone gives
+                let mut alone = Species::new("e", start.q, start.m);
+                for p in 0..first {
+                    alone.push_record(&start.record(p));
+                }
+                push(strategy, &mut alone, &Accumulator::new(cells, 1, ScatterMode::Atomic));
+                let (before, untouched) = (particle_bits(&alone), particle_bits(&start));
+                for (a, got) in particle_bits(&s).iter().enumerate() {
+                    let what = format!("{strategy}, from fields: {from_fields}: array {a}");
+                    assert!(got[..first] == before[a][..], "{what} before the panic");
+                    assert!(got[first..] == untouched[a][first..], "{what} after it");
+                }
             }
         }
     }
@@ -1072,12 +1329,16 @@ mod tests {
 
     /// One push of `s` by `body` as a single chunk: segments deposited,
     /// crossings.
-    fn segments_deposited(body: Body, grid: &Grid, s: &mut Species) -> (usize, usize) {
-        let interps = wavy_interps(grid);
+    fn segments_deposited<'r>(
+        body: Body<&'r [Interpolator]>,
+        mut records: &'r [Interpolator],
+        grid: &Grid,
+        s: &mut Species,
+    ) -> (usize, usize) {
         let acc = Accumulator::new(grid.cells(), 1, ScatterMode::Atomic);
         let params = PushParams::new(grid, s.q, s.m);
         let sink = &mut Sink::new(acc.depositor(grid, 0, Claim::Sole));
-        let stats = push_chunk(body, grid, &mut Chunk::whole(s), &interps, sink, params);
+        let stats = push_chunk(body, grid, &mut Chunk::whole(s), &mut records, sink, params);
         assert_eq!(sink.queued, 0, "segments left in the queue");
         (sink.deposited, stats.crossings)
     }
@@ -1089,16 +1350,17 @@ mod tests {
         // several faces a step: the queue fills towards its capacity
         // (indexing past it would panic) and drains at the group's end.
         let grid = Grid::new(6, 6, 6);
+        let interps = wavy_interps(&grid);
         for (name, body) in bodies() {
             let mut hot = load(&grid, 1001, 2.0, false);
-            let (segments, crossings) = segments_deposited(body, &grid, &mut hot);
+            let (segments, crossings) = segments_deposited(body, &interps, &grid, &mut hot);
             assert!(crossings > 1001 / 2, "{name}: {crossings} crossings");
             assert_eq!(segments, 1001 + crossings, "{name}");
             // a chunk of whole groups whose last particle alone crosses:
             // its two segments fill a short group of lanes
             let mut last = load(&grid, 8, 0.0, true);
             (last.dx[7], last.ux[7]) = (0.99, 2.0);
-            let (segments, crossings) = segments_deposited(body, &grid, &mut last);
+            let (segments, crossings) = segments_deposited(body, &interps, &grid, &mut last);
             assert_eq!((segments, crossings), (8 + 1, 1), "{name}");
         }
     }
@@ -1130,12 +1392,12 @@ mod tests {
         }
     }
 
-    /// [`gather`] at `L` over `cells` in groups of `L::LANES`: coefficient
-    /// `k` of lane `l`, for every lane.
-    fn gathered<L: PushLane>(interps: &[Interpolator], cells: &[u32; 8]) -> Vec<[f32; COEFFS]> {
+    /// [`gather`] at `L` from `src` over `cells` in groups of `L::LANES`:
+    /// coefficient `k` of lane `l`, for every lane.
+    fn gathered<L: PushLane, C: Source>(src: &mut C, cells: &[u32; 8]) -> Vec<[f32; COEFFS]> {
         let mut lanes = vec![[0.0; COEFFS]; 8];
         for g in (0..8).step_by(L::LANES) {
-            let c = gather::<L>(interps, &cells[g..g + L::LANES]);
+            let c = gather::<L, C>(src, &cells[g..g + L::LANES]);
             for (l, lane) in lanes[g..g + L::LANES].iter_mut().enumerate() {
                 *lane = std::array::from_fn(|k| c[k].extract(l));
             }
@@ -1143,22 +1405,35 @@ mod tests {
         lanes
     }
 
+    /// [`gathered`] at every lane type is `want`.
+    fn gathers<C: Source>(src: &mut C, cells: &[u32; 8], want: &[[f32; COEFFS]], what: &str) {
+        assert_eq!(gathered::<f32, C>(src, cells), want, "{what} {cells:?}");
+        assert_eq!(gathered::<SimdF32<4>, C>(src, cells), want, "{what}, manual {cells:?}");
+        assert_eq!(gathered::<V4F32, C>(src, cells), want, "{what}, adhoc, SSE {cells:?}");
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            assert_eq!(gathered::<V8F32, C>(src, cells), want, "{what}, adhoc, AVX2 {cells:?}");
+        }
+    }
+
     #[test]
     fn gather_broadcasts_a_run_and_transposes_a_mixed_group() {
         let interps: Vec<Interpolator> = (0..5)
             .map(|c| Interpolator(std::array::from_fn(|k| (100 * c + k) as f32)))
             .collect();
+        // the fields source builds the records `load_interpolators` stores,
+        // here over two rows of three cells; one source for every group,
+        // so a group may start in the cell the one before it ended in
+        let fields = wavy(&Grid::new(3, 2, 1));
+        let built = load_interpolators(&fields);
+        let mut from_fields = Fields::new(&fields, CoeffCache::default());
         // one run, a mixed group, and a group that is one run for four
         // lanes but not for eight
         for cells in [[3u32; 8], [4, 0, 3, 0, 1, 2, 4, 3], [2, 2, 2, 2, 1, 1, 1, 1]] {
             let want: Vec<_> = cells.iter().map(|&c| interps[c as usize].0).collect();
-            assert_eq!(gathered::<f32>(&interps, &cells), want, "{cells:?}");
-            assert_eq!(gathered::<SimdF32<4>>(&interps, &cells), want, "manual {cells:?}");
-            assert_eq!(gathered::<V4F32>(&interps, &cells), want, "adhoc, SSE {cells:?}");
-            #[cfg(target_arch = "x86_64")]
-            if avx2() {
-                assert_eq!(gathered::<V8F32>(&interps, &cells), want, "adhoc, AVX2 {cells:?}");
-            }
+            gathers(&mut &interps[..], &cells, &want, "records");
+            let want: Vec<_> = cells.iter().map(|&c| built[c as usize].0).collect();
+            gathers(&mut from_fields, &cells, &want, "fields");
         }
     }
 

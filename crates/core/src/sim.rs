@@ -1,8 +1,9 @@
 //! The simulation driver: the VPIC main loop.
 //!
-//! One [`Simulation::step`] is VPIC's advance: load interpolators from the
-//! fields, push every species (gather → Boris → mover/deposit), unload the
-//! current accumulator into J, then advance B and E on the Yee mesh. The
+//! One [`Simulation::step`] is VPIC's advance: push every species from the
+//! fields (each cell's coefficients built once from E and B → Boris →
+//! mover/deposit), unload the current accumulator into J, then advance B
+//! and E on the Yee mesh. The
 //! sorting hook ([`Simulation::sort_particles`]) and the strategy/scatter
 //! knobs expose exactly the paper's tuning axes.
 
@@ -10,8 +11,7 @@ use crate::accumulate::Accumulator;
 use crate::energy::EnergySnapshot;
 use crate::field::FieldArray;
 use crate::grid::Grid;
-use crate::interp::{load_interpolators_into, InterpolatorArray};
-use crate::push::{push_species_on, PushStats};
+use crate::push::{push_fields_on, CoeffCache, Fields, PushStats};
 use crate::species::Species;
 use pk::atomic::ScatterMode;
 use pk::{ExecSpace, Serial};
@@ -27,11 +27,6 @@ use vsimd::Strategy;
 // a streaming model is exact; the footprints come from the array reads and
 // writes each pass performs (f32 = 4 B).
 
-/// Interpolator load: read E, B, and the TCA stencil neighborhood
-/// (6 arrays × ~7 taps averaged ≈ 60 reads), write 18 coefficients.
-const INTERP_STREAM_BYTES: f64 = 312.0;
-/// Finite-difference coefficient arithmetic per cell.
-const INTERP_FLOPS: f64 = 60.0;
 /// J clear: write jx/jy/jz once.
 const CLEAR_J_BYTES: f64 = 12.0;
 /// Accumulator unload, the executed pass: read a cell's three fixed-point
@@ -106,10 +101,10 @@ pub struct Simulation {
     /// skip makes it free).
     pub(crate) steps_since_sort: usize,
     acc: Accumulator,
-    /// Step-persistent interpolator buffer, refilled in place every step
-    /// (zero per-step allocation after warmup). Derived state: rebuilt
-    /// from the fields, so checkpoints don't carry it.
-    interp: InterpolatorArray,
+    /// The records the push built from the fields last step, kept only so
+    /// that no step allocates their cache: stale after the field solve,
+    /// emptied before each push. Derived state, not checkpointed.
+    coeffs: CoeffCache,
     /// Worker count the accumulator was last sized for. Tracked here
     /// (the accumulator only materializes replicas in duplicated mode)
     /// so a checkpoint can rebuild an identical accumulator on restore —
@@ -141,7 +136,7 @@ impl Simulation {
             step: 0,
             steps_since_sort: usize::MAX,
             acc,
-            interp: InterpolatorArray::new(),
+            coeffs: CoeffCache::default(),
             scatter_workers: 1,
             tuner: None,
             last_sort_ns: 0,
@@ -324,23 +319,20 @@ impl Simulation {
         stats
     }
 
-    /// The particle half of a step, written once for every driver:
-    /// refresh the interpolators from the fields, clear J, reset the
-    /// accumulator (free when the last unload consumed it), then push
-    /// species by species over the SoA arrays into the accumulator.
+    /// The particle half of a step, written once for every driver: clear
+    /// J, reset the accumulator (free when the last unload consumed it),
+    /// then push species by species over the SoA arrays into the
+    /// accumulator, each cell's coefficients built from E and B when the
+    /// push first needs them, into the cache every species shares.
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
-        {
-            let _s = telemetry::span("sim.interpolate");
-            load_interpolators_into(space, self.strategy, &self.fields, &mut self.interp);
-            self.charge_grid_stream(space, "interpolate", INTERP_STREAM_BYTES, INTERP_FLOPS);
-        }
         let _s = telemetry::span("sim.push").arg("species", self.species.len());
         self.fields.clear_j_on(space);
         self.charge_grid_stream(space, "clear_j", CLEAR_J_BYTES, 0.0);
         self.acc.reset();
         let mut stats = PushStats::default();
+        let mut src = Fields::new(&self.fields, std::mem::take(&mut self.coeffs));
         for s in &mut self.species {
-            let st = push_species_on(space, self.strategy, &self.grid, s, &self.interp, &self.acc);
+            let st = push_fields_on(space, self.strategy, &self.grid, s, &mut src, &self.acc);
             if st.crossings > 0 {
                 // crossings moved particles out of their sorted
                 // positions; the next scheduled sort is real work
@@ -349,6 +341,7 @@ impl Simulation {
             stats.pushed += st.pushed;
             stats.crossings += st.crossings;
         }
+        self.coeffs = src.into_cache();
         stats
     }
 
@@ -453,12 +446,6 @@ impl Simulation {
         worst
     }
 
-    /// Capacity of the field pipeline's step-persistent interpolator
-    /// buffer, for no-alloc-after-warmup assertions.
-    pub fn field_scratch_capacity(&self) -> usize {
-        self.interp.capacity()
-    }
-
     /// Rebuild the accumulator for a different worker count / scatter
     /// mode (used by the deposition ablation bench).
     pub fn configure_scatter(&mut self, workers: usize, mode: ScatterMode) {
@@ -479,7 +466,7 @@ impl Simulation {
     // commute, so the merge is order- and partition-independent).
 
     /// First phase of a decomposed step: [`Simulation::step`]'s particle
-    /// phase (interpolators, J clear, accumulator reset, push) on the
+    /// phase (J clear, accumulator reset, push from the fields) on the
     /// calling thread. Sorting is the caller's — see
     /// [`Simulation::consume_due_sort`].
     pub fn begin_step(&mut self) -> PushStats {
@@ -639,6 +626,20 @@ mod tests {
         let e1 = sim.energies().total();
         let drift = ((e1 - e0) / e0).abs();
         assert!(drift < 0.05, "energy drift {drift} over 50 steps");
+    }
+
+    #[test]
+    fn the_push_cache_is_allocation_free_after_warmup() {
+        // the records the push builds from the fields live in a cache the
+        // simulation keeps: sized on the first step, reused after it
+        let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
+        sim.step();
+        let warm = sim.coeffs.buffers();
+        assert!(warm.iter().all(|&(_, cap)| cap >= sim.grid.cells()), "whole 6³ grid cached");
+        for _ in 0..4 {
+            sim.step();
+            assert_eq!(sim.coeffs.buffers(), warm, "the cache moved or grew after warm-up");
+        }
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! What sorting changes is only the *order* of `cells`, and therefore the
 //! warp-level coalescing, the cache residency of the per-cell data, and
 //! the atomic conflict rate — exactly the quantities this model counts.
+//!
+//! The per-cell bytes are VPIC's layout, the paper's subject: a
+//! precomputed interpolator record and a 12-slot accumulator per cell.
+//! The host push `vpic-core` runs keeps neither — it builds a record per
+//! cell from the E and B arrays as it reaches the cell and adds to one
+//! fixed-point total per Yee edge (24 B a cell) — and no model here
+//! prices that layout.
 
 use crate::cache::CacheSim;
 use crate::gpu::GpuModel;
@@ -22,10 +29,13 @@ use serde::Serialize;
 /// Interpolator coefficients gathered per cell: 18 f32 fields plus
 /// alignment padding and neighbor metadata ≈ 240 B (VPIC's
 /// `interpolator_t` is 18 floats; the padded/indexed form rounds to 240).
+/// VPIC's layout: the host push builds its records from the fields and
+/// stores no per-cell array of them.
 pub(crate) const INTERP_BYTES: u64 = 240;
 
 /// Current accumulator scattered per cell: 12 f32 components with the
-/// 4-way bank replication VPIC uses ≈ 192 B.
+/// 4-way bank replication VPIC uses ≈ 192 B. VPIC's layout: the host
+/// accumulator is one `i64` total per Yee edge, 24 B a cell.
 pub(crate) const ACCUM_BYTES: u64 = 192;
 
 /// Per-cell cache footprint during the push (interpolator + accumulator).

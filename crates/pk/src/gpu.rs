@@ -50,6 +50,10 @@ pub enum Access<'a> {
     /// The VPIC particle push: `cells[i]` is the cell index of the `i`-th
     /// particle *in the order the kernel visits them* (i.e. after any
     /// sort), which is everything the coalescing/cache/atomic model needs.
+    /// Priced as VPIC lays it out — one interpolator record gathered and
+    /// one accumulator row scattered per particle (`memsim::push`) —
+    /// whether the host kernel gathers stored records or builds them from
+    /// the fields.
     Push {
         /// Per-particle cell indices in execution order.
         cells: &'a [u32],
@@ -90,7 +94,7 @@ pub enum Access<'a> {
 /// One charged dispatch in a [`SimGpu`] ledger.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelRecord {
-    /// Ledger label (`"push"`, `"sort"`, `"interpolate"`, …).
+    /// Ledger label (`"push"`, `"sort"`, `"clear_j"`, …).
     pub label: &'static str,
     /// Elements processed (particles, keys; 0 for pure streams).
     pub elements: usize,

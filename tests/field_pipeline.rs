@@ -1,19 +1,14 @@
-//! The field pipeline's two contracts, end to end:
-//!
-//! 1. **Bit-identity** — every parallel/vectorized grid-side kernel
-//!    (interpolator load, curl-E, curl-B, current unload) produces
-//!    exactly the bits of its serial wrapped reference, for any grid
-//!    shape (including degenerate `nx/ny/nz ∈ {1, 2}` where a row is
-//!    its own neighbor or nothing but its end cell), any `Strategy`, and
-//!    any worker count 1–8. Row-level work decomposition with disjoint writes means the
-//!    schedule cannot reorder a single floating-point operation.
-//! 2. **Zero steady-state allocation** — the interpolator array, the
-//!    pipeline's scratch, is warmed once and reused; its capacity never
-//!    grows again over a run.
+//! The field pipeline's contract, end to end: every parallel/vectorized
+//! grid-side kernel (interpolator load, curl-E, curl-B, current unload)
+//! produces exactly the bits of its serial wrapped reference, for any grid
+//! shape (including degenerate `nx/ny/nz ∈ {1, 2}` where a row is its own
+//! neighbor or nothing but its end cell), any `Strategy`, and any worker
+//! count 1–8. Row-level work decomposition with disjoint writes means the
+//! schedule cannot reorder a single floating-point operation.
 
 use proptest::prelude::*;
 use vpic2::core::accumulate::Accumulator;
-use vpic2::core::{load_interpolators, load_interpolators_into, Deck, FieldArray, Grid, InterpolatorArray};
+use vpic2::core::{load_interpolators, load_interpolators_into, FieldArray, Grid, InterpolatorArray};
 use vpic2::pk::atomic::ScatterMode;
 use vpic2::pk::{Serial, Threads};
 use vpic2::vsimd::Strategy;
@@ -154,22 +149,5 @@ proptest! {
         let mut threaded = scrambled(&g);
         acc.unload_on(&Threads::new(workers), strategy, &mut threaded);
         assert_fields_bitwise(&baseline, &threaded, "gather unload");
-    }
-}
-
-/// The `Simulation`-owned interpolator array is warmed on the first step
-/// and never reallocates afterwards.
-#[test]
-fn field_pipeline_is_allocation_free_after_warmup() {
-    let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
-    sim.configure_scatter(4, ScatterMode::Duplicated);
-    sim.strategy = Strategy::Manual;
-    let pool = Threads::new(4);
-    sim.step_on(&pool); // warmup: the scratch grows to steady state
-    let warm = sim.field_scratch_capacity();
-    assert!(warm > 0, "warmup should size the scratch: {warm}");
-    for _ in 0..5 {
-        sim.step_on(&pool);
-        assert_eq!(sim.field_scratch_capacity(), warm, "field pipeline scratch reallocated after warmup");
     }
 }
