@@ -43,7 +43,7 @@
 //!   partials, so rank-boundary current merges are integer adds: exactly
 //!   associative and commutative, independent of which rank's array a
 //!   segment landed in.
-//! * **Shared op trees** — every field kernel walks one op tree per cell
+//! * **Shared row bodies** — every field kernel runs one body per cell
 //!   whether sweeping the whole grid, a row interior, or a boundary box,
 //!   so halo grids reproduce the global sweep cell-for-cell.
 //! * **Deterministic migrant ordering** — migrants drain in ascending

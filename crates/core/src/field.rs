@@ -10,30 +10,25 @@
 //! `dt` factors. B is advanced in half steps around the E update, the
 //! standard leapfrog VPIC uses.
 //!
-//! ## Kernel structure (paper §3.1 applied to the field solve)
+//! ## Kernel structure
 //!
 //! The advance kernels sweep the grid one x-row (`(iy, iz)` pair) at a
 //! time. `Grid::row_stencil` gives the row its neighbor rows' base
 //! voxels — the periodic wrap in y and z, paid once per row — so every
-//! row is one unit-stride span with loop-invariant bases that vectorizes
-//! (`0..nx−1` for curl-E, `1..nx` for curl-B), plus the one end cell whose
-//! x-neighbor is the row's other end, updated from the same bases. The
-//! span dispatches on [`Strategy`]: *auto* is a plain fused scalar loop,
-//! *guided* splits the sweep into one pass per field component (the
-//! paper's kernel splitting), *manual* uses the portable [`SimdF32`]
-//! lanes and *ad hoc* the [`V4F32`] intrinsics type — all through the
-//! shared [`StencilLane`] op tree (`+`, `−`, `×` only; no FMA), so every
-//! strategy and every worker count produces bit-identical fields.
-//! Rows write disjoint output spans: each kernel hands its output arrays
-//! to [`ExecSpace::parallel_windows`] in units of a row, which cuts them
-//! into one window of whole rows per block, so every space's sweep is
-//! deterministic for free.
+//! row is one unit-stride span with loop-invariant bases (`0..nx−1` for
+//! curl-E, `1..nx` for curl-B), plus the one end cell whose x-neighbor
+//! is the row's other end, updated from the same bases. Each kernel has
+//! one body, a fused `f32` loop left to LLVM's vectorizer: the paper's
+//! vectorization strategies are a question about the push, and their
+//! `Strategy` argument is ignored here. Rows write disjoint output spans:
+//! each kernel hands its output arrays to [`ExecSpace::parallel_windows`]
+//! in units of a row, which cuts them into one window of whole rows per
+//! block, so every space's sweep is deterministic for free.
 
 use crate::grid::{Grid, RowStencil, StencilSide};
 use pk::{ExecSpace, Split};
 use std::ops::Range;
-use vsimd::v4::V4F32;
-use vsimd::{SimdF32, StencilLane, Strategy};
+use vsimd::Strategy;
 
 /// The field state: E, B, and the current J accumulated by the push.
 #[derive(Debug, Clone)]
@@ -60,78 +55,14 @@ pub struct FieldArray {
     pub jz: Vec<f32>,
 }
 
-/// One curl-E pass over the `dst.len()` consecutive cells from voxel `v`:
-/// `dst[k] -= dt·((p[p1+k]−p[v+k])·rp − (q[q1+k]−q[v+k])·rq)`, with `dst`
-/// the cells' own span and `p1`/`q1` the first cell's neighbors in the
-/// global `p`/`q`. Lane-width generic; the scalar tail re-enters at
-/// `L = f32`, so every width walks the same op tree.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn curl_e_pass<L: StencilLane>(
-    p: &[f32],
-    p1: usize,
-    rp: f32,
-    q: &[f32],
-    q1: usize,
-    rq: f32,
-    dst: &mut [f32],
-    v: usize,
-    dt: f32,
-) {
-    let (dtv, rpv, rqv) = (L::splat(dt), L::splat(rp), L::splat(rq));
-    let mut k = 0;
-    while k + L::LANES <= dst.len() {
-        let d = L::load(p, p1 + k)
-            .sub(L::load(p, v + k))
-            .mul(rpv)
-            .sub(L::load(q, q1 + k).sub(L::load(q, v + k)).mul(rqv));
-        L::load(dst, k).sub(dtv.mul(d)).store(dst, k);
-        k += L::LANES;
-    }
-    if k < dst.len() {
-        curl_e_pass::<f32>(p, p1 + k, rp, q, q1 + k, rq, &mut dst[k..], v + k, dt);
-    }
-}
-
-/// One curl-B pass: `dst[k] += dt·((p[v+k]−p[p1+k])·rp − (q[v+k]−q[q1+k])·rq − j[v+k])`
-/// (arguments as [`curl_e_pass`], the neighbors on the minus side).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn curl_b_pass<L: StencilLane>(
-    p: &[f32],
-    p1: usize,
-    rp: f32,
-    q: &[f32],
-    q1: usize,
-    rq: f32,
-    j: &[f32],
-    dst: &mut [f32],
-    v: usize,
-    dt: f32,
-) {
-    let (dtv, rpv, rqv) = (L::splat(dt), L::splat(rp), L::splat(rq));
-    let mut k = 0;
-    while k + L::LANES <= dst.len() {
-        let d = L::load(p, v + k)
-            .sub(L::load(p, p1 + k))
-            .mul(rpv)
-            .sub(L::load(q, v + k).sub(L::load(q, q1 + k)).mul(rqv))
-            .sub(L::load(j, v + k));
-        L::load(dst, k).add(dtv.mul(d)).store(dst, k);
-        k += L::LANES;
-    }
-    if k < dst.len() {
-        curl_b_pass::<f32>(p, p1 + k, rp, q, q1 + k, rq, j, &mut dst[k..], v + k, dt);
-    }
-}
-
 /// The read side of a curl sweep: the three source components, the
-/// inverse cell sizes and the step.
+/// inverse cell sizes, the step and the row length.
 #[derive(Clone, Copy)]
 struct Curl<'a> {
     src: [&'a [f32]; 3],
     rd: [f32; 3],
     dt: f32,
+    nx: usize,
 }
 
 /// A span of consecutive cells of one row: the voxel of its first cell
@@ -142,11 +73,10 @@ type Span = [usize; 4];
 impl<'a> Curl<'a> {
     /// The sweep of `src` on `g` by `dt`.
     fn new(g: &Grid, src: [&'a [f32]; 3], dt: f32) -> Self {
-        Self { src, rd: [1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz], dt }
+        Self { src, rd: [1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz], dt, nx: g.nx }
     }
 
-    /// `B -= dt·∇×E` over the span, fused: the *auto* loop, every row's
-    /// x-wrapping end cell, and the box sweep.
+    /// `B -= dt·∇×E` over the span.
     #[inline(always)]
     fn e_fused(&self, [v, xp, yp, zp]: Span, [bx, by, bz]: [&mut [f32]; 3]) {
         let ([ex, ey, ez], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
@@ -158,17 +88,20 @@ impl<'a> Curl<'a> {
         }
     }
 
-    /// [`Curl::e_fused`] split into one single-component pass each (the
-    /// paper's kernel splitting) at lane width `L`.
+    /// [`Curl::e_fused`] over the cells `xs` of the row behind `st`, `b`
+    /// holding those cells: the ones below the row's end cell as one
+    /// span, then the end cell, whose +x neighbor is the row's first.
+    /// The whole-grid sweep runs it over `0..nx`, the box sweep over a
+    /// box's cells of the row.
     #[inline(always)]
-    fn e_split<L: StencilLane>(&self, [v, xp, yp, zp]: Span, [bx, by, bz]: [&mut [f32]; 3]) {
-        let ([ex, ey, ez], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
-        curl_e_pass::<L>(ez, yp, rdy, ey, zp, rdz, bx, v, dt);
-        curl_e_pass::<L>(ex, zp, rdz, ez, xp, rdx, by, v, dt);
-        curl_e_pass::<L>(ey, xp, rdx, ex, yp, rdy, bz, v, dt);
+    fn e_row(&self, st: &RowStencil, xs: Range<usize>, b: [&mut [f32]; 3]) {
+        let inner = xs.end.min(self.nx - 1).max(xs.start) - xs.start;
+        let [(bx, bx_end), (by, by_end), (bz, bz_end)] = b.map(|b| b.split_at_mut(inner));
+        self.e_fused(span(st, xs.start, xs.start + 1), [bx, by, bz]);
+        self.e_fused(span(st, self.nx - 1, 0), [bx_end, by_end, bz_end]);
     }
 
-    /// `E += dt·(∇×B − J)` over the span, fused; the neighbors are the
+    /// `E += dt·(∇×B − J)` over the span; the neighbors are the
     /// minus-side ones.
     #[inline(always)]
     fn b_fused(&self, j: [&[f32]; 3], [v, xm, ym, zm]: Span, [ex, ey, ez]: [&mut [f32]; 3]) {
@@ -180,20 +113,6 @@ impl<'a> Curl<'a> {
             ey[k] += dt * ((bx[v] - bx[zm]) * rdz - (bz[v] - bz[xm]) * rdx - jy[v]);
             ez[k] += dt * ((by[v] - by[xm]) * rdx - (bx[v] - bx[ym]) * rdy - jz[v]);
         }
-    }
-
-    /// [`Curl::b_fused`] as three single-component passes at lane width `L`.
-    #[inline(always)]
-    fn b_split<L: StencilLane>(
-        &self,
-        [jx, jy, jz]: [&[f32]; 3],
-        [v, xm, ym, zm]: Span,
-        [ex, ey, ez]: [&mut [f32]; 3],
-    ) {
-        let ([bx, by, bz], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
-        curl_b_pass::<L>(bz, ym, rdy, by, zm, rdz, jx, ex, v, dt);
-        curl_b_pass::<L>(bx, zm, rdz, bz, xm, rdx, jy, ey, v, dt);
-        curl_b_pass::<L>(by, xm, rdx, bx, ym, rdy, jz, ez, v, dt);
     }
 }
 
@@ -251,8 +170,7 @@ impl FieldArray {
     }
 
     /// Serial reference for [`FieldArray::advance_b_on`]: the general wrapped
-    /// per-cell loop, kept as the bit-exactness oracle (and the pre-split
-    /// baseline the `repro -- field` bench measures against).
+    /// per-cell loop, kept as the bit-exactness oracle.
     pub fn advance_b_ref(&mut self, frac: f32) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, .. } = self;
         let dt = g.dt * frac;
@@ -269,27 +187,18 @@ impl FieldArray {
 
     /// Advance B by `frac·dt` with `∂B/∂t = −∇×E` (call with `0.5`
     /// before and after the E update for the leapfrog), the row sweep
-    /// distributed over `space` and each row's span vectorized per
-    /// `strategy`.
-    /// Bit-identical to [`FieldArray::advance_b_ref`] for every strategy,
-    /// space, and worker count.
-    pub fn advance_b_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy, frac: f32) {
+    /// distributed over `space`. Bit-identical to
+    /// [`FieldArray::advance_b_ref`] for every space and worker count.
+    ///
+    /// `_strategy` is ignored: the sweep has one body, left to LLVM's
+    /// vectorizer. ROADMAP item 13 removes the argument after item 1(f).
+    pub fn advance_b_on<S: ExecSpace>(&mut self, space: &S, _strategy: Strategy, frac: f32) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, .. } = self;
         let curl = Curl::new(g, [ex, ey, ez], g.dt * frac);
         let (g, nx) = (&*g, g.nx);
         space.parallel_windows([bx, by, bz].map(Vec::as_mut_slice), nx, |_, first, b| {
             for (r, b) in (first..).zip(b.pieces(nx)) {
-                let st = g.row_stencil(r, StencilSide::Plus);
-                let (inner, end) = b.split_at(nx - 1);
-                let at = span(&st, 0, 1);
-                match strategy {
-                    Strategy::Auto => curl.e_fused(at, inner),
-                    Strategy::Guided => curl.e_split::<f32>(at, inner),
-                    Strategy::Manual => curl.e_split::<SimdF32<4>>(at, inner),
-                    Strategy::AdHoc => curl.e_split::<V4F32>(at, inner),
-                }
-                // the end cell's +x neighbor is the row's first cell
-                curl.e_fused(span(&st, nx - 1, 0), end);
+                curl.e_row(&g.row_stencil(r, StencilSide::Plus), 0..nx, b);
             }
         });
     }
@@ -297,12 +206,12 @@ impl FieldArray {
     /// Advance B by `frac·dt` over the box `xs × ys × zs` only (cell
     /// coordinates, end-exclusive).
     ///
-    /// Per-cell arithmetic is the op tree of
-    /// [`FieldArray::advance_b_ref`] — the same tree every strategy walks
-    /// — so sweeping a disjoint partition of the grid box-by-box produces
-    /// bit-identical fields to one full sweep. The multi-rank driver uses
-    /// this to advance the interior while boundary shells wait on
-    /// in-flight halo exchanges (DESIGN §12).
+    /// Each of the box's rows runs the row body of
+    /// [`FieldArray::advance_b_on`] over the box's cells, so sweeping a
+    /// disjoint partition of the grid box-by-box produces bit-identical
+    /// fields to one full sweep. The multi-rank driver uses this to
+    /// advance the interior while boundary shells wait on in-flight halo
+    /// exchanges (DESIGN §12).
     pub fn advance_b_box(
         &mut self,
         xs: Range<usize>,
@@ -312,20 +221,12 @@ impl FieldArray {
     ) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, .. } = self;
         let curl = Curl::new(g, [ex, ey, ez], g.dt * frac);
-        // the box's cells below the row's x-wrapping end cell
-        let inner = xs.start..xs.end.min(g.nx - 1).max(xs.start);
         for iz in zs {
             for iy in ys.clone() {
-                let st = g.row_stencil(iy + g.ny * iz, StencilSide::Plus);
-                let mut sweep = |xs: Range<usize>, xq: usize| {
-                    let cells = st.row + xs.start..st.row + xs.end;
-                    let dst = [&mut bx[cells.clone()], &mut by[cells.clone()], &mut bz[cells]];
-                    curl.e_fused(span(&st, xs.start, xq), dst);
-                };
-                sweep(inner.clone(), inner.start + 1);
-                if inner.end < xs.end {
-                    sweep(g.nx - 1..g.nx, 0);
-                }
+                let st = g.row_stencil_at(iy, iz, StencilSide::Plus);
+                let cells = st.row + xs.start..st.row + xs.end;
+                let b = [&mut bx[cells.clone()], &mut by[cells.clone()], &mut bz[cells]];
+                curl.e_row(&st, xs.clone(), b);
             }
         }
     }
@@ -347,11 +248,12 @@ impl FieldArray {
     }
 
     /// Advance E by a full `dt` with `∂E/∂t = ∇×B − J`, the row sweep
-    /// distributed over `space` and each row's span vectorized per
-    /// `strategy`.
-    /// Bit-identical to [`FieldArray::advance_e_ref`] for every strategy,
-    /// space, and worker count.
-    pub fn advance_e_on<S: ExecSpace>(&mut self, space: &S, strategy: Strategy) {
+    /// distributed over `space`. Bit-identical to
+    /// [`FieldArray::advance_e_ref`] for every space and worker count.
+    ///
+    /// `_strategy` is ignored: the sweep has one body. ROADMAP item 13
+    /// removes the argument after item 1(f).
+    pub fn advance_e_on<S: ExecSpace>(&mut self, space: &S, _strategy: Strategy) {
         let Self { grid: g, ex, ey, ez, bx, by, bz, jx, jy, jz } = self;
         let curl = Curl::new(g, [bx, by, bz], g.dt);
         let j: [&[f32]; 3] = [jx, jy, jz];
@@ -359,16 +261,10 @@ impl FieldArray {
         space.parallel_windows([ex, ey, ez].map(Vec::as_mut_slice), nx, |_, first, e| {
             for (r, e) in (first..).zip(e.pieces(nx)) {
                 let st = g.row_stencil(r, StencilSide::Minus);
-                let (end, inner) = e.split_at(1);
-                let at = span(&st, 1, 0);
-                match strategy {
-                    Strategy::Auto => curl.b_fused(j, at, inner),
-                    Strategy::Guided => curl.b_split::<f32>(j, at, inner),
-                    Strategy::Manual => curl.b_split::<SimdF32<4>>(j, at, inner),
-                    Strategy::AdHoc => curl.b_split::<V4F32>(j, at, inner),
-                }
+                let [(ex_end, ex), (ey_end, ey), (ez_end, ez)] = e.map(|e| e.split_at_mut(1));
+                curl.b_fused(j, span(&st, 1, 0), [ex, ey, ez]);
                 // the end cell's −x neighbor is the row's last cell
-                curl.b_fused(j, span(&st, 0, nx - 1), end);
+                curl.b_fused(j, span(&st, 0, nx - 1), [ex_end, ey_end, ez_end]);
             }
         });
     }
@@ -548,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn split_kernels_match_reference_bitwise() {
+    fn row_sweeps_match_reference_bitwise() {
         let threads = pk::Threads::new(3);
         for (nx, ny, nz) in [(7, 5, 4), (4, 4, 4), (2, 2, 2), (1, 5, 5), (8, 1, 3), (1, 1, 1)] {
             let g = Grid::new(nx, ny, nz);
@@ -557,19 +453,17 @@ mod tests {
             reference.advance_b_ref(0.5);
             reference.advance_e_ref();
             reference.advance_b_ref(0.5);
-            for strategy in Strategy::ALL {
-                let mut serial = base.clone();
-                serial.advance_b_on(&Serial, strategy, 0.5);
-                serial.advance_e_on(&Serial, strategy);
-                serial.advance_b_on(&Serial, strategy, 0.5);
-                let mut parallel = base.clone();
-                parallel.advance_b_on(&threads, strategy, 0.5);
-                parallel.advance_e_on(&threads, strategy);
-                parallel.advance_b_on(&threads, strategy, 0.5);
-                let what = format!("{strategy:?} vs ref ({nx},{ny},{nz})");
-                assert_eq!(bits_diff(&reference, &serial), None, "serial {what}");
-                assert_eq!(bits_diff(&reference, &parallel), None, "threads {what}");
-            }
+            let mut serial = base.clone();
+            serial.advance_b_on(&Serial, Strategy::Auto, 0.5);
+            serial.advance_e_on(&Serial, Strategy::Auto);
+            serial.advance_b_on(&Serial, Strategy::Auto, 0.5);
+            let mut parallel = base.clone();
+            parallel.advance_b_on(&threads, Strategy::Auto, 0.5);
+            parallel.advance_e_on(&threads, Strategy::Auto);
+            parallel.advance_b_on(&threads, Strategy::Auto, 0.5);
+            let what = format!("vs ref ({nx},{ny},{nz})");
+            assert_eq!(bits_diff(&reference, &serial), None, "serial {what}");
+            assert_eq!(bits_diff(&reference, &parallel), None, "threads {what}");
         }
     }
 

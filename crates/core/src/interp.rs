@@ -17,16 +17,17 @@
 //!
 //! [`load_interpolators_into`] builds the whole array — for the record
 //! path of the push (`push::push_species_on`) — one x-row at a time from
-//! the row's neighbor rows (`crate::grid::Grid::row_stencil`),
-//! overwriting a caller-owned [`InterpolatorArray`] that is never filled
-//! first: 72 bytes written per cell is the kernel's roof, and a zero-fill
-//! before the sweep would double it.
+//! the row's neighbor rows (`crate::grid::Grid::row_stencil`), every cell
+//! by the one record body the push's fields source and the serial
+//! reference also run (its `Strategy` argument is ignored), overwriting
+//! a caller-owned [`InterpolatorArray`] that is never filled first: 72
+//! bytes written per cell is the kernel's roof, and a zero-fill before
+//! the sweep would double it.
 
 use crate::field::FieldArray;
 use crate::grid::{RowStencil, Site, StencilSide};
 use pk::ExecSpace;
-use vsimd::v4::V4F32;
-use vsimd::{SimdF32, StencilLane, Strategy, Xyz};
+use vsimd::{StencilLane, Strategy, Xyz};
 
 /// Number of `f32` coefficients per cell.
 pub const COEFFS: usize = 18;
@@ -128,61 +129,6 @@ impl std::ops::Deref for InterpolatorArray {
     }
 }
 
-/// One E component's pass over `out.len()` consecutive cells: the four
-/// bilinear coefficients of `a` from its edges `(e00, e10, e01, e11)`,
-/// which for the first cell sit at the voxels `at` and for the others at
-/// the same offsets from them, written to coefficient indices
-/// `C0..C0+4`. Lane-width generic with a scalar re-entry tail, so every
-/// [`Strategy`] walks the identical op tree (see [`vsimd::stencil`]).
-#[inline(always)]
-fn e_pass<const C0: usize, L: StencilLane>(a: &[f32], at: [usize; 4], out: &mut [Interpolator]) {
-    let quarter = L::splat(0.25);
-    let mut k = 0;
-    while k + L::LANES <= out.len() {
-        let (e00, e10, e01, e11) =
-            (L::load(a, at[0] + k), L::load(a, at[1] + k), L::load(a, at[2] + k), L::load(a, at[3] + k));
-        let c0 = quarter.mul(e00.add(e10).add(e01).add(e11));
-        let c1 = quarter.mul(e10.add(e11).sub(e00.add(e01)));
-        let c2 = quarter.mul(e01.add(e11).sub(e00.add(e10)));
-        let c3 = quarter.mul(e00.add(e11).sub(e10.add(e01)));
-        for l in 0..L::LANES {
-            let c = &mut out[k + l].0;
-            c[C0] = c0.extract(l);
-            c[C0 + 1] = c1.extract(l);
-            c[C0 + 2] = c2.extract(l);
-            c[C0 + 3] = c3.extract(l);
-        }
-        k += L::LANES;
-    }
-    if k < out.len() {
-        e_pass::<C0, f32>(a, at.map(|i| i + k), &mut out[k..]);
-    }
-}
-
-/// One B component's pass over `out.len()` consecutive cells: midpoint
-/// and slope of `a` between the first cell's faces at the voxels `at`
-/// (the cell's own and its normal neighbor's), written to coefficient
-/// indices `C0..C0+2`.
-#[inline(always)]
-fn b_pass<const C0: usize, L: StencilLane>(a: &[f32], at: [usize; 2], out: &mut [Interpolator]) {
-    let half = L::splat(0.5);
-    let mut k = 0;
-    while k + L::LANES <= out.len() {
-        let (b0, b1) = (L::load(a, at[0] + k), L::load(a, at[1] + k));
-        let c0 = half.mul(b0.add(b1));
-        let c1 = half.mul(b1.sub(b0));
-        for l in 0..L::LANES {
-            let c = &mut out[k + l].0;
-            c[C0] = c0.extract(l);
-            c[C0 + 1] = c1.extract(l);
-        }
-        k += L::LANES;
-    }
-    if k < out.len() {
-        b_pass::<C0, f32>(a, at.map(|i| i + k), &mut out[k..]);
-    }
-}
-
 /// The voxels one record reads, besides the cell's own `v`: its neighbors
 /// at `+x̂`, `+ŷ`, `+ẑ`, `+ŷ+ẑ`, `+ẑ+x̂` and `+x̂+ŷ`.
 type Neighborhood = [usize; 7];
@@ -194,22 +140,9 @@ fn neighborhood(st: RowStencil, x: usize, xq: usize) -> Neighborhood {
     [st.row + x, st.row + xq, st.y + x, st.z + x, st.yz + x, st.z + xq, st.y + xq]
 }
 
-/// All six split passes (guided/manual/ad hoc) over `out.len()`
-/// consecutive cells, the first with the neighborhood `at`.
-#[inline(always)]
-fn split_passes<L: StencilLane>(f: &FieldArray, at: Neighborhood, out: &mut [Interpolator]) {
-    let [v, xp, yp, zp, ypzp, zpxp, xpyp] = at;
-    e_pass::<EX0, L>(&f.ex, [v, yp, zp, ypzp], out);
-    e_pass::<EY0, L>(&f.ey, [v, zp, xp, zpxp], out);
-    e_pass::<EZ0, L>(&f.ez, [v, xp, yp, xpyp], out);
-    b_pass::<CBX0, L>(&f.bx, [v, xp], out);
-    b_pass::<CBY0, L>(&f.by, [v, yp], out);
-    b_pass::<CBZ0, L>(&f.bz, [v, zp], out);
-}
-
-/// One cell's record from its neighborhood, fused: the body of the
-/// *auto* loop, of every row's x-wrapping end cell, of the push's fields
-/// source ([`load_cell_at`]) and of the serial reference.
+/// One cell's record from its neighborhood: the one body of
+/// [`load_interpolators_into`], of the push's fields source
+/// ([`load_cell_at`]) and of the serial reference.
 #[inline(always)]
 fn load_cell(f: &FieldArray, at: Neighborhood, c: &mut [f32; COEFFS]) {
     let [v, xp, yp, zp, ypzp, zpxp, xpyp] = at;
@@ -240,9 +173,9 @@ fn load_cell(f: &FieldArray, at: Neighborhood, c: &mut [f32; COEFFS]) {
     c[DCBZDZ] = 0.5 * (f.bz[zp] - f.bz[v]);
 }
 
-/// The record of the cell at `site`, fused and from its row's stencil:
-/// what [`load_interpolators_into`] writes for the cell, bit for bit, under
-/// every strategy. The push's fields source builds its records with it.
+/// The record of the cell at `site`, from its row's stencil: what
+/// [`load_interpolators_into`] writes for the cell, bit for bit. The
+/// push's fields source builds its records with it.
 #[inline(always)]
 pub(crate) fn load_cell_at(f: &FieldArray, Site { x, row }: Site, c: &mut [f32; COEFFS]) {
     let xq = if x + 1 == f.grid.nx { 0 } else { x + 1 };
@@ -268,15 +201,18 @@ fn load_cell_wrapped(f: &FieldArray, v: usize, c: &mut [f32; COEFFS]) {
 
 /// Refill `out` from the current fields with the row sweep distributed
 /// over `space`. Each row reads its neighbor rows through
-/// `crate::grid::Grid::row_stencil`: the cells `0..nx−1` as one span per
-/// `strategy`, the x-wrapping end cell from the same bases. Bit-identical
-/// to [`load_interpolators`] for every strategy, space, and worker count.
-/// Every record is overwritten, so nothing is filled first: `out` is
-/// resized only when its length is not the cell count, and allocates only
-/// when its capacity is below it.
+/// `crate::grid::Grid::row_stencil`: the cells `0..nx−1` as one span, the
+/// x-wrapping end cell from the same bases. Bit-identical to
+/// [`load_interpolators`] for every space and worker count. Every record
+/// is overwritten, so nothing is filled first: `out` is resized only when
+/// its length is not the cell count, and allocates only when its capacity
+/// is below it.
+///
+/// `_strategy` is ignored: the sweep has one body. ROADMAP item 13
+/// removes the argument after item 1(f).
 pub fn load_interpolators_into<S: ExecSpace>(
     space: &S,
-    strategy: Strategy,
+    _strategy: Strategy,
     f: &FieldArray,
     out: &mut InterpolatorArray,
 ) {
@@ -288,21 +224,11 @@ pub fn load_interpolators_into<S: ExecSpace>(
     space.parallel_windows(out.data.as_mut_slice(), nx, |_, first, out| {
         for (r, row) in (first..).zip(out.chunks_exact_mut(nx)) {
             let st = g.row_stencil(r, StencilSide::Plus);
-            // cell `x` of the row, with its +x neighbor at `xq`
-            let at = |x: usize, xq: usize| neighborhood(st, x, xq);
             let (inner, end) = row.split_at_mut(nx - 1);
-            match strategy {
-                Strategy::Auto => {
-                    // fused plain loop, left to LLVM
-                    for (x, rec) in inner.iter_mut().enumerate() {
-                        load_cell(f, at(x, x + 1), &mut rec.0);
-                    }
-                }
-                Strategy::Guided => split_passes::<f32>(f, at(0, 1), inner),
-                Strategy::Manual => split_passes::<SimdF32<4>>(f, at(0, 1), inner),
-                Strategy::AdHoc => split_passes::<V4F32>(f, at(0, 1), inner),
+            for (x, rec) in inner.iter_mut().enumerate() {
+                load_cell(f, neighborhood(st, x, x + 1), &mut rec.0);
             }
-            load_cell(f, at(nx - 1, 0), &mut end[0].0);
+            load_cell(f, neighborhood(st, nx - 1, 0), &mut end[0].0);
         }
     });
 }
@@ -412,28 +338,23 @@ mod tests {
     }
 
     #[test]
-    fn load_into_matches_reference_bitwise_for_all_strategies() {
+    fn load_into_matches_reference_bitwise() {
         let threads = pk::Threads::new(3);
         for (nx, ny, nz) in [(6, 5, 4), (2, 2, 2), (1, 4, 4), (5, 1, 3), (1, 1, 1)] {
             let f = scrambled(&Grid::new(nx, ny, nz));
             let reference = load_interpolators(&f);
             let mut buf = InterpolatorArray::new();
-            for strategy in Strategy::ALL {
-                load_interpolators_into(&pk::Serial, strategy, &f, &mut buf);
-                assert_eq!(buf.len(), reference.len());
-                for (v, (a, b)) in reference.iter().zip(&buf[..]).enumerate() {
-                    for k in 0..COEFFS {
-                        assert_eq!(
-                            a.0[k].to_bits(),
-                            b.0[k].to_bits(),
-                            "serial cell {v} coeff {k} {strategy:?} ({nx},{ny},{nz})"
-                        );
-                    }
+            load_interpolators_into(&pk::Serial, Strategy::Auto, &f, &mut buf);
+            assert_eq!(buf.len(), reference.len());
+            for (v, (a, b)) in reference.iter().zip(&buf[..]).enumerate() {
+                for k in 0..COEFFS {
+                    let what = format!("serial cell {v} coeff {k} ({nx},{ny},{nz})");
+                    assert_eq!(a.0[k].to_bits(), b.0[k].to_bits(), "{what}");
                 }
-                load_interpolators_into(&threads, strategy, &f, &mut buf);
-                for (v, (a, b)) in reference.iter().zip(&buf[..]).enumerate() {
-                    assert_eq!(a, b, "threads cell {v} {strategy:?} ({nx},{ny},{nz})");
-                }
+            }
+            load_interpolators_into(&threads, Strategy::Auto, &f, &mut buf);
+            for (v, (a, b)) in reference.iter().zip(&buf[..]).enumerate() {
+                assert_eq!(a, b, "threads cell {v} ({nx},{ny},{nz})");
             }
         }
     }
@@ -442,13 +363,11 @@ mod tests {
     fn a_buffer_reloaded_for_another_grid_keeps_no_stale_record() {
         // nothing is filled before the sweep, so every record must be
         // written by it: a smaller grid, then a larger one, in one buffer
-        for strategy in Strategy::ALL {
-            let mut buf = InterpolatorArray::new();
-            for (nx, ny, nz) in [(6, 5, 4), (3, 2, 2), (7, 6, 5)] {
-                let f = scrambled(&Grid::new(nx, ny, nz));
-                load_interpolators_into(&pk::Serial, strategy, &f, &mut buf);
-                assert_eq!(&buf[..], load_interpolators(&f), "{strategy:?} ({nx},{ny},{nz})");
-            }
+        let mut buf = InterpolatorArray::new();
+        for (nx, ny, nz) in [(6, 5, 4), (3, 2, 2), (7, 6, 5)] {
+            let f = scrambled(&Grid::new(nx, ny, nz));
+            load_interpolators_into(&pk::Serial, Strategy::Auto, &f, &mut buf);
+            assert_eq!(&buf[..], load_interpolators(&f), "({nx},{ny},{nz})");
         }
     }
 
@@ -462,10 +381,8 @@ mod tests {
         let cap = buf.capacity();
         assert!(cap >= buf.len());
         f.ex.fill(1.0);
-        for strategy in Strategy::ALL {
-            load_interpolators_into(&pk::Serial, strategy, &f, &mut buf);
-            assert_eq!(buf.capacity(), cap, "{strategy:?} reallocated");
-        }
+        load_interpolators_into(&pk::Serial, Strategy::Auto, &f, &mut buf);
+        assert_eq!(buf.capacity(), cap, "reallocated");
     }
 
     #[test]

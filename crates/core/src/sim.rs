@@ -83,8 +83,9 @@ pub struct Simulation {
     pub fields: FieldArray,
     /// Particle species.
     pub species: Vec<Species>,
-    /// Vectorization strategy for the push and grid kernels; starts as
+    /// Vectorization strategy of the push; starts as
     /// [`Strategy::default`], the top strategy native to the build target.
+    /// The grid kernels take it and ignore it.
     pub strategy: Strategy,
     /// Scatter mode for current deposition.
     pub scatter_mode: ScatterMode,
@@ -380,7 +381,7 @@ impl Simulation {
                 let (ny, nz) = (self.grid.ny, self.grid.nz);
                 LaserDriver::add_drive(&mut self.fields, drive, l.plane, 0..ny, 0..nz);
             }
-            // leapfrog field advance (row-parallel, strategy-vectorized)
+            // leapfrog field advance (row-parallel)
             self.fields.advance_b_on(space, self.strategy, 0.5);
             self.fields.advance_e_on(space, self.strategy);
             self.fields.advance_b_on(space, self.strategy, 0.5);

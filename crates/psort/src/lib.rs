@@ -7,12 +7,13 @@
 //!
 //! | Order | Paper | Memory behaviour |
 //! |---|---|---|
-//! | [`standard_sort`] | "standard classification" | duplicates adjacent — best CPU cache reuse, worst GPU atomic conflicts |
-//! | [`strided_sort`] | Algorithm 1 | repeating strictly-increasing subsequences — coalesced GPU accesses |
-//! | [`tiled_strided_sort`] | Algorithm 2 | strided order inside cache-sized tiles — coalescing **and** reuse |
+//! | [`SortOrder::Standard`] | "standard classification" | duplicates adjacent — best CPU cache reuse, worst GPU atomic conflicts |
+//! | [`SortOrder::Strided`] | Algorithm 1 | repeating strictly-increasing subsequences — coalesced GPU accesses |
+//! | [`SortOrder::TiledStrided`] | Algorithm 2 | strided order inside cache-sized tiles — coalescing **and** reuse |
 //! | [`SortOrder::Random`] | baseline | fully divergent accesses |
 //!
-//! All orders are permutations of the same (key, value) pairs, so any
+//! [`sort_pairs`] (and [`sort_pairs_in`], the key rewrite on an execution
+//! space) reorders keys and values by any of them. All orders are permutations of the same (key, value) pairs, so any
 //! order-insensitive kernel (like the gather-scatter accumulation in
 //! [`gather_scatter`]) computes the same result under each — the
 //! correctness invariant the test suite leans on.
@@ -24,7 +25,4 @@ pub mod sorts;
 pub mod verify;
 
 pub use order::SortOrder;
-pub use sorts::{
-    permutation_into, sort_pairs, sort_pairs_in, standard_sort, strided_sort, strided_sort_in,
-    tiled_strided_sort, tiled_strided_sort_in,
-};
+pub use sorts::{permutation_into, sort_pairs, sort_pairs_in};

@@ -8,11 +8,23 @@ pub enum SortOrder {
     /// No sorting: a deterministic shuffle (the paper's "random" series in
     /// Fig 7, and what an unsorted particle population looks like).
     Random,
-    /// Sort ascending by key — the paper's "standard classification".
+    /// Stable ascending sort by key — the paper's "standard
+    /// classification".
     Standard,
-    /// Algorithm 1: repeating strictly-increasing subsequences.
+    /// Algorithm 1 — strided sort: each key rewritten to `(key − min) +
+    /// ordinal × range`, where `ordinal` counts its earlier occurrences,
+    /// then sorted by the rewritten keys. The result is a concatenation of
+    /// strictly-increasing subsequences: the first occurrence of every key
+    /// in ascending order, then every second occurrence, and so on — so
+    /// consecutive GPU threads touch consecutive table entries
+    /// (coalesced).
     Strided,
-    /// Algorithm 2: strided order inside tiles of `tile` distinct keys.
+    /// Algorithm 2 — tiled strided sort: the key domain split into chunks
+    /// of `tile` consecutive keys, each chunk's pairs laid out as `max_r`
+    /// repeating tiles (`max_r` the global maximum key multiplicity), keys
+    /// in strided (strictly increasing) order within a tile. A GPU thread
+    /// block therefore reads one coalesced, tile-sized working set over
+    /// and over — reuse the plain strided order cannot offer.
     TiledStrided {
         /// Distinct keys per tile. The paper's rule: CPU thread count, or
         /// 3× the GPU core count.

@@ -10,7 +10,7 @@
 //! [`permutation_into`] is that step alone, what `Species::sort` keeps
 //! between sorts and gathers its columns through. The functions that
 //! reorder a key slice and a value slice *in tandem* ([`sort_pairs`] and
-//! the per-order wrappers) are that permutation in a transient buffer
+//! [`sort_pairs_in`]) are that permutation in a transient buffer
 //! plus one gather per array into another, copied back, which is why the
 //! values are `Copy`. (The in-place cycle walk,
 //! [`pk::sort::permute_in_place`], is for values that are not; nothing
@@ -33,7 +33,7 @@ pub fn sort_pairs<V: Copy>(order: SortOrder, keys: &mut [u32], values: &mut [V])
 
 /// [`sort_pairs`] with the O(N) key-rewrite passes run on `space`.
 ///
-/// The output is identical to the serial functions for every space and
+/// The output is identical to [`sort_pairs`]'s for every space and
 /// worker count: occurrence ordinals are assigned by a deterministic
 /// block decomposition (per-block histograms, exclusive scan across
 /// blocks) rather than atomic fetch-adds.
@@ -100,36 +100,13 @@ fn shuffled_permutation(seed: u64, n: usize, perm: &mut Vec<u32>) {
     perm.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
 }
 
-/// Standard classification: stable ascending sort by key.
-pub fn standard_sort<V: Copy>(keys: &mut [u32], values: &mut [V]) {
-    sort_pairs(SortOrder::Standard, keys, values);
-}
-
-/// Algorithm 1 — strided sort.
-///
-/// Rewrites each key to `(key − min) + ordinal × range`, where `ordinal`
-/// counts prior occurrences of the same key (the paper's
-/// `atomic_fetch_add` on a histogram), then sorts by the rewritten keys.
-/// The result is a concatenation of strictly-increasing subsequences: the
-/// first occurrence of every key in ascending order, then every second
-/// occurrence, and so on — so consecutive GPU threads touch consecutive
-/// table entries (coalesced).
+/// Algorithm 1's rewritten keys ([`SortOrder::Strided`]); `ordinal` is
+/// the paper's `atomic_fetch_add` on a histogram.
 ///
 /// Deviation from the paper's pseudocode: the occurrence offset is
 /// multiplied by the key *range* (`max − min + 1`) rather than `max + 1`;
 /// they coincide when `min == 0` and the former is also correct for
 /// shifted key domains.
-pub fn strided_sort<V: Copy>(keys: &mut [u32], values: &mut [V]) {
-    strided_sort_in(&Serial, keys, values);
-}
-
-/// [`strided_sort`] with the key rewrite run on `space` (same output for
-/// every space — see [`sort_pairs_in`]).
-pub fn strided_sort_in<V: Copy, S: ExecSpace>(space: &S, keys: &mut [u32], values: &mut [V]) {
-    sort_pairs_in(space, SortOrder::Strided, keys, values);
-}
-
-/// Algorithm 1's rewritten keys.
 fn strided_keys<S: ExecSpace>(space: &S, keys: &[u32]) -> Vec<u64> {
     let Some((min_k, max_k)) = min_max(space, keys) else {
         return Vec::new();
@@ -138,35 +115,12 @@ fn strided_keys<S: ExecSpace>(space: &S, keys: &[u32]) -> Vec<u64> {
     rewrite_keys_in(space, keys, min_k, range, &|id, ordinal| id + ordinal * range)
 }
 
-/// Algorithm 2 — tiled strided sort.
-///
-/// Splits the key domain into chunks of `tile` consecutive keys. Each
-/// chunk's pairs are laid out as `max_r` repeating tiles (where `max_r`
-/// is the global maximum key multiplicity); within a tile, keys are in
-/// strided (strictly increasing) order. A GPU thread block therefore
-/// reads one coalesced, tile-sized working set over and over — reuse the
-/// plain strided order cannot offer.
+/// Algorithm 2's rewritten keys ([`SortOrder::TiledStrided`]).
 ///
 /// Deviation from the paper's pseudocode (Algorithm 2 line 14 adds the
 /// *global* `id`): the in-tile offset `id mod tile` is used instead, which
 /// keeps chunks disjoint in the rewritten key space for every input (the
 /// published form can interleave chunks when `id ≥ tile`).
-pub fn tiled_strided_sort<V: Copy>(tile: usize, keys: &mut [u32], values: &mut [V]) {
-    tiled_strided_sort_in(&Serial, tile, keys, values);
-}
-
-/// [`tiled_strided_sort`] with the key rewrite run on `space` (same
-/// output for every space — see [`sort_pairs_in`]).
-pub fn tiled_strided_sort_in<V: Copy, S: ExecSpace>(
-    space: &S,
-    tile: usize,
-    keys: &mut [u32],
-    values: &mut [V],
-) {
-    sort_pairs_in(space, SortOrder::TiledStrided { tile }, keys, values);
-}
-
-/// Algorithm 2's rewritten keys.
 fn tiled_strided_keys<S: ExecSpace>(space: &S, tile: usize, keys: &[u32]) -> Vec<u64> {
     assert!(tile >= 1, "tile size must be at least 1");
     let Some((min_k, max_k)) = min_max(space, keys) else {
@@ -277,7 +231,7 @@ mod tests {
     fn standard_sort_produces_ascending_runs() {
         let mut keys = vec![3u32, 1, 3, 0, 1, 3];
         let mut vals = vec![30, 10, 31, 0, 11, 32];
-        standard_sort(&mut keys, &mut vals);
+        sort_pairs(SortOrder::Standard, &mut keys, &mut vals);
         assert_eq!(keys, vec![0, 1, 1, 3, 3, 3]);
         assert_eq!(vals, vec![0, 10, 11, 30, 31, 32], "stable tandem sort");
     }
@@ -287,7 +241,7 @@ mod tests {
         let mut keys = repeated_keys(16, 5);
         let mut vals: Vec<usize> = (0..keys.len()).collect();
         let orig = keys.clone();
-        strided_sort(&mut keys, &mut vals);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
         assert!(verify::is_strided_order(&keys), "{keys:?}");
         verify::assert_same_pairs(&orig, &keys, &vals);
     }
@@ -298,7 +252,7 @@ mod tests {
         // through the distinct keys
         let mut keys = vec![2u32, 0, 1, 0, 2, 1, 0, 2];
         let mut vals: Vec<char> = ('a'..='h').collect();
-        strided_sort(&mut keys, &mut vals);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
         assert_eq!(keys, vec![0, 1, 2, 0, 1, 2, 0, 2]);
     }
 
@@ -308,7 +262,7 @@ mod tests {
         let mut keys = repeated_keys(16, 6);
         let mut vals: Vec<usize> = (0..keys.len()).collect();
         let orig = keys.clone();
-        tiled_strided_sort(tile, &mut keys, &mut vals);
+        sort_pairs(SortOrder::TiledStrided { tile }, &mut keys, &mut vals);
         assert!(verify::is_tiled_strided_order(&keys, tile), "{keys:?}");
         verify::assert_same_pairs(&orig, &keys, &vals);
     }
@@ -318,7 +272,7 @@ mod tests {
         let tile = 2usize;
         let mut keys = vec![0u32, 1, 2, 3, 0, 1, 2, 3];
         let mut vals: Vec<usize> = (0..8).collect();
-        tiled_strided_sort(tile, &mut keys, &mut vals);
+        sort_pairs(SortOrder::TiledStrided { tile }, &mut keys, &mut vals);
         // chunk {0,1}: tiles [0,1][0,1]; chunk {2,3}: tiles [2,3][2,3]
         assert_eq!(keys, vec![0, 1, 0, 1, 2, 3, 2, 3]);
     }
@@ -329,8 +283,8 @@ mod tests {
         let mut va: Vec<usize> = (0..a.len()).collect();
         let mut b = a.clone();
         let mut vb = va.clone();
-        tiled_strided_sort(1, &mut a, &mut va);
-        standard_sort(&mut b, &mut vb);
+        sort_pairs(SortOrder::TiledStrided { tile: 1 }, &mut a, &mut va);
+        sort_pairs(SortOrder::Standard, &mut b, &mut vb);
         assert_eq!(a, b, "tile=1 chunks are single keys → ascending runs");
     }
 
@@ -338,12 +292,12 @@ mod tests {
     fn huge_tile_degenerates_to_strided() {
         let mut b = repeated_keys(8, 3);
         let mut vb: Vec<usize> = (0..b.len()).collect();
-        strided_sort(&mut b, &mut vb);
+        sort_pairs(SortOrder::Strided, &mut b, &mut vb);
         // usize::MAX used to overflow the chunk size
         for tile in [1 << 20, usize::MAX] {
             let mut a = repeated_keys(8, 3);
             let mut va: Vec<usize> = (0..a.len()).collect();
-            tiled_strided_sort(tile, &mut a, &mut va);
+            sort_pairs(SortOrder::TiledStrided { tile }, &mut a, &mut va);
             assert_eq!((&a, &va), (&b, &vb), "tile {tile}: exactly strided order");
         }
     }
@@ -358,16 +312,16 @@ mod tests {
             let mut vs: Vec<usize> = (0..keys.len()).collect();
             let mut kt = keys.clone();
             let mut vt = vs.clone();
-            strided_sort(&mut ks, &mut vs);
-            strided_sort_in(&threads, &mut kt, &mut vt);
+            sort_pairs(SortOrder::Strided, &mut ks, &mut vs);
+            sort_pairs_in(&threads, SortOrder::Strided, &mut kt, &mut vt);
             assert_eq!(ks, kt, "strided keys, unique={unique}");
             assert_eq!(vs, vt, "strided values, unique={unique}");
             let mut ks = keys.clone();
             let mut vs: Vec<usize> = (0..keys.len()).collect();
             let mut kt = keys.clone();
             let mut vt = vs.clone();
-            tiled_strided_sort(4, &mut ks, &mut vs);
-            tiled_strided_sort_in(&threads, 4, &mut kt, &mut vt);
+            sort_pairs(SortOrder::TiledStrided { tile: 4 }, &mut ks, &mut vs);
+            sort_pairs_in(&threads, SortOrder::TiledStrided { tile: 4 }, &mut kt, &mut vt);
             assert_eq!(ks, kt, "tiled keys, unique={unique}");
             assert_eq!(vs, vt, "tiled values, unique={unique}");
         }
@@ -512,7 +466,7 @@ mod tests {
         // keys not starting at 0 (the min_k subtraction path)
         let mut keys = vec![1005u32, 1001, 1005, 1003, 1001];
         let mut vals: Vec<usize> = (0..5).collect();
-        strided_sort(&mut keys, &mut vals);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
         assert!(verify::is_strided_order(&keys));
         assert_eq!(keys[0], 1001);
     }
@@ -521,13 +475,13 @@ mod tests {
     fn empty_and_singleton_inputs() {
         let mut keys: Vec<u32> = vec![];
         let mut vals: Vec<u8> = vec![];
-        strided_sort(&mut keys, &mut vals);
-        tiled_strided_sort(4, &mut keys, &mut vals);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
+        sort_pairs(SortOrder::TiledStrided { tile: 4 }, &mut keys, &mut vals);
         let mut keys = vec![9u32];
         let mut vals = vec![1u8];
-        strided_sort(&mut keys, &mut vals);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
         assert_eq!(keys, vec![9]);
-        tiled_strided_sort(4, &mut keys, &mut vals);
+        sort_pairs(SortOrder::TiledStrided { tile: 4 }, &mut keys, &mut vals);
         assert_eq!(vals, vec![1]);
     }
 
@@ -536,6 +490,6 @@ mod tests {
     fn mismatched_lengths_panic() {
         let mut keys = vec![1u32, 2];
         let mut vals = vec![1u8];
-        strided_sort(&mut keys, &mut vals);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
     }
 }

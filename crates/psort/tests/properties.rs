@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use psort::patterns;
-use psort::sorts::{ordered_keys, sort_pairs, standard_sort, strided_sort, tiled_strided_sort};
+use psort::sorts::{ordered_keys, sort_pairs};
 use psort::verify;
 use psort::SortOrder;
 
@@ -18,7 +18,7 @@ proptest! {
         let orig = keys.clone();
         let mut k = keys;
         let mut v: Vec<usize> = (0..k.len()).collect();
-        strided_sort(&mut k, &mut v);
+        sort_pairs(SortOrder::Strided, &mut k, &mut v);
         prop_assert!(verify::is_strided_order(&k));
         verify::assert_same_pairs(&orig, &k, &v);
     }
@@ -29,7 +29,7 @@ proptest! {
         let orig = keys.clone();
         let mut k = keys;
         let mut v: Vec<usize> = (0..k.len()).collect();
-        tiled_strided_sort(tile, &mut k, &mut v);
+        sort_pairs(SortOrder::TiledStrided { tile }, &mut k, &mut v);
         prop_assert!(verify::is_tiled_strided_order(&k, tile), "tile={tile} keys={k:?}");
         verify::assert_same_pairs(&orig, &k, &v);
     }
@@ -40,7 +40,7 @@ proptest! {
         let orig = keys.clone();
         let mut k = keys;
         let mut v: Vec<usize> = (0..k.len()).collect();
-        standard_sort(&mut k, &mut v);
+        sort_pairs(SortOrder::Standard, &mut k, &mut v);
         prop_assert!(verify::is_standard_order(&k));
         verify::assert_same_pairs(&orig, &k, &v);
     }
@@ -91,7 +91,7 @@ proptest! {
     fn strided_order_separates_duplicates(unique in 2usize..32, reps in 1usize..8, seed in any::<u64>()) {
         let mut keys = patterns::repeated_keys(unique, reps, seed);
         let mut v: Vec<usize> = (0..keys.len()).collect();
-        strided_sort(&mut keys, &mut v);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut v);
         prop_assert!(
             keys.windows(2).all(|w| w[0] != w[1]),
             "duplicates must never be adjacent in strided order: {keys:?}"

@@ -17,14 +17,11 @@ pub struct Config {
     pub order: Option<SortOrder>,
     /// Steps between sorts. Ignored when `order` is `None`.
     pub interval: usize,
-    /// Vectorization strategy. One knob drives the whole step: the
-    /// particle push, the interpolator load and the curl sweeps all
-    /// dispatch on the simulation's single `strategy` field, so
-    /// committing an arm retunes every kernel at once. The current
-    /// unload takes the field too but ignores it (`vsimd` has no `f64`
-    /// lane type for its sums). All field-kernel strategies are
-    /// bit-identical by construction, so the tuner's exploration never
-    /// perturbs the physics.
+    /// Vectorization strategy of the particle push, the one kernel that
+    /// dispatches on the simulation's `strategy` field; the grid kernels
+    /// take it and ignore it. Every strategy is bit-identical by
+    /// construction, so the tuner's exploration never perturbs the
+    /// physics.
     pub strategy: Strategy,
     /// Current-deposition scatter mode.
     pub scatter: ScatterMode,

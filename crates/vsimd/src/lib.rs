@@ -9,12 +9,13 @@
 //! | **auto** | Kokkos loops + `#pragma ivdep` | plain indexed loops left to rustc/LLVM auto-vectorization |
 //! | **guided** | `#pragma omp simd` + kernel splitting | fixed-width chunked loops ([`chunks`]) that reliably auto-vectorize, with difficult math split out |
 //! | **manual** | Kokkos SIMD (C++26 `std::simd`) | the portable [`Simd`](simd) lane types and a register [`transpose`] |
-//! | **ad hoc** | VPIC 1.2 per-ISA intrinsics (AVX/AVX2/AVX512/NEON/Altivec) | `v8::V8F32` over AVX2 (x86-64 only) for the push where the CPU has it, detected at run time; [`v4::V4F32`] over SSE for the grid kernels and on x86-64 without AVX2 (scalar off x86-64) |
+//! | **ad hoc** | VPIC 1.2 per-ISA intrinsics (AVX/AVX2/AVX512/NEON/Altivec) | `v8::V8F32` over AVX2 (x86-64 only) for the push where the CPU has it, detected at run time; [`v4::V4F32`] over SSE on x86-64 without AVX2 (scalar off x86-64) |
 //!
 //! The actual kernels written in each strategy live in the `rajaperf`
-//! crate (microbenchmarks) and `vpic-core`, whose grid kernels are generic
-//! over [`StencilLane`] and whose particle push is generic over
-//! [`PushLane`]: one body, instantiated per strategy.
+//! crate (microbenchmarks) and `vpic-core`, whose particle push is
+//! generic over [`PushLane`] (whose base is [`StencilLane`]): one body,
+//! instantiated per strategy. `vpic-core`'s grid kernels have one body
+//! each, whatever the strategy.
 
 // indexed fixed-trip loops are the explicit idiom this crate exists to
 // demonstrate (they are what the vectorizer lowers predictably), and the

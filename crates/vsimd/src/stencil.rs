@@ -1,24 +1,24 @@
-//! Lane abstraction for structured-grid stencil kernels.
-//!
-//! The field-solve / interpolator kernels in `vpic-core` sweep contiguous
-//! row spans where every neighbor offset is affine (`±1, ±nx, ±nx·ny`), so
-//! the same kernel body works at any lane width: scalar (`f32`, the *auto*
-//! strategy's reference op tree), portable SIMD ([`SimdF32<4>`], the
-//! *manual* strategy), and the VPIC-1.2-style intrinsics type
-//! ([`V4F32`], the *ad hoc* strategy).
+//! The base lane abstraction: unit-stride loads and stores plus exact
+//! `+`, `−`, `×` at any width — scalar (`f32`, the *auto* strategy's
+//! reference op tree), portable SIMD ([`SimdF32<4>`], the *manual*
+//! strategy) and the VPIC-1.2-style intrinsics type ([`V4F32`], the
+//! *ad hoc* strategy). It is the base of [`PushLane`](crate::PushLane),
+//! the trait the particle push and its field evaluation are generic
+//! over; the field solve and the interpolator load have one scalar body
+//! each and use no lane type.
 //!
 //! [`StencilLane`] deliberately exposes only `+`, `−`, `×` (no FMA, no
 //! approximate reciprocals): those three ops are IEEE-754-exact at every
-//! width, so one generic kernel body instantiated at different widths
-//! produces **bit-identical** results — the property the field pipeline's
-//! strategy dispatch relies on. Keep `fma`/`rsqrt` out of this trait; their
-//! results are target- and width-dependent.
+//! width, so one generic body instantiated at different widths produces
+//! **bit-identical** results — the property the push's strategies rely
+//! on. Keep `fma`/`rsqrt` out of this trait; their results are target-
+//! and width-dependent.
 
 use crate::simd::SimdF32;
 use crate::v4::V4F32;
 
-/// One vector lane group for stencil sweeps: unit-stride loads/stores at a
-/// base offset plus exact `+`, `−`, `×`.
+/// One vector lane group: unit-stride loads/stores at a base offset plus
+/// exact `+`, `−`, `×`.
 ///
 /// Implementations must be *width-transparent*: for any inputs, lane `l` of
 /// `a.add(b)` equals `f32::add` of lane `l` of `a` and `b` (and likewise

@@ -20,7 +20,7 @@ pub enum Strategy {
     /// Per-ISA intrinsics (the VPIC 1.2 custom SIMD library in the
     /// paper): the push runs eight AVX2 lanes (`crate::v8`, x86-64 only)
     /// where CPU detection finds AVX2 and four SSE lanes ([`crate::v4`])
-    /// elsewhere; the grid kernels always run [`crate::v4`].
+    /// elsewhere.
     AdHoc,
 }
 

@@ -2,8 +2,7 @@
 //! grid-side kernel (interpolator load, curl-E, curl-B, current unload)
 //! produces exactly the bits of its serial wrapped reference, for any grid
 //! shape (including degenerate `nx/ny/nz ∈ {1, 2}` where a row is its own
-//! neighbor or nothing but its end cell), any `Strategy`, and any worker
-//! count 1–8. Row-level work decomposition with disjoint writes means the
+//! neighbor or nothing but its end cell) and any worker count 1–8. Row-level work decomposition with disjoint writes means the
 //! schedule cannot reorder a single floating-point operation.
 
 use proptest::prelude::*;
@@ -73,17 +72,15 @@ fn dim(tag: usize) -> usize {
 }
 
 proptest! {
-    /// Curl kernels: every (strategy, worker-count) combination of the
-    /// split interior/boundary sweep reproduces the serial wrapped
-    /// reference bit for bit.
+    /// Curl kernels: the row sweep (span plus x-wrapping end cell) on any
+    /// worker count reproduces the serial wrapped reference bit for bit.
     #[test]
     fn field_solve_bit_identical_for_any_grid_and_workers(
         tx in 0usize..8, ty in 0usize..8, tz in 0usize..8,
         workers in 1usize..=8,
-        strat_tag in 0usize..4,
     ) {
         let g = Grid::new(dim(tx), dim(ty), dim(tz));
-        let strategy = Strategy::ALL[strat_tag];
+        let strategy = Strategy::default();
         let mut reference = scrambled(&g);
         reference.advance_b_ref(0.5);
         reference.advance_e_ref();
@@ -109,7 +106,6 @@ proptest! {
     fn interpolator_load_bit_identical(
         tx in 0usize..8, ty in 0usize..8, tz in 0usize..8,
         workers in 1usize..=8,
-        strat_tag in 0usize..4,
     ) {
         let g = Grid::new(dim(tx), dim(ty), dim(tz));
         let f = scrambled(&g);
@@ -117,7 +113,7 @@ proptest! {
 
         let mut out = InterpolatorArray::new();
         let pool = Threads::new(workers);
-        load_interpolators_into(&pool, Strategy::ALL[strat_tag], &f, &mut out);
+        load_interpolators_into(&pool, Strategy::default(), &f, &mut out);
         prop_assert_eq!(out.len(), reference.len());
         for (v, (a, b)) in reference.iter().zip(out.iter()).enumerate() {
             for c in 0..vpic2::core::interp::COEFFS {
@@ -129,17 +125,15 @@ proptest! {
         }
     }
 
-    /// Current unload: the stream over the edges is worker-count- and
-    /// strategy-invariant bit for bit, whatever the replicas the deposits
-    /// were spread over. (The edge-by-edge oracle is a unit test.)
+    /// Current unload: the stream over the edges is worker-count-invariant
+    /// bit for bit, whatever the replicas the deposits were spread over.
+    /// (The edge-by-edge oracle is a unit test.)
     #[test]
     fn unload_bit_identical_across_workers(
         tx in 0usize..8, ty in 0usize..8, tz in 0usize..8,
         workers in 2usize..=8,
-        strat_tag in 0usize..4,
     ) {
         let g = Grid::new(dim(tx), dim(ty), dim(tz));
-        let strategy = Strategy::ALL[strat_tag];
 
         let mut acc = seeded_accumulator(&g, 1);
         let mut baseline = scrambled(&g);
@@ -147,7 +141,7 @@ proptest! {
 
         let mut acc = seeded_accumulator(&g, workers);
         let mut threaded = scrambled(&g);
-        acc.unload_on(&Threads::new(workers), strategy, &mut threaded);
+        acc.unload_on(&Threads::new(workers), Strategy::default(), &mut threaded);
         assert_fields_bitwise(&baseline, &threaded, "gather unload");
     }
 }
