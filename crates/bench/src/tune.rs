@@ -3,7 +3,7 @@
 //! For each deck (Weibel, laser-plasma) this target:
 //!
 //! 1. seeds a tuner with the cache-model prior for the modelled platform
-//!    ([`PLATFORM`]) and lets it run its
+//!    (`PLATFORM`) and lets it run its
 //!    explore/commit loop live on this host;
 //! 2. sweeps **every** arm of the same configuration space as a fixed
 //!    config (the ablation), measuring each the same way;

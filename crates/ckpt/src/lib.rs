@@ -6,11 +6,11 @@
 //! does this reproduction. The crate is deliberately low-level and
 //! simulation-agnostic — it defines the container, not the contents:
 //!
-//! * [`format`] — the versioned `VPCK` snapshot container: named sections,
+//! * [`format`](mod@format) — the versioned `VPCK` snapshot container: named sections,
 //!   each CRC-32-checked, decoded strictly so *every* corruption maps to a
 //!   typed [`RestoreError`] (`Truncated` / `BadCrc` / `VersionMismatch` /
 //!   `SchemaDrift`), never a silently-wrong `Ok`.
-//! * [`file`] — atomic persistence: write temp → fsync → rotate the old
+//! * [`file`](mod@file) — atomic persistence: write temp → fsync → rotate the old
 //!   snapshot to `.prev` → rename. A kill at any instant leaves a loadable
 //!   snapshot; `vpic-core`'s `Simulation::restore_from_path` falls back to
 //!   it.
@@ -24,7 +24,7 @@
 //! hold — fields, particles and telemetry baselines by
 //! `vpic-core::checkpoint`, tuner state by `tuner` — which keeps this
 //! crate's guarantees checkable in isolation (see the exhaustive bit-flip
-//! tests in [`format`]).
+//! tests in [`format`](mod@format)).
 
 pub mod crc32;
 pub mod faults;

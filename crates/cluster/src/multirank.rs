@@ -22,10 +22,10 @@
 //! append the migrants; (4) *unpack* B, close the step.
 //!
 //! One rule makes that safe without `unsafe`: inside a superstep a rank
-//! mutates only its own [`RankState`] and reads only what a peer
+//! mutates only its own `RankState` and reads only what a peer
 //! *published in an earlier superstep*. What a peer may read — partials,
 //! per-link migrant outboxes, per-link packed halo values — a rank
-//! writes into its own [`Sends`], and the calling thread swaps that into
+//! writes into its own `Sends`, and the calling thread swaps that into
 //! the `published` table between two dispatches; the exchange plans are
 //! immutable. No rank's arithmetic or append order depends on the lane
 //! that ran it, so the gathered state is the same on every

@@ -27,7 +27,7 @@
 use crate::field::FieldArray;
 use crate::grid::{RowStencil, Site, StencilSide};
 use pk::ExecSpace;
-use vsimd::{StencilLane, Strategy, Xyz};
+use vsimd::{PushLane, Strategy, Xyz};
 
 /// Number of `f32` coefficients per cell.
 pub const COEFFS: usize = 18;
@@ -62,7 +62,7 @@ const DCBZDZ: usize = 17;
 /// (scalar callers go through [`Interpolator::e_at`] / [`Interpolator::b_at`],
 /// the push passes broadcast or transposed records).
 #[inline(always)]
-pub(crate) fn fields_at<L: StencilLane>(c: &[L; COEFFS], p: Xyz<L>) -> (Xyz<L>, Xyz<L>) {
+pub(crate) fn fields_at<L: PushLane>(c: &[L; COEFFS], p: Xyz<L>) -> (Xyz<L>, Xyz<L>) {
     let Xyz { x, y, z } = p;
     let e = Xyz { x: bilinear(c, EX0, y, z), y: bilinear(c, EY0, z, x), z: bilinear(c, EZ0, x, y) };
     let b = Xyz {
@@ -76,7 +76,7 @@ pub(crate) fn fields_at<L: StencilLane>(c: &[L; COEFFS], p: Xyz<L>) -> (Xyz<L>, 
 /// One E component at transverse offsets `(s, t)` from its four
 /// coefficients at `c0..c0 + 4`.
 #[inline(always)]
-fn bilinear<L: StencilLane>(c: &[L; COEFFS], c0: usize, s: L, t: L) -> L {
+fn bilinear<L: PushLane>(c: &[L; COEFFS], c0: usize, s: L, t: L) -> L {
     c[c0].add(s.mul(c[c0 + 1])).add(t.mul(c[c0 + 2])).add(s.mul(t).mul(c[c0 + 3]))
 }
 

@@ -210,7 +210,7 @@ impl Species {
     /// (strictly ascending) and their entries of `ids`, the id array kept
     /// parallel to the particles, handing each `(id, record)` to `out` in
     /// ascending index order. The holes fill from the tail
-    /// ([`remove_sorted_indices`] on all nine arrays), so the survivors
+    /// (`remove_sorted_indices` on all nine arrays), so the survivors
     /// do not keep their order but keep their ids. This is the migrant
     /// drain of the multi-rank exchange: ascending-index order makes the
     /// outgoing stream deterministic for a given array state.

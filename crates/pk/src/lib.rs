@@ -24,9 +24,10 @@
 //!   [`atomic::FixedScatterBuf`] for contended scatter phases (current
 //!   deposition), written atomically only where a lane has more than one
 //!   writer, mirroring `Kokkos::ScatterView`.
-//! * **Sorting** ([`sort`]) — a `sort_by_key` plus the `min_max` and
-//!   histogram primitives the paper's Algorithms 1 and 2 need, mirroring
-//!   `Kokkos::Experimental::sort_by_key` / `Kokkos::MinMax`.
+//! * **Sorting** ([`sort`]) — a stable `argsort` and the gather through
+//!   its permutation (`Kokkos::Experimental::sort_by_key`'s two halves),
+//!   plus the `min_max` and histogram primitives the paper's Algorithms 1
+//!   and 2 need (`Kokkos::MinMax`).
 //!
 //! ## Example
 //!
@@ -82,7 +83,7 @@ pub mod prelude {
     pub use crate::gpu::SimGpu;
     pub use crate::range::RangePolicy;
     pub use crate::reduce::{Min, MinMax, Reducer, Sum};
-    pub use crate::sort::{apply_permutation, min_max, sort_by_key, sort_permutation};
+    pub use crate::sort::{apply_permutation, min_max, sort_permutation};
     pub use crate::space::{ExecSpace, Serial, Threads};
 }
 

@@ -1,6 +1,8 @@
-//! Key/value sorting primitives, mirroring
-//! `Kokkos::Experimental::sort_by_key`, plus the `min_max` and histogram
-//! helpers the paper's sorting algorithms (Algorithms 1 and 2) are built on.
+//! Sorting primitives: the stable argsort every sort in the workspace goes
+//! through and the gather that applies its permutation (together the
+//! `Kokkos::Experimental::sort_by_key` analog), plus the `min_max` and
+//! histogram helpers the paper's sorting algorithms (Algorithms 1 and 2)
+//! are built on.
 //!
 //! All sorts here are **stable**: the paper's strided orders rely on
 //! duplicate keys keeping a deterministic relative order so that the
@@ -76,44 +78,6 @@ pub fn apply_permutation<T: Clone>(perm: &[u32], values: &[T]) -> Vec<T> {
     perm.iter().map(|&i| values[i as usize].clone()).collect()
 }
 
-/// In-place permutation apply via cycle decomposition (O(n) time, O(n)
-/// bits of scratch, no clone of the whole array). Every move is a random
-/// swap, several times the cost of a gather through `perm` into a second
-/// buffer ([`apply_permutation`], what `psort::sort_pairs` and the
-/// species sort do); its caller is [`sort_by_key`], whose values need
-/// not be `Clone`.
-pub fn permute_in_place<T>(perm: &[u32], values: &mut [T]) {
-    assert_eq!(perm.len(), values.len(), "permutation length mismatch");
-    let mut done = vec![false; perm.len()];
-    for start in 0..perm.len() {
-        if done[start] || perm[start] as usize == start {
-            done[start] = true;
-            continue;
-        }
-        // walk the cycle, moving each element to its destination
-        let mut i = start;
-        loop {
-            let src = perm[i] as usize;
-            done[i] = true;
-            if done[src] {
-                break;
-            }
-            values.swap(i, src);
-            i = src;
-        }
-    }
-}
-
-/// Stable sort of `values` by `keys`, sorting both in tandem
-/// (`Kokkos::Experimental::sort_by_key` analog), through [`argsort`].
-pub fn sort_by_key<V>(keys: &mut [u64], values: &mut [V]) {
-    assert_eq!(keys.len(), values.len(), "sort_by_key extent mismatch");
-    let mut perm = Vec::new();
-    argsort(keys, &mut perm);
-    permute_in_place(&perm, keys);
-    permute_in_place(&perm, values);
-}
-
 /// Parallel min/max of a slice (`Kokkos::MinMax` reduction).
 ///
 /// Returns `None` for an empty slice.
@@ -169,51 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_and_inplace_permutation_agree() {
+    fn apply_permutation_gathers_through_the_argsort() {
         let keys = vec![3u64, 1, 4, 1, 5, 9, 2, 6];
         let perm = as_u32(&sort_permutation(&keys));
-        let gathered = apply_permutation(&perm, &keys);
-        let mut inplace = keys.clone();
-        permute_in_place(&perm, &mut inplace);
-        assert_eq!(gathered, inplace);
-        assert!(inplace.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn permute_in_place_identity_is_noop() {
-        let mut v = vec![10, 20, 30];
-        permute_in_place(&[0, 1, 2], &mut v);
-        assert_eq!(v, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn sort_by_key_sorts_both_arrays() {
-        let mut keys = vec![5u64, 3, 8, 3, 1];
-        let mut vals = vec!["e", "c1", "h", "c2", "a"];
-        sort_by_key(&mut keys, &mut vals);
-        assert_eq!(keys, vec![1, 3, 3, 5, 8]);
-        assert_eq!(vals, vec!["a", "c1", "c2", "e", "h"]); // stability
-    }
-
-    #[test]
-    fn sort_by_key_handles_trivial_inputs() {
-        let mut k: Vec<u64> = vec![];
-        let mut v: Vec<u8> = vec![];
-        sort_by_key(&mut k, &mut v);
-        let mut k = vec![7u64];
-        let mut v = vec![1u8];
-        sort_by_key(&mut k, &mut v);
-        assert_eq!((k[0], v[0]), (7, 1));
-    }
-
-    #[test]
-    fn sort_by_key_wide_range_uses_comparison_path() {
-        // range >> n forces the comparison-sort fallback
-        let mut keys = vec![u64::MAX, 0, u64::MAX / 2, 1];
-        let mut vals = vec![3, 0, 2, 1];
-        sort_by_key(&mut keys, &mut vals);
-        assert_eq!(vals, vec![0, 1, 2, 3]);
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(apply_permutation(&perm, &keys), vec![1, 1, 2, 3, 4, 5, 6, 9]);
     }
 
     #[test]
@@ -230,20 +153,5 @@ mod tests {
         let h = histogram(&keys, 2, 5);
         assert_eq!(h, vec![2, 1, 3, 0]);
         assert_eq!(h.iter().sum::<u32>() as usize, keys.len());
-    }
-
-    #[test]
-    fn sorted_output_is_permutation_of_input() {
-        let mut keys: Vec<u64> = (0..1000).map(|i| ((i * 31) % 97) as u64).collect();
-        let orig = keys.clone();
-        let mut vals: Vec<usize> = (0..1000).collect();
-        sort_by_key(&mut keys, &mut vals);
-        let mut sorted_orig = orig.clone();
-        sorted_orig.sort_unstable();
-        assert_eq!(keys, sorted_orig);
-        // values carry original indices; keys[vals[i]] in orig must equal keys[i]
-        for (i, &vi) in vals.iter().enumerate() {
-            assert_eq!(orig[vi], keys[i]);
-        }
     }
 }

@@ -21,49 +21,6 @@ proptest! {
         }
     }
 
-    /// sort_by_key output is sorted and a permutation of the input pairs.
-    #[test]
-    fn sort_by_key_is_sorted_permutation(pairs in prop::collection::vec((0u64..50, any::<i32>()), 0..200)) {
-        let mut keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let mut vals: Vec<i32> = pairs.iter().map(|p| p.1).collect();
-        sort_by_key(&mut keys, &mut vals);
-        prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-        let mut got: Vec<(u64, i32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
-        let mut want = pairs.clone();
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// sort_by_key is stable: equal keys keep their input order.
-    #[test]
-    fn sort_by_key_is_stable(keys_in in prop::collection::vec(0u64..8, 1..150)) {
-        let mut keys = keys_in.clone();
-        let mut vals: Vec<usize> = (0..keys.len()).collect();
-        sort_by_key(&mut keys, &mut vals);
-        for w in vals.windows(2).zip(keys.windows(2)) {
-            let (v, k) = w;
-            if k[0] == k[1] {
-                prop_assert!(v[0] < v[1], "equal keys reordered: {:?}", v);
-            }
-        }
-    }
-
-    /// apply_permutation and permute_in_place agree for any valid permutation.
-    #[test]
-    fn permutation_apply_equivalence(n in 1usize..100, seed in any::<u64>()) {
-        // build a deterministic pseudo-random permutation via keyed sort
-        let keys: Vec<u64> = (0..n as u64)
-            .map(|i| i.wrapping_mul(seed | 1).rotate_left(17))
-            .collect();
-        let perm: Vec<u32> = sort_permutation(&keys).iter().map(|&p| p as u32).collect();
-        let values: Vec<u64> = (0..n as u64).collect();
-        let gathered = apply_permutation(&perm, &values);
-        let mut inplace = values.clone();
-        pk::sort::permute_in_place(&perm, &mut inplace);
-        prop_assert_eq!(gathered, inplace);
-    }
-
     /// Parallel reductions on Threads equal sequential folds (exact for ints).
     #[test]
     fn threads_reduce_matches_sequential(data in prop::collection::vec(any::<i32>(), 0..500), workers in 1usize..6) {

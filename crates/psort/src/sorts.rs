@@ -12,9 +12,7 @@
 //! reorder a key slice and a value slice *in tandem* ([`sort_pairs`] and
 //! [`sort_pairs_in`]) are that permutation in a transient buffer
 //! plus one gather per array into another, copied back, which is why the
-//! values are `Copy`. (The in-place cycle walk,
-//! [`pk::sort::permute_in_place`], is for values that are not; nothing
-//! here has them.)
+//! values are `Copy`.
 
 use crate::order::SortOrder;
 use pk::sort::{apply_permutation, histogram, min_max};

@@ -116,7 +116,7 @@ impl HistStripe {
 
 /// A lock-free, log-bucketed, striped streaming histogram. Obtain a
 /// process-lifetime handle with [`histogram`]; record hot-path samples
-/// through the [`hist!`] macro (which caches the handle per call site and
+/// through the [`hist!`](crate::hist!) macro (which caches the handle per call site and
 /// applies the `enabled()` gate).
 pub struct Histogram {
     stripes: Vec<HistStripe>,
@@ -227,7 +227,7 @@ fn hist_registry() -> &'static Mutex<BTreeMap<String, &'static Histogram>> {
 
 /// Process-lifetime handle to the named histogram, registering it on
 /// first use. Handles are `&'static` (one bounded leak per distinct
-/// name), so call sites cache them — the [`hist!`] macro does this
+/// name), so call sites cache them — the [`hist!`](crate::hist!) macro does this
 /// automatically — and [`crate::reset`] zeroes buckets in place without
 /// invalidating anything.
 pub fn histogram(name: &str) -> &'static Histogram {

@@ -54,36 +54,6 @@ pub fn zip_chunks_mut<A, B, const W: usize>(
     }
 }
 
-/// Reduce a slice in exact `W`-sized chunks with `W` independent partial
-/// accumulators (breaking the serial dependence chain that blocks
-/// vectorized reductions), then fold the partials and the tail.
-#[inline(always)]
-pub fn reduce_chunks<T: Copy, const W: usize>(
-    data: &[T],
-    init: f64,
-    mut f: impl FnMut(T) -> f64,
-) -> f64 {
-    let n = data.len();
-    let main = n - n % W;
-    let mut acc = [0.0f64; W];
-    let mut base = 0;
-    while base < main {
-        let chunk: &[T; W] = (&data[base..base + W]).try_into().expect("exact chunk");
-        for l in 0..W {
-            acc[l] += f(chunk[l]);
-        }
-        base += W;
-    }
-    let mut total = init;
-    for a in acc {
-        total += a;
-    }
-    for &item in &data[main..] {
-        total += f(item);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,20 +109,6 @@ mod tests {
         for i in 0..n {
             assert_eq!(y[i], 1.0 + 2.0 * i as f32);
         }
-    }
-
-    #[test]
-    fn reduce_chunks_matches_sequential() {
-        let data: Vec<f64> = (0..101).map(|i| (i as f64) * 0.5).collect();
-        let got = reduce_chunks::<f64, 8>(&data, 0.0, |x| x * x);
-        let want: f64 = data.iter().map(|&x| x * x).sum();
-        assert!((got - want).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reduce_chunks_empty_returns_init() {
-        let got = reduce_chunks::<f64, 8>(&[], 42.0, |x| x);
-        assert_eq!(got, 42.0);
     }
 
     #[test]

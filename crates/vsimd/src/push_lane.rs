@@ -1,21 +1,25 @@
-//! Lane abstraction for the particle push.
+//! The lane abstraction the particle push is written over.
 //!
 //! The push in `vpic-core` is written once over [`PushLane`] and
 //! instantiated per [`crate::Strategy`]: `f32` (one particle per group,
 //! the reference op tree), [`SimdF32<4>`] (*manual*) and, for *ad hoc*,
-//! `V8F32` (AVX2, x86-64 only) where the CPU has AVX2 and [`V4F32`]
-//! elsewhere. On top of [`StencilLane`]'s `+`, `−`, `×` it needs the two
-//! other IEEE-754 correctly-rounded operations (`÷`, `√` — exact at every
-//! width, unlike `rsqrt` or a fused multiply-add, which stay out for the
-//! reason given in [`crate::stencil`]), a range comparison packed into
-//! bits for the in-cell test, and the AoS ⇄ SoA register transposes that turn
-//! one per-cell record per lane into lane vectors and twelve lane vectors
-//! back into one accumulator row per particle.
+//! `V8F32` (AVX2, x86-64 only) where the CPU has AVX2 and
+//! [`V4F32`](crate::v4::V4F32) elsewhere; its field evaluation
+//! (`vpic-core`'s `interp::fields_at`) takes the same lanes.
+//!
+//! The trait's arithmetic is the five IEEE-754 correctly rounded
+//! operations (`+`, `−`, `×`, `÷`, `√`) and nothing else: each is exact at
+//! every width, so one generic body instantiated at different widths
+//! produces **bit-identical** results, the property the push's strategies
+//! rely on. Keep fused multiply-add and approximate reciprocals (`rsqrt`)
+//! out: their results are target- and width-dependent. Beside them it has
+//! unit-stride loads and stores, a range comparison packed into bits for
+//! the in-cell test, and the AoS ⇄ SoA register transposes that turn one
+//! per-cell record per lane into lane vectors and twelve lane vectors back
+//! into one accumulator row per particle.
 
 use crate::simd::SimdF32;
-use crate::stencil::StencilLane;
 use crate::transpose::transpose_4x4;
-use crate::v4::V4F32;
 
 /// Three lane vectors, one per axis: the positions, momenta, fields or
 /// displacements of one group of particles.
@@ -37,7 +41,7 @@ impl<L: Copy> Xyz<L> {
     }
 }
 
-impl<L: StencilLane> Xyz<L> {
+impl<L: PushLane> Xyz<L> {
     /// All lanes of each axis set to that axis' scalar.
     #[inline(always)]
     pub fn splat(x: f32, y: f32, z: f32) -> Self {
@@ -72,10 +76,35 @@ pub const MAX_LANES: usize = 8;
 
 /// One group of particles in lanes. `LANES` is 1, 4 or 8.
 ///
-/// Like [`StencilLane`], implementations are *width-transparent*: lane
-/// `l` of every result is the scalar operation applied to lane `l` of the
-/// operands, so one generic kernel body gives the same bits at any width.
-pub trait PushLane: StencilLane {
+/// Implementations must be *width-transparent*: for any inputs, lane `l`
+/// of every result is the scalar operation applied to lane `l` of the
+/// operands, so scalar and SIMD instantiations of one generic body agree
+/// bitwise.
+pub trait PushLane: Copy {
+    /// Lane count (1 for the scalar instantiation).
+    const LANES: usize;
+
+    /// Broadcast a scalar to all lanes.
+    fn splat(v: f32) -> Self;
+
+    /// Load `LANES` consecutive values starting at `src[offset]`.
+    fn load(src: &[f32], offset: usize) -> Self;
+
+    /// Store `LANES` consecutive values starting at `dst[offset]`.
+    fn store(self, dst: &mut [f32], offset: usize);
+
+    /// Lane `l`.
+    fn extract(self, l: usize) -> f32;
+
+    /// Lanewise exact addition.
+    fn add(self, rhs: Self) -> Self;
+
+    /// Lanewise exact subtraction.
+    fn sub(self, rhs: Self) -> Self;
+
+    /// Lanewise exact multiplication.
+    fn mul(self, rhs: Self) -> Self;
+
     /// Lanewise exact division.
     fn div(self, rhs: Self) -> Self;
 
@@ -106,7 +135,7 @@ pub(crate) fn blocks(n: usize) -> impl Iterator<Item = usize> {
 /// [`PushLane::load_tr`] for a 4-lane type, one register transpose per
 /// block of four fields.
 #[inline(always)]
-fn load_tr_4<L: StencilLane, const N: usize>(
+pub(crate) fn load_tr_4<L: PushLane, const N: usize>(
     rows: [&[f32; N]; MAX_LANES],
     transpose: impl Fn([L; 4]) -> [L; 4],
 ) -> [L; N] {
@@ -120,7 +149,7 @@ fn load_tr_4<L: StencilLane, const N: usize>(
 
 /// [`PushLane::store_tr`] for a 4-lane type.
 #[inline(always)]
-fn store_tr_4<L: StencilLane, const N: usize>(
+pub(crate) fn store_tr_4<L: PushLane, const N: usize>(
     cols: [L; N],
     rows: &mut [[f32; N]; MAX_LANES],
     transpose: impl Fn([L; 4]) -> [L; 4],
@@ -134,6 +163,44 @@ fn store_tr_4<L: StencilLane, const N: usize>(
 }
 
 impl PushLane for f32 {
+    const LANES: usize = 1;
+
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        v
+    }
+
+    #[inline(always)]
+    fn load(src: &[f32], offset: usize) -> Self {
+        src[offset]
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f32], offset: usize) {
+        dst[offset] = self;
+    }
+
+    #[inline(always)]
+    fn extract(self, l: usize) -> f32 {
+        debug_assert_eq!(l, 0);
+        self
+    }
+
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        self * rhs
+    }
+
     #[inline(always)]
     fn div(self, rhs: Self) -> Self {
         self / rhs
@@ -161,6 +228,43 @@ impl PushLane for f32 {
 }
 
 impl PushLane for SimdF32<4> {
+    const LANES: usize = 4;
+
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        SimdF32::splat(v)
+    }
+
+    #[inline(always)]
+    fn load(src: &[f32], offset: usize) -> Self {
+        SimdF32::load(src, offset)
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f32], offset: usize) {
+        SimdF32::store(self, dst, offset)
+    }
+
+    #[inline(always)]
+    fn extract(self, l: usize) -> f32 {
+        self.lane(l)
+    }
+
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        self * rhs
+    }
+
     #[inline(always)]
     fn div(self, rhs: Self) -> Self {
         self / rhs
@@ -199,51 +303,25 @@ impl PushLane for SimdF32<4> {
     }
 }
 
-impl PushLane for V4F32 {
-    #[inline(always)]
-    fn div(self, rhs: Self) -> Self {
-        V4F32::div(self, rhs)
-    }
-
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        V4F32::sqrt(self)
-    }
-
-    #[inline(always)]
-    fn within_bits(self, lo: Self, hi: Self) -> u32 {
-        lo.le_bits(self) & self.le_bits(hi)
-    }
-
-    #[inline(always)]
-    fn load_tr<const N: usize>(rows: [&[f32; N]; MAX_LANES]) -> [Self; N] {
-        load_tr_4(rows, V4F32::transpose)
-    }
-
-    #[inline(always)]
-    fn store_tr<const N: usize>(cols: [Self; N], rows: &mut [[f32; N]; MAX_LANES]) {
-        store_tr_4(cols, rows, V4F32::transpose)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::v4::V4F32;
 
-    /// `1 / sqrt(1 + a²)` and an in-range test, per lane, over `a` in
-    /// groups of `L::LANES`.
+    /// `1 / sqrt(1 + a²) − a` and an in-range test, per lane, over `a` in
+    /// groups of `L::LANES`: every arithmetic op and the comparison.
     fn body<L: PushLane>(a: &[f32; 8]) -> ([u32; 8], u32) {
         let (one, mut out, mut bits) = (L::splat(1.0), [0.0f32; 8], 0);
         for g in (0..8).step_by(L::LANES) {
             let v = L::load(a, g);
-            one.div(one.add(v.mul(v)).sqrt()).store(&mut out, g);
+            one.div(one.add(v.mul(v)).sqrt()).sub(v).store(&mut out, g);
             bits |= v.within_bits(L::splat(-1.0), one) << g;
         }
         (out.map(f32::to_bits), bits)
     }
 
     #[test]
-    fn all_widths_agree_bitwise_on_div_sqrt_and_compare() {
+    fn all_widths_agree_bitwise() {
         let a = [0.3f32, -1.0, f32::NAN, 1.0000001, -0.0, 2.5, -1.0000001, 1.0];
         let scalar = body::<f32>(&a);
         assert_eq!(scalar.1, 0b1001_0011, "NaN and 1 ± ulp are outside [-1, 1]");

@@ -56,7 +56,7 @@ macro_rules! define_float_simd {
             /// (single rounding, the scalar `mul_add` contract); elsewhere
             /// it compiles to separate multiply + add (two roundings)
             /// rather than the catastrophically slow software `fma()`
-            /// libm routine — same policy as `crate::math::fma_f32`.
+            /// libm routine — same policy as [`crate::math::fma_f64`].
             /// The manual strategy must never codegen slower than auto.
             #[inline(always)]
             pub fn mul_add(self, b: Self, c: Self) -> Self {
@@ -81,26 +81,6 @@ macro_rules! define_float_simd {
                 Self(out)
             }
 
-            /// Lane-wise minimum.
-            #[inline(always)]
-            pub fn min(self, other: Self) -> Self {
-                let mut out = [0.0; N];
-                for l in 0..N {
-                    out[l] = self.0[l].min(other.0[l]);
-                }
-                Self(out)
-            }
-
-            /// Lane-wise maximum.
-            #[inline(always)]
-            pub fn max(self, other: Self) -> Self {
-                let mut out = [0.0; N];
-                for l in 0..N {
-                    out[l] = self.0[l].max(other.0[l]);
-                }
-                Self(out)
-            }
-
             /// Horizontal sum of all lanes (`simd::reduce`).
             #[inline(always)]
             pub fn reduce_sum(self) -> $elem {
@@ -119,7 +99,6 @@ macro_rules! define_float_simd {
                 }
                 vals[0]
             }
-
         }
 
         impl<const N: usize> Default for $name<N> {
@@ -302,8 +281,5 @@ mod tests {
     fn unary_math_ops() {
         let v = SimdF64::<4>::from([4.0, 9.0, 16.0, 25.0]);
         assert_eq!(v.sqrt().0, [2.0, 3.0, 4.0, 5.0]);
-        let n = SimdF32::<4>::from([-1.0, 2.0, -3.0, 0.0]);
-        assert_eq!(n.min(SimdF32::zero()).0, [-1.0, 0.0, -3.0, 0.0]);
-        assert_eq!(n.max(SimdF32::zero()).0, [0.0, 2.0, 0.0, 0.0]);
     }
 }

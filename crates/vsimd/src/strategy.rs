@@ -47,10 +47,6 @@ impl Strategy {
         Strategy::AdHoc,
     ];
 
-    /// The three strategies evaluated on the RAJAPerf microkernels
-    /// (Figure 3 excludes ad hoc, which exists only inside VPIC 1.2).
-    pub const MICRO: [Strategy; 3] = [Strategy::Auto, Strategy::Guided, Strategy::Manual];
-
     /// Short lowercase name as used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -63,8 +59,9 @@ impl Strategy {
 
     /// Whether this strategy has a genuine (non-fallback) implementation
     /// on the build target. Ad hoc is per-ISA by definition: it is real
-    /// only where its intrinsics exist (x86-64 here; the paper's table
-    /// row for A64FX/Grace is the same story with SVE missing).
+    /// only where its intrinsics exist (x86-64 here; elsewhere its
+    /// `V4F32` is manual's `SimdF32<4>`, and the paper's table row for
+    /// A64FX/Grace is the same story with SVE missing).
     pub fn is_native(self) -> bool {
         match self {
             Strategy::Auto | Strategy::Guided | Strategy::Manual => true,
@@ -89,12 +86,6 @@ mod tests {
         for (i, a) in Strategy::ALL.iter().enumerate() {
             assert!(Strategy::ALL[i + 1..].iter().all(|b| a != b));
         }
-    }
-
-    #[test]
-    fn micro_excludes_adhoc() {
-        assert!(!Strategy::MICRO.contains(&Strategy::AdHoc));
-        assert_eq!(Strategy::MICRO.len(), 3);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! FMA, no `rsqrt`), so lane `l` computes exactly what `f32` computes.
 
 use crate::push_lane::{blocks, PushLane, MAX_LANES};
-use crate::stencil::StencilLane;
 use std::arch::x86_64::*;
 
 /// Eight packed `f32` lanes in one AVX register.
@@ -47,7 +46,7 @@ fn transpose_halves(rows: [V8F32; 4]) -> [V8F32; 4] {
     }
 }
 
-impl StencilLane for V8F32 {
+impl PushLane for V8F32 {
     const LANES: usize = 8;
 
     #[inline(always)]
@@ -94,9 +93,7 @@ impl StencilLane for V8F32 {
         self.store(&mut out, 0);
         out[l]
     }
-}
 
-impl PushLane for V8F32 {
     #[inline(always)]
     fn div(self, rhs: Self) -> Self {
         // SAFETY: AVX, only inside the AVX2 entry or after detection (type doc).

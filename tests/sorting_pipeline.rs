@@ -79,16 +79,15 @@ fn species_sort_feeds_the_push_model() {
 }
 
 #[test]
-fn pk_sort_by_key_is_the_substrate_for_both_algorithms() {
-    // the sorts in psort go through pk::sort::argsort, the argsort under
-    // pk::sort_by_key too (the Kokkos mirror) — check the mirror agrees
-    // with a from-scratch reference on tandem sorting
+fn standard_sort_pairs_is_a_stable_tandem_sort() {
+    // every psort order reorders keys and values in tandem through
+    // pk::sort::argsort; the standard order must equal a from-scratch
+    // stable sort by key
     let keys0 = patterns::repeated_keys(100, 11, 5);
-    let mut keys: Vec<u64> = keys0.iter().map(|&k| k as u64).collect();
+    let mut keys = keys0.clone();
     let mut vals: Vec<usize> = (0..keys.len()).collect();
-    sort_by_key(&mut keys, &mut vals);
-    let mut want: Vec<(u64, usize)> =
-        keys0.iter().enumerate().map(|(i, &k)| (k as u64, i)).collect();
+    sort_pairs(SortOrder::Standard, &mut keys, &mut vals);
+    let mut want: Vec<(u32, usize)> = keys0.iter().enumerate().map(|(i, &k)| (k, i)).collect();
     want.sort(); // stable by (key, original index)
     for (i, &(k, v)) in want.iter().enumerate() {
         assert_eq!(keys[i], k);
