@@ -10,9 +10,10 @@
 //! 1. **Crossover**: the executed per-order push costs (from the SimGpu
 //!    ledger, i.e. the cell streams the simulation actually visited)
 //!    rank the orders (Figs 6–8 winners).
-//! 2. **Tuning**: a [`tuner::Tuner`] over [`tuner::gpu_config_space`],
-//!    seeded with the particle-aware cache prior and fed the modeled
-//!    costs, commits to an arm within 10% of the exhaustive sweep's best.
+//! 2. **Tuning**: a [`tuner::Tuner`] over [`tuner::config_space`] (the
+//!    sort schedule on a fixed Auto/Atomic base), seeded with the
+//!    particle-aware cache prior and fed the modeled costs, commits to
+//!    an arm within 10% of the exhaustive sweep's best.
 //!
 //! The deck is scaled per platform: the model LLC is shrunk until the
 //! grid's push working set is ~4× the cache, which puts every GPU on the
@@ -25,7 +26,7 @@ use memsim::push::{fits_llc_with_particles, grid_footprint_bytes, CELL_FOOTPRINT
 use pk::SimGpu;
 use psort::SortOrder;
 use serde::Serialize;
-use tuner::{gpu_config_space, Config, Measurement, Tuner};
+use tuner::{config_space, Config, Measurement, Tuner};
 use vpic_core::{Deck, Simulation};
 
 /// Weibel deck shape: 24³ cells × 6 ppc (counter-streaming, so two
@@ -180,11 +181,16 @@ fn run_platform(platform: &Platform) -> PlatformReport {
     let resident = cluster::scaling::resident_particles(platform);
     let prior_unsorted = fits_llc_with_particles(&scaled_platform, cells, resident);
 
+    // the device compiler owns the lanes, so the strategy is moot, and
+    // at 10⁴-thread concurrency duplicating the scatter does not pay:
+    // on a GPU the tuning problem is the sort schedule alone
+    let base = Config::unsorted(vsimd::Strategy::Auto, pk::atomic::ScatterMode::Atomic);
+
     // 1. executed sweep: every arm through SimGpu, once. Costs are
     // deterministic (fresh deck, modeled ns, no wall clock), so one run
     // per arm serves the order table, the tuner's epochs and the
     // exhaustive sweep alike
-    let arms = gpu_config_space(tile, &[SORT_INTERVAL]);
+    let arms = config_space(&base, tile, &[SORT_INTERVAL]);
     let (orders, measured): (Vec<OrderRow>, Vec<Measurement>) =
         arms.iter().map(|cfg| run_arm(platform, scale, cfg)).unzip();
     let executed_ranking =

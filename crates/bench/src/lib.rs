@@ -31,7 +31,6 @@ use serde::Serialize;
 use std::io::Write;
 use std::path::PathBuf;
 
-
 /// True in unoptimized builds, where the trace-driven model tests are
 /// impractically slow (they run in full under `--release`, as CI does).
 #[cfg(test)]
@@ -42,12 +41,6 @@ pub(crate) fn skip_heavy_in_debug() -> bool {
     } else {
         false
     }
-}
-
-/// A step-budget knob from the environment, `default` when unset or
-/// unparsable (CI shortens the measured targets through these).
-pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Where the harness writes JSON results.

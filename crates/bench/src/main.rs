@@ -20,7 +20,6 @@
 //!   ranks             executed multi-rank stepping: speedup + overlap
 //!                     at 1/2/4/8 virtual ranks vs the closed-form model
 //!   tune              adaptive tuner vs exhaustive config sweep
-//!                     (TUNE_EPOCH_STEPS / TUNE_SWEEP_STEPS)
 //!   ablate-tile       tiled-strided tile-size sweep (A100)
 //!   ablate-gpu-aware  Sierra with GPU-aware MPI forced on
 //!   ablate-weak       weak scaling on all three systems

@@ -3,19 +3,14 @@
 //! For each deck (Weibel, laser-plasma) this target:
 //!
 //! 1. seeds a tuner with the cache-model prior for the modelled platform
-//!    (`PLATFORM`) and lets it run its
-//!    explore/commit loop live on this host;
-//! 2. sweeps **every** arm of the same configuration space as a fixed
-//!    config (the ablation), measuring each the same way;
+//!    (`PLATFORM`) and lets it run its explore/commit loop live on this host;
+//! 2. sweeps **every** arm of the same space — the sort schedules of
+//!    [`config_space`] on the deck's own push strategy and scatter mode —
+//!    as a fixed config (the ablation), measuring each the same way;
 //! 3. re-measures the tuner's committed choice under the sweep's
 //!    protocol and reports `ratio = tuned / best-fixed` — the paper-style
 //!    acceptance number (converged when ≤ 1.10).
-//!
-//! Knobs (env vars, for CI's short-budget smoke run):
-//! `TUNE_EPOCH_STEPS` (default 12), `TUNE_SWEEP_STEPS` (default 50,
-//! covers the longest sort interval).
 
-use crate::env_usize;
 use pk::Serial;
 use serde::Serialize;
 use tuner::{config_space, Config, Tuner};
@@ -27,6 +22,12 @@ const TILE: usize = 16;
 
 /// The Table-1 platform whose modelled cache seeds the tuner's prior.
 const PLATFORM: &str = "EPYC 7763";
+
+/// Steps per tuner epoch.
+const EPOCH_STEPS: usize = 12;
+
+/// Steps per sweep window; covers the longest sort interval.
+const SWEEP_STEPS: usize = 50;
 
 /// One fixed configuration's sweep measurement.
 #[derive(Serialize)]
@@ -79,50 +80,57 @@ pub struct Report {
 /// so min-of-N is the sharper estimate of an arm's true cost.
 const MEASURE_WINDOWS: usize = 3;
 
-/// Measure one fixed config on a fresh deck: apply, warm up, then time
-/// `steps` steps of wall clock per particle pushed, taking the best of
-/// [`MEASURE_WINDOWS`] windows. Each window covers the longest sort
-/// interval, so every arm's sort cost is amortized naturally.
-fn measure_fixed(build: &dyn Fn() -> Simulation, cfg: &Config, steps: usize) -> f64 {
-    let mut sim = build();
-    sim.apply_tune_config(cfg, 1);
-    // warmup: populate sort scratch, settle the branch predictor, and get
-    // past the first (full) sort before any timed window opens
-    sim.run_on(&Serial, steps.min(5));
-    let mut best = f64::INFINITY;
+/// Measure fixed configs, each on a fresh deck, as wall clock per
+/// particle pushed: each arm's best of [`MEASURE_WINDOWS`] windows of
+/// [`SWEEP_STEPS`] steps (the longest sort interval, so a sort's cost is
+/// amortized). The arms take turns window by window, so a slow spell of
+/// the host costs every arm one sample, not one arm all of its own.
+fn measure_fixed(build: &dyn Fn() -> Simulation, arms: &[Config]) -> Vec<f64> {
+    let mut sims: Vec<Simulation> = arms
+        .iter()
+        .map(|cfg| {
+            let mut sim = build();
+            sim.apply_tune_config(cfg, 1);
+            // warmup: populate sort scratch, settle the branch predictor,
+            // and get past the first (full) sort before any timed window
+            sim.run_on(&Serial, 5);
+            sim
+        })
+        .collect();
+    let mut best = vec![f64::INFINITY; arms.len()];
     for _ in 0..MEASURE_WINDOWS {
-        let t0 = telemetry::now_ns();
-        let stats = sim.run_on(&Serial, steps);
-        let dt = telemetry::now_ns().saturating_sub(t0);
-        if stats.pushed > 0 {
-            best = best.min(dt as f64 / stats.pushed as f64);
+        for (sim, best) in sims.iter_mut().zip(&mut best) {
+            let t0 = telemetry::now_ns();
+            let stats = sim.run_on(&Serial, SWEEP_STEPS);
+            let dt = telemetry::now_ns().saturating_sub(t0);
+            if stats.pushed > 0 {
+                *best = best.min(dt as f64 / stats.pushed as f64);
+            }
         }
     }
     best
 }
 
 fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
-    let epoch_steps = env_usize("TUNE_EPOCH_STEPS", 12);
-    let sweep_steps = env_usize("TUNE_SWEEP_STEPS", 50);
     let platform = memsim::platform::by_name(PLATFORM).expect("a Table-1 platform");
 
     let probe = build();
     let cells = probe.grid.cells();
     let prior_unsorted = memsim::push::grid_fits_llc(&platform, cells);
-    let arms = config_space(TILE, &tuner::DEFAULT_INTERVALS);
+    let arms = config_space(&probe.config(), TILE, &tuner::DEFAULT_INTERVALS);
 
     // 1. the live tuned run: explore every arm, then a few committed
     // epochs. The pick is the arm the tuner last committed to: a
     // committed epoch that reads 1.5× its commit-time cost sends the
     // engine exploring again, and mid-sweep it has no verdict of its own.
     let mut sim = build();
-    let tuner = Tuner::new(arms.clone(), epoch_steps)
+    let tuner = Tuner::new(arms.clone(), EPOCH_STEPS)
         .with_cache_prior(prior_unsorted)
         .with_refinement(8);
     sim.set_tuner(tuner);
     let mut last_committed = None;
     for _ in 0..arms.len() + 8 + 3 {
-        sim.run_on(&Serial, epoch_steps);
+        sim.run_on(&Serial, EPOCH_STEPS);
         let committed = sim.tuner().and_then(|t| t.committed());
         last_committed = committed.copied().or(last_committed);
     }
@@ -134,7 +142,8 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
     // 2. exhaustive sweep: every arm as a fixed config (the ablation)
     let sweep: Vec<ArmCost> = arms
         .iter()
-        .map(|a| ArmCost { config: a.label(), cost_ns: measure_fixed(build, a, sweep_steps) })
+        .zip(measure_fixed(build, &arms))
+        .map(|(a, cost_ns)| ArmCost { config: a.label(), cost_ns })
         .collect();
     let best = sweep
         .iter()
@@ -149,14 +158,14 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
         .iter()
         .filter(|a| a.config == tuned_label)
         .map(|a| a.cost_ns)
-        .fold(measure_fixed(build, &tuned_config, sweep_steps), f64::min);
+        .fold(measure_fixed(build, &[tuned_config])[0], f64::min);
 
     let report = DeckReport {
         deck: name.to_string(),
         cells: cells as u64,
         platform: PLATFORM.to_string(),
         prior_unsorted,
-        epoch_steps: epoch_steps as u64,
+        epoch_steps: EPOCH_STEPS as u64,
         epochs: tuner.epochs(),
         tuned_config: tuned_label,
         tuned_cost_ns,
@@ -200,19 +209,16 @@ mod tests {
             return;
         }
         let _g = crate::telemetry_test_lock();
-        // short-but-real budget; the wide margin absorbs timer noise on a
-        // busy CI host — `repro -- tune` reports the true ratio
-        std::env::set_var("TUNE_EPOCH_STEPS", "6");
-        std::env::set_var("TUNE_SWEEP_STEPS", "20");
+        // the wide margin absorbs timer noise on a busy CI host —
+        // `repro -- tune` reports the true ratio
         let report = run();
-        std::env::remove_var("TUNE_EPOCH_STEPS");
-        std::env::remove_var("TUNE_SWEEP_STEPS");
         assert_eq!(report.decks.len(), 2);
+        let arms = 1 + 3 * tuner::DEFAULT_INTERVALS.len();
         for d in &report.decks {
             assert!(d.prior_unsorted, "both small decks fit the modelled LLC");
-            assert!(d.epochs as usize >= 80, "{}: explored the space ({})", d.deck, d.epochs);
+            assert!(d.epochs as usize >= arms, "{}: explored the space ({})", d.deck, d.epochs);
             assert!(d.tuned_cost_ns.is_finite() && d.best_cost_ns > 0.0);
-            assert_eq!(d.sweep.len(), config_space(TILE, &tuner::DEFAULT_INTERVALS).len());
+            assert_eq!(d.sweep.len(), arms);
             assert!(
                 d.ratio < 1.5,
                 "{}: tuned {} ({:.2} ns) vs best {} ({:.2} ns): ratio {:.3}",

@@ -4,7 +4,7 @@
 //! next step's arithmetic: grid geometry, the nine field arrays, every
 //! species' SoA particle arrays and `last_sort` skip-cache claim, the
 //! scalar loop state (step count, sort cadence phase, scatter replica
-//! count — it changes deposition summation order, which is bit-visible —
+//! count — a resumed run keeps it, though the bits do not depend on it —
 //! and [`Simulation::config`]), the armed [`tuner::Tuner`] in the
 //! encoding the `tuner` crate owns, lifetime telemetry counter totals,
 //! and an energy ledger used as an end-to-end cross-check on restore.
@@ -253,9 +253,9 @@ impl Simulation {
         if sim.laser.as_ref().is_some_and(|l| l.plane >= sim.grid.nx) {
             return Err(RestoreError::SchemaDrift("laser plane outside the grid".into()));
         }
-        // rebuilds the accumulator exactly as the checkpointed run had it
-        // (replica count is bit-visible in deposition order); the sort
-        // phase is set after, since a changed order forces a sort
+        // rebuilds the accumulator with the checkpointed run's replicas
+        // (the bits do not depend on their count); the sort phase is set
+        // after, since a changed order forces a sort
         sim.apply_tune_config(&config, scatter_workers);
         sim.steps_since_sort = steps_since_sort;
 

@@ -108,9 +108,9 @@ pub struct Simulation {
     coeffs: CoeffCache,
     /// Worker count the accumulator was last sized for. Tracked here
     /// (the accumulator only materializes replicas in duplicated mode)
-    /// so a checkpoint can rebuild an identical accumulator on restore —
-    /// replica count changes deposition summation order, which is
-    /// bit-visible.
+    /// so a resumed run keeps its replicas; the bits do not depend on
+    /// the count (deposits sum as fixed-point integers with wrapping
+    /// adds, in any order).
     pub(crate) scatter_workers: usize,
     /// The adaptive tuner, when [`Simulation::set_tuner`] armed one.
     pub(crate) tuner: Option<Box<Tuner>>,

@@ -43,20 +43,6 @@ impl SortOrder {
         ]
     }
 
-    /// The GPU tuner's sort-order arm axis: never sorting at all, plus
-    /// the three sorted orders of Figs 6–8. `None` is a real arm (on
-    /// GPUs an unsorted population can win when the grid fits the LLC
-    /// anyway and sorting is pure overhead), which is why this returns
-    /// `Option`s unlike [`SortOrder::fig7_set`].
-    pub fn gpu_arm_set(tile: usize) -> [Option<SortOrder>; 4] {
-        [
-            None,
-            Some(SortOrder::Standard),
-            Some(SortOrder::Strided),
-            Some(SortOrder::TiledStrided { tile }),
-        ]
-    }
-
     /// The three sorted orders of Figs 5/6 (random excluded).
     pub fn sorted_set(tile: usize) -> [SortOrder; 3] {
         [

@@ -141,25 +141,20 @@ pub fn get_order(r: &mut SectionReader<'_>) -> Result<Option<SortOrder>, Restore
     })
 }
 
-/// The full search space: {None, Standard, Strided, TiledStrided{tile}} ×
-/// `intervals` × all four strategies × both scatter modes. The unsorted
-/// arms carry no interval axis, so the space is
-/// `(1 + 3·|intervals|) · 4 · 2` arms (80 at the default three
-/// intervals). [`SortOrder::Random`] is deliberately excluded: re-shuffling
-/// is never a performance optimization and its permutation is not a pure
-/// function of the keys, which would break schedule-replay determinism.
-pub fn config_space(tile: usize, intervals: &[usize]) -> Vec<Config> {
-    let strategies = [Strategy::Auto, Strategy::Guided, Strategy::Manual, Strategy::AdHoc];
-    let scatters = [ScatterMode::Atomic, ScatterMode::Duplicated];
-    let mut arms = Vec::new();
-    for &strategy in &strategies {
-        for &scatter in &scatters {
-            arms.push(Config::unsorted(strategy, scatter));
-            for order in SortOrder::sorted_set(tile) {
-                for &interval in intervals {
-                    arms.push(Config::sorted(order, interval, strategy, scatter));
-                }
-            }
+/// The search space: the unsorted arm first, then {Standard, Strided,
+/// TiledStrided{tile}} × `intervals`, each arm `base` with its sort
+/// order and cadence replaced — `1 + 3·|intervals|` arms (10 at the
+/// default three intervals). The strategy and scatter mode are the
+/// base's: neither changes a bit, and the paper tunes the schedule (the
+/// strategy is a parameter of Figs 3–4, not a runtime choice).
+/// [`SortOrder::Random`] is excluded: re-shuffling is never a
+/// performance optimization and its permutation is not a pure function
+/// of the keys, which would break schedule-replay determinism.
+pub fn config_space(base: &Config, tile: usize, intervals: &[usize]) -> Vec<Config> {
+    let mut arms = vec![Config { order: None, interval: 0, ..*base }];
+    for order in SortOrder::sorted_set(tile) {
+        for &interval in intervals {
+            arms.push(Config { order: Some(order), interval, ..*base });
         }
     }
     arms
@@ -170,29 +165,35 @@ pub(crate) mod tests {
     use super::*;
 
     #[test]
-    fn space_has_expected_size_and_no_random() {
-        let arms = config_space(16, &DEFAULT_INTERVALS);
-        assert_eq!(arms.len(), (1 + 3 * 3) * 4 * 2);
-        assert!(arms.iter().all(|a| a.order != Some(SortOrder::Random)));
-        // every arm is distinct
-        for (i, a) in arms.iter().enumerate() {
-            assert!(!arms[i + 1..].contains(a), "duplicate arm {}", a.label());
-        }
-    }
-
-    #[test]
-    fn labels_are_unique_and_stable() {
-        let arms = config_space(8, &[5, 20]);
-        let mut labels: Vec<String> = arms.iter().map(Config::label).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), arms.len());
-        let c = Config::sorted(SortOrder::Standard, 20, Strategy::Guided, ScatterMode::Atomic);
-        assert_eq!(c.label(), "standard/i20/guided/atomic");
+    fn the_space_is_the_sort_schedule_of_its_base() {
+        let gpu = Config::unsorted(Strategy::Auto, ScatterMode::Atomic);
+        let arms = config_space(&gpu, 216, &[5, 20]);
+        let tiled = SortOrder::TiledStrided { tile: 216 };
+        let sorted = |o, i| Config::sorted(o, i, Strategy::Auto, ScatterMode::Atomic);
         assert_eq!(
-            Config::unsorted(Strategy::Manual, ScatterMode::Duplicated).label(),
-            "unsorted/manual/dup"
+            arms,
+            [
+                gpu,
+                sorted(SortOrder::Standard, 5),
+                sorted(SortOrder::Standard, 20),
+                sorted(SortOrder::Strided, 5),
+                sorted(SortOrder::Strided, 20),
+                sorted(tiled, 5),
+                sorted(tiled, 20),
+            ]
         );
+        assert!(arms.iter().all(|a| a.order != Some(SortOrder::Random)));
+        // the tuner keys results by label
+        let labels: std::collections::HashSet<_> = arms.iter().map(Config::label).collect();
+        assert_eq!(labels.len(), arms.len());
+        let guided = Config { strategy: Strategy::Guided, ..arms[2] };
+        assert_eq!(guided.label(), "standard/i20/guided/atomic");
+
+        let cpu = Config::unsorted(Strategy::Manual, ScatterMode::Duplicated);
+        let arms = config_space(&cpu, 16, &DEFAULT_INTERVALS);
+        assert_eq!(arms.len(), 10);
+        assert!(arms.iter().all(|a| (a.strategy, a.scatter) == (cpu.strategy, cpu.scatter)));
+        assert_eq!(arms[0].label(), "unsorted/manual/dup");
     }
 
     /// What `put` writes into one section, read back by `get`, which must
@@ -211,7 +212,12 @@ pub(crate) mod tests {
 
     #[test]
     fn every_arm_round_trips_and_an_unknown_tag_is_drift() {
-        let mut arms = config_space(8, &[5]);
+        // every order, strategy and scatter tag
+        let dup = Config::unsorted(Strategy::AdHoc, ScatterMode::Duplicated);
+        let mut arms = config_space(&dup, 8, &[5]);
+        let atomic = [Strategy::Auto, Strategy::Guided, Strategy::Manual]
+            .map(|strategy| Config { strategy, scatter: ScatterMode::Atomic, ..arms[1] });
+        arms.extend(atomic);
         arms.push(Config { order: Some(SortOrder::Random), ..arms[0] });
         for arm in &arms {
             assert_eq!(&reread(|b| arm.put(b), Config::get).unwrap(), arm, "{}", arm.label());

@@ -592,7 +592,7 @@ mod tests {
 
     #[test]
     fn cache_prior_orders_exploration() {
-        let arms = crate::config_space(16, &[5, 20]);
+        let arms = crate::config_space(&arm(None, 0), 16, &[5, 20]);
         let fits = Tuner::new(arms.clone(), 10).with_cache_prior(true);
         assert!(fits.current().order.is_none(), "fits-in-LLC prior starts unsorted");
         let n_unsorted = arms.iter().filter(|a| a.order.is_none()).count();

@@ -1,13 +1,15 @@
 //! Adaptive auto-tuning runtime: close the measurement loop online.
 //!
-//! The paper's central claim is that the *best* configuration of the
-//! portable optimizations — sorting order (§3.2), sorting cadence, push
-//! vectorization strategy (§3.1), and scatter mode — depends on the
+//! The paper's tuning question is the sort schedule — which order
+//! (§3.2), how often, or none at all — and its answer depends on the
 //! hardware and on the evolving particle distribution: standard sort wins
 //! on cache-rich CPUs, strided orders on GPUs, and sorting should be
 //! disabled entirely once the per-rank grid fits in last-level cache
-//! (the superlinear-scaling regime of §6). This crate automates that
-//! choice with an **epoch-based explore/commit loop**:
+//! (the superlinear-scaling regime of §6). [`config_space`] is that
+//! schedule over a caller's base [`Config`], one space for CPU and GPU;
+//! the push strategy and scatter mode stay the base's (neither changes
+//! a bit, and neither is what the paper tunes). This crate automates
+//! the choice with an **epoch-based explore/commit loop**:
 //!
 //! 1. **Explore** — run each candidate [`Config`] for one epoch of
 //!    simulation steps and score it with an amortized cost model
@@ -36,10 +38,8 @@
 
 pub mod config;
 pub mod engine;
-pub mod gpu;
 pub mod measure;
 
 pub use config::{config_space, get_order, put_order, Config, DEFAULT_INTERVALS};
 pub use engine::{Phase, ScheduleEntry, Tuner};
-pub use gpu::gpu_config_space;
 pub use measure::Measurement;

@@ -1,6 +1,7 @@
 //! Adaptive auto-tuning: arm a simulation with the tuner and watch it
-//! explore the {sort order × interval × push strategy × scatter} space
-//! online, then commit to the cheapest arm for the rest of the run.
+//! explore the sort schedule ({unsorted} ∪ {sort order × interval}, on
+//! the deck's own push strategy and scatter mode) online, then commit to
+//! the cheapest arm for the rest of the run.
 //!
 //! ```sh
 //! cargo run --release --example autotune
@@ -19,7 +20,7 @@ fn main() {
 
     // cache-model prior: if the whole field grid fits in the platform's
     // last-level cache, gather/scatter stays cheap without sorting — start
-    // the exploration from the unsorted arms
+    // the exploration from the unsorted arm
     let platform = by_name("EPYC 7763").unwrap();
     let start_unsorted = grid_fits_llc(&platform, cells);
     println!(
@@ -31,7 +32,7 @@ fn main() {
     );
 
     // one epoch per arm, re-measure the 8 cheapest, then commit
-    let arms = config_space(16, &DEFAULT_INTERVALS);
+    let arms = config_space(&sim.config(), 16, &DEFAULT_INTERVALS);
     let epoch_steps = 10;
     let tuner = Tuner::new(arms.clone(), epoch_steps)
         .with_cache_prior(start_unsorted)

@@ -26,8 +26,8 @@ fn gathered_state_bit_identical_across_rank_counts() {
 }
 
 /// What holds for any clock on an executed sweep: every step's timing
-/// adds up — hidden + exposed is the modeled exchange, the step is the
-/// slowest rank's compute plus what its windows left exposed — and one
+/// adds up — the exposed exchange is at most the modeled one, the step is
+/// the slowest rank's compute plus what its windows left exposed — and one
 /// rank exchanges nothing. How the executed speedup compares with the
 /// closed-form overlap model is a measured wall over a modeled message:
 /// it depends on the build profile and on what else the host's cores are
@@ -44,13 +44,8 @@ fn executed_timing_adds_up_for_any_clock() {
         mr.run(1); // warmup
         for _ in 0..3 {
             let (_, _, t) = mr.step();
-            let parts = t.hidden_exchange_s + t.exposed_exchange_s;
-            assert!(
-                (parts - t.modeled_exchange_s).abs() <= 1e-12 * t.modeled_exchange_s,
-                "{ranks} ranks: hidden + exposed = {parts} vs modeled {}",
-                t.modeled_exchange_s
-            );
-            assert!((0.0..=t.modeled_exchange_s).contains(&t.hidden_exchange_s), "{ranks} ranks");
+            let exposed = t.exposed_exchange_s;
+            assert!((0.0..=t.modeled_exchange_s).contains(&exposed), "{ranks} ranks: {exposed}");
             // the slowest rank's compute + exposed: no less than the largest
             // compute wall, no more than that plus every rank's exposed time
             // (with one rank, exactly its compute)
