@@ -7,9 +7,10 @@
 //! 2. sweeps **every** arm of the same space — the sort schedules of
 //!    [`config_space`] on the deck's own push strategy and scatter mode —
 //!    as a fixed config (the ablation), measuring each the same way;
-//! 3. re-measures the tuner's committed choice under the sweep's
-//!    protocol and reports `ratio = tuned / best-fixed` — the paper-style
-//!    acceptance number (converged when ≤ 1.10).
+//! 3. reads the tuner's committed choice off that sweep and reports
+//!    `ratio = tuned / best-fixed` — the paper-style acceptance number
+//!    (converged when ≤ 1.10; never below 1, since both costs are
+//!    samples of the same sweep).
 
 use pk::Serial;
 use serde::Serialize;
@@ -56,7 +57,7 @@ pub struct DeckReport {
     pub epochs: u64,
     /// The arm the tuner committed to.
     pub tuned_config: String,
-    /// The committed arm re-measured under the sweep protocol, ns/push.
+    /// The committed arm's cost in the sweep, ns/push.
     pub tuned_cost_ns: f64,
     /// Best fixed arm from the exhaustive sweep.
     pub best_config: String,
@@ -150,15 +151,14 @@ fn run_deck(name: &str, build: &dyn Fn() -> Simulation) -> DeckReport {
         .min_by(|a, b| a.cost_ns.total_cmp(&b.cost_ns))
         .expect("non-empty sweep");
 
-    // 3. the tuner's pick, re-measured under the sweep's own protocol.
-    // The pick is itself one of the swept arms, so the sweep's sample of
-    // it is equally valid — keep the min of the two (one-sided noise).
+    // 3. the tuner's pick is one of the swept arms: its cost is the
+    // sweep's own sample of it, taken like every other arm's
     let tuned_label = tuned_config.label();
     let tuned_cost_ns = sweep
         .iter()
-        .filter(|a| a.config == tuned_label)
-        .map(|a| a.cost_ns)
-        .fold(measure_fixed(build, &[tuned_config])[0], f64::min);
+        .find(|a| a.config == tuned_label)
+        .expect("the tuner picks an arm of the swept space")
+        .cost_ns;
 
     let report = DeckReport {
         deck: name.to_string(),
@@ -219,6 +219,8 @@ mod tests {
             assert!(d.epochs as usize >= arms, "{}: explored the space ({})", d.deck, d.epochs);
             assert!(d.tuned_cost_ns.is_finite() && d.best_cost_ns > 0.0);
             assert_eq!(d.sweep.len(), arms);
+            assert!(d.sweep.iter().any(|a| a.config == d.tuned_config), "{}", d.tuned_config);
+            assert!(d.ratio >= 1.0, "{}: the best arm is the sweep's minimum", d.deck);
             assert!(
                 d.ratio < 1.5,
                 "{}: tuned {} ({:.2} ns) vs best {} ({:.2} ns): ratio {:.3}",

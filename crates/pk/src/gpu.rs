@@ -3,7 +3,7 @@
 //! The paper's portability claim is *one kernel source on every backend*.
 //! This reproduction has no device to run on, so the GPU backend executes
 //! kernels **functionally on the host** — through exactly the same
-//! [`ExecSpace`] primitives as [`crate::Serial`], in the same order, so
+//! [`ExecSpace`] dispatch as [`crate::Serial`], in the same order, so
 //! results are bit-identical — while every dispatch *charges* its real
 //! memory behaviour to `memsim`'s trace-driven hardware model:
 //!
@@ -22,21 +22,19 @@
 //! per-step cost of the code that just ran.
 //!
 //! Why functional execution stays bit-identical to `Serial`: `SimGpu`
-//! reports `concurrency() == 1` and implements `run_blocks` /
-//! `run_chunks_mut` / `reduce_blocks` exactly as `Serial` does (one
-//! block, index order, block-ordered reduction). Every kernel in the
-//! stack partitions work by `space.concurrency()` and folds partials in
-//! block order, so a 1-block space is *structurally* the serial path —
-//! cost charging happens strictly outside the arithmetic.
+//! has no dispatch code of its own. It reports `concurrency() == 1`, and
+//! its one dispatch, `run_chunks_mut`, is `Serial`'s call; every pattern
+//! is written once in [`ExecSpace`] over that dispatch, so a kernel on
+//! `SimGpu` runs the serial path itself, not a copy of it. `SimGpu` is
+//! `Serial` plus the ledger ([`ExecSpace::accounting`] and
+//! [`ExecSpace::charge`]), and cost charging happens strictly outside the
+//! arithmetic.
 
-use crate::range::RangePolicy;
-use crate::reduce::Reducer;
-use crate::space::ExecSpace;
+use crate::space::{ExecSpace, Serial};
 use memsim::gpu::GpuModel;
 use memsim::platform::Platform;
 use memsim::push::{gpu_push, PushSpec};
 use memsim::trace::{GatherScatterSpec, KernelCost};
-use std::ops::Range;
 use std::sync::Mutex;
 
 /// One kernel's memory-access description, declared at its dispatch site.
@@ -166,37 +164,13 @@ impl ExecSpace for SimGpu {
         "SimGpu"
     }
 
-    // The three primitives are byte-for-byte `Serial`'s: one block, index
-    // order, block-ordered reduction. This is the bit-identity contract.
-
-    fn run_blocks(&self, policy: &RangePolicy, f: &(dyn Fn(Range<usize>) + Sync)) {
-        if !policy.is_empty() {
-            f(policy.range.clone());
-        }
-    }
-
     fn run_chunks_mut<T: Send>(
         &self,
         data: &mut [T],
-        _parts: usize,
+        parts: usize,
         f: &(dyn Fn(usize, &mut [T]) + Sync),
     ) {
-        if !data.is_empty() {
-            f(0, data);
-        }
-    }
-
-    fn reduce_blocks<R: Reducer>(
-        &self,
-        policy: &RangePolicy,
-        reducer: &R,
-        f: &(dyn Fn(Range<usize>) -> R::Value + Sync),
-    ) -> R::Value {
-        if policy.is_empty() {
-            reducer.identity()
-        } else {
-            f(policy.range.clone())
-        }
+        Serial.run_chunks_mut(data, parts, f)
     }
 
     fn accounting(&self) -> bool {
@@ -248,7 +222,6 @@ impl ExecSpace for SimGpu {
 mod tests {
     use super::*;
     use crate::reduce::Sum;
-    use crate::space::Serial;
 
     fn v100() -> SimGpu {
         SimGpu::scaled(memsim::platform::by_name("V100").unwrap(), 1.0)

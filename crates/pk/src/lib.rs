@@ -6,13 +6,11 @@
 //!
 //! * **Execution spaces** ([`Serial`], [`Threads`], [`SimGpu`]) — pluggable
 //!   backends for the parallel patterns, mirroring `Kokkos::Serial` /
-//!   `Kokkos::OpenMP` / `Kokkos::Cuda`. The GPU backend executes the same
-//!   kernels functionally (bit-identical to [`Serial`]) while charging their
-//!   memory behaviour through the `memsim` hardware model.
-//! * **Parallel patterns** — [`ExecSpace::parallel_for`],
-//!   [`ExecSpace::parallel_for_mut`] and [`ExecSpace::parallel_reduce`] over
-//!   a statically partitioned [`RangePolicy`], mirroring
-//!   `Kokkos::parallel_for` / `parallel_reduce`.
+//!   `Kokkos::OpenMP` / `Kokkos::Cuda`. A backend supplies one dispatch,
+//!   [`ExecSpace::run_chunks_mut`]. The GPU backend's is [`Serial`]'s, so
+//!   it executes the same kernels functionally (bit-identical to
+//!   [`Serial`]) while charging their memory behaviour through the
+//!   `memsim` hardware model.
 //! * **Lane windows** — [`ExecSpace::parallel_windows`] cuts a [`Split`]
 //!   bundle of parallel slices (a kernel's output arrays, a species'
 //!   particle arrays) at the space's static block boundaries in whole
@@ -20,6 +18,12 @@
 //!   with safe `split_at_mut`s: no kernel rebuilds a slice from a raw
 //!   pointer. The crate's raw-pointer code is the pool's lifetime erasure
 //!   of a dispatched job ([`pool`]) and the [`prefetch`] hint.
+//! * **Parallel patterns** — [`ExecSpace::parallel_for`],
+//!   [`ExecSpace::parallel_for_mut`] and [`ExecSpace::parallel_reduce`]
+//!   (through [`ExecSpace::run_blocks`] and [`ExecSpace::reduce_blocks`])
+//!   over a statically partitioned [`RangePolicy`], mirroring
+//!   `Kokkos::parallel_for` / `parallel_reduce`. Each is written once, as
+//!   lane windows of unit 1, and makes one `run_chunks_mut` call.
 //! * **Atomics** ([`atomic`]) — the fixed-point
 //!   [`atomic::FixedScatterBuf`] for contended scatter phases (current
 //!   deposition), written atomically only where a lane has more than one

@@ -20,10 +20,9 @@
 //! * lane panics are caught, counted, and surfaced on the **calling**
 //!   thread after every lane has finished (so borrowed data is never
 //!   touched after the dispatch returns) — as a typed [`DispatchPanic`]
-//!   unwind from [`WorkerPool::run`], or as a plain `Err(DispatchPanic)`
-//!   from [`WorkerPool::try_run`] for callers with a restore point armed
-//!   (the checkpoint/restart path treats a dead lane as a recoverable
-//!   fault, not a process abort);
+//!   unwind from [`WorkerPool::run`], which a caller with a restore point
+//!   armed catches and downcasts (the checkpoint/restart path treats a
+//!   dead lane as a recoverable fault, not a process abort);
 //! * `Drop` sets a shutdown flag, wakes the workers, and joins them.
 //!
 //! Pools are cached per worker count in a process-wide registry
@@ -36,13 +35,13 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 
-/// Typed panic payload / error for a dispatch in which one or more lanes
+/// Typed panic payload for a dispatch in which one or more lanes
 /// panicked. [`WorkerPool::run`] re-raises it with `resume_unwind` (the
 /// original per-lane panic messages were already printed by the panic
 /// hook when each lane failed), so a `catch_unwind` around a pooled
 /// kernel can downcast to this type and distinguish "a lane died
 /// mid-dispatch, state is suspect — restore from the last snapshot" from
-/// unrelated panics. [`WorkerPool::try_run`] returns it as a plain error.
+/// unrelated panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchPanic {
     /// How many lanes' tasks panicked during the dispatch.
@@ -197,20 +196,6 @@ impl WorkerPool {
     /// lane's busy time on that lane's own trace track — lane imbalance is
     /// read directly off the per-lane `<kernel>::lane` rows.
     pub fn run(&self, task: &(dyn Fn(usize) + Sync)) {
-        if let Err(dp) = self.try_run(task) {
-            // resume_unwind, not panic_any: every lane's own panic message
-            // already went through the panic hook, so re-raising must not
-            // print a second (payload-less) report
-            resume_unwind(Box::new(dp));
-        }
-    }
-
-    /// Like [`WorkerPool::run`], but lane panics come back as
-    /// `Err(DispatchPanic)` instead of unwinding — the recoverable surface
-    /// the checkpoint/restart path uses when a restore point is armed.
-    /// All lanes have finished (successfully or not) by the time this
-    /// returns, and the pool remains usable either way.
-    pub fn try_run(&self, task: &(dyn Fn(usize) + Sync)) -> Result<(), DispatchPanic> {
         let panicked_lanes = if !telemetry::enabled() {
             self.run_inner(task)
         } else {
@@ -230,9 +215,11 @@ impl WorkerPool {
         };
         if panicked_lanes > 0 {
             telemetry::count("pk.pool.worker_panics", panicked_lanes as u64);
-            return Err(DispatchPanic { panicked_lanes });
+            // resume_unwind, not panic_any: every lane's own panic message
+            // already went through the panic hook, so re-raising must not
+            // print a second (payload-less) report
+            resume_unwind(Box::new(DispatchPanic { panicked_lanes }));
         }
-        Ok(())
     }
 
     /// Dispatch `task` over every lane and count how many panicked.
@@ -425,23 +412,29 @@ mod tests {
 
     #[test]
     fn try_run_reports_lane_panics_as_errors() {
+        // what a restore point sees: the lane panic caught as a typed
+        // DispatchPanic, and the pool usable afterwards, including on the
+        // inline single-lane path
+        const NONE: usize = usize::MAX;
+        let caught = |pool: &WorkerPool, fail: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                pool.run(&|lane| {
+                    if lane == fail {
+                        panic!("lane {fail} failure");
+                    }
+                })
+            }))
+            .map_err(|cause| *cause.downcast::<DispatchPanic>().expect("typed payload"))
+        };
         let pool = WorkerPool::new(3);
-        assert_eq!(pool.try_run(&|_| {}), Ok(()));
-        let err = pool
-            .try_run(&|lane| {
-                if lane == 2 {
-                    panic!("lane 2 failure");
-                }
-            })
-            .expect_err("panicking lane must surface");
+        assert_eq!(caught(&pool, NONE), Ok(()));
+        let err = caught(&pool, 2).expect_err("panicking lane must surface");
         assert_eq!(err, DispatchPanic { panicked_lanes: 1 });
         assert!(err.to_string().contains("1 pool lane(s)"));
-        // the pool stays usable, including on the inline single-lane path
-        assert_eq!(pool.try_run(&|_| {}), Ok(()));
+        assert_eq!(caught(&pool, NONE), Ok(()));
         let inline = WorkerPool::new(1);
-        let err = inline.try_run(&|_| panic!("inline failure")).unwrap_err();
-        assert_eq!(err.panicked_lanes, 1);
-        assert_eq!(inline.try_run(&|_| {}), Ok(()));
+        assert_eq!(caught(&inline, 0), Err(DispatchPanic { panicked_lanes: 1 }));
+        assert_eq!(caught(&inline, NONE), Ok(()));
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl RangePolicy {
         self.range.end.saturating_sub(self.range.start)
     }
 
-    /// True when the range is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Split the range into `parts` near-equal contiguous blocks. Returns
     /// exactly `min(parts, len)` non-empty blocks.
     pub fn static_blocks(&self, parts: usize) -> Vec<Range<usize>> {
@@ -100,7 +95,7 @@ mod tests {
     #[test]
     fn empty_range_yields_no_blocks() {
         let p = RangePolicy::new(0);
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         assert!(p.static_blocks(4).is_empty());
     }
 

@@ -81,6 +81,23 @@ impl<T: Sync> Split for &[T] {
     }
 }
 
+/// An index range, split like a slice of its indices: what
+/// [`ExecSpace::run_blocks`] and [`ExecSpace::reduce_blocks`] cut. (A
+/// `Split` impl on `Range` itself would make its `len` ambiguous wherever
+/// `Split` is imported.)
+struct Indices(Range<usize>);
+
+impl Split for Indices {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let Range { start, end } = self.0;
+        (Indices(start..start + mid), Indices(start + mid..end))
+    }
+}
+
 /// The one length of a bundle's slices.
 fn common_len(lens: &[usize]) -> usize {
     let n = lens.first().copied().unwrap_or(0);
@@ -118,7 +135,8 @@ impl<A: Split + Default, const N: usize> Split for [A; N] {
 /// order.
 #[derive(Debug)]
 pub struct Blocks<R> {
-    /// A one-block dispatch's result, kept off the heap.
+    /// A one-block dispatch's result, kept off the heap; a dispatch
+    /// over several blocks has every result in `rest`.
     first: Option<R>,
     rest: std::vec::IntoIter<R>,
 }
@@ -135,22 +153,61 @@ impl<R> Iterator for Blocks<R> {
 /// window until it runs, then its result.
 type Slot<D, R> = (Option<(usize, D)>, Option<R>);
 
+/// The body of [`ExecSpace::parallel_windows`], which every pattern
+/// runs; `op`, when given, names the dispatch span it opens.
+fn windows<S: ExecSpace + ?Sized, D: Split, R: Send>(
+    space: &S,
+    op: Option<&'static str>,
+    data: D,
+    unit: usize,
+    f: impl Fn(usize, usize, D) -> R + Sync,
+) -> Blocks<R> {
+    let len = data.len();
+    assert!(
+        unit > 0 && len.is_multiple_of(unit),
+        "{len} elements are not whole units of {unit}"
+    );
+    let units = len / unit;
+    let parts = space.concurrency().min(units);
+    let _hook = op.map(|op| dispatch_span(op, space.name(), space.concurrency(), units));
+    let run = |block: usize, slots: &mut [Slot<D, R>]| {
+        for (k, (window, out)) in slots.iter_mut().enumerate() {
+            if let Some((first, data)) = window.take() {
+                *out = Some(f(block + k, first, data));
+            }
+        }
+    };
+    let done = |(_, out): Slot<D, R>| out.expect("run_chunks_mut runs every window");
+    if parts <= 1 {
+        let mut one = [(Some((0, data)), None)];
+        space.run_chunks_mut(&mut one[..parts], 1, &run);
+        let [one] = one;
+        return Blocks { first: (parts == 1).then(|| done(one)), rest: Vec::new().into_iter() };
+    }
+    let mut slots = Vec::with_capacity(parts);
+    let mut rest = data;
+    for block in RangePolicy::new(units).static_blocks(parts) {
+        let (window, tail) = rest.split_at(block.len() * unit);
+        slots.push((Some((block.start, window)), None));
+        rest = tail;
+    }
+    space.run_chunks_mut(&mut slots, parts, &run);
+    Blocks { first: None, rest: slots.into_iter().map(done).collect::<Vec<_>>().into_iter() }
+}
+
 /// A backend capable of executing the parallel patterns.
 ///
-/// The two required primitives are [`ExecSpace::run_blocks`] (read-only
-/// index-space dispatch) and [`ExecSpace::run_chunks_mut`] (disjoint
-/// mutable-slice dispatch); everything else has default implementations in
-/// terms of them.
+/// The one required dispatch is [`ExecSpace::run_chunks_mut`] (disjoint
+/// mutable-slice dispatch). Every pattern is written once, over
+/// [`ExecSpace::parallel_windows`], and makes exactly one
+/// `run_chunks_mut` call, so a backend's order of running blocks is the
+/// order every pattern inherits.
 pub trait ExecSpace: Sync {
     /// Number of workers this space dispatches to (`Kokkos::concurrency()`).
     fn concurrency(&self) -> usize;
 
     /// Human-readable backend name.
     fn name(&self) -> &'static str;
-
-    /// Execute `f` over contiguous sub-ranges that exactly partition the
-    /// policy's range. Blocks may run concurrently.
-    fn run_blocks(&self, policy: &RangePolicy, f: &(dyn Fn(Range<usize>) + Sync));
 
     /// Split `data` into `parts` near-equal contiguous chunks and run
     /// `f(offset, chunk)` for each, possibly concurrently. `offset` is the
@@ -162,17 +219,30 @@ pub trait ExecSpace: Sync {
         f: &(dyn Fn(usize, &mut [T]) + Sync),
     );
 
+    /// Execute `f` over contiguous sub-ranges that exactly partition the
+    /// policy's range: its [`RangePolicy::static_blocks`] over
+    /// [`ExecSpace::concurrency`] parts. Blocks may run concurrently.
+    fn run_blocks(&self, policy: &RangePolicy, f: &(dyn Fn(Range<usize>) + Sync)) {
+        let blocks = windows(self, None, Indices(policy.range.clone()), 1, |_, _, Indices(b)| f(b));
+        blocks.for_each(drop);
+    }
+
     /// Reduce per-block partial values with `reducer.join`.
     ///
     /// Each block folds sequentially from the reducer identity, then the
     /// partials are joined in block order, so results are deterministic for
-    /// a fixed space/worker count (the Kokkos guarantee).
+    /// a fixed space/worker count (the Kokkos guarantee). A one-block
+    /// range returns its block's value as it is; an empty one the identity.
     fn reduce_blocks<R: Reducer>(
         &self,
         policy: &RangePolicy,
         reducer: &R,
         f: &(dyn Fn(Range<usize>) -> R::Value + Sync),
-    ) -> R::Value;
+    ) -> R::Value {
+        let Blocks { first, rest } =
+            windows(self, None, Indices(policy.range.clone()), 1, |_, _, Indices(b)| f(b));
+        first.unwrap_or_else(|| rest.fold(reducer.identity(), |acc, v| reducer.join(acc, v)))
+    }
 
     /// `Kokkos::parallel_for`: invoke `f(i)` for every index in the policy.
     fn parallel_for<P: Into<RangePolicy>>(&self, policy: P, f: impl Fn(usize) + Sync) {
@@ -189,13 +259,12 @@ pub trait ExecSpace: Sync {
     /// `Kokkos::parallel_for` over a mutable slice: invoke
     /// `f(i, &mut data[i])` for every element, with disjoint mutable access.
     fn parallel_for_mut<T: Send>(&self, data: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        let parts = self.concurrency();
-        let _hook = dispatch_span("pk.parallel_for_mut", self.name(), parts, data.len());
-        self.run_chunks_mut(data, parts, &|offset, chunk| {
+        windows(self, Some("pk.parallel_for_mut"), data, 1, |_, first, chunk| {
             for (k, item) in chunk.iter_mut().enumerate() {
-                f(offset + k, item);
+                f(first + k, item);
             }
-        });
+        })
+        .for_each(drop);
     }
 
     /// Cut `data` (a [`Split`] bundle of slices) in whole units of `unit`
@@ -213,37 +282,7 @@ pub trait ExecSpace: Sync {
         unit: usize,
         f: impl Fn(usize, usize, D) -> R + Sync,
     ) -> Blocks<R> {
-        let len = data.len();
-        assert!(
-            unit > 0 && len.is_multiple_of(unit),
-            "{len} elements are not whole units of {unit}"
-        );
-        let units = len / unit;
-        let parts = self.concurrency().min(units);
-        let _hook = dispatch_span("pk.parallel_windows", self.name(), self.concurrency(), units);
-        let run = |block: usize, slots: &mut [Slot<D, R>]| {
-            for (k, (window, out)) in slots.iter_mut().enumerate() {
-                if let Some((first, data)) = window.take() {
-                    *out = Some(f(block + k, first, data));
-                }
-            }
-        };
-        let done = |(_, out): Slot<D, R>| out.expect("run_chunks_mut runs every window");
-        if parts <= 1 {
-            let mut one = [(Some((0, data)), None)];
-            self.run_chunks_mut(&mut one[..parts], 1, &run);
-            let [one] = one;
-            return Blocks { first: (parts == 1).then(|| done(one)), rest: Vec::new().into_iter() };
-        }
-        let mut slots = Vec::with_capacity(parts);
-        let mut rest = data;
-        for block in RangePolicy::new(units).static_blocks(parts) {
-            let (window, tail) = rest.split_at(block.len() * unit);
-            slots.push((Some((block.start, window)), None));
-            rest = tail;
-        }
-        self.run_chunks_mut(&mut slots, parts, &run);
-        Blocks { first: None, rest: slots.into_iter().map(done).collect::<Vec<_>>().into_iter() }
+        windows(self, Some("pk.parallel_windows"), data, unit, f)
     }
 
     /// `Kokkos::parallel_reduce`: reduce `f(i)` over the policy's range.
@@ -293,12 +332,6 @@ impl ExecSpace for Serial {
         "Serial"
     }
 
-    fn run_blocks(&self, policy: &RangePolicy, f: &(dyn Fn(Range<usize>) + Sync)) {
-        if !policy.is_empty() {
-            f(policy.range.clone());
-        }
-    }
-
     fn run_chunks_mut<T: Send>(
         &self,
         data: &mut [T],
@@ -307,19 +340,6 @@ impl ExecSpace for Serial {
     ) {
         if !data.is_empty() {
             f(0, data);
-        }
-    }
-
-    fn reduce_blocks<R: Reducer>(
-        &self,
-        policy: &RangePolicy,
-        reducer: &R,
-        f: &(dyn Fn(Range<usize>) -> R::Value + Sync),
-    ) -> R::Value {
-        if policy.is_empty() {
-            reducer.identity()
-        } else {
-            f(policy.range.clone())
         }
     }
 }
@@ -349,18 +369,6 @@ impl Threads {
     pub fn new(workers: usize) -> Self {
         Self { pool: pool::global(workers) }
     }
-
-    /// A space sized to the machine's available parallelism.
-    pub(crate) fn hardware() -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::new(workers)
-    }
-}
-
-impl Default for Threads {
-    fn default() -> Self {
-        Self::hardware()
-    }
 }
 
 impl ExecSpace for Threads {
@@ -370,25 +378,6 @@ impl ExecSpace for Threads {
 
     fn name(&self) -> &'static str {
         "Threads"
-    }
-
-    fn run_blocks(&self, policy: &RangePolicy, f: &(dyn Fn(Range<usize>) + Sync)) {
-        let blocks = policy.static_blocks(self.pool.lanes());
-        match blocks.len() {
-            0 => {}
-            1 => f(blocks[0].clone()),
-            _ => {
-                let lanes = self.pool.lanes();
-                let blocks = &blocks;
-                self.pool.run(&|lane| {
-                    let mut b = lane;
-                    while b < blocks.len() {
-                        f(blocks[b].clone());
-                        b += lanes;
-                    }
-                });
-            }
-        }
     }
 
     fn run_chunks_mut<T: Send>(
@@ -407,7 +396,7 @@ impl ExecSpace for Threads {
             return;
         }
         // one slot per chunk, taken by the lane that owns the chunk: lane
-        // `k` owns chunks k, k+lanes, k+2·lanes, … (as in `run_blocks`)
+        // `k` owns chunks k, k+lanes, k+2·lanes, …
         let mut rest = data;
         let slots: Vec<_> = blocks
             .iter()
@@ -427,46 +416,6 @@ impl ExecSpace for Threads {
                 }
             }
         });
-    }
-
-    fn reduce_blocks<R: Reducer>(
-        &self,
-        policy: &RangePolicy,
-        reducer: &R,
-        f: &(dyn Fn(Range<usize>) -> R::Value + Sync),
-    ) -> R::Value {
-        let blocks = policy.static_blocks(self.pool.lanes());
-        match blocks.len() {
-            0 => reducer.identity(),
-            1 => f(blocks[0].clone()),
-            _ => {
-                // one slot per block, filled by whichever lane owns the
-                // block, then joined in block order: deterministic for a
-                // fixed space/worker count (the Kokkos guarantee)
-                let slots: Vec<Mutex<Option<R::Value>>> =
-                    blocks.iter().map(|_| Mutex::new(None)).collect();
-                let lanes = self.pool.lanes();
-                let (blocks, slots) = (&blocks, &slots);
-                self.pool.run(&|lane| {
-                    let mut b = lane;
-                    while b < blocks.len() {
-                        let v = f(blocks[b].clone());
-                        *slots[b].lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
-                        b += lanes;
-                    }
-                });
-                let mut acc = reducer.identity();
-                for slot in slots {
-                    let v = slot
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                        .expect("every block produced a partial");
-                    acc = reducer.join(acc, v);
-                }
-                acc
-            }
-        }
     }
 }
 
@@ -496,27 +445,6 @@ mod tests {
                 threads.parallel_for(n, f);
             }
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn reduce_blocks_bitwise_deterministic_across_runs() {
-        // per-block partials joined in block order: repeated runs at a
-        // fixed worker count must agree to the bit even for f32 sums
-        let threads = Threads::new(4);
-        let policy = RangePolicy::new(10_000);
-        let reducer = Sum::<f32>::new();
-        let f = |block: Range<usize>| {
-            let mut acc = 0.0f32;
-            for i in block {
-                acc += 1.0 / (1.0 + i as f32);
-            }
-            acc
-        };
-        let first = threads.reduce_blocks(&policy, &reducer, &f);
-        for _ in 0..20 {
-            let again = threads.reduce_blocks(&policy, &reducer, &f);
-            assert_eq!(again.to_bits(), first.to_bits());
         }
     }
 
@@ -565,7 +493,6 @@ mod tests {
         assert_eq!(Threads::new(7).concurrency(), 7);
         assert_eq!(Threads::new(0).concurrency(), 1);
         assert_eq!(Serial.concurrency(), 1);
-        assert!(Threads::hardware().concurrency() >= 1);
     }
 
     /// `parallel_windows` over `len` elements in units of `unit`: every
@@ -629,12 +556,10 @@ mod tests {
         Serial.parallel_windows((&mut a[..], &b[..]), 1, |_, _, _| ());
     }
 
-    /// A space that counts the `run_chunks_mut` calls and the other
-    /// dispatches made through it.
+    /// A space that counts the `run_chunks_mut` calls made through it.
     struct Counted<'a, S> {
         inner: &'a S,
-        chunk_calls: AtomicU64,
-        other_calls: AtomicU64,
+        calls: AtomicU64,
     }
 
     impl<S: ExecSpace> ExecSpace for Counted<'_, S> {
@@ -646,56 +571,74 @@ mod tests {
             self.inner.name()
         }
 
-        fn run_blocks(&self, policy: &RangePolicy, f: &(dyn Fn(Range<usize>) + Sync)) {
-            self.other_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.run_blocks(policy, f)
-        }
-
         fn run_chunks_mut<T: Send>(
             &self,
             data: &mut [T],
             parts: usize,
             f: &(dyn Fn(usize, &mut [T]) + Sync),
         ) {
-            self.chunk_calls.fetch_add(1, Ordering::Relaxed);
+            self.calls.fetch_add(1, Ordering::Relaxed);
             self.inner.run_chunks_mut(data, parts, f)
-        }
-
-        fn reduce_blocks<R: Reducer>(
-            &self,
-            policy: &RangePolicy,
-            reducer: &R,
-            f: &(dyn Fn(Range<usize>) -> R::Value + Sync),
-        ) -> R::Value {
-            self.other_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.reduce_blocks(policy, reducer, f)
         }
     }
 
-    /// The dispatches one `parallel_windows` call makes on `space`:
-    /// `(run_chunks_mut calls, other calls)`.
-    fn dispatches<S: ExecSpace>(space: &S) -> (u64, u64) {
-        let counted = Counted { inner: space, chunk_calls: 0.into(), other_calls: 0.into() };
-        let mut data = [0u32; 10];
+    /// The `run_chunks_mut` calls that `parallel_for`, `parallel_for_mut`,
+    /// `parallel_reduce` and `parallel_windows` each make on `space`.
+    fn dispatches<S: ExecSpace>(space: &S) -> [u64; 4] {
+        let counted = Counted { inner: space, calls: 0.into() };
+        let calls = || counted.calls.swap(0, Ordering::Relaxed);
+        let hits: Vec<AtomicU64> = (0..10).map(|_| 0.into()).collect();
+        counted.parallel_for(10, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        let for_calls = calls();
+        let mut data = [0usize; 10];
+        counted.parallel_for_mut(&mut data, |i, v| *v = i);
+        let for_mut_calls = calls();
+        let total = counted.parallel_reduce(10, Sum::<usize>::new(), |i| data[i]);
+        let reduce_calls = calls();
         let sum: usize = counted.parallel_windows(&mut data[..], 2, |b, _, w| b + w.len()).sum();
+        let windows_calls = calls();
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!((data, total), (std::array::from_fn(|i| i), 45));
         assert_eq!(sum, 10 + (0..counted.concurrency().min(5)).sum::<usize>());
-        (counted.chunk_calls.into_inner(), counted.other_calls.into_inner())
+        [for_calls, for_mut_calls, reduce_calls, windows_calls]
     }
 
     #[test]
     fn a_dispatch_is_one_run_chunks_mut_call() {
-        assert_eq!(dispatches(&Serial), (1, 0));
-        assert_eq!(dispatches(&sim_gpu()), (1, 0));
-        assert_eq!(dispatches(&Threads::new(1)), (1, 0));
-        assert_eq!(dispatches(&Threads::new(3)), (1, 0));
+        assert_eq!(dispatches(&Serial), [1; 4]);
+        assert_eq!(dispatches(&sim_gpu()), [1; 4]);
+        assert_eq!(dispatches(&Threads::new(1)), [1; 4]);
+        assert_eq!(dispatches(&Threads::new(3)), [1; 4]);
+    }
+
+    /// The bits of a `Sum::<f32>` over `data` on `space`, by
+    /// `parallel_reduce` and by `reduce_blocks` with every block `-0.0`.
+    fn f32_sums<S: ExecSpace>(space: &S, data: &[f32]) -> (u32, u32) {
+        let sum = space.parallel_reduce(data.len(), Sum::<f32>::new(), |i| data[i]);
+        let policy = RangePolicy::new(data.len());
+        let zeros = space.reduce_blocks(&policy, &Sum::<f32>::new(), &|_| -0.0);
+        (sum.to_bits(), zeros.to_bits())
     }
 
     #[test]
-    fn float_reduction_deterministic_per_space() {
-        let threads = Threads::new(4);
-        let data: Vec<f32> = (0..4096).map(|i| 1.0 / (1.0 + i as f32)).collect();
-        let a = threads.parallel_reduce(data.len(), Sum::<f32>::new(), |i| data[i]);
-        let b = threads.parallel_reduce(data.len(), Sum::<f32>::new(), |i| data[i]);
-        assert_eq!(a, b, "same space + worker count must reproduce bitwise");
+    fn float_sums_keep_their_bits_on_every_space() {
+        let data: Vec<f32> = (0..1000)
+            .map(|i| if i % 7 == 0 { -0.0 } else { (i as f32 - 500.5) / (1.0 + i as f32) })
+            .collect();
+        // a one-block reduction is its block's value, not joined to the
+        // identity: `-0.0` stays `-0.0` (`0.0 + -0.0` is `+0.0`)
+        let one_block = f32_sums(&Serial, &data);
+        assert_eq!(one_block.1, (-0.0f32).to_bits());
+        assert_eq!(f32_sums(&sim_gpu(), &data), one_block);
+        assert_eq!(f32_sums(&Threads::new(1), &data), one_block);
+        // several blocks fold from the identity, in block order
+        let threads = Threads::new(3);
+        let blocks = f32_sums(&threads, &data);
+        assert_eq!(blocks.1, 0.0f32.to_bits());
+        for _ in 0..20 {
+            assert_eq!(f32_sums(&threads, &data), blocks);
+        }
     }
 }
