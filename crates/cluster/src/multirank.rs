@@ -16,15 +16,29 @@
 //! The ranks run at the same time. A step is four rank-local supersteps,
 //! each one [`ExecSpace::parallel_for_mut`] over the rank states, cut
 //! where an exchange has to have arrived: (1) due sort, push, migrant
-//! drain, deposition partials, first half B advance, *pack* B; (2) merge
-//! the peers' partials, unload, laser, *unpack* B, E advance, *pack* E,
-//! interior half B advance; (3) *unpack* E, boundary shells, *pack* B,
-//! append the migrants; (4) *unpack* B, close the step.
+//! drain, deposition partials, first half B advance, *pack* B; (2) add
+//! the holders' partials into the owned cells, unload, laser, *unpack* B,
+//! E advance, *pack* E, interior half B advance; (3) *unpack* E, boundary
+//! shells, *pack* B, append the migrants; (4) *unpack* B, close the step.
+//!
+//! ## The exchange plan
+//!
+//! Every local cell is either the canonical copy of a cell its rank owns
+//! or an *image* of a cell some rank owns — a neighbor, or the rank
+//! itself on an axis it spans alone. A rank groups its images by owner
+//! into one holder → owner `Link` each, cells ascending by global id,
+//! and every owner lists the links that hold its cells. All three
+//! exchanges run over that one plan: each holder sends the owner its
+//! images' current summed per cell, the owner sends back the field
+//! values of the cells the field kernels read, and a particle that
+//! crossed into an image leaves over the link to the cell's owner. Only
+//! the owner's canonical cell takes the merged current; an image's J is
+//! never read.
 //!
 //! One rule makes that safe without `unsafe`: inside a superstep a rank
 //! mutates only its own `RankState` and reads only what a peer
-//! *published in an earlier superstep*. What a peer may read — partials,
-//! per-link migrant outboxes, per-link packed halo values — a rank
+//! *published in an earlier superstep*. What a peer may read — per-link
+//! partials and migrant outboxes, packed halo values per holding link — a rank
 //! writes into its own `Sends`, and the calling thread swaps that into
 //! the `published` table between two dispatches; the exchange plans are
 //! immutable. No rank's arithmetic or append order depends on the lane
@@ -40,9 +54,9 @@
 //! determinism across ranks:
 //!
 //! * **Fixed-point deposition** — the accumulator stores quantized `i64`
-//!   partials, so rank-boundary current merges are integer adds: exactly
-//!   associative and commutative, independent of which rank's array a
-//!   segment landed in.
+//!   partials, so the owner's total of a cell — its own deposits plus
+//!   every holder's images — is an integer sum: exactly associative and
+//!   commutative, independent of which rank's array a segment landed in.
 //! * **Shared row bodies** — every field kernel runs one body per cell
 //!   whether sweeping the whole grid, a row interior, or a boundary box,
 //!   so halo grids reproduce the global sweep cell-for-cell.
@@ -58,7 +72,7 @@
 //! cells never wrap because CFL limits motion and stencils to one cell.
 //! The second plus-side shell is there for the current alone: a segment
 //! in a plus-side halo cell puts weight on edges of the cell one further
-//! up. Its field values are never exchanged and never read.
+//! up. No field kernel reads its values.
 //!
 //! ## Checkpoints
 //!
@@ -75,7 +89,7 @@ use crate::network::NetworkModel;
 use ckpt::{RestoreError, Snapshot};
 use pk::ExecSpace;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use vpic_core::accumulate::EDGES;
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
@@ -88,47 +102,46 @@ pub(crate) const MIGRANT_BYTES: usize = 40;
 /// Bytes per halo cell per field exchange (3 components × f32).
 pub(crate) const FIELD_HALO_BYTES: usize = 12;
 
-/// Bytes per shared cell for the current-accumulator exchange
-/// (3 fixed-point i64 edge totals).
+/// Bytes per linked cell for the current exchange (3 fixed-point i64
+/// edge totals).
 pub(crate) const ACC_HALO_BYTES: usize = EDGES * 8;
 
-/// Where a particle found outside the owned box must go.
+/// What a local cell is, for a particle found in it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Route {
-    /// An owned cell (canonical index: stays put).
+    /// The canonical copy of a cell this rank owns: stays put.
     Owned,
-    /// A halo image of a cell this rank owns (periodic self-neighbor
-    /// axis): remap to the canonical local index, no migration.
+    /// An image of a cell this rank owns (periodic self-neighbor axis):
+    /// remap to the canonical local index, no migration.
     Remap(u32),
-    /// A halo image of a cell another rank owns: migrate over the link
-    /// with this index in the rank's `links`.
+    /// An image of a cell another rank owns: migrate over the link with
+    /// this index in the rank's `links`.
     Remote(u32),
 }
 
-/// One neighbor link of a rank: the per-pair exchange plan. Both
-/// endpoints build the pair's overlap list in the same (ascending global
-/// cell) order, so position `k` refers to the same global cell on both
-/// sides without shipping indices.
+/// The images one rank, the holder, keeps of the cells one owner owns
+/// (the holder itself on an axis it spans alone), cells ascending by
+/// global id. The owner reads the holder's link from the shared plans,
+/// so position `k` names the same cell on both sides and no index ships.
 #[derive(Debug, Clone)]
 struct Link {
-    /// The other rank (may be `self` for periodic self-copies, which
-    /// move no network bytes).
-    rank: usize,
-    /// Index of the link back to this rank in the peer's `links`.
+    /// The rank that owns the link's cells.
+    owner: usize,
+    /// This link's position in the owner's `held_by`.
     back: usize,
-    /// Positions into this rank's `shared` table for the pair's overlap
-    /// cells, ascending-global order.
-    acc_pos: Vec<u32>,
-    /// Field halo send plan: this rank's canonical local index of each
-    /// overlap cell *it* owns, ascending-global order.
-    field_src: Vec<u32>,
-    /// Field halo receive plan: flattened local image indices of each
-    /// overlap cell *the other rank* owns, grouped per cell by
-    /// `field_dst_off`, ascending-global order.
-    field_dst: Vec<u32>,
-    /// Offsets into `field_dst`: cell `k`'s images are
-    /// `field_dst[off[k]..off[k+1]]`.
-    field_dst_off: Vec<u32>,
+    /// The owner's canonical local index of cell `k`.
+    canon: Vec<u32>,
+    /// The holder's images of cell `k`: `images[off[k]..off[k + 1]]`.
+    images: Vec<u32>,
+    off: Vec<u32>,
+    /// The cells `k` with an image the field kernels read, ascending.
+    fields: Vec<u32>,
+}
+
+impl Link {
+    fn images(&self, k: usize) -> &[u32] {
+        &self.images[self.off[k] as usize..self.off[k + 1] as usize]
+    }
 }
 
 /// Per-rank geometry and exchange plan, all precomputed at construction
@@ -145,23 +158,20 @@ struct RankPlan {
     local_to_global: Vec<u32>,
     /// Migration routing for every local cell.
     route: Vec<Route>,
-    /// Cells that exist in more than one local array (or more than once
-    /// in this one): `(global, local images)` ascending by global id.
-    shared: Vec<(u32, Vec<u32>)>,
-    /// Neighbor links, ascending by rank id (self link last if present).
+    /// This rank's images, one link per owner, ascending by owner.
     links: Vec<Link>,
+    /// The links that hold this rank's cells: `(holder, index into the
+    /// holder's links)`, ascending by holder.
+    held_by: Vec<(usize, usize)>,
 }
 
 impl RankPlan {
-    /// The local cells among `images` that the field kernels read: those
-    /// of the owned block and the one-cell shell around it, not of the
-    /// second plus-side shell.
-    fn field_images<'a>(&'a self, images: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
-        let (lx, ly, lz) = self.extent;
-        images.iter().copied().filter(move |&lv| {
-            let (x, y, z) = self.grid.coords(lv as usize);
-            x <= lx + 1 && y <= ly + 1 && z <= lz + 1
-        })
+    /// Whether the field kernels read local cell `lv`: a cell of the owned
+    /// block or the one-cell shell around it, not of the second plus-side
+    /// shell.
+    fn field_read(&self, lv: u32) -> bool {
+        let ((x, y, z), (lx, ly, lz)) = (self.grid.coords(lv as usize), self.extent);
+        x <= lx + 1 && y <= ly + 1 && z <= lz + 1
     }
 
     /// Canonical local index of an owned global cell.
@@ -171,24 +181,29 @@ impl RankPlan {
         self.grid.voxel(gx - ox + 1, gy - oy + 1, gz - oz + 1) as u32
     }
 
-    /// The links that cross to another rank.
-    fn remote_links(&self, r: usize) -> impl Iterator<Item = (usize, &Link)> {
-        self.links.iter().enumerate().filter(move |(_, l)| l.rank != r)
+    /// The links to another rank.
+    fn remote_links(&self, r: usize) -> impl Iterator<Item = &Link> {
+        self.links.iter().filter(move |l| l.owner != r)
     }
 
     /// One field-halo exchange as rank `r` receives it, a directed message
     /// per remote link with cells to read: `(modeled s, messages, bytes)`.
     fn halo_charge(&self, r: usize, network: &NetworkModel) -> (f64, u64, u64) {
         let mut charge = (0.0, 0, 0);
-        for (_, link) in self.remote_links(r) {
-            let bytes = (link.field_dst_off.len() - 1) * FIELD_HALO_BYTES;
-            if bytes > 0 {
-                charge.0 += network.message_time(bytes as f64);
-                charge.1 += 1;
-                charge.2 += bytes as u64;
-            }
+        for link in self.remote_links(r).filter(|l| !l.fields.is_empty()) {
+            let bytes = link.fields.len() * FIELD_HALO_BYTES;
+            charge.0 += network.message_time(bytes as f64);
+            charge.1 += 1;
+            charge.2 += bytes as u64;
         }
         charge
+    }
+}
+
+/// Wrapping integer adds of one cell's edge totals: `dst += src`.
+fn add_edges(dst: &mut [i64; EDGES], src: &[i64; EDGES]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = d.wrapping_add(*s);
     }
 }
 
@@ -205,20 +220,23 @@ struct Migrant {
 /// [`RankState`], read by a peer only from the `published` table.
 #[derive(Debug)]
 struct Sends {
-    /// Deposition partials per shared cell: this rank's images summed.
-    partials: Vec<[i64; EDGES]>,
+    /// Per link, the deposition partials of each cell: its images summed.
+    partials: Vec<Vec<[i64; EDGES]>>,
     /// Out-migrants per link, in drain order.
     migrants: Vec<Vec<Migrant>>,
-    /// Per link, the last-packed triple (B or E) of each `field_src` cell.
+    /// Per `held_by` entry, the last-packed triple (B or E) of each of the
+    /// holder's `fields` cells.
     halo: Vec<Vec<[f32; 3]>>,
 }
 
 impl Sends {
-    fn for_plan(plan: &RankPlan) -> Self {
+    fn for_rank(r: usize, plans: &[RankPlan]) -> Self {
+        let plan = &plans[r];
+        let fields = |&(h, li): &(usize, usize)| plans[h].links[li].fields.len();
         Self {
-            partials: vec![[0; EDGES]; plan.shared.len()],
+            partials: plan.links.iter().map(|l| vec![[0; EDGES]; l.canon.len()]).collect(),
             migrants: vec![Vec::new(); plan.links.len()],
-            halo: plan.links.iter().map(|l| vec![[0.0; 3]; l.field_src.len()]).collect(),
+            halo: plan.held_by.iter().map(|held| vec![[0.0; 3]; fields(held)]).collect(),
         }
     }
 }
@@ -288,7 +306,7 @@ impl RankClock {
     /// `(compute, modeled, exposed)`: the rank's compute wall, its modeled
     /// exchange time, and the part of that no compute window hides. An
     /// exchange is hidden by the segments between its launch and its wait
-    /// point: the accumulator exchange by the first B half-advance, the B
+    /// point: the current exchange by the first B half-advance, the B
     /// halos by merge + unload, the E halos by the interior B half-advance,
     /// the migrants by everything from the first B half-advance through
     /// the boundary shells, the post-advance B halos by the migrant append.
@@ -340,8 +358,6 @@ struct RankState {
     /// species arrays. Migrates with the particle; the gather reassembles
     /// canonical global order from it.
     ids: Vec<Vec<u64>>,
-    /// Deposition totals per shared cell, merged across its holders.
-    totals: Vec<[i64; EDGES]>,
     /// What this rank is writing for its peers ([`publish`]).
     sends: Sends,
     tally: Tally,
@@ -352,12 +368,11 @@ struct RankState {
 }
 
 impl RankState {
-    fn new(sim: Simulation, ids: Vec<Vec<u64>>, plan: &RankPlan) -> Self {
+    fn new(sim: Simulation, ids: Vec<Vec<u64>>, sends: Sends) -> Self {
         Self {
             sim,
             ids,
-            totals: vec![[0; EDGES]; plan.shared.len()],
-            sends: Sends::for_plan(plan),
+            sends,
             tally: Tally::default(),
             drain_idx: Vec::new(),
             incoming: Vec::new(),
@@ -367,7 +382,8 @@ impl RankState {
     /// Superstep 1, on the rank's own state alone: due sort, push, drain
     /// and partials, then the first half B advance and the B pack behind
     /// the accumulator and migrant exchanges.
-    fn push_pack(&mut self, r: usize, plan: &RankPlan, net: &NetworkModel) {
+    fn push_pack(&mut self, r: usize, plans: &[RankPlan], net: &NetworkModel) {
+        let plan = &plans[r];
         let _rs = telemetry::rank_span("cluster.rank_push", r);
         let mut tally = Tally::default();
         let t0 = telemetry::now_ns();
@@ -417,20 +433,19 @@ impl RankState {
                 outboxes[link as usize].push(Migrant { species: si as u32, id, rec });
             });
         }
-        // deposition partials over this rank's images of shared cells
-        for (sum, (_, images)) in self.sends.partials.iter_mut().zip(&plan.shared) {
-            *sum = [0; EDGES];
-            for &img in images {
-                let raw = self.sim.acc_cell_raw(img as usize);
-                for e in 0..EDGES {
-                    sum[e] = sum[e].wrapping_add(raw[e]);
+        // deposition partials: each link's images summed per cell
+        for (sums, link) in self.sends.partials.iter_mut().zip(&plan.links) {
+            for (k, sum) in sums.iter_mut().enumerate() {
+                *sum = [0; EDGES];
+                for &img in link.images(k) {
+                    add_edges(sum, &self.sim.acc_cell_raw(img as usize));
                 }
             }
         }
         tally.clock.push = since(t0);
-        // the accumulator exchange: one directed message per remote link
-        for (_, link) in plan.remote_links(r) {
-            let bytes = link.acc_pos.len() * ACC_HALO_BYTES;
+        // the current exchange: one directed message per remote link
+        for link in plan.remote_links(r) {
+            let bytes = link.canon.len() * ACC_HALO_BYTES;
             tally.clock.x_acc += net.message_time(bytes as f64);
             tally.messages += 1;
             tally.halo_bytes += bytes as u64;
@@ -438,7 +453,7 @@ impl RankState {
         let t0 = telemetry::now_ns();
         let strategy = self.sim.strategy;
         self.sim.fields.advance_b_on(&pk::Serial, strategy, 0.5);
-        self.pack_halos(r, plan, FieldSet::B);
+        self.pack_halos(r, plans, FieldSet::B);
         tally.clock.b1 = since(t0);
         // the three field-halo exchanges of a step move the same cells:
         // B before the E advance (hidden by merge + unload), E (hidden by
@@ -452,29 +467,21 @@ impl RankState {
         self.tally = tally;
     }
 
-    /// Superstep 2, after the accumulator and B exchanges: merge, unload,
+    /// Superstep 2, after the current and B exchanges: merge, unload,
     /// laser, unpack B, advance and pack E, then the interior half B
     /// advance while the E exchange is in flight.
     fn merge_and_advance_e(&mut self, r: usize, seen: Seen, drive: Option<(usize, f32)>) {
         let plan = &seen.plans[r];
         let t0 = telemetry::now_ns();
-        self.totals.copy_from_slice(&seen.published[r].partials);
-        for (_, link) in plan.remote_links(r) {
-            // the peer's link back to us lists the same overlap cells in
-            // the same ascending-global order
-            let theirs = &seen.plans[link.rank].links[link.back].acc_pos;
-            let partials = &seen.published[link.rank].partials;
-            debug_assert_eq!(link.acc_pos.len(), theirs.len());
-            for (&mine, &theirs) in link.acc_pos.iter().zip(theirs) {
-                let (dst, src) = (&mut self.totals[mine as usize], &partials[theirs as usize]);
-                for e in 0..EDGES {
-                    dst[e] = dst[e].wrapping_add(src[e]);
-                }
-            }
-        }
-        for (total, (_, images)) in self.totals.iter().zip(&plan.shared) {
-            for &img in images {
-                self.sim.acc_set_cell_raw(img as usize, total);
+        // every holder's partials, this rank's own images included, added
+        // into the canonical cells: the owned totals are whole, and no
+        // image's current is read again
+        for &(h, li) in &plan.held_by {
+            let partials = &seen.published[h].partials[li];
+            for (&c, partial) in seen.plans[h].links[li].canon.iter().zip(partials) {
+                let mut total = self.sim.acc_cell_raw(c as usize);
+                add_edges(&mut total, partial);
+                self.sim.acc_set_cell_raw(c as usize, &total);
             }
         }
         self.tally.clock.merge = since(t0);
@@ -492,7 +499,7 @@ impl RankState {
         let t0 = telemetry::now_ns();
         let strategy = self.sim.strategy;
         self.sim.fields.advance_e_on(&pk::Serial, strategy);
-        self.pack_halos(r, plan, FieldSet::E);
+        self.pack_halos(r, seen.plans, FieldSet::E);
         self.tally.clock.e = since(t0);
         let t0 = telemetry::now_ns();
         self.sim.fields.advance_b_box(1..lx, 1..ly, 1..lz, 0.5);
@@ -514,14 +521,15 @@ impl RankState {
         self.sim.fields.advance_b_box(lx..lx + 1, 1..ly + 1, 1..lz + 1, 0.5);
         self.sim.fields.advance_b_box(1..lx, ly..ly + 1, 1..lz + 1, 0.5);
         self.sim.fields.advance_b_box(1..lx, 1..ly, lz..lz + 1, 0.5);
-        self.pack_halos(r, plan, FieldSet::B);
+        self.pack_halos(r, seen.plans, FieldSet::B);
         self.tally.clock.b2b = since(t0);
         let t0 = telemetry::now_ns();
-        // links ascend by peer rank: the outboxes are taken in ascending
-        // source rank, and the receiver is charged each incoming send
+        // the holding links ascend by holder: the outboxes are taken in
+        // ascending source rank, and the receiver is charged each incoming
+        // send (a rank's link to itself carries none: those are remaps)
         self.incoming.clear();
-        for (_, link) in plan.remote_links(r) {
-            let sent = &seen.published[link.rank].migrants[link.back];
+        for &(h, li) in &plan.held_by {
+            let sent = &seen.published[h].migrants[li];
             if !sent.is_empty() {
                 self.tally.clock.x_mig += net.message_time((sent.len() * MIGRANT_BYTES) as f64);
                 self.tally.messages += 1;
@@ -547,36 +555,31 @@ impl RankState {
     }
 
     /// The send half of a field-halo exchange: the canonical values of
-    /// every cell a remote peer holds an image of.
-    fn pack_halos(&mut self, r: usize, plan: &RankPlan, set: FieldSet) {
+    /// every cell a holder's field kernels read an image of.
+    fn pack_halos(&mut self, r: usize, plans: &[RankPlan], set: FieldSet) {
         let [x, y, z] = set.of(&mut self.sim.fields);
-        for (li, link) in plan.remote_links(r) {
-            for (slot, &src) in self.sends.halo[li].iter_mut().zip(&link.field_src) {
-                *slot = [x[src as usize], y[src as usize], z[src as usize]];
+        for (packed, &(h, li)) in self.sends.halo.iter_mut().zip(&plans[r].held_by) {
+            let link = &plans[h].links[li];
+            for (slot, &k) in packed.iter_mut().zip(&link.fields) {
+                let c = link.canon[k as usize] as usize;
+                *slot = [x[c], y[c], z[c]];
             }
         }
     }
 
     /// The receive half, its wire time charged at launch: the owner's
-    /// values — packed by the peer a superstep ago, or this rank's own
-    /// cell on a periodic self link — land in every local image.
+    /// values, packed a superstep ago (by this rank itself on a periodic
+    /// self link), land in every image of the cells.
     fn unpack_halos(&mut self, r: usize, seen: Seen, set: FieldSet) {
         let _s = telemetry::rank_span("cluster.halo_fill", r);
         let [x, y, z] = set.of(&mut self.sim.fields);
         for link in &seen.plans[r].links {
-            let packed = &seen.published[link.rank].halo[link.back];
-            debug_assert!(link.rank == r || packed.len() == link.field_dst_off.len() - 1);
-            for (k, images) in link.field_dst_off.windows(2).enumerate() {
-                let value = if link.rank == r {
-                    let src = link.field_src[k] as usize;
-                    [x[src], y[src], z[src]]
-                } else {
-                    packed[k]
-                };
-                for &dst in &link.field_dst[images[0] as usize..images[1] as usize] {
-                    x[dst as usize] = value[0];
-                    y[dst as usize] = value[1];
-                    z[dst as usize] = value[2];
+            let packed = &seen.published[link.owner].halo[link.back];
+            debug_assert_eq!(packed.len(), link.fields.len());
+            for (&k, value) in link.fields.iter().zip(packed) {
+                for &img in link.images(k as usize) {
+                    let img = img as usize;
+                    (x[img], y[img], z[img]) = (value[0], value[1], value[2]);
                 }
             }
         }
@@ -593,7 +596,8 @@ pub struct StepTiming {
     /// Sum over ranks of the exchange time *not* hidden behind interior
     /// compute, s.
     pub exposed_exchange_s: f64,
-    /// Executed step time: max over ranks of compute + exposed, s.
+    /// The virtual step — every rank on a device of its own: max over
+    /// ranks of measured compute + modeled exposed exchange, s.
     pub step_s: f64,
 }
 
@@ -636,7 +640,8 @@ impl MultiRankSim {
         let plans = build_plans(&decomp, &g);
         let mut states: Vec<RankState> = plans
             .iter()
-            .map(|plan| {
+            .enumerate()
+            .map(|(r, plan)| {
                 debug_assert_eq!(plan.grid.dt, g.dt, "unit cells: dt is extent-independent");
                 let mut rsim = Simulation::new(plan.grid.clone());
                 rsim.strategy = sim.strategy;
@@ -649,7 +654,7 @@ impl MultiRankSim {
                     rsim.add_species(rs);
                 }
                 let ids = sim.species.iter().map(|s| Vec::with_capacity(share(s))).collect();
-                RankState::new(rsim, ids, plan)
+                RankState::new(rsim, ids, Sends::for_rank(r, &plans))
             })
             .collect();
         // scatter particles to their owning rank, carrying the global
@@ -681,7 +686,7 @@ impl MultiRankSim {
             decomp,
             network,
             laser: sim.laser.clone(),
-            published: plans.iter().map(Sends::for_plan).collect(),
+            published: (0..plans.len()).map(|r| Sends::for_rank(r, &plans)).collect(),
             plans,
             ranks: states,
             step: sim.step_count(),
@@ -740,7 +745,7 @@ impl MultiRankSim {
         let drive = self.laser.as_ref().map(|l| (l.plane, l.drive_at(self.step, self.global().dt)));
         let Self { ranks, published, plans, network, .. } = self;
         let (plans, net) = (&plans[..], &*network);
-        space.parallel_for_mut(ranks, |r, st| st.push_pack(r, &plans[r], net));
+        space.parallel_for_mut(ranks, |r, st| st.push_pack(r, plans, net));
         publish(ranks, published, false);
         let seen = Seen { plans, published };
         space.parallel_for_mut(ranks, |r, st| st.merge_and_advance_e(r, seen, drive));
@@ -897,168 +902,78 @@ impl MultiRankSim {
     }
 }
 
-/// Build every rank's geometry and exchange plan. Two ranks exchange iff
-/// their local arrays (owned block + halo shell) intersect in global
-/// space; the pair's overlap list is enumerated in ascending global-cell
-/// order on both sides, so buffer position identifies the cell without
-/// shipping indices. Current partials cover the whole overlap, field
-/// halos only the cells [`RankPlan::field_images`] names.
+/// Build every rank's geometry and exchange plan: each rank's images
+/// grouped by owner into one [`Link`] each (module docs), cells ascending
+/// by global id, and each owner's `held_by`, ascending by holder.
 fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
-    let nranks = decomp.ranks();
-    // per-rank: global cell → local images, plus local_to_global
-    let mut maps: Vec<BTreeMap<u32, Vec<u32>>> = Vec::with_capacity(nranks);
-    let mut plans: Vec<RankPlan> = Vec::with_capacity(nranks);
-    for r in 0..nranks {
-        let origin = decomp.local_origin(r);
-        let extent = decomp.local_extent(r);
-        let (lx, ly, lz) = extent;
-        let local = Grid::new(lx + 3, ly + 3, lz + 3);
-        let mut l2g = vec![0u32; local.cells()];
-        let mut map: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (lv, g) in l2g.iter_mut().enumerate() {
-            let (x, y, z) = local.coords(lv);
-            let gx = (origin.0 + x + global.nx - 1) % global.nx;
-            let gy = (origin.1 + y + global.ny - 1) % global.ny;
-            let gz = (origin.2 + z + global.nz - 1) % global.nz;
-            *g = global.voxel(gx, gy, gz) as u32;
-            map.entry(*g).or_default().push(lv as u32);
-        }
-        maps.push(map);
-        plans.push(RankPlan {
-            origin,
-            extent,
-            grid: local,
-            global: global.clone(),
-            local_to_global: l2g,
-            route: Vec::new(),
-            shared: Vec::new(),
-            links: Vec::new(),
-        });
-    }
-    // shared cells: multiplicity > 1 locally, or present in another rank
-    let mut shared_keys: Vec<BTreeSet<u32>> = maps
-        .iter()
-        .map(|m| m.iter().filter(|(_, v)| v.len() > 1).map(|(&k, _)| k).collect())
-        .collect();
-    let mut pair_overlap: BTreeMap<(usize, usize), Vec<u32>> = BTreeMap::new();
-    for r in 0..nranks {
-        for n in (r + 1)..nranks {
-            let (small, large) = if maps[r].len() <= maps[n].len() { (r, n) } else { (n, r) };
-            let inter: Vec<u32> = maps[small]
-                .keys()
-                .filter(|k| maps[large].contains_key(k))
-                .copied()
+    let mut plans: Vec<RankPlan> = (0..decomp.ranks())
+        .map(|r| {
+            let (origin, extent) = (decomp.local_origin(r), decomp.local_extent(r));
+            let grid = Grid::new(extent.0 + 3, extent.1 + 3, extent.2 + 3);
+            // local cell → global by periodic wrap, the halo one cell below
+            let wrap = |o: usize, x: usize, n: usize| (o + x + n - 1) % n;
+            let local_to_global = (0..grid.cells())
+                .map(|lv| {
+                    let (x, y, z) = grid.coords(lv);
+                    let (nx, ny, nz) = (global.nx, global.ny, global.nz);
+                    let (gx, gy, gz) = (wrap(origin.0, x, nx), wrap(origin.1, y, ny), wrap(origin.2, z, nz));
+                    global.voxel(gx, gy, gz) as u32
+                })
                 .collect();
-            if inter.is_empty() {
-                continue;
+            RankPlan {
+                origin,
+                extent,
+                grid,
+                global: global.clone(),
+                local_to_global,
+                route: Vec::new(),
+                links: Vec::new(),
+                held_by: Vec::new(),
             }
-            for &g in &inter {
-                shared_keys[r].insert(g);
-                shared_keys[n].insert(g);
-            }
-            pair_overlap.insert((r, n), inter);
-        }
-    }
-    // materialize shared tables and position lookups
-    let mut shared_pos: Vec<BTreeMap<u32, u32>> = Vec::with_capacity(nranks);
-    for r in 0..nranks {
-        let mut table = Vec::with_capacity(shared_keys[r].len());
-        let mut pos = BTreeMap::new();
-        for (i, &g) in shared_keys[r].iter().enumerate() {
-            table.push((g, maps[r][&g].clone()));
-            pos.insert(g, i as u32);
-        }
-        plans[r].shared = table;
-        shared_pos.push(pos);
-    }
-    // links: remote pairs, then the periodic self-copy link
+        })
+        .collect();
     let owner_of = |g: u32| {
         let (gx, gy, gz) = global.coords(g as usize);
         decomp.owner(gx, gy, gz)
     };
-    for (&(r, n), overlap) in &pair_overlap {
-        let mk = |me: usize, other: usize| -> Link {
-            let mut link = Link {
-                rank: other,
-                back: 0,
-                acc_pos: Vec::with_capacity(overlap.len()),
-                field_src: Vec::new(),
-                field_dst: Vec::new(),
-                field_dst_off: vec![0],
-            };
-            for &g in overlap {
-                link.acc_pos.push(shared_pos[me][&g]);
-                let o = owner_of(g);
-                let fields = |r: usize| plans[r].field_images(&maps[r][&g]);
-                if o == me && fields(other).next().is_some() {
-                    link.field_src.push(plans[me].canonical(g));
-                } else if o == other && fields(me).next().is_some() {
-                    link.field_dst.extend(fields(me));
-                    link.field_dst_off.push(link.field_dst.len() as u32);
-                }
-            }
-            link
-        };
-        let link_rn = mk(r, n);
-        let link_nr = mk(n, r);
-        debug_assert_eq!(link_rn.field_src.len(), link_nr.field_dst_off.len() - 1);
-        debug_assert_eq!(link_nr.field_src.len(), link_rn.field_dst_off.len() - 1);
-        plans[r].links.push(link_rn);
-        plans[n].links.push(link_nr);
-    }
-    // the loop body indexes several parallel per-rank arrays
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..nranks {
-        plans[r].links.sort_by_key(|l| l.rank);
-        // periodic self-copies: a cell this rank owns that also appears
-        // as halo images of itself (single-rank axes)
-        let mut link = Link {
-            rank: r,
-            back: 0,
-            acc_pos: Vec::new(),
-            field_src: Vec::new(),
-            field_dst: Vec::new(),
-            field_dst_off: vec![0],
-        };
-        for (g, images) in &plans[r].shared {
-            if owner_of(*g) != r {
-                continue;
-            }
-            let canon = plans[r].canonical(*g);
-            let start = link.field_dst.len();
-            link.field_dst.extend(plans[r].field_images(images).filter(|&img| img != canon));
-            if link.field_dst.len() > start {
-                link.field_src.push(canon);
-                link.field_dst_off.push(link.field_dst.len() as u32);
-            }
-        }
-        if !link.field_src.is_empty() {
-            plans[r].links.push(link);
-        }
-    }
-    // with the link order final, name every link's twin and route every
-    // local cell: an image of a cell another rank owns migrates over the
-    // link to its owner. Links are built in pairs, so the lookups hold by
-    // construction — checked here, once, so that a step has nothing left
-    // to look up
-    let link_to = |plans: &[RankPlan], r: usize, peer: usize| {
-        plans[r].links.iter().position(|l| l.rank == peer).expect("links are symmetric")
-    };
-    for r in 0..nranks {
-        for li in 0..plans[r].links.len() {
-            plans[r].links[li].back = link_to(&plans, plans[r].links[li].rank, r);
-        }
-        let route = plans[r].local_to_global.iter().enumerate().map(|(lv, &g)| {
+    for r in 0..plans.len() {
+        let plan = &plans[r];
+        // every image, by owner and then by global cell
+        let mut images: BTreeMap<(usize, u32), Vec<u32>> = BTreeMap::new();
+        for (lv, &g) in plan.local_to_global.iter().enumerate() {
             let owner = owner_of(g);
-            if owner != r {
-                Route::Remote(link_to(&plans, r, owner) as u32)
-            } else if plans[r].canonical(g) as usize == lv {
-                Route::Owned
-            } else {
-                Route::Remap(plans[r].canonical(g))
+            if owner != r || plan.canonical(g) as usize != lv {
+                images.entry((owner, g)).or_default().push(lv as u32);
             }
-        });
-        plans[r].route = route.collect();
+        }
+        let mut route = vec![Route::Owned; plan.grid.cells()];
+        let mut links: Vec<Link> = Vec::new();
+        for ((owner, g), group) in images {
+            if links.last().is_none_or(|l| l.owner != owner) {
+                let (canon, images, fields) = (Vec::new(), Vec::new(), Vec::new());
+                links.push(Link { owner, back: 0, canon, images, off: vec![0], fields });
+            }
+            let li = links.len() - 1;
+            let (link, canon) = (&mut links[li], plans[owner].canonical(g));
+            for &lv in &group {
+                route[lv as usize] = if owner == r { Route::Remap(canon) } else { Route::Remote(li as u32) };
+            }
+            if group.iter().any(|&lv| plan.field_read(lv)) {
+                link.fields.push(link.canon.len() as u32);
+            }
+            link.canon.push(canon);
+            link.images.extend(group);
+            link.off.push(link.images.len() as u32);
+        }
+        (plans[r].route, plans[r].links) = (route, links);
+    }
+    // every owner lists the links that hold its cells, ascending by holder
+    for r in 0..plans.len() {
+        for li in 0..plans[r].links.len() {
+            let owner = plans[r].links[li].owner;
+            plans[r].links[li].back = plans[owner].held_by.len();
+            plans[owner].held_by.push((r, li));
+        }
     }
     plans
 }
@@ -1071,6 +986,68 @@ mod tests {
 
     fn net() -> NetworkModel {
         systems::selene().network
+    }
+
+    /// The plan of every rank at the lattice's rank counts over its decks'
+    /// grids (Weibel 6³, LPI 8 × 4 × 4, uniform 4³ and the 4 × 3 × 5
+    /// `Thin` deck, whose blocks are one and two cells wide): each image
+    /// sits in the one link to its cell's owner, and the two ends of a
+    /// link agree on every cell.
+    #[test]
+    fn every_image_links_once_to_its_owner() {
+        for (nx, ny, nz) in [(6, 6, 6), (8, 4, 4), (4, 4, 4), (4, 3, 5)] {
+            let global = Grid::new(nx, ny, nz);
+            for ranks in [1, 2, 4, 8, 16] {
+                let decomp = Decomposition::covering((nx, ny, nz), ranks).unwrap();
+                let plans = build_plans(&decomp, &global);
+                let owner_of = |g: u32| {
+                    let (gx, gy, gz) = global.coords(g as usize);
+                    decomp.owner(gx, gy, gz)
+                };
+                let mut holders = 0;
+                for (r, plan) in plans.iter().enumerate() {
+                    let what = format!("{nx}×{ny}×{nz} on {ranks}, rank {r}");
+                    let mut linked = vec![0; plan.grid.cells()];
+                    let owners: Vec<usize> = plan.links.iter().map(|l| l.owner).collect();
+                    assert!(owners.is_sorted_by(|a, b| a < b), "{what}: one link per owner, ascending");
+                    for (li, link) in plan.links.iter().enumerate() {
+                        let owner = &plans[link.owner];
+                        assert_eq!(owner.held_by[link.back], (r, li), "{what}: link {li}'s back");
+                        let mut cells = Vec::new();
+                        for (k, &canon) in link.canon.iter().enumerate() {
+                            let g = owner.local_to_global[canon as usize];
+                            assert_eq!(owner.route[canon as usize], Route::Owned, "{what}: canon {k}");
+                            for &img in link.images(k) {
+                                linked[img as usize] += 1;
+                                assert_eq!(plan.local_to_global[img as usize], g, "{what}: image of {k}");
+                                assert_eq!(owner_of(g), link.owner, "{what}: cell {g}'s owner");
+                            }
+                            cells.push(g);
+                            // the field kernels read the owned block and the
+                            // one-cell shell around it
+                            let (lx, ly, lz) = plan.extent;
+                            let read = link.images(k).iter().any(|&img| {
+                                let (x, y, z) = plan.grid.coords(img as usize);
+                                x <= lx + 1 && y <= ly + 1 && z <= lz + 1
+                            });
+                            assert_eq!(link.fields.contains(&(k as u32)), read, "{what}: fields {k}");
+                        }
+                        assert!(!cells.is_empty() && cells.is_sorted_by(|a, b| a < b), "{what}: cells ascend");
+                        assert!(link.fields.is_sorted_by(|a, b| a < b), "{what}: fields ascend");
+                    }
+                    for (lv, &g) in plan.local_to_global.iter().enumerate() {
+                        let canonical = owner_of(g) == r && plan.canonical(g) as usize == lv;
+                        assert_eq!(plan.route[lv] == Route::Owned, canonical, "{what}: cell {lv}");
+                        assert_eq!(linked[lv], usize::from(!canonical), "{what}: cell {lv} in links");
+                    }
+                    let held: Vec<usize> = plan.held_by.iter().map(|&(h, _)| h).collect();
+                    assert!(held.is_sorted_by(|a, b| a < b), "{what}: held_by ascends by holder");
+                    holders += held.len();
+                }
+                let links: usize = plans.iter().map(|p| p.links.len()).sum();
+                assert_eq!(holders, links, "{nx}×{ny}×{nz} on {ranks}: every link held once");
+            }
+        }
     }
 
     /// One step of two ranks on two lanes over a 4³ deck: a rank point

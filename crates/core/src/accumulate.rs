@@ -23,8 +23,8 @@
 //! The totals are `charge × fractional displacement × transverse shape`;
 //! [`Accumulator::unload`] converts them to current density by the `1/dt`
 //! factor (unit cells) in one streaming pass that reads each edge, zeroes
-//! it and adds it to J, so the [`Accumulator::reset`] before the next
-//! deposits has nothing to sweep.
+//! it and stores it into J, so J needs no clearing and the
+//! [`Accumulator::reset`] before the next deposits has nothing to sweep.
 
 use crate::field::FieldArray;
 use crate::grid::{Grid, Site};
@@ -135,18 +135,19 @@ impl Accumulator {
         std::array::from_fn(|e| self.buf.get_raw(cell * EDGES + e))
     }
 
-    /// Overwrite the totals of `cell`'s edges with the owner's merged
-    /// values (halo *fill*: every image of a shared cell gets the sum over
-    /// all of them, so the unload of each reads the merged current), under
-    /// a sole claim on each lane in turn. Not for a thread that holds a
-    /// depositor on this accumulator (see [`Accumulator::reset`]).
+    /// Overwrite the totals of `cell`'s edges with `raw` (the cluster
+    /// merge: the owner's canonical cell gets its own deposits plus every
+    /// holder's summed images, so its unload reads the whole current),
+    /// under a sole claim on each lane in turn. Not for a thread that
+    /// holds a depositor on this accumulator (see [`Accumulator::reset`]).
     pub(crate) fn set_cell_raw(&self, cell: usize, raw: &[i64; EDGES]) {
         self.buf.set_raw_run(cell * EDGES, raw);
     }
 
-    /// Convert accumulated charge-displacements to current density, add
-    /// them into the field's J arrays (VPIC's `unload_accumulator_array`),
-    /// and leave every edge zero: the unload consumes the accumulator.
+    /// Convert accumulated charge-displacements to current density, store
+    /// them into the field's J arrays over whatever those held (VPIC's
+    /// `unload_accumulator_array`), and leave every edge zero: the unload
+    /// consumes the accumulator.
     pub fn unload(&mut self, f: &mut FieldArray) {
         self.unload_on(&Serial, Strategy::Auto, f);
     }
@@ -155,11 +156,12 @@ impl Accumulator {
     ///
     /// Every edge has one total, so the unload is a stream over the cells:
     /// for each edge it reads the total (the first lane's, then each
-    /// replica's added in replica order), zeroes it, and adds
-    /// `(dequantize(total) × 1/dt) as f32` to J. Each J element has one
+    /// replica's added in replica order), zeroes it, and stores
+    /// `(dequantize(total) × 1/dt) as f32` into J. Each J element has one
     /// writer and one rounding, so the result is bit-identical for any
-    /// space, strategy or worker count; `vsimd` has no `f64` lane type, so
-    /// `strategy` chooses nothing here. `&mut self` keeps every depositor
+    /// space, strategy or worker count, and the same bits as adding it to
+    /// a cleared J: a zero total converts to `+0.0`, never `-0.0`. `vsimd`
+    /// has no `f64` lane type, so `strategy` chooses nothing here. `&mut self` keeps every depositor
     /// out, so the pass reads and zeroes the first lane's edges through
     /// `AtomicI64::get_mut`, plain accesses.
     ///
@@ -188,7 +190,7 @@ impl Accumulator {
                         let i = (start + k) * EDGES + e;
                         let raw = std::mem::take(edge.get_mut());
                         let raw = replicas.clone().fold(raw, |sum, lane| sum.wrapping_add(lane.take(i)));
-                        j[k] += (FixedScatterBuf::dequantize(raw) * rdt) as f32;
+                        j[k] = (FixedScatterBuf::dequantize(raw) * rdt) as f32;
                     }
                 }
             });
@@ -661,7 +663,7 @@ mod tests {
         for (nx, ny, nz) in GRIDS {
             let g = Grid::new(nx, ny, nz);
             let deposits = deposits(&g);
-            // J the unload adds to, not zero
+            // stale J the unload overwrites, not zero
             let mut start = FieldArray::new(g.clone());
             for v in 0..g.cells() {
                 (start.jx[v], start.jy[v], start.jz[v]) = (v as f32 * 0.25, -1.5, 1.0 / (v + 1) as f32);
@@ -670,7 +672,7 @@ mod tests {
             let mut reference = start.clone();
             for (v, edges) in edge_reference(&g, &deposits).iter().enumerate() {
                 for (j, &raw) in [&mut reference.jx, &mut reference.jy, &mut reference.jz].into_iter().zip(edges) {
-                    j[v] += (FixedScatterBuf::dequantize(raw) * rdt) as f32;
+                    j[v] = (FixedScatterBuf::dequantize(raw) * rdt) as f32;
                 }
             }
             for mode in [ScatterMode::Atomic, ScatterMode::Duplicated] {

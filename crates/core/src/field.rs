@@ -158,8 +158,10 @@ impl FieldArray {
         [ex, ey, ez, bx, by, bz, jx, jy, jz]
     }
 
-    /// Zero the current arrays (start of every step), the row sweep
-    /// distributed over `space`.
+    /// Zero the current arrays, the row sweep distributed over `space`.
+    /// A step does not call it (the unload stores every J element); it is
+    /// the kernel an outside tracer times as its own phase, until the
+    /// field solve reads the edge totals and J goes (ROADMAP 27(a)).
     pub fn clear_j_on<S: ExecSpace>(&mut self, space: &S) {
         let j = [&mut self.jx, &mut self.jy, &mut self.jz].map(|j| j.as_mut_slice());
         space.parallel_windows(j, self.grid.nx, |_, _, j| {

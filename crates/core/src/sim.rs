@@ -27,13 +27,10 @@ use vsimd::Strategy;
 // a streaming model is exact; the footprints come from the array reads and
 // writes each pass performs (f32 = 4 B).
 
-/// J clear: write jx/jy/jz once.
-const CLEAR_J_BYTES: f64 = 12.0;
 /// Accumulator unload, the executed pass: read a cell's three fixed-point
-/// `i64` edge totals (24 B), read-modify-write its three `f32` currents
-/// (3 × 2 × 4 B). The edges' zeroing writes back the lines just read and
-/// is not priced.
-const UNLOAD_BYTES: f64 = 48.0;
+/// `i64` edge totals (24 B), store its three `f32` currents (12 B). The
+/// edges' zeroing writes back the lines just read and is not priced.
+const UNLOAD_BYTES: f64 = 36.0;
 /// Fixed-point → float conversion, scale and add per edge.
 const UNLOAD_FLOPS: f64 = 12.0;
 /// Leapfrog advance (B half, E, B half): read/write 6 field arrays plus
@@ -320,15 +317,14 @@ impl Simulation {
         stats
     }
 
-    /// The particle half of a step, written once for every driver: clear
-    /// J, reset the accumulator (free when the last unload consumed it),
-    /// then push species by species over the SoA arrays into the
-    /// accumulator, each cell's coefficients built from E and B when the
-    /// push first needs them, into the cache every species shares.
+    /// The particle half of a step, written once for every driver: reset
+    /// the accumulator (free when the last unload consumed it), then push
+    /// species by species over the SoA arrays into the accumulator, each
+    /// cell's coefficients built from E and B when the push first needs
+    /// them, into the cache every species shares. J is not cleared: the
+    /// unload stores every element of it.
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
         let _s = telemetry::span("sim.push").arg("species", self.species.len());
-        self.fields.clear_j_on(space);
-        self.charge_grid_stream(space, "clear_j", CLEAR_J_BYTES, 0.0);
         self.acc.reset();
         let mut stats = PushStats::default();
         let mut src = Fields::new(&self.fields, std::mem::take(&mut self.coeffs));
@@ -448,7 +444,8 @@ impl Simulation {
     }
 
     /// Rebuild the accumulator for a different worker count / scatter
-    /// mode (used by the deposition ablation bench).
+    /// mode: what a tuner configuration applies, and how a caller sizes
+    /// the duplicated mode's replicas for a pool ([`Simulation::step_on`]).
     pub fn configure_scatter(&mut self, workers: usize, mode: ScatterMode) {
         self.scatter_mode = mode;
         self.scatter_workers = workers;
@@ -467,14 +464,14 @@ impl Simulation {
     // commute, so the merge is order- and partition-independent).
 
     /// First phase of a decomposed step: [`Simulation::step`]'s particle
-    /// phase (J clear, accumulator reset, push from the fields) on the
+    /// phase (accumulator reset, push from the fields) on the
     /// calling thread. Sorting is the caller's — see
     /// [`Simulation::consume_due_sort`].
     pub fn begin_step(&mut self) -> PushStats {
         self.particle_phase(&Serial)
     }
 
-    /// Second phase of a decomposed step: fold the (halo-merged)
+    /// Second phase of a decomposed step: store the (halo-merged)
     /// accumulator into J, which leaves it zero. Must run after every
     /// rank-boundary partial has been merged via
     /// [`Simulation::acc_set_cell_raw`].

@@ -146,8 +146,8 @@ impl GpuModel {
     /// Cost of a pure streaming kernel: `bytes` moved once with no reuse
     /// structure worth simulating and no atomics, plus `flops` of
     /// arithmetic. Bandwidth- or compute-bound — the model for the
-    /// grid-side field kernels (interpolator load, J clear, accumulator
-    /// unload, leapfrog advance).
+    /// grid-side field kernels (interpolator load, accumulator unload,
+    /// leapfrog advance).
     pub fn stream(&self, bytes: f64, flops: f64) -> KernelCost {
         let p = &self.platform;
         KernelCost {

@@ -77,8 +77,8 @@ pub enum Access<'a> {
         atomic: bool,
     },
     /// A streaming sweep with no reuse structure worth simulating: the
-    /// grid-side field kernels (interpolator load, J clear, accumulator
-    /// unload, leapfrog advance).
+    /// grid-side field kernels (interpolator load, accumulator unload,
+    /// leapfrog advance).
     Stream {
         /// Ledger label.
         label: &'static str,
@@ -92,7 +92,7 @@ pub enum Access<'a> {
 /// One charged dispatch in a [`SimGpu`] ledger.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelRecord {
-    /// Ledger label (`"push"`, `"sort"`, `"clear_j"`, …).
+    /// Ledger label (`"push"`, `"sort"`, `"accumulate"`, …).
     pub label: &'static str,
     /// Elements processed (particles, keys; 0 for pure streams).
     pub elements: usize,

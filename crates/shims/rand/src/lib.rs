@@ -5,11 +5,12 @@
 //! exactly the API surface the workspace uses (see DESIGN.md §2). This
 //! shim covers:
 //!
-//! * [`RngCore`] / [`Rng`] with `gen_range` over integer and float ranges
-//!   and `gen` for a few primitive types,
+//! * [`RngCore`] / [`Rng`] with `gen_range` over integer and float ranges,
 //! * [`SeedableRng`] with `from_seed` / `seed_from_u64` (the same
 //!   SplitMix64 seed expansion upstream rand uses),
-//! * [`seq::SliceRandom`] with `shuffle` and `choose`.
+//! * [`seq::SliceRandom`] with `shuffle`.
+//!
+//! The generator itself is `rand_chacha`'s.
 //!
 //! Generators are deterministic for a fixed seed, which is all the
 //! workspace relies on; the streams do **not** match upstream `rand`
@@ -17,33 +18,12 @@
 
 use std::ops::Range;
 
-/// Core random-number source: 32/64-bit words and byte fills.
+/// Core random-number source: 32/64-bit words.
 pub trait RngCore {
     /// Next 32 random bits.
     fn next_u32(&mut self) -> u32;
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
-    /// Fill `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for c in &mut chunks {
-            c.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let w = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&w[..rem.len()]);
-        }
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u32(&mut self) -> u32 {
-        (**self).next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// A type that can be sampled uniformly from a range by an [`Rng`].
@@ -96,53 +76,12 @@ macro_rules! impl_range_float {
 
 impl_range_float!(f32, f64);
 
-/// Uniform full-domain generation for `Rng::gen`.
-pub trait Standard: Sized {
-    /// Sample one value.
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
-}
-
-macro_rules! impl_standard {
-    ($($t:ty => $e:expr),*) => {$(
-        impl Standard for $t {
-            #[inline]
-            fn sample<R: RngCore + ?Sized>(rng: &mut R) -> $t {
-                let f: fn(&mut R) -> $t = $e;
-                f(rng)
-            }
-        }
-    )*};
-}
-
-impl_standard!(
-    u32 => |r| r.next_u32(),
-    u64 => |r| r.next_u64(),
-    usize => |r| r.next_u64() as usize,
-    i32 => |r| r.next_u32() as i32,
-    i64 => |r| r.next_u64() as i64,
-    bool => |r| r.next_u32() & 1 == 1,
-    f32 => |r| (r.next_u32() >> 8) as f32 / (1u32 << 24) as f32,
-    f64 => |r| (r.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-);
-
 /// User-facing sampling methods, blanket-implemented for every source.
 pub trait Rng: RngCore {
     /// Uniform sample from `range` (half-open or inclusive).
     #[inline]
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_single(self)
-    }
-
-    /// Sample a value of `T` from its full/default domain.
-    #[inline]
-    fn gen<T: Standard>(&mut self) -> T {
-        T::sample(self)
-    }
-
-    /// Bernoulli sample with probability `p`.
-    #[inline]
-    fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen::<f64>() < p
     }
 }
 
@@ -175,122 +114,71 @@ pub trait SeedableRng: Sized {
     }
 }
 
-pub mod rngs {
-    //! Small self-contained generators.
-
-    use super::{RngCore, SeedableRng};
-
-    /// A fast xoshiro256**-style generator (the `SmallRng` analog).
-    #[derive(Debug, Clone)]
-    pub struct SmallRng {
-        s: [u64; 4],
-    }
-
-    impl RngCore for SmallRng {
-        #[inline]
-        fn next_u32(&mut self) -> u32 {
-            (self.next_u64() >> 32) as u32
-        }
-
-        #[inline]
-        fn next_u64(&mut self) -> u64 {
-            let out = self.s[1]
-                .wrapping_mul(5)
-                .rotate_left(7)
-                .wrapping_mul(9);
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = self.s[3].rotate_left(45);
-            out
-        }
-    }
-
-    impl SeedableRng for SmallRng {
-        type Seed = [u8; 32];
-
-        fn from_seed(seed: Self::Seed) -> Self {
-            let mut s = [0u64; 4];
-            for (i, w) in s.iter_mut().enumerate() {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&seed[i * 8..i * 8 + 8]);
-                *w = u64::from_le_bytes(b);
-            }
-            // avoid the all-zero state
-            if s.iter().all(|&w| w == 0) {
-                s[0] = 0x9E37_79B9_7F4A_7C15;
-            }
-            SmallRng { s }
-        }
-    }
-}
-
 pub mod seq {
     //! Sequence-related sampling (`SliceRandom`).
 
     use super::{Rng, RngCore};
 
-    /// Shuffling and choosing on slices.
+    /// Shuffling slices.
     pub trait SliceRandom {
-        /// Element type.
-        type Item;
-
         /// Fisher–Yates shuffle in place.
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
-
-        /// Uniformly chosen element, `None` when empty.
-        fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
     }
 
     impl<T> SliceRandom for [T] {
-        type Item = T;
-
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
             for i in (1..self.len()).rev() {
                 let j = rng.gen_range(0..i + 1);
                 self.swap(i, j);
             }
         }
-
-        fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                Some(&self[rng.gen_range(0..self.len())])
-            }
-        }
     }
-}
-
-/// Prelude matching `rand::prelude::*` for the used subset.
-pub mod prelude {
-    pub use crate::seq::SliceRandom;
-    pub use crate::{Rng, RngCore, SeedableRng};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::rngs::SmallRng;
     use super::seq::SliceRandom;
     use super::{Rng, RngCore, SeedableRng};
 
+    /// A test-local generator: SplitMix64 over its seed's first word.
+    struct SplitMix(u64);
+
+    impl RngCore for SplitMix {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    impl SeedableRng for SplitMix {
+        type Seed = [u8; 8];
+
+        fn from_seed(seed: Self::Seed) -> Self {
+            SplitMix(u64::from_le_bytes(seed))
+        }
+    }
+
     #[test]
     fn seeded_streams_are_deterministic() {
-        let mut a = SmallRng::seed_from_u64(42);
-        let mut b = SmallRng::seed_from_u64(42);
+        let mut a = SplitMix::seed_from_u64(42);
+        let mut b = SplitMix::seed_from_u64(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-        let mut c = SmallRng::seed_from_u64(43);
+        let mut c = SplitMix::seed_from_u64(43);
         assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]
     fn gen_range_stays_in_bounds() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix::seed_from_u64(7);
         for _ in 0..1000 {
             let v = rng.gen_range(10u32..20);
             assert!((10..20).contains(&v));
@@ -298,24 +186,19 @@ mod tests {
             assert!((-1.0..1.0).contains(&f));
             let i = rng.gen_range(-5i32..5);
             assert!((-5..5).contains(&i));
+            let k = rng.gen_range(3u8..=4);
+            assert!((3..=4).contains(&k));
         }
     }
 
     #[test]
     fn shuffle_is_a_permutation() {
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = SplitMix::seed_from_u64(3);
         let mut v: Vec<u32> = (0..100).collect();
         v.shuffle(&mut rng);
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "a 100-element shuffle should move something");
-    }
-
-    #[test]
-    fn gen_bool_is_roughly_fair() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let heads = (0..10_000).filter(|_| rng.gen_bool(0.5)).count();
-        assert!((4000..6000).contains(&heads), "{heads}");
     }
 }

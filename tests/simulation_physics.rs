@@ -7,10 +7,11 @@
 mod lattice;
 
 use lattice::check;
+use vpic2::cluster::{systems, MultiRankSim};
 use vpic2::core::accumulate::Accumulator;
 use vpic2::core::push::push_species_on;
 use vpic2::core::{load_interpolators_into, Deck, InterpolatorArray, Simulation};
-use vpic2::pk::Serial;
+use vpic2::pk::{Serial, Threads};
 use vpic2::psort::SortOrder;
 
 #[test]
@@ -133,6 +134,47 @@ fn the_public_kernel_seam_reproduces_step_on_bitwise() {
             stepped.step_on(&Serial);
             step_through_the_public_kernels(&mut driven, &mut acc, &mut interp, order, interval);
             assert_eq!(stepped.bit_diff(&driven), None, "{name} step {step}");
+        }
+    }
+}
+
+/// J's content before a step is never read: the unload stores every
+/// element of J, and only the owner's canonical cell takes a rank's merged
+/// current. A deck whose J starts as NaN steps to the bits of its twin
+/// whose J starts at zero, on one lane, on two, and on four ranks (where
+/// every rank's owned and halo J start as NaN).
+#[test]
+fn stale_j_is_never_read_by_a_step() {
+    for (name, deck) in [("weibel", Deck::weibel(6, 6, 6, 3, 0.3)), ("lpi", Deck::lpi(8, 4, 4, 4))] {
+        // a twin whose J starts at zero, and one whose J starts as NaN
+        let twins = || {
+            let (zero, mut nan) = (deck.build(), deck.build());
+            assert!(zero.fields.jz.iter().all(|&j| j == 0.0), "{name}: a deck starts at zero");
+            for j in [&mut nan.fields.jx, &mut nan.fields.jy, &mut nan.fields.jz] {
+                j.fill(f32::NAN);
+            }
+            (zero, nan)
+        };
+        let (mut zero_serial, mut nan_serial) = twins();
+        let (mut zero_threads, mut nan_threads) = twins();
+        let (zero, nan) = twins();
+        let network = systems::selene().network;
+        let mut zero_ranks = MultiRankSim::new(&zero, 4, network);
+        let mut nan_ranks = MultiRankSim::new(&nan, 4, network);
+        let threads = Threads::new(2);
+        for step in 1..=5 {
+            zero_serial.step_on(&Serial);
+            nan_serial.step_on(&Serial);
+            zero_threads.step_on(&threads);
+            nan_threads.step_on(&threads);
+            zero_ranks.step_on(&Serial);
+            nan_ranks.step_on(&Serial);
+            if step == 1 || step == 5 {
+                assert_eq!(nan_serial.bit_diff(&zero_serial), None, "{name} Serial, step {step}");
+                assert_eq!(nan_threads.bit_diff(&zero_threads), None, "{name} two lanes, step {step}");
+                let gathered = nan_ranks.gather();
+                assert_eq!(gathered.bit_diff(&zero_ranks.gather()), None, "{name} four ranks, step {step}");
+            }
         }
     }
 }
