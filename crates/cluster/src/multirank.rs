@@ -393,9 +393,7 @@ impl RankState {
         // permutation. Bit-safe: it permutes records within a rank, and
         // the gather goes by id (the per-rank tuning contract below).
         if let Some(order) = self.sim.consume_due_sort() {
-            for (s, ids) in self.sim.species.iter_mut().zip(&mut self.ids) {
-                s.sort_with_ids(order, ids);
-            }
+            self.sim.sort_particles_with_ids(order, &mut self.ids);
         }
         tally.push = self.sim.begin_step();
         tally.population = self.sim.particle_count();

@@ -12,9 +12,10 @@
 //! physics to the uninterrupted run (the checkpoint axis of the
 //! differential lattice, `tests/lattice/mod.rs`).
 //!
-//! What is deliberately *not* serialized: per-species sort scratch
-//! (re-warms on the first post-restore sort) and the accumulator
-//! (rebuilt from the saved configuration and worker count).
+//! What is deliberately *not* serialized: the simulation's particle-phase
+//! scratch (the sort's permutation and spare column, the push's
+//! coefficient cache; re-warms on the first post-restore step) and the
+//! accumulator (rebuilt from the saved configuration and worker count).
 //!
 //! Every decode error is typed ([`RestoreError`]); a checkpoint that
 //! parses but disagrees with itself (array length mismatch, unknown enum

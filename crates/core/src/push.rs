@@ -71,7 +71,7 @@ use crate::accumulate::{lane_segment_weights, Accumulator, RunDepositor, SLOTS};
 use crate::field::FieldArray;
 use crate::grid::{Grid, Site};
 use crate::interp::{fields_at, load_cell_at, Interpolator, COEFFS};
-use crate::species::Species;
+use crate::species::{Scratch, Species};
 use pk::atomic::{Claim, ScatterMode};
 use pk::{ExecSpace, Serial, Split};
 use std::ops::Range;
@@ -618,28 +618,22 @@ impl Source for &[Interpolator] {
 }
 
 /// Cells of a grid small enough that a [`Fields`] cache holds all of it:
-/// 2.5 MiB of records and tags.
+/// 2.4 MiB of records and tags, in the particle-phase scratch the
+/// simulation's sort uses first (8 B a particle of its longest species).
 const WHOLE: usize = 1 << 15;
 
-/// The records a [`Fields`] source has built, direct-mapped by cell: what
-/// a simulation keeps between steps so that no step allocates them. They
-/// are stale once the fields move; [`Fields::new`] empties them.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CoeffCache {
-    /// The cell whose record each slot holds; `usize::MAX` for none.
-    tags: Vec<usize>,
-    records: Vec<[f32; COEFFS]>,
-}
-
-#[cfg(test)]
-impl CoeffCache {
-    /// Where the two buffers are and how large, for no-allocation checks.
-    pub(crate) fn buffers(&self) -> [(usize, usize); 2] {
-        [
-            (self.tags.as_ptr() as usize, self.tags.capacity()),
-            (self.records.as_ptr() as usize, self.records.capacity()),
-        ]
-    }
+/// The records a [`Fields`] source has built, direct-mapped by cell, 76 B
+/// a slot. Its two buffers are the simulation's particle-phase scratch
+/// ([`Scratch`]), which the step's sort used just before for its
+/// permutation and spare column; they are stale once the fields move,
+/// and [`Fields::new`] empties them, so nothing the cache or the sort
+/// leaves in them is read by the other.
+#[derive(Clone)]
+struct CoeffCache {
+    /// The cell whose record each slot holds; `u32::MAX` for none.
+    tags: Vec<u32>,
+    /// The slots' records, flat, [`COEFFS`] floats a slot.
+    records: Vec<f32>,
 }
 
 /// The fields as a [`Source`]: a cell's record is built from the E and B
@@ -665,27 +659,30 @@ pub(crate) struct Fields<'a> {
 }
 
 impl<'a> Fields<'a> {
-    /// The source of `f`'s records, kept in `cache`, emptied and sized for
-    /// `f`'s grid first.
-    pub(crate) fn new(f: &'a FieldArray, cache: CoeffCache) -> Self {
+    /// The source of `f`'s records, kept in a cache in the buffers of
+    /// `scratch`, emptied and sized for `f`'s grid first.
+    pub(crate) fn new(f: &'a FieldArray, scratch: Scratch) -> Self {
         let g = &f.grid;
         let window = 2 * (g.nx * g.ny + g.nx + 1) + 1;
         let slots = if g.cells() <= WHOLE { g.cells() } else { window.min(g.cells()) };
-        Self::with_slots(f, cache, slots.next_power_of_two())
+        Self::with_slots(f, scratch, slots.next_power_of_two())
     }
 
     /// [`Fields::new`] with `slots` (a power of two) slots.
-    fn with_slots(f: &'a FieldArray, mut cache: CoeffCache, slots: usize) -> Self {
+    fn with_slots(f: &'a FieldArray, scratch: Scratch, slots: usize) -> Self {
         let g = &f.grid;
-        cache.tags.clear();
-        cache.tags.resize(slots, usize::MAX);
-        cache.records.resize(slots, [0.0; COEFFS]);
+        let Scratch { words: mut tags, floats: mut records } = scratch;
+        tags.clear();
+        tags.resize(slots, u32::MAX);
+        records.resize(slots * COEFFS, 0.0);
+        let cache = CoeffCache { tags, records };
         Self { f, site: g.site(0, 0, 0), mask: slots - 1, cache, recs: [[0.0; COEFFS]; MAX_LANES] }
     }
 
-    /// The cache, to keep for the next step's source.
-    pub(crate) fn into_cache(self) -> CoeffCache {
-        self.cache
+    /// The cache's buffers, to lend the next step's sort and source.
+    pub(crate) fn into_scratch(self) -> Scratch {
+        let CoeffCache { tags, records } = self.cache;
+        Scratch { words: tags, floats: records }
     }
 
     /// Build `cell`'s record into `slot`. Out of line: once per cell the
@@ -693,8 +690,8 @@ impl<'a> Fields<'a> {
     #[inline(never)]
     fn build(&mut self, cell: usize, slot: usize) {
         self.site = self.f.grid.locate(self.site, cell);
-        load_cell_at(self.f, self.site, &mut self.cache.records[slot]);
-        self.cache.tags[slot] = cell;
+        load_cell_at(self.f, self.site, &mut self.cache.records.as_chunks_mut().0[slot]);
+        self.cache.tags[slot] = cell as u32;
     }
 }
 
@@ -708,7 +705,7 @@ impl Source for Fields<'_> {
     #[inline(always)]
     fn ahead(&mut self, cell: usize) {
         let slot = cell & self.mask;
-        if self.cache.tags[slot] != cell && cell < self.cells() {
+        if self.cache.tags[slot] != cell as u32 && cell < self.cells() {
             self.build(cell, slot);
         }
     }
@@ -716,10 +713,10 @@ impl Source for Fields<'_> {
     #[inline(always)]
     fn record(&mut self, cell: usize) -> &[f32; COEFFS] {
         let slot = cell & self.mask;
-        if self.cache.tags[slot] != cell {
+        if self.cache.tags[slot] != cell as u32 {
             self.build(cell, slot);
         }
-        &self.cache.records[slot]
+        &self.cache.records.as_chunks().0[slot]
     }
 
     /// One record per cell change, copied out of the cache (two cells of
@@ -1189,9 +1186,9 @@ mod tests {
         let threads = pk::Threads::new(3);
         let auto = body(Strategy::Auto);
         let caches = [
-            ("whole grid", Fields::new(&fields, CoeffCache::default())),
-            ("window", Fields::with_slots(&fields, CoeffCache::default(), 128)),
-            ("eight slots", Fields::with_slots(&fields, CoeffCache::default(), 8)),
+            ("whole grid", Fields::new(&fields, Scratch::default())),
+            ("window", Fields::with_slots(&fields, Scratch::default(), 128)),
+            ("eight slots", Fields::with_slots(&fields, Scratch::default(), 8)),
         ];
         assert!(caches[0].1.mask + 1 >= grid.cells() && 128 < grid.cells());
         for (what, start) in &loads {
@@ -1236,7 +1233,7 @@ mod tests {
             let reference = pushed(&Serial, body(Strategy::Auto), lanes[0], &grid, records, &start);
             assert_eq!(reference.2.pushed, 3 * n);
             every_body_gives(&reference, (&grid, records, &start), &lanes, &threads, &format!("{n}"));
-            let from_fields = (&grid, Fields::new(&fields, CoeffCache::default()), &start);
+            let from_fields = (&grid, Fields::new(&fields, Scratch::default()), &start);
             every_body_gives(&reference, from_fields, &lanes, &threads, &format!("{n}, from fields"));
         }
     }
@@ -1272,7 +1269,7 @@ mod tests {
                 format!("index out of bounds: the len is {cells} but the index is {cells}")
             };
             let push = |strategy, s: &mut Species, acc: &Accumulator| match from_fields {
-                true => push_fields_on(&Serial, strategy, &grid, s, &mut Fields::new(&fields, CoeffCache::default()), acc),
+                true => push_fields_on(&Serial, strategy, &grid, s, &mut Fields::new(&fields, Scratch::default()), acc),
                 false => push_species(strategy, &grid, s, &interps, acc),
             };
             for (strategy, first) in first_unpushed {
@@ -1426,7 +1423,7 @@ mod tests {
         // so a group may start in the cell the one before it ended in
         let fields = wavy(&Grid::new(3, 2, 1));
         let built = load_interpolators(&fields);
-        let mut from_fields = Fields::new(&fields, CoeffCache::default());
+        let mut from_fields = Fields::new(&fields, Scratch::default());
         // one run, a mixed group, and a group that is one run for four
         // lanes but not for eight
         for cells in [[3u32; 8], [4, 0, 3, 0, 1, 2, 4, 3], [2, 2, 2, 2, 1, 1, 1, 1]] {

@@ -11,8 +11,8 @@ use crate::accumulate::Accumulator;
 use crate::energy::EnergySnapshot;
 use crate::field::FieldArray;
 use crate::grid::Grid;
-use crate::push::{push_fields_on, CoeffCache, Fields, PushStats};
-use crate::species::Species;
+use crate::push::{push_fields_on, Fields, PushStats};
+use crate::species::{Scratch, Species};
 use pk::atomic::ScatterMode;
 use pk::{ExecSpace, Serial};
 use psort::SortOrder;
@@ -99,10 +99,14 @@ pub struct Simulation {
     /// skip makes it free).
     pub(crate) steps_since_sort: usize,
     acc: Accumulator,
-    /// The records the push built from the fields last step, kept only so
-    /// that no step allocates their cache: stale after the field solve,
-    /// emptied before each push. Derived state, not checkpointed.
-    coeffs: CoeffCache,
+    /// The particle phase's scratch, one `u32` and one `f32` buffer: the
+    /// scheduled sort's permutation and spare column, then the push's
+    /// coefficient cache (tags and records). A step sorts before it
+    /// pushes and the push empties the cache first, so neither reads what
+    /// the other left; kept between steps only so that no step allocates
+    /// it. Sized by the longest species and the cache, not by their sum.
+    /// Derived state, not checkpointed.
+    scratch: Scratch,
     /// Worker count the accumulator was last sized for. Tracked here
     /// (the accumulator only materializes replicas in duplicated mode)
     /// so a resumed run keeps its replicas; the bits do not depend on
@@ -134,7 +138,7 @@ impl Simulation {
             step: 0,
             steps_since_sort: usize::MAX,
             acc,
-            coeffs: CoeffCache::default(),
+            scratch: Scratch::default(),
             scatter_workers: 1,
             tuner: None,
             last_sort_ns: 0,
@@ -165,10 +169,23 @@ impl Simulation {
     }
 
     /// Sort every species' particles by cell index under `order`
-    /// (the paper's §3.2 hook). Species already in `order` are skipped;
-    /// returns how many species actually moved.
+    /// (the paper's §3.2 hook), through the simulation's scratch, with
+    /// the bits of [`Species::sort`]. Species already in `order` are
+    /// skipped; returns how many species actually moved.
     pub fn sort_particles(&mut self, order: SortOrder) -> usize {
-        self.species.iter_mut().map(|s| s.sort(order) as usize).sum()
+        let Self { species, scratch, .. } = self;
+        species.iter_mut().map(|s| s.sort_with(order, scratch) as usize).sum()
+    }
+
+    /// The sort of a rank driver, which keeps per-particle ids:
+    /// [`Simulation::sort_particles`], with `ids[s]`, the global id of
+    /// every particle of species `s`, gathered through each species'
+    /// permutation so that every particle keeps its id.
+    pub fn sort_particles_with_ids(&mut self, order: SortOrder, ids: &mut [Vec<u64>]) {
+        debug_assert_eq!(ids.len(), self.species.len(), "one id array per species");
+        for (s, ids) in self.species.iter_mut().zip(ids) {
+            s.sort_with_ids(order, ids, &mut self.scratch);
+        }
     }
 
     /// Make the next step's scheduled sort fire regardless of how recently
@@ -287,7 +304,7 @@ impl Simulation {
             let t0 = telemetry::now_ns();
             let mut moved = 0u64;
             for s in &mut self.species {
-                if !s.sort(order) {
+                if !s.sort_with(order, &mut self.scratch) {
                     continue;
                 }
                 moved += 1;
@@ -297,7 +314,7 @@ impl Simulation {
                     // fill slot `i`, over the 8-field 32 B SoA record
                     space.charge(&pk::gpu::Access::Gather {
                         label: "sort",
-                        keys: s.sort_perm(),
+                        keys: &self.scratch.words,
                         table_len: s.len().max(1),
                         elem_bytes: 32,
                         stream_bytes: 32.0,
@@ -321,13 +338,14 @@ impl Simulation {
     /// the accumulator (free when the last unload consumed it), then push
     /// species by species over the SoA arrays into the accumulator, each
     /// cell's coefficients built from E and B when the push first needs
-    /// them, into the cache every species shares. J is not cleared: the
-    /// unload stores every element of it.
+    /// them, into the cache every species shares, in the buffers of the
+    /// simulation's scratch. J is not cleared: the unload stores every
+    /// element of it.
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
         let _s = telemetry::span("sim.push").arg("species", self.species.len());
         self.acc.reset();
         let mut stats = PushStats::default();
-        let mut src = Fields::new(&self.fields, std::mem::take(&mut self.coeffs));
+        let mut src = Fields::new(&self.fields, std::mem::take(&mut self.scratch));
         for s in &mut self.species {
             let st = push_fields_on(space, self.strategy, &self.grid, s, &mut src, &self.acc);
             if st.crossings > 0 {
@@ -338,7 +356,7 @@ impl Simulation {
             stats.pushed += st.pushed;
             stats.crossings += st.crossings;
         }
-        self.coeffs = src.into_cache();
+        self.scratch = src.into_scratch();
         stats
     }
 
@@ -628,16 +646,29 @@ mod tests {
 
     #[test]
     fn the_push_cache_is_allocation_free_after_warmup() {
-        // the records the push builds from the fields live in a cache the
-        // simulation keeps: sized on the first step, reused after it
+        // the sort's permutation and spare column and the records the push
+        // builds from the fields share one scratch the simulation keeps:
+        // sized on the first step, reused after it, on sorting steps too
         let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
+        sim.sort_order = Some(SortOrder::Standard);
+        sim.sort_interval = 2;
         sim.step();
-        let warm = sim.coeffs.buffers();
-        assert!(warm.iter().all(|&(_, cap)| cap >= sim.grid.cells()), "whole 6³ grid cached");
-        for _ in 0..4 {
+        let warm = sim.scratch.buffers();
+        let longest = sim.species.iter().map(Species::len).max().unwrap();
+        let [(_, words), (_, floats)] = warm;
+        assert!(words >= longest.max(sim.grid.cells()), "tags or permutation: {words}");
+        let records = crate::interp::COEFFS * sim.grid.cells();
+        assert!(floats >= longest.max(records), "records or spare column: {floats}");
+        let mut sorts = 0;
+        for _ in 0..6 {
+            let dirty = sim.species.iter().any(|s| s.current_order() != sim.sort_order);
             sim.step();
-            assert_eq!(sim.coeffs.buffers(), warm, "the cache moved or grew after warm-up");
+            sorts += usize::from(sim.last_sort_fired && dirty);
+            assert_eq!(sim.scratch.buffers(), warm, "the scratch moved or grew after warm-up");
+            let own = sim.species.iter().any(Species::holds_sort_buffers);
+            assert!(!own, "a species made sort buffers of its own");
         }
+        assert_eq!(sorts, 3, "every second step sorts moved particles");
     }
 
     #[test]

@@ -12,16 +12,30 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// The sort's persistent workspace, 8 B per particle: the `u32`
-/// permutation of the most recent [`Species::sort`] and one spare column
-/// that every column is gathered into. A float column is swapped with the
-/// spare after its gather, so the buffers rotate among the seven float
-/// columns and the spare; once the first sort has sized the spare, no
-/// sort of a population no larger makes a buffer.
+/// The two buffers a sort works through, lent by its caller: `words`
+/// takes the `u32` permutation and `floats` is the spare column every
+/// column is gathered into. A [`crate::Simulation`] lends its
+/// particle-phase scratch, whose same two buffers hold the push's
+/// coefficient cache (tags and records) after the sort; a species sorted
+/// by [`Species::sort`] keeps a pair of its own, made by its first sort.
+/// Neither buffer ever becomes a species column: the sort hands both
+/// back, so once they are sized for the longest population they lend to,
+/// no sort makes a buffer.
 #[derive(Debug, Clone, Default)]
-struct SortScratch {
-    perm: Vec<u32>,
-    spare: Vec<f32>,
+pub(crate) struct Scratch {
+    pub(crate) words: Vec<u32>,
+    pub(crate) floats: Vec<f32>,
+}
+
+#[cfg(test)]
+impl Scratch {
+    /// Where the two buffers are and how large, for no-allocation checks.
+    pub(crate) fn buffers(&self) -> [(usize, usize); 2] {
+        [
+            (self.words.as_ptr() as usize, self.words.capacity()),
+            (self.floats.as_ptr() as usize, self.floats.capacity()),
+        ]
+    }
 }
 
 /// A single particle by value — the unit that migrates between ranks.
@@ -77,7 +91,9 @@ pub struct Species {
     /// routed through this struct's methods; direct field writes do not
     /// dirty it (callers doing that should [`Species::mark_unsorted`]).
     last_sort: Option<SortOrder>,
-    scratch: SortScratch,
+    /// The sort buffers of [`Species::sort`]; empty until it first runs,
+    /// and never made for a species a simulation sorts.
+    scratch: Scratch,
 }
 
 /// Remove the elements at `indices` (strictly ascending) from `v` by
@@ -111,7 +127,7 @@ impl Species {
             uz: Vec::new(),
             w: Vec::new(),
             last_sort: None,
-            scratch: SortScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -354,19 +370,34 @@ impl Species {
     /// `Random` is never skipped: re-shuffling is a new permutation each
     /// time, not an idempotent arrangement.
     ///
-    /// The permutation is computed once, by [`psort::permutation_into`]
-    /// (O(N) on cell keys), into the species' persistent `u32` buffer,
-    /// and each array is gathered through it once into the one spare
-    /// column (reads follow the permutation, writes stream). A float
-    /// array is then swapped with the spare, not copied back; `cell`, the
-    /// one `u32` array, passes through the spare as its bits
-    /// (`f32::from_bits` and `to_bits` move them unchanged) and is copied
-    /// back. The sort's scratch is therefore 8 B per particle, the
-    /// permutation and the spare, and after the first sort of a
-    /// population no larger it makes no buffer. What it allocates per
-    /// call is the argsort's counting buckets (4 B per cell of the key
-    /// range) and, for the strided orders, their rewritten `u64` keys.
+    /// The species sorts through buffers of its own, made by the first
+    /// call; a [`crate::Simulation`] sorts its species through its own
+    /// scratch instead ([`crate::Simulation::sort_particles`]), with the
+    /// same bits.
     pub fn sort(&mut self, order: SortOrder) -> bool {
+        let mut own = std::mem::take(&mut self.scratch);
+        let moved = self.sort_with(order, &mut own);
+        self.scratch = own;
+        moved
+    }
+
+    /// [`Species::sort`] through the buffers `scratch` lends. The
+    /// permutation is computed once, by [`psort::permutation_into`] (O(N)
+    /// on cell keys), into `scratch.words`, and each array is gathered
+    /// through it once into the spare column, `scratch.floats` (reads
+    /// follow the permutation, writes stream). A float array is then
+    /// swapped with the spare, not copied back, so the buffers rotate
+    /// among the seven float columns and the spare; `cell`, the one `u32`
+    /// array, passes through the spare as its bits (`f32::from_bits` and
+    /// `to_bits` move them unchanged) and is copied back. The first float
+    /// column is left holding the lent buffer, so it is copied once more,
+    /// into the spare the last swap left, and swapped back: the lender
+    /// gets its own buffer, and a column only ever holds a column's. The
+    /// sort therefore needs 8 B per particle of the lender, and once the
+    /// buffers are sized it makes none. What it allocates per call is
+    /// the argsort's counting buckets (4 B per cell of the key range)
+    /// and, for the strided orders, their rewritten `u64` keys.
+    pub(crate) fn sort_with(&mut self, order: SortOrder, scratch: &mut Scratch) -> bool {
         if self.last_sort == Some(order) && order != SortOrder::Random {
             // the skip serves the cached "already sorted" claim — verify
             // it in debug builds, since a caller that mutated the public
@@ -375,35 +406,43 @@ impl Species {
             self.debug_validate_sorted();
             return false;
         }
-        let Self { cell, dx, dy, dz, ux, uy, uz, w, scratch, .. } = self;
-        let SortScratch { perm, spare } = scratch;
+        let Self { cell, dx, dy, dz, ux, uy, uz, w, .. } = self;
+        let Scratch { words: perm, floats: spare } = scratch;
         psort::permutation_into(order, cell, perm);
         spare.clear();
         spare.extend(perm.iter().map(|&p| f32::from_bits(cell[p as usize])));
         for (c, bits) in cell.iter_mut().zip(spare.iter()) {
             *c = bits.to_bits();
         }
-        for arr in [dx, dy, dz, ux, uy, uz, w] {
+        for arr in [&mut *dx, dy, dz, ux, uy, uz, w] {
             spare.clear();
             spare.extend(perm.iter().map(|&p| arr[p as usize]));
             std::mem::swap(arr, spare);
         }
+        spare.clear();
+        spare.extend_from_slice(dx);
+        std::mem::swap(dx, spare);
         self.last_sort = Some(order);
         true
     }
 
-    /// The sort of the id ledger: [`Species::sort`], with `ids`, the id
-    /// array kept parallel to the particles, gathered through
-    /// [`Species::sort_perm`] so that every particle keeps its id. The ids
-    /// pass through a transient buffer: one kept between sorts would hold
-    /// 8 B per particle for nothing. `Standard` is stable: particles in
-    /// one cell keep the order they had.
-    pub fn sort_with_ids(&mut self, order: SortOrder, ids: &mut [u64]) -> bool {
+    /// The sort of the id ledger: [`Species::sort_with`], with `ids`, the
+    /// id array kept parallel to the particles, gathered through the
+    /// permutation so that every particle keeps its id. The ids pass
+    /// through a transient buffer: one kept between sorts would hold 8 B
+    /// per particle for nothing. `Standard` is stable: particles in one
+    /// cell keep the order they had.
+    pub(crate) fn sort_with_ids(
+        &mut self,
+        order: SortOrder,
+        ids: &mut [u64],
+        scratch: &mut Scratch,
+    ) -> bool {
         debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
-        if !self.sort(order) {
+        if !self.sort_with(order, scratch) {
             return false;
         }
-        ids.copy_from_slice(&pk::sort::apply_permutation(self.sort_perm(), ids));
+        ids.copy_from_slice(&pk::sort::apply_permutation(&scratch.words, ids));
         true
     }
 
@@ -453,14 +492,11 @@ impl Species {
         }
     }
 
-    /// The record permutation applied by the most recent [`Species::sort`]
-    /// (`perm[i]` = pre-sort index of the particle now at `i`), the
-    /// species' own buffer. Valid immediately after a `sort` call that
-    /// returned `true`; accounting spaces cost the sort's gather traffic
-    /// from it as it is, and [`Species::sort_with_ids`] gathers the ids
-    /// through it.
-    pub fn sort_perm(&self) -> &[u32] {
-        &self.scratch.perm
+    /// Whether the species holds sort buffers of its own, which only
+    /// [`Species::sort`] makes.
+    #[cfg(test)]
+    pub(crate) fn holds_sort_buffers(&self) -> bool {
+        self.scratch.buffers().iter().any(|&(_, capacity)| capacity > 0)
     }
 
     /// True when particle data is self-consistent (offsets in range,
@@ -615,8 +651,9 @@ mod tests {
             }
             for order in SortOrder::fig7_set(8) {
                 let (mut s, mut ids) = (loaded.clone(), (0..n as u64).collect::<Vec<_>>());
-                assert!(s.sort_with_ids(order, &mut ids));
-                let perm: &[u32] = s.sort_perm();
+                let mut lent = Scratch::default();
+                assert!(s.sort_with_ids(order, &mut ids, &mut lent));
+                let perm: &[u32] = &lent.words;
                 let as_u32 =
                     |perm: Vec<usize>| perm.into_iter().map(|p| p as u32).collect::<Vec<_>>();
                 let reference = as_u32(psort::sorts::ordered_keys(order, &loaded.cell).1);
@@ -646,43 +683,50 @@ mod tests {
     }
 
     #[test]
-    fn sort_scratch_does_not_reallocate_after_warmup() {
+    fn the_sort_hands_its_buffers_back_and_makes_none_after_warmup() {
         let g = Grid::new(4, 4, 4);
-        let mut s = Species::new("e", -1.0, 1.0);
-        s.load_uniform(&g, 1000, 0.1, (0.0, 0.0, 0.0), 1.0, 13);
-        let n = s.len();
-        // every buffer the sort may touch, as (address, capacity): the
-        // eight arrays and the spare, whose buffers the swaps rotate, in
-        // address order, and the permutation
-        let buffers = |s: &Species| {
-            let Species { dx, dy, dz, ux, uy, uz, w, cell, scratch, .. } = s;
-            let mut columns: Vec<(usize, usize)> = [dx, dy, dz, ux, uy, uz, w, &scratch.spare]
+        let mut loaded = Species::new("e", -1.0, 1.0);
+        loaded.load_uniform(&g, 1000, 0.1, (0.0, 0.0, 0.0), 1.0, 13);
+        let n = loaded.len();
+        // the eight columns' buffers as (address, capacity), in address
+        // order: the swaps rotate them among the float columns
+        let columns = |s: &Species| {
+            let Species { dx, dy, dz, ux, uy, uz, w, cell, .. } = s;
+            let mut columns: Vec<(usize, usize)> = [dx, dy, dz, ux, uy, uz, w]
                 .iter()
                 .map(|a| (a.as_ptr() as usize, a.capacity()))
                 .collect();
             columns.push((cell.as_ptr() as usize, cell.capacity()));
             columns.sort_unstable();
-            (columns, (scratch.perm.as_ptr() as usize, scratch.perm.capacity()))
+            columns
         };
-        // warmup: one sort sizes the permutation and the spare
-        s.sort(SortOrder::Standard);
-        let warm = buffers(&s);
-        // the scratch is 8 B per particle: a u32 index and one f32 slot
-        let (perm, spare) = (&s.scratch.perm, &s.scratch.spare);
-        assert_eq!((perm.len(), spare.len()), (n, n));
-        assert_eq!(std::mem::size_of_val(&perm[..]) + std::mem::size_of_val(&spare[..]), 8 * n);
-        // steady state: every order, with dirtying in between, must make
-        // no buffer and resize none
-        for order in [
-            SortOrder::Strided,
-            SortOrder::Standard,
-            SortOrder::TiledStrided { tile: 8 },
-            SortOrder::Random,
-            SortOrder::Standard,
-        ] {
-            s.mark_unsorted();
-            assert!(s.sort(order));
-            assert_eq!(buffers(&s), warm, "sort made or resized a buffer after warmup ({order})");
+        // through buffers the caller lends, then through the species' own
+        for own in [false, true] {
+            let (mut s, mut lent) = (loaded.clone(), Scratch::default());
+            let mut sorted = |s: &mut Species, order| {
+                let moved = if own { s.sort(order) } else { s.sort_with(order, &mut lent) };
+                assert!(moved, "{order}");
+                let scratch = if own { &s.scratch } else { &lent };
+                (columns(s), scratch.buffers(), [scratch.words.len(), scratch.floats.len()])
+            };
+            // warmup: one sort sizes the two buffers, 8 B per particle
+            let warm = sorted(&mut s, SortOrder::Standard);
+            assert_eq!(warm.2, [n, n]);
+            // steady state: every order, with dirtying in between, must
+            // make no buffer, resize none, and give neither side a buffer
+            // of the other's
+            for order in [
+                SortOrder::Strided,
+                SortOrder::Standard,
+                SortOrder::TiledStrided { tile: 8 },
+                SortOrder::Random,
+                SortOrder::Standard,
+            ] {
+                s.mark_unsorted();
+                let steady = sorted(&mut s, order);
+                assert_eq!(steady, warm, "sort made, resized or kept a buffer ({order}, own {own})");
+                assert_eq!(s.holds_sort_buffers(), own, "{order}");
+            }
         }
     }
 

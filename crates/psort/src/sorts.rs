@@ -7,8 +7,8 @@
 //! function"). Every argsort is [`pk::sort::argsort`] — O(N) too whenever
 //! the keys are dense, as cell indices and their rewrites are — and
 //! writes a `u32` permutation into a buffer its caller owns:
-//! [`permutation_into`] is that step alone, what `Species::sort` keeps
-//! between sorts and gathers its columns through. The functions that
+//! [`permutation_into`] is that step alone, what `Species::sort` writes
+//! into a buffer its caller lends and gathers its columns through. The functions that
 //! reorder a key slice and a value slice *in tandem* ([`sort_pairs`] and
 //! [`sort_pairs_in`]) are that permutation in a transient buffer
 //! plus one gather per array into another, copied back, which is why the

@@ -94,3 +94,51 @@ fn standard_sort_pairs_is_a_stable_tandem_sort() {
         assert_eq!(vals[i], v);
     }
 }
+
+#[test]
+fn the_scheduled_sort_through_the_scratch_matches_species_sort_bitwise() {
+    // a simulation sorts its species through one scratch sized by the
+    // longest; the second species is the shorter, so it sorts through
+    // buffers longer than itself. Species::sort keeps buffers of its own.
+    use vpic2::core::{Grid, Simulation, Species};
+    let build = |order: Option<SortOrder>| {
+        let grid = Grid::new(8, 8, 8);
+        let mut sim = Simulation::new(grid.clone());
+        for (name, q, m, n, seed) in [("electron", -1.0, 1.0, 3000, 5), ("ion", 1.0, 25.0, 1100, 6)]
+        {
+            let mut s = Species::new(name, q, m);
+            s.load_uniform(&grid, n, 0.2, (0.0, 0.0, 0.0), 0.01, seed);
+            sim.add_species(s);
+        }
+        sim.sort_order = order;
+        sim.sort_interval = 2;
+        sim
+    };
+    let orders =
+        |sim: &Simulation| sim.species.iter().map(|s| s.current_order()).collect::<Vec<_>>();
+    for order in SortOrder::fig7_set(8) {
+        // the hook alone: the arrays right after the sort
+        let (mut hook, mut own) = (build(None), build(None));
+        assert_eq!(hook.sort_particles(order), 2, "{order}");
+        for s in &mut own.species {
+            assert!(s.sort(order), "{order}");
+        }
+        assert_eq!(hook.bit_diff(&own), None, "{order}");
+        assert_eq!(orders(&hook), [Some(order); 2], "{order}");
+        assert_eq!(orders(&hook), orders(&own), "{order}");
+        // the step's schedule, every second step, against the species'
+        // own sort before the same steps
+        let (mut scheduled, mut by_hand) = (build(Some(order)), build(None));
+        for step in 0..6 {
+            if step % 2 == 0 {
+                for s in &mut by_hand.species {
+                    s.sort(order);
+                }
+            }
+            scheduled.step();
+            by_hand.step();
+            assert_eq!(scheduled.bit_diff(&by_hand), None, "{order}, step {step}");
+            assert_eq!(orders(&scheduled), orders(&by_hand), "{order}, step {step}");
+        }
+    }
+}
