@@ -96,8 +96,21 @@ use vpic_core::sim::LaserDriver;
 use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
 
 /// Bytes shipped per migrating particle: the 32-byte phase-space record
-/// plus the 8-byte global id that keeps gather order canonical.
-pub(crate) const MIGRANT_BYTES: usize = 40;
+/// plus the 4-byte global id that keeps gather order canonical.
+pub(crate) const MIGRANT_BYTES: usize = 36;
+
+/// Room a rank species' columns and ids get beyond the particles the
+/// rank starts with: `count / 8 + 16`, a population drift of 12.5 % of
+/// the count plus 16. Migration moves a rank's population only by its
+/// net inflow; on the benchmark's Weibel deck (32³, 4 ranks) the beams'
+/// filaments moved a rank species by up to 6.1 % in 1 000 steps, and
+/// `set_up_sizes_every_rank_array_once` holds a small Weibel deck inside
+/// the headroom. Room no particle reaches is never touched, so it costs
+/// address space, not resident memory. A rank that outgrows it grows its
+/// arrays the way a `Vec` does.
+fn headroom(count: usize) -> usize {
+    count / 8 + 16
+}
 
 /// Bytes per halo cell per field exchange (3 components × f32).
 pub(crate) const FIELD_HALO_BYTES: usize = 12;
@@ -212,7 +225,7 @@ fn add_edges(dst: &mut [i64; EDGES], src: &[i64; EDGES]) {
 #[derive(Debug, Clone, Copy)]
 struct Migrant {
     species: u32,
-    id: u64,
+    id: u32,
     rec: ParticleRecord,
 }
 
@@ -357,7 +370,7 @@ struct RankState {
     /// Global load index of every particle, per species, parallel to the
     /// species arrays. Migrates with the particle; the gather reassembles
     /// canonical global order from it.
-    ids: Vec<Vec<u64>>,
+    ids: Vec<Vec<u32>>,
     /// What this rank is writing for its peers ([`publish`]).
     sends: Sends,
     tally: Tally,
@@ -368,7 +381,7 @@ struct RankState {
 }
 
 impl RankState {
-    fn new(sim: Simulation, ids: Vec<Vec<u64>>, sends: Sends) -> Self {
+    fn new(sim: Simulation, ids: Vec<Vec<u32>>, sends: Sends) -> Self {
         Self {
             sim,
             ids,
@@ -534,7 +547,9 @@ impl RankState {
                 self.incoming.extend_from_slice(sent);
             }
         }
-        self.incoming.sort_by_key(|m| (m.species, m.id));
+        // the keys are unique: an unstable sort gives the one order, and
+        // makes no buffer
+        self.incoming.sort_unstable_by_key(|m| (m.species, m.id));
         for m in &self.incoming {
             let mut rec = m.rec;
             rec.cell = plan.canonical(m.rec.cell);
@@ -623,6 +638,13 @@ impl MultiRankSim {
     /// order [`MultiRankSim::gather`] rebuilds; its step count, laser and
     /// strategy carry over.
     ///
+    /// The particles scatter by count: each global cell's home (its owner
+    /// and the owner's canonical local cell) is looked up in one table,
+    /// each rank's particles are counted per species, and each rank
+    /// species' eight arrays and ids are made once, at the count plus a
+    /// fixed headroom of an eighth of it and 16 more for migration, then
+    /// filled in ascending load index.
+    ///
     /// Per-rank sims start with no sort scheduled;
     /// [`MultiRankSim::set_rank_config`] schedules one per rank, and the
     /// gathered state is bit-identical to the single-rank run either way.
@@ -630,42 +652,60 @@ impl MultiRankSim {
     /// # Panics
     /// Panics if the decomposition leaves any rank without cells (more
     /// ranks than cells along an axis): such degenerate layouts are
-    /// rejected, not emulated.
+    /// rejected, not emulated. Panics if a species holds more particles
+    /// than a `u32` id can name.
     pub fn new(sim: &Simulation, ranks: usize, network: NetworkModel) -> Self {
         let g = sim.grid.clone();
         let decomp =
             Decomposition::covering((g.nx, g.ny, g.nz), ranks).unwrap_or_else(|e| panic!("{e}"));
         let plans = build_plans(&decomp, &g);
+        // every global cell's home: the rank that owns it and the one local
+        // cell of that rank routed nowhere, its canonical copy
+        let mut home = vec![(0u32, 0u32); g.cells()];
+        for (r, plan) in plans.iter().enumerate() {
+            for (lv, &gv) in plan.local_to_global.iter().enumerate() {
+                if plan.route[lv] == Route::Owned {
+                    home[gv as usize] = (r as u32, lv as u32);
+                }
+            }
+        }
+        let mut counts = vec![vec![0; sim.species.len()]; plans.len()];
+        for (si, s) in sim.species.iter().enumerate() {
+            let (name, n) = (&s.name, s.len());
+            assert!(u32::try_from(n).is_ok(), "species {name:?}: {n} particles overflow a u32 id");
+            for &c in &s.cell {
+                counts[home[c as usize].0 as usize][si] += 1;
+            }
+        }
         let mut states: Vec<RankState> = plans
             .iter()
+            .zip(&counts)
             .enumerate()
-            .map(|(r, plan)| {
+            .map(|(r, (plan, counts))| {
                 debug_assert_eq!(plan.grid.dt, g.dt, "unit cells: dt is extent-independent");
                 let mut rsim = Simulation::new(plan.grid.clone());
                 rsim.strategy = sim.strategy;
-                // size every array and the ids for a rank's share, so
-                // the scatter below and steady-state appends rarely grow
-                let share = |s: &vpic_core::Species| s.len() / plans.len() + 16;
-                for s in &sim.species {
+                let mut ids = Vec::with_capacity(counts.len());
+                for (s, &count) in sim.species.iter().zip(counts) {
+                    let room = count + headroom(count);
                     let mut rs = vpic_core::Species::new(s.name.clone(), s.q, s.m);
-                    rs.reserve(share(s));
+                    rs.reserve(room);
                     rsim.add_species(rs);
+                    ids.push(Vec::with_capacity(room));
                 }
-                let ids = sim.species.iter().map(|s| Vec::with_capacity(share(s))).collect();
                 RankState::new(rsim, ids, Sends::for_rank(r, &plans))
             })
             .collect();
-        // scatter particles to their owning rank, carrying the global
-        // load index as the identity the gather reassembles
+        // in ascending load index, carrying it as the identity the gather
+        // reassembles
         for (si, s) in sim.species.iter().enumerate() {
             for p in 0..s.len() {
-                let (gx, gy, gz) = g.coords(s.cell[p] as usize);
-                let r = decomp.owner(gx, gy, gz);
-                let st = &mut states[r];
+                let (r, canon) = home[s.cell[p] as usize];
+                let st = &mut states[r as usize];
                 let mut rec = s.record(p);
-                rec.cell = plans[r].canonical(s.cell[p]);
+                rec.cell = canon;
                 st.sim.species[si].push_record(&rec);
-                st.ids[si].push(p as u64);
+                st.ids[si].push(p as u32);
             }
         }
         // copy the field state (owned and halo alike) straight from the
@@ -1092,6 +1132,60 @@ mod tests {
             // …while the id maps follow the permutation, so the gathered
             // canonical-order state stays bit-identical
             assert_eq!(plain.gather().bit_diff(&sorted.gather()), None, "sorted step {step}");
+        }
+    }
+
+    /// The set-up makes every rank species' arrays and ids once, at its
+    /// count plus the headroom, and the deck's migration stays inside the
+    /// headroom, so over twenty steps, sorts included, no rank column or
+    /// id buffer is made again.
+    #[test]
+    fn set_up_sizes_every_rank_array_once() {
+        let reference = Deck::weibel(16, 16, 16, 8, 0.4).build();
+        let mut mr = MultiRankSim::new(&reference, 4, net());
+        let sorted = tuner::Config::sorted(
+            psort::SortOrder::Standard,
+            5,
+            vsimd::Strategy::default(),
+            pk::atomic::ScatterMode::Atomic,
+        );
+        for r in 0..4 {
+            mr.set_rank_config(r, &sorted);
+        }
+        // every rank species' nine buffers as (address, capacity), sorted:
+        // a sort rotates the buffers of the float columns among them
+        let buffers = |mr: &MultiRankSim| -> Vec<Vec<(usize, usize)>> {
+            let at = |p: *const u8, cap| (p as usize, cap);
+            let mut all = Vec::new();
+            for st in &mr.ranks {
+                for (s, ids) in st.sim.species.iter().zip(&st.ids) {
+                    let floats = [&s.dx, &s.dy, &s.dz, &s.ux, &s.uy, &s.uz, &s.w];
+                    let mut bufs: Vec<_> =
+                        floats.iter().map(|v| at(v.as_ptr().cast(), v.capacity())).collect();
+                    bufs.push(at(s.cell.as_ptr().cast(), s.cell.capacity()));
+                    bufs.push(at(ids.as_ptr().cast(), ids.capacity()));
+                    bufs.sort_unstable();
+                    all.push(bufs);
+                }
+            }
+            all
+        };
+        let lens = |mr: &MultiRankSim| -> Vec<usize> {
+            mr.ranks.iter().flat_map(|st| st.sim.species.iter().map(|s| s.len())).collect()
+        };
+        let (made, start) = (buffers(&mr), lens(&mr));
+        for (bufs, &n) in made.iter().zip(&start) {
+            for &(_, capacity) in bufs {
+                assert!((n..=n + headroom(n)).contains(&capacity), "{n} particles, room for {capacity}");
+            }
+        }
+        for step in 1..=20 {
+            mr.step();
+            for (&n, &n0) in lens(&mr).iter().zip(&start) {
+                let grown = n.saturating_sub(n0);
+                assert!(grown <= headroom(n0), "step {step}: {n0} → {n} particles outgrow the headroom");
+            }
+            assert_eq!(buffers(&mr), made, "step {step}: a rank array was made again");
         }
     }
 

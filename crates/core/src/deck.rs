@@ -140,6 +140,7 @@ impl Deck {
 /// initial state is charge-neutral node by node.
 fn neutralizer(electrons: &[&Species]) -> Species {
     let mut ion = Species::new("ion", 1.0, ION_MASS_RATIO);
+    ion.reserve(electrons.iter().map(|e| e.len()).sum());
     for e in electrons {
         for p in 0..e.len() {
             ion.push_particle(

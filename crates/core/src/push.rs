@@ -166,40 +166,42 @@ pub fn push_species_on<S: ExecSpace>(
     strategy: Strategy,
     grid: &Grid,
     species: &mut Species,
-    mut interps: &[Interpolator],
+    interps: &[Interpolator],
     acc: &Accumulator,
 ) -> PushStats {
-    push_blocks(space, body(strategy), grid, species, &mut interps, acc)
+    let copies = &mut vec![interps; space.concurrency().max(1)];
+    push_blocks(space, body(strategy), grid, species, copies, acc)
 }
 
 /// [`push_species_on`] with the records built from the E and B arrays
-/// of `fields` as the push reaches their cells and kept in its cache
-/// ([`Fields`]; one source serves every species of a step). The same body
-/// and the same bits as a push from `load_interpolators_into`'s records
-/// of those fields, under every strategy: the record it builds is the one
-/// that load would have stored.
+/// of the fields as the push reaches their cells and kept in a cache
+/// ([`Fields`]), one source per block: `fields[b]` serves block `b`, and
+/// each serves every species of a step. The same body and the same bits
+/// as a push from `load_interpolators_into`'s records of those fields,
+/// under every strategy: the record a source builds is the one that load
+/// would have stored.
 pub(crate) fn push_fields_on<S: ExecSpace>(
     space: &S,
     strategy: Strategy,
     grid: &Grid,
     species: &mut Species,
-    fields: &mut Fields<'_>,
+    fields: &mut [Fields<'_>],
     acc: &Accumulator,
 ) -> PushStats {
     push_blocks(space, body(strategy), grid, species, fields, acc)
 }
 
-/// [`push_species_on`] with every chunk pushed by `body` from `src`, or,
-/// when there are several, from a copy of it each.
+/// [`push_species_on`] with block `b`'s chunk pushed by `body` from
+/// `srcs[b]`; `srcs` holds a source for every block.
 fn push_blocks<S: ExecSpace, C: Source>(
     space: &S,
     body: Body<C>,
     grid: &Grid,
     species: &mut Species,
-    src: &mut C,
+    srcs: &mut [C],
     acc: &Accumulator,
 ) -> PushStats {
-    assert_eq!(src.cells(), grid.cells(), "interpolator/grid mismatch");
+    assert!(srcs.iter().all(|src| src.cells() == grid.cells()), "interpolator/grid mismatch");
     assert_eq!(acc.cells(), grid.cells(), "accumulator/grid mismatch");
     let n = species.len();
     if n == 0 {
@@ -224,14 +226,23 @@ fn push_blocks<S: ExecSpace, C: Source>(
     };
     if blocks <= 1 {
         let sink = &mut Sink::new(acc.depositor(grid, 0, claim));
-        return push_chunk(body, grid, &mut Chunk::whole(species), src, sink, params);
+        return push_chunk(body, grid, &mut Chunk::whole(species), &mut srcs[0], sink, params);
+    }
+    assert!(srcs.len() >= blocks, "{} sources for {blocks} blocks", srcs.len());
+    // the particles cut into the static blocks, each beside its source
+    let mut chunks = Vec::with_capacity(blocks);
+    let mut rest = Chunk::whole(species);
+    for block in pk::RangePolicy::new(n).static_blocks(blocks) {
+        let (chunk, tail) = rest.split_at(block.len());
+        chunks.push(chunk);
+        rest = tail;
     }
     // worker id = block index, which picks the block's scatter replica in
     // duplicated mode
     let crossings = space
-        .parallel_windows(Chunk::whole(species), 1, |worker, _, mut chunk| {
+        .parallel_windows((&mut chunks[..], &mut srcs[..blocks]), 1, |worker, _, (chunk, src)| {
             let sink = &mut Sink::new(acc.depositor(grid, worker, claim));
-            push_chunk(body, grid, &mut chunk, &mut src.clone(), sink, params).crossings
+            push_chunk(body, grid, &mut chunk[0], &mut src[0], sink, params).crossings
         })
         .sum();
     PushStats { pushed: n, crossings }
@@ -567,9 +578,9 @@ fn look_ahead(cells: &[u32], i: usize, lanes: usize, mut hint: impl FnMut(usize)
 
 /// Where stage 1 takes a group's 18 coefficients from: stored records
 /// (`&[Interpolator]`, one per cell), or the fields themselves
-/// ([`Fields`]), which keep what they built. A push of one block uses the
-/// caller's source; each block of a push of several, a copy of its own.
-trait Source: Clone + Sync {
+/// ([`Fields`]), which keep what they built. Each block of a push takes
+/// a source of its own from the caller.
+trait Source: Send {
     /// Cells the source covers.
     fn cells(&self) -> usize;
 
@@ -1077,7 +1088,7 @@ mod tests {
 
     /// Three pushes of `start` by `body` from `src` into one accumulator of
     /// `lanes` replicas (in duplicated mode).
-    fn pushed<S: ExecSpace, C: Source>(
+    fn pushed<S: ExecSpace, C: Source + Clone>(
         space: &S,
         body: Body<C>,
         (mode, lanes): (ScatterMode, usize),
@@ -1088,7 +1099,8 @@ mod tests {
         let mut s = start.clone();
         let acc = Accumulator::new(grid.cells(), lanes, mode);
         let stats = (0..3).fold(PushStats::default(), |sum, _| {
-            let step = push_blocks(space, body, grid, &mut s, &mut src.clone(), &acc);
+            let srcs = &mut vec![src.clone(); space.concurrency()];
+            let step = push_blocks(space, body, grid, &mut s, srcs, &acc);
             PushStats { pushed: sum.pushed + step.pushed, crossings: sum.crossings + step.crossings }
         });
         (particle_bits(&s), raw_totals(&acc), stats)
@@ -1096,7 +1108,7 @@ mod tests {
 
     /// Every body's pushes of `start` from `src`, serial and on `threads`,
     /// into each of `lanes`, give `reference`'s bits.
-    fn every_body_gives<C: Source>(
+    fn every_body_gives<C: Source + Clone>(
         reference: &Pushed,
         (grid, src, start): (&Grid, C, &Species),
         lanes: &[(ScatterMode, usize)],
@@ -1269,7 +1281,7 @@ mod tests {
                 format!("index out of bounds: the len is {cells} but the index is {cells}")
             };
             let push = |strategy, s: &mut Species, acc: &Accumulator| match from_fields {
-                true => push_fields_on(&Serial, strategy, &grid, s, &mut Fields::new(&fields, Scratch::default()), acc),
+                true => push_fields_on(&Serial, strategy, &grid, s, &mut [Fields::new(&fields, Scratch::default())], acc),
                 false => push_species(strategy, &grid, s, &interps, acc),
             };
             for (strategy, first) in first_unpushed {

@@ -107,6 +107,12 @@ pub struct Simulation {
     /// it. Sized by the longest species and the cache, not by their sum.
     /// Derived state, not checkpointed.
     scratch: Scratch,
+    /// The scratch of push blocks 1 and up, each block's coefficient
+    /// cache (block 0's is `scratch`): made by the first step that pushes
+    /// in several blocks and kept, so that no block copies or rebuilds
+    /// another's cache. Empty while every push is one block. Derived
+    /// state, not checkpointed.
+    block_scratch: Vec<Scratch>,
     /// Worker count the accumulator was last sized for. Tracked here
     /// (the accumulator only materializes replicas in duplicated mode)
     /// so a resumed run keeps its replicas; the bits do not depend on
@@ -139,6 +145,7 @@ impl Simulation {
             steps_since_sort: usize::MAX,
             acc,
             scratch: Scratch::default(),
+            block_scratch: Vec::new(),
             scatter_workers: 1,
             tuner: None,
             last_sort_ns: 0,
@@ -181,7 +188,7 @@ impl Simulation {
     /// [`Simulation::sort_particles`], with `ids[s]`, the global id of
     /// every particle of species `s`, gathered through each species'
     /// permutation so that every particle keeps its id.
-    pub fn sort_particles_with_ids(&mut self, order: SortOrder, ids: &mut [Vec<u64>]) {
+    pub fn sort_particles_with_ids(&mut self, order: SortOrder, ids: &mut [Vec<u32>]) {
         debug_assert_eq!(ids.len(), self.species.len(), "one id array per species");
         for (s, ids) in self.species.iter_mut().zip(ids) {
             s.sort_with_ids(order, ids, &mut self.scratch);
@@ -337,17 +344,26 @@ impl Simulation {
     /// The particle half of a step, written once for every driver: reset
     /// the accumulator (free when the last unload consumed it), then push
     /// species by species over the SoA arrays into the accumulator, each
-    /// cell's coefficients built from E and B when the push first needs
-    /// them, into the cache every species shares, in the buffers of the
-    /// simulation's scratch. J is not cleared: the unload stores every
-    /// element of it.
+    /// cell's coefficients built from E and B when a push block first
+    /// needs them, into that block's cache, which every species shares, in
+    /// the buffers of the block's scratch (block 0's is the simulation's
+    /// `scratch`). J is not cleared: the unload stores every element of
+    /// it.
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
         let _s = telemetry::span("sim.push").arg("species", self.species.len());
         self.acc.reset();
         let mut stats = PushStats::default();
-        let mut src = Fields::new(&self.fields, std::mem::take(&mut self.scratch));
+        let longest = self.species.iter().map(Species::len).max().unwrap_or(0);
+        let blocks = space.concurrency().min(longest).max(1);
+        if self.block_scratch.len() < blocks - 1 {
+            self.block_scratch.resize_with(blocks - 1, Scratch::default);
+        }
+        let mut srcs: Vec<Fields> = std::iter::once(&mut self.scratch)
+            .chain(&mut self.block_scratch[..blocks - 1])
+            .map(|s| Fields::new(&self.fields, std::mem::take(s)))
+            .collect();
         for s in &mut self.species {
-            let st = push_fields_on(space, self.strategy, &self.grid, s, &mut src, &self.acc);
+            let st = push_fields_on(space, self.strategy, &self.grid, s, &mut srcs, &self.acc);
             if st.crossings > 0 {
                 // crossings moved particles out of their sorted
                 // positions; the next scheduled sort is real work
@@ -356,7 +372,10 @@ impl Simulation {
             stats.pushed += st.pushed;
             stats.crossings += st.crossings;
         }
-        self.scratch = src.into_scratch();
+        let homes = std::iter::once(&mut self.scratch).chain(&mut self.block_scratch);
+        for (home, src) in homes.zip(srcs) {
+            *home = src.into_scratch();
+        }
         stats
     }
 
@@ -461,13 +480,19 @@ impl Simulation {
         worst
     }
 
-    /// Rebuild the accumulator for a different worker count / scatter
-    /// mode: what a tuner configuration applies, and how a caller sizes
-    /// the duplicated mode's replicas for a pool ([`Simulation::step_on`]).
+    /// Size the accumulator for a worker count and scatter mode: what a
+    /// tuner configuration applies, and how a caller sizes the duplicated
+    /// mode's replicas for a pool ([`Simulation::step_on`]). An
+    /// accumulator already built for both is kept and reset (free when
+    /// the last unload consumed it); any other is rebuilt.
     pub fn configure_scatter(&mut self, workers: usize, mode: ScatterMode) {
+        if (self.acc.scatter_mode(), self.scatter_workers) == (mode, workers) {
+            self.acc.reset();
+        } else {
+            self.acc = Accumulator::new(self.grid.cells(), workers, mode);
+        }
         self.scatter_mode = mode;
         self.scatter_workers = workers;
-        self.acc = Accumulator::new(self.grid.cells(), workers, mode);
     }
 
     // ── Multi-rank stepping seams (DESIGN §12) ─────────────────────────
@@ -644,31 +669,55 @@ mod tests {
         assert!(drift < 0.05, "energy drift {drift} over 50 steps");
     }
 
-    #[test]
-    fn the_push_cache_is_allocation_free_after_warmup() {
-        // the sort's permutation and spare column and the records the push
-        // builds from the fields share one scratch the simulation keeps:
-        // sized on the first step, reused after it, on sorting steps too
+    /// Step a Weibel deck on `space`, sorting every second step, and hold
+    /// every push block's scratch where the first step put it.
+    fn every_block_scratch_stays_put_after_warmup<S: ExecSpace>(space: &S) {
+        // the sort's permutation and spare column and the records block 0
+        // builds from the fields share one scratch the simulation keeps;
+        // every other block keeps a cache of its own, made by the first
+        // step. All are sized on the first step and reused after it, on
+        // sorting steps too
         let mut sim = Deck::weibel(6, 6, 6, 4, 0.3).build();
         sim.sort_order = Some(SortOrder::Standard);
         sim.sort_interval = 2;
-        sim.step();
-        let warm = sim.scratch.buffers();
+        let lanes = space.concurrency();
+        if lanes > 1 {
+            sim.configure_scatter(lanes, ScatterMode::Duplicated);
+        }
+        sim.step_on(space);
+        let buffers = |sim: &Simulation| -> Vec<_> {
+            std::iter::once(&sim.scratch).chain(&sim.block_scratch).map(Scratch::buffers).collect()
+        };
+        let warm = buffers(&sim);
+        assert_eq!(warm.len(), lanes, "one scratch per push block");
         let longest = sim.species.iter().map(Species::len).max().unwrap();
-        let [(_, words), (_, floats)] = warm;
-        assert!(words >= longest.max(sim.grid.cells()), "tags or permutation: {words}");
         let records = crate::interp::COEFFS * sim.grid.cells();
-        assert!(floats >= longest.max(records), "records or spare column: {floats}");
+        for (block, &[(_, words), (_, floats)]) in warm.iter().enumerate() {
+            let sorted = if block == 0 { longest } else { 0 };
+            assert!(words >= sorted.max(sim.grid.cells()), "block {block}'s tags or permutation: {words}");
+            assert!(floats >= sorted.max(records), "block {block}'s records or spare column: {floats}");
+        }
         let mut sorts = 0;
         for _ in 0..6 {
             let dirty = sim.species.iter().any(|s| s.current_order() != sim.sort_order);
-            sim.step();
+            sim.step_on(space);
             sorts += usize::from(sim.last_sort_fired && dirty);
-            assert_eq!(sim.scratch.buffers(), warm, "the scratch moved or grew after warm-up");
+            assert_eq!(buffers(&sim), warm, "a scratch moved or grew after warm-up");
             let own = sim.species.iter().any(Species::holds_sort_buffers);
             assert!(!own, "a species made sort buffers of its own");
         }
         assert_eq!(sorts, 3, "every second step sorts moved particles");
+    }
+
+    #[test]
+    fn the_push_cache_is_allocation_free_after_warmup() {
+        every_block_scratch_stays_put_after_warmup(&Serial);
+    }
+
+    #[test]
+    fn the_push_caches_are_allocation_free_after_warmup_on_two_lanes() {
+        // two push blocks into the duplicated scatter's two replicas
+        every_block_scratch_stays_put_after_warmup(&pk::Threads::new(2));
     }
 
     #[test]

@@ -110,6 +110,17 @@ fn remove_sorted_indices<T>(v: &mut Vec<T>, indices: &[usize]) {
     }
 }
 
+/// Gather the `u32` column `col` through `perm` into the spare column as
+/// bits (`f32::from_bits` and `to_bits` move them unchanged) and copy it
+/// back: how `cell` and the rank driver's ids follow a sort.
+fn gather_bits(perm: &[u32], spare: &mut Vec<f32>, col: &mut [u32]) {
+    spare.clear();
+    spare.extend(perm.iter().map(|&p| f32::from_bits(col[p as usize])));
+    for (c, bits) in col.iter_mut().zip(spare.iter()) {
+        *c = bits.to_bits();
+    }
+}
+
 impl Species {
     /// An empty species.
     pub fn new(name: impl Into<String>, q: f32, m: f32) -> Self {
@@ -232,9 +243,9 @@ impl Species {
     /// outgoing stream deterministic for a given array state.
     pub fn drain_with_ids(
         &mut self,
-        ids: &mut Vec<u64>,
+        ids: &mut Vec<u32>,
         indices: &[usize],
-        mut out: impl FnMut(u64, ParticleRecord),
+        mut out: impl FnMut(u32, ParticleRecord),
     ) {
         debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
         if indices.is_empty() {
@@ -257,8 +268,8 @@ impl Species {
     /// [`Species::assemble_by_id`] takes.
     pub fn records_with_ids<'a>(
         &'a self,
-        ids: &'a [u64],
-    ) -> impl Iterator<Item = (u64, ParticleRecord)> + 'a {
+        ids: &'a [u32],
+    ) -> impl Iterator<Item = (u32, ParticleRecord)> + 'a {
         debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
         ids.iter().enumerate().map(|(p, &id)| (id, self.record(p)))
     }
@@ -270,7 +281,7 @@ impl Species {
     pub fn assemble_by_id(
         &mut self,
         n: usize,
-        records: impl IntoIterator<Item = (u64, ParticleRecord)>,
+        records: impl IntoIterator<Item = (u32, ParticleRecord)>,
     ) {
         let (cell, floats) = self.columns_mut();
         cell.clear();
@@ -306,6 +317,7 @@ impl Species {
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let cells = grid.cells() as u32;
+        self.reserve(n);
         for _ in 0..n {
             let cell = rng.gen_range(0..cells);
             // Box-Muller pairs for the thermal spread
@@ -409,11 +421,7 @@ impl Species {
         let Self { cell, dx, dy, dz, ux, uy, uz, w, .. } = self;
         let Scratch { words: perm, floats: spare } = scratch;
         psort::permutation_into(order, cell, perm);
-        spare.clear();
-        spare.extend(perm.iter().map(|&p| f32::from_bits(cell[p as usize])));
-        for (c, bits) in cell.iter_mut().zip(spare.iter()) {
-            *c = bits.to_bits();
-        }
+        gather_bits(perm, spare, cell);
         for arr in [&mut *dx, dy, dz, ux, uy, uz, w] {
             spare.clear();
             spare.extend(perm.iter().map(|&p| arr[p as usize]));
@@ -429,20 +437,20 @@ impl Species {
     /// The sort of the id ledger: [`Species::sort_with`], with `ids`, the
     /// id array kept parallel to the particles, gathered through the
     /// permutation so that every particle keeps its id. The ids pass
-    /// through a transient buffer: one kept between sorts would hold 8 B
-    /// per particle for nothing. `Standard` is stable: particles in one
-    /// cell keep the order they had.
+    /// through the lent spare column as bits, the way `cell` does, so the
+    /// sort makes no buffer for them either. `Standard` is stable:
+    /// particles in one cell keep the order they had.
     pub(crate) fn sort_with_ids(
         &mut self,
         order: SortOrder,
-        ids: &mut [u64],
+        ids: &mut [u32],
         scratch: &mut Scratch,
     ) -> bool {
         debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
         if !self.sort_with(order, scratch) {
             return false;
         }
-        ids.copy_from_slice(&pk::sort::apply_permutation(&scratch.words, ids));
+        gather_bits(&scratch.words, &mut scratch.floats, ids);
         true
     }
 
@@ -650,7 +658,7 @@ mod tests {
                 loaded.push_particle(x, 0.0, -0.5, cell, tag, -tag, 2.0 * tag, 1.0 + tag);
             }
             for order in SortOrder::fig7_set(8) {
-                let (mut s, mut ids) = (loaded.clone(), (0..n as u64).collect::<Vec<_>>());
+                let (mut s, mut ids) = (loaded.clone(), (0..n as u32).collect::<Vec<_>>());
                 let mut lent = Scratch::default();
                 assert!(s.sort_with_ids(order, &mut ids, &mut lent));
                 let perm: &[u32] = &lent.words;
@@ -663,7 +671,7 @@ mod tests {
                     assert_eq!(perm, reference, "{n} in {cells}");
                 }
                 for (i, &p) in perm.iter().enumerate() {
-                    let want = (p as u64, loaded.record(p as usize));
+                    let want = (p, loaded.record(p as usize));
                     assert_eq!((ids[i], s.record(i)), want, "{order}, {n} in {cells}, slot {i}");
                 }
                 // drain every third particle: (id, record) pairs leave in
@@ -731,6 +739,33 @@ mod tests {
     }
 
     #[test]
+    fn a_sort_with_ids_moves_no_buffer_and_keeps_every_id_beside_its_particle() {
+        let g = Grid::new(4, 4, 4);
+        let mut s = Species::new("e", -1.0, 1.0);
+        s.load_uniform(&g, 1000, 0.1, (0.0, 0.0, 0.0), 1.0, 17);
+        let loaded = s.clone();
+        let mut ids: Vec<u32> = (0..s.len() as u32).collect();
+        let mut lent = Scratch::default();
+        // warmup: the first sort sizes the lent buffers
+        assert!(s.sort_with_ids(SortOrder::Standard, &mut ids, &mut lent));
+        let warm = (lent.buffers(), ids.as_ptr() as usize, ids.capacity());
+        for order in [
+            SortOrder::Strided,
+            SortOrder::Random,
+            SortOrder::TiledStrided { tile: 8 },
+            SortOrder::Standard,
+        ] {
+            s.mark_unsorted();
+            assert!(s.sort_with_ids(order, &mut ids, &mut lent), "{order}");
+            let now = (lent.buffers(), ids.as_ptr() as usize, ids.capacity());
+            assert_eq!(now, warm, "the sort made, resized or moved a buffer ({order})");
+            for (p, &id) in ids.iter().enumerate() {
+                assert_eq!(s.record(p), loaded.record(id as usize), "{order}: particle {p}");
+            }
+        }
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "without mark_unsorted")]
     fn unmarked_mutation_is_caught_by_the_skip_guard() {
@@ -787,12 +822,12 @@ mod tests {
         let mut s = Species::new("e", -1.0, 1.0);
         s.load_uniform(&g, 10, 0.1, (0.0, 0.0, 0.0), 1.0, 3);
         let before: Vec<ParticleRecord> = (0..10).map(|p| s.record(p)).collect();
-        let mut ids: Vec<u64> = (0..10).collect();
+        let mut ids: Vec<u32> = (0..10).collect();
         let mut out = Vec::new();
         // holes at both ends, two side by side, and the tail itself
         let drained = [0, 3, 4, 9];
         s.drain_with_ids(&mut ids, &drained, |id, r| out.push((id, r)));
-        assert_eq!(out, drained.map(|p| (p as u64, before[p])), "ascending index order");
+        assert_eq!(out, drained.map(|p| (p as u32, before[p])), "ascending index order");
         // every survivor once, each still beside its own id
         let mut kept = ids.clone();
         kept.sort_unstable();
