@@ -17,9 +17,10 @@
 //! each one [`ExecSpace::parallel_for_mut`] over the rank states, cut
 //! where an exchange has to have arrived: (1) due sort, push, migrant
 //! drain, deposition partials, first half B advance, *pack* B; (2) add
-//! the holders' partials into the owned cells, unload, laser, *unpack* B,
-//! E advance, *pack* E, interior half B advance; (3) *unpack* E, boundary
-//! shells, *pack* B, append the migrants; (4) *unpack* B, close the step.
+//! the holders' partials into the owned cells, *unpack* B, E advance from
+//! the edge totals with the laser on the owned rows, *pack* E, interior
+//! half B advance; (3) *unpack* E, boundary shells, *pack* B, append the
+//! migrants; (4) *unpack* B, close the step.
 //!
 //! ## The exchange plan
 //!
@@ -32,8 +33,9 @@
 //! images' current summed per cell, the owner sends back the field
 //! values of the cells the field kernels read, and a particle that
 //! crossed into an image leaves over the link to the cell's owner. Only
-//! the owner's canonical cell takes the merged current; an image's J is
-//! never read.
+//! the owner's canonical cell takes the merged current; the E an image's
+//! current advances is overwritten by the owner's before anything reads
+//! it.
 //!
 //! One rule makes that safe without `unsafe`: inside a superstep a rank
 //! mutates only its own `RankState` and reads only what a peer
@@ -90,7 +92,7 @@ use ckpt::{RestoreError, Snapshot};
 use pk::ExecSpace;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use vpic_core::accumulate::EDGES;
+use vpic_core::accumulate::{Drive, EDGES};
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
 use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
@@ -284,7 +286,7 @@ enum FieldSet {
 
 impl FieldSet {
     fn of(self, f: &mut FieldArray) -> [&mut Vec<f32>; 3] {
-        let [ex, ey, ez, bx, by, bz, ..] = f.arrays_mut();
+        let [ex, ey, ez, bx, by, bz] = f.arrays_mut();
         match self {
             FieldSet::E => [ex, ey, ez],
             FieldSet::B => [bx, by, bz],
@@ -300,7 +302,6 @@ struct RankClock {
     push: f64,
     b1: f64,
     merge: f64,
-    unload: f64,
     bfill: f64,
     e: f64,
     b2i: f64,
@@ -320,23 +321,17 @@ impl RankClock {
     /// exchange time, and the part of that no compute window hides. An
     /// exchange is hidden by the segments between its launch and its wait
     /// point: the current exchange by the first B half-advance, the B
-    /// halos by merge + unload, the E halos by the interior B half-advance,
+    /// halos by the merge, the E halos by the interior B half-advance,
     /// the migrants by everything from the first B half-advance through
     /// the boundary shells, the post-advance B halos by the migrant append.
     /// What a window does not cover extends the step.
     fn overlap(&self) -> (f64, f64, f64) {
-        let through_shells = self.b1
-            + self.merge
-            + self.unload
-            + self.bfill
-            + self.e
-            + self.b2i
-            + self.efill
-            + self.b2b;
+        let through_shells =
+            self.b1 + self.merge + self.bfill + self.e + self.b2i + self.efill + self.b2b;
         let compute = self.push + through_shells + self.append + self.b2fill;
         let waits = [
             (self.x_acc, self.b1),
-            (self.x_b, self.merge + self.unload),
+            (self.x_b, self.merge),
             (self.x_e, self.b2i),
             (self.x_mig, through_shells),
             (self.x_b2, self.append),
@@ -467,7 +462,7 @@ impl RankState {
         self.pack_halos(r, plans, FieldSet::B);
         tally.clock.b1 = since(t0);
         // the three field-halo exchanges of a step move the same cells:
-        // B before the E advance (hidden by merge + unload), E (hidden by
+        // B before the E advance (hidden by the merge), E (hidden by
         // the interior B half-advance), B after the advance
         let (time, messages, bytes) = plan.halo_charge(r, net);
         tally.clock.x_b = time;
@@ -478,9 +473,10 @@ impl RankState {
         self.tally = tally;
     }
 
-    /// Superstep 2, after the current and B exchanges: merge, unload,
-    /// laser, unpack B, advance and pack E, then the interior half B
-    /// advance while the E exchange is in flight.
+    /// Superstep 2, after the current and B exchanges: merge, unpack B,
+    /// advance E from the edge totals with the laser's drive on the owned
+    /// rows of its plane, pack E, then the interior half B advance while
+    /// the E exchange is in flight.
     fn merge_and_advance_e(&mut self, r: usize, seen: Seen, drive: Option<(usize, f32)>) {
         let plan = &seen.plans[r];
         let t0 = telemetry::now_ns();
@@ -497,19 +493,14 @@ impl RankState {
         }
         self.tally.clock.merge = since(t0);
         let t0 = telemetry::now_ns();
-        self.sim.unload_currents();
-        let (ox, (lx, ly, lz)) = (plan.origin.0, plan.extent);
-        if let Some((plane, drive)) = drive.filter(|(plane, _)| (ox..ox + lx).contains(plane)) {
-            let fields = &mut self.sim.fields;
-            LaserDriver::add_drive(fields, drive, plane - ox + 1, 1..ly + 1, 1..lz + 1);
-        }
-        self.tally.clock.unload = since(t0);
-        let t0 = telemetry::now_ns();
         self.unpack_halos(r, seen, FieldSet::B);
         self.tally.clock.bfill = since(t0);
         let t0 = telemetry::now_ns();
-        let strategy = self.sim.strategy;
-        self.sim.fields.advance_e_on(&pk::Serial, strategy);
+        let (ox, (lx, ly, lz)) = (plan.origin.0, plan.extent);
+        let drive = drive.filter(|(plane, _)| (ox..ox + lx).contains(plane)).map(|(plane, value)| {
+            Drive { value, x: plane - ox + 1, ys: 1..ly + 1, zs: 1..lz + 1 }
+        });
+        self.sim.advance_e_from_totals(drive.as_ref());
         self.pack_halos(r, seen.plans, FieldSet::E);
         self.tally.clock.e = since(t0);
         let t0 = telemetry::now_ns();
@@ -1189,6 +1180,28 @@ mod tests {
         }
     }
 
+    /// A step keeps no J: its E advance takes the current from the edge
+    /// totals, so J is never sized — on `Serial`, on two lanes and on every
+    /// rank of four, over a deck with a laser.
+    #[test]
+    fn a_step_never_sizes_j() {
+        let deck = Deck::lpi(8, 4, 4, 2);
+        let (mut serial, mut threads) = (deck.build(), deck.build());
+        let mut ranks = MultiRankSim::new(&deck.build(), 4, net());
+        let pool = pk::Threads::new(2);
+        let no_j = |f: &FieldArray| [&f.jx, &f.jy, &f.jz].iter().all(|j| j.capacity() == 0);
+        for step in 1..=5 {
+            serial.step_on(&pk::Serial);
+            threads.step_on(&pool);
+            ranks.step();
+            assert!(no_j(&serial.fields), "Serial, step {step}");
+            assert!(no_j(&threads.fields), "two lanes, step {step}");
+            for (r, st) in ranks.ranks.iter().enumerate() {
+                assert!(no_j(&st.sim.fields), "rank {r} of 4, step {step}");
+            }
+        }
+    }
+
     #[test]
     fn migration_stats_aggregate_across_species() {
         let mut reference = Deck::weibel(8, 8, 8, 4, 0.3).build();
@@ -1260,7 +1273,6 @@ mod tests {
             push: 1.0,
             b1: 1.0,
             merge: 1.0,
-            unload: 1.0,
             bfill: 1.0,
             e: 1.0,
             b2i: 1.0,
@@ -1279,12 +1291,12 @@ mod tests {
     #[test]
     fn a_window_hides_its_exchange_up_to_its_own_length() {
         // every window is at least one segment long: charges of 1 vanish
-        assert_eq!(clock(1.0).overlap(), (11.0, 5.0, 0.0));
+        assert_eq!(clock(1.0).overlap(), (10.0, 5.0, 0.0));
         // charges of 1.5: the one-segment windows (accumulator behind B½,
-        // E behind the interior B½, post-advance B behind the append)
-        // expose the half they cannot cover, merge + unload covers the B
-        // halos, and the migrants have eight segments
-        assert_eq!(clock(1.5).overlap(), (11.0, 7.5, 1.5));
+        // B behind the merge, E behind the interior B½, post-advance B
+        // behind the append) expose the half they cannot cover, and the
+        // migrants have seven segments
+        assert_eq!(clock(1.5).overlap(), (10.0, 7.5, 2.0));
         // no window at all exposes the whole charge
         let bare = RankClock { x_acc: 0.25, x_mig: 0.5, ..RankClock::default() };
         assert_eq!(bare.overlap(), (0.0, 0.75, 0.75));
@@ -1292,17 +1304,16 @@ mod tests {
 
     #[test]
     fn the_migration_window_spans_the_first_b_half_through_the_boundary_shells() {
-        // B½, merge, unload, B fill, E, interior B½, E fill, shells: eight
+        // B½, merge, B fill, E, interior B½, E fill, shells: seven
         // segments — neither the push before nor the append after counts
         let migrants_only =
             |x_mig| RankClock { x_mig, push: 100.0, append: 100.0, ..clock(0.0) }.overlap();
-        assert_eq!(migrants_only(8.0), (209.0, 8.0, 0.0));
-        assert_eq!(migrants_only(9.0), (209.0, 9.0, 1.0));
-        // each of the eight lengthens the window by its own time
-        let segments: [fn(&mut RankClock) -> &mut f64; 8] = [
+        assert_eq!(migrants_only(7.0), (208.0, 7.0, 0.0));
+        assert_eq!(migrants_only(8.0), (208.0, 8.0, 1.0));
+        // each of the seven lengthens the window by its own time
+        let segments: [fn(&mut RankClock) -> &mut f64; 7] = [
             |c| &mut c.b1,
             |c| &mut c.merge,
-            |c| &mut c.unload,
             |c| &mut c.bfill,
             |c| &mut c.e,
             |c| &mut c.b2i,
@@ -1310,7 +1321,7 @@ mod tests {
             |c| &mut c.b2b,
         ];
         for (i, segment) in segments.iter().enumerate() {
-            let mut c = RankClock { x_mig: 9.0, ..clock(0.0) };
+            let mut c = RankClock { x_mig: 8.0, ..clock(0.0) };
             *segment(&mut c) += 1.0;
             assert_eq!(c.overlap().2, 0.0, "segment {i}");
         }

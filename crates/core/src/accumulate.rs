@@ -1,5 +1,5 @@
 //! Current accumulation: the fixed-point current on every Yee edge of the
-//! grid, and its unload into the current arrays.
+//! grid, and the E advance that consumes it.
 //!
 //! Each within-cell trajectory segment deposits Villasenor–Buneman
 //! charge-conserving current weights: 4 per component, one on each of the
@@ -20,16 +20,21 @@
 //! and stores, and only blocks that share the one atomic lane pay for
 //! `fetch_add`.
 //!
-//! The totals are `charge × fractional displacement × transverse shape`;
-//! [`Accumulator::unload`] converts them to current density by the `1/dt`
-//! factor (unit cells) in one streaming pass that reads each edge, zeroes
-//! it and stores it into J, so J needs no clearing and the
+//! The totals are `charge × fractional displacement × transverse shape`.
+//! A step's E advance reads them itself ([`Accumulator::advance_e_on`]):
+//! row by row it takes each edge, zeroes it, converts it to current
+//! density by the `1/dt` factor (unit cells) into a row buffer and adds
+//! the row's `∇×B − J`, so a step keeps no J array and the
 //! [`Accumulator::reset`] before the next deposits has nothing to sweep.
+//! [`Accumulator::unload`] stores the same currents into the field's J
+//! instead, for the outside seam that drives the kernels phase by phase.
 
-use crate::field::FieldArray;
+use crate::field::{Current, FieldArray};
 use crate::grid::{Grid, Site};
-use pk::atomic::{Claim, FixedScatterBuf, LaneWriter, ScatterMode};
-use pk::{ExecSpace, Serial};
+use pk::atomic::{Claim, FixedScatterBuf, LaneTotals, LaneWriter, ScatterMode};
+use pk::{ExecSpace, Serial, Split};
+use std::ops::Range;
+use std::sync::atomic::AtomicI64;
 use vsimd::{PushLane, Strategy, Xyz};
 
 /// Weights per segment: 4 edges × 3 components.
@@ -147,23 +152,48 @@ impl Accumulator {
     /// Convert accumulated charge-displacements to current density, store
     /// them into the field's J arrays over whatever those held (VPIC's
     /// `unload_accumulator_array`), and leave every edge zero: the unload
-    /// consumes the accumulator.
+    /// consumes the accumulator. The outside seam's phase; a step runs
+    /// [`Accumulator::advance_e_on`].
     pub fn unload(&mut self, f: &mut FieldArray) {
         self.unload_on(&Serial, Strategy::Auto, f);
     }
 
-    /// [`Accumulator::unload`] with the cells distributed over `space`.
+    /// [`Accumulator::unload`] with the cells distributed over `space`,
+    /// J sized on first use.
     ///
     /// Every edge has one total, so the unload is a stream over the cells:
-    /// for each edge it reads the total (the first lane's, then each
-    /// replica's added in replica order), zeroes it, and stores
-    /// `(dequantize(total) × 1/dt) as f32` into J. Each J element has one
-    /// writer and one rounding, so the result is bit-identical for any
-    /// space, strategy or worker count, and the same bits as adding it to
-    /// a cleared J: a zero total converts to `+0.0`, never `-0.0`. `vsimd`
-    /// has no `f64` lane type, so `strategy` chooses nothing here. `&mut self` keeps every depositor
-    /// out, so the pass reads and zeroes the first lane's edges through
-    /// `AtomicI64::get_mut`, plain accesses.
+    /// for each edge it takes the total, as [`Accumulator::advance_e_on`]
+    /// does, and stores `(dequantize(total) × 1/dt) as f32` into J. Each J element
+    /// has one writer and one rounding, so the result is bit-identical for
+    /// any space, strategy or worker count, and the same bits as adding it
+    /// to a cleared J: a zero total converts to `+0.0`, never `-0.0`.
+    /// `vsimd` has no `f64` lane type, so `strategy` chooses nothing here.
+    ///
+    /// A panic part way leaves the accumulator dirty, and the next
+    /// [`Accumulator::reset`] sweeps it.
+    pub fn unload_on<S: ExecSpace>(&mut self, space: &S, _strategy: Strategy, f: &mut FieldArray) {
+        let totals = self.totals(&f.grid, None);
+        space.parallel_windows((totals, f.j_sized()), 1, |_, start, (mut totals, j)| {
+            totals.take_into(start, j)
+        });
+        // only once every edge is zero: an unload that panicked stays dirty
+        self.buf.mark_clean();
+    }
+
+    /// The step's E advance, fused with the unload: E by a full `dt` with
+    /// `∂E/∂t = ∇×B − J` over `f`, J taken row by row from the edge
+    /// totals, which are left zero, and `drive` added to `jz` on its
+    /// cells. The field's own J is neither read nor sized.
+    ///
+    /// Each block of rows has a row buffer of `3·nx` floats. For each edge
+    /// of a row it takes the total — the first lane's, zeroed through
+    /// `AtomicI64::get_mut` (`&mut self` keeps every depositor out), then
+    /// each replica's taken and added in replica order — and stores
+    /// `(dequantize(total) × 1/dt) as f32`; the drive is added to that in
+    /// `f32`, and the row's E update reads the buffer. Every value is the
+    /// one [`Accumulator::unload_on`], the drive's add to `jz` and
+    /// [`FieldArray::advance_e_on`] would give, so E is bit-identical to
+    /// that seam for any space and worker count.
     ///
     /// The sum bound: summing an edge's fixed-point integers and converting
     /// once gives the bits of converting each of the edge's four weight
@@ -173,30 +203,102 @@ impl Accumulator {
     ///
     /// A panic part way leaves the accumulator dirty, and the next
     /// [`Accumulator::reset`] sweeps it.
-    pub fn unload_on<S: ExecSpace>(&mut self, space: &S, _strategy: Strategy, f: &mut FieldArray) {
-        let FieldArray { grid, jx, jy, jz, .. } = f;
+    pub fn advance_e_on<S: ExecSpace>(&mut self, space: &S, f: &mut FieldArray, drive: Option<&Drive>) {
+        let totals = self.totals(&f.grid, drive);
+        f.advance_e_from(space, totals);
+        self.buf.mark_clean();
+    }
+
+    /// Every edge total of `grid` (the grid the accumulator covers) as a
+    /// current, with `drive`; whoever takes them all marks the buffer
+    /// clean after.
+    fn totals<'a>(
+        &'a mut self,
+        grid: &Grid,
+        drive: Option<&'a Drive>,
+    ) -> Totals<'a, impl Iterator<Item = LaneTotals<'a>> + Clone + Send + 'a> {
         assert_eq!(grid.cells(), self.cells, "accumulator/grid mismatch");
         // widen the same f32 constant the push's reference used
         let rdt = (1.0f32 / grid.dt) as f64;
-        {
-            let (first, replicas) = self.buf.lanes_mut();
-            let (cells, _) = first.as_chunks_mut::<EDGES>();
-            let j = [jx, jy, jz].map(Vec::as_mut_slice);
-            space.parallel_windows((cells, j), 1, |_, start, (cells, j)| {
-                // J's windows are as long as the cells': `j[k]` needs no check
-                let mut j = j.map(|j| &mut j[..cells.len()]);
-                for (k, edges) in cells.iter_mut().enumerate() {
-                    for (e, (edge, j)) in edges.iter_mut().zip(&mut j).enumerate() {
-                        let i = (start + k) * EDGES + e;
-                        let raw = std::mem::take(edge.get_mut());
-                        let raw = replicas.clone().fold(raw, |sum, lane| sum.wrapping_add(lane.take(i)));
-                        j[k] = (FixedScatterBuf::dequantize(raw) * rdt) as f32;
-                    }
-                }
-            });
+        let (first, replicas) = self.buf.lanes_mut();
+        let (cells, _) = first.as_chunks_mut::<EDGES>();
+        Totals { cells, replicas, rdt, drive, ny: grid.ny }
+    }
+}
+
+/// A laser antenna's current for one E advance: `value` added to `jz` on
+/// the cells `x × ys × zs` — the antenna's whole plane, or the part of it
+/// a rank owns.
+#[derive(Debug, Clone)]
+pub struct Drive {
+    /// The driven current density.
+    pub value: f32,
+    /// The plane's x cell.
+    pub x: usize,
+    /// The plane's y cells.
+    pub ys: Range<usize>,
+    /// The plane's z cells.
+    pub zs: Range<usize>,
+}
+
+/// A window of the edge totals, as current: the first lane's cells (taken
+/// through `get_mut`), the replicas (taken by index), and what turns a
+/// total into current density. Cut like the arrays it is bundled with,
+/// in whole rows for the E advance, in cells for the unload.
+struct Totals<'a, R> {
+    cells: &'a mut [[AtomicI64; EDGES]],
+    replicas: R,
+    rdt: f64,
+    /// The E advance's drive, and the grid's rows per z-plane, which
+    /// place a row.
+    drive: Option<&'a Drive>,
+    ny: usize,
+}
+
+impl<'a, R: Iterator<Item = LaneTotals<'a>> + Clone> Totals<'a, R> {
+    /// Take every edge of the window, whose first cell is `start`, and
+    /// store its current into `j`, three arrays as long as the window.
+    #[inline(always)]
+    fn take_into(&mut self, start: usize, j: [&mut [f32]; 3]) {
+        // as long as the window: `j[k]` needs no check
+        let mut j = j.map(|j| &mut j[..self.cells.len()]);
+        for (k, edges) in self.cells.iter_mut().enumerate() {
+            for (e, (edge, j)) in edges.iter_mut().zip(&mut j).enumerate() {
+                let i = (start + k) * EDGES + e;
+                let raw = std::mem::take(edge.get_mut());
+                let raw = self.replicas.clone().fold(raw, |sum, lane| sum.wrapping_add(lane.take(i)));
+                j[k] = (FixedScatterBuf::dequantize(raw) * self.rdt) as f32;
+            }
         }
-        // only once every edge is zero: an unload that panicked stays dirty
-        self.buf.mark_clean();
+    }
+}
+
+impl<'a, R: Clone + Send> Split for Totals<'a, R> {
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (head, tail) = self.cells.split_at_mut(mid);
+        let replicas = self.replicas.clone();
+        (Self { cells: head, replicas, ..self }, Self { cells: tail, ..self })
+    }
+}
+
+/// A row's current from its totals, converted into the block's row
+/// buffer, with the drive's add where the row crosses the drive's cells.
+impl<'a, R: Iterator<Item = LaneTotals<'a>> + Clone + Send> Current for Totals<'a, R> {
+    fn row<'b>(&'b mut self, r: usize, buf: &'b mut Vec<f32>) -> [&'b [f32]; 3] {
+        let nx = self.cells.len();
+        buf.resize(3 * nx, 0.0);
+        let (jx, rest) = buf.split_at_mut(nx);
+        let (jy, jz) = rest.split_at_mut(nx);
+        self.take_into(r * nx, [&mut *jx, &mut *jy, &mut *jz]);
+        let (iy, iz) = (r % self.ny, r / self.ny);
+        if let Some(d) = self.drive.filter(|d| d.ys.contains(&iy) && d.zs.contains(&iz)) {
+            jz[d.x] += d.value;
+        }
+        [jx, jy, jz]
     }
 }
 
@@ -665,6 +767,7 @@ mod tests {
             let deposits = deposits(&g);
             // stale J the unload overwrites, not zero
             let mut start = FieldArray::new(g.clone());
+            start.clear_j_on(&Serial);
             for v in 0..g.cells() {
                 (start.jx[v], start.jy[v], start.jz[v]) = (v as f32 * 0.25, -1.5, 1.0 / (v + 1) as f32);
             }
@@ -692,6 +795,75 @@ mod tests {
                     check("threads", &|acc, f| acc.unload_on(&threads, Strategy::default(), f));
                 }
             }
+        }
+    }
+
+    /// `sim`'s particles pushed from its fields into a new accumulator of
+    /// `replicas` lanes in `mode` on `space`, as a step's push deposits
+    /// them, and a copy of the fields.
+    fn deposited_from<S: ExecSpace>(
+        sim: &crate::Simulation,
+        space: &S,
+        mode: ScatterMode,
+        replicas: usize,
+    ) -> (FieldArray, Accumulator) {
+        let interps = crate::interp::load_interpolators(&sim.fields);
+        let acc = Accumulator::new(sim.grid.cells(), replicas, mode);
+        for s in &sim.species {
+            let mut s = s.clone();
+            crate::push::push_species_on(space, Strategy::default(), &sim.grid, &mut s, &interps, &acc);
+        }
+        (sim.fields.clone(), acc)
+    }
+
+    /// On `space`, over the deposits of a Weibel and an LPI state three
+    /// steps in, in each scatter mode: the fused pass against the seam's
+    /// unload, the drive's add to `jz` and E advance — E and B the same
+    /// bits, every edge of every lane taken, and J never sized — with no
+    /// drive, the antenna's plane at x = 0 and inside, and a rank's owned
+    /// rows of a plane (its box of y and z, the halo rows left out).
+    fn the_fused_e_advance_matches_the_seam_on<S: ExecSpace>(space: &S, name: &str) {
+        for deck in [crate::Deck::weibel(6, 6, 6, 4, 0.3), crate::Deck::lpi(12, 4, 4, 2)] {
+            let mut sim = deck.build();
+            sim.run(3);
+            let g = sim.grid.clone();
+            let drives = [
+                None,
+                Some(Drive { value: 0.375, x: 0, ys: 0..g.ny, zs: 0..g.nz }),
+                Some(Drive { value: -1.25, x: g.nx / 2, ys: 0..g.ny, zs: 0..g.nz }),
+                Some(Drive { value: 0.5, x: g.nx - 2, ys: 1..g.ny - 1, zs: 1..g.nz - 1 }),
+            ];
+            for (mode, replicas) in [(ScatterMode::Atomic, 1), (ScatterMode::Duplicated, 2), (ScatterMode::Duplicated, 3)] {
+                for drive in &drives {
+                    let what = format!("{name}, {} {mode:?} × {replicas}, {drive:?}", deck.name);
+                    let (mut seam, mut acc) = deposited_from(&sim, space, mode, replicas);
+                    acc.unload_on(space, Strategy::default(), &mut seam);
+                    if let Some(d) = drive {
+                        for (iy, iz) in d.ys.clone().flat_map(|iy| d.zs.clone().map(move |iz| (iy, iz))) {
+                            seam.jz[g.voxel(d.x, iy, iz)] += d.value;
+                        }
+                    }
+                    seam.advance_e_on(space, Strategy::default());
+                    let (mut fused, mut acc) = deposited_from(&sim, space, mode, replicas);
+                    assert!(lane_raws(&acc).iter().any(|&r| r != 0), "{what}: nothing deposited");
+                    acc.advance_e_on(space, &mut fused, drive.as_ref());
+                    let diff = crate::sim::floats_diff(&FieldArray::NAMES, &seam.arrays(), &fused.arrays());
+                    assert_eq!(diff, None, "{what}");
+                    assert!(lane_raws(&acc).iter().all(|&r| r == 0), "{what}: an edge survived");
+                    assert!(!acc.buf.is_dirty(), "{what}: still dirty");
+                    assert_eq!(fused.jz.capacity(), 0, "{what}: J was sized");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_fused_e_advance_matches_the_seam_on_every_space() {
+        the_fused_e_advance_matches_the_seam_on(&Serial, "Serial");
+        let gpu = memsim::platform::gpus().swap_remove(0);
+        the_fused_e_advance_matches_the_seam_on(&pk::SimGpu::scaled(gpu, 1.0), "SimGpu");
+        for lanes in 1..=3 {
+            the_fused_e_advance_matches_the_seam_on(&pk::Threads::new(lanes), &format!("{lanes} threads"));
         }
     }
 

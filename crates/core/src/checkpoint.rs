@@ -1,7 +1,8 @@
 //! Deterministic checkpoint/restart for [`Simulation`] (DESIGN §10).
 //!
 //! A checkpoint is a [`ckpt`] container holding everything that feeds the
-//! next step's arithmetic: grid geometry, the nine field arrays, every
+//! next step's arithmetic: grid geometry, the six field arrays (E and B),
+//! every
 //! species' SoA particle arrays and `last_sort` skip-cache claim, the
 //! scalar loop state (step count, sort cadence phase, scatter replica
 //! count — a resumed run keeps it, though the bits do not depend on it —
@@ -14,8 +15,11 @@
 //!
 //! What is deliberately *not* serialized: the simulation's particle-phase
 //! scratch (the sort's permutation and spare column, the push's
-//! coefficient cache; re-warms on the first post-restore step) and the
-//! accumulator (rebuilt from the saved configuration and worker count).
+//! coefficient cache; re-warms on the first post-restore step), the
+//! accumulator (rebuilt from the saved configuration and worker count)
+//! and the outside seam's J, which no step reads. A snapshot whose
+//! `fields` section still carries J's three arrays (the nine-array layout)
+//! does not restore: its undecoded bytes are [`RestoreError::SchemaDrift`].
 //!
 //! Every decode error is typed ([`RestoreError`]); a checkpoint that
 //! parses but disagrees with itself (array length mismatch, unknown enum
@@ -219,7 +223,7 @@ impl Simulation {
         // the header's cell count sizes every allocation below, so it must
         // first match the field arrays the container really carries
         let mut f = snap.section("fields")?;
-        let mut fields: [Vec<f32>; 9] = Default::default();
+        let mut fields: [Vec<f32>; 6] = Default::default();
         for arr in &mut fields {
             *arr = f.get_f32s()?;
         }
@@ -486,6 +490,27 @@ mod tests {
                 assert!(msg.contains("energy"), "unexpected drift message: {msg}")
             }
             other => panic!("tampered energy must be SchemaDrift, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn a_nine_array_fields_section_is_schema_drift() {
+        // the layout that still carried J after E and B: J is not state,
+        // and its bytes are left undecoded
+        let mut sim = weibel();
+        sim.run(2);
+        let cells = sim.grid.cells();
+        let bytes = rewritten(&sim.checkpoint_bytes(), "fields", |r, f| {
+            f.put_raw(r.take_rest());
+            for _ in 0..3 {
+                f.put_f32s(&vec![0.0; cells]);
+            }
+        });
+        match Simulation::restore_bytes(&bytes) {
+            Err(RestoreError::SchemaDrift(msg)) => {
+                assert!(msg.contains("\"fields\"") && msg.contains("undecoded"), "{msg}")
+            }
+            other => panic!("a nine-array snapshot must be SchemaDrift, got {:?}", other.err()),
         }
     }
 

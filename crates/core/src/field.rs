@@ -4,7 +4,8 @@
 //!
 //! * `ex(v)` lives on the x-edge at `(ix+½, iy, iz)`; `ey`, `ez` likewise.
 //! * `bx(v)` lives on the x-face at `(ix, iy+½, iz+½)`; `by`, `bz` likewise.
-//! * `jx/jy/jz` are colocated with the corresponding E components.
+//! * a current `jx/jy/jz` is colocated with the corresponding E
+//!   component.
 //!
 //! Units are normalized (`c = 1`, unit cells): the advance uses the raw
 //! `dt` factors. B is advanced in half steps around the E update, the
@@ -24,13 +25,21 @@
 //! each kernel hands its output arrays to [`ExecSpace::parallel_windows`]
 //! in units of a row, which cuts them into one window of whole rows per
 //! block, so every space's sweep is deterministic for free.
+//!
+//! The E advance has one row body and two sources of current
+//! (`Current`): J's rows, the outside seam's
+//! [`FieldArray::advance_e_on`], or the accumulator's edge totals,
+//! converted one row at a time into a row buffer of the block's
+//! (`Accumulator::advance_e_on`, what a step runs). So a step keeps no J:
+//! `jx/jy/jz` stay empty until the seam's [`FieldArray::clear_j_on`] or
+//! `Accumulator::unload_on` sizes them.
 
 use crate::grid::{Grid, RowStencil, StencilSide};
 use pk::{ExecSpace, Split};
 use std::ops::Range;
 use vsimd::Strategy;
 
-/// The field state: E, B, and the current J accumulated by the push.
+/// The field state: E and B, and the current J of the outside seam.
 #[derive(Debug, Clone)]
 pub struct FieldArray {
     /// Grid geometry this field lives on.
@@ -47,7 +56,10 @@ pub struct FieldArray {
     pub by: Vec<f32>,
     /// See [`FieldArray::bx`].
     pub bz: Vec<f32>,
-    /// Current density components (colocated with E).
+    /// Current density components (colocated with E): the buffer of the
+    /// seam that drives the kernels phase by phase ([`FieldArray::clear_j_on`],
+    /// `Accumulator::unload_on`, [`FieldArray::advance_e_on`]). Empty
+    /// until the seam sizes it; a step neither reads nor writes it.
     pub jx: Vec<f32>,
     /// See [`FieldArray::jx`].
     pub jy: Vec<f32>,
@@ -101,18 +113,50 @@ impl<'a> Curl<'a> {
         self.e_fused(span(st, self.nx - 1, 0), [bx_end, by_end, bz_end]);
     }
 
-    /// `E += dt·(∇×B − J)` over the span; the neighbors are the
-    /// minus-side ones.
+    /// `E += dt·(∇×B − J)` over the span, `j` holding the span's
+    /// current from its first cell on; the neighbors are the minus-side
+    /// ones.
     #[inline(always)]
     fn b_fused(&self, j: [&[f32]; 3], [v, xm, ym, zm]: Span, [ex, ey, ez]: [&mut [f32]; 3]) {
         let ([bx, by, bz], [rdx, rdy, rdz], dt) = (self.src, self.rd, self.dt);
-        let [jx, jy, jz] = j;
+        // as long as the span: `j[k]` needs no check
+        let [jx, jy, jz] = j.map(|j| &j[..ex.len()]);
         for k in 0..ex.len() {
             let (v, xm, ym, zm) = (v + k, xm + k, ym + k, zm + k);
-            ex[k] += dt * ((bz[v] - bz[ym]) * rdy - (by[v] - by[zm]) * rdz - jx[v]);
-            ey[k] += dt * ((bx[v] - bx[zm]) * rdz - (bz[v] - bz[xm]) * rdx - jy[v]);
-            ez[k] += dt * ((by[v] - by[xm]) * rdx - (bx[v] - bx[ym]) * rdy - jz[v]);
+            ex[k] += dt * ((bz[v] - bz[ym]) * rdy - (by[v] - by[zm]) * rdz - jx[k]);
+            ey[k] += dt * ((bx[v] - bx[zm]) * rdz - (bz[v] - bz[xm]) * rdx - jy[k]);
+            ez[k] += dt * ((by[v] - by[xm]) * rdx - (bx[v] - bx[ym]) * rdy - jz[k]);
         }
+    }
+
+    /// [`Curl::b_fused`] over the whole row behind `st`, `j` and `e`
+    /// holding its cells: the cells after the first as one span, then the
+    /// first, whose −x neighbor is the row's last.
+    #[inline(always)]
+    fn b_row(&self, st: &RowStencil, j: [&[f32]; 3], e: [&mut [f32]; 3]) {
+        let [(ex_end, ex), (ey_end, ey), (ez_end, ez)] = e.map(|e| e.split_at_mut(1));
+        let [(jx_end, jx), (jy_end, jy), (jz_end, jz)] = j.map(|j| j.split_at(1));
+        self.b_fused([jx, jy, jz], span(st, 1, 0), [ex, ey, ez]);
+        self.b_fused([jx_end, jy_end, jz_end], span(st, 0, self.nx - 1), [ex_end, ey_end, ez_end]);
+    }
+}
+
+/// Where the E advance takes a row's current from: J's rows (the seam's
+/// [`FieldArray::advance_e_on`]) or the accumulator's edge totals (the
+/// step's fused pass, `Accumulator::advance_e_on`). The sweep hands it to
+/// [`ExecSpace::parallel_windows`] beside the E arrays, so it is cut into
+/// rows with them.
+pub(crate) trait Current: Split {
+    /// The current `[jx, jy, jz]` of row `r`, whose piece `self` is:
+    /// read where it lies, or made in `buf`, a row buffer the sweep keeps
+    /// for the block.
+    fn row<'b>(&'b mut self, r: usize, buf: &'b mut Vec<f32>) -> [&'b [f32]; 3];
+}
+
+/// J's rows, read where they lie.
+impl Current for [&[f32]; 3] {
+    fn row<'b>(&'b mut self, _: usize, _: &'b mut Vec<f32>) -> [&'b [f32]; 3] {
+        *self
     }
 }
 
@@ -123,8 +167,22 @@ fn span(st: &RowStencil, x: usize, xq: usize) -> Span {
     [st.row + x, st.row + xq, st.y + x, st.z + x]
 }
 
+/// The E advance on `g`, one [`Curl::b_row`] per row, its current from
+/// `j`: `e` and `j` cut into windows of whole rows, one per block, each
+/// block with a row buffer of its own for a current that needs one.
+fn advance_e<S: ExecSpace>(space: &S, g: &Grid, e: [&mut [f32]; 3], b: [&[f32]; 3], j: impl Current) {
+    let curl = Curl::new(g, b, g.dt);
+    let nx = g.nx;
+    space.parallel_windows((e, j), nx, |_, first, rows| {
+        let mut buf = Vec::new();
+        for (r, (e, mut j)) in (first..).zip(rows.pieces(nx)) {
+            curl.b_row(&g.row_stencil(r, StencilSide::Minus), j.row(r, &mut buf), e);
+        }
+    });
+}
+
 impl FieldArray {
-    /// Zero-initialized fields on `grid`.
+    /// Zero-initialized fields on `grid`, J not sized.
     pub fn new(grid: Grid) -> Self {
         let n = grid.cells();
         Self {
@@ -135,36 +193,46 @@ impl FieldArray {
             bx: vec![0.0; n],
             by: vec![0.0; n],
             bz: vec![0.0; n],
-            jx: vec![0.0; n],
-            jy: vec![0.0; n],
-            jz: vec![0.0; n],
+            jx: Vec::new(),
+            jy: Vec::new(),
+            jz: Vec::new(),
         }
     }
 
-    /// Names of the nine component arrays, in [`FieldArray::arrays`] order.
-    pub(crate) const NAMES: [&'static str; 9] =
-        ["ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz"];
+    /// Names of the six component arrays, in [`FieldArray::arrays`] order.
+    pub(crate) const NAMES: [&'static str; 6] = ["ex", "ey", "ez", "bx", "by", "bz"];
 
-    /// The nine component arrays — E, then B, then J: the one table a
-    /// checkpoint, a bitwise comparison and a rank partition walk.
-    pub fn arrays(&self) -> [&[f32]; 9] {
-        let Self { ex, ey, ez, bx, by, bz, jx, jy, jz, .. } = self;
-        [ex, ey, ez, bx, by, bz, jx, jy, jz].map(Vec::as_slice)
+    /// The six component arrays, E then B: the state, and the one table a
+    /// checkpoint, a bitwise comparison and a rank partition walk. J is
+    /// not state: no step reads what it held before.
+    pub fn arrays(&self) -> [&[f32]; 6] {
+        let Self { ex, ey, ez, bx, by, bz, .. } = self;
+        [ex, ey, ez, bx, by, bz].map(Vec::as_slice)
     }
 
     /// The arrays of [`FieldArray::arrays`], in its order, mutably.
-    pub fn arrays_mut(&mut self) -> [&mut Vec<f32>; 9] {
-        let Self { ex, ey, ez, bx, by, bz, jx, jy, jz, .. } = self;
-        [ex, ey, ez, bx, by, bz, jx, jy, jz]
+    pub fn arrays_mut(&mut self) -> [&mut Vec<f32>; 6] {
+        let Self { ex, ey, ez, bx, by, bz, .. } = self;
+        [ex, ey, ez, bx, by, bz]
     }
 
-    /// Zero the current arrays, the row sweep distributed over `space`.
-    /// A step does not call it (the unload stores every J element); it is
-    /// the kernel an outside tracer times as its own phase, until the
-    /// field solve reads the edge totals and J goes (ROADMAP 27(a)).
+    /// The seam's J, sized to the grid on first use (a step never sizes
+    /// it).
+    pub(crate) fn j_sized(&mut self) -> [&mut [f32]; 3] {
+        let n = self.grid.cells();
+        [&mut self.jx, &mut self.jy, &mut self.jz].map(|j| {
+            j.resize(n, 0.0);
+            j.as_mut_slice()
+        })
+    }
+
+    /// Zero the current arrays, sizing them on first use, the row sweep
+    /// distributed over `space`. A step does not call it (it keeps no J);
+    /// it is the kernel an outside tracer times as its own phase, until
+    /// ROADMAP 1(g) deletes J and the seam.
     pub fn clear_j_on<S: ExecSpace>(&mut self, space: &S) {
-        let j = [&mut self.jx, &mut self.jy, &mut self.jz].map(|j| j.as_mut_slice());
-        space.parallel_windows(j, self.grid.nx, |_, _, j| {
+        let nx = self.grid.nx;
+        space.parallel_windows(self.j_sized(), nx, |_, _, j| {
             for j in j {
                 j.fill(0.0);
             }
@@ -236,6 +304,7 @@ impl FieldArray {
     /// Serial reference for [`FieldArray::advance_e_on`] (see
     /// [`FieldArray::advance_b_ref`]).
     pub fn advance_e_ref(&mut self) {
+        self.assert_j_sized();
         let Self { grid: g, ex, ey, ez, bx, by, bz, jx, jy, jz } = self;
         let dt = g.dt;
         let (rdx, rdy, rdz) = (1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz);
@@ -249,26 +318,35 @@ impl FieldArray {
         }
     }
 
-    /// Advance E by a full `dt` with `∂E/∂t = ∇×B − J`, the row sweep
-    /// distributed over `space`. Bit-identical to
-    /// [`FieldArray::advance_e_ref`] for every space and worker count.
+    /// Advance E by a full `dt` with `∂E/∂t = ∇×B − J`, J read from
+    /// `jx/jy/jz`, the row sweep distributed over `space`: the outside
+    /// seam's E advance. Bit-identical to [`FieldArray::advance_e_ref`]
+    /// for every space and worker count, and to the step's fused pass
+    /// over the totals J was unloaded from.
     ///
     /// `_strategy` is ignored: the sweep has one body. ROADMAP item 13
     /// removes the argument after item 1(f).
+    ///
+    /// # Panics
+    /// Panics unless J is sized ([`FieldArray::clear_j_on`] or
+    /// `Accumulator::unload_on` sizes it).
     pub fn advance_e_on<S: ExecSpace>(&mut self, space: &S, _strategy: Strategy) {
-        let Self { grid: g, ex, ey, ez, bx, by, bz, jx, jy, jz } = self;
-        let curl = Curl::new(g, [bx, by, bz], g.dt);
+        self.assert_j_sized();
+        let Self { grid, ex, ey, ez, bx, by, bz, jx, jy, jz } = self;
         let j: [&[f32]; 3] = [jx, jy, jz];
-        let (g, nx) = (&*g, g.nx);
-        space.parallel_windows([ex, ey, ez].map(Vec::as_mut_slice), nx, |_, first, e| {
-            for (r, e) in (first..).zip(e.pieces(nx)) {
-                let st = g.row_stencil(r, StencilSide::Minus);
-                let [(ex_end, ex), (ey_end, ey), (ez_end, ez)] = e.map(|e| e.split_at_mut(1));
-                curl.b_fused(j, span(&st, 1, 0), [ex, ey, ez]);
-                // the end cell's −x neighbor is the row's last cell
-                curl.b_fused(j, span(&st, 0, nx - 1), [ex_end, ey_end, ez_end]);
-            }
-        });
+        advance_e(space, grid, [ex, ey, ez].map(Vec::as_mut_slice), [bx, by, bz], j);
+    }
+
+    /// [`FieldArray::advance_e_on`]'s sweep, each row's current from `j`.
+    pub(crate) fn advance_e_from<S: ExecSpace>(&mut self, space: &S, j: impl Current) {
+        let Self { grid, ex, ey, ez, bx, by, bz, .. } = self;
+        advance_e(space, grid, [ex, ey, ez].map(Vec::as_mut_slice), [bx, by, bz], j);
+    }
+
+    fn assert_j_sized(&self) {
+        let n = self.grid.cells();
+        let sized = [&self.jx, &self.jy, &self.jz].iter().all(|j| j.len() == n);
+        assert!(sized, "J is not sized: clear_j_on or unload_on sizes it");
     }
 
     /// Field energy `½∫(E² + B²)dV`, split as `(electric, magnetic)`.
@@ -321,11 +399,18 @@ mod tests {
         floats_diff(&FieldArray::NAMES, &a.arrays(), &b.arrays())
     }
 
+    /// Zero fields on `g` with a zero J the seam's E advance reads.
+    fn with_j(g: &Grid) -> FieldArray {
+        let mut f = FieldArray::new(g.clone());
+        f.clear_j_on(&Serial);
+        f
+    }
+
     fn plane_wave(n: usize) -> FieldArray {
         // +x-travelling wave: Ez = sin(kx), By = -sin(kx) at the staggered
         // positions (ez at node-x, by at x+1/2)
         let g = Grid::new(n, 4, 4);
-        let mut f = FieldArray::new(g.clone());
+        let mut f = with_j(&g);
         let k = 2.0 * std::f32::consts::PI / n as f32;
         for v in 0..g.cells() {
             let (ix, _, _) = g.coords(v);
@@ -342,7 +427,7 @@ mod tests {
 
     /// Deterministic non-trivial field state for bit-identity checks.
     fn scrambled(g: &Grid) -> FieldArray {
-        let mut f = FieldArray::new(g.clone());
+        let mut f = with_j(g);
         for v in 0..g.cells() {
             let x = v as f32;
             f.ex[v] = (x * 0.618).sin();
@@ -414,7 +499,7 @@ mod tests {
     fn uniform_current_drives_e_linearly() {
         let g = Grid::new(8, 8, 8);
         let dt = g.dt;
-        let mut f = FieldArray::new(g);
+        let mut f = with_j(&g);
         f.jx.fill(1.0);
         f.advance_e_on(&Serial, Strategy::Auto);
         assert!(f.ex.iter().all(|&e| (e + dt).abs() < 1e-6), "E = -J dt");
@@ -424,7 +509,7 @@ mod tests {
     #[test]
     fn clear_j_zeroes_currents_only() {
         let g = Grid::new(4, 4, 4);
-        let mut f = FieldArray::new(g);
+        let mut f = with_j(&g);
         f.jx.fill(2.0);
         f.ex.fill(3.0);
         f.clear_j_on(&Serial);
@@ -433,9 +518,24 @@ mod tests {
     }
 
     #[test]
+    fn j_is_unsized_until_the_seam_sizes_it() {
+        let g = Grid::new(3, 2, 2);
+        let mut f = FieldArray::new(g.clone());
+        assert!([&f.jx, &f.jy, &f.jz].iter().all(|j| j.capacity() == 0));
+        f.clear_j_on(&Serial);
+        assert!([&f.jx, &f.jy, &f.jz].iter().all(|j| j.len() == g.cells()));
+    }
+
+    #[test]
+    #[should_panic(expected = "J is not sized")]
+    fn the_seams_e_advance_needs_a_sized_j() {
+        FieldArray::new(Grid::new(2, 2, 2)).advance_e_on(&Serial, Strategy::Auto);
+    }
+
+    #[test]
     fn static_uniform_b_is_a_fixed_point() {
         let g = Grid::new(6, 6, 6);
-        let mut f = FieldArray::new(g);
+        let mut f = with_j(&g);
         f.bz.fill(1.5);
         let before = f.clone();
         f.advance_b_on(&Serial, Strategy::Auto, 0.5);

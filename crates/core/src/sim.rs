@@ -2,12 +2,13 @@
 //!
 //! One [`Simulation::step`] is VPIC's advance: push every species from the
 //! fields (each cell's coefficients built once from E and B → Boris →
-//! mover/deposit), unload the current accumulator into J, then advance B
-//! and E on the Yee mesh. The
+//! mover/deposit into the accumulator's edge totals), then advance B and
+//! E on the Yee mesh, the E advance taking the current from the totals.
+//! The
 //! sorting hook ([`Simulation::sort_particles`]) and the strategy/scatter
 //! knobs expose exactly the paper's tuning axes.
 
-use crate::accumulate::Accumulator;
+use crate::accumulate::{Accumulator, Drive};
 use crate::energy::EnergySnapshot;
 use crate::field::FieldArray;
 use crate::grid::Grid;
@@ -16,28 +17,25 @@ use crate::species::{Scratch, Species};
 use pk::atomic::ScatterMode;
 use pk::{ExecSpace, Serial};
 use psort::SortOrder;
-use std::ops::Range;
 use tuner::{Config, Measurement, Tuner};
 use vsimd::Strategy;
 
-// ── Accounting footprints for the grid-side streaming kernels ─────────────
+// ── Accounting footprint of the grid-side streaming kernel ────────────────
 //
 // Per-cell byte/flop counts charged to accounting spaces (`pk::SimGpu`).
-// These kernels sweep the grid arrays once with no data-dependent reuse, so
-// a streaming model is exact; the footprints come from the array reads and
-// writes each pass performs (f32 = 4 B).
+// The field solve sweeps the grid arrays with no data-dependent reuse, so
+// a streaming model is exact; the footprint comes from the array reads and
+// writes each pass performs (f32 = 4 B, i64 = 8 B), the curl stencil's
+// neighbor reads taken from cache.
 
-/// Accumulator unload, the executed pass: read a cell's three fixed-point
-/// `i64` edge totals (24 B), store its three `f32` currents (12 B). The
-/// edges' zeroing writes back the lines just read and is not priced.
-const UNLOAD_BYTES: f64 = 36.0;
-/// Fixed-point → float conversion, scale and add per edge.
-const UNLOAD_FLOPS: f64 = 12.0;
-/// Leapfrog advance (B half, E, B half): read/write 6 field arrays plus
-/// curl-stencil neighbor reads across the three passes.
-const FIELD_SOLVE_BYTES: f64 = 108.0;
-/// Curl + update arithmetic per cell across the three passes.
-const FIELD_SOLVE_FLOPS: f64 = 60.0;
+/// The field solve, B½, fused E, B½, per cell: each B half-advance reads
+/// E (12 B) and updates B (24 B); the E advance reads the three `i64` edge
+/// totals (24 B) and B (12 B) and updates E (24 B). The totals' zeroing
+/// writes back the lines just read and is not priced.
+const FIELD_SOLVE_BYTES: f64 = 132.0;
+/// Curl + update arithmetic across the three passes (60), and each edge
+/// total's conversion, scale and add (12).
+const FIELD_SOLVE_FLOPS: f64 = 72.0;
 
 /// A plane-antenna current driver (the laser injector for the LPI deck):
 /// adds `amplitude · sin(ω·t)` to `jz` over the `x = plane` cells each
@@ -58,17 +56,6 @@ impl LaserDriver {
     pub fn drive_at(&self, step: u64, dt: f32) -> f32 {
         let t = (step as f64 * dt as f64) as f32;
         self.amplitude * (self.omega * t).sin()
-    }
-
-    /// Add `drive` to `jz` over the cells `x × ys × zs` of `f`: the
-    /// antenna's whole plane, or the part of it a rank holds.
-    pub fn add_drive(f: &mut FieldArray, drive: f32, x: usize, ys: Range<usize>, zs: Range<usize>) {
-        for iy in ys {
-            for iz in zs.clone() {
-                let v = f.grid.voxel(x, iy, iz);
-                f.jz[v] += drive;
-            }
-        }
     }
 }
 
@@ -336,19 +323,18 @@ impl Simulation {
         let stats = self.particle_phase(space);
         telemetry::count("sim.particles_pushed", stats.pushed as u64);
         telemetry::count("sim.cell_crossings", stats.crossings as u64);
-        self.unload_and_advance(space);
+        self.advance_fields(space);
         self.step += 1;
         stats
     }
 
     /// The particle half of a step, written once for every driver: reset
-    /// the accumulator (free when the last unload consumed it), then push
+    /// the accumulator (free when the last E advance consumed it), then push
     /// species by species over the SoA arrays into the accumulator, each
     /// cell's coefficients built from E and B when a push block first
     /// needs them, into that block's cache, which every species shares, in
     /// the buffers of the block's scratch (block 0's is the simulation's
-    /// `scratch`). J is not cleared: the unload stores every element of
-    /// it.
+    /// `scratch`).
     fn particle_phase<S: ExecSpace>(&mut self, space: &S) -> PushStats {
         let _s = telemetry::span("sim.push").arg("species", self.species.len());
         self.acc.reset();
@@ -379,46 +365,26 @@ impl Simulation {
         stats
     }
 
-    /// Charge a grid-sweep streaming kernel to an accounting space
-    /// (no-op on real backends — cheap enough not to gate).
-    fn charge_grid_stream<S: ExecSpace>(
-        &self,
-        space: &S,
-        label: &'static str,
-        bytes_per_cell: f64,
-        flops_per_cell: f64,
-    ) {
+    /// The grid-side tail of a step: the leapfrog field advance, B½, E
+    /// from the accumulator's edge totals (which it consumes) with the
+    /// laser antenna's current on its plane, B½; charged to an accounting
+    /// space as one streaming sweep.
+    fn advance_fields<S: ExecSpace>(&mut self, space: &S) {
+        let _s = telemetry::span("sim.field_solve");
+        let g = &self.grid;
+        let drive = self.laser.as_ref().map(|l| Drive {
+            value: l.drive_at(self.step, g.dt),
+            x: l.plane,
+            ys: 0..g.ny,
+            zs: 0..g.nz,
+        });
+        self.fields.advance_b_on(space, self.strategy, 0.5);
+        self.acc.advance_e_on(space, &mut self.fields, drive.as_ref());
+        self.fields.advance_b_on(space, self.strategy, 0.5);
         if space.accounting() {
             let cells = self.grid.cells() as f64;
-            space.charge(&pk::gpu::Access::Stream {
-                label,
-                bytes: cells * bytes_per_cell,
-                flops: cells * flops_per_cell,
-            });
-        }
-    }
-
-    /// The grid-side tail of a step — accumulator unload, laser drive,
-    /// and the leapfrog field advance.
-    fn unload_and_advance<S: ExecSpace>(&mut self, space: &S) {
-        {
-            let _s = telemetry::span("sim.accumulate");
-            self.acc.unload_on(space, self.strategy, &mut self.fields);
-            self.charge_grid_stream(space, "accumulate", UNLOAD_BYTES, UNLOAD_FLOPS);
-        }
-        {
-            let _s = telemetry::span("sim.field_solve");
-            // laser antenna: driven current on the injection plane
-            if let Some(l) = &self.laser {
-                let drive = l.drive_at(self.step, self.grid.dt);
-                let (ny, nz) = (self.grid.ny, self.grid.nz);
-                LaserDriver::add_drive(&mut self.fields, drive, l.plane, 0..ny, 0..nz);
-            }
-            // leapfrog field advance (row-parallel)
-            self.fields.advance_b_on(space, self.strategy, 0.5);
-            self.fields.advance_e_on(space, self.strategy);
-            self.fields.advance_b_on(space, self.strategy, 0.5);
-            self.charge_grid_stream(space, "field_solve", FIELD_SOLVE_BYTES, FIELD_SOLVE_FLOPS);
+            let (bytes, flops) = (cells * FIELD_SOLVE_BYTES, cells * FIELD_SOLVE_FLOPS);
+            space.charge(&pk::gpu::Access::Stream { label: "field_solve", bytes, flops });
         }
     }
 
@@ -484,7 +450,7 @@ impl Simulation {
     /// tuner configuration applies, and how a caller sizes the duplicated
     /// mode's replicas for a pool ([`Simulation::step_on`]). An
     /// accumulator already built for both is kept and reset (free when
-    /// the last unload consumed it); any other is rebuilt.
+    /// the last E advance consumed it); any other is rebuilt.
     pub fn configure_scatter(&mut self, workers: usize, mode: ScatterMode) {
         if (self.acc.scatter_mode(), self.scatter_workers) == (mode, workers) {
             self.acc.reset();
@@ -499,9 +465,9 @@ impl Simulation {
     //
     // A decomposed cluster step interleaves halo exchange with the
     // phases of `step_inner`, so the rank driver enters at its seams:
-    // the particle phase (fills the private accumulator), the current
-    // unload, and the step-counter bump. Field advances are driven
-    // piecewise by the caller through the public `fields`; the
+    // the particle phase (fills the private accumulator), the E advance
+    // that consumes it, and the step-counter bump. The B advances are
+    // driven piecewise by the caller through the public `fields`; the
     // accumulator's raw fixed-point edge totals are exposed so
     // rank-boundary partial deposits can be summed exactly (integer adds
     // commute, so the merge is order- and partition-independent).
@@ -514,13 +480,14 @@ impl Simulation {
         self.particle_phase(&Serial)
     }
 
-    /// Second phase of a decomposed step: store the (halo-merged)
-    /// accumulator into J, which leaves it zero. Must run after every
+    /// Second phase of a decomposed step: advance E by a full step on the
+    /// calling thread, the current taken from the (halo-merged) edge
+    /// totals, which it leaves zero, and `drive` added to `jz` on its
+    /// cells ([`Accumulator::advance_e_on`]). Must run after every
     /// rank-boundary partial has been merged via
-    /// [`Simulation::acc_set_cell_raw`].
-    pub fn unload_currents(&mut self) {
-        let _s = telemetry::span("sim.accumulate");
-        self.acc.unload_on(&Serial, self.strategy, &mut self.fields);
+    /// [`Simulation::acc_set_cell_raw`] and B's halo filled.
+    pub fn advance_e_from_totals(&mut self, drive: Option<&Drive>) {
+        self.acc.advance_e_on(&Serial, &mut self.fields, drive);
     }
 
     /// The raw fixed-point totals of the edges `cell` owns — the unit that
@@ -548,7 +515,7 @@ impl Simulation {
     }
 
     /// Where `self` and `other` first differ, or `None` when they are
-    /// bit-identical: step count, grid, the nine field arrays, then every
+    /// bit-identical: step count, grid, the six field arrays, then every
     /// species' name, charge, mass and eight particle arrays, floats by
     /// bit pattern. The energy ledger folds these arrays in order, so it
     /// needs no comparison of its own.
@@ -733,9 +700,9 @@ mod tests {
         let mut b = neutral_pair_sim(4);
         assert_eq!(a.bit_diff(&b), None);
         // equal as floats, different as bits
-        b.fields.jz[7] = -0.0;
-        assert_eq!(a.bit_diff(&b).as_deref(), Some("jz[7]: 0x00000000 vs 0x80000000"));
-        b.fields.jz[7] = 0.0;
+        b.fields.bz[7] = -0.0;
+        assert_eq!(a.bit_diff(&b).as_deref(), Some("bz[7]: 0x00000000 vs 0x80000000"));
+        b.fields.bz[7] = 0.0;
         b.species[1].w[3] *= 2.0;
         let d = a.bit_diff(&b).expect("weights differ");
         assert!(d.starts_with(&format!("species 1 ({}) w[3]", a.species[1].name)), "{d}");

@@ -92,7 +92,7 @@ pub enum Access<'a> {
 /// One charged dispatch in a [`SimGpu`] ledger.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelRecord {
-    /// Ledger label (`"push"`, `"sort"`, `"accumulate"`, …).
+    /// Ledger label (`"push"`, `"sort"`, `"field_solve"`, …).
     pub label: &'static str,
     /// Elements processed (particles, keys; 0 for pure streams).
     pub elements: usize,

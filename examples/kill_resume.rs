@@ -35,17 +35,8 @@ fn state_hash(sim: &Simulation) -> u64 {
         }
     };
     eat(&sim.step_count().to_le_bytes());
-    for arr in [
-        &sim.fields.ex,
-        &sim.fields.ey,
-        &sim.fields.ez,
-        &sim.fields.bx,
-        &sim.fields.by,
-        &sim.fields.bz,
-        &sim.fields.jx,
-        &sim.fields.jy,
-        &sim.fields.jz,
-    ] {
+    // E and B: a step keeps no J
+    for arr in sim.fields.arrays() {
         for v in arr.iter() {
             eat(&v.to_bits().to_le_bytes());
         }

@@ -17,6 +17,8 @@ use vpic2::vsimd::Strategy;
 /// reordered reduction shows up as a bit flip.
 fn scrambled(g: &Grid) -> FieldArray {
     let mut f = FieldArray::new(g.clone());
+    // J is the seam's buffer, sized by its first use
+    f.clear_j_on(&Serial);
     let n = g.cells();
     for v in 0..n {
         let x = v as f32;

@@ -138,18 +138,19 @@ fn the_public_kernel_seam_reproduces_step_on_bitwise() {
     }
 }
 
-/// J's content before a step is never read: the unload stores every
-/// element of J, and only the owner's canonical cell takes a rank's merged
-/// current. A deck whose J starts as NaN steps to the bits of its twin
-/// whose J starts at zero, on one lane, on two, and on four ranks (where
-/// every rank's owned and halo J start as NaN).
+/// J is the outside seam's buffer, and no step reads it: a step's E
+/// advance takes the current from the accumulator's edge totals. A deck
+/// whose J the seam sized and filled with NaN steps to the bits of its
+/// twin whose J was never sized, and keeps its NaN, on one lane, on two,
+/// and on four ranks (whose partition takes E and B, never J).
 #[test]
 fn stale_j_is_never_read_by_a_step() {
     for (name, deck) in [("weibel", Deck::weibel(6, 6, 6, 3, 0.3)), ("lpi", Deck::lpi(8, 4, 4, 4))] {
-        // a twin whose J starts at zero, and one whose J starts as NaN
+        // a twin with no J, and one whose J the seam sized and made NaN
         let twins = || {
             let (zero, mut nan) = (deck.build(), deck.build());
-            assert!(zero.fields.jz.iter().all(|&j| j == 0.0), "{name}: a deck starts at zero");
+            assert!(zero.fields.jz.is_empty(), "{name}: a deck has no J");
+            nan.fields.clear_j_on(&Serial);
             for j in [&mut nan.fields.jx, &mut nan.fields.jy, &mut nan.fields.jz] {
                 j.fill(f32::NAN);
             }
@@ -170,6 +171,10 @@ fn stale_j_is_never_read_by_a_step() {
             zero_ranks.step_on(&Serial);
             nan_ranks.step_on(&Serial);
             if step == 1 || step == 5 {
+                for sim in [&nan_serial, &nan_threads] {
+                    let j = [&sim.fields.jx, &sim.fields.jy, &sim.fields.jz];
+                    assert!(j.iter().all(|j| j.iter().all(|x| x.is_nan())), "{name}: a step wrote J");
+                }
                 assert_eq!(nan_serial.bit_diff(&zero_serial), None, "{name} Serial, step {step}");
                 assert_eq!(nan_threads.bit_diff(&zero_threads), None, "{name} two lanes, step {step}");
                 let gathered = nan_ranks.gather();
