@@ -95,17 +95,25 @@ pub(crate) fn breakdown(manifest: &[CodeComponent]) -> Breakdown {
     }
 }
 
+/// Lines of a source file's code: every line above its `#[cfg(test)]`
+/// test module, so a unit test added to a file does not count as code.
+fn code_lines(body: &str) -> u64 {
+    let lines: Vec<&str> = body.lines().collect();
+    let tests = lines.windows(2).position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod "));
+    tests.unwrap_or(lines.len()) as u64
+}
+
 /// Count this repository's code the same way: per-ISA SIMD code vs
-/// portable SIMD vs kernels. A file of the inventory that cannot be read
-/// (a source that moved, or an installed binary without its sources) is
-/// an error naming it.
+/// portable SIMD vs kernels, test modules excluded. A file of the
+/// inventory that cannot be read (a source that moved, or an installed
+/// binary without its sources) is an error naming it.
 pub(crate) fn this_repo_manifest() -> Result<Vec<CodeComponent>, String> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let count = |files: &[&str]| -> Result<u64, String> {
         files.iter().try_fold(0, |loc, rel| {
             let body = std::fs::read_to_string(root.join(rel))
                 .map_err(|e| format!("fig1 self-inventory: cannot read {rel}: {e}"))?;
-            Ok(loc + body.lines().count() as u64)
+            Ok(loc + code_lines(&body))
         })
     };
     Ok(vec![
@@ -229,6 +237,13 @@ mod tests {
         // paper §4.2: AVX, AVX2, AVX512 (Xeon Phi), Neon, Altivec
         assert!(isas.len() >= 3, "{isas:?}");
         assert!(m.iter().any(|c| c.vector_bits == 512));
+    }
+
+    #[test]
+    fn code_lines_stop_at_the_test_module() {
+        let code = "//! doc\n#[cfg(test)]\nfn f() {}\n\n";
+        assert_eq!(code_lines(code), 4, "a cfg(test) item that is not the module is code");
+        assert_eq!(code_lines(&format!("{code}#[cfg(test)]\nmod tests {{\n}}\n")), 4);
     }
 
     #[test]

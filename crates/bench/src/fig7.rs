@@ -165,6 +165,17 @@ mod tests {
     }
 
     #[test]
+    fn the_chosen_tile_beats_a_cache_overflowing_one() {
+        if crate::skip_heavy_in_debug() {
+            return;
+        }
+        // half the scaled LLC against four times it
+        let time = |tile| push_cost("A100", SortOrder::TiledStrided { tile }).cost.time;
+        let tile = tile_for("A100");
+        assert!(time(tile) < time(8 * tile), "tile {tile} must beat {}", 8 * tile);
+    }
+
+    #[test]
     fn ordered_cells_are_permutations() {
         if crate::skip_heavy_in_debug() {
             return;

@@ -11,7 +11,6 @@
 //! `memsim`/`cluster` with real key/cell streams. EXPERIMENTS.md records
 //! which is which, per figure.
 
-pub mod ablate;
 pub mod ckpt;
 pub mod fig1;
 pub mod fig10;

@@ -1,73 +1,51 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro <target> [targets...]
-//!   fig1   VPIC 1.2 SIMD code breakdown
-//!   table1 platform table + STREAM Triad validation
-//!   fig3   RAJAPerf vectorization strategies (CPUs)
-//!   fig4   particle-push vectorization strategies (CPUs)
-//!   fig5   CPU gather-scatter bandwidth by sorting
-//!   fig6   GPU gather-scatter bandwidth by sorting
-//!   fig7   push kernel vs sorting order (GPUs)
-//!   fig8   push-kernel rooflines (H100/MI250/MI300A)
-//!   fig9   pushes/ns vs grid size (cache cliff)
-//!   fig10  strong scaling (Sierra/Selene/Tuolumne)
-//!   all    everything above
-//!
-//!   ckpt              checkpoint/restore cost vs step cost, resume check
-//!   gpu               SimGpu one-sweep: per-platform sort-order costs
-//!                     on executed kernels, tuner vs exhaustive
-//!   ranks             executed multi-rank stepping: speedup + overlap
-//!                     at 1/2/4/8 virtual ranks vs the closed-form model
-//!   tune              adaptive tuner vs exhaustive config sweep
-//!   ablate-tile       tiled-strided tile-size sweep (A100)
-//!   ablate-gpu-aware  Sierra with GPU-aware MPI forced on
-//!   ablate-weak       weak scaling on all three systems
-//!
-//! options:
-//!   --profile[=path]  enable telemetry; print the span summary table,
-//!                     write a Chrome/Perfetto trace to `path` (default
-//!                     trace.json) and a machine-readable summary to
-//!                     `results/telemetry.json`
+//! repro [--profile[=path]] <target>...
 //! ```
 //!
-//! JSON copies of every result land in `results/` (override with
-//! `REPRO_RESULTS_DIR`).
+//! `repro --help` lists the targets, one row each of the table
+//! `TARGETS`: the paper's figures and Table 1, which `all` runs, and the
+//! beyond-paper `ckpt`, `gpu`, `ranks` and `tune`. `--profile[=path]`
+//! enables telemetry, prints the span summary table and writes a
+//! Chrome/Perfetto trace to `path` (default trace.json) and a
+//! machine-readable summary to `results/telemetry.json`. JSON copies of
+//! every result land in `results/` (override with `REPRO_RESULTS_DIR`).
 
+use bench::{ckpt, fig1, fig10, fig3, fig4, fig5, fig7, fig8, fig9, gpu, ranks, save_json};
+use bench::{table1, tune};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-const TARGETS: [&str; 10] = [
-    "fig1", "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+type Runner = fn(&str) -> std::io::Result<PathBuf>;
+
+/// Every target, once: its name (the stem of the `results/` file it
+/// writes), whether `all` runs it, what it shows, and its runner, which
+/// computes and prints the data and saves it under that name.
+const TARGETS: [(&str, bool, &str, Runner); 14] = [
+    ("fig1", true, "VPIC 1.2 SIMD code breakdown", |n| save_json(n, &fig1::run())),
+    ("table1", true, "platforms + STREAM Triad validation", |n| save_json(n, &table1::run())),
+    ("fig3", true, "RAJAPerf vectorization strategies (CPUs)", |n| save_json(n, &fig3::run())),
+    ("fig4", true, "particle-push vectorization strategies", |n| save_json(n, &fig4::run())),
+    ("fig5", true, "CPU gather-scatter bandwidth by sorting", |n| save_json(n, &fig5::run_cpu())),
+    ("fig6", true, "GPU gather-scatter bandwidth by sorting", |n| save_json(n, &fig5::run_gpu())),
+    ("fig7", true, "push kernel vs sorting order (GPUs)", |n| save_json(n, &fig7::run())),
+    ("fig8", true, "push-kernel rooflines (H100/MI250/MI300A)", |n| save_json(n, &fig8::run())),
+    ("fig9", true, "pushes/ns vs grid size (cache cliff)", |n| save_json(n, &fig9::run())),
+    ("fig10", true, "strong scaling (Sierra/Selene/Tuolumne)", |n| save_json(n, &fig10::run())),
+    ("ckpt", false, "checkpoint cost vs step cost, resume check", |n| save_json(n, &ckpt::run())),
+    ("gpu", false, "SimGpu sort-order costs, tuner vs exhaustive", |n| save_json(n, &gpu::run())),
+    ("ranks", false, "executed multi-rank stepping vs the model", |n| save_json(n, &ranks::run())),
+    ("tune", false, "adaptive tuner vs exhaustive config sweep", |n| save_json(n, &tune::run())),
 ];
 
 fn run_target(name: &str) -> bool {
     let started = std::time::Instant::now();
-    let saved = match name {
-        "fig1" => bench::save_json("fig1", &bench::fig1::run()),
-        "table1" => bench::save_json("table1", &bench::table1::run()),
-        "fig3" => bench::save_json("fig3", &bench::fig3::run()),
-        "fig4" => bench::save_json("fig4", &bench::fig4::run()),
-        "fig5" => bench::save_json("fig5", &bench::fig5::run_cpu()),
-        "fig6" => bench::save_json("fig6", &bench::fig5::run_gpu()),
-        "fig7" => bench::save_json("fig7", &bench::fig7::run()),
-        "fig8" => bench::save_json("fig8", &bench::fig8::run()),
-        "fig9" => bench::save_json("fig9", &bench::fig9::run()),
-        "fig10" => bench::save_json("fig10", &bench::fig10::run()),
-        "ablate-tile" => bench::save_json("ablate-tile", &bench::ablate::run_tile()),
-        "ablate-gpu-aware" => {
-            bench::save_json("ablate-gpu-aware", &bench::ablate::run_gpu_aware())
-        }
-        "ablate-weak" => bench::save_json("ablate-weak", &bench::ablate::run_weak()),
-        "ckpt" => bench::save_json("ckpt", &bench::ckpt::run()),
-        "gpu" => bench::save_json("gpu", &bench::gpu::run()),
-        "ranks" => bench::save_json("ranks", &bench::ranks::run()),
-        "tune" => bench::save_json("tune", &bench::tune::run()),
-        other => {
-            eprintln!("unknown target: {other}");
-            return false;
-        }
+    let Some((.., run)) = TARGETS.iter().find(|t| t.0 == name) else {
+        eprintln!("unknown target: {name}");
+        return false;
     };
-    match saved {
+    match run(name) {
         Ok(path) => {
             println!(
                 "\n[{name}] done in {:.1}s → {}\n",
@@ -116,12 +94,11 @@ fn main() -> ExitCode {
         }
     }
     if targets.is_empty() || targets.iter().any(|a| a == "-h" || a == "--help") {
-        println!(
-            "usage: repro [--profile[=path]] <target>...   targets: {} all\n\
-             \x20      extra: ckpt gpu ranks tune \
-             ablate-tile ablate-gpu-aware ablate-weak",
-            TARGETS.join(" ")
-        );
+        println!("usage: repro [--profile[=path]] <target>...   (`all`: every target marked *)");
+        for (name, in_all, about, _) in TARGETS {
+            println!("  {name:<7}{} {about}", if in_all { '*' } else { ' ' });
+        }
+        println!("  --profile[=path]  telemetry on; span summary, trace to path (trace.json)");
         return ExitCode::SUCCESS;
     }
     if profile.is_some() {
@@ -130,7 +107,7 @@ fn main() -> ExitCode {
     let mut ok = true;
     for arg in &targets {
         if arg == "all" {
-            for t in TARGETS {
+            for (t, ..) in TARGETS.iter().filter(|t| t.1) {
                 ok &= run_target(t);
             }
         } else {
@@ -147,5 +124,26 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every committed `results/*.json` is written by exactly one target,
+    /// and every target's file is committed (`--profile`'s gitignored
+    /// `telemetry.json` aside).
+    #[test]
+    fn every_results_file_has_one_target_and_every_target_its_file() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut files: Vec<String> = std::fs::read_dir(dir).unwrap()
+            .filter_map(|e| e.unwrap().file_name().to_str()?.strip_suffix(".json").map(Into::into))
+            .filter(|stem| stem != "telemetry")
+            .collect();
+        files.sort();
+        let mut targets: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
+        targets.sort();
+        assert_eq!(files, targets, "a name twice in either list differs too");
     }
 }

@@ -23,7 +23,6 @@
 //!   compute is measured wall time; a modelled GPU cost of an executed
 //!   kernel comes only from `pk::SimGpu`.
 
-pub mod ablation;
 pub mod decompose;
 pub mod exchange;
 pub mod multirank;

@@ -395,14 +395,11 @@ impl RankState {
         let _rs = telemetry::rank_span("cluster.rank_push", r);
         let mut tally = Tally::default();
         let t0 = telemetry::now_ns();
-        // scheduled per-rank sort, the decomposed twin of the one in
-        // `step_on`: done here, not inside `begin_step`, because the id
-        // maps are parallel to the SoA arrays and must follow the same
+        // `step_on`'s scheduled sort, entered here, not in `begin_step`,
+        // because the id maps parallel the SoA arrays and follow the same
         // permutation. Bit-safe: it permutes records within a rank, and
         // the gather goes by id (the per-rank tuning contract below).
-        if let Some(order) = self.sim.consume_due_sort() {
-            self.sim.sort_particles_with_ids(order, &mut self.ids);
-        }
+        self.sim.sort_if_due(&pk::Serial, Some(&mut self.ids));
         tally.push = self.sim.begin_step();
         tally.population = self.sim.particle_count();
         // migrant drain: ascending index per species, into the outbox of
@@ -1252,18 +1249,37 @@ mod tests {
         }
     }
 
+    /// Telemetry sees a rank step's exchanges, and a rank's due sort as
+    /// `Simulation::step_on`'s own: one `sim.sort` span per rank, and a
+    /// `sim.species_sorted` count for every species it moved.
     #[test]
     fn exchange_counters_and_span_recorded() {
         let msgs0 = telemetry::counter("cluster.messages");
         let halo0 = telemetry::counter("cluster.halo_bytes");
-        let was_enabled = telemetry::enabled();
-        telemetry::set_enabled(true);
+        let sorted0 = telemetry::counter("sim.species_sorted");
         let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
         let mut mr = MultiRankSim::new(&reference, 8, net());
+        // an order no other test sorts by, so only this test's spans carry it
+        let order = psort::SortOrder::TiledStrided { tile: 5 };
+        let atomic = pk::atomic::ScatterMode::Atomic;
+        let cfg = tuner::Config::sorted(order, 1, vsimd::Strategy::default(), atomic);
+        for r in 0..8 {
+            mr.set_rank_config(r, &cfg);
+        }
+        let was_enabled = telemetry::enabled();
+        telemetry::set_enabled(true);
         mr.step();
         telemetry::set_enabled(was_enabled);
         assert!(telemetry::counter("cluster.messages") > msgs0, "directed messages recorded");
         assert!(telemetry::counter("cluster.halo_bytes") > halo0, "halo payload recorded");
+        let tag = ("order", order.to_string());
+        let events = telemetry::snapshot().events;
+        let sorts = events.iter().filter(|e| e.name == "sim.sort" && e.args.contains(&tag));
+        assert_eq!(sorts.count(), 8, "one sort span per rank");
+        // every rank species starts unsorted, so the first sort moves each
+        // (other tests may count sorts of their own meanwhile)
+        let moved = telemetry::counter("sim.species_sorted") - sorted0;
+        assert!(moved >= 8 * reference.species.len() as u64, "{moved} species sorted");
     }
 
     /// A clock whose five exchanges are all charged `charge`, with unit

@@ -100,6 +100,9 @@ mod tests {
         let aware = net(true).message_time(1e6);
         let staged = net(false).message_time(1e6);
         assert!(staged > aware + 2.0 * 1e6 / 8e9 - 1e-12);
+        // and per message in the exchange Fig 10's strong scaling prices
+        let (aware, staged) = (net(true).exchange_time(6, 1e6), net(false).exchange_time(6, 1e6));
+        assert!(staged > aware + 6.0 * 2.0 * 1e6 / 8e9 - 1e-12);
     }
 
     #[test]

@@ -108,10 +108,8 @@ pub struct Simulation {
     pub(crate) scatter_workers: usize,
     /// The adaptive tuner, when [`Simulation::set_tuner`] armed one.
     pub(crate) tuner: Option<Box<Tuner>>,
-    /// Wall time the last step spent sorting, ns (0 when no sort fired).
-    pub(crate) last_sort_ns: u64,
-    /// Whether the last step's scheduled sort fired at all.
-    pub(crate) last_sort_fired: bool,
+    /// Wall time the last step spent sorting, ns (`None`: no sort fired).
+    pub(crate) last_sort_ns: Option<u64>,
 }
 
 impl Simulation {
@@ -135,8 +133,7 @@ impl Simulation {
             block_scratch: Vec::new(),
             scatter_workers: 1,
             tuner: None,
-            last_sort_ns: 0,
-            last_sort_fired: false,
+            last_sort_ns: None,
         }
     }
 
@@ -168,44 +165,47 @@ impl Simulation {
     /// skipped; returns how many species actually moved.
     pub fn sort_particles(&mut self, order: SortOrder) -> usize {
         let Self { species, scratch, .. } = self;
-        species.iter_mut().map(|s| s.sort_with(order, scratch) as usize).sum()
+        species.iter_mut().map(|s| s.sort_with(order, None, scratch) as usize).sum()
     }
 
-    /// The sort of a rank driver, which keeps per-particle ids:
-    /// [`Simulation::sort_particles`], with `ids[s]`, the global id of
-    /// every particle of species `s`, gathered through each species'
-    /// permutation so that every particle keeps its id.
-    pub fn sort_particles_with_ids(&mut self, order: SortOrder, ids: &mut [Vec<u32>]) {
-        debug_assert_eq!(ids.len(), self.species.len(), "one id array per species");
-        for (s, ids) in self.species.iter_mut().zip(ids) {
-            s.sort_with_ids(order, ids, &mut self.scratch);
-        }
-    }
-
-    /// Make the next step's scheduled sort fire regardless of how recently
-    /// one ran. Called when the sort order changes mid-run (epoch
-    /// boundaries) so a new order takes effect immediately.
-    pub(crate) fn force_next_sort(&mut self) {
-        self.steps_since_sort = usize::MAX;
-    }
-
-    /// The sort schedule, written once: advance it by one step and return
-    /// the order to apply if a sort is due now. [`Simulation::step_on`]
-    /// sorts every species on `Some`; a rank driver calls this itself
-    /// before [`Simulation::begin_step`] because it holds parallel
-    /// per-particle state (global load-order id maps) that must be
-    /// co-permuted with the SoA arrays.
-    pub fn consume_due_sort(&mut self) -> Option<SortOrder> {
-        self.last_sort_ns = 0;
+    /// The scheduled sort of every driver: advance the schedule a step
+    /// and, when a sort is due, sort each species not already in order
+    /// inside a `sim.sort` span, count those that moved
+    /// (`sim.species_sorted`), time it for the tuner and charge `space`
+    /// each permutation gather. A rank driver calls it before
+    /// [`Simulation::begin_step`] with `ids[s]`, the global ids of species
+    /// `s`, which follow the permutation so every particle keeps its id.
+    pub fn sort_if_due<S: ExecSpace>(&mut self, space: &S, mut ids: Option<&mut [Vec<u32>]>) {
         let due = self
             .sort_order
             .filter(|_| self.sort_interval > 0 && self.steps_since_sort >= self.sort_interval);
-        self.last_sort_fired = due.is_some();
-        if self.last_sort_fired {
-            self.steps_since_sort = 0;
+        self.steps_since_sort = if due.is_some() { 1 } else { self.steps_since_sort.saturating_add(1) };
+        self.last_sort_ns = None;
+        let Some(order) = due else { return };
+        let _s = telemetry::span("sim.sort").arg("order", order);
+        let t0 = telemetry::now_ns();
+        let mut moved = 0u64;
+        for (si, s) in self.species.iter_mut().enumerate() {
+            let ids = ids.as_deref_mut().map(|ids| ids[si].as_mut_slice());
+            let sorted = s.sort_with(order, ids, &mut self.scratch);
+            moved += u64::from(sorted);
+            if sorted && space.accounting() {
+                // charge the sort as the record-permutation gather it
+                // performs: `perm[i]` is the old index read to fill slot
+                // `i`, over the 8-field 32 B SoA record
+                space.charge(&pk::gpu::Access::Gather {
+                    label: "sort",
+                    keys: &self.scratch.words,
+                    table_len: s.len().max(1),
+                    elem_bytes: 32,
+                    stream_bytes: 32.0,
+                    flops: 0.0,
+                    atomic: false,
+                });
+            }
         }
-        self.steps_since_sort = self.steps_since_sort.saturating_add(1);
-        due
+        self.last_sort_ns = Some(telemetry::now_ns().saturating_sub(t0));
+        telemetry::count("sim.species_sorted", moved);
     }
 
     /// The configuration the simulation runs: sort order and cadence,
@@ -231,7 +231,8 @@ impl Simulation {
         self.strategy = cfg.strategy;
         self.configure_scatter(workers.max(1), cfg.scatter);
         if self.sort_order != cfg.order {
-            self.force_next_sort();
+            // the next step sorts, however recently one ran
+            self.steps_since_sort = usize::MAX;
         }
         self.sort_order = cfg.order;
         self.sort_interval = cfg.interval;
@@ -282,8 +283,8 @@ impl Simulation {
                 pushed: stats.pushed as u64,
                 crossings: stats.crossings as u64,
                 step_ns,
-                sort_ns: self.last_sort_ns,
-                sorts: u64::from(self.last_sort_fired),
+                sort_ns: self.last_sort_ns.unwrap_or(0),
+                sorts: u64::from(self.last_sort_ns.is_some()),
             });
         }
         stats
@@ -293,33 +294,7 @@ impl Simulation {
         let _step_span =
             telemetry::span("sim.step").arg("step", self.step).arg("space", space.name());
         // periodic sort, as VPIC decks schedule it
-        if let Some(order) = self.consume_due_sort() {
-            let _s = telemetry::span("sim.sort").arg("order", order);
-            let t0 = telemetry::now_ns();
-            let mut moved = 0u64;
-            for s in &mut self.species {
-                if !s.sort_with(order, &mut self.scratch) {
-                    continue;
-                }
-                moved += 1;
-                if space.accounting() {
-                    // charge the sort as the record-permutation gather
-                    // it performs: `perm[i]` is the old index read to
-                    // fill slot `i`, over the 8-field 32 B SoA record
-                    space.charge(&pk::gpu::Access::Gather {
-                        label: "sort",
-                        keys: &self.scratch.words,
-                        table_len: s.len().max(1),
-                        elem_bytes: 32,
-                        stream_bytes: 32.0,
-                        flops: 0.0,
-                        atomic: false,
-                    });
-                }
-            }
-            self.last_sort_ns = telemetry::now_ns().saturating_sub(t0);
-            telemetry::count("sim.species_sorted", moved);
-        }
+        self.sort_if_due(space, None);
         let stats = self.particle_phase(space);
         telemetry::count("sim.particles_pushed", stats.pushed as u64);
         telemetry::count("sim.cell_crossings", stats.crossings as u64);
@@ -475,7 +450,7 @@ impl Simulation {
     /// First phase of a decomposed step: [`Simulation::step`]'s particle
     /// phase (accumulator reset, push from the fields) on the
     /// calling thread. Sorting is the caller's — see
-    /// [`Simulation::consume_due_sort`].
+    /// [`Simulation::sort_if_due`].
     pub fn begin_step(&mut self) -> PushStats {
         self.particle_phase(&Serial)
     }
@@ -668,7 +643,7 @@ mod tests {
         for _ in 0..6 {
             let dirty = sim.species.iter().any(|s| s.current_order() != sim.sort_order);
             sim.step_on(space);
-            sorts += usize::from(sim.last_sort_fired && dirty);
+            sorts += usize::from(sim.last_sort_ns.is_some() && dirty);
             assert_eq!(buffers(&sim), warm, "a scratch moved or grew after warm-up");
             let own = sim.species.iter().any(Species::holds_sort_buffers);
             assert!(!own, "a species made sort buffers of its own");

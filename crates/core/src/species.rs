@@ -388,7 +388,7 @@ impl Species {
     /// same bits.
     pub fn sort(&mut self, order: SortOrder) -> bool {
         let mut own = std::mem::take(&mut self.scratch);
-        let moved = self.sort_with(order, &mut own);
+        let moved = self.sort_with(order, None, &mut own);
         self.scratch = own;
         moved
     }
@@ -409,7 +409,18 @@ impl Species {
     /// buffers are sized it makes none. What it allocates per call is
     /// the argsort's counting buckets (4 B per cell of the key range)
     /// and, for the strided orders, their rewritten `u64` keys.
-    pub(crate) fn sort_with(&mut self, order: SortOrder, scratch: &mut Scratch) -> bool {
+    ///
+    /// A rank driver passes `ids`, the id array it keeps parallel to the
+    /// particles: they pass through the spare column as bits, the way
+    /// `cell` does, so every particle keeps its id and the sort makes no
+    /// buffer for them either. `Standard` is stable: particles in one
+    /// cell keep the order they had.
+    pub(crate) fn sort_with(
+        &mut self,
+        order: SortOrder,
+        ids: Option<&mut [u32]>,
+        scratch: &mut Scratch,
+    ) -> bool {
         if self.last_sort == Some(order) && order != SortOrder::Random {
             // the skip serves the cached "already sorted" claim — verify
             // it in debug builds, since a caller that mutated the public
@@ -422,6 +433,10 @@ impl Species {
         let Scratch { words: perm, floats: spare } = scratch;
         psort::permutation_into(order, cell, perm);
         gather_bits(perm, spare, cell);
+        if let Some(ids) = ids {
+            debug_assert_eq!(ids.len(), perm.len(), "ids must be parallel to the particles");
+            gather_bits(perm, spare, ids);
+        }
         for arr in [&mut *dx, dy, dz, ux, uy, uz, w] {
             spare.clear();
             spare.extend(perm.iter().map(|&p| arr[p as usize]));
@@ -431,26 +446,6 @@ impl Species {
         spare.extend_from_slice(dx);
         std::mem::swap(dx, spare);
         self.last_sort = Some(order);
-        true
-    }
-
-    /// The sort of the id ledger: [`Species::sort_with`], with `ids`, the
-    /// id array kept parallel to the particles, gathered through the
-    /// permutation so that every particle keeps its id. The ids pass
-    /// through the lent spare column as bits, the way `cell` does, so the
-    /// sort makes no buffer for them either. `Standard` is stable:
-    /// particles in one cell keep the order they had.
-    pub(crate) fn sort_with_ids(
-        &mut self,
-        order: SortOrder,
-        ids: &mut [u32],
-        scratch: &mut Scratch,
-    ) -> bool {
-        debug_assert_eq!(ids.len(), self.len(), "ids must be parallel to the particles");
-        if !self.sort_with(order, scratch) {
-            return false;
-        }
-        gather_bits(&scratch.words, &mut scratch.floats, ids);
         true
     }
 
@@ -660,7 +655,7 @@ mod tests {
             for order in SortOrder::fig7_set(8) {
                 let (mut s, mut ids) = (loaded.clone(), (0..n as u32).collect::<Vec<_>>());
                 let mut lent = Scratch::default();
-                assert!(s.sort_with_ids(order, &mut ids, &mut lent));
+                assert!(s.sort_with(order, Some(&mut ids), &mut lent));
                 let perm: &[u32] = &lent.words;
                 let as_u32 =
                     |perm: Vec<usize>| perm.into_iter().map(|p| p as u32).collect::<Vec<_>>();
@@ -712,7 +707,7 @@ mod tests {
         for own in [false, true] {
             let (mut s, mut lent) = (loaded.clone(), Scratch::default());
             let mut sorted = |s: &mut Species, order| {
-                let moved = if own { s.sort(order) } else { s.sort_with(order, &mut lent) };
+                let moved = if own { s.sort(order) } else { s.sort_with(order, None, &mut lent) };
                 assert!(moved, "{order}");
                 let scratch = if own { &s.scratch } else { &lent };
                 (columns(s), scratch.buffers(), [scratch.words.len(), scratch.floats.len()])
@@ -747,7 +742,7 @@ mod tests {
         let mut ids: Vec<u32> = (0..s.len() as u32).collect();
         let mut lent = Scratch::default();
         // warmup: the first sort sizes the lent buffers
-        assert!(s.sort_with_ids(SortOrder::Standard, &mut ids, &mut lent));
+        assert!(s.sort_with(SortOrder::Standard, Some(&mut ids), &mut lent));
         let warm = (lent.buffers(), ids.as_ptr() as usize, ids.capacity());
         for order in [
             SortOrder::Strided,
@@ -756,7 +751,7 @@ mod tests {
             SortOrder::Standard,
         ] {
             s.mark_unsorted();
-            assert!(s.sort_with_ids(order, &mut ids, &mut lent), "{order}");
+            assert!(s.sort_with(order, Some(&mut ids), &mut lent), "{order}");
             let now = (lent.buffers(), ids.as_ptr() as usize, ids.capacity());
             assert_eq!(now, warm, "the sort made, resized or moved a buffer ({order})");
             for (p, &id) in ids.iter().enumerate() {
