@@ -34,7 +34,7 @@ const TARGETS: [(&str, bool, &str, Runner); 14] = [
     ("fig9", true, "pushes/ns vs grid size (cache cliff)", |n| save_json(n, &fig9::run())),
     ("fig10", true, "strong scaling (Sierra/Selene/Tuolumne)", |n| save_json(n, &fig10::run())),
     ("ckpt", false, "checkpoint cost vs step cost, resume check", |n| save_json(n, &ckpt::run())),
-    ("gpu", false, "SimGpu sort-order costs, tuner vs exhaustive", |n| save_json(n, &gpu::run())),
+    ("gpu", false, "SimGpu sort-order costs and best arm", |n| save_json(n, &gpu::run())),
     ("ranks", false, "executed multi-rank stepping vs the model", |n| save_json(n, &ranks::run())),
     ("tune", false, "adaptive tuner vs exhaustive config sweep", |n| save_json(n, &tune::run())),
 ];
@@ -61,13 +61,12 @@ fn run_target(name: &str) -> bool {
     }
 }
 
-/// Print the span summary + histogram tables and write the Chrome trace
-/// and the JSON summary.
+/// Print the span summary table and write the Chrome trace and the JSON
+/// summary.
 fn write_profile(trace_path: &str) -> std::io::Result<()> {
     let snap = telemetry::snapshot();
     let stats = telemetry::aggregate(&snap.events);
     print!("{}", telemetry::format_summary(&stats));
-    print!("{}", telemetry::format_metrics(&snap.metrics));
     std::fs::write(trace_path, telemetry::chrome_trace(&snap.events))?;
     let dir = bench::results_dir();
     std::fs::create_dir_all(&dir)?;

@@ -803,21 +803,18 @@ impl MultiRankSim {
             timing.modeled_exchange_s += modeled;
             timing.exposed_exchange_s += exposed;
             timing.step_s = timing.step_s.max(compute + exposed);
-            // per-rank exchange-overlap distributions: exposed is the tail
-            // that actually extends the step, hidden is what the compute
-            // window absorbed
-            telemetry::hist!("cluster.exposed_exchange.ns", (exposed * 1e9) as u64);
-            telemetry::hist!(
-                "cluster.hidden_exchange.ns",
-                ((modeled - exposed).max(0.0) * 1e9) as u64
-            );
         }
         if telemetry::enabled() {
             telemetry::count("cluster.migrants", mig.migrants as u64);
             telemetry::count("cluster.bytes_moved", (mig.migrants * MIGRANT_BYTES) as u64);
             telemetry::count("cluster.halo_bytes", halo_bytes);
             telemetry::count("cluster.messages", messages);
-            telemetry::hist!("cluster.migrants.per_step", mig.migrants as u64);
+            // exposed is the exchange that extends the step, hidden what
+            // the compute windows absorbed
+            let exposed = timing.exposed_exchange_s;
+            let hidden = timing.modeled_exchange_s - exposed;
+            telemetry::count("cluster.exposed_exchange_ns", (exposed * 1e9) as u64);
+            telemetry::count("cluster.hidden_exchange_ns", (hidden * 1e9) as u64);
         }
         (push, mig, timing)
     }
@@ -1256,6 +1253,8 @@ mod tests {
     fn exchange_counters_and_span_recorded() {
         let msgs0 = telemetry::counter("cluster.messages");
         let halo0 = telemetry::counter("cluster.halo_bytes");
+        let exposed0 = telemetry::counter("cluster.exposed_exchange_ns");
+        let hidden0 = telemetry::counter("cluster.hidden_exchange_ns");
         let sorted0 = telemetry::counter("sim.species_sorted");
         let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
         let mut mr = MultiRankSim::new(&reference, 8, net());
@@ -1268,10 +1267,22 @@ mod tests {
         }
         let was_enabled = telemetry::enabled();
         telemetry::set_enabled(true);
-        mr.step();
+        let (.., timing) = mr.step();
         telemetry::set_enabled(was_enabled);
         assert!(telemetry::counter("cluster.messages") > msgs0, "directed messages recorded");
         assert!(telemetry::counter("cluster.halo_bytes") > halo0, "halo payload recorded");
+        // the step's exchange split in ns; other tests may step with
+        // telemetry on meanwhile, so each counter rises by at least it
+        let counters = telemetry::counters();
+        let hidden_s = timing.modeled_exchange_s - timing.exposed_exchange_s;
+        for (name, before, step_s) in [
+            ("cluster.exposed_exchange_ns", exposed0, timing.exposed_exchange_s),
+            ("cluster.hidden_exchange_ns", hidden0, hidden_s),
+        ] {
+            let step_ns = (step_s * 1e9) as u64;
+            let rose = counters.get(name).expect("exchange counter recorded") - before;
+            assert!(rose >= step_ns, "{name} rose by {rose}, the step's split is {step_ns}");
+        }
         let tag = ("order", order.to_string());
         let events = telemetry::snapshot().events;
         let sorts = events.iter().filter(|e| e.name == "sim.sort" && e.args.contains(&tag));

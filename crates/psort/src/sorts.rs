@@ -157,9 +157,6 @@ fn rewrite_keys_in<S: ExecSpace>(
     // pass 1: per-block key histograms
     let mut hists: Vec<Vec<u64>> = {
         let _s = telemetry::span("psort.histogram").arg("n", n).arg("range", range);
-        // sort occupancy in milli-particles-per-cell: the load factor that
-        // decides whether tiled-strided beats strided for this grid
-        telemetry::hist!("psort.occupancy.mppc", (n as u64).saturating_mul(1000) / range.max(1));
         space
             .parallel_windows(keys, 1, |_, _, keys| {
                 let mut hist = vec![0u64; range as usize];
@@ -252,6 +249,26 @@ mod tests {
         let mut vals: Vec<char> = ('a'..='h').collect();
         sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
         assert_eq!(keys, vec![0, 1, 2, 0, 1, 2, 0, 2]);
+    }
+
+    #[test]
+    fn the_histogram_span_carries_the_sort_occupancy() {
+        // keys 5..=41, so range 37; the span is this thread's, on its track
+        let mut keys: Vec<u32> = (0..777u32).map(|i| i * 7 % 37 + 5).collect();
+        let mut vals: Vec<usize> = (0..keys.len()).collect();
+        let (track, t0) = (telemetry::current_track(), telemetry::now_ns());
+        let was = telemetry::enabled();
+        telemetry::set_enabled(true);
+        sort_pairs(SortOrder::Strided, &mut keys, &mut vals);
+        telemetry::set_enabled(was);
+        let events = telemetry::snapshot().events;
+        let mut spans = events
+            .iter()
+            .filter(|e| e.name == "psort.histogram" && e.track == track && e.start_ns >= t0);
+        let span = spans.next().expect("the sort records its histogram span");
+        assert!(spans.next().is_none(), "one histogram pass per sort");
+        let arg = |k| span.args.iter().find(|(key, _)| *key == k).map(|(_, v)| v.as_str());
+        assert_eq!((arg("n"), arg("range")), (Some("777"), Some("37")));
     }
 
     #[test]

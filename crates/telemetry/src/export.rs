@@ -4,7 +4,6 @@
 //! injected via the events, never sampled — so output is byte-identical
 //! for a fixed event sequence (the determinism tests below pin this).
 
-use crate::metrics::MetricsSnapshot;
 use crate::registry::{Event, Snapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -103,33 +102,6 @@ pub fn format_summary(stats: &[SpanStat]) -> String {
             fmt_ns(s.p99_ns),
             fmt_ns(s.max_ns),
         );
-    }
-    out
-}
-
-/// Render the histogram table (count/mean/p50/p95/p99), name-ordered.
-/// Empty string when nothing was recorded.
-pub fn format_metrics(metrics: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    if !metrics.hists.is_empty() {
-        let name_w = metrics.hists.keys().map(|n| n.len()).max().unwrap_or(9).max(9);
-        let _ = writeln!(
-            out,
-            "{:<name_w$} {:>10} {:>12} {:>12} {:>12} {:>12}",
-            "histogram", "count", "mean", "p50", "p95", "p99"
-        );
-        for (name, h) in &metrics.hists {
-            let _ = writeln!(
-                out,
-                "{:<name_w$} {:>10} {:>12} {:>12} {:>12} {:>12}",
-                name,
-                h.count,
-                h.mean(),
-                h.percentile(50.0),
-                h.percentile(95.0),
-                h.percentile(99.0),
-            );
-        }
     }
     out
 }
@@ -236,7 +208,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
 }
 
 /// Render a snapshot as machine-readable summary JSON: counters, per-span
-/// stats, streaming histograms, and the dropped-event count.
+/// stats, and the dropped-event count.
 pub fn summary_json(snap: &Snapshot) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"dropped_events\": {},", snap.dropped_events);
@@ -271,27 +243,6 @@ pub fn summary_json(snap: &Snapshot) -> String {
         );
     }
     if !stats.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"hists\": [");
-    for (i, (name, h)) in snap.metrics.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"mean\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            esc(name),
-            h.count,
-            h.sum,
-            h.mean(),
-            h.percentile(50.0),
-            h.percentile(95.0),
-            h.percentile(99.0),
-        );
-    }
-    if !snap.metrics.hists.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
@@ -400,19 +351,6 @@ mod tests {
         assert_eq!(chrome_trace(&events), out, "still byte-deterministic with ranks");
     }
 
-    /// A fixed synthetic metrics snapshot to pair with the events.
-    fn synthetic_metrics() -> MetricsSnapshot {
-        let mut m = MetricsSnapshot::default();
-        let mut h = crate::metrics::HistData::default();
-        for v in [100u64, 200, 400, 800, 6400] {
-            h.count += 1;
-            h.sum += v;
-            *h.buckets.entry(crate::metrics::bucket_index(v) as u32).or_insert(0) += 1;
-        }
-        m.hists.insert("cluster.exposed_exchange.ns".to_string(), h);
-        m
-    }
-
     fn synthetic_snapshot() -> Snapshot {
         Snapshot {
             events: synthetic_events(),
@@ -423,7 +361,6 @@ mod tests {
             .into_iter()
             .collect(),
             dropped_events: 0,
-            metrics: synthetic_metrics(),
         }
     }
 
@@ -436,10 +373,6 @@ mod tests {
         assert!(a.contains("\"pk.pool.dispatches\": 12"));
         assert!(a.contains("\"dropped_events\": 0"));
         assert!(a.contains("\"name\": \"sim.push::lane\", \"count\": 2, \"total_ns\": 12900"));
-        // streaming metrics render alongside the span stats
-        assert!(a.contains("\"hists\": ["));
-        assert!(a.contains("\"name\": \"cluster.exposed_exchange.ns\", \"count\": 5, \"sum\": 7900"));
-        assert!(a.contains("\"p99\": "));
     }
 
     #[test]

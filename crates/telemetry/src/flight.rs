@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Render a snapshot's events, counters and drop count as the post-mortem
-/// report text (its histograms are not read). Pure: timestamps and counts
+/// report text. Pure: timestamps and counts
 /// are carried in, never sampled.
 pub(crate) fn render_flight_report(context: &str, snap: &Snapshot) -> String {
     let mut out = String::new();
@@ -103,7 +103,6 @@ mod tests {
                 ("sim.particles_pushed".to_string(), 4096u64),
             ]),
             dropped_events: 3,
-            ..Snapshot::default()
         }
     }
 

@@ -11,11 +11,11 @@
 //!   `chrome://tracing` or <https://ui.perfetto.dev>, with one track per
 //!   worker lane, grouped per virtual rank.
 //!
-//! Beyond spans and counters, the crate carries lock-free log-bucketed
-//! [`Histogram`]s for samples no span carries (see [`hist!`] and the
-//! `metrics` module docs), and a *flight recorder*: [`dump_flight`]
-//! renders the newest span events into a deterministic post-mortem report
-//! when a run dies (worker panic, failed restore).
+//! A sample is a span argument or a counter: the crate keeps no
+//! distributions of its own. Beside the exporters it carries a *flight
+//! recorder*: [`dump_flight`] renders the newest span events into a
+//! deterministic post-mortem report when a run dies (worker panic, failed
+//! restore).
 //!
 //! ## The zero-cost-off contract
 //!
@@ -45,12 +45,10 @@
 
 mod export;
 mod flight;
-mod metrics;
 mod registry;
 
-pub use export::{aggregate, chrome_trace, format_metrics, format_summary, summary_json, SpanStat};
+pub use export::{aggregate, chrome_trace, format_summary, summary_json, SpanStat};
 pub use flight::dump_flight;
-pub use metrics::{bucket_floor, bucket_index, histogram, HistData, Histogram, MetricsSnapshot};
 pub use registry::{
     counter, counters, reset, restore_counter_baselines, snapshot, Event, Snapshot,
 };
@@ -364,24 +362,6 @@ mod tests {
         let ev = snap.events.iter().find(|e| e.name == "test.lane-span").unwrap();
         assert_eq!(ev.track, 7);
         assert_eq!(ev.cat, "lane");
-    }
-
-    #[test]
-    fn hist_macro_gates_on_enabled() {
-        let _g = flag_lock();
-        let was = enabled();
-        set_enabled(false);
-        let before = histogram("test.hist-macro").snapshot().count;
-        for i in 0..10u64 {
-            hist!("test.hist-macro", i);
-        }
-        set_enabled(true);
-        for i in 0..10u64 {
-            hist!("test.hist-macro", i);
-        }
-        let after = histogram("test.hist-macro").snapshot();
-        set_enabled(was);
-        assert_eq!(after.count, before + 10, "only enabled records may land");
     }
 
     #[test]

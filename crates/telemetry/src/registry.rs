@@ -4,7 +4,6 @@
 //! [`MAX_EVENTS_PER_SHARD`] events; the flight recorder reads the newest
 //! [`FLIGHT_TAIL`] of the same buffer.
 
-use crate::metrics::MetricsSnapshot;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -172,18 +171,16 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Events a shard evicted to stay within its cap.
     pub dropped_events: u64,
-    /// Streaming histograms, name-ordered.
-    pub metrics: MetricsSnapshot,
 }
 
 /// Merge every shard into one ordered [`Snapshot`] (does not reset).
 /// Counter totals include restored baselines, matching [`counter`].
 pub fn snapshot() -> Snapshot {
-    Snapshot { metrics: crate::metrics::metrics_snapshot(), ..newest(MAX_EVENTS_PER_SHARD) }
+    newest(MAX_EVENTS_PER_SHARD)
 }
 
 /// Every shard's newest `per_shard` events merged and ordered, with the
-/// counter totals and the drop count; no histograms.
+/// counter totals and the drop count.
 pub(crate) fn newest(per_shard: usize) -> Snapshot {
     let mut snap = Snapshot::default();
     for (k, &v) in baselines().lock().unwrap_or_else(|e| e.into_inner()).iter() {
@@ -211,8 +208,7 @@ fn event_order(a: &Event, b: &Event) -> std::cmp::Ordering {
         .then(a.name.cmp(&b.name))
 }
 
-/// Clear all recorded events, counters, restored baselines, and every
-/// histogram (zeroed in place, so cached handles stay valid).
+/// Clear all recorded events, counters and restored baselines.
 pub fn reset() {
     for s in shards() {
         let mut shard = lock(s);
@@ -221,7 +217,6 @@ pub fn reset() {
         shard.dropped = 0;
     }
     baselines().lock().unwrap_or_else(|e| e.into_inner()).clear();
-    crate::metrics::reset_metrics();
 }
 
 #[cfg(test)]

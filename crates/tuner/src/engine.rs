@@ -42,8 +42,8 @@ pub struct ScheduleEntry {
 
 /// The epoch-based auto-tuner. A stepper asks [`Tuner::before_step`] for
 /// the arm to apply and reports each step to [`Tuner::after_step`]; every
-/// `epoch_steps` observed steps the closed epoch is scored
-/// ([`Tuner::finish_epoch`]) and the next arm chosen. The struct is pure
+/// `epoch_steps` observed steps the closed epoch is scored and the next
+/// arm chosen. The struct is pure
 /// state — it never reads a clock — so its decisions are a deterministic
 /// function of what it is fed, and a copy read back from
 /// [`Tuner::put`]'s bytes continues exactly where the original stopped.
@@ -204,7 +204,7 @@ impl Tuner {
 
     /// Ingest the epoch that just ran under [`Tuner::current`] and return
     /// the configuration for the next epoch.
-    pub fn finish_epoch(&mut self, m: &Measurement) -> Config {
+    fn finish_epoch(&mut self, m: &Measurement) -> Config {
         match self.phase {
             Phase::Exploring => {
                 let interval = self.arms[self.cursor].interval;
