@@ -122,12 +122,12 @@ pub struct Report {
 /// One rank count's simulators and samples. The virtual columns read
 /// per-rank compute walls, so `virt` steps its ranks in turn: on a host
 /// with fewer free cores than lanes, ranks that share a core would each
-/// read the other's time slices as compute. `in_turn` and `at_once` are
-/// the host's two ways of running a step, alternating step by step.
+/// read the other's time slices as compute. The wall of that same step is
+/// the host's in-turn column; `at_once` is its other way of running a
+/// step, alternating step by step.
 struct Column {
     ranks: usize,
     virt: MultiRankSim,
-    in_turn: MultiRankSim,
     at_once: MultiRankSim,
     step: Vec<f64>,
     compute: Vec<f64>,
@@ -140,17 +140,15 @@ struct Column {
 impl Column {
     fn new(reference: &Simulation, ranks: usize, network: NetworkModel) -> Self {
         let configured = || MultiRankSim::new(reference, ranks, network);
-        let (mut virt, mut in_turn, mut at_once) = (configured(), configured(), configured());
+        let (mut virt, mut at_once) = (configured(), configured());
         for _ in 0..WARMUP {
             virt.step_on(&pk::Serial);
-            in_turn.step_on(&pk::Serial);
             at_once.step();
         }
         let samples = || Vec::with_capacity(ROUNDS * STEPS_PER_ROUND);
         Self {
             ranks,
             virt,
-            in_turn,
             at_once,
             step: samples(),
             compute: samples(),
@@ -161,18 +159,16 @@ impl Column {
         }
     }
 
-    /// One round's steps of every simulator, each step's three samples
-    /// taken one after the other.
+    /// One round's steps of both simulators, one after the other.
     fn round(&mut self) {
         for _ in 0..STEPS_PER_ROUND {
+            let wall = Instant::now();
             let (_, _, t) = self.virt.step_on(&pk::Serial);
+            self.serial.push(wall.elapsed().as_secs_f64());
             self.step.push(t.step_s);
             self.compute.push(t.compute_s);
             self.modeled += t.modeled_exchange_s;
             self.exposed += t.exposed_exchange_s;
-            let t = Instant::now();
-            self.in_turn.step_on(&pk::Serial);
-            self.serial.push(t.elapsed().as_secs_f64());
             let t = Instant::now();
             self.at_once.step();
             self.pool.push(t.elapsed().as_secs_f64());

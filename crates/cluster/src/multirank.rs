@@ -4,23 +4,25 @@
 //! VPIC step. Any simulation — a freshly built deck or a restored
 //! snapshot — is partitioned via [`Decomposition`] into per-rank grids
 //! with a halo shell (one cell on the minus sides, two on the plus
-//! sides); every step performs real field halo
-//! exchange and particle migration between the ranks, serialized through
-//! reusable per-link buffers, with latency and bandwidth charged through
-//! the [`NetworkModel`]. Interior field kernels run while boundary shells
+//! sides); every step performs a real E halo exchange and particle
+//! migration between the ranks, serialized through reusable per-link
+//! buffers, with latency and bandwidth charged through the
+//! [`NetworkModel`]. Interior field kernels run while boundary shells
 //! wait on in-flight exchanges, so the executed step time reflects the
 //! paper's compute/communication overlap rather than their sum.
 //!
 //! ## Supersteps
 //!
-//! The ranks run at the same time. A step is four rank-local supersteps,
-//! each one [`ExecSpace::parallel_for_mut`] over the rank states, cut
-//! where an exchange has to have arrived: (1) due sort, push, migrant
-//! drain, deposition partials, first half B advance, *pack* B; (2) add
-//! the holders' partials into the owned cells, *unpack* B, E advance from
-//! the edge totals with the laser on the owned rows, *pack* E, interior
-//! half B advance; (3) *unpack* E, boundary shells, *pack* B, append the
-//! migrants; (4) *unpack* B, close the step.
+//! The ranks run at the same time. A step is three rank-local
+//! supersteps, each one [`ExecSpace::parallel_for_mut`] over the rank
+//! states, cut where an exchange has to have arrived: (1) due sort,
+//! push, migrant drain, deposition partials, first half B advance over
+//! the *box* — the owned block and the one-cell shell around it,
+//! `0..l + 2` per axis; (2) add the holders' partials into the owned
+//! cells, E advance from the edge totals with the laser on the owned
+//! rows, *pack* E, interior half B advance (`1..l`); (3) *unpack* E, the
+//! six shells that complete the box's second half B advance, append the
+//! migrants, close the step.
 //!
 //! ## The exchange plan
 //!
@@ -30,17 +32,21 @@
 //! into one holder → owner `Link` each, cells ascending by global id,
 //! and every owner lists the links that hold its cells. All three
 //! exchanges run over that one plan: each holder sends the owner its
-//! images' current summed per cell, the owner sends back the field
-//! values of the cells the field kernels read, and a particle that
-//! crossed into an image leaves over the link to the cell's owner. Only
-//! the owner's canonical cell takes the merged current; the E an image's
-//! current advances is overwritten by the owner's before anything reads
-//! it.
+//! images' current summed per cell, the owner sends back the E of every
+//! cell the link holds, and a particle that crossed into an image leaves
+//! over the link to the cell's owner. Only the owner's canonical cell
+//! takes the merged current; the E an image's current advances is
+//! overwritten by the owner's before anything reads it.
+//!
+//! B never ships: a rank advances the B of its box itself, by the row
+//! body its owner runs, from the same inputs — the box's B, which the
+//! push reads and the E advance's minus neighbors take, and E up to the
+//! second plus-side shell, which the B half advance at `l + 1` reads.
 //!
 //! One rule makes that safe without `unsafe`: inside a superstep a rank
 //! mutates only its own `RankState` and reads only what a peer
 //! *published in an earlier superstep*. What a peer may read — per-link
-//! partials and migrant outboxes, packed halo values per holding link — a rank
+//! partials and migrant outboxes, packed E per holding link — a rank
 //! writes into its own `Sends`, and the calling thread swaps that into
 //! the `published` table between two dispatches; the exchange plans are
 //! immutable. No rank's arithmetic or append order depends on the lane
@@ -61,20 +67,18 @@
 //!   commutative, independent of which rank's array a segment landed in.
 //! * **Shared row bodies** — every field kernel runs one body per cell
 //!   whether sweeping the whole grid, a row interior, or a boundary box,
-//!   so halo grids reproduce the global sweep cell-for-cell.
+//!   so a rank's box reproduces the global sweep cell for cell.
 //! * **Deterministic migrant ordering** — migrants drain in ascending
 //!   array order, carry their global load index, are taken from the
 //!   outboxes in ascending source rank and appended sorted by
 //!   `(species, id)`; the gather reassembles canonical global arrays by
 //!   id, restoring the single-rank summation order everywhere.
 //!
-//! Halo cells compute garbage during full-grid sweeps (they wrap inside
-//! the local grid); every consumer reads them only after the exchange
-//! that overwrites them with the owner's canonical values, and owned
-//! cells never wrap because CFL limits motion and stencils to one cell.
-//! The second plus-side shell is there for the current alone: a segment
-//! in a plus-side halo cell puts weight on edges of the cell one further
-//! up. No field kernel reads its values.
+//! The E advance sweeps the whole local grid: its halo cells compute
+//! garbage (they wrap inside the local grid, and take an image's
+//! current), which the E unpack overwrites before any kernel reads it.
+//! Owned cells never wrap, because CFL limits motion and stencils to one
+//! cell. B outside the box is never advanced and never read.
 //!
 //! ## Checkpoints
 //!
@@ -95,7 +99,7 @@ use std::collections::BTreeMap;
 use vpic_core::accumulate::{Drive, EDGES};
 use vpic_core::push::PushStats;
 use vpic_core::sim::LaserDriver;
-use vpic_core::{FieldArray, Grid, ParticleRecord, Simulation};
+use vpic_core::{Grid, ParticleRecord, Simulation};
 
 /// Bytes shipped per migrating particle: the 32-byte phase-space record
 /// plus the 4-byte global id that keeps gather order canonical.
@@ -114,7 +118,7 @@ fn headroom(count: usize) -> usize {
     count / 8 + 16
 }
 
-/// Bytes per halo cell per field exchange (3 components × f32).
+/// Bytes per linked cell for the E exchange (3 components × f32).
 pub(crate) const FIELD_HALO_BYTES: usize = 12;
 
 /// Bytes per linked cell for the current exchange (3 fixed-point i64
@@ -149,8 +153,6 @@ struct Link {
     /// The holder's images of cell `k`: `images[off[k]..off[k + 1]]`.
     images: Vec<u32>,
     off: Vec<u32>,
-    /// The cells `k` with an image the field kernels read, ascending.
-    fields: Vec<u32>,
 }
 
 impl Link {
@@ -181,37 +183,11 @@ struct RankPlan {
 }
 
 impl RankPlan {
-    /// Whether the field kernels read local cell `lv`: a cell of the owned
-    /// block or the one-cell shell around it, not of the second plus-side
-    /// shell.
-    fn field_read(&self, lv: u32) -> bool {
-        let ((x, y, z), (lx, ly, lz)) = (self.grid.coords(lv as usize), self.extent);
-        x <= lx + 1 && y <= ly + 1 && z <= lz + 1
-    }
-
     /// Canonical local index of an owned global cell.
     fn canonical(&self, g: u32) -> u32 {
         let (gx, gy, gz) = self.global.coords(g as usize);
         let (ox, oy, oz) = self.origin;
         self.grid.voxel(gx - ox + 1, gy - oy + 1, gz - oz + 1) as u32
-    }
-
-    /// The links to another rank.
-    fn remote_links(&self, r: usize) -> impl Iterator<Item = &Link> {
-        self.links.iter().filter(move |l| l.owner != r)
-    }
-
-    /// One field-halo exchange as rank `r` receives it, a directed message
-    /// per remote link with cells to read: `(modeled s, messages, bytes)`.
-    fn halo_charge(&self, r: usize, network: &NetworkModel) -> (f64, u64, u64) {
-        let mut charge = (0.0, 0, 0);
-        for link in self.remote_links(r).filter(|l| !l.fields.is_empty()) {
-            let bytes = link.fields.len() * FIELD_HALO_BYTES;
-            charge.0 += network.message_time(bytes as f64);
-            charge.1 += 1;
-            charge.2 += bytes as u64;
-        }
-        charge
     }
 }
 
@@ -239,19 +215,18 @@ struct Sends {
     partials: Vec<Vec<[i64; EDGES]>>,
     /// Out-migrants per link, in drain order.
     migrants: Vec<Vec<Migrant>>,
-    /// Per `held_by` entry, the last-packed triple (B or E) of each of the
-    /// holder's `fields` cells.
+    /// Per `held_by` entry, the last-packed E of each of the link's cells.
     halo: Vec<Vec<[f32; 3]>>,
 }
 
 impl Sends {
     fn for_rank(r: usize, plans: &[RankPlan]) -> Self {
         let plan = &plans[r];
-        let fields = |&(h, li): &(usize, usize)| plans[h].links[li].fields.len();
+        let cells = |&(h, li): &(usize, usize)| plans[h].links[li].canon.len();
         Self {
             partials: plan.links.iter().map(|l| vec![[0; EDGES]; l.canon.len()]).collect(),
             migrants: vec![Vec::new(); plan.links.len()],
-            halo: plan.held_by.iter().map(|held| vec![[0.0; 3]; fields(held)]).collect(),
+            halo: plan.held_by.iter().map(|held| vec![[0.0; 3]; cells(held)]).collect(),
         }
     }
 }
@@ -266,30 +241,13 @@ struct Seen<'a> {
 
 /// The barrier between two supersteps: what each rank wrote becomes what
 /// its peers may read, and the buffers read last time come back to be
-/// overwritten. Only the first superstep rewrites more than the halos.
+/// overwritten. Only the first superstep rewrites more than the E halos.
 fn publish(ranks: &mut [RankState], published: &mut [Sends], halos_only: bool) {
     for (st, seen) in ranks.iter_mut().zip(published) {
         if halos_only {
             std::mem::swap(&mut st.sends.halo, &mut seen.halo);
         } else {
             std::mem::swap(&mut st.sends, seen);
-        }
-    }
-}
-
-/// Which component triple a halo exchange moves.
-#[derive(Debug, Clone, Copy)]
-enum FieldSet {
-    E,
-    B,
-}
-
-impl FieldSet {
-    fn of(self, f: &mut FieldArray) -> [&mut Vec<f32>; 3] {
-        let [ex, ey, ez, bx, by, bz] = f.arrays_mut();
-        match self {
-            FieldSet::E => [ex, ey, ez],
-            FieldSet::B => [bx, by, bz],
         }
     }
 }
@@ -302,40 +260,29 @@ struct RankClock {
     push: f64,
     b1: f64,
     merge: f64,
-    bfill: f64,
     e: f64,
     b2i: f64,
     efill: f64,
     b2b: f64,
     append: f64,
-    b2fill: f64,
     x_acc: f64,
-    x_b: f64,
     x_e: f64,
     x_mig: f64,
-    x_b2: f64,
 }
 
 impl RankClock {
     /// `(compute, modeled, exposed)`: the rank's compute wall, its modeled
     /// exchange time, and the part of that no compute window hides. An
     /// exchange is hidden by the segments between its launch and its wait
-    /// point: the current exchange by the first B half-advance, the B
-    /// halos by the merge, the E halos by the interior B half-advance,
-    /// the migrants by everything from the first B half-advance through
-    /// the boundary shells, the post-advance B halos by the migrant append.
-    /// What a window does not cover extends the step.
+    /// point: the current exchange by the first B half-advance, the E
+    /// halos by the interior B half-advance, the migrants by everything
+    /// from the first B half-advance through the boundary shells. What a
+    /// window does not cover extends the step.
     fn overlap(&self) -> (f64, f64, f64) {
-        let through_shells =
-            self.b1 + self.merge + self.bfill + self.e + self.b2i + self.efill + self.b2b;
-        let compute = self.push + through_shells + self.append + self.b2fill;
-        let waits = [
-            (self.x_acc, self.b1),
-            (self.x_b, self.merge),
-            (self.x_e, self.b2i),
-            (self.x_mig, through_shells),
-            (self.x_b2, self.append),
-        ];
+        let through_shells = self.b1 + self.merge + self.e + self.b2i + self.efill + self.b2b;
+        let compute = self.push + through_shells + self.append;
+        let waits =
+            [(self.x_acc, self.b1), (self.x_e, self.b2i), (self.x_mig, through_shells)];
         let modeled = waits.iter().map(|w| w.0).sum();
         let exposed = waits.iter().map(|&(charge, window)| (charge - window).max(0.0)).sum();
         (compute, modeled, exposed)
@@ -388,9 +335,9 @@ impl RankState {
     }
 
     /// Superstep 1, on the rank's own state alone: due sort, push, drain
-    /// and partials, then the first half B advance and the B pack behind
+    /// and partials, then the first half B advance over the box behind
     /// the accumulator and migrant exchanges.
-    fn push_pack(&mut self, r: usize, plans: &[RankPlan], net: &NetworkModel) {
+    fn push_and_half_b(&mut self, r: usize, plans: &[RankPlan], net: &NetworkModel) {
         let plan = &plans[r];
         let _rs = telemetry::rank_span("cluster.rank_push", r);
         let mut tally = Tally::default();
@@ -446,34 +393,26 @@ impl RankState {
             }
         }
         tally.clock.push = since(t0);
-        // the current exchange: one directed message per remote link
-        for link in plan.remote_links(r) {
-            let bytes = link.canon.len() * ACC_HALO_BYTES;
-            tally.clock.x_acc += net.message_time(bytes as f64);
-            tally.messages += 1;
-            tally.halo_bytes += bytes as u64;
+        // the step's two field exchanges, one directed message each per
+        // remote link: its cells' current to the owner, their E back
+        for link in plan.links.iter().filter(|l| l.owner != r) {
+            let (acc, e) = (link.canon.len() * ACC_HALO_BYTES, link.canon.len() * FIELD_HALO_BYTES);
+            tally.clock.x_acc += net.message_time(acc as f64);
+            tally.clock.x_e += net.message_time(e as f64);
+            tally.messages += 2;
+            tally.halo_bytes += (acc + e) as u64;
         }
         let t0 = telemetry::now_ns();
-        let strategy = self.sim.strategy;
-        self.sim.fields.advance_b_on(&pk::Serial, strategy, 0.5);
-        self.pack_halos(r, plans, FieldSet::B);
+        let (lx, ly, lz) = plan.extent;
+        self.sim.fields.advance_b_box(0..lx + 2, 0..ly + 2, 0..lz + 2, 0.5);
         tally.clock.b1 = since(t0);
-        // the three field-halo exchanges of a step move the same cells:
-        // B before the E advance (hidden by the merge), E (hidden by
-        // the interior B half-advance), B after the advance
-        let (time, messages, bytes) = plan.halo_charge(r, net);
-        tally.clock.x_b = time;
-        tally.clock.x_e = time;
-        tally.clock.x_b2 = time;
-        tally.messages += 3 * messages;
-        tally.halo_bytes += 3 * bytes;
         self.tally = tally;
     }
 
-    /// Superstep 2, after the current and B exchanges: merge, unpack B,
-    /// advance E from the edge totals with the laser's drive on the owned
-    /// rows of its plane, pack E, then the interior half B advance while
-    /// the E exchange is in flight.
+    /// Superstep 2, after the current exchange: merge, advance E from the
+    /// edge totals with the laser's drive on the owned rows of its plane,
+    /// pack E, then the interior half B advance while the E exchange is
+    /// in flight.
     fn merge_and_advance_e(&mut self, r: usize, seen: Seen, drive: Option<(usize, f32)>) {
         let plan = &seen.plans[r];
         let t0 = telemetry::now_ns();
@@ -490,15 +429,20 @@ impl RankState {
         }
         self.tally.clock.merge = since(t0);
         let t0 = telemetry::now_ns();
-        self.unpack_halos(r, seen, FieldSet::B);
-        self.tally.clock.bfill = since(t0);
-        let t0 = telemetry::now_ns();
         let (ox, (lx, ly, lz)) = (plan.origin.0, plan.extent);
         let drive = drive.filter(|(plane, _)| (ox..ox + lx).contains(plane)).map(|(plane, value)| {
             Drive { value, x: plane - ox + 1, ys: 1..ly + 1, zs: 1..lz + 1 }
         });
         self.sim.advance_e_from_totals(drive.as_ref());
-        self.pack_halos(r, seen.plans, FieldSet::E);
+        // the send half of the E exchange: the canonical E of every cell
+        // a holding link holds
+        let [ex, ey, ez, ..] = self.sim.fields.arrays_mut();
+        for (packed, &(h, li)) in self.sends.halo.iter_mut().zip(&plan.held_by) {
+            for (slot, &c) in packed.iter_mut().zip(&seen.plans[h].links[li].canon) {
+                let c = c as usize;
+                *slot = [ex[c], ey[c], ez[c]];
+            }
+        }
         self.tally.clock.e = since(t0);
         let t0 = telemetry::now_ns();
         self.sim.fields.advance_b_box(1..lx, 1..ly, 1..lz, 0.5);
@@ -506,21 +450,44 @@ impl RankState {
     }
 
     /// Superstep 3, after the E and migrant exchanges: unpack E, sweep
-    /// the shells the interior pass skipped, pack the advanced B, append
-    /// the incoming migrants sorted by `(species, id)`.
+    /// the shells of the box the interior pass skipped, append the
+    /// incoming migrants sorted by `(species, id)`, close the step.
     fn close_b_and_append(&mut self, r: usize, seen: Seen, net: &NetworkModel) {
         let plan = &seen.plans[r];
         let t0 = telemetry::now_ns();
-        self.unpack_halos(r, seen, FieldSet::E);
+        // the receive half, its wire time charged at launch: the owner's
+        // E, packed a superstep ago (by this rank itself on a periodic
+        // self link), lands in every image of the link's cells
+        let fill = telemetry::rank_span("cluster.halo_fill", r);
+        let [ex, ey, ez, ..] = self.sim.fields.arrays_mut();
+        for link in &plan.links {
+            let packed = &seen.published[link.owner].halo[link.back];
+            debug_assert_eq!(packed.len(), link.canon.len());
+            for (k, value) in packed.iter().enumerate() {
+                for &img in link.images(k) {
+                    let img = img as usize;
+                    (ex[img], ey[img], ez[img]) = (value[0], value[1], value[2]);
+                }
+            }
+        }
+        drop(fill);
         self.tally.clock.efill = since(t0);
         let t0 = telemetry::now_ns();
+        // the six shells: disjoint, and together with the interior they
+        // cover the box exactly once — the x faces over the whole box,
+        // then the y faces of the interior's columns, then their z faces
         let (lx, ly, lz) = plan.extent;
-        // the three plus-face shells: disjoint, and together with the
-        // interior box they cover the owned region exactly once
-        self.sim.fields.advance_b_box(lx..lx + 1, 1..ly + 1, 1..lz + 1, 0.5);
-        self.sim.fields.advance_b_box(1..lx, ly..ly + 1, 1..lz + 1, 0.5);
-        self.sim.fields.advance_b_box(1..lx, 1..ly, lz..lz + 1, 0.5);
-        self.pack_halos(r, seen.plans, FieldSet::B);
+        let (x1, y1, z1) = (lx + 2, ly + 2, lz + 2);
+        let fields = &mut self.sim.fields;
+        for xs in [0..1, lx..x1] {
+            fields.advance_b_box(xs, 0..y1, 0..z1, 0.5);
+        }
+        for ys in [0..1, ly..y1] {
+            fields.advance_b_box(1..lx, ys, 0..z1, 0.5);
+        }
+        for zs in [0..1, lz..z1] {
+            fields.advance_b_box(1..lx, 1..ly, zs, 0.5);
+        }
         self.tally.clock.b2b = since(t0);
         let t0 = telemetry::now_ns();
         // the holding links ascend by holder: the outboxes are taken in
@@ -545,45 +512,7 @@ impl RankState {
             self.ids[m.species as usize].push(m.id);
         }
         self.tally.clock.append = since(t0);
-    }
-
-    /// Superstep 4, after the post-advance B exchange: unpack, close.
-    fn finish(&mut self, r: usize, seen: Seen) {
-        let t0 = telemetry::now_ns();
-        self.unpack_halos(r, seen, FieldSet::B);
-        self.tally.clock.b2fill = since(t0);
         self.sim.finish_step();
-    }
-
-    /// The send half of a field-halo exchange: the canonical values of
-    /// every cell a holder's field kernels read an image of.
-    fn pack_halos(&mut self, r: usize, plans: &[RankPlan], set: FieldSet) {
-        let [x, y, z] = set.of(&mut self.sim.fields);
-        for (packed, &(h, li)) in self.sends.halo.iter_mut().zip(&plans[r].held_by) {
-            let link = &plans[h].links[li];
-            for (slot, &k) in packed.iter_mut().zip(&link.fields) {
-                let c = link.canon[k as usize] as usize;
-                *slot = [x[c], y[c], z[c]];
-            }
-        }
-    }
-
-    /// The receive half, its wire time charged at launch: the owner's
-    /// values, packed a superstep ago (by this rank itself on a periodic
-    /// self link), land in every image of the cells.
-    fn unpack_halos(&mut self, r: usize, seen: Seen, set: FieldSet) {
-        let _s = telemetry::rank_span("cluster.halo_fill", r);
-        let [x, y, z] = set.of(&mut self.sim.fields);
-        for link in &seen.plans[r].links {
-            let packed = &seen.published[link.owner].halo[link.back];
-            debug_assert_eq!(packed.len(), link.fields.len());
-            for (&k, value) in link.fields.iter().zip(packed) {
-                for &img in link.images(k as usize) {
-                    let img = img as usize;
-                    (x[img], y[img], z[img]) = (value[0], value[1], value[2]);
-                }
-            }
-        }
     }
 }
 
@@ -763,7 +692,7 @@ impl MultiRankSim {
     }
 
     /// Advance one lockstep multi-rank step with the ranks distributed
-    /// over `space`: four rank-local supersteps with a publish between
+    /// over `space`: three rank-local supersteps with a publish between
     /// them (module docs). The result does not depend on `space`.
     pub fn step_on<S: ExecSpace>(&mut self, space: &S) -> (PushStats, MigrationStats, StepTiming) {
         let ranks = self.ranks.len();
@@ -771,16 +700,13 @@ impl MultiRankSim {
         let drive = self.laser.as_ref().map(|l| (l.plane, l.drive_at(self.step, self.global().dt)));
         let Self { ranks, published, plans, network, .. } = self;
         let (plans, net) = (&plans[..], &*network);
-        space.parallel_for_mut(ranks, |r, st| st.push_pack(r, plans, net));
+        space.parallel_for_mut(ranks, |r, st| st.push_and_half_b(r, plans, net));
         publish(ranks, published, false);
         let seen = Seen { plans, published };
         space.parallel_for_mut(ranks, |r, st| st.merge_and_advance_e(r, seen, drive));
         publish(ranks, published, true);
         let seen = Seen { plans, published };
         space.parallel_for_mut(ranks, |r, st| st.close_b_and_append(r, seen, net));
-        publish(ranks, published, true);
-        let seen = Seen { plans, published };
-        space.parallel_for_mut(ranks, |r, st| st.finish(r, seen));
         self.step += 1;
         // the step's scalars, reduced in rank order. Overlap accounting:
         // each exchange is hidden by the compute window between its
@@ -973,16 +899,12 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
         let mut links: Vec<Link> = Vec::new();
         for ((owner, g), group) in images {
             if links.last().is_none_or(|l| l.owner != owner) {
-                let (canon, images, fields) = (Vec::new(), Vec::new(), Vec::new());
-                links.push(Link { owner, back: 0, canon, images, off: vec![0], fields });
+                links.push(Link { owner, back: 0, canon: Vec::new(), images: Vec::new(), off: vec![0] });
             }
             let li = links.len() - 1;
             let (link, canon) = (&mut links[li], plans[owner].canonical(g));
             for &lv in &group {
                 route[lv as usize] = if owner == r { Route::Remap(canon) } else { Route::Remote(li as u32) };
-            }
-            if group.iter().any(|&lv| plan.field_read(lv)) {
-                link.fields.push(link.canon.len() as u32);
             }
             link.canon.push(canon);
             link.images.extend(group);
@@ -1005,7 +927,7 @@ fn build_plans(decomp: &Decomposition, global: &Grid) -> Vec<RankPlan> {
 mod tests {
     use super::*;
     use crate::systems;
-    use vpic_core::Deck;
+    use vpic_core::{Deck, FieldArray};
 
     fn net() -> NetworkModel {
         systems::selene().network
@@ -1046,17 +968,8 @@ mod tests {
                                 assert_eq!(owner_of(g), link.owner, "{what}: cell {g}'s owner");
                             }
                             cells.push(g);
-                            // the field kernels read the owned block and the
-                            // one-cell shell around it
-                            let (lx, ly, lz) = plan.extent;
-                            let read = link.images(k).iter().any(|&img| {
-                                let (x, y, z) = plan.grid.coords(img as usize);
-                                x <= lx + 1 && y <= ly + 1 && z <= lz + 1
-                            });
-                            assert_eq!(link.fields.contains(&(k as u32)), read, "{what}: fields {k}");
                         }
                         assert!(!cells.is_empty() && cells.is_sorted_by(|a, b| a < b), "{what}: cells ascend");
-                        assert!(link.fields.is_sorted_by(|a, b| a < b), "{what}: fields ascend");
                     }
                     for (lv, &g) in plan.local_to_global.iter().enumerate() {
                         let canonical = owner_of(g) == r && plan.canonical(g) as usize == lv;
@@ -1070,6 +983,22 @@ mod tests {
                 let links: usize = plans.iter().map(|p| p.links.len()).sum();
                 assert_eq!(holders, links, "{nx}×{ny}×{nz} on {ranks}: every link held once");
             }
+        }
+    }
+
+    /// A step's field traffic is the plan's: every cell of a rank's remote
+    /// links ships its current to the owner and its E back, once each.
+    #[test]
+    fn a_step_ships_each_linked_cell_once_each_way() {
+        let reference = Deck::weibel(8, 8, 8, 2, 0.3).build();
+        let mut mr = MultiRankSim::new(&reference, 4, net());
+        mr.step_on(&pk::Serial);
+        for (r, (st, plan)) in mr.ranks.iter().zip(&mr.plans).enumerate() {
+            let remote = plan.links.iter().filter(|l| l.owner != r);
+            let cells: usize = remote.map(|l| l.canon.len()).sum();
+            assert!(cells > 0, "rank {r} of 4 has remote links");
+            let bytes = cells * (ACC_HALO_BYTES + FIELD_HALO_BYTES);
+            assert_eq!(st.tally.halo_bytes, bytes as u64, "rank {r}: {cells} linked cells");
         }
     }
 
@@ -1293,37 +1222,32 @@ mod tests {
         assert!(moved >= 8 * reference.species.len() as u64, "{moved} species sorted");
     }
 
-    /// A clock whose five exchanges are all charged `charge`, with unit
+    /// A clock whose three exchanges are all charged `charge`, with unit
     /// compute segments except the ones a test sets.
     fn clock(charge: f64) -> RankClock {
         RankClock {
             push: 1.0,
             b1: 1.0,
             merge: 1.0,
-            bfill: 1.0,
             e: 1.0,
             b2i: 1.0,
             efill: 1.0,
             b2b: 1.0,
             append: 1.0,
-            b2fill: 1.0,
             x_acc: charge,
-            x_b: charge,
             x_e: charge,
             x_mig: charge,
-            x_b2: charge,
         }
     }
 
     #[test]
     fn a_window_hides_its_exchange_up_to_its_own_length() {
         // every window is at least one segment long: charges of 1 vanish
-        assert_eq!(clock(1.0).overlap(), (10.0, 5.0, 0.0));
+        assert_eq!(clock(1.0).overlap(), (8.0, 3.0, 0.0));
         // charges of 1.5: the one-segment windows (accumulator behind B½,
-        // B behind the merge, E behind the interior B½, post-advance B
-        // behind the append) expose the half they cannot cover, and the
-        // migrants have seven segments
-        assert_eq!(clock(1.5).overlap(), (10.0, 7.5, 2.0));
+        // E behind the interior B½) expose the half they cannot cover,
+        // and the migrants have six segments
+        assert_eq!(clock(1.5).overlap(), (8.0, 4.5, 1.0));
         // no window at all exposes the whole charge
         let bare = RankClock { x_acc: 0.25, x_mig: 0.5, ..RankClock::default() };
         assert_eq!(bare.overlap(), (0.0, 0.75, 0.75));
@@ -1331,24 +1255,23 @@ mod tests {
 
     #[test]
     fn the_migration_window_spans_the_first_b_half_through_the_boundary_shells() {
-        // B½, merge, B fill, E, interior B½, E fill, shells: seven
-        // segments — neither the push before nor the append after counts
+        // B½, merge, E, interior B½, E fill, shells: six segments —
+        // neither the push before nor the append after counts
         let migrants_only =
             |x_mig| RankClock { x_mig, push: 100.0, append: 100.0, ..clock(0.0) }.overlap();
-        assert_eq!(migrants_only(7.0), (208.0, 7.0, 0.0));
-        assert_eq!(migrants_only(8.0), (208.0, 8.0, 1.0));
-        // each of the seven lengthens the window by its own time
-        let segments: [fn(&mut RankClock) -> &mut f64; 7] = [
+        assert_eq!(migrants_only(6.0), (206.0, 6.0, 0.0));
+        assert_eq!(migrants_only(7.0), (206.0, 7.0, 1.0));
+        // each of the six lengthens the window by its own time
+        let segments: [fn(&mut RankClock) -> &mut f64; 6] = [
             |c| &mut c.b1,
             |c| &mut c.merge,
-            |c| &mut c.bfill,
             |c| &mut c.e,
             |c| &mut c.b2i,
             |c| &mut c.efill,
             |c| &mut c.b2b,
         ];
         for (i, segment) in segments.iter().enumerate() {
-            let mut c = RankClock { x_mig: 8.0, ..clock(0.0) };
+            let mut c = RankClock { x_mig: 7.0, ..clock(0.0) };
             *segment(&mut c) += 1.0;
             assert_eq!(c.overlap().2, 0.0, "segment {i}");
         }
